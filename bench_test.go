@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -24,6 +25,7 @@ import (
 	"simcal/internal/mpisim"
 	"simcal/internal/obs"
 	"simcal/internal/opt"
+	"simcal/internal/stats"
 	"simcal/internal/wfgen"
 	"simcal/internal/wfsim"
 )
@@ -256,6 +258,54 @@ func BenchmarkProblemEvaluate(b *testing.B) {
 	b.Run("observer-enabled", func(b *testing.B) {
 		run(b, core.NewObsObserver(obs.NewRegistry(), obs.NewTracer(io.Discard)))
 	})
+}
+
+// wfEvaluateAllocCeiling is the recorded ceiling on allocations per
+// workflow loss evaluation (16 simulations) once the evaluator's runner
+// set is warm. Measured: 0. Before the reusable kernel: 86 021. The
+// benchmark fails itself above the ceiling, which is what CI's
+// bench-smoke job relies on — an allocation count repeats exactly, so
+// this gate needs no tolerance for host noise.
+const wfEvaluateAllocCeiling = 64
+
+// BenchmarkWFEvaluate measures one workflow loss evaluation on the
+// end-to-end benchmark's wf-rand-serial problem (bench/workloads.go:
+// HighestDetail, L1, Epigenomics + Montage at SizeIdx 1, 16 groups),
+// called serially on a warmed evaluator.
+func BenchmarkWFEvaluate(b *testing.B) {
+	ds, err := groundtruth.GenerateWorkflowData(groundtruth.WFOptions{
+		Apps:    []wfgen.App{wfgen.Epigenomics, wfgen.Montage},
+		SizeIdx: []int{1}, WorkIdx: []int{1, 3}, FootIdx: []int{1, 2},
+		Workers: []int{2, 4}, Reps: 3, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := wfsim.HighestDetail
+	ev := loss.WFEvaluator(v, loss.WFL1, ds)
+	sp := v.Space()
+	rng := stats.NewRNG(1)
+	pts := make([]core.Point, 32)
+	for i := range pts {
+		pts[i] = sp.Decode(sp.Sample(rng))
+		if _, err := ev(context.Background(), pts[i]); err != nil { // also warms the runner set
+			b.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ev(context.Background(), pts[i%len(pts)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if perOp := float64(after.Mallocs-before.Mallocs) / float64(b.N); perOp > wfEvaluateAllocCeiling {
+		b.Fatalf("%.0f allocs per evaluation, ceiling %d", perOp, wfEvaluateAllocCeiling)
+	}
 }
 
 // BenchmarkCachedEvaluate measures what the memoization cache buys on a

@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"simcal/internal/obs"
+	"simcal/internal/slab"
 )
 
 // Engine-level metrics, flushed into the default obs registry once per
@@ -30,7 +31,9 @@ var (
 const cancelBurstLimit = 32
 
 // Event is a scheduled callback. Events returned by At/After can be
-// canceled before they fire.
+// canceled before they fire; they belong to the engine and are recycled
+// by Reset, so a handle must not be used after the engine is reset.
+// Events made with NewEvent belong to the caller and survive Reset.
 type Event struct {
 	time     float64
 	seq      uint64
@@ -103,6 +106,7 @@ type Engine struct {
 	cancelBurst int // consecutive cancels since the last schedule/fire
 	events      eventHeap
 	runEnd      []func()
+	arena       slab.Arena[Event] // backs the events At hands out
 }
 
 // NewEngine returns an engine with the clock at time 0.
@@ -127,20 +131,81 @@ func (e *Engine) Removed() int { return e.removed }
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past panics: that is always a simulator bug.
 func (e *Engine) At(t float64, fn func()) *Event {
+	e.checkTime(t)
+	ev := e.arena.Get()
+	*ev = Event{fn: fn, eng: e}
+	e.push(ev, t)
+	return ev
+}
+
+// NewEvent returns an unscheduled event bound to fn. Unlike the events
+// At returns it belongs to the caller: it can be armed any number of
+// times with Schedule, costs no allocation per firing, and stays valid
+// across Reset. The flow kernel's completion event is one.
+func (e *Engine) NewEvent(fn func()) *Event {
+	return &Event{fn: fn, eng: e, index: -1}
+}
+
+// Schedule arms ev to fire at absolute simulated time t, replacing its
+// pending firing if it has one. The event takes a fresh sequence number,
+// so the firing order — and the removal count — are exactly those of
+// ev.Cancel() followed by At(t, fn).
+func (e *Engine) Schedule(ev *Event, t float64) {
+	e.checkTime(t)
+	if ev.index < 0 {
+		ev.canceled = false
+		e.push(ev, t)
+		return
+	}
+	if ev.canceled { // tombstoned by a cancel storm, still holding its slot
+		ev.canceled = false
+		e.tombstones--
+	}
+	e.removed++
+	e.cancelBurst = 0
+	ev.time = t
+	ev.seq = e.seq
+	e.seq++
+	heap.Fix(&e.events, ev.index)
+}
+
+func (e *Engine) checkTime(t float64) {
 	if t < e.now {
 		panic(fmt.Sprintf("des: scheduling event at %g before now %g", t, e.now))
 	}
 	if math.IsNaN(t) {
 		panic("des: scheduling event at NaN time")
 	}
+}
+
+// push stamps an unqueued event with t and the next sequence number and
+// queues it.
+func (e *Engine) push(ev *Event, t float64) {
 	e.cancelBurst = 0
-	ev := &Event{time: t, seq: e.seq, fn: fn, eng: e}
+	ev.time = t
+	ev.seq = e.seq
 	e.seq++
 	heap.Push(&e.events, ev)
 	if len(e.events) > e.maxPending {
 		e.maxPending = len(e.events)
 	}
-	return ev
+}
+
+// Reset returns the engine to the state NewEngine left it in — clock at
+// 0, empty queue, sequence numbering restarted — so the next simulation
+// numbers and orders its events exactly as it would on a fresh engine.
+// Queued events are dropped unfired, the events At handed out are
+// recycled (their handles are invalid from here on), and counters not
+// yet flushed by Run are discarded. The OnRunEnd hooks are kept: they
+// belong to the kernel layers built on the engine, which are reset with
+// it rather than re-created.
+func (e *Engine) Reset() {
+	for i, ev := range e.events {
+		ev.index = -1
+		e.events[i] = nil
+	}
+	e.arena.Reset()
+	*e = Engine{events: e.events[:0], runEnd: e.runEnd, arena: e.arena}
 }
 
 // MaxPending returns the deepest the event heap has been over the

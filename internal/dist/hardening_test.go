@@ -74,9 +74,14 @@ func TestWorkerSessionResumeMidLease(t *testing.T) {
 
 	// The first evaluation stalls until its connection dies (the
 	// mid-lease kill target); every later evaluation — including the
-	// requeued first lease — runs the real simulator.
+	// requeued first lease — runs the real simulator. The last quarter
+	// of the budget additionally waits for the second resume, so the
+	// calibration cannot finish before both kills have been survived
+	// (and counted), however fast the host runs the rest.
 	var stalledOnce atomic.Bool
+	var begun atomic.Int64
 	started := make(chan struct{}, 1)
+	secondResume := make(chan struct{})
 	real := distTestSim()
 	factory := func([]byte) (core.Simulator, error) {
 		return core.Evaluator(func(ctx context.Context, p core.Point) (float64, error) {
@@ -87,6 +92,13 @@ func TestWorkerSessionResumeMidLease(t *testing.T) {
 				}
 				<-ctx.Done()
 				return 0, ctx.Err()
+			}
+			if begun.Add(1) > evals*3/4 {
+				select {
+				case <-secondResume:
+				case <-ctx.Done():
+					return 0, ctx.Err()
+				}
 			}
 			return real.Run(ctx, p)
 		}), nil
@@ -157,6 +169,17 @@ func TestWorkerSessionResumeMidLease(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	gt.killLast()
+
+	// The worker counts a resume before it redials, so its third
+	// connection proves the second resume happened; only then may the
+	// held evaluations — and with them the calibration — complete.
+	for gt.dialCount() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never redialed after the second kill")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(secondResume)
 
 	select {
 	case out := <-done:

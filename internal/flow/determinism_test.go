@@ -78,10 +78,17 @@ func TestSolveBitwiseRepeatable(t *testing.T) {
 // live activity after each driver action. With full=true the incremental
 // solver is disabled and every reschedule re-solves all live activities.
 func driveRandomKernel(seed int64, full bool) (trace []float64, incSolves int) {
-	rng := rand.New(rand.NewSource(seed))
 	eng := des.NewEngine()
 	sys := NewSystem(eng)
 	sys.forceFullSolve = full
+	return driveKernel(eng, sys, seed, 0)
+}
+
+// driveKernel is driveRandomKernel on a given engine and system, which a
+// reuse test may have run (and Reset) before. maxEvents > 0 stops the
+// run at that many fired events, leaving the kernel mid-flight.
+func driveKernel(eng *des.Engine, sys *System, seed int64, maxEvents int) (trace []float64, incSolves int) {
+	rng := rand.New(rand.NewSource(seed))
 	res := make([]*Resource, 8)
 	for i := range res {
 		res[i] = NewResource(fmt.Sprintf("r%d", i), 50+rng.Float64()*100)
@@ -137,7 +144,7 @@ func driveRandomKernel(seed int64, full bool) (trace []float64, incSolves int) {
 			}
 		})
 	}
-	if _, err := eng.Run(0); err != nil {
+	if _, err := eng.Run(maxEvents); err != nil && maxEvents == 0 {
 		panic(err)
 	}
 	trace = append(trace, eng.Now())

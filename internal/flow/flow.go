@@ -25,6 +25,7 @@ import (
 
 	"simcal/internal/des"
 	"simcal/internal/obs"
+	"simcal/internal/slab"
 )
 
 // Solver metrics, accumulated locally per System and flushed into the
@@ -49,10 +50,20 @@ type Resource struct {
 // NewResource returns a resource with the given capacity. Capacity must
 // be positive or zero (a zero-capacity resource stalls its users).
 func NewResource(name string, capacity float64) *Resource {
+	r := &Resource{Name: name}
+	r.SetCapacity(capacity)
+	return r
+}
+
+// SetCapacity changes the resource's capacity, under NewResource's
+// validity rule. It is meant for reconfiguring a platform between
+// simulations; activities already running keep their rates until the
+// next solve that touches the resource.
+func (r *Resource) SetCapacity(capacity float64) {
 	if capacity < 0 || math.IsNaN(capacity) {
-		panic(fmt.Sprintf("flow: resource %q with invalid capacity %g", name, capacity))
+		panic(fmt.Sprintf("flow: resource %q with invalid capacity %g", r.Name, capacity))
 	}
-	return &Resource{Name: name, Capacity: capacity}
+	r.Capacity = capacity
 }
 
 // Usage declares that an activity consumes Weight × rate units/s of a
@@ -67,7 +78,8 @@ type Usage struct {
 // While active, the mutable per-activity state (rate, remaining work)
 // lives in the System's structure-of-arrays slices indexed by idx; the
 // struct fields hold a snapshot taken at completion or cancellation so
-// accessors keep working on retired activities.
+// accessors keep working on retired activities — until the System is
+// Reset, which recycles every Activity it handed out.
 type Activity struct {
 	Name      string
 	initial   float64
@@ -76,6 +88,7 @@ type Activity struct {
 	usage     []Usage
 	uidx      []int32 // resource indices, parallel to usage
 	upos      []int32 // positions in the per-resource user lists
+	ubuf      []int32 // backing of uidx and upos, kept when the struct is recycled
 	idx       int     // position in System.active (-1 once removed)
 	visitGen  int     // dirty-closure BFS stamp
 	onDone    func()
@@ -121,11 +134,6 @@ type userRef struct {
 	act  *Activity
 	slot int32
 }
-
-// slabSize is the Activity allocation block. The System retains only
-// the partially filled block, so fully consumed blocks are reclaimed by
-// the GC as soon as their activities are unreferenced.
-const slabSize = 256
 
 // compactSlack is the tombstone budget for the active list and per-
 // resource user lists: compaction (a deterministic, order-preserving
@@ -190,9 +198,10 @@ type System struct {
 	bounded  []int32
 	set      []*Activity
 	finished []*Activity
-	slab     []Activity
+	acts     slab.Arena[Activity]
 
-	// Solver statistics (lifetime totals; see Stats and flushStats).
+	// Solver statistics (totals since construction or the last Reset; see
+	// Stats and flushStats).
 	statSolves    int
 	statIters     int
 	statIncremens int
@@ -209,13 +218,52 @@ func NewSystem(eng *des.Engine) *System {
 		resIdx: make(map[*Resource]int),
 		epoch:  1,
 	}
+	s.completion = eng.NewEvent(s.onCompletion)
 	eng.OnRunEnd(s.flushStats)
 	return s
 }
 
-// Stats returns the system's lifetime solver statistics: the number of
-// max-min solves, the total progressive-filling iterations across them,
-// and the largest set of simultaneously active activities ever solved.
+// Reset returns the system to the state NewSystem left it in, for the
+// next simulation on the same (already Reset) engine: no activities, no
+// registered resources, solver generations and statistics restarted.
+// Every slice is truncated and the resource index cleared rather than
+// reallocated, so resources register — and activities are inserted — in
+// the order a fresh system would see, which is what keeps a reused
+// kernel's results bit-identical to a fresh one's; only the memory
+// (activity structs, per-resource lists, solver scratch) is carried
+// over. Activity handles obtained before Reset are invalid afterwards.
+func (s *System) Reset() {
+	s.flushStats()
+	s.completion.Cancel()
+	s.active = s.active[:0]
+	s.liveCount, s.tombstones, s.lastUpdate, s.inUpdate = 0, 0, 0, false
+	s.rateArr = s.rateArr[:0]
+	s.remArr = s.remArr[:0]
+	s.initArr = s.initArr[:0]
+	s.boundArr = s.boundArr[:0]
+	s.fixedGen = s.fixedGen[:0]
+	clear(s.resIdx)
+	s.resources = s.resources[:0]
+	s.capLeft = s.capLeft[:0]
+	s.weightSum = s.weightSum[:0]
+	s.resetGen = s.resetGen[:0]
+	s.solveUsers = s.solveUsers[:0]
+	s.solveGen = 0
+	s.users = s.users[:0]
+	s.userDead = s.userDead[:0]
+	s.dirty = s.dirty[:0]
+	s.resMark = s.resMark[:0]
+	s.epoch = 1
+	s.pendingFree = s.pendingFree[:0]
+	s.acts.Reset()
+	s.statSolves, s.statIters, s.statIncremens, s.statMaxActive = 0, 0, 0, 0
+	s.flushedSolves, s.flushedIters, s.flushedIncs = 0, 0, 0
+}
+
+// Stats returns the system's solver statistics since construction or
+// the last Reset: the number of max-min solves, the total
+// progressive-filling iterations across them, and the largest set of
+// simultaneously active activities ever solved.
 func (s *System) Stats() (solves, iterations, maxActive int) {
 	return s.statSolves, s.statIters, s.statMaxActive
 }
@@ -243,11 +291,23 @@ func (s *System) register(r *Resource) int {
 	s.capLeft = append(s.capLeft, 0)
 	s.weightSum = append(s.weightSum, 0)
 	s.resetGen = append(s.resetGen, 0)
-	s.solveUsers = append(s.solveUsers, nil)
-	s.users = append(s.users, nil)
+	s.solveUsers = extend(s.solveUsers)
+	s.users = extend(s.users)
 	s.userDead = append(s.userDead, 0)
 	s.resMark = append(s.resMark, 0)
 	return i
+}
+
+// extend grows a slice of slices by one empty element. After a Reset the
+// element is the one a previous simulation left in the spare capacity,
+// emptied but keeping its backing array.
+func extend[T any](ss [][]T) [][]T {
+	if n := len(ss); n < cap(ss) {
+		ss = ss[:n+1]
+		ss[n] = ss[n][:0]
+		return ss
+	}
+	return append(ss, nil)
 }
 
 // Engine returns the engine the system schedules on.
@@ -255,16 +315,6 @@ func (s *System) Engine() *des.Engine { return s.eng }
 
 // ActiveCount returns the number of in-flight activities.
 func (s *System) ActiveCount() int { return s.liveCount }
-
-// alloc returns a zeroed Activity from the current slab block.
-func (s *System) alloc() *Activity {
-	if len(s.slab) == 0 {
-		s.slab = make([]Activity, slabSize)
-	}
-	a := &s.slab[0]
-	s.slab = s.slab[1:]
-	return a
-}
 
 // StartActivity begins a fluid activity with the given total work,
 // optional rate bound (0 = unbounded), resource usages, and completion
@@ -282,14 +332,18 @@ func (s *System) StartActivity(name string, work, bound float64, usage []Usage, 
 			panic(fmt.Sprintf("flow: activity %q with invalid usage", name))
 		}
 	}
-	a := s.alloc()
-	*a = Activity{Name: name, initial: work, remaining: work, bound: bound, usage: usage, onDone: onDone, sys: s}
-	if n := len(usage); n > 0 {
-		backing := make([]int32, 2*n)
-		a.uidx, a.upos = backing[:n:n], backing[n:]
-		for i, u := range usage {
-			a.uidx[i] = int32(s.register(u.Res))
-		}
+	a := s.acts.Get()
+	n := len(usage)
+	ubuf := a.ubuf // a recycled struct keeps its index backing
+	if cap(ubuf) < 2*n {
+		ubuf = make([]int32, 2*n)
+	}
+	*a = Activity{
+		Name: name, initial: work, remaining: work, bound: bound, onDone: onDone, sys: s,
+		usage: usage, uidx: ubuf[:n:n], upos: ubuf[n : 2*n], ubuf: ubuf,
+	}
+	for i, u := range usage {
+		a.uidx[i] = int32(s.register(u.Res))
 	}
 	s.advance()
 	s.addActive(a)
@@ -502,10 +556,6 @@ func (s *System) reschedule() {
 		return
 	}
 	s.solveDirty()
-	if s.completion != nil {
-		s.completion.Cancel()
-		s.completion = nil
-	}
 	te := s.timeEps()
 	dt := math.Inf(1)
 	for i, a := range s.active {
@@ -526,6 +576,7 @@ func (s *System) reschedule() {
 		}
 	}
 	if math.IsInf(dt, 1) {
+		s.completion.Cancel()
 		return
 	}
 	if dt > 0 && dt < te {
@@ -533,7 +584,9 @@ func (s *System) reschedule() {
 		// fire at an unchanged Now() and make no progress.
 		dt = te
 	}
-	s.completion = s.eng.After(dt, s.onCompletion)
+	// One event for the system's whole life, re-armed in place: Schedule
+	// numbers and orders it exactly as the former cancel + After pair did.
+	s.eng.Schedule(s.completion, s.eng.Now()+dt)
 }
 
 // onCompletion fires completion callbacks for every activity that has
@@ -542,7 +595,6 @@ func (s *System) reschedule() {
 // batch deferral is released even if a callback panics (and the caller
 // recovers), so the system keeps rescheduling afterwards.
 func (s *System) onCompletion() {
-	s.completion = nil
 	s.advance()
 	te := s.timeEps()
 	finished := s.finished[:0]

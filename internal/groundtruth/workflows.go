@@ -16,6 +16,7 @@ package groundtruth
 
 import (
 	"fmt"
+	"sort"
 
 	"simcal/internal/core"
 	"simcal/internal/stats"
@@ -98,6 +99,15 @@ type WFGroup struct {
 	// MeanMakespan and MeanTaskTimes average over repetitions.
 	MeanMakespan  float64
 	MeanTaskTimes map[string]float64
+
+	// TaskNames freezes one order over the group's tasks — sorted by
+	// name, which is also wfsim.Runner's task index order — and
+	// MeanTaskTimeSeq[i] is MeanTaskTimes[TaskNames[i]]. Anything that
+	// sums over tasks (the L3/L4 losses) walks these, never the map: map
+	// iteration order would make the last bits of the sum vary from call
+	// to call.
+	TaskNames       []string
+	MeanTaskTimeSeq []float64
 }
 
 // Key identifies the group.
@@ -186,13 +196,17 @@ func GenerateWorkflowData(o WFOptions) (*WFDataset, error) {
 					wf := wfgen.Generate(spec)
 					for _, nw := range workers {
 						g := &WFGroup{Spec: spec, Workers: nw}
+						runner, err := wfsim.NewRunner(WorkflowReferenceVersion, wfsim.Scenario{Workflow: wf, Workers: nw})
+						if err != nil {
+							return nil, fmt.Errorf("groundtruth: %s on %d workers: %w", spec.Name(), nw, err)
+						}
 						for rep := 0; rep < o.Reps; rep++ {
 							cfg := WorkflowTruth
 							cfg.Noise = workflowNoise(seedStream.Int63())
-							res, err := wfsim.Simulate(WorkflowReferenceVersion, cfg, wfsim.Scenario{Workflow: wf, Workers: nw})
-							if err != nil {
+							if _, err := runner.Run(cfg); err != nil {
 								return nil, fmt.Errorf("groundtruth: %s on %d workers: %w", spec.Name(), nw, err)
 							}
+							res := runner.Result()
 							g.Runs = append(g.Runs, &WFExecution{
 								Spec: spec, Workers: nw, Rep: rep,
 								Makespan: res.Makespan, TaskTimes: res.TaskTimes,
@@ -232,23 +246,36 @@ func SyntheticWorkflowData(v wfsim.Version, planted core.Point, template *WFData
 	return out, nil
 }
 
-// aggregateGroup fills the group's means from its runs.
+// aggregateGroup fills the group's means from its runs. Each task's
+// times are summed in run order, over the tasks in name order, so the
+// aggregates are a pure function of the runs.
 func aggregateGroup(g *WFGroup) {
 	if len(g.Runs) == 0 {
 		return
 	}
-	var ms []float64
-	sums := make(map[string]float64)
-	for _, r := range g.Runs {
-		ms = append(ms, r.Makespan)
-		for k, v := range r.TaskTimes {
-			sums[k] += v
+	ms := make([]float64, len(g.Runs))
+	seen := make(map[string]struct{})
+	for i, r := range g.Runs {
+		ms[i] = r.Makespan
+		for name := range r.TaskTimes {
+			seen[name] = struct{}{}
 		}
 	}
 	g.MeanMakespan = stats.Mean(ms)
-	g.MeanTaskTimes = make(map[string]float64, len(sums))
-	for k, s := range sums {
-		g.MeanTaskTimes[k] = s / float64(len(g.Runs))
+	g.TaskNames = make([]string, 0, len(seen))
+	for name := range seen {
+		g.TaskNames = append(g.TaskNames, name)
+	}
+	sort.Strings(g.TaskNames)
+	g.MeanTaskTimes = make(map[string]float64, len(g.TaskNames))
+	g.MeanTaskTimeSeq = make([]float64, len(g.TaskNames))
+	for i, name := range g.TaskNames {
+		sum := 0.0
+		for _, r := range g.Runs {
+			sum += r.TaskTimes[name]
+		}
+		g.MeanTaskTimeSeq[i] = sum / float64(len(g.Runs))
+		g.MeanTaskTimes[name] = g.MeanTaskTimeSeq[i]
 	}
 }
 

@@ -57,63 +57,146 @@ func cachedWorkflow(spec wfgen.Spec) *workflow.Workflow {
 	return actual.(*workflow.Workflow)
 }
 
-// wfErrors simulates one group and returns the makespan error e_i and
-// the per-task errors e_{i,j}.
-func wfErrors(v wfsim.Version, cfg wfsim.Config, g *groundtruth.WFGroup) (float64, []float64, error) {
-	wf := cachedWorkflow(g.Spec)
-	res, err := wfsim.Simulate(v, cfg, wfsim.Scenario{Workflow: wf, Workers: g.Workers})
-	if err != nil {
-		return 0, nil, err
+// wfRunners is everything one evaluator call needs that outlives it: a
+// compiled wfsim.Runner per dataset group and the scratch the error
+// terms are collected in. An evaluator keeps its sets between calls, so
+// a steady calibration re-simulates on warm kernels and allocates
+// nothing.
+type wfRunners struct {
+	groups   []wfGroupRunner
+	terms    []float64
+	taskErrs []float64
+}
+
+type wfGroupRunner struct {
+	g *groundtruth.WFGroup
+	r *wfsim.Runner
+	// taskIdx[j] is the runner's index of the group's j-th task
+	// (g.TaskNames order), or -1 for a task the workflow lacks, whose
+	// simulated time reads as 0. For generated datasets it is 0, 1, 2, ….
+	taskIdx []int32
+}
+
+func newWFRunners(v wfsim.Version, ds *groundtruth.WFDataset) (*wfRunners, error) {
+	set := &wfRunners{groups: make([]wfGroupRunner, len(ds.Groups))}
+	for i, g := range ds.Groups {
+		r, err := wfsim.NewRunner(v, wfsim.Scenario{Workflow: cachedWorkflow(g.Spec), Workers: g.Workers})
+		if err != nil {
+			return nil, err
+		}
+		// Both name lists are sorted: one merge pass lines them up.
+		names, ti := r.TaskNames(), 0
+		taskIdx := make([]int32, len(g.TaskNames))
+		for j, name := range g.TaskNames {
+			for ti < len(names) && names[ti] < name {
+				ti++
+			}
+			taskIdx[j] = -1
+			if ti < len(names) && names[ti] == name {
+				taskIdx[j] = int32(ti)
+			}
+		}
+		set.groups[i] = wfGroupRunner{g: g, r: r, taskIdx: taskIdx}
 	}
-	ei := stats.RelError(g.MeanMakespan, res.Makespan)
-	taskErrs := make([]float64, 0, len(g.MeanTaskTimes))
-	for name, gt := range g.MeanTaskTimes {
-		taskErrs = append(taskErrs, stats.RelError(gt, res.TaskTimes[name]))
+	return set, nil
+}
+
+// taskErrors returns the per-task errors e_{i,j} of the runner's last
+// run, in the group's frozen task order, in the set's scratch.
+func (set *wfRunners) taskErrors(gr *wfGroupRunner) []float64 {
+	errs := set.taskErrs[:0]
+	times := gr.r.TaskTimes()
+	for j, gt := range gr.g.MeanTaskTimeSeq {
+		sim := 0.0
+		if ti := gr.taskIdx[j]; ti >= 0 {
+			sim = times[ti]
+		}
+		errs = append(errs, stats.RelError(gt, sim))
 	}
-	return ei, taskErrs, nil
+	set.taskErrs = errs
+	return errs
 }
 
 // WFEvaluator returns the calibration loss: simulate every group of the
 // dataset under the version at the candidate point and aggregate errors
 // according to kind.
+//
+// Concurrent calls each take a runner set from the evaluator's free list
+// and put it back when they are done with it, on a normal return only: a
+// call that panics abandons its set (the kernel may be mid-update), and
+// a call the resilience layer has timed out and abandoned still owns its
+// set until the stray simulation actually returns, so no two simulations
+// ever share a kernel. The list never holds more sets than the peak
+// number of concurrent calls, and dies with the evaluator. (It is a
+// plain locked slice rather than a sync.Pool on purpose: a sync.Pool is
+// emptied by the garbage collector and keeps one unstealable item per P,
+// which made allocations per evaluation vary thirtyfold between
+// identical runs — the opposite of a noise-free gate.)
 func WFEvaluator(v wfsim.Version, kind WFKind, ds *groundtruth.WFDataset) core.Evaluator {
+	var (
+		mu   sync.Mutex
+		free []*wfRunners
+	)
 	return func(ctx context.Context, p core.Point) (float64, error) {
-		cfg := v.DecodeConfig(p)
-		var terms []float64
-		for _, g := range ds.Groups {
-			if err := ctx.Err(); err != nil {
+		var set *wfRunners
+		mu.Lock()
+		if n := len(free); n > 0 {
+			set, free = free[n-1], free[:n-1]
+		}
+		mu.Unlock()
+		if set == nil {
+			var err error
+			if set, err = newWFRunners(v, ds); err != nil {
 				return 0, err
 			}
-			ei, taskErrs, err := wfErrors(v, cfg, g)
-			if err != nil {
-				return 0, err
-			}
-			var term float64
-			switch kind {
-			case WFL1, WFL2:
-				term = ei
-			case WFL3, WFL4:
-				term = ei + stats.Mean(taskErrs)
-			case WFL5, WFL6:
-				m := 0.0
-				if len(taskErrs) > 0 {
-					m = stats.Max(taskErrs)
-				}
-				term = ei + m
-			default:
-				return 0, fmt.Errorf("loss: unknown workflow kind %d", kind)
-			}
-			terms = append(terms, term)
 		}
-		if len(terms) == 0 {
-			return 0, fmt.Errorf("loss: empty workflow dataset")
+		loss, err := set.evaluate(ctx, v.DecodeConfig(p), kind)
+		// Not deferred: a panicking call must not hand its set on.
+		mu.Lock()
+		free = append(free, set)
+		mu.Unlock()
+		return loss, err
+	}
+}
+
+func (set *wfRunners) evaluate(ctx context.Context, cfg wfsim.Config, kind WFKind) (float64, error) {
+	terms := set.terms[:0]
+	for i := range set.groups {
+		gr := &set.groups[i]
+		if err := ctx.Err(); err != nil {
+			return 0, err
 		}
+		makespan, err := gr.r.Run(cfg)
+		if err != nil {
+			return 0, err
+		}
+		ei := stats.RelError(gr.g.MeanMakespan, makespan)
+		var term float64
 		switch kind {
-		case WFL1, WFL3, WFL5:
-			return stats.Mean(terms), nil
+		case WFL1, WFL2:
+			term = ei
+		case WFL3, WFL4:
+			term = ei + stats.Mean(set.taskErrors(gr))
+		case WFL5, WFL6:
+			m := 0.0
+			if taskErrs := set.taskErrors(gr); len(taskErrs) > 0 {
+				m = stats.Max(taskErrs)
+			}
+			term = ei + m
 		default:
-			return stats.Max(terms), nil
+			return 0, fmt.Errorf("loss: unknown workflow kind %d", kind)
 		}
+		terms = append(terms, term)
+	}
+	set.terms = terms
+	if len(terms) == 0 {
+		return 0, fmt.Errorf("loss: empty workflow dataset")
+	}
+	switch kind {
+	case WFL1, WFL3, WFL5:
+		return stats.Mean(terms), nil
+	default:
+		return stats.Max(terms), nil
 	}
 }
 
@@ -123,11 +206,11 @@ func WFEvaluator(v wfsim.Version, kind WFKind, ds *groundtruth.WFDataset) core.E
 func WFMakespanErrors(v wfsim.Version, cfg wfsim.Config, ds *groundtruth.WFDataset) ([]float64, error) {
 	var out []float64
 	for _, g := range ds.Groups {
-		ei, _, err := wfErrors(v, cfg, g)
+		res, err := wfsim.Simulate(v, cfg, wfsim.Scenario{Workflow: cachedWorkflow(g.Spec), Workers: g.Workers})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, 100*ei)
+		out = append(out, 100*stats.RelError(g.MeanMakespan, res.Makespan))
 	}
 	return out, nil
 }

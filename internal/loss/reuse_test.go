@@ -1,0 +1,206 @@
+package loss
+
+import (
+	"bytes"
+	"context"
+	"math"
+	"sync"
+	"testing"
+
+	"simcal/internal/core"
+	"simcal/internal/groundtruth"
+	"simcal/internal/stats"
+	"simcal/internal/wfgen"
+	"simcal/internal/wfsim"
+)
+
+func mixedWFDataset(t testing.TB) *groundtruth.WFDataset {
+	t.Helper()
+	ds, err := groundtruth.GenerateWorkflowData(groundtruth.WFOptions{
+		Apps:    []wfgen.App{wfgen.Forkjoin, wfgen.Montage},
+		SizeIdx: []int{0},
+		WorkIdx: []int{1},
+		FootIdx: []int{1},
+		Workers: []int{1, 3},
+		Reps:    2,
+		Seed:    3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// referenceWFLoss is the loss written out longhand on one-shot
+// simulations and name-keyed results: the definition the index-based
+// evaluator on reused runners must reproduce bit for bit.
+func referenceWFLoss(t *testing.T, v wfsim.Version, kind WFKind, ds *groundtruth.WFDataset, p core.Point) float64 {
+	t.Helper()
+	cfg := v.DecodeConfig(p)
+	var terms []float64
+	for _, g := range ds.Groups {
+		res, err := wfsim.Simulate(v, cfg, wfsim.Scenario{Workflow: wfgen.Generate(g.Spec), Workers: g.Workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var taskErrs []float64
+		for _, name := range g.TaskNames {
+			taskErrs = append(taskErrs, stats.RelError(g.MeanTaskTimes[name], res.TaskTimes[name]))
+		}
+		term := stats.RelError(g.MeanMakespan, res.Makespan)
+		switch kind {
+		case WFL3, WFL4:
+			term += stats.Mean(taskErrs)
+		case WFL5, WFL6:
+			term += stats.Max(taskErrs)
+		}
+		terms = append(terms, term)
+	}
+	switch kind {
+	case WFL1, WFL3, WFL5:
+		return stats.Mean(terms)
+	default:
+		return stats.Max(terms)
+	}
+}
+
+// TestWFEvaluatorBitwiseUnderConcurrentReuse: for every loss kind, one
+// evaluator called from several goroutines at once, over points in
+// different orders, returns for each point exactly the bits of the
+// longhand reference — whichever runner set, warmed by whichever earlier
+// points, serves the call.
+func TestWFEvaluatorBitwiseUnderConcurrentReuse(t *testing.T) {
+	ds := mixedWFDataset(t)
+	v := wfsim.HighestDetail
+	sp := v.Space()
+	rng := stats.NewRNG(17)
+	pts := make([]core.Point, 5)
+	for i := range pts {
+		pts[i] = sp.Decode(sp.Sample(rng))
+	}
+	for _, kind := range AllWFKinds {
+		want := make([]uint64, len(pts))
+		for i, p := range pts {
+			want[i] = math.Float64bits(referenceWFLoss(t, v, kind, ds, p))
+		}
+		ev := WFEvaluator(v, kind, ds)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for n := 0; n < 3*len(pts); n++ {
+					i := (n*(g+1) + g) % len(pts)
+					got, err := ev(context.Background(), pts[i])
+					if err != nil {
+						t.Errorf("%s: %v", kind, err)
+						return
+					}
+					if math.Float64bits(got) != want[i] {
+						t.Errorf("%s at point %d: %v, want %v", kind, i, got, math.Float64frombits(want[i]))
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
+// TestWFEvaluatorSurvivesPanickingCall: a call that panics inside the
+// simulation abandons its runner set instead of handing a half-updated
+// kernel to the next call; later calls are unaffected.
+func TestWFEvaluatorSurvivesPanickingCall(t *testing.T) {
+	ds := mixedWFDataset(t)
+	v := wfsim.HighestDetail
+	sp := v.Space()
+	good := sp.Decode(sp.Sample(stats.NewRNG(2)))
+	ev := WFEvaluator(v, WFL3, ds)
+	want, err := ev(context.Background(), good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := good.Clone()
+	bad[wfsim.ParamPreOvh] = math.NaN() // an event scheduled at NaN panics mid-run
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("NaN overhead did not panic")
+			}
+		}()
+		ev(context.Background(), bad)
+	}()
+	for i := 0; i < 3; i++ {
+		got, err := ev(context.Background(), good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("after a panicking call: %v, want %v", got, want)
+		}
+	}
+}
+
+// TestWFEvaluatorAllocationCeiling is the noise-free performance gate on
+// the evaluator: once a runner set is warm, an evaluation — 4 group
+// simulations plus the loss — stays within a fixed handful of
+// allocations (measured: 0).
+func TestWFEvaluatorAllocationCeiling(t *testing.T) {
+	ds := mixedWFDataset(t)
+	v := wfsim.HighestDetail
+	sp := v.Space()
+	rng := stats.NewRNG(23)
+	pts := make([]core.Point, 4)
+	for _, kind := range []WFKind{WFL1, WFL4, WFL6} {
+		ev := WFEvaluator(v, kind, ds)
+		for i := range pts {
+			pts[i] = sp.Decode(sp.Sample(rng))
+			if _, err := ev(context.Background(), pts[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := ev(context.Background(), pts[i%len(pts)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs > 4 {
+			t.Errorf("%s: warmed evaluator allocates %v times per call, ceiling 4", kind, allocs)
+		}
+	}
+}
+
+// TestWFEvaluatorTasksTheWorkflowLacks: a loaded dataset may name tasks
+// the generated workflow does not have (and miss some it has); their
+// simulated time reads as 0, as it did when results were name-keyed.
+func TestWFEvaluatorTasksTheWorkflowLacks(t *testing.T) {
+	ds := mixedWFDataset(t)
+	for _, g := range ds.Groups {
+		for _, run := range g.Runs {
+			delete(run.TaskTimes, g.TaskNames[1])
+			run.TaskTimes["a-ghost"] = 3
+			run.TaskTimes["zz-ghost"] = 5
+		}
+	}
+	var buf bytes.Buffer
+	if err := ds.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := groundtruth.ReadWFDataset(&buf) // re-aggregates
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := wfsim.LowestDetail
+	p := v.Space().Decode([]float64{0.4, 0.6, 0.5, 0.3, 0.7})
+	for _, kind := range []WFKind{WFL3, WFL6} {
+		got, err := WFEvaluator(v, kind, ds)(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceWFLoss(t, v, kind, ds, p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: %v, want %v", kind, got, want)
+		}
+	}
+}

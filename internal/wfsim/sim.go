@@ -1,13 +1,6 @@
 package wfsim
 
-import (
-	"fmt"
-	"sort"
-
-	"simcal/internal/platform"
-	"simcal/internal/stats"
-	"simcal/internal/workflow"
-)
+import "simcal/internal/workflow"
 
 // Scenario is one ground-truth data point to simulate: a workflow
 // executed on a given number of workers.
@@ -46,297 +39,16 @@ type NoiseModel struct {
 
 // Simulate runs one workflow execution under the version's level of
 // detail and the given parameter values. It is deterministic unless
-// cfg.Noise is set.
+// cfg.Noise is set. Callers that simulate the same scenario many times
+// (a calibration) should build one Runner and call Run instead: Simulate
+// is exactly that, once, plus Result.
 func Simulate(v Version, cfg Config, sc Scenario) (*Result, error) {
-	if sc.Workers < 1 {
-		return nil, fmt.Errorf("wfsim: need at least 1 worker, got %d", sc.Workers)
+	r, err := NewRunner(v, sc)
+	if err != nil {
+		return nil, err
 	}
-	if sc.Workflow == nil {
-		return nil, fmt.Errorf("wfsim: nil workflow")
+	if _, err := r.Run(cfg); err != nil {
+		return nil, err
 	}
-	if cfg.CoreSpeed <= 0 || cfg.LinkBW <= 0 || cfg.DiskBW <= 0 {
-		return nil, fmt.Errorf("wfsim: non-positive core speed, link bandwidth, or disk bandwidth")
-	}
-	if v.Network == Series && cfg.SharedBW <= 0 {
-		return nil, fmt.Errorf("wfsim: series network requires positive shared bandwidth")
-	}
-	s := newSim(v, cfg, sc)
-	s.start()
-	if _, err := s.ps.Engine.Run(eventBudget(sc)); err != nil {
-		return nil, fmt.Errorf("wfsim: %w", err)
-	}
-	if s.remaining != 0 {
-		return nil, fmt.Errorf("wfsim: deadlock — %d tasks never completed", s.remaining)
-	}
-	traces := make([]TaskTrace, 0, len(s.traces))
-	for _, tr := range s.traces {
-		traces = append(traces, *tr)
-	}
-	sort.Slice(traces, func(i, j int) bool { return traces[i].Task < traces[j].Task })
-	return &Result{Makespan: s.ps.Engine.Now(), TaskTimes: s.taskTimes, Trace: traces}, nil
-}
-
-// eventBudget bounds runaway simulations generously: every task incurs a
-// bounded number of events per file and phase.
-func eventBudget(sc Scenario) int {
-	n := sc.Workflow.Size()
-	files := len(sc.Workflow.Files)
-	return 200*(n+files) + 10000
-}
-
-type sim struct {
-	v   Version
-	cfg Config
-	sc  Scenario
-
-	ps      *platform.Sim
-	submit  *platform.Host
-	workers []*platform.Host
-
-	noise      *stats.RNG
-	workerMult []float64 // per-worker speed multiplier (heterogeneity)
-
-	pendingParents map[string]int
-	ready          workflow.NameQueue // ready tasks, popped in name order
-	freeCores      []int              // per worker
-	taskStart      map[string]float64
-	taskTimes      map[string]float64
-	traces         map[string]*TaskTrace
-	remaining      int
-}
-
-func newSim(v Version, cfg Config, sc Scenario) *sim {
-	if cfg.WorkerCores == 0 {
-		cfg.WorkerCores = 48
-	}
-	s := &sim{
-		v: v, cfg: cfg, sc: sc,
-		pendingParents: make(map[string]int, sc.Workflow.Size()),
-		taskStart:      make(map[string]float64, sc.Workflow.Size()),
-		taskTimes:      make(map[string]float64, sc.Workflow.Size()),
-		traces:         make(map[string]*TaskTrace, sc.Workflow.Size()),
-		remaining:      sc.Workflow.Size(),
-	}
-	if cfg.Noise != nil {
-		s.noise = stats.NewRNG(cfg.Noise.Seed)
-	}
-	s.buildPlatform()
-	return s
-}
-
-// machineMult draws the per-worker heterogeneity multiplier.
-func (s *sim) machineMult() float64 {
-	if s.noise == nil || s.cfg.Noise.MachineSpread <= 0 {
-		return 1
-	}
-	return s.noise.NoisyScale(s.cfg.Noise.MachineSpread)
-}
-
-// buildPlatform assembles submit + workers and the version's network and
-// storage configuration.
-func (s *sim) buildPlatform() {
-	p := platform.New()
-	cfg := s.cfg
-	s.submit = p.AddHost(platform.NewHost("submit", cfg.WorkerCores, cfg.CoreSpeed))
-	s.submit.Disk = platform.NewDisk("submit:disk", cfg.DiskBW, cfg.DiskConc)
-	s.workerMult = make([]float64, s.sc.Workers)
-	for i := 0; i < s.sc.Workers; i++ {
-		mult := s.machineMult()
-		s.workerMult[i] = mult
-		w := p.AddHost(platform.NewHost(fmt.Sprintf("worker%02d", i), cfg.WorkerCores, cfg.CoreSpeed*mult))
-		if s.v.Storage == AllNodes {
-			w.Disk = platform.NewDisk(w.Name+":disk", cfg.DiskBW, cfg.DiskConc)
-		}
-		s.workers = append(s.workers, w)
-		s.freeCores = append(s.freeCores, cfg.WorkerCores)
-	}
-	switch s.v.Network {
-	case OneLink:
-		link := platform.NewLink("macro", cfg.LinkBW, cfg.LinkLat)
-		platform.SharedLinkTopology(p, p.Hosts, link)
-	case Star:
-		links := make([]*platform.Link, len(s.workers))
-		for i := range links {
-			bw := cfg.LinkBW * s.workerMult[i]
-			links[i] = platform.NewLink(fmt.Sprintf("star%02d", i), bw, cfg.LinkLat)
-		}
-		platform.StarTopology(p, s.submit, s.workers, links)
-	case Series:
-		shared := platform.NewLink("shared", cfg.SharedBW, cfg.SharedLat)
-		ded := make([]*platform.Link, len(s.workers))
-		for i := range ded {
-			bw := cfg.LinkBW * s.workerMult[i]
-			ded[i] = platform.NewLink(fmt.Sprintf("ded%02d", i), bw, cfg.LinkLat)
-		}
-		platform.SeriesTopology(p, s.submit, s.workers, shared, ded)
-	}
-	s.ps = platform.NewSim(p)
-}
-
-// start seeds the ready queue and begins scheduling.
-func (s *sim) start() {
-	for _, t := range s.sc.Workflow.Tasks {
-		s.pendingParents[t.Name] = len(t.Parents)
-		if len(t.Parents) == 0 {
-			s.ready.Push(t.Name)
-		}
-	}
-	s.schedule()
-}
-
-// schedule greedily assigns ready tasks to workers with free cores —
-// the WMS scheduling loop. Workers with more free cores win; ties go to
-// the lowest index, keeping schedules deterministic.
-func (s *sim) schedule() {
-	for s.ready.Len() > 0 {
-		wi := s.pickWorker()
-		if wi < 0 {
-			return
-		}
-		name := s.ready.Pop()
-		s.freeCores[wi]--
-		s.runTask(name, wi)
-	}
-}
-
-func (s *sim) pickWorker() int {
-	best, bestFree := -1, 0
-	for i, free := range s.freeCores {
-		if free > bestFree {
-			best, bestFree = i, free
-		}
-	}
-	return best
-}
-
-// overhead draws a (possibly noisy) middleware overhead duration.
-func (s *sim) overhead(base float64) float64 {
-	if base <= 0 {
-		return 0
-	}
-	if s.noise == nil || s.cfg.Noise.OverheadSpread <= 0 {
-		return base
-	}
-	return base * s.noise.NoisyScale(s.cfg.Noise.OverheadSpread)
-}
-
-// taskWork draws the (possibly noisy) work of a task.
-func (s *sim) taskWork(t *workflow.Task) float64 {
-	if s.noise == nil || s.cfg.Noise.WorkSpread <= 0 {
-		return t.Work
-	}
-	return t.Work * s.noise.NoisyScale(s.cfg.Noise.WorkSpread)
-}
-
-// runTask drives one task through its lifecycle on worker wi:
-// [HTCondor dispatch] → stage-in → [pre overhead] → compute →
-// stage-out → [post overhead] → completion.
-func (s *sim) runTask(name string, wi int) {
-	t := s.sc.Workflow.TaskByName(name)
-	w := s.workers[wi]
-	eng := s.ps.Engine
-	s.taskStart[name] = eng.Now()
-	tr := &TaskTrace{Task: name, Worker: wi, Dispatch: eng.Now()}
-	s.traces[name] = tr
-	condor := s.v.Compute == HTCondor
-
-	finish := func() {
-		tr.End = eng.Now()
-		s.taskTimes[name] = eng.Now() - s.taskStart[name]
-		s.freeCores[wi]++
-		s.remaining--
-		for _, c := range t.Children {
-			s.pendingParents[c]--
-			if s.pendingParents[c] == 0 {
-				s.ready.Push(c)
-			}
-		}
-		s.schedule()
-	}
-	postOut := func() {
-		tr.StageOutEnd = eng.Now()
-		if condor {
-			eng.After(s.overhead(s.cfg.PostOvh), finish)
-		} else {
-			finish()
-		}
-	}
-	stageOut := func() {
-		tr.ComputeEnd = eng.Now()
-		s.stageFiles(t.Outputs, w, false, postOut)
-	}
-	compute := func() {
-		tr.ComputeStart = eng.Now()
-		w.Execute(s.ps.System, name+":compute", s.taskWork(t), stageOut)
-	}
-	preCompute := func() {
-		tr.StageInEnd = eng.Now()
-		if condor {
-			eng.After(s.overhead(s.cfg.PreOvh), compute)
-		} else {
-			compute()
-		}
-	}
-	stageIn := func() {
-		tr.StageInStart = eng.Now()
-		s.stageFiles(t.Inputs, w, true, preCompute)
-	}
-	if condor {
-		eng.After(s.overhead(s.cfg.SubmitOvh), stageIn)
-	} else {
-		stageIn()
-	}
-}
-
-// stageFiles moves the named files between the submit node and worker w,
-// in parallel, and calls then() when all are done. Inbound files are
-// read from the submit disk, transferred, and (at the all-nodes storage
-// level) written to the worker disk; outbound files take the reverse
-// path.
-func (s *sim) stageFiles(names []string, w *platform.Host, inbound bool, then func()) {
-	if len(names) == 0 {
-		then()
-		return
-	}
-	remaining := len(names)
-	barrier := func() {
-		remaining--
-		if remaining == 0 {
-			then()
-		}
-	}
-	for _, fname := range names {
-		f := s.sc.Workflow.Files[fname]
-		if inbound {
-			s.inboundFile(f, w, barrier)
-		} else {
-			s.outboundFile(f, w, barrier)
-		}
-	}
-}
-
-func (s *sim) inboundFile(f *workflow.File, w *platform.Host, done func()) {
-	xfer := func() {
-		s.ps.Platform.Transfer(s.ps.System, f.Name+":in", s.submit, w, f.Size, func() {
-			if w.Disk != nil {
-				w.Disk.IO(s.ps.System, f.Name+":lwrite", f.Size, done)
-			} else {
-				done()
-			}
-		})
-	}
-	s.submit.Disk.IO(s.ps.System, f.Name+":sread", f.Size, xfer)
-}
-
-func (s *sim) outboundFile(f *workflow.File, w *platform.Host, done func()) {
-	xfer := func() {
-		s.ps.Platform.Transfer(s.ps.System, f.Name+":out", w, s.submit, f.Size, func() {
-			s.submit.Disk.IO(s.ps.System, f.Name+":swrite", f.Size, done)
-		})
-	}
-	if w.Disk != nil {
-		w.Disk.IO(s.ps.System, f.Name+":lread", f.Size, xfer)
-	} else {
-		xfer()
-	}
+	return r.Result(), nil
 }
