@@ -282,13 +282,41 @@ func BenchmarkWFEvaluate(b *testing.B) {
 		b.Fatal(err)
 	}
 	v := wfsim.HighestDetail
-	ev := loss.WFEvaluator(v, loss.WFL1, ds)
-	sp := v.Space()
+	benchEvaluate(b, loss.WFEvaluator(v, loss.WFL1, ds), v.Space(), wfEvaluateAllocCeiling)
+}
+
+// mpiEvaluateAllocCeiling is wfEvaluateAllocCeiling for one MPI loss
+// evaluation (9 simulations on one shared 8-node fat tree). Measured: 0.
+// Before the reusable runner: 10 648.
+const mpiEvaluateAllocCeiling = 64
+
+// BenchmarkMPIEvaluate measures one MPI loss evaluation on the
+// end-to-end benchmark's mpi-bogp-serial problem (bench/workloads.go:
+// the reference version, L1, PingPong + PingPing + BiRandom at three
+// message sizes on 8 nodes, 2 rounds), called serially on a warmed
+// evaluator.
+func BenchmarkMPIEvaluate(b *testing.B) {
+	ds, err := groundtruth.GenerateMPIData(groundtruth.MPIOptions{
+		Benchmarks: []mpi.Benchmark{mpi.PingPong, mpi.PingPing, mpi.BiRandom},
+		Nodes:      []int{8}, MsgSizes: []float64{1 << 10, 1 << 16, 1 << 22},
+		Rounds: 2, Reps: 3, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := groundtruth.MPIReferenceVersion
+	benchEvaluate(b, loss.MPIEvaluator(v, loss.MPIL1, ds, 2), v.Space(), mpiEvaluateAllocCeiling)
+}
+
+// benchEvaluate times a loss evaluator over 32 sampled points, warming
+// its runner set on each first, and fails the benchmark above ceiling
+// allocations per evaluation.
+func benchEvaluate(b *testing.B, ev core.Evaluator, sp core.Space, ceiling int) {
 	rng := stats.NewRNG(1)
 	pts := make([]core.Point, 32)
 	for i := range pts {
 		pts[i] = sp.Decode(sp.Sample(rng))
-		if _, err := ev(context.Background(), pts[i]); err != nil { // also warms the runner set
+		if _, err := ev(context.Background(), pts[i]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -303,8 +331,8 @@ func BenchmarkWFEvaluate(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	if perOp := float64(after.Mallocs-before.Mallocs) / float64(b.N); perOp > wfEvaluateAllocCeiling {
-		b.Fatalf("%.0f allocs per evaluation, ceiling %d", perOp, wfEvaluateAllocCeiling)
+	if perOp := float64(after.Mallocs-before.Mallocs) / float64(b.N); perOp > float64(ceiling) {
+		b.Fatalf("%.0f allocs per evaluation, ceiling %d", perOp, ceiling)
 	}
 }
 

@@ -154,6 +154,7 @@ func GenerateMPIData(o MPIOptions) (*MPIDataset, error) {
 		o.Reps = 5
 	}
 	ds := &MPIDataset{}
+	sim := mpisim.NewRunner(MPIReferenceVersion) // warm across the whole grid
 	seedStream := stats.NewRNG(o.Seed)
 	for _, b := range o.Benchmarks {
 		for _, n := range o.Nodes {
@@ -165,7 +166,7 @@ func GenerateMPIData(o MPIOptions) (*MPIDataset, error) {
 					cfg.LinkBW *= cong
 					cfg.PCIeBW *= cong
 					cfg.Noise = mpiNoise(seedStream.Int63())
-					rate, err := mpisim.Simulate(MPIReferenceVersion, cfg, mpisim.Scenario{
+					rate, err := sim.Run(cfg, mpisim.Scenario{
 						Benchmark: b, Nodes: n, MsgBytes: m, Rounds: o.Rounds, Seed: int64(rep),
 					})
 					if err != nil {
@@ -187,8 +188,9 @@ func GenerateMPIData(o MPIOptions) (*MPIDataset, error) {
 func SyntheticMPIData(v mpisim.Version, planted core.Point, template *MPIDataset, rounds int) (*MPIDataset, error) {
 	cfg := v.DecodeConfig(planted)
 	out := &MPIDataset{}
+	sim := mpisim.NewRunner(v)
 	for _, m := range template.Measurements {
-		rate, err := mpisim.Simulate(v, cfg, mpisim.Scenario{
+		rate, err := sim.Run(cfg, mpisim.Scenario{
 			Benchmark: m.Benchmark, Nodes: m.Nodes, MsgBytes: m.MsgBytes, Rounds: rounds, Seed: 0,
 		})
 		if err != nil {

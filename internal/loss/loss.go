@@ -9,10 +9,12 @@ package loss
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"simcal/internal/core"
 	"simcal/internal/groundtruth"
+	"simcal/internal/mpi"
 	"simcal/internal/mpisim"
 	"simcal/internal/stats"
 	"simcal/internal/wfgen"
@@ -59,9 +61,9 @@ func cachedWorkflow(spec wfgen.Spec) *workflow.Workflow {
 
 // wfRunners is everything one evaluator call needs that outlives it: a
 // compiled wfsim.Runner per dataset group and the scratch the error
-// terms are collected in. An evaluator keeps its sets between calls, so
-// a steady calibration re-simulates on warm kernels and allocates
-// nothing.
+// terms are collected in. An evaluator keeps its sets between calls (see
+// pool), so a steady calibration re-simulates on warm kernels and
+// allocates nothing.
 type wfRunners struct {
 	groups   []wfGroupRunner
 	terms    []float64
@@ -117,44 +119,58 @@ func (set *wfRunners) taskErrors(gr *wfGroupRunner) []float64 {
 	return errs
 }
 
+// pool is the free list of runner sets behind an evaluator: concurrent
+// calls each take a set and put it back when they are done with it, on a
+// normal return only. A call that panics abandons its set (the kernel may
+// be mid-update), and a call the resilience layer has timed out and
+// abandoned still owns its set until the stray simulation actually
+// returns, so no two simulations ever share a kernel. The list never
+// holds more sets than the peak number of concurrent calls, and dies
+// with the evaluator. (It is a plain locked slice rather than a sync.Pool
+// on purpose: a sync.Pool is emptied by the garbage collector and keeps
+// one unstealable item per P, which made allocations per evaluation vary
+// thirtyfold between identical runs — the opposite of a noise-free gate.)
+type pool[T any] struct {
+	build func() (*T, error)
+	mu    sync.Mutex
+	free  []*T
+}
+
+// get takes a set off the list, or builds one when the list is empty.
+func (p *pool[T]) get() (*T, error) {
+	var set *T
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		set, p.free = p.free[n-1], p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if set != nil {
+		return set, nil
+	}
+	return p.build()
+}
+
+// put hands a set on to the next call. Never defer it: a panicking call
+// must not hand its set on.
+func (p *pool[T]) put(set *T) {
+	p.mu.Lock()
+	p.free = append(p.free, set)
+	p.mu.Unlock()
+}
+
 // WFEvaluator returns the calibration loss: simulate every group of the
 // dataset under the version at the candidate point and aggregate errors
-// according to kind.
-//
-// Concurrent calls each take a runner set from the evaluator's free list
-// and put it back when they are done with it, on a normal return only: a
-// call that panics abandons its set (the kernel may be mid-update), and
-// a call the resilience layer has timed out and abandoned still owns its
-// set until the stray simulation actually returns, so no two simulations
-// ever share a kernel. The list never holds more sets than the peak
-// number of concurrent calls, and dies with the evaluator. (It is a
-// plain locked slice rather than a sync.Pool on purpose: a sync.Pool is
-// emptied by the garbage collector and keeps one unstealable item per P,
-// which made allocations per evaluation vary thirtyfold between
-// identical runs — the opposite of a noise-free gate.)
+// according to kind. A steady calibration re-simulates on the warm
+// kernels of the evaluator's pool.
 func WFEvaluator(v wfsim.Version, kind WFKind, ds *groundtruth.WFDataset) core.Evaluator {
-	var (
-		mu   sync.Mutex
-		free []*wfRunners
-	)
+	sets := &pool[wfRunners]{build: func() (*wfRunners, error) { return newWFRunners(v, ds) }}
 	return func(ctx context.Context, p core.Point) (float64, error) {
-		var set *wfRunners
-		mu.Lock()
-		if n := len(free); n > 0 {
-			set, free = free[n-1], free[:n-1]
-		}
-		mu.Unlock()
-		if set == nil {
-			var err error
-			if set, err = newWFRunners(v, ds); err != nil {
-				return 0, err
-			}
+		set, err := sets.get()
+		if err != nil {
+			return 0, err
 		}
 		loss, err := set.evaluate(ctx, v.DecodeConfig(p), kind)
-		// Not deferred: a panicking call must not hand its set on.
-		mu.Lock()
-		free = append(free, set)
-		mu.Unlock()
+		sets.put(set)
 		return loss, err
 	}
 }
@@ -236,53 +252,94 @@ var AllMPIKinds = []MPIKind{MPIL1, MPIL2, MPIL3, MPIL4}
 // String returns "L1"…"L4".
 func (k MPIKind) String() string { return fmt.Sprintf("L%d", int(k)+1) }
 
+// mpiRunners is the MPI counterpart of wfRunners: one warm
+// mpisim.Runner — measurements on equally large clusters share a
+// platform — and the scratch the explained variances are collected in.
+type mpiRunners struct {
+	r    *mpisim.Runner
+	sims []mpiSim // in measurement order
+	// evs[b] collects the explained variances of the b-th benchmark, in
+	// order of first appearance in the dataset.
+	evs   [][]float64
+	terms []float64
+}
+
+type mpiSim struct {
+	m     *groundtruth.MPIMeasurement
+	sc    mpisim.Scenario
+	bench int // index into evs
+}
+
+func newMPIRunners(v mpisim.Version, ds *groundtruth.MPIDataset, rounds int) *mpiRunners {
+	set := &mpiRunners{r: mpisim.NewRunner(v), sims: make([]mpiSim, len(ds.Measurements))}
+	var benches []mpi.Benchmark
+	for i, m := range ds.Measurements {
+		b := slices.Index(benches, m.Benchmark)
+		if b < 0 {
+			b = len(benches)
+			benches = append(benches, m.Benchmark)
+			set.evs = append(set.evs, nil)
+		}
+		set.sims[i] = mpiSim{m: m, bench: b, sc: mpisim.Scenario{
+			Benchmark: m.Benchmark, Nodes: m.Nodes, MsgBytes: m.MsgBytes, Rounds: rounds, Seed: 0,
+		}}
+	}
+	return set
+}
+
 // MPIEvaluator returns the calibration loss over the MPI dataset: the
 // explained variance between each measurement's rate samples and the
 // single simulated rate, aggregated per kind. rounds is forwarded to the
-// benchmark kernels (0 = default).
+// benchmark kernels (0 = default). Like WFEvaluator it simulates on the
+// warm kernels of its pool.
 func MPIEvaluator(v mpisim.Version, kind MPIKind, ds *groundtruth.MPIDataset, rounds int) core.Evaluator {
+	sets := &pool[mpiRunners]{build: func() (*mpiRunners, error) { return newMPIRunners(v, ds, rounds), nil }}
 	return func(ctx context.Context, p core.Point) (float64, error) {
-		cfg := v.DecodeConfig(p)
-		// Group explained variances by benchmark.
-		perBench := make(map[string][]float64)
-		var order []string
-		for _, m := range ds.Measurements {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			rate, err := mpisim.Simulate(v, cfg, mpisim.Scenario{
-				Benchmark: m.Benchmark, Nodes: m.Nodes, MsgBytes: m.MsgBytes, Rounds: rounds, Seed: 0,
-			})
-			if err != nil {
-				return 0, err
-			}
-			key := string(m.Benchmark)
-			if _, seen := perBench[key]; !seen {
-				order = append(order, key)
-			}
-			perBench[key] = append(perBench[key], stats.ExplainedVariance(m.Rates, rate))
+		set, err := sets.get()
+		if err != nil {
+			return 0, err
 		}
-		if len(order) == 0 {
-			return 0, fmt.Errorf("loss: empty MPI dataset")
+		loss, err := set.evaluate(ctx, v.DecodeConfig(p), kind)
+		sets.put(set)
+		return loss, err
+	}
+}
+
+func (set *mpiRunners) evaluate(ctx context.Context, cfg mpisim.Config, kind MPIKind) (float64, error) {
+	for b := range set.evs {
+		set.evs[b] = set.evs[b][:0]
+	}
+	for i := range set.sims {
+		sim := &set.sims[i]
+		if err := ctx.Err(); err != nil {
+			return 0, err
 		}
-		var terms []float64
-		for _, b := range order {
-			evs := perBench[b]
-			switch kind {
-			case MPIL1, MPIL3:
-				terms = append(terms, stats.Mean(evs))
-			case MPIL2, MPIL4:
-				terms = append(terms, stats.Max(evs))
-			default:
-				return 0, fmt.Errorf("loss: unknown MPI kind %d", kind)
-			}
+		rate, err := set.r.Run(cfg, sim.sc)
+		if err != nil {
+			return 0, err
 		}
+		set.evs[sim.bench] = append(set.evs[sim.bench], stats.ExplainedVariance(sim.m.Rates, rate))
+	}
+	if len(set.evs) == 0 {
+		return 0, fmt.Errorf("loss: empty MPI dataset")
+	}
+	terms := set.terms[:0]
+	for _, evs := range set.evs {
 		switch kind {
-		case MPIL1, MPIL2:
-			return stats.Mean(terms), nil
+		case MPIL1, MPIL3:
+			terms = append(terms, stats.Mean(evs))
+		case MPIL2, MPIL4:
+			terms = append(terms, stats.Max(evs))
 		default:
-			return stats.Max(terms), nil
+			return 0, fmt.Errorf("loss: unknown MPI kind %d", kind)
 		}
+	}
+	set.terms = terms
+	switch kind {
+	case MPIL1, MPIL2:
+		return stats.Mean(terms), nil
+	default:
+		return stats.Max(terms), nil
 	}
 }
 

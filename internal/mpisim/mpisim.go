@@ -10,8 +10,6 @@ import (
 
 	"simcal/internal/core"
 	"simcal/internal/mpi"
-	"simcal/internal/platform"
-	"simcal/internal/stats"
 )
 
 // NetworkOption selects the network level of detail.
@@ -261,96 +259,10 @@ type Scenario struct {
 
 // Simulate runs the benchmark under the version's level of detail and
 // returns the aggregate data transfer rate in bytes/s. Deterministic
-// unless cfg.Noise is set.
+// unless cfg.Noise is set. It is a one-shot Runner: callers that simulate
+// repeatedly should keep one.
 func Simulate(v Version, cfg Config, sc Scenario) (float64, error) {
-	if sc.Nodes < 2 {
-		return 0, fmt.Errorf("mpisim: need at least 2 nodes, got %d", sc.Nodes)
-	}
-	if cfg.RanksPerNode == 0 {
-		cfg.RanksPerNode = 6
-	}
-	var rng *stats.RNG
-	bwMult, latMult := 1.0, 1.0
-	if cfg.Noise != nil {
-		rng = stats.NewRNG(cfg.Noise.Seed)
-		bwMult = rng.NoisyScale(cfg.Noise.BandwidthSpread)
-		latMult = rng.NoisyScale(cfg.Noise.LatencySpread)
-	}
-	nodeMult := func() float64 {
-		if rng == nil || cfg.Noise.NodeSpread <= 0 {
-			return 1
-		}
-		return rng.NoisyScale(cfg.Noise.NodeSpread)
-	}
-
-	p := platform.New()
-	hosts := make([]*platform.Host, sc.Nodes)
-	for i := range hosts {
-		hosts[i] = p.AddHost(platform.NewHost(fmt.Sprintf("node%04d", i), cfg.RanksPerNode, 1e9))
-	}
-	switch v.Network {
-	case Backbone:
-		if cfg.BackboneBW <= 0 {
-			return 0, fmt.Errorf("mpisim: backbone requires positive bandwidth")
-		}
-		bb := platform.NewLink("backbone", cfg.BackboneBW*bwMult, cfg.BackboneLat*latMult)
-		platform.SharedLinkTopology(p, hosts, bb)
-	case BackboneLinks:
-		if cfg.BackboneBW <= 0 || cfg.LinkBW <= 0 {
-			return 0, fmt.Errorf("mpisim: backbone-links requires positive bandwidths")
-		}
-		bb := platform.NewLink("backbone", cfg.BackboneBW*bwMult, cfg.BackboneLat*latMult)
-		ups := make([]*platform.Link, sc.Nodes)
-		for i := range ups {
-			ups[i] = platform.NewLink(fmt.Sprintf("up%04d", i), cfg.LinkBW*bwMult*nodeMult(), cfg.LinkLat*latMult)
-		}
-		platform.BackboneTopology(p, hosts, bb, ups)
-	case Tree4:
-		if cfg.LinkBW <= 0 {
-			return 0, fmt.Errorf("mpisim: tree requires positive link bandwidth")
-		}
-		platform.TreeTopology(p, hosts, platform.TreeSpec{
-			Arity:         4,
-			LeafBandwidth: cfg.LinkBW * bwMult,
-			Latency:       cfg.LinkLat * latMult,
-		})
-	case FatTree:
-		if cfg.LinkBW <= 0 {
-			return 0, fmt.Errorf("mpisim: fat tree requires positive link bandwidth")
-		}
-		platform.FatTreeTopology(p, hosts, platform.FatTreeSpec{
-			GroupSize:              18,
-			NodeBandwidth:          cfg.LinkBW * bwMult,
-			Latency:                cfg.LinkLat * latMult,
-			UplinkOversubscription: 1,
-		})
-	default:
-		return 0, fmt.Errorf("mpisim: unknown network option %d", v.Network)
-	}
-
-	ps := platform.NewSim(p)
-	fc := mpi.FabricConfig{
-		Nodes:        sc.Nodes,
-		RanksPerNode: cfg.RanksPerNode,
-		NICBW:        cfg.NICBW * bwMult * nodeMult(),
-		XBusBW:       cfg.XBusBW * bwMult,
-		PCIeBW:       cfg.PCIeBW * bwMult,
-		HostLatency:  cfg.HostLatency * latMult,
-		Protocol:     cfg.Protocol,
-	}
-	if v.Node == ComplexNode {
-		fc.NodeModel = mpi.ComplexNode
-	}
-	fab, err := mpi.NewFabric(ps, hosts, fc)
-	if err != nil {
-		return 0, err
-	}
-	return mpi.Run(fab, mpi.RunSpec{
-		Benchmark: sc.Benchmark,
-		MsgBytes:  sc.MsgBytes,
-		Rounds:    sc.Rounds,
-		Seed:      sc.Seed,
-	})
+	return NewRunner(v).Run(cfg, sc)
 }
 
 // MsgSizes returns the paper's message-size sweep: 2^x bytes for

@@ -67,9 +67,14 @@ type Link struct {
 // NewLink creates a link. Bandwidth must be positive; latency must be
 // non-negative.
 func NewLink(name string, bandwidth, latency float64) *Link {
-	l := &Link{Name: name, Res: &flow.Resource{Name: name}}
+	l := newLink(name)
 	l.Configure(bandwidth, latency)
 	return l
+}
+
+// newLink returns a link that still has to be Configured.
+func newLink(name string) *Link {
+	return &Link{Name: name, Res: &flow.Resource{Name: name}}
 }
 
 // Configure changes the link's bandwidth and latency, under NewLink's
@@ -102,9 +107,12 @@ type Platform struct {
 	Hosts []*Host
 	Links []*Link
 	// RouteFunc, when non-nil, computes the route between two hosts that
-	// have no explicit route. The result is cached.
+	// have no explicit route. The result is cached for both directions, so
+	// whichever direction of a pair is asked for first decides the link
+	// order the two share — until Sim.Reset forgets it.
 	RouteFunc func(a, b *Host) Route
-	routes    map[[2]string]Route
+	routes    map[[2]string]Route // explicit
+	computed  map[[2]string]Route // RouteFunc results
 	byName    map[string]*Host
 
 	xferRoutes map[[2]string]*xferRoute // host pairs that have carried a Transfer
@@ -157,14 +165,30 @@ func (p *Platform) RouteBetween(a, b *Host) Route {
 	if r, ok := p.routes[[2]string{a.Name, b.Name}]; ok {
 		return r
 	}
+	if r, ok := p.computed[[2]string{a.Name, b.Name}]; ok {
+		return r
+	}
 	if p.RouteFunc != nil {
 		r := p.RouteFunc(a, b)
 		if r != nil {
-			p.AddRoute(a, b, r...)
+			if p.computed == nil {
+				p.computed = make(map[[2]string]Route)
+			}
+			p.computed[[2]string{a.Name, b.Name}] = r
+			p.computed[[2]string{b.Name, a.Name}] = r
 			return r
 		}
 	}
 	panic(fmt.Sprintf("platform: no route between %q and %q", a.Name, b.Name))
+}
+
+// forgetComputedRoutes drops the routes RouteFunc computed, and the
+// transfer usages that may have been built over them.
+func (p *Platform) forgetComputedRoutes() {
+	if len(p.computed) > 0 {
+		clear(p.computed)
+		clear(p.xferRoutes)
+	}
 }
 
 // xferRouteBetween returns the pair's route with its transfer usages,
@@ -363,12 +387,15 @@ func NewSim(p *Platform) *Sim {
 // platform: the engine and flow system return to their freshly built
 // state (see des.Engine.Reset and flow.System.Reset for what that
 // guarantees) and every disk forgets its in-flight and queued
-// operations. Hosts, links, routes and their capacities are untouched —
-// reconfigure them with the Configure methods. Event and activity
-// handles from before the Reset are invalid.
+// operations, and routes computed on demand are forgotten, so that they
+// are derived again from the directions this simulation asks for first,
+// as on a fresh platform. Hosts, links, explicit routes and all capacities
+// are untouched — reconfigure them with the Configure methods. Event and
+// activity handles from before the Reset are invalid.
 func (s *Sim) Reset() {
 	s.Engine.Reset()
 	s.System.Reset()
+	s.Platform.forgetComputedRoutes()
 	for _, h := range s.Platform.Hosts {
 		if h.Disk != nil {
 			h.Disk.reset()

@@ -115,3 +115,93 @@ func TestInvalidConfigurePanics(t *testing.T) {
 		}()
 	}
 }
+
+func namedHosts(n int) (*Platform, []*Host) {
+	p := New()
+	hosts := make([]*Host, n)
+	for i := range hosts {
+		hosts[i] = p.AddHost(NewHost(fmt.Sprintf("h%d", i), 1, 1))
+	}
+	return p, hosts
+}
+
+// TestTopologyConfigureEqualsFreshBuild: reconfiguring a tree or fat
+// tree gives every link exactly the bandwidth and latency a topology
+// built from the new spec gives it.
+func TestTopologyConfigureEqualsFreshBuild(t *testing.T) {
+	sameLinks := func(label string, reused, fresh *Platform) {
+		t.Helper()
+		if len(reused.Links) != len(fresh.Links) {
+			t.Fatalf("%s: %d links, fresh build has %d", label, len(reused.Links), len(fresh.Links))
+		}
+		for i, l := range reused.Links {
+			f := fresh.Links[i]
+			if l.Name != f.Name || math.Float64bits(l.Bandwidth) != math.Float64bits(f.Bandwidth) ||
+				math.Float64bits(l.Latency) != math.Float64bits(f.Latency) || l.Res.Capacity != l.Bandwidth {
+				t.Errorf("%s: link %s is (%v, %v, capacity %v), fresh %s is (%v, %v)",
+					label, l.Name, l.Bandwidth, l.Latency, l.Res.Capacity, f.Name, f.Bandwidth, f.Latency)
+			}
+		}
+	}
+
+	treeA := TreeSpec{Arity: 4, LeafBandwidth: 1}
+	treeB := TreeSpec{Arity: 4, LeafBandwidth: 12.5e9 / 3, Latency: 1e-6, LevelMultipliers: []float64{1, 3.7}}
+	p, hosts := namedHosts(21)
+	TreeTopology(p, hosts, treeA).Configure(treeB)
+	fresh, freshHosts := namedHosts(21)
+	TreeTopology(fresh, freshHosts, treeB)
+	sameLinks("tree", p, fresh)
+
+	fatA := FatTreeSpec{GroupSize: 3, NodeBandwidth: 1}
+	fatB := FatTreeSpec{GroupSize: 3, NodeBandwidth: 12.5e9 / 7, Latency: 2e-6, UplinkOversubscription: 1.3}
+	p, hosts = namedHosts(40)
+	FatTreeTopology(p, hosts, fatA).Configure(fatB)
+	fresh, freshHosts = namedHosts(40)
+	FatTreeTopology(fresh, freshHosts, fatB)
+	sameLinks("fat tree", p, fresh)
+
+	for i, bad := range []func(){
+		func() { TreeTopology(p, hosts, treeA).Configure(TreeSpec{Arity: 2, LeafBandwidth: 1}) },
+		func() { TreeTopology(p, hosts, treeA).Configure(TreeSpec{Arity: 4}) },
+		func() { FatTreeTopology(p, hosts, fatA).Configure(FatTreeSpec{GroupSize: 4, NodeBandwidth: 1}) },
+		func() { FatTreeTopology(p, hosts, fatA).Configure(FatTreeSpec{GroupSize: 3}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("bad reconfiguration %d did not panic", i)
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
+// TestSimResetForgetsComputedRoutes: a computed route serves both
+// directions of its pair in the link order of the direction asked for
+// first. A reset platform must give the next simulation the order a
+// fresh platform would, not the previous simulation's; explicit routes
+// stay.
+func TestSimResetForgetsComputedRoutes(t *testing.T) {
+	p, hosts := namedHosts(3)
+	bb := NewLink("bb", 1, 0)
+	ups := []*Link{NewLink("u0", 1, 0), NewLink("u1", 1, 0), NewLink("u2", 1, 0)}
+	BackboneTopology(p, hosts, bb, ups)
+	explicit := NewLink("x", 1, 0)
+	p.AddRoute(hosts[0], hosts[2], explicit)
+	sim := NewSim(p)
+
+	if r := p.RouteBetween(hosts[0], hosts[1]); r[0] != ups[0] || r[2] != ups[1] {
+		t.Fatalf("route 0→1 = %v", r)
+	}
+	if r := p.RouteBetween(hosts[1], hosts[0]); r[0] != ups[0] {
+		t.Fatal("the pair's second direction did not share the first one's route")
+	}
+	sim.Reset()
+	if r := p.RouteBetween(hosts[1], hosts[0]); r[0] != ups[1] || r[2] != ups[0] {
+		t.Errorf("after Reset, route 1→0 = %v, want it derived afresh", r)
+	}
+	if r := p.RouteBetween(hosts[2], hosts[0]); len(r) != 1 || r[0] != explicit {
+		t.Errorf("after Reset, explicit route 2→0 = %v", r)
+	}
+}

@@ -92,15 +92,53 @@ type TreeSpec struct {
 	LevelMultipliers []float64
 }
 
-// TreeTopology wires hosts as the leaves of a k-ary tree of switches and
-// installs a lazy route function. The route between two leaves climbs
-// uplinks to the lowest common ancestor and descends to the destination.
-func TreeTopology(p *Platform, hosts []*Host, spec TreeSpec) {
-	if spec.Arity < 2 {
-		panic("platform: tree arity must be >= 2")
+// uplinkBandwidth is the bandwidth the spec gives an uplink at the given
+// switch level.
+func (spec TreeSpec) uplinkBandwidth(level int) float64 {
+	mult := 1.0
+	if level < len(spec.LevelMultipliers) {
+		mult = spec.LevelMultipliers[level]
+	}
+	if mult <= 0 {
+		panic("platform: tree level multiplier must be positive")
+	}
+	return spec.LeafBandwidth * mult
+}
+
+// Tree is the link set of a topology built by TreeTopology.
+type Tree struct {
+	arity int
+	// uplinks[l][g] is the uplink from group g at level l toward level
+	// l+1. Level 0 groups are the hosts themselves.
+	uplinks [][]*Link
+}
+
+// Configure re-parameterizes the tree's links from spec, under
+// TreeTopology's validity rules: every link ends up with the bandwidth
+// and latency a tree freshly built from spec would give it. The arity is
+// structural and cannot change.
+func (t *Tree) Configure(spec TreeSpec) {
+	if spec.Arity != t.arity {
+		panic(fmt.Sprintf("platform: tree built with arity %d configured with arity %d", t.arity, spec.Arity))
 	}
 	if spec.LeafBandwidth <= 0 {
 		panic("platform: tree leaf bandwidth must be positive")
+	}
+	for l, level := range t.uplinks {
+		bw := spec.uplinkBandwidth(l)
+		for _, link := range level {
+			link.Configure(bw, spec.Latency)
+		}
+	}
+}
+
+// TreeTopology wires hosts as the leaves of a k-ary tree of switches and
+// installs a lazy route function. The route between two leaves climbs
+// uplinks to the lowest common ancestor and descends to the destination.
+// The returned Tree reconfigures the links it created.
+func TreeTopology(p *Platform, hosts []*Host, spec TreeSpec) *Tree {
+	if spec.Arity < 2 {
+		panic("platform: tree arity must be >= 2")
 	}
 	n := len(hosts)
 	if n < 2 {
@@ -110,26 +148,17 @@ func TreeTopology(p *Platform, hosts []*Host, spec TreeSpec) {
 	for pow := spec.Arity; pow < n; pow *= spec.Arity {
 		levels++
 	}
-	// uplinks[l][g] is the uplink from group g at level l toward level
-	// l+1. Level 0 groups are the hosts themselves.
-	uplinks := make([][]*Link, levels)
+	t := &Tree{arity: spec.Arity, uplinks: make([][]*Link, levels)}
+	uplinks := t.uplinks
 	groups := n
 	for l := 0; l < levels; l++ {
-		mult := 1.0
-		if l < len(spec.LevelMultipliers) {
-			mult = spec.LevelMultipliers[l]
-		}
-		if mult <= 0 {
-			panic("platform: tree level multiplier must be positive")
-		}
-		count := (groups + spec.Arity - 1) / spec.Arity // parents at level l+1
 		uplinks[l] = make([]*Link, groups)
 		for g := 0; g < groups; g++ {
-			name := fmt.Sprintf("tree-l%d-g%d", l, g)
-			uplinks[l][g] = p.AddLink(NewLink(name, spec.LeafBandwidth*mult, spec.Latency))
+			uplinks[l][g] = p.AddLink(newLink(fmt.Sprintf("tree-l%d-g%d", l, g)))
 		}
-		groups = count
+		groups = (groups + spec.Arity - 1) / spec.Arity // parents at level l+1
 	}
+	t.Configure(spec)
 	p.RouteFunc = func(a, b *Host) Route {
 		ia, ib := hostIndex(hosts, a), hostIndex(hosts, b)
 		if ia < 0 || ib < 0 {
@@ -148,6 +177,7 @@ func TreeTopology(p *Platform, hosts []*Host, spec TreeSpec) {
 		}
 		return up
 	}
+	return t
 }
 
 // FatTreeSpec parameterizes a Summit-like three-level fat tree: hosts
@@ -165,17 +195,49 @@ type FatTreeSpec struct {
 	UplinkOversubscription float64
 }
 
-// FatTreeTopology builds a three-level fat tree over hosts. Uplinks are
-// aggregated: the level-1→2 uplink of a group carries
+// FatTree is the link set of a topology built by FatTreeTopology.
+type FatTree struct {
+	groupSize, l2GroupSize int
+	nodeLinks, l1Up, l2Up  []*Link
+}
+
+// Configure re-parameterizes the fat tree's links from spec, under
+// FatTreeTopology's validity rules: every link ends up with the
+// bandwidth and latency a fat tree freshly built from spec would give
+// it. Uplinks are aggregated: the level-1→2 uplink of a group carries
 // GroupSize×NodeBandwidth/oversubscription, mirroring the non-blocking
-// property of Summit's interconnect at flow-level granularity.
-func FatTreeTopology(p *Platform, hosts []*Host, spec FatTreeSpec) {
-	if spec.GroupSize < 1 || spec.NodeBandwidth <= 0 {
+// property of Summit's interconnect at flow-level granularity. The group
+// size is structural and cannot change.
+func (t *FatTree) Configure(spec FatTreeSpec) {
+	if spec.GroupSize != t.groupSize {
+		panic(fmt.Sprintf("platform: fat tree built with group size %d configured with group size %d", t.groupSize, spec.GroupSize))
+	}
+	if spec.NodeBandwidth <= 0 {
 		panic("platform: invalid fat-tree spec")
 	}
 	over := spec.UplinkOversubscription
 	if over <= 0 {
 		over = 1
+	}
+	for _, link := range t.nodeLinks {
+		link.Configure(spec.NodeBandwidth, spec.Latency)
+	}
+	l1 := float64(spec.GroupSize) * spec.NodeBandwidth / over
+	for _, link := range t.l1Up {
+		link.Configure(l1, spec.Latency)
+	}
+	l2 := float64(t.l2GroupSize*spec.GroupSize) * spec.NodeBandwidth / over
+	for _, link := range t.l2Up {
+		link.Configure(l2, spec.Latency)
+	}
+}
+
+// FatTreeTopology builds a three-level fat tree over hosts and installs
+// a lazy route function. The returned FatTree reconfigures the links it
+// created.
+func FatTreeTopology(p *Platform, hosts []*Host, spec FatTreeSpec) *FatTree {
+	if spec.GroupSize < 1 {
+		panic("platform: invalid fat-tree spec")
 	}
 	n := len(hosts)
 	nGroups := (n + spec.GroupSize - 1) / spec.GroupSize
@@ -185,20 +247,19 @@ func FatTreeTopology(p *Platform, hosts []*Host, spec FatTreeSpec) {
 	}
 	nPods := (nGroups + l2GroupSize - 1) / l2GroupSize
 
-	nodeLinks := make([]*Link, n)
-	for i := range hosts {
-		nodeLinks[i] = p.AddLink(NewLink(fmt.Sprintf("ft-node-%d", i), spec.NodeBandwidth, spec.Latency))
+	links := func(format string, count int) []*Link {
+		out := make([]*Link, count)
+		for i := range out {
+			out[i] = p.AddLink(newLink(fmt.Sprintf(format, i)))
+		}
+		return out
 	}
-	l1Up := make([]*Link, nGroups)
-	for g := 0; g < nGroups; g++ {
-		bw := float64(spec.GroupSize) * spec.NodeBandwidth / over
-		l1Up[g] = p.AddLink(NewLink(fmt.Sprintf("ft-l1up-%d", g), bw, spec.Latency))
-	}
-	l2Up := make([]*Link, nPods)
-	for q := 0; q < nPods; q++ {
-		bw := float64(l2GroupSize*spec.GroupSize) * spec.NodeBandwidth / over
-		l2Up[q] = p.AddLink(NewLink(fmt.Sprintf("ft-l2up-%d", q), bw, spec.Latency))
-	}
+	t := &FatTree{groupSize: spec.GroupSize, l2GroupSize: l2GroupSize}
+	t.nodeLinks = links("ft-node-%d", n)
+	t.l1Up = links("ft-l1up-%d", nGroups)
+	t.l2Up = links("ft-l2up-%d", nPods)
+	t.Configure(spec)
+	nodeLinks, l1Up, l2Up := t.nodeLinks, t.l1Up, t.l2Up
 
 	p.RouteFunc = func(a, b *Host) Route {
 		ia, ib := hostIndex(hosts, a), hostIndex(hosts, b)
@@ -215,6 +276,7 @@ func FatTreeTopology(p *Platform, hosts []*Host, spec FatTreeSpec) {
 		}
 		return Route{nodeLinks[ia], l1Up[ga], l2Up[qa], l2Up[qb], l1Up[gb], nodeLinks[ib]}
 	}
+	return t
 }
 
 // DragonflySpec parameterizes a dragonfly topology (the Cray/Slingshot
