@@ -9,27 +9,30 @@ import (
 	"time"
 )
 
-// Completion-driven evaluation for asynchronous algorithms: instead of
-// proposing a batch and joining on a barrier, an algorithm submits one
-// candidate whenever capacity frees up and consumes completions in
-// whatever order the fleet produces them. History order therefore
-// depends on completion timing — so every consumption is tagged with
-// the submission's sequence number, and the consumed order is itself
-// part of the checkpoint. Given the same seed and the same recorded
-// completion order, a replayed run is bitwise-identical to the
-// original: proposals are a deterministic function of (seed, history
-// in consumption order), and forcing consumption order forces history
-// order.
+// The evaluation engine. Every loss evaluation of a calibration — a
+// batch algorithm's Evaluate as much as an asynchronous algorithm's
+// Submit/Next — goes through one completion-driven path: a submission
+// gets a sequence number, runs (or is served from the resume
+// checkpoint), finishes into a buffer, and joins history when the
+// algorithm's driver goroutine consumes it. The two front ends differ
+// only in their consumption rule: Evaluate consumes its submissions in
+// submission order (a barrier), Next consumes in arrival order, NextSeq
+// in an order the caller forces. History order is consumption order, so
+// every consumption is tagged with its sequence number and the consumed
+// order is part of the checkpoint: given the same seed and the same
+// recorded order, a replayed run is bitwise-identical to the original —
+// proposals are a deterministic function of (seed, history in
+// consumption order), and forcing consumption order forces history
+// order. A batch run's order is the identity.
 
 // AsyncSimulator is optionally implemented by simulators that can
 // deliver completions through a callback instead of blocking a
 // goroutine per in-flight evaluation — the distributed plane's
 // RemoteEvaluator resolves leases this way. The done callback must be
 // invoked exactly once and must be cheap and non-blocking: it runs on
-// the simulator's delivery goroutine. AsyncRun uses this path only for
-// plain evaluations (no cache, no resilience executor attached);
-// otherwise it falls back to one goroutine per in-flight submission so
-// cache and retry semantics stay byte-for-byte those of the batch path.
+// the simulator's delivery goroutine. The engine uses this path only
+// for plain evaluations (no cache, no resilience executor attached);
+// otherwise each running evaluation holds a goroutine inside runSim.
 type AsyncSimulator interface {
 	Simulator
 	RunAsync(ctx context.Context, p Point, done func(loss float64, err error))
@@ -53,23 +56,35 @@ type AsyncPending struct {
 	Unit []float64
 }
 
-// asyncEval tracks one submission from Submit to consumption.
+// asyncEval tracks one submission from start to consumption. Records
+// are recycled through AsyncRun.free, and the two entry points the
+// simulator side needs are bound once per record, so a steady-state
+// submission allocates its unit copy and its decoded point only.
 type asyncEval struct {
-	seq  int
-	unit []float64
+	a         *AsyncRun
+	run       func()                        // bound runSync: `go pe.run()` needs no closure
+	asyncDone func(loss float64, err error) // bound settleAsync, handed to AsyncSimulator.RunAsync
 
-	// Set by finish, read after the arrival is consumed.
+	ctx     context.Context
+	seq     int
+	unit    []float64 // the engine's own copy; becomes Sample.Unit
+	point   Point
+	startAt time.Time
+	wait    time.Duration // queued in Evaluate before a slot freed up
+
+	// Set under AsyncRun.mu when the evaluation finishes, read after the
+	// record left the pending table.
 	done    bool
 	sample  Sample
 	hit     bool
-	wait    time.Duration
 	dur     time.Duration
 	replErr error
 }
 
-// AsyncRun is the completion-driven counterpart of Problem.Evaluate,
-// obtained from Problem.Async. Submit and Next/NextSeq are intended to
-// be called from the algorithm's single driver goroutine; completions
+// AsyncRun is the evaluation engine of one calibration, shared by
+// Problem.Evaluate and — obtained from Problem.Async — by asynchronous
+// algorithms. Evaluate, Submit and Next/NextSeq are intended to be
+// called from the algorithm's single driver goroutine; completions
 // arrive from simulator goroutines and are buffered until consumed.
 // An evaluation joins history (and advances the budget's completed
 // count) at consumption time, so history order always equals
@@ -78,35 +93,34 @@ type AsyncRun struct {
 	p      *Problem
 	notify chan struct{}
 
-	// replayBySeq maps a submission seq to its index in p.replay for
-	// resumed runs; replayInflight holds checkpointed in-flight units
+	// replayBySeq maps a submission seq to its index in p.replay for a
+	// resumed run; replayInflight holds checkpointed in-flight units
 	// for bitwise re-proposal verification.
 	replayBySeq    map[int]int
 	replayInflight map[int][]float64
 
-	mu        sync.Mutex
-	pending   map[int]*asyncEval // submitted, not yet consumed
-	arrivals  []int              // finished seqs in raw arrival order, unconsumed
-	order     []int              // consumed seqs in consumption order
-	nextSeq   int
-	inflight  int // submitted, not yet finished
-	submitted int // live submissions counted against the budget
+	// pending minus arrivals is what is running; all of pending counts
+	// against the evaluation budget.
+	mu       sync.Mutex
+	pending  map[int]*asyncEval // submitted, not yet consumed
+	arrivals []int              // finished seqs in raw arrival order, unconsumed
+	order    []int              // consumed seqs in consumption order
+	free     []*asyncEval       // recycled records
+	nextSeq  int
 }
 
-// Async returns the run's asynchronous evaluation interface, creating
-// it on first call. It fails when a resumed checkpoint carries samples
-// but no completion order — such a snapshot came from a batch
-// algorithm and cannot be replayed asynchronously.
-func (p *Problem) Async() (*AsyncRun, error) {
+// Async returns the run's evaluation engine for completion-driven use.
+// The error is always nil: a resumed checkpoint without a recorded
+// completion order replays as the identity order.
+func (p *Problem) Async() (*AsyncRun, error) { return p.engine(), nil }
+
+// engine returns the calibration's evaluation engine, creating it on
+// first use (tests build Problems directly).
+func (p *Problem) engine() *AsyncRun {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.async != nil {
-		return p.async, nil
-	}
-	if len(p.replay) > 0 && len(p.replayOrder) != len(p.replay) {
-		return nil, fmt.Errorf(
-			"core: resume checkpoint stores %d samples but %d completion-order entries; cannot replay it asynchronously",
-			len(p.replay), len(p.replayOrder))
+		return p.async
 	}
 	a := &AsyncRun{
 		p:       p,
@@ -126,25 +140,23 @@ func (p *Problem) Async() (*AsyncRun, error) {
 		}
 	}
 	p.async = a
-	return a, nil
+	return a
 }
 
 // Workers returns the configured loss-evaluation parallelism —
 // asynchronous algorithms size their in-flight window to it.
 func (p *Problem) Workers() int { return p.workers }
 
-// ReplayOrder returns the completion order recorded in the resume
-// checkpoint (submission sequence numbers in consumption order), or
-// nil for a fresh run. Asynchronous algorithms must force-consume
-// completions in this order until it is exhausted to reproduce the
-// original run bitwise.
-func (p *Problem) ReplayOrder() []int {
-	return append([]int(nil), p.replayOrder...)
-}
+// ReplayOrder returns the completion order of the resume checkpoint
+// (submission sequence numbers in consumption order), or nil for a
+// fresh run. Asynchronous algorithms must force-consume completions in
+// this order until it is exhausted to reproduce the original run
+// bitwise.
+func (p *Problem) ReplayOrder() []int { return append([]int(nil), p.replayOrder...) }
 
-// wake makes any blocked Next/NextSeq re-examine state. The channel is
-// buffered and the send non-blocking: a single pending token is enough
-// because waiters re-check everything under the lock on every wake.
+// wake makes a blocked driver re-examine state. The channel is buffered
+// and the send non-blocking: a single pending token is enough because
+// waiters re-check everything under the lock on every wake.
 func (a *AsyncRun) wake() {
 	select {
 	case a.notify <- struct{}{}:
@@ -152,118 +164,168 @@ func (a *AsyncRun) wake() {
 	}
 }
 
-// Submit starts one asynchronous evaluation of the given unit-cube
-// position and returns its sequence number. It returns
-// ErrBudgetExhausted when the evaluation budget (count or deadline) has
-// no room for another submission — in-flight and finished-but-unconsumed
-// evaluations count against the budget, so an async algorithm can keep
-// the fleet saturated right up to the final evaluation. Submit never
-// blocks on the simulator.
-func (a *AsyncRun) Submit(ctx context.Context, unit []float64) (int, error) {
+// room returns how many more submissions the evaluation-count budget
+// admits. In-flight and finished-but-unconsumed evaluations count
+// against it, so a driver can keep the fleet saturated right up to the
+// final evaluation without overshooting.
+func (a *AsyncRun) room() int {
 	p := a.p
-	if err := ctx.Err(); err != nil {
-		return 0, ErrBudgetExhausted
+	if p.maxEvals <= 0 {
+		return math.MaxInt
 	}
 	p.mu.Lock()
 	recorded := p.evals
 	p.mu.Unlock()
-	a.mu.Lock()
-	if p.maxEvals > 0 && recorded+a.submitted >= p.maxEvals {
+	return p.maxEvals - recorded - a.InFlight()
+}
+
+// waitSlot blocks until fewer than Workers evaluations are running. It
+// reports false when ctx expires first: dispatch stops the moment the
+// budget context does, so a large batch cannot overrun an expired
+// deadline by a batch of stale evaluations.
+func (a *AsyncRun) waitSlot(ctx context.Context) bool {
+	for ctx.Err() == nil {
+		a.mu.Lock()
+		free := len(a.pending)-len(a.arrivals) < a.p.workers
 		a.mu.Unlock()
+		if free {
+			return true
+		}
+		select {
+		case <-a.notify:
+		case <-ctx.Done():
+		}
+	}
+	return false
+}
+
+// Submit starts one asynchronous evaluation of the given unit-cube
+// position and returns its sequence number. It returns
+// ErrBudgetExhausted when the evaluation budget (count or deadline) has
+// no room for another submission. Submit never blocks on the simulator.
+func (a *AsyncRun) Submit(ctx context.Context, unit []float64) (int, error) {
+	if ctx.Err() != nil || a.room() <= 0 {
 		return 0, ErrBudgetExhausted
+	}
+	if a.p.obs != nil {
+		a.p.obs.BatchProposed(1)
+	}
+	return a.start(ctx, unit, time.Time{}), nil
+}
+
+// start registers one submission and sets it running. queuedAt, when
+// set, is when the submission's batch was proposed: the time from there
+// to here is the queue wait reported to the observer.
+func (a *AsyncRun) start(ctx context.Context, unit []float64, queuedAt time.Time) int {
+	p := a.p
+	u := append([]float64(nil), unit...)
+	a.mu.Lock()
+	var pe *asyncEval
+	if n := len(a.free); n > 0 {
+		pe, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		pe = &asyncEval{a: a}
+		pe.run, pe.asyncDone = pe.runSync, pe.settleAsync
 	}
 	seq := a.nextSeq
 	a.nextSeq++
-	a.submitted++
-	u := append([]float64(nil), unit...)
-	pe := &asyncEval{seq: seq, unit: u}
+	pe.ctx, pe.seq, pe.unit = ctx, seq, u
 	a.pending[seq] = pe
-	if idx, ok := a.replayBySeq[seq]; ok {
-		// Resume replay: serve the checkpointed sample without touching
-		// the simulator, exactly like the batch path; a diverging unit
-		// means the checkpoint belongs to a different configuration.
-		r := p.replay[idx]
+	if a.serveFromCheckpoint(pe) {
 		pe.done = true
-		if !unitsEqual(r.Unit, u) {
-			pe.replErr = fmt.Errorf(
-				"core: checkpoint diverged at async submission %d: stored unit %v, algorithm proposed %v",
-				seq, r.Unit, u)
-		} else {
-			pe.sample = Sample{
-				Unit:    append([]float64(nil), r.Unit...),
-				Point:   r.Point.Clone(),
-				Loss:    r.Loss,
-				Elapsed: r.Elapsed,
-			}
-		}
 		a.arrivals = append(a.arrivals, seq)
 		a.mu.Unlock()
-		if p.obs != nil {
-			p.obs.BatchProposed(1)
-		}
-		a.wake()
-		return seq, nil
+		return seq
 	}
-	if want, ok := a.replayInflight[seq]; ok && !unitsEqual(want, u) {
-		pe.done = true
-		pe.replErr = fmt.Errorf(
-			"core: checkpoint diverged at in-flight submission %d: stored unit %v, algorithm proposed %v",
-			seq, want, u)
-		a.arrivals = append(a.arrivals, seq)
-		a.mu.Unlock()
-		a.wake()
-		return seq, nil
-	}
-	a.inflight++
 	a.mu.Unlock()
-	if p.obs != nil {
-		p.obs.BatchProposed(1)
-	}
-	submitAt := p.clock()
-	pt := p.Space.Decode(u)
-	settle := func(loss float64, hit bool, err error) {
-		aborted := err != nil && ctx.Err() != nil
-		if err != nil || math.IsNaN(loss) || math.IsInf(loss, -1) {
-			// Same normalization as the batch path: failures, NaN and
-			// -Inf all become +Inf so they lose incumbent comparisons.
-			loss = math.Inf(1)
-		}
-		now := p.clock()
-		s := Sample{Unit: append([]float64(nil), u...), Point: pt, Loss: loss, Elapsed: now.Sub(p.start)}
-		a.finish(pe, s, hit, now.Sub(submitAt), aborted)
+	pe.point = p.Space.Decode(pe.unit)
+	pe.startAt = p.clock()
+	if !queuedAt.IsZero() {
+		pe.wait = pe.startAt.Sub(queuedAt)
 	}
 	if as, ok := p.sim.(AsyncSimulator); ok && p.cache == nil && p.exec == nil {
 		// Callback delivery: no goroutine parked per in-flight lease.
-		as.RunAsync(ctx, pt, func(loss float64, err error) {
-			settle(loss, false, err)
-		})
-		return seq, nil
+		as.RunAsync(ctx, pe.point, pe.asyncDone)
+	} else {
+		go pe.run()
 	}
-	go func() {
-		loss, hit, err := p.runSim(ctx, u, pt)
-		settle(loss, hit, err)
-	}()
-	return seq, nil
+	return seq
 }
 
-// finish records a raw completion. Aborted evaluations (budget expiry
-// mid-run, mirroring the batch path's phantom-sample rule) release
-// their budget slot and are never surfaced to the algorithm.
-func (a *AsyncRun) finish(pe *asyncEval, s Sample, hit bool, dur time.Duration, aborted bool) {
-	a.mu.Lock()
-	a.inflight--
-	if aborted {
-		a.submitted--
-		delete(a.pending, pe.seq)
-	} else {
-		pe.done = true
-		pe.sample = s
-		pe.hit = hit
-		pe.dur = dur
-		a.arrivals = append(a.arrivals, pe.seq)
+// serveFromCheckpoint answers a submission the resume checkpoint
+// already covers, without touching the simulator: a consumed sample is
+// served as recorded, and both it and a checkpointed in-flight unit are
+// verified bitwise against what the deterministic algorithm re-proposed
+// — a mismatch means the checkpoint belongs to a different
+// configuration and fails loudly at consumption. It reports false for a
+// submission that has to run (a verified in-flight one included).
+// Called with a.mu held.
+func (a *AsyncRun) serveFromCheckpoint(pe *asyncEval) bool {
+	if idx, consumed := a.replayBySeq[pe.seq]; consumed {
+		r := a.p.replay[idx]
+		if unitsEqual(r.Unit, pe.unit) {
+			pe.sample = Sample{Unit: pe.unit, Point: r.Point.Clone(), Loss: r.Loss, Elapsed: r.Elapsed}
+		} else {
+			pe.replErr = fmt.Errorf(
+				"core: checkpoint diverged at evaluation %d (submission %d): stored unit %v, algorithm proposed %v",
+				idx, pe.seq, r.Unit, pe.unit)
+		}
+		return true
 	}
+	if want, ok := a.replayInflight[pe.seq]; ok && !unitsEqual(want, pe.unit) {
+		pe.replErr = fmt.Errorf(
+			"core: checkpoint diverged at in-flight submission %d: stored unit %v, algorithm proposed %v",
+			pe.seq, want, pe.unit)
+		return true
+	}
+	return false
+}
+
+// runSync is the goroutine body of an evaluation on a blocking
+// simulator (or behind the cache / resilience executor).
+func (pe *asyncEval) runSync() {
+	pe.settle(pe.a.p.runSim(pe.ctx, pe.unit, pe.point))
+}
+
+// settleAsync is the completion callback handed to an AsyncSimulator.
+func (pe *asyncEval) settleAsync(loss float64, err error) { pe.settle(loss, false, err) }
+
+// settle records a raw completion. An evaluation aborted by budget
+// expiry mid-run is not a simulator failure: it releases its budget
+// slot and is never surfaced — no phantom +Inf sample. Failed, NaN and
+// -Inf losses all normalize to +Inf: NaN would poison best-loss
+// comparisons (NaN < x is always false) and -Inf would win them
+// unconditionally.
+func (pe *asyncEval) settle(loss float64, hit bool, err error) {
+	a := pe.a
+	p := a.p
+	if err != nil && pe.ctx.Err() != nil {
+		a.mu.Lock()
+		delete(a.pending, pe.seq)
+		a.recycle(pe)
+		a.mu.Unlock()
+		a.wake()
+		return
+	}
+	if err != nil || math.IsNaN(loss) || math.IsInf(loss, -1) {
+		loss = math.Inf(1)
+	}
+	now := p.clock()
+	a.mu.Lock()
+	pe.done = true
+	pe.sample = Sample{Unit: pe.unit, Point: pe.point, Loss: loss, Elapsed: now.Sub(p.start)}
+	pe.hit = hit
+	pe.dur = now.Sub(pe.startAt)
+	a.arrivals = append(a.arrivals, pe.seq)
 	a.mu.Unlock()
 	a.wake()
+}
+
+// recycle returns a record that left the pending table to the free
+// list. Called with a.mu held.
+func (a *AsyncRun) recycle(pe *asyncEval) {
+	*pe = asyncEval{a: a, run: pe.run, asyncDone: pe.asyncDone}
+	a.free = append(a.free, pe)
 }
 
 // InFlight returns the number of submissions not yet consumed
@@ -274,12 +336,44 @@ func (a *AsyncRun) InFlight() int {
 	return len(a.pending)
 }
 
-// Order returns the consumed completion order so far: each consumed
-// evaluation's submission sequence number, index-aligned with history.
-func (a *AsyncRun) Order() []int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]int(nil), a.order...)
+// unbuffer removes arrival i and its pending entry. Called with a.mu
+// held. The arrivals slice is compacted in place (it is never longer
+// than the in-flight window) so it does not creep through its backing
+// array.
+func (a *AsyncRun) unbuffer(i int) *asyncEval {
+	seq := a.arrivals[i]
+	a.arrivals = append(a.arrivals[:i], a.arrivals[i+1:]...)
+	pe := a.pending[seq]
+	delete(a.pending, seq)
+	return pe
+}
+
+// take blocks until the submission with the given sequence number has
+// finished and removes it from the engine. It returns nil at once when
+// seq is not pending: never submitted, already consumed, or aborted by
+// budget expiry. In-flight work always settles (finish or abort), so
+// the wait terminates.
+func (a *AsyncRun) take(seq int) *asyncEval {
+	for {
+		a.mu.Lock()
+		pe, ok := a.pending[seq]
+		if !ok {
+			a.mu.Unlock()
+			return nil
+		}
+		if pe.done {
+			for i, s := range a.arrivals {
+				if s == seq {
+					a.unbuffer(i)
+					break
+				}
+			}
+			a.mu.Unlock()
+			return pe
+		}
+		a.mu.Unlock()
+		<-a.notify
+	}
 }
 
 // Next blocks until any submitted evaluation finishes, consumes it
@@ -292,20 +386,15 @@ func (a *AsyncRun) Next(ctx context.Context) (AsyncCompletion, error) {
 	for {
 		a.mu.Lock()
 		if len(a.arrivals) > 0 {
-			seq := a.arrivals[0]
-			a.arrivals = a.arrivals[1:]
-			pe := a.pending[seq]
-			delete(a.pending, seq)
+			pe := a.unbuffer(0)
 			a.mu.Unlock()
-			return a.consume(pe)
+			return a.consumeAtBoundary(pe)
 		}
-		inflight := a.inflight
+		running := len(a.pending)
 		a.mu.Unlock()
-		if inflight == 0 {
+		if running == 0 {
 			return AsyncCompletion{}, ErrBudgetExhausted
 		}
-		// In-flight work always settles (finish or abort), so this wait
-		// terminates for the same reason the batch path's wg.Wait does.
 		<-a.notify
 	}
 }
@@ -317,68 +406,59 @@ func (a *AsyncRun) Next(ctx context.Context) (AsyncCompletion, error) {
 // replay order and fails loudly (unless the budget context expired, in
 // which case the aborted evaluation simply ends the run).
 func (a *AsyncRun) NextSeq(ctx context.Context, seq int) (AsyncCompletion, error) {
-	for {
-		a.mu.Lock()
-		pe, ok := a.pending[seq]
-		if !ok {
-			next := a.nextSeq
-			a.mu.Unlock()
-			if ctx.Err() != nil {
-				return AsyncCompletion{}, ErrBudgetExhausted
-			}
-			if seq < 0 || seq >= next {
-				return AsyncCompletion{}, fmt.Errorf(
-					"core: replay order references submission %d, which was never submitted", seq)
-			}
-			return AsyncCompletion{}, fmt.Errorf(
-				"core: replay order references submission %d twice", seq)
-		}
-		if pe.done {
-			for i, s := range a.arrivals {
-				if s == seq {
-					a.arrivals = append(a.arrivals[:i], a.arrivals[i+1:]...)
-					break
-				}
-			}
-			delete(a.pending, seq)
-			a.mu.Unlock()
-			return a.consume(pe)
-		}
-		a.mu.Unlock()
-		<-a.notify
+	pe := a.take(seq)
+	switch {
+	case pe != nil:
+		return a.consumeAtBoundary(pe)
+	case ctx.Err() != nil:
+		return AsyncCompletion{}, ErrBudgetExhausted
+	case seq < 0 || seq >= a.nextSeq: // nextSeq only moves on this goroutine
+		return AsyncCompletion{}, fmt.Errorf(
+			"core: replay order references submission %d, which was never submitted", seq)
 	}
+	return AsyncCompletion{}, fmt.Errorf(
+		"core: replay order references submission %d twice", seq)
 }
 
-// consume records one finished evaluation into history and fires the
-// same observer sequence as the batch path (EvalCompleted, CacheHit,
-// IncumbentImproved), then gives the checkpointer its boundary.
-// Consumption happens on the algorithm's driver goroutine, so order
-// and history stay index-aligned at every checkpoint.
+// consumeAtBoundary is consume for the front ends where every
+// consumption is a checkpoint boundary (Evaluate's boundary is the
+// batch).
+func (a *AsyncRun) consumeAtBoundary(pe *asyncEval) (AsyncCompletion, error) {
+	c, err := a.consume(pe)
+	if err == nil {
+		a.p.maybeCheckpoint()
+	}
+	return c, err
+}
+
+// consume records one finished evaluation, already taken out of the
+// pending table, into history and fires the observer sequence
+// EvalCompleted, CacheHit, IncumbentImproved. Consumption happens on
+// the algorithm's driver goroutine, so order and history stay
+// index-aligned at every checkpoint.
 func (a *AsyncRun) consume(pe *asyncEval) (AsyncCompletion, error) {
 	if pe.replErr != nil {
 		return AsyncCompletion{}, pe.replErr
 	}
 	p := a.p
-	improved := p.record([]Sample{pe.sample})
+	c := AsyncCompletion{Seq: pe.seq, Sample: pe.sample, CacheHit: pe.hit}
+	wait, dur := pe.wait, pe.dur
+	improved := p.record(c.Sample)
 	a.mu.Lock()
-	a.submitted--
-	a.order = append(a.order, pe.seq)
+	a.order = append(a.order, c.Seq)
+	a.recycle(pe)
 	a.mu.Unlock()
 	if p.obs != nil {
-		p.obs.EvalCompleted(pe.sample, pe.wait, pe.dur)
-		if pe.hit {
+		p.obs.EvalCompleted(c.Sample, wait, dur)
+		if c.CacheHit {
 			if co, ok := p.obs.(CacheObserver); ok {
-				co.CacheHit(pe.sample)
+				co.CacheHit(c.Sample)
 			}
 		}
-		if improved[0] {
-			p.obs.IncumbentImproved(pe.sample)
+		if improved {
+			p.obs.IncumbentImproved(c.Sample)
 		}
 	}
-	p.maybeCheckpoint()
-	c := AsyncCompletion{Seq: pe.seq, CacheHit: pe.hit, Sample: pe.sample}
-	c.Sample.Unit = append([]float64(nil), pe.sample.Unit...)
-	c.Sample.Point = pe.sample.Point.Clone()
 	return c, nil
 }
 

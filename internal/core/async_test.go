@@ -360,39 +360,131 @@ func TestAsyncResumeDivergenceDetected(t *testing.T) {
 	}
 }
 
-// TestAsyncBatchSnapshotRejected: a checkpoint from a batch algorithm
-// (samples, no completion order) cannot be replayed asynchronously.
-func TestAsyncBatchSnapshotRejected(t *testing.T) {
-	snap := &Checkpoint{
-		Algorithm:   "test-async-random",
-		Seed:        42,
-		Space:       []string{"x", "y"},
-		Evaluations: 2,
-		Samples: []Sample{
-			{Unit: []float64{0.25, 0.5}, Point: Point{"x": 2.5, "y": 5}, Loss: 1},
-			{Unit: []float64{0.5, 0.25}, Point: Point{"x": 5, "y": 2.5}, Loss: 2},
-		},
-	}
-	probe := &probeAsync{fn: func(ctx context.Context, prob *Problem) error {
-		_, err := prob.Async()
-		if err == nil || !strings.Contains(err.Error(), "completion-order") {
-			t.Errorf("Async() on a batch snapshot: err = %v, want completion-order error", err)
+// TestOrderlessSnapshotReplaysAsIdentity: a checkpoint without a
+// completion order — what every batch run writes, and what every
+// checkpoint written before the two evaluation paths were merged looks
+// like — is an order that is the identity. It replays through Evaluate
+// and through Submit/NextSeq alike, from the snapshot and not from the
+// simulator, and a tampered unit still fails loudly on both.
+func TestOrderlessSnapshotReplaysAsIdentity(t *testing.T) {
+	build := func() *Checkpoint {
+		return &Checkpoint{
+			Algorithm:   "test-async-random",
+			Seed:        42,
+			Space:       []string{"x", "y"},
+			Evaluations: 2,
+			Samples: []Sample{
+				{Unit: []float64{0.25, 0.5}, Point: Point{"x": 2.5, "y": 5}, Loss: 1},
+				{Unit: []float64{0.5, 0.25}, Point: Point{"x": 5, "y": 2.5}, Loss: 2},
+			},
 		}
-		// Drain the replay through the batch path so the run completes.
-		_, e := prob.Evaluate(ctx, [][]float64{snap.Samples[0].Unit, snap.Samples[1].Unit})
-		return e
-	}}
-	c := &Calibrator{
-		Space:          testSpace,
-		Simulator:      seqSleepSim(nil),
-		Algorithm:      probe,
-		MaxEvaluations: 2,
-		Workers:        1,
-		Seed:           42,
-		Resume:         snap,
 	}
-	if _, err := c.Run(context.Background()); err != nil {
+	// The file form has no "order" key, and reads back as the identity.
+	var buf bytes.Buffer
+	if err := build().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `"order"`) {
+		t.Fatalf("an identity order was written out:\n%s", buf.String())
+	}
+	fromFile, err := ReadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fromFile.Order) != 2 || fromFile.Order[0] != 0 || fromFile.Order[1] != 1 {
+		t.Fatalf("order-less file read back with order %v, want the identity [0 1]", fromFile.Order)
+	}
+
+	fresh := []float64{0.75, 0.75}
+	viaEvaluate := func(ctx context.Context, prob *Problem, snap *Checkpoint) ([]Sample, error) {
+		return prob.Evaluate(ctx, [][]float64{snap.Samples[0].Unit, snap.Samples[1].Unit, fresh})
+	}
+	viaSubmit := func(ctx context.Context, prob *Problem, snap *Checkpoint) ([]Sample, error) {
+		run, err := prob.Async()
+		if err != nil {
+			return nil, err
+		}
+		if got := prob.ReplayOrder(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+			t.Errorf("ReplayOrder() = %v, want the identity [0 1]", got)
+		}
+		var out []Sample
+		for _, u := range [][]float64{snap.Samples[0].Unit, snap.Samples[1].Unit, fresh} {
+			if _, err := run.Submit(ctx, u); err != nil {
+				return nil, err
+			}
+		}
+		for seq := 0; seq < 3; seq++ {
+			c, err := run.NextSeq(ctx, seq)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, c.Sample)
+		}
+		return out, nil
+	}
+	drivers := map[string]func(context.Context, *Problem, *Checkpoint) ([]Sample, error){
+		"Evaluate": viaEvaluate, "SubmitNextSeq": viaSubmit,
+	}
+	snaps := map[string]func() *Checkpoint{
+		"in-memory": build,
+		"from-file": func() *Checkpoint { c := *fromFile; return &c },
+	}
+	for dname, drive := range drivers {
+		for sname, mk := range snaps {
+			t.Run(dname+"/"+sname, func(t *testing.T) {
+				snap := mk()
+				sim := &countingSim{inner: seqSleepSim(nil)}
+				var got []Sample
+				c := &Calibrator{
+					Space:     testSpace,
+					Simulator: sim,
+					Algorithm: &probeAsync{fn: func(ctx context.Context, prob *Problem) (err error) {
+						got, err = drive(ctx, prob, snap)
+						return err
+					}},
+					MaxEvaluations: 3,
+					Workers:        2,
+					Seed:           42,
+					Resume:         snap,
+				}
+				res, err := c.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := sim.calls.Load(); n != 1 {
+					t.Errorf("simulator ran %d times, want 1 (two of three evaluations come from the snapshot)", n)
+				}
+				if len(got) != 3 || len(res.History) != 3 {
+					t.Fatalf("got %d samples, history %d, want 3", len(got), len(res.History))
+				}
+				for i, want := range snap.Samples {
+					if math.Float64bits(got[i].Loss) != math.Float64bits(want.Loss) ||
+						math.Float64bits(res.History[i].Loss) != math.Float64bits(want.Loss) {
+						t.Errorf("sample %d: loss %v (history %v), snapshot %v", i, got[i].Loss, res.History[i].Loss, want.Loss)
+					}
+				}
+			})
+		}
+		t.Run(dname+"/tampered", func(t *testing.T) {
+			snap := build()
+			snap.Samples[1].Unit[0] += 0.125
+			proposed := build() // what the deterministic algorithm re-proposes
+			c := &Calibrator{
+				Space:     testSpace,
+				Simulator: seqSleepSim(nil),
+				Algorithm: &probeAsync{fn: func(ctx context.Context, prob *Problem) error {
+					_, err := drive(ctx, prob, proposed)
+					return err
+				}},
+				MaxEvaluations: 3,
+				Workers:        2,
+				Seed:           42,
+				Resume:         snap,
+			}
+			if _, err := c.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "diverged") {
+				t.Errorf("tampered snapshot: err = %v, want a divergence error", err)
+			}
+		})
 	}
 }
 

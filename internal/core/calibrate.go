@@ -103,9 +103,11 @@ func (p *Problem) Observer() Observer { return p.obs }
 // it as a signal to return their best-so-far.
 var ErrBudgetExhausted = errors.New("core: calibration budget exhausted")
 
-// Evaluate runs the loss at every unit-cube position in units, in
-// parallel over the configured workers, and returns the samples in input
-// order. It returns ErrBudgetExhausted when no budget remains before any
+// Evaluate runs the loss at every unit-cube position in units, at most
+// Workers at a time, and returns the samples in input order. It is a
+// barrier on the evaluation engine (see AsyncRun): submit each unit as
+// a slot frees up, then consume the submissions in submission order. It
+// returns ErrBudgetExhausted when no budget remains before any
 // evaluation starts; batches are truncated to the remaining evaluation
 // budget, and when the context expires mid-batch, dispatch stops and the
 // evaluations that did complete are recorded in history and returned
@@ -113,181 +115,46 @@ var ErrBudgetExhausted = errors.New("core: calibration budget exhausted")
 // brittle simulator configurations are simply avoided rather than
 // aborting calibration.
 func (p *Problem) Evaluate(ctx context.Context, units [][]float64) ([]Sample, error) {
-	if err := ctx.Err(); err != nil {
+	if ctx.Err() != nil {
 		return nil, ErrBudgetExhausted
 	}
-	p.mu.Lock()
-	remaining := p.maxEvals - p.evals
-	p.mu.Unlock()
-	if p.maxEvals > 0 {
-		if remaining <= 0 {
-			return nil, ErrBudgetExhausted
-		}
-		if len(units) > remaining {
-			units = units[:remaining]
-		}
+	a := p.engine()
+	if room := a.room(); len(units) > room {
+		units = units[:max(room, 0)]
 	}
 	if len(units) == 0 {
 		return nil, ErrBudgetExhausted
 	}
-	observing := p.obs != nil
-	if observing {
+	if p.obs != nil {
 		p.obs.BatchProposed(len(units))
 	}
-	// base is the global position of this batch's first evaluation;
-	// positions below len(p.replay) are served from the resume
-	// checkpoint instead of the simulator. Algorithms call Evaluate
-	// sequentially and p.evals only advances in record, so the snapshot
-	// here is stable for the whole batch.
-	p.mu.Lock()
-	base := p.evals
-	p.mu.Unlock()
-	batchStart := p.clock()
-	out := make([]Sample, len(units))
-	completed := make([]bool, len(units))
-	hits := make([]bool, len(units))
-	var waits, durs []time.Duration
-	if observing {
-		waits = make([]time.Duration, len(units))
-		durs = make([]time.Duration, len(units))
+	proposedAt := p.clock()
+	// Only this goroutine submits, so the batch is the sequence numbers
+	// [first, first+n).
+	first, n := a.nextSeq, 0
+	for n < len(units) && a.waitSlot(ctx) {
+		a.start(ctx, units[n], proposedAt)
+		n++
 	}
-	var replayMu sync.Mutex
-	var replayErr error
-	workers := p.workers
-	if workers > len(units) {
-		workers = len(units)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				u := units[i]
-				if pos := base + i; pos < len(p.replay) {
-					// Resume replay: the deterministic algorithm re-proposed
-					// this position; serve the checkpointed sample without
-					// touching the simulator. A mismatch means the checkpoint
-					// belongs to a different configuration — fail loudly.
-					r := p.replay[pos]
-					if !unitsEqual(r.Unit, u) {
-						replayMu.Lock()
-						if replayErr == nil {
-							replayErr = fmt.Errorf(
-								"core: checkpoint diverged at evaluation %d: stored unit %v, algorithm proposed %v",
-								pos, r.Unit, u)
-						}
-						replayMu.Unlock()
-						continue
-					}
-					out[i] = Sample{
-						Unit:    append([]float64(nil), r.Unit...),
-						Point:   r.Point.Clone(),
-						Loss:    r.Loss,
-						Elapsed: r.Elapsed,
-					}
-					completed[i] = true
-					continue
-				}
-				var pickup time.Time
-				if observing {
-					pickup = p.clock()
-					waits[i] = pickup.Sub(batchStart)
-				}
-				pt := p.Space.Decode(u)
-				loss, hit, err := p.runSim(ctx, u, pt)
-				if err != nil && ctx.Err() != nil {
-					// Aborted by budget expiry mid-run, not a simulator
-					// failure: do not record a phantom +Inf sample.
-					continue
-				}
-				if err != nil || math.IsNaN(loss) || math.IsInf(loss, -1) {
-					// Failed, NaN, and -Inf losses all normalize to +Inf:
-					// NaN would poison best-loss comparisons (NaN < x is
-					// always false) and -Inf would win them unconditionally.
-					loss = math.Inf(1)
-				}
-				if observing {
-					durs[i] = p.clock().Sub(pickup)
-				}
-				out[i] = Sample{Unit: append([]float64(nil), u...), Point: pt, Loss: loss, Elapsed: p.clock().Sub(p.start)}
-				completed[i] = true
-				hits[i] = hit
-			}
-		}()
-	}
-	// Feed workers, but stop dispatching the moment the budget context
-	// expires so a large batch cannot overrun an expired deadline by a
-	// full batch of stale evaluations.
-	expired := false
-dispatch:
-	for i := range units {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			expired = true
-			break dispatch
+	out := make([]Sample, 0, n)
+	for seq := first; seq < first+n; seq++ {
+		pe := a.take(seq)
+		if pe == nil {
+			continue // aborted by budget expiry: the rest of the batch is still recorded, in input order
 		}
-	}
-	close(idx)
-	wg.Wait()
-	if replayErr != nil {
-		return nil, replayErr
-	}
-	// Compact to the evaluations that actually completed, preserving
-	// input order (the partially-completed batch is still recorded).
-	kept := out
-	allDone := true
-	for _, done := range completed {
-		if !done {
-			allDone = false
-			break
+		c, err := a.consume(pe)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, c.Sample)
 	}
-	if !allDone {
-		kept = make([]Sample, 0, len(units))
-		h2 := make([]bool, 0, len(units))
-		if observing {
-			w2 := make([]time.Duration, 0, len(units))
-			d2 := make([]time.Duration, 0, len(units))
-			for i := range out {
-				if completed[i] {
-					kept = append(kept, out[i])
-					h2 = append(h2, hits[i])
-					w2 = append(w2, waits[i])
-					d2 = append(d2, durs[i])
-				}
-			}
-			waits, durs = w2, d2
-		} else {
-			for i := range out {
-				if completed[i] {
-					kept = append(kept, out[i])
-					h2 = append(h2, hits[i])
-				}
-			}
-		}
-		hits = h2
-	}
-	improved := p.record(kept)
-	if observing {
-		co, _ := p.obs.(CacheObserver)
-		for i := range kept {
-			p.obs.EvalCompleted(kept[i], waits[i], durs[i])
-			if hits[i] && co != nil {
-				co.CacheHit(kept[i])
-			}
-			if improved[i] {
-				p.obs.IncumbentImproved(kept[i])
-			}
-		}
-	}
+	// The checkpointer's boundary is the batch, which is what makes
+	// resumed replay align with a batch algorithm's proposals.
 	p.maybeCheckpoint()
-	if expired || ctx.Err() != nil {
-		return kept, ErrBudgetExhausted
+	if n < len(units) || ctx.Err() != nil {
+		return out, ErrBudgetExhausted
 	}
-	return kept, nil
+	return out, nil
 }
 
 // unitsEqual reports bitwise equality of two unit vectors.
@@ -303,12 +170,12 @@ func unitsEqual(a, b []float64) bool {
 	return true
 }
 
-// maybeCheckpoint snapshots the calibration after a recorded batch when
-// a checkpointer is attached and enough evaluations accumulated since
-// the last snapshot. Replayed evaluations never re-trigger a snapshot
-// (the file already contains them). State is copied under the lock; the
-// disk write happens outside it so a slow filesystem cannot stall
-// concurrent Best/History readers.
+// maybeCheckpoint snapshots the calibration at a consumption boundary
+// when a checkpointer is attached and enough evaluations accumulated
+// since the last snapshot. Replayed evaluations never re-trigger a
+// snapshot (the file already contains them). State is copied under the
+// lock; the disk write happens outside it so a slow filesystem cannot
+// stall concurrent Best/History readers.
 func (p *Problem) maybeCheckpoint() {
 	if p.ckpt == nil {
 		return
@@ -320,16 +187,12 @@ func (p *Problem) maybeCheckpoint() {
 		return
 	}
 	history := append([]Sample(nil), p.history...)
-	async := p.async
+	engine := p.async
 	p.mu.Unlock()
-	var order []int
-	var inflight []AsyncPending
-	if async != nil {
-		// Consumption happens on the algorithm's driver goroutine — the
-		// same goroutine that triggers this snapshot — so the order is
-		// index-aligned with the history copied above.
-		order, inflight = async.snapshot()
-	}
+	// Consumption happens on the algorithm's driver goroutine — the same
+	// goroutine that triggers this snapshot — so the order is
+	// index-aligned with the history copied above.
+	order, inflight := engine.snapshot()
 	p.ckpt.write(evals, p.clock().Sub(p.start), history, order, inflight)
 }
 
@@ -355,30 +218,32 @@ func (p *Problem) simRun(ctx context.Context, pt Point) (float64, error) {
 	return loss, nil
 }
 
-// runSim evaluates the loss at one decoded point, through the
-// fault-tolerance executor (timeouts, retries, breaker) when a
-// resilience policy is attached, and through the calibration's
-// evaluation cache when one is attached. A cache hit returns the
-// memoized loss of the first evaluation of that point (hit=true)
-// without invoking the simulator; concurrent requests for an in-flight
-// point share its single simulation. Deterministic simulator failures
-// (including recovered panics) are memoized as +Inf so they are avoided
-// without re-running; transient failures that exhausted their retries
-// and breaker rejections surface +Inf to the caller uncached, because
-// the same point may well succeed later; budget-expiry aborts propagate
-// their error uncached.
-func (p *Problem) runSim(ctx context.Context, u []float64, pt Point) (loss float64, hit bool, err error) {
-	eval := func(ctx context.Context) (float64, error) { return p.simRun(ctx, pt) }
-	if p.exec != nil {
-		inner := eval
-		eval = func(ctx context.Context) (float64, error) { return p.exec.Do(ctx, inner) }
+// evalOnce runs one evaluation through the fault-tolerance executor
+// (timeouts, retries, breaker) when a resilience policy is attached.
+func (p *Problem) evalOnce(ctx context.Context, pt Point) (float64, error) {
+	if p.exec == nil {
+		return p.simRun(ctx, pt)
 	}
+	return p.exec.Do(ctx, func(ctx context.Context) (float64, error) { return p.simRun(ctx, pt) })
+}
+
+// runSim evaluates the loss at one decoded point, through the
+// calibration's evaluation cache when one is attached. A cache hit
+// returns the memoized loss of the first evaluation of that point
+// (hit=true) without invoking the simulator; concurrent requests for an
+// in-flight point share its single simulation. Deterministic simulator
+// failures (including recovered panics) are memoized as +Inf so they
+// are avoided without re-running; transient failures that exhausted
+// their retries and breaker rejections surface +Inf to the caller
+// uncached, because the same point may well succeed later;
+// budget-expiry aborts propagate their error uncached.
+func (p *Problem) runSim(ctx context.Context, u []float64, pt Point) (loss float64, hit bool, err error) {
 	if p.cache == nil {
-		loss, err = eval(ctx)
+		loss, err = p.evalOnce(ctx, pt)
 		return loss, false, err
 	}
 	return p.cache.Do(ctx, cache.NewKey(p.cacheKey, u), func() (float64, error) {
-		l, e := eval(ctx)
+		l, e := p.evalOnce(ctx, pt)
 		if e != nil {
 			if ctx.Err() != nil {
 				return 0, e // aborted mid-run: not a memoizable outcome
@@ -395,21 +260,17 @@ func (p *Problem) runSim(ctx context.Context, u []float64, pt Point) (loss float
 	})
 }
 
-// record appends samples to history and updates the incumbent. It
-// reports, per sample, whether it improved the incumbent.
-func (p *Problem) record(samples []Sample) []bool {
-	improved := make([]bool, len(samples))
+// record appends one sample to history and reports whether it improved
+// the incumbent.
+func (p *Problem) record(s Sample) (improved bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := range samples {
-		s := samples[i]
-		p.history = append(p.history, s)
-		p.evals++
-		if p.best == nil || s.Loss < p.best.Loss {
-			c := s
-			p.best = &c
-			improved[i] = true
-		}
+	p.history = append(p.history, s)
+	p.evals++
+	if p.best == nil || s.Loss < p.best.Loss {
+		c := s
+		p.best = &c
+		improved = true
 	}
 	return improved
 }
@@ -626,6 +487,9 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 	if c.Resume != nil {
 		prob.replay = c.Resume.Samples
 		prob.replayOrder = c.Resume.Order
+		if len(prob.replayOrder) == 0 {
+			prob.replayOrder = identity(len(prob.replay)) // no recorded order: a batch run's
+		}
 		prob.replayInflight = c.Resume.InFlight
 		// Continue the elapsed axis where the snapshot left off: new
 		// samples stamp Elapsed = (now - start) = snapshot offset + time

@@ -45,10 +45,13 @@ type Checkpoint struct {
 	Elapsed time.Duration
 	// Samples is the evaluation history in completion order.
 	Samples []Sample
-	// Order, present for asynchronous runs, gives each sample's
-	// submission sequence number, index-aligned with Samples. Resumed
-	// async runs force-consume completions in this order, which is what
-	// makes their replay bitwise-identical. Batch runs leave it empty.
+	// Order gives each sample's submission sequence number,
+	// index-aligned with Samples: history is in consumption order, and
+	// a resumed run force-consumes completions in this order, which is
+	// what makes its replay bitwise-identical. A batch run consumes in
+	// submission order, so its order is the identity — which is left out
+	// of the file, and which an empty Order means. ReadCheckpoint always
+	// fills it in.
 	Order []int
 	// InFlight, present for asynchronous runs, lists evaluations that
 	// were submitted but not yet consumed at snapshot time. On resume
@@ -64,13 +67,37 @@ type CheckpointSpec struct {
 	// snapshot intact.
 	Path string
 	// Every is the minimum number of completed evaluations between
-	// snapshots; <= 0 defaults to 32. Snapshots land on batch
-	// boundaries (after a batch is recorded), which is what makes
-	// resumed replay align with the algorithm's proposals.
+	// snapshots; <= 0 defaults to 32. Snapshots land on consumption
+	// boundaries: after a whole batch is recorded for Evaluate (which is
+	// what makes resumed replay align with a batch algorithm's
+	// proposals), after each consumed completion for Next/NextSeq. There
+	// is one file layout for both — samples, their consumption order
+	// (omitted when it is the identity, as it is for every batch run)
+	// and the submitted-but-unconsumed frontier (empty at a batch
+	// boundary).
 	Every int
 }
 
 const checkpointDocKind = "simcal-calibration-checkpoint"
+
+// identity returns the order 0, 1, …, n-1: a batch run's.
+func identity(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+// identityOrder reports whether order[i] == i throughout.
+func identityOrder(order []int) bool {
+	for i, seq := range order {
+		if seq != i {
+			return false
+		}
+	}
+	return true
+}
 
 // lossValue is a float64 whose JSON form survives non-finite values:
 // encoding/json rejects ±Inf and NaN, but failed evaluations are
@@ -168,7 +195,9 @@ func (c *Checkpoint) WriteJSON(w io.Writer) error {
 			ElapsedNS: int64(s.Elapsed),
 		})
 	}
-	doc.Order = c.Order
+	if !identityOrder(c.Order) {
+		doc.Order = c.Order
+	}
 	for _, rec := range c.InFlight {
 		doc.InFlight = append(doc.InFlight, ckptInflightDoc{Seq: rec.Seq, Unit: rec.Unit})
 	}
@@ -261,28 +290,30 @@ func ReadCheckpoint(in io.Reader) (*Checkpoint, error) {
 			Elapsed: time.Duration(s.ElapsedNS),
 		})
 	}
-	// Async state: a completion order must cover the samples exactly
-	// (it is index-aligned with them), every sequence number appears at
-	// most once across order and in-flight records, and in-flight units
-	// must be well-formed — resume would feed them straight back into
-	// the bitwise replay verifier.
-	seen := make(map[int]bool, len(doc.Order)+len(doc.InFlight))
-	if len(doc.Order) > 0 {
-		if len(doc.Order) != len(doc.Samples) {
-			return nil, fmt.Errorf("core: checkpoint completion order has %d entries for %d samples",
-				len(doc.Order), len(doc.Samples))
-		}
-		for _, seq := range doc.Order {
-			if seq < 0 {
-				return nil, fmt.Errorf("core: checkpoint completion order has negative sequence %d", seq)
-			}
-			if seen[seq] {
-				return nil, fmt.Errorf("core: checkpoint completion order repeats sequence %d", seq)
-			}
-			seen[seq] = true
-		}
-		ck.Order = doc.Order
+	// Engine state: a completion order must cover the samples exactly
+	// (it is index-aligned with them) and a missing one is the identity;
+	// every sequence number appears at most once across order and
+	// in-flight records, and in-flight units must be well-formed —
+	// resume would feed them straight back into the bitwise replay
+	// verifier.
+	if len(doc.Order) == 0 {
+		doc.Order = identity(len(doc.Samples))
 	}
+	if len(doc.Order) != len(doc.Samples) {
+		return nil, fmt.Errorf("core: checkpoint completion order has %d entries for %d samples",
+			len(doc.Order), len(doc.Samples))
+	}
+	seen := make(map[int]bool, len(doc.Order)+len(doc.InFlight))
+	for _, seq := range doc.Order {
+		if seq < 0 {
+			return nil, fmt.Errorf("core: checkpoint completion order has negative sequence %d", seq)
+		}
+		if seen[seq] {
+			return nil, fmt.Errorf("core: checkpoint completion order repeats sequence %d", seq)
+		}
+		seen[seq] = true
+	}
+	ck.Order = doc.Order
 	for i, rec := range doc.InFlight {
 		if rec.Seq < 0 {
 			return nil, fmt.Errorf("core: checkpoint in-flight record %d has negative sequence %d", i, rec.Seq)

@@ -11,19 +11,22 @@ import (
 
 // hintedSim is a Simulator that advertises an evaluation concurrency
 // via ConcurrencyHinter. Each Run parks at a rendezvous barrier that
-// only opens once `hint` evaluations are in flight simultaneously, so
-// the calibration can finish only if the worker pool is at least that
-// wide. It also records the peak number of concurrent Run calls.
+// only opens once `rendezvous` evaluations are in flight
+// simultaneously, so the calibration can finish only if the evaluation
+// engine runs at least that many at once — and evaluations provably
+// overlap without anyone sleeping. It also records the peak number of
+// concurrent Run calls.
 type hintedSim struct {
-	hint    int
-	arrived atomic.Int64
-	open    chan struct{}
-	inUse   atomic.Int64
-	peak    atomic.Int64
+	hint       int
+	rendezvous int
+	arrived    atomic.Int64
+	open       chan struct{}
+	inUse      atomic.Int64
+	peak       atomic.Int64
 }
 
-func newHintedSim(hint int) *hintedSim {
-	return &hintedSim{hint: hint, open: make(chan struct{})}
+func newHintedSim(hint, rendezvous int) *hintedSim {
+	return &hintedSim{hint: hint, rendezvous: rendezvous, open: make(chan struct{})}
 }
 
 func (h *hintedSim) EvalConcurrency() int { return h.hint }
@@ -37,7 +40,7 @@ func (h *hintedSim) Run(ctx context.Context, p Point) (float64, error) {
 			break
 		}
 	}
-	if h.arrived.Add(1) == int64(h.hint) {
+	if h.arrived.Add(1) == int64(h.rendezvous) {
 		close(h.open)
 	}
 	select {
@@ -47,31 +50,8 @@ func (h *hintedSim) Run(ctx context.Context, p Point) (float64, error) {
 		return 0, ctx.Err()
 	case <-time.After(10 * time.Second):
 		return 0, fmt.Errorf("barrier never filled: %d of %d evaluations arrived (pool too narrow)",
-			h.arrived.Load(), h.hint)
+			h.arrived.Load(), h.rendezvous)
 	}
-}
-
-// cappedSim counts peak concurrency but never blocks; used to check
-// that an explicit Workers setting overrides a larger hint.
-type cappedSim struct {
-	hint  int
-	inUse atomic.Int64
-	peak  atomic.Int64
-}
-
-func (c *cappedSim) EvalConcurrency() int { return c.hint }
-
-func (c *cappedSim) Run(ctx context.Context, p Point) (float64, error) {
-	cur := c.inUse.Add(1)
-	defer c.inUse.Add(-1)
-	for {
-		prev := c.peak.Load()
-		if cur <= prev || c.peak.CompareAndSwap(prev, cur) {
-			break
-		}
-	}
-	time.Sleep(time.Millisecond) // hold the slot long enough to overlap
-	return p["x"], nil
 }
 
 // TestConcurrencyHintWidensDefaultPool proves the hint takes effect
@@ -81,7 +61,7 @@ func (c *cappedSim) Run(ctx context.Context, p Point) (float64, error) {
 // barrier and time out with a descriptive error).
 func TestConcurrencyHintWidensDefaultPool(t *testing.T) {
 	hint := runtime.GOMAXPROCS(0) + 3
-	sim := newHintedSim(hint)
+	sim := newHintedSim(hint, hint)
 	c := &Calibrator{
 		Space:          testSpace,
 		Simulator:      sim,
@@ -102,9 +82,12 @@ func TestConcurrencyHintWidensDefaultPool(t *testing.T) {
 }
 
 // TestExplicitWorkersOverridesHint: a user-set Workers count wins over
-// the simulator's hint, keeping the evaluation pool narrow.
+// the simulator's hint, keeping the evaluation pool narrow — Evaluate's
+// slot gate never has more than Workers evaluations running, however
+// wide the batch. The rendezvous of 2 makes the bound tight: the pool
+// does reach 2.
 func TestExplicitWorkersOverridesHint(t *testing.T) {
-	sim := &cappedSim{hint: 16}
+	sim := newHintedSim(16, 2)
 	c := &Calibrator{
 		Space:          testSpace,
 		Simulator:      sim,
@@ -116,8 +99,8 @@ func TestExplicitWorkersOverridesHint(t *testing.T) {
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := sim.peak.Load(); got > 2 {
-		t.Errorf("peak concurrency = %d with Workers=2, want <= 2", got)
+	if got := sim.peak.Load(); got != 2 {
+		t.Errorf("peak concurrency = %d with Workers=2, want exactly 2 (<= Workers, and the rendezvous needs 2)", got)
 	}
 }
 
@@ -127,7 +110,7 @@ func TestHintBelowGOMAXPROCSIsIgnored(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs GOMAXPROCS >= 2")
 	}
-	sim := &cappedSim{hint: 1}
+	sim := newHintedSim(1, 2) // finishes only if two evaluations overlap
 	c := &Calibrator{
 		Space:          testSpace,
 		Simulator:      sim,

@@ -2,36 +2,23 @@ package dist
 
 import (
 	"context"
-	"sync"
 
 	"simcal/internal/core"
 )
 
-// Per-lease completion callbacks: the asynchronous optimizer keeps the
-// fleet saturated by refilling capacity the moment any lease resolves,
-// so it needs completion delivery without a goroutine parked per
-// in-flight evaluation. RunAsync registers a callback on the lease
-// itself; every resolution path (worker result, quarantine, local
-// fallback, job cancel, coordinator close, context expiry) funnels
-// through lease.deliver, which invokes the callback exactly once.
-
-// asyncWatch coordinates a RunAsync lease's context watcher with its
-// delivery: whichever side runs first wins, and the loser's cleanup
-// (stopping the watcher / skipping registration) is handled here.
-type asyncWatch struct {
-	mu      sync.Mutex
-	stop    func() bool // cancels the context.AfterFunc; nil until registered
-	settled bool
-}
+// Per-lease completion callbacks: the calibration core keeps the fleet
+// saturated by refilling capacity the moment any lease resolves, so it
+// needs completion delivery without a goroutine parked per in-flight
+// evaluation. RunAsync registers a callback on the lease itself; every
+// resolution path funnels through lease.deliver, which invokes it
+// exactly once. The blocking Run is RunAsync plus a wait.
 
 // RunAsync enqueues one lease and returns immediately; done is invoked
 // exactly once with the lease's outcome — a worker's loss, a
 // quarantine or cancel error, ErrCoordinatorClosed, or ctx.Err() when
 // the context expires first. done runs on a coordinator delivery
-// goroutine and must be cheap and non-blocking (core.AsyncRun's
-// completion handler qualifies). This is the completion-driven
-// counterpart of Run: same lease machinery, same requeue-on-death and
-// chaos hardening, no goroutine parked per in-flight evaluation.
+// goroutine and must be cheap and non-blocking (the core engine's
+// completion handler qualifies).
 func (e *RemoteEvaluator) RunAsync(ctx context.Context, p core.Point, done func(loss float64, err error)) {
 	c := e.c
 	pt := make(map[string]WireFloat, len(p))
@@ -44,19 +31,9 @@ func (e *RemoteEvaluator) RunAsync(ctx context.Context, p core.Point, done func(
 		job:        e.job,
 		spec:       e.spec,
 		point:      pt,
+		cb:         done,
 		attempt:    -1, // first dispatch is attempt 0
 		enqueuedNS: c.clock.Now().UnixNano(),
-	}
-	w := &asyncWatch{}
-	l.cb = func(out leaseOutcome) {
-		w.mu.Lock()
-		w.settled = true
-		stop := w.stop
-		w.mu.Unlock()
-		if stop != nil {
-			stop()
-		}
-		done(out.loss, out.err)
 	}
 	if err := ctx.Err(); err != nil {
 		l.deliver(leaseOutcome{err: err})
@@ -79,22 +56,21 @@ func (e *RemoteEvaluator) RunAsync(ctx context.Context, p core.Point, done func(
 	// after enqueue: a cancellation in the tiny unwatched window is
 	// caught by AfterFunc firing immediately on registration. The
 	// watcher marks the lease canceled (so dispatchers skip it and
-	// worker deaths don't requeue it — mirroring Run's ctx branch)
-	// before delivering ctx.Err(); a real result racing the expiry
-	// loses at deliver's once-guard, exactly like Run's select.
+	// worker deaths don't requeue it) before delivering ctx.Err(); a
+	// real result racing the expiry loses — or wins — at deliver.
 	stop := context.AfterFunc(ctx, func() {
 		c.mu.Lock()
 		l.canceled = true
 		c.mu.Unlock()
 		l.deliver(leaseOutcome{err: ctx.Err()})
 	})
-	w.mu.Lock()
-	if w.settled {
+	l.mu.Lock()
+	if l.settled {
 		// Delivery won before the watcher existed; release it now.
-		w.mu.Unlock()
+		l.mu.Unlock()
 		stop()
 		return
 	}
-	w.stop = stop
-	w.mu.Unlock()
+	l.stopWatch = stop
+	l.mu.Unlock()
 }

@@ -122,41 +122,50 @@ type leaseOutcome struct {
 
 // lease is one evaluation in flight through the distributed plane:
 // queued, then leased to a worker, then resolved — or re-queued as many
-// times as workers die holding it.
+// times as workers die holding it. It carries everything its resolution
+// needs — the completion callback and the context watcher's state — so
+// an evaluation costs the plane this one allocation.
 type lease struct {
-	id       uint64
-	index    uint64
-	job      string // owning job ID; empty outside multi-job servers
-	spec     json.RawMessage
-	point    map[string]WireFloat
-	done     chan leaseOutcome  // buffered 1: resolution never blocks
-	cb       func(leaseOutcome) // completion callback; nil for blocking Run leases
-	once     sync.Once          // deliver resolves a lease exactly once
-	canceled bool               // guarded by Coordinator.mu
-	requeues int                // guarded by Coordinator.mu
-	attempt  int                // guarded by Coordinator.mu; -1 until first dispatch
+	id    uint64
+	index uint64
+	job   string // owning job ID; empty outside multi-job servers
+	spec  json.RawMessage
+	point map[string]WireFloat
+	cb    func(loss float64, err error) // completion callback, invoked exactly once by deliver
+
+	mu        sync.Mutex  // guards settled and stopWatch
+	settled   bool        // deliver has run
+	stopWatch func() bool // releases the context watcher; nil until RunAsync registered it
+
+	canceled bool // guarded by Coordinator.mu
+	requeues int  // guarded by Coordinator.mu
+	attempt  int  // guarded by Coordinator.mu; -1 until first dispatch
 
 	enqueuedNS int64 // guarded by Coordinator.mu; reset on requeue
 	sentNS     int64 // guarded by Coordinator.mu; stamped at dispatch
 }
 
-// deliver resolves the lease toward its waiter — the buffered channel a
-// blocking Run call drains, or the completion callback a RunAsync call
-// registered. Exactly one delivery wins; late results (a redelivery
-// racing the original answer, a cancel racing a resolve) are dropped
-// here instead of each call site reasoning about double sends. Must be
-// called without Coordinator.mu held: callbacks run inline.
+// deliver resolves the lease: every resolution path (worker result,
+// quarantine, local fallback, job cancel, coordinator close, context
+// expiry) funnels through here. Exactly one delivery wins; late results
+// (a redelivery racing the original answer, a cancel racing a resolve,
+// a result racing the context's expiry) are dropped here instead of
+// each call site reasoning about double sends. The winner also releases
+// the context watcher. Must be called without Coordinator.mu held: the
+// callback runs inline.
 func (l *lease) deliver(out leaseOutcome) {
-	l.once.Do(func() {
-		if l.cb != nil {
-			l.cb(out)
-			return
-		}
-		select {
-		case l.done <- out:
-		default:
-		}
-	})
+	l.mu.Lock()
+	if l.settled {
+		l.mu.Unlock()
+		return
+	}
+	l.settled = true
+	stop := l.stopWatch
+	l.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
+	l.cb(out.loss, out.err)
 }
 
 // remoteWorker is the coordinator's view of one connected worker.
@@ -737,13 +746,15 @@ func (c *Coordinator) workerDead(w *remoteWorker, cause error) {
 	}
 	requeued := 0
 	var quarantined, abandoned []*lease
+	abandonErr := ErrJobCanceled
+	if c.closed {
+		abandonErr = ErrCoordinatorClosed
+	}
 	requeueNS := c.clock.Now().UnixNano()
 	for id, l := range w.inflight {
 		delete(w.inflight, id)
 		if c.closed || l.canceled {
-			if c.closed {
-				abandoned = append(abandoned, l)
-			}
+			abandoned = append(abandoned, l)
 			continue
 		}
 		l.requeues++
@@ -780,11 +791,12 @@ func (c *Coordinator) workerDead(w *remoteWorker, cause error) {
 	for _, l := range quarantined {
 		c.quarantine(l, w.name, cause)
 	}
-	// Leases dropped because the coordinator closed mid-death: blocking
-	// Run calls observe closedCh themselves, but callback leases need
-	// an explicit resolution (deliver drops duplicates).
+	// Leases this death drops instead of re-queueing still owe their
+	// waiter a resolution: the coordinator closed under them, or their
+	// job was canceled while they were in flight (a lease canceled by its
+	// own context is already resolved; deliver drops the duplicate).
 	for _, l := range abandoned {
-		l.deliver(leaseOutcome{err: ErrCoordinatorClosed})
+		l.deliver(leaseOutcome{err: abandonErr})
 	}
 }
 
@@ -899,9 +911,13 @@ func (c *Coordinator) degradationLoop() {
 // under panic isolation; classification mirrors the worker's, so the
 // calibrator cannot distinguish a local fallback from a remote result.
 func (c *Coordinator) evalLocal(l *lease, reason string) {
+	// A lease that is not evaluated after all is either canceled — and
+	// then already resolved by whoever canceled it — or stranded by
+	// Close, which cannot see a lease on its way here.
 	select {
 	case c.localSem <- struct{}{}:
 	case <-c.closedCh:
+		l.deliver(leaseOutcome{err: ErrCoordinatorClosed})
 		return
 	}
 	defer func() { <-c.localSem }()
@@ -909,6 +925,7 @@ func (c *Coordinator) evalLocal(l *lease, reason string) {
 	canceled := l.canceled || c.closed
 	c.mu.Unlock()
 	if canceled {
+		l.deliver(leaseOutcome{err: ErrCoordinatorClosed})
 		return
 	}
 	pt := make(core.Point, len(l.point))
@@ -961,8 +978,9 @@ func (c *Coordinator) localSimulator(spec json.RawMessage) (core.Simulator, erro
 }
 
 // Close shuts the coordinator down: all worker connections are closed
-// (workers observe io.EOF and exit cleanly), queued leases resolve with
-// ErrCoordinatorClosed, and pending RemoteEvaluator.Run calls return.
+// (workers observe io.EOF and exit cleanly) and every unresolved lease
+// — queued or in flight — resolves with ErrCoordinatorClosed, which is
+// what returns pending RemoteEvaluator.Run calls.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -992,10 +1010,9 @@ func (c *Coordinator) Close() error {
 	for _, l := range queue {
 		l.deliver(leaseOutcome{err: ErrCoordinatorClosed})
 	}
-	// Blocking Run calls also watch closedCh, but callback leases have
-	// no waiter to observe the shutdown — resolve in-flight ones
-	// explicitly (deliver drops the duplicate for anything a worker
-	// already answered).
+	// Nothing else tells an in-flight lease's waiter about the shutdown
+	// (deliver drops the duplicate for anything a worker already
+	// answered).
 	for _, l := range inflight {
 		l.deliver(leaseOutcome{err: ErrCoordinatorClosed})
 	}
@@ -1006,8 +1023,8 @@ func (c *Coordinator) Close() error {
 // other jobs' queues: queued leases are marked canceled and resolve
 // immediately with ErrJobCanceled (dispatchers skip them when they
 // reach the queue head), while in-flight leases finish on their worker
-// but are never re-queued after a worker death — their late results
-// resolve into an abandoned channel. It returns the number of leases
+// and are never re-queued after a worker death, which resolves them
+// with ErrJobCanceled instead. It returns the number of leases
 // canceled. The multi-tenant job server calls this when a job is
 // deleted, alongside canceling the job's own evaluation context.
 func (c *Coordinator) CancelJob(job string) int {
@@ -1234,47 +1251,14 @@ type RemoteEvaluator struct {
 	next atomic.Uint64
 }
 
-// Run implements core.Simulator: it enqueues one lease and blocks until
-// a worker resolves it, the context expires, or the coordinator closes.
+// Run implements core.Simulator: RunAsync plus a wait. It blocks until
+// the lease resolves — a worker's result, the context's expiry or the
+// coordinator's shutdown all arrive through the lease's callback.
 func (e *RemoteEvaluator) Run(ctx context.Context, p core.Point) (float64, error) {
-	c := e.c
-	pt := make(map[string]WireFloat, len(p))
-	for k, v := range p {
-		pt[k] = WireFloat(v)
-	}
-	l := &lease{
-		id:         c.nextLease.Add(1),
-		index:      e.next.Add(1) - 1,
-		job:        e.job,
-		spec:       e.spec,
-		point:      pt,
-		done:       make(chan leaseOutcome, 1),
-		attempt:    -1, // first dispatch is attempt 0
-		enqueuedNS: c.clock.Now().UnixNano(),
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return 0, ErrCoordinatorClosed
-	}
-	c.queue = append(c.queue, l)
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	select {
-	case c.queueKick <- struct{}{}:
-	default:
-	}
-	select {
-	case out := <-l.done:
-		return out.loss, out.err
-	case <-ctx.Done():
-		c.mu.Lock()
-		l.canceled = true
-		c.mu.Unlock()
-		return 0, ctx.Err()
-	case <-c.closedCh:
-		return 0, ErrCoordinatorClosed
-	}
+	done := make(chan leaseOutcome, 1)
+	e.RunAsync(ctx, p, func(loss float64, err error) { done <- leaseOutcome{loss: loss, err: err} })
+	out := <-done
+	return out.loss, out.err
 }
 
 // EvalConcurrency reports the pool's current total capacity, letting

@@ -3,12 +3,26 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"testing"
 
+	"simcal/internal/core"
 	"simcal/internal/obs"
 )
+
+// dropOutcome is the completion callback of a hand-built lease whose
+// resolution the test does not look at (Close still resolves it).
+func dropOutcome(float64, error) {}
+
+// outcomeOf gives a hand-built lease a completion callback and returns
+// the channel its resolution lands on.
+func outcomeOf(l *lease) <-chan leaseOutcome {
+	ch := make(chan leaseOutcome, 1)
+	l.cb = func(loss float64, err error) { ch <- leaseOutcome{loss: loss, err: err} }
+	return ch
+}
 
 // TestStatusRequeueTruncation: Status caps the per-lease requeue list
 // at 16 entries but must report the uncapped total, so a /statusz
@@ -23,14 +37,14 @@ func TestStatusRequeueTruncation(t *testing.T) {
 			id:       uint64(i + 1),
 			index:    uint64(i),
 			requeues: 1 + i%3,
-			done:     make(chan leaseOutcome, 1),
+			cb:       dropOutcome,
 		})
 	}
 	// Canceled and never-requeued leases stay out of both the list and
 	// the total.
 	c.queue = append(c.queue,
-		&lease{id: 100, requeues: 5, canceled: true, done: make(chan leaseOutcome, 1)},
-		&lease{id: 101, requeues: 0, done: make(chan leaseOutcome, 1)},
+		&lease{id: 100, requeues: 5, canceled: true, cb: dropOutcome},
+		&lease{id: 101, requeues: 0, cb: dropOutcome},
 	)
 	c.mu.Unlock()
 
@@ -87,12 +101,12 @@ func TestStatusJobQueueDepth(t *testing.T) {
 	defer c.Close()
 	c.mu.Lock()
 	for i := 0; i < 3; i++ {
-		c.queue = append(c.queue, &lease{id: uint64(i + 1), job: "j-000001", done: make(chan leaseOutcome, 1)})
+		c.queue = append(c.queue, &lease{id: uint64(i + 1), job: "j-000001", cb: dropOutcome})
 	}
 	c.queue = append(c.queue,
-		&lease{id: 10, job: "j-000002", done: make(chan leaseOutcome, 1)},
-		&lease{id: 11, job: "j-000002", canceled: true, done: make(chan leaseOutcome, 1)},
-		&lease{id: 12, done: make(chan leaseOutcome, 1)}, // job-less: omitted
+		&lease{id: 10, job: "j-000002", cb: dropOutcome},
+		&lease{id: 11, job: "j-000002", canceled: true, cb: dropOutcome},
+		&lease{id: 12, cb: dropOutcome}, // job-less: omitted
 	)
 	c.mu.Unlock()
 
@@ -115,12 +129,14 @@ func TestStatusJobQueueDepth(t *testing.T) {
 func TestCancelJob(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{})
 	defer c.Close()
-	mine := make([]*lease, 3)
-	other := &lease{id: 50, job: "j-other", done: make(chan leaseOutcome, 1)}
+	mine := make([]<-chan leaseOutcome, 3)
+	other := &lease{id: 50, job: "j-other"}
+	otherDone := outcomeOf(other)
 	c.mu.Lock()
 	for i := range mine {
-		mine[i] = &lease{id: uint64(i + 1), job: "j-mine", done: make(chan leaseOutcome, 1)}
-		c.queue = append(c.queue, mine[i])
+		l := &lease{id: uint64(i + 1), job: "j-mine"}
+		mine[i] = outcomeOf(l)
+		c.queue = append(c.queue, l)
 	}
 	c.queue = append(c.queue, other)
 	c.mu.Unlock()
@@ -128,9 +144,9 @@ func TestCancelJob(t *testing.T) {
 	if n := c.CancelJob("j-mine"); n != 3 {
 		t.Errorf("CancelJob(j-mine) = %d, want 3", n)
 	}
-	for i, l := range mine {
+	for i, done := range mine {
 		select {
-		case out := <-l.done:
+		case out := <-done:
 			if out.err != ErrJobCanceled {
 				t.Errorf("lease %d resolved with %v, want ErrJobCanceled", i, out.err)
 			}
@@ -139,7 +155,7 @@ func TestCancelJob(t *testing.T) {
 		}
 	}
 	select {
-	case out := <-other.done:
+	case out := <-otherDone:
 		t.Errorf("other job's lease resolved with %v; must be untouched", out)
 	default:
 	}
@@ -158,4 +174,63 @@ func TestCancelJob(t *testing.T) {
 	if n := c.CancelJob(""); n != 0 {
 		t.Errorf("CancelJob(\"\") = %d, want 0", n)
 	}
+}
+
+// TestRunResolvesThroughLease: the blocking Run has no select of its
+// own any more — a shutdown and a context expiry both reach it through
+// lease.deliver, like every other resolution. A lease queued on a
+// worker-less coordinator returns ErrCoordinatorClosed when the
+// coordinator closes and ctx.Err() when its context expires (and is
+// then marked canceled, so no dispatcher picks it up).
+func TestRunResolvesThroughLease(t *testing.T) {
+	// queued blocks until Run's lease is in the queue; RunAsync
+	// broadcasts the coordinator's condition variable after enqueueing.
+	queued := func(c *Coordinator) *lease {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for len(c.queue) == 0 {
+			c.cond.Wait()
+		}
+		return c.queue[0]
+	}
+	run := func(c *Coordinator, ctx context.Context) <-chan error {
+		errCh := make(chan error, 1)
+		ev := c.Evaluator([]byte(`{"test":true}`))
+		go func() {
+			_, err := ev.Run(ctx, core.Point{"x": 1, "y": 1})
+			errCh <- err
+		}()
+		return errCh
+	}
+
+	t.Run("closed while queued", func(t *testing.T) {
+		c := NewCoordinator(CoordinatorConfig{})
+		errCh := run(c, context.Background())
+		queued(c)
+		c.Close()
+		if err := <-errCh; !errors.Is(err, ErrCoordinatorClosed) {
+			t.Fatalf("Run returned %v, want ErrCoordinatorClosed", err)
+		}
+		if _, err := c.Evaluator(nil).Run(context.Background(), core.Point{"x": 1}); !errors.Is(err, ErrCoordinatorClosed) {
+			t.Fatalf("Run on a closed coordinator returned %v, want ErrCoordinatorClosed", err)
+		}
+	})
+
+	t.Run("context expired while queued", func(t *testing.T) {
+		c := NewCoordinator(CoordinatorConfig{})
+		defer c.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		errCh := run(c, ctx)
+		l := queued(c)
+		cancel()
+		if err := <-errCh; !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run returned %v, want context.Canceled", err)
+		}
+		c.mu.Lock()
+		canceled := l.canceled
+		c.mu.Unlock()
+		if !canceled {
+			t.Error("the expired lease is not marked canceled: a dispatcher would still send it to a worker")
+		}
+	})
 }
