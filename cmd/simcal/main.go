@@ -14,8 +14,7 @@
 //	simcal -case wf  -eval-timeout 2s -eval-retries 5    # fault-tolerant executor
 //	simcal -case wf  -evals 500 -checkpoint ck.json      # periodic snapshots
 //	simcal -case wf  -evals 500 -checkpoint ck.json -resume  # continue a killed run
-//	simcal -case wf  -listen :9090 -dist-workers 2       # distribute evaluations
-//	simcal -connect host:9090                            # serve as a worker
+//	simcal -case wf  -listen :9090 -dist-workers 2       # distribute evaluations to simcal-worker processes
 //	simcal -case wf -listen :9090 -chaos-profile drop=0.05 -chaos-seed 42  # fault-injected run
 package main
 
@@ -26,7 +25,6 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -80,16 +78,11 @@ func main() {
 		evalRetries = flag.Int("eval-retries", 0, "max attempts per evaluation for transient failures (enables the fault-tolerant executor)")
 		breakerN    = flag.Int("breaker", 0, "open the circuit breaker after this many consecutive evaluation failures (enables the fault-tolerant executor)")
 
-		listen         = flag.String("listen", "", "distribute loss evaluations: listen for workers on this address (host:port) and lease evaluations to them")
-		connect        = flag.String("connect", "", "serve as an evaluation worker for a coordinator at this address (most other flags are ignored)")
-		distWorkers    = flag.Int("dist-workers", 1, "with -listen: wait for this many connected workers before calibrating")
-		connectRetries = flag.Int("connect-retries", 0, "with -connect: extra dial attempts for coordinators that are still starting")
-		retryDelay     = flag.Duration("retry-delay", 250*time.Millisecond, "with -connect: base of the capped exponential backoff between dial attempts")
-		retryMaxDelay  = flag.Duration("retry-max-delay", 5*time.Second, "with -connect: cap on the exponential backoff between dial attempts")
-		dialTimeout    = flag.Duration("dial-timeout", dist.DefaultDialTimeout, "with -connect: per-attempt TCP dial timeout")
-		leaseResend    = flag.Duration("lease-resend", 0, "with -listen: redeliver an unanswered lease after this long (0 = off, or 3s when -chaos-profile is set; workers deduplicate)")
-		maxRequeues    = flag.Int("max-requeues", 0, "with -listen: quarantine a lease after this many requeues from worker deaths and evaluate it locally (0 = default 3, negative = unbounded)")
-		degradedGrace  = flag.Duration("degraded-grace", 0, "with -listen: after the fleet has been empty this long, drain queued evaluations locally until a worker returns (0 = default 30s, negative = off)")
+		listen        = flag.String("listen", "", "distribute loss evaluations: listen for workers on this address (host:port) and lease evaluations to them")
+		distWorkers   = flag.Int("dist-workers", 1, "with -listen: wait for this many connected workers before calibrating")
+		leaseResend   = flag.Duration("lease-resend", 0, "with -listen: redeliver an unanswered lease after this long (0 = off, or 3s when -chaos-profile is set; workers deduplicate)")
+		maxRequeues   = flag.Int("max-requeues", 0, "with -listen: quarantine a lease after this many requeues from worker deaths and evaluate it locally (0 = default 3, negative = unbounded)")
+		degradedGrace = flag.Duration("degraded-grace", 0, "with -listen: after the fleet has been empty this long, drain queued evaluations locally until a worker returns (0 = default 30s, negative = off)")
 
 		chaosProfile = flag.String("chaos-profile", "", "inject seeded network faults on all dist connections, e.g. drop=0.05,delay=0.1:20ms,corrupt=0.01 (see internal/dist/chaos)")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for the -chaos-profile fault schedule (same seed replays the same faults)")
@@ -100,9 +93,6 @@ func main() {
 	flag.Parse()
 
 	dc := distCfg{
-		dialTimeout:   *dialTimeout,
-		retryDelay:    *retryDelay,
-		retryMaxDelay: *retryMaxDelay,
 		leaseResend:   *leaseResend,
 		maxRequeues:   *maxRequeues,
 		degradedGrace: *degradedGrace,
@@ -113,13 +103,6 @@ func main() {
 		// A lossy transport can eat a lease or result frame; redelivery
 		// is what recovers it short of heartbeat eviction.
 		dc.leaseResend = 3 * time.Second
-	}
-
-	if *connect != "" {
-		if err := runWorker(*connect, *connectRetries, *workers, dc); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	if *ckptPath != "" && *jobs > 1 {
@@ -316,12 +299,9 @@ type runCfg struct {
 	status      *statusHolder
 }
 
-// distCfg bundles the distributed-plane hardening flags shared by the
-// coordinator (-listen) and worker (-connect) modes.
+// distCfg bundles the distributed-plane hardening flags of the
+// coordinator (-listen) mode.
 type distCfg struct {
-	dialTimeout   time.Duration
-	retryDelay    time.Duration
-	retryMaxDelay time.Duration
 	leaseResend   time.Duration
 	maxRequeues   int
 	degradedGrace time.Duration
@@ -329,10 +309,6 @@ type distCfg struct {
 	chaosSeed     int64
 }
 
-// transport builds the dist transport the flags describe: plain TCP,
-// or TCP behind a deterministic fault injector when -chaos-profile is
-// set. The second return is non-nil only in the chaos case, for
-// reporting injected-fault counts.
 // loadAsyncOrder extracts a recorded async completion order from a
 // JSONL trace's dist_async_completion events (see -async-replay).
 func loadAsyncOrder(path string) ([]int, error) {
@@ -355,8 +331,12 @@ func loadAsyncOrder(path string) ([]int, error) {
 	return order, nil
 }
 
+// transport builds the dist transport the flags describe: plain TCP,
+// or TCP behind a deterministic fault injector when -chaos-profile is
+// set. The second return is non-nil only in the chaos case, for
+// reporting injected-fault counts.
 func (d distCfg) transport() (dist.Transport, *chaos.Transport, error) {
-	tcp := dist.TCP{DialTimeout: d.dialTimeout}
+	tcp := dist.TCP{}
 	if d.chaosProfile == "" {
 		return tcp, nil, nil
 	}
@@ -407,42 +387,6 @@ func (h *statusHolder) status() any {
 		return c.Status()
 	}
 	return nil
-}
-
-// runWorker serves loss evaluations to a coordinator: dial with capped
-// exponential backoff, evaluate leases (rebuilding simulators from the
-// specs they carry), resume the session after mid-run connection
-// drops, exit 0 when the coordinator shuts the connection down.
-func runWorker(addr string, retries, capacity int, dc distCfg) error {
-	if capacity <= 0 {
-		capacity = runtime.GOMAXPROCS(0)
-	}
-	host, _ := os.Hostname()
-	w, err := dist.NewWorker(dist.WorkerConfig{
-		Name:     fmt.Sprintf("%s/%d", host, os.Getpid()),
-		Capacity: capacity,
-		Factory:  simspec.BuildSimulator,
-		Registry: obs.Default(),
-	})
-	if err != nil {
-		return err
-	}
-	tr, ct, err := dc.transport()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "worker connecting to %s (capacity %d)\n", addr, capacity)
-	err = w.RunSession(context.Background(), tr, addr, dist.SessionConfig{
-		MaxDialAttempts: retries + 1,
-		BaseDelay:       dc.retryDelay,
-		MaxDelay:        dc.retryMaxDelay,
-		Seed:            dc.chaosSeed,
-		Resume:          true,
-	})
-	if ct != nil {
-		fmt.Fprintf(os.Stderr, "simcal: chaos faults injected: %s\n", ct.Counts())
-	}
-	return err
 }
 
 // simulator resolves the loss evaluator for a spec: built locally, or —

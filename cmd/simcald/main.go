@@ -1,7 +1,7 @@
 // Command simcald is calibration-as-a-service: a long-lived server
 // that accepts calibration jobs over HTTP and multiplexes them onto a
 // shared evaluation backend — local simulator builds, or a fleet of
-// simcal -connect workers when -listen is set. Multiple tenants share
+// simcal-worker processes when -listen is set. Multiple tenants share
 // one daemon: per-tenant quotas bound open jobs, dispatch is
 // round-robin by tenant, and a content-addressed evaluation cache
 // shares results between jobs calibrating the same spec.
@@ -55,7 +55,7 @@ import (
 func main() {
 	var (
 		httpAddr    = flag.String("http", "localhost:8080", "serve the job API and observability plane on this address")
-		listen      = flag.String("listen", "", "distribute loss evaluations: listen for simcal -connect workers on this address")
+		listen      = flag.String("listen", "", "distribute loss evaluations: listen for simcal-worker processes on this address")
 		distWorkers = flag.Int("dist-workers", 1, "with -listen: wait for this many connected workers before serving jobs")
 
 		maxRunning  = flag.Int("max-running", 2, "concurrently running jobs")

@@ -103,7 +103,12 @@ func TestRunAsyncDeliversResult(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("RunAsync never delivered")
 	}
-	time.Sleep(20 * time.Millisecond)
+	// Once nothing is queued or in flight, nothing is left that could
+	// call back a second time.
+	waitFor(t, "the fleet to go idle", func() bool {
+		st := c.coord.Status()
+		return st.QueueDepth == 0 && len(st.Workers) == 1 && st.Workers[0].Inflight == 0
+	})
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("done callback ran %d times, want exactly once", n)
 	}

@@ -96,13 +96,12 @@ type CoordinatorConfig struct {
 	MaxRequeues int
 	// DegradedGrace is how long the fleet may be empty with leases
 	// queued before the coordinator enters degraded mode and drains
-	// the queue through LocalFactory. Zero means DefaultDegradedGrace;
-	// negative disables degradation. Workers that return are
-	// re-absorbed: degraded mode ends the moment one registers.
+	// the queue through LocalFactory (at most GOMAXPROCS evaluations at
+	// a time, quarantine fallbacks included). Zero means
+	// DefaultDegradedGrace; negative disables degradation. Workers that
+	// return are re-absorbed: degraded mode ends the moment one
+	// registers.
 	DegradedGrace time.Duration
-	// LocalConcurrency bounds concurrent local evaluations (degraded
-	// drain and quarantine fallback combined). Zero means GOMAXPROCS.
-	LocalConcurrency int
 	// ResendAfter, when positive, redelivers a dispatched lease whose
 	// result has not arrived within the window, bumping its attempt
 	// counter. Off by default: TCP never drops frames, so redelivery
@@ -114,148 +113,49 @@ type CoordinatorConfig struct {
 	ResendAfter time.Duration
 }
 
-// leaseOutcome is the terminal state of one lease.
-type leaseOutcome struct {
-	loss float64
-	err  error
-}
-
-// lease is one evaluation in flight through the distributed plane:
-// queued, then leased to a worker, then resolved — or re-queued as many
-// times as workers die holding it. It carries everything its resolution
-// needs — the completion callback and the context watcher's state — so
-// an evaluation costs the plane this one allocation.
-type lease struct {
-	id    uint64
-	index uint64
-	job   string // owning job ID; empty outside multi-job servers
-	spec  json.RawMessage
-	point map[string]WireFloat
-	cb    func(loss float64, err error) // completion callback, invoked exactly once by deliver
-
-	mu        sync.Mutex  // guards settled and stopWatch
-	settled   bool        // deliver has run
-	stopWatch func() bool // releases the context watcher; nil until RunAsync registered it
-
-	canceled bool // guarded by Coordinator.mu
-	requeues int  // guarded by Coordinator.mu
-	attempt  int  // guarded by Coordinator.mu; -1 until first dispatch
-
-	enqueuedNS int64 // guarded by Coordinator.mu; reset on requeue
-	sentNS     int64 // guarded by Coordinator.mu; stamped at dispatch
-}
-
-// deliver resolves the lease: every resolution path (worker result,
-// quarantine, local fallback, job cancel, coordinator close, context
-// expiry) funnels through here. Exactly one delivery wins; late results
-// (a redelivery racing the original answer, a cancel racing a resolve,
-// a result racing the context's expiry) are dropped here instead of
-// each call site reasoning about double sends. The winner also releases
-// the context watcher. Must be called without Coordinator.mu held: the
-// callback runs inline.
-func (l *lease) deliver(out leaseOutcome) {
-	l.mu.Lock()
-	if l.settled {
-		l.mu.Unlock()
-		return
-	}
-	l.settled = true
-	stop := l.stopWatch
-	l.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
-	l.cb(out.loss, out.err)
-}
-
-// remoteWorker is the coordinator's view of one connected worker.
-type remoteWorker struct {
-	id       uint64
-	name     string
-	capacity int
-	conn     Conn
-	// slots is a token semaphore bounding in-flight leases to capacity,
-	// which also guarantees the dispatcher can never deadlock a
-	// synchronous loopback pipe: the worker's reader always drains.
-	slots    chan struct{}
-	deadCh   chan struct{}
-	dead     bool              // guarded by Coordinator.mu
-	inflight map[uint64]*lease // guarded by Coordinator.mu
-	lastRecv atomic.Int64      // clock nanos of the last frame received
-
-	// Clock-offset estimate (worker clock minus coordinator clock),
-	// derived from heartbeat pings echoed in telemetry frames. The
-	// estimate with the smallest round trip wins — the standard NTP
-	// argument: less queueing delay, tighter bound. Guarded by
-	// Coordinator.mu.
-	offsetNS  int64
-	offsetRTT int64
-	hasOffset bool
-
-	// Per-worker fleet gauges; nil without a Registry.
-	gInflight *obs.Gauge
-	gHbAge    *obs.Gauge
-	gOffset   *obs.Gauge
-}
-
-// Coordinator shards loss evaluations across remote workers. It owns a
-// FIFO lease queue fed by RemoteEvaluator.Run calls; per-worker
-// dispatchers pull from the queue, bounded by each worker's capacity.
-// Results resolve leases by ID; a dead worker's in-flight leases are
-// re-queued unconditionally, so — because the calibration core merges
-// samples index-addressed — the trajectory is identical no matter how
-// many workers serve it or die mid-batch.
+// Coordinator shards loss evaluations across remote workers. All lease
+// state lives in one single-threaded state machine (fleet.go: events
+// in, actions out); the Coordinator is its plumbing. Every goroutine
+// that has something to report — a RunAsync caller, a worker's reader,
+// the timer, CancelJob, Close — takes mu, feeds the fleet one event,
+// releases mu and performs the actions the event produced. A connected
+// worker costs two goroutines: a reader (the handshake goroutine carries
+// on as it) and a writer that drains the worker's outbox in order; one
+// coordinator-wide timer goroutine sleeps until the deadline tick
+// returned. Results resolve leases by ID and a dead worker's in-flight
+// leases are re-queued unconditionally, so — because the calibration
+// core merges samples index-addressed — the trajectory is identical no
+// matter how many workers serve it or die mid-batch.
 type Coordinator struct {
 	cfg   CoordinatorConfig
 	clock Clock
 
 	mu             sync.Mutex
-	cond           *sync.Cond
-	queue          []*lease
-	workers        map[uint64]*remoteWorker
-	workersChanged chan struct{}
-	closed         bool
-	// degraded and fleetEmptySince drive graceful degradation: the
-	// instant the last worker left (zero while any worker is
-	// connected), and whether the degradation loop is currently
-	// draining the queue locally. Guarded by mu.
-	degraded        bool
-	fleetEmptySince time.Time
+	fleet          *fleet        // guarded by mu
+	workersChanged chan struct{} // guarded by mu; closed and replaced when the worker set changes
 
-	closedCh   chan struct{}
-	queueKick  chan struct{} // buffered 1: wakes the degradation loop on enqueue
-	nextLease  atomic.Uint64
-	nextWorker atomic.Uint64
+	closedCh  chan struct{}
+	timerWake chan struct{} // one slot: a deadline moved up
+	unnamed   atomic.Uint64 // numbers the workers that sent no name
 
 	// localSims caches LocalFactory-built simulators by spec, exactly
 	// as workers cache theirs. localSem bounds concurrent local
-	// evaluations; localCtx cancels them at Close.
+	// evaluations (degraded drain and quarantine fallback combined) to
+	// GOMAXPROCS; localCtx cancels them at Close.
 	localMu     sync.Mutex
 	localSims   map[string]core.Simulator
 	localSem    chan struct{}
 	localCtx    context.Context
 	localCancel context.CancelFunc
 
-	workersConnected  *obs.Counter
-	workersLost       *obs.Counter
-	leasesDispatched  *obs.Counter
-	leasesRequeued    *obs.Counter
-	leasesQuarantined *obs.Counter
-	leasesRedelivered *obs.Counter
-	localEvals        *obs.Counter
-	resultsStale      *obs.Counter
-	resultsDuplicate  *obs.Counter
-	framesRx          *obs.Counter
-	framesTx          *obs.Counter
-	workersActive     *obs.Gauge
-	degradedGauge     *obs.Gauge
-	queueWait         *obs.Histogram
-	wireRTT           *obs.Histogram
-	requeueDepth      *obs.Histogram
+	reg        *obs.Registry // cfg.Registry, or a private one
+	localEvals *obs.Counter
+	framesRx   *obs.Counter
+	framesTx   *obs.Counter
 }
 
-// NewCoordinator returns a Coordinator ready to Serve a listener.
-func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
+// withDefaults fills in the zero-value knobs.
+func (cfg CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if cfg.Clock == nil {
 		cfg.Clock = RealClock{}
 	}
@@ -271,63 +171,108 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.DegradedGrace == 0 {
 		cfg.DegradedGrace = DefaultDegradedGrace
 	}
-	if cfg.LocalConcurrency <= 0 {
-		cfg.LocalConcurrency = runtime.GOMAXPROCS(0)
+	return cfg
+}
+
+// NewCoordinator returns a Coordinator ready to Serve a listener.
+func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
+	cfg = cfg.withDefaults()
+	reg := cfg.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
 	c := &Coordinator{
-		cfg:             cfg,
-		clock:           cfg.Clock,
-		workers:         make(map[uint64]*remoteWorker),
-		workersChanged:  make(chan struct{}),
-		closedCh:        make(chan struct{}),
-		queueKick:       make(chan struct{}, 1),
-		fleetEmptySince: cfg.Clock.Now(),
+		cfg:            cfg,
+		clock:          cfg.Clock,
+		fleet:          newFleet(cfg, reg, cfg.Clock.Now().UnixNano()),
+		workersChanged: make(chan struct{}),
+		closedCh:       make(chan struct{}),
+		timerWake:      make(chan struct{}, 1),
+		localSem:       make(chan struct{}, runtime.GOMAXPROCS(0)),
+		reg:            reg,
+		localEvals:     reg.Counter("dist.local_evals"),
+		framesRx:       reg.Counter("dist.frames_rx"),
+		framesTx:       reg.Counter("dist.frames_tx"),
 	}
-	c.cond = sync.NewCond(&c.mu)
-	c.localSem = make(chan struct{}, cfg.LocalConcurrency)
 	c.localCtx, c.localCancel = context.WithCancel(context.Background())
 	if cfg.LocalFactory != nil {
 		c.localSims = make(map[string]core.Simulator)
 	}
-	if reg := cfg.Registry; reg != nil {
-		c.workersConnected = reg.Counter("dist.workers_connected")
-		c.workersLost = reg.Counter("dist.workers_lost")
-		c.leasesDispatched = reg.Counter("dist.leases_dispatched")
-		c.leasesRequeued = reg.Counter("dist.leases_requeued")
-		c.leasesQuarantined = reg.Counter("dist.leases_quarantined")
-		c.leasesRedelivered = reg.Counter("dist.leases_redelivered")
-		c.localEvals = reg.Counter("dist.local_evals")
-		c.resultsStale = reg.Counter("dist.results_stale")
-		c.resultsDuplicate = reg.Counter("dist.results_duplicate")
-		c.framesRx = reg.Counter("dist.frames_rx")
-		c.framesTx = reg.Counter("dist.frames_tx")
-		c.workersActive = reg.Gauge("dist.workers_active")
-		c.degradedGauge = reg.Gauge("dist.degraded")
-		c.queueWait = reg.Histogram("dist.lease_queue_wait_ns")
-		c.wireRTT = reg.Histogram("dist.wire_rtt_ns")
-		c.requeueDepth = reg.Histogram("dist.lease_requeues")
-	} else {
-		c.workersConnected = new(obs.Counter)
-		c.workersLost = new(obs.Counter)
-		c.leasesDispatched = new(obs.Counter)
-		c.leasesRequeued = new(obs.Counter)
-		c.leasesQuarantined = new(obs.Counter)
-		c.leasesRedelivered = new(obs.Counter)
-		c.localEvals = new(obs.Counter)
-		c.resultsStale = new(obs.Counter)
-		c.resultsDuplicate = new(obs.Counter)
-		c.framesRx = new(obs.Counter)
-		c.framesTx = new(obs.Counter)
-		c.workersActive = new(obs.Gauge)
-		c.degradedGauge = new(obs.Gauge)
-		c.queueWait = new(obs.Histogram)
-		c.wireRTT = new(obs.Histogram)
-		c.requeueDepth = new(obs.Histogram)
-	}
-	if cfg.LocalFactory != nil && cfg.DegradedGrace > 0 {
-		go c.degradationLoop()
-	}
+	go c.timerLoop()
 	return c
+}
+
+// now is the event timestamp. Read under mu, so the fleet sees time in
+// the order it sees events.
+func (c *Coordinator) now() int64 { return c.clock.Now().UnixNano() }
+
+// wake fills a one-slot wake channel; a full slot already says it.
+func wake(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// perform ends an event: called with mu held, it takes the actions the
+// event produced, releases mu and carries them out in order. Completion
+// callbacks and connection closes therefore never run under the lock.
+// The one or two actions of a steady-state event are copied into a
+// stack array, so an event allocates nothing of its own.
+func (c *Coordinator) perform() {
+	var buf [4]action
+	acts := append(buf[:0], c.fleet.acts...)
+	clear(c.fleet.acts)
+	c.fleet.acts = c.fleet.acts[:0]
+	c.mu.Unlock()
+	for i := range acts {
+		a := &acts[i]
+		switch a.kind {
+		case actDeliver:
+			if a.stop != nil {
+				a.stop()
+			}
+			a.l.cb(a.out.loss, a.out.err)
+		case actWake:
+			wake(a.w.wake)
+		case actDrop:
+			a.w.conn.Close()
+			wake(a.w.wake) // the writer finds w dead and exits
+		case actLocal:
+			go c.evalLocal(a.l, a.name)
+		case actTrace:
+			c.cfg.Tracer.Emit(a.name, a.fields)
+		case actMembers:
+			c.mu.Lock()
+			close(c.workersChanged)
+			c.workersChanged = make(chan struct{})
+			c.mu.Unlock()
+		case actArm:
+			wake(c.timerWake)
+		}
+	}
+}
+
+// timerLoop is the coordinator's one clock-driven goroutine: it feeds
+// the fleet a tick, sleeps until the deadline the tick returned (or
+// until an event moves the deadline up), and repeats until Close.
+func (c *Coordinator) timerLoop() {
+	for {
+		c.mu.Lock()
+		now := c.now()
+		deadline := c.fleet.tick(now)
+		c.perform()
+		var due <-chan time.Time // nil blocks: nothing is pending
+		if deadline != 0 {
+			due = c.clock.After(time.Duration(deadline - now))
+		}
+		select {
+		case <-due:
+		case <-c.timerWake:
+		case <-c.closedCh:
+			return
+		}
+	}
 }
 
 // Serve accepts worker connections from l until the listener fails or
@@ -372,7 +317,9 @@ func recvTimeout(conn Conn, clock Clock, d time.Duration) (*Frame, error) {
 	}
 }
 
-// handle performs the hello handshake and registers the worker.
+// handle performs the hello handshake, registers the worker, starts its
+// writer and then serves as its reader: every inbound frame is a fleet
+// event, and any read error declares the worker dead.
 func (c *Coordinator) handle(conn Conn) {
 	f, err := recvTimeout(conn, c.clock, c.cfg.HeartbeatTimeout)
 	if err != nil {
@@ -389,264 +336,64 @@ func (c *Coordinator) handle(conn Conn) {
 		return
 	}
 	c.framesTx.Inc()
-	capacity := f.Hello.Capacity
-	if capacity <= 0 {
-		capacity = 1
+	name := f.Hello.Name
+	if name == "" {
+		name = fmt.Sprintf("worker-%d", c.unnamed.Add(1))
 	}
-	w := &remoteWorker{
-		id:       c.nextWorker.Add(1),
-		name:     f.Hello.Name,
-		capacity: capacity,
-		conn:     conn,
-		slots:    make(chan struct{}, capacity),
-		deadCh:   make(chan struct{}),
-		inflight: make(map[uint64]*lease),
-	}
-	if w.name == "" {
-		w.name = fmt.Sprintf("worker-%d", w.id)
-	}
-	if reg := c.cfg.Registry; reg != nil {
-		w.gInflight = reg.Gauge(obs.LabeledName("dist.worker_inflight", "worker", w.name))
-		w.gHbAge = reg.Gauge(obs.LabeledName("dist.worker_heartbeat_age_ns", "worker", w.name))
-		w.gOffset = reg.Gauge(obs.LabeledName("dist.worker_clock_offset_ns", "worker", w.name))
-	}
-	for i := 0; i < capacity; i++ {
-		w.slots <- struct{}{}
-	}
-	w.lastRecv.Store(c.clock.Now().UnixNano())
+	w := newRemoteWorker(name, f.Hello.Capacity, conn)
+	w.gInflight = c.reg.Gauge(obs.LabeledName("dist.worker_inflight", "worker", w.name))
+	w.gHbAge = c.reg.Gauge(obs.LabeledName("dist.worker_heartbeat_age_ns", "worker", w.name))
+	w.gOffset = c.reg.Gauge(obs.LabeledName("dist.worker_clock_offset_ns", "worker", w.name))
+	go c.writeLoop(w)
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return
-	}
-	c.workers[w.id] = w
-	active := len(c.workers)
-	c.fleetEmptySince = time.Time{} // the fleet is no longer empty
-	close(c.workersChanged)
-	c.workersChanged = make(chan struct{})
-	c.mu.Unlock()
-	c.workersConnected.Inc()
-	c.workersActive.Set(float64(active))
-	if c.cfg.Tracer != nil {
-		c.cfg.Tracer.Emit(obs.EventDistWorkerConnected, obs.Fields{
-			"worker": w.name, "capacity": capacity, "active": active,
-		})
-	}
-	go c.readLoop(w)
-	go c.dispatchLoop(w)
-	go c.heartbeatLoop(w)
-	if c.cfg.ResendAfter > 0 {
-		go c.redeliverLoop(w)
-	}
-}
-
-// readLoop is the worker connection's dedicated reader. Every inbound
-// frame refreshes the liveness stamp; results resolve their leases; any
-// read error declares the worker dead.
-func (c *Coordinator) readLoop(w *remoteWorker) {
+	c.fleet.hello(c.now(), w)
+	c.perform()
 	for {
-		f, err := w.conn.Recv()
+		f, err := conn.Recv()
 		if err != nil {
 			c.workerDead(w, err)
 			return
 		}
 		c.framesRx.Inc()
-		w.lastRecv.Store(c.clock.Now().UnixNano())
-		switch f.Type {
-		case TypeHeartbeat:
-		case TypeTelemetry:
-			c.absorbTelemetry(w, f.Telemetry)
-		case TypeResult:
-			c.resolve(w, f.Result)
-		default:
-			c.workerDead(w, fmt.Errorf("dist: protocol violation: %s frame from worker %s", f.Type, w.name))
-			return
-		}
-	}
-}
-
-// dispatchLoop pulls queued leases and sends them to w, holding one
-// capacity slot per in-flight lease.
-func (c *Coordinator) dispatchLoop(w *remoteWorker) {
-	for {
-		select {
-		case <-w.slots:
-		case <-w.deadCh:
-			return
-		case <-c.closedCh:
-			return
-		}
-		l, attempt := c.next(w)
-		if l == nil {
-			return
-		}
-		msg := &LeaseMsg{ID: l.id, Index: l.index, Job: l.job, Spec: l.spec, Point: l.point, TraceID: c.cfg.TraceID, Attempt: attempt}
-		if c.cfg.LeaseTimeout > 0 {
-			msg.TimeoutMS = c.cfg.LeaseTimeout.Milliseconds()
-		}
-		if err := w.conn.Send(&Frame{Type: TypeLease, Lease: msg}); err != nil {
-			// The lease is already registered in-flight, so workerDead
-			// re-queues it for another worker.
-			c.workerDead(w, err)
-			return
-		}
-		c.framesTx.Inc()
-		c.leasesDispatched.Inc()
-	}
-}
-
-// next blocks until a live lease is available for w and registers it
-// in-flight, or returns nil when w dies or the coordinator closes. The
-// second return is the attempt number to stamp on the lease frame.
-func (c *Coordinator) next(w *remoteWorker) (*lease, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if w.dead || c.closed {
-			return nil, 0
-		}
-		for len(c.queue) > 0 && c.queue[0].canceled {
-			c.queue = c.queue[1:]
-		}
-		if len(c.queue) > 0 {
-			l := c.queue[0]
-			c.queue = c.queue[1:]
-			w.inflight[l.id] = l
-			now := c.clock.Now().UnixNano()
-			if l.enqueuedNS != 0 {
-				c.queueWait.Observe(now - l.enqueuedNS)
-			}
-			l.sentNS = now
-			l.attempt++
-			return l, l.attempt
-		}
-		c.cond.Wait()
-	}
-}
-
-// resolve completes the lease a result answers. The in-flight table is
-// the idempotency authority: a lease leaves it exactly once, so a
-// result racing a requeue — or the duplicate answer a worker re-sends
-// after a lease redelivery — can never double-count. Results for
-// unknown lease IDs (e.g. from a worker declared dead between its send
-// and our receive, or a duplicate of an already-resolved lease) are
-// dropped and counted.
-func (c *Coordinator) resolve(w *remoteWorker, res *ResultMsg) {
-	c.mu.Lock()
-	l, ok := w.inflight[res.ID]
-	if ok {
-		delete(w.inflight, res.ID)
-		if l.sentNS != 0 {
-			c.wireRTT.Observe(c.clock.Now().UnixNano() - l.sentNS)
-		}
-		if res.Attempt != l.attempt {
-			// An answer to an older attempt of a since-redelivered lease.
-			// Deterministic simulators make every attempt's loss identical,
-			// so it still resolves the lease; the counter records that the
-			// redelivery raced the original answer.
-			c.resultsStale.Inc()
-		}
-	}
-	c.mu.Unlock()
-	if !ok {
-		c.resultsDuplicate.Inc()
-		return
-	}
-	select {
-	case w.slots <- struct{}{}:
-	default:
-	}
-	out := leaseOutcome{loss: float64(res.Loss)}
-	if res.Err != "" {
-		err := fmt.Errorf("dist: worker %s: %s", w.name, res.Err)
-		if cls, known := resilience.ParseClass(res.Class); known && cls == resilience.Transient {
-			// Reconstruct the classification so the calibrator's retry
-			// machinery treats the remote failure like a local one.
-			err = resilience.MarkTransient(err)
-		}
-		out.err = err
-	}
-	l.deliver(out)
-}
-
-// heartbeatLoop pings w every HeartbeatEvery and declares it dead after
-// HeartbeatTimeout of silence.
-func (c *Coordinator) heartbeatLoop(w *remoteWorker) {
-	for {
-		select {
-		case <-c.clock.After(c.cfg.HeartbeatEvery):
-		case <-w.deadCh:
-			return
-		case <-c.closedCh:
-			return
-		}
-		silent := time.Duration(c.clock.Now().UnixNano() - w.lastRecv.Load())
-		if silent > c.cfg.HeartbeatTimeout {
-			c.workerDead(w, fmt.Errorf("dist: worker %s silent for %s (heartbeat timeout %s)",
-				w.name, silent, c.cfg.HeartbeatTimeout))
-			return
-		}
-		// The heartbeat doubles as a clock-sync ping: the worker echoes
-		// the stamp (plus its own receive and send times) in its next
-		// telemetry frame, and absorbTelemetry closes the NTP loop.
-		hb := &HeartbeatMsg{PingUnixNS: c.clock.Now().UnixNano()}
-		if err := w.conn.Send(&Frame{Type: TypeHeartbeat, Heartbeat: hb}); err != nil {
-			c.workerDead(w, err)
-			return
-		}
-		c.framesTx.Inc()
-	}
-}
-
-// redeliverLoop re-sends leases that have been in flight on w longer
-// than ResendAfter without an answer, bumping their attempt counter.
-// Only started when ResendAfter is positive — i.e. when a lossy
-// transport may have dropped the lease or its result. The worker
-// deduplicates by lease ID: a redelivery of a lease it is still
-// running is ignored, and one it already finished is answered from its
-// completed-result cache.
-func (c *Coordinator) redeliverLoop(w *remoteWorker) {
-	period := c.cfg.ResendAfter / 2
-	if period <= 0 {
-		period = c.cfg.ResendAfter
-	}
-	for {
-		select {
-		case <-c.clock.After(period):
-		case <-w.deadCh:
-			return
-		case <-c.closedCh:
-			return
-		}
-		now := c.clock.Now().UnixNano()
-		var msgs []*LeaseMsg
 		c.mu.Lock()
-		for _, l := range w.inflight {
-			if l.sentNS == 0 || now-l.sentNS < int64(c.cfg.ResendAfter) {
-				continue
-			}
-			l.attempt++
-			l.sentNS = now
-			msg := &LeaseMsg{ID: l.id, Index: l.index, Job: l.job, Spec: l.spec, Point: l.point, TraceID: c.cfg.TraceID, Attempt: l.attempt}
-			if c.cfg.LeaseTimeout > 0 {
-				msg.TimeoutMS = c.cfg.LeaseTimeout.Milliseconds()
-			}
-			msgs = append(msgs, msg)
+		c.fleet.frame(c.now(), w, f)
+		c.perform()
+		if f.Type == TypeTelemetry {
+			c.absorbTelemetry(w, f.Telemetry)
 		}
+	}
+}
+
+// writeLoop is the worker connection's only sender after the handshake.
+// Each wake it swaps its (sent) batch with the worker's outbox and
+// sends the frames in order; a send error declares the worker dead, and
+// a dead worker — the drop action wakes the writer — ends the loop.
+func (c *Coordinator) writeLoop(w *remoteWorker) {
+	var batch []*Frame
+	for range w.wake {
+		c.mu.Lock()
+		dead := w.dead
+		batch, w.outbox = w.outbox, batch[:0]
 		c.mu.Unlock()
-		// Map iteration is randomized; send in lease-ID order so the
-		// frame sequence under a fixed chaos seed stays replayable.
-		sort.Slice(msgs, func(i, j int) bool { return msgs[i].ID < msgs[j].ID })
-		for _, msg := range msgs {
-			if err := w.conn.Send(&Frame{Type: TypeLease, Lease: msg}); err != nil {
+		if dead {
+			return
+		}
+		for i, f := range batch {
+			if err := w.conn.Send(f); err != nil {
 				c.workerDead(w, err)
 				return
 			}
 			c.framesTx.Inc()
-			c.leasesRedelivered.Inc()
+			batch[i] = nil
 		}
 	}
+}
+
+// workerDead reports a failed Recv or Send on w's connection.
+func (c *Coordinator) workerDead(w *remoteWorker, cause error) {
+	c.mu.Lock()
+	c.fleet.dead(c.now(), w, cause)
+	c.perform()
 }
 
 // absorbTelemetry merges one worker telemetry frame into the
@@ -684,9 +431,7 @@ func (c *Coordinator) absorbTelemetry(w *remoteWorker, t *TelemetryMsg) {
 			}
 			offset, haveOffset = w.offsetNS, true
 			c.mu.Unlock()
-			if w.gOffset != nil {
-				w.gOffset.Set(float64(offset))
-			}
+			w.gOffset.Set(float64(offset))
 		}
 	}
 	if !haveOffset {
@@ -723,193 +468,11 @@ func ClockOffset(t1, t2, t3, t4 int64) (offset, rtt int64) {
 	return offset, rtt
 }
 
-// workerDead removes w from the pool and re-queues its in-flight
-// leases. The requeue is unconditional — independent of any resilience
-// policy — because it is what makes a mid-batch worker kill invisible
-// to the calibration trajectory. A lease that has already been
-// re-queued MaxRequeues times is quarantined as poison instead: it
-// falls back to the local evaluator (or a deterministic error without
-// one) rather than ping-ponging a worker-killing point across the
-// fleet forever. Idempotent; safe from any goroutine.
-func (c *Coordinator) workerDead(w *remoteWorker, cause error) {
-	c.mu.Lock()
-	if w.dead {
-		c.mu.Unlock()
-		return
-	}
-	w.dead = true
-	close(w.deadCh)
-	delete(c.workers, w.id)
-	active := len(c.workers)
-	if active == 0 {
-		c.fleetEmptySince = c.clock.Now() // the degraded-grace window opens
-	}
-	requeued := 0
-	var quarantined, abandoned []*lease
-	abandonErr := ErrJobCanceled
-	if c.closed {
-		abandonErr = ErrCoordinatorClosed
-	}
-	requeueNS := c.clock.Now().UnixNano()
-	for id, l := range w.inflight {
-		delete(w.inflight, id)
-		if c.closed || l.canceled {
-			abandoned = append(abandoned, l)
-			continue
-		}
-		l.requeues++
-		c.requeueDepth.Observe(int64(l.requeues))
-		l.sentNS = 0
-		if c.cfg.MaxRequeues >= 0 && l.requeues > c.cfg.MaxRequeues {
-			quarantined = append(quarantined, l)
-			continue
-		}
-		l.enqueuedNS = requeueNS // queue wait restarts at the requeue
-		c.queue = append(c.queue, l)
-		requeued++
-	}
-	close(c.workersChanged)
-	c.workersChanged = make(chan struct{})
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	// Deterministic quarantine order (map iteration is randomized).
-	sort.Slice(quarantined, func(i, j int) bool { return quarantined[i].id < quarantined[j].id })
-	w.conn.Close()
-	c.workersLost.Inc()
-	c.workersActive.Set(float64(active))
-	c.leasesRequeued.Add(int64(requeued))
-	if c.cfg.Tracer != nil {
-		c.cfg.Tracer.Emit(obs.EventDistWorkerDisconnected, obs.Fields{
-			"worker": w.name, "active": active, "requeued": requeued, "cause": cause.Error(),
-		})
-		if requeued > 0 {
-			c.cfg.Tracer.Emit(obs.EventDistLeaseRequeued, obs.Fields{
-				"worker": w.name, "count": requeued,
-			})
-		}
-	}
-	for _, l := range quarantined {
-		c.quarantine(l, w.name, cause)
-	}
-	// Leases this death drops instead of re-queueing still owe their
-	// waiter a resolution: the coordinator closed under them, or their
-	// job was canceled while they were in flight (a lease canceled by its
-	// own context is already resolved; deliver drops the duplicate).
-	for _, l := range abandoned {
-		l.deliver(leaseOutcome{err: abandonErr})
-	}
-}
-
-// quarantine dead-letters one poison lease: it is never re-queued
-// again. With a LocalFactory the lease is evaluated on the coordinator
-// (deterministic simulators yield the same loss a worker would have,
-// so the calibration trajectory is unchanged); without one it resolves
-// with a deterministic error the calibrator will not retry.
-func (c *Coordinator) quarantine(l *lease, worker string, cause error) {
-	c.mu.Lock()
-	requeues := l.requeues
-	c.mu.Unlock()
-	c.leasesQuarantined.Inc()
-	if c.cfg.Tracer != nil {
-		c.cfg.Tracer.Emit(obs.EventDistLeaseQuarantined, obs.Fields{
-			"lease":      l.id,
-			"index":      l.index,
-			"requeues":   requeues,
-			"worker":     worker,
-			"cause":      cause.Error(),
-			"local_eval": c.cfg.LocalFactory != nil,
-		})
-	}
-	if c.cfg.LocalFactory == nil {
-		l.deliver(leaseOutcome{err: fmt.Errorf(
-			"dist: lease %d quarantined after %d requeues (last worker %s: %v)",
-			l.id, requeues, worker, cause)})
-		return
-	}
-	go c.evalLocal(l, "quarantine")
-}
-
-// degradationLoop implements graceful degradation: once the fleet has
-// been empty for DegradedGrace with leases queued, it drains the queue
-// through the local evaluator so the calibration finishes instead of
-// blocking forever. The moment a worker registers, the loop stops
-// popping and dispatch resumes on the fleet — returning workers are
-// re-absorbed with no intervention. Runs for the coordinator's
-// lifetime when a LocalFactory is configured.
-func (c *Coordinator) degradationLoop() {
-	grace := c.cfg.DegradedGrace
-	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		fleetEmpty := len(c.workers) == 0
-		var idleFor time.Duration
-		if fleetEmpty && !c.fleetEmptySince.IsZero() {
-			idleFor = c.clock.Now().Sub(c.fleetEmptySince)
-		}
-		for len(c.queue) > 0 && c.queue[0].canceled {
-			c.queue = c.queue[1:]
-		}
-		queued := len(c.queue)
-		var l *lease
-		var entered, exited bool
-		if fleetEmpty && idleFor >= grace && queued > 0 {
-			l = c.queue[0]
-			c.queue = c.queue[1:]
-			if !c.degraded {
-				c.degraded = true
-				entered = true
-			}
-		} else if !fleetEmpty && c.degraded {
-			c.degraded = false
-			exited = true
-		}
-		changed := c.workersChanged
-		c.mu.Unlock()
-		if entered {
-			c.degradedGauge.Set(1)
-			if c.cfg.Tracer != nil {
-				c.cfg.Tracer.Emit(obs.EventDistDegraded, obs.Fields{
-					"state": "entered", "queued": queued, "idle_for_s": idleFor.Seconds(),
-				})
-			}
-		}
-		if exited {
-			c.degradedGauge.Set(0)
-			if c.cfg.Tracer != nil {
-				c.cfg.Tracer.Emit(obs.EventDistDegraded, obs.Fields{"state": "exited"})
-			}
-		}
-		if l != nil {
-			// evalLocal gates on localSem, so a burst of queued leases
-			// drains at LocalConcurrency, not all at once.
-			go c.evalLocal(l, "degraded")
-			continue
-		}
-		// Idle: wake on an enqueue, a fleet change, the grace deadline
-		// (when one is pending), or shutdown. A nil timer channel blocks
-		// forever, which is exactly right when there is nothing to wait
-		// out.
-		var deadline <-chan time.Time
-		if fleetEmpty && queued > 0 && idleFor < grace {
-			deadline = c.clock.After(grace - idleFor)
-		}
-		select {
-		case <-c.queueKick:
-		case <-changed:
-		case <-deadline:
-		case <-c.closedCh:
-			return
-		}
-	}
-}
-
 // evalLocal resolves one lease on the coordinator's own evaluator —
 // the quarantine dead-letter path and the degraded-mode drain. Runs
 // under panic isolation; classification mirrors the worker's, so the
 // calibrator cannot distinguish a local fallback from a remote result.
+// Its answer is a fleet event like every other resolution.
 func (c *Coordinator) evalLocal(l *lease, reason string) {
 	// A lease that is not evaluated after all is either canceled — and
 	// then already resolved by whoever canceled it — or stranded by
@@ -917,15 +480,15 @@ func (c *Coordinator) evalLocal(l *lease, reason string) {
 	select {
 	case c.localSem <- struct{}{}:
 	case <-c.closedCh:
-		l.deliver(leaseOutcome{err: ErrCoordinatorClosed})
+		c.resolve(l, leaseOutcome{err: ErrCoordinatorClosed})
 		return
 	}
 	defer func() { <-c.localSem }()
 	c.mu.Lock()
-	canceled := l.canceled || c.closed
+	skip := l.settled || c.fleet.closed
 	c.mu.Unlock()
-	if canceled {
-		l.deliver(leaseOutcome{err: ErrCoordinatorClosed})
+	if skip {
+		c.resolve(l, leaseOutcome{err: ErrCoordinatorClosed})
 		return
 	}
 	pt := make(core.Point, len(l.point))
@@ -957,7 +520,7 @@ func (c *Coordinator) evalLocal(l *lease, reason string) {
 		// stay transient for the calibrator's retry machinery).
 		out.err = fmt.Errorf("dist: local fallback (%s): %w", reason, err)
 	}
-	l.deliver(out)
+	c.resolve(l, out)
 }
 
 // localSimulator returns the cached LocalFactory simulator for spec,
@@ -977,84 +540,40 @@ func (c *Coordinator) localSimulator(spec json.RawMessage) (core.Simulator, erro
 	return sim, nil
 }
 
+// resolve feeds the fleet a resolution produced outside it (the local
+// evaluator's answer).
+func (c *Coordinator) resolve(l *lease, out leaseOutcome) {
+	c.mu.Lock()
+	c.fleet.resolve(l, out)
+	c.perform()
+}
+
 // Close shuts the coordinator down: all worker connections are closed
 // (workers observe io.EOF and exit cleanly) and every unresolved lease
-// — queued or in flight — resolves with ErrCoordinatorClosed, which is
-// what returns pending RemoteEvaluator.Run calls.
+// — queued, in flight or on its way to the local evaluator — resolves
+// with ErrCoordinatorClosed, which is what returns pending
+// RemoteEvaluator.Run calls.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
-	if c.closed {
+	if c.fleet.closed {
 		c.mu.Unlock()
 		return nil
 	}
-	c.closed = true
-	workers := make([]*remoteWorker, 0, len(c.workers))
-	for _, w := range c.workers {
-		workers = append(workers, w)
-	}
-	queue := c.queue
-	c.queue = nil
-	c.cond.Broadcast()
-	c.mu.Unlock()
+	c.fleet.close(c.now())
 	close(c.closedCh)
 	c.localCancel() // abandon in-flight local fallback evaluations
-	inflight := make([]*lease, 0)
-	for _, w := range workers {
-		c.mu.Lock()
-		for _, l := range w.inflight {
-			inflight = append(inflight, l)
-		}
-		c.mu.Unlock()
-		w.conn.Close()
-	}
-	for _, l := range queue {
-		l.deliver(leaseOutcome{err: ErrCoordinatorClosed})
-	}
-	// Nothing else tells an in-flight lease's waiter about the shutdown
-	// (deliver drops the duplicate for anything a worker already
-	// answered).
-	for _, l := range inflight {
-		l.deliver(leaseOutcome{err: ErrCoordinatorClosed})
-	}
+	c.perform()
 	return nil
 }
 
 // CancelJob abandons every lease belonging to job without disturbing
-// other jobs' queues: queued leases are marked canceled and resolve
-// immediately with ErrJobCanceled (dispatchers skip them when they
-// reach the queue head), while in-flight leases finish on their worker
-// and are never re-queued after a worker death, which resolves them
-// with ErrJobCanceled instead. It returns the number of leases
-// canceled. The multi-tenant job server calls this when a job is
+// other jobs' queues (see fleet.cancelJob) and returns the number of
+// leases canceled. The multi-tenant job server calls this when a job is
 // deleted, alongside canceling the job's own evaluation context.
 func (c *Coordinator) CancelJob(job string) int {
-	if job == "" {
-		return 0
-	}
 	c.mu.Lock()
-	n := 0
-	var canceled []*lease
-	for _, l := range c.queue {
-		if l.job == job && !l.canceled {
-			l.canceled = true
-			n++
-			canceled = append(canceled, l)
-		}
-	}
-	for _, w := range c.workers {
-		for _, l := range w.inflight {
-			if l.job == job && !l.canceled {
-				l.canceled = true
-				n++
-			}
-		}
-	}
-	c.mu.Unlock()
-	// Deliver outside the lock: callback leases run their completion
-	// callback inline.
-	for _, l := range canceled {
-		l.deliver(leaseOutcome{err: ErrJobCanceled})
-	}
+	n := c.fleet.cancelJob(job)
+	c.perform()
 	return n
 }
 
@@ -1062,7 +581,7 @@ func (c *Coordinator) CancelJob(job string) int {
 func (c *Coordinator) WorkerCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.workers)
+	return len(c.fleet.workers)
 }
 
 // Capacity returns the total evaluation capacity across connected
@@ -1071,7 +590,7 @@ func (c *Coordinator) Capacity() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := 0
-	for _, w := range c.workers {
+	for _, w := range c.fleet.workers {
 		total += w.capacity
 	}
 	return total
@@ -1132,10 +651,10 @@ func (c *Coordinator) Status() CoordinatorStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := CoordinatorStatus{
-		QueueDepth:  len(c.queue),
+		QueueDepth:  len(c.fleet.queue),
 		Workers:     []WorkerStatus{},
-		Degraded:    c.degraded,
-		Quarantined: c.leasesQuarantined.Value(),
+		Degraded:    c.fleet.degraded,
+		Quarantined: c.fleet.leasesQuarantined.Value(),
 		LocalEvals:  c.localEvals.Value(),
 	}
 	addRequeued := func(l *lease) {
@@ -1143,22 +662,22 @@ func (c *Coordinator) Status() CoordinatorStatus {
 			st.Requeues = append(st.Requeues, LeaseRequeueStatus{ID: l.id, Index: l.index, Requeues: l.requeues})
 		}
 	}
-	for _, l := range c.queue {
+	for _, l := range c.fleet.queue {
 		addRequeued(l)
-		if l.job != "" && !l.canceled {
+		if l.job != "" {
 			if st.JobQueueDepth == nil {
 				st.JobQueueDepth = make(map[string]int)
 			}
 			st.JobQueueDepth[l.job]++
 		}
 	}
-	for _, w := range c.workers {
+	for _, w := range c.fleet.workers {
 		st.Capacity += w.capacity
 		ws := WorkerStatus{
 			Name:         w.name,
 			Capacity:     w.capacity,
 			Inflight:     len(w.inflight),
-			LastRecvAgeS: float64(now-w.lastRecv.Load()) / 1e9,
+			LastRecvAgeS: float64(now-w.lastRecvNS) / 1e9,
 		}
 		if w.hasOffset {
 			ws.ClockOffsetNS = w.offsetNS
@@ -1191,13 +710,9 @@ func (c *Coordinator) RefreshFleetGauges() {
 	now := c.clock.Now().UnixNano()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, w := range c.workers {
-		if w.gInflight != nil {
-			w.gInflight.Set(float64(len(w.inflight)))
-		}
-		if w.gHbAge != nil {
-			w.gHbAge.Set(float64(now - w.lastRecv.Load()))
-		}
+	for _, w := range c.fleet.workers {
+		w.gInflight.Set(float64(len(w.inflight)))
+		w.gHbAge.Set(float64(now - w.lastRecvNS))
 	}
 }
 
@@ -1206,7 +721,7 @@ func (c *Coordinator) RefreshFleetGauges() {
 func (c *Coordinator) WaitForWorkers(ctx context.Context, n int) error {
 	for {
 		c.mu.Lock()
-		count := len(c.workers)
+		count := len(c.fleet.workers)
 		changed := c.workersChanged
 		c.mu.Unlock()
 		if count >= n {

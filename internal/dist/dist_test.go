@@ -413,7 +413,7 @@ func TestCoordinatorCloseUnblocksPending(t *testing.T) {
 			errs <- err
 		}()
 	}
-	time.Sleep(20 * time.Millisecond) // let the leases enqueue
+	waitFor(t, "the leases to enqueue", func() bool { return c.Status().QueueDepth == 3 })
 	c.Close()
 	for i := 0; i < 3; i++ {
 		select {

@@ -397,12 +397,8 @@ func TestFleetEmptyDegradationDrainsLocallyAndReabsorbs(t *testing.T) {
 	if err := coord.WaitForWorkers(wctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for coord.Status().Degraded {
-		if time.Now().After(deadline) {
-			t.Fatal("coordinator still degraded after a worker registered")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if coord.Status().Degraded {
+		t.Fatal("coordinator still degraded after a worker registered")
 	}
 	dispatchedBefore := reg.Counter("dist.leases_dispatched").Value()
 	res2, err := cal.Run(context.Background())
@@ -452,59 +448,6 @@ func recvLease(t *testing.T, conn Conn) *LeaseMsg {
 		if f.Type == TypeLease {
 			return f.Lease
 		}
-	}
-}
-
-// TestDuplicateResultDropped scripts a worker answering one lease
-// twice: the first result resolves it, the duplicate is dropped and
-// counted, and accounting stays single.
-func TestDuplicateResultDropped(t *testing.T) {
-	reg := obs.NewRegistry()
-	lb := NewLoopback()
-	coord := NewCoordinator(CoordinatorConfig{Name: "dup", Registry: reg})
-	defer coord.Close()
-	ln, err := lb.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go coord.Serve(ln)
-	conn := fakeWorkerConn(t, lb, "", "fake", 1)
-	defer conn.Close()
-
-	ev := coord.Evaluator([]byte(`{}`))
-	lossCh := make(chan float64, 1)
-	go func() {
-		loss, err := ev.Run(context.Background(), core.Point{"x": 1})
-		if err != nil {
-			t.Error(err)
-		}
-		lossCh <- loss
-	}()
-
-	lease := recvLease(t, conn)
-	res := &ResultMsg{ID: lease.ID, Index: lease.Index, Loss: 1.5, Attempt: lease.Attempt}
-	if err := conn.Send(&Frame{Type: TypeResult, Result: res}); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Send(&Frame{Type: TypeResult, Result: res}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case loss := <-lossCh:
-		if loss != 1.5 {
-			t.Errorf("loss = %v, want 1.5", loss)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("evaluation never resolved")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Counter("dist.results_duplicate").Value() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("dist.results_duplicate = %d, want 1",
-				reg.Counter("dist.results_duplicate").Value())
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -31,7 +31,8 @@ func drainFrames(conn Conn, got chan<- *Frame) {
 // advanceUntil repeatedly advances the manual clock by step until cond
 // holds, failing the test after a generous number of rounds. The tiny
 // real-time sleep between rounds only yields to the goroutines woken by
-// the fired timers — total real time stays in milliseconds.
+// the fired timers — total real time stays in milliseconds. Used by
+// the worker-side tests, whose loops answer every advance with frames.
 func advanceUntil(t *testing.T, mc *ManualClock, step time.Duration, cond func() bool) {
 	t.Helper()
 	for i := 0; i < 500; i++ {
@@ -75,57 +76,10 @@ func TestCoordinatorDeclaresSilentWorkerDead(t *testing.T) {
 	if _, err := conn.Recv(); err != nil { // coordinator hello
 		t.Fatal(err)
 	}
-	go drainFrames(conn, nil) // keep coordinator pings from blocking
-
-	wctx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer wcancel()
-	if err := coord.WaitForWorkers(wctx, 1); err != nil {
-		t.Fatal(err)
-	}
-	advanceUntil(t, mc, 3*time.Second, func() bool { return coord.WorkerCount() == 0 })
-}
-
-// TestCoordinatorKeepsHeartbeatingWorkerAlive is the inverse: a worker
-// that answers every ping stays registered no matter how far the clock
-// advances.
-func TestCoordinatorKeepsHeartbeatingWorkerAlive(t *testing.T) {
-	mc := NewManualClock(time.Unix(0, 0))
-	coord := NewCoordinator(CoordinatorConfig{
-		Name:             "test",
-		Clock:            mc,
-		HeartbeatEvery:   2 * time.Second,
-		HeartbeatTimeout: 10 * time.Second,
-	})
-	defer coord.Close()
-	lb := NewLoopback()
-	l, err := lb.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go coord.Serve(l)
-
-	conn, err := lb.Dial("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Send(&Frame{Type: TypeHello, Hello: &HelloMsg{Name: "alive", Capacity: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	// Echo a heartbeat for every frame the coordinator sends.
-	go func() {
-		for {
-			if _, err := conn.Recv(); err != nil {
-				return
-			}
-			if conn.Send(&Frame{Type: TypeHeartbeat}) != nil {
-				return
-			}
-		}
+	drained := make(chan struct{})
+	go func() { // keep coordinator pings from blocking
+		drainFrames(conn, nil)
+		close(drained)
 	}()
 
 	wctx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -133,13 +87,18 @@ func TestCoordinatorKeepsHeartbeatingWorkerAlive(t *testing.T) {
 	if err := coord.WaitForWorkers(wctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 30; i++ {
+	// The rule's timing is pinned in simulated time by
+	// TestCoordinatorKeepsHeartbeatingWorkerAlive; this is its plumbing:
+	// the timer goroutine sleeping on the injected clock, the tick, the
+	// drop. Nothing here answers, so time may run as fast as it likes.
+	waitFor(t, "the silent worker's eviction", func() bool {
+		if coord.WorkerCount() == 0 {
+			return true
+		}
 		mc.Advance(3 * time.Second)
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := coord.WorkerCount(); got != 1 {
-		t.Fatalf("WorkerCount = %d after 90s of answered pings, want 1", got)
-	}
+		return false
+	})
+	<-drained // the drop action closed the connection under the fake worker's reader
 }
 
 // TestWorkerDropsSilentCoordinator checks the worker-side symmetry: a

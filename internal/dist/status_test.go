@@ -33,19 +33,19 @@ func TestStatusRequeueTruncation(t *testing.T) {
 	defer c.Close()
 	c.mu.Lock()
 	for i := 0; i < 20; i++ {
-		c.queue = append(c.queue, &lease{
+		c.fleet.queue = append(c.fleet.queue, &lease{
 			id:       uint64(i + 1),
 			index:    uint64(i),
 			requeues: 1 + i%3,
 			cb:       dropOutcome,
 		})
 	}
-	// Canceled and never-requeued leases stay out of both the list and
-	// the total.
-	c.queue = append(c.queue,
-		&lease{id: 100, requeues: 5, canceled: true, cb: dropOutcome},
-		&lease{id: 101, requeues: 0, cb: dropOutcome},
-	)
+	// Never-requeued leases, and canceled ones still in flight on a
+	// worker, stay out of both the list and the total.
+	c.fleet.queue = append(c.fleet.queue, &lease{id: 101, requeues: 0, cb: dropOutcome})
+	w := newRemoteWorker("w", 1, nopConn{})
+	w.inflight[100] = &lease{id: 100, requeues: 5, canceled: true, cb: dropOutcome}
+	c.fleet.workers = append(c.fleet.workers, w)
 	c.mu.Unlock()
 
 	st := c.Status()
@@ -93,29 +93,42 @@ func TestStatusRequeueTruncation(t *testing.T) {
 	}
 }
 
+// submitFor enqueues a hand-built lease for job on c and returns it
+// with the channel its resolution lands on.
+func submitFor(c *Coordinator, job string) (*lease, <-chan leaseOutcome) {
+	l := &lease{job: job}
+	done := outcomeOf(l)
+	c.mu.Lock()
+	c.fleet.submit(c.now(), l)
+	c.perform()
+	return l, done
+}
+
 // TestStatusJobQueueDepth: queued leases carrying job IDs are broken
-// down per job (the simcald /statusz fleet view), and canceled leases
-// drop out of the counts.
+// down per job (the simcald /statusz fleet view), and a lease whose
+// context expired drops out of the counts with the queue.
 func TestStatusJobQueueDepth(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{})
 	defer c.Close()
-	c.mu.Lock()
 	for i := 0; i < 3; i++ {
-		c.queue = append(c.queue, &lease{id: uint64(i + 1), job: "j-000001", cb: dropOutcome})
+		submitFor(c, "j-000001")
 	}
-	c.queue = append(c.queue,
-		&lease{id: 10, job: "j-000002", cb: dropOutcome},
-		&lease{id: 11, job: "j-000002", canceled: true, cb: dropOutcome},
-		&lease{id: 12, cb: dropOutcome}, // job-less: omitted
-	)
-	c.mu.Unlock()
+	submitFor(c, "j-000002")
+	expired, _ := submitFor(c, "j-000002")
+	submitFor(c, "") // job-less: omitted
+	c.mu.Lock()
+	c.fleet.cancel(expired, context.Canceled)
+	c.perform()
 
 	st := c.Status()
+	if st.QueueDepth != 5 {
+		t.Errorf("QueueDepth = %d, want 5 (the expired lease left the queue)", st.QueueDepth)
+	}
 	if got := st.JobQueueDepth["j-000001"]; got != 3 {
 		t.Errorf("JobQueueDepth[j-000001] = %d, want 3", got)
 	}
 	if got := st.JobQueueDepth["j-000002"]; got != 1 {
-		t.Errorf("JobQueueDepth[j-000002] = %d, want 1 (canceled lease excluded)", got)
+		t.Errorf("JobQueueDepth[j-000002] = %d, want 1 (expired lease excluded)", got)
 	}
 	if len(st.JobQueueDepth) != 2 {
 		t.Errorf("JobQueueDepth = %v, want exactly 2 jobs", st.JobQueueDepth)
@@ -130,16 +143,10 @@ func TestCancelJob(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{})
 	defer c.Close()
 	mine := make([]<-chan leaseOutcome, 3)
-	other := &lease{id: 50, job: "j-other"}
-	otherDone := outcomeOf(other)
-	c.mu.Lock()
 	for i := range mine {
-		l := &lease{id: uint64(i + 1), job: "j-mine"}
-		mine[i] = outcomeOf(l)
-		c.queue = append(c.queue, l)
+		_, mine[i] = submitFor(c, "j-mine")
 	}
-	c.queue = append(c.queue, other)
-	c.mu.Unlock()
+	_, otherDone := submitFor(c, "j-other")
 
 	if n := c.CancelJob("j-mine"); n != 3 {
 		t.Errorf("CancelJob(j-mine) = %d, want 3", n)
@@ -161,8 +168,9 @@ func TestCancelJob(t *testing.T) {
 	}
 	// Canceled leases drop out of the queue-depth views.
 	st := c.Status()
-	if st.JobQueueDepth["j-mine"] != 0 {
-		t.Errorf("canceled job still shows queue depth %d", st.JobQueueDepth["j-mine"])
+	if st.QueueDepth != 1 || st.JobQueueDepth["j-mine"] != 0 {
+		t.Errorf("after the cancel QueueDepth = %d, JobQueueDepth[j-mine] = %d; want 1 and 0",
+			st.QueueDepth, st.JobQueueDepth["j-mine"])
 	}
 	if st.JobQueueDepth["j-other"] != 1 {
 		t.Errorf("JobQueueDepth[j-other] = %d, want 1", st.JobQueueDepth["j-other"])
@@ -178,20 +186,14 @@ func TestCancelJob(t *testing.T) {
 
 // TestRunResolvesThroughLease: the blocking Run has no select of its
 // own any more — a shutdown and a context expiry both reach it through
-// lease.deliver, like every other resolution. A lease queued on a
+// a fleet event, like every other resolution. A lease queued on a
 // worker-less coordinator returns ErrCoordinatorClosed when the
-// coordinator closes and ctx.Err() when its context expires (and is
-// then marked canceled, so no dispatcher picks it up).
+// coordinator closes and ctx.Err() when its context expires (and then
+// leaves the queue, so no worker is handed it).
 func TestRunResolvesThroughLease(t *testing.T) {
-	// queued blocks until Run's lease is in the queue; RunAsync
-	// broadcasts the coordinator's condition variable after enqueueing.
-	queued := func(c *Coordinator) *lease {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		for len(c.queue) == 0 {
-			c.cond.Wait()
-		}
-		return c.queue[0]
+	// queued waits until Run's lease is in the queue.
+	queued := func(c *Coordinator) {
+		waitFor(t, "the lease to enqueue", func() bool { return c.Status().QueueDepth == 1 })
 	}
 	run := func(c *Coordinator, ctx context.Context) <-chan error {
 		errCh := make(chan error, 1)
@@ -221,16 +223,13 @@ func TestRunResolvesThroughLease(t *testing.T) {
 		defer c.Close()
 		ctx, cancel := context.WithCancel(context.Background())
 		errCh := run(c, ctx)
-		l := queued(c)
+		queued(c)
 		cancel()
 		if err := <-errCh; !errors.Is(err, context.Canceled) {
 			t.Fatalf("Run returned %v, want context.Canceled", err)
 		}
-		c.mu.Lock()
-		canceled := l.canceled
-		c.mu.Unlock()
-		if !canceled {
-			t.Error("the expired lease is not marked canceled: a dispatcher would still send it to a worker")
+		if depth := c.Status().QueueDepth; depth != 0 {
+			t.Errorf("QueueDepth = %d after the expiry: the lease would still be handed to a worker", depth)
 		}
 	})
 }

@@ -204,10 +204,7 @@ func (s *telemetrySink) bufferEvent(ev TelemetryEvent) {
 	s.mu.Lock()
 	s.events = append(s.events, ev)
 	s.mu.Unlock()
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
+	wake(s.kick)
 }
 
 // notePing records the stamps of a coordinator clock-sync ping; the
@@ -606,13 +603,4 @@ func (w *Worker) RunSession(ctx context.Context, t Transport, addr string, cfg S
 		}
 		w.sessionsResumed.Inc()
 	}
-}
-
-// RunDial dials the coordinator (with retries, for workers started
-// before the coordinator listens) and serves one connection. retries
-// counts additional dial attempts after the first; delay is the base
-// of the capped exponential backoff between them. Kept as the simple
-// no-resume entry point; see RunSession for mid-run reconnection.
-func (w *Worker) RunDial(ctx context.Context, t Transport, addr string, retries int, delay time.Duration) error {
-	return w.RunSession(ctx, t, addr, SessionConfig{MaxDialAttempts: retries + 1, BaseDelay: delay})
 }
