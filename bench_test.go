@@ -323,6 +323,52 @@ func BenchmarkMPIEvaluate(b *testing.B) {
 	benchEvaluate(b, loss.MPIEvaluator(v, loss.MPIL1, ds, 2), v.Space(), mpiEvaluateAllocCeiling)
 }
 
+// bogpIterationAllocCeiling is the ceiling on allocations for one warmed
+// BO-GP iteration at the MaxFitPoints steady state — training set of
+// 400 rows out of a longer history, refit, 512 candidates drawn and
+// scored, 4 winners evaluated on a free loss function. Measured: 37 at
+// GOMAXPROCS 2, 43 at 1 and 4 — 18 are the engine's (4 evaluations at
+// 4.4), the rest what leaves the iteration (history snapshot, incumbent
+// copy, the winners) and a goroutine plus a tile buffer per fit and
+// PredictBatch worker, which is why the ceiling leaves room for a wider
+// runner. Before the candidate pool and the training-set buffers were
+// reused: 848.
+const bogpIterationAllocCeiling = 96
+
+// BenchmarkBOGPIteration runs one BO-GP calibration per iteration and
+// counts allocations from inside the evaluator, between the first
+// evaluation of proposal batch 110 and that of batch 150 (history 448
+// to 608 rows: every fit is at n = 400), so the gate sees warmed
+// iterations only. It fails itself above bogpIterationAllocCeiling.
+func BenchmarkBOGPIteration(b *testing.B) {
+	const first, last, batch = 448, 608, 4
+	for i := 0; i < b.N; i++ {
+		var at [2]runtime.MemStats
+		n := 0
+		cal := &core.Calibrator{
+			Space: benchSpace,
+			Simulator: core.Evaluator(func(ctx context.Context, p core.Point) (float64, error) {
+				switch n++; n - 1 { // Workers is 1: evaluations run one at a time
+				case first:
+					runtime.ReadMemStats(&at[0])
+				case last:
+					runtime.ReadMemStats(&at[1])
+				}
+				return sphereEval(ctx, p)
+			}),
+			Algorithm: opt.NewBOGP(), MaxEvaluations: last + batch, Workers: 1, Seed: 21,
+		}
+		if _, err := cal.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		perIter := float64(at[1].Mallocs-at[0].Mallocs) / ((last - first) / batch)
+		b.ReportMetric(perIter, "allocs/iteration")
+		if perIter > bogpIterationAllocCeiling {
+			b.Fatalf("%.0f allocs per warmed BO-GP iteration, ceiling %d", perIter, bogpIterationAllocCeiling)
+		}
+	}
+}
+
 // benchEvaluate times a loss evaluator over 32 sampled points, warming
 // its runner set on each first, and fails the benchmark above ceiling
 // allocations per evaluation.

@@ -172,10 +172,19 @@ func (sp Space) Encode(p Point) []float64 {
 // Sample draws a uniform random position in the unit cube.
 func (sp Space) Sample(rng *stats.RNG) []float64 {
 	u := make([]float64, len(sp))
+	sp.SampleInto(rng, u)
+	return u
+}
+
+// SampleInto is Sample into the caller's u (len(u) must be Dim()), with
+// the same draws in the same order.
+func (sp Space) SampleInto(rng *stats.RNG, u []float64) {
+	if len(u) != len(sp) {
+		panic("core: SampleInto length mismatch")
+	}
 	for i := range u {
 		u[i] = rng.Float64()
 	}
-	return u
 }
 
 // Point is a complete assignment of values to the space's parameters.

@@ -68,44 +68,28 @@ func BenchmarkCholeskyExtend400(b *testing.B) {
 	}
 }
 
-func BenchmarkSolveLowerMany400x512(b *testing.B) {
+// BenchmarkSolveLowerTile400x512 measures the acquisition's solve: 512
+// right-hand sides against a 400-row factor, SolveTile at a time.
+func BenchmarkSolveLowerTile400x512(b *testing.B) {
 	a := benchSPD(400, 1)
 	l, err := Cholesky(a)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	rhs := NewMatrix(400, 512)
-	for i := range rhs.data {
-		rhs.data[i] = rng.NormFloat64()
+	rhs := make([]float64, 400*512)
+	for i := range rhs {
+		rhs[i] = rng.NormFloat64()
 	}
-	buf := NewMatrix(400, 512)
+	buf := make([]float64, len(rhs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(buf.data, rhs.data)
-		if err := SolveLowerManyInPlace(l, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCholSolveMany400x64(b *testing.B) {
-	a := benchSPD(400, 1)
-	l, err := Cholesky(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	rhs := NewMatrix(400, 64)
-	for i := range rhs.data {
-		rhs.data[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CholSolveMany(l, rhs); err != nil {
-			b.Fatal(err)
+		copy(buf, rhs)
+		for t := 0; t < len(buf); t += 400 * SolveTile {
+			if err := SolveLowerTile(l, buf[t:t+400*SolveTile]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -96,6 +96,24 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
+// Reshape makes m a rows×cols matrix over its backing array, replacing
+// the array with one of twice the needed size when it is too small, and
+// reports whether it did. The zero Matrix is a valid receiver. Contents
+// afterwards are unspecified (the row stride moved under them): Reshape
+// is for buffers whose every cell the caller writes before reading it,
+// such as a kernel matrix whose size changes from one fit to the next.
+func (m *Matrix) Reshape(rows, cols int) (grew bool) {
+	if rows <= 0 || cols <= 0 {
+		panic(fmt.Sprintf("la: invalid matrix dimensions %dx%d", rows, cols))
+	}
+	need := rows * cols
+	if grew = need > cap(m.data); grew {
+		m.data = make([]float64, need, 2*need)
+	}
+	m.rows, m.cols, m.data = rows, cols, m.data[:need]
+	return grew
+}
+
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	t := NewMatrix(m.cols, m.rows)
@@ -360,54 +378,60 @@ func SolveLowerInto(l *Matrix, b, x []float64) error {
 		}
 		d := ri[i]
 		if d == 0 {
-			return errors.New("la: singular lower-triangular matrix")
+			return errSingularLower
 		}
 		x[i] = s / d
 	}
 	return nil
 }
 
-// SolveLowerManyInPlace solves L·X = B for the n×k right-hand-side
-// matrix B, overwriting B with the solution X. Each column is solved
-// with exactly the operation order SolveLower uses, so column c of the
-// result is bitwise identical to SolveLower(l, column c of B) — the
+// SolveTile is the number of right-hand sides SolveLowerTile carries at
+// once. Eight subtraction chains are enough to keep the scalar
+// floating-point units busy through a chain's latency, and eight
+// accumulators, the broadcast factor entry and the products about fill
+// the sixteen floating-point registers of the targets this runs on.
+const SolveTile = 8
+
+var errSingularLower = errors.New("la: singular lower-triangular matrix")
+
+// SolveLowerTile solves L·X = B in place for SolveTile right-hand sides
+// stored interleaved — b[i*SolveTile+c] is row i of column c — the
+// layout that lets one pass over a row of L feed eight independent
+// subtraction chains held in registers. Each column performs exactly
+// SolveLowerInto's operations in SolveLowerInto's order, so column c of
+// the result is bitwise identical to SolveLowerInto on that column: the
 // property that lets batched surrogate prediction replace per-point
-// solves without changing a single output bit. It panics on dimension
-// mismatch and returns an error (with B partially overwritten) if a
-// diagonal entry is zero.
-func SolveLowerManyInPlace(l, b *Matrix) error {
+// solves without changing an output bit. It panics on dimension
+// mismatch; on a zero diagonal entry at row i it returns an error with
+// rows before i solved and rows from i on untouched.
+func SolveLowerTile(l *Matrix, b []float64) error {
 	n := l.rows
-	if l.cols != n || b.rows != n {
-		panic("la: SolveLowerManyInPlace dimension mismatch")
+	if l.cols != n || len(b) != n*SolveTile {
+		panic("la: SolveLowerTile dimension mismatch")
 	}
-	k := b.cols
 	for i := 0; i < n; i++ {
-		ri := l.data[i*n : i*n+n]
-		bi := b.data[i*k : i*k+k]
+		ri := l.data[i*n : i*n+i+1]
+		bi := (*[SolveTile]float64)(b[i*SolveTile:])
+		s0, s1, s2, s3, s4, s5, s6, s7 := bi[0], bi[1], bi[2], bi[3], bi[4], bi[5], bi[6], bi[7]
 		for j, v := range ri[:i] {
-			bj := b.data[j*k : j*k+k]
-			for c := range bi {
-				bi[c] -= v * bj[c]
-			}
+			x := (*[SolveTile]float64)(b[j*SolveTile:])
+			s0 -= v * x[0]
+			s1 -= v * x[1]
+			s2 -= v * x[2]
+			s3 -= v * x[3]
+			s4 -= v * x[4]
+			s5 -= v * x[5]
+			s6 -= v * x[6]
+			s7 -= v * x[7]
 		}
 		d := ri[i]
 		if d == 0 {
-			return errors.New("la: singular lower-triangular matrix")
+			return errSingularLower
 		}
-		for c := range bi {
-			bi[c] /= d
-		}
+		bi[0], bi[1], bi[2], bi[3] = s0/d, s1/d, s2/d, s3/d
+		bi[4], bi[5], bi[6], bi[7] = s4/d, s5/d, s6/d, s7/d
 	}
 	return nil
-}
-
-// SolveLowerMany solves L·X = B without modifying B.
-func SolveLowerMany(l, b *Matrix) (*Matrix, error) {
-	x := b.Clone()
-	if err := SolveLowerManyInPlace(l, x); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // SolveUpper solves U·x = b for x where U is upper triangular
@@ -435,71 +459,35 @@ func SolveUpper(u *Matrix, b []float64) ([]float64, error) {
 
 // CholSolve solves (L·Lᵀ)·x = b given the lower Cholesky factor L.
 func CholSolve(l *Matrix, b []float64) ([]float64, error) {
-	y, err := SolveLower(l, b)
-	if err != nil {
-		return nil, err
-	}
-	return solveLowerT(l, y)
-}
-
-// CholSolveMany solves (L·Lᵀ)·X = B for the n×k right-hand-side matrix
-// B given the lower Cholesky factor L. Column c of the result is
-// bitwise identical to CholSolve(l, column c of B). B is not modified.
-func CholSolveMany(l, b *Matrix) (*Matrix, error) {
-	x := b.Clone()
-	if err := SolveLowerManyInPlace(l, x); err != nil {
-		return nil, err
-	}
-	if err := solveLowerTManyInPlace(l, x); err != nil {
+	x := make([]float64, len(b))
+	if err := CholSolveInto(l, b, x); err != nil {
 		return nil, err
 	}
 	return x, nil
 }
 
-// solveLowerTManyInPlace solves Lᵀ·X = B in place without
-// materializing the transpose, column-order-compatible with solveLowerT.
-func solveLowerTManyInPlace(l, b *Matrix) error {
-	n := l.rows
-	if l.cols != n || b.rows != n {
-		panic("la: solveLowerTManyInPlace dimension mismatch")
+// CholSolveInto is CholSolve into the caller-provided x, which also
+// serves as the intermediate: the forward solve lands in x and the
+// backward solve runs over it in place (row i reads its own forward
+// value and the already final rows below it), so a refit loop needs no
+// temporaries. The operation order is CholSolve's. x must not alias b.
+func CholSolveInto(l *Matrix, b, x []float64) error {
+	if err := SolveLowerInto(l, b, x); err != nil {
+		return err
 	}
-	k := b.cols
-	for i := n - 1; i >= 0; i-- {
-		bi := b.data[i*k : i*k+k]
-		for j := i + 1; j < n; j++ {
-			v := l.data[j*n+i]
-			bj := b.data[j*k : j*k+k]
-			for c := range bi {
-				bi[c] -= v * bj[c]
-			}
-		}
-		d := l.data[i*n+i]
-		if d == 0 {
-			return errors.New("la: singular triangular matrix")
-		}
-		for c := range bi {
-			bi[c] /= d
-		}
-	}
-	return nil
-}
-
-// solveLowerT solves Lᵀ·x = b without materializing the transpose.
-func solveLowerT(l *Matrix, b []float64) ([]float64, error) {
 	n := l.rows
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
-		s := b[i]
+		s := x[i]
 		for j := i + 1; j < n; j++ {
 			s -= l.data[j*n+i] * x[j]
 		}
 		d := l.data[i*n+i]
 		if d == 0 {
-			return nil, errors.New("la: singular triangular matrix")
+			return errors.New("la: singular triangular matrix")
 		}
 		x[i] = s / d
 	}
-	return x, nil
+	return nil
 }
 
 // Dot returns the inner product of two equal-length vectors.

@@ -342,69 +342,126 @@ func TestCholeskyExtendRejectsBadStart(t *testing.T) {
 	}
 }
 
-func TestSolveLowerManyMatchesSolveLowerBitwise(t *testing.T) {
-	const n, k = 37, 9
-	a := spdMatrix(n, 3)
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	b := NewMatrix(n, k)
-	for i := 0; i < n; i++ {
-		for c := 0; c < k; c++ {
-			b.Set(i, c, rng.NormFloat64())
+// tileOf interleaves SolveTile columns of length n drawn from rng.
+func tileOf(n int, rng *rand.Rand) (tile []float64, cols [SolveTile][]float64) {
+	tile = make([]float64, n*SolveTile)
+	for c := range cols {
+		cols[c] = make([]float64, n)
+		for i := range cols[c] {
+			cols[c][i] = rng.NormFloat64()
+			tile[i*SolveTile+c] = cols[c][i]
 		}
 	}
-	x, err := SolveLowerMany(l, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xx, err := CholSolveMany(l, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < k; c++ {
-		col := make([]float64, n)
-		for i := 0; i < n; i++ {
-			col[i] = b.At(i, c)
-		}
-		want, err := SolveLower(l, col)
+	return tile, cols
+}
+
+// TestSolveLowerTileMatchesSolveLowerIntoBitwise: every column of the
+// register-blocked solve carries SolveLowerInto's bits, at sizes on
+// both sides of the factorization's block width.
+func TestSolveLowerTileMatchesSolveLowerIntoBitwise(t *testing.T) {
+	for _, n := range []int{1, 7, 64, 401} {
+		l, err := Cholesky(spdMatrix(n, int64(n)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want2, err := CholSolve(l, col)
-		if err != nil {
+		tile, cols := tileOf(n, rand.New(rand.NewSource(4)))
+		if err := SolveLowerTile(l, tile); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			if x.At(i, c) != want[i] {
-				t.Fatalf("SolveLowerMany col %d row %d: %v != %v", c, i, x.At(i, c), want[i])
+		want := make([]float64, n)
+		for c := range cols {
+			if err := SolveLowerInto(l, cols[c], want); err != nil {
+				t.Fatal(err)
 			}
-			if xx.At(i, c) != want2[i] {
-				t.Fatalf("CholSolveMany col %d row %d: %v != %v", c, i, xx.At(i, c), want2[i])
-			}
-		}
-	}
-	// B must be untouched.
-	rng = rand.New(rand.NewSource(4))
-	for i := 0; i < n; i++ {
-		for c := 0; c < k; c++ {
-			if b.At(i, c) != rng.NormFloat64() {
-				t.Fatal("SolveLowerMany/CholSolveMany modified B")
+			for i := range want {
+				if got := tile[i*SolveTile+c]; math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d col %d row %d: %v != %v", n, c, i, got, want[i])
+				}
 			}
 		}
 	}
 }
 
-func TestSolveManySingular(t *testing.T) {
-	l := FromRows([][]float64{{1, 0}, {2, 0}})
-	b := NewMatrix(2, 3)
-	if err := SolveLowerManyInPlace(l, b.Clone()); err == nil {
-		t.Error("SolveLowerManyInPlace accepted singular L")
+// TestSolveLowerTileSingular: a zero diagonal at row z is an error, and
+// the partial state is SolveLowerInto's — rows before z solved, rows
+// from z on as the caller left them.
+func TestSolveLowerTileSingular(t *testing.T) {
+	const n, z = 7, 4
+	l, err := Cholesky(spdMatrix(n, 5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := CholSolveMany(l, b); err == nil {
-		t.Error("CholSolveMany accepted singular L")
+	l.Set(z, z, 0)
+	tile, cols := tileOf(n, rand.New(rand.NewSource(6)))
+	if err := SolveLowerTile(l, tile); err == nil {
+		t.Fatal("SolveLowerTile accepted singular L")
+	}
+	for c := range cols {
+		want := make([]float64, n)
+		copy(want[z:], cols[c][z:])
+		if err := SolveLowerInto(l, cols[c], want); err == nil {
+			t.Fatal("SolveLowerInto accepted singular L")
+		}
+		for i := range want {
+			if got := tile[i*SolveTile+c]; math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Fatalf("col %d row %d after error: %v != %v", c, i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestCholSolveIntoMatchesTwoStepBitwise: the in-place backward pass
+// carries the bits of a forward solve followed by a solve against the
+// materialized transpose.
+func TestCholSolveIntoMatchesTwoStepBitwise(t *testing.T) {
+	const n = 37
+	l, err := Cholesky(spdMatrix(n, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	y, err := SolveLower(l, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := SolveUpper(l.T(), y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, n)
+	if err := CholSolveInto(l, b, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("row %d: %v != %v", i, got[i], want[i])
+		}
+	}
+	if err := CholSolveInto(FromRows([][]float64{{1, 0}, {2, 0}}), []float64{1, 1}, make([]float64, 2)); err == nil {
+		t.Error("CholSolveInto accepted singular L")
+	}
+}
+
+// TestReshapeReusesBackingArray: growing allocates geometrically, and
+// shrinking or re-growing within capacity does not allocate.
+func TestReshapeReusesBackingArray(t *testing.T) {
+	var m Matrix
+	if !m.Reshape(3, 3) {
+		t.Fatal("Reshape of the zero Matrix did not allocate")
+	}
+	m.RawRow(2)[2] = 7
+	if m.Reshape(4, 4) || m.Reshape(2, 5) || m.Reshape(3, 6) {
+		t.Error("Reshape within twice the first size allocated")
+	}
+	if m.Rows() != 3 || m.Cols() != 6 || len(m.RawRow(2)) != 6 {
+		t.Errorf("Reshape(3,6) left a %dx%d matrix", m.Rows(), m.Cols())
+	}
+	if !m.Reshape(5, 5) {
+		t.Error("Reshape beyond capacity did not allocate")
 	}
 }
 

@@ -133,6 +133,7 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 	aobs, _ := observer.(core.AsyncObserver)
 
 	var reg surrogate.Regressor
+	var mem scratch
 	var inflight []flight
 	var order []int
 	defer func() {
@@ -149,7 +150,7 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 	stopSubmit := false
 	for {
 		for !stopSubmit && len(inflight) < width {
-			u, fantasies := b.proposeOne(prob, observer, &reg, inflight, submitted, init, nCands, xi, maxFit)
+			u, fantasies := b.proposeOne(prob, observer, &mem, &reg, inflight, submitted, init, nCands, xi, maxFit)
 			seq, err := run.Submit(ctx, u)
 			if err != nil {
 				// Submit only refuses for budget exhaustion; stop
@@ -213,7 +214,7 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 // reports how many liar rows the fit conditioned on (0 when the
 // proposal did not come from a fantasy-conditioned fit). Any surrogate
 // failure degrades to random exploration, exactly like the batch path.
-func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, regp *surrogate.Regressor, inflight []flight, submitted, init, nCands int, xi float64, maxFit int) (u []float64, fantasies int) {
+func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, mem *scratch, regp *surrogate.Regressor, inflight []flight, submitted, init, nCands int, xi float64, maxFit int) (u []float64, fantasies int) {
 	if submitted < init {
 		return prob.Space.Sample(prob.RNG), 0
 	}
@@ -225,9 +226,9 @@ func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, r
 	role := submitted % 4
 	best := prob.Best()
 	if role == 1 && best != nil && !math.IsInf(best.Loss, 1) {
-		return perturbIncumbent(prob, best.Unit), 0
+		return mem.perturbIncumbent(prob, best.Unit), 0
 	}
-	X, y, ok := trainingSet(prob, maxFit)
+	X, y, ok := mem.trainingSet(prob, maxFit)
 	if !ok || best == nil || math.IsInf(best.Loss, 1) {
 		return prob.Space.Sample(prob.RNG), 0
 	}
@@ -243,6 +244,7 @@ func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, r
 		y = append(y, liar)
 		fantasies++
 	}
+	mem.trainX, mem.trainY = X, y // keep the growth for the next proposal
 	seed := prob.RNG.Int63()
 	var reg surrogate.Regressor
 	if rs, ok := (*regp).(surrogate.Reseeder); ok {
@@ -271,7 +273,7 @@ func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, r
 	acqStart := time.Now()
 	var pick []float64
 	if err := resilience.Safely(func() error {
-		pick = b.pickCandidate(prob, scorer, best, role, nCands, xi)
+		pick = b.pickCandidate(prob, mem, scorer, best, role, nCands, xi)
 		return nil
 	}); err != nil {
 		notePanic(observer, err)
@@ -284,29 +286,12 @@ func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, r
 	return pick, fantasies
 }
 
-// pickCandidate scores a candidate pool (half random, half local
-// perturbations of the incumbent — the same pool shape as the batch
-// path) and returns one winner: the lowest predicted mean for the
-// exploit role, the highest expected improvement otherwise.
-func (b *AsyncBayesOpt) pickCandidate(prob *core.Problem, reg surrogate.Regressor, best *core.Sample, role, nCands int, xi float64) []float64 {
-	d := prob.Space.Dim()
-	cands := make([][]float64, 0, nCands)
-	for i := 0; i < nCands/2; i++ {
-		cands = append(cands, prob.Space.Sample(prob.RNG))
-	}
-	scales := [3]float64{0.02, 0.08, 0.25}
-	for i := len(cands); i < nCands; i++ {
-		c := append([]float64(nil), best.Unit...)
-		sigma := scales[prob.RNG.Intn(len(scales))]
-		k := 1 + prob.RNG.Intn(d)
-		for _, j := range prob.RNG.Perm(d)[:k] {
-			c[j] = clamp01(c[j] + prob.RNG.Normal(0, sigma))
-		}
-		cands = append(cands, c)
-	}
-	means := make([]float64, len(cands))
-	stds := make([]float64, len(cands))
-	reg.PredictBatch(cands, means, stds)
+// pickCandidate scores a candidate pool (the same pool as the batch
+// path's) and returns a copy of one winner: the lowest predicted mean
+// for the exploit role, the highest expected improvement otherwise.
+func (b *AsyncBayesOpt) pickCandidate(prob *core.Problem, mem *scratch, reg surrogate.Regressor, best *core.Sample, role, nCands int, xi float64) []float64 {
+	cands := mem.scorePool(prob, reg, best.Unit, nCands)
+	means, stds := mem.means, mem.stds
 	if role == 0 {
 		bestMean := 0
 		for i := range means {
@@ -314,7 +299,7 @@ func (b *AsyncBayesOpt) pickCandidate(prob *core.Problem, reg surrogate.Regresso
 				bestMean = i
 			}
 		}
-		return cands[bestMean]
+		return winner(cands[bestMean])
 	}
 	fBest := math.Log1p(best.Loss)
 	bestEI, bestIdx := math.Inf(-1), 0
@@ -323,23 +308,7 @@ func (b *AsyncBayesOpt) pickCandidate(prob *core.Problem, reg surrogate.Regresso
 			bestEI, bestIdx = ei, i
 		}
 	}
-	return cands[bestIdx]
-}
-
-// perturbIncumbent returns a sparse local perturbation of the incumbent
-// unit vector, mirroring the batch path's dedicated refinement slot.
-func perturbIncumbent(prob *core.Problem, bestUnit []float64) []float64 {
-	d := prob.Space.Dim()
-	c := append([]float64(nil), bestUnit...)
-	sigma := [3]float64{0.01, 0.04, 0.15}[prob.RNG.Intn(3)]
-	k := 1 + prob.RNG.Intn(2)
-	if k > d {
-		k = d
-	}
-	for _, j := range prob.RNG.Perm(d)[:k] {
-		c[j] = clamp01(c[j] + prob.RNG.Normal(0, sigma))
-	}
-	return c
+	return winner(cands[bestIdx])
 }
 
 // sortedAlgorithmNames returns ByName's vocabulary in sorted order for

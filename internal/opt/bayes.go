@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -136,11 +137,12 @@ func (b *BayesOpt) Optimize(ctx context.Context, prob *core.Problem) error {
 	// incremental fitting state — the GP's cached distance matrix and
 	// Cholesky factors — stays warm; a fit failure discards it.
 	var reg surrogate.Regressor
+	var mem scratch
 	for iter := 0; ; iter++ {
-		X, y, ok := trainingSet(prob, maxFit)
+		X, y, ok := mem.trainingSet(prob, maxFit)
 		var next [][]float64
 		if ok {
-			next, reg = b.proposeBatch(prob, observer, reg, X, y, nCands, batch, xi)
+			next, reg = b.proposeBatch(prob, observer, &mem, reg, X, y, nCands, batch, xi)
 		}
 		if next == nil {
 			// Surrogate unavailable (too little data, a failed or
@@ -176,7 +178,7 @@ func (b *BayesOpt) randomBatch(prob *core.Problem, batch int) [][]float64 {
 // observer's FaultObserver extension — rather than kill the
 // calibration. A nil next (any failure) triggers the caller's random
 // fallback, and the failed regressor is dropped rather than reused.
-func (b *BayesOpt) proposeBatch(prob *core.Problem, observer core.Observer, prev surrogate.Regressor, X [][]float64, y []float64, nCands, batch int, xi float64) (next [][]float64, reg surrogate.Regressor) {
+func (b *BayesOpt) proposeBatch(prob *core.Problem, observer core.Observer, mem *scratch, prev surrogate.Regressor, X [][]float64, y []float64, nCands, batch int, xi float64) (next [][]float64, reg surrogate.Regressor) {
 	seed := prob.RNG.Int63()
 	if rs, ok := prev.(surrogate.Reseeder); ok {
 		rs.Reseed(seed)
@@ -192,7 +194,7 @@ func (b *BayesOpt) proposeBatch(prob *core.Problem, observer core.Observer, prev
 	fitDur := time.Since(fitStart)
 	if observer == nil {
 		if err := resilience.Safely(func() error {
-			next = b.proposeByEI(prob, reg, nCands, batch, xi)
+			next = b.proposeByEI(prob, mem, reg, nCands, batch, xi)
 			return nil
 		}); err != nil {
 			return nil, nil
@@ -204,7 +206,7 @@ func (b *BayesOpt) proposeBatch(prob *core.Problem, observer core.Observer, prev
 	timed := &timedRegressor{Regressor: reg}
 	acqStart := time.Now()
 	if err := resilience.Safely(func() error {
-		next = b.proposeByEI(prob, timed, nCands, batch, xi)
+		next = b.proposeByEI(prob, mem, timed, nCands, batch, xi)
 		return nil
 	}); err != nil {
 		notePanic(observer, err)
@@ -254,8 +256,10 @@ func notePanic(observer core.Observer, err error) {
 // trainingSet extracts a surrogate's training data from the problem
 // history (shared by the batch and async BO drivers): infinite losses
 // (failed simulations) are clamped to a large penalty so the surrogate
-// learns to avoid the region rather than choke.
-func trainingSet(prob *core.Problem, maxFit int) (X [][]float64, y []float64, ok bool) {
+// learns to avoid the region rather than choke. X and y are the
+// scratch's own buffers, valid until the next call; the rows of X are
+// the history's unit vectors themselves.
+func (mem *scratch) trainingSet(prob *core.Problem, maxFit int) (X [][]float64, y []float64, ok bool) {
 	hist := prob.History()
 	if len(hist) < 3 {
 		return nil, nil, false
@@ -280,30 +284,37 @@ func trainingSet(prob *core.Problem, maxFit int) (X [][]float64, y []float64, ok
 		// maxFit 400 yielded only 301 points). Kept rows are re-sorted
 		// into history order so consecutive refits share a long common
 		// prefix, which the GP's incremental fit exploits.
-		idx := make([]int, len(hist))
-		for i := range idx {
-			idx[i] = i
+		idx := mem.idx[:0]
+		for i := range hist {
+			idx = append(idx, i)
 		}
-		sort.Slice(idx, func(i, j int) bool {
-			if hist[idx[i]].Loss != hist[idx[j]].Loss {
-				return hist[idx[i]].Loss < hist[idx[j]].Loss
+		// (loss, index) is a total order, so the sorted result does not
+		// depend on the algorithm.
+		slices.SortFunc(idx, func(i, j int) int {
+			switch li, lj := hist[i].Loss, hist[j].Loss; {
+			case li < lj:
+				return -1
+			case li > lj:
+				return 1
 			}
-			return idx[i] < idx[j]
+			return i - j
 		})
 		keepN := maxFit / 2
-		kept := append([]int(nil), idx[:keepN]...)
+		kept := append(mem.kept[:0], idx[:keepN]...)
 		rest := idx[keepN:]
 		budget := maxFit - keepN
 		for i := 0; i < budget; i++ {
 			kept = append(kept, rest[i*len(rest)/budget])
 		}
 		sort.Ints(kept)
-		sub := make([]core.Sample, len(kept))
-		for i, j := range kept {
-			sub[i] = hist[j]
+		sub := mem.sub[:0]
+		for _, j := range kept {
+			sub = append(sub, hist[j])
 		}
+		mem.idx, mem.kept, mem.sub = idx, kept, sub
 		hist = sub
 	}
+	X, y = mem.trainX[:0], mem.trainY[:0]
 	for _, s := range hist {
 		loss := s.Loss
 		if math.IsInf(loss, 1) {
@@ -317,12 +328,13 @@ func trainingSet(prob *core.Problem, maxFit int) (X [][]float64, y []float64, ok
 		X = append(X, s.Unit)
 		y = append(y, math.Log1p(loss))
 	}
+	mem.trainX, mem.trainY = X, y
 	return X, y, true
 }
 
 // proposeByEI scores a random candidate pool (plus perturbations of the
 // incumbent) with expected improvement and returns the top batch.
-func (b *BayesOpt) proposeByEI(prob *core.Problem, reg surrogate.Regressor, nCands, batch int, xi float64) [][]float64 {
+func (b *BayesOpt) proposeByEI(prob *core.Problem, mem *scratch, reg surrogate.Regressor, nCands, batch int, xi float64) [][]float64 {
 	best := prob.Best()
 	if best == nil || math.IsInf(best.Loss, 1) {
 		// No finite incumbent means EI has no reference value and the
@@ -331,44 +343,15 @@ func (b *BayesOpt) proposeByEI(prob *core.Problem, reg surrogate.Regressor, nCan
 		// (which would silently stall the proposal machinery).
 		return b.randomBatch(prob, batch)
 	}
-	d := prob.Space.Dim()
-	cands := make([][]float64, 0, nCands)
-	for i := 0; i < nCands/2; i++ {
-		cands = append(cands, prob.Space.Sample(prob.RNG))
-	}
-	// Local perturbations of the incumbent sharpen exploitation. Vary
-	// both the step scale and the number of perturbed coordinates —
-	// in ~10-dimensional calibration spaces, full-dimensional Gaussian
-	// moves rarely improve, while axis-sparse moves refine one or two
-	// parameters at a time.
-	scales := [3]float64{0.02, 0.08, 0.25}
-	for i := len(cands); i < nCands; i++ {
-		c := append([]float64(nil), best.Unit...)
-		sigma := scales[prob.RNG.Intn(len(scales))]
-		k := 1 + prob.RNG.Intn(d)
-		for _, j := range prob.RNG.Perm(d)[:k] {
-			c[j] = clamp01(c[j] + prob.RNG.Normal(0, sigma))
-		}
-		cands = append(cands, c)
-	}
-	type scored struct {
-		u        []float64
-		ei, mean float64
-	}
-	ss := make([]scored, len(cands))
+	cands := mem.scorePool(prob, reg, best.Unit, nCands)
 	fBest := math.Log1p(best.Loss) // surrogate space (see trainingSet)
 	kappa := b.Kappa
 	if kappa <= 0 {
 		kappa = 1.96
 	}
-	// Score the whole pool in one batched call: regressors parallelize
-	// it internally with output bitwise identical to per-candidate
-	// Predict calls, so the acquisition ranking below is unaffected.
-	means := make([]float64, len(cands))
-	stds := make([]float64, len(cands))
-	reg.PredictBatch(cands, means, stds)
+	ss := mem.ranked[:0]
 	for i, c := range cands {
-		mean, std := means[i], stds[i]
+		mean, std := mem.means[i], mem.stds[i]
 		var score float64
 		if b.Acq == LCB {
 			// Negated so that "higher is better" like EI.
@@ -376,16 +359,14 @@ func (b *BayesOpt) proposeByEI(prob *core.Problem, reg surrogate.Regressor, nCan
 		} else {
 			score = expectedImprovement(fBest, mean, std, xi)
 		}
-		ss[i] = scored{u: c, ei: score, mean: mean}
+		ss = append(ss, scored{u: c, ei: score, mean: mean})
 	}
+	mem.ranked = ss
 	// Slot 1: the lowest predicted mean (pure exploitation) — with a
 	// deterministic loss, an interpolating surrogate has near-zero EI
 	// around the incumbent and would never refine locally without it.
-	// Slot 2: a direct sparse perturbation of the incumbent, bypassing
-	// the surrogate — an embedded (1+1)-style local search that keeps
-	// polishing the narrow valleys calibration problems exhibit (a core
-	// speed only 20% off already doubles the loss). Remaining slots: top
-	// expected improvement.
+	// Slot 2: a direct sparse perturbation of the incumbent. Remaining
+	// slots: top expected improvement.
 	out := make([][]float64, 0, batch)
 	bestMean := 0
 	for i := range ss {
@@ -393,22 +374,13 @@ func (b *BayesOpt) proposeByEI(prob *core.Problem, reg surrogate.Regressor, nCan
 			bestMean = i
 		}
 	}
-	out = append(out, ss[bestMean].u)
+	out = append(out, winner(ss[bestMean].u))
 	if batch >= 3 {
-		c := append([]float64(nil), best.Unit...)
-		sigma := [3]float64{0.01, 0.04, 0.15}[prob.RNG.Intn(3)]
-		k := 1 + prob.RNG.Intn(2)
-		if k > d {
-			k = d
-		}
-		for _, j := range prob.RNG.Perm(d)[:k] {
-			c[j] = clamp01(c[j] + prob.RNG.Normal(0, sigma))
-		}
-		out = append(out, c)
+		out = append(out, mem.perturbIncumbent(prob, best.Unit))
 	}
-	sort.Slice(ss, func(i, j int) bool { return ss[i].ei > ss[j].ei })
+	sort.Sort(&mem.ranked)
 	for i := 0; i < len(ss) && len(out) < batch; i++ {
-		out = append(out, ss[i].u)
+		out = append(out, winner(ss[i].u))
 	}
 	return out
 }

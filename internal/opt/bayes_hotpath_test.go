@@ -34,7 +34,7 @@ func TestTrainingSetFillsMaxFitBudget(t *testing.T) {
 		if _, err := prob.Evaluate(ctx, units); err != nil {
 			return err
 		}
-		X, y, ok := trainingSet(prob, maxFit)
+		X, y, ok := new(scratch).trainingSet(prob, maxFit)
 		if !ok {
 			t.Error("trainingSet reported no data on a 401-row history")
 		}
@@ -104,7 +104,7 @@ func TestProposeByEIInfIncumbentFallsBackToRandom(t *testing.T) {
 		if _, err := prob.Evaluate(ctx, units); err != nil {
 			return err
 		}
-		next := b.proposeByEI(prob, nil, 64, 4, 0.01)
+		next := b.proposeByEI(prob, new(scratch), nil, 64, 4, 0.01)
 		if len(next) != 4 {
 			t.Errorf("proposeByEI with +Inf incumbent returned %d proposals, want 4 random ones", len(next))
 		}

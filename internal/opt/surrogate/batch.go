@@ -41,8 +41,8 @@ type FitStats struct {
 	// Jitter is the diagonal jitter shared by every hyperparameter
 	// candidate the final selection compared.
 	Jitter float64
-	// BufferAllocs counts fresh buffer allocations this fit; 0 means the
-	// fit ran entirely in reused memory.
+	// BufferAllocs counts the n×n buffers whose backing array had to grow
+	// this fit; 0 means the fit ran entirely in reused memory.
 	BufferAllocs int
 }
 

@@ -50,20 +50,18 @@ type GP struct {
 	// (0 = GOMAXPROCS, 1 = serial). The output is identical either way.
 	PredictWorkers int
 
-	x            [][]float64
+	x            [][]float64 // the model's own list of the fitted rows
 	alpha        []float64
 	chol         *la.Matrix
 	scale        float64 // chosen length scale
 	yMean, yStd  float64
 	signalStdDev float64
 
-	// Incremental-fit caches. prevX snapshots the row slices of the last
-	// fitted X so a later Fit can detect a shared prefix; dists holds
-	// pairwise distances for prevX; distsNext is the ping-pong buffer the
-	// next fit extends into. scaleState keeps one factored kernel per
-	// length-scale candidate so an appended-rows refit only factors the
-	// new rows.
-	prevX      [][]float64
+	// Incremental-fit caches. A later Fit detects the rows it shares with
+	// x as a prefix; dists holds pairwise distances for x; distsNext is
+	// the ping-pong buffer the next fit extends into. scaleState keeps
+	// one factored kernel per length-scale candidate so an appended-rows
+	// refit only factors the new rows.
 	dists      *la.Matrix
 	distsNext  *la.Matrix
 	scaleState []gpScaleState
@@ -126,12 +124,12 @@ func (g *GP) commonPrefix(X [][]float64) int {
 	if g.dists == nil {
 		return 0
 	}
-	max := len(g.prevX)
+	max := len(g.x)
 	if len(X) < max {
 		max = len(X)
 	}
 	for i := 0; i < max; i++ {
-		a, b := g.prevX[i], X[i]
+		a, b := g.x[i], X[i]
 		if len(a) != len(b) {
 			return i
 		}
@@ -150,13 +148,18 @@ func (g *GP) commonPrefix(X [][]float64) int {
 // extendDists produces the n×n distance matrix for X, copying the
 // prefix×prefix block from the cached matrix and computing only the
 // rows involving new points. Buffers ping-pong between dists and
-// distsNext so steady-state refits (constant n once BO hits its
-// MaxFitPoints cap) allocate nothing.
+// distsNext, each re-shaped over a backing array that only ever grows
+// (geometrically), so refits allocate nothing while n wanders below the
+// largest size seen — BO's first MaxFitPoints iterations and every
+// async-bo fit, whose fantasy rows move n per proposal. Stale contents
+// after a re-shape are harmless: every cell is written below.
 func (g *GP) extendDists(X [][]float64, prefix int) *la.Matrix {
 	n := len(X)
+	if g.distsNext == nil {
+		g.distsNext = new(la.Matrix)
+	}
 	d := g.distsNext
-	if d == nil || d.Rows() != n {
-		d = la.NewMatrix(n, n)
+	if d.Reshape(n, n) {
 		g.fitStats.BufferAllocs++
 	}
 	for i := 0; i < prefix; i++ {
@@ -181,8 +184,7 @@ func (g *GP) extendDists(X [][]float64, prefix int) *la.Matrix {
 func (g *GP) invalidate() {
 	g.chol = nil
 	g.alpha = nil
-	g.x = nil
-	g.prevX = g.prevX[:0]
+	g.x = g.x[:0]
 }
 
 // Fit implements Regressor.
@@ -280,8 +282,9 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 		st.jitter = jitter
 	}
 
-	g.x = X
-	g.prevX = append(g.prevX[:0], X...)
+	// A copy of the row list, not X itself: the caller may reuse X for
+	// its next training set.
+	g.x = append(g.x[:0], X...)
 	g.yMean, g.yStd = yMean, yStd
 	g.chol = g.scaleState[best].cur
 	g.alpha = g.scaleState[best].alpha
@@ -351,16 +354,18 @@ func (g *GP) fitOneScale(idx int, scale float64, dists *la.Matrix, yn []float64,
 		}
 	}
 
+	if st.next == nil {
+		st.next = new(la.Matrix)
+	}
 	l := st.next
-	if l == nil || l.Rows() != n {
-		l = la.NewMatrix(n, n)
-		st.next = l
+	if l.Reshape(n, n) {
 		atomic.AddInt32(allocs, 1)
 	}
 	// Reuse the already-factored rows (RawRow copies tolerate the old
 	// buffer having a different stride), then fill the kernel for the
-	// rest. Only the lower triangle is touched; CholeskyExtendInPlace
-	// never reads above the diagonal.
+	// rest. Only the lower triangle is touched — CholeskyExtendInPlace
+	// never reads above the diagonal — so whatever a re-shape left there
+	// is never seen.
 	for i := 0; i < start; i++ {
 		copy(l.RawRow(i)[:i+1], st.cur.RawRow(i)[:i+1])
 	}
@@ -377,13 +382,15 @@ func (g *GP) fitOneScale(idx int, scale float64, dists *la.Matrix, yn []float64,
 		return
 	}
 
-	alpha, err := la.CholSolve(l, yn)
-	if err != nil {
+	if cap(st.alpha) < n {
+		st.alpha = make([]float64, n, 2*n)
+	}
+	st.alpha = st.alpha[:n]
+	if err := la.CholSolveInto(l, yn, st.alpha); err != nil {
 		return
 	}
-	st.alpha = alpha
 
-	lml := -0.5 * la.Dot(yn, alpha)
+	lml := -0.5 * la.Dot(yn, st.alpha)
 	for i := 0; i < n; i++ {
 		lml -= math.Log(l.At(i, i))
 	}
@@ -398,38 +405,71 @@ func (g *GP) Predict(x []float64) (mean, std float64) {
 		panic("surrogate: Predict before Fit")
 	}
 	n := len(g.x)
-	kstar := make([]float64, n)
-	for i := 0; i < n; i++ {
-		kstar[i] = matern52(dist(x, g.x[i]), g.scale)
+	buf := make([]float64, 2*n)
+	return g.predictOne(x, buf[:n], buf[n:])
+}
+
+// predictOne scores one candidate through the scalar solve, with kstar
+// and v as its two length-n work vectors.
+func (g *GP) predictOne(x, kstar, v []float64) (mean, std float64) {
+	for i, xi := range g.x {
+		kstar[i] = matern52(dist(x, xi), g.scale)
 	}
 	mn := la.Dot(kstar, g.alpha)
-	v, err := la.SolveLower(g.chol, kstar)
 	variance := 1.0
-	if err == nil {
+	if err := la.SolveLowerInto(g.chol, kstar, v); err == nil {
 		variance = 1 - la.Dot(v, v)
 	}
 	if variance < 0 {
 		variance = 0
 	}
-	mean = mn*g.yStd + g.yMean
-	std = math.Sqrt(variance) * g.yStd
-	return mean, std
+	return mn*g.yStd + g.yMean, math.Sqrt(variance) * g.yStd
 }
 
-// gpBatchScratch is the per-worker scratch for PredictBatch.
-type gpBatchScratch struct {
-	kstar []float64 // per-candidate kernel vector
-	v     []float64 // forward-substitution output
+// predictTile scores la.SolveTile candidates at once: their kernel
+// vectors are filled interleaved into tile, solved together by
+// la.SolveLowerTile, and the mean and variance inner products are
+// accumulated per candidate in la.Dot's order (ascending row, from
+// zero), so every output carries predictOne's bits.
+func (g *GP) predictTile(X [][]float64, mean, std, tile []float64) {
+	const w = la.SolveTile
+	var mn, vv [w]float64
+	for i, xi := range g.x {
+		a := g.alpha[i]
+		row := tile[i*w : i*w+w]
+		for c := range row {
+			k := matern52(dist(X[c], xi), g.scale)
+			row[c] = k
+			mn[c] += k * a
+		}
+	}
+	// A failed solve leaves vv at zero: unit variance, as in predictOne.
+	if la.SolveLowerTile(g.chol, tile) == nil {
+		for i := range g.x {
+			for c, v := range tile[i*w : i*w+w] {
+				vv[c] += v * v
+			}
+		}
+	}
+	for c := range mn {
+		variance := 1 - vv[c]
+		if variance < 0 {
+			variance = 0
+		}
+		mean[c] = mn[c]*g.yStd + g.yMean
+		std[c] = math.Sqrt(variance) * g.yStd
+	}
 }
 
 // PredictBatch implements Regressor. Candidates are scored in
-// predictChunk-sized chunks across up to PredictWorkers goroutines,
-// with per-worker scratch replacing Predict's per-call allocations.
-// Every arithmetic step mirrors Predict's exactly — same kernel
-// evaluations, la.Dot for the mean, la.SolveLowerInto with SolveLower's
-// exact operation order, la.Dot for the variance — and all writes are
-// index-addressed, so the output is bitwise identical to calling
-// Predict once per candidate, for any worker count.
+// predictChunk-sized chunks across up to PredictWorkers goroutines;
+// within a chunk they go la.SolveTile at a time through predictTile,
+// and what is left of the chunk through predictOne — the path Predict
+// takes. The two agree bit for bit and every write is index-addressed,
+// so the output is bitwise identical to calling Predict once per
+// candidate, for any pool size and worker count. Each worker's scratch
+// is one tile-sized buffer, which the remainder path splits into its two
+// work vectors.
 func (g *GP) PredictBatch(X [][]float64, mean, std []float64) {
 	if g.chol == nil {
 		panic("surrogate: PredictBatch before Fit")
@@ -437,25 +477,14 @@ func (g *GP) PredictBatch(X [][]float64, mean, std []float64) {
 	checkBatchArgs(X, mean, std)
 	n := len(g.x)
 	batchLoop(len(X), g.PredictWorkers,
-		func() *gpBatchScratch {
-			return &gpBatchScratch{kstar: make([]float64, n), v: make([]float64, n)}
-		},
-		func(lo, hi int, s *gpBatchScratch) {
-			for c := lo; c < hi; c++ {
-				x := X[c]
-				for i := 0; i < n; i++ {
-					s.kstar[i] = matern52(dist(x, g.x[i]), g.scale)
-				}
-				mn := la.Dot(s.kstar, g.alpha)
-				variance := 1.0
-				if err := la.SolveLowerInto(g.chol, s.kstar, s.v); err == nil {
-					variance = 1 - la.Dot(s.v, s.v)
-				}
-				if variance < 0 {
-					variance = 0
-				}
-				mean[c] = mn*g.yStd + g.yMean
-				std[c] = math.Sqrt(variance) * g.yStd
+		func() []float64 { return make([]float64, n*la.SolveTile) },
+		func(lo, hi int, tile []float64) {
+			c := lo
+			for ; c+la.SolveTile <= hi; c += la.SolveTile {
+				g.predictTile(X[c:c+la.SolveTile], mean[c:], std[c:], tile)
+			}
+			for ; c < hi; c++ {
+				mean[c], std[c] = g.predictOne(X[c], tile[:n], tile[n:2*n])
 			}
 		})
 }

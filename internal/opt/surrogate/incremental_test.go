@@ -235,3 +235,90 @@ func TestGPFailedFitInvalidates(t *testing.T) {
 		}
 	}
 }
+
+// TestGPPredictBatchTilesBitwiseMatchPredict: pool sizes on both sides
+// of the tile and chunk widths, at every worker count and at training
+// sizes below, at and far above the tile width, must reproduce
+// per-candidate Predict bit for bit — tiles and chunk remainders alike.
+func TestGPPredictBatchTilesBitwiseMatchPredict(t *testing.T) {
+	pool, _ := trainOn(519, 4, 62, quadratic)
+	for _, n := range []int{3, 8, 400} {
+		X, y := trainOn(n, 4, 61, quadratic)
+		g := NewGP()
+		if err := g.Fit(X, y); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		wantMean, wantStd := predictSerial(g, pool)
+		for _, size := range []int{1, 7, 8, 9, 63, 64, 65, 512, 519} {
+			for _, workers := range []int{1, 2, 3} {
+				g.PredictWorkers = workers
+				mean, std := make([]float64, size), make([]float64, size)
+				g.PredictBatch(pool[:size], mean, std)
+				for i := range mean {
+					if math.Float64bits(mean[i]) != math.Float64bits(wantMean[i]) ||
+						math.Float64bits(std[i]) != math.Float64bits(wantStd[i]) {
+						t.Fatalf("n=%d size=%d workers=%d cand %d: batch (%v, %v) != Predict (%v, %v)",
+							n, size, workers, i, mean[i], std[i], wantMean[i], wantStd[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGPPredictBatchSolveFailureFallsBack: a zero on the factor's
+// diagonal fails the triangular solve; the variance then falls back to
+// 1 (std = the target scale) while the mean is still the model's, for
+// tiled candidates and remainder candidates alike, as in Predict.
+func TestGPPredictBatchSolveFailureFallsBack(t *testing.T) {
+	X, y := trainOn(30, 3, 63, quadratic)
+	pool, _ := trainOn(21, 3, 64, quadratic) // two tiles and a remainder of five
+	g := NewGP()
+	if err := g.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	g.chol.Set(17, 17, 0)
+	wantMean, wantStd := predictSerial(g, pool)
+	mean, std := make([]float64, len(pool)), make([]float64, len(pool))
+	g.PredictBatch(pool, mean, std)
+	for i := range pool {
+		if std[i] != g.yStd {
+			t.Errorf("cand %d: std %v after a failed solve, want the unit-variance fallback %v", i, std[i], g.yStd)
+		}
+		if math.Float64bits(mean[i]) != math.Float64bits(wantMean[i]) || math.Float64bits(std[i]) != math.Float64bits(wantStd[i]) {
+			t.Errorf("cand %d: batch (%v, %v) != Predict (%v, %v)", i, mean[i], std[i], wantMean[i], wantStd[i])
+		}
+	}
+}
+
+// gpGrowthBufferAllocCeiling bounds FitStats.BufferAllocs summed over a
+// run whose training set grows from 8 to 400 rows by 4 while wobbling
+// ±3 rows around each size, the way async-bo's fantasy rows move n on
+// every proposal. Ten n×n buffers (two distance matrices, two factors
+// per length scale) each double their backing array nine or ten times
+// on the way to 403² cells: measured 95 over the 297 fits. A fresh
+// matrix per written buffer per size change, the behaviour this
+// replaces, measured 1 485.
+const gpGrowthBufferAllocCeiling = 110
+
+// TestGPGrowingFitBufferAllocsBounded is a count gate (CI bench-smoke):
+// n×n backing arrays grow geometrically, so a run that keeps changing n
+// allocates O(log n) of them, not one set per fit.
+func TestGPGrowingFitBufferAllocsBounded(t *testing.T) {
+	X, y := trainOn(403, 3, 65, quadratic)
+	g := NewGP()
+	total, fits := 0, 0
+	for n := 8; n <= 400; n += 4 {
+		for _, m := range []int{n, n + 3, n - 3} {
+			if err := g.Fit(X[:m], y[:m]); err != nil {
+				t.Fatalf("n=%d: %v", m, err)
+			}
+			total += g.FitStats().BufferAllocs
+			fits++
+		}
+	}
+	if total > gpGrowthBufferAllocCeiling {
+		t.Errorf("%d buffer allocations over %d fits, ceiling %d", total, fits, gpGrowthBufferAllocCeiling)
+	}
+	t.Logf("%d buffer allocations over %d fits", total, fits)
+}

@@ -58,6 +58,19 @@ func (g *RNG) NoisyScale(spread float64) float64 {
 // Perm returns a pseudo-random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
+// PermInto writes a pseudo-random permutation of [0, len(p)) into p. It
+// is math/rand's Perm loop over a caller-owned buffer: the same draws in
+// the same order, so Perm(n) and PermInto on a length-n buffer leave
+// the stream in the same state and p with the same contents, whatever p
+// held before.
+func (g *RNG) PermInto(p []int) {
+	for i := range p {
+		j := g.r.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+}
+
 // Shuffle randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 

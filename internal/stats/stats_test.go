@@ -212,6 +212,25 @@ func TestPermShuffle(t *testing.T) {
 	}
 }
 
+// TestPermIntoMatchesPerm: PermInto over a dirty buffer yields Perm's
+// permutation and leaves the stream where Perm leaves it.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	a, b := NewRNG(21), NewRNG(21)
+	buf := []int{9, 9, 9, 9, 9, 9, 9}
+	for n := 0; n <= len(buf); n++ {
+		want := a.Perm(n)
+		b.PermInto(buf[:n])
+		for i := range want {
+			if buf[i] != want[i] {
+				t.Fatalf("n=%d: PermInto %v, Perm %v", n, buf[:n], want)
+			}
+		}
+	}
+	if a.Int63() != b.Int63() {
+		t.Error("PermInto consumed different draws than Perm")
+	}
+}
+
 func TestInt63NonNegative(t *testing.T) {
 	g := NewRNG(13)
 	for i := 0; i < 100; i++ {
