@@ -17,182 +17,134 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"simcal/internal/cache"
+	"simcal/internal/cli"
 	"simcal/internal/core"
-	"simcal/internal/dist"
 	"simcal/internal/experiments"
 	"simcal/internal/obs"
-	"simcal/internal/resilience"
 	"simcal/internal/simspec"
 	"simcal/internal/wfgen"
 )
 
-func main() {
-	var (
-		run      = flag.String("run", "all", "artifact id to regenerate (or 'all')")
-		full     = flag.Bool("full", false, "paper-scale configuration (hours) instead of the fast default")
-		evals    = flag.Int("evals", 0, "override loss evaluations per calibration")
-		seed     = flag.Int64("seed", 0, "override random seed")
-		workers  = flag.Int("workers", 0, "override parallel evaluation workers")
-		budget   = flag.Duration("budget", 0, "optional wall-clock budget per calibration")
-		jobs     = flag.Int("jobs", 1, "independent calibrations run concurrently per driver (1 = sequential; results are identical either way)")
-		useCache = flag.Bool("cache", false, "memoize loss evaluations across calibrations (identical results, fewer simulations)")
-		jsonDir  = flag.String("json", "", "also write each artifact's result as JSON into this directory")
-		ckpt     = flag.String("checkpoint", "", "log completed grid cells to this JSONL file; re-running with the same flags resumes only the unfinished cells")
+func main() { cli.Main("experiments", run) }
 
-		evalTimeout = flag.Duration("eval-timeout", 0, "per-evaluation timeout (enables the fault-tolerant executor)")
-		evalRetries = flag.Int("eval-retries", 0, "max attempts per evaluation for transient failures (enables the fault-tolerant executor)")
+// config is the experiments command line: its own flags and the shared
+// groups.
+type config struct {
+	run        string
+	full       bool
+	evals      int
+	seed       int64
+	workers    int
+	budget     time.Duration
+	jobs       int
+	cache      bool
+	jsonDir    string
+	checkpoint string
 
-		tracePath = flag.String("trace", "", "write a structured JSONL trace of every calibration to this file")
-		metrics   = flag.Bool("metrics", false, "print the final metrics snapshot after all artifacts")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and /debug/vars on this address (e.g. localhost:6060)")
+	obs        cli.Obs
+	fleet      cli.Fleet
+	resilience cli.Resilience
+}
 
-		listen      = flag.String("listen", "", "distribute loss evaluations: listen for simcal-worker processes on this address (spec-aware drivers only)")
-		distWorkers = flag.Int("dist-workers", 1, "with -listen: wait for this many connected workers before running")
-	)
-	flag.Parse()
+func (c *config) flagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.StringVar(&c.run, "run", "all", "artifact id to regenerate (or 'all')")
+	fs.BoolVar(&c.full, "full", false, "paper-scale configuration (hours) instead of the fast default")
+	fs.IntVar(&c.evals, "evals", 0, "override loss evaluations per calibration")
+	fs.Int64Var(&c.seed, "seed", 0, "override random seed")
+	fs.IntVar(&c.workers, "workers", 0, "override parallel evaluation workers")
+	fs.DurationVar(&c.budget, "budget", 0, "optional wall-clock budget per calibration")
+	fs.IntVar(&c.jobs, "jobs", 1, "independent calibrations run concurrently per driver (1 = sequential; results are identical either way)")
+	fs.BoolVar(&c.cache, "cache", false, "memoize loss evaluations across calibrations (identical results, fewer simulations)")
+	fs.StringVar(&c.jsonDir, "json", "", "also write each artifact's result as JSON into this directory")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "log completed grid cells to this JSONL file; re-running with the same flags resumes only the unfinished cells")
 
-	logger := obs.NewLogger(os.Stderr)
+	c.obs.Register(fs)
+	c.obs.RegisterTrace(fs)
+	// The hardening and chaos groups stay at their defaults, and there
+	// is no -breaker: a grid run should finish every cell.
+	c.fleet.Register(fs)
+	c.resilience.Register(fs)
+	return fs
+}
 
-	// The observability server starts before any coordinator exists;
-	// these closures read whichever coordinator a -listen run sets.
-	var coordMu sync.Mutex
-	var coordPtr *dist.Coordinator
-	getCoord := func() *dist.Coordinator {
-		coordMu.Lock()
-		defer coordMu.Unlock()
-		return coordPtr
-	}
-	if *pprofAddr != "" {
-		obs.Default().PublishExpvar("experiments")
-		srv, err := obs.StartServer(*pprofAddr, obs.ServerConfig{
-			Refresh: func() {
-				if c := getCoord(); c != nil {
-					c.RefreshFleetGauges()
-				}
-			},
-			Status: func() any {
-				if c := getCoord(); c != nil {
-					return c.Status()
-				}
-				return nil
-			},
-		})
-		if err != nil {
-			logger.Printf("error: observability server: %v", err)
-			os.Exit(1)
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		}()
-		logger.Printf("observability server on http://%s (/metrics /statusz /healthz /debug/pprof)", srv.Addr())
-	}
-
+// options resolves the flags into driver options.
+func (c *config) options() experiments.Options {
 	o := experiments.Default()
-	if *full {
+	if c.full {
 		o = experiments.Full()
 	}
-	if *evals > 0 {
-		o.MaxEvals = *evals
+	if c.evals > 0 {
+		o.MaxEvals = c.evals
 	}
-	if *seed != 0 {
-		o.Seed = *seed
+	if c.seed != 0 {
+		o.Seed = c.seed
 	}
-	if *workers > 0 {
-		o.Workers = *workers
+	if c.workers > 0 {
+		o.Workers = c.workers
 	}
-	if *budget > 0 {
-		o.Budget = *budget
+	if c.budget > 0 {
+		o.Budget = c.budget
 	}
-	if *jobs > 1 {
-		o.Jobs = *jobs
+	if c.jobs > 1 {
+		o.Jobs = c.jobs
 	}
-	var evalCache *cache.Cache
-	if *useCache {
-		evalCache = cache.New(obs.Default())
-		o.Cache = evalCache
+	if c.cache {
+		o.Cache = cache.New(obs.Default())
 	}
-	if *evalTimeout > 0 || *evalRetries > 0 {
-		p := resilience.DefaultPolicy()
-		p.Timeout = *evalTimeout // 0 disables the per-attempt timeout
-		if *evalRetries > 0 {
-			p.MaxAttempts = *evalRetries
-		}
-		p.BreakerThreshold = 0 // a grid run should finish every cell
-		o.Resilience = &p
+	o.Resilience = c.resilience.Policy()
+	return o
+}
+
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	var c config
+	if err := cli.Parse(c.flagSet(), args, stderr); err != nil {
+		return err
 	}
-	if *ckpt != "" {
+	logger := obs.NewLogger(stderr)
+	o := c.options()
+
+	if c.checkpoint != "" {
 		// The meta string fingerprints every option that changes cell
 		// results; a log written under different options is refused.
-		meta := fmt.Sprintf("seed=%d evals=%d budget=%s full=%v", o.Seed, o.MaxEvals, o.Budget, *full)
-		l, err := experiments.OpenRunLog(*ckpt, meta)
+		meta := fmt.Sprintf("seed=%d evals=%d budget=%s full=%v", o.Seed, o.MaxEvals, o.Budget, c.full)
+		l, err := experiments.OpenRunLog(c.checkpoint, meta)
 		if err != nil {
-			logger.Printf("error: %v", err)
-			os.Exit(1)
+			return err
 		}
 		defer l.Close()
 		o.RunLog = l
 		if n := l.Len(); n > 0 {
-			logger.Printf("resuming: %d completed cells in %s", n, *ckpt)
+			logger.Printf("resuming: %d completed cells in %s", n, c.checkpoint)
 		}
 	}
 
-	var tracer *obs.Tracer
-	var traceFile *os.File
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			logger.Printf("error: %v", err)
-			os.Exit(1)
+	// Stop order (internal/cli): the fleet closes before the obs plane.
+	if err := c.obs.Start("experiments", obs.ServerConfig{Refresh: c.fleet.Refresh, Status: c.fleet.Status}, stdout, stderr); err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := c.obs.Close(); err == nil {
+			err = cerr
 		}
-		traceFile = f
-		tracer = obs.NewTracer(f)
-	}
-	if tracer != nil || *metrics || *pprofAddr != "" {
-		o.Observer = core.NewObsObserver(obs.Default(), tracer)
-	}
+	}()
+	o.Observer = c.obs.Observer()
 
-	if *listen != "" {
-		l, err := dist.TCP{}.Listen(*listen)
-		if err != nil {
-			logger.Printf("error: %v", err)
-			os.Exit(1)
-		}
-		coord := dist.NewCoordinator(dist.CoordinatorConfig{
-			Name:     "experiments",
-			Registry: obs.Default(),
-			Tracer:   tracer,
-			TraceID:  fmt.Sprintf("experiments-%s-seed%d", *run, o.Seed),
-		})
-		coordMu.Lock()
-		coordPtr = coord
-		coordMu.Unlock()
-		go func() {
-			if err := coord.Serve(l); err != nil {
-				logger.Printf("coordinator: %v", err)
-			}
-		}()
-		defer func() {
-			coord.Close()
-			l.Close()
-		}()
-		logger.Printf("coordinator listening on %s; waiting for %d worker(s)", l.Addr(), *distWorkers)
-		wctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-		werr := coord.WaitForWorkers(wctx, *distWorkers)
-		cancel()
-		if werr != nil {
-			logger.Printf("error: %v", werr)
-			os.Exit(1)
-		}
+	defer c.fleet.Close()
+	traceID := fmt.Sprintf("experiments-%s-seed%d", c.run, o.Seed)
+	coord, err := c.fleet.Start("experiments", obs.Default(), c.obs.Tracer(), traceID, stderr)
+	if err != nil {
+		return err
+	}
+	if coord != nil {
 		o.Remote = func(sp simspec.Spec) (core.Simulator, error) {
 			b, err := sp.Canonical()
 			if err != nil {
@@ -202,8 +154,8 @@ func main() {
 		}
 	}
 
-	ids := strings.Split(*run, ",")
-	if *run == "all" {
+	ids := strings.Split(c.run, ",")
+	if c.run == "all" {
 		ids = []string{"table1", "table2", "table3", "figure1", "figure2", "baseline1",
 			"figure3", "section55", "table4", "table5", "figure4", "figure5", "baseline2", "section65",
 			"ablation-alg", "ablation-budget", "ablation-storage", "casestudy3"}
@@ -213,7 +165,7 @@ func main() {
 	for _, id := range ids {
 		start := time.Now()
 		logger.Printf("==> %s", id)
-		if err := runOne(ctx, id, o, *jsonDir); err != nil {
+		if err := runOne(ctx, stdout, id, o, c.jsonDir); err != nil {
 			// Keep going: one broken artifact should not hide the rest,
 			// but the process must still exit non-zero at the end.
 			logger.Printf("FAILED %s: %v", id, err)
@@ -222,30 +174,15 @@ func main() {
 		}
 		logger.Printf("    %s done (%s)", id, time.Since(start).Round(time.Millisecond))
 	}
-	if traceFile != nil {
-		if err := tracer.Flush(); err != nil {
-			logger.Printf("trace: %v", err)
-			failed = append(failed, "trace")
-		} else {
-			logger.Printf("trace written to %s", *tracePath)
-		}
-		traceFile.Close()
-	}
-	if evalCache != nil {
-		st := evalCache.Stats()
+	if o.Cache != nil {
+		st := o.Cache.Stats()
 		logger.Printf("cache: %d hits, %d misses, %d in-flight waits, %d entries",
 			st.Hits, st.Misses, st.InflightWaits, st.Entries)
 	}
-	if *metrics {
-		fmt.Println("metrics:")
-		if err := obs.Default().Snapshot().WriteText(os.Stdout); err != nil {
-			logger.Printf("metrics: %v", err)
-		}
-	}
 	if len(failed) > 0 {
-		logger.Printf("%d artifact(s) failed: %s", len(failed), strings.Join(failed, ", "))
-		os.Exit(1)
+		return fmt.Errorf("%d artifact(s) failed: %s", len(failed), strings.Join(failed, ", "))
 	}
+	return nil
 }
 
 // saveJSON writes v as <dir>/<id>.json when dir is set.
@@ -266,7 +203,7 @@ func saveJSON(dir, id string, v any) error {
 	return enc.Encode(v)
 }
 
-func runOne(ctx context.Context, id string, o experiments.Options, jsonDir string) error {
+func runOne(ctx context.Context, stdout io.Writer, id string, o experiments.Options, jsonDir string) error {
 	record := func(v any) error { return saveJSON(jsonDir, id, v) }
 	switch id {
 	case "table1":
@@ -280,20 +217,20 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 				fmt.Sprintf("%v", r.Generated),
 			})
 		}
-		fmt.Print(experiments.FormatTable(
+		fmt.Fprint(stdout, experiments.FormatTable(
 			[]string{"application", "sizes(#tasks)", "work/task(s)", "footprints(MB)", "generated"}, rows))
 	case "table2":
 		var rows [][]string
 		for _, r := range experiments.Table2Rows() {
 			rows = append(rows, []string{r.Version, fmt.Sprintf("%d", r.Params), strings.Join(r.Names, ",")})
 		}
-		fmt.Print(experiments.FormatTable([]string{"version", "#params", "parameters"}, rows))
+		fmt.Fprint(stdout, experiments.FormatTable([]string{"version", "#params", "parameters"}, rows))
 	case "table4":
 		var rows [][]string
 		for _, r := range experiments.Table4Rows() {
 			rows = append(rows, []string{r.Version, fmt.Sprintf("%d", r.Params), strings.Join(r.Names, ",")})
 		}
-		fmt.Print(experiments.FormatTable([]string{"version", "#params", "parameters"}, rows))
+		fmt.Fprint(stdout, experiments.FormatTable([]string{"version", "#params", "parameters"}, rows))
 	case "table3":
 		res, err := experiments.Table3(ctx, o)
 		if err != nil {
@@ -302,8 +239,8 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 		if err := record(res); err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatMatrix("calib-err", res.Algorithms, res.Losses, res.Errors))
-		fmt.Printf("winner: %s with %s\n", res.WinnerAlg, res.WinnerLoss)
+		fmt.Fprint(stdout, experiments.FormatMatrix("calib-err", res.Algorithms, res.Losses, res.Errors))
+		fmt.Fprintf(stdout, "winner: %s with %s\n", res.WinnerAlg, res.WinnerLoss)
 	case "figure1":
 		res, err := experiments.Figure1(ctx, o)
 		if err != nil {
@@ -312,8 +249,8 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 		if err := record(res); err != nil {
 			return err
 		}
-		fmt.Printf("loss vs time, app=%s\n", res.App)
-		fmt.Print(experiments.FormatConvergence(res.Points, 20))
+		fmt.Fprintf(stdout, "loss vs time, app=%s\n", res.App)
+		fmt.Fprint(stdout, experiments.FormatConvergence(res.Points, 20))
 	case "figure2":
 		res, err := experiments.Figure2(ctx, o)
 		if err != nil {
@@ -322,8 +259,8 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 		if err := record(res); err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatVersionAccuracy(res.Versions))
-		fmt.Printf("best version: %s\n", res.Best)
+		fmt.Fprint(stdout, experiments.FormatVersionAccuracy(res.Versions))
+		fmt.Fprintf(stdout, "best version: %s\n", res.Best)
 	case "baseline1":
 		res, err := experiments.Baseline1(ctx, o)
 		if err != nil {
@@ -332,14 +269,14 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 		if err := record(res); err != nil {
 			return err
 		}
-		fmt.Printf("spec-based error:  %.1f%%\ncalibrated error:  %.1f%%\n", res.SpecError, res.CalibratedError)
+		fmt.Fprintf(stdout, "spec-based error:  %.1f%%\ncalibrated error:  %.1f%%\n", res.SpecError, res.CalibratedError)
 		apps := make([]wfgen.App, 0, len(res.PerApp))
 		for a := range res.PerApp {
 			apps = append(apps, a)
 		}
 		sort.Slice(apps, func(i, j int) bool { return apps[i] < apps[j] })
 		for _, a := range apps {
-			fmt.Printf("  %-14s %.1f%%\n", a, res.PerApp[a])
+			fmt.Fprintf(stdout, "  %-14s %.1f%%\n", a, res.PerApp[a])
 		}
 	case "figure3":
 		res, err := experiments.Figure3(ctx, o)
@@ -349,7 +286,7 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 		if err := record(res); err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatFigure3(res))
+		fmt.Fprint(stdout, experiments.FormatFigure3(res))
 	case "section55":
 		res, err := experiments.Section55(ctx, o)
 		if err != nil {
@@ -358,17 +295,17 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 		if err := record(res); err != nil {
 			return err
 		}
-		fmt.Printf("baseline (diverse) test loss: %.4f\n", res.BaselineLoss)
-		fmt.Printf("restricted options worse:     %d/%d\n", res.WorseCount, res.TotalRestricted)
+		fmt.Fprintf(stdout, "baseline (diverse) test loss: %.4f\n", res.BaselineLoss)
+		fmt.Fprintf(stdout, "restricted options worse:     %d/%d\n", res.WorseCount, res.TotalRestricted)
 		keys := make([]string, 0, len(res.RestrictedLosses))
 		for k := range res.RestrictedLosses {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Printf("  %-28s %.4f\n", k, res.RestrictedLosses[k])
+			fmt.Fprintf(stdout, "  %-28s %.4f\n", k, res.RestrictedLosses[k])
 		}
-		fmt.Printf("chain-only: %.4f  forkjoin-only: %.4f  both: %.4f\n", res.ChainLoss, res.ForkjoinLoss, res.BothLoss)
+		fmt.Fprintf(stdout, "chain-only: %.4f  forkjoin-only: %.4f  both: %.4f\n", res.ChainLoss, res.ForkjoinLoss, res.BothLoss)
 	case "table5":
 		res, err := experiments.Table5(ctx, o)
 		if err != nil {
@@ -377,11 +314,11 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 		if err := record(res); err != nil {
 			return err
 		}
-		fmt.Println("calibration error:")
-		fmt.Print(experiments.FormatMatrix("alg", res.Algorithms, res.Losses, res.CalibErrors))
-		fmt.Println("relative avg transfer-rate error:")
-		fmt.Print(experiments.FormatMatrix("alg", res.Algorithms, res.Losses, res.RateErrors))
-		fmt.Printf("winner: %s with %s\n", res.WinnerAlg, res.WinnerLoss)
+		fmt.Fprintln(stdout, "calibration error:")
+		fmt.Fprint(stdout, experiments.FormatMatrix("alg", res.Algorithms, res.Losses, res.CalibErrors))
+		fmt.Fprintln(stdout, "relative avg transfer-rate error:")
+		fmt.Fprint(stdout, experiments.FormatMatrix("alg", res.Algorithms, res.Losses, res.RateErrors))
+		fmt.Fprintf(stdout, "winner: %s with %s\n", res.WinnerAlg, res.WinnerLoss)
 	case "figure4":
 		res, err := experiments.Figure4(ctx, o)
 		if err != nil {
@@ -390,8 +327,8 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 		if err := record(res); err != nil {
 			return err
 		}
-		fmt.Printf("loss vs time, %d nodes\n", res.Nodes)
-		fmt.Print(experiments.FormatConvergence(res.Points, 20))
+		fmt.Fprintf(stdout, "loss vs time, %d nodes\n", res.Nodes)
+		fmt.Fprint(stdout, experiments.FormatConvergence(res.Points, 20))
 	case "figure5":
 		res, err := experiments.Figure5(ctx, o)
 		if err != nil {
@@ -400,8 +337,8 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 		if err := record(res); err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatVersionAccuracy(res.Versions))
-		fmt.Printf("best version: %s\n", res.Best)
+		fmt.Fprint(stdout, experiments.FormatVersionAccuracy(res.Versions))
+		fmt.Fprintf(stdout, "best version: %s\n", res.Best)
 	case "baseline2":
 		res, err := experiments.Baseline2(ctx, o)
 		if err != nil {
@@ -410,9 +347,9 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 		if err := record(res); err != nil {
 			return err
 		}
-		fmt.Printf("spec-based error:  %.1f%%\ncalibrated error:  %.1f%%\n", res.SpecError, res.CalibratedError)
+		fmt.Fprintf(stdout, "spec-based error:  %.1f%%\ncalibrated error:  %.1f%%\n", res.SpecError, res.CalibratedError)
 		for b, e := range res.PerBenchmark {
-			fmt.Printf("  %-10s %.1f%%\n", b, e)
+			fmt.Fprintf(stdout, "  %-10s %.1f%%\n", b, e)
 		}
 	case "section65":
 		res, err := experiments.Section65(ctx, o)
@@ -422,8 +359,8 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 		if err := record(res); err != nil {
 			return err
 		}
-		fmt.Printf("Stencil error from P2P calibration:    %.1f%%\n", res.StencilFromP2P)
-		fmt.Printf("Stencil error from native calibration: %.1f%%\n", res.StencilNative)
+		fmt.Fprintf(stdout, "Stencil error from P2P calibration:    %.1f%%\n", res.StencilFromP2P)
+		fmt.Fprintf(stdout, "Stencil error from native calibration: %.1f%%\n", res.StencilNative)
 		nodes := make([]int, 0, len(res.ScaleErrors))
 		for n := range res.ScaleErrors {
 			nodes = append(nodes, n)
@@ -434,7 +371,7 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 			if n == res.TrainNodes {
 				tag = " (training scale)"
 			}
-			fmt.Printf("  %4d nodes: %.1f%%%s\n", n, res.ScaleErrors[n], tag)
+			fmt.Fprintf(stdout, "  %4d nodes: %.1f%%%s\n", n, res.ScaleErrors[n], tag)
 		}
 	case "casestudy3":
 		res, err := experiments.CaseStudy3(ctx, o)
@@ -444,8 +381,8 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 		if err := record(res); err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatVersionAccuracy(res.Versions))
-		fmt.Printf("best version: %s\n", res.Best)
+		fmt.Fprint(stdout, experiments.FormatVersionAccuracy(res.Versions))
+		fmt.Fprintf(stdout, "best version: %s\n", res.Best)
 	case "ablation-alg":
 		res, err := experiments.AblationAlgorithms(ctx, o)
 		if err != nil {
@@ -455,9 +392,9 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 			return err
 		}
 		for _, name := range res.Order {
-			fmt.Printf("  %-8s best loss %.4f\n", name, res.Losses[name])
+			fmt.Fprintf(stdout, "  %-8s best loss %.4f\n", name, res.Losses[name])
 		}
-		fmt.Printf("BO-variant spread (max/min): %.2fx\n", res.BOSpread)
+		fmt.Fprintf(stdout, "BO-variant spread (max/min): %.2fx\n", res.BOSpread)
 	case "ablation-budget":
 		res, err := experiments.AblationBudget(ctx, o)
 		if err != nil {
@@ -467,7 +404,7 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 			return err
 		}
 		for i, budget := range res.Budgets {
-			fmt.Printf("  %5d evals: best loss %.4f\n", budget, res.Losses[i])
+			fmt.Fprintf(stdout, "  %5d evals: best loss %.4f\n", budget, res.Losses[i])
 		}
 	case "ablation-storage":
 		res, err := experiments.AblationStorageValue(ctx, o)
@@ -477,9 +414,9 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 		if err := record(res); err != nil {
 			return err
 		}
-		fmt.Printf("data-heavy workloads: submit-only %.1f%%, all-nodes %.1f%%\n",
+		fmt.Fprintf(stdout, "data-heavy workloads: submit-only %.1f%%, all-nodes %.1f%%\n",
 			res.DataHeavySubmitOnly, res.DataHeavyAllNodes)
-		fmt.Printf("data-free  workloads: submit-only %.1f%%, all-nodes %.1f%%\n",
+		fmt.Fprintf(stdout, "data-free  workloads: submit-only %.1f%%, all-nodes %.1f%%\n",
 			res.DataFreeSubmitOnly, res.DataFreeAllNodes)
 	case "faults":
 		// Not part of 'all': it measures the calibration runtime, not a
@@ -491,9 +428,9 @@ func runOne(ctx context.Context, id string, o experiments.Options, jsonDir strin
 		if err := record(res); err != nil {
 			return err
 		}
-		fmt.Println("calibration-error degradation vs injected fault rate:")
+		fmt.Fprintln(stdout, "calibration-error degradation vs injected fault rate:")
 		for _, r := range res.Rows {
-			fmt.Printf("  rate %4.0f%%: calib-err %6.1f%%  evals %d  injected %d (panic %d, hang %d, transient %d, nan %d)  recovered: panics %d, retries %d, timeouts %d\n",
+			fmt.Fprintf(stdout, "  rate %4.0f%%: calib-err %6.1f%%  evals %d  injected %d (panic %d, hang %d, transient %d, nan %d)  recovered: panics %d, retries %d, timeouts %d\n",
 				100*r.Rate, r.CalibError, r.Evaluations, r.Injected.Total(),
 				r.Injected.Panics, r.Injected.Hangs, r.Injected.Transients, r.Injected.NaNs,
 				r.PanicsRecovered, r.Retries, r.Timeouts)

@@ -16,6 +16,7 @@ import (
 	"simcal/internal/groundtruth"
 	"simcal/internal/mpi"
 	"simcal/internal/mpisim"
+	"simcal/internal/simspec"
 )
 
 func main() {
@@ -31,7 +32,7 @@ func main() {
 	)
 	flag.Parse()
 
-	v, err := parseVersion(*network, *node, *proto)
+	v, err := simspec.ParseMPIVersion(*network, *node, *proto)
 	if err != nil {
 		fatal(err)
 	}
@@ -51,39 +52,6 @@ func main() {
 		}
 		fmt.Printf("%12.0f  %14.1f\n", m, rate/1e6)
 	}
-}
-
-func parseVersion(network, node, proto string) (mpisim.Version, error) {
-	var v mpisim.Version
-	switch network {
-	case "backbone":
-		v.Network = mpisim.Backbone
-	case "backbone-links":
-		v.Network = mpisim.BackboneLinks
-	case "tree4":
-		v.Network = mpisim.Tree4
-	case "fat-tree":
-		v.Network = mpisim.FatTree
-	default:
-		return v, fmt.Errorf("unknown network option %q", network)
-	}
-	switch node {
-	case "simple":
-		v.Node = mpisim.SimpleNode
-	case "complex":
-		v.Node = mpisim.ComplexNode
-	default:
-		return v, fmt.Errorf("unknown node option %q", node)
-	}
-	switch proto {
-	case "fixed":
-		v.Protocol = mpisim.FixedPoints
-	case "free":
-		v.Protocol = mpisim.FreePoints
-	default:
-		return v, fmt.Errorf("unknown protocol option %q", proto)
-	}
-	return v, nil
 }
 
 func fatal(err error) {

@@ -34,121 +34,114 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
 
+	"simcal/internal/cli"
 	"simcal/internal/dist"
-	"simcal/internal/dist/chaos"
 	"simcal/internal/obs"
 	"simcal/internal/simspec"
 )
 
-func main() {
-	var (
-		connect  = flag.String("connect", "", "coordinator address (host:port), required")
-		capacity = flag.Int("capacity", 0, "concurrent evaluation leases to accept (default GOMAXPROCS)")
-		name     = flag.String("name", "", "worker name reported to the coordinator (default host/pid)")
-		retries  = flag.Int("connect-retries", 0, "extra dial attempts for coordinators that are still starting")
-		delay    = flag.Duration("retry-delay", 250*time.Millisecond, "base of the capped exponential backoff between dial attempts")
-		maxDelay = flag.Duration("retry-max-delay", 5*time.Second, "cap on the exponential backoff between dial attempts")
-		dialTO   = flag.Duration("dial-timeout", dist.DefaultDialTimeout, "per-attempt TCP dial timeout")
-		resume   = flag.Bool("resume", true, "redial and re-handshake after a mid-run connection drop instead of exiting")
-		maxSess  = flag.Int("max-sessions", 0, "with -resume: cap total sessions served (0 = unlimited)")
-		hbEvery  = flag.Duration("heartbeat", 0, "heartbeat interval (default 2s)")
-		hbDead   = flag.Duration("heartbeat-timeout", 0, "declare the coordinator dead after this much silence (default 10s)")
+func main() { cli.Main("simcal-worker", run) }
 
-		chaosProf = flag.String("chaos-profile", "", "inject seeded network faults on the coordinator connection, e.g. drop=0.05,delay=0.1:20ms,corrupt=0.01 (see internal/dist/chaos)")
-		chaosSeed = flag.Int64("chaos-seed", 1, "seed for the -chaos-profile fault schedule (same seed replays the same faults); also seeds the dial backoff jitter")
+// config is the worker's command line: its own flags and the shared
+// groups (no -trace: a worker's trace events travel to the coordinator
+// in telemetry frames).
+type config struct {
+	connect        string
+	capacity       int
+	name           string
+	connectRetries int
+	retryDelay     time.Duration
+	retryMaxDelay  time.Duration
+	dialTimeout    time.Duration
+	resume         bool
+	maxSessions    int
+	telemetryEvery time.Duration
 
-		pprofAddr = flag.String("pprof", "", "serve /metrics, /statusz, and /debug/pprof on this address (e.g. localhost:6061)")
-		metrics   = flag.Bool("metrics", false, "print the final metrics snapshot on exit")
-		telEvery  = flag.Duration("telemetry-every", 0, "how often metric deltas and trace events are shipped to the coordinator (default 500ms; negative disables)")
-	)
-	flag.Parse()
-
-	if *connect == "" {
-		fmt.Fprintln(os.Stderr, "simcal-worker: -connect is required")
-		flag.Usage()
-		os.Exit(2)
-	}
-	cap := *capacity
-	if cap <= 0 {
-		cap = runtime.GOMAXPROCS(0)
-	}
-	wname := *name
-	if wname == "" {
-		host, _ := os.Hostname()
-		wname = fmt.Sprintf("%s/%d", host, os.Getpid())
-	}
-	w, err := dist.NewWorker(dist.WorkerConfig{
-		Name:             wname,
-		Capacity:         cap,
-		Factory:          simspec.BuildSimulator,
-		HeartbeatEvery:   *hbEvery,
-		HeartbeatTimeout: *hbDead,
-		Registry:         obs.Default(),
-		TelemetryEvery:   *telEvery,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if *pprofAddr != "" {
-		obs.Default().PublishExpvar("simcal-worker")
-		srv, err := obs.StartServer(*pprofAddr, obs.ServerConfig{
-			Status: func() any {
-				return map[string]any{"worker": wname, "capacity": cap, "coordinator": *connect}
-			},
-		})
-		if err != nil {
-			fatal(fmt.Errorf("observability server: %w", err))
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		}()
-		fmt.Fprintf(os.Stderr, "simcal-worker: observability server on http://%s\n", srv.Addr())
-	}
-	var tr dist.Transport = dist.TCP{DialTimeout: *dialTO}
-	var ct *chaos.Transport
-	if *chaosProf != "" {
-		prof, err := chaos.ParseProfile(*chaosProf)
-		if err != nil {
-			fatal(fmt.Errorf("-chaos-profile: %w", err))
-		}
-		ct, err = chaos.New(dist.TCP{DialTimeout: *dialTO}, prof, *chaosSeed)
-		if err != nil {
-			fatal(fmt.Errorf("-chaos-profile: %w", err))
-		}
-		tr = ct
-		fmt.Fprintf(os.Stderr, "simcal-worker: chaos profile %q seed %d\n", *chaosProf, *chaosSeed)
-	}
-	fmt.Fprintf(os.Stderr, "simcal-worker %s connecting to %s (capacity %d)\n", wname, *connect, cap)
-	err = w.RunSession(context.Background(), tr, *connect, dist.SessionConfig{
-		MaxDialAttempts: *retries + 1,
-		BaseDelay:       *delay,
-		MaxDelay:        *maxDelay,
-		Seed:            *chaosSeed,
-		Resume:          *resume,
-		MaxSessions:     *maxSess,
-	})
-	if ct != nil {
-		fmt.Fprintf(os.Stderr, "simcal-worker: chaos faults injected: %s\n", ct.Counts())
-	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintln(os.Stderr, "simcal-worker: coordinator closed the connection; exiting")
-	if *metrics {
-		fmt.Println("metrics:")
-		if err := obs.Default().Snapshot().WriteText(os.Stdout); err != nil {
-			fatal(err)
-		}
-	}
+	obs   cli.Obs
+	chaos cli.Chaos
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "simcal-worker:", err)
-	os.Exit(1)
+func (c *config) flagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("simcal-worker", flag.ContinueOnError)
+	fs.StringVar(&c.connect, "connect", "", "coordinator address (host:port), required")
+	fs.IntVar(&c.capacity, "capacity", 0, "concurrent evaluation leases to accept (default GOMAXPROCS)")
+	fs.StringVar(&c.name, "name", "", "worker name reported to the coordinator (default host/pid)")
+	fs.IntVar(&c.connectRetries, "connect-retries", 0, "extra dial attempts for coordinators that are still starting")
+	fs.DurationVar(&c.retryDelay, "retry-delay", 250*time.Millisecond, "base of the capped exponential backoff between dial attempts")
+	fs.DurationVar(&c.retryMaxDelay, "retry-max-delay", 5*time.Second, "cap on the exponential backoff between dial attempts")
+	fs.DurationVar(&c.dialTimeout, "dial-timeout", dist.DefaultDialTimeout, "per-attempt TCP dial timeout")
+	fs.BoolVar(&c.resume, "resume", true, "redial and re-handshake after a mid-run connection drop instead of exiting")
+	fs.IntVar(&c.maxSessions, "max-sessions", 0, "with -resume: cap total sessions served (0 = unlimited)")
+	fs.DurationVar(&c.telemetryEvery, "telemetry-every", 0, "how often metric deltas and trace events are shipped to the coordinator (default 500ms; negative disables)")
+
+	c.obs.Register(fs)
+	c.chaos.Register(fs)
+	return fs
+}
+
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	var c config
+	fs := c.flagSet()
+	if err := cli.Parse(fs, args, stderr); err != nil {
+		return err
+	}
+	if c.connect == "" {
+		fmt.Fprintln(stderr, "simcal-worker: -connect is required")
+		fs.Usage()
+		return cli.ErrUsage
+	}
+	if c.capacity <= 0 {
+		c.capacity = runtime.GOMAXPROCS(0)
+	}
+	if c.name == "" {
+		host, _ := os.Hostname()
+		c.name = fmt.Sprintf("%s/%d", host, os.Getpid())
+	}
+	w, err := dist.NewWorker(dist.WorkerConfig{
+		Name:           c.name,
+		Capacity:       c.capacity,
+		Factory:        simspec.BuildSimulator,
+		Registry:       obs.Default(),
+		TelemetryEvery: c.telemetryEvery,
+	})
+	if err != nil {
+		return err
+	}
+	err = c.obs.Start("simcal-worker", obs.ServerConfig{
+		Status: func() any {
+			return map[string]any{"worker": c.name, "capacity": c.capacity, "coordinator": c.connect}
+		},
+	}, stdout, stderr)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := c.obs.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	tr, report, err := c.chaos.Wrap("simcal-worker", dist.TCP{DialTimeout: c.dialTimeout}, stderr)
+	if err != nil {
+		return err
+	}
+	defer report()
+	fmt.Fprintf(stderr, "simcal-worker %s connecting to %s (capacity %d)\n", c.name, c.connect, c.capacity)
+	err = w.RunSession(context.Background(), tr, c.connect, dist.SessionConfig{
+		MaxDialAttempts: c.connectRetries + 1,
+		BaseDelay:       c.retryDelay,
+		MaxDelay:        c.retryMaxDelay,
+		Seed:            c.chaos.Seed,
+		Resume:          c.resume,
+		MaxSessions:     c.maxSessions,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(stderr, "simcal-worker: coordinator closed the connection; exiting")
+	return nil
 }

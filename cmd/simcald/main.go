@@ -27,10 +27,9 @@
 // journal re-queues unfinished jobs and they resume from their
 // checkpoints.
 //
-// Shutdown ordering on SIGINT/SIGTERM mirrors simcal: first the job
-// server (cancel runs, journal them as resumable), then the lease
-// coordinator (workers exit cleanly), then the HTTP plane — so
-// /statusz never reads a closed coordinator.
+// On SIGINT/SIGTERM the job server stops first (runs are cancelled and
+// journalled as resumable), then the fleet and the HTTP plane in the
+// order internal/cli fixes for every binary.
 package main
 
 import (
@@ -38,127 +37,92 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"simcal/internal/cache"
+	"simcal/internal/cli"
 	"simcal/internal/core"
-	"simcal/internal/dist"
 	"simcal/internal/obs"
 	"simcal/internal/opt"
 	"simcal/internal/service"
-	"simcal/internal/simspec"
 )
 
-func main() {
-	var (
-		httpAddr    = flag.String("http", "localhost:8080", "serve the job API and observability plane on this address")
-		listen      = flag.String("listen", "", "distribute loss evaluations: listen for simcal-worker processes on this address")
-		distWorkers = flag.Int("dist-workers", 1, "with -listen: wait for this many connected workers before serving jobs")
+func main() { cli.Main("simcald", run) }
 
-		maxRunning  = flag.Int("max-running", 2, "concurrently running jobs")
-		tenantQuota = flag.Int("tenant-quota", 8, "max open (pending+running) jobs per tenant; negative disables")
-		stateDir    = flag.String("state-dir", "", "durable job state: journal, checkpoints, results (jobs resume after restarts)")
-		ckptEvery   = flag.Int("checkpoint-every", 25, "evaluations between job checkpoint snapshots")
-		useCache    = flag.Bool("cache", true, "memoize loss evaluations across jobs (content-addressed by spec fingerprint)")
+// config is simcald's command line: its own flags and the shared
+// groups. The observability plane is always on — it carries the job
+// API — so its address is -http rather than -pprof.
+type config struct {
+	maxRunning      int
+	tenantQuota     int
+	stateDir        string
+	checkpointEvery int
+	cache           bool
+	asyncInflight   int
 
-		asyncInflight = flag.Int("async-inflight", 0, "async-bo jobs: max in-flight evaluations per job (0 = job worker count)")
+	obs   cli.Obs
+	fleet cli.Fleet
+}
 
-		leaseResend   = flag.Duration("lease-resend", 0, "with -listen: redeliver an unanswered lease after this long (0 = off)")
-		maxRequeues   = flag.Int("max-requeues", 0, "with -listen: quarantine a lease after this many requeues (0 = default 3)")
-		degradedGrace = flag.Duration("degraded-grace", 0, "with -listen: drain locally after the fleet has been empty this long (0 = default 30s)")
-	)
-	flag.Parse()
-	if err := run(daemonCfg{
-		httpAddr:      *httpAddr,
-		listen:        *listen,
-		distWorkers:   *distWorkers,
-		maxRunning:    *maxRunning,
-		tenantQuota:   *tenantQuota,
-		stateDir:      *stateDir,
-		ckptEvery:     *ckptEvery,
-		useCache:      *useCache,
-		asyncInflight: *asyncInflight,
-		leaseResend:   *leaseResend,
-		maxRequeues:   *maxRequeues, degradedGrace: *degradedGrace,
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "simcald:", err)
-		os.Exit(1)
+func (c *config) flagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("simcald", flag.ContinueOnError)
+	fs.StringVar(&c.obs.Pprof, "http", "localhost:8080", "serve the job API and observability plane on this address")
+	fs.IntVar(&c.maxRunning, "max-running", 2, "concurrently running jobs")
+	fs.IntVar(&c.tenantQuota, "tenant-quota", 8, "max open (pending+running) jobs per tenant; negative disables")
+	fs.StringVar(&c.stateDir, "state-dir", "", "durable job state: journal, checkpoints, results (jobs resume after restarts)")
+	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 25, "evaluations between job checkpoint snapshots")
+	fs.BoolVar(&c.cache, "cache", true, "memoize loss evaluations across jobs (content-addressed by spec fingerprint)")
+	fs.IntVar(&c.asyncInflight, "async-inflight", 0, "async-bo jobs: max in-flight evaluations per job (0 = job worker count)")
+
+	c.fleet.Register(fs)
+	c.fleet.Hardening.Register(fs)
+	return fs
+}
+
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	var c config
+	if err := cli.Parse(c.flagSet(), args, stderr); err != nil {
+		return err
 	}
-}
-
-type daemonCfg struct {
-	httpAddr      string
-	listen        string
-	distWorkers   int
-	maxRunning    int
-	tenantQuota   int
-	stateDir      string
-	ckptEvery     int
-	useCache      bool
-	asyncInflight int
-	leaseResend   time.Duration
-	maxRequeues   int
-	degradedGrace time.Duration
-}
-
-func run(cfg daemonCfg) error {
 	reg := obs.Default()
-	reg.PublishExpvar("simcald")
-
-	// Backend first: with -listen, the shared lease coordinator every
-	// job's evaluations multiplex onto.
-	var coord *dist.Coordinator
-	var ln dist.Listener
 	svcCfg := service.Config{
-		MaxRunning:      cfg.maxRunning,
-		TenantQuota:     cfg.tenantQuota,
-		StateDir:        cfg.stateDir,
-		CheckpointEvery: cfg.ckptEvery,
+		MaxRunning:      c.maxRunning,
+		TenantQuota:     c.tenantQuota,
+		StateDir:        c.stateDir,
+		CheckpointEvery: c.checkpointEvery,
 		Registry:        reg,
 	}
-	if cfg.asyncInflight > 0 {
+	if c.asyncInflight > 0 {
 		svcCfg.Algorithm = func(name string) (core.Algorithm, error) {
 			alg, err := opt.ByName(name)
 			if ab, ok := alg.(*opt.AsyncBayesOpt); ok {
-				ab.MaxInFlight = cfg.asyncInflight
+				ab.MaxInFlight = c.asyncInflight
 			}
 			return alg, err
 		}
 	}
-	if cfg.useCache {
+	if c.cache {
 		svcCfg.Cache = cache.New(reg)
 	}
-	if cfg.listen != "" {
-		var err error
-		ln, err = dist.TCP{}.Listen(cfg.listen)
-		if err != nil {
-			return err
+
+	// Deferred in reverse of the stop order: job server, fleet, HTTP
+	// plane. (obs.Close is registered before obs.Start can run because
+	// the plane mounts the job server, which needs the fleet; closing an
+	// unstarted Obs does nothing.)
+	defer func() {
+		if cerr := c.obs.Close(); err == nil {
+			err = cerr
 		}
-		coord = dist.NewCoordinator(dist.CoordinatorConfig{
-			Name:          "simcald",
-			Registry:      reg,
-			LocalFactory:  simspec.BuildSimulator,
-			MaxRequeues:   cfg.maxRequeues,
-			DegradedGrace: cfg.degradedGrace,
-			ResendAfter:   cfg.leaseResend,
-		})
-		go func() {
-			if err := coord.Serve(ln); err != nil {
-				fmt.Fprintln(os.Stderr, "simcald: coordinator:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "coordinator listening on %s; waiting for %d worker(s)\n", ln.Addr(), cfg.distWorkers)
-		wctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-		err = coord.WaitForWorkers(wctx, cfg.distWorkers)
-		cancel()
-		if err != nil {
-			coord.Close()
-			ln.Close()
-			return err
-		}
+	}()
+	defer c.fleet.Close()
+	coord, err := c.fleet.Start("simcald", reg, nil, "", stderr)
+	if err != nil {
+		return err
+	}
+	if coord != nil {
 		// Leases carry the owning job's ID, so one job's cancellation
 		// purges only its own queue entries from the shared fleet.
 		svcCfg.Backend = func(job string, spec json.RawMessage) (core.Simulator, error) {
@@ -166,57 +130,26 @@ func run(cfg daemonCfg) error {
 		}
 		svcCfg.CancelJob = coord.CancelJob
 	}
-
 	svc, err := service.NewServer(svcCfg)
 	if err != nil {
-		if coord != nil {
-			coord.Close()
-			ln.Close()
-		}
 		return err
 	}
-
-	srv, err := obs.StartServer(cfg.httpAddr, obs.ServerConfig{
+	defer svc.Close()
+	err = c.obs.Start("simcald", obs.ServerConfig{
 		Registry: reg,
-		Refresh: func() {
-			if coord != nil {
-				coord.RefreshFleetGauges()
-			}
-		},
-		Status: func() any {
-			if coord != nil {
-				return coord.Status()
-			}
-			return nil
-		},
-		Jobs:  func() any { return svc.Summary() },
-		Mount: svc.Routes,
-	})
+		Refresh:  c.fleet.Refresh,
+		Status:   c.fleet.Status,
+		Jobs:     func() any { return svc.Summary() },
+		Mount:    svc.Routes,
+	}, stdout, stderr)
 	if err != nil {
-		svc.Close()
-		if coord != nil {
-			coord.Close()
-			ln.Close()
-		}
-		return fmt.Errorf("http server: %w", err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "simcald serving jobs on http://%s/v1/jobs (/metrics /statusz /healthz)\n", srv.Addr())
+	fmt.Fprintln(stderr, "simcald: job API at /v1/jobs")
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	<-ctx.Done()
-	fmt.Fprintln(os.Stderr, "simcald: shutting down")
-
-	// The shutdown order the simcal satellite fix established: job
-	// server first (its runs journal as resumable), then the
-	// coordinator (workers exit cleanly), and the HTTP plane last so a
-	// late /statusz scrape never reads a closed coordinator.
-	svc.Close()
-	if coord != nil {
-		coord.Close()
-		ln.Close()
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	return srv.Shutdown(sctx)
+	fmt.Fprintln(stderr, "simcald: shutting down")
+	return nil
 }

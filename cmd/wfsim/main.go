@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"simcal/internal/groundtruth"
+	"simcal/internal/simspec"
 	"simcal/internal/wfgen"
 	"simcal/internal/wfsim"
 	"simcal/internal/workflow"
@@ -60,7 +61,7 @@ func main() {
 		})
 	}
 
-	v, err := parseVersion(*network, *storage, *compute)
+	v, err := simspec.ParseWFVersion(*network, *storage, *compute)
 	if err != nil {
 		fatal(err)
 	}
@@ -86,37 +87,6 @@ func main() {
 			fmt.Printf("  %-30s %.3f s\n", n, res.TaskTimes[n])
 		}
 	}
-}
-
-func parseVersion(network, storage, compute string) (wfsim.Version, error) {
-	var v wfsim.Version
-	switch network {
-	case "one-link":
-		v.Network = wfsim.OneLink
-	case "star":
-		v.Network = wfsim.Star
-	case "series":
-		v.Network = wfsim.Series
-	default:
-		return v, fmt.Errorf("unknown network option %q", network)
-	}
-	switch storage {
-	case "submit":
-		v.Storage = wfsim.SubmitOnly
-	case "all":
-		v.Storage = wfsim.AllNodes
-	default:
-		return v, fmt.Errorf("unknown storage option %q", storage)
-	}
-	switch compute {
-	case "direct":
-		v.Compute = wfsim.Direct
-	case "htcondor":
-		v.Compute = wfsim.HTCondor
-	default:
-		return v, fmt.Errorf("unknown compute option %q", compute)
-	}
-	return v, nil
 }
 
 func fatal(err error) {
