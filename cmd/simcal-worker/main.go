@@ -20,11 +20,11 @@
 // this worker and the coordinator for failure testing (see
 // internal/dist/chaos).
 //
-// Besides streaming results, the worker piggybacks telemetry frames on
-// the coordinator connection: its metric deltas and evaluation trace
-// events appear in the coordinator's /metrics and JSONL trace labeled
-// with this worker's name. -pprof additionally serves the worker's own
-// /metrics, /statusz, and pprof endpoints.
+// Its result and heartbeat frames also carry telemetry: the worker's
+// metric deltas and each evaluation's timing appear in the
+// coordinator's /metrics and JSONL trace labeled with this worker's
+// name. -pprof additionally serves the worker's own /metrics, /statusz,
+// and pprof endpoints.
 //
 // The process exits 0 when the coordinator closes the connection (the
 // calibration finished) and non-zero on dial or protocol errors.
@@ -48,8 +48,8 @@ import (
 func main() { cli.Main("simcal-worker", run) }
 
 // config is the worker's command line: its own flags and the shared
-// groups (no -trace: a worker's trace events travel to the coordinator
-// in telemetry frames).
+// groups (no -trace: an evaluation's worker-side timing travels to the
+// coordinator's trace on its result frame).
 type config struct {
 	connect        string
 	capacity       int
@@ -60,7 +60,6 @@ type config struct {
 	dialTimeout    time.Duration
 	resume         bool
 	maxSessions    int
-	telemetryEvery time.Duration
 
 	obs   cli.Obs
 	chaos cli.Chaos
@@ -77,7 +76,6 @@ func (c *config) flagSet() *flag.FlagSet {
 	fs.DurationVar(&c.dialTimeout, "dial-timeout", dist.DefaultDialTimeout, "per-attempt TCP dial timeout")
 	fs.BoolVar(&c.resume, "resume", true, "redial and re-handshake after a mid-run connection drop instead of exiting")
 	fs.IntVar(&c.maxSessions, "max-sessions", 0, "with -resume: cap total sessions served (0 = unlimited)")
-	fs.DurationVar(&c.telemetryEvery, "telemetry-every", 0, "how often metric deltas and trace events are shipped to the coordinator (default 500ms; negative disables)")
 
 	c.obs.Register(fs)
 	c.chaos.Register(fs)
@@ -103,11 +101,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		c.name = fmt.Sprintf("%s/%d", host, os.Getpid())
 	}
 	w, err := dist.NewWorker(dist.WorkerConfig{
-		Name:           c.name,
-		Capacity:       c.capacity,
-		Factory:        simspec.BuildSimulator,
-		Registry:       obs.Default(),
-		TelemetryEvery: c.telemetryEvery,
+		Name:     c.name,
+		Capacity: c.capacity,
+		Factory:  simspec.BuildSimulator,
+		Registry: obs.Default(),
 	})
 	if err != nil {
 		return err

@@ -24,10 +24,12 @@ import (
 // rebuilt on internal/cli (7f8c30e), name → default, minus the two
 // flags that change deleted: -heartbeat and -heartbeat-timeout could
 // only be set out of step with the coordinator, which has no such flag.
+// PR 23 deleted -telemetry-every with the frame it paced: telemetry
+// rides result and heartbeat frames, so there is no cadence to set.
 var parentFlags = map[string]string{
 	"capacity": "0", "chaos-profile": "", "chaos-seed": "1", "connect": "", "connect-retries": "0",
 	"dial-timeout": "10s", "max-sessions": "0", "metrics": "false", "name": "", "pprof": "",
-	"resume": "true", "retry-delay": "250ms", "retry-max-delay": "5s", "telemetry-every": "0s",
+	"resume": "true", "retry-delay": "250ms", "retry-max-delay": "5s",
 }
 
 func TestFlagsMatchParent(t *testing.T) {

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"simcal/internal/obs"
 )
 
 // Checkpoint/resume for long calibrations: a checkpoint is a snapshot of
@@ -99,55 +101,6 @@ func identityOrder(order []int) bool {
 	return true
 }
 
-// lossValue is a float64 whose JSON form survives non-finite values:
-// encoding/json rejects ±Inf and NaN, but failed evaluations are
-// memoized as +Inf losses, so checkpoints encode them with the same
-// string sentinels as the obs tracer ("Inf", "-Inf", "NaN"). Finite
-// values use Go's shortest-round-trip float encoding, so units and
-// losses survive the disk round-trip bitwise.
-type lossValue float64
-
-// MarshalJSON implements json.Marshaler.
-func (v lossValue) MarshalJSON() ([]byte, error) {
-	f := float64(v)
-	switch {
-	case math.IsInf(f, 1):
-		return []byte(`"Inf"`), nil
-	case math.IsInf(f, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(f):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(f)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (v *lossValue) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		switch s {
-		case "Inf", "+Inf":
-			*v = lossValue(math.Inf(1))
-		case "-Inf":
-			*v = lossValue(math.Inf(-1))
-		case "NaN":
-			*v = lossValue(math.NaN())
-		default:
-			return fmt.Errorf("core: invalid loss sentinel %q", s)
-		}
-		return nil
-	}
-	var f float64
-	if err := json.Unmarshal(b, &f); err != nil {
-		return err
-	}
-	*v = lossValue(f)
-	return nil
-}
-
 type checkpointDoc struct {
 	Kind        string            `json:"kind"` // "simcal-calibration-checkpoint"
 	Algorithm   string            `json:"algorithm"`
@@ -167,8 +120,8 @@ type ckptInflightDoc struct {
 
 type ckptSampleDoc struct {
 	Unit      []float64            `json:"unit"`
-	Point     map[string]lossValue `json:"point"`
-	Loss      lossValue            `json:"loss"`
+	Point     map[string]obs.Float `json:"point"`
+	Loss      obs.Float            `json:"loss"`
 	ElapsedNS int64                `json:"elapsedNanos"`
 }
 
@@ -184,14 +137,14 @@ func (c *Checkpoint) WriteJSON(w io.Writer) error {
 		Samples:     make([]ckptSampleDoc, 0, len(c.Samples)),
 	}
 	for _, s := range c.Samples {
-		pt := make(map[string]lossValue, len(s.Point))
+		pt := make(map[string]obs.Float, len(s.Point))
 		for k, v := range s.Point {
-			pt[k] = lossValue(v)
+			pt[k] = obs.Float(v)
 		}
 		doc.Samples = append(doc.Samples, ckptSampleDoc{
 			Unit:      s.Unit,
 			Point:     pt,
-			Loss:      lossValue(s.Loss),
+			Loss:      obs.Float(s.Loss),
 			ElapsedNS: int64(s.Elapsed),
 		})
 	}

@@ -33,6 +33,7 @@ func FuzzReadResult(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(`{"kind":"simcal-calibration-result"}`))
 	f.Add([]byte(`{"kind":"wrong","best":{"point":{"x":1}}}`))
+	f.Add([]byte(`{"kind":"simcal-calibration-result","evaluations":1,"best":{"point":{"x":1},"loss":"Inf"},"history":[{"point":{"x":1},"loss":"Inf"}]}`))
 	f.Add([]byte(""))
 	f.Add([]byte("{"))
 	f.Add([]byte("null"))

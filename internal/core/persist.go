@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"simcal/internal/obs"
 )
 
 // The on-disk calibration-result format: enough to resume analysis
@@ -21,9 +23,9 @@ type resultDoc struct {
 }
 
 type sampleDoc struct {
-	Point      Point   `json:"point"`
-	Loss       float64 `json:"loss"`
-	ElapsedSec float64 `json:"elapsedSeconds"`
+	Point      Point     `json:"point"`
+	Loss       obs.Float `json:"loss"` // +Inf is how a failed evaluation is recorded
+	ElapsedSec float64   `json:"elapsedSeconds"`
 }
 
 const resultDocKind = "simcal-calibration-result"
@@ -37,11 +39,11 @@ func (r *Result) WriteJSON(out io.Writer, withHistory bool) error {
 		Algorithm:   r.Algorithm,
 		Evaluations: r.Evaluations,
 		ElapsedSec:  r.Elapsed.Seconds(),
-		Best:        sampleDoc{Point: r.Best.Point, Loss: r.Best.Loss, ElapsedSec: r.Best.Elapsed.Seconds()},
+		Best:        sampleDoc{Point: r.Best.Point, Loss: obs.Float(r.Best.Loss), ElapsedSec: r.Best.Elapsed.Seconds()},
 	}
 	if withHistory {
 		for _, s := range r.History {
-			doc.History = append(doc.History, sampleDoc{Point: s.Point, Loss: s.Loss, ElapsedSec: s.Elapsed.Seconds()})
+			doc.History = append(doc.History, sampleDoc{Point: s.Point, Loss: obs.Float(s.Loss), ElapsedSec: s.Elapsed.Seconds()})
 		}
 	}
 	return json.NewEncoder(out).Encode(doc)
@@ -67,14 +69,14 @@ func ReadResult(in io.Reader) (*Result, error) {
 		Elapsed:     time.Duration(doc.ElapsedSec * float64(time.Second)),
 		Best: Sample{
 			Point:   doc.Best.Point,
-			Loss:    doc.Best.Loss,
+			Loss:    float64(doc.Best.Loss),
 			Elapsed: time.Duration(doc.Best.ElapsedSec * float64(time.Second)),
 		},
 	}
 	for _, s := range doc.History {
 		r.History = append(r.History, Sample{
 			Point:   s.Point,
-			Loss:    s.Loss,
+			Loss:    float64(s.Loss),
 			Elapsed: time.Duration(s.ElapsedSec * float64(time.Second)),
 		})
 	}

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestResultJSONRoundTrip(t *testing.T) {
@@ -49,6 +51,52 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		if lossesA[i] != lossesB[i] {
 			t.Fatal("convergence curve changed by round trip")
 		}
+	}
+}
+
+// TestResultJSONNonFiniteLossRoundTrip: a failed evaluation is recorded
+// as a +Inf loss, and a result holding one must still be writable —
+// simcal -out, simcald's durable result and its result endpoint all go
+// through WriteJSON after the whole calibration has run. Finite losses
+// keep their bytes.
+func TestResultJSONNonFiniteLossRoundTrip(t *testing.T) {
+	res := &Result{
+		Algorithm:   "RAND",
+		Evaluations: 3,
+		Elapsed:     3 * time.Second,
+		Best:        Sample{Point: Point{"x": 1.5}, Loss: 0.25, Elapsed: 2 * time.Second},
+		History: []Sample{
+			{Point: Point{"x": 4}, Loss: math.Inf(1), Elapsed: time.Second},
+			{Point: Point{"x": 1.5}, Loss: 0.25, Elapsed: 2 * time.Second},
+			{Point: Point{"x": 9}, Loss: math.NaN(), Elapsed: 3 * time.Second},
+		},
+	}
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf, true); err != nil {
+		t.Fatalf("a history with a failed evaluation cannot be written: %v", err)
+	}
+	doc := buf.String()
+	for _, want := range []string{`"loss":"Inf"`, `"loss":"NaN"`, `"loss":0.25`} {
+		if !strings.Contains(doc, want) {
+			t.Errorf("result document lacks %s:\n%s", want, doc)
+		}
+	}
+	back, err := ReadResult(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.History) != 3 || !math.IsInf(back.History[0].Loss, 1) || back.History[1].Loss != 0.25 || !math.IsNaN(back.History[2].Loss) {
+		t.Errorf("history losses after the round trip = %+v", back.History)
+	}
+
+	// All-failed: the best sample itself is +Inf.
+	res.Best.Loss = math.Inf(1)
+	buf.Reset()
+	if err := res.WriteJSON(&buf, false); err != nil {
+		t.Fatal(err)
+	}
+	if back, err = ReadResult(&buf); err != nil || !math.IsInf(back.Best.Loss, 1) {
+		t.Errorf("a +Inf best loss came back as %v, %v", back, err)
 	}
 }
 

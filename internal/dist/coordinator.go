@@ -53,17 +53,17 @@ type CoordinatorConfig struct {
 	// Registry, when non-nil, receives the dist.* counters and gauges.
 	Registry *obs.Registry
 	// Tracer, when non-nil, receives worker lifecycle and requeue
-	// events, plus the worker-side evaluation events shipped over
-	// telemetry frames (re-emitted with worker, source, and
-	// clock-offset fields — see absorbTelemetry). All of these are
+	// events, plus one dist_worker_eval event per evaluation a worker
+	// answered, carrying the worker-clock timing its result brought
+	// (see fleet.traceWorkerEval). All of these are
 	// additions to the trace, never reorderings of calibration events:
 	// the calibration's own observer still sees remote evaluations
 	// through the ordinary core.Simulator path, which is what lets a
 	// distributed run's calibration trajectory stay bitwise identical
 	// to a serial run's.
 	Tracer *obs.Tracer
-	// TraceID, when non-empty, is stamped on every lease so worker-side
-	// trace events carry the run they belong to.
+	// TraceID, when non-empty, is stamped on every dist_worker_eval
+	// event, so a merged trace is keyed by (trace, lease).
 	TraceID string
 	// Clock is the time source for heartbeats; nil means RealClock.
 	// Tests inject a ManualClock so expiry tests never sleep.
@@ -355,12 +355,12 @@ func (c *Coordinator) handle(conn Conn) {
 			return
 		}
 		c.framesRx.Inc()
+		// Absorbed before delivered: when a result's callback runs, the
+		// registry already holds the deltas its frame carried.
+		c.absorbTelemetry(w, f.Telemetry)
 		c.mu.Lock()
 		c.fleet.frame(c.now(), w, f)
 		c.perform()
-		if f.Type == TypeTelemetry {
-			c.absorbTelemetry(w, f.Telemetry)
-		}
 	}
 }
 
@@ -396,65 +396,24 @@ func (c *Coordinator) workerDead(w *remoteWorker, cause error) {
 	c.perform()
 }
 
-// absorbTelemetry merges one worker telemetry frame into the
-// coordinator's registry and trace. Metric names gain a worker label
+// absorbTelemetry merges the metric deltas a worker's frame carried
+// into the coordinator's registry. Metric names gain a worker label
 // (worker.eval_ns becomes `worker.eval_ns{worker="w1"}`): counters and
-// histograms arrive as deltas and are added, gauges arrive absolute
-// and are set. If the frame echoes a heartbeat ping, the NTP-style
-// clock offset is computed — offset = ((t2-t1)+(t3-t4))/2, rtt =
-// (t4-t1)-(t3-t2) — and the estimate with the smallest RTT is kept.
-// Trace events are re-emitted into the run's trace tagged with the
-// worker name, source="worker", the raw worker timestamp, and (once an
-// offset exists) the coordinator-clock translation.
+// histograms arrive as deltas and are added, gauges arrive absolute and
+// are set. (The frame's clock-sync echo is the fleet's: fleet.frame.)
 func (c *Coordinator) absorbTelemetry(w *remoteWorker, t *TelemetryMsg) {
-	now := c.clock.Now().UnixNano()
-	if reg := c.cfg.Registry; reg != nil {
-		for name, d := range t.Counters {
-			reg.Counter(obs.LabeledName(name, "worker", w.name)).Add(d)
-		}
-		for name, v := range t.Gauges {
-			reg.Gauge(obs.LabeledName(name, "worker", w.name)).Set(float64(v))
-		}
-		for name, d := range t.Hists {
-			reg.Histogram(obs.LabeledName(name, "worker", w.name)).AbsorbDelta(d)
-		}
-	}
-	var offset int64
-	var haveOffset bool
-	if t.EchoPingUnixNS != 0 && t.EchoRecvUnixNS != 0 && t.SentUnixNS != 0 {
-		t1, t2, t3, t4 := t.EchoPingUnixNS, t.EchoRecvUnixNS, t.SentUnixNS, now
-		off, rtt := ClockOffset(t1, t2, t3, t4)
-		if rtt >= 0 {
-			c.mu.Lock()
-			if !w.hasOffset || rtt < w.offsetRTT {
-				w.offsetNS, w.offsetRTT, w.hasOffset = off, rtt, true
-			}
-			offset, haveOffset = w.offsetNS, true
-			c.mu.Unlock()
-			w.gOffset.Set(float64(offset))
-		}
-	}
-	if !haveOffset {
-		c.mu.Lock()
-		offset, haveOffset = w.offsetNS, w.hasOffset
-		c.mu.Unlock()
-	}
-	if c.cfg.Tracer == nil {
+	reg := c.cfg.Registry
+	if t == nil || reg == nil {
 		return
 	}
-	for _, ev := range t.Events {
-		fields := make(obs.Fields, len(ev.Fields)+5)
-		for k, v := range ev.Fields {
-			fields[k] = v
-		}
-		fields["worker"] = w.name
-		fields["source"] = "worker"
-		fields["t_worker_unix_ns"] = ev.TUnixNS
-		if haveOffset {
-			fields["clock_offset_ns"] = offset
-			fields["t_unix_ns"] = ev.TUnixNS - offset
-		}
-		c.cfg.Tracer.Emit(ev.Name, fields)
+	for name, d := range t.Counters {
+		reg.Counter(obs.LabeledName(name, "worker", w.name)).Add(d)
+	}
+	for name, v := range t.Gauges {
+		reg.Gauge(obs.LabeledName(name, "worker", w.name)).Set(float64(v))
+	}
+	for name, d := range t.Hists {
+		reg.Histogram(obs.LabeledName(name, "worker", w.name)).AbsorbDelta(d)
 	}
 }
 
@@ -703,9 +662,11 @@ func (c *Coordinator) Status() CoordinatorStatus {
 }
 
 // RefreshFleetGauges brings the coordinator-owned per-worker gauges
-// (in-flight leases, heartbeat age) up to date. It is the Refresh hook
-// a /metrics endpoint calls before every scrape — these gauges describe
-// passage of time, so they go stale without a poke.
+// (in-flight leases, heartbeat age, clock offset) up to date. It is the
+// Refresh hook a /metrics endpoint calls before every scrape: these
+// gauges mirror fleet state, which moves with every frame and with the
+// passage of time, so they are written when read rather than when it
+// moves.
 func (c *Coordinator) RefreshFleetGauges() {
 	now := c.clock.Now().UnixNano()
 	c.mu.Lock()
@@ -713,6 +674,7 @@ func (c *Coordinator) RefreshFleetGauges() {
 	for _, w := range c.fleet.workers {
 		w.gInflight.Set(float64(len(w.inflight)))
 		w.gHbAge.Set(float64(now - w.lastRecvNS))
+		w.gOffset.Set(float64(w.offsetNS))
 	}
 }
 

@@ -81,7 +81,7 @@ type remoteWorker struct {
 	nextPingNS int64 // when the next heartbeat is due
 
 	// Clock-offset estimate (worker clock minus coordinator clock),
-	// derived from heartbeat pings echoed in telemetry frames. The
+	// derived from heartbeat pings echoed in the worker's frames. The
 	// estimate with the smallest round trip wins — the standard NTP
 	// argument: less queueing delay, tighter bound.
 	offsetNS  int64
@@ -310,7 +310,7 @@ func (f *fleet) canDegrade() bool {
 func (f *fleet) deliver(now int64, w *remoteWorker, l *lease) {
 	l.attempt++
 	l.sentNS = now
-	msg := &LeaseMsg{ID: l.id, Index: l.index, Job: l.job, Spec: l.spec, Point: l.point, TraceID: f.cfg.TraceID, Attempt: l.attempt}
+	msg := &LeaseMsg{ID: l.id, Index: l.index, Spec: l.spec, Point: l.point, Attempt: l.attempt}
 	if f.cfg.LeaseTimeout > 0 {
 		msg.TimeoutMS = f.cfg.LeaseTimeout.Milliseconds()
 	}
@@ -358,12 +358,20 @@ func (f *fleet) hello(now int64, w *remoteWorker) {
 }
 
 // frame handles one inbound frame from w. Every frame refreshes the
-// liveness stamp; a result resolves its lease; telemetry is absorbed by
-// the coordinator outside the state machine (it is observational).
+// liveness stamp and may echo a clock-sync ping; a result resolves its
+// lease. (The metric deltas a frame carries are merged into the registry
+// by the coordinator, before it feeds the frame here.)
 func (f *fleet) frame(now int64, w *remoteWorker, fr *Frame) {
 	w.lastRecvNS = now
+	if t := fr.Telemetry; t != nil && t.EchoPingUnixNS != 0 && t.EchoRecvUnixNS != 0 && t.SentUnixNS != 0 {
+		// t1 = our ping's send stamp, t2/t3 = the worker's receive and
+		// send stamps, t4 = now. The smallest round trip wins.
+		if off, rtt := ClockOffset(t.EchoPingUnixNS, t.EchoRecvUnixNS, t.SentUnixNS, now); rtt >= 0 && (!w.hasOffset || rtt < w.offsetRTT) {
+			w.offsetNS, w.offsetRTT, w.hasOffset = off, rtt, true
+		}
+	}
 	switch fr.Type {
-	case TypeHeartbeat, TypeTelemetry:
+	case TypeHeartbeat:
 	case TypeResult:
 		f.result(now, w, fr.Result)
 	default:
@@ -398,14 +406,46 @@ func (f *fleet) result(now int64, w *remoteWorker, res *ResultMsg) {
 			out.err = resilience.MarkTransient(out.err)
 		}
 	}
+	f.traceWorkerEval(w, l, res)
 	// Refill before deliver: the freed slot gets its next lease — and
 	// the writer its wake — before the completion callback runs, so the
-	// worker is busy again while the caller digests the result. (The
-	// order is also visible from outside: which goroutine the reader
-	// readies last decides whether a worker's telemetry loop coalesces
-	// two evaluations into one frame. DESIGN §7.)
+	// worker is busy again while the caller digests the result.
 	f.assign(now)
 	f.resolve(l, out)
+}
+
+// traceWorkerEval emits the worker's view of the evaluation that just
+// resolved l: the timing the result carried on the worker's clock, joined
+// with what the lease already knows. Exactly one per lease that a
+// worker's answer resolves (a duplicate never gets here), and — being an
+// action ahead of the deliver — in the trace before the evaluation's
+// caller hears of the result. Once a clock-offset estimate for w exists
+// the event also carries it and the start translated to this clock.
+func (f *fleet) traceWorkerEval(w *remoteWorker, l *lease, res *ResultMsg) {
+	if f.cfg.Tracer == nil {
+		return
+	}
+	fields := obs.Fields{
+		"lease": l.id, "index": l.index,
+		"start_unix_ns": res.StartUnixNS, "dur_ns": res.DurNS,
+		"worker": w.name, "source": "worker", "t_worker_unix_ns": res.StartUnixNS,
+	}
+	if f.cfg.TraceID != "" {
+		fields["trace_id"] = f.cfg.TraceID
+	}
+	if l.job != "" {
+		fields["job"] = l.job
+	}
+	if res.Err != "" {
+		fields["err"] = res.Err
+	} else {
+		fields["loss"] = float64(res.Loss) // the tracer encodes a non-finite one itself
+	}
+	if w.hasOffset {
+		fields["clock_offset_ns"] = w.offsetNS
+		fields["t_unix_ns"] = res.StartUnixNS - w.offsetNS
+	}
+	f.trace(obs.EventDistWorkerEval, fields)
 }
 
 // dead removes w from the fleet and re-queues its in-flight leases, in

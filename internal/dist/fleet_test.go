@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -142,6 +144,93 @@ func TestFleetRefillsBeforeDeliver(t *testing.T) {
 	}
 	if next := sent(w); len(next) != 1 || next[0].ID != second.id {
 		t.Errorf("the freed slot was not refilled with the waiting lease: outbox %v", next)
+	}
+}
+
+// TestFleetWorkerEvalEvent pins where the dist_worker_eval trace event
+// comes from now that the worker no longer ships it: the fleet emits it,
+// once, for a result that resolves an in-flight lease — ahead of the
+// deliver action, so the trace holds the event before the evaluation's
+// caller hears of the result — and never for a duplicate answer or one
+// from a worker already declared dead. The clock-offset pair appears
+// only once an echo has produced an estimate, and the estimate with the
+// smallest round trip is the one that sticks.
+func TestFleetWorkerEvalEvent(t *testing.T) {
+	r := newRig(t, CoordinatorConfig{Tracer: obs.NewTracer(io.Discard), TraceID: "run-9"})
+	w := r.worker(0, "w", 3)
+	for i, job := range []string{"job-a", "", ""} {
+		r.f.submit(0, r.lease(job, float64(i)))
+	}
+	msgs := sent(w)
+	r.take()
+	result := func(now int64, from *remoteWorker, res *ResultMsg) []action {
+		r.f.frame(now, from, &Frame{Type: TypeResult, Result: res})
+		return r.take()
+	}
+
+	first := &ResultMsg{ID: msgs[0].ID, Index: msgs[0].Index, Loss: 1.5, StartUnixNS: 500, DurNS: 20}
+	acts := result(sec, w, first)
+	if got := kinds(acts); len(got) != 2 || got[0] != actTrace || got[1] != actDeliver {
+		t.Fatalf("a resolving result produced actions %v, want [trace deliver]", got)
+	}
+	if acts[0].name != obs.EventDistWorkerEval {
+		t.Errorf("trace action is %q, want %q", acts[0].name, obs.EventDistWorkerEval)
+	}
+	want := obs.Fields{
+		"lease": msgs[0].ID, "index": msgs[0].Index, "job": "job-a", "trace_id": "run-9", "loss": 1.5,
+		"start_unix_ns": int64(500), "dur_ns": int64(20), "t_worker_unix_ns": int64(500), "worker": "w", "source": "worker",
+	}
+	if got := acts[0].fields; !reflect.DeepEqual(got, want) {
+		t.Errorf("event fields before any offset estimate =\n %v, want\n %v", got, want)
+	}
+
+	// The duplicate answer to a redelivery: dropped before the emit.
+	if acts := result(sec, w, first); len(acts) != 0 || r.counter("dist.results_duplicate") != 1 {
+		t.Errorf("a duplicate result produced actions %v with dist.results_duplicate = %d, want none and 1", kinds(acts), r.counter("dist.results_duplicate"))
+	}
+
+	// A heartbeat echoes the ping sent at 1 s: worker clock 1000 ns
+	// ahead, 40 ns out, 10 ns on the worker, 60 ns back.
+	const skew, out, held, back = 1000, 40, 10, 60
+	t2 := sec + out + skew
+	echo := func(now int64) *Frame {
+		return &Frame{Type: TypeHeartbeat, Telemetry: &TelemetryMsg{EchoPingUnixNS: sec, EchoRecvUnixNS: t2, SentUnixNS: t2 + held}}
+	}
+	r.f.frame(t2+held-skew+back, w, echo(0))
+	if !w.hasOffset || w.offsetNS != skew+(out-back)/2 || w.offsetRTT != out+back {
+		t.Fatalf("offset estimate = %d (rtt %d, have %v), want %d (rtt %d)", w.offsetNS, w.offsetRTT, w.hasOffset, skew+(out-back)/2, out+back)
+	}
+	// The same echo arriving later is a longer round trip: ignored.
+	r.f.frame(t2+held-skew+back+500, w, echo(0))
+	if w.offsetRTT != out+back {
+		t.Errorf("a slower exchange replaced the estimate: rtt %d, want %d", w.offsetRTT, out+back)
+	}
+	r.take()
+
+	// A failed evaluation, after the estimate: err instead of loss, no
+	// job on a job-less lease, and the start translated to this clock.
+	acts = result(3*sec, w, &ResultMsg{ID: msgs[1].ID, Index: msgs[1].Index, Err: "boom", Class: "deterministic", StartUnixNS: 2*sec + skew, DurNS: 7})
+	if got := kinds(acts); len(got) != 2 || got[0] != actTrace || got[1] != actDeliver {
+		t.Fatalf("a failed result produced actions %v, want [trace deliver]", got)
+	}
+	want = obs.Fields{
+		"lease": msgs[1].ID, "index": msgs[1].Index, "trace_id": "run-9", "err": "boom",
+		"start_unix_ns": 2*sec + skew, "dur_ns": int64(7), "t_worker_unix_ns": 2*sec + skew, "worker": "w", "source": "worker",
+		"clock_offset_ns": int64(skew + (out-back)/2), "t_unix_ns": 2*sec + skew - (skew + (out-back)/2),
+	}
+	if got := acts[0].fields; !reflect.DeepEqual(got, want) {
+		t.Errorf("event fields with an offset estimate =\n %v, want\n %v", got, want)
+	}
+
+	// A worker declared dead answers anyway: its lease was requeued, and
+	// the late result is neither traced nor delivered.
+	r.f.dead(4*sec, w, errors.New("killed"))
+	r.take()
+	if acts := result(4*sec, w, &ResultMsg{ID: msgs[2].ID, Index: msgs[2].Index, Loss: 9}); len(acts) != 0 {
+		t.Errorf("a dead worker's result produced actions %v, want none", kinds(acts))
+	}
+	if len(r.f.queue) != 1 || r.f.queue[0].id != msgs[2].ID {
+		t.Errorf("the dead worker's lease is not waiting for another worker: queue %v", r.f.queue)
 	}
 }
 

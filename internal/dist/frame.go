@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"simcal/internal/obs"
 )
@@ -35,10 +34,12 @@ import (
 // ProtocolVersion is the wire protocol version carried as the first
 // byte of every frame. A peer speaking a different version is rejected
 // at the first frame, before any JSON is parsed. Version 2 added the
-// telemetry frame, the heartbeat ping timestamp, and the lease trace
-// ID. Version 3 added the payload CRC to the header and the attempt
-// counter to lease and result messages.
-const ProtocolVersion = 3
+// heartbeat ping timestamp and the lease trace ID. Version 3 added the
+// payload CRC to the header and the attempt counter to lease and result
+// messages. Version 4 deleted the telemetry frame: a result carries its
+// evaluation's worker-clock timing, and metric deltas ride result and
+// worker heartbeat frames as an optional member.
+const ProtocolVersion = 4
 
 // MaxFramePayload bounds the JSON payload of one frame. The decoder
 // rejects larger length prefixes before allocating, so a corrupt or
@@ -70,64 +71,15 @@ const (
 	TypeResult = "result"
 	// TypeHeartbeat is the keep-alive either side sends while idle.
 	// Coordinator-sent heartbeats carry a ping timestamp the worker
-	// echoes in its next telemetry frame, which is what the clock-offset
-	// estimate is derived from.
+	// echoes in the telemetry of its next frame, which is what the
+	// clock-offset estimate is derived from.
 	TypeHeartbeat = "heartbeat"
-	// TypeTelemetry piggybacks worker-side observability onto the
-	// connection (worker → coordinator): metric-snapshot deltas, buffered
-	// trace events, and the heartbeat-ping echo for clock-offset
-	// estimation.
-	TypeTelemetry = "telemetry"
 )
 
-// WireFloat is a float64 whose JSON form survives non-finite values:
-// failed evaluations are memoized as +Inf losses and quietly broken
-// simulators return NaN, but encoding/json rejects both. The wire uses
-// the same string sentinels as the obs tracer and core checkpoints
-// ("Inf", "-Inf", "NaN"); finite values use Go's shortest round-trip
-// encoding, so losses and parameter values cross the wire bitwise.
-type WireFloat float64
-
-// MarshalJSON implements json.Marshaler.
-func (v WireFloat) MarshalJSON() ([]byte, error) {
-	f := float64(v)
-	switch {
-	case math.IsInf(f, 1):
-		return []byte(`"Inf"`), nil
-	case math.IsInf(f, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(f):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(f)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (v *WireFloat) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		switch s {
-		case "Inf", "+Inf":
-			*v = WireFloat(math.Inf(1))
-		case "-Inf":
-			*v = WireFloat(math.Inf(-1))
-		case "NaN":
-			*v = WireFloat(math.NaN())
-		default:
-			return fmt.Errorf("dist: invalid float sentinel %q", s)
-		}
-		return nil
-	}
-	var f float64
-	if err := json.Unmarshal(b, &f); err != nil {
-		return err
-	}
-	*v = WireFloat(f)
-	return nil
-}
+// WireFloat is the wire's name for obs.Float: losses and parameter
+// values cross bitwise, non-finite ones as the string sentinels the
+// tracer, checkpoints and result files use.
+type WireFloat = obs.Float
 
 // HelloMsg opens a connection in either direction. The worker's hello
 // declares its evaluation capacity; the coordinator's reply confirms
@@ -157,23 +109,12 @@ type LeaseMsg struct {
 	// TimeoutMS is the evaluation deadline in milliseconds; 0 means no
 	// deadline. An expired lease is answered with a transient failure.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// TraceID identifies the calibration run this lease belongs to. The
-	// worker echoes it in the telemetry eval events it buffers for this
-	// lease, so a merged cross-process trace is keyed by (trace, lease).
-	TraceID string `json:"trace_id,omitempty"`
 	// Attempt numbers this dispatch of the lease, starting at 0.
 	// Requeues after a worker death and redeliveries over a lossy
 	// transport each bump it. Workers echo the latest attempt they saw
 	// in the result, and deduplicate lease frames by ID — a redelivered
 	// lease is never evaluated twice in one session.
 	Attempt int `json:"attempt,omitempty"`
-	// Job identifies the calibration job this lease belongs to when a
-	// multi-tenant server multiplexes several calibrations onto one
-	// coordinator (see Coordinator.JobEvaluator). The worker echoes it
-	// in its telemetry eval events; the coordinator uses it for
-	// per-job cancellation and per-job queue accounting. Empty for
-	// single-calibration runs.
-	Job string `json:"job,omitempty"`
 }
 
 // ResultMsg reports one finished evaluation.
@@ -196,33 +137,28 @@ type ResultMsg struct {
 	// in-flight table is the idempotency authority); the echoed attempt
 	// flags stale deliveries for observability.
 	Attempt int `json:"attempt,omitempty"`
+	// StartUnixNS and DurNS time the evaluation on the worker's clock:
+	// when it started (simulator lookup included) and how long it ran.
+	// The coordinator, which holds everything else about the lease,
+	// turns them into the lease's dist_worker_eval trace event. A
+	// redelivery answered from the worker's completed-result cache
+	// carries the original timing.
+	StartUnixNS int64 `json:"start_unix_ns,omitempty"`
+	DurNS       int64 `json:"dur_ns,omitempty"`
 }
 
 // HeartbeatMsg is the optional heartbeat payload. The coordinator
-// stamps its pings so workers can echo them back in telemetry frames;
-// worker-sent heartbeats stay empty.
+// stamps its pings so workers can echo them back in their next frame's
+// telemetry; worker-sent heartbeats have none.
 type HeartbeatMsg struct {
 	// PingUnixNS is the sender's wall clock (UnixNano) at send time.
 	PingUnixNS int64 `json:"ping_unix_ns,omitempty"`
 }
 
-// TelemetryEvent is one worker-side trace event buffered into a
-// telemetry frame. The coordinator re-emits it into the run's JSONL
-// trace tagged with the worker name, a source tag, and the clock-offset
-// estimate.
-type TelemetryEvent struct {
-	// Name is the trace event name (e.g. obs.EventDistWorkerEval).
-	Name string `json:"name"`
-	// TUnixNS is the worker's wall clock (UnixNano) at emission.
-	TUnixNS int64 `json:"t_unix_ns"`
-	// Fields is the event payload. Non-finite floats must be encoded as
-	// WireFloat (or the string sentinels) by the producer.
-	Fields map[string]any `json:"fields,omitempty"`
-}
-
-// TelemetryMsg piggybacks worker observability onto the connection.
-// Counters and histograms carry deltas since the previous telemetry
-// frame (merging is additive on the coordinator); gauges carry absolute
+// TelemetryMsg is worker observability riding on a frame the worker
+// sends anyway — a result, or a heartbeat while idle. Counters and
+// histograms carry deltas since the previous frame that had telemetry
+// (merging is additive on the coordinator); gauges carry absolute
 // values. The echo fields implement the NTP-style clock-offset
 // exchange: t1 = EchoPingUnixNS (coordinator send), t2 = EchoRecvUnixNS
 // (worker receive), t3 = SentUnixNS (worker send), t4 = coordinator
@@ -231,23 +167,22 @@ type TelemetryMsg struct {
 	// SentUnixNS is the worker's wall clock at frame send time (t3).
 	SentUnixNS int64 `json:"sent_unix_ns"`
 	// EchoPingUnixNS echoes the most recent heartbeat ping (t1); 0 when
-	// no ping has been received yet.
+	// none arrived since the last echo.
 	EchoPingUnixNS int64 `json:"echo_ping_unix_ns,omitempty"`
 	// EchoRecvUnixNS is the worker clock when that ping arrived (t2).
 	EchoRecvUnixNS int64 `json:"echo_recv_unix_ns,omitempty"`
-	// Counters holds counter increments since the last telemetry frame.
+	// Counters holds counter increments since the last telemetry.
 	Counters map[string]int64 `json:"counters,omitempty"`
-	// Gauges holds absolute gauge values.
+	// Gauges holds the absolute values of gauges that changed.
 	Gauges map[string]WireFloat `json:"gauges,omitempty"`
-	// Hists holds histogram bucket-count deltas since the last frame.
+	// Hists holds histogram bucket-count deltas since the last telemetry.
 	Hists map[string]obs.HistDump `json:"hists,omitempty"`
-	// Events is the worker's buffered trace events, in emission order.
-	Events []TelemetryEvent `json:"events,omitempty"`
 }
 
 // Frame is one protocol message: a type tag plus the payload matching
 // it. Exactly the payload named by Type must be non-nil — except
-// heartbeats, whose ping payload is optional.
+// heartbeats, whose ping payload is optional. Telemetry is not a payload
+// but an optional passenger of result and heartbeat frames.
 type Frame struct {
 	Type      string        `json:"type"`
 	Hello     *HelloMsg     `json:"hello,omitempty"`
@@ -270,9 +205,6 @@ func (f *Frame) Validate() error {
 		got++
 	}
 	if f.Heartbeat != nil {
-		got++
-	}
-	if f.Telemetry != nil {
 		got++
 	}
 	switch f.Type {
@@ -312,24 +244,17 @@ func (f *Frame) Validate() error {
 		}
 		want = 1
 	case TypeHeartbeat:
-		// The ping payload is optional: worker heartbeats are empty,
+		// The ping payload is optional: worker heartbeats have none,
 		// coordinator heartbeats carry the clock-offset ping.
 		want = 0
 		if f.Heartbeat != nil {
 			want = 1
 		}
-	case TypeTelemetry:
-		if f.Telemetry == nil {
-			return fmt.Errorf("dist: telemetry frame without telemetry payload")
-		}
-		for i, ev := range f.Telemetry.Events {
-			if ev.Name == "" {
-				return fmt.Errorf("dist: telemetry event %d without a name", i)
-			}
-		}
-		want = 1
 	default:
 		return fmt.Errorf("dist: unknown frame type %q", f.Type)
+	}
+	if f.Telemetry != nil && f.Type != TypeResult && f.Type != TypeHeartbeat {
+		return fmt.Errorf("dist: telemetry on a %s frame (it rides result and heartbeat frames only)", f.Type)
 	}
 	if got != want {
 		return fmt.Errorf("dist: %s frame with %d payloads (want %d)", f.Type, got, want)

@@ -13,8 +13,24 @@ import (
 	"simcal/internal/obs"
 )
 
-// testFrames is one valid frame of every type, with non-finite floats
-// where the protocol must carry them.
+// testTelemetry is a telemetry passenger exercising every member, with
+// a non-finite gauge.
+func testTelemetry() *TelemetryMsg {
+	return &TelemetryMsg{
+		SentUnixNS:     1000,
+		EchoPingUnixNS: 900,
+		EchoRecvUnixNS: 950,
+		Counters:       map[string]int64{"worker.evals_ok": 3},
+		Gauges:         map[string]WireFloat{"worker.inflight_leases": 2, "weird": WireFloat(math.NaN())},
+		Hists: map[string]obs.HistDump{
+			"worker.eval_ns": {Count: 3, Sum: 300, Min: 50, Max: 150, Buckets: map[int]int64{6: 1, 7: 2}},
+		},
+	}
+}
+
+// testFrames is one valid frame of every type — result and heartbeat
+// both with and without telemetry aboard — with non-finite floats where
+// the protocol must carry them.
 func testFrames() []*Frame {
 	return []*Frame{
 		{Type: TypeHello, Hello: &HelloMsg{Name: "w1", Capacity: 4}},
@@ -26,23 +42,10 @@ func testFrames() []*Frame {
 		}},
 		{Type: TypeResult, Result: &ResultMsg{ID: 7, Index: 3, Loss: 42.5}},
 		{Type: TypeResult, Result: &ResultMsg{ID: 8, Index: 4, Loss: WireFloat(math.Inf(1)), Err: "boom", Class: "transient"}},
+		{Type: TypeResult, Result: &ResultMsg{ID: 9, Index: 5, Loss: 1.5, StartUnixNS: 1700000000000000123, DurNS: 2500000}, Telemetry: testTelemetry()},
 		{Type: TypeHeartbeat},
 		{Type: TypeHeartbeat, Heartbeat: &HeartbeatMsg{PingUnixNS: 123456789}},
-		{Type: TypeTelemetry, Telemetry: &TelemetryMsg{
-			SentUnixNS:     1000,
-			EchoPingUnixNS: 900,
-			EchoRecvUnixNS: 950,
-			Counters:       map[string]int64{"worker.evals_ok": 3},
-			Gauges:         map[string]WireFloat{"worker.inflight_leases": 2, "weird": WireFloat(math.NaN())},
-			Hists: map[string]obs.HistDump{
-				"worker.eval_ns": {Count: 3, Sum: 300, Min: 50, Max: 150, Buckets: map[int]int64{6: 1, 7: 2}},
-			},
-			Events: []TelemetryEvent{{
-				Name:    "dist_worker_eval",
-				TUnixNS: 999,
-				Fields:  map[string]any{"lease": float64(7), "loss": "Inf"},
-			}},
-		}},
+		{Type: TypeHeartbeat, Telemetry: testTelemetry()},
 	}
 }
 
@@ -81,12 +84,19 @@ func TestFrameRoundTrip(t *testing.T) {
 			if float64(got.Result.Loss) != float64(f.Result.Loss) {
 				t.Errorf("result loss = %v, want %v", got.Result.Loss, f.Result.Loss)
 			}
+			if got.Result.StartUnixNS != f.Result.StartUnixNS || got.Result.DurNS != f.Result.DurNS {
+				t.Errorf("result timing round-trip = %+v, want %+v", got.Result, f.Result)
+			}
 		case TypeHeartbeat:
 			if f.Heartbeat != nil && got.Heartbeat.PingUnixNS != f.Heartbeat.PingUnixNS {
 				t.Errorf("heartbeat round-trip = %+v, want %+v", got.Heartbeat, f.Heartbeat)
 			}
-		case TypeTelemetry:
-			tm, want := got.Telemetry, f.Telemetry
+		}
+		if (got.Telemetry != nil) != (f.Telemetry != nil) {
+			t.Fatalf("%s frame: telemetry aboard = %v, want %v", f.Type, got.Telemetry != nil, f.Telemetry != nil)
+		}
+		if want := f.Telemetry; want != nil {
+			tm := got.Telemetry
 			if tm.SentUnixNS != want.SentUnixNS || tm.EchoPingUnixNS != want.EchoPingUnixNS || tm.EchoRecvUnixNS != want.EchoRecvUnixNS {
 				t.Errorf("telemetry stamps round-trip = %+v, want %+v", tm, want)
 			}
@@ -99,9 +109,6 @@ func TestFrameRoundTrip(t *testing.T) {
 			h := tm.Hists["worker.eval_ns"]
 			if h.Count != 3 || h.Buckets[7] != 2 {
 				t.Errorf("telemetry hist round-trip = %+v", h)
-			}
-			if len(tm.Events) != 1 || tm.Events[0].Name != "dist_worker_eval" || tm.Events[0].Fields["lease"] != float64(7) {
-				t.Errorf("telemetry events round-trip = %+v", tm.Events)
 			}
 		}
 	}
@@ -188,9 +195,11 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 		{"bad result class", mustFramePayload(t, `{"type":"result","result":{"id":1,"loss":0,"err":"x","class":"weird"}}`), "error class"},
 		{"classified non-error", mustFramePayload(t, `{"type":"result","result":{"id":1,"loss":0,"class":"transient"}}`), "absent error"},
 		{"bad sentinel", mustFramePayload(t, `{"type":"result","result":{"id":1,"loss":"huge"}}`), "sentinel"},
-		{"telemetry without payload", mustFramePayload(t, `{"type":"telemetry"}`), "telemetry frame without telemetry payload"},
-		{"telemetry extra payload", mustFramePayload(t, `{"type":"telemetry","telemetry":{"sent_unix_ns":1},"hello":{"name":"x"}}`), "payloads"},
-		{"telemetry unnamed event", mustFramePayload(t, `{"type":"telemetry","telemetry":{"sent_unix_ns":1,"events":[{"name":"","t_unix_ns":2}]}}`), "without a name"},
+		{"version 3 header", append(header(3, 2), '{', '}'), "protocol version 3"},
+		{"telemetry frame type", mustFramePayload(t, `{"type":"telemetry","telemetry":{"sent_unix_ns":1}}`), "unknown frame type"},
+		{"telemetry on a hello", mustFramePayload(t, `{"type":"hello","hello":{"name":"x"},"telemetry":{"sent_unix_ns":1}}`), "telemetry on a hello"},
+		{"telemetry on a lease", mustFramePayload(t, `{"type":"lease","lease":{"id":1,"point":{}},"telemetry":{"sent_unix_ns":1}}`), "telemetry on a lease"},
+		{"telemetry events member", mustFramePayload(t, `{"type":"heartbeat","telemetry":{"sent_unix_ns":1,"events":[]}}`), "decoding"},
 		{"heartbeat extra payload", mustFramePayload(t, `{"type":"heartbeat","heartbeat":{"ping_unix_ns":1},"result":{"id":1,"loss":0}}`), "payloads"},
 	}
 	for _, tc := range cases {
@@ -268,7 +277,16 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(mustFramePayloadFuzz(`{"type":"heartbeat"}`))
 	f.Add(mustFramePayloadFuzz(`{"type":"lease","lease":{"id":1,"point":{"x":"NaN"}}}`))
-	f.Add(mustFramePayloadFuzz(`{"type":"telemetry","telemetry":{"sent_unix_ns":1,"hists":{"h":{"count":1,"sum":2,"min":2,"max":2,"buckets":{"2":1}}}}}`))
+	f.Add(mustFramePayloadFuzz(`{"type":"heartbeat","telemetry":{"sent_unix_ns":1,"hists":{"h":{"count":1,"sum":2,"min":2,"max":2,"buckets":{"2":1}}}}}`))
+	f.Add(mustFramePayloadFuzz(`{"type":"result","result":{"id":1,"index":0,"loss":"Inf","start_unix_ns":5,"dur_ns":7},"telemetry":{"sent_unix_ns":9,"counters":{"c":1}}}`))
+	f.Add(mustFramePayloadFuzz(`{"type":"result","result":{"id":1,"index":0,"loss":0.5}}`))
+	// Rejected shapes: telemetry where it may not ride, and a frame
+	// under the previous protocol version's header.
+	f.Add(mustFramePayloadFuzz(`{"type":"hello","hello":{"name":"x"},"telemetry":{"sent_unix_ns":1}}`))
+	f.Add(mustFramePayloadFuzz(`{"type":"lease","lease":{"id":1,"point":{}},"telemetry":{"sent_unix_ns":1}}`))
+	v3 := mustFramePayloadFuzz(`{"type":"heartbeat"}`)
+	v3[0] = 3
+	f.Add(v3)
 	f.Add(mustFramePayloadFuzz(`{"type":"heartbeat","heartbeat":{"ping_unix_ns":5}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeFrame(bytes.NewReader(data))

@@ -600,6 +600,9 @@ func TestWorkerDedupesRedeliveredLease(t *testing.T) {
 	if r2.ID != 9 || float64(r2.Loss) != 6 || r2.Attempt != 1 {
 		t.Fatalf("cached re-answer = %+v, want ID 9 loss 6 attempt 1", r2)
 	}
+	if r1.StartUnixNS == 0 || r2.StartUnixNS != r1.StartUnixNS || r2.DurNS != r1.DurNS {
+		t.Errorf("cached re-answer timing = (%d, %d), want the evaluation's own (%d, %d)", r2.StartUnixNS, r2.DurNS, r1.StartUnixNS, r1.DurNS)
+	}
 	if got := evalCount.Load(); got != 1 {
 		t.Errorf("simulator ran %d times, want 1", got)
 	}

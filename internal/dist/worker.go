@@ -14,12 +14,6 @@ import (
 	"simcal/internal/resilience"
 )
 
-// DefaultTelemetryEvery is the default cadence at which a worker
-// flushes buffered metric deltas and trace events to the coordinator.
-// Evaluations additionally kick an immediate flush, so short runs are
-// not at the mercy of the timer.
-const DefaultTelemetryEvery = 500 * time.Millisecond
-
 // Factory builds a simulator from the opaque spec carried by a lease.
 // Workers cache built simulators keyed by the spec bytes, so a factory
 // is invoked once per distinct spec per connection, not per lease.
@@ -51,11 +45,6 @@ type WorkerConfig struct {
 	// worker's own /metrics endpoint and the coordinator's fleet view
 	// report the same numbers.
 	Registry *obs.Registry
-	// TelemetryEvery is how often buffered metric deltas and trace
-	// events are shipped to the coordinator. Zero means
-	// DefaultTelemetryEvery; negative disables telemetry entirely
-	// (the coordinator then sees a v1-style worker).
-	TelemetryEvery time.Duration
 }
 
 // Worker executes leases for one coordinator. It is the library behind
@@ -67,8 +56,9 @@ type Worker struct {
 	simsMu sync.Mutex
 	sims   map[string]core.Simulator
 
-	// Worker-side metrics, shipped to the coordinator as telemetry
-	// deltas and served locally by the worker's own /metrics endpoint.
+	// Worker-side metrics, shipped to the coordinator as deltas on the
+	// frames the worker sends and served locally by its own /metrics
+	// endpoint.
 	reg             *obs.Registry
 	evalNS          *obs.Histogram
 	evalsOK         *obs.Counter
@@ -100,9 +90,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
-	}
-	if cfg.TelemetryEvery == 0 {
-		cfg.TelemetryEvery = DefaultTelemetryEvery
 	}
 	w := &Worker{cfg: cfg, clock: cfg.Clock, sims: make(map[string]core.Simulator)}
 	w.reg = cfg.Registry
@@ -184,35 +171,90 @@ func (t *leaseTable) abort(id uint64) {
 	t.mu.Unlock()
 }
 
-// telemetrySink buffers trace events and the latest heartbeat ping
-// stamps between telemetry flushes on one connection.
-type telemetrySink struct {
-	mu     sync.Mutex
-	events []TelemetryEvent
-	pingT1 int64 // coordinator send stamp of the latest unechoed ping
-	pingT2 int64 // worker receive stamp for that ping
-	kick   chan struct{}
+// session is the sending side of one coordinator connection. Every
+// frame after the hello leaves through send, which under one mutex
+// builds the metric delta since the previous frame, attaches it and
+// sends — so deltas are never double-counted across the concurrent
+// senders (one per running lease, the heartbeat, the read loop's
+// redelivery answers) and frames carry registry snapshots in the order
+// they were taken: an absolute gauge value cannot be overtaken by an
+// older one.
+type session struct {
+	w    *Worker
+	conn Conn
+
+	mu           sync.Mutex // held across a whole send
+	prevCounters map[string]int64
+	prevGauges   map[string]float64
+	prevHists    map[string]obs.HistDump
+
+	// ping is the latest unechoed clock-sync ping: the coordinator's send
+	// stamp and this worker's receive stamp. Outside mu, so the read loop
+	// never waits for a send.
+	ping atomic.Pointer[[2]int64]
 }
 
-func newTelemetrySink() *telemetrySink {
-	return &telemetrySink{kick: make(chan struct{}, 1)}
+func (w *Worker) newSession(conn Conn) *session {
+	return &session{
+		w: w, conn: conn,
+		prevCounters: make(map[string]int64),
+		prevGauges:   make(map[string]float64),
+		prevHists:    make(map[string]obs.HistDump),
+	}
 }
 
-// bufferEvent queues ev for the next flush and kicks the telemetry
-// loop so short-lived runs do not wait out the timer.
-func (s *telemetrySink) bufferEvent(ev TelemetryEvent) {
+// send attaches what the registry accumulated since the last frame to
+// f and sends it.
+func (s *session) send(f *Frame) error {
 	s.mu.Lock()
-	s.events = append(s.events, ev)
-	s.mu.Unlock()
-	wake(s.kick)
+	defer s.mu.Unlock()
+	f.Telemetry = s.delta()
+	return s.conn.Send(f)
 }
 
-// notePing records the stamps of a coordinator clock-sync ping; the
-// next telemetry frame echoes them (each ping is echoed once).
-func (s *telemetrySink) notePing(t1, t2 int64) {
-	s.mu.Lock()
-	s.pingT1, s.pingT2 = t1, t2
-	s.mu.Unlock()
+// delta assembles a frame's telemetry: counter and histogram deltas
+// since the previous one, gauges whose value changed (gauges cross the
+// wire as absolute values), and the echo of the latest heartbeat ping.
+// It returns nil when there is nothing to report. Called with mu held.
+func (s *session) delta() *TelemetryMsg {
+	snap := s.w.reg.Snapshot()
+	msg := &TelemetryMsg{SentUnixNS: s.w.clock.Now().UnixNano()}
+	for name, v := range snap.Counters {
+		if d := v - s.prevCounters[name]; d != 0 {
+			if msg.Counters == nil {
+				msg.Counters = make(map[string]int64)
+			}
+			msg.Counters[name] = d
+			s.prevCounters[name] = v
+		}
+	}
+	for name, v := range snap.Gauges {
+		prev, seen := s.prevGauges[name]
+		if !seen || prev != v {
+			if msg.Gauges == nil {
+				msg.Gauges = make(map[string]WireFloat)
+			}
+			msg.Gauges[name] = WireFloat(v)
+			s.prevGauges[name] = v
+		}
+	}
+	for name, d := range s.w.reg.HistDumps() {
+		delta := d.Sub(s.prevHists[name])
+		if delta.Count != 0 {
+			if msg.Hists == nil {
+				msg.Hists = make(map[string]obs.HistDump)
+			}
+			msg.Hists[name] = delta
+			s.prevHists[name] = d
+		}
+	}
+	if p := s.ping.Swap(nil); p != nil { // each ping is echoed once
+		msg.EchoPingUnixNS, msg.EchoRecvUnixNS = p[0], p[1]
+	}
+	if len(msg.Counters) == 0 && len(msg.Gauges) == 0 && len(msg.Hists) == 0 && msg.EchoPingUnixNS == 0 {
+		return nil
+	}
+	return msg
 }
 
 // Run serves one coordinator connection until it closes. An orderly
@@ -249,14 +291,10 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 
 	var lastRecv atomic.Int64
 	lastRecv.Store(w.clock.Now().UnixNano())
+	sess := w.newSession(conn)
 	hbDone := make(chan struct{})
 	defer close(hbDone)
-	go w.heartbeatLoop(conn, &lastRecv, hbDone)
-
-	sink := newTelemetrySink()
-	if w.cfg.TelemetryEvery > 0 {
-		go w.telemetryLoop(conn, sink, hbDone)
-	}
+	go w.heartbeatLoop(sess, &lastRecv, hbDone)
 
 	leases := newLeaseTable()
 	for {
@@ -276,7 +314,7 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 		switch f.Type {
 		case TypeHeartbeat:
 			if f.Heartbeat != nil && f.Heartbeat.PingUnixNS != 0 {
-				sink.notePing(f.Heartbeat.PingUnixNS, w.clock.Now().UnixNano())
+				sess.ping.Store(&[2]int64{f.Heartbeat.PingUnixNS, w.clock.Now().UnixNano()})
 			}
 		case TypeLease:
 			msg := f.Lease
@@ -285,14 +323,14 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 				if res != nil {
 					// Already evaluated: answer the redelivery from the
 					// completed-result cache, never re-run the simulator.
-					_ = conn.Send(&Frame{Type: TypeResult, Result: res})
+					_ = sess.send(&Frame{Type: TypeResult, Result: res})
 				}
 				continue
 			}
 			evals.Add(1)
 			go func() {
 				defer evals.Done()
-				w.evaluate(evalCtx, conn, sink, leases, msg)
+				w.evaluate(evalCtx, sess, leases, msg)
 			}()
 		default:
 			return fmt.Errorf("dist: protocol violation: %s frame from coordinator", f.Type)
@@ -300,85 +338,11 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 	}
 }
 
-// telemetryLoop flushes metric deltas and buffered trace events to the
-// coordinator every TelemetryEvery, and immediately when an evaluation
-// kicks the sink. It exits when the connection dies or done closes.
-func (w *Worker) telemetryLoop(conn Conn, sink *telemetrySink, done <-chan struct{}) {
-	prevCounters := make(map[string]int64)
-	prevGauges := make(map[string]float64)
-	prevHists := make(map[string]obs.HistDump)
-	for {
-		select {
-		case <-w.clock.After(w.cfg.TelemetryEvery):
-		case <-sink.kick:
-		case <-done:
-			return
-		}
-		msg := w.buildTelemetry(sink, prevCounters, prevGauges, prevHists)
-		if msg == nil {
-			continue
-		}
-		if conn.Send(&Frame{Type: TypeTelemetry, Telemetry: msg}) != nil {
-			return // the read loop observes the dead connection
-		}
-	}
-}
-
-// buildTelemetry assembles one telemetry frame: counter and histogram
-// deltas since the previous flush, gauges whose value changed (gauges
-// cross the wire as absolute values), all buffered trace events, and
-// the echo of the latest heartbeat ping. It returns nil when there is
-// nothing to report.
-func (w *Worker) buildTelemetry(sink *telemetrySink, prevCounters map[string]int64, prevGauges map[string]float64, prevHists map[string]obs.HistDump) *TelemetryMsg {
-	snap := w.reg.Snapshot()
-	msg := &TelemetryMsg{SentUnixNS: w.clock.Now().UnixNano()}
-	for name, v := range snap.Counters {
-		if d := v - prevCounters[name]; d != 0 {
-			if msg.Counters == nil {
-				msg.Counters = make(map[string]int64)
-			}
-			msg.Counters[name] = d
-			prevCounters[name] = v
-		}
-	}
-	for name, v := range snap.Gauges {
-		prev, seen := prevGauges[name]
-		if !seen || prev != v {
-			if msg.Gauges == nil {
-				msg.Gauges = make(map[string]WireFloat)
-			}
-			msg.Gauges[name] = WireFloat(v)
-			prevGauges[name] = v
-		}
-	}
-	for name, d := range w.reg.HistDumps() {
-		delta := d.Sub(prevHists[name])
-		if delta.Count != 0 {
-			if msg.Hists == nil {
-				msg.Hists = make(map[string]obs.HistDump)
-			}
-			msg.Hists[name] = delta
-			prevHists[name] = d
-		}
-	}
-	sink.mu.Lock()
-	msg.Events = sink.events
-	sink.events = nil
-	msg.EchoPingUnixNS = sink.pingT1
-	msg.EchoRecvUnixNS = sink.pingT2
-	sink.pingT1, sink.pingT2 = 0, 0
-	sink.mu.Unlock()
-	if len(msg.Counters) == 0 && len(msg.Gauges) == 0 && len(msg.Hists) == 0 &&
-		len(msg.Events) == 0 && msg.EchoPingUnixNS == 0 {
-		return nil
-	}
-	return msg
-}
-
-// heartbeatLoop pings the coordinator every HeartbeatEvery and drops
-// the connection after HeartbeatTimeout of silence, which unblocks the
-// read loop in Run.
-func (w *Worker) heartbeatLoop(conn Conn, lastRecv *atomic.Int64, done <-chan struct{}) {
+// heartbeatLoop pings the coordinator every HeartbeatEvery — which is
+// also what carries an idle worker's metric deltas and ping echoes —
+// and drops the connection after HeartbeatTimeout of silence, which
+// unblocks the read loop in Run.
+func (w *Worker) heartbeatLoop(sess *session, lastRecv *atomic.Int64, done <-chan struct{}) {
 	for {
 		select {
 		case <-w.clock.After(w.cfg.HeartbeatEvery):
@@ -387,10 +351,10 @@ func (w *Worker) heartbeatLoop(conn Conn, lastRecv *atomic.Int64, done <-chan st
 		}
 		silent := time.Duration(w.clock.Now().UnixNano() - lastRecv.Load())
 		if silent > w.cfg.HeartbeatTimeout {
-			conn.Close()
+			sess.conn.Close()
 			return
 		}
-		if conn.Send(&Frame{Type: TypeHeartbeat}) != nil {
+		if sess.send(&Frame{Type: TypeHeartbeat}) != nil {
 			return // the read loop observes the dead connection
 		}
 	}
@@ -415,20 +379,18 @@ func (w *Worker) simulator(spec []byte) (core.Simulator, error) {
 	return sim, nil
 }
 
-// evaluate runs one lease and reports its result. Failures cross the
-// wire with their resilience class so the coordinator reconstructs an
-// equivalently classified error; evaluations aborted by connection
-// teardown report nothing (the coordinator re-queues the lease when it
-// declares this worker dead).
-func (w *Worker) evaluate(ctx context.Context, conn Conn, sink *telemetrySink, leases *leaseTable, msg *LeaseMsg) {
+// evaluate runs one lease and reports its result, timed on the worker's
+// clock. Failures cross the wire with their resilience class so the
+// coordinator reconstructs an equivalently classified error;
+// evaluations aborted by connection teardown report nothing (the
+// coordinator re-queues the lease when it declares this worker dead).
+func (w *Worker) evaluate(ctx context.Context, sess *session, leases *leaseTable, msg *LeaseMsg) {
 	w.inflightGauge.Set(float64(w.inflight.Add(1)))
-	defer func() { w.inflightGauge.Set(float64(w.inflight.Add(-1))) }()
 	pt := make(core.Point, len(msg.Point))
 	for k, v := range msg.Point {
 		pt[k] = float64(v)
 	}
 	var loss float64
-	var err error
 	start := w.clock.Now()
 	sim, err := w.simulator(msg.Spec)
 	if err == nil {
@@ -436,7 +398,11 @@ func (w *Worker) evaluate(ctx context.Context, conn Conn, sink *telemetrySink, l
 	}
 	dur := w.clock.Now().Sub(start)
 	w.evalNS.ObserveDuration(dur)
-	res := &ResultMsg{ID: msg.ID, Index: msg.Index, Loss: WireFloat(loss)}
+	// Every metric of this evaluation moves before its result is sent:
+	// the result frame's telemetry is what the coordinator has absorbed
+	// by the time the evaluation's caller hears of it.
+	w.inflightGauge.Set(float64(w.inflight.Add(-1)))
+	res := &ResultMsg{ID: msg.ID, Index: msg.Index, Loss: WireFloat(loss), StartUnixNS: start.UnixNano(), DurNS: int64(dur)}
 	if err != nil {
 		if ctx.Err() != nil {
 			leases.abort(msg.ID)
@@ -452,77 +418,54 @@ func (w *Worker) evaluate(ctx context.Context, conn Conn, sink *telemetrySink, l
 		}
 		res.Loss = 0
 		res.Err = err.Error()
-	}
-	if err != nil {
 		w.evalsFailed.Inc()
 	} else {
 		w.evalsOK.Inc()
 	}
-	fields := map[string]any{
-		"lease":         msg.ID,
-		"index":         msg.Index,
-		"start_unix_ns": start.UnixNano(),
-		"dur_ns":        int64(dur),
-	}
-	if msg.TraceID != "" {
-		fields["trace_id"] = msg.TraceID
-	}
-	if msg.Job != "" {
-		fields["job"] = msg.Job
-	}
-	if err != nil {
-		fields["err"] = err.Error()
-	} else {
-		fields["loss"] = WireFloat(loss)
-	}
-	sink.bufferEvent(TelemetryEvent{
-		Name:    obs.EventDistWorkerEval,
-		TUnixNS: start.UnixNano(),
-		Fields:  fields,
-	})
 	// Record the result before sending: if the coordinator redelivers
 	// this lease (its result frame was dropped in flight), the read
 	// loop answers from the cache instead of re-evaluating.
 	leases.finish(msg.ID, res)
 	// A send failure means the connection died; the coordinator
 	// re-queues the lease, so there is nothing to recover here.
-	_ = conn.Send(&Frame{Type: TypeResult, Result: res})
+	_ = sess.send(&Frame{Type: TypeResult, Result: res})
 }
 
 // runLease evaluates one point under panic isolation and the lease
-// deadline. An expired deadline cancels (abandons) the evaluation and
-// reports a transient timeout, mirroring the local resilience
-// executor's per-attempt timeout semantics.
+// deadline. Without a deadline it runs on the lease's own goroutine;
+// with one, an expiry cancels (abandons) the evaluation and reports a
+// transient timeout, mirroring the local resilience executor's
+// per-attempt timeout semantics — on the worker's injected clock, which
+// is why the two are not one function: the executor's attempt context
+// carries a wall-clock deadline simulators may read, and a lease's must
+// not.
 func (w *Worker) runLease(ctx context.Context, sim core.Simulator, pt core.Point, timeout time.Duration) (float64, error) {
-	evalCtx := ctx
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		evalCtx, cancel = context.WithCancel(ctx)
-		defer cancel()
+	run := func(ctx context.Context) (loss float64, err error) {
+		err = resilience.Safely(func() error {
+			var e error
+			loss, e = sim.Run(ctx, pt)
+			return e
+		})
+		return loss, err
 	}
+	if timeout <= 0 {
+		return run(ctx)
+	}
+	evalCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	type res struct {
 		loss float64
 		err  error
 	}
-	ch := make(chan res, 1)
+	ch := make(chan res, 1) // buffered: an abandoned evaluation can still complete
 	go func() {
-		var loss float64
-		err := resilience.Safely(func() error {
-			var e error
-			loss, e = sim.Run(evalCtx, pt)
-			return e
-		})
+		loss, err := run(evalCtx)
 		ch <- res{loss: loss, err: err}
 	}()
-	if timeout <= 0 {
-		r := <-ch
-		return r.loss, r.err
-	}
 	select {
 	case r := <-ch:
 		return r.loss, r.err
 	case <-w.clock.After(timeout):
-		cancel() // abandon the hung evaluation; the goroutine drains into the buffered channel
 		return 0, &resilience.TimeoutError{Timeout: timeout}
 	case <-ctx.Done():
 		return 0, ctx.Err()

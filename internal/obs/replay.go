@@ -30,13 +30,13 @@ const (
 	EventCheckpointFailed  = "checkpoint_failed"
 
 	// Distributed-evaluation events (see the dist package). Lifecycle
-	// events come from the coordinator itself; dist_worker_eval records
-	// are worker-side evaluation events shipped over telemetry frames
-	// and re-emitted by the coordinator with `worker`, `source`, and
-	// clock-offset fields, so one trace file holds the cross-process
-	// timeline keyed by lease ID. They are additions to — never
-	// reorderings of — the calibration events, so the calibration
-	// trajectory stays bitwise identical to a serial run.
+	// events come from the coordinator itself; a dist_worker_eval record
+	// is a worker's view of one evaluation — its timing on the worker's
+	// clock, carried by the result frame — emitted by the coordinator
+	// with `worker`, `source`, and clock-offset fields, so one trace file
+	// holds the cross-process timeline keyed by lease ID. They are
+	// additions to — never reorderings of — the calibration events, so
+	// the calibration trajectory stays bitwise identical to a serial run.
 	EventDistWorkerConnected    = "dist_worker_connected"
 	EventDistWorkerDisconnected = "dist_worker_disconnected"
 	EventDistLeaseRequeued      = "dist_lease_requeued"
@@ -175,15 +175,7 @@ func fieldFloat(f Fields, key string) (float64, bool) {
 	case int:
 		return float64(x), true
 	case string:
-		switch x {
-		case "Inf", "+Inf":
-			return math.Inf(1), true
-		case "-Inf":
-			return math.Inf(-1), true
-		case "NaN":
-			return math.NaN(), true
-		}
-		return 0, false
+		return parseSentinel(x)
 	default:
 		return 0, false
 	}

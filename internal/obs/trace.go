@@ -229,6 +229,54 @@ func nonFiniteSentinel(f float64) (string, bool) {
 	return "", false
 }
 
+// parseSentinel inverts nonFiniteSentinel ("+Inf" is accepted as an
+// alias), reporting false for any other string.
+func parseSentinel(s string) (float64, bool) {
+	switch s {
+	case "Inf", "+Inf":
+		return math.Inf(1), true
+	case "-Inf":
+		return math.Inf(-1), true
+	case "NaN":
+		return math.NaN(), true
+	}
+	return 0, false
+}
+
+// Float is a float64 whose JSON form survives non-finite values:
+// failed evaluations are recorded as +Inf losses and quietly broken
+// simulators return NaN, but encoding/json rejects both. Everything
+// that persists or ships a loss — the wire protocol, checkpoints,
+// result files, the job API — uses this one type, with the tracer's
+// string sentinels ("Inf", "-Inf", "NaN"); finite values use Go's
+// shortest round-trip encoding, so they survive bitwise.
+type Float float64
+
+// MarshalJSON implements json.Marshaler.
+func (v Float) MarshalJSON() ([]byte, error) {
+	if s, bad := nonFiniteSentinel(float64(v)); bad {
+		return []byte(`"` + s + `"`), nil
+	}
+	return json.Marshal(float64(v))
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (v *Float) UnmarshalJSON(b []byte) error {
+	if len(b) > 0 && b[0] == '"' {
+		var s string
+		if err := json.Unmarshal(b, &s); err != nil {
+			return err
+		}
+		f, ok := parseSentinel(s)
+		if !ok {
+			return fmt.Errorf("obs: invalid float sentinel %q", s)
+		}
+		*v = Float(f)
+		return nil
+	}
+	return json.Unmarshal(b, (*float64)(v))
+}
+
 // EmitManifest writes the run manifest record.
 func (t *Tracer) EmitManifest(m Manifest) {
 	if t == nil {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -161,15 +162,20 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, errors.New("service: job is "+string(state)))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	// Encode (or read) first: a failure must still be able to say 500.
+	var body []byte
+	var err error
 	if res != nil {
-		res.WriteJSON(w, true)
-		return
+		var buf bytes.Buffer
+		err = res.WriteJSON(&buf, true)
+		body = buf.Bytes()
+	} else {
+		body, err = os.ReadFile(s.resultPath(j.ID))
 	}
-	b, err := os.ReadFile(s.resultPath(j.ID))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Write(b)
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Write(body)
 }

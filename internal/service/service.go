@@ -107,27 +107,8 @@ type Event struct {
 	TUnixNS     int64      `json:"t_unix_ns"`
 	Type        string     `json:"type"` // submitted|started|resumed|progress|improved|done|failed|canceled
 	Evaluations int64      `json:"evaluations,omitempty"`
-	BestLoss    *jsonFloat `json:"best_loss,omitempty"`
+	BestLoss    *obs.Float `json:"best_loss,omitempty"`
 	Msg         string     `json:"msg,omitempty"`
-}
-
-// jsonFloat survives non-finite values in JSON API responses using the
-// same string sentinels as traces and checkpoints ("Inf", "-Inf",
-// "NaN"); encoding/json rejects the raw values.
-type jsonFloat float64
-
-// MarshalJSON implements json.Marshaler.
-func (v jsonFloat) MarshalJSON() ([]byte, error) {
-	f := float64(v)
-	switch {
-	case math.IsInf(f, 1):
-		return []byte(`"Inf"`), nil
-	case math.IsInf(f, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(f):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(f)
 }
 
 // Backend builds the loss evaluator for one job. The job ID lets a
@@ -536,7 +517,7 @@ func (s *Server) finalize(j *Job, res *core.Result, err error) {
 			ev.Msg = j.errMsg
 		}
 		if j.hasBest.Load() {
-			bl := jsonFloat(math.Float64frombits(j.bestBits.Load()))
+			bl := obs.Float(math.Float64frombits(j.bestBits.Load()))
 			ev.BestLoss = &bl
 		}
 		s.appendEventLocked(j, ev)
@@ -669,7 +650,7 @@ func (o *jobObserver) EvalCompleted(smp core.Sample, wait, dur time.Duration) {
 	if n%int64(o.s.cfg.CheckpointEvery) == 0 {
 		ev := Event{Type: "progress", Evaluations: n}
 		if o.j.hasBest.Load() {
-			bl := jsonFloat(math.Float64frombits(o.j.bestBits.Load()))
+			bl := obs.Float(math.Float64frombits(o.j.bestBits.Load()))
 			ev.BestLoss = &bl
 		}
 		o.s.withLock(func() { o.s.appendEventLocked(o.j, ev) })
@@ -682,7 +663,7 @@ func (o *jobObserver) IncumbentImproved(smp core.Sample) {
 	if o.j.gBest != nil {
 		o.j.gBest.Set(smp.Loss)
 	}
-	bl := jsonFloat(smp.Loss)
+	bl := obs.Float(smp.Loss)
 	ev := Event{Type: "improved", Evaluations: o.j.evals.Load(), BestLoss: &bl}
 	o.s.withLock(func() { o.s.appendEventLocked(o.j, ev) })
 }
@@ -705,7 +686,7 @@ type JobStatus struct {
 	StartedUnixNS   int64      `json:"started_unix_ns,omitempty"`
 	FinishedUnixNS  int64      `json:"finished_unix_ns,omitempty"`
 	Evaluations     int64      `json:"evaluations"`
-	BestLoss        *jsonFloat `json:"best_loss,omitempty"`
+	BestLoss        *obs.Float `json:"best_loss,omitempty"`
 	Error           string     `json:"error,omitempty"`
 }
 
@@ -732,7 +713,7 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 		st.FinishedUnixNS = j.finished.UnixNano()
 	}
 	if j.hasBest.Load() {
-		bl := jsonFloat(math.Float64frombits(j.bestBits.Load()))
+		bl := obs.Float(math.Float64frombits(j.bestBits.Load()))
 		st.BestLoss = &bl
 	}
 	return st

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -472,6 +473,64 @@ func TestRestartResume(t *testing.T) {
 	}
 	if fp := fingerprint(fetchResult(t, base3, j.ID)); fp != want {
 		t.Error("result served from disk after restart differs from the original")
+	}
+}
+
+// failingSim is the toy problem with a hole in it: every evaluation in
+// the x < 0 half fails, which the calibration records as a +Inf loss.
+type failingSim struct{}
+
+func (failingSim) Run(ctx context.Context, p core.Point) (float64, error) {
+	if p["x"] < 0 {
+		return 0, errors.New("toy simulator: x < 0 is out of its envelope")
+	}
+	return toySim{}.Run(ctx, p)
+}
+
+// TestResultWithFailedEvaluationsIsServed: a job whose history holds
+// +Inf losses still has a result — from the endpoint while the server
+// that ran it is up, and from the durable file after a restart — equal
+// to the serial run's.
+func TestResultWithFailedEvaluationsIsServed(t *testing.T) {
+	dir := t.TempDir()
+	mk := func() *service.Server {
+		cfg := toyConfig(0)
+		cfg.Backend = func(string, json.RawMessage) (core.Simulator, error) { return failingSim{}, nil }
+		cfg.StateDir = dir
+		svc, err := service.NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	svc := mk()
+	base := startHTTP(t, svc)
+	req := service.JobRequest{Tenant: "t", Algorithm: "RAND", MaxEvals: 30, Seed: 11, Workers: 2, Spec: json.RawMessage(`{"toy":5}`)}
+	st, resp := submitHTTP(t, base, req)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	waitState(t, base, st.ID, service.StateDone)
+	res := fetchResult(t, base, st.ID)
+	failed := 0
+	for _, s := range res.History {
+		if math.IsInf(s.Loss, 1) {
+			failed++
+		}
+	}
+	if failed == 0 || failed == len(res.History) {
+		t.Fatalf("%d of %d evaluations failed; the test needs some of each", failed, len(res.History))
+	}
+	want := fingerprint(serialResult(t, req, failingSim{}))
+	if got := fingerprint(res); got != want {
+		t.Errorf("served result diverges from the serial run:\n got %.120s…\nwant %.120s…", got, want)
+	}
+	svc.Close()
+
+	svc2 := mk()
+	defer svc2.Close()
+	if got := fingerprint(fetchResult(t, startHTTP(t, svc2), st.ID)); got != want {
+		t.Error("the durable result of a job with failed evaluations differs from the one it served live")
 	}
 }
 
