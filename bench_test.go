@@ -1,6 +1,7 @@
-// Package simcal's root benchmark harness: one testing.B benchmark per
-// table and figure of the paper (see DESIGN.md's per-experiment index),
-// plus microbenchmarks of the substrates the experiments are built on.
+// Package simcal's root benchmark harness: BenchmarkArtifact/<id> for
+// every table and figure of the paper (see DESIGN.md's per-experiment
+// index), plus microbenchmarks of the substrates the experiments are
+// built on.
 //
 // The per-artifact benchmarks run each experiment at a reduced but
 // shape-preserving scale (experiments.Default-like, further trimmed so a
@@ -50,117 +51,28 @@ func benchOptions() experiments.Options {
 	return o
 }
 
-func BenchmarkTable1Workloads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1Rows()
-		if len(rows) != 7 {
-			b.Fatal("table1 rows")
-		}
-	}
+// artifactEvals trims MaxEvals further for the artifacts that run many
+// calibrations per iteration.
+var artifactEvals = map[string]int{
+	"figure2": 40, "figure3": 30, "section55": 30,
+	"table5": 40, "figure5": 30, "section65": 30,
 }
 
-func BenchmarkTable3CalibrationError(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table3(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure1LossVsTime(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure1(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure2LevelOfDetail(b *testing.B) {
-	o := benchOptions()
-	o.MaxEvals = 40
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure2(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBaseline1NoCalibration(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Baseline1(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure3TrainingCost(b *testing.B) {
-	o := benchOptions()
-	o.MaxEvals = 30
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure3(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSection55DataDiversity(b *testing.B) {
-	o := benchOptions()
-	o.MaxEvals = 30
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Section55(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable5CalibrationError(b *testing.B) {
-	o := benchOptions()
-	o.MaxEvals = 40
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table5(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure4LossVsTime(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure4(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure5LevelOfDetail(b *testing.B) {
-	o := benchOptions()
-	o.MaxEvals = 30
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBaseline2NoCalibration(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Baseline2(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSection65Generalization(b *testing.B) {
-	o := benchOptions()
-	o.MaxEvals = 30
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Section65(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkArtifact regenerates every row of experiments.Artifacts:
+// `go test -bench 'BenchmarkArtifact/figure2$' .`
+func BenchmarkArtifact(b *testing.B) {
+	for _, a := range experiments.Artifacts {
+		b.Run(a.ID, func(b *testing.B) {
+			o := benchOptions()
+			if n, ok := artifactEvals[a.ID]; ok {
+				o.MaxEvals = n
+			}
+			for i := 0; i < b.N; i++ {
+				if _, err := a.Run(context.Background(), o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

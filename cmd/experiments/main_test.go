@@ -49,6 +49,45 @@ func TestREADMEMentionsEveryFlag(t *testing.T) {
 	})
 }
 
+// Every artifact id appears in README.md and in DESIGN.md's §4
+// per-experiment index: the docs are checked against the table, not
+// kept beside it.
+func TestDocsMentionEveryArtifact(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, index, _ := bytes.Cut(design, []byte("## 4. Per-experiment index"))
+	index, _, _ = bytes.Cut(index, []byte("\n## "))
+	for _, a := range experiments.Artifacts {
+		if !bytes.Contains(readme, []byte("`"+a.ID+"`")) {
+			t.Errorf("README.md does not mention `%s`", a.ID)
+		}
+		for _, target := range []string{"-run " + a.ID + "`", "BenchmarkArtifact/" + a.ID + "`"} {
+			if !bytes.Contains(index, []byte(target)) {
+				t.Errorf("DESIGN.md §4 does not mention %s", target)
+			}
+		}
+	}
+}
+
+// baseline2 printed its per-benchmark rows in map order.
+func TestBaseline2TextIsReproducible(t *testing.T) {
+	var first, second, stderr bytes.Buffer
+	for _, out := range []*bytes.Buffer{&first, &second} {
+		if err := run([]string{"-run", "baseline2", "-evals", "8"}, out, &stderr); err != nil {
+			t.Fatalf("%v\n%s", err, stderr.String())
+		}
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) || bytes.Count(first.Bytes(), []byte("%\n")) != 5 {
+		t.Errorf("two runs of baseline2 printed\n%s\nand\n%s", first.String(), second.String())
+	}
+}
+
 // figure1 reads the losses of a -json figure1 artifact (its elapsed
 // fields are wall clock).
 func figure1(t *testing.T, dir string) []float64 {
@@ -57,7 +96,7 @@ func figure1(t *testing.T, dir string) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res experiments.Figure1Result
+	var res experiments.ConvergenceResult
 	if err := json.Unmarshal(b, &res); err != nil {
 		t.Fatal(err)
 	}

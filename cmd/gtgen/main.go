@@ -15,10 +15,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
+	"simcal/internal/core"
 	"simcal/internal/groundtruth"
 	"simcal/internal/mpi"
 	"simcal/internal/mpisim"
@@ -39,12 +39,9 @@ func main() {
 	)
 	flag.Parse()
 
-	w, closeFn, err := openOut(*out)
-	if err != nil {
-		fatal(err)
-	}
-	defer closeFn()
-
+	// write emits the generated dataset; summary describes it.
+	var write func(io.Writer) error
+	var summary string
 	switch *study {
 	case "wf":
 		o := groundtruth.WFOptions{Reps: *reps, Seed: *seed}
@@ -66,10 +63,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := ds.WriteJSON(w); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "gtgen: wrote %d workflow groups (cost %.0f worker-seconds)\n", len(ds.Groups), ds.Cost())
+		write = ds.WriteJSON
+		summary = fmt.Sprintf("%d workflow groups (cost %.0f worker-seconds)", len(ds.Groups), ds.Cost())
 	case "mpi":
 		nodes, err := parseInts(*nodesF)
 		if err != nil {
@@ -86,45 +81,24 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := ds.WriteJSON(w); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "gtgen: wrote %d MPI measurements\n", len(ds.Measurements))
+		write = ds.WriteJSON
+		summary = fmt.Sprintf("%d MPI measurements", len(ds.Measurements))
 	default:
 		fatal(fmt.Errorf("unknown case study %q", *study))
 	}
-}
 
-// openOut opens the output for writing. Files are written atomically —
-// into a temp file in the destination directory, renamed into place by
-// the returned commit func — so a crashed or killed generation never
-// leaves a torn dataset where a complete one is expected.
-func openOut(path string) (io.Writer, func(), error) {
-	if path == "-" {
-		return os.Stdout, func() {}, nil
+	// Files are written atomically, so a crashed or killed generation
+	// never leaves a torn dataset where a complete one is expected.
+	var err error
+	if *out == "-" {
+		err = write(os.Stdout)
+	} else {
+		err = core.WriteFileAtomic(*out, write)
 	}
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
 	if err != nil {
-		return nil, nil, err
+		fatal(fmt.Errorf("writing %s: %w", *out, err))
 	}
-	commit := func() {
-		err := f.Sync()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Rename(f.Name(), path)
-		}
-		if err != nil {
-			os.Remove(f.Name())
-			fatal(fmt.Errorf("finalizing %s: %w", path, err))
-		}
-	}
-	return f, commit, nil
+	fmt.Fprintf(os.Stderr, "gtgen: wrote %s\n", summary)
 }
 
 func parseInts(s string) ([]int, error) {

@@ -195,11 +195,7 @@ func runReplay(stdout io.Writer, path string) error {
 	if len(pts) == 0 {
 		return fmt.Errorf("trace %s contains no eval_completed events", path)
 	}
-	conv := make([]experiments.ConvergencePoint, len(pts))
-	for i, p := range pts {
-		conv[i] = experiments.ConvergencePoint{Elapsed: p.Elapsed, Evaluations: p.Evaluations, Loss: p.Loss}
-	}
-	fmt.Fprint(stdout, experiments.FormatConvergence(conv, 20))
+	fmt.Fprint(stdout, experiments.FormatConvergence(pts, 20))
 	return nil
 }
 

@@ -157,37 +157,39 @@ func (c *Checkpoint) WriteJSON(w io.Writer) error {
 	return json.NewEncoder(w).Encode(doc)
 }
 
-// WriteFile atomically replaces path with this checkpoint: the document
-// is written to a temporary file in the same directory, fsynced, and
-// renamed over path. A crash at any point leaves either the old
-// snapshot or the new one, never a torn file.
+// WriteFile atomically replaces path with this checkpoint (see
+// WriteFileAtomic).
 func (c *Checkpoint) WriteFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("core: checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := c.WriteJSON(tmp); err != nil {
-		return fail(fmt.Errorf("core: writing checkpoint: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("core: syncing checkpoint: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("core: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("core: publishing checkpoint: %w", err)
+	if err := WriteFileAtomic(path, c.WriteJSON); err != nil {
+		return fmt.Errorf("core: writing checkpoint: %w", err)
 	}
 	return nil
+}
+
+// WriteFileAtomic replaces path with what write produces: the bytes go
+// to a temporary file in the same directory, are fsynced, and the file
+// is renamed over path. A crash at any point leaves either the old
+// contents or the new ones, never a torn file; on failure the temporary
+// file is removed.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // ReadCheckpoint parses and validates a checkpoint previously written

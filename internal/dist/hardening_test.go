@@ -23,6 +23,9 @@ type grabTransport struct {
 	mu    sync.Mutex
 	last  Conn
 	dials int
+	// dialed, when non-nil, gets a token after every successful dial
+	// (capacity 1: a waiter re-checks dialCount, so tokens may coalesce).
+	dialed chan struct{}
 }
 
 func (g *grabTransport) Listen(addr string) (Listener, error) { return g.inner.Listen(addr) }
@@ -34,8 +37,27 @@ func (g *grabTransport) Dial(addr string) (Conn, error) {
 		g.last = c
 		g.dials++
 		g.mu.Unlock()
+		if g.dialed != nil {
+			select {
+			case g.dialed <- struct{}{}:
+			default:
+			}
+		}
 	}
 	return c, err
+}
+
+// awaitDials blocks until n connections have been dialed.
+func (g *grabTransport) awaitDials(t *testing.T, n int, otherwise string) {
+	t.Helper()
+	timeout := time.After(10 * time.Second)
+	for g.dialCount() < n {
+		select {
+		case <-g.dialed:
+		case <-timeout:
+			t.Fatal(otherwise)
+		}
+	}
 }
 
 func (g *grabTransport) dialCount() int {
@@ -82,6 +104,8 @@ func TestWorkerSessionResumeMidLease(t *testing.T) {
 	var begun atomic.Int64
 	started := make(chan struct{}, 1)
 	secondResume := make(chan struct{})
+	gt := &grabTransport{inner: lb, dialed: make(chan struct{}, 1)}
+	resumedEval := make(chan struct{}, 1) // an evaluation finished after the first redial
 	real := distTestSim()
 	factory := func([]byte) (core.Simulator, error) {
 		return core.Evaluator(func(ctx context.Context, p core.Point) (float64, error) {
@@ -100,7 +124,14 @@ func TestWorkerSessionResumeMidLease(t *testing.T) {
 					return 0, ctx.Err()
 				}
 			}
-			return real.Run(ctx, p)
+			loss, err := real.Run(ctx, p)
+			if err == nil && gt.dialCount() >= 2 {
+				select {
+				case resumedEval <- struct{}{}:
+				default:
+				}
+			}
+			return loss, err
 		}), nil
 	}
 
@@ -108,7 +139,6 @@ func TestWorkerSessionResumeMidLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt := &grabTransport{inner: lb}
 	wctx, wcancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -156,29 +186,22 @@ func TestWorkerSessionResumeMidLease(t *testing.T) {
 		t.Fatal("no lease reached the stalling simulator")
 	}
 	gt.killLast()
-	okAtKill1 := reg.Counter("worker.evals_ok").Value()
 
 	// Kill 2: after the worker has redialed (a second connection
-	// exists) and at least one more evaluation has completed — the
-	// resumed session is live and the kill lands between leases.
-	deadline := time.Now().Add(10 * time.Second)
-	for gt.dialCount() < 2 || reg.Counter("worker.evals_ok").Value() <= okAtKill1 {
-		if time.Now().After(deadline) {
-			t.Fatal("resumed session never served an evaluation")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// exists) and an evaluation has completed since — the resumed
+	// session is live and the kill lands between leases.
+	gt.awaitDials(t, 2, "worker never redialed after the first kill")
+	select {
+	case <-resumedEval:
+	case <-time.After(10 * time.Second):
+		t.Fatal("resumed session never served an evaluation")
 	}
 	gt.killLast()
 
 	// The worker counts a resume before it redials, so its third
 	// connection proves the second resume happened; only then may the
 	// held evaluations — and with them the calibration — complete.
-	for gt.dialCount() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never redialed after the second kill")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	gt.awaitDials(t, 3, "worker never redialed after the second kill")
 	close(secondResume)
 
 	select {

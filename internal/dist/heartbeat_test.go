@@ -28,21 +28,47 @@ func drainFrames(conn Conn, got chan<- *Frame) {
 	}
 }
 
-// advanceUntil repeatedly advances the manual clock by step until cond
-// holds, failing the test after a generous number of rounds. The tiny
-// real-time sleep between rounds only yields to the goroutines woken by
-// the fired timers — total real time stays in milliseconds. Used by
-// the worker-side tests, whose loops answer every advance with frames.
-func advanceUntil(t *testing.T, mc *ManualClock, step time.Duration, cond func() bool) {
-	t.Helper()
-	for i := 0; i < 500; i++ {
-		if cond() {
-			return
-		}
-		mc.Advance(step)
-		time.Sleep(2 * time.Millisecond)
+// armedClock is a ManualClock that reports every timer armed on it, so
+// a test can move time exactly when some loop is waiting for it to.
+type armedClock struct {
+	*ManualClock
+	armed chan struct{} // capacity 1: tokens coalesce
+}
+
+func newArmedClock() *armedClock {
+	return &armedClock{ManualClock: NewManualClock(time.Unix(0, 0)), armed: make(chan struct{}, 1)}
+}
+
+func (c *armedClock) After(d time.Duration) <-chan time.Time {
+	ch := c.ManualClock.After(d)
+	select {
+	case c.armed <- struct{}{}:
+	default:
 	}
-	t.Fatalf("condition not reached after 500 advances of %s", step)
+	return ch
+}
+
+// advanceUntil advances the clock by step each time a timer has been
+// armed on it since the last advance, until stop accepts a value from
+// events, which it returns. The worker's heartbeat loop re-arms its
+// timer after every tick, so time keeps moving — one tick per advance,
+// never ahead of the loops it drives — and nothing sleeps; the real-time
+// guard only turns a hang into a failure.
+func advanceUntil[T any](t *testing.T, c *armedClock, step time.Duration, events <-chan T, stop func(T) bool) T {
+	t.Helper()
+	guard := time.After(10 * time.Second)
+	for {
+		select {
+		case ev := <-events:
+			if stop(ev) {
+				return ev
+			}
+		case <-c.armed:
+			c.Advance(step)
+		case <-guard:
+			t.Fatalf("no accepted event after advancing to %s", c.Now().Sub(time.Unix(0, 0)))
+		}
+	}
 }
 
 // TestCoordinatorDeclaresSilentWorkerDead connects a fake worker that
@@ -105,7 +131,7 @@ func TestCoordinatorDeclaresSilentWorkerDead(t *testing.T) {
 // coordinator that stops sending frames is abandoned after
 // HeartbeatTimeout on the injected clock, without real-time sleeping.
 func TestWorkerDropsSilentCoordinator(t *testing.T) {
-	mc := NewManualClock(time.Unix(0, 0))
+	mc := newArmedClock()
 	w, err := NewWorker(WorkerConfig{
 		Name:             "w",
 		Factory:          sameFactory,
@@ -148,18 +174,9 @@ func TestWorkerDropsSilentCoordinator(t *testing.T) {
 	}
 	go drainFrames(server, nil) // absorb worker heartbeats, send nothing
 
-	done := func() bool {
-		select {
-		case err := <-runErr:
-			if err == nil {
-				t.Fatal("worker Run returned nil for a silent coordinator, want an error")
-			}
-			return true
-		default:
-			return false
-		}
+	if err := advanceUntil(t, mc, 3*time.Second, runErr, func(error) bool { return true }); err == nil {
+		t.Fatal("worker Run returned nil for a silent coordinator, want an error")
 	}
-	advanceUntil(t, mc, 3*time.Second, done)
 }
 
 // TestLeaseDeadlineExpiresOnManualClock sends a lease with a deadline
@@ -167,7 +184,7 @@ func TestWorkerDropsSilentCoordinator(t *testing.T) {
 // the deadline must produce a transient timeout result — no real-time
 // sleeping, mirroring the local executor's abandonment semantics.
 func TestLeaseDeadlineExpiresOnManualClock(t *testing.T) {
-	mc := NewManualClock(time.Unix(0, 0))
+	mc := newArmedClock()
 	evalStarted := make(chan struct{}, 1)
 	w, err := NewWorker(WorkerConfig{
 		Name:             "w",
@@ -222,20 +239,7 @@ func TestLeaseDeadlineExpiresOnManualClock(t *testing.T) {
 		t.Fatal("lease evaluation never started")
 	}
 
-	var result *ResultMsg
-	advanceUntil(t, mc, 3*time.Second, func() bool {
-		for {
-			select {
-			case f := <-frames:
-				if f.Type == TypeResult {
-					result = f.Result
-					return true
-				}
-			default:
-				return false
-			}
-		}
-	})
+	result := advanceUntil(t, mc, 3*time.Second, frames, func(f *Frame) bool { return f.Type == TypeResult }).Result
 	if result.ID != 1 {
 		t.Fatalf("result ID = %d, want 1", result.ID)
 	}

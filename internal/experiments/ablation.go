@@ -3,13 +3,29 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"simcal/internal/core"
 	"simcal/internal/groundtruth"
 	"simcal/internal/loss"
 	"simcal/internal/opt"
+	"simcal/internal/simspec"
+	"simcal/internal/stats"
 	"simcal/internal/wfsim"
 )
+
+// selectedWFEvaluator is the loss the paper's selection settles on for
+// case study #1 — L1 — for version v on the generated grid gt.
+func selectedWFEvaluator(o Options, v wfsim.Version, gt groundtruth.WFOptions) (core.Simulator, error) {
+	return o.simulator(simspec.ForWF(v, loss.WFL1, gt, false),
+		func() (core.Simulator, error) {
+			ds, err := groundtruth.GenerateWorkflowData(gt)
+			if err != nil {
+				return nil, err
+			}
+			return loss.WFEvaluator(v, loss.WFL1, ds), nil
+		})
+}
 
 // AblationAlgResult compares every calibration algorithm at an equal
 // budget on the same problem — the evidence behind the paper's Section 4
@@ -29,12 +45,11 @@ type AblationAlgResult struct {
 // with all seven algorithms on real ground truth and compares the final
 // losses.
 func AblationAlgorithms(ctx context.Context, o Options) (*AblationAlgResult, error) {
-	ds, err := trainingDataset(o)
+	v := wfsim.HighestDetail
+	ev, err := selectedWFEvaluator(o, v, trainingWFOptions(o))
 	if err != nil {
 		return nil, err
 	}
-	v := wfsim.HighestDetail
-	ev := loss.WFEvaluator(v, loss.WFL1, ds)
 	algs := []core.Algorithm{
 		opt.Grid{}, opt.Random{}, opt.GradientDescent{},
 		opt.NewBOGP(), opt.NewBORF(), opt.NewBOET(), opt.NewBOGBRT(),
@@ -43,7 +58,7 @@ func AblationAlgorithms(ctx context.Context, o Options) (*AblationAlgResult, err
 	// configuration, so all cells share one cache key: with a cache
 	// attached, an evaluation any algorithm has already paid for is free
 	// to every other.
-	losses, err := RunJobsLogged(ctx, o.sched(), o.RunLog, "ablation-alg", len(algs), func(ctx context.Context, i int) (float64, error) {
+	losses, err := RunJobsLogged(ctx, NewScheduler(o.Jobs), o.RunLog, "ablation-alg", len(algs), func(ctx context.Context, i int) (float64, error) {
 		alg := algs[i] // one instance per cell: algorithms may keep state
 		cal := o.calibrator(v.Space(), ev, alg, o.Seed, o.cacheKey("ablation/wf/L1"))
 		r, err := cal.Run(ctx)
@@ -56,22 +71,16 @@ func AblationAlgorithms(ctx context.Context, o Options) (*AblationAlgResult, err
 		return nil, err
 	}
 	out := &AblationAlgResult{Losses: make(map[string]float64)}
-	boMin, boMax := -1.0, -1.0
+	var bo []float64
 	for i, alg := range algs {
-		l := losses[i]
 		out.Order = append(out.Order, alg.Name())
-		out.Losses[alg.Name()] = l
-		if len(alg.Name()) > 3 && alg.Name()[:3] == "BO-" {
-			if boMin < 0 || l < boMin {
-				boMin = l
-			}
-			if l > boMax {
-				boMax = l
-			}
+		out.Losses[alg.Name()] = losses[i]
+		if strings.HasPrefix(alg.Name(), "BO-") {
+			bo = append(bo, losses[i])
 		}
 	}
-	if boMin > 0 {
-		out.BOSpread = boMax / boMin
+	if lo := stats.Min(bo); lo > 0 {
+		out.BOSpread = stats.Max(bo) / lo
 	}
 	return out, nil
 }
@@ -89,12 +98,11 @@ type AblationBudgetResult struct {
 // AblationBudget calibrates the highest-detail workflow simulator at a
 // range of budgets with the paper's selected algorithm/loss pair.
 func AblationBudget(ctx context.Context, o Options) (*AblationBudgetResult, error) {
-	ds, err := trainingDataset(o)
+	v := wfsim.HighestDetail
+	ev, err := selectedWFEvaluator(o, v, trainingWFOptions(o))
 	if err != nil {
 		return nil, err
 	}
-	v := wfsim.HighestDetail
-	ev := loss.WFEvaluator(v, loss.WFL1, ds)
 	budgets := []int{o.MaxEvals / 8, o.MaxEvals / 4, o.MaxEvals / 2, o.MaxEvals}
 	out := &AblationBudgetResult{}
 	for _, b := range budgets {
@@ -131,13 +139,14 @@ type AblationStorageValueResult struct {
 // both storage options on data-heavy and data-free ground truth.
 func AblationStorageValue(ctx context.Context, o Options) (*AblationStorageValueResult, error) {
 	mk := func(footIdx []int) (*groundtruth.WFDataset, error) {
-		return groundtruth.GenerateWorkflowData(groundtruth.WFOptions{
-			Apps:    o.WFApps[:1],
-			SizeIdx: o.WFSizeIdx, WorkIdx: o.WFWorkIdx, FootIdx: footIdx,
-			Workers: defaultWorkers(o)[:1], Reps: o.Reps, Seed: o.Seed,
-		})
+		gt := o.wfGrid(o.WFApps[:1], defaultWorkers(o)[:1])
+		gt.FootIdx = footIdx
+		return groundtruth.GenerateWorkflowData(gt)
 	}
-	foots := wfFootprints(o)
+	foots := o.WFFootIdx
+	if foots == nil {
+		foots = []int{0, 1, 2, 3} // Table 1's real apps have 4 footprints
+	}
 	heavy, err := mk([]int{foots[len(foots)-1]})
 	if err != nil {
 		return nil, err
@@ -156,10 +165,10 @@ func AblationStorageValue(ctx context.Context, o Options) (*AblationStorageValue
 		{wfsim.SubmitOnly, free, "storage-free"},
 		{wfsim.AllNodes, free, "storage-free"},
 	}
-	errsOut, err := RunJobsLogged(ctx, o.sched(), o.RunLog, "ablation-storage", len(combos), func(ctx context.Context, i int) (float64, error) {
+	errsOut, err := RunJobsLogged(ctx, NewScheduler(o.Jobs), o.RunLog, "ablation-storage", len(combos), func(ctx context.Context, i int) (float64, error) {
 		c := combos[i]
 		v := wfsim.Version{Network: wfsim.OneLink, Storage: c.storage, Compute: wfsim.HTCondor}
-		va, err := calibrateAndTestWF(ctx, o, v, c.ds, c.ds, c.dsKey)
+		va, _, err := wfStudy.calibrateAndTest(ctx, o, v, c.ds, c.ds, c.dsKey)
 		if err != nil {
 			return 0, err
 		}
@@ -168,25 +177,10 @@ func AblationStorageValue(ctx context.Context, o Options) (*AblationStorageValue
 	if err != nil {
 		return nil, err
 	}
-	out := &AblationStorageValueResult{
+	return &AblationStorageValueResult{
 		DataHeavySubmitOnly: errsOut[0],
 		DataHeavyAllNodes:   errsOut[1],
 		DataFreeSubmitOnly:  errsOut[2],
 		DataFreeAllNodes:    errsOut[3],
-	}
-	return out, nil
-}
-
-// wfFootprints returns the footprint indices in effect for the options'
-// first app.
-func wfFootprints(o Options) []int {
-	if o.WFFootIdx != nil {
-		return o.WFFootIdx
-	}
-	n := 4 // Table 1 real apps have 4 footprints
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
+	}, nil
 }

@@ -3,35 +3,36 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
-	"time"
+	"slices"
 
 	"simcal/internal/core"
 	"simcal/internal/groundtruth"
 	"simcal/internal/loss"
 	"simcal/internal/simspec"
-	"simcal/internal/stats"
 	"simcal/internal/wfgen"
 	"simcal/internal/wfsim"
 )
 
-// Table3Result holds the calibration error (percent relative L1 distance
-// to the planted calibration) for every algorithm × loss-function pair —
-// the paper's Table 3.
-type Table3Result struct {
-	Losses     []string
-	Algorithms []string
-	// Errors[alg][loss] is the calibration error.
-	Errors map[string]map[string]float64
-	// Winner is the (algorithm, loss) pair with the lowest error.
-	WinnerAlg, WinnerLoss string
+// wfStudy is case study #1, workflow executions: versions are scored by
+// percent makespan error. Its training sets are in-process splits and
+// filters of a generated grid, which no simspec.Spec describes, so its
+// calibrations always evaluate locally.
+var wfStudy = study[wfsim.Version, *groundtruth.WFDataset]{
+	cacheKey: "wf/L1",
+	evaluator: func(_ Options, v wfsim.Version, train *groundtruth.WFDataset) (core.Simulator, error) {
+		return loss.WFEvaluator(v, loss.WFL1, train), nil
+	},
+	score: func(_ Options, v wfsim.Version, p core.Point, test *groundtruth.WFDataset) ([]float64, error) {
+		return loss.WFMakespanErrors(v, v.DecodeConfig(p), test)
+	},
+	executions: func(test *groundtruth.WFDataset) int { return len(test.Groups) },
 }
 
 // Table3 runs the synthetic-benchmarking selection of Section 5.3.2:
 // plant the true calibration in the highest-detail workflow simulator,
 // generate synthetic ground truth, calibrate with every algorithm × loss
-// pair, and report the calibration errors.
-func Table3(ctx context.Context, o Options) (*Table3Result, error) {
+// pair, and report the calibration errors — the paper's Table 3.
+func Table3(ctx context.Context, o Options) (*SelectionResult, error) {
 	v := wfsim.HighestDetail
 	gt := trainingWFOptions(o)
 	planted := groundtruth.WorkflowTruthPoint(v)
@@ -48,202 +49,39 @@ func Table3(ctx context.Context, o Options) (*Table3Result, error) {
 			return nil, err
 		}
 	}
-	res := &Table3Result{Errors: make(map[string]map[string]float64)}
-	for _, kind := range loss.AllWFKinds {
-		res.Losses = append(res.Losses, kind.String())
-	}
-	algs := algorithms()
-	for _, alg := range algs {
-		res.Algorithms = append(res.Algorithms, alg.Name())
-		res.Errors[alg.Name()] = make(map[string]float64)
-	}
-	nk := len(loss.AllWFKinds)
-	ces, err := RunJobsLogged(ctx, o.sched(), o.RunLog, "table3", len(algs)*nk, func(ctx context.Context, i int) (float64, error) {
-		ai, ki := i/nk, i%nk
-		// Fresh algorithm instance per cell: algorithms may keep
-		// internal state and cells run concurrently.
-		alg := algorithms()[ai]
-		kind := loss.AllWFKinds[ki]
-		sim, err := o.simulator(simspec.ForWF(v, kind, gt, true),
-			func() (core.Simulator, error) { return loss.WFEvaluator(v, kind, syn), nil })
-		if err != nil {
-			return 0, fmt.Errorf("table3 %s/%s: %w", alg.Name(), kind, err)
-		}
-		// Distinct seed per cell: with a shared seed, RAND would
-		// evaluate the identical point sequence for every loss and
-		// the whole row would collapse to one value.
-		cal := o.calibrator(v.Space(), sim, alg,
-			o.Seed+int64(100*ai+ki+1), o.cacheKey("table3/wf/"+kind.String()))
-		r, err := cal.Run(ctx)
-		if err != nil {
-			return 0, fmt.Errorf("table3 %s/%s: %w", alg.Name(), kind, err)
-		}
-		return core.CalibrationError(v.Space(), r.Best.Point, planted), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	best := -1.0
-	for i, ce := range ces {
-		ai, ki := i/nk, i%nk
-		res.Errors[algs[ai].Name()][loss.AllWFKinds[ki].String()] = ce
-		if best < 0 || ce < best {
-			best = ce
-			res.WinnerAlg, res.WinnerLoss = algs[ai].Name(), loss.AllWFKinds[ki].String()
-		}
-	}
-	return res, nil
-}
-
-// ConvergencePoint is one sample of a loss-vs-time curve.
-type ConvergencePoint struct {
-	Elapsed     time.Duration
-	Evaluations int
-	Loss        float64
-}
-
-// Figure1Result is the loss-vs-time convergence curve of Figure 1.
-type Figure1Result struct {
-	App    wfgen.App
-	Points []ConvergencePoint
+	return selectionMatrix(ctx, o, "table3", "table3/wf", v.Space(), planted, loss.AllWFKinds,
+		func(kind loss.WFKind) (core.Simulator, error) {
+			return o.simulator(simspec.ForWF(v, kind, gt, true),
+				func() (core.Simulator, error) { return loss.WFEvaluator(v, kind, syn), nil })
+		}, nil)
 }
 
 // Figure1 calibrates the highest-detail workflow simulator against all
 // ground-truth data for one application and traces the best-so-far loss
 // over time.
-func Figure1(ctx context.Context, o Options) (*Figure1Result, error) {
+func Figure1(ctx context.Context, o Options) (*ConvergenceResult, error) {
 	app := wfgen.Epigenomics
 	if len(o.WFApps) > 0 {
 		app = o.WFApps[0]
 	}
-	gt := groundtruth.WFOptions{
-		Apps:    []wfgen.App{app},
-		SizeIdx: o.WFSizeIdx, WorkIdx: o.WFWorkIdx, FootIdx: o.WFFootIdx,
-		Workers: o.WFWorkers, Reps: o.Reps, Seed: o.Seed,
-	}
 	v := wfsim.HighestDetail
-	sim, err := o.simulator(simspec.ForWF(v, loss.WFL1, gt, false),
-		func() (core.Simulator, error) {
-			ds, err := groundtruth.GenerateWorkflowData(gt)
-			if err != nil {
-				return nil, err
-			}
-			return loss.WFEvaluator(v, loss.WFL1, ds), nil
-		})
+	sim, err := selectedWFEvaluator(o, v, o.wfGrid([]wfgen.App{app}, o.WFWorkers))
 	if err != nil {
 		return nil, err
 	}
-	cal := o.calibrator(v.Space(), sim, algorithms()[1],
-		o.Seed, o.cacheKey("figure1/wf/L1"))
-	r, err := cal.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := &Figure1Result{App: app}
-	best := r.History[0].Loss
-	for i, s := range r.History {
-		if s.Loss < best {
-			best = s.Loss
-		}
-		out.Points = append(out.Points, ConvergencePoint{Elapsed: s.Elapsed, Evaluations: i + 1, Loss: best})
-	}
-	return out, nil
-}
-
-// VersionAccuracy reports the post-calibration accuracy of one simulator
-// version (one bar of Figure 2 / Figure 5).
-type VersionAccuracy struct {
-	Version string
-	// AvgError, MinError, MaxError are percent relative errors over the
-	// testing dataset (makespans for case 1, transfer rates for case 2).
-	AvgError, MinError, MaxError float64
-	// TrainLoss is the loss achieved on the training dataset.
-	TrainLoss float64
-	Params    int
-	// SimMicros is the wall-clock cost of one simulated execution at
-	// this level of detail, in microseconds — the "simulation speed"
-	// dimension the paper notes users weigh against accuracy.
-	SimMicros float64
-}
-
-// Figure2Result compares all 12 calibrated workflow simulator versions.
-type Figure2Result struct {
-	Versions []VersionAccuracy
-	// Best names the most accurate version.
-	Best string
+	return convergence(ctx, o, v.Space(), sim, "figure1/wf/L1", fmt.Sprintf("app=%s", app))
 }
 
 // Figure2 implements Section 5.4: calibrate every simulator version on
 // the training dataset (second-largest worker count and workflow size)
 // and evaluate percent makespan error on the testing dataset (largest
 // executions).
-func Figure2(ctx context.Context, o Options) (*Figure2Result, error) {
-	full, err := fullDataset(o)
+func Figure2(ctx context.Context, o Options) (*LoDResult, error) {
+	_, train, test, err := splitDataset(o, o.WFApps)
 	if err != nil {
 		return nil, err
 	}
-	train, test := splitTrainTest(full, o)
-	versions := wfsim.AllVersions()
-	vas, err := RunJobsLogged(ctx, o.sched(), o.RunLog, "figure2", len(versions), func(ctx context.Context, i int) (*VersionAccuracy, error) {
-		va, err := calibrateAndTestWF(ctx, o, versions[i], train, test, "train")
-		if err != nil {
-			return nil, fmt.Errorf("figure2 %s: %w", versions[i].Name(), err)
-		}
-		return va, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Figure2Result{}
-	bestAvg := -1.0
-	for _, va := range vas {
-		res.Versions = append(res.Versions, *va)
-		if bestAvg < 0 || va.AvgError < bestAvg {
-			bestAvg = va.AvgError
-			res.Best = va.Version
-		}
-	}
-	return res, nil
-}
-
-// calibrateAndTestWF calibrates one version on train and scores it on
-// test. dsKey names the training dataset for the evaluation cache
-// (calibrations of the same version on the same data — e.g. Figure 2
-// and Baseline 1 — legitimately share entries).
-func calibrateAndTestWF(ctx context.Context, o Options, v wfsim.Version, train, test *groundtruth.WFDataset, dsKey string) (*VersionAccuracy, error) {
-	r, err := o.calibrateBest(ctx, v.Space(), loss.WFEvaluator(v, loss.WFL1, train), algorithms()[1],
-		o.Seed, o.cacheKey("wf/L1/"+dsKey+"/"+v.Name()))
-	if err != nil {
-		return nil, err
-	}
-	cfg := v.DecodeConfig(r.Best.Point)
-	simStart := time.Now()
-	errs, err := loss.WFMakespanErrors(v, cfg, test)
-	if err != nil {
-		return nil, err
-	}
-	simMicros := float64(time.Since(simStart).Microseconds()) / float64(len(test.Groups))
-	return &VersionAccuracy{
-		Version:   v.Name(),
-		AvgError:  stats.Mean(errs),
-		MinError:  stats.Min(errs),
-		MaxError:  stats.Max(errs),
-		TrainLoss: r.Best.Loss,
-		Params:    v.Space().Dim(),
-		SimMicros: simMicros,
-	}, nil
-}
-
-// Baseline1Result is Section 5.4's no-calibration comparison: the lowest
-// level of detail with parameter values read off hardware
-// specifications.
-type Baseline1Result struct {
-	// SpecError is the percent makespan error of the spec-based
-	// parameters; CalibratedError is the same simulator version after
-	// automated calibration.
-	SpecError, CalibratedError float64
-	// PerApp maps application → spec-based average error.
-	PerApp map[wfgen.App]float64
+	return wfStudy.sweep(ctx, o, "figure2", wfsim.AllVersions(), train, test, "train")
 }
 
 // SpecBasedConfig returns the parameter values a user would read off the
@@ -260,36 +98,21 @@ func SpecBasedConfig() wfsim.Config {
 	}
 }
 
-// Baseline1 measures the spec-based lowest-detail simulator against the
-// calibrated one on the testing dataset.
-func Baseline1(ctx context.Context, o Options) (*Baseline1Result, error) {
-	full, err := fullDataset(o)
+// Baseline1 is Section 5.4's no-calibration comparison: the spec-based
+// lowest-detail simulator against the calibrated one on the testing
+// dataset, broken down by application.
+func Baseline1(ctx context.Context, o Options) (*BaselineResult, error) {
+	_, train, test, err := splitDataset(o, o.WFApps)
 	if err != nil {
 		return nil, err
 	}
-	train, test := splitTrainTest(full, o)
 	v := wfsim.LowestDetail
 	specErrs, err := loss.WFMakespanErrors(v, SpecBasedConfig(), test)
 	if err != nil {
 		return nil, err
 	}
-	va, err := calibrateAndTestWF(ctx, o, v, train, test, "train")
-	if err != nil {
-		return nil, err
-	}
-	out := &Baseline1Result{
-		SpecError:       stats.Mean(specErrs),
-		CalibratedError: va.AvgError,
-		PerApp:          make(map[wfgen.App]float64),
-	}
-	perApp := make(map[wfgen.App][]float64)
-	for i, g := range test.Groups {
-		perApp[g.Spec.App] = append(perApp[g.Spec.App], specErrs[i])
-	}
-	for app, errs := range perApp {
-		out.PerApp[app] = stats.Mean(errs)
-	}
-	return out, nil
+	return wfStudy.baseline(ctx, o, v, train, test, "train", specErrs,
+		func(i int) string { return string(test.Groups[i].Spec.App) })
 }
 
 // trainingWFOptions resolves the generation options of the default
@@ -297,33 +120,31 @@ func Baseline1(ctx context.Context, o Options) (*Baseline1Result, error) {
 // second-largest size (Section 5.4). The resolved options double as the
 // dataset description shipped to remote workers inside simulator specs.
 func trainingWFOptions(o Options) groundtruth.WFOptions {
-	sizeIdx := secondLargestIdx(o.WFSizeIdx, len(wfgen.Table1[wfgen.Epigenomics].Sizes))
-	workerIdx := secondLargestIdx(nil, len(defaultWorkers(o)))
 	workers := defaultWorkers(o)
-	return groundtruth.WFOptions{
-		Apps:    o.WFApps,
-		SizeIdx: []int{sizeIdx},
-		WorkIdx: o.WFWorkIdx,
-		FootIdx: o.WFFootIdx,
-		Workers: []int{workers[workerIdx]},
-		Reps:    o.Reps,
-		Seed:    o.Seed,
+	gt := o.wfGrid(o.WFApps, []int{workers[max(0, len(workers)-2)]})
+	gt.SizeIdx = []int{secondLargestIdx(o.WFSizeIdx, len(wfgen.Table1[wfgen.Epigenomics].Sizes))}
+	return gt
+}
+
+// splitDataset generates the complete ground-truth grid of apps and
+// splits it (see splitTrainTest).
+func splitDataset(o Options, apps []wfgen.App) (full, train, test *groundtruth.WFDataset, err error) {
+	full, err = groundtruth.GenerateWorkflowData(o.wfGrid(apps, defaultWorkers(o)))
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	train, test = splitTrainTest(full, o)
+	return full, train, test, nil
 }
 
-// trainingDataset builds the default training dataset (see
-// trainingWFOptions).
-func trainingDataset(o Options) (*groundtruth.WFDataset, error) {
-	return groundtruth.GenerateWorkflowData(trainingWFOptions(o))
-}
-
-// fullDataset generates the complete ground-truth grid for the options.
-func fullDataset(o Options) (*groundtruth.WFDataset, error) {
-	return groundtruth.GenerateWorkflowData(groundtruth.WFOptions{
-		Apps:    o.WFApps,
+// wfGrid describes the ground-truth grid of apps × the options' size,
+// work and footprint subsets × workers.
+func (o Options) wfGrid(apps []wfgen.App, workers []int) groundtruth.WFOptions {
+	return groundtruth.WFOptions{
+		Apps:    apps,
 		SizeIdx: o.WFSizeIdx, WorkIdx: o.WFWorkIdx, FootIdx: o.WFFootIdx,
-		Workers: defaultWorkers(o), Reps: o.Reps, Seed: o.Seed,
-	})
+		Workers: workers, Reps: o.Reps, Seed: o.Seed,
+	}
 }
 
 // splitTrainTest implements the paper's split: testing = the "large"
@@ -334,21 +155,8 @@ func splitTrainTest(full *groundtruth.WFDataset, o Options) (train, test *ground
 	workers := defaultWorkers(o)
 	maxWorkers := workers[len(workers)-1]
 	trainWorkers := workers[max(0, len(workers)-2)]
-	sizesOf := func(app wfgen.App) []int {
-		sizes := wfgen.Table1[app].Sizes
-		var out []int
-		if o.WFSizeIdx == nil {
-			out = append(out, sizes...)
-		} else {
-			for _, i := range o.WFSizeIdx {
-				out = append(out, sizes[i])
-			}
-		}
-		sort.Ints(out)
-		return out
-	}
 	test = full.Filter(func(g *groundtruth.WFGroup) bool {
-		sizes := sizesOf(g.Spec.App)
+		sizes := appSizes(g.Spec.App, o.WFSizeIdx)
 		maxSize, minSize := sizes[len(sizes)-1], sizes[0]
 		if g.Workers == maxWorkers && g.Spec.Tasks > minSize {
 			return true
@@ -356,7 +164,7 @@ func splitTrainTest(full *groundtruth.WFDataset, o Options) (train, test *ground
 		return g.Spec.Tasks == maxSize && g.Workers > workers[0]
 	})
 	train = full.Filter(func(g *groundtruth.WFGroup) bool {
-		sizes := sizesOf(g.Spec.App)
+		sizes := appSizes(g.Spec.App, o.WFSizeIdx)
 		trainSize := sizes[max(0, len(sizes)-2)]
 		return g.Workers == trainWorkers && g.Spec.Tasks == trainSize
 	})
@@ -365,9 +173,7 @@ func splitTrainTest(full *groundtruth.WFDataset, o Options) (train, test *ground
 
 func defaultWorkers(o Options) []int {
 	if len(o.WFWorkers) > 0 {
-		ws := append([]int(nil), o.WFWorkers...)
-		sort.Ints(ws)
-		return ws
+		return slices.Sorted(slices.Values(o.WFWorkers))
 	}
 	return []int{1, 2, 4, 6}
 }
@@ -378,14 +184,6 @@ func secondLargestIdx(subset []int, n int) int {
 	if subset == nil {
 		return max(0, n-2)
 	}
-	sorted := append([]int(nil), subset...)
-	sort.Ints(sorted)
+	sorted := slices.Sorted(slices.Values(subset))
 	return sorted[max(0, len(sorted)-2)]
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

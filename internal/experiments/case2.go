@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"simcal/internal/core"
 	"simcal/internal/groundtruth"
@@ -18,214 +17,98 @@ import (
 // held out for the generalization study).
 var p2pBenchmarks = []mpi.Benchmark{mpi.PingPing, mpi.PingPong, mpi.BiRandom}
 
-// mpiTrainData generates the (smallest-scale) MPI training dataset.
-func mpiTrainData(o Options, benchmarks []mpi.Benchmark, nodes []int) (*groundtruth.MPIDataset, error) {
-	return groundtruth.GenerateMPIData(groundtruth.MPIOptions{
+// mpiSet is an MPI ground-truth dataset together with the generation
+// options that describe it to a remote worker: every MPI dataset is a
+// whole generated grid, so every MPI calibration can run on a fleet.
+type mpiSet struct {
+	gt groundtruth.MPIOptions
+	ds *groundtruth.MPIDataset
+}
+
+// mpiTrainData generates the MPI dataset of benchmarks at the given node
+// counts over the options' message sizes.
+func mpiTrainData(o Options, benchmarks []mpi.Benchmark, nodes []int) (mpiSet, error) {
+	gt := groundtruth.MPIOptions{
 		Benchmarks: benchmarks,
 		Nodes:      nodes,
 		MsgSizes:   o.MPIMsgSizes,
 		Rounds:     o.MPIRounds,
 		Reps:       o.Reps,
 		Seed:       o.Seed,
-	})
+	}
+	ds, err := groundtruth.GenerateMPIData(gt)
+	return mpiSet{gt: gt, ds: ds}, err
 }
 
-// Table5Result holds calibration error and average relative transfer-
-// rate error for every algorithm × loss pair — the paper's Table 5.
-type Table5Result struct {
-	Losses     []string
-	Algorithms []string
-	// CalibErrors[alg][loss] is the calibration error (percent relative
-	// L1 distance to the planted calibration).
-	CalibErrors map[string]map[string]float64
-	// RateErrors[alg][loss] is the relative average transfer-rate error
-	// (fractional, as in the paper's Table 5).
-	RateErrors map[string]map[string]float64
-	// Winner is the pair the methodology would select.
-	WinnerAlg, WinnerLoss string
+// mpiStudy is case study #2, MPI point-to-point benchmarks: versions are
+// scored by percent transfer-rate error.
+var mpiStudy = study[mpisim.Version, mpiSet]{
+	cacheKey: "mpi/L1",
+	evaluator: func(o Options, v mpisim.Version, train mpiSet) (core.Simulator, error) {
+		return o.simulator(simspec.ForMPI(v, loss.MPIL1, train.gt, o.MPIRounds, false),
+			func() (core.Simulator, error) { return loss.MPIEvaluator(v, loss.MPIL1, train.ds, o.MPIRounds), nil })
+	},
+	score: func(o Options, v mpisim.Version, p core.Point, test mpiSet) ([]float64, error) {
+		return loss.MPIRateErrors(v, v.DecodeConfig(p), test.ds, o.MPIRounds)
+	},
+	executions: func(test mpiSet) int { return len(test.ds.Measurements) },
 }
 
 // Table5 runs the synthetic-benchmarking selection of Section 6.3.2 on
 // the highest-detail MPI simulator, reporting both calibration error and
-// transfer-rate error (the latter disambiguates bandwidth/factor
-// compensation, as the paper notes).
-func Table5(ctx context.Context, o Options) (*Table5Result, error) {
+// transfer-rate error — the paper's Table 5.
+func Table5(ctx context.Context, o Options) (*SelectionResult, error) {
 	v := mpisim.HighestDetail
-	nodes := o.MPINodes[:1]
-	template, err := mpiTrainData(o, p2pBenchmarks, nodes)
+	template, err := mpiTrainData(o, p2pBenchmarks, o.MPINodes[:1])
 	if err != nil {
 		return nil, err
 	}
 	planted := groundtruth.MPITruthPoint(v)
-	syn, err := groundtruth.SyntheticMPIData(v, planted, template, o.MPIRounds)
+	// The rate-error column is scored in this process, so the synthetic
+	// dataset is built here even when the calibrations run remotely.
+	syn, err := groundtruth.SyntheticMPIData(v, planted, template.ds, o.MPIRounds)
 	if err != nil {
 		return nil, err
 	}
-	res := &Table5Result{
-		CalibErrors: make(map[string]map[string]float64),
-		RateErrors:  make(map[string]map[string]float64),
-	}
-	for _, kind := range loss.AllMPIKinds {
-		res.Losses = append(res.Losses, kind.String())
-	}
-	algs := algorithms()
-	for _, alg := range algs {
-		res.Algorithms = append(res.Algorithms, alg.Name())
-		res.CalibErrors[alg.Name()] = make(map[string]float64)
-		res.RateErrors[alg.Name()] = make(map[string]float64)
-	}
-	// Exported fields: cells round-trip through the RunLog as JSON.
-	type table5Cell struct{ CE, RE float64 }
-	nk := len(loss.AllMPIKinds)
-	cells, err := RunJobsLogged(ctx, o.sched(), o.RunLog, "table5", len(algs)*nk, func(ctx context.Context, i int) (table5Cell, error) {
-		ai, ki := i/nk, i%nk
-		alg := algorithms()[ai] // fresh instance per concurrent cell
-		kind := loss.AllMPIKinds[ki]
-		// Distinct seed per cell (see Table3).
-		cal := o.calibrator(v.Space(), loss.MPIEvaluator(v, kind, syn, o.MPIRounds), alg,
-			o.Seed+int64(100*ai+ki+1), o.cacheKey("table5/mpi/"+kind.String()))
-		r, err := cal.Run(ctx)
-		if err != nil {
-			return table5Cell{}, fmt.Errorf("table5 %s/%s: %w", alg.Name(), kind, err)
-		}
-		ce := core.CalibrationError(v.Space(), r.Best.Point, planted)
-		rerrs, err := loss.MPIRateErrors(v, v.DecodeConfig(r.Best.Point), syn, o.MPIRounds)
-		if err != nil {
-			return table5Cell{}, err
-		}
-		re := stats.Mean(rerrs) / 100 // fractional, like the paper
-		return table5Cell{CE: ce, RE: re}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	bestRate := -1.0
-	for i, c := range cells {
-		ai, ki := i/nk, i%nk
-		kind := loss.AllMPIKinds[ki]
-		res.CalibErrors[algs[ai].Name()][kind.String()] = c.CE
-		res.RateErrors[algs[ai].Name()][kind.String()] = c.RE
-		if bestRate < 0 || c.RE < bestRate {
-			bestRate = c.RE
-			res.WinnerAlg, res.WinnerLoss = algs[ai].Name(), kind.String()
-		}
-	}
-	return res, nil
-}
-
-// Figure4Result is the MPI loss-vs-time convergence curve of Figure 4.
-type Figure4Result struct {
-	Nodes  int
-	Points []ConvergencePoint
+	return selectionMatrix(ctx, o, "table5", "table5/mpi", v.Space(), planted, loss.AllMPIKinds,
+		func(kind loss.MPIKind) (core.Simulator, error) {
+			return o.simulator(simspec.ForMPI(v, kind, template.gt, o.MPIRounds, true),
+				func() (core.Simulator, error) { return loss.MPIEvaluator(v, kind, syn, o.MPIRounds), nil })
+		},
+		func(p core.Point) (float64, error) {
+			rerrs, err := loss.MPIRateErrors(v, v.DecodeConfig(p), syn, o.MPIRounds)
+			if err != nil {
+				return 0, err
+			}
+			return stats.Mean(rerrs) / 100, nil // fractional, like the paper
+		})
 }
 
 // Figure4 calibrates the highest-detail MPI simulator against all
 // ground-truth data at the smallest node count and traces the loss.
-func Figure4(ctx context.Context, o Options) (*Figure4Result, error) {
+func Figure4(ctx context.Context, o Options) (*ConvergenceResult, error) {
 	v := mpisim.HighestDetail
-	nodes := o.MPINodes[:1]
-	gt := groundtruth.MPIOptions{
-		Benchmarks: p2pBenchmarks, Nodes: nodes, MsgSizes: o.MPIMsgSizes,
-		Rounds: o.MPIRounds, Reps: o.Reps, Seed: o.Seed,
-	}
-	sim, err := o.simulator(simspec.ForMPI(v, loss.MPIL1, gt, o.MPIRounds, false),
-		func() (core.Simulator, error) {
-			ds, err := groundtruth.GenerateMPIData(gt)
-			if err != nil {
-				return nil, err
-			}
-			return loss.MPIEvaluator(v, loss.MPIL1, ds, o.MPIRounds), nil
-		})
+	train, err := mpiTrainData(o, p2pBenchmarks, o.MPINodes[:1])
 	if err != nil {
 		return nil, err
 	}
-	cal := o.calibrator(v.Space(), sim, algorithms()[1],
-		o.Seed, o.cacheKey("figure4/mpi/L1"))
-	r, err := cal.Run(ctx)
+	sim, err := mpiStudy.evaluator(o, v, train)
 	if err != nil {
 		return nil, err
 	}
-	out := &Figure4Result{Nodes: nodes[0]}
-	best := r.History[0].Loss
-	for i, s := range r.History {
-		if s.Loss < best {
-			best = s.Loss
-		}
-		out.Points = append(out.Points, ConvergencePoint{Elapsed: s.Elapsed, Evaluations: i + 1, Loss: best})
-	}
-	return out, nil
-}
-
-// Figure5Result compares all 16 calibrated MPI simulator versions.
-type Figure5Result struct {
-	Versions []VersionAccuracy
-	Best     string
+	return convergence(ctx, o, v.Space(), sim, "figure4/mpi/L1", fmt.Sprintf("%d nodes", o.MPINodes[0]))
 }
 
 // Figure5 implements Section 6.4: calibrate every version on the
 // smallest-scale PingPing/PingPong/BiRandom data and report percent
 // transfer-rate errors on the same data (the paper presents this as an
 // overfitting study; generalization is Section 6.5).
-func Figure5(ctx context.Context, o Options) (*Figure5Result, error) {
-	nodes := o.MPINodes[:1]
-	ds, err := mpiTrainData(o, p2pBenchmarks, nodes)
+func Figure5(ctx context.Context, o Options) (*LoDResult, error) {
+	ds, err := mpiTrainData(o, p2pBenchmarks, o.MPINodes[:1])
 	if err != nil {
 		return nil, err
 	}
-	versions := mpisim.AllVersions()
-	vas, err := RunJobsLogged(ctx, o.sched(), o.RunLog, "figure5", len(versions), func(ctx context.Context, i int) (*VersionAccuracy, error) {
-		va, err := calibrateAndTestMPI(ctx, o, versions[i], ds, ds, "p2p")
-		if err != nil {
-			return nil, fmt.Errorf("figure5 %s: %w", versions[i].Name(), err)
-		}
-		return va, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Figure5Result{}
-	bestAvg := -1.0
-	for _, va := range vas {
-		res.Versions = append(res.Versions, *va)
-		if bestAvg < 0 || va.AvgError < bestAvg {
-			bestAvg = va.AvgError
-			res.Best = va.Version
-		}
-	}
-	return res, nil
-}
-
-// calibrateAndTestMPI calibrates one version on train and scores percent
-// rate errors on test. dsKey names the training dataset for the
-// evaluation cache (calibrations of the same version on the same data —
-// e.g. Figure 5 and Baseline 2 — legitimately share entries).
-func calibrateAndTestMPI(ctx context.Context, o Options, v mpisim.Version, train, test *groundtruth.MPIDataset, dsKey string) (*VersionAccuracy, error) {
-	r, err := o.calibrateBest(ctx, v.Space(), loss.MPIEvaluator(v, loss.MPIL1, train, o.MPIRounds), algorithms()[1],
-		o.Seed, o.cacheKey("mpi/L1/"+dsKey+"/"+v.Name()))
-	if err != nil {
-		return nil, err
-	}
-	simStart := time.Now()
-	errs, err := loss.MPIRateErrors(v, v.DecodeConfig(r.Best.Point), test, o.MPIRounds)
-	if err != nil {
-		return nil, err
-	}
-	simMicros := float64(time.Since(simStart).Microseconds()) / float64(len(test.Measurements))
-	return &VersionAccuracy{
-		Version:   v.Name(),
-		AvgError:  stats.Mean(errs),
-		MinError:  stats.Min(errs),
-		MaxError:  stats.Max(errs),
-		TrainLoss: r.Best.Loss,
-		Params:    v.Space().Dim(),
-		SimMicros: simMicros,
-	}, nil
-}
-
-// Baseline2Result is Section 6.4's no-calibration comparison.
-type Baseline2Result struct {
-	SpecError, CalibratedError float64
-	PerBenchmark               map[mpi.Benchmark]float64
+	return mpiStudy.sweep(ctx, o, "figure5", mpisim.AllVersions(), ds, ds, "p2p")
 }
 
 // SpecBasedMPIConfig returns parameter values read off Summit's public
@@ -248,36 +131,21 @@ func SpecBasedMPIConfig() mpisim.Config {
 	}
 }
 
-// Baseline2 measures the spec-based lowest-detail MPI simulator against
-// its calibrated counterpart.
-func Baseline2(ctx context.Context, o Options) (*Baseline2Result, error) {
-	nodes := o.MPINodes[:1]
-	ds, err := mpiTrainData(o, p2pBenchmarks, nodes)
+// Baseline2 is Section 6.4's no-calibration comparison: the spec-based
+// lowest-detail MPI simulator against its calibrated counterpart, broken
+// down by benchmark.
+func Baseline2(ctx context.Context, o Options) (*BaselineResult, error) {
+	ds, err := mpiTrainData(o, p2pBenchmarks, o.MPINodes[:1])
 	if err != nil {
 		return nil, err
 	}
 	v := mpisim.LowestDetail
-	specErrs, err := loss.MPIRateErrors(v, SpecBasedMPIConfig(), ds, o.MPIRounds)
+	specErrs, err := loss.MPIRateErrors(v, SpecBasedMPIConfig(), ds.ds, o.MPIRounds)
 	if err != nil {
 		return nil, err
 	}
-	va, err := calibrateAndTestMPI(ctx, o, v, ds, ds, "p2p")
-	if err != nil {
-		return nil, err
-	}
-	out := &Baseline2Result{
-		SpecError:       stats.Mean(specErrs),
-		CalibratedError: va.AvgError,
-		PerBenchmark:    make(map[mpi.Benchmark]float64),
-	}
-	per := make(map[mpi.Benchmark][]float64)
-	for i, m := range ds.Measurements {
-		per[m.Benchmark] = append(per[m.Benchmark], specErrs[i])
-	}
-	for b, errs := range per {
-		out.PerBenchmark[b] = stats.Mean(errs)
-	}
-	return out, nil
+	return mpiStudy.baseline(ctx, o, v, ds, ds, "p2p", specErrs,
+		func(i int) string { return string(ds.ds.Measurements[i].Benchmark) })
 }
 
 // Section65Result reports the generalization study of Section 6.5.
@@ -309,31 +177,25 @@ func Section65(ctx context.Context, o Options) (*Section65Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fromP2P, err := calibrateAndTestMPI(ctx, o, v, p2p, stencil, "p2p")
+	fromP2P, calibrated, err := mpiStudy.calibrateAndTest(ctx, o, v, p2p, stencil, "p2p")
 	if err != nil {
 		return nil, err
 	}
 	out.StencilFromP2P = fromP2P.AvgError
-	native, err := calibrateAndTestMPI(ctx, o, v, stencil, stencil, "stencil")
+	native, _, err := mpiStudy.calibrateAndTest(ctx, o, v, stencil, stencil, "stencil")
 	if err != nil {
 		return nil, err
 	}
 	out.StencilNative = native.AvgError
 
-	// Cross-scale: calibrate at the smallest count, evaluate at each
+	// Cross-scale: evaluate the smallest-count P2P calibration at each
 	// larger count.
-	r, err := o.calibrateBest(ctx, v.Space(), loss.MPIEvaluator(v, loss.MPIL1, p2p, o.MPIRounds), algorithms()[1],
-		o.Seed, o.cacheKey("mpi/L1/p2p/"+v.Name()))
-	if err != nil {
-		return nil, err
-	}
-	cfg := v.DecodeConfig(r.Best.Point)
 	for _, n := range o.MPINodes {
 		ds, err := mpiTrainData(o, p2pBenchmarks, []int{n})
 		if err != nil {
 			return nil, err
 		}
-		errs, err := loss.MPIRateErrors(v, cfg, ds, o.MPIRounds)
+		errs, err := mpiStudy.score(o, v, calibrated, ds)
 		if err != nil {
 			return nil, err
 		}

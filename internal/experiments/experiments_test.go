@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"simcal/internal/obs"
 	"simcal/internal/wfgen"
 )
 
@@ -82,7 +83,7 @@ func TestTable3Runs(t *testing.T) {
 	}
 	for _, a := range res.Algorithms {
 		for _, l := range res.Losses {
-			if res.Errors[a][l] < 0 {
+			if res.CalibErrors[a][l] < 0 {
 				t.Errorf("negative calibration error for %s/%s", a, l)
 			}
 		}
@@ -138,7 +139,7 @@ func TestBaseline1SpecWorseThanCalibrated(t *testing.T) {
 	if res.SpecError < res.CalibratedError {
 		t.Errorf("spec-based error (%.1f%%) below calibrated (%.1f%%) — calibration adds nothing?", res.SpecError, res.CalibratedError)
 	}
-	if len(res.PerApp) == 0 {
+	if len(res.PerGroup) == 0 {
 		t.Error("no per-app breakdown")
 	}
 }
@@ -228,17 +229,25 @@ func TestBaseline2Runs(t *testing.T) {
 	if res.SpecError <= 0 {
 		t.Error("spec error should be positive")
 	}
-	if len(res.PerBenchmark) != 3 {
-		t.Errorf("per-benchmark entries = %d, want 3", len(res.PerBenchmark))
+	if len(res.PerGroup) != 3 {
+		t.Errorf("per-benchmark entries = %d, want 3", len(res.PerGroup))
 	}
 }
 
 func TestSection65Runs(t *testing.T) {
 	o := tiny()
 	o.MaxEvals = 10
+	o.Restarts = 2
+	started := &countingObserver{}
+	o.Observer = started
 	res, err := Section65(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Two calibrations (from P2P, from Stencil) of Restarts runs each: the
+	// cross-scale rows reuse the P2P calibration's point.
+	if n := started.started.Load(); n != 4 {
+		t.Errorf("%d calibration runs, want 2 calibrations x 2 restarts", n)
 	}
 	if res.StencilFromP2P <= 0 || res.StencilNative <= 0 {
 		t.Error("stencil errors should be positive")
@@ -320,11 +329,10 @@ func TestAblationStorageValueRuns(t *testing.T) {
 
 func TestSplitTrainTestDisjoint(t *testing.T) {
 	o := tinyReal()
-	full, err := fullDataset(o)
+	_, train, test, err := splitDataset(o, o.WFApps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, test := splitTrainTest(full, o)
 	if len(train.Groups) == 0 || len(test.Groups) == 0 {
 		t.Fatalf("empty split: train=%d test=%d", len(train.Groups), len(test.Groups))
 	}
@@ -353,7 +361,7 @@ func TestFormatHelpers(t *testing.T) {
 	if !strings.Contains(va, "x") {
 		t.Error("FormatVersionAccuracy missing version")
 	}
-	cv := FormatConvergence([]ConvergencePoint{{Evaluations: 1, Loss: 0.5}, {Evaluations: 2, Loss: 0.25}}, 10)
+	cv := FormatConvergence([]obs.ConvergencePoint{{Evaluations: 1, Loss: 0.5}, {Evaluations: 2, Loss: 0.25}}, 10)
 	if !strings.Contains(cv, "0.2500") {
 		t.Error("FormatConvergence missing loss")
 	}

@@ -52,7 +52,7 @@ var faultRates = []float64{0, 0.05, 0.10, 0.20}
 // losses instead of crashes.
 func Faults(ctx context.Context, o Options) (*FaultsResult, error) {
 	v := wfsim.LowestDetail
-	template, err := trainingDataset(o)
+	template, err := groundtruth.GenerateWorkflowData(trainingWFOptions(o))
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ func Faults(ctx context.Context, o Options) (*FaultsResult, error) {
 			MaxDelay:    5 * time.Millisecond,
 		}
 	}
-	rows, err := RunJobsLogged(ctx, o.sched(), o.RunLog, "faults", len(faultRates), func(ctx context.Context, i int) (FaultsRow, error) {
+	rows, err := RunJobsLogged(ctx, NewScheduler(o.Jobs), o.RunLog, "faults", len(faultRates), func(ctx context.Context, i int) (FaultsRow, error) {
 		rate := faultRates[i]
 		inj := faultsim.Wrap(loss.WFEvaluator(v, loss.WFL1, syn), faultsim.Config{
 			Seed: o.Seed + int64(i+1),
@@ -84,17 +84,10 @@ func Faults(ctx context.Context, o Options) (*FaultsResult, error) {
 		// A dedicated registry per rate keeps the recovery counters
 		// attributable to this row.
 		reg := obs.NewRegistry()
-		cal := &core.Calibrator{
-			Space:          v.Space(),
-			Simulator:      inj,
-			Algorithm:      opt.Random{},
-			Budget:         o.Budget,
-			MaxEvaluations: o.MaxEvals,
-			Workers:        o.Workers,
-			Seed:           o.Seed + int64(100*(i+1)),
-			Observer:       core.NewObsObserver(reg, nil),
-			Resilience:     policy,
-		}
+		cal := o.calibrator(v.Space(), inj, opt.Random{}, o.Seed+int64(100*(i+1)), "")
+		cal.Observer = core.NewObsObserver(reg, nil)
+		cal.Resilience = policy
+		cal.Cache = nil // a memoized evaluation would skip its injected fault
 		r, err := cal.Run(ctx)
 		if err != nil {
 			return FaultsRow{}, fmt.Errorf("faults rate=%g: %w", rate, err)

@@ -1,5 +1,7 @@
-// Package experiments implements one driver per table and figure of the
-// paper's evaluation (see DESIGN.md's per-experiment index). Every driver
+// Package experiments regenerates every table and figure of the paper's
+// evaluation: Artifacts lists them (DESIGN.md's per-experiment index
+// sets them against the paper), study.go holds the methodology's generic
+// drivers, and the per-case-study files instantiate those. Every driver
 // takes an Options value that scales the experiment: the defaults run in
 // seconds to minutes on a laptop; Full() approaches the paper's scale
 // (which used 24–48 h calibration budgets on a 48-core node).
@@ -87,12 +89,17 @@ type Options struct {
 
 	// Remote, when non-nil, supplies the loss evaluator for a simulator
 	// spec instead of building it in-process — the hook the distributed
-	// evaluation plane plugs in (a dist.Coordinator's Evaluator). The
-	// spec-aware drivers (Table3, Figure1, Figure4) route their
-	// evaluations through it; the remaining drivers always evaluate
-	// locally. Because specs are self-describing and workers rebuild
-	// simulators from the same code, results are bitwise identical to
-	// local evaluation.
+	// evaluation plane plugs in (a dist.Coordinator's Evaluator). A
+	// calibration routes through it exactly when a simspec.Spec can
+	// describe its training set: a whole generated grid, optionally
+	// re-synthesised from the planted calibration — the selection
+	// matrices, the convergence curves, every MPI calibration and the
+	// algorithm and budget ablations. Calibrations that train on an
+	// in-process dataset value (the workflow study's splits and filters,
+	// the batch log) or wrap their evaluator (faults) evaluate locally.
+	// Because specs are self-describing and workers rebuild simulators
+	// from the same code, results are bitwise identical to local
+	// evaluation.
 	Remote func(spec simspec.Spec) (core.Simulator, error)
 }
 
@@ -104,10 +111,6 @@ func (o Options) simulator(sp simspec.Spec, local func() (core.Simulator, error)
 	}
 	return local()
 }
-
-// sched returns the experiment-wide scheduler implied by Jobs (nil for
-// sequential execution).
-func (o Options) sched() *Scheduler { return NewScheduler(o.Jobs) }
 
 // cacheKey builds the evaluation-cache identity for one (simulator
 // version, loss, dataset) configuration. o.Seed participates because

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -258,11 +259,45 @@ func TestTable3RunLogResumeDeterminism(t *testing.T) {
 		t.Errorf("winner (%s, %s) after resume, want (%s, %s)",
 			got.WinnerAlg, got.WinnerLoss, ref.WinnerAlg, ref.WinnerLoss)
 	}
-	for alg, row := range ref.Errors {
+	for alg, row := range ref.CalibErrors {
 		for kind, want := range row {
-			if gotv := got.Errors[alg][kind]; gotv != want {
-				t.Errorf("Errors[%s][%s] = %v after resume, want %v", alg, kind, gotv, want)
+			if gotv := got.CalibErrors[alg][kind]; gotv != want {
+				t.Errorf("CalibErrors[%s][%s] = %v after resume, want %v", alg, kind, gotv, want)
 			}
 		}
+	}
+}
+
+// TestTable3RecomputesPastAParentRunLog: a -checkpoint log written before
+// Table 3's cell became the selection matrix's {CE, RE} holds bare floats
+// under table3/<i>. They no longer decode into the cell, so Lookup
+// misses, every cell recomputes, and the result is the uninterrupted
+// one — never a zero-filled matrix. (Table 5's cells were {CE, RE}
+// already and still resume.)
+func TestTable3RecomputesPastAParentRunLog(t *testing.T) {
+	ref, err := Table3(context.Background(), tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := tiny()
+	o.RunLog = openLog(t, filepath.Join(t.TempDir(), "run.jsonl"), "tiny")
+	defer o.RunLog.Close()
+	cells := len(ref.Algorithms) * len(ref.Losses)
+	for i := 0; i < cells; i++ {
+		if err := o.RunLog.Store("table3", i, 123.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obs := &countingObserver{}
+	o.Observer = obs
+	got, err := Table3(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := obs.started.Load(); n != int64(cells) {
+		t.Errorf("%d calibrations ran over the parent's log, want all %d", n, cells)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("Table3 over a parent-format log:\n got %+v\nwant %+v", got, ref)
 	}
 }

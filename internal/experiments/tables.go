@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
 	"simcal/internal/mpisim"
+	"simcal/internal/obs"
 	"simcal/internal/wfgen"
 	"simcal/internal/wfsim"
 )
@@ -21,10 +25,13 @@ type Table1Row struct {
 	Generated bool
 }
 
+// WorkloadTable is the paper's Table 1.
+type WorkloadTable []Table1Row
+
 // Table1Rows reproduces the paper's Table 1 and validates every
 // configuration by generating it.
-func Table1Rows() []Table1Row {
-	var rows []Table1Row
+func Table1Rows() WorkloadTable {
+	var rows WorkloadTable
 	for _, app := range wfgen.AllApps {
 		spec := wfgen.Table1[app]
 		row := Table1Row{App: app, Sizes: spec.Sizes, WorkSeconds: spec.WorkSeconds, FootprintsMB: spec.FootprintsMB, Generated: true}
@@ -39,49 +46,38 @@ func Table1Rows() []Table1Row {
 	return rows
 }
 
-// Table2Row describes one workflow simulator version (Table 2).
-type Table2Row struct {
+// VersionRow describes one level-of-detail simulator version (a row of
+// Table 2 or Table 4).
+type VersionRow struct {
 	Version string
 	Params  int
 	Names   []string
+}
+
+// VersionTable lists a simulator's versions and their calibratable
+// parameters (Tables 2 and 4).
+type VersionTable []VersionRow
+
+func versionRows[V version](versions []V) VersionTable {
+	var rows VersionTable
+	for _, v := range versions {
+		sp := v.Space()
+		row := VersionRow{Version: v.Name(), Params: sp.Dim()}
+		for _, s := range sp {
+			row.Names = append(row.Names, s.Name)
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 // Table2Rows enumerates the 12 workflow simulator versions and their
 // calibratable parameters.
-func Table2Rows() []Table2Row {
-	var rows []Table2Row
-	for _, v := range wfsim.AllVersions() {
-		sp := v.Space()
-		row := Table2Row{Version: v.Name(), Params: sp.Dim()}
-		for _, s := range sp {
-			row.Names = append(row.Names, s.Name)
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// Table4Row describes one MPI simulator version (Table 4).
-type Table4Row struct {
-	Version string
-	Params  int
-	Names   []string
-}
+func Table2Rows() VersionTable { return versionRows(wfsim.AllVersions()) }
 
 // Table4Rows enumerates the 16 MPI simulator versions and their
 // calibratable parameters.
-func Table4Rows() []Table4Row {
-	var rows []Table4Row
-	for _, v := range mpisim.AllVersions() {
-		sp := v.Space()
-		row := Table4Row{Version: v.Name(), Params: sp.Dim()}
-		for _, s := range sp {
-			row.Names = append(row.Names, s.Name)
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
+func Table4Rows() VersionTable { return versionRows(mpisim.AllVersions()) }
 
 // FormatTable renders rows of cells as an aligned text table.
 func FormatTable(header []string, rows [][]string) string {
@@ -152,28 +148,25 @@ func FormatVersionAccuracy(vs []VersionAccuracy) string {
 }
 
 // FormatConvergence renders a loss-vs-time curve, subsampled.
-func FormatConvergence(points []ConvergencePoint, maxRows int) string {
+func FormatConvergence(points []obs.ConvergencePoint, maxRows int) string {
 	header := []string{"evals", "elapsed", "best-loss"}
 	var rows [][]string
 	stride := 1
 	if maxRows > 0 && len(points) > maxRows {
 		stride = len(points)/maxRows + 1
 	}
-	for i := 0; i < len(points); i += stride {
-		p := points[i]
+	row := func(p obs.ConvergencePoint) {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", p.Evaluations),
 			p.Elapsed.Round(1000000).String(),
 			fmt.Sprintf("%.4f", p.Loss),
 		})
 	}
+	for i := 0; i < len(points); i += stride {
+		row(points[i])
+	}
 	if len(points) > 0 && (len(points)-1)%stride != 0 {
-		p := points[len(points)-1]
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", p.Evaluations),
-			p.Elapsed.Round(1000000).String(),
-			fmt.Sprintf("%.4f", p.Loss),
-		})
+		row(points[len(points)-1])
 	}
 	return FormatTable(header, rows)
 }
@@ -197,4 +190,120 @@ func FormatFigure3(r *Figure3Result) string {
 		})
 	}
 	return FormatTable(header, rows)
+}
+
+// The console rendering of every artifact result.
+
+func (t WorkloadTable) WriteText(w io.Writer) {
+	var rows [][]string
+	for _, r := range t {
+		rows = append(rows, []string{
+			string(r.App),
+			commaList(r.Sizes),
+			commaList(r.WorkSeconds),
+			commaList(r.FootprintsMB),
+			fmt.Sprintf("%v", r.Generated),
+		})
+	}
+	fmt.Fprint(w, FormatTable(
+		[]string{"application", "sizes(#tasks)", "work/task(s)", "footprints(MB)", "generated"}, rows))
+}
+
+func (t VersionTable) WriteText(w io.Writer) {
+	var rows [][]string
+	for _, r := range t {
+		rows = append(rows, []string{r.Version, fmt.Sprintf("%d", r.Params), strings.Join(r.Names, ",")})
+	}
+	fmt.Fprint(w, FormatTable([]string{"version", "#params", "parameters"}, rows))
+}
+
+func (res *SelectionResult) WriteText(w io.Writer) {
+	if res.RateErrors == nil {
+		fmt.Fprint(w, FormatMatrix("calib-err", res.Algorithms, res.Losses, res.CalibErrors))
+	} else {
+		fmt.Fprintln(w, "calibration error:")
+		fmt.Fprint(w, FormatMatrix("alg", res.Algorithms, res.Losses, res.CalibErrors))
+		fmt.Fprintln(w, "relative avg transfer-rate error:")
+		fmt.Fprint(w, FormatMatrix("alg", res.Algorithms, res.Losses, res.RateErrors))
+	}
+	fmt.Fprintf(w, "winner: %s with %s\n", res.WinnerAlg, res.WinnerLoss)
+}
+
+func (res *ConvergenceResult) WriteText(w io.Writer) {
+	fmt.Fprintf(w, "loss vs time, %s\n", res.Dataset)
+	fmt.Fprint(w, FormatConvergence(res.Points, 20))
+}
+
+func (res *LoDResult) WriteText(w io.Writer) {
+	fmt.Fprint(w, FormatVersionAccuracy(res.Versions))
+	fmt.Fprintf(w, "best version: %s\n", res.Best)
+}
+
+func (res *BaselineResult) WriteText(w io.Writer) {
+	fmt.Fprintf(w, "spec-based error:  %.1f%%\ncalibrated error:  %.1f%%\n", res.SpecError, res.CalibratedError)
+	for _, g := range slices.Sorted(maps.Keys(res.PerGroup)) {
+		fmt.Fprintf(w, "  %-14s %.1f%%\n", g, res.PerGroup[g])
+	}
+}
+
+func (res *Figure3Result) WriteText(w io.Writer) { fmt.Fprint(w, FormatFigure3(res)) }
+
+func (res *Section55Result) WriteText(w io.Writer) {
+	fmt.Fprintf(w, "baseline (diverse) test loss: %.4f\n", res.BaselineLoss)
+	fmt.Fprintf(w, "restricted options worse:     %d/%d\n", res.WorseCount, res.TotalRestricted)
+	for _, k := range slices.Sorted(maps.Keys(res.RestrictedLosses)) {
+		fmt.Fprintf(w, "  %-28s %.4f\n", k, res.RestrictedLosses[k])
+	}
+	fmt.Fprintf(w, "chain-only: %.4f  forkjoin-only: %.4f  both: %.4f\n", res.ChainLoss, res.ForkjoinLoss, res.BothLoss)
+}
+
+func (res *Section65Result) WriteText(w io.Writer) {
+	fmt.Fprintf(w, "Stencil error from P2P calibration:    %.1f%%\n", res.StencilFromP2P)
+	fmt.Fprintf(w, "Stencil error from native calibration: %.1f%%\n", res.StencilNative)
+	for _, n := range slices.Sorted(maps.Keys(res.ScaleErrors)) {
+		tag := ""
+		if n == res.TrainNodes {
+			tag = " (training scale)"
+		}
+		fmt.Fprintf(w, "  %4d nodes: %.1f%%%s\n", n, res.ScaleErrors[n], tag)
+	}
+}
+
+func (res *AblationAlgResult) WriteText(w io.Writer) {
+	for _, name := range res.Order {
+		fmt.Fprintf(w, "  %-8s best loss %.4f\n", name, res.Losses[name])
+	}
+	fmt.Fprintf(w, "BO-variant spread (max/min): %.2fx\n", res.BOSpread)
+}
+
+func (res *AblationBudgetResult) WriteText(w io.Writer) {
+	for i, budget := range res.Budgets {
+		fmt.Fprintf(w, "  %5d evals: best loss %.4f\n", budget, res.Losses[i])
+	}
+}
+
+func (res *AblationStorageValueResult) WriteText(w io.Writer) {
+	fmt.Fprintf(w, "data-heavy workloads: submit-only %.1f%%, all-nodes %.1f%%\n",
+		res.DataHeavySubmitOnly, res.DataHeavyAllNodes)
+	fmt.Fprintf(w, "data-free  workloads: submit-only %.1f%%, all-nodes %.1f%%\n",
+		res.DataFreeSubmitOnly, res.DataFreeAllNodes)
+}
+
+func (res *FaultsResult) WriteText(w io.Writer) {
+	fmt.Fprintln(w, "calibration-error degradation vs injected fault rate:")
+	for _, r := range res.Rows {
+		fmt.Fprintf(w, "  rate %4.0f%%: calib-err %6.1f%%  evals %d  injected %d (panic %d, hang %d, transient %d, nan %d)  recovered: panics %d, retries %d, timeouts %d\n",
+			100*r.Rate, r.CalibError, r.Evaluations, r.Injected.Total(),
+			r.Injected.Panics, r.Injected.Hangs, r.Injected.Transients, r.Injected.NaNs,
+			r.PanicsRecovered, r.Retries, r.Timeouts)
+	}
+}
+
+// commaList joins the default formatting of xs with commas.
+func commaList[T any](xs []T) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = fmt.Sprint(x)
+	}
+	return strings.Join(parts, ",")
 }

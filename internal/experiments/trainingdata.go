@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"simcal/internal/groundtruth"
@@ -11,6 +13,35 @@ import (
 	"simcal/internal/wfgen"
 	"simcal/internal/wfsim"
 )
+
+// budgetedTestLoss calibrates the highest-detail workflow simulator on
+// train and returns its L1 loss on test — the cell of Figure 3 and of
+// Section 5.5, which compare training datasets under a fixed WALL-CLOCK
+// budget (the paper's setup): a larger training dataset makes each loss
+// evaluation costlier, buying fewer optimizer iterations, which is
+// exactly the effect both studies demonstrate (Figure 3's costly
+// rectangular sets; "both chain and forkjoin is worse than forkjoin
+// alone"). An evaluation-count budget would hide it. For the same reason
+// there is no evaluation cache — memoized (free) re-evaluations would
+// erase the cost being measured — one restart, and callers keep their
+// cells sequential: concurrent wall-clock-budgeted calibrations would
+// contend for CPU and distort each other's budgets.
+func budgetedTestLoss(ctx context.Context, o Options, train, test *groundtruth.WFDataset) (float64, error) {
+	v := wfsim.HighestDetail
+	oo := o
+	oo.Budget = o.TrainingBudget
+	if oo.Budget <= 0 {
+		oo.Budget = 3 * time.Second
+	}
+	oo.MaxEvals = 0
+	oo.Restarts = 1
+	oo.Cache = nil
+	r, err := oo.calibrateBest(ctx, v.Space(), loss.WFEvaluator(v, loss.WFL1, train), algorithms()[1], o.Seed, "")
+	if err != nil {
+		return 0, err
+	}
+	return loss.WFEvaluator(v, loss.WFL1, test)(ctx, r.Best.Point)
+}
 
 // Figure3Point is one training-dataset option: its acquisition cost and
 // the loss the resulting calibration achieves on the testing dataset.
@@ -38,55 +69,27 @@ type Figure3Result struct {
 // single-sample and rectangular-sample training option, calibrate the
 // highest-detail simulator and measure the loss on the testing dataset.
 func Figure3(ctx context.Context, o Options) (*Figure3Result, error) {
-	v := wfsim.HighestDetail
 	res := &Figure3Result{}
 	workers := defaultWorkers(o)
 	for _, app := range o.WFApps {
 		if app == wfgen.Chain || app == wfgen.Forkjoin {
 			continue // the scatter covers the real applications
 		}
-		full, err := groundtruth.GenerateWorkflowData(groundtruth.WFOptions{
-			Apps:    []wfgen.App{app},
-			SizeIdx: o.WFSizeIdx, WorkIdx: o.WFWorkIdx, FootIdx: o.WFFootIdx,
-			Workers: workers, Reps: o.Reps, Seed: o.Seed,
-		})
+		full, _, test, err := splitDataset(o, []wfgen.App{app})
 		if err != nil {
 			return nil, err
 		}
-		_, test := splitTrainTest(full, Options{WFApps: []wfgen.App{app}, WFSizeIdx: o.WFSizeIdx, WFWorkers: workers})
 		sizes := appSizes(app, o.WFSizeIdx)
 		refWorkers := workers[max(0, len(workers)-2)]
 		refSize := sizes[max(0, len(sizes)-2)]
-		// Figure 3 calibrations run under a fixed WALL-CLOCK budget (the
-		// paper's setup): a larger training dataset makes each loss
-		// evaluation costlier, buying fewer optimizer iterations — which
-		// is exactly the effect the figure demonstrates. An evaluation-
-		// count budget would hide it.
-		oo := o
-		oo.Budget = o.TrainingBudget
-		if oo.Budget <= 0 {
-			oo.Budget = 3 * time.Second
-		}
-		oo.MaxEvals = 0
-		oo.Restarts = 1
-		// No evaluation cache here: the study measures how evaluation
-		// COST trades against optimizer iterations, and memoized (free)
-		// re-evaluations would erase exactly that effect. Cells also stay
-		// sequential — concurrent wall-clock-budgeted calibrations would
-		// contend for CPU and distort each other's budgets.
-		oo.Cache = nil
 		evalOption := func(scheme string, nw, m int, keep func(*groundtruth.WFGroup) bool) error {
 			train := full.Filter(keep)
 			if len(train.Groups) == 0 {
 				return nil
 			}
-			r, err := oo.calibrateBest(ctx, v.Space(), loss.WFEvaluator(v, loss.WFL1, train), algorithms()[1], o.Seed, "")
+			testLoss, err := budgetedTestLoss(ctx, o, train, test)
 			if err != nil {
 				return fmt.Errorf("figure3 %s %s n=%d m=%d: %w", app, scheme, nw, m, err)
-			}
-			testLoss, err := loss.WFEvaluator(v, loss.WFL1, test)(ctx, r.Best.Point)
-			if err != nil {
-				return err
 			}
 			res.Points = append(res.Points, Figure3Point{
 				App: app, Scheme: scheme, Workers: nw, Tasks: m,
@@ -97,7 +100,6 @@ func Figure3(ctx context.Context, o Options) (*Figure3Result, error) {
 		}
 		for _, nw := range workers {
 			for _, m := range sizes {
-				nw, m := nw, m
 				if err := evalOption("single", nw, m, func(g *groundtruth.WFGroup) bool {
 					return g.Workers == nw && g.Spec.Tasks == m
 				}); err != nil {
@@ -137,43 +139,17 @@ type Section55Result struct {
 
 // Section55 runs the training-data diversity study.
 func Section55(ctx context.Context, o Options) (*Section55Result, error) {
-	v := wfsim.HighestDetail
 	app := wfgen.Epigenomics
 	if len(o.WFApps) > 0 && o.WFApps[0] != wfgen.Chain && o.WFApps[0] != wfgen.Forkjoin {
 		app = o.WFApps[0]
 	}
 	workers := defaultWorkers(o)
-	full, err := groundtruth.GenerateWorkflowData(groundtruth.WFOptions{
-		Apps:    []wfgen.App{app},
-		SizeIdx: o.WFSizeIdx, WorkIdx: o.WFWorkIdx, FootIdx: o.WFFootIdx,
-		Workers: workers, Reps: o.Reps, Seed: o.Seed,
-	})
+	_, trainAll, test, err := splitDataset(o, []wfgen.App{app})
 	if err != nil {
 		return nil, err
 	}
-	appOpts := Options{WFApps: []wfgen.App{app}, WFSizeIdx: o.WFSizeIdx, WFWorkers: workers}
-	trainAll, test := splitTrainTest(full, appOpts)
-	// Like Figure 3, this study compares training datasets under a fixed
-	// wall-clock budget: the paper's "both chain and forkjoin is worse
-	// than forkjoin alone" result exists because the combined dataset
-	// makes each loss evaluation costlier.
-	oo := o
-	oo.Budget = o.TrainingBudget
-	if oo.Budget <= 0 {
-		oo.Budget = 3 * time.Second
-	}
-	oo.MaxEvals = 0
-	oo.Restarts = 1
-	// No cache and no concurrency, for the same reason as Figure 3: the
-	// study's effect lives in per-evaluation cost under a wall-clock
-	// budget.
-	oo.Cache = nil
 	testLossOf := func(train *groundtruth.WFDataset) (float64, error) {
-		r, err := oo.calibrateBest(ctx, v.Space(), loss.WFEvaluator(v, loss.WFL1, train), algorithms()[1], o.Seed, "")
-		if err != nil {
-			return 0, err
-		}
-		return loss.WFEvaluator(v, loss.WFL1, test)(ctx, r.Best.Point)
+		return budgetedTestLoss(ctx, o, train, test)
 	}
 	out := &Section55Result{RestrictedLosses: make(map[string]float64)}
 	if out.BaselineLoss, err = testLossOf(trainAll); err != nil {
@@ -185,18 +161,8 @@ func Section55(ctx context.Context, o Options) (*Section55Result, error) {
 	for _, g := range trainAll.Groups {
 		seen[wf{g.Spec.WorkSeconds, g.Spec.FootprintBytes}] = true
 	}
-	var combos []wf
-	for c := range seen {
-		combos = append(combos, c)
-	}
-	sort.Slice(combos, func(i, j int) bool {
-		if combos[i].w != combos[j].w {
-			return combos[i].w < combos[j].w
-		}
-		return combos[i].d < combos[j].d
-	})
-	for _, c := range combos {
-		c := c
+	byWorkThenData := func(a, b wf) int { return cmp.Or(cmp.Compare(a.w, b.w), cmp.Compare(a.d, b.d)) }
+	for _, c := range slices.SortedFunc(maps.Keys(seen), byWorkThenData) {
 		train := trainAll.Filter(func(g *groundtruth.WFGroup) bool {
 			return g.Spec.WorkSeconds == c.w && g.Spec.FootprintBytes == c.d
 		})
@@ -216,7 +182,9 @@ func Section55(ctx context.Context, o Options) (*Section55Result, error) {
 		return groundtruth.GenerateWorkflowData(groundtruth.WFOptions{
 			Apps:    apps,
 			WorkIdx: o.WFWorkIdx, FootIdx: trimFootIdx(o.WFFootIdx, 3),
-			Workers: intersectWorkers(workers), Reps: o.Reps, Seed: o.Seed,
+			// Only the two smallest worker counts are meaningful for the
+			// synthetic benchmarks.
+			Workers: workers[:min(2, len(workers))], Reps: o.Reps, Seed: o.Seed,
 		})
 	}
 	chain, err := synthTrain([]wfgen.App{wfgen.Chain})
@@ -252,7 +220,7 @@ func appSizes(app wfgen.App, idx []int) []int {
 			out = append(out, sizes[i])
 		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -270,16 +238,6 @@ func trimFootIdx(idx []int, n int) []int {
 	}
 	if len(out) == 0 {
 		out = []int{n - 1}
-	}
-	return out
-}
-
-// intersectWorkers limits worker counts to those meaningful for the
-// synthetic benchmarks.
-func intersectWorkers(ws []int) []int {
-	out := append([]int(nil), ws...)
-	if len(out) > 2 {
-		out = out[:2]
 	}
 	return out
 }

@@ -133,28 +133,66 @@ func submitHTTP(t *testing.T, base string, req service.JobRequest) (service.JobS
 	return st, resp
 }
 
+// followEvents reads a job's event stream (?follow=1 keeps it open until
+// the job is terminal) and returns at the first event stop accepts, or
+// at the end of the stream. It waits on the job's own event channel:
+// nothing polls.
+func followEvents(t *testing.T, base, id string, stop func(service.Event) bool) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id+"/events?follow=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var ev service.Event
+		if err := dec.Decode(&ev); err != nil {
+			return // end of stream (or the 30 s guard): the caller checks the state
+		}
+		if stop(ev) {
+			return
+		}
+	}
+}
+
+// waitEvaluations returns once the job has reported at least n
+// evaluations on its event stream.
+func waitEvaluations(t *testing.T, base, id string, n int64) {
+	t.Helper()
+	reached := false
+	followEvents(t, base, id, func(ev service.Event) bool {
+		reached = ev.Evaluations >= n
+		return reached
+	})
+	if !reached {
+		t.Fatalf("job %s ended before reporting %d evaluations", id, n)
+	}
+}
+
+// waitState follows the job to its terminal state, which must be want.
 func waitState(t *testing.T, base, id string, want service.State) service.JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(base + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st service.JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == want {
-			return st
-		}
-		if st.State.Terminal() || time.Now().After(deadline) {
-			t.Fatalf("job %s reached %q (err %q) waiting for %q", id, st.State, st.Error, want)
-		}
-		time.Sleep(5 * time.Millisecond)
+	followEvents(t, base, id, func(service.Event) bool { return false })
+	resp, err := http.Get(base + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	var st service.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != want {
+		t.Fatalf("job %s reached %q (err %q) waiting for %q", id, st.State, st.Error, want)
+	}
+	return st
 }
 
 func fetchResult(t *testing.T, base, id string) *core.Result {
@@ -380,17 +418,7 @@ func TestCancelIsolationOnSharedFleet(t *testing.T) {
 	}
 
 	// Cancel the victim once it is demonstrably mid-run.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, _ := svc.Status(vst.ID)
-		if st.State == service.StateRunning && st.Evaluations >= 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("victim never got going: %+v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitEvaluations(t, base, vst.ID, 4)
 	dreq, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+vst.ID, nil)
 	dresp, err := http.DefaultClient.Do(dreq)
 	if err != nil {
@@ -435,17 +463,7 @@ func TestRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, _ := svc.Status(j.ID)
-		if st.Evaluations >= 10 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stalled before shutdown: %+v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitEvaluations(t, startHTTP(t, svc), j.ID, 10)
 	svc.Close() // journals the job as pending, checkpoint on disk
 
 	svc2 := mk()

@@ -49,36 +49,6 @@ func (s *Server) resultPath(id string) string {
 	return filepath.Join(s.cfg.StateDir, id+".result.json")
 }
 
-// atomicWrite writes fn's output to path via a temp file in the same
-// directory and a rename, mirroring core.Checkpoint.WriteFile.
-func atomicWrite(path string, fn func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if err := fn(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
-}
-
 // persistRecord journals a job's current state. Best-effort: losing a
 // journal write must not kill the job it describes (the same stance as
 // core's checkpointer), so failures are swallowed — the job keeps
@@ -101,7 +71,7 @@ func (s *Server) persistRecord(j *Job) {
 		rec.FinishedUnixNS = j.finished.UnixNano()
 	}
 	s.mu.Unlock()
-	_ = atomicWrite(s.recordPath(j.ID), func(w io.Writer) error {
+	_ = core.WriteFileAtomic(s.recordPath(j.ID), func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(rec)
 	})
 }
@@ -113,7 +83,7 @@ func (s *Server) persistResult(j *Job, res *core.Result) {
 	if s.cfg.StateDir == "" || res == nil {
 		return
 	}
-	_ = atomicWrite(s.resultPath(j.ID), func(w io.Writer) error {
+	_ = core.WriteFileAtomic(s.resultPath(j.ID), func(w io.Writer) error {
 		return res.WriteJSON(w, true)
 	})
 }
