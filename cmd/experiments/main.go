@@ -189,7 +189,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	return nil
 }
 
-// saveJSON writes v as <dir>/<id>.json when dir is set.
+// saveJSON writes v as <dir>/<id>.json when dir is set, atomically: a
+// failed or killed run leaves no torn file.
 func saveJSON(dir, id string, v any) error {
 	if dir == "" {
 		return nil
@@ -197,14 +198,11 @@ func saveJSON(dir, id string, v any) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, id+".json"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	return core.WriteFileAtomic(filepath.Join(dir, id+".json"), func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }
 
 // runOne regenerates one artifact: run it, record its JSON, print it.

@@ -343,7 +343,7 @@ func (c *config) calibrate(t target, alg core.Algorithm, stdout, stderr io.Write
 
 	fmt.Fprintf(stdout, "calibrating %s with %s/%s...\n", t.name, alg.Name(), t.spec.Loss)
 	start := time.Now()
-	res, err := calibrateBest(context.Background(), cal, c.jobs)
+	res, err := experiments.CalibrateBest(context.Background(), experiments.NewScheduler(c.jobs), cal, c.jobs)
 	if err != nil {
 		return err
 	}
@@ -376,51 +376,16 @@ func (c *config) applyCheckpoint(cal *core.Calibrator, stdout io.Writer) error {
 	return nil
 }
 
-// saveResult writes the result JSON when a path was given.
+// saveResult writes the result JSON when a path was given, atomically.
 func saveResult(stdout io.Writer, path string, res *core.Result) error {
 	if path == "" {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := res.WriteJSON(f, true); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := core.WriteFileAtomic(path, func(w io.Writer) error { return res.WriteJSON(w, true) }); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "result written to %s\n", path)
 	return nil
-}
-
-// calibrateBest runs the calibration. With jobs > 1 it runs jobs
-// restarts concurrently with seeds base.Seed, base.Seed+1000, … and
-// returns the lowest-loss result (ties break toward the lowest restart
-// index, so the winner does not depend on scheduling order). All
-// restarts share base's cache, if any.
-func calibrateBest(ctx context.Context, base core.Calibrator, jobs int) (*core.Result, error) {
-	if jobs <= 1 {
-		return base.Run(ctx)
-	}
-	results, err := experiments.RunJobs(ctx, experiments.NewScheduler(jobs), jobs,
-		func(ctx context.Context, i int) (*core.Result, error) {
-			cal := base
-			cal.Seed = base.Seed + int64(1000*i)
-			return cal.Run(ctx)
-		})
-	if err != nil {
-		return nil, err
-	}
-	best := results[0]
-	for _, r := range results[1:] {
-		if r.Best.Loss < best.Best.Loss {
-			best = r
-		}
-	}
-	return best, nil
 }
 
 func report(stdout io.Writer, res *core.Result, start time.Time) {

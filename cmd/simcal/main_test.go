@@ -161,10 +161,15 @@ func startWorkers(t *testing.T, addr string, n int) (wait func()) {
 }
 
 // parentResults are sha256 sums of the normalized -out file of
-// `simcal -case C -alg RAND -evals 40 -seed 7`.
+// `simcal -case C -alg RAND -evals 40 -seed 7`, plus the flags after C in
+// the key.
 var parentResults = map[string]string{
 	"wf":  "46b325f4aefbe841b1b12b2f4846279691c554fb14c37a87ae2c98ae675c15f0",
 	"mpi": "76b1f483f49fe8974071b95a74ef0c685b174ac26ac363d65adcb93394f5e680",
+
+	// Recorded at a906003, the commit before the restart rule moved into
+	// experiments.CalibrateBest.
+	"wf -jobs 3": "6757009d1835eb0bba46be074d7a227b769d0cf5e3a50445dd59b19b09c73c0a",
 }
 
 func TestSerialEqualsFleetEqualsParent(t *testing.T) {
@@ -188,6 +193,15 @@ func TestSerialEqualsFleetEqualsParent(t *testing.T) {
 				t.Errorf("serial result sha256 %s, parent recorded %s", sum, parentResults[study])
 			}
 		})
+	}
+}
+
+// -jobs 3 runs three restarts concurrently and keeps the lowest loss.
+func TestJobsMatchParent(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "r.json")
+	simcal(t, "-case", "wf", "-alg", "RAND", "-evals", "40", "-seed", "7", "-jobs", "3", "-out", out)
+	if sum := fmt.Sprintf("%x", sha256.Sum256(normalized(t, out))); sum != parentResults["wf -jobs 3"] {
+		t.Errorf("-jobs 3 result sha256 %s, parent recorded %s", sum, parentResults["wf -jobs 3"])
 	}
 }
 

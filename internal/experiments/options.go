@@ -183,24 +183,36 @@ func (o Options) calibrator(space core.Space, sim core.Simulator, alg core.Algor
 	}
 }
 
-// calibrateBest runs the calibration o.Restarts times with distinct
-// seeds and returns the result with the lowest training loss. The
-// restarts run sequentially: drivers parallelize at the cell level
-// (one RunJobs per driver loop), and nesting a second level inside a
-// cell would either oversubscribe or, on a shared pool, deadlock.
-// With a cache the restarts share memoized evaluations anyway.
+// calibrateBest runs o.Restarts calibrations and keeps the best (see
+// CalibrateBest). The restarts run sequentially: drivers parallelize at
+// the cell level (one RunJobs per driver loop), and nesting a second
+// level inside a cell would either oversubscribe or, on a shared pool,
+// deadlock. With a cache the restarts share memoized evaluations anyway.
 func (o Options) calibrateBest(ctx context.Context, space core.Space, sim core.Simulator, alg core.Algorithm, seed int64, key string) (*core.Result, error) {
-	restarts := o.Restarts
-	if restarts < 1 {
-		restarts = 1
+	return CalibrateBest(ctx, nil, *o.calibrator(space, sim, alg, seed, key), o.Restarts)
+}
+
+// CalibrateBest runs restarts calibrations of base, restart i with seed
+// base.Seed + 1000·i, under s (nil runs them sequentially), and returns
+// the result with the strictly lowest loss: ties go to the lowest
+// restart index, so the winner never depends on scheduling order. The
+// restarts share base's cache, if any. restarts <= 1 is base.Run itself;
+// with more, a failed restart's error carries RunJobs' "job i:" prefix.
+func CalibrateBest(ctx context.Context, s *Scheduler, base core.Calibrator, restarts int) (*core.Result, error) {
+	if restarts <= 1 {
+		return base.Run(ctx)
 	}
-	var best *core.Result
-	for i := 0; i < restarts; i++ {
-		r, err := o.calibrator(space, sim, alg, seed+int64(1000*i), key).Run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || r.Best.Loss < best.Best.Loss {
+	results, err := RunJobs(ctx, s, restarts, func(ctx context.Context, i int) (*core.Result, error) {
+		cal := base
+		cal.Seed = base.Seed + int64(1000*i)
+		return cal.Run(ctx)
+	})
+	if err != nil {
+		return nil, err
+	}
+	best := results[0]
+	for _, r := range results[1:] {
+		if r.Best.Loss < best.Best.Loss {
 			best = r
 		}
 	}

@@ -1,14 +1,23 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"simcal/internal/cache"
+	"simcal/internal/groundtruth"
+	"simcal/internal/loss"
+	"simcal/internal/mpi"
+	"simcal/internal/mpisim"
+	"simcal/internal/opt"
 	"simcal/internal/resilience"
+	"simcal/internal/simspec"
 )
 
 func TestNewSchedulerSequentialBelowTwo(t *testing.T) {
@@ -192,5 +201,49 @@ func TestFigure2CacheDeterminism(t *testing.T) {
 	}
 	if st := co.Cache.Stats(); st.Hits == 0 {
 		t.Errorf("no cache hits across repeated Figure2 runs: %+v", st)
+	}
+}
+
+// parentRestarts3 is the sha256 of the wall-clock-free result of
+// TestCalibrateBestMatchesParent's calibration with Restarts: 3, recorded
+// at a906003 through Options.calibrateBest, before CalibrateBest became
+// the one restart rule. Restart 1 wins there, so the hash pins the
+// seeds and the lowest-loss choice, not only restart 0.
+const parentRestarts3 = "fae476a01092af8dfea28baed07eb7903fa13af72d06f49760c347fc98d51818"
+
+func TestCalibrateBestMatchesParent(t *testing.T) {
+	sp := simspec.ForMPI(mpisim.HighestDetail, loss.MPIL1, groundtruth.MPIOptions{
+		Benchmarks: []mpi.Benchmark{mpi.PingPong, mpi.BiRandom},
+		Nodes:      []int{2}, MsgSizes: []float64{1 << 12, 1 << 18}, Rounds: 1, Reps: 2, Seed: 3,
+	}, 1, false)
+	space, err := sp.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := sp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := tiny()
+	o.Restarts = 3
+	base := *o.calibrator(space, sim, opt.Random{}, 4, "")
+	// The experiments drivers' sequential restarts and simcal -jobs 3's
+	// concurrent ones.
+	for _, s := range []*Scheduler{nil, NewScheduler(3)} {
+		r, err := CalibrateBest(context.Background(), s, base, o.Restarts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Elapsed, r.Best.Elapsed = 0, 0
+		for i := range r.History {
+			r.History[i].Elapsed = 0
+		}
+		var b bytes.Buffer
+		if err := r.WriteJSON(&b, true); err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); sum != parentRestarts3 {
+			t.Errorf("scheduler %v: result sha256 %s, parent recorded %s", s, sum, parentRestarts3)
+		}
 	}
 }
