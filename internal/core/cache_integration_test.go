@@ -254,53 +254,6 @@ func TestCalibratorCacheRequiresKey(t *testing.T) {
 	}
 }
 
-// TestCachedCalibrationBitwiseIdentical: attaching a cache must not
-// change any result — cache hits return the original loss and count
-// against the budget exactly like fresh evaluations.
-func TestCachedCalibrationBitwiseIdentical(t *testing.T) {
-	run := func(cc *cache.Cache) *Result {
-		c := &Calibrator{
-			Space:          testSpace,
-			Simulator:      sphereLoss(Point{"x": 4, "y": 6}),
-			Algorithm:      randomSearch{batch: 4},
-			MaxEvaluations: 60,
-			Workers:        3,
-			Seed:           11,
-		}
-		if cc != nil {
-			c.Cache = cc
-			c.CacheKey = "bitwise"
-		}
-		res, err := c.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain := run(nil)
-	cc := cache.New(nil)
-	first := run(cc)
-	second := run(cc) // same seed: every evaluation is a cache hit
-	if st := cc.Stats(); st.Hits == 0 {
-		t.Fatalf("repeated run produced no cache hits: %+v", st)
-	}
-	for _, cached := range []*Result{first, second} {
-		if cached.Best.Loss != plain.Best.Loss {
-			t.Fatalf("best loss differs: cached %v, plain %v", cached.Best.Loss, plain.Best.Loss)
-		}
-		if cached.Evaluations != plain.Evaluations {
-			t.Fatalf("evaluations differ: cached %d, plain %d", cached.Evaluations, plain.Evaluations)
-		}
-		_, pl := plain.LossOverTime()
-		_, cl := cached.LossOverTime()
-		for i := range pl {
-			if pl[i] != cl[i] {
-				t.Fatalf("loss-over-time differs at %d: %v vs %v", i, pl[i], cl[i])
-			}
-		}
-	}
-}
-
 // TestTraceReplayWithCacheHits: a cached run's trace must still replay
 // bit-exactly — cache hits emit normal eval_completed events (original
 // loss, own elapsed time) plus a cache_hit marker.

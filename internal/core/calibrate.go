@@ -481,7 +481,7 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 		prob.exec = resilience.NewExecutor(*c.Resilience, resilience.Config{
 			Identity: identity,
 			Seed:     c.Seed,
-			Events:   faultEvents{fobs: fobs},
+			Events:   fobs,
 		})
 	}
 	if c.Resume != nil {
@@ -603,30 +603,4 @@ func (c *Calibrator) remainingBudget() time.Duration {
 		}
 	}
 	return budget
-}
-
-// faultEvents bridges resilience.Events notifications from the executor
-// to the calibration's FaultObserver (when the configured Observer
-// implements it). A nil fobs drops everything.
-type faultEvents struct{ fobs FaultObserver }
-
-// EvalRetried implements resilience.Events.
-func (f faultEvents) EvalRetried(attempt int, delay time.Duration, cause error) {
-	if f.fobs != nil {
-		f.fobs.EvalRetried(attempt, delay, cause.Error())
-	}
-}
-
-// EvalTimedOut implements resilience.Events.
-func (f faultEvents) EvalTimedOut(timeout time.Duration) {
-	if f.fobs != nil {
-		f.fobs.EvalTimedOut(timeout)
-	}
-}
-
-// BreakerStateChanged implements resilience.Events.
-func (f faultEvents) BreakerStateChanged(identity string, open bool) {
-	if f.fobs != nil {
-		f.fobs.BreakerStateChanged(identity, open)
-	}
 }

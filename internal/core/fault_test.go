@@ -35,7 +35,7 @@ func (r *recordingFaultObserver) PanicRecovered(where string) {
 	r.panics = append(r.panics, where)
 }
 
-func (r *recordingFaultObserver) EvalRetried(attempt int, delay time.Duration, cause string) {
+func (r *recordingFaultObserver) EvalRetried(attempt int, delay time.Duration, cause error) {
 	r.fmu.Lock()
 	defer r.fmu.Unlock()
 	r.retries = append(r.retries, attempt)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"simcal/internal/obs"
+	"simcal/internal/resilience"
 )
 
 // RunInfo describes a calibration run for observers (and trace
@@ -131,16 +132,10 @@ type FaultObserver interface {
 	// PanicRecovered fires when a panic is converted to an error; where
 	// identifies the recovery site ("simulator", "surrogate").
 	PanicRecovered(where string)
-	// EvalRetried fires before each retry backoff: attempt is the
-	// 1-based attempt that failed, delay the upcoming backoff, cause
-	// the transient error's message.
-	EvalRetried(attempt int, delay time.Duration, cause string)
-	// EvalTimedOut fires when an evaluation attempt exceeds the
-	// per-attempt timeout and is abandoned.
-	EvalTimedOut(timeout time.Duration)
-	// BreakerStateChanged fires when a simulator identity's circuit
-	// breaker opens or closes.
-	BreakerStateChanged(identity string, open bool)
+	// Events are the resilience executor's retries, timeouts and
+	// circuit-breaker transitions, delivered to the observer as the
+	// executor reports them.
+	resilience.Events
 	// CheckpointWritten fires after each successful snapshot;
 	// evaluations is the snapshot's evaluation count.
 	CheckpointWritten(evaluations int)
@@ -150,8 +145,7 @@ type FaultObserver interface {
 }
 
 // obsObserver bridges Observer callbacks into an obs.Registry and an
-// obs.Tracer. Either may be nil: a nil registry skips metrics, a nil
-// tracer skips trace records.
+// obs.Tracer (which may be nil: a nil tracer skips trace records).
 type obsObserver struct {
 	tracer *obs.Tracer
 	start  time.Time
@@ -190,41 +184,45 @@ type obsObserver struct {
 // NewObsObserver returns an Observer that updates calibration metrics in
 // reg (under the "cal." and "opt." prefixes) and emits the structured
 // trace events documented in the obs package (and README.md) to tracer.
-// Either argument may be nil to enable only the other half.
+// A nil reg means a private registry, as it does for dist.NewCoordinator;
+// a nil tracer emits nothing.
 func NewObsObserver(reg *obs.Registry, tracer *obs.Tracer) Observer {
-	o := &obsObserver{tracer: tracer, start: time.Now()}
-	if reg != nil {
-		o.evals = reg.Counter("cal.evaluations")
-		o.batches = reg.Counter("cal.batches")
-		o.improves = reg.Counter("cal.incumbent_improvements")
-		o.fits = reg.Counter("opt.surrogate_fits")
-		o.acqs = reg.Counter("opt.acquisition_solves")
-		o.busyNS = reg.Counter("cal.worker_busy_ns")
-		o.waitNS = reg.Counter("cal.batch_queue_wait_ns")
-		o.fitNS = reg.Counter("opt.surrogate_fit_ns")
-		o.predictNS = reg.Counter("opt.surrogate_predict_ns")
-		o.incFits = reg.Counter("opt.surrogate_incremental_fits")
-		o.prefixRows = reg.Counter("opt.surrogate_prefix_rows_reused")
-		o.cholRetries = reg.Counter("opt.surrogate_chol_retries")
-		o.bufAllocs = reg.Counter("opt.surrogate_buffer_allocs")
-		o.asyncProps = reg.Counter("opt.async_proposals")
-		o.fantasyRows = reg.Counter("opt.async_fantasy_rows")
-		o.retractions = reg.Counter("opt.async_retractions")
-		o.asyncIdleNS = reg.Counter("opt.async_worker_idle_ns")
-		o.panics = reg.Counter("eval_panics_recovered")
-		o.retries = reg.Counter("eval_retries")
-		o.timeouts = reg.Counter("eval_timeouts")
-		o.checkpoints = reg.Counter("checkpoints_written")
-		o.ckptUnix = reg.Gauge("cal.checkpoint_unix_ns")
-		o.bestLoss = reg.Gauge("cal.best_loss")
-		o.evalRate = reg.Gauge("cal.evals_per_sec")
-		o.breakerOpen = reg.Gauge("breaker_open")
-		o.evalHist = reg.Histogram("cal.eval_ns")
-		o.fitHist = reg.Histogram("opt.fit_ns")
-		o.acqHist = reg.Histogram("opt.acquisition_ns")
-		o.batchSize = reg.Histogram("cal.batch_size")
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	return o
+	return &obsObserver{
+		tracer:      tracer,
+		start:       time.Now(),
+		evals:       reg.Counter("cal.evaluations"),
+		batches:     reg.Counter("cal.batches"),
+		improves:    reg.Counter("cal.incumbent_improvements"),
+		fits:        reg.Counter("opt.surrogate_fits"),
+		acqs:        reg.Counter("opt.acquisition_solves"),
+		busyNS:      reg.Counter("cal.worker_busy_ns"),
+		waitNS:      reg.Counter("cal.batch_queue_wait_ns"),
+		fitNS:       reg.Counter("opt.surrogate_fit_ns"),
+		predictNS:   reg.Counter("opt.surrogate_predict_ns"),
+		incFits:     reg.Counter("opt.surrogate_incremental_fits"),
+		prefixRows:  reg.Counter("opt.surrogate_prefix_rows_reused"),
+		cholRetries: reg.Counter("opt.surrogate_chol_retries"),
+		bufAllocs:   reg.Counter("opt.surrogate_buffer_allocs"),
+		asyncProps:  reg.Counter("opt.async_proposals"),
+		fantasyRows: reg.Counter("opt.async_fantasy_rows"),
+		retractions: reg.Counter("opt.async_retractions"),
+		asyncIdleNS: reg.Counter("opt.async_worker_idle_ns"),
+		panics:      reg.Counter("eval_panics_recovered"),
+		retries:     reg.Counter("eval_retries"),
+		timeouts:    reg.Counter("eval_timeouts"),
+		checkpoints: reg.Counter("checkpoints_written"),
+		ckptUnix:    reg.Gauge("cal.checkpoint_unix_ns"),
+		bestLoss:    reg.Gauge("cal.best_loss"),
+		evalRate:    reg.Gauge("cal.evals_per_sec"),
+		breakerOpen: reg.Gauge("breaker_open"),
+		evalHist:    reg.Histogram("cal.eval_ns"),
+		fitHist:     reg.Histogram("opt.fit_ns"),
+		acqHist:     reg.Histogram("opt.acquisition_ns"),
+		batchSize:   reg.Histogram("cal.batch_size"),
+	}
 }
 
 // CalibrationStarted implements Observer.
@@ -247,23 +245,19 @@ func (o *obsObserver) CalibrationStarted(info RunInfo) {
 
 // BatchProposed implements Observer.
 func (o *obsObserver) BatchProposed(size int) {
-	if o.batches != nil {
-		o.batches.Inc()
-		o.batchSize.Observe(int64(size))
-	}
+	o.batches.Inc()
+	o.batchSize.Observe(int64(size))
 	o.tracer.Emit(obs.EventBatchProposed, obs.Fields{"size": size})
 }
 
 // EvalCompleted implements Observer.
 func (o *obsObserver) EvalCompleted(s Sample, wait, dur time.Duration) {
-	if o.evals != nil {
-		o.evals.Inc()
-		o.busyNS.Add(int64(dur))
-		o.waitNS.Add(int64(wait))
-		o.evalHist.ObserveDuration(dur)
-		if elapsed := time.Since(o.start).Seconds(); elapsed > 0 {
-			o.evalRate.Set(float64(o.evals.Value()) / elapsed)
-		}
+	o.evals.Inc()
+	o.busyNS.Add(int64(dur))
+	o.waitNS.Add(int64(wait))
+	o.evalHist.ObserveDuration(dur)
+	if elapsed := time.Since(o.start).Seconds(); elapsed > 0 {
+		o.evalRate.Set(float64(o.evals.Value()) / elapsed)
 	}
 	o.tracer.Emit(obs.EventEvalCompleted, obs.Fields{
 		"loss":       s.Loss,
@@ -284,10 +278,8 @@ func (o *obsObserver) CacheHit(s Sample) {
 
 // IncumbentImproved implements Observer.
 func (o *obsObserver) IncumbentImproved(s Sample) {
-	if o.improves != nil {
-		o.improves.Inc()
-		o.bestLoss.SetMin(s.Loss)
-	}
+	o.improves.Inc()
+	o.bestLoss.SetMin(s.Loss)
 	o.tracer.Emit(obs.EventIncumbentImproved, obs.Fields{
 		"loss":      s.Loss,
 		"elapsed_s": s.Elapsed.Seconds(),
@@ -297,11 +289,9 @@ func (o *obsObserver) IncumbentImproved(s Sample) {
 
 // SurrogateFitted implements Observer.
 func (o *obsObserver) SurrogateFitted(points int, dur time.Duration) {
-	if o.fits != nil {
-		o.fits.Inc()
-		o.fitNS.Add(int64(dur))
-		o.fitHist.ObserveDuration(dur)
-	}
+	o.fits.Inc()
+	o.fitNS.Add(int64(dur))
+	o.fitHist.ObserveDuration(dur)
 	o.tracer.Emit(obs.EventSurrogateFitted, obs.Fields{
 		"points": points,
 		"dur_ns": int64(dur),
@@ -310,14 +300,12 @@ func (o *obsObserver) SurrogateFitted(points int, dur time.Duration) {
 
 // SurrogateFitDetail implements SurrogateDetailObserver.
 func (o *obsObserver) SurrogateFitDetail(d SurrogateDetail) {
-	if o.incFits != nil {
-		if d.Incremental {
-			o.incFits.Inc()
-		}
-		o.prefixRows.Add(int64(d.PrefixReused))
-		o.cholRetries.Add(int64(d.CholeskyRetries))
-		o.bufAllocs.Add(int64(d.BufferAllocs))
+	if d.Incremental {
+		o.incFits.Inc()
 	}
+	o.prefixRows.Add(int64(d.PrefixReused))
+	o.cholRetries.Add(int64(d.CholeskyRetries))
+	o.bufAllocs.Add(int64(d.BufferAllocs))
 	o.tracer.Emit(obs.EventSurrogateFitDetail, obs.Fields{
 		"points":        d.Points,
 		"prefix_reused": d.PrefixReused,
@@ -330,11 +318,9 @@ func (o *obsObserver) SurrogateFitDetail(d SurrogateDetail) {
 
 // AcquisitionSolved implements Observer.
 func (o *obsObserver) AcquisitionSolved(candidates int, predict, dur time.Duration) {
-	if o.acqs != nil {
-		o.acqs.Inc()
-		o.predictNS.Add(int64(predict))
-		o.acqHist.ObserveDuration(dur)
-	}
+	o.acqs.Inc()
+	o.predictNS.Add(int64(predict))
+	o.acqHist.ObserveDuration(dur)
 	o.tracer.Emit(obs.EventAcquisitionSolved, obs.Fields{
 		"candidates": candidates,
 		"predict_ns": int64(predict),
@@ -344,16 +330,14 @@ func (o *obsObserver) AcquisitionSolved(candidates int, predict, dur time.Durati
 
 // AsyncProposed implements AsyncObserver.
 func (o *obsObserver) AsyncProposed(seq, fantasies int, idle time.Duration) {
-	if o.asyncProps != nil {
-		o.asyncProps.Inc()
-		o.fantasyRows.Add(int64(fantasies))
-		o.asyncIdleNS.Add(int64(idle))
-	}
+	o.asyncProps.Inc()
+	o.fantasyRows.Add(int64(fantasies))
+	o.asyncIdleNS.Add(int64(idle))
 }
 
 // AsyncCompletionConsumed implements AsyncObserver.
 func (o *obsObserver) AsyncCompletionConsumed(seq, index int, loss float64, retracted bool) {
-	if o.retractions != nil && retracted {
+	if retracted {
 		o.retractions.Inc()
 	}
 	o.tracer.Emit(obs.EventDistAsyncCompletion, obs.Fields{
@@ -366,40 +350,32 @@ func (o *obsObserver) AsyncCompletionConsumed(seq, index int, loss float64, retr
 
 // PanicRecovered implements FaultObserver.
 func (o *obsObserver) PanicRecovered(where string) {
-	if o.panics != nil {
-		o.panics.Inc()
-	}
+	o.panics.Inc()
 	o.tracer.Emit(obs.EventPanicRecovered, obs.Fields{"where": where})
 }
 
 // EvalRetried implements FaultObserver.
-func (o *obsObserver) EvalRetried(attempt int, delay time.Duration, cause string) {
-	if o.retries != nil {
-		o.retries.Inc()
-	}
+func (o *obsObserver) EvalRetried(attempt int, delay time.Duration, cause error) {
+	o.retries.Inc()
 	o.tracer.Emit(obs.EventEvalRetried, obs.Fields{
 		"attempt":  attempt,
 		"delay_ns": int64(delay),
-		"cause":    cause,
+		"cause":    cause.Error(),
 	})
 }
 
 // EvalTimedOut implements FaultObserver.
 func (o *obsObserver) EvalTimedOut(timeout time.Duration) {
-	if o.timeouts != nil {
-		o.timeouts.Inc()
-	}
+	o.timeouts.Inc()
 	o.tracer.Emit(obs.EventEvalTimeout, obs.Fields{"timeout_ns": int64(timeout)})
 }
 
 // BreakerStateChanged implements FaultObserver.
 func (o *obsObserver) BreakerStateChanged(identity string, open bool) {
-	if o.breakerOpen != nil {
-		if open {
-			o.breakerOpen.Set(1)
-		} else {
-			o.breakerOpen.Set(0)
-		}
+	if open {
+		o.breakerOpen.Set(1)
+	} else {
+		o.breakerOpen.Set(0)
 	}
 	o.tracer.Emit(obs.EventBreakerState, obs.Fields{
 		"identity": identity,
@@ -409,15 +385,11 @@ func (o *obsObserver) BreakerStateChanged(identity string, open bool) {
 
 // CheckpointWritten implements FaultObserver.
 func (o *obsObserver) CheckpointWritten(evaluations int) {
-	if o.checkpoints != nil {
-		o.checkpoints.Inc()
-	}
-	if o.ckptUnix != nil {
-		// Wall-clock stamp of the latest snapshot; /statusz renders it
-		// as checkpoint_age_s. float64 loses a few hundred ns of the
-		// unix timestamp — irrelevant at age granularity.
-		o.ckptUnix.Set(float64(time.Now().UnixNano()))
-	}
+	o.checkpoints.Inc()
+	// Wall-clock stamp of the latest snapshot; /statusz renders it as
+	// checkpoint_age_s. float64 loses a few hundred ns of the unix
+	// timestamp — irrelevant at age granularity.
+	o.ckptUnix.Set(float64(time.Now().UnixNano()))
 	o.tracer.Emit(obs.EventCheckpointWritten, obs.Fields{"evaluations": evaluations})
 }
 

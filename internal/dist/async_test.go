@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -172,63 +171,6 @@ func TestRunAsyncCoordinatorClosed(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("closed coordinator never delivered to the queued lease")
-	}
-}
-
-// TestAsyncFleetReplayBitwise is the distributed replay property: an
-// async-bo calibration over a fleet with randomized per-evaluation
-// delays records its completion order; re-running with that order
-// forced — locally, no fleet at all — reproduces the run bitwise.
-// Checked across three fleet sizes.
-func TestAsyncFleetReplayBitwise(t *testing.T) {
-	const evals = 36
-	for _, workers := range []int{1, 2, 3} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			factories := make([]Factory, workers)
-			for i := range factories {
-				factories[i] = delayFactory(int64(31*i+7), 3*time.Millisecond, nil)
-			}
-			c := startCluster(t, NewLoopback(), "", CoordinatorConfig{Name: "async"}, factories, 2)
-			defer c.stop()
-
-			alg := opt.NewAsyncBO()
-			alg.InitSamples = 8
-			cal := core.Calibrator{
-				Space:          distTestSpace,
-				Simulator:      c.coord.Evaluator([]byte(`{"test":true}`)),
-				Algorithm:      alg,
-				MaxEvaluations: evals,
-				Workers:        2 * workers,
-				Seed:           7,
-				Clock:          frozenClock,
-			}
-			res, err := cal.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			order := alg.CompletionOrder()
-			if len(order) != evals {
-				t.Fatalf("recorded order has %d entries, want %d", len(order), evals)
-			}
-
-			replay := opt.NewAsyncBO()
-			replay.InitSamples = 8
-			replay.Replay = order
-			rcal := core.Calibrator{
-				Space:          distTestSpace,
-				Simulator:      distTestSim(),
-				Algorithm:      replay,
-				MaxEvaluations: evals,
-				Workers:        2 * workers,
-				Seed:           7,
-				Clock:          frozenClock,
-			}
-			rres, err := rcal.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameHistory(t, rres, res)
-		})
 	}
 }
 

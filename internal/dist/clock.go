@@ -6,7 +6,7 @@ import (
 )
 
 // Clock abstracts the monotonic time source behind heartbeat timers and
-// lease deadlines. The obs.Clock (a bare func() time.Time) is not
+// lease resends. The obs.Clock (a bare func() time.Time) is not
 // enough here: the worker and coordinator also need timer channels, and
 // heartbeat-expiry tests must advance time without sleeping real time
 // (the same motivation as the frozen checkpoint clock). Production code
@@ -30,8 +30,8 @@ func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) 
 
 // ManualClock is a Clock whose time only moves when Advance is called.
 // Timers created by After fire, in one batch, as soon as an Advance
-// reaches their deadline — no goroutine ever sleeps, so lease-expiry
-// and heartbeat tests run in microseconds regardless of the configured
+// reaches their deadline — no goroutine ever sleeps, so heartbeat and
+// resend tests run in microseconds regardless of the configured
 // intervals.
 type ManualClock struct {
 	mu     sync.Mutex

@@ -73,10 +73,6 @@ type CoordinatorConfig struct {
 	// HeartbeatTimeout is how long a silent worker is tolerated before
 	// it is declared dead and its leases re-queued.
 	HeartbeatTimeout time.Duration
-	// LeaseTimeout, when positive, is the per-evaluation deadline sent
-	// with every lease; the worker answers an expired lease with a
-	// transient failure. Zero sends no deadline.
-	LeaseTimeout time.Duration
 
 	// LocalFactory, when non-nil, builds simulators on the coordinator
 	// itself, enabling graceful degradation: quarantined (poison)

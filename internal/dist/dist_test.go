@@ -167,65 +167,31 @@ func runDistributed(t *testing.T, c *cluster, workers, evals int, tracer *obs.Tr
 	return res
 }
 
-// TestDistributedMatchesSerialLoopback is the core determinism
-// guarantee: a calibration distributed over multiple workers on the
-// loopback transport is bitwise identical — history, losses, and the
-// structured trace — to the same calibration run serially in-process.
-func TestDistributedMatchesSerialLoopback(t *testing.T) {
+// TestFleetTraceMatchesInProcess: a calibration's structured trace is
+// byte-identical whether its evaluations ran in-process or on a loopback
+// fleet — the fleet adds its own events to its own tracer, never to the
+// calibration's. That the results are bitwise identical is
+// internal/conformance's table.
+func TestFleetTraceMatchesInProcess(t *testing.T) {
 	const evals = 48
-	serial := runLocal(t, 1, evals, nil)
-
-	var localTrace bytes.Buffer
-	localTracer := obs.NewTracer(&localTrace)
-	localTracer.SetClock(frozenClock)
-	local := runLocal(t, 3, evals, localTracer)
-	if err := localTracer.Flush(); err != nil {
-		t.Fatal(err)
+	trace := func(run func(*obs.Tracer)) []byte {
+		var buf bytes.Buffer
+		tracer := obs.NewTracer(&buf)
+		tracer.SetClock(frozenClock)
+		run(tracer)
+		if err := tracer.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	// Parallel local == serial local: the precondition the distributed
-	// comparison builds on.
-	assertSameHistory(t, local, serial)
-
+	local := trace(func(tr *obs.Tracer) { runLocal(t, 3, evals, tr) })
 	c := startCluster(t, NewLoopback(), "", CoordinatorConfig{Name: "test"},
 		[]Factory{sameFactory, sameFactory}, 2)
 	defer c.stop()
-	var distTrace bytes.Buffer
-	distTracer := obs.NewTracer(&distTrace)
-	distTracer.SetClock(frozenClock)
-	dist := runDistributed(t, c, 3, evals, distTracer)
-	if err := distTracer.Flush(); err != nil {
-		t.Fatal(err)
+	dist := trace(func(tr *obs.Tracer) { runDistributed(t, c, 3, evals, tr) })
+	if !bytes.Equal(dist, local) {
+		t.Errorf("distributed trace differs from local trace:\nlocal:\n%s\ndist:\n%s", local, dist)
 	}
-
-	assertSameHistory(t, dist, serial)
-	if !bytes.Equal(distTrace.Bytes(), localTrace.Bytes()) {
-		t.Errorf("distributed trace differs from local trace:\nlocal:\n%s\ndist:\n%s",
-			localTrace.String(), distTrace.String())
-	}
-}
-
-// TestDistributedMatchesSerialTCP runs the same determinism check over
-// real localhost TCP sockets.
-func TestDistributedMatchesSerialTCP(t *testing.T) {
-	const evals = 32
-	serial := runLocal(t, 1, evals, nil)
-	c := startCluster(t, TCP{}, "127.0.0.1:0", CoordinatorConfig{Name: "test"},
-		[]Factory{sameFactory, sameFactory}, 2)
-	defer c.stop()
-	dist := runDistributed(t, c, 4, evals, nil)
-	assertSameHistory(t, dist, serial)
-}
-
-// TestSingleWorkerMatchesSerial pins the worker-count independence at
-// its boundary: one worker of capacity 1.
-func TestSingleWorkerMatchesSerial(t *testing.T) {
-	const evals = 24
-	serial := runLocal(t, 1, evals, nil)
-	c := startCluster(t, NewLoopback(), "", CoordinatorConfig{Name: "test"},
-		[]Factory{sameFactory}, 1)
-	defer c.stop()
-	dist := runDistributed(t, c, 2, evals, nil)
-	assertSameHistory(t, dist, serial)
 }
 
 // stallingFactory returns a factory whose simulator parks every

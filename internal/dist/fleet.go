@@ -310,11 +310,7 @@ func (f *fleet) canDegrade() bool {
 func (f *fleet) deliver(now int64, w *remoteWorker, l *lease) {
 	l.attempt++
 	l.sentNS = now
-	msg := &LeaseMsg{ID: l.id, Index: l.index, Spec: l.spec, Point: l.point, Attempt: l.attempt}
-	if f.cfg.LeaseTimeout > 0 {
-		msg.TimeoutMS = f.cfg.LeaseTimeout.Milliseconds()
-	}
-	f.push(w, &Frame{Type: TypeLease, Lease: msg})
+	f.push(w, &Frame{Type: TypeLease, Lease: &LeaseMsg{ID: l.id, Index: l.index, Spec: l.spec, Point: l.point, Attempt: l.attempt}})
 	if f.cfg.ResendAfter > 0 {
 		f.arm(f.nextResend(now))
 	}

@@ -106,9 +106,6 @@ type LeaseMsg struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Point is the parameter assignment to evaluate.
 	Point map[string]WireFloat `json:"point"`
-	// TimeoutMS is the evaluation deadline in milliseconds; 0 means no
-	// deadline. An expired lease is answered with a transient failure.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Attempt numbers this dispatch of the lease, starting at 0.
 	// Requeues after a worker death and redeliveries over a lossy
 	// transport each bump it. Workers echo the latest attempt they saw
@@ -219,9 +216,6 @@ func (f *Frame) Validate() error {
 		}
 		if f.Lease.Point == nil {
 			return fmt.Errorf("dist: lease %d without a point", f.Lease.ID)
-		}
-		if f.Lease.TimeoutMS < 0 {
-			return fmt.Errorf("dist: lease %d with negative timeout", f.Lease.ID)
 		}
 		if f.Lease.Attempt < 0 {
 			return fmt.Errorf("dist: lease %d with negative attempt", f.Lease.ID)

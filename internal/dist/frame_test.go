@@ -36,9 +36,8 @@ func testFrames() []*Frame {
 		{Type: TypeHello, Hello: &HelloMsg{Name: "w1", Capacity: 4}},
 		{Type: TypeLease, Lease: &LeaseMsg{
 			ID: 7, Index: 3,
-			Spec:      json.RawMessage(`{"case":"wf"}`),
-			Point:     map[string]WireFloat{"x": 0.1234567890123456, "y": WireFloat(math.Inf(1))},
-			TimeoutMS: 1500,
+			Spec:  json.RawMessage(`{"case":"wf"}`),
+			Point: map[string]WireFloat{"x": 0.1234567890123456, "y": WireFloat(math.Inf(1))},
 		}},
 		{Type: TypeResult, Result: &ResultMsg{ID: 7, Index: 3, Loss: 42.5}},
 		{Type: TypeResult, Result: &ResultMsg{ID: 8, Index: 4, Loss: WireFloat(math.Inf(1)), Err: "boom", Class: "transient"}},
@@ -68,7 +67,7 @@ func TestFrameRoundTrip(t *testing.T) {
 				t.Errorf("hello round-trip = %+v, want %+v", got.Hello, f.Hello)
 			}
 		case TypeLease:
-			if got.Lease.ID != f.Lease.ID || got.Lease.Index != f.Lease.Index || got.Lease.TimeoutMS != f.Lease.TimeoutMS {
+			if got.Lease.ID != f.Lease.ID || got.Lease.Index != f.Lease.Index {
 				t.Errorf("lease round-trip = %+v, want %+v", got.Lease, f.Lease)
 			}
 			for k, v := range f.Lease.Point {
@@ -191,7 +190,7 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 		{"payload mismatch", mustFramePayload(t, `{"type":"hello"}`), "hello"},
 		{"extra payload", mustFramePayload(t, `{"type":"heartbeat","hello":{"name":"x"}}`), "payloads"},
 		{"lease without point", mustFramePayload(t, `{"type":"lease","lease":{"id":1}}`), "point"},
-		{"negative timeout", mustFramePayload(t, `{"type":"lease","lease":{"id":1,"point":{},"timeout_ms":-5}}`), "negative timeout"},
+		{"lease deadline", mustFramePayload(t, `{"type":"lease","lease":{"id":1,"point":{},"timeout_ms":5}}`), "unknown field"},
 		{"bad result class", mustFramePayload(t, `{"type":"result","result":{"id":1,"loss":0,"err":"x","class":"weird"}}`), "error class"},
 		{"classified non-error", mustFramePayload(t, `{"type":"result","result":{"id":1,"loss":0,"class":"transient"}}`), "absent error"},
 		{"bad sentinel", mustFramePayload(t, `{"type":"result","result":{"id":1,"loss":"huge"}}`), "sentinel"},

@@ -2,14 +2,13 @@ package dist
 
 import (
 	"context"
-	"strings"
 	"testing"
 	"time"
 )
 
-// These tests drive heartbeat expiry and lease deadlines entirely
-// through a ManualClock: the configured intervals are seconds to
-// minutes, but no test goroutine ever sleeps them in real time.
+// These tests drive heartbeat expiry entirely through a ManualClock: the
+// configured intervals are seconds to minutes, but no test goroutine
+// ever sleeps them in real time.
 
 // drainFrames discards inbound frames so the peer's synchronous sends
 // never block, and reports each received frame on got (if non-nil).
@@ -176,77 +175,5 @@ func TestWorkerDropsSilentCoordinator(t *testing.T) {
 
 	if err := advanceUntil(t, mc, 3*time.Second, runErr, func(error) bool { return true }); err == nil {
 		t.Fatal("worker Run returned nil for a silent coordinator, want an error")
-	}
-}
-
-// TestLeaseDeadlineExpiresOnManualClock sends a lease with a deadline
-// to a worker whose simulator hangs; advancing the injected clock past
-// the deadline must produce a transient timeout result — no real-time
-// sleeping, mirroring the local executor's abandonment semantics.
-func TestLeaseDeadlineExpiresOnManualClock(t *testing.T) {
-	mc := newArmedClock()
-	evalStarted := make(chan struct{}, 1)
-	w, err := NewWorker(WorkerConfig{
-		Name:             "w",
-		Factory:          stallingFactory(evalStarted),
-		Clock:            mc,
-		HeartbeatEvery:   2 * time.Second,
-		HeartbeatTimeout: time.Hour, // the silent test coordinator must not get dropped
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb := NewLoopback()
-	l, err := lb.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	serverCh := make(chan Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		serverCh <- c
-	}()
-	conn, err := lb.Dial("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := <-serverCh
-	defer server.Close()
-	defer conn.Close()
-
-	go w.Run(context.Background(), conn)
-	if f, err := server.Recv(); err != nil || f.Type != TypeHello {
-		t.Fatalf("worker hello: %+v, %v", f, err)
-	}
-	if err := server.Send(&Frame{Type: TypeHello, Hello: &HelloMsg{Name: "coord"}}); err != nil {
-		t.Fatal(err)
-	}
-	frames := make(chan *Frame, 16)
-	go drainFrames(server, frames)
-
-	if err := server.Send(&Frame{Type: TypeLease, Lease: &LeaseMsg{
-		ID: 1, Index: 0, Point: map[string]WireFloat{"x": 0.5}, TimeoutMS: 5000,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-evalStarted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("lease evaluation never started")
-	}
-
-	result := advanceUntil(t, mc, 3*time.Second, frames, func(f *Frame) bool { return f.Type == TypeResult }).Result
-	if result.ID != 1 {
-		t.Fatalf("result ID = %d, want 1", result.ID)
-	}
-	if result.Err == "" || !strings.Contains(result.Err, "timeout") {
-		t.Fatalf("result err = %q, want a timeout", result.Err)
-	}
-	if result.Class != "transient" {
-		t.Fatalf("result class = %q, want transient (timeouts are retryable)", result.Class)
 	}
 }

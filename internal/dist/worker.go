@@ -30,8 +30,8 @@ type WorkerConfig struct {
 	Capacity int
 	// Factory builds simulators from lease specs. Required.
 	Factory Factory
-	// Clock is the time source for heartbeats and lease deadlines; nil
-	// means RealClock. Tests inject a ManualClock so lease-expiry and
+	// Clock is the time source for heartbeats and evaluation timing;
+	// nil means RealClock. Tests inject a ManualClock so
 	// heartbeat-timeout tests never sleep real time.
 	Clock Clock
 	// HeartbeatEvery is how often the worker pings the coordinator.
@@ -379,11 +379,14 @@ func (w *Worker) simulator(spec []byte) (core.Simulator, error) {
 	return sim, nil
 }
 
-// evaluate runs one lease and reports its result, timed on the worker's
-// clock. Failures cross the wire with their resilience class so the
-// coordinator reconstructs an equivalently classified error;
-// evaluations aborted by connection teardown report nothing (the
-// coordinator re-queues the lease when it declares this worker dead).
+// evaluate runs one lease under panic isolation and reports its result,
+// timed on the worker's clock. Leases carry no deadline: a per-evaluation
+// timeout is the calibration's resilience executor, whose expired
+// attempt cancels its lease on the coordinator. Failures cross the wire
+// with their resilience class so the coordinator reconstructs an
+// equivalently classified error; evaluations aborted by connection
+// teardown report nothing (the coordinator re-queues the lease when it
+// declares this worker dead).
 func (w *Worker) evaluate(ctx context.Context, sess *session, leases *leaseTable, msg *LeaseMsg) {
 	w.inflightGauge.Set(float64(w.inflight.Add(1)))
 	pt := make(core.Point, len(msg.Point))
@@ -394,7 +397,11 @@ func (w *Worker) evaluate(ctx context.Context, sess *session, leases *leaseTable
 	start := w.clock.Now()
 	sim, err := w.simulator(msg.Spec)
 	if err == nil {
-		loss, err = w.runLease(ctx, sim, pt, time.Duration(msg.TimeoutMS)*time.Millisecond)
+		err = resilience.Safely(func() error {
+			var e error
+			loss, e = sim.Run(ctx, pt)
+			return e
+		})
 	}
 	dur := w.clock.Now().Sub(start)
 	w.evalNS.ObserveDuration(dur)
@@ -429,47 +436,6 @@ func (w *Worker) evaluate(ctx context.Context, sess *session, leases *leaseTable
 	// A send failure means the connection died; the coordinator
 	// re-queues the lease, so there is nothing to recover here.
 	_ = sess.send(&Frame{Type: TypeResult, Result: res})
-}
-
-// runLease evaluates one point under panic isolation and the lease
-// deadline. Without a deadline it runs on the lease's own goroutine;
-// with one, an expiry cancels (abandons) the evaluation and reports a
-// transient timeout, mirroring the local resilience executor's
-// per-attempt timeout semantics — on the worker's injected clock, which
-// is why the two are not one function: the executor's attempt context
-// carries a wall-clock deadline simulators may read, and a lease's must
-// not.
-func (w *Worker) runLease(ctx context.Context, sim core.Simulator, pt core.Point, timeout time.Duration) (float64, error) {
-	run := func(ctx context.Context) (loss float64, err error) {
-		err = resilience.Safely(func() error {
-			var e error
-			loss, e = sim.Run(ctx, pt)
-			return e
-		})
-		return loss, err
-	}
-	if timeout <= 0 {
-		return run(ctx)
-	}
-	evalCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type res struct {
-		loss float64
-		err  error
-	}
-	ch := make(chan res, 1) // buffered: an abandoned evaluation can still complete
-	go func() {
-		loss, err := run(evalCtx)
-		ch <- res{loss: loss, err: err}
-	}()
-	select {
-	case r := <-ch:
-		return r.loss, r.err
-	case <-w.clock.After(timeout):
-		return 0, &resilience.TimeoutError{Timeout: timeout}
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
 }
 
 // SessionConfig shapes RunSession's dial-and-resume loop.

@@ -14,13 +14,6 @@ import (
 	"simcal/internal/core"
 )
 
-// asyncFrozenClock pins elapsed fields to zero so results from separate
-// runs compare bitwise.
-func asyncFrozenClock() func() time.Time {
-	t0 := time.Unix(42, 0)
-	return func() time.Time { return t0 }
-}
-
 // jitterSim wraps an evaluator with a per-call pseudo-random sleep, so
 // completions land out of submission order and the async driver's
 // arrival order is genuinely scrambled. The sleep source is independent
@@ -39,68 +32,6 @@ func jitterSim(inner core.Evaluator, seed int64, max time.Duration) core.Evaluat
 		}
 		return inner(ctx, p)
 	}
-}
-
-func sameHistory(t *testing.T, a, b *core.Result) {
-	t.Helper()
-	if a.Best.Loss != b.Best.Loss {
-		t.Fatalf("best loss: %v vs %v (not bitwise)", a.Best.Loss, b.Best.Loss)
-	}
-	if len(a.History) != len(b.History) {
-		t.Fatalf("history length: %d vs %d", len(a.History), len(b.History))
-	}
-	for i := range a.History {
-		x, y := a.History[i], b.History[i]
-		if x.Loss != y.Loss {
-			t.Fatalf("history[%d].Loss: %v vs %v (not bitwise)", i, x.Loss, y.Loss)
-		}
-		for j := range x.Unit {
-			if x.Unit[j] != y.Unit[j] {
-				t.Fatalf("history[%d].Unit[%d]: %v vs %v (not bitwise)", i, j, x.Unit[j], y.Unit[j])
-			}
-		}
-	}
-}
-
-// TestAsyncBOSeededReplayBitwise is the heart of the replay contract:
-// a live async run with genuinely scrambled completion timing records
-// its completion order; a second run forced to consume in that order
-// reproduces the history bitwise even though its own timing differs.
-func TestAsyncBOSeededReplayBitwise(t *testing.T) {
-	clock := asyncFrozenClock()
-	run := func(replay []int, jitterSeed int64) (*core.Result, []int) {
-		alg := NewAsyncBO()
-		alg.InitSamples = 8
-		alg.Replay = replay
-		c := &core.Calibrator{
-			Space:          optSpace,
-			Simulator:      jitterSim(sphere, jitterSeed, 2*time.Millisecond),
-			Algorithm:      alg,
-			MaxEvaluations: 40,
-			Workers:        4,
-			Seed:           31,
-			Clock:          clock,
-		}
-		res, err := c.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, alg.CompletionOrder()
-	}
-	ref, order := run(nil, 1)
-	if len(order) != 40 {
-		t.Fatalf("recorded completion order has %d entries, want 40", len(order))
-	}
-	// Different jitter seed: the replay's own completion timing differs
-	// from the original's, so only the forced order can explain a
-	// bitwise match.
-	rep, order2 := run(order, 999)
-	for i := range order {
-		if order[i] != order2[i] {
-			t.Fatalf("replay recorded a different order at %d: %d vs %d", i, order2[i], order[i])
-		}
-	}
-	sameHistory(t, ref, rep)
 }
 
 // TestAsyncBOFantasyRowsNeverLeak: constant-liar imputations are
@@ -264,86 +195,6 @@ func TestAsyncBOObserverStream(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestAsyncBOCheckpointResumeBitwise: an async run killed after a
-// checkpoint boundary leaves a snapshot with a consumption order and
-// in-flight records. Resuming from it (snapshot prefix replayed, live
-// completions afterwards) records a total order; a fresh run forced to
-// consume in exactly that order is bitwise-identical — checkpoints,
-// resume, and trace replay are one contract.
-func TestAsyncBOCheckpointResumeBitwise(t *testing.T) {
-	clock := asyncFrozenClock()
-	base := func(alg core.Algorithm, sim core.Simulator) *core.Calibrator {
-		return &core.Calibrator{
-			Space:          optSpace,
-			Simulator:      sim,
-			Algorithm:      alg,
-			MaxEvaluations: 36,
-			Workers:        4,
-			Seed:           61,
-			Clock:          clock,
-		}
-	}
-
-	// "Killed" run: budget cut to 24, snapshots every 10 — the snapshot
-	// at the 20-eval boundary is what a kill there leaves behind, and it
-	// must carry in-flight submissions (width 4 with one consumed → 3).
-	path := filepath.Join(t.TempDir(), "ck.json")
-	killed := NewAsyncBO()
-	killed.InitSamples = 8
-	kc := base(killed, jitterSim(sphere, 3, time.Millisecond))
-	kc.MaxEvaluations = 24
-	kc.Checkpoint = &core.CheckpointSpec{Path: path, Every: 10}
-	if _, err := kc.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := core.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Evaluations != 20 || len(snap.Order) != 20 {
-		t.Fatalf("snapshot at %d evaluations with %d order entries, want the 20-eval boundary", snap.Evaluations, len(snap.Order))
-	}
-	if len(snap.InFlight) == 0 {
-		t.Fatal("snapshot records no in-flight submissions; a width-4 run checkpointed mid-flight must")
-	}
-
-	// Resume to the full budget: the snapshot's 20 evaluations replay
-	// (forced order, simulator untouched), the in-flight ones re-run for
-	// real, and the rest arrive live. Record the total order.
-	resumed := NewAsyncBO()
-	resumed.InitSamples = 8
-	rc := base(resumed, jitterSim(sphere, 4, time.Millisecond))
-	rc.Resume = snap
-	res, err := rc.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evaluations != 36 {
-		t.Fatalf("resumed run completed %d evaluations, want 36", res.Evaluations)
-	}
-	order := resumed.CompletionOrder()
-	if len(order) != 36 {
-		t.Fatalf("resumed run recorded %d order entries, want 36", len(order))
-	}
-	// The replayed prefix is bitwise the snapshot's samples.
-	for i, want := range snap.Samples {
-		if res.History[i].Loss != want.Loss {
-			t.Fatalf("history[%d].Loss = %v, snapshot stored %v", i, res.History[i].Loss, want.Loss)
-		}
-	}
-
-	// A fresh uninterrupted run forced to the resumed run's total order
-	// reproduces it bitwise.
-	fresh := NewAsyncBO()
-	fresh.InitSamples = 8
-	fresh.Replay = order
-	fres, err := base(fresh, jitterSim(sphere, 5, time.Millisecond)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameHistory(t, res, fres)
 }
 
 // TestByNameAsyncBO: the registry resolves async-bo, and unknown names

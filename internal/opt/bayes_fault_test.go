@@ -61,11 +61,11 @@ func (o *surrogatePanicObserver) PanicRecovered(where string) {
 	defer o.mu.Unlock()
 	o.panics = append(o.panics, where)
 }
-func (o *surrogatePanicObserver) EvalRetried(int, time.Duration, string) {}
-func (o *surrogatePanicObserver) EvalTimedOut(time.Duration)             {}
-func (o *surrogatePanicObserver) BreakerStateChanged(string, bool)       {}
-func (o *surrogatePanicObserver) CheckpointWritten(int)                  {}
-func (o *surrogatePanicObserver) CheckpointFailed(error)                 {}
+func (o *surrogatePanicObserver) EvalRetried(int, time.Duration, error) {}
+func (o *surrogatePanicObserver) EvalTimedOut(time.Duration)            {}
+func (o *surrogatePanicObserver) BreakerStateChanged(string, bool)      {}
+func (o *surrogatePanicObserver) CheckpointWritten(int)                 {}
+func (o *surrogatePanicObserver) CheckpointFailed(error)                {}
 
 // TestSurrogatePanicFallsBackToRandom: a panicking fit or acquisition
 // must degrade that iteration to random exploration and report the

@@ -149,21 +149,19 @@ type Config struct {
 	// (and progress events); <= 0 means 25.
 	CheckpointEvery int
 
-	// Registry, when non-nil, receives the svc.* metrics, including
-	// per-job labeled series (svc.job_evals{job="..."}).
+	// Registry receives the svc.* metrics, including per-job labeled
+	// series (svc.job_evals{job="..."}); nil means a private registry.
 	Registry *obs.Registry
 	// Cache, when non-nil, memoizes loss evaluations across all jobs:
 	// two tenants calibrating the same spec share results, keyed by
 	// the spec fingerprint so distinct simulators never mix. Nil
 	// disables cross-job memoization.
 	Cache *cache.Cache
-	// Clock replaces the wall clock in timestamps; nil means time.Now.
-	// (Calibration-internal elapsed fields keep their own clock.)
-	Clock func() time.Time
 }
 
 // Job is the server's record of one calibration job. Mutable fields
-// are guarded by the server mutex except the atomic progress counters.
+// are guarded by the server mutex except the atomic progress counters
+// and the journal lock.
 type Job struct {
 	ID      string
 	Tenant  string
@@ -190,8 +188,10 @@ type Job struct {
 	bestBits atomic.Uint64 // Float64bits of the best loss; 0 = none yet
 	hasBest  atomic.Bool
 
-	cEvals *obs.Counter // svc.job_evals{job=...}; nil without a registry
+	cEvals *obs.Counter // svc.job_evals{job=...}
 	gBest  *obs.Gauge   // svc.job_best_loss{job=...}
+
+	journal sync.Mutex // held by persistRecord from snapshot to rename
 }
 
 // tenantState is one tenant's dispatch queue and quota accounting.
@@ -203,7 +203,6 @@ type tenantState struct {
 // Server is the multi-tenant calibration job server.
 type Server struct {
 	cfg      Config
-	clock    func() time.Time
 	baseCtx  context.Context
 	baseStop context.CancelFunc
 	wg       sync.WaitGroup
@@ -260,38 +259,26 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 25
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = time.Now
+	if cfg.Registry == nil {
+		cfg.Registry = obs.NewRegistry()
 	}
+	reg := cfg.Registry
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:      cfg,
-		clock:    clock,
-		baseCtx:  ctx,
-		baseStop: stop,
-		jobs:     make(map[string]*Job),
-		tenants:  make(map[string]*tenantState),
-		nextID:   1,
-	}
-	if reg := cfg.Registry; reg != nil {
-		s.cSubmitted = reg.Counter("svc.jobs_submitted")
-		s.cDone = reg.Counter("svc.jobs_done")
-		s.cFailed = reg.Counter("svc.jobs_failed")
-		s.cCanceled = reg.Counter("svc.jobs_canceled")
-		s.cRejected = reg.Counter("svc.jobs_rejected")
-		s.cResumed = reg.Counter("svc.jobs_resumed")
-		s.gRunning = reg.Gauge("svc.jobs_running")
-		s.gPending = reg.Gauge("svc.jobs_pending")
-	} else {
-		s.cSubmitted = new(obs.Counter)
-		s.cDone = new(obs.Counter)
-		s.cFailed = new(obs.Counter)
-		s.cCanceled = new(obs.Counter)
-		s.cRejected = new(obs.Counter)
-		s.cResumed = new(obs.Counter)
-		s.gRunning = new(obs.Gauge)
-		s.gPending = new(obs.Gauge)
+		cfg:        cfg,
+		baseCtx:    ctx,
+		baseStop:   stop,
+		jobs:       make(map[string]*Job),
+		tenants:    make(map[string]*tenantState),
+		nextID:     1,
+		cSubmitted: reg.Counter("svc.jobs_submitted"),
+		cDone:      reg.Counter("svc.jobs_done"),
+		cFailed:    reg.Counter("svc.jobs_failed"),
+		cCanceled:  reg.Counter("svc.jobs_canceled"),
+		cRejected:  reg.Counter("svc.jobs_rejected"),
+		cResumed:   reg.Counter("svc.jobs_resumed"),
+		gRunning:   reg.Gauge("svc.jobs_running"),
+		gPending:   reg.Gauge("svc.jobs_pending"),
 	}
 	if cfg.StateDir != "" {
 		if err := s.load(); err != nil {
@@ -365,20 +352,23 @@ func (s *Server) newJobLocked(req JobRequest, space core.Space, alg core.Algorit
 		Tenant:    req.Tenant,
 		Request:   req,
 		state:     StatePending,
-		submitted: s.clock(),
+		submitted: time.Now(),
 		space:     space,
 		alg:       alg,
 		ctx:       ctx,
 		cancel:    cancel,
 		eventCh:   make(chan struct{}),
 	}
-	if reg := s.cfg.Registry; reg != nil {
-		j.cEvals = reg.Counter(obs.LabeledName("svc.job_evals", "job", id))
-		j.gBest = reg.Gauge(obs.LabeledName("svc.job_best_loss", "job", id))
-	}
+	s.jobMetrics(j)
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	return j
+}
+
+// jobMetrics registers a job's labeled series.
+func (s *Server) jobMetrics(j *Job) {
+	j.cEvals = s.cfg.Registry.Counter(obs.LabeledName("svc.job_evals", "job", j.ID))
+	j.gBest = s.cfg.Registry.Gauge(obs.LabeledName("svc.job_best_loss", "job", j.ID))
 }
 
 // tenantLocked returns (creating if needed) one tenant's state and
@@ -407,7 +397,7 @@ func (s *Server) dispatchLocked() {
 			return
 		}
 		j.state = StateRunning
-		j.started = s.clock()
+		j.started = time.Now()
 		s.running++
 		s.pending--
 		s.gRunning.Set(float64(s.running))
@@ -507,7 +497,7 @@ func (s *Server) finalize(j *Job, res *core.Result, err error) {
 		j.state = StateFailed
 		j.errMsg = err.Error()
 	}
-	j.finished = s.clock()
+	j.finished = time.Now()
 	s.running--
 	s.gRunning.Set(float64(s.running))
 	if j.state.Terminal() {
@@ -569,7 +559,7 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 		j.userCanceled = true
 		j.state = StateCanceled
 		j.errMsg = "canceled"
-		j.finished = s.clock()
+		j.finished = time.Now()
 		s.appendEventLocked(j, Event{Type: string(StateCanceled)})
 		j.cancel()
 	case StateRunning:
@@ -626,7 +616,7 @@ func Fingerprint(spec json.RawMessage) string {
 // wakes followers. Caller holds mu.
 func (s *Server) appendEventLocked(j *Job, ev Event) {
 	ev.Seq = len(j.events)
-	ev.TUnixNS = s.clock().UnixNano()
+	ev.TUnixNS = time.Now().UnixNano()
 	j.events = append(j.events, ev)
 	close(j.eventCh)
 	j.eventCh = make(chan struct{})
@@ -644,9 +634,7 @@ func (o *jobObserver) BatchProposed(int)               {}
 
 func (o *jobObserver) EvalCompleted(smp core.Sample, wait, dur time.Duration) {
 	n := o.j.evals.Add(1)
-	if o.j.cEvals != nil {
-		o.j.cEvals.Inc()
-	}
+	o.j.cEvals.Inc()
 	if n%int64(o.s.cfg.CheckpointEvery) == 0 {
 		ev := Event{Type: "progress", Evaluations: n}
 		if o.j.hasBest.Load() {
@@ -660,9 +648,7 @@ func (o *jobObserver) EvalCompleted(smp core.Sample, wait, dur time.Duration) {
 func (o *jobObserver) IncumbentImproved(smp core.Sample) {
 	o.j.bestBits.Store(math.Float64bits(smp.Loss))
 	o.j.hasBest.Store(true)
-	if o.j.gBest != nil {
-		o.j.gBest.Set(smp.Loss)
-	}
+	o.j.gBest.Set(smp.Loss)
 	bl := obs.Float(smp.Loss)
 	ev := Event{Type: "improved", Evaluations: o.j.evals.Load(), BestLoss: &bl}
 	o.s.withLock(func() { o.s.appendEventLocked(o.j, ev) })

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -549,6 +550,61 @@ func TestResultWithFailedEvaluationsIsServed(t *testing.T) {
 	defer svc2.Close()
 	if got := fingerprint(fetchResult(t, startHTTP(t, svc2), st.ID)); got != want {
 		t.Error("the durable result of a job with failed evaluations differs from the one it served live")
+	}
+}
+
+// TestFinishedJobIsNotRerunAfterRestart: Submit journals a job after
+// releasing the server lock, so a quick job can finish, and journal
+// itself done, before Submit's own write lands. That write must not
+// replace the done record, or a restarted server runs the finished job
+// again. Four hundred one-evaluation jobs submitted at once open the
+// window on most runs when a job's journal writes are not ordered.
+func TestFinishedJobIsNotRerunAfterRestart(t *testing.T) {
+	const jobs = 400
+	cfg := toyConfig(0)
+	cfg.StateDir = t.TempDir()
+	cfg.MaxRunning = jobs
+	cfg.TenantQuota = -1
+	svc, err := service.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := startHTTP(t, svc)
+	ids := make([]string, jobs)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			j, err := svc.Submit(service.JobRequest{Tenant: "t", Algorithm: "RAND", MaxEvals: 1, Seed: int64(i), Spec: json.RawMessage(`{}`)})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ids[i] = j.ID
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for _, id := range ids {
+		waitState(t, base, id, service.StateDone)
+	}
+	svc.Close()
+
+	var reruns atomic.Int64
+	cfg.Backend = func(string, json.RawMessage) (core.Simulator, error) {
+		reruns.Add(1)
+		return toySim{}, nil
+	}
+	svc2, err := service.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2.Close() // returns once every job it re-queued has called its backend
+	if n := reruns.Load(); n != 0 {
+		t.Errorf("a restarted server re-ran %d of %d finished jobs", n, jobs)
 	}
 }
 

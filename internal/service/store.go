@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"simcal/internal/core"
-	"simcal/internal/obs"
 )
 
 // Durable job state, when Config.StateDir is set. Three files per job,
@@ -53,10 +52,18 @@ func (s *Server) resultPath(id string) string {
 // journal write must not kill the job it describes (the same stance as
 // core's checkpointer), so failures are swallowed — the job keeps
 // running and the next transition retries.
+//
+// Callers journal after releasing the server lock, so two writes of one
+// job can overlap — Submit's and a quick job's finalize, say. The job's
+// journal lock spans snapshot and rename, so the write that lands last
+// carries the latest state: a finished job is never journaled back to
+// pending, which a restarted server would run again.
 func (s *Server) persistRecord(j *Job) {
 	if s.cfg.StateDir == "" {
 		return
 	}
+	j.journal.Lock()
+	defer j.journal.Unlock()
 	s.mu.Lock()
 	rec := jobRecord{
 		Kind:            jobRecordKind,
@@ -159,10 +166,7 @@ func (s *Server) loadJobLocked(rec jobRecord) error {
 	if _, err := fmt.Sscanf(rec.ID, "j-%d", &n); err == nil && n >= s.nextID {
 		s.nextID = n + 1
 	}
-	if reg := s.cfg.Registry; reg != nil {
-		j.cEvals = reg.Counter(obs.LabeledName("svc.job_evals", "job", j.ID))
-		j.gBest = reg.Gauge(obs.LabeledName("svc.job_best_loss", "job", j.ID))
-	}
+	s.jobMetrics(j)
 	switch {
 	case rec.State.Terminal():
 		if rec.State == StateDone {
@@ -189,7 +193,7 @@ func (s *Server) loadJobLocked(rec jobRecord) error {
 		if err != nil {
 			j.state = StateFailed
 			j.errMsg = err.Error()
-			j.finished = s.clock()
+			j.finished = time.Now()
 			break
 		}
 		j.state = StatePending
