@@ -215,6 +215,60 @@ func resultsIdentical(t *testing.T, a, b *Result) {
 	}
 }
 
+func TestCheckpointResumeBitwiseIdentical(t *testing.T) {
+	optimum := Point{"x": 3, "y": 7}
+	clock := frozenClock()
+	base := func(sim Simulator) *Calibrator {
+		return &Calibrator{
+			Space:          testSpace,
+			Simulator:      sim,
+			Algorithm:      randomSearch{batch: 4},
+			MaxEvaluations: 40,
+			Workers:        1,
+			Seed:           42,
+			Clock:          clock,
+		}
+	}
+
+	// Reference: one uninterrupted run to the full budget.
+	ref, err := base(sphereLoss(optimum)).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// "Killed" run: checkpoints every 8 evaluations, budget cut to 16 —
+	// the snapshot on disk afterwards is what a kill -9 at that boundary
+	// leaves behind.
+	path := filepath.Join(t.TempDir(), "ck.json")
+	killed := base(sphereLoss(optimum))
+	killed.MaxEvaluations = 16
+	killed.Checkpoint = &CheckpointSpec{Path: path, Every: 8}
+	if _, err := killed.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Evaluations != 16 {
+		t.Fatalf("snapshot at %d evaluations, want the 16-eval boundary", snap.Evaluations)
+	}
+
+	// Resume to the full budget; the first 16 evaluations must come from
+	// the snapshot, not the simulator.
+	sim := &countingSim{inner: sphereLoss(optimum)}
+	resumed := base(sim)
+	resumed.Resume = snap
+	res, err := resumed.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.calls.Load(); got != 40-16 {
+		t.Errorf("resumed run invoked the simulator %d times, want %d (replay must not re-simulate)", got, 40-16)
+	}
+	resultsIdentical(t, ref, res)
+}
+
 func TestResumeContinuesElapsedOffset(t *testing.T) {
 	clock := frozenClock()
 	snapElapsed := 90 * time.Second
