@@ -66,8 +66,7 @@ func (c *config) flagSet() *flag.FlagSet {
 
 	c.obs.Register(fs)
 	c.obs.RegisterTrace(fs)
-	// The hardening and chaos groups stay at their defaults, and there
-	// is no -breaker: a grid run should finish every cell.
+	// The hardening and chaos groups stay at their defaults.
 	c.fleet.Register(fs)
 	c.resilience.Register(fs)
 	return fs

@@ -59,7 +59,6 @@ type config struct {
 	retryMaxDelay  time.Duration
 	dialTimeout    time.Duration
 	resume         bool
-	maxSessions    int
 
 	obs   cli.Obs
 	chaos cli.Chaos
@@ -75,7 +74,6 @@ func (c *config) flagSet() *flag.FlagSet {
 	fs.DurationVar(&c.retryMaxDelay, "retry-max-delay", 5*time.Second, "cap on the exponential backoff between dial attempts")
 	fs.DurationVar(&c.dialTimeout, "dial-timeout", dist.DefaultDialTimeout, "per-attempt TCP dial timeout")
 	fs.BoolVar(&c.resume, "resume", true, "redial and re-handshake after a mid-run connection drop instead of exiting")
-	fs.IntVar(&c.maxSessions, "max-sessions", 0, "with -resume: cap total sessions served (0 = unlimited)")
 
 	c.obs.Register(fs)
 	c.chaos.Register(fs)
@@ -134,7 +132,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		MaxDelay:        c.retryMaxDelay,
 		Seed:            c.chaos.Seed,
 		Resume:          c.resume,
-		MaxSessions:     c.maxSessions,
 	})
 	if err != nil {
 		return err

@@ -26,9 +26,12 @@ import (
 // only be set out of step with the coordinator, which has no such flag.
 // PR 23 deleted -telemetry-every with the frame it paced: telemetry
 // rides result and heartbeat frames, so there is no cadence to set.
+// The session cap went because nothing set it: a resuming worker stops
+// when the coordinator closes in order or -connect-retries runs out.
+// DeepEqual also means no binary may gain a flag.
 var parentFlags = map[string]string{
 	"capacity": "0", "chaos-profile": "", "chaos-seed": "1", "connect": "", "connect-retries": "0",
-	"dial-timeout": "10s", "max-sessions": "0", "metrics": "false", "name": "", "pprof": "",
+	"dial-timeout": "10s", "metrics": "false", "name": "", "pprof": "",
 	"resume": "true", "retry-delay": "250ms", "retry-max-delay": "5s",
 }
 

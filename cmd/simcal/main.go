@@ -63,7 +63,6 @@ type config struct {
 	checkpoint      string
 	checkpointEvery int
 	resume          bool
-	asyncInflight   int
 	asyncReplay     string
 
 	obs        cli.Obs
@@ -95,7 +94,6 @@ func (c *config) flagSet() *flag.FlagSet {
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "periodically snapshot the calibration to this file (atomic write-then-rename; see -resume)")
 	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 25, "evaluations between checkpoint snapshots")
 	fs.BoolVar(&c.resume, "resume", false, "resume from the -checkpoint file if it exists (fresh start otherwise); the resumed result is identical to an uninterrupted run")
-	fs.IntVar(&c.asyncInflight, "async-inflight", 0, "with -alg async-bo: cap concurrently running evaluations (default: the evaluation workers / fleet capacity)")
 	fs.StringVar(&c.asyncReplay, "async-replay", "", "with -alg async-bo: force the completion order recorded in this JSONL trace (its dist_async_completion events), reproducing the traced run bitwise")
 
 	c.obs.Register(fs)
@@ -104,7 +102,6 @@ func (c *config) flagSet() *flag.FlagSet {
 	c.fleet.Hardening.Register(fs)
 	c.fleet.Chaos.Register(fs)
 	c.resilience.Register(fs)
-	c.resilience.RegisterBreaker(fs)
 	return fs
 }
 
@@ -147,27 +144,21 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	return c.calibrate(t, alg, stdout, stderr)
 }
 
-// algorithm resolves -alg and applies the async-bo flags to it.
+// algorithm resolves -alg and applies -async-replay to it.
 func (c *config) algorithm() (core.Algorithm, error) {
 	alg, err := opt.ByName(c.alg)
-	if err != nil {
-		return nil, err
-	}
-	if c.asyncInflight <= 0 && c.asyncReplay == "" {
-		return alg, nil
+	if err != nil || c.asyncReplay == "" {
+		return alg, err
 	}
 	ab, ok := alg.(*opt.AsyncBayesOpt)
 	if !ok {
-		return nil, fmt.Errorf("-async-inflight and -async-replay require -alg async-bo, got %s", c.alg)
+		return nil, fmt.Errorf("-async-replay requires -alg async-bo, got %s", c.alg)
 	}
-	ab.MaxInFlight = c.asyncInflight
-	if c.asyncReplay != "" {
-		if c.jobs > 1 {
-			return nil, fmt.Errorf("-async-replay reproduces a single recorded run; it cannot be combined with -jobs %d", c.jobs)
-		}
-		if ab.Replay, err = loadAsyncOrder(c.asyncReplay); err != nil {
-			return nil, err
-		}
+	if c.jobs > 1 {
+		return nil, fmt.Errorf("-async-replay reproduces a single recorded run; it cannot be combined with -jobs %d", c.jobs)
+	}
+	if ab.Replay, err = loadAsyncOrder(c.asyncReplay); err != nil {
+		return nil, err
 	}
 	return ab, nil
 }

@@ -24,13 +24,18 @@ import (
 // commit before cmd/ was rebuilt on internal/cli (7f8c30e): they pin
 // what the refactor must not move.
 
-// parentFlags is simcal's flag set at that commit, name → default.
+// parentFlags is simcal's flag set at that commit, name → default,
+// minus four knobs nothing set, deleted with the code they selected: a
+// consecutive-failure cutoff (it spent budget on +Inf samples it never
+// ran, as many as timing and resume decided), async-bo's in-flight cap
+// (its window is -workers), and the coordinator's requeue cap and
+// degradation grace (both run at their defaults).
 var parentFlags = map[string]string{
-	"alg": "BO-GP", "async-inflight": "0", "async-replay": "", "breaker": "0", "budget": "0s",
+	"alg": "BO-GP", "async-replay": "", "budget": "0s",
 	"cache": "false", "case": "wf", "chaos-profile": "", "chaos-seed": "1", "checkpoint": "",
-	"checkpoint-every": "25", "compute": "htcondor", "degraded-grace": "0s", "dist-workers": "1",
+	"checkpoint-every": "25", "compute": "htcondor", "dist-workers": "1",
 	"eval-retries": "0", "eval-timeout": "0s", "evals": "100", "jobs": "1", "lease-resend": "0s",
-	"listen": "", "loss": "L1", "max-requeues": "0", "metrics": "false", "network": "", "node": "complex",
+	"listen": "", "loss": "L1", "metrics": "false", "network": "", "node": "complex",
 	"out": "", "pprof": "", "print-spec": "false", "protocol": "fixed", "replay": "", "resume": "false",
 	"seed": "1", "storage": "all", "trace": "", "workers": "0",
 }
@@ -38,8 +43,8 @@ var parentFlags = map[string]string{
 func TestFlagsMatchParent(t *testing.T) {
 	got := map[string]string{}
 	new(config).flagSet().VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
-	if len(got) != 35 {
-		t.Errorf("%d flags, want 35", len(got))
+	if len(got) != 31 {
+		t.Errorf("%d flags, want 31", len(got))
 	}
 	for name, def := range parentFlags {
 		if g, ok := got[name]; !ok || g != def {
@@ -238,7 +243,7 @@ func TestArgumentErrors(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-resume", "-resume needs -checkpoint"},
 		{"-checkpoint ck.json -jobs 2", "cannot be combined with -jobs 2"},
-		{"-async-inflight 2", "require -alg async-bo"},
+		{"-async-replay t.jsonl", "requires -alg async-bo"},
 		{"-case bogus", `unknown case study "bogus"`},
 		{"-alg bogus", "bogus"},
 		{"-replay /nonexistent/trace.jsonl", "no such file"},

@@ -46,7 +46,6 @@ import (
 	"simcal/internal/cli"
 	"simcal/internal/core"
 	"simcal/internal/obs"
-	"simcal/internal/opt"
 	"simcal/internal/service"
 )
 
@@ -61,7 +60,6 @@ type config struct {
 	stateDir        string
 	checkpointEvery int
 	cache           bool
-	asyncInflight   int
 
 	obs   cli.Obs
 	fleet cli.Fleet
@@ -75,7 +73,6 @@ func (c *config) flagSet() *flag.FlagSet {
 	fs.StringVar(&c.stateDir, "state-dir", "", "durable job state: journal, checkpoints, results (jobs resume after restarts)")
 	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 25, "evaluations between job checkpoint snapshots")
 	fs.BoolVar(&c.cache, "cache", true, "memoize loss evaluations across jobs (content-addressed by spec fingerprint)")
-	fs.IntVar(&c.asyncInflight, "async-inflight", 0, "async-bo jobs: max in-flight evaluations per job (0 = job worker count)")
 
 	c.fleet.Register(fs)
 	c.fleet.Hardening.Register(fs)
@@ -94,15 +91,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		StateDir:        c.stateDir,
 		CheckpointEvery: c.checkpointEvery,
 		Registry:        reg,
-	}
-	if c.asyncInflight > 0 {
-		svcCfg.Algorithm = func(name string) (core.Algorithm, error) {
-			alg, err := opt.ByName(name)
-			if ab, ok := alg.(*opt.AsyncBayesOpt); ok {
-				ab.MaxInFlight = c.asyncInflight
-			}
-			return alg, err
-		}
 	}
 	if c.cache {
 		svcCfg.Cache = cache.New(reg)

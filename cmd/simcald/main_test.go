@@ -9,11 +9,15 @@ import (
 )
 
 // parentFlags is simcald's flag set at the commit before cmd/ was
-// rebuilt on internal/cli (7f8c30e), name → default.
+// rebuilt on internal/cli (7f8c30e), name → default, minus three knobs
+// nothing set: async-bo's in-flight cap (a job that wants N evaluations
+// in flight sends workers: N), and the coordinator's requeue cap and
+// degradation grace (both run at their defaults).
+// DeepEqual also means no binary may gain a flag.
 var parentFlags = map[string]string{
-	"async-inflight": "0", "cache": "true", "checkpoint-every": "25", "degraded-grace": "0s",
+	"cache": "true", "checkpoint-every": "25",
 	"dist-workers": "1", "http": "localhost:8080", "lease-resend": "0s", "listen": "",
-	"max-requeues": "0", "max-running": "2", "state-dir": "", "tenant-quota": "8",
+	"max-running": "2", "state-dir": "", "tenant-quota": "8",
 }
 
 func TestFlagsMatchParent(t *testing.T) {

@@ -166,20 +166,17 @@ func (o *Obs) Close() error {
 	return err
 }
 
-// Hardening is the coordinator's fault-handling triad: lease
-// redelivery, requeue-capped quarantine with local fallback, and
-// fleet-empty degradation to local evaluation.
+// Hardening is the coordinator's lease redelivery. Quarantine after
+// dist.DefaultMaxRequeues worker deaths and degradation to local
+// evaluation after dist.DefaultDegradedGrace of an empty fleet are
+// always on, at those defaults.
 type Hardening struct {
-	LeaseResend   time.Duration // -lease-resend
-	MaxRequeues   int           // -max-requeues
-	DegradedGrace time.Duration // -degraded-grace
+	LeaseResend time.Duration // -lease-resend
 }
 
-// Register declares -lease-resend, -max-requeues and -degraded-grace.
+// Register declares -lease-resend.
 func (h *Hardening) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&h.LeaseResend, "lease-resend", 0, "with -listen: redeliver an unanswered lease after this long (0 = off, or 3s when -chaos-profile is set; workers deduplicate)")
-	fs.IntVar(&h.MaxRequeues, "max-requeues", 0, "with -listen: quarantine a lease after this many requeues from worker deaths and evaluate it locally (0 = default 3, negative = unbounded)")
-	fs.DurationVar(&h.DegradedGrace, "degraded-grace", 0, "with -listen: after the fleet has been empty this long, drain queued evaluations locally until a worker returns (0 = default 30s, negative = off)")
 }
 
 // chaosResend is the lease redelivery delay a lossy transport gets when
@@ -248,14 +245,12 @@ func (f *Fleet) config(name string, reg *obs.Registry, tracer *obs.Tracer, trace
 		resend = chaosResend
 	}
 	return dist.CoordinatorConfig{
-		Name:          name,
-		Registry:      reg,
-		Tracer:        tracer,
-		TraceID:       traceID,
-		LocalFactory:  simspec.BuildSimulator,
-		MaxRequeues:   f.Hardening.MaxRequeues,
-		DegradedGrace: f.Hardening.DegradedGrace,
-		ResendAfter:   resend,
+		Name:         name,
+		Registry:     reg,
+		Tracer:       tracer,
+		TraceID:      traceID,
+		LocalFactory: simspec.BuildSimulator,
+		ResendAfter:  resend,
 	}
 }
 
@@ -341,7 +336,6 @@ func (f *Fleet) Close() {
 type Resilience struct {
 	EvalTimeout time.Duration // -eval-timeout
 	EvalRetries int           // -eval-retries
-	Breaker     int           // -breaker
 }
 
 // Register declares -eval-timeout and -eval-retries.
@@ -350,18 +344,13 @@ func (r *Resilience) Register(fs *flag.FlagSet) {
 	fs.IntVar(&r.EvalRetries, "eval-retries", 0, "max attempts per evaluation for transient failures (enables the fault-tolerant executor)")
 }
 
-// RegisterBreaker declares -breaker.
-func (r *Resilience) RegisterBreaker(fs *flag.FlagSet) {
-	fs.IntVar(&r.Breaker, "breaker", 0, "open the circuit breaker after this many consecutive evaluation failures (enables the fault-tolerant executor)")
-}
-
 // Policy is the executor policy the flags imply, or nil when none is
-// set (evaluations then run without timeouts, retries or circuit
-// breaking; panic isolation alone is always on). Setting any flag
-// starts from resilience.DefaultPolicy's backoff, so -eval-timeout
-// alone still retries transient failures.
+// set (evaluations then run without timeouts or retries; panic
+// isolation alone is always on). Setting either flag starts from
+// resilience.DefaultPolicy's backoff, so -eval-timeout alone still
+// retries transient failures.
 func (r *Resilience) Policy() *resilience.Policy {
-	if r.EvalTimeout <= 0 && r.EvalRetries <= 0 && r.Breaker <= 0 {
+	if r.EvalTimeout <= 0 && r.EvalRetries <= 0 {
 		return nil
 	}
 	p := resilience.DefaultPolicy()
@@ -369,6 +358,5 @@ func (r *Resilience) Policy() *resilience.Policy {
 	if r.EvalRetries > 0 {
 		p.MaxAttempts = r.EvalRetries
 	}
-	p.BreakerThreshold = r.Breaker // 0 disables the breaker
 	return &p
 }

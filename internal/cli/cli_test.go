@@ -37,9 +37,9 @@ func fleetOf(t *testing.T, hardening, chaos bool, args ...string) *Fleet {
 	return &f
 }
 
-// Every coordinator config has the local fallback, whichever groups the
-// binary registers, and a lossy transport gets lease redelivery unless
-// the flag says otherwise.
+// Every coordinator config has the local fallback and the default
+// quarantine and degradation, whichever groups the binary registers, and
+// a lossy transport gets lease redelivery unless the flag says otherwise.
 func TestFleetConfig(t *testing.T) {
 	for _, tc := range []struct {
 		binary           string
@@ -49,7 +49,7 @@ func TestFleetConfig(t *testing.T) {
 	}{
 		{"experiments", false, false, nil, 0},
 		{"simcald", true, false, nil, 0},
-		{"simcald", true, false, []string{"-lease-resend", "2s", "-max-requeues", "5", "-degraded-grace", "-1s"}, 2 * time.Second},
+		{"simcald", true, false, []string{"-lease-resend", "2s"}, 2 * time.Second},
 		{"simcal", true, true, nil, 0},
 		{"simcal", true, true, []string{"-chaos-profile", "drop=0.1"}, 3 * time.Second},
 		{"simcal", true, true, []string{"-chaos-profile", "drop=0.1", "-lease-resend", "0"}, 3 * time.Second},
@@ -64,8 +64,8 @@ func TestFleetConfig(t *testing.T) {
 		if cfg.ResendAfter != tc.resend {
 			t.Errorf("%s %v: ResendAfter = %s, want %s", tc.binary, tc.args, cfg.ResendAfter, tc.resend)
 		}
-		if cfg.MaxRequeues != f.Hardening.MaxRequeues || cfg.DegradedGrace != f.Hardening.DegradedGrace {
-			t.Errorf("%s %v: hardening flags not carried: %+v", tc.binary, tc.args, cfg)
+		if cfg.MaxRequeues != 0 || cfg.DegradedGrace != 0 {
+			t.Errorf("%s %v: quarantine or degradation moved off the coordinator defaults: %+v", tc.binary, tc.args, cfg)
 		}
 		if cfg.Name != tc.binary || cfg.Registry != reg || cfg.TraceID != "id" {
 			t.Errorf("%s: identity not carried: %+v", tc.binary, cfg)
@@ -153,12 +153,12 @@ func TestResiliencePolicy(t *testing.T) {
 		t.Fatalf("no flags: %+v, want nil", p)
 	}
 	p := (&Resilience{EvalTimeout: 2 * time.Second}).Policy()
-	if p == nil || p.Timeout != 2*time.Second || p.MaxAttempts < 2 || p.BreakerThreshold != 0 {
-		t.Fatalf("-eval-timeout alone: %+v, want the default retries and no breaker", p)
+	if p == nil || p.Timeout != 2*time.Second || p.MaxAttempts < 2 {
+		t.Fatalf("-eval-timeout alone: %+v, want the default retries", p)
 	}
-	p = (&Resilience{EvalRetries: 5, Breaker: 10}).Policy()
-	if p == nil || p.Timeout != 0 || p.MaxAttempts != 5 || p.BreakerThreshold != 10 {
-		t.Fatalf("-eval-retries 5 -breaker 10: %+v", p)
+	p = (&Resilience{EvalRetries: 5}).Policy()
+	if p == nil || p.Timeout != 0 || p.MaxAttempts != 5 {
+		t.Fatalf("-eval-retries 5: %+v", p)
 	}
 }
 
@@ -253,7 +253,6 @@ func TestREADMEMentionsEveryGroupFlag(t *testing.T) {
 	f.Hardening.Register(fs)
 	f.Chaos.Register(fs)
 	r.Register(fs)
-	r.RegisterBreaker(fs)
 	n := 0
 	fs.VisitAll(func(fl *flag.Flag) {
 		n++
@@ -264,7 +263,7 @@ func TestREADMEMentionsEveryGroupFlag(t *testing.T) {
 			t.Errorf("-%s has no help string", fl.Name)
 		}
 	})
-	if n != 13 {
-		t.Errorf("the groups declare %d flags, want 13", n)
+	if n != 10 {
+		t.Errorf("the groups declare %d flags, want 10", n)
 	}
 }

@@ -1,7 +1,7 @@
 // Package conformance holds the repository's determinism contract in one
 // table: a calibration produces the same bits serial, in-process, cached,
 // resumed from a checkpoint, on a fleet of any size, over TCP, under
-// chaos, and as a service job.
+// chaos, as a service job, and behind the fault-tolerant executor.
 //
 // The table's rows are every calibration the binaries accept —
 // opt.AlgorithmNames × (the workflow simulator × loss.AllWFKinds + the
@@ -12,7 +12,9 @@
 // loss, are Float64bits-equal to the serial run's. async-bo consumes
 // completions in arrival order, so its reference in each shape is the
 // in-process run forced through that shape's recorded completion order:
-// the record→replay property, asserted everywhere.
+// the record→replay property, asserted everywhere. async-bo rows also
+// check that the algorithm never had more submissions in flight than
+// Calibrator.Workers.
 //
 // `go test` runs the whole product; `go test -short` runs a pairwise
 // subset (see inShort). The package has test files only.
@@ -43,6 +45,7 @@ import (
 	"simcal/internal/mpisim"
 	"simcal/internal/obs"
 	"simcal/internal/opt"
+	"simcal/internal/resilience"
 	"simcal/internal/service"
 	"simcal/internal/simspec"
 	"simcal/internal/wfgen"
@@ -151,7 +154,7 @@ func (c *calibration) evals() int { return max(2*len(c.space), 8) + 8 }
 var frozen = time.Unix(42, 0)
 
 // calibrator configures the row over sim at the given width, with a
-// fresh instance of its algorithm and a frozen clock.
+// fresh instance of its algorithm, a frozen clock and a window observer.
 func (c *calibration) calibrator(t *testing.T, sim core.Simulator, workers int) *core.Calibrator {
 	t.Helper()
 	alg, err := opt.ByName(c.alg)
@@ -161,16 +164,34 @@ func (c *calibration) calibrator(t *testing.T, sim core.Simulator, workers int) 
 	return &core.Calibrator{
 		Space: c.space, Simulator: sim, Algorithm: alg,
 		MaxEvaluations: c.evals(), Workers: workers, Seed: 7,
-		Clock: func() time.Time { return frozen },
+		Clock:    func() time.Time { return frozen },
+		Observer: &window{Observer: core.NewObsObserver(nil, nil)},
 	}
 }
 
-// A run is what a shape hands the assertion: its result, and the
-// algorithm instance and width that produced it.
+// window observes an asynchronous algorithm's submissions and
+// consumptions — both on its driver goroutine — and keeps the most it
+// had in flight at once.
+type window struct {
+	core.Observer
+	inFlight, peak int
+}
+
+func (w *window) AsyncProposed(int, int, time.Duration) {
+	w.inFlight++
+	w.peak = max(w.peak, w.inFlight)
+}
+
+func (w *window) AsyncCompletionConsumed(int, int, float64, bool) { w.inFlight-- }
+
+// A run is what a shape hands the assertion: its result, the algorithm
+// instance and width that produced it, and the in-flight window it
+// observed (nil where the calibrator is not the table's own).
 type run struct {
 	res     *core.Result
 	alg     core.Algorithm
 	workers int
+	window  *window
 }
 
 func (c *calibration) run(t *testing.T, cal *core.Calibrator) run {
@@ -179,7 +200,8 @@ func (c *calibration) run(t *testing.T, cal *core.Calibrator) run {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return run{res: res, alg: cal.Algorithm, workers: cal.Workers}
+	w, _ := cal.Observer.(*window)
+	return run{res: res, alg: cal.Algorithm, workers: cal.Workers, window: w}
 }
 
 // width is every shape's evaluation width but serial's.
@@ -206,6 +228,7 @@ var shapes = []shape{
 	onFleet("tcp-2"),
 	onFleet("chaos"),
 	{"service", serviceJob},
+	{"resilience", withExecutor},
 }
 
 // cached runs the row twice on one cache; the second run is answered
@@ -267,6 +290,16 @@ func onFleet(name string) shape {
 	return shape{name, func(t *testing.T, c *calibration, fleets map[string]*dist.Coordinator) run {
 		return c.run(t, c.calibrator(t, fleets[name].Evaluator(c.spec), width))
 	}}
+}
+
+// withExecutor runs the row on the loopback-2 fleet behind the
+// fault-tolerant executor, the path `simcal -listen … -eval-timeout`
+// takes: with an executor attached the engine gives up RunAsync callback
+// delivery, and every lease holds a goroutine inside Executor.Do.
+func withExecutor(t *testing.T, c *calibration, fleets map[string]*dist.Coordinator) run {
+	cal := c.calibrator(t, fleets["loopback-2"].Evaluator(c.spec), width)
+	cal.Resilience = &resilience.Policy{Timeout: time.Minute, MaxAttempts: 3}
+	return c.run(t, cal)
 }
 
 // serviceJob submits the row to a calibration service over HTTP and
@@ -441,6 +474,9 @@ func (c *calibration) check(t *testing.T, serial *core.Result, got run) {
 	t.Helper()
 	want := serial
 	if async, ok := got.alg.(*opt.AsyncBayesOpt); ok {
+		if got.window != nil && got.window.peak != got.workers {
+			t.Fatalf("peak of %d submissions in flight, want Calibrator.Workers = %d", got.window.peak, got.workers)
+		}
 		order := async.CompletionOrder()
 		if len(order) != c.evals() {
 			t.Fatalf("recorded completion order has %d entries, want %d", len(order), c.evals())

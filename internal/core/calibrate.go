@@ -219,7 +219,7 @@ func (p *Problem) simRun(ctx context.Context, pt Point) (float64, error) {
 }
 
 // evalOnce runs one evaluation through the fault-tolerance executor
-// (timeouts, retries, breaker) when a resilience policy is attached.
+// (timeouts, retries) when a resilience policy is attached.
 func (p *Problem) evalOnce(ctx context.Context, pt Point) (float64, error) {
 	if p.exec == nil {
 		return p.simRun(ctx, pt)
@@ -234,8 +234,8 @@ func (p *Problem) evalOnce(ctx context.Context, pt Point) (float64, error) {
 // in-flight point share its single simulation. Deterministic simulator
 // failures (including recovered panics) are memoized as +Inf so they
 // are avoided without re-running; transient failures that exhausted
-// their retries and breaker rejections surface +Inf to the caller
-// uncached, because the same point may well succeed later;
+// their retries surface +Inf to the caller uncached, because the same
+// point may well succeed later;
 // budget-expiry aborts propagate their error uncached.
 func (p *Problem) runSim(ctx context.Context, u []float64, pt Point) (loss float64, hit bool, err error) {
 	if p.cache == nil {
@@ -251,7 +251,7 @@ func (p *Problem) runSim(ctx context.Context, u []float64, pt Point) (loss float
 			if resilience.Classify(e) == resilience.Deterministic {
 				return math.Inf(1), nil // fails every time: memoize the +Inf
 			}
-			return 0, e // transient or breaker-open: record +Inf, don't memoize
+			return 0, e // transient: record +Inf, don't memoize
 		}
 		if math.IsNaN(l) || math.IsInf(l, -1) {
 			return math.Inf(1), nil
@@ -383,10 +383,9 @@ type Calibrator struct {
 	// simulators exchange loss values.
 	CacheKey string
 	// Resilience, when non-nil, runs every loss evaluation under the
-	// fault-tolerance executor: per-attempt timeouts, bounded retries of
-	// transient failures with seeded backoff, and a consecutive-failure
-	// circuit breaker per simulator identity. Retries happen inside one
-	// evaluation, so they never consume evaluation budget. Nil keeps
+	// fault-tolerance executor: per-attempt timeouts and bounded retries
+	// of transient failures with seeded backoff. Retries happen inside
+	// one evaluation, so they never consume evaluation budget. Nil keeps
 	// only the always-on panic isolation.
 	Resilience *resilience.Policy
 	// Checkpoint, when non-nil, snapshots the in-progress calibration to
@@ -474,15 +473,7 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 		now:      c.Clock,
 	}
 	if c.Resilience != nil {
-		identity := c.CacheKey
-		if identity == "" {
-			identity = c.Algorithm.Name()
-		}
-		prob.exec = resilience.NewExecutor(*c.Resilience, resilience.Config{
-			Identity: identity,
-			Seed:     c.Seed,
-			Events:   fobs,
-		})
+		prob.exec = resilience.NewExecutor(*c.Resilience, resilience.Config{Seed: c.Seed, Events: fobs})
 	}
 	if c.Resume != nil {
 		prob.replay = c.Resume.Samples

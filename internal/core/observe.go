@@ -125,16 +125,15 @@ type AsyncObserver interface {
 // FaultObserver is an optional extension of Observer for the
 // fault-tolerance runtime. When the Calibrator's Observer also
 // implements it, recovery events — panics converted to errors, retried
-// and timed-out evaluations, circuit-breaker transitions, checkpoint
-// writes — are reported as they happen. Implementations must be safe
-// for concurrent use (evaluations run on the worker pool).
+// and timed-out evaluations, checkpoint writes — are reported as they
+// happen. Implementations must be safe for concurrent use (evaluations
+// run on the worker pool).
 type FaultObserver interface {
 	// PanicRecovered fires when a panic is converted to an error; where
 	// identifies the recovery site ("simulator", "surrogate").
 	PanicRecovered(where string)
-	// Events are the resilience executor's retries, timeouts and
-	// circuit-breaker transitions, delivered to the observer as the
-	// executor reports them.
+	// Events are the resilience executor's retries and timeouts,
+	// delivered to the observer as the executor reports them.
 	resilience.Events
 	// CheckpointWritten fires after each successful snapshot;
 	// evaluations is the snapshot's evaluation count.
@@ -174,7 +173,6 @@ type obsObserver struct {
 	ckptUnix    *obs.Gauge
 	bestLoss    *obs.Gauge
 	evalRate    *obs.Gauge
-	breakerOpen *obs.Gauge
 	evalHist    *obs.Histogram
 	fitHist     *obs.Histogram
 	acqHist     *obs.Histogram
@@ -217,7 +215,6 @@ func NewObsObserver(reg *obs.Registry, tracer *obs.Tracer) Observer {
 		ckptUnix:    reg.Gauge("cal.checkpoint_unix_ns"),
 		bestLoss:    reg.Gauge("cal.best_loss"),
 		evalRate:    reg.Gauge("cal.evals_per_sec"),
-		breakerOpen: reg.Gauge("breaker_open"),
 		evalHist:    reg.Histogram("cal.eval_ns"),
 		fitHist:     reg.Histogram("opt.fit_ns"),
 		acqHist:     reg.Histogram("opt.acquisition_ns"),
@@ -368,19 +365,6 @@ func (o *obsObserver) EvalRetried(attempt int, delay time.Duration, cause error)
 func (o *obsObserver) EvalTimedOut(timeout time.Duration) {
 	o.timeouts.Inc()
 	o.tracer.Emit(obs.EventEvalTimeout, obs.Fields{"timeout_ns": int64(timeout)})
-}
-
-// BreakerStateChanged implements FaultObserver.
-func (o *obsObserver) BreakerStateChanged(identity string, open bool) {
-	if open {
-		o.breakerOpen.Set(1)
-	} else {
-		o.breakerOpen.Set(0)
-	}
-	o.tracer.Emit(obs.EventBreakerState, obs.Fields{
-		"identity": identity,
-		"open":     open,
-	})
 }
 
 // CheckpointWritten implements FaultObserver.

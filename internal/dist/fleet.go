@@ -465,7 +465,7 @@ func (f *fleet) dead(now int64, w *remoteWorker, cause error) {
 		}
 	}
 	if len(f.workers) == 0 {
-		f.emptySinceNS = now // the degraded-grace window opens
+		f.emptySinceNS = now // the DegradedGrace window opens
 	}
 	requeued := 0
 	var quarantined []*lease

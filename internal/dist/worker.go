@@ -459,10 +459,6 @@ type SessionConfig struct {
 	// session held, so nothing is lost. An orderly coordinator
 	// shutdown (io.EOF) still ends RunSession with nil.
 	Resume bool
-	// MaxSessions caps total sessions served when Resume is set; 0
-	// means unlimited. The cap keeps a worker from redialing a
-	// coordinator that crash-loops forever.
-	MaxSessions int
 }
 
 // RunSession dials the coordinator with capped exponential backoff and
@@ -481,7 +477,6 @@ func (w *Worker) RunSession(ctx context.Context, t Transport, addr string, cfg S
 		cfg.MaxDelay = 5 * time.Second
 	}
 	bo := resilience.NewBackoff(cfg.BaseDelay, cfg.MaxDelay, cfg.Seed)
-	sessions := 0
 	for {
 		var conn Conn
 		var err error
@@ -499,16 +494,12 @@ func (w *Worker) RunSession(ctx context.Context, t Transport, addr string, cfg S
 				return ctx.Err()
 			}
 		}
-		sessions++
 		err = w.Run(ctx, conn)
 		if err == nil {
 			return nil // orderly coordinator shutdown
 		}
 		if !cfg.Resume || ctx.Err() != nil {
 			return err
-		}
-		if cfg.MaxSessions > 0 && sessions >= cfg.MaxSessions {
-			return fmt.Errorf("dist: session resume budget exhausted after %d sessions: %w", sessions, err)
 		}
 		w.sessionsResumed.Inc()
 	}

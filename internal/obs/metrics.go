@@ -33,46 +33,60 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is a float64-valued metric that can move in either direction.
 // The zero value is ready to use and reads as 0.
 type Gauge struct {
-	bits atomic.Uint64
+	// w is 0 until the first write and Float64bits(v)+1 after it, so a
+	// written 0 is told apart from "never written". The one bit pattern
+	// the +1 would wrap, all ones, is a NaN, and stored NaNs are
+	// canonical.
+	w atomic.Uint64
+}
+
+func gaugeWord(v float64) uint64 {
+	if v != v {
+		v = math.NaN()
+	}
+	return math.Float64bits(v) + 1
 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) { g.w.Store(gaugeWord(v)) }
 
 // SetMax raises the gauge to v if v exceeds the current value — a
 // high-water mark (e.g. maximum event-heap depth). A gauge that was
-// never written (zero bit pattern) accepts any first value.
+// never written accepts any first value.
 func (g *Gauge) SetMax(v float64) {
 	for {
-		old := g.bits.Load()
-		if old != 0 && v <= math.Float64frombits(old) {
+		old := g.w.Load()
+		if old != 0 && v <= math.Float64frombits(old-1) {
 			return
 		}
-		if old == 0 && v <= 0 {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+		if g.w.CompareAndSwap(old, gaugeWord(v)) {
 			return
 		}
 	}
 }
 
 // SetMin lowers the gauge to v if v is below the current value (or the
-// gauge was never set) — a low-water mark (e.g. best loss so far).
+// gauge was never written) — a low-water mark (e.g. best loss so far).
 func (g *Gauge) SetMin(v float64) {
 	for {
-		old := g.bits.Load()
-		if old != 0 && v >= math.Float64frombits(old) {
+		old := g.w.Load()
+		if old != 0 && v >= math.Float64frombits(old-1) {
 			return
 		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+		if g.w.CompareAndSwap(old, gaugeWord(v)) {
 			return
 		}
 	}
 }
 
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+// Value returns the current gauge value, 0 before the first write.
+func (g *Gauge) Value() float64 {
+	w := g.w.Load()
+	if w == 0 {
+		return 0
+	}
+	return math.Float64frombits(w - 1)
+}
 
 // histBuckets is the number of power-of-two histogram buckets: bucket i
 // counts observations v with bitlen(v) == i, i.e. v in [2^(i-1), 2^i).

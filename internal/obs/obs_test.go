@@ -44,6 +44,44 @@ func TestGaugeWatermarks(t *testing.T) {
 	}
 }
 
+// A written 0 is a value like any other: a watermark must not mistake it
+// for "never written", and an unwritten gauge takes any first value,
+// zero and negatives included.
+func TestGaugeFirstWrite(t *testing.T) {
+	lo, hi, set := (*Gauge).SetMin, (*Gauge).SetMax, (*Gauge).Set
+	type op struct {
+		f func(*Gauge, float64)
+		v float64
+	}
+	for _, tc := range []struct {
+		name string
+		ops  []op
+		want float64
+	}{
+		{"unwritten", nil, 0},
+		{"SetMin keeps a zero loss", []op{{lo, 0}, {lo, 5}}, 0},
+		{"SetMin after Set(0)", []op{{set, 0}, {lo, 5}}, 0},
+		{"SetMin takes a negative first", []op{{lo, -2}, {lo, 1}}, -2},
+		{"SetMax takes a negative first", []op{{hi, -3}}, -3},
+		{"SetMax takes zero first", []op{{hi, 0}, {hi, -1}}, 0},
+		{"SetMax rises from a negative", []op{{hi, -3}, {hi, -1}}, -1},
+		{"Set overrides a watermark", []op{{lo, 1}, {set, 4}, {lo, 5}}, 4},
+	} {
+		var g Gauge
+		for _, o := range tc.ops {
+			o.f(&g, o.v)
+		}
+		if got := g.Value(); got != tc.want || math.Signbit(got) != math.Signbit(tc.want) {
+			t.Errorf("%s: gauge = %g, want %g", tc.name, got, tc.want)
+		}
+	}
+	var g Gauge
+	g.Set(math.NaN())
+	if !math.IsNaN(g.Value()) {
+		t.Errorf("Set(NaN): gauge = %g, want NaN", g.Value())
+	}
+}
+
 func TestHistogramStat(t *testing.T) {
 	var h Histogram
 	for _, v := range []int64{1, 2, 3, 100, 1000} {

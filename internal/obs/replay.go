@@ -25,7 +25,6 @@ const (
 	EventPanicRecovered    = "panic_recovered"
 	EventEvalRetried       = "eval_retry"
 	EventEvalTimeout       = "eval_timeout"
-	EventBreakerState      = "breaker_state"
 	EventCheckpointWritten = "checkpoint_written"
 	EventCheckpointFailed  = "checkpoint_failed"
 

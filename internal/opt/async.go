@@ -37,10 +37,6 @@ type AsyncBayesOpt struct {
 	// InitSamples is the number of random submissions before the first
 	// surrogate fit. Defaults to max(2·dim, 8).
 	InitSamples int
-	// MaxInFlight caps concurrently running evaluations. Defaults to
-	// the problem's worker parallelism (the fleet capacity in
-	// distributed runs).
-	MaxInFlight int
 	// Candidates is the size of the candidate pool scored per proposal.
 	// Defaults to 512.
 	Candidates int
@@ -106,13 +102,9 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 			init = 8
 		}
 	}
-	width := b.MaxInFlight
-	if width <= 0 {
-		width = prob.Workers()
-	}
-	if width < 1 {
-		width = 1
-	}
+	// The in-flight window is the problem's worker parallelism (the
+	// fleet capacity in distributed runs).
+	width := max(prob.Workers(), 1)
 	nCands := b.Candidates
 	if nCands <= 0 {
 		nCands = 512

@@ -63,7 +63,6 @@ func (o *surrogatePanicObserver) PanicRecovered(where string) {
 }
 func (o *surrogatePanicObserver) EvalRetried(int, time.Duration, error) {}
 func (o *surrogatePanicObserver) EvalTimedOut(time.Duration)            {}
-func (o *surrogatePanicObserver) BreakerStateChanged(string, bool)      {}
 func (o *surrogatePanicObserver) CheckpointWritten(int)                 {}
 func (o *surrogatePanicObserver) CheckpointFailed(error)                {}
 

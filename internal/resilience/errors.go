@@ -1,8 +1,7 @@
 // Package resilience makes long calibrations survive the failure modes
 // the paper's real runs hit over 24–48 h wall-clock budgets against
 // external simulators: panicking evaluations, hung simulator processes,
-// transient infrastructure errors, and repeatedly failing level-of-detail
-// configurations.
+// and transient infrastructure errors.
 //
 // It provides three building blocks, all independent of the calibration
 // core so any evaluation-shaped code can use them:
@@ -13,9 +12,8 @@
 //     deserve neither;
 //   - panic isolation (Safely): a panic in a simulator or surrogate fit
 //     becomes a classified error instead of killing the process;
-//   - an Executor combining per-attempt timeouts, bounded retries with
-//     seeded exponential backoff, and a consecutive-failure circuit
-//     breaker (Breaker) per simulator identity.
+//   - an Executor combining per-attempt timeouts with bounded retries
+//     under seeded exponential backoff.
 //
 // Retries and timeouts happen inside one loss evaluation, so they never
 // consume evaluation budget — the calibration budget counts completed
@@ -112,12 +110,6 @@ func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("resilience: evaluation exceeded the %s per-attempt timeout", e.Timeout)
 }
 
-// ErrBreakerOpen is returned (wrapped) by Executor.Do when the circuit
-// breaker rejects an evaluation without running it. It classifies as
-// Transient so the fail-fast +Inf loss is never memoized — the breaker
-// may close again and the point deserves a real evaluation then.
-var ErrBreakerOpen = errors.New("resilience: circuit breaker open")
-
 // transientError marks a wrapped error as worth retrying.
 type transientError struct{ err error }
 
@@ -150,9 +142,6 @@ func Classify(err error) Class {
 	}
 	var tr *transientError
 	if errors.As(err, &tr) {
-		return Transient
-	}
-	if errors.Is(err, ErrBreakerOpen) {
 		return Transient
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

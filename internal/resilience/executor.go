@@ -6,7 +6,7 @@ import (
 )
 
 // Policy configures the fault-tolerant evaluation runtime. The zero
-// Policy disables everything (no timeout, single attempt, no breaker);
+// Policy disables everything (no timeout, single attempt);
 // DefaultPolicy returns the recommended production settings.
 type Policy struct {
 	// Timeout bounds each evaluation attempt. A hung simulator is
@@ -22,26 +22,16 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential backoff. Defaults to 2s when <= 0.
 	MaxDelay time.Duration
-	// BreakerThreshold opens the circuit breaker after that many
-	// consecutive failed evaluations of one simulator identity; <= 0
-	// disables the breaker.
-	BreakerThreshold int
-	// BreakerProbe admits every BreakerProbe-th rejected call as a
-	// half-open probe while the breaker is open. Defaults to 16.
-	BreakerProbe int
 }
 
 // DefaultPolicy returns the production defaults: 1-minute attempt
-// timeout, 4 attempts per evaluation, 50ms–2s backoff, breaker tripping
-// after 8 consecutive failures with a probe every 16 rejections.
+// timeout, 4 attempts per evaluation, 50ms–2s backoff.
 func DefaultPolicy() Policy {
 	return Policy{
-		Timeout:          time.Minute,
-		MaxAttempts:      4,
-		BaseDelay:        50 * time.Millisecond,
-		MaxDelay:         2 * time.Second,
-		BreakerThreshold: 8,
-		BreakerProbe:     16,
+		Timeout:     time.Minute,
+		MaxAttempts: 4,
+		BaseDelay:   50 * time.Millisecond,
+		MaxDelay:    2 * time.Second,
 	}
 }
 
@@ -56,16 +46,10 @@ type Events interface {
 	EvalRetried(attempt int, delay time.Duration, cause error)
 	// EvalTimedOut fires when an attempt exceeds the per-attempt timeout.
 	EvalTimedOut(timeout time.Duration)
-	// BreakerStateChanged fires when the identity's breaker opens
-	// (open=true) or closes after a successful probe (open=false).
-	BreakerStateChanged(identity string, open bool)
 }
 
 // Config carries the per-calibration wiring of an Executor.
 type Config struct {
-	// Identity names the simulator (LoD cell) this executor guards; it
-	// labels breaker state-change events.
-	Identity string
 	// Seed seeds the backoff jitter stream so retried runs remain
 	// reproducible.
 	Seed int64
@@ -77,15 +61,13 @@ type Config struct {
 }
 
 // Executor runs evaluation attempts under a Policy: per-attempt
-// timeouts, bounded retries with seeded exponential backoff, and a
-// consecutive-failure circuit breaker. One Executor guards one
-// simulator identity and is safe for concurrent use by the evaluation
-// worker pool.
+// timeouts and bounded retries with seeded exponential backoff. One
+// Executor serves one calibration and is safe for concurrent use by the
+// evaluation worker pool.
 type Executor struct {
-	policy  Policy
-	breaker *Breaker
-	cfg     Config
-	bo      *Backoff
+	policy Policy
+	cfg    Config
+	bo     *Backoff
 }
 
 // NewExecutor returns an Executor applying policy with the given wiring.
@@ -100,10 +82,9 @@ func NewExecutor(policy Policy, cfg Config) *Executor {
 		policy.MaxDelay = 2 * time.Second
 	}
 	return &Executor{
-		policy:  policy,
-		breaker: NewBreaker(policy.BreakerThreshold, policy.BreakerProbe),
-		cfg:     cfg,
-		bo:      NewBackoff(policy.BaseDelay, policy.MaxDelay, cfg.Seed),
+		policy: policy,
+		cfg:    cfg,
+		bo:     NewBackoff(policy.BaseDelay, policy.MaxDelay, cfg.Seed),
 	}
 }
 
@@ -114,47 +95,29 @@ type attemptResult struct {
 	err  error
 }
 
-// Do runs fn as one fault-tolerant evaluation: a breaker check, then up
-// to MaxAttempts attempts, each bounded by the per-attempt timeout and
-// executed under panic recovery. Transient failures are retried after a
-// seeded jittered exponential backoff; deterministic failures and
+// Do runs fn as one fault-tolerant evaluation: up to MaxAttempts
+// attempts, each bounded by the per-attempt timeout and executed under
+// panic recovery. Transient failures are retried after a seeded
+// jittered exponential backoff; deterministic failures and
 // caller-context aborts return immediately. The error returned (if any)
 // is already classified — callers decide memoization from Classify.
 func (e *Executor) Do(ctx context.Context, fn func(ctx context.Context) (float64, error)) (float64, error) {
-	if !e.breaker.Allow() {
-		return 0, ErrBreakerOpen
-	}
-	var loss float64
-	var err error
 	for attempt := 1; ; attempt++ {
-		loss, err = e.attempt(ctx, fn)
+		loss, err := e.attempt(ctx, fn)
 		if err == nil {
-			if e.breaker.Success() {
-				e.breakerChanged(false)
-			}
 			return loss, nil
 		}
-		class := Classify(err)
-		if class == Aborted && ctx.Err() != nil {
-			// The caller's budget expired or the run was canceled: not an
-			// evaluation failure, so the breaker stays untouched.
+		if Classify(err) != Transient || attempt >= e.policy.MaxAttempts {
 			return 0, err
 		}
-		if class == Transient && attempt < e.policy.MaxAttempts {
-			delay := e.backoff(attempt)
-			if e.cfg.Events != nil {
-				e.cfg.Events.EvalRetried(attempt, delay, err)
-			}
-			e.sleep(ctx, delay)
-			if ctx.Err() != nil {
-				return 0, ctx.Err()
-			}
-			continue
+		delay := e.backoff(attempt)
+		if e.cfg.Events != nil {
+			e.cfg.Events.EvalRetried(attempt, delay, err)
 		}
-		if e.breaker.Failure() {
-			e.breakerChanged(true)
+		e.sleep(ctx, delay)
+		if ctx.Err() != nil {
+			return 0, ctx.Err()
 		}
-		return 0, err
 	}
 }
 
@@ -228,13 +191,3 @@ func (e *Executor) sleep(ctx context.Context, d time.Duration) {
 	case <-ctx.Done():
 	}
 }
-
-// breakerChanged forwards a breaker state transition to Events.
-func (e *Executor) breakerChanged(open bool) {
-	if e.cfg.Events != nil {
-		e.cfg.Events.BreakerStateChanged(e.cfg.Identity, open)
-	}
-}
-
-// BreakerOpen reports whether this executor's breaker is currently open.
-func (e *Executor) BreakerOpen() bool { return e.breaker.Open() }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,8 +25,6 @@ func TestClassify(t *testing.T) {
 		{"timeout", &TimeoutError{Timeout: time.Second}, Transient},
 		{"marked transient", MarkTransient(base), Transient},
 		{"wrapped transient", fmt.Errorf("eval: %w", MarkTransient(base)), Transient},
-		{"breaker open", ErrBreakerOpen, Transient},
-		{"wrapped breaker open", fmt.Errorf("eval: %w", ErrBreakerOpen), Transient},
 		{"canceled", context.Canceled, Aborted},
 		{"deadline", context.DeadlineExceeded, Aborted},
 	}
@@ -84,108 +81,11 @@ func TestSafelyPassesThrough(t *testing.T) {
 	}
 }
 
-func TestBreakerTripsAfterThreshold(t *testing.T) {
-	b := NewBreaker(3, 4)
-	for i := 0; i < 2; i++ {
-		if b.Failure() {
-			t.Fatalf("breaker opened after %d failures, threshold is 3", i+1)
-		}
-	}
-	if !b.Failure() {
-		t.Fatal("breaker did not report opening on the 3rd consecutive failure")
-	}
-	if !b.Open() {
-		t.Fatal("breaker should be open")
-	}
-	if b.Allow() {
-		t.Fatal("open breaker admitted the first rejected call")
-	}
-}
-
-func TestBreakerSuccessResetsStreak(t *testing.T) {
-	b := NewBreaker(3, 4)
-	b.Failure()
-	b.Failure()
-	b.Success()
-	if b.Failure() || b.Failure() {
-		t.Fatal("breaker opened despite a success resetting the streak")
-	}
-	if !b.Failure() {
-		t.Fatal("breaker should open after 3 consecutive failures post-reset")
-	}
-}
-
-func TestBreakerProbeCadence(t *testing.T) {
-	b := NewBreaker(1, 4)
-	b.Failure()
-	// Every 4th rejection is admitted as a probe; only one probe at a time.
-	var admitted []int
-	for i := 1; i <= 12; i++ {
-		if b.Allow() {
-			admitted = append(admitted, i)
-			b.Failure() // failed probe keeps it open, allows future probes
-		}
-	}
-	want := []int{4, 8, 12}
-	if len(admitted) != len(want) {
-		t.Fatalf("admitted probes at %v, want %v", admitted, want)
-	}
-	for i := range want {
-		if admitted[i] != want[i] {
-			t.Fatalf("admitted probes at %v, want %v", admitted, want)
-		}
-	}
-}
-
-func TestBreakerProbeSuccessCloses(t *testing.T) {
-	b := NewBreaker(1, 2)
-	b.Failure()
-	for !b.Allow() {
-	}
-	if !b.Success() {
-		t.Fatal("successful probe should report the open→closed transition")
-	}
-	if b.Open() {
-		t.Fatal("breaker should be closed after a successful probe")
-	}
-	if !b.Allow() {
-		t.Fatal("closed breaker should admit calls")
-	}
-}
-
-func TestBreakerSingleProbeInFlight(t *testing.T) {
-	b := NewBreaker(1, 2)
-	b.Failure()
-	for !b.Allow() {
-	}
-	// While the probe is in flight, nothing else is admitted even at the
-	// probe cadence.
-	for i := 0; i < 10; i++ {
-		if b.Allow() {
-			t.Fatal("second probe admitted while one is in flight")
-		}
-	}
-}
-
-func TestNilBreakerIsInert(t *testing.T) {
-	var b *Breaker
-	if !b.Allow() {
-		t.Error("nil breaker must allow")
-	}
-	if b.Failure() || b.Success() || b.Open() {
-		t.Error("nil breaker must report no transitions and stay closed")
-	}
-	if NewBreaker(0, 4) != nil {
-		t.Error("threshold <= 0 should disable the breaker")
-	}
-}
-
 // eventLog records Events notifications for assertions.
 type eventLog struct {
 	mu       sync.Mutex
 	retries  []int
 	timeouts int
-	breaker  []bool
 }
 
 func (l *eventLog) EvalRetried(attempt int, delay time.Duration, cause error) {
@@ -198,12 +98,6 @@ func (l *eventLog) EvalTimedOut(timeout time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.timeouts++
-}
-
-func (l *eventLog) BreakerStateChanged(identity string, open bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.breaker = append(l.breaker, open)
 }
 
 // noSleep replaces backoff sleeps so retry tests run instantly.
@@ -348,61 +242,6 @@ func TestExecutorParentCancelIsAborted(t *testing.T) {
 	}
 }
 
-func TestExecutorBreakerTripsAndProbes(t *testing.T) {
-	log := &eventLog{}
-	e := NewExecutor(
-		Policy{MaxAttempts: 1, BreakerThreshold: 2, BreakerProbe: 3},
-		Config{Identity: "wrench/lod3", Events: log, Sleep: noSleep},
-	)
-	fail := func(context.Context) (float64, error) { return 0, errors.New("dead") }
-	ok := func(context.Context) (float64, error) { return 2.5, nil }
-
-	for i := 0; i < 2; i++ {
-		if _, err := e.Do(context.Background(), fail); err == nil {
-			t.Fatal("expected failure")
-		}
-	}
-	if !e.BreakerOpen() {
-		t.Fatal("breaker should be open after 2 consecutive failures")
-	}
-	// Rejections are fast-failures with ErrBreakerOpen...
-	var rejections, probes int
-	for i := 0; i < 6; i++ {
-		_, err := e.Do(context.Background(), fail)
-		if errors.Is(err, ErrBreakerOpen) {
-			rejections++
-		} else if err != nil {
-			probes++
-		}
-	}
-	if probes != 2 || rejections != 4 {
-		t.Errorf("probes=%d rejections=%d, want 2 probes (every 3rd) and 4 rejections", probes, rejections)
-	}
-	// ...until a successful probe closes it.
-	var closedVia float64 = math.NaN()
-	for i := 0; i < 6; i++ {
-		loss, err := e.Do(context.Background(), ok)
-		if err == nil {
-			closedVia = loss
-			break
-		}
-	}
-	if closedVia != 2.5 {
-		t.Fatal("no successful probe admitted within the cadence window")
-	}
-	if e.BreakerOpen() {
-		t.Error("breaker should close after a successful probe")
-	}
-	if _, err := e.Do(context.Background(), ok); err != nil {
-		t.Errorf("closed breaker rejected a call: %v", err)
-	}
-	log.mu.Lock()
-	defer log.mu.Unlock()
-	if len(log.breaker) != 2 || log.breaker[0] != true || log.breaker[1] != false {
-		t.Errorf("breaker events = %v, want [open close]", log.breaker)
-	}
-}
-
 func TestExecutorBackoffDeterministicBySeed(t *testing.T) {
 	delays := func(seed int64) []time.Duration {
 		var ds []time.Duration
@@ -441,7 +280,7 @@ func TestExecutorBackoffDeterministicBySeed(t *testing.T) {
 
 func TestExecutorConcurrentUse(t *testing.T) {
 	e := NewExecutor(
-		Policy{Timeout: 50 * time.Millisecond, MaxAttempts: 3, BreakerThreshold: 100},
+		Policy{Timeout: 50 * time.Millisecond, MaxAttempts: 3},
 		Config{Sleep: noSleep},
 	)
 	var wg sync.WaitGroup
