@@ -66,7 +66,7 @@ func (c *config) flagSet() *flag.FlagSet {
 
 	c.obs.Register(fs)
 	c.obs.RegisterTrace(fs)
-	// The hardening and chaos groups stay at their defaults.
+	// The chaos group stays at its defaults.
 	c.fleet.Register(fs)
 	c.resilience.Register(fs)
 	return fs

@@ -10,7 +10,7 @@
 //	simcal-worker -connect host:9090
 //	simcal-worker -connect host:9090 -capacity 8 -connect-retries 40
 //	simcal-worker -connect host:9090 -pprof localhost:6061 -metrics
-//	simcal-worker -connect host:9090 -chaos-profile drop=0.05,corrupt=0.01 -chaos-seed 42
+//	simcal-worker -connect host:9090 -chaos-profile delay=0.05:10ms,corrupt=0.01 -chaos-seed 42
 //
 // Dial attempts back off exponentially from -retry-delay up to
 // -retry-max-delay. With -resume (the default) the worker survives

@@ -15,7 +15,7 @@
 //	simcal -case wf  -evals 500 -checkpoint ck.json      # periodic snapshots
 //	simcal -case wf  -evals 500 -checkpoint ck.json -resume  # continue a killed run
 //	simcal -case wf  -listen :9090 -dist-workers 2       # distribute evaluations to simcal-worker processes
-//	simcal -case wf -listen :9090 -chaos-profile drop=0.05 -chaos-seed 42  # fault-injected run
+//	simcal -case wf -listen :9090 -chaos-profile delay=0.1:20ms,reset=0.01 -chaos-seed 42  # fault-injected run
 package main
 
 import (
@@ -99,7 +99,6 @@ func (c *config) flagSet() *flag.FlagSet {
 	c.obs.Register(fs)
 	c.obs.RegisterTrace(fs)
 	c.fleet.Register(fs)
-	c.fleet.Hardening.Register(fs)
 	c.fleet.Chaos.Register(fs)
 	c.resilience.Register(fs)
 	return fs

@@ -29,12 +29,14 @@ import (
 // consecutive-failure cutoff (it spent budget on +Inf samples it never
 // ran, as many as timing and resume decided), async-bo's in-flight cap
 // (its window is -workers), and the coordinator's requeue cap and
-// degradation grace (both run at their defaults).
+// degradation grace (both run at their defaults); and minus lease
+// redelivery, deleted with the chaos faults that alone needed it
+// (frames dropped or duplicated on a live connection).
 var parentFlags = map[string]string{
 	"alg": "BO-GP", "async-replay": "", "budget": "0s",
 	"cache": "false", "case": "wf", "chaos-profile": "", "chaos-seed": "1", "checkpoint": "",
 	"checkpoint-every": "25", "compute": "htcondor", "dist-workers": "1",
-	"eval-retries": "0", "eval-timeout": "0s", "evals": "100", "jobs": "1", "lease-resend": "0s",
+	"eval-retries": "0", "eval-timeout": "0s", "evals": "100", "jobs": "1",
 	"listen": "", "loss": "L1", "metrics": "false", "network": "", "node": "complex",
 	"out": "", "pprof": "", "print-spec": "false", "protocol": "fixed", "replay": "", "resume": "false",
 	"seed": "1", "storage": "all", "trace": "", "workers": "0",
@@ -43,8 +45,8 @@ var parentFlags = map[string]string{
 func TestFlagsMatchParent(t *testing.T) {
 	got := map[string]string{}
 	new(config).flagSet().VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
-	if len(got) != 31 {
-		t.Errorf("%d flags, want 31", len(got))
+	if len(got) != 30 {
+		t.Errorf("%d flags, want 30", len(got))
 	}
 	for name, def := range parentFlags {
 		if g, ok := got[name]; !ok || g != def {

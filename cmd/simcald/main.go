@@ -75,7 +75,6 @@ func (c *config) flagSet() *flag.FlagSet {
 	fs.BoolVar(&c.cache, "cache", true, "memoize loss evaluations across jobs (content-addressed by spec fingerprint)")
 
 	c.fleet.Register(fs)
-	c.fleet.Hardening.Register(fs)
 	return fs
 }
 

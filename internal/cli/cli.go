@@ -166,24 +166,6 @@ func (o *Obs) Close() error {
 	return err
 }
 
-// Hardening is the coordinator's lease redelivery. Quarantine after
-// dist.DefaultMaxRequeues worker deaths and degradation to local
-// evaluation after dist.DefaultDegradedGrace of an empty fleet are
-// always on, at those defaults.
-type Hardening struct {
-	LeaseResend time.Duration // -lease-resend
-}
-
-// Register declares -lease-resend.
-func (h *Hardening) Register(fs *flag.FlagSet) {
-	fs.DurationVar(&h.LeaseResend, "lease-resend", 0, "with -listen: redeliver an unanswered lease after this long (0 = off, or 3s when -chaos-profile is set; workers deduplicate)")
-}
-
-// chaosResend is the lease redelivery delay a lossy transport gets when
-// -lease-resend is unset: a dropped lease or result frame is otherwise
-// recovered only by heartbeat eviction.
-const chaosResend = 3 * time.Second
-
 // Chaos puts the deterministic fault injector of internal/dist/chaos
 // between this process and its dist peers.
 type Chaos struct {
@@ -193,7 +175,7 @@ type Chaos struct {
 
 // Register declares -chaos-profile and -chaos-seed.
 func (c *Chaos) Register(fs *flag.FlagSet) {
-	fs.StringVar(&c.Profile, "chaos-profile", "", "inject seeded network faults on all dist connections, e.g. drop=0.05,delay=0.1:20ms,corrupt=0.01 (see internal/dist/chaos)")
+	fs.StringVar(&c.Profile, "chaos-profile", "", "inject seeded network faults on all dist connections, e.g. delay=0.1:20ms,corrupt=0.01,partition=5s+2s (see internal/dist/chaos)")
 	fs.Int64Var(&c.Seed, "chaos-seed", 1, "seed for the -chaos-profile fault schedule (same seed replays the same faults); a worker also seeds its dial backoff jitter with it")
 }
 
@@ -222,7 +204,6 @@ func (c *Chaos) Wrap(name string, tcp dist.TCP, stderr io.Writer) (tr dist.Trans
 type Fleet struct {
 	Listen      string // -listen
 	DistWorkers int    // -dist-workers
-	Hardening   Hardening
 	Chaos       Chaos
 
 	mu    sync.Mutex
@@ -238,19 +219,17 @@ func (f *Fleet) Register(fs *flag.FlagSet) {
 
 // config is the coordinator configuration the flags describe. The local
 // factory is always set: without it a quarantined lease fails and an
-// empty fleet blocks until a worker returns.
+// empty fleet blocks until a worker returns. Quarantine after
+// dist.DefaultMaxRequeues worker deaths and degradation to local
+// evaluation after dist.DefaultDegradedGrace of an empty fleet run at
+// those defaults.
 func (f *Fleet) config(name string, reg *obs.Registry, tracer *obs.Tracer, traceID string) dist.CoordinatorConfig {
-	resend := f.Hardening.LeaseResend
-	if resend == 0 && f.Chaos.Profile != "" {
-		resend = chaosResend
-	}
 	return dist.CoordinatorConfig{
 		Name:         name,
 		Registry:     reg,
 		Tracer:       tracer,
 		TraceID:      traceID,
 		LocalFactory: simspec.BuildSimulator,
-		ResendAfter:  resend,
 	}
 }
 

@@ -20,14 +20,11 @@ import (
 
 // fleetOf parses args into a Fleet carrying the groups one binary
 // registers.
-func fleetOf(t *testing.T, hardening, chaos bool, args ...string) *Fleet {
+func fleetOf(t *testing.T, chaos bool, args ...string) *Fleet {
 	t.Helper()
 	var f Fleet
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f.Register(fs)
-	if hardening {
-		f.Hardening.Register(fs)
-	}
 	if chaos {
 		f.Chaos.Register(fs)
 	}
@@ -38,31 +35,24 @@ func fleetOf(t *testing.T, hardening, chaos bool, args ...string) *Fleet {
 }
 
 // Every coordinator config has the local fallback and the default
-// quarantine and degradation, whichever groups the binary registers, and
-// a lossy transport gets lease redelivery unless the flag says otherwise.
+// quarantine and degradation, whichever groups the binary registers and
+// whether or not a chaos profile sits under it.
 func TestFleetConfig(t *testing.T) {
 	for _, tc := range []struct {
-		binary           string
-		hardening, chaos bool
-		args             []string
-		resend           time.Duration
+		binary string
+		chaos  bool
+		args   []string
 	}{
-		{"experiments", false, false, nil, 0},
-		{"simcald", true, false, nil, 0},
-		{"simcald", true, false, []string{"-lease-resend", "2s"}, 2 * time.Second},
-		{"simcal", true, true, nil, 0},
-		{"simcal", true, true, []string{"-chaos-profile", "drop=0.1"}, 3 * time.Second},
-		{"simcal", true, true, []string{"-chaos-profile", "drop=0.1", "-lease-resend", "0"}, 3 * time.Second},
-		{"simcal", true, true, []string{"-chaos-profile", "drop=0.1", "-lease-resend", "750ms"}, 750 * time.Millisecond},
+		{"experiments", false, nil},
+		{"simcald", false, nil},
+		{"simcal", true, nil},
+		{"simcal", true, []string{"-chaos-profile", "reset=0.1"}},
 	} {
-		f := fleetOf(t, tc.hardening, tc.chaos, tc.args...)
+		f := fleetOf(t, tc.chaos, tc.args...)
 		reg := obs.NewRegistry()
 		cfg := f.config(tc.binary, reg, nil, "id")
 		if cfg.LocalFactory == nil {
 			t.Errorf("%s %v: LocalFactory is nil", tc.binary, tc.args)
-		}
-		if cfg.ResendAfter != tc.resend {
-			t.Errorf("%s %v: ResendAfter = %s, want %s", tc.binary, tc.args, cfg.ResendAfter, tc.resend)
 		}
 		if cfg.MaxRequeues != 0 || cfg.DegradedGrace != 0 {
 			t.Errorf("%s %v: quarantine or degradation moved off the coordinator defaults: %+v", tc.binary, tc.args, cfg)
@@ -87,7 +77,7 @@ func TestFleetHooksAndLifecycle(t *testing.T) {
 		t.Fatalf("Start without -listen = %v, %v; want nil, nil", coord, err)
 	}
 
-	f = *fleetOf(t, false, false, "-listen", "127.0.0.1:0", "-dist-workers", "0")
+	f = *fleetOf(t, false, "-listen", "127.0.0.1:0", "-dist-workers", "0")
 	var stderr bytes.Buffer
 	coord, err := f.Start("test", obs.NewRegistry(), nil, "", &stderr)
 	if err != nil {
@@ -112,11 +102,11 @@ func TestFleetHooksAndLifecycle(t *testing.T) {
 }
 
 func TestFleetStartErrors(t *testing.T) {
-	f := fleetOf(t, true, true, "-listen", "127.0.0.1:0", "-chaos-profile", "bogus=1")
+	f := fleetOf(t, true, "-listen", "127.0.0.1:0", "-chaos-profile", "bogus=1")
 	if _, err := f.Start("test", obs.NewRegistry(), nil, "", io.Discard); err == nil || !strings.Contains(err.Error(), "-chaos-profile") {
 		t.Fatalf("bad profile: %v", err)
 	}
-	f = fleetOf(t, false, false, "-listen", "not an address")
+	f = fleetOf(t, false, "-listen", "not an address")
 	if _, err := f.Start("test", obs.NewRegistry(), nil, "", io.Discard); err == nil {
 		t.Fatal("bad -listen address: no error")
 	}
@@ -135,13 +125,13 @@ func TestChaosWrap(t *testing.T) {
 	report()
 
 	var stderr bytes.Buffer
-	c = Chaos{Profile: "drop=0.5", Seed: 9}
+	c = Chaos{Profile: "reset=0.5", Seed: 9}
 	tr, report, err = c.Wrap("w", tcp, &stderr)
 	if err != nil || tr == dist.Transport(tcp) {
 		t.Fatalf("profile: %v, %v; want a wrapping transport", tr, err)
 	}
 	report()
-	for _, want := range []string{`w: chaos profile "drop=0.5" seed 9`, "w: chaos faults injected: "} {
+	for _, want := range []string{`w: chaos profile "reset=0.5" seed 9`, "w: chaos faults injected: "} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("stderr %q lacks %q", stderr.String(), want)
 		}
@@ -250,7 +240,6 @@ func TestREADMEMentionsEveryGroupFlag(t *testing.T) {
 	o.Register(fs)
 	o.RegisterTrace(fs)
 	f.Register(fs)
-	f.Hardening.Register(fs)
 	f.Chaos.Register(fs)
 	r.Register(fs)
 	n := 0
@@ -263,7 +252,7 @@ func TestREADMEMentionsEveryGroupFlag(t *testing.T) {
 			t.Errorf("-%s has no help string", fl.Name)
 		}
 	})
-	if n != 10 {
-		t.Errorf("the groups declare %d flags, want 10", n)
+	if n != 9 {
+		t.Errorf("the groups declare %d flags, want 9", n)
 	}
 }

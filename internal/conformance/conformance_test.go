@@ -366,7 +366,7 @@ func serviceJob(t *testing.T, c *calibration, _ map[string]*dist.Coordinator) ru
 
 // chaosProfile injects every fault the chaos transport has except
 // partitions, whose windows are wall-clock.
-const chaosProfile = "drop=0.02,delay=0.05:1ms,dup=0.02,truncate=0.005,corrupt=0.005,reset=0.005"
+const chaosProfile = "delay=0.05:1ms,truncate=0.005,corrupt=0.005,reset=0.005"
 
 // startFleets serves the distributed shapes' coordinators, each with its
 // workers connected, for the life of t.
@@ -385,8 +385,8 @@ func startFleets(t *testing.T) map[string]*dist.Coordinator {
 			t.Error("the chaos fleet ran leases, but its transport injected no faults")
 		}
 	})
-	// Short cadences make redelivery, eviction and session resume act
-	// at test timescales; the local factory catches quarantined leases.
+	// Short cadences make eviction and session resume act at test
+	// timescales; the local factory catches quarantined leases.
 	beat := dist.WorkerConfig{HeartbeatEvery: 50 * time.Millisecond, HeartbeatTimeout: 500 * time.Millisecond}
 	return map[string]*dist.Coordinator{
 		"loopback-1": startFleet(t, dist.NewLoopback(), "", 1, dist.WorkerConfig{Capacity: 1}, dist.CoordinatorConfig{}, dist.SessionConfig{}),
@@ -396,7 +396,7 @@ func startFleets(t *testing.T) map[string]*dist.Coordinator {
 		"chaos": startFleet(t, ct, "", 2, beat, dist.CoordinatorConfig{
 			Registry:       reg,
 			HeartbeatEvery: beat.HeartbeatEvery, HeartbeatTimeout: beat.HeartbeatTimeout,
-			ResendAfter: 20 * time.Millisecond, LocalFactory: build, DegradedGrace: time.Second,
+			LocalFactory: build, DegradedGrace: time.Second,
 		}, dist.SessionConfig{Resume: true, MaxDialAttempts: 1000, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond}),
 	}
 }

@@ -1,11 +1,21 @@
 // Package chaos is a fault-injecting middleware for the distributed
 // evaluation plane: it wraps any dist.StreamTransport and perturbs the
-// byte streams beneath the frame codec — dropping, delaying,
-// duplicating, truncating, and corrupting frames, cutting connections,
-// and opening timed network partitions — so the coordinator/worker
-// recovery machinery (lease requeue and redelivery, heartbeat
-// eviction, worker session resume, quarantine, degraded local
-// fallback) can be soak-tested end to end in-process or over real TCP.
+// byte streams beneath the frame codec — delaying, truncating, and
+// corrupting frames, cutting connections, and opening timed network
+// partitions — so the coordinator/worker recovery machinery (lease
+// requeue, heartbeat eviction, worker session resume, quarantine,
+// degraded local fallback) can be soak-tested end to end in-process or
+// over real TCP.
+//
+// Every fault keeps the guarantee of the reliable, ordered byte stream
+// it wraps, which is what TCP gives the plane: each frame is delivered
+// exactly once, in order, or the connection ends. A delay stalls a
+// frame; a partition holds every frame written or received while its
+// window is open and delivers them when it closes, as TCP
+// retransmission would, unless the connection dies first; truncation,
+// corruption (which the frame CRC turns into a decode error) and reset
+// end the connection. No fault loses or repeats a frame on a live
+// connection, so the plane needs no redelivery.
 //
 // It is the network-level sibling of internal/faultsim, and borrows
 // its determinism discipline: every fault decision is a pure function
@@ -25,6 +35,7 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -45,9 +56,7 @@ const (
 // fault actions, in cumulative-threshold order (must match decide).
 const (
 	actNone = iota
-	actDrop
 	actDelay
-	actDup
 	actTruncate
 	actCorrupt
 	actReset
@@ -67,13 +76,11 @@ type Transport struct {
 
 	connSeq atomic.Uint64
 
-	drops       atomic.Int64
-	delays      atomic.Int64
-	dups        atomic.Int64
-	truncates   atomic.Int64
-	corrupts    atomic.Int64
-	resets      atomic.Int64
-	partitioned atomic.Int64
+	delays    atomic.Int64
+	truncates atomic.Int64
+	corrupts  atomic.Int64
+	resets    atomic.Int64
+	held      atomic.Int64
 }
 
 // New wraps inner with the given fault profile. The seed fixes the
@@ -93,13 +100,11 @@ func New(inner dist.StreamTransport, prof Profile, seed int64) (*Transport, erro
 // Counts snapshots the faults injected so far.
 func (t *Transport) Counts() Counts {
 	return Counts{
-		Drops:       t.drops.Load(),
-		Delays:      t.delays.Load(),
-		Dups:        t.dups.Load(),
-		Truncates:   t.truncates.Load(),
-		Corrupts:    t.corrupts.Load(),
-		Resets:      t.resets.Load(),
-		Partitioned: t.partitioned.Load(),
+		Delays:    t.delays.Load(),
+		Truncates: t.truncates.Load(),
+		Corrupts:  t.corrupts.Load(),
+		Resets:    t.resets.Load(),
+		Held:      t.held.Load(),
 	}
 }
 
@@ -148,10 +153,11 @@ func (l *listener) Addr() string { return l.sl.Addr() }
 func (t *Transport) wrap(raw net.Conn) net.Conn {
 	pr, pw := io.Pipe()
 	c := &conn{
-		t:     t,
-		id:    t.connSeq.Add(1),
-		inner: raw,
-		pr:    pr,
+		t:      t,
+		id:     t.connSeq.Add(1),
+		inner:  raw,
+		pr:     pr,
+		closed: make(chan struct{}),
 	}
 	go c.pump(pw)
 	return c
@@ -188,8 +194,7 @@ func (t *Transport) decide(connID uint64, dir, seq uint64) (action int, word uin
 		rate float64
 		act  int
 	}{
-		{p.DropRate, actDrop}, {p.DelayRate, actDelay}, {p.DupRate, actDup},
-		{p.TruncateRate, actTruncate}, {p.CorruptRate, actCorrupt}, {p.ResetRate, actReset},
+		{p.DelayRate, actDelay}, {p.TruncateRate, actTruncate}, {p.CorruptRate, actCorrupt}, {p.ResetRate, actReset},
 	} {
 		if u < step.rate {
 			return step.act, word
@@ -199,16 +204,16 @@ func (t *Transport) decide(connID uint64, dir, seq uint64) (action int, word uin
 	return actNone, word
 }
 
-// partitioned reports whether the transport clock is inside a
-// partition window.
-func (t *Transport) partitionedNow() bool {
+// partitionEnd returns when the partition window open now closes, or
+// the zero time when none is open.
+func (t *Transport) partitionEnd() time.Time {
 	el := time.Since(t.start)
 	for _, w := range t.prof.Partitions {
 		if el >= w.At && el < w.At+w.For {
-			return true
+			return t.start.Add(w.At + w.For)
 		}
 	}
-	return false
+	return time.Time{}
 }
 
 // conn is one fault-injected byte stream. Writes inject outbound
@@ -222,8 +227,14 @@ type conn struct {
 	inner net.Conn
 	pr    *io.PipeReader
 
-	outSeq atomic.Uint64
+	// wmu orders the frames reaching inner: a Write, or release flushing
+	// the frames a partition held. held is non-empty from the first frame
+	// a partition holds until release has sent them all.
+	wmu    sync.Mutex
+	outSeq uint64 // guarded by wmu
+	held   [][]byte
 
+	closed    chan struct{}
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -243,30 +254,31 @@ func (c *conn) Write(b []byte) (int, error) {
 	if !isFrame(b) {
 		return c.inner.Write(b)
 	}
-	if c.t.partitionedNow() {
-		// The network is partitioned: the frame vanishes, but the local
-		// stack accepted it, so report success.
-		c.t.partitioned.Add(1)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if len(c.held) > 0 || !c.t.partitionEnd().IsZero() {
+		// The network is partitioned: the local stack accepts the frame
+		// and sends it, behind any it already holds, once the partition
+		// heals. Held frames take no part in the fault schedule.
+		select {
+		case <-c.closed:
+			return 0, net.ErrClosed
+		default:
+		}
+		if len(c.held) == 0 {
+			go c.release()
+		}
+		c.held = append(c.held, bytes.Clone(b))
+		c.t.held.Add(1)
 		return len(b), nil
 	}
-	act, word := c.t.decide(c.id, dirOut, c.outSeq.Add(1))
+	c.outSeq++
+	act, word := c.t.decide(c.id, dirOut, c.outSeq)
 	switch act {
-	case actDrop:
-		c.t.drops.Add(1)
-		return len(b), nil
 	case actDelay:
 		c.t.delays.Add(1)
 		time.Sleep(c.t.prof.Delay)
 		return c.inner.Write(b)
-	case actDup:
-		c.t.dups.Add(1)
-		if n, err := c.inner.Write(b); err != nil {
-			return n, err
-		}
-		if _, err := c.inner.Write(b); err != nil {
-			return len(b), err
-		}
-		return len(b), nil
 	case actTruncate:
 		c.t.truncates.Add(1)
 		// Half a frame, then the connection dies mid-send.
@@ -282,6 +294,33 @@ func (c *conn) Write(b []byte) (int, error) {
 		return 0, fmt.Errorf("chaos: connection reset")
 	}
 	return c.inner.Write(b)
+}
+
+// hold waits until no partition window is open. It reports false if
+// the connection is closed first: what it held dies with it.
+func (c *conn) hold() bool {
+	for end := c.t.partitionEnd(); !end.IsZero(); end = c.t.partitionEnd() {
+		timer := time.NewTimer(time.Until(end))
+		select {
+		case <-timer.C:
+		case <-c.closed:
+			timer.Stop()
+			return false
+		}
+	}
+	return true
+}
+
+// release sends the frames a partition held, in order, once it heals.
+func (c *conn) release() {
+	ok := c.hold()
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	for i := 0; ok && i < len(c.held); i++ {
+		_, err := c.inner.Write(c.held[i])
+		ok = err == nil
+	}
+	c.held = nil
 }
 
 // corrupt returns a copy of frame b with one payload byte flipped. The
@@ -301,69 +340,84 @@ func corrupt(b []byte, word uint64) []byte {
 }
 
 // pump reads raw frames off the inner stream and forwards them —
-// subject to inbound faults — into the pipe the Read side drains. It
-// trusts the sender's frame alignment just enough to find boundaries;
-// a bad version byte or oversized length means the stream is already
-// garbage (e.g. a peer truncation landed mid-frame), so the error is
-// surfaced and the connection dies, exactly like the real decoder.
+// subject to inbound faults — into the pipe the Read side drains.
+// Whatever it reads inside a partition window, a frame or the end of
+// the stream, waits for the window to close and then passes unperturbed.
 func (c *conn) pump(pw *io.PipeWriter) {
 	var seq uint64
 	hdr := make([]byte, dist.FrameHeaderLen)
 	for {
-		if _, err := io.ReadFull(c.inner, hdr); err != nil {
-			pw.CloseWithError(err)
+		frame, err := c.readFrame(hdr)
+		held := !c.t.partitionEnd().IsZero()
+		if held && err == nil {
+			c.t.held.Add(1)
+		}
+		if held && !c.hold() {
 			return
 		}
-		n := binary.BigEndian.Uint32(hdr[1:5])
-		if hdr[0] != dist.ProtocolVersion || n > dist.MaxFramePayload {
-			pw.CloseWithError(fmt.Errorf("chaos: inbound stream desynced (version %d, length %d)", hdr[0], n))
+		if err != nil {
+			pw.CloseWithError(err)
 			c.inner.Close()
 			return
 		}
-		frame := make([]byte, dist.FrameHeaderLen+int(n))
-		copy(frame, hdr)
-		if _, err := io.ReadFull(c.inner, frame[dist.FrameHeaderLen:]); err != nil {
-			pw.CloseWithError(err)
-			return
-		}
-		if c.t.partitionedNow() {
-			c.t.partitioned.Add(1)
-			continue
-		}
-		seq++
-		act, word := c.t.decide(c.id, dirIn, seq)
-		switch act {
-		case actDrop:
-			c.t.drops.Add(1)
-			continue
-		case actDelay:
-			c.t.delays.Add(1)
-			time.Sleep(c.t.prof.Delay)
-		case actDup:
-			c.t.dups.Add(1)
-			if _, err := pw.Write(frame); err != nil {
+		if !held {
+			seq++
+			if frame = c.inbound(pw, frame, seq); frame == nil {
 				return
 			}
-		case actTruncate:
-			c.t.truncates.Add(1)
-			_, _ = pw.Write(frame[:dist.FrameHeaderLen+int(n)/2])
-			pw.CloseWithError(fmt.Errorf("chaos: connection truncated mid-frame"))
-			c.inner.Close()
-			return
-		case actCorrupt:
-			c.t.corrupts.Add(1)
-			frame = corrupt(frame, word)
-		case actReset:
-			c.t.resets.Add(1)
-			pw.CloseWithError(fmt.Errorf("chaos: connection reset"))
-			c.inner.Close()
-			return
 		}
 		if _, err := pw.Write(frame); err != nil {
-			// Read side closed; drain no further.
-			return
+			return // the Read side closed: drain no further
 		}
 	}
+}
+
+// inbound applies the fault schedule to the seq-th inbound frame not
+// held by a partition. It returns the frame to forward, or nil when the
+// fault ended the connection.
+func (c *conn) inbound(pw *io.PipeWriter, frame []byte, seq uint64) []byte {
+	act, word := c.t.decide(c.id, dirIn, seq)
+	switch act {
+	case actDelay:
+		c.t.delays.Add(1)
+		time.Sleep(c.t.prof.Delay)
+	case actTruncate:
+		c.t.truncates.Add(1)
+		_, _ = pw.Write(frame[:dist.FrameHeaderLen+(len(frame)-dist.FrameHeaderLen)/2])
+		pw.CloseWithError(fmt.Errorf("chaos: connection truncated mid-frame"))
+		c.inner.Close()
+		return nil
+	case actCorrupt:
+		c.t.corrupts.Add(1)
+		return corrupt(frame, word)
+	case actReset:
+		c.t.resets.Add(1)
+		pw.CloseWithError(fmt.Errorf("chaos: connection reset"))
+		c.inner.Close()
+		return nil
+	}
+	return frame
+}
+
+// readFrame reads one raw frame off the inner stream. It trusts the
+// sender's frame alignment just enough to find boundaries: a bad
+// version byte or oversized length means the stream is already garbage
+// (e.g. a peer truncation landed mid-frame), so it fails, exactly like
+// the real decoder.
+func (c *conn) readFrame(hdr []byte) ([]byte, error) {
+	if _, err := io.ReadFull(c.inner, hdr); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr[1:5])
+	if hdr[0] != dist.ProtocolVersion || n > dist.MaxFramePayload {
+		return nil, fmt.Errorf("chaos: inbound stream desynced (version %d, length %d)", hdr[0], n)
+	}
+	frame := make([]byte, dist.FrameHeaderLen+int(n))
+	copy(frame, hdr)
+	if _, err := io.ReadFull(c.inner, frame[dist.FrameHeaderLen:]); err != nil {
+		return nil, err
+	}
+	return frame, nil
 }
 
 // Read implements net.Conn from the pump's pipe.
@@ -373,6 +427,7 @@ func (c *conn) Read(b []byte) (int, error) { return c.pr.Read(b) }
 // pending Read and a pump blocked mid-Write.
 func (c *conn) Close() error {
 	c.closeOnce.Do(func() {
+		close(c.closed)
 		c.closeErr = c.inner.Close()
 		c.pr.CloseWithError(io.ErrClosedPipe)
 	})

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 )
@@ -11,7 +12,7 @@ import (
 // transports with the same seed agree everywhere and a different seed
 // diverges.
 func TestDecideDeterministic(t *testing.T) {
-	prof := Profile{DropRate: 0.2, DelayRate: 0.2, DupRate: 0.2, TruncateRate: 0.1, CorruptRate: 0.1, ResetRate: 0.1}
+	prof := Profile{DelayRate: 0.3, TruncateRate: 0.1, CorruptRate: 0.1, ResetRate: 0.1}
 	a, err := New(nil, prof, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +40,7 @@ func TestDecideDeterministic(t *testing.T) {
 	if !diverged {
 		t.Error("seeds 42 and 43 produced identical schedules")
 	}
-	for _, act := range []int{actNone, actDrop, actDelay, actDup, actTruncate, actCorrupt, actReset} {
+	for _, act := range []int{actNone, actDelay, actTruncate, actCorrupt, actReset} {
 		if !seen[act] {
 			t.Errorf("action %d never drawn across 3000 frames", act)
 		}
@@ -77,20 +78,19 @@ func TestCorruptPayloadOnly(t *testing.T) {
 
 // TestParseProfile covers the -chaos-profile flag syntax.
 func TestParseProfile(t *testing.T) {
-	p, err := ParseProfile("drop=0.05,delay=0.1:20ms,dup=0.02,truncate=0.01,corrupt=0.01,reset=0.005,partition=2s+500ms,partition=5s+1s")
+	p, err := ParseProfile("delay=0.1:20ms,truncate=0.01,corrupt=0.01,reset=0.005,partition=2s+500ms,partition=5s+1s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Profile{
-		DropRate: 0.05, DelayRate: 0.1, Delay: 20 * time.Millisecond,
-		DupRate: 0.02, TruncateRate: 0.01, CorruptRate: 0.01, ResetRate: 0.005,
+		DelayRate: 0.1, Delay: 20 * time.Millisecond,
+		TruncateRate: 0.01, CorruptRate: 0.01, ResetRate: 0.005,
 		Partitions: []Window{
 			{At: 2 * time.Second, For: 500 * time.Millisecond},
 			{At: 5 * time.Second, For: time.Second},
 		},
 	}
-	if p.DropRate != want.DropRate || p.DelayRate != want.DelayRate || p.Delay != want.Delay ||
-		p.DupRate != want.DupRate || p.TruncateRate != want.TruncateRate ||
+	if p.DelayRate != want.DelayRate || p.Delay != want.Delay || p.TruncateRate != want.TruncateRate ||
 		p.CorruptRate != want.CorruptRate || p.ResetRate != want.ResetRate {
 		t.Errorf("parsed %+v, want %+v", p, want)
 	}
@@ -98,7 +98,7 @@ func TestParseProfile(t *testing.T) {
 		t.Errorf("partitions %+v, want %+v", p.Partitions, want.Partitions)
 	}
 
-	if p, err := ParseProfile("  "); err != nil || p.DropRate != 0 || p.DelayRate != 0 || len(p.Partitions) != 0 {
+	if p, err := ParseProfile("  "); err != nil || p.DelayRate != 0 || p.ResetRate != 0 || len(p.Partitions) != 0 {
 		t.Errorf("empty profile: %+v, %v", p, err)
 	}
 	if p, err := ParseProfile("delay=0.2"); err != nil || p.DelayRate != 0.2 || p.Delay != 0 {
@@ -107,26 +107,33 @@ func TestParseProfile(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"bogus",             // not key=value
-		"frob=1",            // unknown key
-		"drop=x",            // unparsable rate
-		"drop=2",            // rate out of range
-		"drop=-0.1",         // negative rate
-		"drop=0.6,dup=0.6",  // rates sum past 1
-		"delay=0.1:xyz",     // bad duration
-		"partition=2s",      // missing +for
-		"partition=2s+-1ms", // non-positive window
-		"partition=x+1s",    // bad start
+		"bogus",                 // not key=value
+		"frob=1",                // unknown key
+		"reset=x",               // unparsable rate
+		"reset=2",               // rate out of range
+		"reset=-0.1",            // negative rate
+		"delay=0.6,corrupt=0.6", // rates sum past 1
+		"delay=0.1:xyz",         // bad duration
+		"partition=2s",          // missing +for
+		"partition=2s+-1ms",     // non-positive window
+		"partition=x+1s",        // bad start
 	} {
 		if _, err := ParseProfile(bad); err == nil {
 			t.Errorf("ParseProfile(%q) succeeded, want error", bad)
+		}
+	}
+	// The deleted faults' keys are unknown: no transport loses a frame,
+	// or delivers one twice, on a live connection.
+	for _, key := range []string{"drop", "dup"} {
+		if _, err := ParseProfile(key + "=0.1"); err == nil || !strings.Contains(err.Error(), "unknown profile key") {
+			t.Errorf("ParseProfile(%s=0.1) = %v, want an unknown-key error", key, err)
 		}
 	}
 }
 
 // TestNewValidatesAndDefaults pins New's profile handling.
 func TestNewValidatesAndDefaults(t *testing.T) {
-	if _, err := New(nil, Profile{DropRate: -1}, 1); err == nil {
+	if _, err := New(nil, Profile{ResetRate: -1}, 1); err == nil {
 		t.Error("New accepted a negative rate")
 	}
 	tr, err := New(nil, Profile{DelayRate: 0.5}, 1)
@@ -140,7 +147,7 @@ func TestNewValidatesAndDefaults(t *testing.T) {
 
 // TestCountsString smoke-tests the log rendering.
 func TestCountsString(t *testing.T) {
-	c := Counts{Drops: 1, Dups: 2, Partitioned: 3}
+	c := Counts{Delays: 1, Resets: 2, Held: 3}
 	if c.Total() != 6 {
 		t.Errorf("Total = %d, want 6", c.Total())
 	}

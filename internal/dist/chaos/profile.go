@@ -17,17 +17,11 @@ const DefaultDelay = 10 * time.Millisecond
 // uses for simulator faults), so rates must sum to at most 1. The zero
 // Profile injects nothing.
 type Profile struct {
-	// DropRate silently discards the frame. The plane recovers via
-	// lease redelivery (coordinator) and heartbeat eviction.
-	DropRate float64
 	// DelayRate stalls the frame for Delay before forwarding it.
 	DelayRate float64
 	// Delay is the injected latency for delayed frames; <= 0 means
 	// DefaultDelay.
 	Delay time.Duration
-	// DupRate forwards the frame twice. Receivers must deduplicate
-	// (workers by lease ID, the coordinator by its in-flight table).
-	DupRate float64
 	// TruncateRate forwards a prefix of the frame and cuts the
 	// connection — a mid-frame connection loss.
 	TruncateRate float64
@@ -38,10 +32,13 @@ type Profile struct {
 	// ResetRate cuts the connection before the frame is forwarded.
 	ResetRate float64
 	// Partitions are timed network partitions relative to the
-	// transport's creation: while one is open, every frame in both
-	// directions of every connection is dropped. New dials still
-	// complete at the TCP level — their hello frames just vanish —
-	// which is how real partitions look to an application.
+	// transport's creation: every frame written or received on any
+	// connection while one is open — and a connection's end of stream —
+	// is held and delivered, in order, when it closes, unless the
+	// connection is closed first. New dials still complete at the TCP
+	// level, but their hello frames wait too: one that outlasts
+	// HeartbeatTimeout ends in eviction, requeue and session resume,
+	// which is how a real partition plays out.
 	Partitions []Window
 }
 
@@ -59,8 +56,7 @@ func (p Profile) validate() error {
 		name string
 		v    float64
 	}{
-		{"drop", p.DropRate}, {"delay", p.DelayRate}, {"dup", p.DupRate},
-		{"truncate", p.TruncateRate}, {"corrupt", p.CorruptRate}, {"reset", p.ResetRate},
+		{"delay", p.DelayRate}, {"truncate", p.TruncateRate}, {"corrupt", p.CorruptRate}, {"reset", p.ResetRate},
 	}
 	sum := 0.0
 	for _, r := range rates {
@@ -83,7 +79,7 @@ func (p Profile) validate() error {
 // ParseProfile parses the -chaos-profile flag syntax: comma-separated
 // key=value terms, e.g.
 //
-//	drop=0.05,delay=0.1:20ms,dup=0.02,truncate=0.01,corrupt=0.01,reset=0.005,partition=2s+500ms
+//	delay=0.1:20ms,truncate=0.01,corrupt=0.01,reset=0.005,partition=2s+500ms
 //
 // delay takes an optional :duration; partition takes at+for and may
 // repeat. An empty string is the zero (fault-free) profile.
@@ -107,8 +103,6 @@ func ParseProfile(s string) (Profile, error) {
 		}
 		var err error
 		switch key {
-		case "drop":
-			p.DropRate, err = rate(val)
 		case "delay":
 			r, d, hasDur := strings.Cut(val, ":")
 			if p.DelayRate, err = rate(r); err == nil && hasDur {
@@ -116,8 +110,6 @@ func ParseProfile(s string) (Profile, error) {
 					err = fmt.Errorf("chaos: delay duration %q: %w", d, err)
 				}
 			}
-		case "dup":
-			p.DupRate, err = rate(val)
 		case "truncate":
 			p.TruncateRate, err = rate(val)
 		case "corrupt":
@@ -153,22 +145,20 @@ func ParseProfile(s string) (Profile, error) {
 // Counts is a snapshot of injected faults, for logs and assertions
 // that a chaos run actually exercised its schedule.
 type Counts struct {
-	Drops       int64
-	Delays      int64
-	Dups        int64
-	Truncates   int64
-	Corrupts    int64
-	Resets      int64
-	Partitioned int64 // frames dropped inside partition windows
+	Delays    int64
+	Truncates int64
+	Corrupts  int64
+	Resets    int64
+	Held      int64 // frames held by partition windows
 }
 
 // Total sums all injected faults.
 func (c Counts) Total() int64 {
-	return c.Drops + c.Delays + c.Dups + c.Truncates + c.Corrupts + c.Resets + c.Partitioned
+	return c.Delays + c.Truncates + c.Corrupts + c.Resets + c.Held
 }
 
 // String renders the snapshot for logs.
 func (c Counts) String() string {
-	return fmt.Sprintf("drops=%d delays=%d dups=%d truncates=%d corrupts=%d resets=%d partitioned=%d",
-		c.Drops, c.Delays, c.Dups, c.Truncates, c.Corrupts, c.Resets, c.Partitioned)
+	return fmt.Sprintf("delays=%d truncates=%d corrupts=%d resets=%d held=%d",
+		c.Delays, c.Truncates, c.Corrupts, c.Resets, c.Held)
 }

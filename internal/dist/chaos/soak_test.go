@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,6 +33,20 @@ func soakSim() core.Simulator {
 }
 
 func soakFactory([]byte) (core.Simulator, error) { return soakSim(), nil }
+
+// soakWorkerFactory is soakFactory at 20ms an evaluation, so the run is
+// still going when the soak's partition opens.
+func soakWorkerFactory([]byte) (core.Simulator, error) {
+	sim := soakSim()
+	return core.Evaluator(func(ctx context.Context, p core.Point) (float64, error) {
+		select {
+		case <-time.After(20 * time.Millisecond):
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		}
+		return sim.Run(ctx, p)
+	}), nil
+}
 
 var soakFrozen = time.Unix(42, 0)
 
@@ -77,6 +92,25 @@ func assertSoakSameHistory(t *testing.T, got, want *core.Result) {
 	}
 }
 
+// syncBuffer is a strings.Builder safe for the tracer's writes and the
+// test's reads.
+type syncBuffer struct {
+	mu sync.Mutex
+	sb strings.Builder
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.sb.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.sb.String()
+}
+
 // killableTransport records dialed connections so the test can cut a
 // worker's live connection (the process survives; the socket dies).
 type killableTransport struct {
@@ -106,22 +140,24 @@ func (k *killableTransport) killLast() {
 
 // TestChaosSoakBitwiseIdentical is the end-to-end hardening proof: a
 // calibration distributed over two resuming workers behind an
-// aggressive fault profile — drops, delays, duplicates, corruption,
-// truncations, resets, and a timed partition — plus one permanent
-// worker kill mid-run, must finish and produce a history bitwise
-// identical to the serial run. Redelivery recovers dropped frames,
-// worker lease dedup absorbs duplicates, the CRC turns corruption into
-// connection errors, session resume survives every cut, and the local
-// fallback catches anything quarantined or stranded.
+// aggressive fault profile — delays, corruption, truncations, resets,
+// and a timed partition that outlasts the heartbeat timeout — plus one
+// permanent worker kill mid-run, must finish and produce a history
+// bitwise identical to the serial run. The CRC turns corruption into
+// connection errors, the partition ends in heartbeat eviction and
+// requeue, session resume survives every cut, and the local fallback
+// catches anything quarantined or stranded.
 func TestChaosSoakBitwiseIdentical(t *testing.T) {
 	const evals = 60
 	serial := runSoakSerial(t, evals)
 
-	// The partition opens at 400ms: the kill sleep below keeps the run
-	// (and its heartbeat traffic) alive through the window, so the
-	// partition provably drops frames.
+	// The partition opens at 100ms, mid-run, and holds every frame for a
+	// second, longer than the 600ms heartbeat timeout: the coordinator
+	// must evict whoever is connected then and requeue their leases, and
+	// a worker that falls silent must resume. Idle workers heartbeat, so
+	// the eviction happens even if the run ends first.
 	prof, err := chaos.ParseProfile(
-		"drop=0.04,delay=0.05:2ms,dup=0.04,truncate=0.01,corrupt=0.01,reset=0.005,partition=400ms+300ms")
+		"delay=0.05:2ms,truncate=0.01,corrupt=0.01,reset=0.005,partition=100ms+1s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +167,16 @@ func TestChaosSoakBitwiseIdentical(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
+	var trace syncBuffer
+	tracer := obs.NewTracer(&trace)
 	coord := dist.NewCoordinator(dist.CoordinatorConfig{
 		Name:     "chaos-soak",
 		Registry: reg,
-		// Short cadences so eviction, redelivery, and degradation all
-		// operate at test timescales.
+		Tracer:   tracer,
+		// Short cadences so eviction and degradation operate at test
+		// timescales.
 		HeartbeatEvery:   100 * time.Millisecond,
 		HeartbeatTimeout: 600 * time.Millisecond,
-		ResendAfter:      300 * time.Millisecond,
 		LocalFactory:     soakFactory,
 		DegradedGrace:    2 * time.Second,
 	})
@@ -160,7 +198,7 @@ func TestChaosSoakBitwiseIdentical(t *testing.T) {
 		w, err := dist.NewWorker(dist.WorkerConfig{
 			Name:             fmt.Sprintf("chaos-w%d", i),
 			Capacity:         2,
-			Factory:          soakFactory,
+			Factory:          soakWorkerFactory,
 			HeartbeatEvery:   100 * time.Millisecond,
 			HeartbeatTimeout: 600 * time.Millisecond,
 		})
@@ -173,15 +211,21 @@ func TestChaosSoakBitwiseIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Errors are expected: the chaos schedule and the permanent
-			// kill both end sessions abnormally.
-			_ = w.RunSession(wctx, kt, "", dist.SessionConfig{
-				Resume:          true,
-				MaxDialAttempts: 1000,
-				BaseDelay:       20 * time.Millisecond,
-				MaxDelay:        200 * time.Millisecond,
-				Seed:            int64(i + 1),
-			})
+			// A coordinator that drops a connection — for a corrupt frame,
+			// say — closes it just as one that shuts down does, which ends
+			// the worker's session cleanly: restart it, as a process
+			// supervisor would, until the test stops it. Errors are
+			// expected: the chaos schedule and the permanent kill both end
+			// sessions abnormally.
+			for wctx.Err() == nil {
+				_ = w.RunSession(wctx, kt, "", dist.SessionConfig{
+					Resume:          true,
+					MaxDialAttempts: 1000,
+					BaseDelay:       20 * time.Millisecond,
+					MaxDelay:        200 * time.Millisecond,
+					Seed:            int64(i + 1),
+				})
+			}
 		}(i)
 	}
 	stopWorkers := func() {
@@ -212,7 +256,7 @@ func TestChaosSoakBitwiseIdentical(t *testing.T) {
 		done <- calOut{res, err}
 	}()
 
-	// Permanently kill worker 0 mid-run: cancel its resume loop and cut
+	// Permanently kill worker 0 mid-run: cancel its restart loop and cut
 	// its live connection. Worker 1 (still resuming through the chaos)
 	// and the local fallback must carry the run home.
 	time.Sleep(500 * time.Millisecond)
@@ -229,13 +273,29 @@ func TestChaosSoakBitwiseIdentical(t *testing.T) {
 		t.Fatal("chaos calibration did not finish")
 	}
 
+	// A heartbeat eviction is traced as a disconnect whose cause names
+	// the silence; the deadline only turns a hang into a failure.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if err := tracer.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(trace.String(), "heartbeat timeout") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the partition outlasted the heartbeat timeout, yet no worker was evicted")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+
 	counts := ct.Counts()
 	t.Logf("chaos counts: %s", counts)
-	if counts.Total() == 0 {
-		t.Error("chaos schedule injected no faults — the soak proved nothing")
+	if counts.Held == 0 {
+		t.Error("the partition held no frames — it was never exercised")
 	}
-	if counts.Partitioned == 0 {
-		t.Error("no frames crossed the partition window — the partition was never exercised")
+	if counts.Total() == counts.Held {
+		t.Error("the fault schedule injected nothing besides the partition")
 	}
 	if got := reg.Counter("dist.frames_rx").Value(); got == 0 {
 		t.Error("dist.frames_rx = 0")

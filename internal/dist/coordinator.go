@@ -98,15 +98,6 @@ type CoordinatorConfig struct {
 	// return are re-absorbed: degraded mode ends the moment one
 	// registers.
 	DegradedGrace time.Duration
-	// ResendAfter, when positive, redelivers a dispatched lease whose
-	// result has not arrived within the window, bumping its attempt
-	// counter. Off by default: TCP never drops frames, so redelivery
-	// only matters when a lossy transport (internal/dist/chaos) sits
-	// between coordinator and workers — there, a dropped lease or
-	// result frame would otherwise wedge the lease until the worker's
-	// heartbeat eviction. Workers deduplicate lease IDs, so a
-	// redelivered lease is never evaluated twice in one session.
-	ResendAfter time.Duration
 }
 
 // Coordinator shards loss evaluations across remote workers. All lease
@@ -291,9 +282,9 @@ func (c *Coordinator) Serve(l Listener) error {
 
 // recvTimeout reads one frame from conn, closing the connection if
 // nothing arrives within d. The handshake has no heartbeat protection
-// yet, so without this a dropped hello frame would hang both sides
-// forever. The spawned Recv drains into the buffered channel even
-// after a timeout fires.
+// yet, so without this a peer that never sends its hello would hang
+// this side forever. The spawned Recv drains into the buffered channel
+// even after a timeout fires.
 func recvTimeout(conn Conn, clock Clock, d time.Duration) (*Frame, error) {
 	type recvOut struct {
 		f   *Frame

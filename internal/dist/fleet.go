@@ -20,7 +20,7 @@ import (
 // blocks, starts a goroutine or performs I/O: the Coordinator holds its
 // mutex while it feeds one event, then releases it and performs the
 // actions. That is what lets fleet_test.go drive every rule — requeue,
-// quarantine, redelivery, eviction, degradation, cancel — through
+// quarantine, eviction, degradation, cancel — through
 // seeded fault schedules in simulated time, with no goroutine,
 // connection or sleep. All times are Unix nanoseconds.
 
@@ -54,10 +54,9 @@ type lease struct {
 	settled  bool // a deliver action has been emitted; later resolutions are dropped
 	canceled bool // by its context or its job: never (re)assigned, never requeued
 	requeues int
-	attempt  int // -1 until first assigned
 
 	enqueuedNS int64 // reset on requeue
-	sentNS     int64 // stamped at each (re)delivery
+	sentNS     int64 // stamped when handed to a worker
 }
 
 // remoteWorker is the fleet's view of one connected worker. Apart from
@@ -146,9 +145,6 @@ type fleet struct {
 	emptySinceNS int64
 	// armedNS is the deadline the timer sleeps until; 0 means none.
 	armedNS int64
-	// bornNS anchors the redelivery grid (ResendAfter > 0); resendNS is
-	// the grid point at which tick next looks at unanswered leases.
-	bornNS, resendNS int64
 
 	acts []action // produced by the current event, drained by the caller
 
@@ -157,8 +153,6 @@ type fleet struct {
 	leasesDispatched  *obs.Counter
 	leasesRequeued    *obs.Counter
 	leasesQuarantined *obs.Counter
-	leasesRedelivered *obs.Counter
-	resultsStale      *obs.Counter
 	resultsDuplicate  *obs.Counter
 	workersActive     *obs.Gauge
 	degradedGauge     *obs.Gauge
@@ -173,14 +167,11 @@ func newFleet(cfg CoordinatorConfig, reg *obs.Registry, now int64) *fleet {
 	return &fleet{
 		cfg:               cfg,
 		emptySinceNS:      now,
-		bornNS:            now,
 		workersConnected:  reg.Counter("dist.workers_connected"),
 		workersLost:       reg.Counter("dist.workers_lost"),
 		leasesDispatched:  reg.Counter("dist.leases_dispatched"),
 		leasesRequeued:    reg.Counter("dist.leases_requeued"),
 		leasesQuarantined: reg.Counter("dist.leases_quarantined"),
-		leasesRedelivered: reg.Counter("dist.leases_redelivered"),
-		resultsStale:      reg.Counter("dist.results_stale"),
 		resultsDuplicate:  reg.Counter("dist.results_duplicate"),
 		workersActive:     reg.Gauge("dist.workers_active"),
 		degradedGauge:     reg.Gauge("dist.degraded"),
@@ -210,8 +201,7 @@ func (f *fleet) arm(at int64) {
 // resolve settles l: every way a lease can end — a worker's result,
 // quarantine, the local fallback's answer, a job cancel, the context's
 // expiry, the coordinator's shutdown — comes through here. The first
-// resolution wins; a late one (a redelivery's second answer, a cancel
-// racing a result) is dropped.
+// resolution wins; a late one (a cancel racing a result) is dropped.
 func (f *fleet) resolve(l *lease, out leaseOutcome) {
 	if l.settled {
 		return
@@ -231,7 +221,6 @@ func (f *fleet) submit(now int64, l *lease) {
 		f.resolve(l, leaseOutcome{err: ErrCoordinatorClosed})
 		return
 	}
-	l.attempt = -1 // the first delivery is attempt 0
 	l.enqueuedNS = now
 	f.queue = append(f.queue, l)
 	f.assign(now)
@@ -287,33 +276,13 @@ func (f *fleet) assign(now int64) {
 		w.inflight[l.id] = l
 		f.queueWait.Observe(now - l.enqueuedNS)
 		f.leasesDispatched.Inc()
-		f.deliver(now, w, l)
+		l.sentNS = now
+		f.push(w, &Frame{Type: TypeLease, Lease: &LeaseMsg{ID: l.id, Index: l.index, Spec: l.spec, Point: l.point}})
 	}
-}
-
-// nextResend returns the first instant after now on the redelivery
-// grid: every half ResendAfter, counted from the fleet's creation. The
-// timer looks at unanswered leases only there, so a lease is redelivered
-// between one and one and a half ResendAfter after it was sent — and
-// one wake serves every worker.
-func (f *fleet) nextResend(now int64) int64 {
-	every := max(int64(f.cfg.ResendAfter)/2, 1)
-	return now + every - (now-f.bornNS)%every
 }
 
 func (f *fleet) canDegrade() bool {
 	return f.cfg.LocalFactory != nil && f.cfg.DegradedGrace > 0
-}
-
-// deliver queues the next attempt of l for w's writer. Every lease
-// frame — first delivery or redelivery — is built here.
-func (f *fleet) deliver(now int64, w *remoteWorker, l *lease) {
-	l.attempt++
-	l.sentNS = now
-	f.push(w, &Frame{Type: TypeLease, Lease: &LeaseMsg{ID: l.id, Index: l.index, Spec: l.spec, Point: l.point, Attempt: l.attempt}})
-	if f.cfg.ResendAfter > 0 {
-		f.arm(f.nextResend(now))
-	}
 }
 
 // push appends fr to w's outbox, waking the writer when the outbox was
@@ -376,8 +345,9 @@ func (f *fleet) frame(now int64, w *remoteWorker, fr *Frame) {
 }
 
 // result completes the lease a result answers. A result for an id that
-// is not in flight on w — the duplicate answer to a redelivery, or one
-// from a worker already declared dead — is dropped and counted.
+// is not in flight on w is dropped and counted: the transport delivers
+// each frame once, but a worker's reader can hand over a frame it read
+// just before a heartbeat eviction emptied w's in-flight table.
 func (f *fleet) result(now int64, w *remoteWorker, res *ResultMsg) {
 	l, ok := w.inflight[res.ID]
 	if !ok {
@@ -386,13 +356,6 @@ func (f *fleet) result(now int64, w *remoteWorker, res *ResultMsg) {
 	}
 	delete(w.inflight, res.ID)
 	f.wireRTT.Observe(now - l.sentNS)
-	if res.Attempt != l.attempt {
-		// An answer to an older attempt of a since-redelivered lease.
-		// Deterministic simulators make every attempt's loss identical,
-		// so it still resolves the lease; the counter records that the
-		// redelivery raced the original answer.
-		f.resultsStale.Inc()
-	}
 	out := leaseOutcome{loss: float64(res.Loss)}
 	if res.Err != "" {
 		out.err = fmt.Errorf("dist: worker %s: %s", w.name, res.Err)
@@ -413,7 +376,7 @@ func (f *fleet) result(now int64, w *remoteWorker, res *ResultMsg) {
 // traceWorkerEval emits the worker's view of the evaluation that just
 // resolved l: the timing the result carried on the worker's clock, joined
 // with what the lease already knows. Exactly one per lease that a
-// worker's answer resolves (a duplicate never gets here), and — being an
+// worker's answer resolves (a dropped one never gets here), and — being an
 // action ahead of the deliver — in the trace before the evaluation's
 // caller hears of the result. Once a clock-offset estimate for w exists
 // the event also carries it and the start translated to this clock.
@@ -508,8 +471,7 @@ func (f *fleet) dead(now int64, w *remoteWorker, cause error) {
 }
 
 // sortedInflight lists w's in-flight leases in lease-ID order: map
-// iteration is randomized, and both the requeue order and the frame
-// sequence under a fixed chaos seed must be replayable.
+// iteration is randomized, and the requeue order must be replayable.
 func (w *remoteWorker) sortedInflight() []*lease {
 	ls := make([]*lease, 0, len(w.inflight))
 	for _, l := range w.inflight {
@@ -540,18 +502,11 @@ func (f *fleet) quarantine(l *lease, worker string, cause error) {
 }
 
 // tick is the timer's event: it evicts workers silent for longer than
-// HeartbeatTimeout, queues the heartbeat pings that are due, at a point
-// of the redelivery grid redelivers leases unanswered for ResendAfter
-// (in lease-ID order, bumping their attempt — the worker deduplicates
-// by lease ID), drains to the local evaluator if the grace window has
-// run out, and returns the deadline to sleep until (0: nothing is
-// pending).
+// HeartbeatTimeout, queues the heartbeat pings that are due, drains to
+// the local evaluator if the grace window has run out, and returns the
+// deadline to sleep until (0: nothing is pending).
 func (f *fleet) tick(now int64) int64 {
 	f.armedNS = now // the timer is awake: nothing below needs to wake it
-	resend := f.cfg.ResendAfter > 0 && now >= f.resendNS
-	if resend {
-		f.resendNS = f.nextResend(now)
-	}
 	for i := 0; i < len(f.workers); {
 		w := f.workers[i]
 		if silent := now - w.lastRecvNS; silent > int64(f.cfg.HeartbeatTimeout) {
@@ -565,14 +520,6 @@ func (f *fleet) tick(now int64) int64 {
 			// its next telemetry frame, which closes the NTP loop.
 			f.push(w, &Frame{Type: TypeHeartbeat, Heartbeat: &HeartbeatMsg{PingUnixNS: now}})
 			w.nextPingNS = now + int64(f.cfg.HeartbeatEvery)
-		}
-		if resend {
-			for _, l := range w.sortedInflight() {
-				if now-l.sentNS >= int64(f.cfg.ResendAfter) {
-					f.leasesRedelivered.Inc()
-					f.deliver(now, w, l)
-				}
-			}
 		}
 		i++
 	}
@@ -591,9 +538,6 @@ func (f *fleet) deadline() int64 {
 	}
 	for _, w := range f.workers {
 		earliest(w.nextPingNS)
-		if f.cfg.ResendAfter > 0 && len(w.inflight) > 0 {
-			earliest(f.resendNS)
-		}
 	}
 	if len(f.workers) == 0 && len(f.queue) > 0 && f.canDegrade() {
 		earliest(f.emptySinceNS + int64(f.cfg.DegradedGrace))

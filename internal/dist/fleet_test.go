@@ -93,7 +93,7 @@ func sent(w *remoteWorker) []*LeaseMsg {
 // answer feeds the fleet w's result for msg.
 func (r *rig) answer(now int64, w *remoteWorker, msg *LeaseMsg, loss float64) {
 	r.f.frame(now, w, &Frame{Type: TypeResult, Result: &ResultMsg{
-		ID: msg.ID, Index: msg.Index, Loss: WireFloat(loss), Attempt: msg.Attempt}})
+		ID: msg.ID, Index: msg.Index, Loss: WireFloat(loss)}})
 }
 
 // delivered filters acts down to the resolutions.
@@ -151,8 +151,8 @@ func TestFleetRefillsBeforeDeliver(t *testing.T) {
 // comes from now that the worker no longer ships it: the fleet emits it,
 // once, for a result that resolves an in-flight lease — ahead of the
 // deliver action, so the trace holds the event before the evaluation's
-// caller hears of the result — and never for a duplicate answer or one
-// from a worker already declared dead. The clock-offset pair appears
+// caller hears of the result — and never for an answer from a worker
+// already declared dead. The clock-offset pair appears
 // only once an echo has produced an estimate, and the estimate with the
 // smallest round trip is the one that sticks.
 func TestFleetWorkerEvalEvent(t *testing.T) {
@@ -182,11 +182,6 @@ func TestFleetWorkerEvalEvent(t *testing.T) {
 	}
 	if got := acts[0].fields; !reflect.DeepEqual(got, want) {
 		t.Errorf("event fields before any offset estimate =\n %v, want\n %v", got, want)
-	}
-
-	// The duplicate answer to a redelivery: dropped before the emit.
-	if acts := result(sec, w, first); len(acts) != 0 || r.counter("dist.results_duplicate") != 1 {
-		t.Errorf("a duplicate result produced actions %v with dist.results_duplicate = %d, want none and 1", kinds(acts), r.counter("dist.results_duplicate"))
 	}
 
 	// A heartbeat echoes the ping sent at 1 s: worker clock 1000 ns
@@ -226,8 +221,8 @@ func TestFleetWorkerEvalEvent(t *testing.T) {
 	// the late result is neither traced nor delivered.
 	r.f.dead(4*sec, w, errors.New("killed"))
 	r.take()
-	if acts := result(4*sec, w, &ResultMsg{ID: msgs[2].ID, Index: msgs[2].Index, Loss: 9}); len(acts) != 0 {
-		t.Errorf("a dead worker's result produced actions %v, want none", kinds(acts))
+	if acts := result(4*sec, w, &ResultMsg{ID: msgs[2].ID, Index: msgs[2].Index, Loss: 9}); len(acts) != 0 || r.counter("dist.results_duplicate") != 1 {
+		t.Errorf("a dead worker's result produced actions %v with dist.results_duplicate = %d, want none and 1", kinds(acts), r.counter("dist.results_duplicate"))
 	}
 	if len(r.f.queue) != 1 || r.f.queue[0].id != msgs[2].ID {
 		t.Errorf("the dead worker's lease is not waiting for another worker: queue %v", r.f.queue)
@@ -251,7 +246,7 @@ func TestFleetSteadyStateAllocations(t *testing.T) {
 		r.f.submit(now, l)
 		msg := w.outbox[0].Lease
 		w.outbox = w.outbox[:0] // the writer took it
-		res.Result.ID, res.Result.Attempt = msg.ID, msg.Attempt
+		res.Result.ID = msg.ID
 		r.f.frame(now, w, res)
 		if len(r.f.acts) != 2 || !l.settled {
 			t.Fatalf("cycle produced %d actions, settled=%v; want wake + deliver", len(r.f.acts), l.settled)
@@ -380,62 +375,10 @@ func TestCoordinatorKeepsHeartbeatingWorkerAlive(t *testing.T) {
 	}
 }
 
-// TestFleetRedeliveryTiming: with ResendAfter on, the timer looks at
-// unanswered leases on a grid of half ResendAfter counted from the
-// fleet's creation — one wake for every worker — and redelivers, with
-// the attempt bumped, those unanswered for at least ResendAfter; an
-// answer to the superseded attempt still resolves the lease and counts
-// as stale.
-func TestFleetRedeliveryTiming(t *testing.T) {
-	r := newRig(t, CoordinatorConfig{ResendAfter: 3 * time.Second, HeartbeatEvery: time.Hour, HeartbeatTimeout: 2 * time.Hour})
-	w := r.worker(0, "forgetful", 2)
-	l := r.lease("", 2)
-	r.f.submit(sec, l)
-	first := sent(w)[0]
-	if first.Attempt != 0 {
-		t.Fatalf("first delivery attempt = %d, want 0", first.Attempt)
-	}
-	if got := r.f.armedNS; got != 3*sec/2 {
-		t.Fatalf("timer armed for %v after the delivery at 1s, want the next grid point, 1.5s", time.Duration(got))
-	}
-	// Grid points 1.5s and 3s: the lease is 0.5s and 2s old. 4.5s: 3.5s.
-	for _, at := range []int64{3 * sec / 2, 3 * sec, 9*sec/2 - 1} {
-		if deadline := r.f.tick(at); deadline != r.f.nextResend(at) || len(w.outbox) != 0 {
-			t.Fatalf("tick(%v): deadline %v, outbox %d; want the next grid point and nothing resent",
-				time.Duration(at), time.Duration(deadline), len(w.outbox))
-		}
-	}
-	if deadline := r.f.tick(9 * sec / 2); deadline != 6*sec {
-		t.Errorf("after the redelivery at 4.5s the timer sleeps until %v, want 6s", time.Duration(deadline))
-	}
-	second := sent(w)
-	if len(second) != 1 || second[0].ID != first.ID || second[0].Attempt != 1 {
-		t.Fatalf("redelivery = %+v, want lease %d attempt 1", second, first.ID)
-	}
-	if n := r.counter("dist.leases_redelivered"); n != 1 {
-		t.Errorf("dist.leases_redelivered = %d, want 1", n)
-	}
-	r.take()
-
-	// The answer to attempt 0 arrives after all: it resolves the lease
-	// (same point, same bits) and is counted stale; the answer to the
-	// redelivery is then a duplicate.
-	r.answer(5*sec, w, first, 2.5)
-	if d := delivered(r.take()); len(d) != 1 || d[0].l != l || d[0].out.loss != 2.5 || d[0].out.err != nil {
-		t.Fatalf("stale answer resolved %v, want lease %d with 2.5", d, l.id)
-	}
-	r.answer(5*sec, w, second[0], 2.5)
-	if d := delivered(r.take()); len(d) != 0 {
-		t.Fatalf("the redelivery's answer resolved the lease a second time: %v", d)
-	}
-	if stale, dup := r.counter("dist.results_stale"), r.counter("dist.results_duplicate"); stale != 1 || dup != 1 {
-		t.Errorf("results_stale = %d, results_duplicate = %d; want 1 and 1", stale, dup)
-	}
-}
-
 // TestDuplicateResultDropped: the first result for a live lease
-// resolves it; a second one — and one from a worker already declared
-// dead — is dropped and counted, and accounting stays single.
+// resolves it and frees its slot; one from a worker already declared
+// dead — read by its reader just before a heartbeat eviction — is
+// dropped and counted, and accounting stays single.
 func TestDuplicateResultDropped(t *testing.T) {
 	r := newRig(t, CoordinatorConfig{})
 	w := r.worker(0, "fake", 1)
@@ -444,10 +387,9 @@ func TestDuplicateResultDropped(t *testing.T) {
 	msg := sent(w)[0]
 	r.take()
 	r.answer(sec, w, msg, 1.5)
-	r.answer(sec, w, msg, 1.5)
 	d := delivered(r.take())
 	if len(d) != 1 || d[0].l != l || d[0].out.loss != 1.5 {
-		t.Fatalf("two answers delivered %v, want one resolution with 1.5", d)
+		t.Fatalf("the answer delivered %v, want one resolution with 1.5", d)
 	}
 	if len(w.inflight) != 0 {
 		t.Errorf("worker still holds %d leases in flight", len(w.inflight))
@@ -456,14 +398,17 @@ func TestDuplicateResultDropped(t *testing.T) {
 	late := r.lease("", 2)
 	r.f.submit(sec, late)
 	msg = sent(w)[0]
-	r.f.dead(2*sec, w, errors.New("killed"))
-	r.take()
-	r.answer(2*sec, w, msg, 2.5) // sent before the death, received after
-	if d := delivered(r.take()); len(d) != 0 || len(r.f.queue) != 1 {
-		t.Errorf("a dead worker's answer delivered %v with %d queued; want nothing (the lease was requeued)", d, len(r.f.queue))
+	r.f.tick(sec + int64(DefaultHeartbeatTimeout) + 1) // silent since its hello at 0
+	if !w.dead {
+		t.Fatal("the silent worker was not evicted")
 	}
-	if n := r.counter("dist.results_duplicate"); n != 2 {
-		t.Errorf("dist.results_duplicate = %d, want 2", n)
+	r.take()
+	r.answer(sec+int64(DefaultHeartbeatTimeout)+1, w, msg, 2.5) // read before the eviction, handed over after
+	if d := delivered(r.take()); len(d) != 0 || len(r.f.queue) != 1 || r.f.queue[0] != late {
+		t.Errorf("an evicted worker's answer delivered %v with %d queued; want nothing (the lease was requeued)", d, len(r.f.queue))
+	}
+	if n := r.counter("dist.results_duplicate"); n != 1 {
+		t.Errorf("dist.results_duplicate = %d, want 1", n)
 	}
 }
 
@@ -481,8 +426,8 @@ func TestFleetQuarantineAtCap(t *testing.T) {
 		r.f.submit(0, l)
 		for death := 1; death <= 3; death++ {
 			w := r.worker(int64(death)*sec, fmt.Sprintf("victim-%d", death), 1)
-			if msgs := sent(w); len(msgs) != 1 || msgs[0].Attempt != death-1 {
-				t.Fatalf("local=%v death %d: delivery %+v, want attempt %d", local, death, msgs, death-1)
+			if msgs := sent(w); len(msgs) != 1 || msgs[0].ID != l.id {
+				t.Fatalf("local=%v death %d: delivery %+v, want lease %d", local, death, msgs, l.id)
 			}
 			r.take()
 			r.f.dead(int64(death)*sec, w, errors.New("poisoned"))
@@ -678,13 +623,12 @@ func TestFleetCloseDropsEachWorkerOnce(t *testing.T) {
 // ---- seeded fault schedules ----
 
 // simWorker is the far end of one fleet worker in the schedule test:
-// the frames its writer has put on the wire, the frames it has sent
-// back, and the lease-ID dedupe table a real worker session keeps.
+// the frames its writer has put on the wire and the frames it has sent
+// back, each delivered once and in order.
 type simWorker struct {
 	w     *remoteWorker
 	down  []*Frame // coordinator → worker, in flight
 	up    []*Frame // worker → coordinator, in flight
-	done  map[uint64]float64
 	drops int
 }
 
@@ -786,7 +730,7 @@ func (s *schedule) sim(w *remoteWorker) *simWorker {
 }
 
 func (s *schedule) connect(capacity int) {
-	sw := &simWorker{w: newRemoteWorker(fmt.Sprintf("sim-%d", len(s.workers)+len(s.ghosts)), capacity, nopConn{}), done: make(map[uint64]float64)}
+	sw := &simWorker{w: newRemoteWorker(fmt.Sprintf("sim-%d", len(s.workers)+len(s.ghosts)), capacity, nopConn{})}
 	s.workers = append(s.workers, sw)
 	s.f.hello(s.now, sw.w)
 	s.perform()
@@ -803,9 +747,8 @@ func (s *schedule) submit(job string) {
 	s.perform()
 }
 
-// receive is the worker's reader: a lease it has not seen is evaluated
-// (instantly) and answered; one it has is re-answered from the done
-// table with the redelivery's attempt; a ping is answered.
+// receive is the worker's reader: a lease is evaluated (instantly) and
+// answered; so is a ping.
 func (s *schedule) receive(sw *simWorker) {
 	fr := sw.down[0]
 	sw.down = sw.down[1:]
@@ -814,20 +757,15 @@ func (s *schedule) receive(sw *simWorker) {
 		sw.up = append(sw.up, &Frame{Type: TypeHeartbeat})
 	case TypeLease:
 		m := fr.Lease
-		if _, seen := sw.done[m.ID]; !seen {
-			sw.done[m.ID] = simLoss(float64(m.Point["x"]))
-		}
 		sw.up = append(sw.up, &Frame{Type: TypeResult, Result: &ResultMsg{
-			ID: m.ID, Index: m.Index, Loss: WireFloat(sw.done[m.ID]), Attempt: m.Attempt}})
+			ID: m.ID, Index: m.Index, Loss: WireFloat(simLoss(float64(m.Point["x"])))}})
 	}
 }
 
 // arrive is the coordinator's reader getting sw's next frame.
-func (s *schedule) arrive(sw *simWorker, keep bool) {
+func (s *schedule) arrive(sw *simWorker) {
 	fr := sw.up[0]
-	if !keep {
-		sw.up = sw.up[1:]
-	}
+	sw.up = sw.up[1:]
 	s.f.frame(s.now, sw.w, fr)
 	s.perform()
 }
@@ -909,30 +847,18 @@ func (s *schedule) fault() {
 		if len(s.live) < 48 {
 			s.submit(simJobs[s.rng.Intn(len(simJobs))])
 		}
-	case p < 47: // a frame reaches a worker
+	case p < 50: // a frame reaches a worker
 		if sw := pick(); sw != nil && len(sw.down) > 0 {
 			s.receive(sw)
 		}
-	case p < 50: // a frame to a worker is lost
-		if sw := pick(); sw != nil && len(sw.down) > 0 {
-			sw.down = sw.down[1:]
-		}
-	case p < 75: // a frame reaches the coordinator
+	case p < 81: // a frame reaches the coordinator
 		if sw := pick(); sw != nil && len(sw.up) > 0 {
-			s.arrive(sw, false)
-		}
-	case p < 78: // a frame to the coordinator is lost
-		if sw := pick(); sw != nil && len(sw.up) > 0 {
-			sw.up = sw.up[1:]
-		}
-	case p < 81: // ... or duplicated
-		if sw := pick(); sw != nil && len(sw.up) > 0 {
-			s.arrive(sw, true)
+			s.arrive(sw)
 		}
 	case p < 83: // a dead worker's last frame lands after its death
 		if len(s.ghosts) > 0 {
 			if g := s.ghosts[s.rng.Intn(len(s.ghosts))]; len(g.up) > 0 {
-				s.arrive(g, false)
+				s.arrive(g)
 			}
 		}
 	case p < 86:
@@ -967,9 +893,11 @@ func (s *schedule) fault() {
 
 // TestFleetSeededSchedules drives a bare fleet — no goroutine, no
 // connection, no clock — through seeded interleavings of submissions,
-// frames delivered, lost and duplicated in both directions, worker
-// kills and connects, job cancels, context expiries and timer ticks,
-// with redelivery and quarantine on. After every event: no lease has
+// frames delivered in both directions (each once and in order, as the
+// transport promises, but at any pace, so workers also go silent and
+// are evicted), a dead worker's last frames landing after its death,
+// worker kills and connects, job cancels, context expiries and timer
+// ticks, with quarantine on. After every event: no lease has
 // resolved twice, no worker was dropped twice, no outbox is left
 // without a wake, and no lease waits while a slot is free. At the end,
 // after a fault-free drain on one fresh worker, every lease has
@@ -984,7 +912,6 @@ func TestFleetSeededSchedules(t *testing.T) {
 	cfg := CoordinatorConfig{
 		HeartbeatEvery:   2 * time.Second,
 		HeartbeatTimeout: 10 * time.Second,
-		ResendAfter:      3 * time.Second,
 		MaxRequeues:      2,
 		DegradedGrace:    -1,
 	}.withDefaults()
@@ -1012,7 +939,7 @@ func TestFleetSeededSchedules(t *testing.T) {
 					s.receive(sw)
 				}
 				for len(sw.up) > 0 && sw.drops == 0 {
-					s.arrive(sw, false)
+					s.arrive(sw)
 				}
 			}
 			s.now += sec
@@ -1054,13 +981,11 @@ func TestFleetSeededSchedules(t *testing.T) {
 			}
 		}
 	}
-	if quarantined == 0 || canceled == 0 || reg.Counter("dist.leases_redelivered").Value() == 0 ||
-		reg.Counter("dist.results_stale").Value() == 0 || reg.Counter("dist.results_duplicate").Value() == 0 {
-		t.Errorf("the schedules never exercised a rule: %d quarantined, %d job-canceled, %d redelivered, %d stale, %d duplicate",
-			quarantined, canceled, reg.Counter("dist.leases_redelivered").Value(),
-			reg.Counter("dist.results_stale").Value(), reg.Counter("dist.results_duplicate").Value())
+	if quarantined == 0 || canceled == 0 || reg.Counter("dist.results_duplicate").Value() == 0 {
+		t.Errorf("the schedules never exercised a rule: %d quarantined, %d job-canceled, %d duplicate",
+			quarantined, canceled, reg.Counter("dist.results_duplicate").Value())
 	}
-	t.Logf("%d seeds × %d events: %d leases, %d quarantined, %d job-canceled, %d requeued, %d redelivered, %d workers lost",
+	t.Logf("%d seeds × %d events: %d leases, %d quarantined, %d job-canceled, %d requeued, %d workers lost",
 		seeds, events, total, quarantined, canceled, reg.Counter("dist.leases_requeued").Value(),
-		reg.Counter("dist.leases_redelivered").Value(), reg.Counter("dist.workers_lost").Value())
+		reg.Counter("dist.workers_lost").Value())
 }

@@ -38,8 +38,10 @@ import (
 // payload CRC to the header and the attempt counter to lease and result
 // messages. Version 4 deleted the telemetry frame: a result carries its
 // evaluation's worker-clock timing, and metric deltas ride result and
-// worker heartbeat frames as an optional member.
-const ProtocolVersion = 4
+// worker heartbeat frames as an optional member. Version 5 deleted the
+// attempt counter: the transport delivers each frame exactly once or
+// fails the connection, so a lease is never redelivered.
+const ProtocolVersion = 5
 
 // MaxFramePayload bounds the JSON payload of one frame. The decoder
 // rejects larger length prefixes before allocating, so a corrupt or
@@ -106,12 +108,6 @@ type LeaseMsg struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Point is the parameter assignment to evaluate.
 	Point map[string]WireFloat `json:"point"`
-	// Attempt numbers this dispatch of the lease, starting at 0.
-	// Requeues after a worker death and redeliveries over a lossy
-	// transport each bump it. Workers echo the latest attempt they saw
-	// in the result, and deduplicate lease frames by ID — a redelivered
-	// lease is never evaluated twice in one session.
-	Attempt int `json:"attempt,omitempty"`
 }
 
 // ResultMsg reports one finished evaluation.
@@ -129,17 +125,10 @@ type ResultMsg struct {
 	// classified error for the calibrator's retry machinery. Aborted
 	// evaluations never produce a result frame.
 	Class string `json:"class,omitempty"`
-	// Attempt echoes the latest lease attempt the worker saw for this
-	// ID. The coordinator resolves a lease exactly once regardless (the
-	// in-flight table is the idempotency authority); the echoed attempt
-	// flags stale deliveries for observability.
-	Attempt int `json:"attempt,omitempty"`
 	// StartUnixNS and DurNS time the evaluation on the worker's clock:
 	// when it started (simulator lookup included) and how long it ran.
 	// The coordinator, which holds everything else about the lease,
-	// turns them into the lease's dist_worker_eval trace event. A
-	// redelivery answered from the worker's completed-result cache
-	// carries the original timing.
+	// turns them into the lease's dist_worker_eval trace event.
 	StartUnixNS int64 `json:"start_unix_ns,omitempty"`
 	DurNS       int64 `json:"dur_ns,omitempty"`
 }
@@ -217,9 +206,6 @@ func (f *Frame) Validate() error {
 		if f.Lease.Point == nil {
 			return fmt.Errorf("dist: lease %d without a point", f.Lease.ID)
 		}
-		if f.Lease.Attempt < 0 {
-			return fmt.Errorf("dist: lease %d with negative attempt", f.Lease.ID)
-		}
 		want = 1
 	case TypeResult:
 		if f.Result == nil {
@@ -232,9 +218,6 @@ func (f *Frame) Validate() error {
 		}
 		if f.Result.Err == "" && f.Result.Class != "" {
 			return fmt.Errorf("dist: result %d classifies an absent error", f.Result.ID)
-		}
-		if f.Result.Attempt < 0 {
-			return fmt.Errorf("dist: result %d with negative attempt", f.Result.ID)
 		}
 		want = 1
 	case TypeHeartbeat:

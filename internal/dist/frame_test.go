@@ -183,8 +183,8 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 		{"garbage json", wrap("xyz"), "decoding"},
 		{"corrupted payload", corrupted, "checksum"},
 		{"bad crc", append(header(ProtocolVersion, 2), '{', '}'), "checksum"},
-		{"negative lease attempt", mustFramePayload(t, `{"type":"lease","lease":{"id":1,"point":{},"attempt":-1}}`), "negative attempt"},
-		{"negative result attempt", mustFramePayload(t, `{"type":"result","result":{"id":1,"loss":0,"attempt":-2}}`), "negative attempt"},
+		{"lease attempt", mustFramePayload(t, `{"type":"lease","lease":{"id":1,"point":{},"attempt":1}}`), "unknown field"},
+		{"result attempt", mustFramePayload(t, `{"type":"result","result":{"id":1,"loss":0,"attempt":1}}`), "unknown field"},
 		{"unknown type", mustFramePayload(t, `{"type":"gossip"}`), "unknown frame type"},
 		{"unknown field", mustFramePayload(t, `{"type":"heartbeat","extra":1}`), ""},
 		{"payload mismatch", mustFramePayload(t, `{"type":"hello"}`), "hello"},
@@ -194,7 +194,7 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 		{"bad result class", mustFramePayload(t, `{"type":"result","result":{"id":1,"loss":0,"err":"x","class":"weird"}}`), "error class"},
 		{"classified non-error", mustFramePayload(t, `{"type":"result","result":{"id":1,"loss":0,"class":"transient"}}`), "absent error"},
 		{"bad sentinel", mustFramePayload(t, `{"type":"result","result":{"id":1,"loss":"huge"}}`), "sentinel"},
-		{"version 3 header", append(header(3, 2), '{', '}'), "protocol version 3"},
+		{"version 4 header", append(header(4, 2), '{', '}'), "protocol version 4"},
 		{"telemetry frame type", mustFramePayload(t, `{"type":"telemetry","telemetry":{"sent_unix_ns":1}}`), "unknown frame type"},
 		{"telemetry on a hello", mustFramePayload(t, `{"type":"hello","hello":{"name":"x"},"telemetry":{"sent_unix_ns":1}}`), "telemetry on a hello"},
 		{"telemetry on a lease", mustFramePayload(t, `{"type":"lease","lease":{"id":1,"point":{}},"telemetry":{"sent_unix_ns":1}}`), "telemetry on a lease"},
@@ -283,9 +283,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	// under the previous protocol version's header.
 	f.Add(mustFramePayloadFuzz(`{"type":"hello","hello":{"name":"x"},"telemetry":{"sent_unix_ns":1}}`))
 	f.Add(mustFramePayloadFuzz(`{"type":"lease","lease":{"id":1,"point":{}},"telemetry":{"sent_unix_ns":1}}`))
-	v3 := mustFramePayloadFuzz(`{"type":"heartbeat"}`)
-	v3[0] = 3
-	f.Add(v3)
+	v4 := mustFramePayloadFuzz(`{"type":"heartbeat"}`)
+	v4[0] = 4
+	f.Add(v4)
 	f.Add(mustFramePayloadFuzz(`{"type":"heartbeat","heartbeat":{"ping_unix_ns":5}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeFrame(bytes.NewReader(data))

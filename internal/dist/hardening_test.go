@@ -441,195 +441,3 @@ func TestFleetEmptyDegradationDrainsLocallyAndReabsorbs(t *testing.T) {
 		t.Errorf("trace lacks degradation entered/exited events:\n%s", s)
 	}
 }
-
-// fakeWorkerConn performs the hello handshake by hand so protocol-level
-// tests can script exact frame sequences.
-func fakeWorkerConn(t *testing.T, tr Transport, addr, name string, capacity int) Conn {
-	t.Helper()
-	conn, err := tr.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Send(&Frame{Type: TypeHello, Hello: &HelloMsg{Name: name, Capacity: capacity}}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := conn.Recv()
-	if err != nil || f.Type != TypeHello {
-		t.Fatalf("handshake: %v, %v", f, err)
-	}
-	return conn
-}
-
-// recvLease reads frames until a lease arrives (skipping heartbeats).
-func recvLease(t *testing.T, conn Conn) *LeaseMsg {
-	t.Helper()
-	for {
-		f, err := conn.Recv()
-		if err != nil {
-			t.Fatalf("waiting for lease: %v", err)
-		}
-		if f.Type == TypeLease {
-			return f.Lease
-		}
-	}
-}
-
-// TestRedeliveryRecoversIgnoredLease scripts a worker that ignores the
-// first delivery of a lease (as if the frame had been dropped by a
-// lossy transport): with ResendAfter set the coordinator must redeliver
-// it with a bumped attempt, and answering the redelivery resolves the
-// evaluation.
-func TestRedeliveryRecoversIgnoredLease(t *testing.T) {
-	reg := obs.NewRegistry()
-	lb := NewLoopback()
-	coord := NewCoordinator(CoordinatorConfig{
-		Name:        "redeliver",
-		Registry:    reg,
-		ResendAfter: 50 * time.Millisecond,
-	})
-	defer coord.Close()
-	ln, err := lb.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go coord.Serve(ln)
-	conn := fakeWorkerConn(t, lb, "", "forgetful", 1)
-	defer conn.Close()
-
-	ev := coord.Evaluator([]byte(`{}`))
-	lossCh := make(chan float64, 1)
-	go func() {
-		loss, err := ev.Run(context.Background(), core.Point{"x": 2})
-		if err != nil {
-			t.Error(err)
-		}
-		lossCh <- loss
-	}()
-
-	first := recvLease(t, conn)
-	if first.Attempt != 0 {
-		t.Errorf("first delivery attempt = %d, want 0", first.Attempt)
-	}
-	// Ignore it. The redelivery must arrive with the same ID and a
-	// bumped attempt counter.
-	second := recvLease(t, conn)
-	if second.ID != first.ID {
-		t.Fatalf("redelivered lease ID = %d, want %d", second.ID, first.ID)
-	}
-	if second.Attempt < 1 {
-		t.Errorf("redelivery attempt = %d, want >= 1", second.Attempt)
-	}
-	res := &ResultMsg{ID: second.ID, Index: second.Index, Loss: 2.5, Attempt: second.Attempt}
-	if err := conn.Send(&Frame{Type: TypeResult, Result: res}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case loss := <-lossCh:
-		if loss != 2.5 {
-			t.Errorf("loss = %v, want 2.5", loss)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("evaluation never resolved after redelivery")
-	}
-	if got := reg.Counter("dist.leases_redelivered").Value(); got == 0 {
-		t.Error("dist.leases_redelivered = 0, want > 0")
-	}
-}
-
-// TestWorkerDedupesRedeliveredLease checks the worker side of the
-// idempotency contract: a redelivered lease the worker already finished
-// is answered from its result cache, not re-evaluated.
-func TestWorkerDedupesRedeliveredLease(t *testing.T) {
-	reg := obs.NewRegistry()
-	var evalCount atomic.Int64
-	factory := func([]byte) (core.Simulator, error) {
-		return core.Evaluator(func(_ context.Context, p core.Point) (float64, error) {
-			evalCount.Add(1)
-			return p["x"] * 2, nil
-		}), nil
-	}
-	w, err := NewWorker(WorkerConfig{Name: "dedupe", Capacity: 1, Factory: factory, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb := NewLoopback()
-	ln, err := lb.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	wconn, err := lb.Dial("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = w.Run(context.Background(), wconn)
-	}()
-	defer wg.Wait()
-	defer wconn.Close()
-
-	var coordSide Conn
-	select {
-	case coordSide = <-accepted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker never dialed")
-	}
-	defer coordSide.Close()
-	if f, err := coordSide.Recv(); err != nil || f.Type != TypeHello {
-		t.Fatalf("worker hello: %v, %v", f, err)
-	}
-	if err := coordSide.Send(&Frame{Type: TypeHello, Hello: &HelloMsg{Name: "coord"}}); err != nil {
-		t.Fatal(err)
-	}
-
-	lease := &LeaseMsg{ID: 9, Index: 0, Spec: []byte(`{}`), Point: map[string]WireFloat{"x": 3}, Attempt: 0}
-	if err := coordSide.Send(&Frame{Type: TypeLease, Lease: lease}); err != nil {
-		t.Fatal(err)
-	}
-	recvResult := func() *ResultMsg {
-		for {
-			f, err := coordSide.Recv()
-			if err != nil {
-				t.Fatalf("waiting for result: %v", err)
-			}
-			if f.Type == TypeResult {
-				return f.Result
-			}
-		}
-	}
-	r1 := recvResult()
-	if r1.ID != 9 || float64(r1.Loss) != 6 {
-		t.Fatalf("result = %+v, want ID 9 loss 6", r1)
-	}
-	// Redeliver the finished lease with a bumped attempt: the worker
-	// must answer from its cache, echoing the new attempt, without
-	// running the simulator again.
-	lease.Attempt = 1
-	if err := coordSide.Send(&Frame{Type: TypeLease, Lease: lease}); err != nil {
-		t.Fatal(err)
-	}
-	r2 := recvResult()
-	if r2.ID != 9 || float64(r2.Loss) != 6 || r2.Attempt != 1 {
-		t.Fatalf("cached re-answer = %+v, want ID 9 loss 6 attempt 1", r2)
-	}
-	if r1.StartUnixNS == 0 || r2.StartUnixNS != r1.StartUnixNS || r2.DurNS != r1.DurNS {
-		t.Errorf("cached re-answer timing = (%d, %d), want the evaluation's own (%d, %d)", r2.StartUnixNS, r2.DurNS, r1.StartUnixNS, r1.DurNS)
-	}
-	if got := evalCount.Load(); got != 1 {
-		t.Errorf("simulator ran %d times, want 1", got)
-	}
-	if got := reg.Counter("worker.duplicate_leases").Value(); got != 1 {
-		t.Errorf("worker.duplicate_leases = %d, want 1", got)
-	}
-}

@@ -287,3 +287,50 @@ func TestClockOffset(t *testing.T) {
 		t.Errorf("symmetric exchange: offset = %d rtt = %d, want %d and 100", off, rtt, skew)
 	}
 }
+
+// TestInflightGaugeSettlesAtZero: a capacity-8 worker whose eight
+// evaluations finish together publishes its in-flight count in the
+// order the evaluations moved it, so once every evaluation has been
+// answered the gauge reads 0 — in the worker's own registry and, through
+// the deltas its result frames carried, in the coordinator's.
+func TestInflightGaugeSettlesAtZero(t *testing.T) {
+	const capacity, rounds = 8, 200
+	// Each round's evaluations wait for one another and return at once.
+	var mu sync.Mutex
+	arrived, gate := 0, make(chan struct{})
+	together := func([]byte) (core.Simulator, error) {
+		return core.Evaluator(func(context.Context, core.Point) (float64, error) {
+			mu.Lock()
+			g := gate
+			if arrived++; arrived == capacity {
+				close(gate)
+				arrived, gate = 0, make(chan struct{})
+			}
+			mu.Unlock()
+			<-g
+			return 1, nil
+		}), nil
+	}
+	reg, wreg := obs.NewRegistry(), obs.NewRegistry()
+	coord := startOneWorker(t,
+		CoordinatorConfig{Name: "coord", Registry: reg},
+		WorkerConfig{Name: "w1", Capacity: capacity, Factory: together, Registry: wreg})
+	ev := coord.Evaluator([]byte(`{"test":true}`))
+	own, fleet := wreg.Gauge("worker.inflight_leases"), reg.Gauge(obs.LabeledName("worker.inflight_leases", "worker", "w1"))
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < capacity; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := ev.Run(context.Background(), core.Point{"x": float64(i), "y": 1}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if own.Value() != 0 || fleet.Value() != 0 {
+			t.Fatalf("round %d: nothing is in flight, yet the worker's gauge reads %v and the coordinator's %v", round, own.Value(), fleet.Value())
+		}
+	}
+}

@@ -66,9 +66,10 @@ type Worker struct {
 	cacheHits       *obs.Counter
 	cacheMisses     *obs.Counter
 	sessionsResumed *obs.Counter
-	dupLeases       *obs.Counter
-	inflight        atomic.Int64
 	inflightGauge   *obs.Gauge
+
+	inflightMu sync.Mutex
+	inflight   int // guarded by inflightMu, and published to inflightGauge under it
 }
 
 // NewWorker validates cfg and returns a Worker.
@@ -99,86 +100,17 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	w.cacheHits = w.reg.Counter("worker.sim_cache_hits")
 	w.cacheMisses = w.reg.Counter("worker.sim_cache_misses")
 	w.sessionsResumed = w.reg.Counter("worker.sessions_resumed")
-	w.dupLeases = w.reg.Counter("worker.duplicate_leases")
 	w.inflightGauge = w.reg.Gauge("worker.inflight_leases")
 	return w, nil
-}
-
-// maxDoneResults bounds the per-session completed-result cache backing
-// lease idempotency; beyond it the oldest results are evicted FIFO.
-// Redeliveries only chase recent leases, so a small window suffices.
-const maxDoneResults = 4096
-
-// leaseTable is one session's lease-idempotency state: which leases
-// are running (and the latest attempt seen for each) and a bounded
-// cache of completed results. A redelivered lease — the coordinator
-// re-sends leases it suspects were dropped by a lossy transport — is
-// therefore never evaluated twice: a running lease absorbs the
-// duplicate, a finished one is answered from the cache.
-type leaseTable struct {
-	mu     sync.Mutex
-	active map[uint64]int
-	done   map[uint64]*ResultMsg
-	order  []uint64
-}
-
-func newLeaseTable() *leaseTable {
-	return &leaseTable{active: make(map[uint64]int), done: make(map[uint64]*ResultMsg)}
-}
-
-// begin registers a lease frame. It returns the cached result to
-// re-send when the lease already finished, and whether the frame is a
-// duplicate (cached or still running) that must not start another
-// evaluation.
-func (t *leaseTable) begin(msg *LeaseMsg) (resend *ResultMsg, dup bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if res, ok := t.done[msg.ID]; ok {
-		// Copy: the cached message may still be mid-encode on the send
-		// path, and the re-send must echo the redelivery's attempt.
-		cp := *res
-		cp.Attempt = msg.Attempt
-		return &cp, true
-	}
-	if _, running := t.active[msg.ID]; running {
-		t.active[msg.ID] = msg.Attempt
-		return nil, true
-	}
-	t.active[msg.ID] = msg.Attempt
-	return nil, false
-}
-
-// finish records the result for a completed lease, stamping the latest
-// attempt observed for it, and caches it for redelivery answers.
-func (t *leaseTable) finish(id uint64, res *ResultMsg) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	res.Attempt = t.active[id]
-	delete(t.active, id)
-	t.done[id] = res
-	t.order = append(t.order, id)
-	if len(t.order) > maxDoneResults {
-		delete(t.done, t.order[0])
-		t.order = t.order[1:]
-	}
-}
-
-// abort drops an active lease without recording a result (the
-// evaluation was canceled by connection teardown).
-func (t *leaseTable) abort(id uint64) {
-	t.mu.Lock()
-	delete(t.active, id)
-	t.mu.Unlock()
 }
 
 // session is the sending side of one coordinator connection. Every
 // frame after the hello leaves through send, which under one mutex
 // builds the metric delta since the previous frame, attaches it and
 // sends — so deltas are never double-counted across the concurrent
-// senders (one per running lease, the heartbeat, the read loop's
-// redelivery answers) and frames carry registry snapshots in the order
-// they were taken: an absolute gauge value cannot be overtaken by an
-// older one.
+// senders (one per running lease, and the heartbeat) and frames carry
+// registry snapshots in the order they were taken: an absolute gauge
+// value cannot be overtaken by an older one.
 type session struct {
 	w    *Worker
 	conn Conn
@@ -266,9 +198,9 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 	if err := conn.Send(&Frame{Type: TypeHello, Hello: &HelloMsg{Name: w.cfg.Name, Capacity: w.cfg.Capacity}}); err != nil {
 		return err
 	}
-	// Bound the handshake: if either hello frame was lost in flight
-	// (lossy transport), fail fast and let the session layer redial
-	// instead of hanging until a heartbeat would have noticed.
+	// Bound the handshake: if the coordinator's hello does not arrive
+	// (a partitioned network), fail fast and let the session layer
+	// redial instead of hanging until a heartbeat would have noticed.
 	f, err := recvTimeout(conn, w.clock, w.cfg.HeartbeatTimeout)
 	if err != nil {
 		return fmt.Errorf("dist: waiting for coordinator hello: %w", err)
@@ -296,7 +228,6 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 	defer close(hbDone)
 	go w.heartbeatLoop(sess, &lastRecv, hbDone)
 
-	leases := newLeaseTable()
 	for {
 		f, err := conn.Recv()
 		if err != nil {
@@ -317,20 +248,10 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 				sess.ping.Store(&[2]int64{f.Heartbeat.PingUnixNS, w.clock.Now().UnixNano()})
 			}
 		case TypeLease:
-			msg := f.Lease
-			if res, dup := leases.begin(msg); dup {
-				w.dupLeases.Inc()
-				if res != nil {
-					// Already evaluated: answer the redelivery from the
-					// completed-result cache, never re-run the simulator.
-					_ = sess.send(&Frame{Type: TypeResult, Result: res})
-				}
-				continue
-			}
 			evals.Add(1)
 			go func() {
 				defer evals.Done()
-				w.evaluate(evalCtx, sess, leases, msg)
+				w.evaluate(evalCtx, sess, f.Lease)
 			}()
 		default:
 			return fmt.Errorf("dist: protocol violation: %s frame from coordinator", f.Type)
@@ -387,8 +308,8 @@ func (w *Worker) simulator(spec []byte) (core.Simulator, error) {
 // equivalently classified error; evaluations aborted by connection
 // teardown report nothing (the coordinator re-queues the lease when it
 // declares this worker dead).
-func (w *Worker) evaluate(ctx context.Context, sess *session, leases *leaseTable, msg *LeaseMsg) {
-	w.inflightGauge.Set(float64(w.inflight.Add(1)))
+func (w *Worker) evaluate(ctx context.Context, sess *session, msg *LeaseMsg) {
+	w.addInflight(1)
 	pt := make(core.Point, len(msg.Point))
 	for k, v := range msg.Point {
 		pt[k] = float64(v)
@@ -408,11 +329,10 @@ func (w *Worker) evaluate(ctx context.Context, sess *session, leases *leaseTable
 	// Every metric of this evaluation moves before its result is sent:
 	// the result frame's telemetry is what the coordinator has absorbed
 	// by the time the evaluation's caller hears of it.
-	w.inflightGauge.Set(float64(w.inflight.Add(-1)))
+	w.addInflight(-1)
 	res := &ResultMsg{ID: msg.ID, Index: msg.Index, Loss: WireFloat(loss), StartUnixNS: start.UnixNano(), DurNS: int64(dur)}
 	if err != nil {
 		if ctx.Err() != nil {
-			leases.abort(msg.ID)
 			return // connection teardown: the lease is being re-queued
 		}
 		switch resilience.Classify(err) {
@@ -429,13 +349,19 @@ func (w *Worker) evaluate(ctx context.Context, sess *session, leases *leaseTable
 	} else {
 		w.evalsOK.Inc()
 	}
-	// Record the result before sending: if the coordinator redelivers
-	// this lease (its result frame was dropped in flight), the read
-	// loop answers from the cache instead of re-evaluating.
-	leases.finish(msg.ID, res)
 	// A send failure means the connection died; the coordinator
 	// re-queues the lease, so there is nothing to recover here.
 	_ = sess.send(&Frame{Type: TypeResult, Result: res})
+}
+
+// addInflight moves the in-flight count and its gauge together, under
+// one lock: evaluations finishing at once must publish their counts in
+// the order they took them, or an idle worker's gauge stays non-zero.
+func (w *Worker) addInflight(d int) {
+	w.inflightMu.Lock()
+	w.inflight += d
+	w.inflightGauge.Set(float64(w.inflight))
+	w.inflightMu.Unlock()
 }
 
 // SessionConfig shapes RunSession's dial-and-resume loop.
