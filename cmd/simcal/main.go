@@ -12,8 +12,8 @@
 //	simcal -replay out.jsonl                        # convergence from a trace
 //	simcal -case mpi -pprof localhost:6060          # live profiling
 //	simcal -case wf  -eval-timeout 2s -eval-retries 5    # fault-tolerant executor
-//	simcal -case wf  -evals 500 -checkpoint ck.json      # periodic snapshots
-//	simcal -case wf  -evals 500 -checkpoint ck.json -resume  # continue a killed run
+//	simcal -case wf  -evals 500 -checkpoint ck.jsonl     # evaluation journal
+//	simcal -case wf  -evals 500 -checkpoint ck.jsonl -resume  # continue a killed run
 //	simcal -case wf  -listen :9090 -dist-workers 2       # distribute evaluations to simcal-worker processes
 //	simcal -case wf -listen :9090 -chaos-profile delay=0.1:20ms,reset=0.01 -chaos-seed 42  # fault-injected run
 package main
@@ -59,11 +59,10 @@ type config struct {
 
 	network, storage, compute, node, protocol string
 
-	replay          string
-	checkpoint      string
-	checkpointEvery int
-	resume          bool
-	asyncReplay     string
+	replay      string
+	checkpoint  string
+	resume      bool
+	asyncReplay string
 
 	obs        cli.Obs
 	fleet      cli.Fleet
@@ -91,9 +90,8 @@ func (c *config) flagSet() *flag.FlagSet {
 	fs.StringVar(&c.protocol, "protocol", "fixed", "mpi: fixed|free")
 
 	fs.StringVar(&c.replay, "replay", "", "replay a JSONL trace: print its convergence curve and exit")
-	fs.StringVar(&c.checkpoint, "checkpoint", "", "periodically snapshot the calibration to this file (atomic write-then-rename; see -resume)")
-	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 25, "evaluations between checkpoint snapshots")
-	fs.BoolVar(&c.resume, "resume", false, "resume from the -checkpoint file if it exists (fresh start otherwise); the resumed result is identical to an uninterrupted run")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "journal every evaluation to this file, fsynced at each batch or completion (see -resume)")
+	fs.BoolVar(&c.resume, "resume", false, "resume from the -checkpoint journal if it exists (fresh start otherwise) and append to it; the resumed result is identical to an uninterrupted run")
 	fs.StringVar(&c.asyncReplay, "async-replay", "", "with -alg async-bo: force the completion order recorded in this JSONL trace (its dist_async_completion events), reproducing the traced run bitwise")
 
 	c.obs.Register(fs)
@@ -110,10 +108,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 	if c.checkpoint != "" && c.jobs > 1 {
-		return fmt.Errorf("-checkpoint snapshots a single calibration; it cannot be combined with -jobs %d", c.jobs)
+		return fmt.Errorf("-checkpoint journals a single calibration; it cannot be combined with -jobs %d", c.jobs)
 	}
 	if c.resume && c.checkpoint == "" {
-		return fmt.Errorf("-resume needs -checkpoint to name the snapshot file")
+		return fmt.Errorf("-resume needs -checkpoint to name the journal")
 	}
 	if c.replay != "" {
 		return runReplay(stdout, c.replay)
@@ -348,7 +346,7 @@ func (c *config) applyCheckpoint(cal *core.Calibrator, stdout io.Writer) error {
 	if c.checkpoint == "" {
 		return nil
 	}
-	cal.Checkpoint = &core.CheckpointSpec{Path: c.checkpoint, Every: c.checkpointEvery}
+	cal.Checkpoint = c.checkpoint
 	if !c.resume {
 		return nil
 	}
@@ -357,7 +355,7 @@ func (c *config) applyCheckpoint(cal *core.Calibrator, stdout io.Writer) error {
 	case err == nil:
 		cal.Resume = snap
 		fmt.Fprintf(stdout, "resuming from %s: %d evaluations, %s elapsed\n",
-			c.checkpoint, snap.Evaluations, snap.Elapsed.Round(time.Millisecond))
+			c.checkpoint, len(snap.Samples), snap.Elapsed.Round(time.Millisecond))
 	case errors.Is(err, fs.ErrNotExist):
 		fmt.Fprintf(stdout, "no checkpoint at %s; starting fresh\n", c.checkpoint)
 	default:

@@ -31,11 +31,13 @@ import (
 // (its window is -workers), and the coordinator's requeue cap and
 // degradation grace (both run at their defaults); and minus lease
 // redelivery, deleted with the chaos faults that alone needed it
-// (frames dropped or duplicated on a live connection).
+// (frames dropped or duplicated on a live connection); and minus the
+// snapshot interval, deleted when the checkpoint became an evaluation
+// journal that syncs at every consumption boundary.
 var parentFlags = map[string]string{
 	"alg": "BO-GP", "async-replay": "", "budget": "0s",
 	"cache": "false", "case": "wf", "chaos-profile": "", "chaos-seed": "1", "checkpoint": "",
-	"checkpoint-every": "25", "compute": "htcondor", "dist-workers": "1",
+	"compute": "htcondor", "dist-workers": "1",
 	"eval-retries": "0", "eval-timeout": "0s", "evals": "100", "jobs": "1",
 	"listen": "", "loss": "L1", "metrics": "false", "network": "", "node": "complex",
 	"out": "", "pprof": "", "print-spec": "false", "protocol": "fixed", "replay": "", "resume": "false",
@@ -45,8 +47,8 @@ var parentFlags = map[string]string{
 func TestFlagsMatchParent(t *testing.T) {
 	got := map[string]string{}
 	new(config).flagSet().VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
-	if len(got) != 30 {
-		t.Errorf("%d flags, want 30", len(got))
+	if len(got) != 29 {
+		t.Errorf("%d flags, want 29", len(got))
 	}
 	for name, def := range parentFlags {
 		if g, ok := got[name]; !ok || g != def {
@@ -212,21 +214,21 @@ func TestJobsMatchParent(t *testing.T) {
 	}
 }
 
-// A run stopped after its budget ran out mid-search leaves a checkpoint;
+// A run stopped after its budget ran out mid-search leaves a journal;
 // resuming it must land on the uninterrupted run's result.
 func TestCheckpointResumeEqualsUninterrupted(t *testing.T) {
 	dir := t.TempDir()
-	ref, resumed, ck := filepath.Join(dir, "ref.json"), filepath.Join(dir, "resumed.json"), filepath.Join(dir, "ck.json")
+	ref, resumed, ck := filepath.Join(dir, "ref.json"), filepath.Join(dir, "resumed.json"), filepath.Join(dir, "ck.jsonl")
 	base := []string{"-case", "wf", "-alg", "RAND", "-seed", "7"}
 	simcal(t, append(base, "-evals", "40", "-out", ref)...)
 
-	simcal(t, append(base, "-evals", "24", "-checkpoint", ck, "-checkpoint-every", "8")...)
+	simcal(t, append(base, "-evals", "24", "-checkpoint", ck)...)
 	snap, err := core.LoadCheckpoint(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Evaluations == 0 || snap.Evaluations >= 40 {
-		t.Fatalf("checkpoint holds %d evaluations, want a mid-run snapshot", snap.Evaluations)
+	if len(snap.Samples) == 0 || len(snap.Samples) >= 40 {
+		t.Fatalf("journal holds %d evaluations, want a mid-run cut", len(snap.Samples))
 	}
 	out := simcal(t, append(base, "-evals", "40", "-checkpoint", ck, "-resume", "-out", resumed)...)
 	if !strings.Contains(out, "resuming from "+ck) {
@@ -238,6 +240,24 @@ func TestCheckpointResumeEqualsUninterrupted(t *testing.T) {
 	}
 	if sum := fmt.Sprintf("%x", sha256.Sum256(want)); sum != parentResults["wf"] {
 		t.Errorf("uninterrupted result sha256 %s, parent recorded %s", sum, parentResults["wf"])
+	}
+}
+
+// -resume on a snapshot checkpoint an earlier version wrote fails with
+// an error that names the format, and leaves the file alone.
+func TestResumeRefusesSnapshotCheckpoint(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	old := `{"kind":"simcal-calibration-checkpoint","algorithm":"RAND","seed":7,"space":["x"],"evaluations":0,"elapsedNanos":0,"samples":[]}` + "\n"
+	if err := os.WriteFile(ck, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-case", "wf", "-alg", "RAND", "-evals", "4", "-checkpoint", ck, "-resume"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "snapshot checkpoint") {
+		t.Errorf("simcal -resume on a snapshot: err = %v, want one naming the snapshot format", err)
+	}
+	if got, _ := os.ReadFile(ck); string(got) != old {
+		t.Error("the refused snapshot was modified")
 	}
 }
 

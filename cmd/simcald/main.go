@@ -23,9 +23,11 @@
 // emits it for any simcal flag combination. Every calibration is
 // deterministic, so a job's result is bitwise identical to running the
 // same calibration alone with simcal — regardless of what the other
-// tenants are doing. With -state-dir, jobs survive restarts: the
-// journal re-queues unfinished jobs and they resume from their
-// checkpoints.
+// tenants are doing. With -state-dir, jobs survive restarts: the job
+// records re-queue unfinished jobs and they resume from their
+// evaluation journals (<id>.journal.jsonl). A job whose state holds
+// only a snapshot checkpoint from an earlier version runs again from
+// evaluation 0, to the same bits.
 //
 // On SIGINT/SIGTERM the job server stops first (runs are cancelled and
 // journalled as resumable), then the fleet and the HTTP plane in the
@@ -55,11 +57,10 @@ func main() { cli.Main("simcald", run) }
 // groups. The observability plane is always on — it carries the job
 // API — so its address is -http rather than -pprof.
 type config struct {
-	maxRunning      int
-	tenantQuota     int
-	stateDir        string
-	checkpointEvery int
-	cache           bool
+	maxRunning  int
+	tenantQuota int
+	stateDir    string
+	cache       bool
 
 	obs   cli.Obs
 	fleet cli.Fleet
@@ -70,8 +71,7 @@ func (c *config) flagSet() *flag.FlagSet {
 	fs.StringVar(&c.obs.Pprof, "http", "localhost:8080", "serve the job API and observability plane on this address")
 	fs.IntVar(&c.maxRunning, "max-running", 2, "concurrently running jobs")
 	fs.IntVar(&c.tenantQuota, "tenant-quota", 8, "max open (pending+running) jobs per tenant; negative disables")
-	fs.StringVar(&c.stateDir, "state-dir", "", "durable job state: journal, checkpoints, results (jobs resume after restarts)")
-	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 25, "evaluations between job checkpoint snapshots")
+	fs.StringVar(&c.stateDir, "state-dir", "", "durable job state: job records, evaluation journals, results (jobs resume after restarts)")
 	fs.BoolVar(&c.cache, "cache", true, "memoize loss evaluations across jobs (content-addressed by spec fingerprint)")
 
 	c.fleet.Register(fs)
@@ -85,11 +85,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	reg := obs.Default()
 	svcCfg := service.Config{
-		MaxRunning:      c.maxRunning,
-		TenantQuota:     c.tenantQuota,
-		StateDir:        c.stateDir,
-		CheckpointEvery: c.checkpointEvery,
-		Registry:        reg,
+		MaxRunning:  c.maxRunning,
+		TenantQuota: c.tenantQuota,
+		StateDir:    c.stateDir,
+		Registry:    reg,
 	}
 	if c.cache {
 		svcCfg.Cache = cache.New(reg)

@@ -13,11 +13,11 @@ import (
 // nothing set: async-bo's in-flight cap (a job that wants N evaluations
 // in flight sends workers: N), and the coordinator's requeue cap and
 // degradation grace (both run at their defaults); and minus lease
-// redelivery, deleted with the chaos faults that alone needed it.
-// DeepEqual also means no binary may gain a flag.
+// redelivery, deleted with the chaos faults that alone needed it; and
+// minus the snapshot interval, deleted when a job's checkpoint became an
+// evaluation journal. DeepEqual also means no binary may gain a flag.
 var parentFlags = map[string]string{
-	"cache": "true", "checkpoint-every": "25",
-	"dist-workers": "1", "http": "localhost:8080", "listen": "",
+	"cache": "true", "dist-workers": "1", "http": "localhost:8080", "listen": "",
 	"max-running": "2", "state-dir": "", "tenant-quota": "8",
 }
 

@@ -29,6 +29,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -253,34 +254,80 @@ func cached(t *testing.T, c *calibration, _ map[string]*dist.Coordinator) run {
 	return r
 }
 
-// resumed checkpoints a run cut at half the budget, then resumes it with
-// the full budget. The snapshot interval puts the last snapshot one
-// consumption before the cut, so async-bo's has evaluations in flight.
+// resumed journals a whole run, then cuts the journal at four places
+// and resumes each cut with the full budget: after the first
+// consumption; at half the budget; just before the last consumption,
+// where every algorithm has an evaluation in flight (async-bo usually
+// several); and half way into the line after the half-budget cut, as a
+// torn write leaves it. A resumed run simulates only what its cut had
+// not consumed and appends to the cut; each is checked against the
+// whole run, which the table checks against serial.
 func resumed(t *testing.T, c *calibration, _ map[string]*dist.Coordinator) run {
-	path := filepath.Join(t.TempDir(), "ck.json")
-	killed := c.calibrator(t, c.sim, width)
-	killed.MaxEvaluations = c.evals() / 2
-	killed.Checkpoint = &core.CheckpointSpec{Path: path, Every: c.evals()/2 - 1}
-	c.run(t, killed)
-	snap, err := core.LoadCheckpoint(path)
+	dir := t.TempDir()
+	whole := c.calibrator(t, c.sim, width)
+	whole.Checkpoint = filepath.Join(dir, "whole.jsonl")
+	r := c.run(t, whole)
+	journal, err := os.ReadFile(whole.Checkpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Evaluations == 0 || snap.Evaluations >= c.evals() {
-		t.Fatalf("snapshot at %d of %d evaluations", snap.Evaluations, c.evals())
+	var starts, ends []int // of each consumption line
+	for off := 0; off < len(journal); {
+		next := off + bytes.IndexByte(journal[off:], '\n') + 1
+		if bytes.HasPrefix(journal[off:], []byte(`{"consume"`)) {
+			starts, ends = append(starts, off), append(ends, next)
+		}
+		off = next
 	}
-	if _, async := killed.Algorithm.(*opt.AsyncBayesOpt); async && len(snap.InFlight) == 0 {
-		t.Fatal("async-bo snapshot has nothing in flight")
+	if len(ends) != c.evals() {
+		t.Fatalf("journal holds %d consumptions, want %d", len(ends), c.evals())
 	}
-	var calls atomic.Int64
-	cal := c.calibrator(t, core.Evaluator(func(ctx context.Context, p core.Point) (float64, error) {
-		calls.Add(1)
-		return c.sim.Run(ctx, p)
-	}), width)
-	cal.Resume = snap
-	r := c.run(t, cal)
-	if got, want := calls.Load(), int64(r.res.Evaluations-snap.Evaluations); got != want {
-		t.Fatalf("resumed run simulated %d evaluations, want %d: checkpointed ones replay", got, want)
+	half := ends[len(ends)/2-1]
+	afterHalf := half + bytes.IndexByte(journal[half:], '\n') + 1
+	_, async := whole.Algorithm.(*opt.AsyncBayesOpt)
+	for _, cut := range []struct {
+		name string
+		at   int
+	}{
+		{"first", ends[0]},
+		{"half", half},
+		{"in-flight", starts[len(starts)-1]},
+		{"torn", half + (afterHalf-half)/2},
+	} {
+		path := filepath.Join(dir, cut.name+".jsonl")
+		if err := os.WriteFile(path, journal[:cut.at], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := core.LoadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("%s cut: %v", cut.name, err)
+		}
+		if cut.name == "in-flight" && len(snap.InFlight) == 0 {
+			t.Fatalf("%s cut has nothing in flight", cut.name)
+		}
+		var calls atomic.Int64
+		cal := c.calibrator(t, core.Evaluator(func(ctx context.Context, p core.Point) (float64, error) {
+			calls.Add(1)
+			return c.sim.Run(ctx, p)
+		}), width)
+		cal.Resume, cal.Checkpoint = snap, path
+		got := c.run(t, cal)
+		if n, want := calls.Load(), int64(got.res.Evaluations-len(snap.Samples)); n != want {
+			t.Fatalf("%s cut: resumed run simulated %d evaluations, want %d: journaled ones replay", cut.name, n, want)
+		}
+		c.check(t, r.res, got)
+		// The resumed run appended only what its cut lacked; a batch
+		// algorithm's journal is then the whole run's, byte for byte.
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full, err := core.ReadJournal(bytes.NewReader(after)); err != nil || len(full.Samples) != c.evals() {
+			t.Fatalf("%s cut: resumed journal holds %v consumptions (%v), want %d", cut.name, full, err, c.evals())
+		}
+		if !async && !bytes.Equal(after, journal) {
+			t.Fatalf("%s cut: resumed journal differs from the whole run's", cut.name)
+		}
 	}
 	return r
 }

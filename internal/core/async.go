@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -18,9 +17,9 @@ import (
 // only in their consumption rule: Evaluate consumes its submissions in
 // submission order (a barrier), Next consumes in arrival order, NextSeq
 // in an order the caller forces. History order is consumption order, so
-// every consumption is tagged with its sequence number and the consumed
-// order is part of the checkpoint: given the same seed and the same
-// recorded order, a replayed run is bitwise-identical to the original —
+// every consumption is journaled with its sequence number: given the
+// same seed and the same recorded order, a replayed run is
+// bitwise-identical to the original —
 // proposals are a deterministic function of (seed, history in
 // consumption order), and forcing consumption order forces history
 // order. A batch run's order is the identity.
@@ -47,10 +46,8 @@ type AsyncCompletion struct {
 	CacheHit bool
 }
 
-// AsyncPending identifies an evaluation that was submitted but not yet
-// consumed at checkpoint time. On resume the deterministic algorithm
-// re-proposes it (same seq, same unit — verified bitwise) and it is
-// evaluated for real.
+// AsyncPending is an evaluation a journal holds as submitted but not
+// consumed: its sequence number and unit position.
 type AsyncPending struct {
 	Seq  int
 	Unit []float64
@@ -104,7 +101,6 @@ type AsyncRun struct {
 	mu       sync.Mutex
 	pending  map[int]*asyncEval // submitted, not yet consumed
 	arrivals []int              // finished seqs in raw arrival order, unconsumed
-	order    []int              // consumed seqs in consumption order
 	free     []*asyncEval       // recycled records
 	nextSeq  int
 }
@@ -182,14 +178,18 @@ func (a *AsyncRun) room() int {
 // waitSlot blocks until fewer than Workers evaluations are running. It
 // reports false when ctx expires first: dispatch stops the moment the
 // budget context does, so a large batch cannot overrun an expired
-// deadline by a batch of stale evaluations.
+// deadline by a batch of stale evaluations. The context is checked again
+// under the lock that shows the slot free: a completion records itself
+// under that lock, so a cancel that came before the completion freeing
+// the slot is always seen, and cannot start one more evaluation.
 func (a *AsyncRun) waitSlot(ctx context.Context) bool {
 	for ctx.Err() == nil {
 		a.mu.Lock()
 		free := len(a.pending)-len(a.arrivals) < a.p.workers
+		expired := free && ctx.Err() != nil
 		a.mu.Unlock()
 		if free {
-			return true
+			return !expired
 		}
 		select {
 		case <-a.notify:
@@ -219,6 +219,9 @@ func (a *AsyncRun) Submit(ctx context.Context, unit []float64) (int, error) {
 func (a *AsyncRun) start(ctx context.Context, unit []float64, queuedAt time.Time) int {
 	p := a.p
 	u := append([]float64(nil), unit...)
+	if p.journal != nil {
+		p.journal.submitted(a.nextSeq, u) // nextSeq only moves on this goroutine
+	}
 	a.mu.Lock()
 	var pe *asyncEval
 	if n := len(a.free); n > 0 {
@@ -254,7 +257,8 @@ func (a *AsyncRun) start(ctx context.Context, unit []float64, queuedAt time.Time
 
 // serveFromCheckpoint answers a submission the resume checkpoint
 // already covers, without touching the simulator: a consumed sample is
-// served as recorded, and both it and a checkpointed in-flight unit are
+// served as recorded (its point decoded from the verified unit), and
+// both it and a checkpointed in-flight unit are
 // verified bitwise against what the deterministic algorithm re-proposed
 // — a mismatch means the checkpoint belongs to a different
 // configuration and fails loudly at consumption. It reports false for a
@@ -264,7 +268,7 @@ func (a *AsyncRun) serveFromCheckpoint(pe *asyncEval) bool {
 	if idx, consumed := a.replayBySeq[pe.seq]; consumed {
 		r := a.p.replay[idx]
 		if unitsEqual(r.Unit, pe.unit) {
-			pe.sample = Sample{Unit: pe.unit, Point: r.Point.Clone(), Loss: r.Loss, Elapsed: r.Elapsed}
+			pe.sample = Sample{Unit: pe.unit, Point: a.p.Space.Decode(pe.unit), Loss: r.Loss, Elapsed: r.Elapsed}
 		} else {
 			pe.replErr = fmt.Errorf(
 				"core: checkpoint diverged at evaluation %d (submission %d): stored unit %v, algorithm proposed %v",
@@ -421,21 +425,21 @@ func (a *AsyncRun) NextSeq(ctx context.Context, seq int) (AsyncCompletion, error
 }
 
 // consumeAtBoundary is consume for the front ends where every
-// consumption is a checkpoint boundary (Evaluate's boundary is the
+// consumption is a journal sync boundary (Evaluate's boundary is the
 // batch).
 func (a *AsyncRun) consumeAtBoundary(pe *asyncEval) (AsyncCompletion, error) {
 	c, err := a.consume(pe)
 	if err == nil {
-		a.p.maybeCheckpoint()
+		a.p.syncJournal()
 	}
 	return c, err
 }
 
 // consume records one finished evaluation, already taken out of the
-// pending table, into history and fires the observer sequence
-// EvalCompleted, CacheHit, IncumbentImproved. Consumption happens on
-// the algorithm's driver goroutine, so order and history stay
-// index-aligned at every checkpoint.
+// pending table, into history and the journal, and fires the observer
+// sequence EvalCompleted, CacheHit, IncumbentImproved. Consumption
+// happens on the algorithm's driver goroutine, so order and history
+// stay index-aligned.
 func (a *AsyncRun) consume(pe *asyncEval) (AsyncCompletion, error) {
 	if pe.replErr != nil {
 		return AsyncCompletion{}, pe.replErr
@@ -444,8 +448,10 @@ func (a *AsyncRun) consume(pe *asyncEval) (AsyncCompletion, error) {
 	c := AsyncCompletion{Seq: pe.seq, Sample: pe.sample, CacheHit: pe.hit}
 	wait, dur := pe.wait, pe.dur
 	improved := p.record(c.Sample)
+	if p.journal != nil {
+		p.journal.consumed(c.Seq, c.Sample)
+	}
 	a.mu.Lock()
-	a.order = append(a.order, c.Seq)
 	a.recycle(pe)
 	a.mu.Unlock()
 	if p.obs != nil {
@@ -460,18 +466,4 @@ func (a *AsyncRun) consume(pe *asyncEval) (AsyncCompletion, error) {
 		}
 	}
 	return c, nil
-}
-
-// snapshot returns checkpoint state: the consumed order and the
-// submitted-but-unconsumed evaluations (sorted by seq, so snapshots of
-// identical states are byte-identical).
-func (a *AsyncRun) snapshot() (order []int, inflight []AsyncPending) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	order = append([]int(nil), a.order...)
-	for seq, pe := range a.pending {
-		inflight = append(inflight, AsyncPending{Seq: seq, Unit: append([]float64(nil), pe.unit...)})
-	}
-	sort.Slice(inflight, func(i, j int) bool { return inflight[i].Seq < inflight[j].Seq })
-	return order, inflight
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -231,17 +230,16 @@ func TestAsyncForcedReplayBitwise(t *testing.T) {
 	resultsIdentical(t, ref, rep)
 }
 
-// TestAsyncCheckpointRecordsOrderAndInFlight + resume: a checkpoint
-// taken mid-run stores the consumption order and the in-flight
-// submissions; resuming replays consumed evaluations from the snapshot
-// (simulator untouched), re-proposes the in-flight ones bitwise, and
-// runs them for real.
+// TestAsyncCheckpointResume: a journal cut mid-run holds the
+// consumption order and the in-flight submissions; resuming replays
+// consumed evaluations from it (simulator untouched), re-proposes the
+// in-flight ones bitwise, and runs them for real.
 func TestAsyncCheckpointResume(t *testing.T) {
 	clock := frozenClock()
-	path := filepath.Join(t.TempDir(), "ck.json")
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
 
-	// Original run: width 4, stop right after the 8th consumption — the
-	// checkpoint boundary at 8 recorded 3 in-flight submissions.
+	// Original run: width 4, stop right after the 8th consumption, with
+	// 3 submissions in flight.
 	orig := &asyncRandom{width: 4, stopAfter: 8}
 	c := &Calibrator{
 		Space:          testSpace,
@@ -251,7 +249,7 @@ func TestAsyncCheckpointResume(t *testing.T) {
 		Workers:        4,
 		Seed:           21,
 		Clock:          clock,
-		Checkpoint:     &CheckpointSpec{Path: path, Every: 8},
+		Checkpoint:     path,
 	}
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -260,11 +258,11 @@ func TestAsyncCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Evaluations != 8 || len(snap.Order) != 8 {
-		t.Fatalf("snapshot has %d evaluations, %d order entries, want 8/8", snap.Evaluations, len(snap.Order))
+	if len(snap.Samples) != 8 || len(snap.Order) != 8 {
+		t.Fatalf("journal has %d evaluations, %d order entries, want 8/8", len(snap.Samples), len(snap.Order))
 	}
 	if len(snap.InFlight) == 0 {
-		t.Fatalf("snapshot records no in-flight submissions; width 4 with one consumed leaves 3")
+		t.Fatalf("journal records no in-flight submissions; width 4 with one consumed leaves 3")
 	}
 
 	// Resume to the full budget. The replayed prefix must not touch the
@@ -311,7 +309,7 @@ func TestAsyncCheckpointResume(t *testing.T) {
 // search.
 func TestAsyncResumeDivergenceDetected(t *testing.T) {
 	clock := frozenClock()
-	path := filepath.Join(t.TempDir(), "ck.json")
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	orig := &asyncRandom{width: 4, stopAfter: 8}
 	c := &Calibrator{
 		Space:          testSpace,
@@ -321,7 +319,7 @@ func TestAsyncResumeDivergenceDetected(t *testing.T) {
 		Workers:        4,
 		Seed:           23,
 		Clock:          clock,
-		Checkpoint:     &CheckpointSpec{Path: path, Every: 8},
+		Checkpoint:     path,
 	}
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -360,34 +358,25 @@ func TestAsyncResumeDivergenceDetected(t *testing.T) {
 	}
 }
 
-// TestOrderlessSnapshotReplaysAsIdentity: a checkpoint without a
-// completion order — what every batch run writes, and what every
-// checkpoint written before the two evaluation paths were merged looks
-// like — is an order that is the identity. It replays through Evaluate
-// and through Submit/NextSeq alike, from the snapshot and not from the
-// simulator, and a tampered unit still fails loudly on both.
+// TestOrderlessSnapshotReplaysAsIdentity: an in-memory checkpoint
+// without a completion order, and the journal of a run that consumed in
+// submission order, both replay as the identity order. They replay
+// through Evaluate and through Submit/NextSeq alike, from the checkpoint
+// and not from the simulator, and a tampered unit still fails loudly on
+// both.
 func TestOrderlessSnapshotReplaysAsIdentity(t *testing.T) {
 	build := func() *Checkpoint {
 		return &Checkpoint{
-			Algorithm:   "test-async-random",
-			Seed:        42,
-			Space:       []string{"x", "y"},
-			Evaluations: 2,
+			Algorithm: "test-async-random",
+			Seed:      42,
+			Space:     []string{"x", "y"},
 			Samples: []Sample{
-				{Unit: []float64{0.25, 0.5}, Point: Point{"x": 2.5, "y": 5}, Loss: 1},
-				{Unit: []float64{0.5, 0.25}, Point: Point{"x": 5, "y": 2.5}, Loss: 2},
+				{Unit: []float64{0.25, 0.5}, Loss: 1},
+				{Unit: []float64{0.5, 0.25}, Loss: 2},
 			},
 		}
 	}
-	// The file form has no "order" key, and reads back as the identity.
-	var buf bytes.Buffer
-	if err := build().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), `"order"`) {
-		t.Fatalf("an identity order was written out:\n%s", buf.String())
-	}
-	fromFile, err := ReadCheckpoint(&buf)
+	fromFile, err := ReadJournal(strings.NewReader(journalText(build())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,9 +554,8 @@ func TestAsyncFailuresNormalizeToInf(t *testing.T) {
 	}
 }
 
-// TestCheckpointAsyncRoundTripBitwise: order and in-flight records
-// survive the JSON round trip bitwise, and ReadCheckpoint rejects
-// structurally corrupt async documents.
+// TestCheckpointAsyncRoundTripBitwise: the consumption order and the
+// in-flight submissions a journal holds read back bitwise.
 func TestCheckpointAsyncRoundTripBitwise(t *testing.T) {
 	ck := sampleCheckpoint()
 	ck.Order = []int{2, 0, 1}
@@ -575,11 +563,7 @@ func TestCheckpointAsyncRoundTripBitwise(t *testing.T) {
 		{Seq: 3, Unit: []float64{0.9876543210987654, 0.25}},
 		{Seq: 5, Unit: []float64{1.0 / 7.0, 0.125}},
 	}
-	var buf bytes.Buffer
-	if err := ck.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCheckpoint(&buf)
+	got, err := ReadJournal(strings.NewReader(journalText(ck)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,32 +586,31 @@ func TestCheckpointAsyncRoundTripBitwise(t *testing.T) {
 }
 
 func TestReadCheckpointRejectsCorruptAsyncDocuments(t *testing.T) {
-	build := func(mutate func(*Checkpoint)) string {
-		ck := sampleCheckpoint()
-		ck.Order = []int{2, 0, 1}
-		ck.InFlight = []AsyncPending{{Seq: 3, Unit: []float64{0.5, 0.5}}}
-		mutate(ck)
-		var buf bytes.Buffer
-		if err := ck.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+	ck := sampleCheckpoint()
+	ck.Order = []int{2, 0, 1}
+	ck.InFlight = []AsyncPending{{Seq: 3, Unit: []float64{0.5, 0.5}}}
+	valid := journalText(ck)
+	// Each bad line goes before the last one, where it cannot pass for a
+	// torn tail.
+	before := func(bad string) string {
+		lines := strings.SplitAfter(strings.TrimSuffix(valid, "\n"), "\n")
+		return strings.Join(lines[:len(lines)-1], "") + bad + "\n" + lines[len(lines)-1] + "\n"
 	}
 	cases := []struct {
 		name string
 		doc  string
 	}{
-		{"order shorter than samples", build(func(ck *Checkpoint) { ck.Order = ck.Order[:2] })},
-		{"order longer than samples", build(func(ck *Checkpoint) { ck.Order = append(ck.Order, 7) })},
-		{"duplicate seq in order", build(func(ck *Checkpoint) { ck.Order = []int{2, 2, 1} })},
-		{"negative seq in order", build(func(ck *Checkpoint) { ck.Order = []int{-1, 0, 1} })},
-		{"inflight seq collides with order", build(func(ck *Checkpoint) { ck.InFlight[0].Seq = 2 })},
-		{"inflight wrong dimension", build(func(ck *Checkpoint) { ck.InFlight[0].Unit = []float64{0.5} })},
+		{"order longer than samples", before(`{"consume":7,"loss":1,"elapsedNanos":0}`)},
+		{"duplicate seq in order", before(`{"consume":2,"loss":1,"elapsedNanos":0}`)},
+		{"negative seq in order", before(`{"consume":-1,"loss":1,"elapsedNanos":0}`)},
+		{"negative submission seq", before(`{"submit":-1,"unit":[0.5,0.5]}`)},
+		{"inflight seq collides with order", before(`{"submit":2,"unit":[0.5,0.5]}`)},
+		{"inflight wrong dimension", before(`{"submit":4,"unit":[0.5]}`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadCheckpoint(strings.NewReader(tc.doc)); err == nil {
-				t.Errorf("ReadCheckpoint accepted a document with %s", tc.name)
+			if _, err := ReadJournal(strings.NewReader(tc.doc)); err == nil {
+				t.Errorf("ReadJournal accepted a journal with %s", tc.name)
 			}
 		})
 	}

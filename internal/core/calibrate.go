@@ -75,7 +75,7 @@ type Problem struct {
 	replay         []Sample
 	replayOrder    []int
 	replayInflight []AsyncPending
-	ckpt           *checkpointer
+	journal        *calJournal // driver goroutine only
 	async          *AsyncRun
 
 	mu      sync.Mutex
@@ -148,9 +148,8 @@ func (p *Problem) Evaluate(ctx context.Context, units [][]float64) ([]Sample, er
 		}
 		out = append(out, c.Sample)
 	}
-	// The checkpointer's boundary is the batch, which is what makes
-	// resumed replay align with a batch algorithm's proposals.
-	p.maybeCheckpoint()
+	// The journal's sync boundary is the batch.
+	p.syncJournal()
 	if n < len(units) || ctx.Err() != nil {
 		return out, ErrBudgetExhausted
 	}
@@ -170,30 +169,14 @@ func unitsEqual(a, b []float64) bool {
 	return true
 }
 
-// maybeCheckpoint snapshots the calibration at a consumption boundary
-// when a checkpointer is attached and enough evaluations accumulated
-// since the last snapshot. Replayed evaluations never re-trigger a
-// snapshot (the file already contains them). State is copied under the
-// lock; the disk write happens outside it so a slow filesystem cannot
-// stall concurrent Best/History readers.
-func (p *Problem) maybeCheckpoint() {
-	if p.ckpt == nil {
-		return
+// syncJournal makes the journal durable up to this consumption
+// boundary: the end of a batch for Evaluate, each consumed completion
+// for Next/NextSeq. Replayed evaluations add no lines (the file already
+// holds them), so they sync nothing.
+func (p *Problem) syncJournal() {
+	if p.journal != nil && !p.journal.sync(p.Evaluations()) {
+		p.journal = nil
 	}
-	p.mu.Lock()
-	evals := p.evals
-	if evals <= len(p.replay) || evals-p.ckpt.lastEvals < p.ckpt.every {
-		p.mu.Unlock()
-		return
-	}
-	history := append([]Sample(nil), p.history...)
-	engine := p.async
-	p.mu.Unlock()
-	// Consumption happens on the algorithm's driver goroutine — the same
-	// goroutine that triggers this snapshot — so the order is
-	// index-aligned with the history copied above.
-	order, inflight := engine.snapshot()
-	p.ckpt.write(evals, p.clock().Sub(p.start), history, order, inflight)
 }
 
 // simRun invokes the simulator once under panic isolation: a panicking
@@ -388,18 +371,18 @@ type Calibrator struct {
 	// one evaluation, so they never consume evaluation budget. Nil keeps
 	// only the always-on panic isolation.
 	Resilience *resilience.Policy
-	// Checkpoint, when non-nil, snapshots the in-progress calibration to
-	// Checkpoint.Path every Checkpoint.Every evaluations (atomically:
-	// write-tmp-then-rename). Snapshot failures are reported through the
-	// observer and never abort the run.
-	Checkpoint *CheckpointSpec
-	// Resume, when non-nil, continues a previous run from its snapshot:
-	// the algorithm is replayed deterministically, the first
-	// Resume.Evaluations evaluations are served from the snapshot
-	// instead of the simulator, and the elapsed axis continues from
-	// Resume.Elapsed. Algorithm name, Seed, and Space must match the
-	// snapshot's; results are bitwise-identical to an uninterrupted run
-	// (elapsed fields excepted, unless Clock is injected).
+	// Checkpoint, when set, is the path of the calibration's evaluation
+	// journal, synced at every consumption boundary so a kill loses no
+	// consumed evaluation. A fresh run replaces the file; a run with
+	// Resume appends the lines it lacks. Journal failures are reported
+	// through the observer and never abort the run.
+	Checkpoint string
+	// Resume, when non-nil, continues a previous run from its journal
+	// (LoadCheckpoint): the algorithm is replayed, the journaled
+	// consumptions are served instead of simulated, and the elapsed axis
+	// continues from Resume.Elapsed. Its identity must match the run's;
+	// results are bitwise-identical to an uninterrupted run (elapsed
+	// fields excepted, unless Clock is injected).
 	Resume *Checkpoint
 	// Clock, when non-nil, replaces the wall clock for elapsed-time
 	// measurement. Tests freeze it to make Sample.Elapsed reproducible;
@@ -433,7 +416,8 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 	for i, spec := range c.Space {
 		names[i] = spec.Name
 	}
-	if err := c.validateResume(names); err != nil {
+	id := journalHeader{Kind: journalKind, Algorithm: c.Algorithm.Name(), Seed: c.Seed, Space: names}
+	if err := c.validateResume(id); err != nil {
 		return nil, err
 	}
 	workers := c.Workers
@@ -479,7 +463,11 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 		prob.replay = c.Resume.Samples
 		prob.replayOrder = c.Resume.Order
 		if len(prob.replayOrder) == 0 {
-			prob.replayOrder = identity(len(prob.replay)) // no recorded order: a batch run's
+			// Consumed in submission order, as a batch algorithm consumes.
+			prob.replayOrder = make([]int, len(prob.replay))
+			for i := range prob.replayOrder {
+				prob.replayOrder[i] = i
+			}
 		}
 		prob.replayInflight = c.Resume.InFlight
 		// Continue the elapsed axis where the snapshot left off: new
@@ -487,20 +475,9 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 		// since resume.
 		prob.start = prob.start.Add(-c.Resume.Elapsed)
 	}
-	if c.Checkpoint != nil {
-		every := c.Checkpoint.Every
-		if every <= 0 {
-			every = 32
-		}
-		prob.ckpt = &checkpointer{
-			path:      c.Checkpoint.Path,
-			every:     every,
-			algorithm: c.Algorithm.Name(),
-			seed:      c.Seed,
-			space:     names,
-			fobs:      fobs,
-			lastEvals: len(prob.replay),
-		}
+	if c.Checkpoint != "" {
+		prob.journal = openCalJournal(c.Checkpoint, id, c.Resume != nil, fobs)
+		defer func() { prob.journal.close(prob.Evaluations()) }()
 	}
 	if c.Observer != nil {
 		c.Observer.CalibrationStarted(RunInfo{
@@ -540,34 +517,16 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// validateResume rejects a Resume snapshot that does not belong to this
-// calibration's (algorithm, seed, space) identity: replaying it would
-// diverge from the original run and silently corrupt the search.
-func (c *Calibrator) validateResume(names []string) error {
+// validateResume rejects a Resume checkpoint that does not belong to
+// this calibration's (algorithm, seed, space) identity: replaying it
+// would diverge from the original run and silently corrupt the search.
+func (c *Calibrator) validateResume(id journalHeader) error {
 	r := c.Resume
 	if r == nil {
 		return nil
 	}
-	if r.Algorithm != c.Algorithm.Name() {
-		return fmt.Errorf("core: resume checkpoint is for algorithm %q, this calibration runs %q",
-			r.Algorithm, c.Algorithm.Name())
-	}
-	if r.Seed != c.Seed {
-		return fmt.Errorf("core: resume checkpoint has seed %d, this calibration uses %d", r.Seed, c.Seed)
-	}
-	if len(r.Space) != len(names) {
-		return fmt.Errorf("core: resume checkpoint has %d parameters, this calibration has %d",
-			len(r.Space), len(names))
-	}
-	for i := range names {
-		if r.Space[i] != names[i] {
-			return fmt.Errorf("core: resume checkpoint parameter %d is %q, this calibration has %q",
-				i, r.Space[i], names[i])
-		}
-	}
-	if r.Evaluations != len(r.Samples) {
-		return fmt.Errorf("core: resume checkpoint evaluation count %d != %d stored samples",
-			r.Evaluations, len(r.Samples))
+	if err := id.matches(r.Algorithm, r.Seed, r.Space); err != nil {
+		return fmt.Errorf("core: resume checkpoint %w", err)
 	}
 	if len(r.Order) > 0 && len(r.Order) != len(r.Samples) {
 		return fmt.Errorf("core: resume checkpoint completion order has %d entries for %d samples",

@@ -2,298 +2,219 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
+	"slices"
+	"strconv"
 	"time"
 
 	"simcal/internal/obs"
 )
 
-// Checkpoint/resume for long calibrations: a checkpoint is a snapshot of
-// everything needed to continue a killed run — the evaluation history
-// (units, decoded points, losses, per-sample elapsed offsets), the
-// evaluation count, and the elapsed wall-clock offset, keyed by the
-// (algorithm, seed, space) identity that makes the run deterministic.
-//
-// The RNG cursor is not stored explicitly: resume replays the
-// deterministic algorithm from scratch, serving the first
-// len(Samples) evaluations from the checkpoint instead of the
-// simulator. The algorithm consumes exactly the random draws it
-// consumed originally (same seed, same evaluation results), so by the
-// end of replay the RNG sits at the recorded cursor and the run
-// continues bitwise-identically to an uninterrupted one. Replay
-// verifies every proposed unit position against the stored one, so a
-// checkpoint from a different configuration fails loudly instead of
-// silently corrupting the search.
+// Checkpoint/resume for long calibrations. A calibration with a
+// Checkpoint path keeps an evaluation journal (see Journal): a header
+// with the (algorithm, seed, space) identity that makes the run
+// deterministic, then a line per submission (seq, unit) and one per
+// consumption (seq, loss, elapsed), in the order the engine made them.
+// Resume replays the algorithm from scratch, serving the journaled
+// consumptions in their journaled order and verifying every proposed
+// unit against the journaled one; the algorithm draws exactly the random
+// numbers it drew originally, so the run continues bitwise-identically.
 
-// Checkpoint is an in-progress calibration snapshot.
+// Checkpoint is the state a calibration journal holds, derived when the
+// journal is read.
 type Checkpoint struct {
-	// Algorithm is the search algorithm's name; resume requires an exact
-	// match.
+	// Algorithm, Seed and Space (parameter names in declaration order)
+	// are the run's identity; resume requires an exact match.
 	Algorithm string
-	// Seed is the calibration seed; resume requires an exact match.
-	Seed int64
-	// Space lists the calibrated parameter names in declaration order;
-	// resume requires an exact match.
-	Space []string
-	// Evaluations is the number of completed evaluations at snapshot
-	// time (== len(Samples)).
-	Evaluations int
-	// Elapsed is the calibration wall-clock at snapshot time; resumed
-	// runs continue their elapsed axis from this offset.
+	Seed      int64
+	Space     []string
+	// Elapsed is the latest consumption's elapsed offset; a resumed run
+	// continues its elapsed axis from it.
 	Elapsed time.Duration
-	// Samples is the evaluation history in completion order.
+	// Samples is the consumed history in consumption order. Points are
+	// nil: replay decodes them from the verified units.
 	Samples []Sample
-	// Order gives each sample's submission sequence number,
-	// index-aligned with Samples: history is in consumption order, and
-	// a resumed run force-consumes completions in this order, which is
-	// what makes its replay bitwise-identical. A batch run consumes in
-	// submission order, so its order is the identity — which is left out
-	// of the file, and which an empty Order means. ReadCheckpoint always
-	// fills it in.
+	// Order gives each sample's submission sequence number; a resumed run
+	// force-consumes in this order. The reader always fills it in; a
+	// Checkpoint built in memory may leave it empty for submission order.
 	Order []int
-	// InFlight, present for asynchronous runs, lists evaluations that
-	// were submitted but not yet consumed at snapshot time. On resume
-	// the algorithm re-proposes them deterministically (verified
-	// bitwise against these records) and they are evaluated for real.
+	// InFlight lists the evaluations submitted but not consumed, by seq.
+	// Resume verifies their re-proposals bitwise and runs them for real.
 	InFlight []AsyncPending
 }
 
-// CheckpointSpec configures periodic checkpointing on a Calibrator.
-type CheckpointSpec struct {
-	// Path is the snapshot file; each write replaces it atomically
-	// (write-tmp-then-rename), so a crash mid-write leaves the previous
-	// snapshot intact.
-	Path string
-	// Every is the minimum number of completed evaluations between
-	// snapshots; <= 0 defaults to 32. Snapshots land on consumption
-	// boundaries: after a whole batch is recorded for Evaluate (which is
-	// what makes resumed replay align with a batch algorithm's
-	// proposals), after each consumed completion for Next/NextSeq. There
-	// is one file layout for both — samples, their consumption order
-	// (omitted when it is the identity, as it is for every batch run)
-	// and the submitted-but-unconsumed frontier (empty at a batch
-	// boundary).
-	Every int
+const (
+	journalKind = "simcal-calibration-journal"
+	// snapshotKind is the one-document checkpoint earlier versions wrote;
+	// it is recognized only to be named in the error.
+	snapshotKind = "simcal-calibration-checkpoint"
+)
+
+// journalHeader is a calibration journal's first line.
+type journalHeader struct {
+	Kind      string   `json:"kind"`
+	Algorithm string   `json:"algorithm"`
+	Seed      int64    `json:"seed"`
+	Space     []string `json:"space"`
 }
 
-const checkpointDocKind = "simcal-calibration-checkpoint"
+// journalRecord is every later line: a submission,
+// {"submit":seq,"unit":[…]}, or a consumption,
+// {"consume":seq,"loss":…,"elapsedNanos":…}.
+type journalRecord struct {
+	Submit    *int       `json:"submit"`
+	Consume   *int       `json:"consume"`
+	Unit      []float64  `json:"unit"`
+	Loss      *obs.Float `json:"loss"`
+	ElapsedNS int64      `json:"elapsedNanos"`
+}
 
-// identity returns the order 0, 1, …, n-1: a batch run's.
-func identity(n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+// appendSubmitLine and appendConsumeLine encode the two record lines
+// without allocating: the engine writes one of each per evaluation.
+func appendSubmitLine(b []byte, seq int, unit []float64) []byte {
+	b = append(b, `{"submit":`...)
+	b = strconv.AppendInt(b, int64(seq), 10)
+	b = append(b, `,"unit":[`...)
+	for i, u := range unit {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, u, 'g', -1, 64)
 	}
-	return order
+	return append(b, "]}"...)
 }
 
-// identityOrder reports whether order[i] == i throughout.
-func identityOrder(order []int) bool {
-	for i, seq := range order {
-		if seq != i {
-			return false
+func appendConsumeLine(b []byte, seq int, loss float64, elapsed time.Duration) []byte {
+	b = append(b, `{"consume":`...)
+	b = strconv.AppendInt(b, int64(seq), 10)
+	b = append(b, `,"loss":`...)
+	if math.IsInf(loss, 0) || math.IsNaN(loss) {
+		sentinel, _ := obs.Float(loss).MarshalJSON()
+		b = append(b, sentinel...)
+	} else {
+		b = strconv.AppendFloat(b, loss, 'g', -1, 64)
+	}
+	b = append(b, `,"elapsedNanos":`...)
+	b = strconv.AppendInt(b, int64(elapsed), 10)
+	return append(b, '}')
+}
+
+// journalState accumulates a journal's lines into a Checkpoint. Every
+// check runs before anything is recorded, so a rejected (torn) last
+// line leaves the state as the intact lines left it.
+type journalState struct {
+	want     *journalHeader // the identity the header must carry, if any
+	ck       Checkpoint
+	units    map[int][]float64 // every submission's unit, by seq
+	consumed map[int]bool
+}
+
+func newJournalState(want *journalHeader) *journalState {
+	return &journalState{want: want, units: make(map[int][]float64), consumed: make(map[int]bool)}
+}
+
+func (s *journalState) header(line []byte) error {
+	var h journalHeader
+	if err := json.Unmarshal(line, &h); err != nil {
+		return fmt.Errorf("corrupt header: %w", err)
+	}
+	switch {
+	case h.Kind == snapshotKind:
+		return errors.New("this is a snapshot checkpoint, a format earlier versions wrote and this one does not read; delete it to start the calibration afresh")
+	case h.Kind != journalKind:
+		return fmt.Errorf("not a calibration journal (kind %q)", h.Kind)
+	case h.Algorithm == "" || len(h.Space) == 0:
+		return errors.New("journal without an algorithm or a parameter space")
+	}
+	if s.want != nil {
+		if err := s.want.matches(h.Algorithm, h.Seed, h.Space); err != nil {
+			return fmt.Errorf("the journal %w", err)
 		}
 	}
-	return true
+	s.ck.Algorithm, s.ck.Seed, s.ck.Space = h.Algorithm, h.Seed, h.Space
+	return nil
 }
 
-type checkpointDoc struct {
-	Kind        string            `json:"kind"` // "simcal-calibration-checkpoint"
-	Algorithm   string            `json:"algorithm"`
-	Seed        int64             `json:"seed"`
-	Space       []string          `json:"space"`
-	Evaluations int               `json:"evaluations"`
-	ElapsedNS   int64             `json:"elapsedNanos"`
-	Samples     []ckptSampleDoc   `json:"samples"`
-	Order       []int             `json:"order,omitempty"`
-	InFlight    []ckptInflightDoc `json:"inflight,omitempty"`
-}
-
-type ckptInflightDoc struct {
-	Seq  int       `json:"seq"`
-	Unit []float64 `json:"unit"`
-}
-
-type ckptSampleDoc struct {
-	Unit      []float64            `json:"unit"`
-	Point     map[string]obs.Float `json:"point"`
-	Loss      obs.Float            `json:"loss"`
-	ElapsedNS int64                `json:"elapsedNanos"`
-}
-
-// WriteJSON serializes the checkpoint to w.
-func (c *Checkpoint) WriteJSON(w io.Writer) error {
-	doc := checkpointDoc{
-		Kind:        checkpointDocKind,
-		Algorithm:   c.Algorithm,
-		Seed:        c.Seed,
-		Space:       c.Space,
-		Evaluations: c.Evaluations,
-		ElapsedNS:   int64(c.Elapsed),
-		Samples:     make([]ckptSampleDoc, 0, len(c.Samples)),
+func (s *journalState) record(line []byte) error {
+	var r journalRecord
+	if err := json.Unmarshal(line, &r); err != nil {
+		return err
 	}
-	for _, s := range c.Samples {
-		pt := make(map[string]obs.Float, len(s.Point))
-		for k, v := range s.Point {
-			pt[k] = obs.Float(v)
+	switch {
+	case r.Submit != nil && r.Consume == nil && r.Loss == nil:
+		seq := *r.Submit
+		_, dup := s.units[seq]
+		switch {
+		case seq < 0 || dup:
+			return fmt.Errorf("submission %d is negative or repeated", seq)
+		case len(r.Unit) != len(s.ck.Space):
+			return fmt.Errorf("submission %d has %d unit coordinates for a %d-dimensional space",
+				seq, len(r.Unit), len(s.ck.Space))
+		case slices.ContainsFunc(r.Unit, func(u float64) bool { return math.IsNaN(u) || math.IsInf(u, 0) }):
+			return fmt.Errorf("submission %d has a non-finite unit coordinate", seq)
 		}
-		doc.Samples = append(doc.Samples, ckptSampleDoc{
-			Unit:      s.Unit,
-			Point:     pt,
-			Loss:      obs.Float(s.Loss),
-			ElapsedNS: int64(s.Elapsed),
-		})
-	}
-	if !identityOrder(c.Order) {
-		doc.Order = c.Order
-	}
-	for _, rec := range c.InFlight {
-		doc.InFlight = append(doc.InFlight, ckptInflightDoc{Seq: rec.Seq, Unit: rec.Unit})
-	}
-	return json.NewEncoder(w).Encode(doc)
-}
-
-// WriteFile atomically replaces path with this checkpoint (see
-// WriteFileAtomic).
-func (c *Checkpoint) WriteFile(path string) error {
-	if err := WriteFileAtomic(path, c.WriteJSON); err != nil {
-		return fmt.Errorf("core: writing checkpoint: %w", err)
+		s.units[seq] = r.Unit
+	case r.Consume != nil && r.Submit == nil && r.Unit == nil && r.Loss != nil:
+		seq := *r.Consume
+		unit, submitted := s.units[seq]
+		if !submitted || s.consumed[seq] || r.ElapsedNS < 0 {
+			return fmt.Errorf("consumption of submission %d: never submitted, repeated, or at negative elapsed time", seq)
+		}
+		s.consumed[seq] = true
+		elapsed := time.Duration(r.ElapsedNS)
+		s.ck.Samples = append(s.ck.Samples, Sample{Unit: unit, Loss: float64(*r.Loss), Elapsed: elapsed})
+		s.ck.Order = append(s.ck.Order, seq)
+		s.ck.Elapsed = max(s.ck.Elapsed, elapsed)
+	default:
+		return errors.New("neither a submission nor a consumption")
 	}
 	return nil
 }
 
-// WriteFileAtomic replaces path with what write produces: the bytes go
-// to a temporary file in the same directory, are fsynced, and the file
-// is renamed over path. A crash at any point leaves either the old
-// contents or the new ones, never a torn file; on failure the temporary
-// file is removed.
-func WriteFileAtomic(path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
+// matches reports, as an error, an identity that is not the run's.
+func (h journalHeader) matches(alg string, seed int64, space []string) error {
+	if alg != h.Algorithm || seed != h.Seed || !slices.Equal(space, h.Space) {
+		return fmt.Errorf("is for %s seed %d over %v, this calibration is %s seed %d over %v",
+			alg, seed, space, h.Algorithm, h.Seed, h.Space)
 	}
-	err = write(tmp)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
+	return nil
 }
 
-// ReadCheckpoint parses and validates a checkpoint previously written
-// with WriteJSON/WriteFile. Corrupted or truncated documents return an
-// error, never panic.
-func ReadCheckpoint(in io.Reader) (*Checkpoint, error) {
-	var doc checkpointDoc
-	if err := json.NewDecoder(in).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
-	}
-	if doc.Kind != checkpointDocKind {
-		return nil, fmt.Errorf("core: unexpected document kind %q", doc.Kind)
-	}
-	if doc.Algorithm == "" {
-		return nil, fmt.Errorf("core: checkpoint without an algorithm")
-	}
-	if len(doc.Space) == 0 {
-		return nil, fmt.Errorf("core: checkpoint without a parameter space")
-	}
-	if doc.Evaluations != len(doc.Samples) {
-		return nil, fmt.Errorf("core: checkpoint evaluation count %d != %d stored samples",
-			doc.Evaluations, len(doc.Samples))
-	}
-	if doc.ElapsedNS < 0 {
-		return nil, fmt.Errorf("core: checkpoint with negative elapsed time")
-	}
-	ck := &Checkpoint{
-		Algorithm:   doc.Algorithm,
-		Seed:        doc.Seed,
-		Space:       doc.Space,
-		Evaluations: doc.Evaluations,
-		Elapsed:     time.Duration(doc.ElapsedNS),
-		Samples:     make([]Sample, 0, len(doc.Samples)),
-	}
-	for i, s := range doc.Samples {
-		if len(s.Unit) != len(doc.Space) {
-			return nil, fmt.Errorf("core: checkpoint sample %d has %d unit coordinates for a %d-dimensional space",
-				i, len(s.Unit), len(doc.Space))
+// checkpoint derives the in-flight frontier — submitted, not consumed —
+// and returns the journal's state.
+func (s *journalState) checkpoint() *Checkpoint {
+	ck := s.ck
+	for seq, unit := range s.units {
+		if !s.consumed[seq] {
+			ck.InFlight = append(ck.InFlight, AsyncPending{Seq: seq, Unit: unit})
 		}
-		for _, u := range s.Unit {
-			if math.IsNaN(u) || math.IsInf(u, 0) {
-				return nil, fmt.Errorf("core: checkpoint sample %d has a non-finite unit coordinate", i)
-			}
-		}
-		pt := make(Point, len(s.Point))
-		for k, v := range s.Point {
-			pt[k] = float64(v)
-		}
-		ck.Samples = append(ck.Samples, Sample{
-			Unit:    s.Unit,
-			Point:   pt,
-			Loss:    float64(s.Loss),
-			Elapsed: time.Duration(s.ElapsedNS),
-		})
 	}
-	// Engine state: a completion order must cover the samples exactly
-	// (it is index-aligned with them) and a missing one is the identity;
-	// every sequence number appears at most once across order and
-	// in-flight records, and in-flight units must be well-formed —
-	// resume would feed them straight back into the bitwise replay
-	// verifier.
-	if len(doc.Order) == 0 {
-		doc.Order = identity(len(doc.Samples))
-	}
-	if len(doc.Order) != len(doc.Samples) {
-		return nil, fmt.Errorf("core: checkpoint completion order has %d entries for %d samples",
-			len(doc.Order), len(doc.Samples))
-	}
-	seen := make(map[int]bool, len(doc.Order)+len(doc.InFlight))
-	for _, seq := range doc.Order {
-		if seq < 0 {
-			return nil, fmt.Errorf("core: checkpoint completion order has negative sequence %d", seq)
-		}
-		if seen[seq] {
-			return nil, fmt.Errorf("core: checkpoint completion order repeats sequence %d", seq)
-		}
-		seen[seq] = true
-	}
-	ck.Order = doc.Order
-	for i, rec := range doc.InFlight {
-		if rec.Seq < 0 {
-			return nil, fmt.Errorf("core: checkpoint in-flight record %d has negative sequence %d", i, rec.Seq)
-		}
-		if seen[rec.Seq] {
-			return nil, fmt.Errorf("core: checkpoint in-flight record %d repeats sequence %d", i, rec.Seq)
-		}
-		seen[rec.Seq] = true
-		if len(rec.Unit) != len(doc.Space) {
-			return nil, fmt.Errorf("core: checkpoint in-flight record %d has %d unit coordinates for a %d-dimensional space",
-				i, len(rec.Unit), len(doc.Space))
-		}
-		for _, u := range rec.Unit {
-			if math.IsNaN(u) || math.IsInf(u, 0) {
-				return nil, fmt.Errorf("core: checkpoint in-flight record %d has a non-finite unit coordinate", i)
-			}
-		}
-		ck.InFlight = append(ck.InFlight, AsyncPending{Seq: rec.Seq, Unit: rec.Unit})
-	}
-	return ck, nil
+	slices.SortFunc(ck.InFlight, func(a, b AsyncPending) int { return a.Seq - b.Seq })
+	return &ck
 }
 
-// LoadCheckpoint reads a checkpoint file. The underlying filesystem
-// error is preserved (wrapped), so callers can distinguish a missing
-// file (fresh start) from a corrupt one with errors.Is(err,
+// ReadJournal parses and validates a calibration journal. A torn last
+// line is ignored, as OpenJournal would truncate it; any other
+// corruption returns an error, never a panic.
+func ReadJournal(in io.Reader) (*Checkpoint, error) {
+	data, err := io.ReadAll(in)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading journal: %w", err)
+	}
+	s := newJournalState(nil)
+	if _, err := scanJournal(data, s.header, s.record); err != nil {
+		return nil, fmt.Errorf("core: calibration journal: %w", err)
+	}
+	return s.checkpoint(), nil
+}
+
+// LoadCheckpoint reads the calibration journal at path. The underlying
+// filesystem error is preserved (wrapped), so callers can distinguish a
+// missing file (fresh start) from a corrupt one with errors.Is(err,
 // fs.ErrNotExist).
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	f, err := os.Open(path)
@@ -301,43 +222,87 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: opening checkpoint: %w", err)
 	}
 	defer f.Close()
-	return ReadCheckpoint(f)
+	return ReadJournal(f)
 }
 
-// checkpointer writes periodic snapshots for one calibration run.
-type checkpointer struct {
-	path      string
-	every     int
-	algorithm string
-	seed      int64
-	space     []string
-	fobs      FaultObserver
-	lastEvals int // evaluation count at the last snapshot (or resume point)
+// calJournal journals one calibration run. Its methods run on the
+// algorithm's driver goroutine, like the submissions and consumptions
+// they record.
+type calJournal struct {
+	j    *Journal
+	fobs FaultObserver
+	held *journalState // what the file held when the run opened it
+	line []byte        // scratch for one record line
 }
 
-// write snapshots the given state. Failures degrade gracefully: the
-// calibration continues (and keeps retrying on later boundaries), the
-// failure is only reported through the observer — losing a snapshot
-// must never kill the run it exists to protect.
-func (ck *checkpointer) write(evals int, elapsed time.Duration, history []Sample, order []int, inflight []AsyncPending) {
-	snap := &Checkpoint{
-		Algorithm:   ck.algorithm,
-		Seed:        ck.seed,
-		Space:       ck.space,
-		Evaluations: evals,
-		Elapsed:     elapsed,
-		Samples:     history,
-		Order:       order,
-		InFlight:    inflight,
-	}
-	if err := snap.WriteFile(ck.path); err != nil {
-		if ck.fobs != nil {
-			ck.fobs.CheckpointFailed(err)
+// openCalJournal starts the run's journal at path: a fresh run replaces
+// any file there, a resumed one appends to the journal it read. A
+// failure is reported and leaves the run unjournaled (nil) — losing the
+// journal must never kill the run it exists to protect.
+func openCalJournal(path string, id journalHeader, resume bool, fobs FaultObserver) *calJournal {
+	cj := &calJournal{fobs: fobs, held: newJournalState(&id)}
+	var err error
+	if !resume {
+		if err = os.Remove(path); errors.Is(err, os.ErrNotExist) {
+			err = nil
 		}
-		return
 	}
-	ck.lastEvals = evals
-	if ck.fobs != nil {
-		ck.fobs.CheckpointWritten(evals)
+	if err == nil {
+		hdr, _ := json.Marshal(id)
+		cj.j, err = OpenJournal(path, hdr, cj.held.header, cj.held.record)
+	}
+	if err != nil {
+		cj.fail(err)
+		return nil
+	}
+	return cj
+}
+
+// submitted journals a submission the file does not already hold.
+func (cj *calJournal) submitted(seq int, unit []float64) {
+	if _, held := cj.held.units[seq]; !held {
+		cj.line = appendSubmitLine(cj.line[:0], seq, unit)
+		cj.j.Append(cj.line)
+	}
+}
+
+// consumed journals a consumption the file does not already hold.
+func (cj *calJournal) consumed(seq int, s Sample) {
+	if !cj.held.consumed[seq] {
+		cj.line = appendConsumeLine(cj.line[:0], seq, s.Loss, s.Elapsed)
+		cj.j.Append(cj.line)
+	}
+}
+
+// sync makes the lines appended since the last boundary durable and
+// reports whether journaling goes on. A failed write ends it for the
+// run: the file keeps the prefix that reached it, which is still a
+// journal a run can resume from.
+func (cj *calJournal) sync(evaluations int) bool {
+	if len(cj.j.buf) == 0 {
+		return true
+	}
+	if err := cj.j.Sync(); err != nil {
+		cj.fail(err)
+		cj.j.f.Close()
+		return false
+	}
+	if cj.fobs != nil {
+		cj.fobs.CheckpointWritten(evaluations)
+	}
+	return true
+}
+
+func (cj *calJournal) fail(err error) {
+	if cj.fobs != nil {
+		cj.fobs.CheckpointFailed(fmt.Errorf("core: journaling the calibration: %w", err))
+	}
+}
+
+// close syncs what is left and closes the file. It is a no-op on a nil
+// (unjournaled) run.
+func (cj *calJournal) close(evaluations int) {
+	if cj != nil && cj.sync(evaluations) {
+		cj.j.Close()
 	}
 }

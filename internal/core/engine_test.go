@@ -8,7 +8,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,7 +136,7 @@ func TestEvaluateEqualsSubmitThenNextSeq(t *testing.T) {
 	run := func(t *testing.T, workers, batch int, cached, viaSubmit bool) (*Result, *eventLog, *batchDriver) {
 		t.Helper()
 		log := &eventLog{}
-		drv := &batchDriver{batch: batch, viaSubmit: viaSubmit, ckptPath: filepath.Join(t.TempDir(), "ck.json")}
+		drv := &batchDriver{batch: batch, viaSubmit: viaSubmit, ckptPath: filepath.Join(t.TempDir(), "ck.jsonl")}
 		c := &Calibrator{
 			Space:          testSpace,
 			Simulator:      Evaluator(roughSim),
@@ -149,11 +151,12 @@ func TestEvaluateEqualsSubmitThenNextSeq(t *testing.T) {
 			c.Cache = cache.New(nil)
 			c.CacheKey = "engine-test"
 		} else {
-			// Every consumption boundary snapshots, so after a batch the
-			// file holds exactly the state at that batch's end on both
-			// paths. (Uncached runs only: the cache does not touch the
-			// layout, and the fsyncs are most of this test's time.)
-			c.Checkpoint = &CheckpointSpec{Path: drv.ckptPath, Every: 1}
+			// The journal syncs at every consumption boundary, so after a
+			// batch the file holds exactly the lines up to that batch's
+			// end on both paths. (Uncached runs only: the cache does not
+			// touch the lines, and the fsyncs are most of this test's
+			// time.)
+			c.Checkpoint = drv.ckptPath
 		}
 		res, err := c.Run(context.Background())
 		if err != nil {
@@ -294,5 +297,70 @@ func TestEvaluateMidBatchExpiry(t *testing.T) {
 				t.Errorf("budget room = %d after recording 2 of 10, want 8: an aborted evaluation kept its slot", room)
 			}
 		})
+	}
+}
+
+// staleErrCtx lets a test act between a context check and what the
+// checker does with the answer: hook runs inside Err, after the answer
+// is taken.
+type staleErrCtx struct {
+	context.Context
+	hook func()
+}
+
+func (c *staleErrCtx) Err() error {
+	err := c.Context.Err()
+	c.hook()
+	return err
+}
+
+// TestCancelFreeingTheSlotStartsNothing: the evaluation holding the only
+// slot cancels the context and then completes. The cancel comes before
+// the completion that frees the slot, so the evaluation waiting for that
+// slot must not start — even when the waiter checked the context just
+// before the cancel.
+func TestCancelFreeingTheSlotStartsNothing(t *testing.T) {
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	release := make(chan struct{})
+	var calls atomic.Int64
+	sim := Evaluator(func(_ context.Context, p Point) (float64, error) {
+		calls.Add(1)
+		if p["x"] < 2 {
+			<-release
+			cancel()
+		}
+		return 1, nil
+	})
+	prob := &Problem{Space: testSpace, sim: sim, workers: 1, start: time.Now()}
+	a := prob.engine()
+	fired := false
+	ctx := &staleErrCtx{Context: inner}
+	ctx.hook = func() {
+		// The first check once the first unit runs is the wait for a slot
+		// for the second (both on this, the driver goroutine). Let the
+		// first evaluation cancel and complete before that check's answer
+		// is acted on.
+		if fired || a.nextSeq != 1 {
+			return
+		}
+		fired = true
+		close(release)
+		for {
+			a.mu.Lock()
+			done := len(a.arrivals) == 1
+			a.mu.Unlock()
+			if done {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	samples, err := prob.Evaluate(ctx, [][]float64{{0.1, 0.5}, {0.3, 0.5}})
+	if !errors.Is(err, ErrBudgetExhausted) || len(samples) != 1 {
+		t.Errorf("Evaluate returned %d samples, err %v; want the first sample and ErrBudgetExhausted", len(samples), err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("%d evaluations ran, want 1: the second started after the cancel that preceded the completion freeing its slot", n)
 	}
 }

@@ -278,7 +278,7 @@ func TestExhaustedTransientFailuresStayUncached(t *testing.T) {
 	}
 }
 
-// TestCheckpointMetrics: snapshot writes surface through the
+// TestCheckpointMetrics: journal syncs surface through the
 // checkpoints_written counter and panic recoveries through
 // eval_panics_recovered, under the exact metric names.
 func TestCheckpointAndPanicMetrics(t *testing.T) {
@@ -299,22 +299,22 @@ func TestCheckpointAndPanicMetrics(t *testing.T) {
 		Workers:        1,
 		Seed:           5,
 		Observer:       NewObsObserver(reg, nil),
-		Checkpoint:     &CheckpointSpec{Path: dir + "/ck.json", Every: 8},
+		Checkpoint:     dir + "/ck.jsonl",
 	}
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counters["checkpoints_written"]; got != 3 {
-		t.Errorf("checkpoints_written = %d, want 3 (evals 8, 16, 24)", got)
+	if got := snap.Counters["checkpoints_written"]; got != 6 {
+		t.Errorf("checkpoints_written = %d, want 6 (one per batch of 4)", got)
 	}
 	if got := snap.Counters["eval_panics_recovered"]; got != 1 {
 		t.Errorf("eval_panics_recovered = %d, want 1", got)
 	}
 }
 
-// TestCheckpointFailureDoesNotKillRun: an unwritable checkpoint path
-// degrades to CheckpointFailed notifications; the calibration itself
+// TestCheckpointFailureDoesNotKillRun: an unwritable journal path
+// degrades to a CheckpointFailed notification; the calibration itself
 // completes untouched.
 func TestCheckpointFailureDoesNotKillRun(t *testing.T) {
 	rec := &recordingFaultObserver{}
@@ -326,7 +326,7 @@ func TestCheckpointFailureDoesNotKillRun(t *testing.T) {
 		Workers:        1,
 		Seed:           6,
 		Observer:       rec,
-		Checkpoint:     &CheckpointSpec{Path: "/nonexistent-dir-for-sure/ck.json", Every: 4},
+		Checkpoint:     "/nonexistent-dir-for-sure/ck.jsonl",
 	}
 	res, err := c.Run(context.Background())
 	if err != nil {
@@ -371,7 +371,7 @@ func TestFaultTraceEvents(t *testing.T) {
 		Seed:           7,
 		Observer:       NewObsObserver(nil, tracer),
 		Resilience:     &pol,
-		Checkpoint:     &CheckpointSpec{Path: dir + "/ck.json", Every: 4},
+		Checkpoint:     dir + "/ck.jsonl",
 	}
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)

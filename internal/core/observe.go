@@ -125,7 +125,7 @@ type AsyncObserver interface {
 // FaultObserver is an optional extension of Observer for the
 // fault-tolerance runtime. When the Calibrator's Observer also
 // implements it, recovery events — panics converted to errors, retried
-// and timed-out evaluations, checkpoint writes — are reported as they
+// and timed-out evaluations, journal syncs — are reported as they
 // happen. Implementations must be safe for concurrent use (evaluations
 // run on the worker pool).
 type FaultObserver interface {
@@ -135,11 +135,11 @@ type FaultObserver interface {
 	// Events are the resilience executor's retries and timeouts,
 	// delivered to the observer as the executor reports them.
 	resilience.Events
-	// CheckpointWritten fires after each successful snapshot;
-	// evaluations is the snapshot's evaluation count.
+	// CheckpointWritten fires after each journal sync (see
+	// Calibrator.Checkpoint); evaluations is the count consumed by then.
 	CheckpointWritten(evaluations int)
-	// CheckpointFailed fires when a snapshot could not be written; the
-	// calibration continues regardless.
+	// CheckpointFailed fires when the journal could not be opened or
+	// written; the calibration continues unjournaled.
 	CheckpointFailed(err error)
 }
 
@@ -370,7 +370,7 @@ func (o *obsObserver) EvalTimedOut(timeout time.Duration) {
 // CheckpointWritten implements FaultObserver.
 func (o *obsObserver) CheckpointWritten(evaluations int) {
 	o.checkpoints.Inc()
-	// Wall-clock stamp of the latest snapshot; /statusz renders it as
+	// Wall-clock stamp of the latest journal sync; /statusz renders it as
 	// checkpoint_age_s. float64 loses a few hundred ns of the unix
 	// timestamp — irrelevant at age granularity.
 	o.ckptUnix.Set(float64(time.Now().UnixNano()))

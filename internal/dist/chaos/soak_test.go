@@ -211,21 +211,16 @@ func TestChaosSoakBitwiseIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// A coordinator that drops a connection — for a corrupt frame,
-			// say — closes it just as one that shuts down does, which ends
-			// the worker's session cleanly: restart it, as a process
-			// supervisor would, until the test stops it. Errors are
-			// expected: the chaos schedule and the permanent kill both end
-			// sessions abnormally.
-			for wctx.Err() == nil {
-				_ = w.RunSession(wctx, kt, "", dist.SessionConfig{
-					Resume:          true,
-					MaxDialAttempts: 1000,
-					BaseDelay:       20 * time.Millisecond,
-					MaxDelay:        200 * time.Millisecond,
-					Seed:            int64(i + 1),
-				})
-			}
+			// A connection the coordinator drops — for a corrupt frame, say
+			// — ends without a bye frame, so the session redials. Errors
+			// are expected: the test ends sessions by canceling them.
+			_ = w.RunSession(wctx, kt, "", dist.SessionConfig{
+				Resume:          true,
+				MaxDialAttempts: 1000,
+				BaseDelay:       20 * time.Millisecond,
+				MaxDelay:        200 * time.Millisecond,
+				Seed:            int64(i + 1),
+			})
 		}(i)
 	}
 	stopWorkers := func() {
@@ -256,8 +251,8 @@ func TestChaosSoakBitwiseIdentical(t *testing.T) {
 		done <- calOut{res, err}
 	}()
 
-	// Permanently kill worker 0 mid-run: cancel its restart loop and cut
-	// its live connection. Worker 1 (still resuming through the chaos)
+	// Permanently kill worker 0 mid-run: cancel its session and cut its
+	// live connection. Worker 1 (still resuming through the chaos)
 	// and the local fallback must carry the run home.
 	time.Sleep(500 * time.Millisecond)
 	handles[0].cancel()

@@ -122,8 +122,9 @@ type Coordinator struct {
 	workersChanged chan struct{} // guarded by mu; closed and replaced when the worker set changes
 
 	closedCh  chan struct{}
-	timerWake chan struct{} // one slot: a deadline moved up
-	unnamed   atomic.Uint64 // numbers the workers that sent no name
+	timerWake chan struct{}  // one slot: a deadline moved up
+	unnamed   atomic.Uint64  // numbers the workers that sent no name
+	byes      sync.WaitGroup // bye frames Close is still sending
 
 	// localSims caches LocalFactory-built simulators by spec, exactly
 	// as workers cache theirs. localSem bounds concurrent local
@@ -223,7 +224,15 @@ func (c *Coordinator) perform() {
 		case actWake:
 			wake(a.w.wake)
 		case actDrop:
-			a.w.conn.Close()
+			if a.out.err == ErrCoordinatorClosed {
+				c.byes.Add(1)
+				go func(conn Conn) {
+					defer c.byes.Done()
+					sayBye(conn)
+				}(a.w.conn)
+			} else {
+				a.w.conn.Close()
+			}
 			wake(a.w.wake) // the writer finds w dead and exits
 		case actLocal:
 			go c.evalLocal(a.l, a.name)
@@ -376,6 +385,21 @@ func (c *Coordinator) writeLoop(w *remoteWorker) {
 	}
 }
 
+// byeTimeout bounds how long Close waits for a peer to take its bye
+// frame; past it the connection is closed anyway.
+const byeTimeout = time.Second
+
+// sayBye ends a worker's session on coordinator shutdown: the bye frame
+// tells the worker this close is orderly. Off the event loop, because
+// the send can wait on the peer; frameConn serializes it with the
+// writer's frames.
+func sayBye(conn Conn) {
+	stop := time.AfterFunc(byeTimeout, func() { conn.Close() })
+	_ = conn.Send(&Frame{Type: TypeBye})
+	stop.Stop()
+	conn.Close()
+}
+
 // workerDead reports a failed Recv or Send on w's connection.
 func (c *Coordinator) workerDead(w *remoteWorker, cause error) {
 	c.mu.Lock()
@@ -494,8 +518,9 @@ func (c *Coordinator) resolve(l *lease, out leaseOutcome) {
 	c.perform()
 }
 
-// Close shuts the coordinator down: all worker connections are closed
-// (workers observe io.EOF and exit cleanly) and every unresolved lease
+// Close shuts the coordinator down: every worker is sent a bye frame
+// and its connection closed (its session ends cleanly; Close returns
+// once the frames are sent) and every unresolved lease
 // — queued, in flight or on its way to the local evaluator — resolves
 // with ErrCoordinatorClosed, which is what returns pending
 // RemoteEvaluator.Run calls.
@@ -509,6 +534,7 @@ func (c *Coordinator) Close() error {
 	close(c.closedCh)
 	c.localCancel() // abandon in-flight local fallback evaluations
 	c.perform()
+	c.byes.Wait() // a process that exits next must not lose them
 	return nil
 }
 

@@ -109,7 +109,7 @@ type actionKind uint8
 const (
 	actDeliver actionKind = iota // release l's context watcher (stop) and run its callback with out
 	actWake                      // wake w's writer: its outbox went non-empty
-	actDrop                      // close w's connection and release its writer
+	actDrop                      // close w's connection (saying bye first if out.err is ErrCoordinatorClosed) and release its writer
 	actLocal                     // evaluate l on the coordinator; name is the reason
 	actTrace                     // emit trace event name with fields
 	actMembers                   // the worker set changed: wake WaitForWorkers
@@ -420,7 +420,7 @@ func (f *fleet) dead(now int64, w *remoteWorker, cause error) {
 		return
 	}
 	w.dead = true
-	f.emit(action{kind: actDrop, w: w})
+	f.emit(action{kind: actDrop, w: w, out: leaseOutcome{err: cause}})
 	for i, cand := range f.workers {
 		if cand == w {
 			f.workers = append(f.workers[:i], f.workers[i+1:]...)
@@ -599,8 +599,9 @@ func (f *fleet) cancel(l *lease, err error) {
 }
 
 // close shuts the fleet down: every queued and in-flight lease resolves
-// with ErrCoordinatorClosed and every worker is dropped (workers observe
-// io.EOF and exit cleanly). Leases submitted later resolve the same way.
+// with ErrCoordinatorClosed and every worker is dropped with a bye frame
+// (its session ends cleanly). Leases submitted later resolve the same
+// way.
 func (f *fleet) close(now int64) {
 	f.closed = true
 	for _, l := range f.queue {

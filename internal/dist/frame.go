@@ -40,8 +40,10 @@ import (
 // evaluation's worker-clock timing, and metric deltas ride result and
 // worker heartbeat frames as an optional member. Version 5 deleted the
 // attempt counter: the transport delivers each frame exactly once or
-// fails the connection, so a lease is never redelivered.
-const ProtocolVersion = 5
+// fails the connection, so a lease is never redelivered. Version 6 added
+// the bye frame: a worker tells an orderly coordinator shutdown, which
+// ends its session, from a dropped connection, which it redials.
+const ProtocolVersion = 6
 
 // MaxFramePayload bounds the JSON payload of one frame. The decoder
 // rejects larger length prefixes before allocating, so a corrupt or
@@ -76,6 +78,10 @@ const (
 	// echoes in the telemetry of its next frame, which is what the
 	// clock-offset estimate is derived from.
 	TypeHeartbeat = "heartbeat"
+	// TypeBye ends the session (coordinator → worker, no payload): the
+	// coordinator is shutting down. Any other end of the connection is a
+	// cut the worker recovers from.
+	TypeBye = "bye"
 )
 
 // WireFloat is the wire's name for obs.Float: losses and parameter
@@ -227,6 +233,8 @@ func (f *Frame) Validate() error {
 		if f.Heartbeat != nil {
 			want = 1
 		}
+	case TypeBye:
+		want = 0
 	default:
 		return fmt.Errorf("dist: unknown frame type %q", f.Type)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -439,5 +440,113 @@ func TestFleetEmptyDegradationDrainsLocallyAndReabsorbs(t *testing.T) {
 	s := trace.String()
 	if !strings.Contains(s, `"state":"entered"`) || !strings.Contains(s, `"state":"exited"`) {
 		t.Errorf("trace lacks degradation entered/exited events:\n%s", s)
+	}
+}
+
+// corruptOnce is a worker transport whose first connection flips a
+// payload byte of the worker's second frame (the first after hello), so
+// the coordinator reads a frame that fails its checksum and drops the
+// worker. Every later connection is clean.
+type corruptOnce struct {
+	*Loopback
+	mu     sync.Mutex
+	dials  int
+	dialed chan int
+}
+
+func (c *corruptOnce) Dial(addr string) (Conn, error) {
+	raw, err := c.DialStream(addr)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	c.dials++
+	n := c.dials
+	c.mu.Unlock()
+	c.dialed <- n
+	if n == 1 {
+		raw = &flipWrite{Conn: raw, at: 2}
+	}
+	return NewFrameConn(raw), nil
+}
+
+// flipWrite corrupts the last byte of its at-th Write (one frame each).
+type flipWrite struct {
+	net.Conn
+	writes, at int
+}
+
+func (f *flipWrite) Write(b []byte) (int, error) {
+	if f.writes++; f.writes == f.at {
+		b = append([]byte(nil), b...)
+		b[len(b)-1] ^= 0xff
+	}
+	return f.Conn.Write(b)
+}
+
+// TestDroppedWorkerRedials: a coordinator that drops a worker for a
+// corrupt frame closes the connection without a bye frame, and the
+// worker — whose session resumes — redials at once instead of exiting.
+// The backoff base is an hour, so the test can only pass if the redial
+// needs no backoff step. Only the coordinator's bye ends the session.
+func TestDroppedWorkerRedials(t *testing.T) {
+	lb := NewLoopback()
+	coord := NewCoordinator(CoordinatorConfig{Name: "dropper"})
+	ln, err := lb.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go coord.Serve(ln)
+
+	w, err := NewWorker(WorkerConfig{Name: "dropped", Capacity: 2, Factory: func([]byte) (core.Simulator, error) {
+		return distTestSim(), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &corruptOnce{Loopback: lb, dialed: make(chan int, 4)}
+	session := make(chan error, 1)
+	go func() {
+		session <- w.RunSession(context.Background(), tr, "", SessionConfig{
+			Resume: true, MaxDialAttempts: 2, BaseDelay: time.Hour, MaxDelay: time.Hour,
+		})
+	}()
+
+	cal := core.Calibrator{
+		Space:          distTestSpace,
+		Simulator:      coord.Evaluator([]byte(`{"test":true}`)),
+		Algorithm:      opt.Random{},
+		MaxEvaluations: 12,
+		Workers:        2,
+		Seed:           7,
+		Clock:          frozenClock,
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := cal.Run(context.Background())
+		done <- err
+	}()
+	for want := 1; want <= 2; want++ {
+		select {
+		case n := <-tr.dialed:
+			if n != want {
+				t.Fatalf("dial %d, want %d", n, want)
+			}
+		case err := <-session:
+			t.Fatalf("the worker's session ended (%v) after the coordinator dropped it, instead of redialing", err)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no dial %d within 10s", want)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if s := coord.Status(); s.Degraded || len(s.Workers) != 1 {
+		t.Errorf("after the redial: degraded %v with %d workers, want the worker serving", s.Degraded, len(s.Workers))
+	}
+	coord.Close()
+	if err := <-session; err != nil {
+		t.Errorf("the bye frame ended the session with %v, want nil", err)
 	}
 }

@@ -189,10 +189,16 @@ func (s *session) delta() *TelemetryMsg {
 	return msg
 }
 
+// errSessionCut is how Run reports a connection that ended without a bye
+// frame: the coordinator dropped this worker (a corrupt frame it read, a
+// reset on its side, a heartbeat eviction) or died. Either way the
+// worker redials when its session resumes.
+var errSessionCut = errors.New("dist: the coordinator closed the connection without ending the session")
+
 // Run serves one coordinator connection until it closes. An orderly
-// coordinator shutdown (io.EOF at a frame boundary) returns nil — the
-// worker process can exit 0; anything else returns the error. Run
-// always closes conn before returning.
+// coordinator shutdown (a bye frame) returns nil — the worker process
+// can exit 0; anything else, a clean EOF included, returns an error.
+// Run always closes conn before returning.
 func (w *Worker) Run(ctx context.Context, conn Conn) error {
 	defer conn.Close()
 	if err := conn.Send(&Frame{Type: TypeHello, Hello: &HelloMsg{Name: w.cfg.Name, Capacity: w.cfg.Capacity}}); err != nil {
@@ -231,13 +237,11 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 	for {
 		f, err := conn.Recv()
 		if err != nil {
-			if err == io.EOF {
-				return nil // orderly coordinator shutdown
-			}
-			select {
-			case <-ctx.Done():
+			if ctx.Err() != nil {
 				return ctx.Err()
-			default:
+			}
+			if err == io.EOF {
+				return errSessionCut
 			}
 			return err
 		}
@@ -247,6 +251,8 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 			if f.Heartbeat != nil && f.Heartbeat.PingUnixNS != 0 {
 				sess.ping.Store(&[2]int64{f.Heartbeat.PingUnixNS, w.clock.Now().UnixNano()})
 			}
+		case TypeBye:
+			return nil // orderly coordinator shutdown
 		case TypeLease:
 			evals.Add(1)
 			go func() {
@@ -383,7 +389,7 @@ type SessionConfig struct {
 	// redials, re-handshakes, and serves a fresh session instead of
 	// returning the error. The coordinator requeues whatever the dead
 	// session held, so nothing is lost. An orderly coordinator
-	// shutdown (io.EOF) still ends RunSession with nil.
+	// shutdown (a bye frame) still ends RunSession with nil.
 	Resume bool
 }
 

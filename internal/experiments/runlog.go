@@ -4,27 +4,28 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sync"
+
+	"simcal/internal/core"
 )
 
 // runLogKind tags the header line of a run-log file.
 const runLogKind = "simcal-run-log"
 
 // RunLog is an append-only JSONL checkpoint of completed experiment
-// cells. The first line is a header carrying a caller-supplied meta
-// string (the experiment configuration fingerprint); every further line
-// records one finished cell as {"cell": "<scope>/<index>", "value": …}.
+// cells, kept in a core.Journal. The header line carries a
+// caller-supplied meta string (the experiment configuration
+// fingerprint); every further line records one finished cell as
+// {"cell": "<scope>/<index>", "value": …}.
 //
-// Appends are atomic at line granularity: each Store writes a complete
-// line and fsyncs before returning, and OpenRunLog truncates a torn
-// trailing line (the footprint of a kill mid-write), so the log is
-// always resumable after a crash. A RunLog is safe for concurrent use.
+// Each Store appends a complete line and fsyncs before returning, and
+// OpenRunLog truncates a torn trailing line (the footprint of a kill
+// mid-write), so the log is always resumable after a crash. A RunLog is
+// safe for concurrent use.
 type RunLog struct {
 	mu   sync.Mutex
 	path string
-	f    *os.File
+	j    *core.Journal
 	done map[string]json.RawMessage
 }
 
@@ -39,99 +40,33 @@ type runLogCell struct {
 }
 
 // OpenRunLog opens (or creates) the run log at path. meta fingerprints
-// the experiment configuration; reopening a log written under a
-// different meta fails, because cells computed under different options
-// must never be served as resume data. A torn trailing line — the
-// usual residue of killing the process mid-append — is truncated away;
-// any other corruption is an error.
+// the experiment configuration; reopening a log whose header is not
+// this meta's fails, because cells computed under different options
+// must never be served as resume data. A torn trailing line is
+// truncated away; any other corruption is an error.
 func OpenRunLog(path, meta string) (*RunLog, error) {
 	l := &RunLog{path: path, done: make(map[string]json.RawMessage)}
-	existing, err := os.ReadFile(path)
-	switch {
-	case os.IsNotExist(err):
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-		if err != nil {
-			return nil, err
+	hdr, _ := json.Marshal(runLogHeader{Kind: runLogKind, Meta: meta})
+	checkHeader := func(line []byte) error {
+		if !bytes.Equal(line, hdr) {
+			return fmt.Errorf("header %s, want %s — delete it or point -checkpoint elsewhere", line, hdr)
 		}
-		hdr, _ := json.Marshal(runLogHeader{Kind: runLogKind, Meta: meta})
-		if _, err := f.Write(append(hdr, '\n')); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		l.f = f
-		return l, nil
-	case err != nil:
-		return nil, err
+		return nil
 	}
-
-	good, err := l.load(existing, meta)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	// Drop the torn tail (if any) and position at the last good line.
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	l.f = f
-	return l, nil
-}
-
-// load parses the existing log bytes, fills l.done, and returns the
-// offset just past the last intact line. The final line may be torn —
-// unterminated, or terminated but unparseable — and is silently
-// dropped; a bad line anywhere earlier is corruption (appends are
-// line-atomic, so a crash can only damage the tail).
-func (l *RunLog) load(data []byte, meta string) (good int64, err error) {
-	var lines [][]byte
-	var ends []int64 // offset just past each complete line
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn trailing line
-		}
-		lines = append(lines, data[off:off+nl])
-		ends = append(ends, int64(off+nl+1))
-		off += nl + 1
-	}
-	if len(lines) == 0 {
-		return 0, fmt.Errorf("experiments: run log %s: missing header", l.path)
-	}
-	var hdr runLogHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil {
-		return 0, fmt.Errorf("experiments: run log %s: corrupt header: %w", l.path, err)
-	}
-	if hdr.Kind != runLogKind {
-		return 0, fmt.Errorf("experiments: %s is not a run log (kind %q)", l.path, hdr.Kind)
-	}
-	if hdr.Meta != meta {
-		return 0, fmt.Errorf("experiments: run log %s was written for configuration %q, not %q — delete it or point -checkpoint elsewhere", l.path, hdr.Meta, meta)
-	}
-	good = ends[0]
-	for k := 1; k < len(lines); k++ {
+	record := func(line []byte) error {
 		var cell runLogCell
-		if err := json.Unmarshal(lines[k], &cell); err != nil || cell.Cell == "" {
-			if k == len(lines)-1 {
-				return good, nil // torn tail that kept its newline
-			}
-			return 0, fmt.Errorf("experiments: run log %s: corrupt entry at line %d", l.path, k+1)
+		if err := json.Unmarshal(line, &cell); err != nil || cell.Cell == "" {
+			return fmt.Errorf("not a cell entry: %s", line)
 		}
 		l.done[cell.Cell] = append(json.RawMessage(nil), cell.Value...)
-		good = ends[k]
+		return nil
 	}
-	return good, nil
+	j, err := core.OpenJournal(path, hdr, checkHeader, record)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: run log: %w", err)
+	}
+	l.j = j
+	return l, nil
 }
 
 // Lookup decodes the recorded result of cell (scope, i) into out and
@@ -160,13 +95,11 @@ func (l *RunLog) Store(scope string, i int, v any) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.j == nil {
 		return fmt.Errorf("experiments: run log %s is closed", l.path)
 	}
-	if _, err := l.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
+	l.j.Append(line)
+	if err := l.j.Sync(); err != nil {
 		return err
 	}
 	l.done[cellKey(scope, i)] = raw
@@ -185,11 +118,11 @@ func (l *RunLog) Len() int {
 func (l *RunLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.j == nil {
 		return nil
 	}
-	err := l.f.Close()
-	l.f = nil
+	err := l.j.Close()
+	l.j = nil
 	return err
 }
 

@@ -35,11 +35,11 @@ func jitterSim(inner core.Evaluator, seed int64, max time.Duration) core.Evaluat
 }
 
 // TestAsyncBOFantasyRowsNeverLeak: constant-liar imputations are
-// surrogate-internal. The run's history, its checkpoint file, and the
-// result must contain only real simulator losses — every recorded loss
+// surrogate-internal. The run's history, its journal, and the result
+// must contain only real simulator losses — every recorded loss
 // re-evaluates to itself.
 func TestAsyncBOFantasyRowsNeverLeak(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	alg := NewAsyncBO()
 	alg.InitSamples = 6
 	c := &core.Calibrator{
@@ -49,7 +49,7 @@ func TestAsyncBOFantasyRowsNeverLeak(t *testing.T) {
 		MaxEvaluations: 30,
 		Workers:        4,
 		Seed:           33,
-		Checkpoint:     &core.CheckpointSpec{Path: path, Every: 10},
+		Checkpoint:     path,
 	}
 	res, err := c.Run(context.Background())
 	if err != nil {
@@ -74,10 +74,11 @@ func TestAsyncBOFantasyRowsNeverLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(snap.Samples) == 0 {
-		t.Fatal("checkpoint recorded no samples")
+		t.Fatal("journal recorded no samples")
 	}
 	for _, s := range snap.Samples {
-		check("checkpoint", s)
+		s.Point = optSpace.Decode(s.Unit) // the journal keeps units only
+		check("journal", s)
 	}
 }
 

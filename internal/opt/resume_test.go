@@ -10,8 +10,8 @@ import (
 )
 
 // TestResumeBitwiseIdenticalAcrossAlgorithms is the acceptance test for
-// checkpoint/resume: for GRID, RAND, and BO-GP, a calibration killed at
-// a checkpoint boundary and resumed must produce a Result — best,
+// checkpoint/resume: for GRID, RAND, and BO-GP, a calibration killed
+// after a journaled evaluation and resumed must produce a Result — best,
 // history, loss-over-time — bitwise-identical to an uninterrupted run.
 // The clock is frozen so elapsed fields are exactly zero in both runs;
 // workers=1 pins the simulator-call interleaving (history order itself
@@ -49,12 +49,12 @@ func TestResumeBitwiseIdenticalAcrossAlgorithms(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The "killed" run: budget cut to killAt with a checkpoint at
-			// that boundary — the file on disk is what a kill -9 right
-			// after the snapshot leaves behind.
-			path := filepath.Join(t.TempDir(), "ck.json")
+			// The "killed" run: budget cut to killAt — the journal on
+			// disk is what a kill -9 right after that evaluation leaves
+			// behind.
+			path := filepath.Join(t.TempDir(), "ck.jsonl")
 			killed := build(mk(), killAt)
-			killed.Checkpoint = &core.CheckpointSpec{Path: path, Every: killAt}
+			killed.Checkpoint = path
 			if _, err := killed.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -62,8 +62,8 @@ func TestResumeBitwiseIdenticalAcrossAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if snap.Evaluations != killAt {
-				t.Fatalf("snapshot at %d evaluations, want %d", snap.Evaluations, killAt)
+			if len(snap.Samples) != killAt {
+				t.Fatalf("journal holds %d evaluations, want %d", len(snap.Samples), killAt)
 			}
 
 			resumed := build(mk(), total)

@@ -12,12 +12,12 @@
 // pressure, cancellation of neighbors, and server restarts never
 // perturb a job's trajectory.
 //
-// Durability reuses the calibration core's checkpoint/resume: with a
-// state directory configured, each job's request is journaled at
-// submit, its calibration checkpoints periodically, and its result
-// persists at completion. A restarted server reloads the journal,
-// re-queues unfinished jobs, and resumes them from their checkpoints —
-// completing exactly the run the dead server started.
+// Durability reuses the calibration core's journal and resume: with a
+// state directory configured, each job's request is recorded at submit,
+// its calibration journals every evaluation, and its result persists at
+// completion. A restarted server reloads the job records, re-queues
+// unfinished jobs, and resumes them from their journals — completing
+// exactly the run the dead server started.
 package service
 
 import (
@@ -140,14 +140,11 @@ type Config struct {
 	// 0 means 8, negative disables the quota.
 	TenantQuota int
 
-	// StateDir enables durability: job journal, per-job calibration
-	// checkpoints, and results all live here, and NewServer reloads
-	// them — unfinished jobs are re-queued and resume from their
-	// checkpoints. Empty keeps everything in memory.
+	// StateDir enables durability: job records, per-job evaluation
+	// journals, and results all live here, and NewServer reloads them —
+	// unfinished jobs are re-queued and resume from their journals.
+	// Empty keeps everything in memory.
 	StateDir string
-	// CheckpointEvery is the evaluations between checkpoint snapshots
-	// (and progress events); <= 0 means 25.
-	CheckpointEvery int
 
 	// Registry receives the svc.* metrics, including per-job labeled
 	// series (svc.job_evals{job="..."}); nil means a private registry.
@@ -231,7 +228,7 @@ type Server struct {
 // NewServer builds a Server and, when Config.StateDir is set, reloads
 // the durable job journal: terminal jobs become queryable again (their
 // results served from disk) and unfinished jobs are re-queued to
-// resume from their checkpoints.
+// resume from their evaluation journals.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		cfg.Backend = func(_ string, spec json.RawMessage) (core.Simulator, error) {
@@ -255,9 +252,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.TenantQuota == 0 {
 		cfg.TenantQuota = 8
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 25
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
@@ -443,8 +437,10 @@ func (s *Server) runJob(j *Job) {
 		cal.CacheKey = "svc/" + Fingerprint(j.Request.Spec)
 	}
 	if s.cfg.StateDir != "" {
-		cal.Checkpoint = &core.CheckpointSpec{Path: s.ckptPath(j.ID), Every: s.cfg.CheckpointEvery}
-		if snap, err := core.LoadCheckpoint(s.ckptPath(j.ID)); err == nil &&
+		// A journal this job cannot resume from — none yet, or one from
+		// an earlier format — is replaced: the job runs from evaluation 0.
+		cal.Checkpoint = s.journalPath(j.ID)
+		if snap, err := core.LoadCheckpoint(cal.Checkpoint); err == nil &&
 			snap.Algorithm == j.alg.Name() && snap.Seed == j.Request.Seed {
 			cal.Resume = snap
 			resumed = true
@@ -457,7 +453,7 @@ func (s *Server) runJob(j *Job) {
 		if resumed {
 			s.cResumed.Inc()
 			s.withLock(func() {
-				s.appendEventLocked(j, Event{Type: "resumed", Evaluations: int64(cal.Resume.Evaluations)})
+				s.appendEventLocked(j, Event{Type: "resumed", Evaluations: int64(len(cal.Resume.Samples))})
 			})
 		}
 		s.withLock(func() { s.appendEventLocked(j, Event{Type: "started"}) })
@@ -526,7 +522,7 @@ func (s *Server) finalize(j *Job, res *core.Result, err error) {
 	}
 	s.persistRecord(j)
 	if j.state.Terminal() {
-		s.removeCheckpoint(j.ID)
+		s.removeJournal(j.ID)
 	}
 }
 
@@ -575,7 +571,7 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 	} else if j.state == StateCanceled {
 		s.cCanceled.Inc()
 		s.persistRecord(j)
-		s.removeCheckpoint(j.ID)
+		s.removeJournal(j.ID)
 	}
 	return j, true
 }
@@ -591,7 +587,7 @@ func (s *Server) Job(id string) (*Job, bool) {
 // Close stops the server: no new submissions, every running job's
 // context is canceled, and Close blocks until the runners exit.
 // Running jobs are journaled as pending (interrupted), not canceled,
-// so a restarted server resumes them from their checkpoints.
+// so a restarted server resumes them from their evaluation journals.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -622,6 +618,9 @@ func (s *Server) appendEventLocked(j *Job, ev Event) {
 	j.eventCh = make(chan struct{})
 }
 
+// progressEvery is the evaluations between a job's progress events.
+const progressEvery = 25
+
 // jobObserver feeds a job's live progress counters, per-job metrics,
 // and event stream from the calibration's observer callbacks.
 type jobObserver struct {
@@ -635,7 +634,7 @@ func (o *jobObserver) BatchProposed(int)               {}
 func (o *jobObserver) EvalCompleted(smp core.Sample, wait, dur time.Duration) {
 	n := o.j.evals.Add(1)
 	o.j.cEvals.Inc()
-	if n%int64(o.s.cfg.CheckpointEvery) == 0 {
+	if n%progressEvery == 0 {
 		ev := Event{Type: "progress", Evaluations: n}
 		if o.j.hasBest.Load() {
 			bl := obs.Float(math.Float64frombits(o.j.bestBits.Load()))

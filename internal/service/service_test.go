@@ -442,8 +442,8 @@ func TestCancelIsolationOnSharedFleet(t *testing.T) {
 	}
 }
 
-// TestRestartResume: a server killed mid-job journals it as resumable;
-// a new server over the same state dir resumes from the checkpoint and
+// TestRestartResume: a server killed mid-job records it as resumable;
+// a new server over the same state dir resumes from the journal and
 // completes the exact calibration the dead server started.
 func TestRestartResume(t *testing.T) {
 	dir := t.TempDir()
@@ -451,7 +451,6 @@ func TestRestartResume(t *testing.T) {
 		cfg := toyConfig(3 * time.Millisecond)
 		cfg.MaxRunning = 1
 		cfg.StateDir = dir
-		cfg.CheckpointEvery = 5
 		svc, err := service.NewServer(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -473,6 +472,17 @@ func TestRestartResume(t *testing.T) {
 	st := waitState(t, base, j.ID, service.StateDone)
 	if st.Evaluations != int64(req.MaxEvals) {
 		t.Errorf("resumed job evaluations = %d, want %d", st.Evaluations, req.MaxEvals)
+	}
+	// The job resumed from its journal — it did not silently start over.
+	var resumedAt int64 = -1
+	followEvents(t, base, j.ID, func(ev service.Event) bool {
+		if ev.Type == "resumed" {
+			resumedAt = ev.Evaluations
+		}
+		return false
+	})
+	if resumedAt < 10 {
+		t.Errorf("resumed event at %d evaluations, want one at >= 10 (the journal held them at the kill)", resumedAt)
 	}
 	got := fingerprint(fetchResult(t, base, j.ID))
 	want := fingerprint(serialResult(t, req, toySim{}))

@@ -17,16 +17,16 @@ import (
 // Durable job state, when Config.StateDir is set. Three files per job,
 // all named by job ID so restarts can pair them back up:
 //
-//	<id>.job.json     the journal record: request + lifecycle state
-//	<id>.ckpt.json    the calibration checkpoint (written by core)
-//	<id>.result.json  the finished result (same format as simcal -out)
+//	<id>.job.json       the job record: request + lifecycle state
+//	<id>.journal.jsonl  the calibration's evaluation journal (kept by core)
+//	<id>.result.json    the finished result (same format as simcal -out)
 //
-// Every write is atomic (write-tmp-then-rename), so a crash leaves the
-// previous version, never a torn file. On startup the server reloads
-// every journal record: terminal jobs become queryable again (results
-// served from their files), and jobs recorded pending or running are
-// re-queued — running just means the previous process died mid-run,
-// and the checkpoint file carries everything needed to resume.
+// Record and result are replaced atomically (write-tmp-then-rename);
+// the journal is append-only, its torn last line truncated on reopen.
+// On startup the server reloads every job record: terminal jobs become
+// queryable again (results served from their files), and jobs recorded
+// pending or running are re-queued — running just means the previous
+// process died mid-run, and the journal carries what resume needs.
 
 const jobRecordKind = "simcald-job"
 
@@ -43,14 +43,16 @@ type jobRecord struct {
 }
 
 func (s *Server) recordPath(id string) string { return filepath.Join(s.cfg.StateDir, id+".job.json") }
-func (s *Server) ckptPath(id string) string   { return filepath.Join(s.cfg.StateDir, id+".ckpt.json") }
+func (s *Server) journalPath(id string) string {
+	return filepath.Join(s.cfg.StateDir, id+".journal.jsonl")
+}
 func (s *Server) resultPath(id string) string {
 	return filepath.Join(s.cfg.StateDir, id+".result.json")
 }
 
 // persistRecord journals a job's current state. Best-effort: losing a
 // journal write must not kill the job it describes (the same stance as
-// core's checkpointer), so failures are swallowed — the job keeps
+// core's calibration journal), so failures are swallowed — the job keeps
 // running and the next transition retries.
 //
 // Callers journal after releasing the server lock, so two writes of one
@@ -95,18 +97,18 @@ func (s *Server) persistResult(j *Job, res *core.Result) {
 	})
 }
 
-func (s *Server) removeCheckpoint(id string) {
+func (s *Server) removeJournal(id string) {
 	if s.cfg.StateDir == "" {
 		return
 	}
-	os.Remove(s.ckptPath(id))
+	os.Remove(s.journalPath(id))
 }
 
 // load replays the journal on startup: every *.job.json becomes a Job
 // again. Terminal jobs are queryable (results served from disk);
 // pending and running jobs are re-queued — a "running" record means
 // the previous process died mid-run, and the job resumes from its
-// checkpoint. Called from NewServer before any dispatch.
+// evaluation journal. Called from NewServer before any dispatch.
 func (s *Server) load() error {
 	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
 		return fmt.Errorf("service: state dir: %w", err)
