@@ -20,11 +20,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"runtime"
 	"sort"
@@ -325,9 +323,7 @@ func (c *config) calibrate(t target, alg core.Algorithm, stdout, stderr io.Write
 				st.Hits, st.Misses, st.InflightWaits, st.Entries)
 		}()
 	}
-	if err := c.applyCheckpoint(&cal, stdout); err != nil {
-		return err
-	}
+	c.applyCheckpoint(&cal, stdout)
 
 	fmt.Fprintf(stdout, "calibrating %s with %s/%s...\n", t.name, alg.Name(), t.spec.Loss)
 	start := time.Now()
@@ -342,26 +338,20 @@ func (c *config) calibrate(t target, alg core.Algorithm, stdout, stderr io.Write
 }
 
 // applyCheckpoint wires -checkpoint and -resume into the calibrator.
-func (c *config) applyCheckpoint(cal *core.Calibrator, stdout io.Writer) error {
+// The calibration reads the journal; this only looks whether it is there.
+func (c *config) applyCheckpoint(cal *core.Calibrator, stdout io.Writer) {
 	if c.checkpoint == "" {
-		return nil
+		return
 	}
-	cal.Checkpoint = c.checkpoint
+	cal.Checkpoint, cal.Resume = c.checkpoint, c.resume
 	if !c.resume {
-		return nil
+		return
 	}
-	snap, err := core.LoadCheckpoint(c.checkpoint)
-	switch {
-	case err == nil:
-		cal.Resume = snap
-		fmt.Fprintf(stdout, "resuming from %s: %d evaluations, %s elapsed\n",
-			c.checkpoint, len(snap.Samples), snap.Elapsed.Round(time.Millisecond))
-	case errors.Is(err, fs.ErrNotExist):
+	if _, err := os.Stat(c.checkpoint); err == nil {
+		fmt.Fprintf(stdout, "resuming from %s\n", c.checkpoint)
+	} else {
 		fmt.Fprintf(stdout, "no checkpoint at %s; starting fresh\n", c.checkpoint)
-	default:
-		return err
 	}
-	return nil
 }
 
 // saveResult writes the result JSON when a path was given, atomically.

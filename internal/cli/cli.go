@@ -219,10 +219,9 @@ func (f *Fleet) Register(fs *flag.FlagSet) {
 
 // config is the coordinator configuration the flags describe. The local
 // factory is always set: without it a quarantined lease fails and an
-// empty fleet blocks until a worker returns. Quarantine after
-// dist.DefaultMaxRequeues worker deaths and degradation to local
-// evaluation after dist.DefaultDegradedGrace of an empty fleet run at
-// those defaults.
+// empty fleet blocks until a worker returns. Degradation to local
+// evaluation after dist.DefaultDegradedGrace of an empty fleet runs at
+// that default.
 func (f *Fleet) config(name string, reg *obs.Registry, tracer *obs.Tracer, traceID string) dist.CoordinatorConfig {
 	return dist.CoordinatorConfig{
 		Name:         name,

@@ -54,8 +54,8 @@ func TestFleetConfig(t *testing.T) {
 		if cfg.LocalFactory == nil {
 			t.Errorf("%s %v: LocalFactory is nil", tc.binary, tc.args)
 		}
-		if cfg.MaxRequeues != 0 || cfg.DegradedGrace != 0 {
-			t.Errorf("%s %v: quarantine or degradation moved off the coordinator defaults: %+v", tc.binary, tc.args, cfg)
+		if cfg.DegradedGrace != 0 {
+			t.Errorf("%s %v: degradation moved off the coordinator default: %+v", tc.binary, tc.args, cfg)
 		}
 		if cfg.Name != tc.binary || cfg.Registry != reg || cfg.TraceID != "id" {
 			t.Errorf("%s: identity not carried: %+v", tc.binary, cfg)

@@ -298,11 +298,10 @@ func resumed(t *testing.T, c *calibration, _ map[string]*dist.Coordinator) run {
 		if err := os.WriteFile(path, journal[:cut.at], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := core.LoadCheckpoint(path)
-		if err != nil {
-			t.Fatalf("%s cut: %v", cut.name, err)
-		}
-		if cut.name == "in-flight" && len(snap.InFlight) == 0 {
+		intact := journal[:bytes.LastIndexByte(journal[:cut.at], '\n')+1] // a torn line holds nothing
+		journaled := bytes.Count(intact, []byte(`{"consume"`))
+		submitted := bytes.Count(intact, []byte(`{"submit"`))
+		if cut.name == "in-flight" && submitted == journaled {
 			t.Fatalf("%s cut has nothing in flight", cut.name)
 		}
 		var calls atomic.Int64
@@ -310,9 +309,9 @@ func resumed(t *testing.T, c *calibration, _ map[string]*dist.Coordinator) run {
 			calls.Add(1)
 			return c.sim.Run(ctx, p)
 		}), width)
-		cal.Resume, cal.Checkpoint = snap, path
+		cal.Checkpoint, cal.Resume = path, true
 		got := c.run(t, cal)
-		if n, want := calls.Load(), int64(got.res.Evaluations-len(snap.Samples)); n != want {
+		if n, want := calls.Load(), int64(got.res.Evaluations-journaled); n != want {
 			t.Fatalf("%s cut: resumed run simulated %d evaluations, want %d: journaled ones replay", cut.name, n, want)
 		}
 		c.check(t, r.res, got)
@@ -322,8 +321,8 @@ func resumed(t *testing.T, c *calibration, _ map[string]*dist.Coordinator) run {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if full, err := core.ReadJournal(bytes.NewReader(after)); err != nil || len(full.Samples) != c.evals() {
-			t.Fatalf("%s cut: resumed journal holds %v consumptions (%v), want %d", cut.name, full, err, c.evals())
+		if n := bytes.Count(after, []byte(`{"consume"`)); n != c.evals() {
+			t.Fatalf("%s cut: resumed journal holds %d consumptions, want %d", cut.name, n, c.evals())
 		}
 		if !async && !bytes.Equal(after, journal) {
 			t.Fatalf("%s cut: resumed journal differs from the whole run's", cut.name)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 )
@@ -46,13 +47,6 @@ type AsyncCompletion struct {
 	CacheHit bool
 }
 
-// AsyncPending is an evaluation a journal holds as submitted but not
-// consumed: its sequence number and unit position.
-type AsyncPending struct {
-	Seq  int
-	Unit []float64
-}
-
 // asyncEval tracks one submission from start to consumption. Records
 // are recycled through AsyncRun.free, and the two entry points the
 // simulator side needs are bound once per record, so a steady-state
@@ -90,12 +84,6 @@ type AsyncRun struct {
 	p      *Problem
 	notify chan struct{}
 
-	// replayBySeq maps a submission seq to its index in p.replay for a
-	// resumed run; replayInflight holds checkpointed in-flight units
-	// for bitwise re-proposal verification.
-	replayBySeq    map[int]int
-	replayInflight map[int][]float64
-
 	// pending minus arrivals is what is running; all of pending counts
 	// against the evaluation budget.
 	mu       sync.Mutex
@@ -106,9 +94,7 @@ type AsyncRun struct {
 }
 
 // Async returns the run's evaluation engine for completion-driven use.
-// The error is always nil: a resumed checkpoint without a recorded
-// completion order replays as the identity order.
-func (p *Problem) Async() (*AsyncRun, error) { return p.engine(), nil }
+func (p *Problem) Async() *AsyncRun { return p.engine() }
 
 // engine returns the calibration's evaluation engine, creating it on
 // first use (tests build Problems directly).
@@ -118,37 +104,28 @@ func (p *Problem) engine() *AsyncRun {
 	if p.async != nil {
 		return p.async
 	}
-	a := &AsyncRun{
+	p.async = &AsyncRun{
 		p:       p,
 		notify:  make(chan struct{}, 1),
 		pending: make(map[int]*asyncEval),
 	}
-	if len(p.replayOrder) > 0 {
-		a.replayBySeq = make(map[int]int, len(p.replayOrder))
-		for i, seq := range p.replayOrder {
-			a.replayBySeq[seq] = i
-		}
-	}
-	if len(p.replayInflight) > 0 {
-		a.replayInflight = make(map[int][]float64, len(p.replayInflight))
-		for _, rec := range p.replayInflight {
-			a.replayInflight[rec.Seq] = rec.Unit
-		}
-	}
-	p.async = a
-	return a
+	return p.async
 }
 
 // Workers returns the configured loss-evaluation parallelism —
 // asynchronous algorithms size their in-flight window to it.
 func (p *Problem) Workers() int { return p.workers }
 
-// ReplayOrder returns the completion order of the resume checkpoint
-// (submission sequence numbers in consumption order), or nil for a
-// fresh run. Asynchronous algorithms must force-consume completions in
-// this order until it is exhausted to reproduce the original run
-// bitwise.
-func (p *Problem) ReplayOrder() []int { return append([]int(nil), p.replayOrder...) }
+// ReplayOrder returns the consumption order the resumed journal holds
+// (submission sequence numbers), or nil for a fresh run. Asynchronous
+// algorithms must force-consume completions in this order until it is
+// exhausted to reproduce the original run bitwise.
+func (p *Problem) ReplayOrder() []int {
+	if p.journal == nil {
+		return nil
+	}
+	return slices.Clone(p.journal.held.order)
+}
 
 // wake makes a blocked driver re-examine state. The channel is buffered
 // and the send non-blocking: a single pending token is enough because
@@ -255,34 +232,34 @@ func (a *AsyncRun) start(ctx context.Context, unit []float64, queuedAt time.Time
 	return seq
 }
 
-// serveFromCheckpoint answers a submission the resume checkpoint
-// already covers, without touching the simulator: a consumed sample is
-// served as recorded (its point decoded from the verified unit), and
-// both it and a checkpointed in-flight unit are
-// verified bitwise against what the deterministic algorithm re-proposed
-// — a mismatch means the checkpoint belongs to a different
-// configuration and fails loudly at consumption. It reports false for a
-// submission that has to run (a verified in-flight one included).
+// serveFromCheckpoint answers a submission the resumed journal already
+// holds. Its unit is verified bitwise against what the deterministic
+// algorithm re-proposed: a mismatch means the journal belongs to a
+// different configuration and fails loudly at consumption. A journaled
+// consumption is then served as recorded (its point decoded from the
+// verified unit), without touching the simulator. It reports false for
+// a submission that has to run, a verified in-flight one included.
 // Called with a.mu held.
 func (a *AsyncRun) serveFromCheckpoint(pe *asyncEval) bool {
-	if idx, consumed := a.replayBySeq[pe.seq]; consumed {
-		r := a.p.replay[idx]
-		if unitsEqual(r.Unit, pe.unit) {
-			pe.sample = Sample{Unit: pe.unit, Point: a.p.Space.Decode(pe.unit), Loss: r.Loss, Elapsed: r.Elapsed}
-		} else {
-			pe.replErr = fmt.Errorf(
-				"core: checkpoint diverged at evaluation %d (submission %d): stored unit %v, algorithm proposed %v",
-				idx, pe.seq, r.Unit, pe.unit)
-		}
-		return true
+	if a.p.journal == nil {
+		return false
 	}
-	if want, ok := a.replayInflight[pe.seq]; ok && !unitsEqual(want, pe.unit) {
-		pe.replErr = fmt.Errorf(
-			"core: checkpoint diverged at in-flight submission %d: stored unit %v, algorithm proposed %v",
+	held := &a.p.journal.held
+	want, submitted := held.units[pe.seq]
+	if !submitted {
+		return false
+	}
+	c, consumed := held.consumed[pe.seq]
+	switch {
+	case !unitsEqual(want, pe.unit):
+		pe.replErr = fmt.Errorf("core: checkpoint diverged at submission %d: stored unit %v, algorithm proposed %v",
 			pe.seq, want, pe.unit)
-		return true
+	case consumed:
+		pe.sample = Sample{Unit: pe.unit, Point: a.p.Space.Decode(pe.unit), Loss: c.loss, Elapsed: c.elapsed}
+	default:
+		return false
 	}
-	return false
+	return true
 }
 
 // runSync is the goroutine body of an evaluation on a blocking

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"maps"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -47,10 +49,7 @@ type asyncRandom struct {
 func (a *asyncRandom) Name() string { return "test-async-random" }
 
 func (a *asyncRandom) Optimize(ctx context.Context, prob *Problem) error {
-	run, err := prob.Async()
-	if err != nil {
-		return err
-	}
+	run := prob.Async()
 	width := a.width
 	if width <= 0 {
 		width = prob.Workers()
@@ -70,6 +69,7 @@ func (a *asyncRandom) Optimize(ctx context.Context, prob *Problem) error {
 			}
 		}
 		var c AsyncCompletion
+		var err error
 		if consumed < len(forced) {
 			c, err = run.NextSeq(ctx, forced[consumed])
 		} else {
@@ -148,10 +148,7 @@ func TestAsyncSubmitBudgetGate(t *testing.T) {
 		return p["x"], nil
 	})
 	probe := &probeAsync{fn: func(ctx context.Context, prob *Problem) error {
-		run, err := prob.Async()
-		if err != nil {
-			return err
-		}
+		run := prob.Async()
 		for i := 0; i < 5; i++ {
 			if _, err := run.Submit(ctx, prob.Space.Sample(prob.RNG)); err != nil {
 				return err
@@ -254,14 +251,11 @@ func TestAsyncCheckpointResume(t *testing.T) {
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
+	snap := loadJournal(t, path)
+	if len(snap.samples) != 8 || len(snap.order) != 8 {
+		t.Fatalf("journal has %d evaluations, %d order entries, want 8/8", len(snap.samples), len(snap.order))
 	}
-	if len(snap.Samples) != 8 || len(snap.Order) != 8 {
-		t.Fatalf("journal has %d evaluations, %d order entries, want 8/8", len(snap.Samples), len(snap.Order))
-	}
-	if len(snap.InFlight) == 0 {
+	if len(snap.inFlight) == 0 {
 		t.Fatalf("journal records no in-flight submissions; width 4 with one consumed leaves 3")
 	}
 
@@ -277,7 +271,8 @@ func TestAsyncCheckpointResume(t *testing.T) {
 		Workers:        4,
 		Seed:           21,
 		Clock:          clock,
-		Resume:         snap,
+		Checkpoint:     path,
+		Resume:         true,
 	}
 	res, err := resumed.Run(context.Background())
 	if err != nil {
@@ -290,7 +285,7 @@ func TestAsyncCheckpointResume(t *testing.T) {
 		t.Errorf("resumed run invoked the simulator %d times, want %d (replayed prefix must come from the snapshot)", got, 40-8)
 	}
 	// The replayed prefix is bitwise the snapshot's samples.
-	for i, want := range snap.Samples {
+	for i, want := range snap.samples {
 		got := res.History[i]
 		if got.Loss != want.Loss {
 			t.Fatalf("history[%d].Loss = %v, snapshot %v", i, got.Loss, want.Loss)
@@ -325,12 +320,11 @@ func TestAsyncResumeDivergenceDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resume := func(mutate func(*Checkpoint)) error {
-		snap, err := LoadCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+	resume := func(mutate func(*journalFixture)) error {
+		snap := loadJournal(t, path)
 		mutate(snap)
+		tampered := filepath.Join(t.TempDir(), "tampered.jsonl")
+		writeJournal(t, tampered, snap)
 		r := &Calibrator{
 			Space:          testSpace,
 			Simulator:      seqSleepSim(nil),
@@ -339,65 +333,61 @@ func TestAsyncResumeDivergenceDetected(t *testing.T) {
 			Workers:        4,
 			Seed:           23,
 			Clock:          clock,
-			Resume:         snap,
+			Checkpoint:     tampered,
+			Resume:         true,
 		}
-		_, err = r.Run(context.Background())
+		_, err := r.Run(context.Background())
 		return err
 	}
 
-	if err := resume(func(snap *Checkpoint) { snap.Samples[3].Unit[0] += 0.25 }); err == nil || !strings.Contains(err.Error(), "diverged") {
+	if err := resume(func(snap *journalFixture) { snap.samples[3].Unit[0] += 0.25 }); err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Errorf("tampered consumed sample: err = %v, want divergence error", err)
 	}
-	if err := resume(func(snap *Checkpoint) {
-		if len(snap.InFlight) == 0 {
+	if err := resume(func(snap *journalFixture) {
+		if len(snap.inFlight) == 0 {
 			t.Fatal("no in-flight entries to tamper with")
 		}
-		snap.InFlight[0].Unit[0] += 0.25
+		snap.inFlight[slices.Min(slices.Collect(maps.Keys(snap.inFlight)))][0] += 0.25
 	}); err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Errorf("tampered in-flight unit: err = %v, want divergence error", err)
 	}
 }
 
-// TestOrderlessSnapshotReplaysAsIdentity: an in-memory checkpoint
-// without a completion order, and the journal of a run that consumed in
-// submission order, both replay as the identity order. They replay
-// through Evaluate and through Submit/NextSeq alike, from the checkpoint
-// and not from the simulator, and a tampered unit still fails loudly on
-// both.
+// TestOrderlessSnapshotReplaysAsIdentity: the journal of a run that
+// consumed in submission order replays as the identity order, through
+// Evaluate and through Submit/NextSeq alike, from the journal and not
+// from the simulator, and a tampered unit still fails loudly on both.
 func TestOrderlessSnapshotReplaysAsIdentity(t *testing.T) {
-	build := func() *Checkpoint {
-		return &Checkpoint{
-			Algorithm: "test-async-random",
-			Seed:      42,
-			Space:     []string{"x", "y"},
-			Samples: []Sample{
+	build := func() *journalFixture {
+		return &journalFixture{
+			alg:   "test-async-random",
+			seed:  42,
+			space: []string{"x", "y"},
+			samples: []Sample{
 				{Unit: []float64{0.25, 0.5}, Loss: 1},
 				{Unit: []float64{0.5, 0.25}, Loss: 2},
 			},
 		}
 	}
-	fromFile, err := ReadJournal(strings.NewReader(journalText(build())))
+	s, err := readJournal([]byte(journalText(build())))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fromFile.Order) != 2 || fromFile.Order[0] != 0 || fromFile.Order[1] != 1 {
-		t.Fatalf("order-less file read back with order %v, want the identity [0 1]", fromFile.Order)
+	if !slices.Equal(s.order, []int{0, 1}) {
+		t.Fatalf("order-less file read back with order %v, want the identity [0 1]", s.order)
 	}
 
 	fresh := []float64{0.75, 0.75}
-	viaEvaluate := func(ctx context.Context, prob *Problem, snap *Checkpoint) ([]Sample, error) {
-		return prob.Evaluate(ctx, [][]float64{snap.Samples[0].Unit, snap.Samples[1].Unit, fresh})
+	viaEvaluate := func(ctx context.Context, prob *Problem, snap *journalFixture) ([]Sample, error) {
+		return prob.Evaluate(ctx, [][]float64{snap.samples[0].Unit, snap.samples[1].Unit, fresh})
 	}
-	viaSubmit := func(ctx context.Context, prob *Problem, snap *Checkpoint) ([]Sample, error) {
-		run, err := prob.Async()
-		if err != nil {
-			return nil, err
-		}
-		if got := prob.ReplayOrder(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+	viaSubmit := func(ctx context.Context, prob *Problem, snap *journalFixture) ([]Sample, error) {
+		run := prob.Async()
+		if got := prob.ReplayOrder(); !slices.Equal(got, []int{0, 1}) {
 			t.Errorf("ReplayOrder() = %v, want the identity [0 1]", got)
 		}
 		var out []Sample
-		for _, u := range [][]float64{snap.Samples[0].Unit, snap.Samples[1].Unit, fresh} {
+		for _, u := range [][]float64{snap.samples[0].Unit, snap.samples[1].Unit, fresh} {
 			if _, err := run.Submit(ctx, u); err != nil {
 				return nil, err
 			}
@@ -411,67 +401,59 @@ func TestOrderlessSnapshotReplaysAsIdentity(t *testing.T) {
 		}
 		return out, nil
 	}
-	drivers := map[string]func(context.Context, *Problem, *Checkpoint) ([]Sample, error){
+	drivers := map[string]func(context.Context, *Problem, *journalFixture) ([]Sample, error){
 		"Evaluate": viaEvaluate, "SubmitNextSeq": viaSubmit,
 	}
-	snaps := map[string]func() *Checkpoint{
-		"in-memory": build,
-		"from-file": func() *Checkpoint { c := *fromFile; return &c },
+	resumed := func(t *testing.T, snap *journalFixture, sim Simulator, alg Algorithm) (*Result, error) {
+		path := filepath.Join(t.TempDir(), "ck.jsonl")
+		writeJournal(t, path, snap)
+		c := &Calibrator{
+			Space:          testSpace,
+			Simulator:      sim,
+			Algorithm:      alg,
+			MaxEvaluations: 3,
+			Workers:        2,
+			Seed:           42,
+			Checkpoint:     path,
+			Resume:         true,
+		}
+		return c.Run(context.Background())
 	}
 	for dname, drive := range drivers {
-		for sname, mk := range snaps {
-			t.Run(dname+"/"+sname, func(t *testing.T) {
-				snap := mk()
-				sim := &countingSim{inner: seqSleepSim(nil)}
-				var got []Sample
-				c := &Calibrator{
-					Space:     testSpace,
-					Simulator: sim,
-					Algorithm: &probeAsync{fn: func(ctx context.Context, prob *Problem) (err error) {
-						got, err = drive(ctx, prob, snap)
-						return err
-					}},
-					MaxEvaluations: 3,
-					Workers:        2,
-					Seed:           42,
-					Resume:         snap,
+		t.Run(dname+"/from-file", func(t *testing.T) {
+			snap := build()
+			sim := &countingSim{inner: seqSleepSim(nil)}
+			var got []Sample
+			res, err := resumed(t, snap, sim, &probeAsync{fn: func(ctx context.Context, prob *Problem) (err error) {
+				got, err = drive(ctx, prob, snap)
+				return err
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := sim.calls.Load(); n != 1 {
+				t.Errorf("simulator ran %d times, want 1 (two of three evaluations come from the journal)", n)
+			}
+			if len(got) != 3 || len(res.History) != 3 {
+				t.Fatalf("got %d samples, history %d, want 3", len(got), len(res.History))
+			}
+			for i, want := range snap.samples {
+				if math.Float64bits(got[i].Loss) != math.Float64bits(want.Loss) ||
+					math.Float64bits(res.History[i].Loss) != math.Float64bits(want.Loss) {
+					t.Errorf("sample %d: loss %v (history %v), journal %v", i, got[i].Loss, res.History[i].Loss, want.Loss)
 				}
-				res, err := c.Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n := sim.calls.Load(); n != 1 {
-					t.Errorf("simulator ran %d times, want 1 (two of three evaluations come from the snapshot)", n)
-				}
-				if len(got) != 3 || len(res.History) != 3 {
-					t.Fatalf("got %d samples, history %d, want 3", len(got), len(res.History))
-				}
-				for i, want := range snap.Samples {
-					if math.Float64bits(got[i].Loss) != math.Float64bits(want.Loss) ||
-						math.Float64bits(res.History[i].Loss) != math.Float64bits(want.Loss) {
-						t.Errorf("sample %d: loss %v (history %v), snapshot %v", i, got[i].Loss, res.History[i].Loss, want.Loss)
-					}
-				}
-			})
-		}
+			}
+		})
 		t.Run(dname+"/tampered", func(t *testing.T) {
 			snap := build()
-			snap.Samples[1].Unit[0] += 0.125
+			snap.samples[1].Unit[0] += 0.125
 			proposed := build() // what the deterministic algorithm re-proposes
-			c := &Calibrator{
-				Space:     testSpace,
-				Simulator: seqSleepSim(nil),
-				Algorithm: &probeAsync{fn: func(ctx context.Context, prob *Problem) error {
-					_, err := drive(ctx, prob, proposed)
-					return err
-				}},
-				MaxEvaluations: 3,
-				Workers:        2,
-				Seed:           42,
-				Resume:         snap,
-			}
-			if _, err := c.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "diverged") {
-				t.Errorf("tampered snapshot: err = %v, want a divergence error", err)
+			_, err := resumed(t, snap, seqSleepSim(nil), &probeAsync{fn: func(ctx context.Context, prob *Problem) error {
+				_, err := drive(ctx, prob, proposed)
+				return err
+			}})
+			if err == nil || !strings.Contains(err.Error(), "diverged") {
+				t.Errorf("tampered journal: err = %v, want a divergence error", err)
 			}
 		})
 	}
@@ -482,10 +464,7 @@ func TestOrderlessSnapshotReplaysAsIdentity(t *testing.T) {
 // trace and must fail loudly.
 func TestAsyncNextSeqRejectsCorruptOrder(t *testing.T) {
 	probe := &probeAsync{fn: func(ctx context.Context, prob *Problem) error {
-		run, err := prob.Async()
-		if err != nil {
-			return err
-		}
+		run := prob.Async()
 		seq, err := run.Submit(ctx, prob.Space.Sample(prob.RNG))
 		if err != nil {
 			return err
@@ -557,38 +536,39 @@ func TestAsyncFailuresNormalizeToInf(t *testing.T) {
 // TestCheckpointAsyncRoundTripBitwise: the consumption order and the
 // in-flight submissions a journal holds read back bitwise.
 func TestCheckpointAsyncRoundTripBitwise(t *testing.T) {
-	ck := sampleCheckpoint()
-	ck.Order = []int{2, 0, 1}
-	ck.InFlight = []AsyncPending{
-		{Seq: 3, Unit: []float64{0.9876543210987654, 0.25}},
-		{Seq: 5, Unit: []float64{1.0 / 7.0, 0.125}},
+	ck := sampleJournal()
+	ck.order = []int{2, 0, 1}
+	ck.inFlight = map[int][]float64{
+		3: {0.9876543210987654, 0.25},
+		5: {1.0 / 7.0, 0.125},
 	}
-	got, err := ReadJournal(strings.NewReader(journalText(ck)))
+	s, err := readJournal([]byte(journalText(ck)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Order) != 3 || got.Order[0] != 2 || got.Order[1] != 0 || got.Order[2] != 1 {
-		t.Errorf("order round trip: %v", got.Order)
+	got := fixtureOf(s)
+	if !slices.Equal(got.order, []int{2, 0, 1}) {
+		t.Errorf("order round trip: %v", got.order)
 	}
-	if len(got.InFlight) != 2 {
-		t.Fatalf("inflight round trip: %v", got.InFlight)
+	if len(got.inFlight) != 2 {
+		t.Fatalf("inflight round trip: %v", got.inFlight)
 	}
-	for i, want := range ck.InFlight {
-		if got.InFlight[i].Seq != want.Seq {
-			t.Errorf("inflight[%d].Seq = %d, want %d", i, got.InFlight[i].Seq, want.Seq)
+	for seq, want := range ck.inFlight {
+		if len(got.inFlight[seq]) != len(want) {
+			t.Fatalf("inflight[%d] = %v, want %v", seq, got.inFlight[seq], want)
 		}
-		for j := range want.Unit {
-			if got.InFlight[i].Unit[j] != want.Unit[j] {
-				t.Errorf("inflight[%d].Unit[%d] = %v, want %v (not bitwise)", i, j, got.InFlight[i].Unit[j], want.Unit[j])
+		for j := range want {
+			if got.inFlight[seq][j] != want[j] {
+				t.Errorf("inflight[%d].Unit[%d] = %v, want %v (not bitwise)", seq, j, got.inFlight[seq][j], want[j])
 			}
 		}
 	}
 }
 
 func TestReadCheckpointRejectsCorruptAsyncDocuments(t *testing.T) {
-	ck := sampleCheckpoint()
-	ck.Order = []int{2, 0, 1}
-	ck.InFlight = []AsyncPending{{Seq: 3, Unit: []float64{0.5, 0.5}}}
+	ck := sampleJournal()
+	ck.order = []int{2, 0, 1}
+	ck.inFlight = map[int][]float64{3: {0.5, 0.5}}
 	valid := journalText(ck)
 	// Each bad line goes before the last one, where it cannot pass for a
 	// torn tail.
@@ -609,8 +589,8 @@ func TestReadCheckpointRejectsCorruptAsyncDocuments(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadJournal(strings.NewReader(tc.doc)); err == nil {
-				t.Errorf("ReadJournal accepted a journal with %s", tc.name)
+			if _, err := readJournal([]byte(tc.doc)); err == nil {
+				t.Errorf("the journal index accepted a journal with %s", tc.name)
 			}
 		})
 	}

@@ -62,21 +62,18 @@ type Problem struct {
 	Space Space
 	RNG   *stats.RNG
 
-	sim            Simulator
-	workers        int
-	maxEvals       int
-	start          time.Time
-	obs            Observer
-	fobs           FaultObserver
-	cache          *cache.Cache
-	cacheKey       string
-	now            func() time.Time
-	exec           *resilience.Executor
-	replay         []Sample
-	replayOrder    []int
-	replayInflight []AsyncPending
-	journal        *calJournal // driver goroutine only
-	async          *AsyncRun
+	sim      Simulator
+	workers  int
+	maxEvals int
+	start    time.Time
+	obs      Observer
+	fobs     FaultObserver
+	cache    *cache.Cache
+	cacheKey string
+	now      func() time.Time
+	exec     *resilience.Executor
+	journal  *calJournal // driver goroutine only; nil without a Checkpoint
+	async    *AsyncRun
 
 	mu      sync.Mutex
 	history []Sample
@@ -174,8 +171,8 @@ func unitsEqual(a, b []float64) bool {
 // for Next/NextSeq. Replayed evaluations add no lines (the file already
 // holds them), so they sync nothing.
 func (p *Problem) syncJournal() {
-	if p.journal != nil && !p.journal.sync(p.Evaluations()) {
-		p.journal = nil
+	if p.journal != nil {
+		p.journal.sync(p.Evaluations())
 	}
 }
 
@@ -374,16 +371,19 @@ type Calibrator struct {
 	// Checkpoint, when set, is the path of the calibration's evaluation
 	// journal, synced at every consumption boundary so a kill loses no
 	// consumed evaluation. A fresh run replaces the file; a run with
-	// Resume appends the lines it lacks. Journal failures are reported
-	// through the observer and never abort the run.
+	// Resume appends the lines it lacks. Failing to read or write the
+	// file is reported through the observer and never aborts the run.
 	Checkpoint string
-	// Resume, when non-nil, continues a previous run from its journal
-	// (LoadCheckpoint): the algorithm is replayed, the journaled
+	// Resume continues the journal at Checkpoint, which Run reads once,
+	// as it opens it: the algorithm is replayed, the journaled
 	// consumptions are served instead of simulated, and the elapsed axis
-	// continues from Resume.Elapsed. Its identity must match the run's;
-	// results are bitwise-identical to an uninterrupted run (elapsed
-	// fields excepted, unless Clock is injected).
-	Resume *Checkpoint
+	// and the Budget continue from the latest journaled one. A missing
+	// journal starts a fresh run; one that is not this run's (another
+	// algorithm, seed or space, an old snapshot, corruption before the
+	// last line) fails Run and is left untouched. Results are
+	// bitwise-identical to an uninterrupted run (elapsed fields
+	// excepted, unless Clock is injected).
+	Resume bool
 	// Clock, when non-nil, replaces the wall clock for elapsed-time
 	// measurement. Tests freeze it to make Sample.Elapsed reproducible;
 	// nil uses time.Now.
@@ -412,13 +412,26 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 	if c.Cache != nil && c.CacheKey == "" {
 		return nil, errors.New("core: Calibrator with a Cache requires a CacheKey")
 	}
+	if c.Resume && c.Checkpoint == "" {
+		return nil, errors.New("core: Calibrator with Resume requires a Checkpoint")
+	}
 	names := make([]string, len(c.Space))
 	for i, spec := range c.Space {
 		names[i] = spec.Name
 	}
-	id := journalHeader{Kind: journalKind, Algorithm: c.Algorithm.Name(), Seed: c.Seed, Space: names}
-	if err := c.validateResume(id); err != nil {
-		return nil, err
+	var fobs FaultObserver
+	if c.Observer != nil {
+		fobs, _ = c.Observer.(FaultObserver)
+	}
+	var journal *calJournal
+	var spent time.Duration // the elapsed time the journaled run already spent
+	if c.Checkpoint != "" {
+		id := journalHeader{Kind: journalKind, Algorithm: c.Algorithm.Name(), Seed: c.Seed, Space: names}
+		var err error
+		if journal, err = openCalJournal(c.Checkpoint, id, c.Resume, fobs); err != nil {
+			return nil, err
+		}
+		spent = journal.held.elapsed
 	}
 	workers := c.Workers
 	if workers <= 0 {
@@ -434,14 +447,10 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 		now = time.Now
 	}
 	parent := ctx
-	if budget := c.remainingBudget(); budget > 0 {
+	if budget := c.remainingBudget(spent); budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
-	}
-	var fobs FaultObserver
-	if c.Observer != nil {
-		fobs, _ = c.Observer.(FaultObserver)
 	}
 	prob := &Problem{
 		Space:    c.Space,
@@ -449,45 +458,36 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 		sim:      c.Simulator,
 		workers:  workers,
 		maxEvals: c.MaxEvaluations,
-		start:    now(),
+		// Continue the elapsed axis where the journal left off: new
+		// samples stamp Elapsed = (now - start) = offset + time since
+		// resume.
+		start:    now().Add(-spent),
 		obs:      c.Observer,
 		fobs:     fobs,
 		cache:    c.Cache,
 		cacheKey: c.CacheKey,
 		now:      c.Clock,
+		journal:  journal,
 	}
 	if c.Resilience != nil {
 		prob.exec = resilience.NewExecutor(*c.Resilience, resilience.Config{Seed: c.Seed, Events: fobs})
 	}
-	if c.Resume != nil {
-		prob.replay = c.Resume.Samples
-		prob.replayOrder = c.Resume.Order
-		if len(prob.replayOrder) == 0 {
-			// Consumed in submission order, as a batch algorithm consumes.
-			prob.replayOrder = make([]int, len(prob.replay))
-			for i := range prob.replayOrder {
-				prob.replayOrder[i] = i
-			}
-		}
-		prob.replayInflight = c.Resume.InFlight
-		// Continue the elapsed axis where the snapshot left off: new
-		// samples stamp Elapsed = (now - start) = snapshot offset + time
-		// since resume.
-		prob.start = prob.start.Add(-c.Resume.Elapsed)
-	}
-	if c.Checkpoint != "" {
-		prob.journal = openCalJournal(c.Checkpoint, id, c.Resume != nil, fobs)
-		defer func() { prob.journal.close(prob.Evaluations()) }()
+	if journal != nil {
+		defer func() { journal.close(prob.Evaluations()) }()
 	}
 	if c.Observer != nil {
-		c.Observer.CalibrationStarted(RunInfo{
+		info := RunInfo{
 			Algorithm:      c.Algorithm.Name(),
 			Space:          names,
 			Seed:           c.Seed,
 			Budget:         c.Budget,
 			MaxEvaluations: c.MaxEvaluations,
 			Workers:        workers,
-		})
+		}
+		if journal != nil {
+			info.Resumed = len(journal.held.order)
+		}
+		c.Observer.CalibrationStarted(info)
 	}
 	err := c.Algorithm.Optimize(ctx, prob)
 	if perr := parent.Err(); perr != nil {
@@ -517,40 +517,15 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// validateResume rejects a Resume checkpoint that does not belong to
-// this calibration's (algorithm, seed, space) identity: replaying it
-// would diverge from the original run and silently corrupt the search.
-func (c *Calibrator) validateResume(id journalHeader) error {
-	r := c.Resume
-	if r == nil {
-		return nil
-	}
-	if err := id.matches(r.Algorithm, r.Seed, r.Space); err != nil {
-		return fmt.Errorf("core: resume checkpoint %w", err)
-	}
-	if len(r.Order) > 0 && len(r.Order) != len(r.Samples) {
-		return fmt.Errorf("core: resume checkpoint completion order has %d entries for %d samples",
-			len(r.Order), len(r.Samples))
-	}
-	return nil
-}
-
 // remainingBudget returns the wall-clock budget to enforce for this
-// run: the configured Budget, reduced by the elapsed time a resumed
-// snapshot already consumed. A resumed run whose budget is (nearly)
+// run: the configured Budget, reduced by the elapsed time spent by the
+// journaled run it continues. A resumed run whose budget is (nearly)
 // spent still gets a small grace window so the replay — which runs at
 // memory speed, not simulator speed — can complete and surface the
-// snapshot's partial result instead of failing with zero evaluations.
-func (c *Calibrator) remainingBudget() time.Duration {
-	if c.Budget <= 0 {
-		return 0
+// journal's partial result instead of failing with zero evaluations.
+func (c *Calibrator) remainingBudget(spent time.Duration) time.Duration {
+	if c.Budget <= 0 || spent <= 0 {
+		return c.Budget
 	}
-	budget := c.Budget
-	if c.Resume != nil {
-		budget -= c.Resume.Elapsed
-		if grace := time.Second; budget < grace {
-			budget = grace
-		}
-	}
-	return budget
+	return max(c.Budget-spent, time.Second)
 }

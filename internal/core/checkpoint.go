@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"slices"
@@ -23,29 +22,6 @@ import (
 // consumptions in their journaled order and verifying every proposed
 // unit against the journaled one; the algorithm draws exactly the random
 // numbers it drew originally, so the run continues bitwise-identically.
-
-// Checkpoint is the state a calibration journal holds, derived when the
-// journal is read.
-type Checkpoint struct {
-	// Algorithm, Seed and Space (parameter names in declaration order)
-	// are the run's identity; resume requires an exact match.
-	Algorithm string
-	Seed      int64
-	Space     []string
-	// Elapsed is the latest consumption's elapsed offset; a resumed run
-	// continues its elapsed axis from it.
-	Elapsed time.Duration
-	// Samples is the consumed history in consumption order. Points are
-	// nil: replay decodes them from the verified units.
-	Samples []Sample
-	// Order gives each sample's submission sequence number; a resumed run
-	// force-consumes in this order. The reader always fills it in; a
-	// Checkpoint built in memory may leave it empty for submission order.
-	Order []int
-	// InFlight lists the evaluations submitted but not consumed, by seq.
-	// Resume verifies their re-proposals bitwise and runs them for real.
-	InFlight []AsyncPending
-}
 
 const (
 	journalKind = "simcal-calibration-journal"
@@ -103,18 +79,30 @@ func appendConsumeLine(b []byte, seq int, loss float64, elapsed time.Duration) [
 	return append(b, '}')
 }
 
-// journalState accumulates a journal's lines into a Checkpoint. Every
-// check runs before anything is recorded, so a rejected (torn) last
-// line leaves the state as the intact lines left it.
+// journalState indexes what a calibration journal holds. The run builds
+// it from the one read of the file, when OpenJournal opens it, and it
+// serves four purposes: the header check (the journal is this run's),
+// the lines a resumed run never appends again, the replay source, and
+// the elapsed offset the run continues from. Every check runs before
+// anything is recorded, so a rejected (torn) last line leaves the state
+// as the intact lines left it.
 type journalState struct {
 	want     *journalHeader // the identity the header must carry, if any
-	ck       Checkpoint
+	hdr      journalHeader
 	units    map[int][]float64 // every submission's unit, by seq
-	consumed map[int]bool
+	consumed map[int]journaled // every consumption, by seq
+	order    []int             // the consumed seqs in consumption order
+	elapsed  time.Duration     // the latest consumption's elapsed offset
 }
 
-func newJournalState(want *journalHeader) *journalState {
-	return &journalState{want: want, units: make(map[int][]float64), consumed: make(map[int]bool)}
+// journaled is one consumption a journal holds.
+type journaled struct {
+	loss    float64
+	elapsed time.Duration
+}
+
+func newJournalState(want *journalHeader) journalState {
+	return journalState{want: want, units: make(map[int][]float64), consumed: make(map[int]journaled)}
 }
 
 func (s *journalState) header(line []byte) error {
@@ -130,12 +118,11 @@ func (s *journalState) header(line []byte) error {
 	case h.Algorithm == "" || len(h.Space) == 0:
 		return errors.New("journal without an algorithm or a parameter space")
 	}
-	if s.want != nil {
-		if err := s.want.matches(h.Algorithm, h.Seed, h.Space); err != nil {
-			return fmt.Errorf("the journal %w", err)
-		}
+	if w := s.want; w != nil && (h.Algorithm != w.Algorithm || h.Seed != w.Seed || !slices.Equal(h.Space, w.Space)) {
+		return fmt.Errorf("the journal is for %s seed %d over %v, this calibration is %s seed %d over %v",
+			h.Algorithm, h.Seed, h.Space, w.Algorithm, w.Seed, w.Space)
 	}
-	s.ck.Algorithm, s.ck.Seed, s.ck.Space = h.Algorithm, h.Seed, h.Space
+	s.hdr = h
 	return nil
 }
 
@@ -151,96 +138,51 @@ func (s *journalState) record(line []byte) error {
 		switch {
 		case seq < 0 || dup:
 			return fmt.Errorf("submission %d is negative or repeated", seq)
-		case len(r.Unit) != len(s.ck.Space):
+		case len(r.Unit) != len(s.hdr.Space):
 			return fmt.Errorf("submission %d has %d unit coordinates for a %d-dimensional space",
-				seq, len(r.Unit), len(s.ck.Space))
+				seq, len(r.Unit), len(s.hdr.Space))
 		case slices.ContainsFunc(r.Unit, func(u float64) bool { return math.IsNaN(u) || math.IsInf(u, 0) }):
 			return fmt.Errorf("submission %d has a non-finite unit coordinate", seq)
 		}
 		s.units[seq] = r.Unit
 	case r.Consume != nil && r.Submit == nil && r.Unit == nil && r.Loss != nil:
 		seq := *r.Consume
-		unit, submitted := s.units[seq]
-		if !submitted || s.consumed[seq] || r.ElapsedNS < 0 {
+		_, submitted := s.units[seq]
+		_, repeated := s.consumed[seq]
+		if !submitted || repeated || r.ElapsedNS < 0 {
 			return fmt.Errorf("consumption of submission %d: never submitted, repeated, or at negative elapsed time", seq)
 		}
-		s.consumed[seq] = true
 		elapsed := time.Duration(r.ElapsedNS)
-		s.ck.Samples = append(s.ck.Samples, Sample{Unit: unit, Loss: float64(*r.Loss), Elapsed: elapsed})
-		s.ck.Order = append(s.ck.Order, seq)
-		s.ck.Elapsed = max(s.ck.Elapsed, elapsed)
+		s.consumed[seq] = journaled{loss: float64(*r.Loss), elapsed: elapsed}
+		s.order = append(s.order, seq)
+		s.elapsed = max(s.elapsed, elapsed)
 	default:
 		return errors.New("neither a submission nor a consumption")
 	}
 	return nil
 }
 
-// matches reports, as an error, an identity that is not the run's.
-func (h journalHeader) matches(alg string, seed int64, space []string) error {
-	if alg != h.Algorithm || seed != h.Seed || !slices.Equal(space, h.Space) {
-		return fmt.Errorf("is for %s seed %d over %v, this calibration is %s seed %d over %v",
-			alg, seed, space, h.Algorithm, h.Seed, h.Space)
-	}
-	return nil
-}
-
-// checkpoint derives the in-flight frontier — submitted, not consumed —
-// and returns the journal's state.
-func (s *journalState) checkpoint() *Checkpoint {
-	ck := s.ck
-	for seq, unit := range s.units {
-		if !s.consumed[seq] {
-			ck.InFlight = append(ck.InFlight, AsyncPending{Seq: seq, Unit: unit})
-		}
-	}
-	slices.SortFunc(ck.InFlight, func(a, b AsyncPending) int { return a.Seq - b.Seq })
-	return &ck
-}
-
-// ReadJournal parses and validates a calibration journal. A torn last
-// line is ignored, as OpenJournal would truncate it; any other
-// corruption returns an error, never a panic.
-func ReadJournal(in io.Reader) (*Checkpoint, error) {
-	data, err := io.ReadAll(in)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading journal: %w", err)
-	}
-	s := newJournalState(nil)
-	if _, err := scanJournal(data, s.header, s.record); err != nil {
-		return nil, fmt.Errorf("core: calibration journal: %w", err)
-	}
-	return s.checkpoint(), nil
-}
-
-// LoadCheckpoint reads the calibration journal at path. The underlying
-// filesystem error is preserved (wrapped), so callers can distinguish a
-// missing file (fresh start) from a corrupt one with errors.Is(err,
-// fs.ErrNotExist).
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: opening checkpoint: %w", err)
-	}
-	defer f.Close()
-	return ReadJournal(f)
-}
-
-// calJournal journals one calibration run. Its methods run on the
-// algorithm's driver goroutine, like the submissions and consumptions
-// they record.
+// calJournal is one calibration run's journal: what the file held when
+// the run opened it, and the file the run appends to. Its methods run on
+// the algorithm's driver goroutine, like the submissions and
+// consumptions they record.
 type calJournal struct {
-	j    *Journal
+	held journalState
+	j    *Journal // nil when the run is unjournaled
 	fobs FaultObserver
-	held *journalState // what the file held when the run opened it
-	line []byte        // scratch for one record line
+	line []byte // scratch for one record line
 }
 
-// openCalJournal starts the run's journal at path: a fresh run replaces
-// any file there, a resumed one appends to the journal it read. A
-// failure is reported and leaves the run unjournaled (nil) — losing the
-// journal must never kill the run it exists to protect.
-func openCalJournal(path string, id journalHeader, resume bool, fobs FaultObserver) *calJournal {
-	cj := &calJournal{fobs: fobs, held: newJournalState(&id)}
+// openCalJournal opens the run's journal at path, the one read of the
+// file. A fresh run replaces any file there. A resumed run indexes what
+// the file holds and appends to it; a missing file starts it fresh. A
+// file that cannot be read, or is not this run's journal (another run's,
+// an old snapshot, corrupt before its last line), is an error, and the
+// file is left as it was. Any other failure is reported and the run goes
+// on unjournaled:
+// losing the journal must never kill the run it exists to protect.
+func openCalJournal(path string, id journalHeader, resume bool, fobs FaultObserver) (*calJournal, error) {
+	cj := &calJournal{held: newJournalState(&id), fobs: fobs}
 	var err error
 	if !resume {
 		if err = os.Remove(path); errors.Is(err, os.ErrNotExist) {
@@ -251,16 +193,18 @@ func openCalJournal(path string, id journalHeader, resume bool, fobs FaultObserv
 		hdr, _ := json.Marshal(id)
 		cj.j, err = OpenJournal(path, hdr, cj.held.header, cj.held.record)
 	}
+	if errors.As(err, new(refusedJournalError)) {
+		return nil, err
+	}
 	if err != nil {
 		cj.fail(err)
-		return nil
 	}
-	return cj
+	return cj, nil
 }
 
 // submitted journals a submission the file does not already hold.
 func (cj *calJournal) submitted(seq int, unit []float64) {
-	if _, held := cj.held.units[seq]; !held {
+	if _, held := cj.held.units[seq]; !held && cj.j != nil {
 		cj.line = appendSubmitLine(cj.line[:0], seq, unit)
 		cj.j.Append(cj.line)
 	}
@@ -268,29 +212,28 @@ func (cj *calJournal) submitted(seq int, unit []float64) {
 
 // consumed journals a consumption the file does not already hold.
 func (cj *calJournal) consumed(seq int, s Sample) {
-	if !cj.held.consumed[seq] {
+	if _, held := cj.held.consumed[seq]; !held && cj.j != nil {
 		cj.line = appendConsumeLine(cj.line[:0], seq, s.Loss, s.Elapsed)
 		cj.j.Append(cj.line)
 	}
 }
 
-// sync makes the lines appended since the last boundary durable and
-// reports whether journaling goes on. A failed write ends it for the
-// run: the file keeps the prefix that reached it, which is still a
-// journal a run can resume from.
-func (cj *calJournal) sync(evaluations int) bool {
-	if len(cj.j.buf) == 0 {
-		return true
+// sync makes the lines appended since the last boundary durable. A
+// failed write ends journaling for the run: the file keeps the prefix
+// that reached it, which is still a journal a run can resume from.
+func (cj *calJournal) sync(evaluations int) {
+	if cj.j == nil || len(cj.j.buf) == 0 {
+		return
 	}
 	if err := cj.j.Sync(); err != nil {
 		cj.fail(err)
 		cj.j.f.Close()
-		return false
+		cj.j = nil
+		return
 	}
 	if cj.fobs != nil {
 		cj.fobs.CheckpointWritten(evaluations)
 	}
-	return true
 }
 
 func (cj *calJournal) fail(err error) {
@@ -299,10 +242,9 @@ func (cj *calJournal) fail(err error) {
 	}
 }
 
-// close syncs what is left and closes the file. It is a no-op on a nil
-// (unjournaled) run.
+// close syncs what is left and closes the file.
 func (cj *calJournal) close(evaluations int) {
-	if cj != nil && cj.sync(evaluations) {
+	if cj.sync(evaluations); cj.j != nil {
 		cj.j.Close()
 	}
 }

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -21,13 +25,25 @@ func frozenClock() func() time.Time {
 	return func() time.Time { return t0 }
 }
 
-func sampleCheckpoint() *Checkpoint {
-	return &Checkpoint{
-		Algorithm: "test-random",
-		Seed:      42,
-		Space:     []string{"x", "y"},
-		Elapsed:   30 * time.Millisecond,
-		Samples: []Sample{
+// journalFixture is a journal's content in the shape tests build it:
+// the identity, the consumed samples in consumption order with each
+// one's seq (order; empty means 0, 1, …), and the submissions still in
+// flight.
+type journalFixture struct {
+	alg      string
+	seed     int64
+	space    []string
+	samples  []Sample
+	order    []int
+	inFlight map[int][]float64
+}
+
+func sampleJournal() *journalFixture {
+	return &journalFixture{
+		alg:   "test-random",
+		seed:  42,
+		space: []string{"x", "y"},
+		samples: []Sample{
 			{Unit: []float64{0.1234567890123456, 0.5}, Loss: 0.25, Elapsed: 10 * time.Millisecond},
 			{Unit: []float64{0.25, 0.75}, Loss: math.Inf(1), Elapsed: 20 * time.Millisecond},
 			{Unit: []float64{1.0 / 3.0, 2.0 / 3.0}, Loss: math.NaN(), Elapsed: 30 * time.Millisecond},
@@ -35,50 +51,84 @@ func sampleCheckpoint() *Checkpoint {
 	}
 }
 
-// journalText writes ck as the journal a run would leave behind: the
+// journalText writes fx as the journal a run would leave behind: the
 // header, each consumed sample's submission and consumption in
-// consumption order, then the in-flight submissions.
-func journalText(ck *Checkpoint) string {
-	hdr, _ := json.Marshal(journalHeader{Kind: journalKind, Algorithm: ck.Algorithm, Seed: ck.Seed, Space: ck.Space})
+// consumption order, then the in-flight submissions by seq.
+func journalText(fx *journalFixture) string {
+	hdr, _ := json.Marshal(journalHeader{Kind: journalKind, Algorithm: fx.alg, Seed: fx.seed, Space: fx.space})
 	b := append(hdr, '\n')
-	for i, s := range ck.Samples {
+	for i, s := range fx.samples {
 		seq := i
-		if len(ck.Order) > 0 {
-			seq = ck.Order[i]
+		if len(fx.order) > 0 {
+			seq = fx.order[i]
 		}
 		b = append(appendSubmitLine(b, seq, s.Unit), '\n')
 		b = append(appendConsumeLine(b, seq, s.Loss, s.Elapsed), '\n')
 	}
-	for _, rec := range ck.InFlight {
-		b = append(appendSubmitLine(b, rec.Seq, rec.Unit), '\n')
+	for _, seq := range slices.Sorted(maps.Keys(fx.inFlight)) {
+		b = append(appendSubmitLine(b, seq, fx.inFlight[seq]), '\n')
 	}
 	return string(b)
 }
 
-func TestCheckpointRoundTripBitwise(t *testing.T) {
-	ck := sampleCheckpoint()
-	got, err := ReadJournal(strings.NewReader(journalText(ck)))
+// fixtureOf is what the index s holds, as a fixture.
+func fixtureOf(s journalState) *journalFixture {
+	fx := &journalFixture{alg: s.hdr.Algorithm, seed: s.hdr.Seed, space: s.hdr.Space, order: s.order, inFlight: map[int][]float64{}}
+	for _, seq := range s.order {
+		c := s.consumed[seq]
+		fx.samples = append(fx.samples, Sample{Unit: s.units[seq], Loss: c.loss, Elapsed: c.elapsed})
+	}
+	for seq, unit := range s.units {
+		if _, ok := s.consumed[seq]; !ok {
+			fx.inFlight[seq] = unit
+		}
+	}
+	return fx
+}
+
+// loadJournal indexes the journal file at path.
+func loadJournal(t *testing.T, path string) *journalFixture {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Algorithm != ck.Algorithm || got.Seed != ck.Seed || len(got.Samples) != len(ck.Samples) || got.Elapsed != ck.Elapsed {
+	s, err := readJournal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fixtureOf(s)
+}
+
+func writeJournal(t *testing.T, path string, fx *journalFixture) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(journalText(fx)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCheckpointRoundTripBitwise(t *testing.T) {
+	ck := sampleJournal()
+	s, err := readJournal([]byte(journalText(ck)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fixtureOf(s)
+	if got.alg != ck.alg || got.seed != ck.seed || len(got.samples) != len(ck.samples) || s.elapsed != 30*time.Millisecond {
 		t.Errorf("header mismatch: %+v vs %+v", got, ck)
 	}
-	if len(got.Space) != len(ck.Space) || got.Space[0] != "x" || got.Space[1] != "y" {
-		t.Errorf("space mismatch: %v", got.Space)
+	if !slices.Equal(got.space, []string{"x", "y"}) {
+		t.Errorf("space mismatch: %v", got.space)
 	}
-	if len(got.Order) != 3 || got.Order[0] != 0 || got.Order[2] != 2 || len(got.InFlight) != 0 {
-		t.Errorf("a batch journal reads back with order %v and in flight %v, want the identity and none", got.Order, got.InFlight)
+	if !slices.Equal(got.order, []int{0, 1, 2}) || len(got.inFlight) != 0 {
+		t.Errorf("a batch journal reads back with order %v and in flight %v, want the identity and none", got.order, got.inFlight)
 	}
-	for i, want := range ck.Samples {
-		s := got.Samples[i]
+	for i, want := range ck.samples {
+		s := got.samples[i]
 		for j := range want.Unit {
 			if s.Unit[j] != want.Unit[j] {
 				t.Errorf("sample %d unit[%d]: %v != %v (not bitwise)", i, j, s.Unit[j], want.Unit[j])
 			}
-		}
-		if s.Point != nil {
-			t.Errorf("sample %d has a point; the journal does not store one", i)
 		}
 		if s.Loss != want.Loss && !(math.IsNaN(s.Loss) && math.IsNaN(want.Loss)) {
 			t.Errorf("sample %d loss: %v != %v", i, s.Loss, want.Loss)
@@ -112,26 +162,30 @@ func TestCheckpointWriteFileAtomicReplace(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointMissingFile: resuming a journal that is not there
+// is a fresh run, which creates it.
 func TestLoadCheckpointMissingFile(t *testing.T) {
-	_, err := LoadCheckpoint(filepath.Join(t.TempDir(), "absent.json"))
-	if !os.IsNotExist(errUnwrapAll(err)) {
-		t.Errorf("missing file error not preserved: %v", err)
+	path := filepath.Join(t.TempDir(), "absent.jsonl")
+	sim := &countingSim{inner: sphereLoss(Point{"x": 1, "y": 1})}
+	obs := &recordingObserver{}
+	c := &Calibrator{
+		Space:          testSpace,
+		Simulator:      sim,
+		Algorithm:      randomSearch{batch: 4},
+		MaxEvaluations: 8,
+		Seed:           42,
+		Observer:       obs,
+		Checkpoint:     path,
+		Resume:         true,
 	}
-}
-
-// errUnwrapAll unwraps to the innermost error for os.IsNotExist.
-func errUnwrapAll(err error) error {
-	for {
-		type unwrapper interface{ Unwrap() error }
-		u, ok := err.(unwrapper)
-		if !ok {
-			return err
-		}
-		inner := u.Unwrap()
-		if inner == nil {
-			return err
-		}
-		err = inner
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := sim.calls.Load(); n != 8 || obs.started.Resumed != 0 {
+		t.Errorf("simulated %d evaluations, resumed %d; want a fresh run of 8", n, obs.started.Resumed)
+	}
+	if got := loadJournal(t, path); len(got.samples) != 8 {
+		t.Errorf("the created journal holds %d consumptions, want 8", len(got.samples))
 	}
 }
 
@@ -139,7 +193,7 @@ func errUnwrapAll(err error) error {
 // is what a kill mid-write leaves: every case below is followed by one
 // more intact line.
 func TestReadCheckpointRejectsCorruptDocuments(t *testing.T) {
-	valid := journalText(sampleCheckpoint())
+	valid := journalText(sampleJournal())
 	header, _, _ := strings.Cut(valid, "\n")
 	body := strings.TrimPrefix(valid, header+"\n")
 	tail := `{"submit":9,"unit":[0.5,0.5]}` + "\n"
@@ -160,7 +214,7 @@ func TestReadCheckpointRejectsCorruptDocuments(t *testing.T) {
 		"consumption never made": header + "\n{\"consume\":7,\"loss\":1,\"elapsedNanos\":0}\n" + body,
 	}
 	for name, doc := range cases {
-		if _, err := ReadJournal(strings.NewReader(doc)); err == nil {
+		if _, err := readJournal([]byte(doc)); err == nil {
 			t.Errorf("%s: corrupt journal accepted", name)
 		}
 	}
@@ -170,7 +224,7 @@ func TestReadCheckpointRejectsCorruptDocuments(t *testing.T) {
 // version wrote is refused with an error that says what it is.
 func TestSnapshotCheckpointIsNamed(t *testing.T) {
 	old := `{"kind":"simcal-calibration-checkpoint","algorithm":"RAND","seed":7,"space":["x"],"evaluations":0,"elapsedNanos":0,"samples":[]}` + "\n"
-	_, err := ReadJournal(strings.NewReader(old))
+	_, err := readJournal([]byte(old))
 	if err == nil || !strings.Contains(err.Error(), "snapshot checkpoint") {
 		t.Fatalf("old snapshot: err = %v, want one naming the snapshot format", err)
 	}
@@ -180,7 +234,7 @@ func TestSnapshotCheckpointIsNamed(t *testing.T) {
 // reader ignores it, OpenJournal truncates it, and appends continue on
 // a clean line boundary.
 func TestJournalTornTail(t *testing.T) {
-	valid := journalText(sampleCheckpoint())
+	valid := journalText(sampleJournal())
 	for name, torn := range map[string]string{
 		"unterminated":         `{"submit":3,"unit":[0.5`,
 		"terminated but bogus": `{"submit":3,"unit":[0.5` + "\n",
@@ -190,9 +244,8 @@ func TestJournalTornTail(t *testing.T) {
 			if err := os.WriteFile(path, []byte(valid+torn), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			ck, err := LoadCheckpoint(path)
-			if err != nil || len(ck.Samples) != 3 || len(ck.InFlight) != 0 {
-				t.Fatalf("torn journal read as %+v, %v; want the three intact samples", ck, err)
+			if ck := loadJournal(t, path); len(ck.samples) != 3 || len(ck.inFlight) != 0 {
+				t.Fatalf("torn journal read as %+v; want the three intact samples", ck)
 			}
 			s := newJournalState(nil)
 			j, err := OpenJournal(path, nil, s.header, s.record)
@@ -203,9 +256,8 @@ func TestJournalTornTail(t *testing.T) {
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
-			ck, err = LoadCheckpoint(path)
-			if err != nil || len(ck.InFlight) != 1 || ck.InFlight[0].Seq != 3 {
-				t.Fatalf("appended after the torn tail: %+v, %v; want submission 3 in flight", ck, err)
+			if ck := loadJournal(t, path); len(ck.inFlight) != 1 || ck.inFlight[3] == nil {
+				t.Fatalf("appended after the torn tail: %+v; want submission 3 in flight", ck)
 			}
 		})
 	}
@@ -300,12 +352,8 @@ func TestCheckpointResumeBitwiseIdentical(t *testing.T) {
 	if _, err := killed.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Samples) != 16 {
-		t.Fatalf("journal holds %d evaluations, want 16", len(snap.Samples))
+	if n := len(loadJournal(t, path).samples); n != 16 {
+		t.Fatalf("journal holds %d evaluations, want 16", n)
 	}
 
 	// Resume to the full budget, appending to the same journal; the first
@@ -313,8 +361,7 @@ func TestCheckpointResumeBitwiseIdentical(t *testing.T) {
 	sim := &countingSim{inner: sphereLoss(optimum)}
 	obs := &recordingFaultObserver{}
 	resumed := base(sim)
-	resumed.Resume = snap
-	resumed.Checkpoint = path
+	resumed.Checkpoint, resumed.Resume = path, true
 	resumed.Observer = obs
 	res, err := resumed.Run(context.Background())
 	if err != nil {
@@ -324,6 +371,9 @@ func TestCheckpointResumeBitwiseIdentical(t *testing.T) {
 		t.Errorf("resumed run invoked the simulator %d times, want %d (replay must not re-simulate)", got, 40-16)
 	}
 	resultsIdentical(t, ref, res)
+	if obs.started.Resumed != 16 {
+		t.Errorf("RunInfo.Resumed = %d, want the 16 journaled consumptions", obs.started.Resumed)
+	}
 	// Replay adds no lines, so the first sync is the first new batch's.
 	if syncs := obs.checkpoints(); len(syncs) == 0 || syncs[0] != 20 {
 		t.Errorf("resumed run synced its journal at %v, want first at 20: replayed lines are not written again", syncs)
@@ -387,8 +437,8 @@ func (o *sizeObserver) CheckpointWritten(evaluations int) {
 func TestResumeContinuesElapsedOffset(t *testing.T) {
 	clock := frozenClock()
 	snapElapsed := 90 * time.Second
-	// Build a journal by running 8 evals, then hand-set its elapsed
-	// offset to something noticeable.
+	// Build a journal by running 8 evals, then hand-set its last
+	// consumption's elapsed offset to something noticeable.
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	c := &Calibrator{
 		Space:          testSpace,
@@ -403,31 +453,27 @@ func TestResumeContinuesElapsedOffset(t *testing.T) {
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := LoadCheckpoint(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Elapsed = snapElapsed
-
-	resumed := &Calibrator{
-		Space:          testSpace,
-		Simulator:      sphereLoss(Point{"x": 1, "y": 1}),
-		Algorithm:      randomSearch{batch: 4},
-		MaxEvaluations: 12,
-		Workers:        1,
-		Seed:           9,
-		Clock:          clock,
-		Resume:         snap,
+	zero := []byte(`"elapsedNanos":0}`)
+	last := bytes.LastIndex(data, zero)
+	data = slices.Concat(data[:last], fmt.Appendf(nil, `"elapsedNanos":%d}`, snapElapsed), data[last+len(zero):])
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	res, err := resumed.Run(context.Background())
+
+	c.MaxEvaluations, c.Resume = 12, true
+	res, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With a frozen clock, post-replay samples sit exactly at the
-	// snapshot offset: elapsed = offset + (0 wall time since resume).
+	// journal's offset: elapsed = offset + (0 wall time since resume).
 	for i, s := range res.History[8:] {
 		if s.Elapsed != snapElapsed {
-			t.Errorf("post-resume history[%d].Elapsed = %v, want the %v snapshot offset", 8+i, s.Elapsed, snapElapsed)
+			t.Errorf("post-resume history[%d].Elapsed = %v, want the %v journal offset", 8+i, s.Elapsed, snapElapsed)
 		}
 	}
 	if res.Elapsed != snapElapsed {
@@ -435,39 +481,70 @@ func TestResumeContinuesElapsedOffset(t *testing.T) {
 	}
 }
 
+// TestResumeValidation: a journal that is not this run's fails Run
+// before the simulator's first call, and the file is left byte for byte
+// as it was.
 func TestResumeValidation(t *testing.T) {
-	snap := func() *Checkpoint {
-		return &Checkpoint{Algorithm: "test-random", Seed: 42, Space: []string{"x", "y"}}
+	lines := strings.SplitAfter(journalText(sampleJournal()), "\n")
+	mutated := func(mutate func(fx *journalFixture)) string {
+		fx := sampleJournal()
+		mutate(fx)
+		return journalText(fx)
 	}
-	base := func() *Calibrator {
-		return &Calibrator{
+	cases := map[string]struct{ doc, want string }{
+		"wrong algorithm":     {mutated(func(fx *journalFixture) { fx.alg = "GRID" }), "GRID"},
+		"wrong seed":          {mutated(func(fx *journalFixture) { fx.seed = 7 }), "seed 7"},
+		"wrong space names":   {mutated(func(fx *journalFixture) { fx.space = []string{"x", "z"} }), "[x z]"},
+		"wrong space size":    {strings.Replace(lines[0], `["x","y"]`, `["x"]`, 1), "over [x]"},
+		"corrupt middle line": {strings.Join(lines[:2], "") + "{#consume#:0}\n" + strings.Join(lines[3:], ""), "line 3"},
+		"old snapshot": {
+			`{"kind":"simcal-calibration-checkpoint","algorithm":"test-random","seed":42,"space":["x","y"],"evaluations":0,"samples":[]}` + "\n",
+			"snapshot checkpoint"},
+	}
+	resume := func(path string, sim Simulator) error {
+		c := &Calibrator{
 			Space:          testSpace,
-			Simulator:      sphereLoss(Point{"x": 1, "y": 1}),
+			Simulator:      sim,
 			Algorithm:      randomSearch{},
 			MaxEvaluations: 8,
 			Seed:           42,
+			Checkpoint:     path,
+			Resume:         true,
+		}
+		_, err := c.Run(context.Background())
+		return err
+	}
+	for name, tc := range cases {
+		path := filepath.Join(t.TempDir(), "ck.jsonl")
+		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sim := &countingSim{inner: sphereLoss(Point{"x": 1, "y": 1})}
+		if err := resume(path, sim); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", name, err, tc.want)
+		}
+		if n := sim.calls.Load(); n != 0 {
+			t.Errorf("%s: the simulator ran %d times before the journal was refused", name, n)
+		}
+		if got, _ := os.ReadFile(path); string(got) != tc.doc {
+			t.Errorf("%s: the refused journal was modified", name)
 		}
 	}
-	cases := map[string]func(*Checkpoint){
-		"wrong algorithm":   func(ck *Checkpoint) { ck.Algorithm = "GRID" },
-		"wrong seed":        func(ck *Checkpoint) { ck.Seed = 7 },
-		"wrong space names": func(ck *Checkpoint) { ck.Space = []string{"x", "z"} },
-		"wrong space size":  func(ck *Checkpoint) { ck.Space = []string{"x"} },
-		"order too short":   func(ck *Checkpoint) { ck.Order = []int{0} },
+	// A journal path that exists but cannot be read (here a directory)
+	// is refused too, not taken for a missing journal.
+	sim := &countingSim{inner: sphereLoss(Point{"x": 1, "y": 1})}
+	if err := resume(t.TempDir(), sim); err == nil || sim.calls.Load() != 0 {
+		t.Errorf("unreadable journal: err = %v after %d simulator calls, want a refusal before the first", err, sim.calls.Load())
 	}
-	for name, corrupt := range cases {
-		c := base()
-		ck := snap()
-		corrupt(ck)
-		c.Resume = ck
-		if _, err := c.Run(context.Background()); err == nil {
-			t.Errorf("%s: mismatched resume checkpoint accepted", name)
-		}
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	if err := os.WriteFile(path, []byte(lines[0]), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	c := base()
-	c.Resume = snap()
-	if _, err := c.Run(context.Background()); err != nil {
-		t.Errorf("matching empty checkpoint rejected: %v", err)
+	if err := resume(path, sphereLoss(Point{"x": 1, "y": 1})); err != nil {
+		t.Errorf("matching empty journal rejected: %v", err)
+	}
+	if err := resume("", sphereLoss(Point{"x": 1, "y": 1})); err == nil {
+		t.Error("Resume without a Checkpoint accepted")
 	}
 }
 
@@ -485,21 +562,11 @@ func TestResumeDivergenceDetected(t *testing.T) {
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.Samples[2].Unit[0] = 0.123456 // not what the seeded algorithm proposes
-	resumed := &Calibrator{
-		Space:          testSpace,
-		Simulator:      sphereLoss(Point{"x": 1, "y": 1}),
-		Algorithm:      randomSearch{batch: 4},
-		MaxEvaluations: 16,
-		Workers:        1,
-		Seed:           11,
-		Resume:         snap,
-	}
-	_, err = resumed.Run(context.Background())
+	snap := loadJournal(t, path)
+	snap.samples[2].Unit[0] = 0.123456 // not what the seeded algorithm proposes
+	writeJournal(t, path, snap)
+	c.MaxEvaluations, c.Resume = 16, true
+	_, err := c.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("tampered checkpoint not detected: err = %v", err)
 	}

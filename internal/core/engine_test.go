@@ -90,10 +90,7 @@ func (d *batchDriver) evaluate(ctx context.Context, prob *Problem, units [][]flo
 		_, err := prob.Evaluate(ctx, units)
 		return err
 	}
-	run, err := prob.Async()
-	if err != nil {
-		return err
-	}
+	run := prob.Async()
 	var seqs []int
 	for _, u := range units {
 		seq, err := run.Submit(ctx, u)
@@ -254,7 +251,7 @@ func TestEvaluateMidBatchExpiry(t *testing.T) {
 			var got []Sample
 			var err error
 			if viaSubmit {
-				run, _ := prob.Async()
+				run := prob.Async()
 				for _, u := range units[:3] { // what Evaluate's slot gate lets through
 					if _, serr := run.Submit(ctx, u); serr != nil {
 						t.Fatal(serr)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -62,20 +64,20 @@ func FuzzReadResult(f *testing.F) {
 }
 
 // FuzzReadCheckpoint and FuzzReadCheckpointAsync target the calibration
-// journal reader, which is what loads a checkpoint: torn tails anywhere,
-// repeated or negative sequence numbers, consumptions of submissions
-// never made, and unit vectors of the wrong dimension must never panic,
-// and an accepted journal must describe the same state when written out
-// again — an order or frontier that shifted on re-read would force the
-// wrong consumption order on a resumed run. The first seeds the fuzzer
-// with batch journals, the second with async journals that carry
-// submissions still in flight.
+// journal's index, which is what a resumed run reads: torn tails
+// anywhere, repeated or negative sequence numbers, consumptions of
+// submissions never made, and unit vectors of the wrong dimension must
+// never panic, and an accepted journal must describe the same state when
+// written out again — an order or frontier that shifted on re-read would
+// force the wrong consumption order on a resumed run. The first seeds
+// the fuzzer with batch journals, the second with async journals that
+// carry submissions still in flight.
 func FuzzReadCheckpoint(f *testing.F) {
-	batch := journalText(&Checkpoint{
-		Algorithm: "GRID",
-		Seed:      42,
-		Space:     []string{"x", "y"},
-		Samples: []Sample{
+	batch := journalText(&journalFixture{
+		alg:   "GRID",
+		seed:  42,
+		space: []string{"x", "y"},
+		samples: []Sample{
 			{Unit: []float64{0.25, 0.75}, Loss: 1.25, Elapsed: time.Millisecond},
 			{Unit: []float64{0.5, 0.5}, Loss: math.Inf(1), Elapsed: 2 * time.Millisecond},
 		},
@@ -96,19 +98,19 @@ func FuzzReadCheckpoint(f *testing.F) {
 }
 
 func FuzzReadCheckpointAsync(f *testing.F) {
-	async := journalText(&Checkpoint{
-		Algorithm: "async-bo",
-		Seed:      7,
-		Space:     []string{"x", "y"},
-		Samples: []Sample{
+	async := journalText(&journalFixture{
+		alg:   "async-bo",
+		seed:  7,
+		space: []string{"x", "y"},
+		samples: []Sample{
 			{Unit: []float64{0.25, 0.75}, Loss: 1.25, Elapsed: time.Millisecond},
 			{Unit: []float64{0.5, 0.5}, Loss: math.Inf(1), Elapsed: 2 * time.Millisecond},
 			{Unit: []float64{0.125, 0.625}, Loss: 0.5, Elapsed: 3 * time.Millisecond},
 		},
-		Order: []int{1, 0, 3},
-		InFlight: []AsyncPending{
-			{Seq: 2, Unit: []float64{0.0625, 0.9375}},
-			{Seq: 4, Unit: []float64{1.0 / 3.0, 2.0 / 3.0}},
+		order: []int{1, 0, 3},
+		inFlight: map[int][]float64{
+			2: {0.0625, 0.9375},
+			4: {1.0 / 3.0, 2.0 / 3.0},
 		},
 	})
 	header, _, _ := strings.Cut(async, "\n")
@@ -134,51 +136,59 @@ func FuzzReadCheckpointAsync(f *testing.F) {
 	f.Fuzz(fuzzJournal)
 }
 
+// readJournal indexes journal bytes as a resumed run's open does,
+// without a file. A torn last line is ignored; any other corruption
+// returns an error, never a panic.
+func readJournal(data []byte) (journalState, error) {
+	s := newJournalState(nil)
+	_, err := scanJournal(data, s.header, s.record)
+	return s, err
+}
+
 func fuzzJournal(t *testing.T, data []byte) {
-	ck, err := ReadJournal(bytes.NewReader(data))
+	s, err := readJournal(data)
 	if err != nil {
 		return
 	}
-	if len(ck.Order) != len(ck.Samples) {
-		t.Fatalf("accepted journal with %d order entries for %d samples", len(ck.Order), len(ck.Samples))
+	ck := fixtureOf(s)
+	if len(s.order) != len(s.consumed) {
+		t.Fatalf("accepted journal with %d order entries for %d consumptions", len(s.order), len(s.consumed))
 	}
-	seen := make(map[int]bool, len(ck.Order)+len(ck.InFlight))
-	for _, seq := range ck.Order {
+	seen := make(map[int]bool, len(ck.order))
+	for _, seq := range ck.order {
 		if seq < 0 || seen[seq] {
 			t.Fatalf("accepted journal with invalid or repeated consumption %d", seq)
 		}
 		seen[seq] = true
 	}
-	for _, rec := range ck.InFlight {
-		if rec.Seq < 0 || seen[rec.Seq] {
-			t.Fatalf("accepted journal with invalid or repeated in-flight seq %d", rec.Seq)
+	for seq := range ck.inFlight {
+		if seq < 0 {
+			t.Fatalf("accepted journal with invalid in-flight seq %d", seq)
 		}
-		seen[rec.Seq] = true
 	}
-	for _, units := range [][][]float64{samplesUnits(ck.Samples), inflightUnits(ck.InFlight)} {
-		for _, u := range units {
-			if len(u) != len(ck.Space) {
-				t.Fatalf("accepted a unit with %d coordinates for a %d-dimensional space", len(u), len(ck.Space))
-			}
-			for _, x := range u {
-				if math.IsNaN(x) || math.IsInf(x, 0) {
-					t.Fatal("accepted a non-finite unit coordinate")
-				}
+	for _, u := range append(samplesUnits(ck.samples), slices.Collect(maps.Values(ck.inFlight))...) {
+		if len(u) != len(ck.space) {
+			t.Fatalf("accepted a unit with %d coordinates for a %d-dimensional space", len(u), len(ck.space))
+		}
+		for _, x := range u {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatal("accepted a non-finite unit coordinate")
 			}
 		}
 	}
-	again, err := ReadJournal(strings.NewReader(journalText(ck)))
+	re, err := readJournal([]byte(journalText(ck)))
 	if err != nil {
 		t.Fatalf("round-trip rejected: %v", err)
 	}
-	if again.Algorithm != ck.Algorithm || again.Seed != ck.Seed || again.Elapsed != ck.Elapsed ||
-		len(again.Samples) != len(ck.Samples) || len(again.InFlight) != len(ck.InFlight) {
+	again := fixtureOf(re)
+	if again.alg != ck.alg || again.seed != ck.seed || re.elapsed != s.elapsed ||
+		len(again.samples) != len(ck.samples) || len(again.inFlight) != len(ck.inFlight) {
 		t.Fatal("round-trip changed the journal's state")
 	}
-	for i := range ck.Samples {
-		a, b := ck.Samples[i], again.Samples[i]
-		if again.Order[i] != ck.Order[i] || math.Float64bits(a.Loss) != math.Float64bits(b.Loss) || a.Elapsed != b.Elapsed {
-			t.Fatalf("sample %d not stable: seq %d/%d loss %v/%v", i, ck.Order[i], again.Order[i], a.Loss, b.Loss)
+	for i := range ck.samples {
+		a, b := ck.samples[i], again.samples[i]
+		if again.order[i] != ck.order[i] || math.Float64bits(a.Loss) != math.Float64bits(b.Loss) || a.Elapsed != b.Elapsed {
+			t.Fatalf("sample %d not stable: seq %d/%d loss %v/%v", i, ck.order[i], again.order[i], a.Loss, b.Loss)
 		}
 		for j := range a.Unit {
 			if math.Float64bits(a.Unit[j]) != math.Float64bits(b.Unit[j]) {
@@ -186,13 +196,10 @@ func fuzzJournal(t *testing.T, data []byte) {
 			}
 		}
 	}
-	for i, rec := range ck.InFlight {
-		if again.InFlight[i].Seq != rec.Seq {
-			t.Fatalf("inflight[%d].Seq not stable", i)
-		}
-		for j := range rec.Unit {
-			if math.Float64bits(again.InFlight[i].Unit[j]) != math.Float64bits(rec.Unit[j]) {
-				t.Fatalf("inflight[%d].Unit[%d] not bitwise stable", i, j)
+	for seq, unit := range ck.inFlight {
+		for j := range unit {
+			if len(again.inFlight[seq]) != len(unit) || math.Float64bits(again.inFlight[seq][j]) != math.Float64bits(unit[j]) {
+				t.Fatalf("inflight[%d].Unit[%d] not bitwise stable", seq, j)
 			}
 		}
 	}
@@ -201,13 +208,6 @@ func fuzzJournal(t *testing.T, data []byte) {
 func samplesUnits(ss []Sample) (out [][]float64) {
 	for _, s := range ss {
 		out = append(out, s.Unit)
-	}
-	return out
-}
-
-func inflightUnits(rs []AsyncPending) (out [][]float64) {
-	for _, r := range rs {
-		out = append(out, r.Unit)
 	}
 	return out
 }

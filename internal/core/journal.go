@@ -51,7 +51,9 @@ type Journal struct {
 // empty file). An existing journal's first line goes to checkHeader and
 // every later line, in order, to record. A line record rejects is
 // corruption unless it is the last line: that, like an unterminated
-// last line, is what a kill mid-write leaves, and is truncated away.
+// last line, is what a kill mid-write leaves, and is truncated away. An
+// existing file that cannot be read or holds corruption is refused and
+// left as it was.
 func OpenJournal(path string, header []byte, checkHeader, record func(line []byte) error) (*Journal, error) {
 	data, err := os.ReadFile(path)
 	good := 0
@@ -63,8 +65,10 @@ func OpenJournal(path string, header []byte, checkHeader, record func(line []byt
 		})
 	case err == nil:
 		if good, err = scanJournal(data, checkHeader, record); err != nil {
-			err = fmt.Errorf("core: journal %s: %w", path, err)
+			err = refusedJournalError{fmt.Errorf("core: journal %s: %w", path, err)}
 		}
+	default:
+		err = refusedJournalError{fmt.Errorf("core: reading journal: %w", err)}
 	}
 	if err != nil {
 		return nil, err
@@ -80,6 +84,12 @@ func OpenJournal(path string, header []byte, checkHeader, record func(line []byt
 	}
 	return &Journal{f: f}, nil
 }
+
+// refusedJournalError is OpenJournal's error for an existing file it
+// cannot take as the journal expected: one it cannot read, or one that
+// holds something else. A failure to create or append to a journal is
+// another error.
+type refusedJournalError struct{ error }
 
 // scanJournal splits journal bytes into lines, hands the header line to
 // checkHeader and the rest to record, and returns the offset just past

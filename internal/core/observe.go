@@ -23,6 +23,10 @@ type RunInfo struct {
 	MaxEvaluations int
 	// Workers is the loss-evaluation parallelism.
 	Workers int
+	// Resumed is the number of journaled consumptions a resumed run
+	// serves from its journal (see Calibrator.Resume); zero for a fresh
+	// run.
+	Resumed int
 }
 
 // Observer receives calibration lifecycle callbacks. Implementations
@@ -234,10 +238,11 @@ func (o *obsObserver) CalibrationStarted(info RunInfo) {
 		Workers:   info.Workers,
 		Version:   obs.BuildVersion(),
 	})
-	o.tracer.Emit(obs.EventCalibrationStarted, obs.Fields{
-		"algorithm": info.Algorithm,
-		"workers":   info.Workers,
-	})
+	fields := obs.Fields{"algorithm": info.Algorithm, "workers": info.Workers}
+	if info.Resumed > 0 {
+		fields["resumed"] = info.Resumed
+	}
+	o.tracer.Emit(obs.EventCalibrationStarted, fields)
 }
 
 // BatchProposed implements Observer.

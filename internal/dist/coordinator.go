@@ -23,18 +23,16 @@ const (
 	DefaultHeartbeatTimeout = 10 * time.Second
 )
 
-// Chaos-hardening defaults.
-const (
-	// DefaultMaxRequeues is how many worker deaths one lease survives
-	// before it is quarantined as poison. A lease that has killed (or
-	// outlived) this many workers is overwhelmingly likely to be the
-	// cause, not a bystander.
-	DefaultMaxRequeues = 3
-	// DefaultDegradedGrace is how long the fleet may be empty with
-	// leases queued before the coordinator degrades to local
-	// evaluation.
-	DefaultDegradedGrace = 30 * time.Second
-)
+// maxRequeues is how many worker deaths one lease survives before it
+// is quarantined as poison instead of ping-ponging a worker-killing
+// point across the fleet forever. A lease that has killed (or outlived)
+// this many workers is overwhelmingly likely to be the cause, not a
+// bystander.
+const maxRequeues = 3
+
+// DefaultDegradedGrace is how long the fleet may be empty with leases
+// queued before the coordinator degrades to local evaluation.
+const DefaultDegradedGrace = 30 * time.Second
 
 // ErrCoordinatorClosed is returned by evaluations still pending when
 // the coordinator shuts down.
@@ -84,12 +82,6 @@ type CoordinatorConfig struct {
 	// quarantined lease then resolves with a deterministic error, and
 	// an empty fleet blocks until a worker returns.
 	LocalFactory Factory
-	// MaxRequeues caps how many times one lease may be re-queued after
-	// worker deaths before it is quarantined as poison instead of
-	// ping-ponging a worker-killing point across the fleet forever.
-	// Zero means DefaultMaxRequeues; negative disables quarantine
-	// (unbounded requeues, the pre-hardening behavior).
-	MaxRequeues int
 	// DegradedGrace is how long the fleet may be empty with leases
 	// queued before the coordinator enters degraded mode and drains
 	// the queue through LocalFactory (at most GOMAXPROCS evaluations at
@@ -152,9 +144,6 @@ func (cfg CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = DefaultHeartbeatTimeout
-	}
-	if cfg.MaxRequeues == 0 {
-		cfg.MaxRequeues = DefaultMaxRequeues
 	}
 	if cfg.DegradedGrace == 0 {
 		cfg.DegradedGrace = DefaultDegradedGrace

@@ -411,7 +411,7 @@ func (f *fleet) traceWorkerEval(w *remoteWorker, l *lease, res *ResultMsg) {
 // lease-ID order, at the tail of the queue. The requeue is
 // unconditional — independent of any resilience policy — because it is
 // what makes a mid-batch worker kill invisible to the calibration
-// trajectory. A lease that has already been re-queued MaxRequeues times
+// trajectory. A lease that has already been re-queued maxRequeues times
 // is quarantined as poison instead; one whose job or context was
 // canceled, or that the coordinator closed under, is resolved rather
 // than re-queued. Idempotent, and the only producer of the drop action.
@@ -443,7 +443,7 @@ func (f *fleet) dead(now int64, w *remoteWorker, cause error) {
 		default:
 			l.requeues++
 			f.requeueDepth.Observe(int64(l.requeues))
-			if f.cfg.MaxRequeues >= 0 && l.requeues > f.cfg.MaxRequeues {
+			if l.requeues > maxRequeues {
 				quarantined = append(quarantined, l)
 				continue
 			}

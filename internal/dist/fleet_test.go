@@ -412,19 +412,19 @@ func TestDuplicateResultDropped(t *testing.T) {
 	}
 }
 
-// TestFleetQuarantineAtCap: a lease survives MaxRequeues worker deaths
+// TestFleetQuarantineAtCap: a lease survives maxRequeues worker deaths
 // and is quarantined on the next one — to the local evaluator when
 // there is one, with a deterministic error when there is not.
 func TestFleetQuarantineAtCap(t *testing.T) {
 	for _, local := range []bool{false, true} {
-		cfg := CoordinatorConfig{MaxRequeues: 2, Tracer: obs.NewTracer(new(strings.Builder))}
+		cfg := CoordinatorConfig{Tracer: obs.NewTracer(new(strings.Builder))}
 		if local {
 			cfg.LocalFactory = sameFactory
 		}
 		r := newRig(t, cfg)
 		l := r.lease("", 1)
 		r.f.submit(0, l)
-		for death := 1; death <= 3; death++ {
+		for death := 1; death <= maxRequeues+1; death++ {
 			w := r.worker(int64(death)*sec, fmt.Sprintf("victim-%d", death), 1)
 			if msgs := sent(w); len(msgs) != 1 || msgs[0].ID != l.id {
 				t.Fatalf("local=%v death %d: delivery %+v, want lease %d", local, death, msgs, l.id)
@@ -432,28 +432,28 @@ func TestFleetQuarantineAtCap(t *testing.T) {
 			r.take()
 			r.f.dead(int64(death)*sec, w, errors.New("poisoned"))
 			acts := r.take()
-			if death <= 2 {
+			if death <= maxRequeues {
 				if len(r.f.queue) != 1 || l.requeues != death || len(delivered(acts)) != 0 {
 					t.Fatalf("local=%v death %d: queue %d, requeues %d; want requeued", local, death, len(r.f.queue), l.requeues)
 				}
 				continue
 			}
 			if len(r.f.queue) != 0 || r.counter("dist.leases_quarantined") != 1 {
-				t.Fatalf("local=%v: after death 3 queue %d, quarantined %d; want 0 and 1", local, len(r.f.queue), r.counter("dist.leases_quarantined"))
+				t.Fatalf("local=%v: after death %d queue %d, quarantined %d; want 0 and 1", local, maxRequeues+1, len(r.f.queue), r.counter("dist.leases_quarantined"))
 			}
 			var traced bool
 			for _, a := range acts {
-				traced = traced || a.kind == actTrace && a.name == obs.EventDistLeaseQuarantined && a.fields["requeues"] == 3
+				traced = traced || a.kind == actTrace && a.name == obs.EventDistLeaseQuarantined && a.fields["requeues"] == maxRequeues+1
 			}
 			if !traced {
-				t.Errorf("local=%v: no dist_lease_quarantined trace action with requeues=3 in %v", local, kinds(acts))
+				t.Errorf("local=%v: no dist_lease_quarantined trace action with requeues=%d in %v", local, maxRequeues+1, kinds(acts))
 			}
 			last := acts[len(acts)-1]
 			if local {
 				if last.kind != actLocal || last.l != l || last.name != "quarantine" {
 					t.Errorf("with a local factory the poison lease produced %+v, want a local evaluation", last)
 				}
-			} else if last.kind != actDeliver || last.out.err == nil || !strings.Contains(last.out.err.Error(), "quarantined after 3 requeues") {
+			} else if last.kind != actDeliver || last.out.err == nil || !strings.Contains(last.out.err.Error(), fmt.Sprintf("quarantined after %d requeues", maxRequeues+1)) {
 				t.Errorf("without a local factory the poison lease produced %+v, want the quarantine error", last)
 			}
 		}
@@ -903,7 +903,7 @@ func (s *schedule) fault() {
 // after a fault-free drain on one fresh worker, every lease has
 // resolved exactly once: with the loss of its own point, or
 // ErrJobCanceled if its job was canceled, or its context's error, or
-// the quarantine error after exactly MaxRequeues+1 deaths.
+// the quarantine error after exactly maxRequeues+1 deaths.
 func TestFleetSeededSchedules(t *testing.T) {
 	seeds, events := 1000, 3400
 	if testing.Short() || raceEnabled {
@@ -912,7 +912,6 @@ func TestFleetSeededSchedules(t *testing.T) {
 	cfg := CoordinatorConfig{
 		HeartbeatEvery:   2 * time.Second,
 		HeartbeatTimeout: 10 * time.Second,
-		MaxRequeues:      2,
 		DegradedGrace:    -1,
 	}.withDefaults()
 	reg := obs.NewRegistry()
@@ -968,15 +967,15 @@ func TestFleetSeededSchedules(t *testing.T) {
 				}
 			case strings.Contains(err.Error(), "quarantined"):
 				quarantined++
-				if sl.deaths != cfg.MaxRequeues+1 {
-					s.fatalf("lease %d quarantined after %d deaths, want exactly %d", sl.l.id, sl.deaths, cfg.MaxRequeues+1)
+				if sl.deaths != maxRequeues+1 {
+					s.fatalf("lease %d quarantined after %d deaths, want exactly %d", sl.l.id, sl.deaths, maxRequeues+1)
 				}
 			default:
 				s.fatalf("lease %d resolved with unexpected error %v", sl.l.id, err)
 			}
 			if err == nil || err == ErrJobCanceled || err == context.Canceled {
-				if sl.deaths > cfg.MaxRequeues {
-					s.fatalf("lease %d survived %d deaths; it should have been quarantined at %d", sl.l.id, sl.deaths, cfg.MaxRequeues+1)
+				if sl.deaths > maxRequeues {
+					s.fatalf("lease %d survived %d deaths; it should have been quarantined at %d", sl.l.id, sl.deaths, maxRequeues+1)
 				}
 			}
 		}

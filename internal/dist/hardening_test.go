@@ -224,7 +224,7 @@ func TestWorkerSessionResumeMidLease(t *testing.T) {
 
 // TestPoisonLeaseQuarantinedAndEvaluatedLocally feeds the fleet a
 // poison point that kills its worker's connection on every delivery.
-// After MaxRequeues requeues the coordinator must quarantine the lease,
+// After maxRequeues requeues the coordinator must quarantine the lease,
 // evaluate it locally, and still finish bitwise identical to serial.
 func TestPoisonLeaseQuarantinedAndEvaluatedLocally(t *testing.T) {
 	const evals = 24
@@ -238,7 +238,6 @@ func TestPoisonLeaseQuarantinedAndEvaluatedLocally(t *testing.T) {
 		Name:         "quarantine",
 		Registry:     reg,
 		Tracer:       tracer,
-		MaxRequeues:  2,
 		LocalFactory: sameFactory,
 	})
 	defer coord.Close()

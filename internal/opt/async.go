@@ -90,10 +90,7 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 	if b.NewRegressor == nil {
 		panic("opt: AsyncBayesOpt requires NewRegressor")
 	}
-	run, err := prob.Async()
-	if err != nil {
-		return err
-	}
+	run := prob.Async()
 	d := prob.Space.Dim()
 	init := b.InitSamples
 	if init <= 0 {

@@ -422,7 +422,6 @@ func (s *Server) nextPendingLocked() *Job {
 func (s *Server) runJob(j *Job) {
 	defer s.wg.Done()
 	s.persistRecord(j)
-	resumed := false
 	cal := core.Calibrator{
 		Space:          j.space,
 		Algorithm:      j.alg,
@@ -437,25 +436,14 @@ func (s *Server) runJob(j *Job) {
 		cal.CacheKey = "svc/" + Fingerprint(j.Request.Spec)
 	}
 	if s.cfg.StateDir != "" {
-		// A journal this job cannot resume from — none yet, or one from
-		// an earlier format — is replaced: the job runs from evaluation 0.
-		cal.Checkpoint = s.journalPath(j.ID)
-		if snap, err := core.LoadCheckpoint(cal.Checkpoint); err == nil &&
-			snap.Algorithm == j.alg.Name() && snap.Seed == j.Request.Seed {
-			cal.Resume = snap
-			resumed = true
-		}
+		// The job continues its journal: none yet runs it from evaluation
+		// 0, and one that is not this job's fails it.
+		cal.Checkpoint, cal.Resume = s.journalPath(j.ID), true
 	}
 	sim, err := s.cfg.Backend(j.ID, j.Request.Spec)
 	var res *core.Result
 	if err == nil {
 		cal.Simulator = sim
-		if resumed {
-			s.cResumed.Inc()
-			s.withLock(func() {
-				s.appendEventLocked(j, Event{Type: "resumed", Evaluations: int64(len(cal.Resume.Samples))})
-			})
-		}
 		s.withLock(func() { s.appendEventLocked(j, Event{Type: "started"}) })
 		res, err = cal.Run(j.ctx)
 	}
@@ -628,8 +616,17 @@ type jobObserver struct {
 	j *Job
 }
 
-func (o *jobObserver) CalibrationStarted(core.RunInfo) {}
-func (o *jobObserver) BatchProposed(int)               {}
+// CalibrationStarted reports a job that continues its journal.
+func (o *jobObserver) CalibrationStarted(info core.RunInfo) {
+	if info.Resumed > 0 {
+		o.s.cResumed.Inc()
+		o.s.withLock(func() {
+			o.s.appendEventLocked(o.j, Event{Type: "resumed", Evaluations: int64(info.Resumed)})
+		})
+	}
+}
+
+func (o *jobObserver) BatchProposed(int) {}
 
 func (o *jobObserver) EvalCompleted(smp core.Sample, wait, dur time.Duration) {
 	n := o.j.evals.Add(1)

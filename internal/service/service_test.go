@@ -9,6 +9,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -502,6 +504,49 @@ func TestRestartResume(t *testing.T) {
 	}
 	if fp := fingerprint(fetchResult(t, base3, j.ID)); fp != want {
 		t.Error("result served from disk after restart differs from the original")
+	}
+}
+
+// TestRestartRefusesCorruptJournal: a restarted server whose job journal
+// is corrupt before its last line fails the job with an error naming the
+// journal, rather than running it again from evaluation 0.
+func TestRestartRefusesCorruptJournal(t *testing.T) {
+	dir := t.TempDir()
+	mk := func() *service.Server {
+		cfg := toyConfig(3 * time.Millisecond)
+		cfg.MaxRunning = 1
+		cfg.StateDir = dir
+		svc, err := service.NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	svc := mk()
+	req := service.JobRequest{Tenant: "t", Algorithm: "RAND", MaxEvals: 40, Seed: 7, Workers: 2, Spec: json.RawMessage(`{"toy":9}`)}
+	j, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitEvaluations(t, startHTTP(t, svc), j.ID, 10)
+	svc.Close()
+
+	path := filepath.Join(dir, j.ID+".journal.jsonl")
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(journal), "\n")
+	lines[2] = "{#consume#:0}\n" // line 3 of many: not a torn tail
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := mk()
+	defer svc2.Close()
+	st := waitState(t, startHTTP(t, svc2), j.ID, service.StateFailed)
+	if !strings.Contains(st.Error, path) || !strings.Contains(st.Error, "line 3") {
+		t.Errorf("failed job's error %q does not name line 3 of the journal %s", st.Error, path)
 	}
 }
 
