@@ -14,11 +14,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"simcal/internal/cache"
 	"simcal/internal/core"
+	"simcal/internal/dist"
 	"simcal/internal/experiments"
 	"simcal/internal/groundtruth"
 	"simcal/internal/loss"
@@ -183,6 +185,68 @@ func BenchmarkProblemEvaluate(b *testing.B) {
 		run := calibrate(b, core.NewObsObserver(obs.NewRegistry(), obs.NewTracer(io.Discard)))
 		for i := 0; i < b.N; i++ {
 			run(i)
+		}
+	})
+}
+
+// remoteEvaluateAllocCeiling is the ceiling on allocations for
+// BenchmarkRemoteEvaluate's calibration: problemEvaluateAllocCeiling's
+// calibration with every evaluation leased to a loopback fleet, so on
+// top of the engine's cost it counts the wire codec (a lease and a
+// result frame per evaluation, each encoded and decoded), the worker's
+// telemetry passenger and the coordinator's absorb of it. Measured on a
+// 2-core x86-64 host: 69 700 (136 per evaluation) on the reflecting
+// encoding/json codec with snapshot-diffing telemetry, 12 970–13 580
+// (25.3–26.5) at GOMAXPROCS 1, 2 and 4 on the hand-written codec with
+// handle-reading deltas. The ceiling is 32 per evaluation.
+const remoteEvaluateAllocCeiling = 16384
+
+// BenchmarkRemoteEvaluate runs one 512-evaluation calibration of the
+// sphere function per iteration on a loopback fleet of two workers of
+// capacity two, whose coordinator keeps a registry as simcald's does.
+// It fails itself above remoteEvaluateAllocCeiling.
+func BenchmarkRemoteEvaluate(b *testing.B) {
+	lb := dist.NewLoopback()
+	l, err := lb.Listen("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	coord := dist.NewCoordinator(dist.CoordinatorConfig{Name: "bench", Registry: obs.NewRegistry()})
+	go coord.Serve(l)
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer func() {
+		coord.Close()
+		l.Close()
+		cancel()
+		wg.Wait()
+	}()
+	sphere := func([]byte) (core.Simulator, error) { return core.Evaluator(sphereEval), nil }
+	for i := 0; i < 2; i++ {
+		w, err := dist.NewWorker(dist.WorkerConfig{Name: fmt.Sprintf("w%d", i), Capacity: 2, Factory: sphere})
+		if err != nil {
+			b.Fatal(err)
+		}
+		conn, err := lb.Dial("")
+		if err != nil {
+			b.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = w.Run(ctx, conn)
+		}()
+	}
+	if err := coord.WaitForWorkers(ctx, 2); err != nil {
+		b.Fatal(err)
+	}
+	cal := &core.Calibrator{
+		Space: benchSpace, Simulator: coord.Evaluator([]byte(`{"case":"sphere"}`)),
+		Algorithm: opt.Random{Batch: 16}, MaxEvaluations: 512, Seed: 1,
+	}
+	benchAllocGate(b, remoteEvaluateAllocCeiling, func(int) {
+		if _, err := cal.Run(context.Background()); err != nil {
+			b.Fatal(err)
 		}
 	})
 }

@@ -346,6 +346,11 @@ func (c *Coordinator) handle(conn Conn) {
 		c.mu.Lock()
 		c.fleet.frame(c.now(), w, f)
 		c.perform()
+		// Nothing holds the passenger past the event: the connection may
+		// decode the next one into it.
+		if r, ok := conn.(interface{ recycle(*TelemetryMsg) }); ok && f.Telemetry != nil {
+			r.recycle(f.Telemetry)
+		}
 	}
 }
 
@@ -401,20 +406,33 @@ func (c *Coordinator) workerDead(w *remoteWorker, cause error) {
 // (worker.eval_ns becomes `worker.eval_ns{worker="w1"}`): counters and
 // histograms arrive as deltas and are added, gauges arrive absolute and
 // are set. (The frame's clock-sync echo is the fleet's: fleet.frame.)
+// Only w's reader calls it, so w's handle cache needs no lock.
 func (c *Coordinator) absorbTelemetry(w *remoteWorker, t *TelemetryMsg) {
 	reg := c.cfg.Registry
 	if t == nil || reg == nil {
 		return
 	}
 	for name, d := range t.Counters {
-		reg.Counter(obs.LabeledName(name, "worker", w.name)).Add(d)
+		labeled(w.counters, name, w.name, reg.Counter).Add(d)
 	}
 	for name, v := range t.Gauges {
-		reg.Gauge(obs.LabeledName(name, "worker", w.name)).Set(float64(v))
+		labeled(w.gauges, name, w.name, reg.Gauge).Set(float64(v))
 	}
 	for name, d := range t.Hists {
-		reg.Histogram(obs.LabeledName(name, "worker", w.name)).AbsorbDelta(d)
+		labeled(w.hists, name, w.name, reg.Histogram).AbsorbDelta(d)
 	}
+}
+
+// labeled returns the handle of worker's copy of metric name from
+// cache, resolving it through lookup the first time the worker reports
+// the metric.
+func labeled[H any](cache map[string]H, name, worker string, lookup func(string) H) H {
+	h, ok := cache[name]
+	if !ok {
+		h = lookup(obs.LabeledName(name, "worker", worker))
+		cache[name] = h
+	}
+	return h
 }
 
 // ClockOffset computes the NTP-style offset (worker clock minus
@@ -718,16 +736,25 @@ func (c *Coordinator) Evaluator(spec []byte) *RemoteEvaluator {
 // trace events, and CancelJob can purge exactly this job's queued
 // leases. Many JobEvaluators share one coordinator fleet concurrently.
 func (c *Coordinator) JobEvaluator(job string, spec []byte) *RemoteEvaluator {
-	return &RemoteEvaluator{c: c, job: job, spec: append(json.RawMessage(nil), spec...)}
+	e := &RemoteEvaluator{c: c, job: job}
+	// Compacted once here, so that encoding a lease copies its spec. A
+	// spec that is not JSON is kept as it is, and fails its leases.
+	if compact, err := appendCompact(nil, spec); err == nil {
+		e.spec, e.specCompact = compact, true
+	} else {
+		e.spec = append(json.RawMessage(nil), spec...)
+	}
+	return e
 }
 
 // RemoteEvaluator is a core.Simulator that evaluates points on the
 // coordinator's worker pool.
 type RemoteEvaluator struct {
-	c    *Coordinator
-	job  string
-	spec json.RawMessage
-	next atomic.Uint64
+	c           *Coordinator
+	job         string
+	spec        json.RawMessage
+	specCompact bool // spec is what the encoder writes for it
+	next        atomic.Uint64
 }
 
 // Run implements core.Simulator: RunAsync plus a wait. It blocks until

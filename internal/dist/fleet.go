@@ -45,6 +45,8 @@ type lease struct {
 	point map[string]WireFloat
 	cb    func(loss float64, err error) // completion callback, run exactly once by the deliver action
 
+	specCompact bool // spec is compacted already (see LeaseMsg)
+
 	// stopWatch releases the context watcher. Set under mu as the lease is
 	// submitted; resolve hands it to the deliver action, because an
 	// expiry can resolve the lease before it is set. nil for hand-built
@@ -90,6 +92,13 @@ type remoteWorker struct {
 	gInflight *obs.Gauge
 	gHbAge    *obs.Gauge
 	gOffset   *obs.Gauge
+
+	// The coordinator's handles on this worker's labeled metrics, by the
+	// name the worker reports. Touched by the worker's reader only
+	// (Coordinator.absorbTelemetry), not fleet state.
+	counters map[string]*obs.Counter
+	gauges   map[string]*obs.Gauge
+	hists    map[string]*obs.Histogram
 }
 
 func newRemoteWorker(name string, capacity int, conn Conn) *remoteWorker {
@@ -100,6 +109,9 @@ func newRemoteWorker(name string, capacity int, conn Conn) *remoteWorker {
 		name: name, capacity: capacity, conn: conn,
 		wake:     make(chan struct{}, 1),
 		inflight: make(map[uint64]*lease),
+		counters: make(map[string]*obs.Counter),
+		gauges:   make(map[string]*obs.Gauge),
+		hists:    make(map[string]*obs.Histogram),
 	}
 }
 
@@ -277,7 +289,7 @@ func (f *fleet) assign(now int64) {
 		f.queueWait.Observe(now - l.enqueuedNS)
 		f.leasesDispatched.Inc()
 		l.sentNS = now
-		f.push(w, &Frame{Type: TypeLease, Lease: &LeaseMsg{ID: l.id, Index: l.index, Spec: l.spec, Point: l.point}})
+		f.push(w, &Frame{Type: TypeLease, Lease: &LeaseMsg{ID: l.id, Index: l.index, Spec: l.spec, Point: l.point, specCompact: l.specCompact}})
 	}
 }
 

@@ -21,7 +21,6 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -114,6 +113,10 @@ type LeaseMsg struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Point is the parameter assignment to evaluate.
 	Point map[string]WireFloat `json:"point"`
+
+	// specCompact says Spec is already in the form the encoder writes
+	// (the RemoteEvaluator compacted it once), so encoding copies it.
+	specCompact bool
 }
 
 // ResultMsg reports one finished evaluation.
@@ -251,31 +254,53 @@ func (f *Frame) Validate() error {
 // 4-byte big-endian payload length, a 4-byte big-endian IEEE CRC32 of
 // the payload, and the JSON payload.
 func EncodeFrame(f *Frame) ([]byte, error) {
+	return appendWireFrame(make([]byte, 0, 512), f)
+}
+
+// appendWireFrame appends f as one wire frame to dst. On error dst is
+// returned as it was.
+func appendWireFrame(dst []byte, f *Frame) ([]byte, error) {
 	if err := f.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
-	payload, err := json.Marshal(f)
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderLen)...)
+	dst, err := appendFrame(dst, f)
 	if err != nil {
-		return nil, fmt.Errorf("dist: encoding %s frame: %w", f.Type, err)
+		return dst[:start], fmt.Errorf("dist: encoding %s frame: %w", f.Type, err)
 	}
+	payload := dst[start+frameHeaderLen:]
 	if len(payload) > MaxFramePayload {
-		return nil, fmt.Errorf("dist: %s frame payload is %d bytes (max %d)", f.Type, len(payload), MaxFramePayload)
+		return dst[:start], fmt.Errorf("dist: %s frame payload is %d bytes (max %d)", f.Type, len(payload), MaxFramePayload)
 	}
-	buf := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
-	buf[0] = ProtocolVersion
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[5:9], crc32.ChecksumIEEE(payload))
-	return append(buf, payload...), nil
+	hdr := dst[start : start+frameHeaderLen]
+	hdr[0] = ProtocolVersion
+	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
+	return dst, nil
 }
 
 // DecodeFrame reads one frame from r. Truncated input, a foreign
 // version byte, an oversize or zero length prefix, a payload failing
-// its CRC, malformed JSON, an unknown frame type, a payload mismatching
-// the type, and invalid non-finite sentinels all return an error; the
-// decoder never panics and never allocates more than MaxFramePayload
-// for one frame.
+// its CRC, malformed JSON, an unknown or repeated member, a value of
+// the wrong type, bytes after the payload's object, an unknown frame
+// type, a payload mismatching the type, and invalid non-finite
+// sentinels all return an error; the decoder never panics and never
+// allocates more than MaxFramePayload for one frame.
 func DecodeFrame(r io.Reader) (*Frame, error) {
 	var hdr [frameHeaderLen]byte
+	payload, err := readPayload(r, &hdr, nil)
+	if err != nil {
+		return nil, err
+	}
+	var d decoder
+	return d.decode(payload)
+}
+
+// readPayload reads one frame from r — its header into hdr, its payload
+// into buf, which grows if it is too small — and checks the version,
+// the length bound and the checksum.
+func readPayload(r io.Reader, hdr *[frameHeaderLen]byte, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		// Propagate a clean EOF at a frame boundary unchanged so peers
 		// can distinguish an orderly close from a torn frame.
@@ -294,21 +319,15 @@ func DecodeFrame(r io.Reader) (*Frame, error) {
 	if n > MaxFramePayload {
 		return nil, fmt.Errorf("dist: frame payload of %d bytes exceeds the %d-byte bound", n, MaxFramePayload)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("dist: reading %d-byte frame payload: %w", n, err)
 	}
 	if sum := crc32.ChecksumIEEE(payload); sum != binary.BigEndian.Uint32(hdr[5:9]) {
 		return nil, fmt.Errorf("dist: frame payload fails checksum (corrupted in flight)")
 	}
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	var f Frame
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("dist: decoding frame payload: %w", err)
-	}
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	return &f, nil
+	return payload, nil
 }

@@ -6,7 +6,11 @@ import (
 	"encoding/json"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -287,18 +291,270 @@ func FuzzDecodeFrame(f *testing.F) {
 	v4[0] = 4
 	f.Add(v4)
 	f.Add(mustFramePayloadFuzz(`{"type":"heartbeat","heartbeat":{"ping_unix_ns":5}}`))
+	// Shapes encoding/json reads and the encoder never writes:
+	// whitespace between members, members out of encoder order, a
+	// repeated member, a case-folded member name and an escaped key.
+	f.Add(mustFramePayloadFuzz(" {\n\t\"type\" : \"result\" ,\r\"result\":{ \"id\" :1 , \"loss\": 2.5e-7 } } "))
+	f.Add(mustFramePayloadFuzz(`{"lease":{"point":{"y":1,"x":"-Inf"},"spec":{ "b" : [1, 2] },"index":4,"id":3},"type":"lease"}`))
+	f.Add(mustFramePayloadFuzz(`{"type":"heartbeat","type":"heartbeat"}`))
+	f.Add(mustFramePayloadFuzz(`{"Type":"heartbeat"}`))
+	f.Add(mustFramePayloadFuzz(`{"typ\u0065":"heartbeat","telemetry":{"sent_unix_ns":1,"counters":{"a\u003cb\u2028\ud83d\ude00":2}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := DecodeFrame(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := fr.Validate(); err != nil {
-			t.Fatalf("decoded frame fails validation: %v", err)
-		}
-		if _, err := EncodeFrame(fr); err != nil {
-			t.Fatalf("decoded frame does not re-encode: %v", err)
+		checkDecoded(t, data)
+		if len(data) > frameHeaderLen {
+			// The same payload behind a correct header, so that mutated
+			// payloads get past the checksum to the JSON decoder.
+			checkDecoded(t, mustFramePayloadFuzz(string(data[frameHeaderLen:])))
 		}
 	})
+}
+
+// checkDecoded holds FuzzDecodeFrame's assertions about one input.
+func checkDecoded(t *testing.T, data []byte) {
+	fr, err := DecodeFrame(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	if err := fr.Validate(); err != nil {
+		t.Fatalf("decoded frame fails validation: %v", err)
+	}
+	b1, err := EncodeFrame(fr)
+	if err != nil {
+		t.Fatalf("decoded frame does not re-encode: %v", err)
+	}
+	// The decoder accepts a subset of what encoding/json accepts,
+	// into the same frame, and re-encoding is a fixed point.
+	var want Frame
+	dec := json.NewDecoder(bytes.NewReader(data[frameHeaderLen:]))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&want); err != nil {
+		t.Fatalf("encoding/json rejects a payload the decoder accepts: %v", err)
+	}
+	if !sameFrame(fr, &want) {
+		t.Fatalf("decoded frame = %s, encoding/json decodes %s", frameString(fr), frameString(&want))
+	}
+	fr2, err := DecodeFrame(bytes.NewReader(b1))
+	if err != nil {
+		t.Fatalf("re-encoded frame does not decode: %v", err)
+	}
+	if b2, err := EncodeFrame(fr2); err != nil || !bytes.Equal(b1, b2) {
+		t.Fatalf("re-encoding is not a fixed point: %q then %q (%v)", b1, b2, err)
+	}
+}
+
+// sameFrame is reflect.DeepEqual for frames with floats compared by
+// their bits, so that two NaNs decoded from one sentinel are equal.
+func sameFrame(a, b *Frame) bool {
+	ca, fa := floatless(a)
+	cb, fb := floatless(b)
+	return reflect.DeepEqual(ca, cb) && slices.Equal(fa, fb)
+}
+
+// floatless returns a copy of f with every float zeroed, and the bits
+// of the floats it held in a fixed order.
+func floatless(f *Frame) (Frame, []uint64) {
+	c := *f
+	var bits []uint64
+	zero := func(m map[string]WireFloat) map[string]WireFloat {
+		if m == nil {
+			return nil
+		}
+		out := make(map[string]WireFloat, len(m))
+		for _, k := range slices.Sorted(maps.Keys(m)) {
+			bits = append(bits, math.Float64bits(float64(m[k])))
+			out[k] = 0
+		}
+		return out
+	}
+	if f.Lease != nil {
+		l := *f.Lease
+		l.Point = zero(l.Point)
+		c.Lease = &l
+	}
+	if f.Result != nil {
+		r := *f.Result
+		bits = append(bits, math.Float64bits(float64(r.Loss)))
+		r.Loss = 0
+		c.Result = &r
+	}
+	if f.Telemetry != nil {
+		t := *f.Telemetry
+		t.Gauges = zero(t.Gauges)
+		c.Telemetry = &t
+	}
+	return c, bits
+}
+
+// frameString renders a frame for a failure message.
+func frameString(f *Frame) string {
+	b, err := json.Marshal(f)
+	if err != nil {
+		return err.Error()
+	}
+	return string(b)
+}
+
+// TestAppendFrameMatchesEncodingJSON is the encoder's oracle: for every
+// test frame and a thousand generated ones, appendFrame writes exactly
+// the bytes json.Marshal does, and EncodeFrame exactly those behind
+// the header. Generated frames reach every rule that can change bytes:
+// sorted keys (bucket "10" before "6"), the float forms around 1e-6
+// and 1e21, zeros, subnormals and sentinels, HTML-safe escaping,
+// control bytes, U+2028 and invalid UTF-8 in names, errors and
+// classes, and a spec to compact.
+func TestAppendFrameMatchesEncodingJSON(t *testing.T) {
+	frames := testFrames()
+	rng := rand.New(rand.NewPCG(34, 6))
+	for i := 0; i < 1000; i++ {
+		frames = append(frames, randomFrame(rng))
+	}
+	for i, f := range frames {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatalf("frame %d: json.Marshal: %v", i, err)
+		}
+		got, err := appendFrame(nil, f)
+		if err != nil {
+			t.Fatalf("frame %d: appendFrame: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame %d:\nappendFrame  %s\njson.Marshal %s", i, got, want)
+		}
+		if f.Validate() != nil {
+			continue // never sent: EncodeFrame refuses it
+		}
+		buf, err := EncodeFrame(f)
+		if err != nil {
+			t.Fatalf("frame %d: EncodeFrame: %v", i, err)
+		}
+		if !bytes.Equal(buf[frameHeaderLen:], want) || int(binary.BigEndian.Uint32(buf[1:5])) != len(want) {
+			t.Fatalf("frame %d: EncodeFrame payload %s, want %s", i, buf[frameHeaderLen:], want)
+		}
+		back, err := DecodeFrame(bytes.NewReader(buf))
+		if err != nil {
+			t.Fatalf("frame %d: %s does not decode: %v", i, want, err)
+		}
+		var oracle Frame
+		if err := json.Unmarshal(want, &oracle); err != nil {
+			t.Fatal(err)
+		}
+		if !sameFrame(back, &oracle) {
+			t.Fatalf("frame %d: decoded %s, encoding/json decodes %s", i, frameString(back), frameString(&oracle))
+		}
+	}
+}
+
+// randomFrame returns a valid lease, result or heartbeat frame built
+// from the awkward cases of randomFloat and randomName.
+func randomFrame(rng *rand.Rand) *Frame {
+	switch rng.IntN(4) {
+	case 0:
+		pt := make(map[string]WireFloat)
+		for n := 1 + rng.IntN(20); len(pt) < n; {
+			put(pt, randomName(rng), WireFloat(randomFloat(rng)))
+		}
+		specs := []string{`{"case":"wf"}`, " { \"case\" : \"mpi\",\n\t\"x\": [1, 2.5e-7, \"<a&b>\u2028\"] } ", `"s"`, ""}
+		return &Frame{Type: TypeLease, Lease: &LeaseMsg{
+			ID: rng.Uint64(), Index: rng.Uint64N(1 << 20),
+			Spec: json.RawMessage(specs[rng.IntN(len(specs))]), Point: pt,
+		}}
+	case 1:
+		r := &ResultMsg{ID: rng.Uint64(), Index: rng.Uint64N(1 << 20), Loss: WireFloat(randomFloat(rng))}
+		if rng.IntN(2) == 0 {
+			r.Err = randomName(rng)
+			// A class outside the three is invalid (the test checks
+			// its bytes only), but appendFrame must still escape it.
+			r.Class = []string{"", "deterministic", "transient", randomName(rng)}[rng.IntN(4)]
+		}
+		if rng.IntN(2) == 0 {
+			r.StartUnixNS, r.DurNS = rng.Int64(), rng.Int64N(1e9)-1
+		}
+		return &Frame{Type: TypeResult, Result: r, Telemetry: randomTelemetry(rng)}
+	case 2:
+		var hb *HeartbeatMsg
+		if rng.IntN(2) == 0 {
+			hb = &HeartbeatMsg{PingUnixNS: rng.Int64N(3) * rng.Int64()}
+		}
+		return &Frame{Type: TypeHeartbeat, Heartbeat: hb, Telemetry: randomTelemetry(rng)}
+	default:
+		return &Frame{Type: TypeHello, Hello: &HelloMsg{Name: randomName(rng), Capacity: rng.IntN(3) * rng.Int()}}
+	}
+}
+
+func randomTelemetry(rng *rand.Rand) *TelemetryMsg {
+	if rng.IntN(3) == 0 {
+		return nil
+	}
+	t := &TelemetryMsg{SentUnixNS: rng.Int64(), EchoPingUnixNS: rng.Int64N(2) * rng.Int64(), EchoRecvUnixNS: rng.Int64N(2) * rng.Int64()}
+	for i := rng.IntN(4); i > 0; i-- {
+		if t.Counters == nil {
+			t.Counters = make(map[string]int64)
+		}
+		put(t.Counters, randomName(rng), rng.Int64()-rng.Int64())
+	}
+	for i := rng.IntN(4); i > 0; i-- {
+		if t.Gauges == nil {
+			t.Gauges = make(map[string]WireFloat)
+		}
+		put(t.Gauges, randomName(rng), WireFloat(randomFloat(rng)))
+	}
+	for i := rng.IntN(3); i > 0; i-- {
+		if t.Hists == nil {
+			t.Hists = make(map[string]obs.HistDump)
+		}
+		h := obs.HistDump{Count: rng.Int64N(100), Sum: rng.Int64(), Min: rng.Int64N(50), Max: rng.Int64N(1 << 40)}
+		for j := rng.IntN(6); j > 0; j-- {
+			if h.Buckets == nil {
+				h.Buckets = make(map[int]int64)
+			}
+			h.Buckets[rng.IntN(64)] = 1 + rng.Int64N(1000)
+		}
+		put(t.Hists, randomName(rng), h)
+	}
+	return t
+}
+
+// put adds k to m unless a key already there encodes the same: invalid
+// UTF-8 is replaced on the way out, so two such keys can collide, and
+// the decoder rejects a repeated key.
+func put[V any](m map[string]V, k string, v V) {
+	decoded := func(s string) string {
+		b, _ := json.Marshal(s)
+		var out string
+		_ = json.Unmarshal(b, &out)
+		return out
+	}
+	for old := range m {
+		if decoded(old) == decoded(k) {
+			return
+		}
+	}
+	m[k] = v
+}
+
+// randomFloat draws ordinary values of every magnitude and the edge
+// cases of the float form.
+func randomFloat(rng *rand.Rand) float64 {
+	edges := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072009e-308,
+		1e-6, math.Nextafter(1e-6, 0), -1e-6, 1e21, math.Nextafter(1e21, 0), -1e21, 1e20, 123456789e-15,
+		math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	if rng.IntN(3) == 0 {
+		return edges[rng.IntN(len(edges))]
+	}
+	return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.IntN(60)-30))
+}
+
+// randomName draws a name from pieces the string escaping must get
+// right, valid UTF-8 or not.
+func randomName(rng *rand.Rand) string {
+	pieces := []string{"x", "worker.eval_ns", `"`, `\`, "<", ">", "&", "\u2028", "\u2029", "\x00", "\x1f", "\n", "\t", "\b", "\f", "\x7f", "\xff", "\xe2\x80", "é", "😀", "\ufffd", "b", "a"}
+	var b strings.Builder
+	for n := 1 + rng.IntN(4); n > 0; n-- {
+		b.WriteString(pieces[rng.IntN(len(pieces))])
+	}
+	return b.String()
 }
 
 func mustFramePayloadFuzz(payload string) []byte {
@@ -333,6 +589,48 @@ func TestDecodeFrameChaosMutations(t *testing.T) {
 			if _, err := DecodeFrame(bytes.NewReader(mut)); err == nil {
 				t.Fatalf("%s frame corrupted at byte %d decoded successfully", fr.Type, pos)
 			}
+		}
+	}
+}
+
+// TestCodecSteadyStateAllocations pins what a connection's codec costs
+// per frame once warm. Encoding into the connection's buffer allocates
+// nothing. Decoding a lease allocates its frame, its LeaseMsg and its
+// point map (two objects: the map and its slot group): the point keys
+// are interned and the spec equals the previous lease's, so neither is
+// copied. Decoding a result whose previous passenger was handed back
+// allocates its frame and its ResultMsg: the telemetry is decoded into
+// the recycled message, maps and bucket maps.
+func TestCodecSteadyStateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	lease := &Frame{Type: TypeLease, Lease: &LeaseMsg{ID: 7, Index: 3, Spec: json.RawMessage(`{"case": "wf"}`),
+		Point: map[string]WireFloat{"x0": 0.5, "x1": -1e-7, "x2": WireFloat(math.Inf(1))}}}
+	result := &Frame{Type: TypeResult, Result: &ResultMsg{ID: 7, Index: 3, Loss: 0.25, StartUnixNS: 5, DurNS: 9},
+		Telemetry: testTelemetry()}
+	var buf []byte
+	dec := decoder{names: make(map[string]string)}
+	for _, tc := range []struct {
+		f    *Frame
+		want float64
+	}{{lease, 4}, {result, 2}} {
+		roundTrip := func() {
+			var err error
+			if buf, err = appendWireFrame(buf[:0], tc.f); err != nil {
+				t.Fatal(err)
+			}
+			got, err := dec.decode(buf[frameHeaderLen:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Telemetry != nil {
+				dec.spare = got.Telemetry
+			}
+		}
+		roundTrip() // warm the buffer, the name table and the spare
+		if allocs := testing.AllocsPerRun(100, roundTrip); allocs != tc.want {
+			t.Errorf("a warm %s frame costs %.0f allocations, want %.0f", tc.f.Type, allocs, tc.want)
 		}
 	}
 }

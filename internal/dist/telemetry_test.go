@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -332,5 +333,82 @@ func TestInflightGaugeSettlesAtZero(t *testing.T) {
 		if own.Value() != 0 || fleet.Value() != 0 {
 			t.Fatalf("round %d: nothing is in flight, yet the worker's gauge reads %v and the coordinator's %v", round, own.Value(), fleet.Value())
 		}
+	}
+}
+
+// TestNaNGaugeSentOnce: a gauge rides the first frame after it changes
+// and no later one — NaN included, which equals nothing, itself
+// neither, so a value comparison would resend it on every frame and an
+// idle worker's heartbeat would never be bare.
+func TestNaNGaugeSentOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	w, err := NewWorker(WorkerConfig{Name: "w1", Factory: sameFactory, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := w.newSession(nil)
+	sess.delta() // the worker's own gauge, sent once
+	reg.Gauge("weird").Set(math.NaN())
+	carried := 0
+	for i := 0; i < 3; i++ {
+		if tm := sess.delta(); tm != nil {
+			if v, ok := tm.Gauges["weird"]; ok {
+				carried++
+				if !math.IsNaN(float64(v)) {
+					t.Errorf("passenger %d carries weird = %v, want NaN", i, v)
+				}
+			}
+		}
+	}
+	if carried != 1 {
+		t.Errorf("%d of three passengers carry the NaN gauge, want exactly one", carried)
+	}
+	if tm := sess.delta(); tm != nil {
+		t.Errorf("nothing moved, yet the passenger is %+v", tm)
+	}
+}
+
+// TestSessionDeltaReadsOnlyWhatMoved: once every metric has been sent,
+// taking a delta allocates nothing — whether nothing moved (no
+// passenger) or a counter and a gauge did (the passenger's maps are
+// reused) — and what it reports is the movement alone.
+func TestSessionDeltaReadsOnlyWhatMoved(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	reg := obs.NewRegistry()
+	w, err := NewWorker(WorkerConfig{Name: "w1", Factory: sameFactory, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, g, h := reg.Counter("c"), reg.Gauge("g"), reg.Histogram("h")
+	c.Add(5)
+	h.Observe(100)
+	sess := w.newSession(nil)
+	if tm := sess.delta(); tm == nil || tm.Counters["c"] != 5 || tm.Gauges["g"] != 0 || tm.Hists["h"].Count != 1 {
+		t.Fatalf("first passenger = %+v, want c 5, g 0 and one observation of h", tm)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if tm := sess.delta(); tm != nil {
+			t.Fatalf("nothing moved, yet the passenger is %+v", tm)
+		}
+	}); allocs != 0 {
+		t.Errorf("a delta with nothing moved allocates %.0f objects, want 0", allocs)
+	}
+	v := 0.0
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.Inc()
+		v++
+		g.Set(v)
+		tm := sess.delta()
+		if tm == nil || len(tm.Counters) != 1 || tm.Counters["c"] != 1 || len(tm.Gauges) != 1 || tm.Gauges["g"] != WireFloat(v) || len(tm.Hists) != 0 {
+			t.Fatalf("passenger = %+v, want c +1 and g %v alone", tm, v)
+		}
+	}); allocs != 0 {
+		t.Errorf("a delta carrying a counter and a gauge allocates %.0f objects, want 0", allocs)
+	}
+	h.Observe(1 << 20)
+	if tm := sess.delta(); tm == nil || len(tm.Hists) != 1 || tm.Hists["h"].Count != 1 || tm.Hists["h"].Buckets[21] != 1 || len(tm.Hists["h"].Buckets) != 1 {
+		t.Errorf("passenger after one more observation = %+v, want h +1 in bucket 21 alone", tm)
 	}
 }

@@ -6,18 +6,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"simcal/internal/obs"
-)
-
-// Frame codec latency, process-wide: every transport connection funnels
-// through EncodeFrame/DecodeFrame, so one pair of histograms on the
-// default registry covers them all. Decode is timed from the first byte
-// of a frame, not from when Recv starts blocking — idle wire time is
-// not codec time.
-var (
-	frameEncodeHist = obs.Default().Histogram("dist.frame_encode_ns")
-	frameDecodeHist = obs.Default().Histogram("dist.frame_decode_ns")
 )
 
 // Conn is one frame-oriented connection between a coordinator and a
@@ -83,12 +71,19 @@ type StreamTransport interface {
 }
 
 // frameConn adapts any byte stream to Conn using the wire codec, so the
-// TCP and loopback transports share one encode/decode path.
+// TCP and loopback transports share one encode/decode path. Each
+// direction reuses its buffers from frame to frame.
 type frameConn struct {
 	raw net.Conn
 	br  *bufio.Reader
 
+	// Receive side, owned by the one goroutine in Recv (and recycle).
+	hdr     [frameHeaderLen]byte
+	payload []byte
+	dec     decoder
+
 	sendMu sync.Mutex
+	out    []byte // the frame being sent; guarded by sendMu
 
 	closeOnce sync.Once
 	closeErr  error
@@ -104,19 +99,18 @@ func NewFrameConn(raw net.Conn) Conn {
 
 // newFrameConn wraps a byte stream in the frame codec.
 func newFrameConn(raw net.Conn) *frameConn {
-	return &frameConn{raw: raw, br: bufio.NewReader(raw)}
+	return &frameConn{raw: raw, br: bufio.NewReader(raw), dec: decoder{names: make(map[string]string)}}
 }
 
 // Send implements Conn.
 func (c *frameConn) Send(f *Frame) error {
-	start := time.Now()
-	buf, err := EncodeFrame(f)
-	frameEncodeHist.ObserveDuration(time.Since(start))
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	buf, err := appendWireFrame(c.out[:0], f)
+	c.out = buf
 	if err != nil {
 		return err
 	}
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
 	// One whole frame per Write call — see NewFrameConn.
 	if _, err := c.raw.Write(buf); err != nil {
 		return fmt.Errorf("dist: sending %s frame: %w", f.Type, err)
@@ -126,15 +120,18 @@ func (c *frameConn) Send(f *Frame) error {
 
 // Recv implements Conn.
 func (c *frameConn) Recv() (*Frame, error) {
-	// Block until the frame's first byte is buffered before starting
-	// the decode timer; a Peek error falls through to DecodeFrame,
-	// which reports it properly.
-	_, _ = c.br.Peek(1)
-	start := time.Now()
-	f, err := DecodeFrame(c.br)
-	frameDecodeHist.ObserveDuration(time.Since(start))
-	return f, err
+	payload, err := readPayload(c.br, &c.hdr, c.payload)
+	if err != nil {
+		return nil, err
+	}
+	c.payload = payload
+	return c.dec.decode(payload)
 }
+
+// recycle hands back the telemetry passenger of a frame this
+// connection received, once its reader is done with every part of it:
+// the next passenger is decoded into its memory.
+func (c *frameConn) recycle(t *TelemetryMsg) { c.dec.spare = t }
 
 // Close implements Conn.
 func (c *frameConn) Close() error {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,19 +107,26 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 
 // session is the sending side of one coordinator connection. Every
 // frame after the hello leaves through send, which under one mutex
-// builds the metric delta since the previous frame, attaches it and
-// sends — so deltas are never double-counted across the concurrent
-// senders (one per running lease, and the heartbeat) and frames carry
-// registry snapshots in the order they were taken: an absolute gauge
-// value cannot be overtaken by an older one.
+// reads what moved in the registry since the previous frame, attaches
+// it and sends — so deltas are never double-counted across the
+// concurrent senders (one per running lease, and the heartbeat) and
+// frames carry metric readings in the order they were taken: an
+// absolute gauge value cannot be overtaken by an older one.
 type session struct {
 	w    *Worker
 	conn Conn
 
-	mu           sync.Mutex // held across a whole send
-	prevCounters map[string]int64
-	prevGauges   map[string]float64
-	prevHists    map[string]obs.HistDump
+	mu sync.Mutex // held across a whole send
+	// What the frames so far reported, per metric handle: the counter
+	// value, the gauge's bits (absent: never sent), the histogram's
+	// dump and its bucket-delta map, reused from frame to frame.
+	counters map[*obs.Counter]int64
+	gauges   map[*obs.Gauge]uint64
+	hists    map[*obs.Histogram]*histSent
+	// tm is the telemetry passenger, reused from frame to frame: a frame
+	// is encoded before send returns, and the next delta is taken under
+	// the same mutex.
+	tm TelemetryMsg
 
 	// ping is the latest unechoed clock-sync ping: the coordinator's send
 	// stamp and this worker's receive stamp. Outside mu, so the read loop
@@ -126,12 +134,18 @@ type session struct {
 	ping atomic.Pointer[[2]int64]
 }
 
+// histSent is one histogram's state as the frames so far reported it.
+type histSent struct {
+	last  obs.HistDump  // cumulative, as of the last frame that carried it
+	delta map[int]int64 // the bucket deltas that frame carried
+}
+
 func (w *Worker) newSession(conn Conn) *session {
 	return &session{
 		w: w, conn: conn,
-		prevCounters: make(map[string]int64),
-		prevGauges:   make(map[string]float64),
-		prevHists:    make(map[string]obs.HistDump),
+		counters: make(map[*obs.Counter]int64),
+		gauges:   make(map[*obs.Gauge]uint64),
+		hists:    make(map[*obs.Histogram]*histSent),
 	}
 }
 
@@ -149,44 +163,69 @@ func (s *session) send(f *Frame) error {
 // wire as absolute values), and the echo of the latest heartbeat ping.
 // It returns nil when there is nothing to report. Called with mu held.
 func (s *session) delta() *TelemetryMsg {
-	snap := s.w.reg.Snapshot()
-	msg := &TelemetryMsg{SentUnixNS: s.w.clock.Now().UnixNano()}
-	for name, v := range snap.Counters {
-		if d := v - s.prevCounters[name]; d != 0 {
-			if msg.Counters == nil {
-				msg.Counters = make(map[string]int64)
-			}
-			msg.Counters[name] = d
-			s.prevCounters[name] = v
-		}
-	}
-	for name, v := range snap.Gauges {
-		prev, seen := s.prevGauges[name]
-		if !seen || prev != v {
-			if msg.Gauges == nil {
-				msg.Gauges = make(map[string]WireFloat)
-			}
-			msg.Gauges[name] = WireFloat(v)
-			s.prevGauges[name] = v
-		}
-	}
-	for name, d := range s.w.reg.HistDumps() {
-		delta := d.Sub(s.prevHists[name])
-		if delta.Count != 0 {
-			if msg.Hists == nil {
-				msg.Hists = make(map[string]obs.HistDump)
-			}
-			msg.Hists[name] = delta
-			s.prevHists[name] = d
-		}
-	}
+	t := &s.tm
+	clear(t.Counters)
+	clear(t.Gauges)
+	clear(t.Hists)
+	t.SentUnixNS = s.w.clock.Now().UnixNano()
+	t.EchoPingUnixNS, t.EchoRecvUnixNS = 0, 0
+	s.w.reg.Each(s.read)
 	if p := s.ping.Swap(nil); p != nil { // each ping is echoed once
-		msg.EchoPingUnixNS, msg.EchoRecvUnixNS = p[0], p[1]
+		t.EchoPingUnixNS, t.EchoRecvUnixNS = p[0], p[1]
 	}
-	if len(msg.Counters) == 0 && len(msg.Gauges) == 0 && len(msg.Hists) == 0 && msg.EchoPingUnixNS == 0 {
+	if len(t.Counters) == 0 && len(t.Gauges) == 0 && len(t.Hists) == 0 && t.EchoPingUnixNS == 0 {
 		return nil
 	}
-	return msg
+	return t
+}
+
+// read adds one metric to the passenger if it moved since the last
+// frame that carried it. A gauge is compared by its bits, so a NaN is
+// sent once, not on every frame; a histogram is dumped only when its
+// count moved.
+func (s *session) read(name string, metric any) {
+	t := &s.tm
+	switch m := metric.(type) {
+	case *obs.Counter:
+		v := m.Value()
+		if last := s.counters[m]; v != last {
+			if t.Counters == nil {
+				t.Counters = make(map[string]int64)
+			}
+			t.Counters[name] = v - last
+			s.counters[m] = v
+		}
+	case *obs.Gauge:
+		v := m.Value()
+		if last, sent := s.gauges[m]; !sent || last != math.Float64bits(v) {
+			if t.Gauges == nil {
+				t.Gauges = make(map[string]WireFloat)
+			}
+			t.Gauges[name] = WireFloat(v)
+			s.gauges[m] = math.Float64bits(v)
+		}
+	case *obs.Histogram:
+		h := s.hists[m]
+		if h == nil {
+			h = &histSent{delta: make(map[int]int64)}
+			s.hists[m] = h
+		}
+		if m.Stat().Count == h.last.Count {
+			return
+		}
+		d := m.Dump()
+		clear(h.delta)
+		for i, n := range d.Buckets {
+			if diff := n - h.last.Buckets[i]; diff != 0 {
+				h.delta[i] = diff
+			}
+		}
+		if t.Hists == nil {
+			t.Hists = make(map[string]obs.HistDump)
+		}
+		t.Hists[name] = obs.HistDump{Count: d.Count - h.last.Count, Sum: d.Sum - h.last.Sum, Min: d.Min, Max: d.Max, Buckets: h.delta}
+		h.last = d
+	}
 }
 
 // errSessionCut is how Run reports a connection that ended without a bye
@@ -290,10 +329,9 @@ func (w *Worker) heartbeatLoop(sess *session, lastRecv *atomic.Int64, done <-cha
 // simulator returns the cached simulator for spec, building it on first
 // use.
 func (w *Worker) simulator(spec []byte) (core.Simulator, error) {
-	key := string(spec)
 	w.simsMu.Lock()
 	defer w.simsMu.Unlock()
-	if sim, ok := w.sims[key]; ok {
+	if sim, ok := w.sims[string(spec)]; ok {
 		w.cacheHits.Inc()
 		return sim, nil
 	}
@@ -302,7 +340,7 @@ func (w *Worker) simulator(spec []byte) (core.Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.sims[key] = sim
+	w.sims[string(spec)] = sim
 	return sim, nil
 }
 

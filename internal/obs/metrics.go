@@ -161,12 +161,22 @@ func (h *Histogram) Dump() HistDump {
 	}
 	d.Min = h.min.Load()
 	d.Max = h.max.Load()
+	var counts [histBuckets]int64
+	occupied := 0
 	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n != 0 {
-			if d.Buckets == nil {
-				d.Buckets = make(map[int]int64)
+		if counts[i] = h.buckets[i].Load(); counts[i] != 0 {
+			occupied++
+		}
+	}
+	if occupied > 0 {
+		// Sized once: a worker dumps a moving histogram on every frame,
+		// and a map grown past eight entries one at a time allocates
+		// again on the way.
+		d.Buckets = make(map[int]int64, occupied)
+		for i, n := range counts {
+			if n != 0 {
+				d.Buckets[i] = n
 			}
-			d.Buckets[i] = n
 		}
 	}
 	return d
@@ -299,7 +309,14 @@ type Registry struct {
 	counters  map[string]*Counter
 	gauges    map[string]*Gauge
 	hists     map[string]*Histogram
+	all       []registered // every metric in registration order; append-only
 	published bool
+}
+
+// registered is one metric of a Registry: its name and its handle.
+type registered struct {
+	name   string
+	metric any
 }
 
 // NewRegistry returns an empty registry.
@@ -326,6 +343,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counters[name] = c
+		r.all = append(r.all, registered{name, c})
 	}
 	return c
 }
@@ -338,6 +356,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[name] = g
+		r.all = append(r.all, registered{name, g})
 	}
 	return g
 }
@@ -350,20 +369,23 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if !ok {
 		h = &Histogram{}
 		r.hists[name] = h
+		r.all = append(r.all, registered{name, h})
 	}
 	return h
 }
 
-// HistDumps captures the full bucket state of every registered
-// histogram, keyed by name — the source data for telemetry deltas.
-func (r *Registry) HistDumps() map[string]HistDump {
+// Each calls fn with the name and handle — a *Counter, *Gauge or
+// *Histogram — of every metric registered when it is called, in
+// registration order. fn runs outside the registry's lock. Each is how
+// a reader that keeps what it last saw per handle (a worker's telemetry
+// session) finds what moved without building a Snapshot.
+func (r *Registry) Each(fn func(name string, metric any)) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]HistDump, len(r.hists))
-	for n, h := range r.hists {
-		out[n] = h.Dump()
+	all := r.all // append-only: the prefix it covers never changes
+	r.mu.Unlock()
+	for _, m := range all {
+		fn(m.name, m.metric)
 	}
-	return out
 }
 
 // Snapshot is a point-in-time copy of every metric in a registry,

@@ -2,11 +2,14 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -254,27 +257,80 @@ type Float float64
 
 // MarshalJSON implements json.Marshaler.
 func (v Float) MarshalJSON() ([]byte, error) {
-	if s, bad := nonFiniteSentinel(float64(v)); bad {
-		return []byte(`"` + s + `"`), nil
-	}
-	return json.Marshal(float64(v))
+	return AppendFloat(nil, float64(v)), nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. It accepts what
+// AppendFloat writes, "+Inf" as an alias of "Inf", and null, which
+// leaves v as it was.
 func (v *Float) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		f, ok := parseSentinel(s)
-		if !ok {
-			return fmt.Errorf("obs: invalid float sentinel %q", s)
-		}
-		*v = Float(f)
+	if string(b) == "null" {
 		return nil
 	}
-	return json.Unmarshal(b, (*float64)(v))
+	f, err := parseFloat(b)
+	if err != nil {
+		return err
+	}
+	*v = Float(f)
+	return nil
+}
+
+// AppendFloat appends the JSON form of f to dst, the form Float has
+// everywhere it is written: a non-finite f as its quoted sentinel
+// ("Inf", "-Inf", "NaN"), a finite one exactly as encoding/json writes
+// a float64 — the shortest digits that round-trip, in exponent form
+// below 1e-6 and from 1e21 on.
+func AppendFloat(dst []byte, f float64) []byte {
+	if s, bad := nonFiniteSentinel(f); bad {
+		dst = append(dst, '"')
+		dst = append(dst, s...)
+		return append(dst, '"')
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// encoding/json writes e-7, not strconv's e-07.
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
+}
+
+// parseFloat inverts AppendFloat. Like UnmarshalJSON it may assume b
+// is one valid JSON value: a number, which strconv parses as
+// encoding/json does, or a quoted sentinel. Anything else, and a number
+// a float64 cannot hold, is an error.
+func parseFloat(b []byte) (float64, error) {
+	if len(b) >= 2 && b[0] == '"' {
+		name := b[1 : len(b)-1]
+		if bytes.IndexByte(name, '\\') >= 0 {
+			// An escaped sentinel: encoding/json unquotes it. Nothing
+			// this repository writes takes this path.
+			var str string
+			if err := json.Unmarshal(b, &str); err != nil {
+				return 0, err
+			}
+			name = []byte(str)
+		}
+		f, ok := parseSentinel(string(name))
+		if !ok {
+			return 0, fmt.Errorf("obs: invalid float sentinel %q", name)
+		}
+		return f, nil
+	}
+	f, err := strconv.ParseFloat(string(b), 64)
+	switch {
+	case errors.Is(err, strconv.ErrRange):
+		return 0, fmt.Errorf("obs: float %s out of range", b)
+	case err != nil:
+		return 0, fmt.Errorf("obs: %s is not a float", b)
+	}
+	return f, nil
 }
 
 // EmitManifest writes the run manifest record.

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 )
@@ -114,5 +116,39 @@ func TestTraceSanitizeValue(t *testing.T) {
 	}
 	if _, ok := fieldFloat(Fields{"v": "not a number"}, "v"); ok {
 		t.Error("fieldFloat accepted an arbitrary string")
+	}
+}
+
+// TestAppendFloatMatchesEncodingJSON: for finite values AppendFloat
+// writes exactly what encoding/json writes for a float64 — random bit
+// patterns of every exponent, and the edges of the 'e' form — and
+// Float's UnmarshalJSON reads every form back bit for bit.
+func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	vals := []float64{0, math.Copysign(0, -1), 1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0),
+		-1e-7, 1e-7, 123e-9, math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
+	for i := 0; i < 20000; i++ {
+		if v := math.Float64frombits(rng.Uint64()); !math.IsInf(v, 0) && !math.IsNaN(v) {
+			vals = append(vals, v)
+		}
+	}
+	for _, v := range vals {
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendFloat(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("AppendFloat(%v) = %s, encoding/json writes %s", v, got, want)
+		}
+		var back Float
+		if err := back.UnmarshalJSON(want); err != nil || math.Float64bits(float64(back)) != math.Float64bits(v) {
+			t.Fatalf("UnmarshalJSON(%s) = %v, %v; want %v", want, back, err, v)
+		}
+	}
+	for _, bad := range []string{`true`, `{}`, `"nan"`, `1e400`} {
+		var f Float
+		if err := f.UnmarshalJSON([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalJSON(%s) = %v, want an error", bad, f)
+		}
 	}
 }
