@@ -26,7 +26,7 @@ func (e *RemoteEvaluator) RunAsync(ctx context.Context, p core.Point, done func(
 	for k, v := range p {
 		pt[k] = WireFloat(v)
 	}
-	l := &lease{index: e.next.Add(1) - 1, job: e.job, spec: e.spec, specCompact: e.specCompact, point: pt, cb: done}
+	l := &lease{index: e.next.Add(1) - 1, job: e.job, spec: e.spec, point: pt, cb: done}
 	// Watch for context expiry without a parked goroutine: the expiry is
 	// a fleet event like any other resolution. An expiry that wins the
 	// race to the fleet (AfterFunc fires at once on a dead context)

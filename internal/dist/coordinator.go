@@ -1,8 +1,8 @@
 package dist
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -357,7 +357,10 @@ func (c *Coordinator) handle(conn Conn) {
 // writeLoop is the worker connection's only sender after the handshake.
 // Each wake it swaps its (sent) batch with the worker's outbox and
 // sends the frames in order; a send error declares the worker dead, and
-// a dead worker — the drop action wakes the writer — ends the loop.
+// a dead worker — the drop action wakes the writer — ends the loop. A
+// lease the encoder refuses (its spec is too large for a frame) never
+// reached the wire: it fails as a worker's deterministic error result
+// would, and the connection stays.
 func (c *Coordinator) writeLoop(w *remoteWorker) {
 	var batch []*Frame
 	for range w.wake {
@@ -369,12 +372,19 @@ func (c *Coordinator) writeLoop(w *remoteWorker) {
 			return
 		}
 		for i, f := range batch {
-			if err := w.conn.Send(f); err != nil {
+			batch[i] = nil
+			err := w.conn.Send(f)
+			switch {
+			case err == nil:
+				c.framesTx.Inc()
+			case f.Lease != nil && errors.As(err, new(unsendableError)):
+				c.mu.Lock()
+				c.fleet.result(c.now(), w, &ResultMsg{ID: f.Lease.ID, Index: f.Lease.Index, Err: err.Error(), Class: "deterministic"})
+				c.perform()
+			default:
 				c.workerDead(w, err)
 				return
 			}
-			c.framesTx.Inc()
-			batch[i] = nil
 		}
 	}
 }
@@ -502,7 +512,7 @@ func (c *Coordinator) evalLocal(l *lease, reason string) {
 
 // localSimulator returns the cached LocalFactory simulator for spec,
 // building it on first use.
-func (c *Coordinator) localSimulator(spec json.RawMessage) (core.Simulator, error) {
+func (c *Coordinator) localSimulator(spec []byte) (core.Simulator, error) {
 	key := string(spec)
 	c.localMu.Lock()
 	defer c.localMu.Unlock()
@@ -736,25 +746,16 @@ func (c *Coordinator) Evaluator(spec []byte) *RemoteEvaluator {
 // trace events, and CancelJob can purge exactly this job's queued
 // leases. Many JobEvaluators share one coordinator fleet concurrently.
 func (c *Coordinator) JobEvaluator(job string, spec []byte) *RemoteEvaluator {
-	e := &RemoteEvaluator{c: c, job: job}
-	// Compacted once here, so that encoding a lease copies its spec. A
-	// spec that is not JSON is kept as it is, and fails its leases.
-	if compact, err := appendCompact(nil, spec); err == nil {
-		e.spec, e.specCompact = compact, true
-	} else {
-		e.spec = append(json.RawMessage(nil), spec...)
-	}
-	return e
+	return &RemoteEvaluator{c: c, job: job, spec: bytes.Clone(spec)}
 }
 
 // RemoteEvaluator is a core.Simulator that evaluates points on the
 // coordinator's worker pool.
 type RemoteEvaluator struct {
-	c           *Coordinator
-	job         string
-	spec        json.RawMessage
-	specCompact bool // spec is what the encoder writes for it
-	next        atomic.Uint64
+	c    *Coordinator
+	job  string
+	spec []byte
+	next atomic.Uint64
 }
 
 // Run implements core.Simulator: RunAsync plus a wait. It blocks until

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -41,11 +40,9 @@ type lease struct {
 	id    uint64 // assigned by submit
 	index uint64
 	job   string // owning job ID; empty outside multi-job servers
-	spec  json.RawMessage
+	spec  []byte
 	point map[string]WireFloat
 	cb    func(loss float64, err error) // completion callback, run exactly once by the deliver action
-
-	specCompact bool // spec is compacted already (see LeaseMsg)
 
 	// stopWatch releases the context watcher. Set under mu as the lease is
 	// submitted; resolve hands it to the deliver action, because an
@@ -289,7 +286,7 @@ func (f *fleet) assign(now int64) {
 		f.queueWait.Observe(now - l.enqueuedNS)
 		f.leasesDispatched.Inc()
 		l.sentNS = now
-		f.push(w, &Frame{Type: TypeLease, Lease: &LeaseMsg{ID: l.id, Index: l.index, Spec: l.spec, Point: l.point, specCompact: l.specCompact}})
+		f.push(w, &Frame{Type: TypeLease, Lease: &LeaseMsg{ID: l.id, Index: l.index, Spec: l.spec, Point: l.point}})
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package dist is the distributed evaluation plane: a coordinator that
 // shards loss evaluations from core.Calibrator batches across remote
 // workers, and the worker runtime that executes them. The two halves
-// speak a length-prefixed JSON frame protocol (hello / lease / result /
-// heartbeat) over any Transport — TCP for real deployments, an
+// speak a length-prefixed binary frame protocol (hello / lease / result
+// / heartbeat / bye) over any Transport — TCP for real deployments, an
 // in-process loopback for hermetic tests — and are built so that a
 // distributed calibration is bitwise identical to a serial one:
 //
@@ -22,7 +22,6 @@ package dist
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -32,36 +31,25 @@ import (
 
 // ProtocolVersion is the wire protocol version carried as the first
 // byte of every frame. A peer speaking a different version is rejected
-// at the first frame, before any JSON is parsed. Version 2 added the
-// heartbeat ping timestamp and the lease trace ID. Version 3 added the
-// payload CRC to the header and the attempt counter to lease and result
-// messages. Version 4 deleted the telemetry frame: a result carries its
-// evaluation's worker-clock timing, and metric deltas ride result and
-// worker heartbeat frames as an optional member. Version 5 deleted the
-// attempt counter: the transport delivers each frame exactly once or
-// fails the connection, so a lease is never redelivered. Version 6 added
-// the bye frame: a worker tells an orderly coordinator shutdown, which
-// ends its session, from a dropped connection, which it redials.
-const ProtocolVersion = 6
+// at the first frame, before any payload byte is read.
+const ProtocolVersion = 7
 
-// MaxFramePayload bounds the JSON payload of one frame. The decoder
-// rejects larger length prefixes before allocating, so a corrupt or
-// hostile peer cannot make the receiver allocate unbounded memory.
+// MaxFramePayload bounds the payload of one frame. The decoder rejects
+// larger length prefixes before allocating, so a corrupt or hostile peer
+// cannot make the receiver allocate unbounded memory; the encoder
+// refuses to write a frame past it.
 const MaxFramePayload = 1 << 20
 
 // FrameHeaderLen is the wire frame header size: the version byte, the
 // 4-byte big-endian payload length, and the 4-byte big-endian IEEE
 // CRC32 of the payload. The checksum is what keeps in-flight byte
-// corruption from silently altering a lease or a loss: JSON tolerates
-// many single-byte mutations (a flipped digit still parses), so
-// without it a corrupted frame could decode cleanly and break the
-// bitwise-determinism contract. With it, corruption is always a
-// detected connection error — the lease is requeued and re-evaluated,
-// never mis-evaluated.
+// corruption from silently altering a lease or a loss: every 8-byte
+// pattern is a float, so a flipped byte in a loss or a parameter value
+// still decodes, and without it a corrupted frame could decode cleanly
+// and break the bitwise-determinism contract. With it, corruption is
+// always a detected connection error — the lease is requeued and
+// re-evaluated, never mis-evaluated.
 const FrameHeaderLen = 9
-
-// frameHeaderLen is the internal alias for FrameHeaderLen.
-const frameHeaderLen = FrameHeaderLen
 
 // Frame types.
 const (
@@ -84,8 +72,8 @@ const (
 )
 
 // WireFloat is the wire's name for obs.Float: losses and parameter
-// values cross bitwise, non-finite ones as the string sentinels the
-// tracer, checkpoints and result files use.
+// values cross as the 8 bytes of math.Float64bits, so every value —
+// non-finite ones and NaN payloads included — crosses bitwise.
 type WireFloat = obs.Float
 
 // HelloMsg opens a connection in either direction. The worker's hello
@@ -93,9 +81,9 @@ type WireFloat = obs.Float
 // the session (its capacity is 0).
 type HelloMsg struct {
 	// Name identifies the peer in logs and trace events.
-	Name string `json:"name,omitempty"`
+	Name string
 	// Capacity is the number of evaluations the worker runs at once.
-	Capacity int `json:"capacity,omitempty"`
+	Capacity int
 }
 
 // LeaseMsg assigns one loss evaluation to a worker. The coordinator
@@ -103,43 +91,40 @@ type HelloMsg struct {
 // dies, in which case the lease is re-queued to another worker.
 type LeaseMsg struct {
 	// ID is the coordinator-unique lease identifier results answer to.
-	ID uint64 `json:"id"`
+	ID uint64
 	// Index is the evaluation's position in its evaluator's proposal
 	// order (informational: merging is ID-addressed, and the calibration
 	// core already records samples index-addressed per batch).
-	Index uint64 `json:"index"`
+	Index uint64
 	// Spec tells the worker which simulator to (re)build; workers cache
-	// built simulators keyed by the canonical spec bytes.
-	Spec json.RawMessage `json:"spec,omitempty"`
+	// built simulators keyed by the spec bytes. It is opaque to the
+	// protocol: only the worker's Factory parses it.
+	Spec []byte
 	// Point is the parameter assignment to evaluate.
-	Point map[string]WireFloat `json:"point"`
-
-	// specCompact says Spec is already in the form the encoder writes
-	// (the RemoteEvaluator compacted it once), so encoding copies it.
-	specCompact bool
+	Point map[string]WireFloat
 }
 
 // ResultMsg reports one finished evaluation.
 type ResultMsg struct {
 	// ID echoes the lease ID.
-	ID uint64 `json:"id"`
+	ID uint64
 	// Index echoes the lease index.
-	Index uint64 `json:"index"`
+	Index uint64
 	// Loss is the evaluated loss (meaningful only when Err is empty).
-	Loss WireFloat `json:"loss"`
+	Loss WireFloat
 	// Err is the failure message; empty means success.
-	Err string `json:"err,omitempty"`
+	Err string
 	// Class is the resilience classification of Err ("deterministic" or
 	// "transient"), so the coordinator can reconstruct an equivalently
 	// classified error for the calibrator's retry machinery. Aborted
 	// evaluations never produce a result frame.
-	Class string `json:"class,omitempty"`
+	Class string
 	// StartUnixNS and DurNS time the evaluation on the worker's clock:
 	// when it started (simulator lookup included) and how long it ran.
 	// The coordinator, which holds everything else about the lease,
 	// turns them into the lease's dist_worker_eval trace event.
-	StartUnixNS int64 `json:"start_unix_ns,omitempty"`
-	DurNS       int64 `json:"dur_ns,omitempty"`
+	StartUnixNS int64
+	DurNS       int64
 }
 
 // HeartbeatMsg is the optional heartbeat payload. The coordinator
@@ -147,7 +132,7 @@ type ResultMsg struct {
 // telemetry; worker-sent heartbeats have none.
 type HeartbeatMsg struct {
 	// PingUnixNS is the sender's wall clock (UnixNano) at send time.
-	PingUnixNS int64 `json:"ping_unix_ns,omitempty"`
+	PingUnixNS int64
 }
 
 // TelemetryMsg is worker observability riding on a frame the worker
@@ -160,18 +145,18 @@ type HeartbeatMsg struct {
 // receive.
 type TelemetryMsg struct {
 	// SentUnixNS is the worker's wall clock at frame send time (t3).
-	SentUnixNS int64 `json:"sent_unix_ns"`
+	SentUnixNS int64
 	// EchoPingUnixNS echoes the most recent heartbeat ping (t1); 0 when
 	// none arrived since the last echo.
-	EchoPingUnixNS int64 `json:"echo_ping_unix_ns,omitempty"`
+	EchoPingUnixNS int64
 	// EchoRecvUnixNS is the worker clock when that ping arrived (t2).
-	EchoRecvUnixNS int64 `json:"echo_recv_unix_ns,omitempty"`
+	EchoRecvUnixNS int64
 	// Counters holds counter increments since the last telemetry.
-	Counters map[string]int64 `json:"counters,omitempty"`
+	Counters map[string]int64
 	// Gauges holds the absolute values of gauges that changed.
-	Gauges map[string]WireFloat `json:"gauges,omitempty"`
+	Gauges map[string]WireFloat
 	// Hists holds histogram bucket-count deltas since the last telemetry.
-	Hists map[string]obs.HistDump `json:"hists,omitempty"`
+	Hists map[string]obs.HistDump
 }
 
 // Frame is one protocol message: a type tag plus the payload matching
@@ -179,12 +164,12 @@ type TelemetryMsg struct {
 // heartbeats, whose ping payload is optional. Telemetry is not a payload
 // but an optional passenger of result and heartbeat frames.
 type Frame struct {
-	Type      string        `json:"type"`
-	Hello     *HelloMsg     `json:"hello,omitempty"`
-	Lease     *LeaseMsg     `json:"lease,omitempty"`
-	Result    *ResultMsg    `json:"result,omitempty"`
-	Heartbeat *HeartbeatMsg `json:"heartbeat,omitempty"`
-	Telemetry *TelemetryMsg `json:"telemetry,omitempty"`
+	Type      string
+	Hello     *HelloMsg
+	Lease     *LeaseMsg
+	Result    *ResultMsg
+	Heartbeat *HeartbeatMsg
+	Telemetry *TelemetryMsg
 }
 
 // Validate checks the type tag and that the payload shape matches it.
@@ -252,28 +237,29 @@ func (f *Frame) Validate() error {
 
 // EncodeFrame renders f as one wire frame: the protocol version byte, a
 // 4-byte big-endian payload length, a 4-byte big-endian IEEE CRC32 of
-// the payload, and the JSON payload.
+// the payload, and the binary payload.
 func EncodeFrame(f *Frame) ([]byte, error) {
 	return appendWireFrame(make([]byte, 0, 512), f)
 }
+
+// unsendableError is a frame the encoder refuses — it fails Validate or
+// its payload exceeds MaxFramePayload. Send returns it before writing
+// anything, so the connection is unharmed.
+type unsendableError struct{ error }
 
 // appendWireFrame appends f as one wire frame to dst. On error dst is
 // returned as it was.
 func appendWireFrame(dst []byte, f *Frame) ([]byte, error) {
 	if err := f.Validate(); err != nil {
-		return dst, err
+		return dst, unsendableError{err}
 	}
 	start := len(dst)
-	dst = append(dst, make([]byte, frameHeaderLen)...)
-	dst, err := appendFrame(dst, f)
-	if err != nil {
-		return dst[:start], fmt.Errorf("dist: encoding %s frame: %w", f.Type, err)
-	}
-	payload := dst[start+frameHeaderLen:]
+	dst = appendFrame(append(dst, make([]byte, FrameHeaderLen)...), f)
+	payload := dst[start+FrameHeaderLen:]
 	if len(payload) > MaxFramePayload {
-		return dst[:start], fmt.Errorf("dist: %s frame payload is %d bytes (max %d)", f.Type, len(payload), MaxFramePayload)
+		return dst[:start], unsendableError{fmt.Errorf("dist: %s frame payload is %d bytes (max %d)", f.Type, len(payload), MaxFramePayload)}
 	}
-	hdr := dst[start : start+frameHeaderLen]
+	hdr := dst[start : start+FrameHeaderLen]
 	hdr[0] = ProtocolVersion
 	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)))
 	binary.BigEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
@@ -282,13 +268,13 @@ func appendWireFrame(dst []byte, f *Frame) ([]byte, error) {
 
 // DecodeFrame reads one frame from r. Truncated input, a foreign
 // version byte, an oversize or zero length prefix, a payload failing
-// its CRC, malformed JSON, an unknown or repeated member, a value of
-// the wrong type, bytes after the payload's object, an unknown frame
-// type, a payload mismatching the type, and invalid non-finite
-// sentinels all return an error; the decoder never panics and never
-// allocates more than MaxFramePayload for one frame.
+// its CRC, an unknown type byte, a truncated payload, a non-shortest
+// varint, a presence byte other than 0 or 1, map keys out of order or
+// repeated, a length or count past the bytes left, trailing bytes and
+// a payload failing Validate all return an error; the decoder never
+// panics and never allocates more than MaxFramePayload for one frame.
 func DecodeFrame(r io.Reader) (*Frame, error) {
-	var hdr [frameHeaderLen]byte
+	var hdr [FrameHeaderLen]byte
 	payload, err := readPayload(r, &hdr, nil)
 	if err != nil {
 		return nil, err
@@ -300,7 +286,7 @@ func DecodeFrame(r io.Reader) (*Frame, error) {
 // readPayload reads one frame from r — its header into hdr, its payload
 // into buf, which grows if it is too small — and checks the version,
 // the length bound and the checksum.
-func readPayload(r io.Reader, hdr *[frameHeaderLen]byte, buf []byte) ([]byte, error) {
+func readPayload(r io.Reader, hdr *[FrameHeaderLen]byte, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		// Propagate a clean EOF at a frame boundary unchanged so peers
 		// can distinguish an orderly close from a torn frame.

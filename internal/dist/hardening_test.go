@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"math"
 	"net"
 	"strings"
@@ -14,6 +16,7 @@ import (
 	"simcal/internal/core"
 	"simcal/internal/obs"
 	"simcal/internal/opt"
+	"simcal/internal/resilience"
 )
 
 // grabTransport records the most recently dialed connection so tests
@@ -547,5 +550,42 @@ func TestDroppedWorkerRedials(t *testing.T) {
 	coord.Close()
 	if err := <-session; err != nil {
 		t.Errorf("the bye frame ended the session with %v, want nil", err)
+	}
+}
+
+// TestUnsendableLeaseFailsAlone runs a lease whose spec no worker can
+// build and one whose spec is too large for a frame on a shared fleet.
+// Each fails its own evaluation promptly with a deterministic error,
+// the fleet keeps every worker, and a good evaluation on it then
+// succeeds.
+func TestUnsendableLeaseFailsAlone(t *testing.T) {
+	factory := func(spec []byte) (core.Simulator, error) {
+		if !json.Valid(spec) {
+			return nil, errors.New("spec is not JSON")
+		}
+		return distTestSim(), nil
+	}
+	c := startCluster(t, NewLoopback(), "", CoordinatorConfig{}, []Factory{factory, factory}, 2)
+	defer c.stop()
+	capacity := c.coord.Capacity()
+	pt := core.Point{"x": 1, "y": 2}
+	run := func(spec []byte) (float64, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		return c.coord.Evaluator(spec).Run(ctx, pt)
+	}
+	oversize := []byte(`"` + strings.Repeat("x", MaxFramePayload) + `"`)
+	for _, spec := range [][]byte{[]byte("not json"), oversize} {
+		_, err := run(spec)
+		if err == nil || resilience.Classify(err) != resilience.Deterministic {
+			t.Fatalf("%.20s… spec: err = %v, want a deterministic failure", spec, err)
+		}
+		if got := c.coord.Capacity(); got != capacity {
+			t.Fatalf("%.20s… spec: capacity %d after its failure, want %d", spec, got, capacity)
+		}
+	}
+	want, _ := distTestSim().Run(context.Background(), pt)
+	if loss, err := run([]byte(`{"test":true}`)); err != nil || loss != want {
+		t.Fatalf("good spec on the same fleet: %v, %v; want %v", loss, err, want)
 	}
 }

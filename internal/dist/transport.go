@@ -78,7 +78,7 @@ type frameConn struct {
 	br  *bufio.Reader
 
 	// Receive side, owned by the one goroutine in Recv (and recycle).
-	hdr     [frameHeaderLen]byte
+	hdr     [FrameHeaderLen]byte
 	payload []byte
 	dec     decoder
 

@@ -249,19 +249,20 @@ func parseSentinel(s string) (float64, bool) {
 // Float is a float64 whose JSON form survives non-finite values:
 // failed evaluations are recorded as +Inf losses and quietly broken
 // simulators return NaN, but encoding/json rejects both. Everything
-// that persists or ships a loss — the wire protocol, checkpoints,
-// result files, the job API — uses this one type, with the tracer's
-// string sentinels ("Inf", "-Inf", "NaN"); finite values use Go's
-// shortest round-trip encoding, so they survive bitwise.
+// that writes a loss as JSON — checkpoints, result files, the job API —
+// uses this one type, with the tracer's string sentinels ("Inf",
+// "-Inf", "NaN"); finite values use Go's shortest round-trip encoding,
+// so they survive bitwise. (The wire protocol names it WireFloat and
+// sends its bits, not this form.)
 type Float float64
 
 // MarshalJSON implements json.Marshaler.
 func (v Float) MarshalJSON() ([]byte, error) {
-	return AppendFloat(nil, float64(v)), nil
+	return appendFloat(nil, float64(v)), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler. It accepts what
-// AppendFloat writes, "+Inf" as an alias of "Inf", and null, which
+// appendFloat writes, "+Inf" as an alias of "Inf", and null, which
 // leaves v as it was.
 func (v *Float) UnmarshalJSON(b []byte) error {
 	if string(b) == "null" {
@@ -275,12 +276,12 @@ func (v *Float) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// AppendFloat appends the JSON form of f to dst, the form Float has
+// appendFloat appends the JSON form of f to dst, the form Float has
 // everywhere it is written: a non-finite f as its quoted sentinel
 // ("Inf", "-Inf", "NaN"), a finite one exactly as encoding/json writes
 // a float64 — the shortest digits that round-trip, in exponent form
 // below 1e-6 and from 1e21 on.
-func AppendFloat(dst []byte, f float64) []byte {
+func appendFloat(dst []byte, f float64) []byte {
 	if s, bad := nonFiniteSentinel(f); bad {
 		dst = append(dst, '"')
 		dst = append(dst, s...)
@@ -301,7 +302,7 @@ func AppendFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// parseFloat inverts AppendFloat. Like UnmarshalJSON it may assume b
+// parseFloat inverts appendFloat. Like UnmarshalJSON it may assume b
 // is one valid JSON value: a number, which strconv parses as
 // encoding/json does, or a quoted sentinel. Anything else, and a number
 // a float64 cannot hold, is an error.

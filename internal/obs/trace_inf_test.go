@@ -119,7 +119,7 @@ func TestTraceSanitizeValue(t *testing.T) {
 	}
 }
 
-// TestAppendFloatMatchesEncodingJSON: for finite values AppendFloat
+// TestAppendFloatMatchesEncodingJSON: for finite values appendFloat
 // writes exactly what encoding/json writes for a float64 — random bit
 // patterns of every exponent, and the edges of the 'e' form — and
 // Float's UnmarshalJSON reads every form back bit for bit.
@@ -137,8 +137,8 @@ func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := AppendFloat(nil, v); !bytes.Equal(got, want) {
-			t.Fatalf("AppendFloat(%v) = %s, encoding/json writes %s", v, got, want)
+		if got := appendFloat(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("appendFloat(%v) = %s, encoding/json writes %s", v, got, want)
 		}
 		var back Float
 		if err := back.UnmarshalJSON(want); err != nil || math.Float64bits(float64(back)) != math.Float64bits(v) {
