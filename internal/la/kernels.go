@@ -1,0 +1,76 @@
+package la
+
+// The Go inner loops of the Cholesky and the tiled solve. On amd64,
+// dotf, dotf2 and tileRow run the same operations in the same order on
+// packed SSE2 registers (kernels_amd64.s) and these loops are the
+// reference their bits are tested against; on every other GOARCH they
+// are the only path (kernels_other.go).
+
+// dotfGo is the blocked factorization's inner product: four independent
+// accumulators reduced in a fixed order, so it is deterministic while
+// giving the scheduler instruction-level parallelism a single serial
+// accumulator cannot.
+func dotfGo(a, b []float64) float64 {
+	var s0, s1, s2, s3 float64
+	n := len(a)
+	b = b[:n] // bounds-check hint
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		s0 += a[i] * b[i]
+		s1 += a[i+1] * b[i+1]
+		s2 += a[i+2] * b[i+2]
+		s3 += a[i+3] * b[i+3]
+	}
+	for ; i < n; i++ {
+		s0 += a[i] * b[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// dotf2Go computes dotfGo(a0, b) and dotfGo(a1, b) in one pass, sharing
+// the loads of b. The accumulator layout per output is identical to
+// dotfGo's, so each result is bitwise equal to the corresponding dotfGo
+// call — required so that pairing rows in the trailing update cannot
+// change the factorization's bits.
+func dotf2Go(a0, a1, b []float64) (float64, float64) {
+	var p0, p1, p2, p3 float64
+	var q0, q1, q2, q3 float64
+	n := len(b)
+	a0 = a0[:n]
+	a1 = a1[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		b0, b1, b2, b3 := b[i], b[i+1], b[i+2], b[i+3]
+		p0 += a0[i] * b0
+		p1 += a0[i+1] * b1
+		p2 += a0[i+2] * b2
+		p3 += a0[i+3] * b3
+		q0 += a1[i] * b0
+		q1 += a1[i+1] * b1
+		q2 += a1[i+2] * b2
+		q3 += a1[i+3] * b3
+	}
+	for ; i < n; i++ {
+		p0 += a0[i] * b[i]
+		q0 += a1[i] * b[i]
+	}
+	return (p0 + p1) + (p2 + p3), (q0 + q1) + (q2 + q3)
+}
+
+// tileRowGo is SolveLowerTile's row update: s[c] -= l[j]*x[j*SolveTile+c]
+// for j in order, with the eight subtraction chains held in registers.
+func tileRowGo(l, x []float64, s *[SolveTile]float64) {
+	s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+	for j, v := range l {
+		xj := (*[SolveTile]float64)(x[j*SolveTile:])
+		s0 -= v * xj[0]
+		s1 -= v * xj[1]
+		s2 -= v * xj[2]
+		s3 -= v * xj[3]
+		s4 -= v * xj[4]
+		s5 -= v * xj[5]
+		s6 -= v * xj[6]
+		s7 -= v * xj[7]
+	}
+	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s0, s1, s2, s3, s4, s5, s6, s7
+}

@@ -11,7 +11,11 @@
 // factorization supports in-place extension of a previously factored
 // leading block (CholeskyExtendInPlace), the operation behind the GP's
 // incremental refit. All routines are strictly deterministic: a fixed
-// operation order, no data-dependent reductions.
+// operation order, no data-dependent reductions. On amd64 the
+// factorization's dot products and the tiled solve's row update run as
+// packed SSE2 assembly that performs, lane by lane, the Go loops'
+// operations in their order, so its results are bitwise those of the Go
+// loops in kernels.go, which every other GOARCH runs.
 package la
 
 import (
@@ -176,57 +180,6 @@ var ErrNotPositiveDefinite = errors.New("la: matrix is not positive definite")
 // row sweep streams past them.
 const cholBlock = 64
 
-// dotf is the blocked factorization's inner product: four independent
-// accumulators reduced in a fixed order, so it is deterministic while
-// giving the scheduler instruction-level parallelism a single serial
-// accumulator cannot.
-func dotf(a, b []float64) float64 {
-	var s0, s1, s2, s3 float64
-	n := len(a)
-	b = b[:n] // bounds-check hint
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	for ; i < n; i++ {
-		s0 += a[i] * b[i]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// dotf2 computes dotf(a0, b) and dotf(a1, b) in one pass, sharing the
-// loads of b. The accumulator layout per output is identical to dotf's,
-// so each result is bitwise equal to the corresponding dotf call —
-// required so that pairing rows in the trailing update cannot change
-// the factorization's bits.
-func dotf2(a0, a1, b []float64) (float64, float64) {
-	var p0, p1, p2, p3 float64
-	var q0, q1, q2, q3 float64
-	n := len(b)
-	a0 = a0[:n]
-	a1 = a1[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		b0, b1, b2, b3 := b[i], b[i+1], b[i+2], b[i+3]
-		p0 += a0[i] * b0
-		p1 += a0[i+1] * b1
-		p2 += a0[i+2] * b2
-		p3 += a0[i+3] * b3
-		q0 += a1[i] * b0
-		q1 += a1[i+1] * b1
-		q2 += a1[i+2] * b2
-		q3 += a1[i+3] * b3
-	}
-	for ; i < n; i++ {
-		p0 += a0[i] * b[i]
-		q0 += a1[i] * b[i]
-	}
-	return (p0 + p1) + (p2 + p3), (q0 + q1) + (q2 + q3)
-}
-
 // Cholesky computes the lower-triangular factor L such that m = L·Lᵀ.
 // The input must be square and symmetric positive definite; otherwise
 // ErrNotPositiveDefinite is returned. The input is not modified; use
@@ -386,10 +339,11 @@ func SolveLowerInto(l *Matrix, b, x []float64) error {
 }
 
 // SolveTile is the number of right-hand sides SolveLowerTile carries at
-// once. Eight subtraction chains are enough to keep the scalar
-// floating-point units busy through a chain's latency, and eight
-// accumulators, the broadcast factor entry and the products about fill
-// the sixteen floating-point registers of the targets this runs on.
+// once. Eight subtraction chains keep the floating-point units busy
+// through a chain's latency. On amd64 they are four 128-bit registers,
+// nine of the sixteen XMM registers with the broadcast factor entry and
+// the four products; on other targets the Go loop holds them in scalar
+// registers.
 const SolveTile = 8
 
 var errSingularLower = errors.New("la: singular lower-triangular matrix")
@@ -411,25 +365,17 @@ func SolveLowerTile(l *Matrix, b []float64) error {
 	}
 	for i := 0; i < n; i++ {
 		ri := l.data[i*n : i*n+i+1]
-		bi := (*[SolveTile]float64)(b[i*SolveTile:])
-		s0, s1, s2, s3, s4, s5, s6, s7 := bi[0], bi[1], bi[2], bi[3], bi[4], bi[5], bi[6], bi[7]
-		for j, v := range ri[:i] {
-			x := (*[SolveTile]float64)(b[j*SolveTile:])
-			s0 -= v * x[0]
-			s1 -= v * x[1]
-			s2 -= v * x[2]
-			s3 -= v * x[3]
-			s4 -= v * x[4]
-			s5 -= v * x[5]
-			s6 -= v * x[6]
-			s7 -= v * x[7]
-		}
+		// Checked before tileRow updates row i in place, so that row
+		// stays as the caller left it on error.
 		d := ri[i]
 		if d == 0 {
 			return errSingularLower
 		}
-		bi[0], bi[1], bi[2], bi[3] = s0/d, s1/d, s2/d, s3/d
-		bi[4], bi[5], bi[6], bi[7] = s4/d, s5/d, s6/d, s7/d
+		bi := (*[SolveTile]float64)(b[i*SolveTile:])
+		tileRow(ri[:i], b[:i*SolveTile], bi)
+		for c := range bi {
+			bi[c] /= d
+		}
 	}
 	return nil
 }
