@@ -69,7 +69,8 @@ func BenchmarkCholeskyExtend400(b *testing.B) {
 }
 
 // BenchmarkSolveLowerTile400x512 measures the acquisition's solve: 512
-// right-hand sides against a 400-row factor, SolveTile at a time.
+// right-hand sides against a 400-row factor, in one call over all their
+// tiles.
 func BenchmarkSolveLowerTile400x512(b *testing.B) {
 	a := benchSPD(400, 1)
 	l, err := Cholesky(a)
@@ -86,10 +87,8 @@ func BenchmarkSolveLowerTile400x512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, rhs)
-		for t := 0; t < len(buf); t += 400 * SolveTile {
-			if err := SolveLowerTile(l, buf[t:t+400*SolveTile]); err != nil {
-				b.Fatal(err)
-			}
+		if err := SolveLowerTile(l, buf); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

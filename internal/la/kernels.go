@@ -1,10 +1,38 @@
 package la
 
+import "math"
+
+// Exp sets dst[i] = math.Exp(src[i]) for every i, bit for bit. On amd64
+// whose math.Exp runs its AVX+FMA path, Exp runs that path's operations
+// on four lanes at once (kernels_amd64.s), and any group of four holding
+// an argument outside [-700, 700] or a NaN goes to math.Exp. dst must be
+// at least as long as src, and the two must be the same slice or not
+// overlap.
+func Exp(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i := expPacked(dst, src); i < len(src); i++ {
+		dst[i] = math.Exp(src[i])
+	}
+}
+
+// expProbe holds arguments on which math.Exp's two amd64 paths round
+// differently, each with the bits its AVX+FMA path returns
+// (useAVXFMA).
+var expProbe = [...]struct {
+	x   float64
+	fma uint64
+}{
+	{-0.14, 0x3febd1c85cb179fb},
+	{-0.2, 0x3fea330ad6166159},
+	{-0.4, 0x3fe57343067270ed},
+}
+
 // The Go inner loops of the Cholesky and the tiled solve. On amd64,
 // dotf, dotf2 and tileRow run the same operations in the same order on
-// packed SSE2 registers (kernels_amd64.s) and these loops are the
-// reference their bits are tested against; on every other GOARCH they
-// are the only path (kernels_other.go).
+// packed SSE2 registers (kernels_amd64.s), and tileRow2, which is two
+// tileRow calls in one pass, on AVX; these loops are the reference
+// their bits are tested against. On every other GOARCH they are the
+// only path (kernels_other.go).
 
 // dotfGo is the blocked factorization's inner product: four independent
 // accumulators reduced in a fixed order, so it is deterministic while

@@ -1,12 +1,31 @@
 package la
 
+import "math"
+
 // On amd64 the bodies of dotfGo, dotf2Go and tileRowGo run on packed
 // SSE2 registers (kernels_amd64.s): each 128-bit lane holds one of the
 // Go loop's accumulators and performs its multiply, then its add or
 // subtract, in the Go loop's order, so every result is Float64bits-equal
 // to the Go loop's. The tails, the reductions and the divisions stay in
 // Go. SSE2 is in the amd64 baseline (GOAMD64=v1), so nothing is selected
-// at run time.
+// at run time for them.
+//
+// Exp and the two-tile row update have a second, AVX+FMA path, taken
+// exactly when math.Exp takes its own AVX+FMA path: useAVXFMA.
+
+// useAVXFMA reports whether math.Exp runs its AVX+FMA path in this
+// process, found by asking math.Exp rather than the CPU: that path is
+// what the packed Exp reproduces, and math.Exp leaves it when GODEBUG
+// turns off cpu.fma or cpu.avx on a CPU that has both. That path
+// requires AVX, so true also clears tileRow2AVX.
+var useAVXFMA = func() bool {
+	for _, p := range expProbe {
+		if math.Float64bits(math.Exp(p.x)) != p.fma {
+			return false
+		}
+	}
+	return true
+}()
 
 // dotfSSE2 returns dotfGo's four accumulators after its unrolled loop,
 // which covers the first len(a)&^3 elements. len(b) must be >= len(a).
@@ -25,6 +44,19 @@ func dotf2SSE2(a0, a1, b []float64) (p0, p1, p2, p3, q0, q1, q2, q3 float64)
 //
 //go:noescape
 func tileRowSSE2(l, x []float64, s *[SolveTile]float64)
+
+// tileRow2AVX is tileRowGo on (x0, s0) and on (x1, s1) in one pass.
+//
+//go:noescape
+func tileRow2AVX(l, x0, x1 []float64, s0, s1 *[SolveTile]float64)
+
+// expAVXFMA sets dst[i] = math.Exp(src[i]) four lanes at a time up to
+// the first group of four that holds an argument outside [-700, 700] or
+// a NaN, and returns how many it set. len(src) must be a multiple of 4,
+// len(dst) >= len(src).
+//
+//go:noescape
+func expAVXFMA(dst, src []float64) (done int)
 
 func dotf(a, b []float64) float64 {
 	n := len(a)
@@ -50,4 +82,32 @@ func dotf2(a0, a1, b []float64) (float64, float64) {
 
 func tileRow(l, x []float64, s *[SolveTile]float64) {
 	tileRowSSE2(l, x[:len(l)*SolveTile], s)
+}
+
+func tileRow2(l, x0, x1 []float64, s0, s1 *[SolveTile]float64) {
+	m := len(l) * SolveTile
+	if useAVXFMA {
+		tileRow2AVX(l, x0[:m], x1[:m], s0, s1)
+		return
+	}
+	tileRowSSE2(l, x0[:m], s0)
+	tileRowSSE2(l, x1[:m], s1)
+}
+
+// expPacked sets dst[i] = math.Exp(src[i]) for the first len(src)&^3
+// elements on the packed path, handing each group of four it refuses to
+// math.Exp, and returns how many it set: none without useAVXFMA. Exp
+// does the rest.
+func expPacked(dst, src []float64) int {
+	n := len(src) &^ 3
+	if !useAVXFMA {
+		return 0
+	}
+	for i := 0; i < n; i += 4 {
+		i += expAVXFMA(dst[i:n], src[i:n])
+		for j := i; j < i+4 && j < n; j++ {
+			dst[j] = math.Exp(src[j])
+		}
+	}
+	return n
 }

@@ -4,6 +4,8 @@
 // MULPD and accumulates with ADDPD or SUBPD, exactly the scalar loop's
 // two roundings in its order: no fused multiply-add, which would round
 // once, and no VEX-encoded instruction, which the amd64 baseline lacks.
+// The AVX+FMA kernels at the end of the file are the exception: they
+// run only when useAVXFMA is set.
 
 // func dotfSSE2(a, b []float64) (s0, s1, s2, s3 float64)
 TEXT ·dotfSSE2(SB), NOSPLIT, $0-80
@@ -119,4 +121,147 @@ tiledone:
 	MOVUPD X1, 16(DX)
 	MOVUPD X2, 32(DX)
 	MOVUPD X3, 48(DX)
+	RET
+
+// The AVX+FMA kernels. They use no AVX2 instruction.
+
+// expconst holds the constants of math.Exp's avxfma branch
+// ($GOROOT/src/math/exp_amd64.s), each repeated in four lanes so that
+// an instruction can take it as a 256-bit memory operand.
+#define EXPCONST(off, v) \
+	DATA expconst<>+(off)(SB)/8, v \
+	DATA expconst<>+(off+8)(SB)/8, v \
+	DATA expconst<>+(off+16)(SB)/8, v \
+	DATA expconst<>+(off+24)(SB)/8, v
+
+EXPCONST(0, $1.4426950408889634073599246810018920) // log2(e)
+EXPCONST(32, $0.69314718055966295651160180568695068359375) // upper half of ln 2
+EXPCONST(64, $0.28235290563031577122588448175013436025525412068e-12) // lower half of ln 2
+EXPCONST(96, $0.0625)
+EXPCONST(128, $2.4801587301587301587e-5)
+EXPCONST(160, $1.9841269841269841270e-4)
+EXPCONST(192, $1.3888888888888888889e-3)
+EXPCONST(224, $8.3333333333333333333e-3)
+EXPCONST(256, $4.1666666666666666667e-2)
+EXPCONST(288, $1.6666666666666666667e-1)
+EXPCONST(320, $0.5)
+EXPCONST(352, $1.0)
+EXPCONST(384, $2.0)
+EXPCONST(416, $700.0)                 // the kernel's range: |x| <= 700
+EXPCONST(448, $0x7fffffffffffffff)    // sign mask
+DATA expconst<>+480(SB)/8, $0x000003ff000003ff // the exponent bias, four int32s
+DATA expconst<>+488(SB)/8, $0x000003ff000003ff
+GLOBL expconst<>(SB), RODATA, $496
+
+// func expAVXFMA(dst, src []float64) (done int)
+//
+// Four lanes at a time, each lane runs archExp's avxfma branch for an
+// argument in [-700, 700]: k = round(x·log2e), two fused reductions by
+// k·ln2, the Taylor polynomial of x/16 in fused multiply-adds, three
+// squarings back (x *= x+2), a last fused one that adds 1, and the
+// scaling by 2^k, which cannot leave the normal range there. It stops
+// before the first group of four holding a lane outside that range, or
+// a NaN, and returns how many elements it wrote. len(src) must be a
+// multiple of 4 and len(dst) >= len(src).
+TEXT ·expAVXFMA(SB), NOSPLIT, $0-56
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    src_base+24(FP), SI
+	MOVQ    src_len+32(FP), CX
+	XORQ    AX, AX
+	TESTQ   CX, CX
+	JZ      expdone
+	VMOVUPD expconst<>+416(SB), Y14 // 700
+	VMOVUPD expconst<>+448(SB), Y15 // sign mask
+
+exploop:
+	VMOVUPD (SI)(AX*8), Y0
+	VANDPD  Y15, Y0, Y1
+	VCMPPD  $0x12, Y14, Y1, Y1 // |x| <= 700, false for NaN
+	VMOVMSKPD Y1, DX
+	CMPL    DX, $15
+	JNE     expdone
+	VMULPD  expconst<>+0(SB), Y0, Y1
+	VCVTPD2DQY Y1, X2          // k, rounded to nearest as CVTSD2SL does
+	VCVTDQ2PD X2, Y1
+	VFNMADD231PD expconst<>+32(SB), Y1, Y0
+	VFNMADD231PD expconst<>+64(SB), Y1, Y0
+	VMULPD  expconst<>+96(SB), Y0, Y0
+	VMOVUPD expconst<>+128(SB), Y1
+	VFMADD213PD expconst<>+160(SB), Y0, Y1
+	VFMADD213PD expconst<>+192(SB), Y0, Y1
+	VFMADD213PD expconst<>+224(SB), Y0, Y1
+	VFMADD213PD expconst<>+256(SB), Y0, Y1
+	VFMADD213PD expconst<>+288(SB), Y0, Y1
+	VFMADD213PD expconst<>+320(SB), Y0, Y1
+	VFMADD213PD expconst<>+352(SB), Y0, Y1
+	VMULPD  Y1, Y0, Y0
+	VADDPD  expconst<>+384(SB), Y0, Y1
+	VMULPD  Y1, Y0, Y0
+	VADDPD  expconst<>+384(SB), Y0, Y1
+	VMULPD  Y1, Y0, Y0
+	VADDPD  expconst<>+384(SB), Y0, Y1
+	VMULPD  Y1, Y0, Y0
+	VADDPD  expconst<>+384(SB), Y0, Y1
+	VFMADD213PD expconst<>+352(SB), Y1, Y0
+	// 2^k as (k+1023)<<52, one 128-bit half at a time.
+	VPADDD  expconst<>+480(SB), X2, X2
+	VPMOVZXDQ X2, X3
+	VPSHUFD $0x0e, X2, X2
+	VPMOVZXDQ X2, X2
+	VPSLLQ  $52, X3, X3
+	VPSLLQ  $52, X2, X2
+	VINSERTF128 $1, X2, Y3, Y3
+	VMULPD  Y3, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     exploop
+
+expdone:
+	VZEROUPPER
+	MOVQ    AX, done+48(FP)
+	RET
+
+// func tileRow2AVX(l, x0, x1 []float64, s0, s1 *[SolveTile]float64)
+//
+// tileRowSSE2 for two tiles at once: the sixteen subtraction chains of
+// s0 and s1 sit in four YMM registers and share one broadcast of l[j].
+// Each lane still multiplies, rounded, then subtracts, rounded, in j
+// order. len(x0) and len(x1) must be >= len(l)*SolveTile.
+TEXT ·tileRow2AVX(SB), NOSPLIT, $0-88
+	MOVQ    l_base+0(FP), SI
+	MOVQ    l_len+8(FP), CX
+	MOVQ    x0_base+24(FP), DI
+	MOVQ    x1_base+48(FP), R8
+	MOVQ    s0+72(FP), DX
+	MOVQ    s1+80(FP), R9
+	VMOVUPD (DX), Y0   // s0[0:4]
+	VMOVUPD 32(DX), Y1 // s0[4:8]
+	VMOVUPD (R9), Y2   // s1[0:4]
+	VMOVUPD 32(R9), Y3 // s1[4:8]
+	TESTQ   CX, CX
+	JZ      tile2done
+
+tile2loop:
+	VBROADCASTSD (SI), Y4
+	VMULPD  (DI), Y4, Y5
+	VMULPD  32(DI), Y4, Y6
+	VMULPD  (R8), Y4, Y7
+	VMULPD  32(R8), Y4, Y8
+	VSUBPD  Y5, Y0, Y0
+	VSUBPD  Y6, Y1, Y1
+	VSUBPD  Y7, Y2, Y2
+	VSUBPD  Y8, Y3, Y3
+	ADDQ    $8, SI
+	ADDQ    $64, DI
+	ADDQ    $64, R8
+	DECQ    CX
+	JNZ     tile2loop
+
+tile2done:
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, (R9)
+	VMOVUPD Y3, 32(R9)
+	VZEROUPPER
 	RET

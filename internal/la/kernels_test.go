@@ -33,10 +33,11 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// TestKernelsMatchGoBitwise: dotf, dotf2 and tileRow, on amd64 the
-// packed SSE2 kernels, carry the bits of the Go loops in kernels.go at
-// every tail length, on unaligned slices, and on inputs that drive
-// lanes through zeros, subnormals, infinities and NaNs.
+// TestKernelsMatchGoBitwise: dotf, dotf2, tileRow and tileRow2, on
+// amd64 the packed SSE2 and AVX kernels, carry the bits of the Go loops
+// in kernels.go at every tail length, on unaligned slices, and on inputs
+// that drive lanes through zeros, subnormals, infinities and NaNs; Exp
+// carries math.Exp's (expInputs).
 func TestKernelsMatchGoBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, p := range []float64{0, 0.05, 0.5} {
@@ -67,6 +68,72 @@ func TestKernelsMatchGoBitwise(t *testing.T) {
 					t.Fatalf("p=%v i=%d col %d: tileRow %v != %v", p, i, c, got[c], want[c])
 				}
 			}
+			x1 := kernelInputs(rng, i*SolveTile+1, p)[1:]
+			var got0, got1, want1 [SolveTile]float64
+			copy(got0[:], kernelInputs(rng, SolveTile, p))
+			copy(got1[:], kernelInputs(rng, SolveTile, p))
+			want, want1 = got0, got1
+			tileRow2(l, x, x1, &got0, &got1)
+			tileRowGo(l, x, &want)
+			tileRowGo(l, x1, &want1)
+			for c := range got0 {
+				if !sameBits(got0[c], want[c]) || !sameBits(got1[c], want1[c]) {
+					t.Fatalf("p=%v i=%d col %d: tileRow2 (%v, %v) != (%v, %v)", p, i, c, got0[c], got1[c], want[c], want1[c])
+				}
+			}
 		}
 	}
+	src := expInputs()
+	for off := 0; off < 4; off++ {
+		for _, in := range [][]float64{src[off:], src[off : off+7]} {
+			got := make([]float64, len(in)+1)[1:]
+			Exp(got, in)
+			inPlace := append([]float64(nil), in...)
+			Exp(inPlace, inPlace)
+			for i, x := range in {
+				want := math.Exp(x)
+				if !sameBits(got[i], want) || !sameBits(inPlace[i], want) {
+					t.Fatalf("off=%d: Exp(%v) = %v (in place %v), math.Exp %v", off, x, got[i], inPlace[i], want)
+				}
+			}
+		}
+	}
+}
+
+// expInputs returns a dense grid over [-746, 710], which runs from
+// below the smallest argument whose exponential is a nonzero subnormal
+// to past overflow, with special arguments put in place of one grid
+// point per group of four in its middle, so that they share groups with
+// lanes the packed path takes: signed zeros, infinities, NaN,
+// subnormals, the edges of the packed range, the overflow and underflow
+// boundaries of math.Exp, the probe inputs and a few rounding-sensitive
+// arguments.
+func expInputs() []float64 {
+	const lo, hi, steps = -746.0, 710.0, 1 << 20
+	grid := make([]float64, steps+1)
+	for i := range grid {
+		grid[i] = lo + (hi-lo)*float64(i)/steps
+	}
+	special := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1022,
+		700, -700, math.Nextafter(700, 800), math.Nextafter(-700, -800),
+		math.Nextafter(700, 0), math.Nextafter(-700, 0),
+		7.09782712893384e+02, math.Nextafter(7.09782712893384e+02, 800),
+		math.Nextafter(7.09782712893384e+02, 0), math.Log(math.MaxFloat64),
+		-745.1332191019411, -745.1332191019412, -708.3964185322641, -708.4,
+		1e300, -1e300,
+		// Two of the few arguments (about one in 10^7) on which the
+		// polynomial's 1/6 step, rounded as a multiply and an add
+		// instead of fused, moves the result; the grid has none.
+		-1.69140307891963, -3.9073412860950363,
+	}
+	for _, p := range expProbe {
+		special = append(special, p.x)
+	}
+	mid := steps / 2 // about -18: every lane around it is in the packed range
+	for i, x := range special {
+		grid[mid+4*i+1] = x
+	}
+	return grid
 }

@@ -15,7 +15,11 @@
 // factorization's dot products and the tiled solve's row update run as
 // packed SSE2 assembly that performs, lane by lane, the Go loops'
 // operations in their order, so its results are bitwise those of the Go
-// loops in kernels.go, which every other GOARCH runs.
+// loops in kernels.go, which every other GOARCH runs. Exp, the GP's
+// batched exponential, is bitwise math.Exp. When math.Exp itself runs
+// its AVX+FMA path, Exp runs that path four lanes at a time and the
+// tiled solve updates two tiles per pass in 256-bit registers, still
+// in the Go loops' order.
 package la
 
 import (
@@ -338,44 +342,72 @@ func SolveLowerInto(l *Matrix, b, x []float64) error {
 	return nil
 }
 
-// SolveTile is the number of right-hand sides SolveLowerTile carries at
-// once. Eight subtraction chains keep the floating-point units busy
-// through a chain's latency. On amd64 they are four 128-bit registers,
-// nine of the sixteen XMM registers with the broadcast factor entry and
-// the four products; on other targets the Go loop holds them in scalar
+// SolveTile is the number of right-hand sides in one tile of
+// SolveLowerTile. Eight subtraction chains keep the floating-point units
+// busy through a chain's latency. On amd64 they are four 128-bit
+// registers, nine of the sixteen XMM registers with the broadcast factor
+// entry and the four products, or, two tiles at a time, four 256-bit
+// registers; on other targets the Go loop holds them in scalar
 // registers.
 const SolveTile = 8
 
 var errSingularLower = errors.New("la: singular lower-triangular matrix")
 
-// SolveLowerTile solves L·X = B in place for SolveTile right-hand sides
-// stored interleaved — b[i*SolveTile+c] is row i of column c — the
+// SolveLowerTile solves L·X = B in place for any whole number of tiles
+// of SolveTile right-hand sides. b holds the tiles one after another,
+// n·SolveTile values each, and within a tile the columns interleaved —
+// b[t*n*SolveTile+i*SolveTile+c] is row i of column c of tile t — the
 // layout that lets one pass over a row of L feed eight independent
-// subtraction chains held in registers. Each column performs exactly
-// SolveLowerInto's operations in SolveLowerInto's order, so column c of
-// the result is bitwise identical to SolveLowerInto on that column: the
-// property that lets batched surrogate prediction replace per-point
-// solves without changing an output bit. It panics on dimension
-// mismatch; on a zero diagonal entry at row i it returns an error with
-// rows before i solved and rows from i on untouched.
+// subtraction chains per tile held in registers; tiles go through two
+// at a time. Each column performs exactly SolveLowerInto's operations in
+// SolveLowerInto's order, so every column of the result is bitwise
+// identical to SolveLowerInto on that column: the property that lets
+// batched surrogate prediction replace per-point solves without changing
+// an output bit. It panics on dimension mismatch; on a zero diagonal
+// entry at row i it returns an error with, in every tile, rows before i
+// solved and rows from i on untouched.
 func SolveLowerTile(l *Matrix, b []float64) error {
 	n := l.rows
-	if l.cols != n || len(b) != n*SolveTile {
+	span := n * SolveTile
+	if l.cols != n || n == 0 || len(b)%span != 0 {
 		panic("la: SolveLowerTile dimension mismatch")
 	}
+	// Checked before any tile's row is updated in place, so the rows
+	// from the first zero on stay as the caller left them.
+	m := n
 	for i := 0; i < n; i++ {
-		ri := l.data[i*n : i*n+i+1]
-		// Checked before tileRow updates row i in place, so that row
-		// stays as the caller left it on error.
-		d := ri[i]
-		if d == 0 {
-			return errSingularLower
+		if l.data[i*n+i] == 0 {
+			m = i
+			break
 		}
-		bi := (*[SolveTile]float64)(b[i*SolveTile:])
-		tileRow(ri[:i], b[:i*SolveTile], bi)
-		for c := range bi {
-			bi[c] /= d
+	}
+	for t := 0; t < len(b); t += 2 * span {
+		x0 := b[t : t+span]
+		if t+span == len(b) {
+			for i := 0; i < m; i++ {
+				s := (*[SolveTile]float64)(x0[i*SolveTile:])
+				tileRow(l.data[i*n:i*n+i], x0[:i*SolveTile], s)
+				d := l.data[i*n+i]
+				for c := range s {
+					s[c] /= d
+				}
+			}
+			break
 		}
+		x1 := b[t+span : t+2*span]
+		for i := 0; i < m; i++ {
+			s0 := (*[SolveTile]float64)(x0[i*SolveTile:])
+			s1 := (*[SolveTile]float64)(x1[i*SolveTile:])
+			tileRow2(l.data[i*n:i*n+i], x0[:i*SolveTile], x1[:i*SolveTile], s0, s1)
+			d := l.data[i*n+i]
+			for c := range s0 {
+				s0[c] /= d
+				s1[c] /= d
+			}
+		}
+	}
+	if m < n {
+		return errSingularLower
 	}
 	return nil
 }

@@ -342,40 +342,51 @@ func TestCholeskyExtendRejectsBadStart(t *testing.T) {
 	}
 }
 
-// tileOf interleaves SolveTile columns of length n drawn from rng.
-func tileOf(n int, rng *rand.Rand) (tile []float64, cols [SolveTile][]float64) {
-	tile = make([]float64, n*SolveTile)
+// tileOf lays out k tiles of SolveTile interleaved columns of length n
+// drawn from rng, as SolveLowerTile takes them; column c is column
+// c%SolveTile of tile c/SolveTile.
+func tileOf(n, k int, rng *rand.Rand) (tile []float64, cols [][]float64) {
+	tile = make([]float64, k*n*SolveTile)
+	cols = make([][]float64, k*SolveTile)
 	for c := range cols {
 		cols[c] = make([]float64, n)
 		for i := range cols[c] {
 			cols[c][i] = rng.NormFloat64()
-			tile[i*SolveTile+c] = cols[c][i]
+			tile[tileAt(n, i, c)] = cols[c][i]
 		}
 	}
 	return tile, cols
 }
 
+// tileAt is the index of row i of column c in tileOf's layout.
+func tileAt(n, i, c int) int {
+	return c/SolveTile*n*SolveTile + i*SolveTile + c%SolveTile
+}
+
 // TestSolveLowerTileMatchesSolveLowerIntoBitwise: every column of the
 // register-blocked solve carries SolveLowerInto's bits, at sizes on
-// both sides of the factorization's block width.
+// both sides of the factorization's block width, for one to five tiles
+// per call — pairs and a last odd tile.
 func TestSolveLowerTileMatchesSolveLowerIntoBitwise(t *testing.T) {
 	for _, n := range []int{1, 7, 64, 401} {
 		l, err := Cholesky(spdMatrix(n, int64(n)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tile, cols := tileOf(n, rand.New(rand.NewSource(4)))
-		if err := SolveLowerTile(l, tile); err != nil {
-			t.Fatal(err)
-		}
-		want := make([]float64, n)
-		for c := range cols {
-			if err := SolveLowerInto(l, cols[c], want); err != nil {
+		for k := 1; k <= 5; k++ {
+			tile, cols := tileOf(n, k, rand.New(rand.NewSource(int64(4+k))))
+			if err := SolveLowerTile(l, tile); err != nil {
 				t.Fatal(err)
 			}
-			for i := range want {
-				if got := tile[i*SolveTile+c]; math.Float64bits(got) != math.Float64bits(want[i]) {
-					t.Fatalf("n=%d col %d row %d: %v != %v", n, c, i, got, want[i])
+			want := make([]float64, n)
+			for c := range cols {
+				if err := SolveLowerInto(l, cols[c], want); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if got := tile[tileAt(n, i, c)]; math.Float64bits(got) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d k=%d col %d row %d: %v != %v", n, k, c, i, got, want[i])
+					}
 				}
 			}
 		}
@@ -383,8 +394,8 @@ func TestSolveLowerTileMatchesSolveLowerIntoBitwise(t *testing.T) {
 }
 
 // TestSolveLowerTileSingular: a zero diagonal at row z is an error, and
-// the partial state is SolveLowerInto's — rows before z solved, rows
-// from z on as the caller left them.
+// the partial state of every tile is SolveLowerInto's — rows before z
+// solved, rows from z on as the caller left them.
 func TestSolveLowerTileSingular(t *testing.T) {
 	const n, z = 7, 4
 	l, err := Cholesky(spdMatrix(n, 5))
@@ -392,19 +403,21 @@ func TestSolveLowerTileSingular(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Set(z, z, 0)
-	tile, cols := tileOf(n, rand.New(rand.NewSource(6)))
-	if err := SolveLowerTile(l, tile); err == nil {
-		t.Fatal("SolveLowerTile accepted singular L")
-	}
-	for c := range cols {
-		want := make([]float64, n)
-		copy(want[z:], cols[c][z:])
-		if err := SolveLowerInto(l, cols[c], want); err == nil {
-			t.Fatal("SolveLowerInto accepted singular L")
+	for k := 1; k <= 5; k++ {
+		tile, cols := tileOf(n, k, rand.New(rand.NewSource(6)))
+		if err := SolveLowerTile(l, tile); err == nil {
+			t.Fatal("SolveLowerTile accepted singular L")
 		}
-		for i := range want {
-			if got := tile[i*SolveTile+c]; math.Float64bits(got) != math.Float64bits(want[i]) {
-				t.Fatalf("col %d row %d after error: %v != %v", c, i, got, want[i])
+		for c := range cols {
+			want := make([]float64, n)
+			copy(want[z:], cols[c][z:])
+			if err := SolveLowerInto(l, cols[c], want); err == nil {
+				t.Fatal("SolveLowerInto accepted singular L")
+			}
+			for i := range want {
+				if got := tile[tileAt(n, i, c)]; math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Fatalf("k=%d col %d row %d after error: %v != %v", k, c, i, got, want[i])
+				}
 			}
 		}
 	}

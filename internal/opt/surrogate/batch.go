@@ -53,27 +53,32 @@ type FitStatsProvider interface {
 	FitStats() FitStats
 }
 
+// batchWorkers is the number of goroutines batchLoop runs for n
+// candidates when asked for up to workers (0 = GOMAXPROCS): never more
+// than there are chunks.
+func batchWorkers(n, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, (n+predictChunk-1)/predictChunk)
+}
+
 // batchLoop partitions [0, n) into predictChunk-sized chunks and runs
-// fn over them on up to `workers` goroutines (0 = GOMAXPROCS). Each
-// worker owns one scratch value built by mk, reused across every chunk
-// that worker processes. Chunks are claimed from an atomic counter, so
-// which worker runs which chunk is scheduling-dependent — fn must
-// therefore write only to index-addressed locations and compute chunk
-// results independently of the scratch's history, which keeps the
-// overall result bitwise identical to a serial sweep.
-func batchLoop[S any](n, workers int, mk func() S, fn func(lo, hi int, scratch S)) {
+// fn over them on batchWorkers(n, workers) goroutines. Worker w owns the
+// scratch value mk(w), reused across every chunk that worker processes.
+// Chunks are claimed from an atomic counter, so which worker runs which
+// chunk is scheduling-dependent — fn must therefore write only to
+// index-addressed locations and compute chunk results independently of
+// the scratch's history, which keeps the overall result bitwise
+// identical to a serial sweep.
+func batchLoop[S any](n, workers int, mk func(w int) S, fn func(lo, hi int, scratch S)) {
 	if n <= 0 {
 		return
 	}
 	nchunks := (n + predictChunk - 1) / predictChunk
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nchunks {
-		workers = nchunks
-	}
+	workers = batchWorkers(n, workers)
 	if workers <= 1 {
-		scratch := mk()
+		scratch := mk(0)
 		for c := 0; c < nchunks; c++ {
 			lo := c * predictChunk
 			hi := lo + predictChunk
@@ -90,7 +95,7 @@ func batchLoop[S any](n, workers int, mk func() S, fn func(lo, hi int, scratch S
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scratch := mk()
+			scratch := mk(w)
 			for {
 				c := int(atomic.AddInt32(&next, 1))
 				if c >= nchunks {

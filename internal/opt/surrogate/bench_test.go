@@ -82,7 +82,9 @@ func BenchmarkGPPredict512Serial(b *testing.B) {
 }
 
 // BenchmarkGPPredictBatch512 measures the same 512-candidate pool
-// through PredictBatch (chunked multi-RHS solves, worker pool).
+// through PredictBatch (chunked multi-RHS solves, worker pool), on a GP
+// that has scored a pool before, as BO's does from its second
+// iteration on.
 func BenchmarkGPPredictBatch512(b *testing.B) {
 	X, y := benchTrainingSet(400, 10, 1)
 	g := NewGP()
@@ -92,6 +94,7 @@ func BenchmarkGPPredictBatch512(b *testing.B) {
 	cands, _ := benchTrainingSet(512, 10, 2)
 	mean := make([]float64, len(cands))
 	std := make([]float64, len(cands))
+	g.PredictBatch(cands, mean, std)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

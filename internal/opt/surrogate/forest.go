@@ -124,7 +124,7 @@ func (f *Forest) PredictBatch(X [][]float64, mean, std []float64) {
 	}
 	checkBatchArgs(X, mean, std)
 	batchLoop(len(X), f.PredictWorkers,
-		func() []float64 { return make([]float64, len(f.roots)) },
+		func(int) []float64 { return make([]float64, len(f.roots)) },
 		func(lo, hi int, preds []float64) {
 			for c := lo; c < hi; c++ {
 				for i, r := range f.roots {

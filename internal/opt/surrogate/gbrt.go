@@ -127,7 +127,7 @@ func (g *GBRT) PredictBatch(X [][]float64, mean, std []float64) {
 	}
 	checkBatchArgs(X, mean, std)
 	batchLoop(len(X), g.PredictWorkers,
-		func() struct{} { return struct{}{} },
+		func(int) struct{} { return struct{}{} },
 		func(lo, hi int, _ struct{}) {
 			for c := lo; c < hi; c++ {
 				mean[c], std[c] = g.Predict(X[c])

@@ -67,6 +67,10 @@ type GP struct {
 	scaleState []gpScaleState
 	yn         []float64
 	fitStats   FitStats
+
+	// predBufs[w] is PredictBatch worker w's scratch: a pair of tiles and
+	// their exponentials, kept across calls and grown geometrically.
+	predBufs [][]float64
 }
 
 // gpScaleState caches per-length-scale fit state across refits.
@@ -74,10 +78,11 @@ type gpScaleState struct {
 	cur      *la.Matrix // Cholesky factor from the last successful fit
 	next     *la.Matrix // ping-pong buffer the current fit factors into
 	alpha    []float64
-	n        int     // rows factored in cur
-	scaleVal float64 // length scale cur was factored with
-	noise    float64 // noise cur was factored with
-	jitter   float64 // jitter cur was factored with
+	exp      []float64 // the kernel fill's la.Exp output for one row
+	n        int       // rows factored in cur
+	scaleVal float64   // length scale cur was factored with
+	noise    float64   // noise cur was factored with
+	jitter   float64   // jitter cur was factored with
 	lml      float64
 	ok       bool
 }
@@ -98,13 +103,27 @@ func (g *GP) Reseed(int64) {}
 func (g *GP) FitStats() FitStats { return g.fitStats }
 
 // matern52 evaluates the Matérn-5/2 kernel for distance r and length
-// scale l, with unit signal variance.
+// scale l, with unit signal variance: (1 + s + s²/3)·exp(-s) for
+// s = √5·r/l. It is the reference the batched fills are held to; they
+// split it at its exp, which they take for a whole row at once with
+// la.Exp, bit for bit math.Exp.
 func matern52(r, l float64) float64 {
+	ns := maternNegArg(r, l)
+	return maternFromExp(ns, math.Exp(ns))
+}
+
+// maternNegArg returns -s, the argument of matern52's exp.
+func maternNegArg(r, l float64) float64 {
 	if l <= 0 {
 		panic("surrogate: non-positive GP length scale")
 	}
-	s := math.Sqrt(5) * r / l
-	return (1 + s + s*s/3) * math.Exp(-s)
+	return -(math.Sqrt(5) * r / l)
+}
+
+// maternFromExp finishes matern52 from ns = -s and e = exp(-s).
+func maternFromExp(ns, e float64) float64 {
+	s := -ns
+	return (1 + s + s*s/3) * e
 }
 
 func dist(a, b []float64) float64 {
@@ -361,6 +380,10 @@ func (g *GP) fitOneScale(idx int, scale float64, dists *la.Matrix, yn []float64,
 	if l.Reshape(n, n) {
 		atomic.AddInt32(allocs, 1)
 	}
+	if cap(st.alpha) < n {
+		b := make([]float64, 4*n) // alpha and exp share one allocation
+		st.alpha, st.exp = b[:n:2*n], b[2*n:]
+	}
 	// Reuse the already-factored rows (RawRow copies tolerate the old
 	// buffer having a different stride), then fill the kernel for the
 	// rest. Only the lower triangle is touched — CholeskyExtendInPlace
@@ -371,10 +394,14 @@ func (g *GP) fitOneScale(idx int, scale float64, dists *la.Matrix, yn []float64,
 	}
 	diag := 1 + noise + jit
 	for i := start; i < n; i++ {
-		ri := l.RawRow(i)
-		di := dists.RawRow(i)
-		for j := 0; j < i; j++ {
-			ri[j] = matern52(di[j], scale)
+		ri := l.RawRow(i)[:i+1]
+		for j, r := range dists.RawRow(i)[:i] {
+			ri[j] = maternNegArg(r, scale)
+		}
+		e := st.exp[:i]
+		la.Exp(e, ri[:i])
+		for j, ns := range ri[:i] {
+			ri[j] = maternFromExp(ns, e[j])
 		}
 		ri[i] = diag
 	}
@@ -382,9 +409,6 @@ func (g *GP) fitOneScale(idx int, scale float64, dists *la.Matrix, yn []float64,
 		return
 	}
 
-	if cap(st.alpha) < n {
-		st.alpha = make([]float64, n, 2*n)
-	}
 	st.alpha = st.alpha[:n]
 	if err := la.CholSolveInto(l, yn, st.alpha); err != nil {
 		return
@@ -426,32 +450,54 @@ func (g *GP) predictOne(x, kstar, v []float64) (mean, std float64) {
 	return mn*g.yStd + g.yMean, math.Sqrt(variance) * g.yStd
 }
 
-// predictTile scores la.SolveTile candidates at once: their kernel
-// vectors are filled interleaved into tile, solved together by
-// la.SolveLowerTile, and the mean and variance inner products are
-// accumulated per candidate in la.Dot's order (ascending row, from
-// zero), so every output carries predictOne's bits.
-func (g *GP) predictTile(X [][]float64, mean, std, tile []float64) {
+// predictTiles scores one or two tiles of la.SolveTile candidates, k =
+// len(X)/la.SolveTile. buf holds their kernel vectors, tile-major and
+// interleaved as la.SolveLowerTile takes them, then as many
+// exponentials. The fill writes each -s, takes one la.Exp over all of
+// them, finishes the kernel values and accumulates the mean's inner
+// products; one la.SolveLowerTile call then solves every column, and
+// the variance's inner products are accumulated over the result. Both
+// inner products run in la.Dot's order (ascending row, from zero), so
+// every output carries predictOne's bits.
+func (g *GP) predictTiles(X [][]float64, mean, std, buf []float64) {
 	const w = la.SolveTile
-	var mn, vv [w]float64
+	span := len(g.x) * w
+	k := len(X) / w
+	tile, e := buf[:k*span], buf[k*span:2*k*span]
+	var mn, vv [2 * w]float64
 	for i, xi := range g.x {
-		a := g.alpha[i]
-		row := tile[i*w : i*w+w]
-		for c := range row {
-			k := matern52(dist(X[c], xi), g.scale)
-			row[c] = k
-			mn[c] += k * a
+		for t := 0; t < k; t++ {
+			row := tile[t*span+i*w:][:w]
+			for c := range row {
+				row[c] = maternNegArg(dist(X[t*w+c], xi), g.scale)
+			}
+		}
+	}
+	la.Exp(e, tile)
+	for t := 0; t < k; t++ {
+		m := mn[t*w : t*w+w]
+		for i, a := range g.alpha {
+			o := t*span + i*w
+			row := tile[o : o+w]
+			for c, ns := range row {
+				kv := maternFromExp(ns, e[o+c])
+				row[c] = kv
+				m[c] += kv * a
+			}
 		}
 	}
 	// A failed solve leaves vv at zero: unit variance, as in predictOne.
 	if la.SolveLowerTile(g.chol, tile) == nil {
-		for i := range g.x {
-			for c, v := range tile[i*w : i*w+w] {
-				vv[c] += v * v
+		for t := 0; t < k; t++ {
+			v := vv[t*w : t*w+w]
+			for o := t * span; o < (t+1)*span; o += w {
+				for c, x := range tile[o : o+w] {
+					v[c] += x * x
+				}
 			}
 		}
 	}
-	for c := range mn {
+	for c := range X {
 		variance := 1 - vv[c]
 		if variance < 0 {
 			variance = 0
@@ -463,28 +509,45 @@ func (g *GP) predictTile(X [][]float64, mean, std, tile []float64) {
 
 // PredictBatch implements Regressor. Candidates are scored in
 // predictChunk-sized chunks across up to PredictWorkers goroutines;
-// within a chunk they go la.SolveTile at a time through predictTile,
-// and what is left of the chunk through predictOne — the path Predict
-// takes. The two agree bit for bit and every write is index-addressed,
-// so the output is bitwise identical to calling Predict once per
-// candidate, for any pool size and worker count. Each worker's scratch
-// is one tile-sized buffer, which the remainder path splits into its two
-// work vectors.
+// within a chunk they go two tiles of la.SolveTile at a time through
+// predictTiles, then one tile, and what is left of the chunk through
+// predictOne — the path Predict takes. The paths agree bit for bit and
+// every write is index-addressed, so the output is bitwise identical to
+// calling Predict once per candidate, for any pool size and worker
+// count. Each worker's scratch is one buffer of the GP's, kept across
+// calls, which the remainder path splits into its two work vectors; so
+// PredictBatch, like Fit, must not run concurrently with another call
+// on the same GP.
 func (g *GP) PredictBatch(X [][]float64, mean, std []float64) {
 	if g.chol == nil {
 		panic("surrogate: PredictBatch before Fit")
 	}
 	checkBatchArgs(X, mean, std)
+	const pair = 2 * la.SolveTile
 	n := len(g.x)
-	batchLoop(len(X), g.PredictWorkers,
-		func() []float64 { return make([]float64, n*la.SolveTile) },
-		func(lo, hi int, tile []float64) {
+	need := 2 * pair * n
+	workers := batchWorkers(len(X), g.PredictWorkers)
+	for len(g.predBufs) < workers {
+		g.predBufs = append(g.predBufs, nil)
+	}
+	for w, b := range g.predBufs[:workers] {
+		if cap(b) < need {
+			g.predBufs[w] = make([]float64, need, 2*need)
+		}
+	}
+	batchLoop(len(X), workers,
+		func(w int) []float64 { return g.predBufs[w][:need] },
+		func(lo, hi int, buf []float64) {
 			c := lo
-			for ; c+la.SolveTile <= hi; c += la.SolveTile {
-				g.predictTile(X[c:c+la.SolveTile], mean[c:], std[c:], tile)
+			for ; c+pair <= hi; c += pair {
+				g.predictTiles(X[c:c+pair], mean[c:], std[c:], buf)
+			}
+			if c+la.SolveTile <= hi {
+				g.predictTiles(X[c:c+la.SolveTile], mean[c:], std[c:], buf)
+				c += la.SolveTile
 			}
 			for ; c < hi; c++ {
-				mean[c], std[c] = g.predictOne(X[c], tile[:n], tile[n:2*n])
+				mean[c], std[c] = g.predictOne(X[c], buf[:n], buf[n:2*n])
 			}
 		})
 }

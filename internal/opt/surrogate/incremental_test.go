@@ -236,20 +236,26 @@ func TestGPFailedFitInvalidates(t *testing.T) {
 	}
 }
 
-// TestGPPredictBatchTilesBitwiseMatchPredict: pool sizes on both sides
-// of the tile and chunk widths, at every worker count and at training
-// sizes below, at and far above the tile width, must reproduce
-// per-candidate Predict bit for bit — tiles and chunk remainders alike.
+// TestGPPredictBatchTilesBitwiseMatchPredict: every pool size from 1 to
+// 140 — tile pairs, a single tile and remainders in first, full and
+// partial chunks — and two large pools, at every worker count and at
+// training sizes below, at and far above the tile width, must reproduce
+// per-candidate Predict bit for bit. One GP is refit from size to size,
+// so PredictBatch also runs on scratch a larger fit left behind.
 func TestGPPredictBatchTilesBitwiseMatchPredict(t *testing.T) {
 	pool, _ := trainOn(519, 4, 62, quadratic)
-	for _, n := range []int{3, 8, 400} {
+	sizes := []int{512, 519}
+	for size := 1; size <= 140; size++ {
+		sizes = append(sizes, size)
+	}
+	g := NewGP()
+	for _, n := range []int{3, 8, 400, 30} {
 		X, y := trainOn(n, 4, 61, quadratic)
-		g := NewGP()
 		if err := g.Fit(X, y); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		wantMean, wantStd := predictSerial(g, pool)
-		for _, size := range []int{1, 7, 8, 9, 63, 64, 65, 512, 519} {
+		for _, size := range sizes {
 			for _, workers := range []int{1, 2, 3} {
 				g.PredictWorkers = workers
 				mean, std := make([]float64, size), make([]float64, size)
