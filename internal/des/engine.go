@@ -5,7 +5,6 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -25,7 +24,7 @@ var (
 
 // cancelBurstLimit bounds how many consecutive cancellations (with no
 // intervening schedule or fire) are removed from the heap eagerly, one
-// O(log n) heap.Remove each. Past the limit the engine assumes a bulk
+// O(log n) eventHeap.remove each. Past the limit the engine assumes a bulk
 // cancel storm and switches to O(1) tombstoning with a single O(n)
 // drain once half the heap is dead.
 const cancelBurstLimit = 32
@@ -61,35 +60,101 @@ func (e *Event) Cancel() {
 	}
 }
 
-// eventHeap orders events by (time, seq) so simultaneous events fire in
-// scheduling order, keeping simulations deterministic.
+// eventHeap is a binary min-heap of events ordered by (time, seq), so
+// simultaneous events fire in scheduling order, keeping simulations
+// deterministic. Its methods are container/heap's algorithms — same
+// comparisons, same final layout — specialized to *Event: the ordering is
+// compared inline instead of through an interface, and a sift moves the
+// sifted event once instead of swapping at every level. Each queued
+// event's index field tracks its slot.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before reports whether a fires before b. seq is unique, so this is a
+// total order on queued events: the firing sequence is a function of the
+// events alone, never of the heap's layout.
+func (a *Event) before(b *Event) bool {
+	return a.time < b.time || a.time == b.time && a.seq < b.seq
+}
+
+// set places ev at slot i.
+func (h eventHeap) set(i int, ev *Event) {
+	h[i] = ev
+	ev.index = i
+}
+
+// up sifts the event at slot j toward the root.
+func (h eventHeap) up(j int) {
+	ev := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !ev.before(h[i]) {
+			break
+		}
+		h.set(j, h[i])
+		j = i
 	}
-	return h[i].seq < h[j].seq
+	h.set(j, ev)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// down sifts the event at slot i0 toward the leaves, within the first n
+// slots, and reports whether it moved.
+func (h eventHeap) down(i0, n int) bool {
+	ev := h[i0]
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n || j < 0 { // j < 0 after int overflow
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].before(h[j]) {
+			j = j2
+		}
+		if !h[j].before(ev) {
+			break
+		}
+		h.set(i, h[j])
+		i = j
+	}
+	h.set(i, ev)
+	return i > i0
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+// init establishes the heap invariant over the whole slice.
+func (h eventHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
 }
-func (h *eventHeap) Pop() any {
+
+// fix restores the invariant after the event at slot i changed its key.
+func (h eventHeap) fix(i int) {
+	if !h.down(i, len(h)) {
+		h.up(i)
+	}
+}
+
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
+}
+
+// remove takes the event at slot i off the heap and returns it; remove(0)
+// pops the minimum.
+func (h *eventHeap) remove(i int) *Event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	ev := old[i]
+	if n != i {
+		old.set(i, old[n])
+		if !old.down(i, n) {
+			old.up(i)
+		}
+	}
+	old[n] = nil
+	ev.index = -1
+	*h = old[:n]
+	return ev
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
@@ -166,7 +231,7 @@ func (e *Engine) Schedule(ev *Event, t float64) {
 	ev.time = t
 	ev.seq = e.seq
 	e.seq++
-	heap.Fix(&e.events, ev.index)
+	e.events.fix(ev.index)
 }
 
 func (e *Engine) checkTime(t float64) {
@@ -185,7 +250,7 @@ func (e *Engine) push(ev *Event, t float64) {
 	ev.time = t
 	ev.seq = e.seq
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	if len(e.events) > e.maxPending {
 		e.maxPending = len(e.events)
 	}
@@ -242,7 +307,7 @@ func (e *Engine) flushStats() {
 func (e *Engine) removeCanceled(ev *Event) {
 	e.cancelBurst++
 	if e.cancelBurst <= cancelBurstLimit {
-		heap.Remove(&e.events, ev.index)
+		e.events.remove(ev.index)
 		e.removed++
 		return
 	}
@@ -273,7 +338,7 @@ func (e *Engine) drain() {
 	for i, ev := range e.events {
 		ev.index = i
 	}
-	heap.Init(&e.events)
+	e.events.init()
 	e.tombstones = 0
 }
 
@@ -287,7 +352,7 @@ func (e *Engine) After(d float64, fn func()) *Event {
 // are skipped and discarded.
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
+		ev := e.events.remove(0)
 		if ev.canceled {
 			e.tombstones--
 			e.removed++
@@ -340,7 +405,7 @@ func (e *Engine) peek() *Event {
 		if !ev.canceled {
 			return ev
 		}
-		heap.Pop(&e.events)
+		e.events.remove(0)
 		e.tombstones--
 		e.removed++
 	}

@@ -151,29 +151,135 @@ func driveKernel(eng *des.Engine, sys *System, seed int64, maxEvents int) (trace
 	return trace, sys.statIncremens
 }
 
+// driveChurnKernel is a workflow-simulator-shaped schedule: each of 16
+// hosts owns a CPU, a disk and a link, so the resource↔activity graph is
+// many small components, and runs chains of tasks — stage in over its
+// link to its disk, compute, write back — whose every phase is started
+// by the completion callback of the one before, interleaving starts with
+// completions the way wfsim does. One task in eight stages in from a
+// neighbour's disk, briefly joining two components. Each completion
+// records the clock and every live activity's rate and remaining work,
+// and checks the compaction bound: no list holds more than 2·live+1
+// entries, so with one or two users per resource list nearly every
+// removal compacts.
+func driveChurnKernel(t *testing.T, seed int64, full bool) (trace []float64, incSolves int) {
+	eng := des.NewEngine()
+	sys := NewSystem(eng)
+	sys.forceFullSolve = full
+	rng := rand.New(rand.NewSource(seed))
+	const hosts = 16
+	cpu := make([]*Resource, hosts)
+	disk := make([]*Resource, hosts)
+	link := make([]*Resource, hosts)
+	for h := range cpu {
+		cpu[h] = NewResource(fmt.Sprintf("cpu%d", h), 50+rng.Float64()*100)
+		disk[h] = NewResource(fmt.Sprintf("disk%d", h), 80+rng.Float64()*40)
+		link[h] = NewResource(fmt.Sprintf("link%d", h), 20+rng.Float64()*60)
+	}
+	var live []*Activity
+	checkBound := func() {
+		if len(sys.active) > 2*sys.liveCount+1 {
+			t.Fatalf("seed %d: active list holds %d slots for %d live activities", seed, len(sys.active), sys.liveCount)
+		}
+		for ri, refs := range sys.users {
+			if n := len(refs); n > 2*(n-sys.userDead[ri])+1 {
+				t.Fatalf("seed %d: user list %d holds %d refs, %d dead", seed, ri, n, sys.userDead[ri])
+			}
+		}
+	}
+	observe := func() {
+		checkBound()
+		kept := live[:0]
+		for _, a := range live {
+			if !a.done {
+				kept = append(kept, a)
+			}
+		}
+		live = kept
+		trace = append(trace, eng.Now(), float64(len(live)))
+		for _, a := range live {
+			trace = append(trace, a.Rate(), a.Remaining())
+		}
+	}
+	id := 0
+	start := func(work, bound float64, usage []Usage, next func()) {
+		id++
+		live = append(live, sys.StartActivity(fmt.Sprintf("t%04d", id), work, bound, usage, func() {
+			observe()
+			next()
+		}))
+	}
+	var task func(h, left int)
+	task = func(h, left int) {
+		if left == 0 {
+			return
+		}
+		src := h
+		if rng.Intn(8) == 0 {
+			src = (h + 1) % hosts
+		}
+		stageIn := []Usage{{disk[src], 1}, {link[src], 1}}
+		if src != h {
+			stageIn = append(stageIn, Usage{link[h], 1}, Usage{disk[h], 1})
+		}
+		var bound float64
+		if rng.Intn(2) == 0 {
+			bound = 10 + rng.Float64()*40
+		}
+		ops, in, out := 1+rng.Float64()*400, rng.Float64()*200, rng.Float64()*100
+		start(in, 0, stageIn, func() {
+			start(ops, bound, []Usage{{cpu[h], 1}}, func() {
+				start(out, 0, []Usage{{disk[h], 1}}, func() { task(h, left-1) })
+			})
+		})
+	}
+	sys.Batch(func() {
+		for h := 0; h < hosts; h++ {
+			for slot := 1 + rng.Intn(2); slot > 0; slot-- {
+				task(h, 12)
+			}
+		}
+	})
+	if _, err := eng.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	checkBound()
+	trace = append(trace, eng.Now(), float64(sys.ActiveCount()))
+	return trace, sys.statIncremens
+}
+
 // TestIncrementalSolveMatchesFullSolveBitwise is the contract the
 // incremental solver rests on: re-solving only the dirty connected
 // component must produce trajectories bitwise identical — every rate,
 // every remaining-work value, every completion timestamp — to re-solving
 // the whole system on every change, across randomized arrival, cancel,
-// and completion sequences.
+// and completion sequences and across workflow-shaped churn.
 func TestIncrementalSolveMatchesFullSolveBitwise(t *testing.T) {
-	totalInc := 0
-	for seed := int64(1); seed <= 8; seed++ {
-		inc, nInc := driveRandomKernel(seed, false)
-		full, _ := driveRandomKernel(seed, true)
-		if len(inc) != len(full) {
-			t.Fatalf("seed %d: trace lengths diverged: incremental %d vs full %d", seed, len(inc), len(full))
-		}
-		for i := range inc {
-			if math.Float64bits(inc[i]) != math.Float64bits(full[i]) {
-				t.Fatalf("seed %d: trace[%d] = %v (incremental) vs %v (full): bitwise divergence",
-					seed, i, inc[i], full[i])
-			}
-		}
-		totalInc += nInc
+	cases := []struct {
+		name  string
+		drive func(seed int64, full bool) ([]float64, int)
+	}{
+		{"random", driveRandomKernel},
+		{"churn", func(seed int64, full bool) ([]float64, int) { return driveChurnKernel(t, seed, full) }},
 	}
-	if totalInc == 0 {
-		t.Fatal("no incremental (partial-set) solves occurred: the property test exercised nothing")
+	for _, d := range cases {
+		totalInc := 0
+		for seed := int64(1); seed <= 8; seed++ {
+			inc, nInc := d.drive(seed, false)
+			full, _ := d.drive(seed, true)
+			if len(inc) != len(full) {
+				t.Fatalf("%s seed %d: trace lengths diverged: incremental %d vs full %d", d.name, seed, len(inc), len(full))
+			}
+			for i := range inc {
+				if math.Float64bits(inc[i]) != math.Float64bits(full[i]) {
+					t.Fatalf("%s seed %d: trace[%d] = %v (incremental) vs %v (full): bitwise divergence",
+						d.name, seed, i, inc[i], full[i])
+				}
+			}
+			totalInc += nInc
+		}
+		if totalInc == 0 {
+			t.Fatalf("%s: no incremental (partial-set) solves occurred: the property test exercised nothing", d.name)
+		}
 	}
 }

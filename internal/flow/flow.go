@@ -135,12 +135,6 @@ type userRef struct {
 	slot int32
 }
 
-// compactSlack is the tombstone budget for the active list and per-
-// resource user lists: compaction (a deterministic, order-preserving
-// rebuild) runs once dead entries outnumber live ones by this margin,
-// amortizing to O(1) per removal.
-const compactSlack = 64
-
 // System manages the set of active fluid activities over an engine.
 //
 // The active set is an insertion-ordered slice, not a map: the solver
@@ -150,7 +144,7 @@ const compactSlack = 64
 // the last ULPs of every rate vary from process to process. Removal
 // tombstones the slot (nil) instead of shifting, keeping removal O(1)
 // while preserving the relative order of survivors; per-activity mutable
-// state lives in parallel slices (rateArr, remArr, initArr, boundArr,
+// state lives in parallel slices (rateArr, remArr, epsArr, boundArr,
 // fixedGen) indexed by the same positions.
 type System struct {
 	eng        *des.Engine
@@ -164,7 +158,7 @@ type System struct {
 	// Structure-of-arrays activity state, parallel to active.
 	rateArr  []float64
 	remArr   []float64
-	initArr  []float64
+	epsArr   []float64 // completion threshold, epsFor(initial work)
 	boundArr []float64
 	fixedGen []int // solver generation at which the rate was fixed
 
@@ -239,7 +233,7 @@ func (s *System) Reset() {
 	s.liveCount, s.tombstones, s.lastUpdate, s.inUpdate = 0, 0, 0, false
 	s.rateArr = s.rateArr[:0]
 	s.remArr = s.remArr[:0]
-	s.initArr = s.initArr[:0]
+	s.epsArr = s.epsArr[:0]
 	s.boundArr = s.boundArr[:0]
 	s.fixedGen = s.fixedGen[:0]
 	clear(s.resIdx)
@@ -358,7 +352,7 @@ func (s *System) addActive(a *Activity) {
 	s.active = append(s.active, a)
 	s.rateArr = append(s.rateArr, 0)
 	s.remArr = append(s.remArr, a.remaining)
-	s.initArr = append(s.initArr, a.initial)
+	s.epsArr = append(s.epsArr, epsFor(a.initial))
 	s.boundArr = append(s.boundArr, a.bound)
 	s.fixedGen = append(s.fixedGen, 0)
 	s.liveCount++
@@ -378,7 +372,11 @@ func (s *System) addActive(a *Activity) {
 // removeActive tombstones a's slot — preserving the insertion order of
 // the survivors, which keeps solver iteration a pure function of the
 // operation sequence — snapshots its mutable state into the struct, and
-// seeds the dirty closure with its resources.
+// seeds the dirty closure with its resources. The active list and each
+// user list are compacted (a deterministic, order-preserving rebuild)
+// as soon as their dead entries outnumber the live ones, so every scan
+// of them walks at most 2·live+1 entries, and compaction amortizes to
+// O(1) per removal.
 func (s *System) removeActive(a *Activity) {
 	i := a.idx
 	a.rate = s.rateArr[i]
@@ -387,7 +385,7 @@ func (s *System) removeActive(a *Activity) {
 		s.users[ri][a.upos[j]] = userRef{}
 		s.userDead[ri]++
 		s.markDirty(int(ri))
-		if d := s.userDead[ri]; d > len(s.users[ri])-d+compactSlack {
+		if d := s.userDead[ri]; d > len(s.users[ri])-d {
 			s.compactUsers(int(ri))
 		}
 	}
@@ -395,7 +393,7 @@ func (s *System) removeActive(a *Activity) {
 	a.idx = -1
 	s.liveCount--
 	s.tombstones++
-	if s.tombstones > s.liveCount+compactSlack {
+	if s.tombstones > s.liveCount {
 		s.compactActive()
 	}
 }
@@ -415,7 +413,7 @@ func (s *System) compactActive() {
 			a.idx = live
 			s.rateArr[live] = s.rateArr[i]
 			s.remArr[live] = s.remArr[i]
-			s.initArr[live] = s.initArr[i]
+			s.epsArr[live] = s.epsArr[i]
 			s.boundArr[live] = s.boundArr[i]
 			s.fixedGen[live] = s.fixedGen[i]
 		}
@@ -427,7 +425,7 @@ func (s *System) compactActive() {
 	s.active = s.active[:live]
 	s.rateArr = s.rateArr[:live]
 	s.remArr = s.remArr[:live]
-	s.initArr = s.initArr[:live]
+	s.epsArr = s.epsArr[:live]
 	s.boundArr = s.boundArr[:live]
 	s.fixedGen = s.fixedGen[:live]
 	s.tombstones = 0
@@ -506,8 +504,8 @@ func (s *System) advance() {
 			s.remArr[i] = 0
 			continue
 		}
-		rem := s.remArr[i] - r*dt
-		if rem < epsFor(s.initArr[i]) {
+		rem := s.remArr[i] - float64(r*dt) // no fused multiply-subtract (DESIGN §9)
+		if rem < s.epsArr[i] {
 			rem = 0
 		}
 		s.remArr[i] = rem
@@ -543,7 +541,7 @@ func (s *System) timeEps() float64 {
 // float64 resolution.
 func (s *System) effectivelyDoneAt(i int, timeEps float64) bool {
 	r := s.rateArr[i]
-	if s.remArr[i] <= epsFor(s.initArr[i]) || math.IsInf(r, 1) {
+	if s.remArr[i] <= s.epsArr[i] || math.IsInf(r, 1) {
 		return true
 	}
 	return r > 0 && s.remArr[i]/r <= timeEps
@@ -664,7 +662,7 @@ func (s *System) solveDirty() {
 	}
 	s.pendingFree = s.pendingFree[:0]
 	// BFS closure over the bipartite resource↔activity graph. The seed
-	// order and expansion are deterministic, and the set is re-sorted by
+	// order and expansion are deterministic, and the set is put in
 	// insertion order below, so the solve iterates exactly the
 	// subsequence of the full active list that belongs to the dirty
 	// component(s).
@@ -688,8 +686,12 @@ func (s *System) solveDirty() {
 		s.set = set
 		return
 	}
-	slices.SortFunc(set, func(x, y *Activity) int { return x.idx - y.idx })
-	if len(set) < s.liveCount {
+	if len(set) == s.liveCount {
+		// The closure is every live activity: sweeping the active list
+		// yields exactly the sort's order, without sorting.
+		set = s.appendLive(set[:0])
+	} else {
+		slices.SortFunc(set, func(x, y *Activity) int { return x.idx - y.idx })
 		s.statIncremens++
 	}
 	s.runSolve(set)
@@ -701,17 +703,22 @@ func (s *System) solveDirty() {
 // path produces bitwise-identical results; this full solve remains the
 // reference entry point (and is exercised directly by tests).
 func (s *System) solve() {
-	set := s.set[:0]
-	for _, a := range s.active {
-		if a != nil {
-			set = append(set, a)
-		}
-	}
+	set := s.appendLive(s.set[:0])
 	s.dirty = s.dirty[:0]
 	s.epoch++
 	s.pendingFree = s.pendingFree[:0]
 	s.runSolve(set)
 	s.set = set[:0]
+}
+
+// appendLive appends every live activity to set in insertion order.
+func (s *System) appendLive(set []*Activity) []*Activity {
+	for _, a := range s.active {
+		if a != nil {
+			set = append(set, a)
+		}
+	}
+	return set
 }
 
 // runSolve computes max-min fair rates for the given activities (a
@@ -740,20 +747,19 @@ func (s *System) runSolve(set []*Activity) {
 	gen := s.solveGen
 	touched := s.touched[:0]
 	bounded := s.bounded[:0]
-	unfixed := 0
+	unfixed := len(set)
+	// One pass in set order: reset each activity, init per-resource state
+	// on a resource's first touch (generation stamps), then accumulate
+	// weights and user lists, so each resource's weight sum adds its
+	// users' weights in set order.
 	for _, a := range set {
 		i := a.idx
 		s.rateArr[i] = 0
 		s.fixedGen[i] = 0
-		unfixed++
 		if a.bound > 0 {
 			bounded = append(bounded, int32(i))
 		}
-	}
-	// Init per-resource state exactly once per solve using generation
-	// stamps, then accumulate weights and user lists.
-	for _, a := range set {
-		for _, ri := range a.uidx {
+		for j, ri := range a.uidx {
 			if s.resetGen[ri] != gen {
 				s.resetGen[ri] = gen
 				touched = append(touched, int(ri))
@@ -761,10 +767,6 @@ func (s *System) runSolve(set []*Activity) {
 				s.weightSum[ri] = 0
 				s.solveUsers[ri] = s.solveUsers[ri][:0]
 			}
-		}
-	}
-	for _, a := range set {
-		for j, ri := range a.uidx {
 			s.weightSum[ri] += a.usage[j].Weight
 			s.solveUsers[ri] = append(s.solveUsers[ri], a)
 		}
@@ -781,7 +783,7 @@ func (s *System) runSolve(set []*Activity) {
 		unfixed--
 		for j, ri := range a.uidx {
 			w := a.usage[j].Weight
-			s.capLeft[ri] -= w * rate
+			s.capLeft[ri] -= float64(w * rate) // no fused multiply-subtract
 			if s.capLeft[ri] < 0 {
 				s.capLeft[ri] = 0
 			}

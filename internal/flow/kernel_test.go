@@ -175,8 +175,9 @@ func TestCancelBeforeFirstSolve(t *testing.T) {
 }
 
 // TestChurnCompaction pushes enough start/cancel churn through one
-// system to force many active-list and user-list compactions, then
-// verifies the survivors' state is intact.
+// system to force many active-list and user-list compactions, checks
+// after every cancel that neither list holds more than 2·live+1 entries,
+// then verifies the survivors' state is intact.
 func TestChurnCompaction(t *testing.T) {
 	eng := des.NewEngine()
 	sys := NewSystem(eng)
@@ -196,6 +197,11 @@ func TestChurnCompaction(t *testing.T) {
 			} else {
 				survivors = append(survivors, a)
 			}
+			live := sys.ActiveCount()
+			if len(sys.active) > 2*live+1 || len(sys.users[0]) > 2*live+1 {
+				t.Fatalf("round %d: active list %d slots, user list %d refs for %d live activities",
+					round, len(sys.active), len(sys.users[0]), live)
+			}
 		}
 	}
 	if got, want := sys.ActiveCount(), len(survivors); got != want {
@@ -206,11 +212,5 @@ func TestChurnCompaction(t *testing.T) {
 		if got := a.Rate(); got != 5 {
 			t.Fatalf("survivor %s rate = %g, want 5", a.Name, got)
 		}
-	}
-	if len(sys.active) > 2*len(survivors)+2*compactSlack {
-		t.Fatalf("active list holds %d slots for %d live activities: compaction not amortizing", len(sys.active), len(survivors))
-	}
-	if len(sys.users[0]) > 2*len(survivors)+2*compactSlack {
-		t.Fatalf("user list holds %d refs for %d live activities", len(sys.users[0]), len(survivors))
 	}
 }
