@@ -9,7 +9,7 @@
 //	simcal -case mpi -alg RAND  -loss L2 -budget 30s
 //	simcal -case wf  -network series -storage all -compute htcondor
 //	simcal -case wf  -trace out.jsonl -metrics      # instrumented run
-//	simcal -replay out.jsonl                        # convergence from a trace
+//	simcal -replay ck.jsonl                         # convergence from a journal
 //	simcal -case mpi -pprof localhost:6060          # live profiling
 //	simcal -case wf  -eval-timeout 2s -eval-retries 5    # fault-tolerant executor
 //	simcal -case wf  -evals 500 -checkpoint ck.jsonl     # evaluation journal
@@ -87,10 +87,10 @@ func (c *config) flagSet() *flag.FlagSet {
 	fs.StringVar(&c.node, "node", "complex", "mpi: simple|complex")
 	fs.StringVar(&c.protocol, "protocol", "fixed", "mpi: fixed|free")
 
-	fs.StringVar(&c.replay, "replay", "", "replay a JSONL trace: print its convergence curve and exit")
+	fs.StringVar(&c.replay, "replay", "", "replay a calibration journal (a -checkpoint file or a simcald job's): print its convergence curve and exit")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "journal every evaluation to this file, fsynced at each batch or completion (see -resume)")
 	fs.BoolVar(&c.resume, "resume", false, "resume from the -checkpoint journal if it exists (fresh start otherwise) and append to it; the resumed result is identical to an uninterrupted run")
-	fs.StringVar(&c.asyncReplay, "async-replay", "", "with -alg async-bo: force the completion order recorded in this JSONL trace (its dist_async_completion events), reproducing the traced run bitwise")
+	fs.StringVar(&c.asyncReplay, "async-replay", "", "with -alg async-bo: force the completion order recorded in this calibration journal (a -checkpoint file or a simcald job's, for the same -seed and space), reproducing the journaled run bitwise")
 
 	c.obs.Register(fs)
 	c.obs.RegisterTrace(fs)
@@ -139,72 +139,54 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	return c.calibrate(t, alg, stdout, stderr)
 }
 
-// algorithm resolves -alg and applies -async-replay to it.
+// algorithm resolves -alg; -async-replay needs a single async-bo run.
 func (c *config) algorithm() (core.Algorithm, error) {
 	alg, err := opt.ByName(c.alg)
 	if err != nil || c.asyncReplay == "" {
 		return alg, err
 	}
-	ab, ok := alg.(*opt.AsyncBayesOpt)
-	if !ok {
+	if _, ok := alg.(*opt.AsyncBayesOpt); !ok {
 		return nil, fmt.Errorf("-async-replay requires -alg async-bo, got %s", c.alg)
 	}
 	if c.jobs > 1 {
 		return nil, fmt.Errorf("-async-replay reproduces a single recorded run; it cannot be combined with -jobs %d", c.jobs)
 	}
-	if ab.Replay, err = loadAsyncOrder(c.asyncReplay); err != nil {
-		return nil, err
-	}
-	return ab, nil
+	return alg, nil
 }
 
-// runReplay reconstructs the best-loss-vs-time convergence curve (the
-// paper's Figure 1/4 data) from a JSONL trace alone.
+// runReplay prints a calibration journal's identity and its
+// best-loss-vs-time curve (the paper's Figure 1/4 data), read from the
+// journal alone.
 func runReplay(stdout io.Writer, path string) error {
-	f, err := os.Open(path)
+	jr, err := core.ReadJournal(path, nil)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	recs, err := obs.ReadTrace(f)
-	if err != nil {
-		return err
+	if len(jr.History) == 0 {
+		return fmt.Errorf("journal %s holds no consumptions", path)
 	}
-	if m, ok := obs.TraceManifest(recs); ok {
-		fmt.Fprintf(stdout, "trace: %s seed=%d workers=%d version=%s params=%d\n",
-			m.Algorithm, m.Seed, m.Workers, m.Version, len(m.Space))
-	}
-	pts, err := obs.ReplayConvergenceRecords(recs)
-	if err != nil {
-		return err
-	}
-	if len(pts) == 0 {
-		return fmt.Errorf("trace %s contains no eval_completed events", path)
-	}
-	fmt.Fprint(stdout, experiments.FormatConvergence(pts, 20))
+	fmt.Fprintf(stdout, "journal: %s seed=%d space=%v\n", jr.Algorithm, jr.Seed, jr.Space)
+	fmt.Fprint(stdout, experiments.FormatConvergence(experiments.ConvergenceCurve(&core.Result{History: jr.History}), 20))
 	return nil
 }
 
-// loadAsyncOrder extracts a recorded async completion order from a
-// JSONL trace's dist_async_completion events (see -async-replay).
-func loadAsyncOrder(path string) ([]int, error) {
-	f, err := os.Open(path)
+// applyAsyncReplay sets -async-replay's journaled consumption order as
+// the algorithm's Replay. The journal must be this run's — async-bo, the
+// same seed and space — which resume's check decides before any
+// evaluation.
+func (c *config) applyAsyncReplay(cal *core.Calibrator) error {
+	if c.asyncReplay == "" {
+		return nil
+	}
+	jr, err := core.ReadJournal(c.asyncReplay, cal)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer f.Close()
-	recs, err := obs.ReadTrace(f)
-	if err != nil {
-		return nil, err
+	if len(jr.Order) == 0 {
+		return fmt.Errorf("journal %s holds no consumptions to replay", c.asyncReplay)
 	}
-	order, err := obs.ReplayAsyncOrder(recs)
-	if err != nil {
-		return nil, err
-	}
-	if len(order) == 0 {
-		return nil, fmt.Errorf("trace %s contains no dist_async_completion events (was it an async-bo run with -trace?)", path)
-	}
-	return order, nil
+	cal.Algorithm.(*opt.AsyncBayesOpt).Replay = jr.Order
+	return nil
 }
 
 // target is what simcal calibrates: the canonical simulator spec (the
@@ -296,6 +278,9 @@ func (c *config) calibrate(t target, alg core.Algorithm, stdout, stderr io.Write
 		Workers: c.workers, Seed: c.seed, Observer: c.obs.Observer(),
 		CacheKey:   fmt.Sprintf("simcal/%s/%s/%s#seed=%d", t.spec.Case, t.name, t.spec.Loss, c.seed),
 		Resilience: c.resilience.Policy(),
+	}
+	if err := c.applyAsyncReplay(&cal); err != nil {
+		return err
 	}
 	defer c.fleet.Close()
 	traceID := fmt.Sprintf("%s-%s-%s-seed%d", c.study, c.alg, c.loss, c.seed)

@@ -16,7 +16,9 @@ import (
 
 	"simcal/internal/core"
 	"simcal/internal/dist"
+	"simcal/internal/experiments"
 	"simcal/internal/obs"
+	"simcal/internal/opt"
 	"simcal/internal/simspec"
 )
 
@@ -262,13 +264,23 @@ func TestResumeRefusesSnapshotCheckpoint(t *testing.T) {
 }
 
 func TestArgumentErrors(t *testing.T) {
+	dir := t.TempDir()
+	trace, ck8, runLog := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "ck8.jsonl"), filepath.Join(dir, "cells.jsonl")
+	simcal(t, "-case", "wf", "-alg", "async-bo", "-evals", "10", "-seed", "8", "-workers", "2", "-checkpoint", ck8, "-trace", trace)
+	if err := os.WriteFile(runLog, []byte(`{"kind":"simcal-run-log"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct{ args, want string }{
 		{"-resume", "-resume needs -checkpoint"},
 		{"-checkpoint ck.json -jobs 2", "cannot be combined with -jobs 2"},
 		{"-async-replay t.jsonl", "requires -alg async-bo"},
 		{"-case bogus", `unknown case study "bogus"`},
 		{"-alg bogus", "bogus"},
-		{"-replay /nonexistent/trace.jsonl", "no such file"},
+		{"-replay /nonexistent/ck.jsonl", "no such file"},
+		{"-replay " + trace, "not a calibration journal"},
+		{"-replay " + runLog, `not a calibration journal (kind "simcal-run-log")`},
+		{"-alg async-bo -evals 10 -async-replay " + trace, "not a calibration journal"},
+		{"-alg async-bo -evals 10 -seed 7 -workers 2 -async-replay " + ck8, "the journal is for async-bo seed 8"},
 		{"-listen 127.0.0.1:0 -chaos-profile bogus=1 -evals 1", "-chaos-profile"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -276,18 +288,101 @@ func TestArgumentErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("simcal %s: error %v, want one containing %q", tc.args, err, tc.want)
 		}
+		if strings.Contains(stdout.String(), "calibrating") {
+			t.Errorf("simcal %s started calibrating before it failed", tc.args)
+		}
+	}
+
+	// A kill mid-write leaves a torn last line: -replay reads the journal
+	// without it and leaves the file as it was.
+	torn, err := os.ReadFile(ck8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn = append(torn, `{"consume":`...)
+	if err := os.WriteFile(ck8, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := simcal(t, "-replay", ck8); !strings.Contains(out, "journal: async-bo seed=8") {
+		t.Errorf("replay of a torn journal:\n%s", out)
+	}
+	if got, _ := os.ReadFile(ck8); !bytes.Equal(got, torn) {
+		t.Error("-replay modified the torn journal")
 	}
 }
 
-// -trace and -replay round-trip through the shared Obs lifecycle: the
-// trace is flushed and closed by the time run returns.
+// -trace, -checkpoint and -replay through the shared Obs lifecycle: the
+// trace is flushed and closed by the time run returns, and the journal
+// replays.
 func TestTraceThenReplay(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "t.jsonl")
-	out := simcal(t, "-case", "wf", "-alg", "RAND", "-evals", "12", "-seed", "3", "-trace", trace, "-metrics")
+	dir := t.TempDir()
+	trace, ck := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "ck.jsonl")
+	out := simcal(t, "-case", "wf", "-alg", "RAND", "-evals", "12", "-seed", "3", "-trace", trace, "-checkpoint", ck, "-metrics")
 	if !strings.Contains(out, "metrics:\n") || !strings.Contains(out, "cal.evaluations") {
 		t.Errorf("-metrics printed no snapshot:\n%s", out)
 	}
-	if out := simcal(t, "-replay", trace); !strings.Contains(out, "trace: RAND seed=3") {
-		t.Errorf("replay of a just-written trace:\n%s", out)
+	f, err := os.Open(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := obs.ReadTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 || recs[len(recs)-1].Name != obs.EventCalibrationFinished {
+		t.Errorf("the trace does not end with %s once run returns: %d records", obs.EventCalibrationFinished, len(recs))
+	}
+	if out := simcal(t, "-replay", ck); !strings.Contains(out, "journal: RAND seed=3") {
+		t.Errorf("replay of a just-written journal:\n%s", out)
+	}
+}
+
+// -replay on the journal of a killed, then resumed, run prints exactly
+// the resumed run's best-loss-vs-time curve.
+func TestReplayOfResumedJournal(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.jsonl")
+	base := []string{"-case", "wf", "-alg", "RAND", "-seed", "7", "-workers", "2"}
+	simcal(t, append(base, "-evals", "24", "-checkpoint", ck)...)
+	f, err := os.OpenFile(ck, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"submit":24,"unit":[0.`) // what a kill mid-write leaves
+	f.Close()
+
+	var c config
+	if err := c.flagSet().Parse(base); err != nil {
+		t.Fatal(err)
+	}
+	tg, err := c.target()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := core.Calibrator{MaxEvaluations: 40, Workers: 2, Seed: 7, Checkpoint: ck, Resume: true}
+	if cal.Space, err = tg.spec.Space(); err != nil {
+		t.Fatal(err)
+	}
+	if cal.Simulator, err = tg.spec.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if cal.Algorithm, err = opt.ByName("RAND"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cal.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluations != 40 {
+		t.Fatalf("resumed run made %d evaluations, want 40", res.Evaluations)
+	}
+	names := make([]string, len(cal.Space))
+	for i, p := range cal.Space {
+		names[i] = p.Name
+	}
+	want := fmt.Sprintf("journal: RAND seed=7 space=%v\n", names) +
+		experiments.FormatConvergence(experiments.ConvergenceCurve(res), 20)
+	if got := simcal(t, "-replay", ck); got != want {
+		t.Errorf("-replay of the resumed run's journal:\n got %s\nwant %s", got, want)
 	}
 }

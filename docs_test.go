@@ -1,10 +1,15 @@
 package simcal
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -17,6 +22,7 @@ var (
 	quoted      = regexp.MustCompile(`'[^']*'`)
 	exampleName = regexp.MustCompile(`\bExample(?:[A-Z_]\w*)?\b`)
 	exampleFunc = regexp.MustCompile(`(?m)^func (Example\w*)\(`)
+	snakeName   = regexp.MustCompile("`([a-z][a-z0-9]*(?:_[a-z0-9]+)*)`")
 )
 
 func readFile(t *testing.T, name string) string {
@@ -102,5 +108,77 @@ func TestREADMEQuickstartIsExampleCalibrator(t *testing.T) {
 	quickstart, _, _ = strings.Cut(quickstart, "\n## ")
 	if !strings.Contains(quickstart, src[start:end]) {
 		t.Errorf("README.md's Quickstart does not show ExampleCalibrator as internal/core/example_test.go defines it:\n%s", src[start:end])
+	}
+}
+
+// traceNames parses internal/obs and returns the trace's record names —
+// its Event* constants and ManifestName — and the JSON keys of the
+// Record every line carries.
+func traceNames(t *testing.T) (events, keys map[string]bool) {
+	files, err := filepath.Glob("internal/obs/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, keys = map[string]bool{}, map[string]bool{}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ValueSpec:
+				for i, id := range n.Names {
+					if i >= len(n.Values) || !strings.HasPrefix(id.Name, "Event") && id.Name != "ManifestName" {
+						continue
+					}
+					if lit, ok := n.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						v, _ := strconv.Unquote(lit.Value)
+						events[v] = true
+					}
+				}
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "Record" {
+					for _, field := range st.Fields.List {
+						tag, _ := strconv.Unquote(field.Tag.Value)
+						key, _, _ := strings.Cut(reflect.StructTag(tag).Get("json"), ",")
+						keys[key] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(events) == 0 || len(keys) == 0 {
+		t.Fatal("internal/obs declares no Event constants or no Record")
+	}
+	return events, keys
+}
+
+// README.md names every trace event internal/obs emits, and its
+// Trace schema paragraph names no record that internal/obs does not
+// declare: what the paragraph puts in backticks as a snake_case name is
+// an event or a key of the record envelope.
+func TestREADMETraceSchemaMatchesEvents(t *testing.T) {
+	events, keys := traceNames(t)
+	readme := readFile(t, "README.md")
+	for e := range events {
+		if !strings.Contains(readme, "`"+e+"`") {
+			t.Errorf("README.md does not name the trace event `%s`", e)
+		}
+	}
+	_, schema, ok := strings.Cut(readme, "**Trace schema.**")
+	if !ok {
+		t.Fatal("README.md has no **Trace schema.** paragraph")
+	}
+	schema, _, _ = strings.Cut(schema, "\n\n")
+	for _, m := range snakeName.FindAllStringSubmatch(schema, -1) {
+		if !events[m[1]] && !keys[m[1]] {
+			t.Errorf("README.md's trace schema names `%s`, which internal/obs declares as no event", m[1])
+		}
 	}
 }

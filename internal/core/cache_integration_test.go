@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -254,14 +255,16 @@ func TestCalibratorCacheRequiresKey(t *testing.T) {
 	}
 }
 
-// TestTraceReplayWithCacheHits: a cached run's trace must still replay
-// bit-exactly — cache hits emit normal eval_completed events (original
-// loss, own elapsed time) plus a cache_hit marker.
-func TestTraceReplayWithCacheHits(t *testing.T) {
+// TestJournalReplayWithCacheHits: a cached run's journal still replays
+// bit-exactly — a cache hit is journaled as a consumption like any other
+// (original loss, own elapsed time) — while its trace carries a
+// cache_hit marker.
+func TestJournalReplayWithCacheHits(t *testing.T) {
 	var buf bytes.Buffer
 	tracer := obs.NewTracer(&buf)
 	cc := cache.New(nil)
-	mk := func(obsv Observer) *Result {
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	mk := func(obsv Observer, checkpoint string) *Result {
 		c := &Calibrator{
 			Space:          testSpace,
 			Simulator:      sphereLoss(Point{"x": 2, "y": 3}),
@@ -272,6 +275,7 @@ func TestTraceReplayWithCacheHits(t *testing.T) {
 			Cache:          cc,
 			CacheKey:       "replay",
 			Observer:       obsv,
+			Checkpoint:     checkpoint,
 		}
 		res, err := c.Run(context.Background())
 		if err != nil {
@@ -279,10 +283,10 @@ func TestTraceReplayWithCacheHits(t *testing.T) {
 		}
 		return res
 	}
-	mk(nil) // warm the cache so the traced run has hits
-	res := mk(NewObsObserver(obs.NewRegistry(), tracer))
+	mk(nil, "") // warm the cache so the journaled run has hits
+	res := mk(NewObsObserver(obs.NewRegistry(), tracer), path)
 	if st := cc.Stats(); st.Hits == 0 {
-		t.Fatalf("no cache hits in traced run: %+v", st)
+		t.Fatalf("no cache hits in the journaled run: %+v", st)
 	}
 	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
@@ -300,17 +304,9 @@ func TestTraceReplayWithCacheHits(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("trace contains no cache_hit events")
 	}
-	pts, err := obs.ReplayConvergenceRecords(recs)
+	jr, err := ReadJournal(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	times, losses := res.LossOverTime()
-	if len(pts) != len(times) {
-		t.Fatalf("replay has %d points, result has %d", len(pts), len(times))
-	}
-	for i := range pts {
-		if pts[i].Loss != losses[i] || pts[i].Elapsed != times[i] {
-			t.Fatalf("replay diverges at %d", i)
-		}
-	}
+	journalMatches(t, jr, res)
 }

@@ -415,10 +415,7 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 	if c.Resume && c.Checkpoint == "" {
 		return nil, errors.New("core: Calibrator with Resume requires a Checkpoint")
 	}
-	names := make([]string, len(c.Space))
-	for i, spec := range c.Space {
-		names[i] = spec.Name
-	}
+	id := c.journalID()
 	var fobs FaultObserver
 	if c.Observer != nil {
 		fobs, _ = c.Observer.(FaultObserver)
@@ -426,7 +423,6 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 	var journal *calJournal
 	var spent time.Duration // the elapsed time the journaled run already spent
 	if c.Checkpoint != "" {
-		id := journalHeader{Kind: journalKind, Algorithm: c.Algorithm.Name(), Seed: c.Seed, Space: names}
 		var err error
 		if journal, err = openCalJournal(c.Checkpoint, id, c.Resume, fobs); err != nil {
 			return nil, err
@@ -478,7 +474,7 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 	if c.Observer != nil {
 		info := RunInfo{
 			Algorithm:      c.Algorithm.Name(),
-			Space:          names,
+			Space:          id.Space,
 			Seed:           c.Seed,
 			Budget:         c.Budget,
 			MaxEvaluations: c.MaxEvaluations,

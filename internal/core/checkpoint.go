@@ -83,7 +83,8 @@ func appendConsumeLine(b []byte, seq int, loss float64, elapsed time.Duration) [
 // it from the one read of the file, when OpenJournal opens it, and it
 // serves four purposes: the header check (the journal is this run's),
 // the lines a resumed run never appends again, the replay source, and
-// the elapsed offset the run continues from. Every check runs before
+// the elapsed offset the run continues from. ReadJournal builds one the
+// same way, without opening the file for writing. Every check runs before
 // anything is recorded, so a rejected (torn) last line leaves the state
 // as the intact lines left it.
 type journalState struct {
@@ -160,6 +161,62 @@ func (s *journalState) record(line []byte) error {
 		return errors.New("neither a submission nor a consumption")
 	}
 	return nil
+}
+
+// journalID is the identity this calibration's journal carries.
+func (c *Calibrator) journalID() journalHeader {
+	names := make([]string, len(c.Space))
+	for i, spec := range c.Space {
+		names[i] = spec.Name
+	}
+	return journalHeader{Kind: journalKind, Algorithm: c.Algorithm.Name(), Seed: c.Seed, Space: names}
+}
+
+// JournalRun is what a calibration journal records: the identity of the
+// run that wrote it and the consumptions it made, in order.
+type JournalRun struct {
+	Algorithm string
+	Seed      int64
+	Space     []string // the parameter names, in Space order
+	// Order is the consumed submissions' sequence numbers in consumption
+	// order: an asynchronous run's completion order, the order
+	// AsyncBayesOpt.Replay forces.
+	Order []int
+	// History is the consumptions in the same order, as the run's
+	// Result.History holds them, less the decoded Point.
+	History []Sample
+}
+
+// ReadJournal reads the calibration journal at path — a Checkpoint
+// run's or a service job's — with resume's checks: the header must be a
+// calibration journal's and, when run is non-nil, carry run's algorithm,
+// seed and space; every line before the last must be intact. A torn last
+// line is skipped, and the file is never opened for writing.
+func ReadJournal(path string, run *Calibrator) (*JournalRun, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading journal: %w", err)
+	}
+	var want *journalHeader
+	if run != nil {
+		id := run.journalID()
+		want = &id
+	}
+	s := newJournalState(want)
+	if _, err := scanJournal(data, s.header, s.record); err != nil {
+		return nil, fmt.Errorf("core: journal %s: %w", path, err)
+	}
+	return s.run(), nil
+}
+
+// run is what the state holds, as ReadJournal returns it.
+func (s *journalState) run() *JournalRun {
+	r := &JournalRun{Algorithm: s.hdr.Algorithm, Seed: s.hdr.Seed, Space: s.hdr.Space, Order: s.order}
+	for _, seq := range s.order {
+		c := s.consumed[seq]
+		r.History = append(r.History, Sample{Unit: s.units[seq], Loss: c.loss, Elapsed: c.elapsed})
+	}
+	return r
 }
 
 // calJournal is one calibration run's journal: what the file held when

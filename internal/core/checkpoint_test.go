@@ -318,6 +318,80 @@ func resultsIdentical(t *testing.T, a, b *Result) {
 	}
 }
 
+// journalMatches fails unless the journal holds res's history, in
+// order and bit for bit, and so rebuilds its best-loss-vs-time curve.
+func journalMatches(t *testing.T, jr *JournalRun, res *Result) {
+	t.Helper()
+	if len(jr.History) != len(res.History) || len(jr.Order) != len(res.History) {
+		t.Fatalf("journal holds %d consumptions (%d in its order), the run %d", len(jr.History), len(jr.Order), len(res.History))
+	}
+	for i, s := range res.History {
+		j := jr.History[i]
+		if math.Float64bits(j.Loss) != math.Float64bits(s.Loss) || j.Elapsed != s.Elapsed ||
+			!slices.EqualFunc(j.Unit, s.Unit, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("consumption %d: journal %+v, run %+v", i, j, s)
+		}
+	}
+	ta, la := (&Result{History: jr.History}).LossOverTime()
+	tb, lb := res.LossOverTime()
+	if !slices.Equal(ta, tb) || !slices.EqualFunc(la, lb, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		t.Fatal("the journal's loss-over-time curve differs from the run's")
+	}
+}
+
+// TestJournalReplayMatchesLossOverTime: ReadJournal alone gives the
+// run's identity and its best-loss-vs-time curve bit for bit (what
+// simcal -replay prints). It skips a torn last line and leaves the file
+// as it found it, and with a run to check against it refuses another
+// run's journal with resume's error.
+func TestJournalReplayMatchesLossOverTime(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	c := &Calibrator{
+		Space:          testSpace,
+		Simulator:      sphereLoss(Point{"x": 4, "y": 6}),
+		Algorithm:      randomSearch{batch: 4},
+		MaxEvaluations: 48,
+		Workers:        3,
+		Seed:           7,
+		Checkpoint:     path,
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, err := ReadJournal(path, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jr.Algorithm != "test-random" || jr.Seed != 7 || !slices.Equal(jr.Space, []string{"x", "y"}) {
+		t.Fatalf("journal identity %s seed %d over %v", jr.Algorithm, jr.Seed, jr.Space)
+	}
+	journalMatches(t, jr, res)
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append(data, `{"consume":48,"lo`...)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if jr, err = ReadJournal(path, nil); err != nil {
+		t.Fatalf("torn last line: %v", err)
+	}
+	journalMatches(t, jr, res)
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, torn) {
+		t.Error("ReadJournal modified the journal")
+	}
+
+	other := *c
+	other.Seed = 8
+	want := "the journal is for test-random seed 7 over [x y], this calibration is test-random seed 8 over [x y]"
+	if _, err := ReadJournal(path, &other); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("another seed's journal: err = %v, want resume's %q", err, want)
+	}
+}
+
 func TestCheckpointResumeBitwiseIdentical(t *testing.T) {
 	optimum := Point{"x": 3, "y": 7}
 	clock := frozenClock()

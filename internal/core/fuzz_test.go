@@ -150,6 +150,17 @@ func fuzzJournal(t *testing.T, data []byte) {
 	if err != nil {
 		return
 	}
+	// The curve simcal -replay prints is a running minimum: NaN-free (a
+	// NaN loss never becomes the best) and never increasing.
+	_, curve := (&Result{History: s.run().History}).LossOverTime()
+	for i, l := range curve {
+		if math.IsNaN(l) {
+			t.Fatalf("NaN leaked into the best-loss curve at point %d", i)
+		}
+		if i > 0 && l > curve[i-1] {
+			t.Fatalf("best-loss curve increased at point %d: %v -> %v", i, curve[i-1], l)
+		}
+	}
 	ck := fixtureOf(s)
 	if len(s.order) != len(s.consumed) {
 		t.Fatalf("accepted journal with %d order entries for %d consumptions", len(s.order), len(s.consumed))

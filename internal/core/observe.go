@@ -262,11 +262,10 @@ func (o *obsObserver) EvalCompleted(s Sample, wait, dur time.Duration) {
 		o.evalRate.Set(float64(o.evals.Value()) / elapsed)
 	}
 	o.tracer.Emit(obs.EventEvalCompleted, obs.Fields{
-		"loss":       s.Loss,
-		"elapsed_s":  s.Elapsed.Seconds(),
-		"elapsed_ns": int64(s.Elapsed),
-		"wait_ns":    int64(wait),
-		"dur_ns":     int64(dur),
+		"loss":      s.Loss,
+		"elapsed_s": s.Elapsed.Seconds(),
+		"wait_ns":   int64(wait),
+		"dur_ns":    int64(dur),
 	})
 }
 
@@ -342,12 +341,6 @@ func (o *obsObserver) AsyncCompletionConsumed(seq, index int, loss float64, retr
 	if retracted {
 		o.retractions.Inc()
 	}
-	o.tracer.Emit(obs.EventDistAsyncCompletion, obs.Fields{
-		"seq":       seq,
-		"index":     index,
-		"loss":      loss,
-		"retracted": retracted,
-	})
 }
 
 // PanicRecovered implements FaultObserver.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -242,54 +241,6 @@ func TestLossOverTimeMonotoneParallel(t *testing.T) {
 	for i := 0; i < len(times); i++ {
 		if times[i] < 0 {
 			t.Fatalf("negative elapsed at %d", i)
-		}
-	}
-}
-
-// TestTraceReplayMatchesLossOverTime is the end-to-end guarantee behind
-// the trace-replay helper: the JSONL trace alone reconstructs exactly
-// the best-loss-vs-time curve the in-memory Result reports.
-func TestTraceReplayMatchesLossOverTime(t *testing.T) {
-	var buf bytes.Buffer
-	tracer := obs.NewTracer(&buf)
-	c := &Calibrator{
-		Space:          testSpace,
-		Simulator:      sphereLoss(Point{"x": 4, "y": 6}),
-		Algorithm:      randomSearch{batch: 4},
-		MaxEvaluations: 48,
-		Workers:        3,
-		Seed:           7,
-		Observer:       NewObsObserver(obs.NewRegistry(), tracer),
-	}
-	res, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tracer.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, ok := obs.TraceManifest(recs)
-	if !ok || m.Algorithm != "test-random" || m.Seed != 7 {
-		t.Fatalf("manifest = %+v ok=%v", m, ok)
-	}
-	pts, err := obs.ReplayConvergenceRecords(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	times, losses := res.LossOverTime()
-	if len(pts) != len(times) {
-		t.Fatalf("replay has %d points, result has %d", len(pts), len(times))
-	}
-	for i := range pts {
-		if pts[i].Loss != losses[i] {
-			t.Fatalf("replayed loss[%d] = %g, want %g", i, pts[i].Loss, losses[i])
-		}
-		if pts[i].Elapsed != times[i] {
-			t.Fatalf("replayed elapsed[%d] = %v, want %v", i, pts[i].Elapsed, times[i])
 		}
 	}
 }

@@ -1,10 +1,11 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -259,18 +260,15 @@ func TestAsyncReplayBitwiseAfterWorkerKill(t *testing.T) {
 	assertSameHistory(t, rres, res)
 }
 
-// TestAsyncTraceReplayOrder: the dist_async_completion trace events
-// reconstruct exactly the algorithm's completion order — the simcal
-// -async-replay pipeline (trace in, bitwise rerun out) rests on this.
-func TestAsyncTraceReplayOrder(t *testing.T) {
+// TestAsyncJournalReplayOrder: the evaluation journal's consumption
+// order is exactly the algorithm's completion order — the simcal
+// -async-replay pipeline (journal in, bitwise rerun out) rests on this.
+func TestAsyncJournalReplayOrder(t *testing.T) {
 	const evals = 24
-	c := startCluster(t, NewLoopback(), "", CoordinatorConfig{Name: "trace"},
+	c := startCluster(t, NewLoopback(), "", CoordinatorConfig{Name: "journal"},
 		[]Factory{delayFactory(11, 2*time.Millisecond, nil), delayFactory(13, 2*time.Millisecond, nil)}, 2)
 	defer c.stop()
 
-	var buf bytes.Buffer
-	tracer := obs.NewTracer(&buf)
-	tracer.SetClock(frozenClock)
 	alg := opt.NewAsyncBO()
 	alg.InitSamples = 8
 	cal := core.Calibrator{
@@ -281,34 +279,22 @@ func TestAsyncTraceReplayOrder(t *testing.T) {
 		Workers:        4,
 		Seed:           7,
 		Clock:          frozenClock,
-		Observer:       core.NewObsObserver(nil, tracer),
+		Checkpoint:     filepath.Join(t.TempDir(), "ck.jsonl"),
 	}
 	res, err := cal.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tracer.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := obs.ReadTrace(&buf)
+	jr, err := core.ReadJournal(cal.Checkpoint, &cal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, err := obs.ReplayAsyncOrder(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := alg.CompletionOrder()
-	if len(order) != len(want) {
-		t.Fatalf("trace yields %d order entries, algorithm recorded %d", len(order), len(want))
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("trace order[%d] = %d, algorithm recorded %d", i, order[i], want[i])
-		}
+	order := jr.Order
+	if want := alg.CompletionOrder(); !slices.Equal(order, want) {
+		t.Fatalf("journal order %v, algorithm recorded %v", order, want)
 	}
 
-	// And the trace-derived order drives a bitwise local replay.
+	// And the journaled order drives a bitwise local replay.
 	replay := opt.NewAsyncBO()
 	replay.InitSamples = 8
 	replay.Replay = order

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"simcal/internal/obs"
 	"simcal/internal/wfgen"
 )
 
@@ -361,7 +360,7 @@ func TestFormatHelpers(t *testing.T) {
 	if !strings.Contains(va, "x") {
 		t.Error("FormatVersionAccuracy missing version")
 	}
-	cv := FormatConvergence([]obs.ConvergencePoint{{Evaluations: 1, Loss: 0.5}, {Evaluations: 2, Loss: 0.25}}, 10)
+	cv := FormatConvergence([]ConvergencePoint{{Evaluations: 1, Loss: 0.5}, {Evaluations: 2, Loss: 0.25}}, 10)
 	if !strings.Contains(cv, "0.2500") {
 		t.Error("FormatConvergence missing loss")
 	}

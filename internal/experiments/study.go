@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"simcal/internal/core"
-	"simcal/internal/obs"
 	"simcal/internal/stats"
 )
 
@@ -262,7 +261,29 @@ func selectionMatrix[K fmt.Stringer](ctx context.Context, o Options, scope, cach
 type ConvergenceResult struct {
 	// Dataset labels the ground truth the curve was calibrated against.
 	Dataset string
-	Points  []obs.ConvergencePoint
+	Points  []ConvergencePoint
+}
+
+// ConvergencePoint is one point of a best-loss-vs-time curve.
+type ConvergencePoint struct {
+	// Elapsed is the calibration wall-clock at which the evaluation
+	// completed.
+	Elapsed time.Duration
+	// Evaluations is the number of evaluations completed so far.
+	Evaluations int
+	// Loss is the best loss seen up to and including this evaluation.
+	Loss float64
+}
+
+// ConvergenceCurve is r's Result.LossOverTime as points, one per
+// evaluation.
+func ConvergenceCurve(r *core.Result) []ConvergencePoint {
+	times, losses := r.LossOverTime()
+	var points []ConvergencePoint
+	for i, l := range losses {
+		points = append(points, ConvergencePoint{Elapsed: times[i], Evaluations: i + 1, Loss: l})
+	}
+	return points
 }
 
 // convergence calibrates once with the selected algorithm and traces the
@@ -272,10 +293,5 @@ func convergence(ctx context.Context, o Options, space core.Space, sim core.Simu
 	if err != nil {
 		return nil, err
 	}
-	out := &ConvergenceResult{Dataset: dataset}
-	times, losses := r.LossOverTime()
-	for i, l := range losses {
-		out.Points = append(out.Points, obs.ConvergencePoint{Elapsed: times[i], Evaluations: i + 1, Loss: l})
-	}
-	return out, nil
+	return &ConvergenceResult{Dataset: dataset, Points: ConvergenceCurve(r)}, nil
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"simcal/internal/mpisim"
-	"simcal/internal/obs"
 	"simcal/internal/wfgen"
 	"simcal/internal/wfsim"
 )
@@ -148,14 +147,14 @@ func FormatVersionAccuracy(vs []VersionAccuracy) string {
 }
 
 // FormatConvergence renders a loss-vs-time curve, subsampled.
-func FormatConvergence(points []obs.ConvergencePoint, maxRows int) string {
+func FormatConvergence(points []ConvergencePoint, maxRows int) string {
 	header := []string{"evals", "elapsed", "best-loss"}
 	var rows [][]string
 	stride := 1
 	if maxRows > 0 && len(points) > maxRows {
 		stride = len(points)/maxRows + 1
 	}
-	row := func(p obs.ConvergencePoint) {
+	row := func(p ConvergencePoint) {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", p.Evaluations),
 			p.Elapsed.Round(1000000).String(),

@@ -7,18 +7,17 @@ import (
 	"time"
 )
 
-// FuzzReadTrace feeds arbitrary bytes through the full trace-replay
-// path: decode, manifest extraction, and convergence reconstruction.
-// Traces come off disk — possibly truncated mid-line by a killed run —
-// so the contract is errors, never panics, and the non-finite loss
-// sentinels must decode without upsetting the replay.
+// FuzzReadTrace feeds arbitrary bytes to the trace decoder. Traces come
+// off disk — possibly truncated mid-line by a killed run — so the
+// contract is errors, never panics, and an accepted trace is one record
+// per non-blank line, in order.
 func FuzzReadTrace(f *testing.F) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	tr.SetClock(func() time.Time { return time.Unix(1700000000, 0) })
 	tr.EmitManifest(Manifest{Algorithm: "RAND", Space: []string{"x"}, Seed: 1, Version: "fuzz"})
-	tr.Emit(EventEvalCompleted, Fields{"loss": 2.5, "elapsed_ns": float64(time.Millisecond)})
-	tr.Emit(EventEvalCompleted, Fields{"loss": math.Inf(1), "elapsed_ns": float64(2 * time.Millisecond)})
+	tr.Emit(EventEvalCompleted, Fields{"loss": 2.5, "elapsed_s": 0.001})
+	tr.Emit(EventEvalCompleted, Fields{"loss": math.Inf(1), "elapsed_s": 0.002})
 	tr.Emit(EventEvalCompleted, Fields{"loss": math.NaN(), "elapsed_s": 0.003})
 	tr.Emit(EventPanicRecovered, Fields{"error": "boom"})
 	if err := tr.Flush(); err != nil {
@@ -37,20 +36,14 @@ func FuzzReadTrace(f *testing.F) {
 		if err != nil {
 			return
 		}
-		TraceManifest(recs)
-		points, err := ReplayConvergenceRecords(recs)
-		if err != nil {
-			return
+		lines := 0
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			if len(bytes.TrimSuffix(line, []byte("\r"))) > 0 { // the scanner drops a CR before LF
+				lines++
+			}
 		}
-		// The replayed curve is a running minimum: NaN-free (NaN losses
-		// normalize to +Inf) and monotone non-increasing.
-		for i, p := range points {
-			if math.IsNaN(p.Loss) {
-				t.Fatalf("NaN leaked into the best-loss curve at point %d", i)
-			}
-			if i > 0 && p.Loss > points[i-1].Loss {
-				t.Fatalf("best-loss curve increased at point %d: %v -> %v", i, points[i-1].Loss, p.Loss)
-			}
+		if len(recs) != lines {
+			t.Fatalf("decoded %d records from %d non-blank lines", len(recs), lines)
 		}
 	})
 }

@@ -144,8 +144,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // calibrationStatus extracts the well-known calibration metrics (the
 // names core.NewObsObserver registers) from a snapshot for /statusz, or
 // nil when none are present — e.g. on a worker, whose registry carries
-// only worker.* and simulator metrics. The event-name constants in
-// replay.go are the same kind of cross-package contract.
+// only worker.* and simulator metrics. The event-name constants beside
+// Tracer are the same kind of cross-package contract.
 func calibrationStatus(s Snapshot, now time.Time) map[string]any {
 	out := make(map[string]any)
 	if v, ok := s.Counters["cal.evaluations"]; ok {

@@ -17,9 +17,10 @@
 //   - cmd/simcal and cmd/experiments expose -trace, -metrics, and
 //     -pprof flags on top of it.
 //
-// A JSONL trace alone is enough to regenerate the paper's
-// best-loss-vs-time convergence curves (Figures 1 and 4): see
-// ReplayConvergence.
+// The trace is purely observational: nothing reads it back to resume,
+// replay or compare a run. That record is the calibration's evaluation
+// journal (core.ReadJournal), which also holds the paper's
+// best-loss-vs-time curves (Figures 1 and 4).
 package obs
 
 import (

@@ -191,9 +191,8 @@ func TestTracerJSONL(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("got %d records, want 2", len(recs))
 	}
-	m, ok := TraceManifest(recs)
-	if !ok || m.Algorithm != "BO-GP" || m.Seed != 7 || len(m.Space) != 2 {
-		t.Fatalf("manifest = %+v ok=%v", m, ok)
+	if m := recs[0].Fields; recs[0].Name != ManifestName || m["algorithm"] != "BO-GP" || m["seed"] != 7.0 || len(m["space"].([]any)) != 2 {
+		t.Fatalf("manifest = %+v", recs[0])
 	}
 	if recs[0].Seq != 0 || recs[1].Seq != 1 {
 		t.Fatalf("bad sequence numbers: %d %d", recs[0].Seq, recs[1].Seq)
@@ -218,42 +217,6 @@ func TestTracerNilSafe(t *testing.T) {
 	}
 	var l *Logger
 	l.Printf("discarded %d", 1)
-}
-
-func TestReplayConvergence(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(&buf)
-	losses := []float64{3, 1, 2, 0.5}
-	for i, loss := range losses {
-		tr.Emit(EventEvalCompleted, Fields{
-			"loss":       loss,
-			"elapsed_s":  float64(i+1) * 0.1,
-			"elapsed_ns": float64((i + 1) * 100_000_000),
-		})
-	}
-	tr.Emit(EventIncumbentImproved, Fields{"loss": 0.5}) // ignored by replay
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	pts, err := ReplayConvergence(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBest := []float64{3, 1, 1, 0.5}
-	if len(pts) != len(wantBest) {
-		t.Fatalf("got %d points, want %d", len(pts), len(wantBest))
-	}
-	for i, p := range pts {
-		if p.Loss != wantBest[i] {
-			t.Fatalf("point %d best loss = %g, want %g", i, p.Loss, wantBest[i])
-		}
-		if p.Evaluations != i+1 {
-			t.Fatalf("point %d evaluations = %d", i, p.Evaluations)
-		}
-		if want := time.Duration(i+1) * 100 * time.Millisecond; p.Elapsed != want {
-			t.Fatalf("point %d elapsed = %v, want %v", i, p.Elapsed, want)
-		}
-	}
 }
 
 func TestBuildVersionNonEmpty(t *testing.T) {

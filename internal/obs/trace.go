@@ -18,7 +18,7 @@ import (
 // JSON-encodable (numbers, strings, bools, slices, maps). Non-finite
 // floats are allowed: the tracer encodes them as the string sentinels
 // "Inf", "-Inf", and "NaN" (JSON has no representation for them), and
-// the replay helpers decode the sentinels back.
+// Float reads them back.
 type Fields map[string]any
 
 // Record is one line of a JSONL trace.
@@ -52,6 +52,50 @@ type Manifest struct {
 
 // ManifestName is the record name under which a run manifest is emitted.
 const ManifestName = "manifest"
+
+// Event names the calibration bridge emits (see core.NewObsObserver).
+// They are part of the trace schema documented in README.md.
+const (
+	EventCalibrationStarted  = "calibration_started"
+	EventBatchProposed       = "batch_proposed"
+	EventEvalCompleted       = "eval_completed"
+	EventCacheHit            = "cache_hit"
+	EventIncumbentImproved   = "incumbent_improved"
+	EventSurrogateFitted     = "surrogate_fitted"
+	EventSurrogateFitDetail  = "surrogate_fit_detail"
+	EventAcquisitionSolved   = "acquisition_solved"
+	EventCalibrationFinished = "calibration_finished"
+
+	// Fault-tolerance events (see core.FaultObserver): the recovery
+	// actions the runtime took, so a trace shows how a faulty run got
+	// through.
+	EventPanicRecovered    = "panic_recovered"
+	EventEvalRetried       = "eval_retry"
+	EventEvalTimeout       = "eval_timeout"
+	EventCheckpointWritten = "checkpoint_written"
+	EventCheckpointFailed  = "checkpoint_failed"
+
+	// Distributed-evaluation events (see the dist package). Lifecycle
+	// events come from the coordinator itself; a dist_worker_eval record
+	// is a worker's view of one evaluation — its timing on the worker's
+	// clock, carried by the result frame — emitted by the coordinator
+	// with `worker`, `source`, and clock-offset fields, so one trace file
+	// holds the cross-process timeline keyed by lease ID. They are
+	// additions to — never reorderings of — the calibration events, so
+	// the calibration trajectory stays bitwise identical to a serial run.
+	EventDistWorkerConnected    = "dist_worker_connected"
+	EventDistWorkerDisconnected = "dist_worker_disconnected"
+	EventDistLeaseRequeued      = "dist_lease_requeued"
+	EventDistWorkerEval         = "dist_worker_eval"
+
+	// Chaos-hardening events: a lease quarantined as poison after
+	// exceeding its requeue cap (the dead-letter record), the
+	// coordinator entering or leaving fleet-empty degraded mode, and a
+	// lease evaluated on the coordinator's local fallback evaluator.
+	EventDistLeaseQuarantined = "dist_lease_quarantined"
+	EventDistDegraded         = "dist_degradation"
+	EventDistLocalEval        = "dist_local_eval"
+)
 
 // Tracer emits structured JSONL records. All methods are safe for
 // concurrent use and safe on a nil receiver (a nil *Tracer is the
@@ -390,24 +434,4 @@ func ReadTrace(r io.Reader) ([]Record, error) {
 		return nil, fmt.Errorf("obs: reading trace: %w", err)
 	}
 	return recs, nil
-}
-
-// TraceManifest returns the first manifest record of a decoded trace,
-// or false when the trace has none.
-func TraceManifest(recs []Record) (Manifest, bool) {
-	for _, rec := range recs {
-		if rec.Name != ManifestName {
-			continue
-		}
-		b, err := json.Marshal(rec.Fields)
-		if err != nil {
-			return Manifest{}, false
-		}
-		var m Manifest
-		if err := json.Unmarshal(b, &m); err != nil {
-			return Manifest{}, false
-		}
-		return m, true
-	}
-	return Manifest{}, false
 }

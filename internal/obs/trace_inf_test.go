@@ -59,22 +59,13 @@ func TestTraceNonFiniteFields(t *testing.T) {
 		t.Errorf("nested map sanitized wrong: %v", nested)
 	}
 
-	// Replay decodes the sentinels back into non-finite floats.
-	pts, err := ReplayConvergenceRecords(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 {
-		t.Fatalf("replay got %d points, want 4", len(pts))
-	}
-	if !math.IsInf(pts[0].Loss, 1) {
-		t.Errorf("replayed point 0 best loss = %v, want +Inf", pts[0].Loss)
-	}
-	if !math.IsInf(pts[1].Loss, -1) {
-		t.Errorf("replayed point 1 best loss = %v, want -Inf (incumbent)", pts[1].Loss)
-	}
-	if pts[3].Loss != math.Inf(-1) {
-		t.Errorf("replayed point 3 best loss = %v, want the -Inf incumbent", pts[3].Loss)
+	// Float reads the sentinels back into non-finite floats.
+	for i, want := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		var got Float
+		b, _ := json.Marshal(recs[i].Fields["loss"])
+		if err := got.UnmarshalJSON(b); err != nil || math.Float64bits(float64(got)) != math.Float64bits(want) {
+			t.Errorf("record %d loss %s reads back as %v (%v), want %v", i, b, got, err, want)
+		}
 	}
 }
 
@@ -104,18 +95,18 @@ func TestTraceSanitizeValue(t *testing.T) {
 	if v, changed := sanitizeValue(m); changed {
 		t.Errorf("finite named map copied: %v", v)
 	}
-	// fieldFloat inverts the sentinels.
+	// parseSentinel inverts the sentinels.
 	for s, want := range map[string]float64{"Inf": math.Inf(1), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
-		got, ok := fieldFloat(Fields{"v": s}, "v")
+		got, ok := parseSentinel(s)
 		if !ok || got != want {
-			t.Errorf("fieldFloat(%q) = %v, %v", s, got, ok)
+			t.Errorf("parseSentinel(%q) = %v, %v", s, got, ok)
 		}
 	}
-	if got, ok := fieldFloat(Fields{"v": "NaN"}, "v"); !ok || !math.IsNaN(got) {
-		t.Errorf("fieldFloat(NaN) = %v, %v", got, ok)
+	if got, ok := parseSentinel("NaN"); !ok || !math.IsNaN(got) {
+		t.Errorf("parseSentinel(NaN) = %v, %v", got, ok)
 	}
-	if _, ok := fieldFloat(Fields{"v": "not a number"}, "v"); ok {
-		t.Error("fieldFloat accepted an arbitrary string")
+	if _, ok := parseSentinel("not a number"); ok {
+		t.Error("parseSentinel accepted an arbitrary string")
 	}
 }
 

@@ -25,10 +25,10 @@ import (
 // Determinism: proposals are a pure function of (seed, history in
 // consumption order, in-flight set in submission order). A live run
 // consumes completions in fleet arrival order and records that order
-// (CompletionOrder, checkpoints, the dist_async_completion trace
-// event); re-running with the recorded order in Replay — or resuming
-// from an async checkpoint — forces consumption in the same order and
-// reproduces the run bitwise.
+// (CompletionOrder, and the evaluation journal's consumption lines,
+// which core.ReadJournal reads back); re-running with the recorded
+// order in Replay — or resuming from the journal — forces consumption
+// in the same order and reproduces the run bitwise.
 type AsyncBayesOpt struct {
 	// NewRegressor builds a fresh surrogate for each refit. Required.
 	NewRegressor func(seed int64) surrogate.Regressor

@@ -509,9 +509,6 @@ func (s *Server) finalize(j *Job, res *core.Result, err error) {
 		s.cCanceled.Inc()
 	}
 	s.persistRecord(j)
-	if j.state.Terminal() {
-		s.removeJournal(j.ID)
-	}
 }
 
 // Cancel cancels one job: a pending job is removed from its tenant's
@@ -559,7 +556,6 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 	} else if j.state == StateCanceled {
 		s.cCanceled.Inc()
 		s.persistRecord(j)
-		s.removeJournal(j.ID)
 	}
 	return j, true
 }

@@ -52,6 +52,64 @@ func (s toySim) Run(ctx context.Context, p core.Point) (float64, error) {
 	return dx*dx + dy*dy, nil
 }
 
+// fleetConfig builds a service.Config evaluating the toy problem on a
+// loopback fleet: one capacity-2 worker per delay, each answering after
+// that delay. The fleet stops when the test ends.
+func fleetConfig(t *testing.T, delays ...time.Duration) service.Config {
+	t.Helper()
+	lb := dist.NewLoopback()
+	l, err := lb.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := dist.NewCoordinator(dist.CoordinatorConfig{
+		Name:     "svc-test",
+		Registry: obs.NewRegistry(),
+	})
+	go coord.Serve(l)
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		coord.Close()
+		l.Close()
+		cancel()
+		wg.Wait()
+	})
+	for i, delay := range delays {
+		w, err := dist.NewWorker(dist.WorkerConfig{
+			Name:     fmt.Sprintf("w%d", i),
+			Capacity: 2,
+			Factory: func([]byte) (core.Simulator, error) {
+				return toySim{delay: delay}, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := lb.Dial("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = w.Run(ctx, conn)
+		}()
+	}
+	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer wcancel()
+	if err := coord.WaitForWorkers(wctx, len(delays)); err != nil {
+		t.Fatal(err)
+	}
+	return service.Config{
+		Backend: func(job string, spec json.RawMessage) (core.Simulator, error) {
+			return coord.JobEvaluator(job, spec), nil
+		},
+		CancelJob: coord.CancelJob,
+		Resolve:   func(json.RawMessage) (core.Space, error) { return toySpace(), nil },
+	}
+}
+
 // toyConfig builds a service.Config evaluating the toy problem
 // locally; tests override the backend for distributed runs.
 func toyConfig(delay time.Duration) service.Config {
@@ -349,59 +407,8 @@ func TestTenantQuota(t *testing.T) {
 // identical to a serial run — a neighbor's cancellation purges only
 // its own leases.
 func TestCancelIsolationOnSharedFleet(t *testing.T) {
-	lb := dist.NewLoopback()
-	l, err := lb.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := dist.NewCoordinator(dist.CoordinatorConfig{
-		Name:     "svc-test",
-		Registry: obs.NewRegistry(),
-	})
-	go coord.Serve(l)
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		w, err := dist.NewWorker(dist.WorkerConfig{
-			Name:     fmt.Sprintf("w%d", i),
-			Capacity: 2,
-			Factory: func([]byte) (core.Simulator, error) {
-				return toySim{delay: time.Millisecond}, nil
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn, err := lb.Dial("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run(ctx, conn)
-		}()
-	}
-	defer func() {
-		coord.Close()
-		l.Close()
-		cancel()
-		wg.Wait()
-	}()
-	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer wcancel()
-	if err := coord.WaitForWorkers(wctx, 2); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := service.Config{
-		Backend: func(job string, spec json.RawMessage) (core.Simulator, error) {
-			return coord.JobEvaluator(job, spec), nil
-		},
-		CancelJob:  coord.CancelJob,
-		Resolve:    func(json.RawMessage) (core.Space, error) { return toySpace(), nil },
-		MaxRunning: 2,
-	}
+	cfg := fleetConfig(t, time.Millisecond, time.Millisecond)
+	cfg.MaxRunning = 2
 	svc, err := service.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)

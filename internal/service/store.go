@@ -18,7 +18,8 @@ import (
 // all named by job ID so restarts can pair them back up:
 //
 //	<id>.job.json       the job record: request + lifecycle state
-//	<id>.journal.jsonl  the calibration's evaluation journal (kept by core)
+//	<id>.journal.jsonl  the calibration's evaluation journal (kept by core,
+//	                    and kept after the job ends: its replay record)
 //	<id>.result.json    the finished result (same format as simcal -out)
 //
 // Record and result are replaced atomically (write-tmp-then-rename);
@@ -95,13 +96,6 @@ func (s *Server) persistResult(j *Job, res *core.Result) {
 	_ = core.WriteFileAtomic(s.resultPath(j.ID), func(w io.Writer) error {
 		return res.WriteJSON(w, true)
 	})
-}
-
-func (s *Server) removeJournal(id string) {
-	if s.cfg.StateDir == "" {
-		return
-	}
-	os.Remove(s.journalPath(id))
 }
 
 // load replays the journal on startup: every *.job.json becomes a Job
