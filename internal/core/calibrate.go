@@ -241,7 +241,8 @@ func (p *Problem) runSim(ctx context.Context, u []float64, pt Point) (loss float
 }
 
 // record appends one sample to history and reports whether it improved
-// the incumbent.
+// the incumbent. It is history's only writer, and never rewrites an
+// entry: History hands out views of it.
 func (p *Problem) record(s Sample) (improved bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -280,11 +281,16 @@ func (p *Problem) Evaluations() int {
 	return p.evals
 }
 
-// History returns the evaluations completed so far, in completion order.
+// History returns the evaluations completed so far, in completion
+// order, as a view of the problem's own history rather than a copy:
+// the history is append-only and record is its only writer, so the
+// entries a view holds are never written again, and the view's capacity
+// is capped at its length, so an append to it copies instead of writing
+// into the problem's array. Callers must not modify its entries.
 func (p *Problem) History() []Sample {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]Sample(nil), p.history...)
+	return p.history[:len(p.history):len(p.history)]
 }
 
 // Algorithm is an iterative calibration algorithm. Optimize must keep

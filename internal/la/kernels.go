@@ -30,9 +30,52 @@ var expProbe = [...]struct {
 // The Go inner loops of the Cholesky and the tiled solve. On amd64,
 // dotf, dotf2 and tileRow run the same operations in the same order on
 // packed SSE2 registers (kernels_amd64.s), and tileRow2, which is two
-// tileRow calls in one pass, on AVX; these loops are the reference
-// their bits are tested against. On every other GOARCH they are the
-// only path (kernels_other.go).
+// tileRow calls in one pass, on AVX; where AVX is taken, so are the
+// Cholesky's row solve and trailing update as whole kernels, several
+// rows at a time. These loops are the reference their bits are tested
+// against. On every other GOARCH they are the only path
+// (kernels_other.go).
+
+// solveRowsDot is the Cholesky's row solve on rows [r, rows) of x, one
+// row every n values: for j < w in order, x[j] = (x[j] -
+// dotf(x[:j], lj[:j])) / lj[j] with lj = l[j*n:], a finished row of the
+// diagonal block. It is how the panel below a column block is solved,
+// and the part of the diagonal block left of a group of its rows.
+func solveRowsDot(x, l []float64, n, r, rows, w int) {
+	for ; r < rows; r++ {
+		xr := x[r*n : r*n+w]
+		for j := range xr {
+			lj := l[j*n : j*n+j+1]
+			xr[j] = (xr[j] - dotf(xr[:j], lj[:j])) / lj[j]
+		}
+	}
+}
+
+// trailDot is the Cholesky's trailing update on rows [r, rows) of x,
+// one row every n values, each row's cholBlock-long panel segment first
+// and its trailing entries after it: for q in [0, off+row],
+// x[cholBlock+q] -= dotf(x[:cholBlock], c[q*n:][:cholBlock]), where
+// c[q*n:] is the panel segment of trailing column q, and q = off+row is
+// the row's own diagonal. Rows go in pairs sharing each column's loads
+// (dotf2); each entry's value does not depend on the pairing.
+func trailDot(x, c []float64, n, r, rows, off int) {
+	for ; r+1 < rows; r += 2 {
+		x0, x1 := x[r*n:], x[(r+1)*n:]
+		s0, s1 := x0[:cholBlock], x1[:cholBlock]
+		for q := 0; q <= off+r; q++ {
+			d0, d1 := dotf2(s0, s1, c[q*n:q*n+cholBlock])
+			x0[cholBlock+q] -= d0
+			x1[cholBlock+q] -= d1
+		}
+		x1[cholBlock+off+r+1] -= dotf(s1, s1)
+	}
+	if r < rows {
+		xr := x[r*n:]
+		for q := 0; q <= off+r; q++ {
+			xr[cholBlock+q] -= dotf(xr[:cholBlock], c[q*n:q*n+cholBlock])
+		}
+	}
+}
 
 // dotfGo is the blocked factorization's inner product: four independent
 // accumulators reduced in a fixed order, so it is deterministic while

@@ -265,3 +265,178 @@ tile2done:
 	VMOVUPD Y3, 32(R9)
 	VZEROUPPER
 	RET
+
+// The Cholesky's AVX kernels. Every lane multiplies with VMULPD or
+// VMULSD and accumulates with VADDPD or VADDSD, the Go loop's two
+// roundings in its order; each reduction is dotfGo's (s0+s1)+(s2+s3).
+// They use no FMA instruction and, like the kernels above, no AVX2 one.
+
+// func solve4AVX(x, l []float64, n, w int)
+//
+// solveRowsDot on four rows of x, n values apart: for each column j < w
+// in order, the four rows' dotf(x[:j], l[j*n:][:j]) run side by side,
+// one YMM accumulator per row over the whole quads, then the tail into
+// its low lane, then (x[j] - d) / l[j*n+j] is stored back before
+// column j+1 reads it. len(x) >= 3*n+w, len(l) >= (w-1)*n+w.
+TEXT ·solve4AVX(SB), NOSPLIT, $0-64
+	MOVQ  x_base+0(FP), SI
+	MOVQ  l_base+24(FP), DI
+	MOVQ  n+48(FP), BX
+	MOVQ  w+56(FP), CX
+	SHLQ  $3, BX          // row stride in bytes
+	LEAQ  (SI)(BX*1), R8  // row 1
+	LEAQ  (SI)(BX*2), R9  // row 2
+	LEAQ  (R8)(BX*2), R10 // row 3
+	XORQ  DX, DX          // j*8
+	SHLQ  $3, CX          // w*8
+	TESTQ CX, CX
+	JZ    solvedone
+
+solvecol:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   DX, R11
+	ANDQ   $-32, R11 // the quads end at (j&^3)*8
+	XORQ   AX, AX
+	TESTQ  R11, R11
+	JZ     solvetail
+
+solvequad:
+	VMOVUPD (DI)(AX*1), Y8
+	VMULPD  (SI)(AX*1), Y8, Y9
+	VMULPD  (R8)(AX*1), Y8, Y10
+	VMULPD  (R9)(AX*1), Y8, Y11
+	VMULPD  (R10)(AX*1), Y8, Y12
+	VADDPD  Y9, Y0, Y0
+	VADDPD  Y10, Y1, Y1
+	VADDPD  Y11, Y2, Y2
+	VADDPD  Y12, Y3, Y3
+	ADDQ    $32, AX
+	CMPQ    AX, R11
+	JLT     solvequad
+
+solvetail:
+	// s2, s3 of each row, before a scalar op clears the upper half.
+	VEXTRACTF128 $1, Y0, X4
+	VEXTRACTF128 $1, Y1, X5
+	VEXTRACTF128 $1, Y2, X6
+	VEXTRACTF128 $1, Y3, X7
+	CMPQ         AX, DX
+	JGE          solvereduce
+
+solvetailloop:
+	VMOVSD (DI)(AX*1), X8
+	VMULSD (SI)(AX*1), X8, X9
+	VMULSD (R8)(AX*1), X8, X10
+	VMULSD (R9)(AX*1), X8, X11
+	VMULSD (R10)(AX*1), X8, X12
+	VADDSD X9, X0, X0
+	VADDSD X10, X1, X1
+	VADDSD X11, X2, X2
+	VADDSD X12, X3, X3
+	ADDQ   $8, AX
+	CMPQ   AX, DX
+	JLT    solvetailloop
+
+solvereduce:
+	VMOVSD (DI)(DX*1), X8 // l[j*n+j]
+
+// SOLVEFINISH reduces a row's accumulators, (s0+s1, s2+s3) by the
+// horizontal add and then their sum, and finishes the row's entry j.
+#define SOLVEFINISH(acc, hi, row) \
+	VHADDPD   hi, acc, acc \
+	VUNPCKHPD acc, acc, X9 \
+	VADDSD    X9, acc, acc \
+	VMOVSD    (row)(DX*1), X9 \
+	VSUBSD    acc, X9, X9 \
+	VDIVSD    X8, X9, X9 \
+	VMOVSD    X9, (row)(DX*1)
+
+	SOLVEFINISH(X0, X4, SI)
+	SOLVEFINISH(X1, X5, R8)
+	SOLVEFINISH(X2, X6, R9)
+	SOLVEFINISH(X3, X7, R10)
+	ADDQ BX, DI
+	ADDQ $8, DX
+	CMPQ DX, CX
+	JLT  solvecol
+
+solvedone:
+	VZEROUPPER
+	RET
+
+// func trail4x2AVX(x, c []float64, n, pairs int)
+//
+// trailDot's update of four rows of x, n values apart, by the columns
+// whose panel segments are c[q*n:][:cholBlock], two at a time: the
+// eight entries' accumulators are Y0–Y7 (row r, column k in Y(2r+k)),
+// the two column quads Y8 and Y9 are loaded once for the four rows,
+// and each row's two results are reduced and subtracted as one pair.
+// Segments are exactly cholBlock = 64 values, 512 bytes, with no tail.
+TEXT ·trail4x2AVX(SB), NOSPLIT, $0-64
+	MOVQ  x_base+0(FP), SI
+	MOVQ  c_base+24(FP), DI
+	MOVQ  n+48(FP), BX
+	MOVQ  pairs+56(FP), CX
+	SHLQ  $3, BX          // row stride in bytes
+	LEAQ  (SI)(BX*1), R8  // row 1
+	LEAQ  (SI)(BX*2), R9  // row 2
+	LEAQ  (R8)(BX*2), R10 // row 3
+	XORQ  DX, DX          // column q's output offset, q*8
+	TESTQ CX, CX
+	JZ    traildone
+
+trailpair:
+	LEAQ   (DI)(BX*1), R11 // column q+1
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ   AX, AX
+
+#define TRAILROW(row, acc0, acc1) \
+	VMOVUPD (row)(AX*1), Y10 \
+	VMULPD  Y8, Y10, Y11 \
+	VMULPD  Y9, Y10, Y12 \
+	VADDPD  Y11, acc0, acc0 \
+	VADDPD  Y12, acc1, acc1
+
+trailquad:
+	VMOVUPD (DI)(AX*1), Y8
+	VMOVUPD (R11)(AX*1), Y9
+	TRAILROW(SI, Y0, Y1)
+	TRAILROW(R8, Y2, Y3)
+	TRAILROW(R9, Y4, Y5)
+	TRAILROW(R10, Y6, Y7)
+	ADDQ    $32, AX
+	CMPQ    AX, $512
+	JLT     trailquad
+
+// TRAILFINISH reduces a row's two entries together: the horizontal add
+// gives (s0+s1, t0+t1, s2+s3, t2+t3), the add of its halves both sums.
+#define TRAILFINISH(row, acc0, acc1, lo0, lo1) \
+	VHADDPD      acc1, acc0, acc0 \
+	VEXTRACTF128 $1, acc0, lo1 \
+	VADDPD       lo1, lo0, lo0 \
+	VMOVUPD      512(row)(DX*1), lo1 \
+	VSUBPD       lo0, lo1, lo1 \
+	VMOVUPD      lo1, 512(row)(DX*1)
+
+	TRAILFINISH(SI, Y0, Y1, X0, X1)
+	TRAILFINISH(R8, Y2, Y3, X2, X3)
+	TRAILFINISH(R9, Y4, Y5, X4, X5)
+	TRAILFINISH(R10, Y6, Y7, X6, X7)
+	LEAQ (DI)(BX*2), DI
+	ADDQ $16, DX
+	DECQ CX
+	JNZ  trailpair
+
+traildone:
+	VZEROUPPER
+	RET

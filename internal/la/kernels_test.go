@@ -34,9 +34,11 @@ func sameBits(a, b float64) bool {
 }
 
 // TestKernelsMatchGoBitwise: dotf, dotf2, tileRow and tileRow2, on
-// amd64 the packed SSE2 and AVX kernels, carry the bits of the Go loops
-// in kernels.go at every tail length, on unaligned slices, and on inputs
-// that drive lanes through zeros, subnormals, infinities and NaNs; Exp
+// amd64 the packed SSE2 and AVX kernels, and the Cholesky's row solve
+// and trailing update, on amd64 with AVX whole kernels four rows at a
+// time, carry the bits of the Go loops in kernels.go at every tail
+// length and row remainder, on unaligned slices, and on inputs that
+// drive lanes through zeros, subnormals, infinities and NaNs; Exp
 // carries math.Exp's (expInputs).
 func TestKernelsMatchGoBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -83,6 +85,39 @@ func TestKernelsMatchGoBitwise(t *testing.T) {
 			}
 		}
 	}
+	for _, p := range []float64{0, 0.05, 0.5} {
+		for _, rows := range []int{1, 3, 4, 5, 8, 9, 12, 13} {
+			for w := 0; w <= cholBlock+6; w++ {
+				n := w + 3
+				x := kernelInputs(rng, rows*n+1, p)[1:]
+				l := kernelInputs(rng, max(w*n, 1)+1, p)[1:]
+				want := append([]float64(nil), x...)
+				solveRows(x, l, n, rows, w)
+				solveRowsRef(want, l, n, rows, w)
+				for i := range x {
+					if !sameBits(x[i], want[i]) {
+						t.Fatalf("p=%v rows=%d w=%d: solveRows entry (%d,%d) = %v, Go loop %v", p, rows, w, i/n, i%n, x[i], want[i])
+					}
+				}
+			}
+			for _, off := range []int{0, 1, 2, 3, 6} {
+				// A matrix whose panel columns [0, cholBlock) of rows
+				// [cholBlock, cholBlock+off+rows) feed the trailing
+				// entries of its last rows, as in the factorization.
+				n := cholBlock + off + rows + 3
+				p0 := cholBlock + off
+				a := kernelInputs(rng, n*n+1, p)[1:]
+				want := append([]float64(nil), a...)
+				trail(a[p0*n:], a[cholBlock*n:], n, rows, off)
+				trailRef(want[p0*n:], want[cholBlock*n:], n, rows, off)
+				for i := range a {
+					if !sameBits(a[i], want[i]) {
+						t.Fatalf("p=%v rows=%d off=%d: trail entry (%d,%d) = %v, Go loop %v", p, rows, off, i/n, i%n, a[i], want[i])
+					}
+				}
+			}
+		}
+	}
 	src := expInputs()
 	for off := 0; off < 4; off++ {
 		for _, in := range [][]float64{src[off:], src[off : off+7]} {
@@ -96,6 +131,24 @@ func TestKernelsMatchGoBitwise(t *testing.T) {
 					t.Fatalf("off=%d: Exp(%v) = %v (in place %v), math.Exp %v", off, x, got[i], inPlace[i], want)
 				}
 			}
+		}
+	}
+}
+
+// solveRowsRef is solveRowsDot on dotfGo alone.
+func solveRowsRef(x, l []float64, n, rows, w int) {
+	for r := 0; r < rows; r++ {
+		for j := 0; j < w; j++ {
+			x[r*n+j] = (x[r*n+j] - dotfGo(x[r*n:r*n+j], l[j*n:j*n+j])) / l[j*n+j]
+		}
+	}
+}
+
+// trailRef is trailDot on dotfGo alone, one entry at a time.
+func trailRef(x, c []float64, n, rows, off int) {
+	for r := 0; r < rows; r++ {
+		for q := 0; q <= off+r; q++ {
+			x[r*n+cholBlock+q] -= dotfGo(x[r*n:r*n+cholBlock], c[q*n:q*n+cholBlock])
 		}
 	}
 }
@@ -136,4 +189,98 @@ func expInputs() []float64 {
 		grid[mid+4*i+1] = x
 	}
 	return grid
+}
+
+// choleskyRef is CholeskyExtendInPlace's blocked loop as it stood
+// before the row solve and the trailing update became kernels, calling
+// only the Go loops dotfGo and dotf2Go: it pins the factorization's own
+// operation order, where TestKernelsMatchGoBitwise pins only the inner
+// products'.
+func choleskyRef(a *Matrix, start int) error {
+	n := a.rows
+	for k0 := 0; k0 < n; k0 += cholBlock {
+		k1 := min(k0+cholBlock, n)
+		for i := max(k0, start); i < k1; i++ {
+			ri := a.data[i*n : i*n+n]
+			for j := k0; j < i; j++ {
+				rj := a.data[j*n : j*n+n]
+				ri[j] = (ri[j] - dotfGo(ri[k0:j], rj[k0:j])) / rj[j]
+			}
+			d := ri[i] - dotfGo(ri[k0:i], ri[k0:i])
+			if d <= 0 || math.IsNaN(d) {
+				return ErrNotPositiveDefinite
+			}
+			ri[i] = math.Sqrt(d)
+		}
+		p0 := max(k1, start)
+		for i := p0; i < n; i++ {
+			ri := a.data[i*n : i*n+n]
+			for j := k0; j < k1; j++ {
+				rj := a.data[j*n : j*n+n]
+				ri[j] = (ri[j] - dotfGo(ri[k0:j], rj[k0:j])) / rj[j]
+			}
+		}
+		i := p0
+		for ; i+1 < n; i += 2 {
+			ri := a.data[i*n : i*n+n]
+			ri1 := a.data[(i+1)*n : (i+1)*n+n]
+			seg, seg1 := ri[k0:k1], ri1[k0:k1]
+			for j := k1; j <= i; j++ {
+				d0, d1 := dotf2Go(seg, seg1, a.data[j*n+k0:j*n+k1])
+				ri[j] -= d0
+				ri1[j] -= d1
+			}
+			ri1[i+1] -= dotfGo(seg1, seg1)
+		}
+		if i < n {
+			ri := a.data[i*n : i*n+n]
+			for j := k1; j <= i; j++ {
+				ri[j] -= dotfGo(ri[k0:k1], a.data[j*n+k0:j*n+k1])
+			}
+		}
+	}
+	return nil
+}
+
+// TestCholeskyMatchesGoReferenceBitwise: CholeskyExtendInPlace, at
+// every block-edge size and at several starts per size, carries
+// choleskyRef's bits in every entry of the lower triangle and leaves
+// the strictly upper triangle, NaN here, as it was.
+func TestCholeskyMatchesGoReferenceBitwise(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 63, 64, 65, 66, 127, 128, 129, 130, 257, 400} {
+		a := spdMatrix(n, int64(n))
+		full := a.Clone()
+		if err := choleskyRef(full, 0); err != nil {
+			t.Fatalf("n=%d: reference: %v", n, err)
+		}
+		for _, start := range []int{0, 1, 3, n / 3, 63, 64, 65, n - 5, n - 1, n} {
+			if start < 0 || start > n {
+				continue
+			}
+			// Finished rows below start, input rows from start on, NaN
+			// above the diagonal.
+			in := a.Clone()
+			for i := 0; i < n; i++ {
+				row := in.RawRow(i)
+				if i < start {
+					copy(row[:i+1], full.RawRow(i)[:i+1])
+				}
+				for j := i + 1; j < n; j++ {
+					row[j] = math.NaN()
+				}
+			}
+			got, want := in.Clone(), in.Clone()
+			if err := CholeskyExtendInPlace(got, start); err != nil {
+				t.Fatalf("n=%d start=%d: %v", n, start, err)
+			}
+			if err := choleskyRef(want, start); err != nil {
+				t.Fatalf("n=%d start=%d: reference: %v", n, start, err)
+			}
+			for i, v := range got.data {
+				if math.Float64bits(v) != math.Float64bits(want.data[i]) {
+					t.Fatalf("n=%d start=%d: entry (%d,%d) = %v, reference %v", n, start, i/n, i%n, v, want.data[i])
+				}
+			}
+		}
+	}
 }

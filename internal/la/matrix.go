@@ -17,9 +17,10 @@
 // operations in their order, so its results are bitwise those of the Go
 // loops in kernels.go, which every other GOARCH runs. Exp, the GP's
 // batched exponential, is bitwise math.Exp. When math.Exp itself runs
-// its AVX+FMA path, Exp runs that path four lanes at a time and the
-// tiled solve updates two tiles per pass in 256-bit registers, still
-// in the Go loops' order.
+// its AVX+FMA path, Exp runs that path four lanes at a time, the tiled
+// solve updates two tiles per pass in 256-bit registers, and the
+// factorization's row solve and trailing update run as whole AVX
+// kernels over several rows at once, all still in the Go loops' order.
 package la
 
 import (
@@ -184,6 +185,10 @@ var ErrNotPositiveDefinite = errors.New("la: matrix is not positive definite")
 // row sweep streams past them.
 const cholBlock = 64
 
+// solveGroup is the number of rows of the diagonal block that go
+// through one row solve together (solveRows).
+const solveGroup = 4
+
 // Cholesky computes the lower-triangular factor L such that m = L·Lᵀ.
 // The input must be square and symmetric positive definite; otherwise
 // ErrNotPositiveDefinite is returned. The input is not modified; use
@@ -242,67 +247,44 @@ func CholeskyExtendInPlace(a *Matrix, start int) error {
 	// [k0,k1): factor the diagonal block, solve the panel below it, then
 	// subtract the block's outer-product contribution from the trailing
 	// rows. Every write lands in rows >= start; rows below start are
-	// only read (they hold the previously computed factor).
+	// only read (they hold the previously computed factor). Each entry
+	// is computed from finished entries by one fixed operation sequence,
+	// so the order in which rows and columns are visited (groups of rows
+	// at once, pairs of columns) cannot change a bit.
 	for k0 := 0; k0 < n; k0 += cholBlock {
-		k1 := k0 + cholBlock
-		if k1 > n {
-			k1 = n
-		}
-		// (1) Diagonal block: rows [max(k0,start), k1).
-		i0 := k0
-		if i0 < start {
-			i0 = start
-		}
-		for i := i0; i < k1; i++ {
-			ri := a.data[i*n : i*n+n]
-			for j := k0; j < i; j++ {
-				rj := a.data[j*n : j*n+n]
-				ri[j] = (ri[j] - dotf(ri[k0:j], rj[k0:j])) / rj[j]
-			}
-			d := ri[i] - dotf(ri[k0:i], ri[k0:i])
-			if d <= 0 || math.IsNaN(d) {
-				return ErrNotPositiveDefinite
-			}
-			ri[i] = math.Sqrt(d)
-		}
-		// (2) Panel solve: rows [max(k1,start), n), columns [k0,k1).
-		p0 := k1
-		if p0 < start {
-			p0 = start
-		}
-		for i := p0; i < n; i++ {
-			ri := a.data[i*n : i*n+n]
-			for j := k0; j < k1; j++ {
-				rj := a.data[j*n : j*n+n]
-				ri[j] = (ri[j] - dotf(ri[k0:j], rj[k0:j])) / rj[j]
+		k1 := min(k0+cholBlock, n)
+		// Row j of the diagonal block starts at l[(j-k0)*n].
+		l := a.data[k0*n+k0:]
+		// (1) Diagonal block: rows [max(k0,start), k1), solveGroup rows
+		// at a time. The columns left of a group's first row are a row
+		// solve against finished rows; then each row of the group
+		// finishes its own columns in order and takes its square root.
+		for i := max(k0, start); i < k1; i += solveGroup {
+			g := min(solveGroup, k1-i)
+			solveRows(a.data[i*n+k0:], l, n, g, i-k0)
+			for r := i; r < i+g; r++ {
+				rr := a.data[r*n : r*n+n]
+				for j := i; j < r; j++ {
+					rj := a.data[j*n : j*n+n]
+					rr[j] = (rr[j] - dotf(rr[k0:j], rj[k0:j])) / rj[j]
+				}
+				d := rr[r] - dotf(rr[k0:r], rr[k0:r])
+				if d <= 0 || math.IsNaN(d) {
+					return ErrNotPositiveDefinite
+				}
+				rr[r] = math.Sqrt(d)
 			}
 		}
+		p0 := max(k1, start)
+		if p0 == n {
+			continue
+		}
+		// (2) Panel solve: rows [p0, n), columns [k0,k1).
+		solveRows(a.data[p0*n+k0:], l, n, n-p0, k1-k0)
 		// (3) Trailing update: subtract this block's contribution from
-		// the not-yet-factored lower triangle. Rows are processed in
-		// pairs sharing each rj segment load (dotf2); each element's
-		// value is independent of the pairing, so the result is bitwise
-		// identical to the single-row sweep.
-		i := p0
-		for ; i+1 < n; i += 2 {
-			ri := a.data[i*n : i*n+n]
-			ri1 := a.data[(i+1)*n : (i+1)*n+n]
-			seg, seg1 := ri[k0:k1], ri1[k0:k1]
-			for j := k1; j <= i; j++ {
-				rj := a.data[j*n+k0 : j*n+k1]
-				d0, d1 := dotf2(seg, seg1, rj)
-				ri[j] -= d0
-				ri1[j] -= d1
-			}
-			ri1[i+1] -= dotf(seg1, ri1[k0:k1])
-		}
-		if i < n {
-			ri := a.data[i*n : i*n+n]
-			seg := ri[k0:k1]
-			for j := k1; j <= i; j++ {
-				rj := a.data[j*n : j*n+n]
-				ri[j] -= dotf(seg, rj[k0:k1])
-			}
-		}
+		// the not-yet-factored lower triangle of rows [p0, n). p0 < n
+		// implies k1 < n, so the block is a full cholBlock columns wide.
+		trail(a.data[p0*n+k0:], a.data[k1*n+k0:], n, n-p0, p0-k1)
 	}
 	return nil
 }

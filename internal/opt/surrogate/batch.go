@@ -70,7 +70,8 @@ func batchWorkers(n, workers int) int {
 // chunk is scheduling-dependent — fn must therefore write only to
 // index-addressed locations and compute chunk results independently of
 // the scratch's history, which keeps the overall result bitwise
-// identical to a serial sweep.
+// identical to a serial sweep. A panic in fn is re-raised on the
+// caller's goroutine (workerGroup).
 func batchLoop[S any](n, workers int, mk func(w int) S, fn func(lo, hi int, scratch S)) {
 	if n <= 0 {
 		return
@@ -89,18 +90,13 @@ func batchLoop[S any](n, workers int, mk func(w int) S, fn func(lo, hi int, scra
 		}
 		return
 	}
-	var next int32 = -1
-	var wg sync.WaitGroup
+	var grp workerGroup
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		grp.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer grp.done()
 			scratch := mk(w)
-			for {
-				c := int(atomic.AddInt32(&next, 1))
-				if c >= nchunks {
-					return
-				}
+			for c := grp.claim(); c < nchunks; c = grp.claim() {
 				lo := c * predictChunk
 				hi := lo + predictChunk
 				if hi > n {
@@ -110,7 +106,38 @@ func batchLoop[S any](n, workers int, mk func(w int) S, fn func(lo, hi int, scra
 			}
 		}()
 	}
-	wg.Wait()
+	grp.wait()
+}
+
+// workerGroup is the shared state of a set of worker goroutines that
+// claim work items 0, 1, 2, … from one counter. Each worker defers
+// done; a panic on one is recovered there and, once every worker has
+// returned, wait raises it again on the waiting goroutine (the first
+// one recovered, if several panic), where the caller's own recover —
+// resilience.Safely around Fit or an acquisition — can see it: a panic
+// left on a worker goroutine would end the process.
+type workerGroup struct {
+	claimed atomic.Int32 // items claimed so far
+	wg      sync.WaitGroup
+	once    sync.Once
+	pv      any
+}
+
+// claim returns the next unclaimed item.
+func (g *workerGroup) claim() int { return int(g.claimed.Add(1)) - 1 }
+
+func (g *workerGroup) done() {
+	if r := recover(); r != nil {
+		g.once.Do(func() { g.pv = r })
+	}
+	g.wg.Done()
+}
+
+func (g *workerGroup) wait() {
+	g.wg.Wait()
+	if g.pv != nil {
+		panic(g.pv)
+	}
 }
 
 // checkBatchArgs validates the PredictBatch output-slice contract.

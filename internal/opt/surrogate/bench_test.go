@@ -41,8 +41,10 @@ func BenchmarkGPFit400(b *testing.B) {
 // BenchmarkGPRefit400Warm measures the incremental refit: one GP
 // instance alternates between the 396- and 400-row prefixes of the same
 // design, so each Fit extends a cached factorization by 4 rows per
-// scale instead of refactoring 400 — the steady-state cost of a BO-GP
-// iteration at the MaxFitPoints cap.
+// scale instead of refactoring 400. That is the best case, not BO-GP's
+// steady state at the MaxFitPoints cap: there trainingSet's subsample
+// reorders rows, and a fit at n = 400 reuses a prefix of a few rows
+// (DESIGN §6), so BenchmarkGPFit400 is the closer measure of it.
 func BenchmarkGPRefit400Warm(b *testing.B) {
 	X, y := benchTrainingSet(400, 10, 1)
 	g := NewGP()

@@ -3,7 +3,6 @@ package surrogate
 import (
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"simcal/internal/la"
@@ -68,8 +67,9 @@ type GP struct {
 	yn         []float64
 	fitStats   FitStats
 
-	// predBufs[w] is PredictBatch worker w's scratch: a pair of tiles and
-	// their exponentials, kept across calls and grown geometrically.
+	// predBufs[w] is PredictBatch worker w's scratch: a pair of tiles,
+	// their exponentials and a tile's candidates dimension-major, kept
+	// across calls and grown geometrically.
 	predBufs [][]float64
 }
 
@@ -112,11 +112,9 @@ func matern52(r, l float64) float64 {
 	return maternFromExp(ns, math.Exp(ns))
 }
 
-// maternNegArg returns -s, the argument of matern52's exp.
+// maternNegArg returns -s, the argument of matern52's exp. l is
+// positive: Fit checks every candidate scale once, before any fill.
 func maternNegArg(r, l float64) float64 {
-	if l <= 0 {
-		panic("surrogate: non-positive GP length scale")
-	}
 	return -(math.Sqrt(5) * r / l)
 }
 
@@ -233,6 +231,11 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 	if len(scales) == 0 {
 		scales = []float64{0.1, 0.2, 0.5, 1.0}
 	}
+	for _, l := range scales {
+		if l <= 0 {
+			panic("surrogate: non-positive GP length scale")
+		}
+	}
 
 	prefix := g.commonPrefix(X)
 	dists := g.extendDists(X, prefix)
@@ -320,7 +323,8 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 // writing results into g.scaleState by index. Candidates are claimed
 // from an atomic counter across up to FitWorkers goroutines; each
 // candidate's computation is independent and its result slot is
-// index-addressed, so the outcome is identical to a serial sweep.
+// index-addressed, so the outcome is identical to a serial sweep. A
+// panic on a worker is re-raised here (workerGroup).
 func (g *GP) fitScales(scales []float64, dists *la.Matrix, yn []float64, noise, jit float64, prefix, n int) {
 	workers := g.FitWorkers
 	if workers <= 0 {
@@ -335,22 +339,17 @@ func (g *GP) fitScales(scales []float64, dists *la.Matrix, yn []float64, noise, 
 			g.fitOneScale(i, l, dists, yn, noise, jit, prefix, n, &allocs)
 		}
 	} else {
-		var next int32 = -1
-		var wg sync.WaitGroup
+		var grp workerGroup
 		for w := 0; w < workers; w++ {
-			wg.Add(1)
+			grp.wg.Add(1)
 			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt32(&next, 1))
-					if i >= len(scales) {
-						return
-					}
+				defer grp.done()
+				for i := grp.claim(); i < len(scales); i = grp.claim() {
 					g.fitOneScale(i, scales[i], dists, yn, noise, jit, prefix, n, &allocs)
 				}
 			}()
 		}
-		wg.Wait()
+		grp.wait()
 	}
 	g.fitStats.BufferAllocs += int(allocs)
 }
@@ -453,48 +452,32 @@ func (g *GP) predictOne(x, kstar, v []float64) (mean, std float64) {
 // predictTiles scores one or two tiles of la.SolveTile candidates, k =
 // len(X)/la.SolveTile. buf holds their kernel vectors, tile-major and
 // interleaved as la.SolveLowerTile takes them, then as many
-// exponentials. The fill writes each -s, takes one la.Exp over all of
-// them, finishes the kernel values and accumulates the mean's inner
-// products; one la.SolveLowerTile call then solves every column, and
-// the variance's inner products are accumulated over the result. Both
-// inner products run in la.Dot's order (ascending row, from zero), so
-// every output carries predictOne's bits.
+// exponentials, then a tile's candidates dimension-major. Tile by tile,
+// the fill writes each -s (fillNegArgs); one la.Exp takes all of their
+// exponentials; maternTile finishes the kernel values and accumulates
+// the mean's inner products; one la.SolveLowerTile call then solves
+// every column, and sumSquares accumulates the variance's inner
+// products over the result. Both inner products run in la.Dot's order
+// (ascending row, from zero), so every output carries predictOne's
+// bits.
 func (g *GP) predictTiles(X [][]float64, mean, std, buf []float64) {
 	const w = la.SolveTile
 	span := len(g.x) * w
 	k := len(X) / w
-	tile, e := buf[:k*span], buf[k*span:2*k*span]
+	tile, e, xt := buf[:k*span], buf[k*span:2*k*span], buf[2*k*span:]
 	var mn, vv [2 * w]float64
-	for i, xi := range g.x {
-		for t := 0; t < k; t++ {
-			row := tile[t*span+i*w:][:w]
-			for c := range row {
-				row[c] = maternNegArg(dist(X[t*w+c], xi), g.scale)
-			}
-		}
+	for t := 0; t < k; t++ {
+		g.fillNegArgs(tile[t*span:(t+1)*span], X[t*w:t*w+w], xt)
 	}
 	la.Exp(e, tile)
 	for t := 0; t < k; t++ {
-		m := mn[t*w : t*w+w]
-		for i, a := range g.alpha {
-			o := t*span + i*w
-			row := tile[o : o+w]
-			for c, ns := range row {
-				kv := maternFromExp(ns, e[o+c])
-				row[c] = kv
-				m[c] += kv * a
-			}
-		}
+		o := t * span
+		maternTile(tile[o:o+span], e[o:o+span], g.alpha, (*[w]float64)(mn[t*w:]))
 	}
 	// A failed solve leaves vv at zero: unit variance, as in predictOne.
 	if la.SolveLowerTile(g.chol, tile) == nil {
 		for t := 0; t < k; t++ {
-			v := vv[t*w : t*w+w]
-			for o := t * span; o < (t+1)*span; o += w {
-				for c, x := range tile[o : o+w] {
-					v[c] += x * x
-				}
-			}
+			sumSquares(tile[t*span:(t+1)*span], (*[w]float64)(vv[t*w:]))
 		}
 	}
 	for c := range X {
@@ -505,6 +488,33 @@ func (g *GP) predictTiles(X [][]float64, mean, std, buf []float64) {
 		mean[c] = mn[c]*g.yStd + g.yMean
 		std[c] = math.Sqrt(variance) * g.yStd
 	}
+}
+
+// fillNegArgs writes one tile's -s values, tile[i*la.SolveTile+c] =
+// maternNegArg(dist(X[c], g.x[i]), g.scale), through negArgs on a
+// dimension-major copy of the candidates in xt. A candidate of another
+// dimension than the model's takes the scalar loop, which indexes (and
+// panics) exactly as predictOne does.
+func (g *GP) fillNegArgs(tile []float64, X [][]float64, xt []float64) {
+	const w = la.SolveTile
+	dims := len(g.x[0])
+	for _, x := range X {
+		if len(x) != dims {
+			for i, xi := range g.x {
+				for c, x := range X {
+					tile[i*w+c] = maternNegArg(dist(x, xi), g.scale)
+				}
+			}
+			return
+		}
+	}
+	xt = xt[:dims*w]
+	for c, x := range X {
+		for d, v := range x {
+			xt[d*w+c] = v
+		}
+	}
+	negArgs(tile, xt, g.x, g.scale)
 }
 
 // PredictBatch implements Regressor. Candidates are scored in
@@ -525,7 +535,7 @@ func (g *GP) PredictBatch(X [][]float64, mean, std []float64) {
 	checkBatchArgs(X, mean, std)
 	const pair = 2 * la.SolveTile
 	n := len(g.x)
-	need := 2 * pair * n
+	need := 2*pair*n + la.SolveTile*len(g.x[0])
 	workers := batchWorkers(len(X), g.PredictWorkers)
 	for len(g.predBufs) < workers {
 		g.predBufs = append(g.predBufs, nil)

@@ -240,31 +240,40 @@ func TestGPFailedFitInvalidates(t *testing.T) {
 // 140 — tile pairs, a single tile and remainders in first, full and
 // partial chunks — and two large pools, at every worker count and at
 // training sizes below, at and far above the tile width, must reproduce
-// per-candidate Predict bit for bit. One GP is refit from size to size,
-// so PredictBatch also runs on scratch a larger fit left behind.
+// per-candidate Predict bit for bit. One GP per dimension is refit from
+// size to size, so PredictBatch also runs on scratch a larger fit left
+// behind. Four dimensions go through every training size; 1, 2, 7 (the
+// MPI reference space's) and 10 through a smaller set, each with a
+// different number of the packed fill's dimension steps.
 func TestGPPredictBatchTilesBitwiseMatchPredict(t *testing.T) {
-	pool, _ := trainOn(519, 4, 62, quadratic)
 	sizes := []int{512, 519}
 	for size := 1; size <= 140; size++ {
 		sizes = append(sizes, size)
 	}
-	g := NewGP()
-	for _, n := range []int{3, 8, 400, 30} {
-		X, y := trainOn(n, 4, 61, quadratic)
-		if err := g.Fit(X, y); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+	for _, d := range []int{4, 1, 2, 7, 10} {
+		pool, _ := trainOn(519, d, 62, quadratic)
+		fits := []int{3, 8, 65}
+		if d == 4 {
+			fits = []int{3, 8, 400, 30}
 		}
-		wantMean, wantStd := predictSerial(g, pool)
-		for _, size := range sizes {
-			for _, workers := range []int{1, 2, 3} {
-				g.PredictWorkers = workers
-				mean, std := make([]float64, size), make([]float64, size)
-				g.PredictBatch(pool[:size], mean, std)
-				for i := range mean {
-					if math.Float64bits(mean[i]) != math.Float64bits(wantMean[i]) ||
-						math.Float64bits(std[i]) != math.Float64bits(wantStd[i]) {
-						t.Fatalf("n=%d size=%d workers=%d cand %d: batch (%v, %v) != Predict (%v, %v)",
-							n, size, workers, i, mean[i], std[i], wantMean[i], wantStd[i])
+		g := NewGP()
+		for _, n := range fits {
+			X, y := trainOn(n, d, 61, quadratic)
+			if err := g.Fit(X, y); err != nil {
+				t.Fatalf("d=%d n=%d: %v", d, n, err)
+			}
+			wantMean, wantStd := predictSerial(g, pool)
+			for _, size := range sizes {
+				for _, workers := range []int{1, 2, 3} {
+					g.PredictWorkers = workers
+					mean, std := make([]float64, size), make([]float64, size)
+					g.PredictBatch(pool[:size], mean, std)
+					for i := range mean {
+						if math.Float64bits(mean[i]) != math.Float64bits(wantMean[i]) ||
+							math.Float64bits(std[i]) != math.Float64bits(wantStd[i]) {
+							t.Fatalf("d=%d n=%d size=%d workers=%d cand %d: batch (%v, %v) != Predict (%v, %v)",
+								d, n, size, workers, i, mean[i], std[i], wantMean[i], wantStd[i])
+						}
 					}
 				}
 			}
