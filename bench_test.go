@@ -504,33 +504,29 @@ func BenchmarkAblationLossFunctions(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelWorkflow100k is the ROADMAP's kernel-scale workflow
-// target: 100k tasks on 6 workers under the highest level of detail.
-// The same scenario is recorded bit-for-bit in BENCH_flow.json and
-// guarded by the CI bench-flow job.
-func BenchmarkKernelWorkflow100k(b *testing.B) {
-	wf := wfgen.Generate(wfgen.Spec{
-		App: wfgen.Seismology, Tasks: 100_000,
-		WorkSeconds: 1.91, FootprintBytes: 1500 * wfgen.MB,
-	})
-	v := wfsim.HighestDetail
-	cfg := v.DecodeConfig(groundtruth.WorkflowTruthPoint(v))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wfsim.Simulate(v, cfg, wfsim.Scenario{Workflow: wf, Workers: 6}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BenchmarkKernelWorkflow100k times the kernel scale scenario wf-100k
+// (kernelscale_test.go): 100k Seismology tasks on 6 workers under the
+// highest level of detail. TestKernelScaleBits holds its bits.
+func BenchmarkKernelWorkflow100k(b *testing.B) { benchKernelScenario(b, "wf-100k") }
 
-// BenchmarkKernelStencil512 is the kernel-scale MPI target: a 512-node
-// (3072-rank) dense stencil on the Summit-like fat tree.
-func BenchmarkKernelStencil512(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := mpisim.Simulate(groundtruth.MPIReferenceVersion, groundtruth.MPITruth, mpisim.Scenario{
-			Benchmark: mpi.Stencil, Nodes: 512, MsgBytes: 1 << 16, Rounds: 2,
-		}); err != nil {
-			b.Fatal(err)
+// BenchmarkKernelStencil512 times the kernel scale scenario
+// mpi-stencil-512: a 512-node (3072-rank) dense stencil on the
+// Summit-like fat tree.
+func BenchmarkKernelStencil512(b *testing.B) { benchKernelScenario(b, "mpi-stencil-512") }
+
+func benchKernelScenario(b *testing.B, name string) {
+	for _, sc := range kernelScenarios {
+		if sc.name != name {
+			continue
 		}
+		run := sc.setup()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return
 	}
+	b.Fatalf("no kernel scale scenario %s", name)
 }

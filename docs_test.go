@@ -23,6 +23,8 @@ var (
 	exampleName = regexp.MustCompile(`\bExample(?:[A-Z_]\w*)?\b`)
 	exampleFunc = regexp.MustCompile(`(?m)^func (Example\w*)\(`)
 	snakeName   = regexp.MustCompile("`([a-z][a-z0-9]*(?:_[a-z0-9]+)*)`")
+	codeSpan    = regexp.MustCompile("`([^`\n]+)`")
+	repoPath    = regexp.MustCompile(`^(?:(?:cmd|internal|bench)/\S*|[\w.-]+\.(?:json|md))$`)
 )
 
 func readFile(t *testing.T, name string) string {
@@ -62,6 +64,24 @@ func TestDocsCommandPathsExist(t *testing.T) {
 		for _, p := range commandPaths(readFile(t, doc)) {
 			if st, err := os.Stat(p); err != nil || !st.IsDir() {
 				t.Errorf("%s: a go command names %s, which is not a directory", doc, p)
+			}
+		}
+	}
+}
+
+// Every repo path the docs put in backticks exists: a code span whose
+// first word starts with cmd/, internal/ or bench/ (x/... names x), or
+// that is a root-level .json or .md file name.
+func TestDocsRepoPathsExist(t *testing.T) {
+	for _, doc := range docs {
+		for _, m := range codeSpan.FindAllStringSubmatch(readFile(t, doc), -1) {
+			f := strings.Fields(m[1])
+			if len(f) == 0 || !repoPath.MatchString(f[0]) {
+				continue
+			}
+			p := f[0]
+			if _, err := os.Stat(strings.TrimSuffix(strings.TrimSuffix(p, "..."), "/")); err != nil {
+				t.Errorf("%s names `%s`, which does not exist", doc, p)
 			}
 		}
 	}

@@ -84,7 +84,7 @@ func GenerateWorkload(spec WorkloadSpec) []Job {
 func TotalWork(jobs []Job) float64 {
 	s := 0.0
 	for _, j := range jobs {
-		s += j.Runtime * float64(j.Procs)
+		s += float64(j.Runtime * float64(j.Procs))
 	}
 	return s
 }

@@ -79,7 +79,7 @@ func (s ParamSpec) Value(u float64) float64 {
 	if u > 1 {
 		u = 1
 	}
-	x := s.Min + u*(s.Max-s.Min)
+	x := s.Min + float64(u*(s.Max-s.Min))
 	switch s.Kind {
 	case Integer:
 		v := math.Round(x)

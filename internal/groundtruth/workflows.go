@@ -120,7 +120,7 @@ func (g *WFGroup) Key() string {
 func (g *WFGroup) Cost() float64 {
 	c := 0.0
 	for _, r := range g.Runs {
-		c += float64(g.Workers) * r.Makespan
+		c += float64(float64(g.Workers) * r.Makespan)
 	}
 	return c
 }

@@ -355,7 +355,7 @@ func (b *BayesOpt) proposeByEI(prob *core.Problem, mem *scratch, reg surrogate.R
 		var score float64
 		if b.Acq == LCB {
 			// Negated so that "higher is better" like EI.
-			score = -(mean - kappa*std)
+			score = -(mean - float64(kappa*std))
 		} else {
 			score = expectedImprovement(fBest, mean, std, xi)
 		}
@@ -395,7 +395,7 @@ func expectedImprovement(fBest, mean, std, xi float64) float64 {
 		return 0
 	}
 	z := imp / std
-	return imp*stdNormCDF(z) + std*stdNormPDF(z)
+	return float64(imp*stdNormCDF(z)) + float64(std*stdNormPDF(z))
 }
 
 func stdNormCDF(z float64) float64 { return 0.5 * (1 + math.Erf(z/math.Sqrt2)) }

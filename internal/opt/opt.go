@@ -232,7 +232,7 @@ func (g GradientDescent) Optimize(ctx context.Context, prob *core.Problem) error
 			for k := 0; k < 5; k++ {
 				c := make([]float64, d)
 				for j := range c {
-					c[j] = clamp01(x[j] - step*grad[j])
+					c[j] = clamp01(x[j] - float64(step*grad[j]))
 				}
 				cands = append(cands, c)
 				step /= 4

@@ -27,7 +27,7 @@ func NewRNG(seed int64) *RNG {
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Uniform returns a uniform sample in [lo, hi).
-func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.r.Float64() }
+func (g *RNG) Uniform(lo, hi float64) float64 { return lo + float64((hi-lo)*g.r.Float64()) }
 
 // Intn returns a uniform sample in [0, n). It panics if n <= 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
@@ -36,7 +36,7 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 func (g *RNG) Int63() int64 { return g.r.Int63() }
 
 // Normal returns a sample from N(mu, sigma²).
-func (g *RNG) Normal(mu, sigma float64) float64 { return mu + sigma*g.r.NormFloat64() }
+func (g *RNG) Normal(mu, sigma float64) float64 { return mu + float64(sigma*g.r.NormFloat64()) }
 
 // LogNormal returns a sample from the log-normal distribution whose
 // underlying normal has the given mu and sigma.
@@ -100,7 +100,7 @@ func Variance(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(xs))
 }
@@ -164,14 +164,14 @@ func Quantile(xs []float64, q float64) float64 {
 	if q >= 1 {
 		return s[len(s)-1]
 	}
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // RelError returns |truth − estimate| / |truth|. When truth is zero it
