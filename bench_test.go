@@ -264,16 +264,22 @@ const wfEvaluateAllocCeiling = 64
 // HighestDetail, L1, Epigenomics + Montage at SizeIdx 1, 16 groups),
 // called serially on a warmed evaluator.
 func BenchmarkWFEvaluate(b *testing.B) {
+	ev, sp := wfEvaluateProblem(b)
+	benchEvaluate(b, ev, sp, wfEvaluateAllocCeiling)
+}
+
+// wfEvaluateProblem is BenchmarkWFEvaluate's loss evaluator and space.
+func wfEvaluateProblem(tb testing.TB) (core.Evaluator, core.Space) {
 	ds, err := groundtruth.GenerateWorkflowData(groundtruth.WFOptions{
 		Apps:    []wfgen.App{wfgen.Epigenomics, wfgen.Montage},
 		SizeIdx: []int{1}, WorkIdx: []int{1, 3}, FootIdx: []int{1, 2},
 		Workers: []int{2, 4}, Reps: 3, Seed: 1,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	v := wfsim.HighestDetail
-	benchEvaluate(b, loss.WFEvaluator(v, loss.WFL1, ds), v.Space(), wfEvaluateAllocCeiling)
+	return loss.WFEvaluator(v, loss.WFL1, ds), v.Space()
 }
 
 // mpiEvaluateAllocCeiling is wfEvaluateAllocCeiling for one MPI loss
@@ -345,15 +351,23 @@ func BenchmarkBOGPIteration(b *testing.B) {
 	}
 }
 
+// benchPoints returns benchEvaluate's first n sampled points of sp.
+func benchPoints(sp core.Space, n int) []core.Point {
+	rng := stats.NewRNG(1)
+	pts := make([]core.Point, n)
+	for i := range pts {
+		pts[i] = sp.Decode(sp.Sample(rng))
+	}
+	return pts
+}
+
 // benchEvaluate times a loss evaluator over 32 sampled points, warming
 // its runner set on each first, and fails the benchmark above ceiling
 // allocations per evaluation.
 func benchEvaluate(b *testing.B, ev core.Evaluator, sp core.Space, ceiling int) {
-	rng := stats.NewRNG(1)
-	pts := make([]core.Point, 32)
-	for i := range pts {
-		pts[i] = sp.Decode(sp.Sample(rng))
-		if _, err := ev(context.Background(), pts[i]); err != nil {
+	pts := benchPoints(sp, 32)
+	for _, p := range pts {
+		if _, err := ev(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -379,6 +393,44 @@ func benchAllocGate(b *testing.B, ceiling int, op func(i int)) {
 	runtime.ReadMemStats(&after)
 	if perOp := float64(after.Mallocs-before.Mallocs) / float64(b.N); perOp > float64(ceiling) {
 		b.Fatalf("%.0f allocs per iteration, ceiling %d", perOp, ceiling)
+	}
+}
+
+// wfEvaluateKernelCounts pins, for each of BenchmarkWFEvaluate's first
+// four points, what one evaluation (16 simulations) adds to the kernel's
+// counters: flow.solves, des.events_fired and des.events_removed. The
+// solves are one per instant that changed the activity set; solving at
+// every activity start instead cost 6584, 6668, 6588 and 6739. The
+// firing and removal counts are unchanged from that kernel.
+var wfEvaluateKernelCounts = [][3]int64{
+	{1160, 7904, 5532},
+	{1684, 8324, 5274},
+	{1164, 7896, 5544},
+	{2164, 8678, 5138},
+}
+
+// TestWFEvaluateKernelCounts is the kernel's noise-free work gate: one
+// evaluation of BenchmarkWFEvaluate's problem at each of its first
+// seeded points must add exactly the recorded solves, firings and
+// removals to the kernel's counters. A change that brings back a solve
+// per activity start, or adds or drops an event, fails here on any host.
+func TestWFEvaluateKernelCounts(t *testing.T) {
+	ev, sp := wfEvaluateProblem(t)
+	names := []string{"flow.solves", "des.events_fired", "des.events_removed"}
+	for i, p := range benchPoints(sp, len(wfEvaluateKernelCounts)) {
+		var got [3]int64
+		for j, n := range names {
+			got[j] = -obs.Default().Counter(n).Value()
+		}
+		if _, err := ev(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+		for j, n := range names {
+			got[j] += obs.Default().Counter(n).Value()
+		}
+		if got != wfEvaluateKernelCounts[i] {
+			t.Errorf("point %d: %v = %v, recorded %v", i, names, got, wfEvaluateKernelCounts[i])
+		}
 	}
 }
 

@@ -37,6 +37,7 @@ type Event struct {
 	time     float64
 	seq      uint64
 	fn       func()
+	resolve  func() // non-nil while the event is a placeholder (see Defer)
 	eng      *Engine
 	index    int // heap index, -1 when not queued
 	canceled bool
@@ -55,6 +56,13 @@ func (e *Event) Cancel() {
 		return
 	}
 	e.canceled = true
+	if e.resolve != nil {
+		// A placeholder is always queued, and its Defer already counted
+		// the removal of the firing it superseded: dropping it counts none.
+		e.resolve = nil
+		e.eng.events.remove(e.index)
+		return
+	}
 	if e.index >= 0 {
 		e.eng.removeCanceled(e)
 	}
@@ -189,8 +197,9 @@ func (e *Engine) Fired() int { return e.fired }
 // events. Canceled events awaiting a lazy drain are excluded.
 func (e *Engine) Pending() int { return len(e.events) - e.tombstones }
 
-// Removed returns the number of canceled events taken off the heap
-// without firing, over the engine's lifetime.
+// Removed returns the number of queued firings canceled or superseded
+// over the engine's lifetime: a Cancel or a re-arm (Schedule, Defer) of
+// a queued event counts one, and a placeholder's resolution counts none.
 func (e *Engine) Removed() int { return e.removed }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
@@ -212,11 +221,13 @@ func (e *Engine) NewEvent(fn func()) *Event {
 }
 
 // Schedule arms ev to fire at absolute simulated time t, replacing its
-// pending firing if it has one. The event takes a fresh sequence number,
-// so the firing order — and the removal count — are exactly those of
-// ev.Cancel() followed by At(t, fn).
+// pending firing (or placeholder) if it has one. The event takes a fresh
+// sequence number, so the firing order — and the removal count — are
+// exactly those of ev.Cancel() followed by At(t, fn), except that
+// re-arming a placeholder counts a removal where canceling it does not.
 func (e *Engine) Schedule(ev *Event, t float64) {
 	e.checkTime(t)
+	ev.resolve = nil
 	if ev.index < 0 {
 		ev.canceled = false
 		e.push(ev, t)
@@ -231,6 +242,30 @@ func (e *Engine) Schedule(ev *Event, t float64) {
 	ev.time = t
 	ev.seq = e.seq
 	e.seq++
+	e.events.fix(ev.index)
+}
+
+// Defer arms ev as a placeholder: it takes the key (Now, fresh seq) and
+// the removal count of Schedule(ev, Now()), but its firing time is not
+// decided yet. When a placeholder reaches the head of the queue, Step
+// (and RunUntil) call resolve instead of firing it; resolve must Retime
+// or Cancel ev, and is not counted as a firing. The events ahead of a
+// placeholder therefore share its time and have a lower seq.
+func (e *Engine) Defer(ev *Event, resolve func()) {
+	e.Schedule(ev, e.now)
+	ev.resolve = resolve
+}
+
+// Retime moves the queued event ev to time t, keeping its seq, and ends
+// its placeholder state: it then fires where Schedule would have put it
+// at the moment its seq was taken.
+func (e *Engine) Retime(ev *Event, t float64) {
+	e.checkTime(t)
+	if ev.index < 0 || ev.canceled {
+		panic("des: retiming an event that is not queued")
+	}
+	ev.resolve = nil
+	ev.time = t
 	e.events.fix(ev.index)
 }
 
@@ -267,6 +302,7 @@ func (e *Engine) push(ev *Event, t float64) {
 func (e *Engine) Reset() {
 	for i, ev := range e.events {
 		ev.index = -1
+		ev.resolve = nil
 		e.events[i] = nil
 	}
 	e.arena.Reset()
@@ -349,22 +385,18 @@ func (e *Engine) After(d float64, fn func()) *Event {
 
 // Step fires the next event, advancing the clock to its timestamp. It
 // returns false when the queue is empty. Tombstoned (canceled) events
-// are skipped and discarded.
+// are skipped and discarded, and placeholders resolved on the way.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := e.events.remove(0)
-		if ev.canceled {
-			e.tombstones--
-			e.removed++
-			continue
-		}
-		e.cancelBurst = 0
-		e.now = ev.time
-		e.fired++
-		ev.fn()
-		return true
+	ev := e.peek()
+	if ev == nil {
+		return false
 	}
-	return false
+	e.events.remove(0)
+	e.cancelBurst = 0
+	e.now = ev.time
+	e.fired++
+	ev.fn()
+	return true
 }
 
 // Run fires events until the queue is empty and returns the final clock
@@ -397,17 +429,24 @@ func (e *Engine) RunUntil(t float64) {
 	}
 }
 
-// peek returns the next non-canceled event without firing it, draining
-// canceled entries it encounters.
+// peek returns the next event to fire without firing it, draining the
+// canceled entries and resolving the placeholders it meets at the head.
 func (e *Engine) peek() *Event {
 	for len(e.events) > 0 {
 		ev := e.events[0]
-		if !ev.canceled {
+		switch {
+		case ev.canceled:
+			e.events.remove(0)
+			e.tombstones--
+			e.removed++
+		case ev.resolve != nil:
+			ev.resolve()
+			if ev.resolve != nil {
+				panic("des: a placeholder's resolve neither retimed nor canceled it")
+			}
+		default:
 			return ev
 		}
-		e.events.remove(0)
-		e.tombstones--
-		e.removed++
 	}
 	return nil
 }

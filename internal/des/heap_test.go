@@ -1,26 +1,32 @@
 package des
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // refEvent is the reference model's view of one event handle: whether it
 // holds a queue slot, whether it is canceled (a queued canceled event is
-// a tombstone), and the (time, seq) it was last stamped with.
+// a tombstone), the (time, seq) it was last stamped with, and whether it
+// is a placeholder — with the time its resolution retimes it to, or
+// NaN if the resolution cancels it.
 type refEvent struct {
-	id       int
-	time     float64
-	seq      uint64
-	queued   bool
-	canceled bool
+	id          int
+	time        float64
+	seq         uint64
+	queued      bool
+	canceled    bool
+	placeholder bool
+	resolveTo   float64
 }
 
 // refQueue models the engine's documented semantics — firing in (time,
 // seq) order, eager removal of isolated cancels, tombstoning past
 // cancelBurstLimit consecutive cancels with a drain once half the slots
-// are dead — over a plain slice with no heap, so its counts and firing
-// order are independent of any heap layout.
+// are dead, placeholders resolved at the head without firing and
+// dropped without a removal — over a plain slice with no heap, so its
+// counts and firing order are independent of any heap layout.
 type refQueue struct {
 	now                      float64
 	seq                      uint64
@@ -56,6 +62,7 @@ func (q *refQueue) push(ev *refEvent, t float64) {
 }
 
 func (q *refQueue) schedule(ev *refEvent, t float64) {
+	ev.placeholder = false
 	if !ev.queued {
 		ev.canceled = false
 		q.push(ev, t)
@@ -71,11 +78,44 @@ func (q *refQueue) schedule(ev *refEvent, t float64) {
 	q.seq++
 }
 
+// deferTo arms ev as a placeholder at (now, fresh seq) whose resolution
+// retimes it to resolveTo, or cancels it if resolveTo is NaN.
+func (q *refQueue) deferTo(ev *refEvent, resolveTo float64) {
+	q.schedule(ev, q.now)
+	ev.placeholder, ev.resolveTo = true, resolveTo
+}
+
+// retime moves a queued live event to t keeping its seq.
+func (q *refQueue) retime(ev *refEvent, t float64) {
+	ev.time, ev.placeholder = t, false
+}
+
+// resolve applies the placeholder at slot i's resolution: no firing, and
+// a cancel that counts no removal.
+func (q *refQueue) resolve(i int) {
+	ev := q.slots[i]
+	if math.IsNaN(ev.resolveTo) {
+		ev.canceled, ev.placeholder = true, false
+		q.take(i)
+		return
+	}
+	q.retime(ev, ev.resolveTo)
+}
+
 func (q *refQueue) cancel(ev *refEvent) {
 	if ev.canceled {
 		return
 	}
 	ev.canceled = true
+	if ev.placeholder {
+		ev.placeholder = false
+		for i, s := range q.slots {
+			if s == ev {
+				q.take(i)
+			}
+		}
+		return
+	}
 	if !ev.queued {
 		return
 	}
@@ -109,7 +149,12 @@ func (q *refQueue) cancel(ev *refEvent) {
 // step returns the id of the event the engine must fire next, or -1.
 func (q *refQueue) step() int {
 	for len(q.slots) > 0 {
-		ev := q.take(q.min())
+		m := q.min()
+		if q.slots[m].placeholder {
+			q.resolve(m)
+			continue
+		}
+		ev := q.take(m)
 		if ev.canceled {
 			q.tombstones--
 			q.removed++
@@ -134,6 +179,10 @@ func (q *refQueue) runUntil(t float64) []int {
 			q.removed++
 			continue
 		}
+		if q.slots[m].placeholder {
+			q.resolve(m)
+			continue
+		}
 		if q.slots[m].time > t {
 			break
 		}
@@ -144,14 +193,16 @@ func (q *refQueue) runUntil(t float64) []int {
 }
 
 // TestHeapMatchesReference drives seeded random sequences of At,
-// Schedule (re-arming live, fired and canceled events), Cancel — in
-// isolation and in storms long enough to tombstone and drain — Step and
-// RunUntil through an engine and through refQueue, and requires the same
-// firing sequence and the same Pending, Removed, MaxPending and Fired
-// after every operation. Times are small integers, so simultaneous
-// events are common and the seq tie-break decides most orderings.
+// Schedule (re-arming live, fired and canceled events), Defer (arming
+// placeholders that resolve to a retime or a cancel), Retime, Cancel —
+// in isolation and in storms long enough to tombstone and drain — Step
+// and RunUntil through an engine and through refQueue, and requires the
+// same firing sequence and the same Pending, Removed, MaxPending and
+// Fired after every operation. Times are small integers, so
+// simultaneous events are common and the seq tie-break decides most
+// orderings.
 func TestHeapMatchesReference(t *testing.T) {
-	drains, tombstoned := 0, 0
+	drains, tombstoned, resolved := 0, 0, 0
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
@@ -159,6 +210,7 @@ func TestHeapMatchesReference(t *testing.T) {
 		var got []int
 		var evs []*Event
 		var refs []*refEvent
+		var resolves []func()
 		newHandle := func(reusable bool, t float64) {
 			id := len(evs)
 			fn := func() { got = append(got, id) }
@@ -173,6 +225,14 @@ func TestHeapMatchesReference(t *testing.T) {
 				q.push(ref, t)
 			}
 			evs, refs = append(evs, ev), append(refs, ref)
+			resolves = append(resolves, func() {
+				resolved++
+				if to := ref.resolveTo; math.IsNaN(to) {
+					ev.Cancel()
+				} else {
+					e.Retime(ev, to)
+				}
+			})
 		}
 		later := func() float64 { return q.now + float64(rng.Intn(6)) }
 		var want []int
@@ -187,11 +247,30 @@ func TestHeapMatchesReference(t *testing.T) {
 				t := later()
 				e.Schedule(evs[i], t)
 				q.schedule(refs[i], t)
-			case k < 60 && len(evs) > 0:
+			case k < 52 && len(evs) > 0:
+				// Arm a placeholder; the reference holds its resolution,
+				// which the engine's resolve reads when it gets there.
+				i := rng.Intn(len(evs))
+				to := math.NaN()
+				if rng.Intn(3) > 0 {
+					to = later()
+				}
+				q.deferTo(refs[i], to)
+				e.Defer(evs[i], resolves[i])
+			case k < 55 && len(evs) > 0:
+				// Retime a queued live event, placeholder or not, before
+				// it reaches the head.
+				i := rng.Intn(len(evs))
+				if r := refs[i]; r.queued && !r.canceled {
+					t := later()
+					e.Retime(evs[i], t)
+					q.retime(r, t)
+				}
+			case k < 63 && len(evs) > 0:
 				i := rng.Intn(len(evs))
 				evs[i].Cancel()
 				q.cancel(refs[i])
-			case k < 63:
+			case k < 66:
 				// A storm: grow the queue, then cancel well past the
 				// burst limit with nothing scheduled or fired between.
 				for n := 2*cancelBurstLimit + rng.Intn(64); n > 0; n-- {
@@ -202,7 +281,7 @@ func TestHeapMatchesReference(t *testing.T) {
 					evs[i].Cancel()
 					q.cancel(refs[i])
 				}
-			case k < 90:
+			case k < 91:
 				if id := q.step(); id >= 0 {
 					want = append(want, id)
 				}
@@ -253,5 +332,8 @@ func TestHeapMatchesReference(t *testing.T) {
 	}
 	if drains == 0 || tombstoned == 0 {
 		t.Fatalf("%d drains, %d operations with tombstones queued: the storms exercised nothing", drains, tombstoned)
+	}
+	if resolved == 0 {
+		t.Fatal("no placeholder reached the head of the queue")
 	}
 }

@@ -71,23 +71,43 @@ func TestSolveBitwiseRepeatable(t *testing.T) {
 	}
 }
 
+// probe is what a kernel driver reads between events.
+type probe int
+
+const (
+	// probeTrace records the clock and every live activity's rate and
+	// remaining work after each driver action (and, in the churn driver,
+	// at each completion).
+	probeTrace probe = iota
+	// probeEager reads a live activity's Rate() right after every start
+	// and cancel (after the Batch, for batched starts), which runs each
+	// change's solve at once: the solve sequence of a kernel that solved
+	// at every change instead of once per instant.
+	probeEager
+	// probeNone reads nothing between events.
+	probeNone
+)
+
 // driveRandomKernel runs a seeded random schedule of activity arrivals,
 // cancellations, and completions over a shared resource pool and records
-// a dense trace of every observable the kernel produces: completion
-// times as they fire, plus the clock, rate, and remaining work of every
-// live activity after each driver action. With full=true the incremental
-// solver is disabled and every reschedule re-solves all live activities.
-func driveRandomKernel(seed int64, full bool) (trace []float64, incSolves int) {
+// a dense trace of every observable the kernel produces: each completion
+// (activity, time and final rate) as it fires, each canceled activity's
+// final rate and, under probeTrace, the clock, rate, and remaining work
+// of every live activity after each driver action. Some cancels happen
+// inside a batch of starts, and one driver action in two shares the
+// instant of the one before. With full=true the incremental solver is
+// disabled and every solve re-solves all live activities.
+func driveRandomKernel(seed int64, full bool, p probe) (trace []float64, sys *System) {
 	eng := des.NewEngine()
-	sys := NewSystem(eng)
+	sys = NewSystem(eng)
 	sys.forceFullSolve = full
-	return driveKernel(eng, sys, seed, 0)
+	return driveKernel(eng, sys, seed, 0, p), sys
 }
 
 // driveKernel is driveRandomKernel on a given engine and system, which a
 // reuse test may have run (and Reset) before. maxEvents > 0 stops the
 // run at that many fired events, leaving the kernel mid-flight.
-func driveKernel(eng *des.Engine, sys *System, seed int64, maxEvents int) (trace []float64, incSolves int) {
+func driveKernel(eng *des.Engine, sys *System, seed int64, maxEvents int, p probe) (trace []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	res := make([]*Resource, 8)
 	for i := range res {
@@ -103,14 +123,23 @@ func driveKernel(eng *des.Engine, sys *System, seed int64, maxEvents int) (trace
 		}
 		live = kept
 	}
+	cancel := func() {
+		a := live[rng.Intn(len(live))]
+		if !a.canceled {
+			a.Cancel()
+			trace = append(trace, a.Rate())
+		}
+	}
 	id := 0
 	at := 0.0
 	for step := 0; step < 80; step++ {
-		at += 0.1 + rng.Float64()
+		if step == 0 || rng.Intn(2) > 0 {
+			at += 0.1 + rng.Float64()
+		}
 		eng.At(at, func() {
 			prune()
 			if len(live) > 0 && rng.Intn(4) == 0 {
-				live[rng.Intn(len(live))].Cancel()
+				cancel()
 			} else {
 				n := 1 + rng.Intn(5)
 				sys.Batch(func() {
@@ -131,16 +160,29 @@ func driveKernel(eng *des.Engine, sys *System, seed int64, maxEvents int) (trace
 							bound = 1 + rng.Float64()*20
 						}
 						id++
-						sys.StartActivity(fmt.Sprintf("act-%03d", id),
+						var a *Activity
+						aid := float64(id)
+						a = sys.StartActivity(fmt.Sprintf("act-%03d", id),
 							rng.Float64()*40, bound, usage,
-							func() { trace = append(trace, eng.Now()) })
+							func() { trace = append(trace, aid, eng.Now(), a.Rate()) })
+						live = append(live, a)
+					}
+					if rng.Intn(3) == 0 {
+						cancel()
 					}
 				})
 			}
 			prune()
-			trace = append(trace, eng.Now(), float64(len(live)))
-			for _, a := range live {
-				trace = append(trace, a.Rate(), a.Remaining())
+			switch p {
+			case probeTrace:
+				trace = append(trace, eng.Now(), float64(len(live)))
+				for _, a := range live {
+					trace = append(trace, a.Rate(), a.Remaining())
+				}
+			case probeEager:
+				if len(live) > 0 {
+					live[0].Rate()
+				}
 			}
 		})
 	}
@@ -148,23 +190,26 @@ func driveKernel(eng *des.Engine, sys *System, seed int64, maxEvents int) (trace
 		panic(err)
 	}
 	trace = append(trace, eng.Now())
-	return trace, sys.statIncremens
+	return trace
 }
 
 // driveChurnKernel is a workflow-simulator-shaped schedule: each of 16
 // hosts owns a CPU, a disk and a link, so the resource↔activity graph is
 // many small components, and runs chains of tasks — stage in over its
-// link to its disk, compute, write back — whose every phase is started
-// by the completion callback of the one before, interleaving starts with
-// completions the way wfsim does. One task in eight stages in from a
-// neighbour's disk, briefly joining two components. Each completion
-// records the clock and every live activity's rate and remaining work,
-// and checks the compaction bound: no list holds more than 2·live+1
-// entries, so with one or two users per resource list nearly every
-// removal compacts.
-func driveChurnKernel(t *testing.T, seed int64, full bool) (trace []float64, incSolves int) {
+// link to its disk, compute, write back. Compute and write-back are
+// started by the completion callback of the phase before, interleaving
+// starts with completions the way wfsim does; a stage-in starts from an
+// event of its own at the same instant, the way a transfer starts after
+// its route latency, so the starts released by one instant land outside
+// any batch. One task in eight stages in from a neighbour's disk,
+// briefly joining two components. Each completion records the activity,
+// the clock and its final rate — under probeTrace also every live
+// activity's rate and remaining work — and checks the compaction bound:
+// no list holds more than 2·live+1 entries, so with one or two users per
+// resource list nearly every removal compacts.
+func driveChurnKernel(t *testing.T, seed int64, full bool, p probe) (trace []float64, sys *System) {
 	eng := des.NewEngine()
-	sys := NewSystem(eng)
+	sys = NewSystem(eng)
 	sys.forceFullSolve = full
 	rng := rand.New(rand.NewSource(seed))
 	const hosts = 16
@@ -196,6 +241,9 @@ func driveChurnKernel(t *testing.T, seed int64, full bool) (trace []float64, inc
 			}
 		}
 		live = kept
+		if p != probeTrace {
+			return
+		}
 		trace = append(trace, eng.Now(), float64(len(live)))
 		for _, a := range live {
 			trace = append(trace, a.Rate(), a.Remaining())
@@ -204,10 +252,17 @@ func driveChurnKernel(t *testing.T, seed int64, full bool) (trace []float64, inc
 	id := 0
 	start := func(work, bound float64, usage []Usage, next func()) {
 		id++
-		live = append(live, sys.StartActivity(fmt.Sprintf("t%04d", id), work, bound, usage, func() {
+		var a *Activity
+		aid := float64(id)
+		a = sys.StartActivity(fmt.Sprintf("t%04d", id), work, bound, usage, func() {
+			trace = append(trace, aid, eng.Now(), a.Rate())
 			observe()
 			next()
-		}))
+		})
+		live = append(live, a)
+		if p == probeEager {
+			a.Rate()
+		}
 	}
 	var task func(h, left int)
 	task = func(h, left int) {
@@ -227,9 +282,11 @@ func driveChurnKernel(t *testing.T, seed int64, full bool) (trace []float64, inc
 			bound = 10 + rng.Float64()*40
 		}
 		ops, in, out := 1+rng.Float64()*400, rng.Float64()*200, rng.Float64()*100
-		start(in, 0, stageIn, func() {
-			start(ops, bound, []Usage{{cpu[h], 1}}, func() {
-				start(out, 0, []Usage{{disk[h], 1}}, func() { task(h, left-1) })
+		eng.After(0, func() {
+			start(in, 0, stageIn, func() {
+				start(ops, bound, []Usage{{cpu[h], 1}}, func() {
+					start(out, 0, []Usage{{disk[h], 1}}, func() { task(h, left-1) })
+				})
 			})
 		})
 	}
@@ -245,7 +302,35 @@ func driveChurnKernel(t *testing.T, seed int64, full bool) (trace []float64, inc
 	}
 	checkBound()
 	trace = append(trace, eng.Now(), float64(sys.ActiveCount()))
-	return trace, sys.statIncremens
+	return trace, sys
+}
+
+// kernelDriver is a seeded schedule the kernel property tests run.
+type kernelDriver struct {
+	name  string
+	drive func(seed int64, full bool, p probe) ([]float64, *System)
+}
+
+func kernelDrivers(t *testing.T) []kernelDriver {
+	return []kernelDriver{
+		{"random", driveRandomKernel},
+		{"churn", func(seed int64, full bool, p probe) ([]float64, *System) {
+			return driveChurnKernel(t, seed, full, p)
+		}},
+	}
+}
+
+// sameBits fails t unless traces a and b are bitwise identical.
+func sameBits(t *testing.T, what string, a, b []float64) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: trace lengths diverged: %d vs %d", what, len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s: trace[%d] = %v vs %v: bitwise divergence", what, i, a[i], b[i])
+		}
+	}
 }
 
 // TestIncrementalSolveMatchesFullSolveBitwise is the contract the
@@ -255,31 +340,39 @@ func driveChurnKernel(t *testing.T, seed int64, full bool) (trace []float64, inc
 // the whole system on every change, across randomized arrival, cancel,
 // and completion sequences and across workflow-shaped churn.
 func TestIncrementalSolveMatchesFullSolveBitwise(t *testing.T) {
-	cases := []struct {
-		name  string
-		drive func(seed int64, full bool) ([]float64, int)
-	}{
-		{"random", driveRandomKernel},
-		{"churn", func(seed int64, full bool) ([]float64, int) { return driveChurnKernel(t, seed, full) }},
-	}
-	for _, d := range cases {
+	for _, d := range kernelDrivers(t) {
 		totalInc := 0
 		for seed := int64(1); seed <= 8; seed++ {
-			inc, nInc := d.drive(seed, false)
-			full, _ := d.drive(seed, true)
-			if len(inc) != len(full) {
-				t.Fatalf("%s seed %d: trace lengths diverged: incremental %d vs full %d", d.name, seed, len(inc), len(full))
-			}
-			for i := range inc {
-				if math.Float64bits(inc[i]) != math.Float64bits(full[i]) {
-					t.Fatalf("%s seed %d: trace[%d] = %v (incremental) vs %v (full): bitwise divergence",
-						d.name, seed, i, inc[i], full[i])
-				}
-			}
-			totalInc += nInc
+			inc, sys := d.drive(seed, false, probeTrace)
+			full, _ := d.drive(seed, true, probeTrace)
+			sameBits(t, fmt.Sprintf("%s seed %d: incremental vs full", d.name, seed), inc, full)
+			totalInc += sys.statIncremens
 		}
 		if totalInc == 0 {
 			t.Fatalf("%s: no incremental (partial-set) solves occurred: the property test exercised nothing", d.name)
+		}
+	}
+}
+
+// TestDeferredSolveMatchesEager is the contract of the end-of-instant
+// solve: a run that reads nothing between events, and so solves once per
+// instant, completes the same activities in the same order at the same
+// timestamps with the same final rates — bit for bit — as a run whose
+// Rate() reads after every start and cancel solve each change at once,
+// and the churn driver, whose stage-ins start together, solves strictly
+// less often. The reads of probeTrace would force the second sequence,
+// so neither run here makes them.
+func TestDeferredSolveMatchesEager(t *testing.T) {
+	for _, d := range kernelDrivers(t) {
+		for seed := int64(1); seed <= 8; seed++ {
+			eager, eagerSys := d.drive(seed, false, probeEager)
+			deferred, deferredSys := d.drive(seed, false, probeNone)
+			sameBits(t, fmt.Sprintf("%s seed %d: deferred vs eager", d.name, seed), deferred, eager)
+			es, _, _ := eagerSys.Stats()
+			ds, _, _ := deferredSys.Stats()
+			if ds > es || d.name == "churn" && ds >= es {
+				t.Fatalf("%s seed %d: %d solves deferred, %d eager", d.name, seed, ds, es)
+			}
 		}
 	}
 }

@@ -5,8 +5,9 @@
 // progressive-filling max-min fairness — the same bandwidth-sharing model
 // family used by SimGrid, the framework underlying the paper's simulators.
 //
-// Whenever the set of activities changes, rates are recomputed and the
-// next completion is scheduled on the engine. Between changes all rates
+// Whenever the set of activities changes, rates are recomputed — once
+// per simulated instant, however many changes it holds — and the next
+// completion is scheduled on the engine. Between changes all rates
 // are constant, so the simulation advances in O(changes) steps rather
 // than fixed time steps.
 //
@@ -98,15 +99,19 @@ type Activity struct {
 	sys       *System
 }
 
-// Rate returns the activity's current allocated rate in units/s.
+// Rate returns the activity's current allocated rate in units/s,
+// running the solve the current instant has deferred, if any.
 func (a *Activity) Rate() float64 {
 	if a.idx >= 0 {
+		a.sys.flush()
 		return a.sys.rateArr[a.idx]
 	}
 	return a.rate
 }
 
-// Remaining returns the work remaining as of the last model update.
+// Remaining returns the work remaining as of the last model update. It
+// needs no pending solve: remaining work is integrated only when the
+// clock moves, and the clock never moves past a deferred solve.
 func (a *Activity) Remaining() float64 {
 	if a.idx >= 0 {
 		return a.sys.remArr[a.idx]
@@ -153,6 +158,8 @@ type System struct {
 	tombstones int
 	lastUpdate float64
 	completion *des.Event
+	resolve    func() // s.flush, bound once: the completion placeholder's resolve
+	pending    bool   // a reschedule's solve has not run yet (see flush)
 	inUpdate   bool
 
 	// Structure-of-arrays activity state, parallel to active.
@@ -182,7 +189,7 @@ type System struct {
 	epoch       int
 	pendingFree []*Activity
 
-	// forceFullSolve disables incremental solving (every reschedule
+	// forceFullSolve disables incremental solving (every solve
 	// re-solves all live activities). Test hook for the property that
 	// incremental and full solves are bitwise identical.
 	forceFullSolve bool
@@ -213,6 +220,7 @@ func NewSystem(eng *des.Engine) *System {
 		epoch:  1,
 	}
 	s.completion = eng.NewEvent(s.onCompletion)
+	s.resolve = s.flush
 	eng.OnRunEnd(s.flushStats)
 	return s
 }
@@ -230,7 +238,7 @@ func (s *System) Reset() {
 	s.flushStats()
 	s.completion.Cancel()
 	s.active = s.active[:0]
-	s.liveCount, s.tombstones, s.lastUpdate, s.inUpdate = 0, 0, 0, false
+	s.liveCount, s.tombstones, s.lastUpdate, s.pending, s.inUpdate = 0, 0, 0, false, false
 	s.rateArr = s.rateArr[:0]
 	s.remArr = s.remArr[:0]
 	s.epsArr = s.epsArr[:0]
@@ -459,18 +467,23 @@ func (s *System) markDirty(ri int) {
 	}
 }
 
-// Batch runs fn, deferring rate recomputation until fn returns, so that
-// many activities can be started (or canceled) with a single max-min
-// solve. Nested batches are flattened. Simulators that launch hundreds
-// of simultaneous transfers (e.g. an MPI exchange round) should wrap
-// them in a Batch. The deferral is released even if fn panics, so a
-// recovered callback panic (see internal/resilience) cannot leave the
-// system permanently deferring reschedules.
+// Batch runs fn with reschedules deferred until fn returns, so the
+// changes fn makes reserve the completion event's seq once, at the end,
+// instead of once each. The solve itself runs at the end of the instant
+// either way (see flush); what Batch still decides is where that seq is
+// reserved, and with it the completion's place among simultaneous
+// events, so removing a Batch call can move bits. A solve the instant
+// deferred before fn runs first, so that a rate read or a cancel inside
+// fn sees what it would have seen had every change solved at once.
+// Nested batches are flattened. The deferral is released even if fn
+// panics, so a recovered callback panic (see internal/resilience)
+// cannot leave the system permanently deferring reschedules.
 func (s *System) Batch(fn func()) {
 	if s.inUpdate {
 		fn()
 		return
 	}
+	s.flush()
 	s.inUpdate = true
 	defer func() {
 		s.inUpdate = false
@@ -480,8 +493,10 @@ func (s *System) Batch(fn func()) {
 }
 
 // remove drops an activity from the active set and recomputes the
-// schedule.
+// schedule. It solves first, so the canceled activity's rate snapshot
+// is its solved rate.
 func (s *System) remove(a *Activity) {
+	s.flush()
 	s.advance()
 	s.removeActive(a)
 	s.reschedule()
@@ -547,12 +562,32 @@ func (s *System) effectivelyDoneAt(i int, timeEps float64) bool {
 	return r > 0 && s.remArr[i]/r <= timeEps
 }
 
-// reschedule recomputes rates and (re)schedules the next completion
-// event. During a batch update it is deferred until the batch ends.
+// reschedule records a change to the activity set: it re-arms the
+// completion event as a placeholder at (now, fresh seq) — the seq, and
+// the removal count, a re-arm at its final time would have taken — and
+// leaves the solve pending until flush. Every later change in the same
+// instant supersedes the reservation, so the instant solves once. During
+// a batch update it is deferred until the batch ends.
 func (s *System) reschedule() {
 	if s.inUpdate {
 		return
 	}
+	s.eng.Defer(s.completion, s.resolve)
+	s.pending = true
+}
+
+// flush runs the pending solve, if any: the placeholder's resolution,
+// a rate read, a cancel and a Batch start call it. The solve's dirty
+// seeds are the union of those of the changes it stands for, so it
+// assigns the rates that solving at each of them would have left
+// (DESIGN §9). The completion then moves from its placeholder to now+dt
+// with the seq the last reschedule reserved, or is canceled when
+// nothing can complete.
+func (s *System) flush() {
+	if !s.pending {
+		return
+	}
+	s.pending = false
 	s.solveDirty()
 	te := s.timeEps()
 	dt := math.Inf(1)
@@ -582,9 +617,7 @@ func (s *System) reschedule() {
 		// fire at an unchanged Now() and make no progress.
 		dt = te
 	}
-	// One event for the system's whole life, re-armed in place: Schedule
-	// numbers and orders it exactly as the former cancel + After pair did.
-	s.eng.Schedule(s.completion, s.eng.Now()+dt)
+	s.eng.Retime(s.completion, s.eng.Now()+dt)
 }
 
 // onCompletion fires completion callbacks for every activity that has

@@ -20,15 +20,15 @@ func TestResetEqualsFreshBitwise(t *testing.T) {
 		if seed%2 == 0 {
 			maxEvents = 30 + int(seed)
 		}
-		driveKernel(eng, sys, 100+seed, maxEvents) // leave another run's state behind
+		driveKernel(eng, sys, 100+seed, maxEvents, probeTrace) // leave another run's state behind
 		eng.Reset()
 		sys.Reset()
 		if eng.Now() != 0 || eng.Pending() != 0 || eng.Fired() != 0 || sys.ActiveCount() != 0 {
 			t.Fatalf("seed %d: after Reset now=%v pending=%d fired=%d active=%d",
 				seed, eng.Now(), eng.Pending(), eng.Fired(), sys.ActiveCount())
 		}
-		reused, _ := driveKernel(eng, sys, seed, 0)
-		fresh, _ := driveRandomKernel(seed, false)
+		reused := driveKernel(eng, sys, seed, 0, probeTrace)
+		fresh, _ := driveRandomKernel(seed, false, probeTrace)
 		if len(reused) != len(fresh) {
 			t.Fatalf("seed %d: trace lengths diverged: reused %d vs fresh %d", seed, len(reused), len(fresh))
 		}

@@ -87,13 +87,13 @@ func dotfGo(a, b []float64) float64 {
 	b = b[:n] // bounds-check hint
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float64(a[i] * b[i])
+		s1 += float64(a[i+1] * b[i+1])
+		s2 += float64(a[i+2] * b[i+2])
+		s3 += float64(a[i+3] * b[i+3])
 	}
 	for ; i < n; i++ {
-		s0 += a[i] * b[i]
+		s0 += float64(a[i] * b[i])
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -112,18 +112,18 @@ func dotf2Go(a0, a1, b []float64) (float64, float64) {
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		b0, b1, b2, b3 := b[i], b[i+1], b[i+2], b[i+3]
-		p0 += a0[i] * b0
-		p1 += a0[i+1] * b1
-		p2 += a0[i+2] * b2
-		p3 += a0[i+3] * b3
-		q0 += a1[i] * b0
-		q1 += a1[i+1] * b1
-		q2 += a1[i+2] * b2
-		q3 += a1[i+3] * b3
+		p0 += float64(a0[i] * b0)
+		p1 += float64(a0[i+1] * b1)
+		p2 += float64(a0[i+2] * b2)
+		p3 += float64(a0[i+3] * b3)
+		q0 += float64(a1[i] * b0)
+		q1 += float64(a1[i+1] * b1)
+		q2 += float64(a1[i+2] * b2)
+		q3 += float64(a1[i+3] * b3)
 	}
 	for ; i < n; i++ {
-		p0 += a0[i] * b[i]
-		q0 += a1[i] * b[i]
+		p0 += float64(a0[i] * b[i])
+		q0 += float64(a1[i] * b[i])
 	}
 	return (p0 + p1) + (p2 + p3), (q0 + q1) + (q2 + q3)
 }
@@ -134,14 +134,14 @@ func tileRowGo(l, x []float64, s *[SolveTile]float64) {
 	s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
 	for j, v := range l {
 		xj := (*[SolveTile]float64)(x[j*SolveTile:])
-		s0 -= v * xj[0]
-		s1 -= v * xj[1]
-		s2 -= v * xj[2]
-		s3 -= v * xj[3]
-		s4 -= v * xj[4]
-		s5 -= v * xj[5]
-		s6 -= v * xj[6]
-		s7 -= v * xj[7]
+		s0 -= float64(v * xj[0])
+		s1 -= float64(v * xj[1])
+		s2 -= float64(v * xj[2])
+		s3 -= float64(v * xj[3])
+		s4 -= float64(v * xj[4])
+		s5 -= float64(v * xj[5])
+		s6 -= float64(v * xj[6])
+		s7 -= float64(v * xj[7])
 	}
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s0, s1, s2, s3, s4, s5, s6, s7
 }

@@ -150,7 +150,7 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 			}
 			bk := b.data[k*b.cols : (k+1)*b.cols]
 			for j, bv := range bk {
-				oi[j] += mv * bv
+				oi[j] += float64(mv * bv)
 			}
 		}
 	}
@@ -168,7 +168,7 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		s := 0.0
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		out[i] = s
 	}
@@ -313,7 +313,7 @@ func SolveLowerInto(l *Matrix, b, x []float64) error {
 		ri := l.data[i*n : i*n+n]
 		s := b[i]
 		for j, v := range ri[:i] {
-			s -= v * x[j]
+			s -= float64(v * x[j])
 		}
 		d := ri[i]
 		if d == 0 {
@@ -406,7 +406,7 @@ func SolveUpper(u *Matrix, b []float64) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
 		for j := i + 1; j < n; j++ {
-			s -= u.At(i, j) * x[j]
+			s -= float64(u.At(i, j) * x[j])
 		}
 		d := u.At(i, i)
 		if d == 0 {
@@ -439,7 +439,7 @@ func CholSolveInto(l *Matrix, b, x []float64) error {
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= l.data[j*n+i] * x[j]
+			s -= float64(l.data[j*n+i] * x[j])
 		}
 		d := l.data[i*n+i]
 		if d == 0 {
@@ -458,7 +458,7 @@ func Dot(a, b []float64) float64 {
 	}
 	s := 0.0
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }
@@ -467,7 +467,7 @@ func Dot(a, b []float64) float64 {
 func Norm2(v []float64) float64 {
 	s := 0.0
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }

@@ -29,7 +29,7 @@ func negArgsGo(tile, xt []float64, xs [][]float64, l float64) {
 			s := 0.0
 			for d, v := range xi {
 				e := xt[d*w+c] - v
-				s += e * e
+				s += float64(e * e)
 			}
 			row[c] = -(math.Sqrt(5) * math.Sqrt(s) / l)
 		}
@@ -46,7 +46,7 @@ func maternTileGo(tile, e, alpha []float64, m *[la.SolveTile]float64) {
 		for c, ns := range row {
 			kv := maternFromExp(ns, ei[c])
 			row[c] = kv
-			m[c] += kv * a
+			m[c] += float64(kv * a)
 		}
 	}
 }
@@ -57,7 +57,7 @@ func sumSquaresGo(tile []float64, v *[la.SolveTile]float64) {
 	const w = la.SolveTile
 	for o := 0; o < len(tile); o += w {
 		for c, x := range tile[o : o+w] {
-			v[c] += x * x
+			v[c] += float64(x * x)
 		}
 	}
 }

@@ -84,7 +84,7 @@ func (g *GBRT) Fit(X [][]float64, y []float64) error {
 			})
 			m.stages = append(m.stages, root)
 			for i := range pred {
-				pred[i] += lr * root.predict(X[i])
+				pred[i] += float64(lr * root.predict(X[i]))
 			}
 		}
 		g.models[qi] = m
@@ -95,7 +95,7 @@ func (g *GBRT) Fit(X [][]float64, y []float64) error {
 func (m *boostedModel) predict(x []float64) float64 {
 	v := m.base
 	for _, s := range m.stages {
-		v += m.lr * s.predict(x)
+		v += float64(m.lr * s.predict(x))
 	}
 	return v
 }

@@ -128,7 +128,7 @@ func dist(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }
@@ -417,7 +417,7 @@ func (g *GP) fitOneScale(idx int, scale float64, dists *la.Matrix, yn []float64,
 	for i := 0; i < n; i++ {
 		lml -= math.Log(l.At(i, i))
 	}
-	lml -= float64(n) / 2 * math.Log(2*math.Pi)
+	lml -= float64(float64(n) / 2 * math.Log(2*math.Pi))
 	st.lml = lml
 	st.ok = true
 }
@@ -446,7 +446,7 @@ func (g *GP) predictOne(x, kstar, v []float64) (mean, std float64) {
 	if variance < 0 {
 		variance = 0
 	}
-	return mn*g.yStd + g.yMean, math.Sqrt(variance) * g.yStd
+	return float64(mn*g.yStd) + g.yMean, math.Sqrt(variance) * g.yStd
 }
 
 // predictTiles scores one or two tiles of la.SolveTile candidates, k =
@@ -485,7 +485,7 @@ func (g *GP) predictTiles(X [][]float64, mean, std, buf []float64) {
 		if variance < 0 {
 			variance = 0
 		}
-		mean[c] = mn[c]*g.yStd + g.yMean
+		mean[c] = float64(mn[c]*g.yStd) + g.yMean
 		std[c] = math.Sqrt(variance) * g.yStd
 	}
 }

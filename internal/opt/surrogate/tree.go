@@ -174,7 +174,7 @@ func sseAt(y []float64, rows []int) float64 {
 	s := 0.0
 	for _, r := range rows {
 		d := y[r] - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -186,11 +186,11 @@ func splitSSE(X [][]float64, y []float64, rows []int, f int, th float64) (sseL, 
 		if X[r][f] <= th {
 			nL++
 			sumL += v
-			sqL += v * v
+			sqL += float64(v * v)
 		} else {
 			nR++
 			sumR += v
-			sqR += v * v
+			sqR += float64(v * v)
 		}
 	}
 	if nL > 0 {
