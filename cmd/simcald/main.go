@@ -23,15 +23,16 @@
 // emits it for any simcal flag combination. Every calibration is
 // deterministic, so a job's result is bitwise identical to running the
 // same calibration alone with simcal — regardless of what the other
-// tenants are doing. With -state-dir, jobs survive restarts: the job
-// records re-queue unfinished jobs and they resume from their
-// evaluation journals (<id>.journal.jsonl). A job whose state holds
-// only a snapshot checkpoint from an earlier version runs again from
-// evaluation 0, to the same bits.
+// tenants are doing. With -state-dir, jobs survive restarts: each job is
+// one file, its evaluation journal (<id>.journal.jsonl), from which a
+// restarted daemon serves an ended job's result and resumes any other
+// job. Journals are kept after their jobs end, as replay records for
+// simcal -replay. A state dir an earlier version wrote (<id>.job.json
+// files) is refused at startup with an error naming the file.
 //
 // On SIGINT/SIGTERM the job server stops first (runs are cancelled and
-// journalled as resumable), then the fleet and the HTTP plane in the
-// order internal/cli fixes for every binary.
+// left resumable), then the fleet and the HTTP plane in the order
+// internal/cli fixes for every binary.
 package main
 
 import (
@@ -71,7 +72,7 @@ func (c *config) flagSet() *flag.FlagSet {
 	fs.StringVar(&c.obs.Pprof, "http", "localhost:8080", "serve the job API and observability plane on this address")
 	fs.IntVar(&c.maxRunning, "max-running", 2, "concurrently running jobs")
 	fs.IntVar(&c.tenantQuota, "tenant-quota", 8, "max open (pending+running) jobs per tenant; negative disables")
-	fs.StringVar(&c.stateDir, "state-dir", "", "durable job state: job records, evaluation journals, results (jobs resume after restarts)")
+	fs.StringVar(&c.stateDir, "state-dir", "", "durable job state: one evaluation journal per job (jobs resume after restarts)")
 	fs.BoolVar(&c.cache, "cache", true, "memoize loss evaluations across jobs (content-addressed by spec fingerprint)")
 
 	c.fleet.Register(fs)

@@ -251,7 +251,7 @@ func (a *AsyncRun) serveFromCheckpoint(pe *asyncEval) bool {
 	}
 	c, consumed := held.consumed[pe.seq]
 	switch {
-	case !unitsEqual(want, pe.unit):
+	case !slices.Equal(want, pe.unit):
 		pe.replErr = fmt.Errorf("core: checkpoint diverged at submission %d: stored unit %v, algorithm proposed %v",
 			pe.seq, want, pe.unit)
 	case consumed:

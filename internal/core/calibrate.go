@@ -153,19 +153,6 @@ func (p *Problem) Evaluate(ctx context.Context, units [][]float64) ([]Sample, er
 	return out, nil
 }
 
-// unitsEqual reports bitwise equality of two unit vectors.
-func unitsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // syncJournal makes the journal durable up to this consumption
 // boundary: the end of a batch for Evaluate, each consumed completion
 // for Next/NextSeq. Replayed evaluations add no lines (the file already
@@ -386,7 +373,8 @@ type Calibrator struct {
 	// and the Budget continue from the latest journaled one. A missing
 	// journal starts a fresh run; one that is not this run's (another
 	// algorithm, seed or space, an old snapshot, corruption before the
-	// last line) fails Run and is left untouched. Results are
+	// last line) or has ended (ErrJournalEnded) fails Run and is left
+	// untouched. Results are
 	// bitwise-identical to an uninterrupted run (elapsed fields
 	// excepted, unless Clock is injected).
 	Resume bool

@@ -22,6 +22,8 @@ import (
 // consumptions in their journaled order and verifying every proposed
 // unit against the journaled one; the algorithm draws exactly the random
 // numbers it drew originally, so the run continues bitwise-identically.
+// A job's journal (simcald's) also has an opaque job field in its header
+// (CreateJournal) and may end with one opaque closing line (EndJournal).
 
 const (
 	journalKind = "simcal-calibration-journal"
@@ -36,18 +38,26 @@ type journalHeader struct {
 	Algorithm string   `json:"algorithm"`
 	Seed      int64    `json:"seed"`
 	Space     []string `json:"space"`
+	// Job is opaque to core: the data of the job the run is, if any.
+	Job json.RawMessage `json:"job,omitempty"`
 }
 
 // journalRecord is every later line: a submission,
-// {"submit":seq,"unit":[…]}, or a consumption,
-// {"consume":seq,"loss":…,"elapsedNanos":…}.
+// {"submit":seq,"unit":[…]}, a consumption,
+// {"consume":seq,"loss":…,"elapsedNanos":…}, or the closing line,
+// {"end":…}.
 type journalRecord struct {
-	Submit    *int       `json:"submit"`
-	Consume   *int       `json:"consume"`
-	Unit      []float64  `json:"unit"`
-	Loss      *obs.Float `json:"loss"`
-	ElapsedNS int64      `json:"elapsedNanos"`
+	Submit    *int            `json:"submit"`
+	Consume   *int            `json:"consume"`
+	Unit      []float64       `json:"unit"`
+	Loss      *obs.Float      `json:"loss"`
+	ElapsedNS int64           `json:"elapsedNanos"`
+	End       json.RawMessage `json:"end"`
 }
+
+// ErrJournalEnded refuses to resume a journal that holds a closing line:
+// the run it records is over.
+var ErrJournalEnded = errors.New("the journal has ended: the run it records is over")
 
 // appendSubmitLine and appendConsumeLine encode the two record lines
 // without allocating: the engine writes one of each per evaluation.
@@ -94,6 +104,8 @@ type journalState struct {
 	consumed map[int]journaled // every consumption, by seq
 	order    []int             // the consumed seqs in consumption order
 	elapsed  time.Duration     // the latest consumption's elapsed offset
+	end      json.RawMessage   // the closing line's record, nil before it
+	live     bool              // a run continues the journal: a closing line refuses it
 }
 
 // journaled is one consumption a journal holds.
@@ -133,7 +145,9 @@ func (s *journalState) record(line []byte) error {
 		return err
 	}
 	switch {
-	case r.Submit != nil && r.Consume == nil && r.Loss == nil:
+	case s.end != nil:
+		return errors.New("a record after the journal's end")
+	case r.Submit != nil && r.Consume == nil && r.Loss == nil && r.End == nil:
 		seq := *r.Submit
 		_, dup := s.units[seq]
 		switch {
@@ -146,7 +160,7 @@ func (s *journalState) record(line []byte) error {
 			return fmt.Errorf("submission %d has a non-finite unit coordinate", seq)
 		}
 		s.units[seq] = r.Unit
-	case r.Consume != nil && r.Submit == nil && r.Unit == nil && r.Loss != nil:
+	case r.Consume != nil && r.Submit == nil && r.Unit == nil && r.Loss != nil && r.End == nil:
 		seq := *r.Consume
 		_, submitted := s.units[seq]
 		_, repeated := s.consumed[seq]
@@ -157,8 +171,13 @@ func (s *journalState) record(line []byte) error {
 		s.consumed[seq] = journaled{loss: float64(*r.Loss), elapsed: elapsed}
 		s.order = append(s.order, seq)
 		s.elapsed = max(s.elapsed, elapsed)
+	case r.End != nil && r.Submit == nil && r.Consume == nil && r.Unit == nil && r.Loss == nil:
+		if s.live {
+			return ErrJournalEnded
+		}
+		s.end = r.End
 	default:
-		return errors.New("neither a submission nor a consumption")
+		return errors.New("neither a submission, a consumption nor an end")
 	}
 	return nil
 }
@@ -185,13 +204,17 @@ type JournalRun struct {
 	// History is the consumptions in the same order, as the run's
 	// Result.History holds them, less the decoded Point.
 	History []Sample
+	// Job is the header's job field (CreateJournal) and End the closing
+	// line's record (EndJournal); each is nil when the journal has none.
+	Job, End json.RawMessage
 }
 
 // ReadJournal reads the calibration journal at path — a Checkpoint
 // run's or a service job's — with resume's checks: the header must be a
 // calibration journal's and, when run is non-nil, carry run's algorithm,
 // seed and space; every line before the last must be intact. A torn last
-// line is skipped, and the file is never opened for writing.
+// line is skipped, and the file is never opened for writing. A journal
+// corrupt after its header returns what precedes the corruption, too.
 func ReadJournal(path string, run *Calibrator) (*JournalRun, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -203,20 +226,71 @@ func ReadJournal(path string, run *Calibrator) (*JournalRun, error) {
 		want = &id
 	}
 	s := newJournalState(want)
-	if _, err := scanJournal(data, s.header, s.record); err != nil {
-		return nil, fmt.Errorf("core: journal %s: %w", path, err)
+	if _, err = scanJournal(data, s.header, s.record); err != nil {
+		err = fmt.Errorf("core: journal %s: %w", path, err)
+		if s.hdr.Kind == "" {
+			return nil, err
+		}
 	}
-	return s.run(), nil
+	return s.run(), err
 }
 
 // run is what the state holds, as ReadJournal returns it.
 func (s *journalState) run() *JournalRun {
-	r := &JournalRun{Algorithm: s.hdr.Algorithm, Seed: s.hdr.Seed, Space: s.hdr.Space, Order: s.order}
+	r := &JournalRun{Algorithm: s.hdr.Algorithm, Seed: s.hdr.Seed, Space: s.hdr.Space, Order: s.order, Job: s.hdr.Job, End: s.end}
 	for _, seq := range s.order {
 		c := s.consumed[seq]
 		r.History = append(r.History, Sample{Unit: s.units[seq], Loss: c.loss, Elapsed: c.elapsed})
 	}
 	return r
+}
+
+// Result is the Result the journaled run returned, less Elapsed, which
+// the journal does not hold: each Point decoded from its unit through
+// space (the journal's), and Best chosen by Problem.record's rule — the
+// zero Sample when nothing was consumed.
+func (r *JournalRun) Result(space Space) (*Result, error) {
+	if !slices.EqualFunc(space, r.Space, func(p ParamSpec, name string) bool { return p.Name == name }) {
+		return nil, fmt.Errorf("core: the journal is over %v, not the space given", r.Space)
+	}
+	p := &Problem{Space: space}
+	for _, s := range r.History {
+		s.Point = space.Decode(s.Unit)
+		p.record(s)
+	}
+	res := &Result{History: p.History(), Evaluations: p.Evaluations(), Algorithm: r.Algorithm}
+	if best := p.Best(); best != nil {
+		res.Best = *best
+	}
+	return res, nil
+}
+
+// CreateJournal creates run's journal at path, replacing any file there,
+// with job as its header's job field: the journal a resumed run
+// (Calibrator.Resume) continues, and JournalRun.Job hands the field back.
+func CreateJournal(path string, run *Calibrator, job any) error {
+	id := run.journalID()
+	var err error
+	if id.Job, err = json.Marshal(job); err != nil {
+		return err
+	}
+	hdr, _ := json.Marshal(id) // id.Job is valid JSON: it cannot fail
+	return createJournal(path, hdr)
+}
+
+// EndJournal appends the closing line, {"end":end}, to the journal at
+// path, which no run may hold open. No line may follow it, and a run
+// refuses to resume the journal with ErrJournalEnded.
+func EndJournal(path string, end any) error {
+	line, err := json.Marshal(map[string]any{"end": end})
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err == nil {
+		err = (&Journal{f: f, buf: append(line, '\n')}).Close()
+	}
+	return err
 }
 
 // calJournal is one calibration run's journal: what the file held when
@@ -234,12 +308,13 @@ type calJournal struct {
 // file. A fresh run replaces any file there. A resumed run indexes what
 // the file holds and appends to it; a missing file starts it fresh. A
 // file that cannot be read, or is not this run's journal (another run's,
-// an old snapshot, corrupt before its last line), is an error, and the
-// file is left as it was. Any other failure is reported and the run goes
+// an old snapshot, corrupt before its last line, ended), is an error, and
+// the file is left as it was. Any other failure is reported and the run goes
 // on unjournaled:
 // losing the journal must never kill the run it exists to protect.
 func openCalJournal(path string, id journalHeader, resume bool, fobs FaultObserver) (*calJournal, error) {
 	cj := &calJournal{held: newJournalState(&id), fobs: fobs}
+	cj.held.live = true
 	var err error
 	if !resume {
 		if err = os.Remove(path); errors.Is(err, os.ErrNotExist) {

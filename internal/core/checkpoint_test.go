@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -27,8 +28,8 @@ func frozenClock() func() time.Time {
 
 // journalFixture is a journal's content in the shape tests build it:
 // the identity, the consumed samples in consumption order with each
-// one's seq (order; empty means 0, 1, …), and the submissions still in
-// flight.
+// one's seq (order; empty means 0, 1, …), the submissions still in
+// flight, and a job's header field and closing record (nil for none).
 type journalFixture struct {
 	alg      string
 	seed     int64
@@ -36,6 +37,7 @@ type journalFixture struct {
 	samples  []Sample
 	order    []int
 	inFlight map[int][]float64
+	job, end json.RawMessage
 }
 
 func sampleJournal() *journalFixture {
@@ -53,9 +55,10 @@ func sampleJournal() *journalFixture {
 
 // journalText writes fx as the journal a run would leave behind: the
 // header, each consumed sample's submission and consumption in
-// consumption order, then the in-flight submissions by seq.
+// consumption order, the in-flight submissions by seq, then the closing
+// line.
 func journalText(fx *journalFixture) string {
-	hdr, _ := json.Marshal(journalHeader{Kind: journalKind, Algorithm: fx.alg, Seed: fx.seed, Space: fx.space})
+	hdr, _ := json.Marshal(journalHeader{Kind: journalKind, Algorithm: fx.alg, Seed: fx.seed, Space: fx.space, Job: fx.job})
 	b := append(hdr, '\n')
 	for i, s := range fx.samples {
 		seq := i
@@ -68,12 +71,17 @@ func journalText(fx *journalFixture) string {
 	for _, seq := range slices.Sorted(maps.Keys(fx.inFlight)) {
 		b = append(appendSubmitLine(b, seq, fx.inFlight[seq]), '\n')
 	}
+	if fx.end != nil {
+		end, _ := json.Marshal(map[string]json.RawMessage{"end": fx.end})
+		b = append(append(b, end...), '\n')
+	}
 	return string(b)
 }
 
 // fixtureOf is what the index s holds, as a fixture.
 func fixtureOf(s journalState) *journalFixture {
-	fx := &journalFixture{alg: s.hdr.Algorithm, seed: s.hdr.Seed, space: s.hdr.Space, order: s.order, inFlight: map[int][]float64{}}
+	fx := &journalFixture{alg: s.hdr.Algorithm, seed: s.hdr.Seed, space: s.hdr.Space, order: s.order, inFlight: map[int][]float64{},
+		job: s.hdr.Job, end: s.end}
 	for _, seq := range s.order {
 		c := s.consumed[seq]
 		fx.samples = append(fx.samples, Sample{Unit: s.units[seq], Loss: c.loss, Elapsed: c.elapsed})
@@ -672,5 +680,95 @@ func TestCheckpointEveryBatchBoundaries(t *testing.T) {
 		if evals != 4*(i+1) {
 			t.Fatalf("journal synced at %v, want every batch end 4…40", written)
 		}
+	}
+}
+
+// endedJournal is sampleJournal as a job's journal that has ended.
+func endedJournal() *journalFixture {
+	fx := sampleJournal()
+	fx.job = json.RawMessage(`{"request":{"tenant":"t"},"submitted_unix_ns":1}`)
+	fx.end = json.RawMessage(`{"state":"done","elapsed_ns":31000000}`)
+	return fx
+}
+
+// TestJournalEnd: a job's header field and closing line read back as
+// written; after the closing line only a torn last line may follow, and
+// anything more is corruption.
+func TestJournalEnd(t *testing.T) {
+	ended := journalText(endedJournal())
+	after := `{"submit":9,"unit":[0.5,0.5]}` + "\n"
+	for name, doc := range map[string]string{
+		"ended":                         ended,
+		"a torn record after the end":   ended + after,
+		"a torn second end":             ended + `{"end":{"state":"failed"}}` + "\n",
+		"an unterminated line after it": ended + `{"submit":9,"unit":[0.5`,
+	} {
+		s, err := readJournal([]byte(doc))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := fixtureOf(s)
+		if string(got.job) != string(endedJournal().job) || string(got.end) != string(endedJournal().end) {
+			t.Errorf("%s: job %s end %s, want what was written", name, got.job, got.end)
+		}
+		if len(got.samples) != 3 {
+			t.Errorf("%s: %d samples, want 3", name, len(got.samples))
+		}
+	}
+	for name, doc := range map[string]string{
+		"a record after the end": ended + after + after,
+		"two end lines":          ended + `{"end":{}}` + "\n" + after,
+		"an end with a unit":     journalText(sampleJournal()) + `{"end":{},"unit":[0.5,0.5]}` + "\n" + after,
+	} {
+		if _, err := readJournal([]byte(doc)); err == nil || !strings.Contains(err.Error(), "line ") {
+			t.Errorf("%s: err = %v, want the corrupt line named", name, err)
+		}
+	}
+}
+
+// TestResumeRefusesEndedJournal: a run does not resume a journal that
+// has ended — not even with a torn line after the closing one — and the
+// file is left byte for byte as it was.
+func TestResumeRefusesEndedJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	c := &Calibrator{
+		Space:          testSpace,
+		Simulator:      sphereLoss(Point{"x": 1, "y": 1}),
+		Algorithm:      randomSearch{batch: 4},
+		MaxEvaluations: 8,
+		Seed:           5,
+		Checkpoint:     path,
+	}
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := EndJournal(path, map[string]string{"state": "canceled"}); err != nil {
+		t.Fatal(err)
+	}
+	ended, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{string(ended), string(ended) + `{"submit":9,"unit":[0.5`} {
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sim := &countingSim{inner: sphereLoss(Point{"x": 1, "y": 1})}
+		c.Simulator, c.MaxEvaluations, c.Resume = sim, 16, true
+		_, err := c.Run(context.Background())
+		if !errors.Is(err, ErrJournalEnded) || !strings.Contains(err.Error(), path) {
+			t.Errorf("resuming an ended journal: err = %v, want ErrJournalEnded naming %s", err, path)
+		}
+		if n := sim.calls.Load(); n != 0 {
+			t.Errorf("the simulator ran %d times before the journal was refused", n)
+		}
+		if got, _ := os.ReadFile(path); string(got) != doc {
+			t.Error("the refused journal was modified")
+		}
+	}
+	// The journal still reads, as a record of the finished run.
+	jr, err := ReadJournal(path, c)
+	if err != nil || len(jr.History) != 8 || string(jr.End) != `{"state":"canceled"}` {
+		t.Errorf("ReadJournal of the ended journal: %d consumptions, end %s, err %v", len(jr.History), jr.End, err)
 	}
 }

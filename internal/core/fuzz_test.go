@@ -82,8 +82,24 @@ func FuzzReadCheckpoint(f *testing.F) {
 			{Unit: []float64{0.5, 0.5}, Loss: math.Inf(1), Elapsed: 2 * time.Millisecond},
 		},
 	})
+	ended := journalText(&journalFixture{
+		alg:     "GRID",
+		seed:    42,
+		space:   []string{"x", "y"},
+		samples: []Sample{{Unit: []float64{0.25, 0.75}, Loss: math.Inf(1), Elapsed: time.Millisecond}},
+		job:     []byte(`{"request":{"tenant":"t","spec":{"toy":1}},"submitted_unix_ns":7}`),
+		end:     []byte(`{"state":"failed","error":"boom","finished_unix_ns":9,"elapsed_ns":0}`),
+	})
+	after := `{"submit":1,"unit":[0.5,0.5]}` + "\n"
 	for _, seed := range []string{
 		batch,
+		// A job's journal, ended; a record after its end (corrupt unless
+		// it is the last line); two end lines.
+		ended,
+		ended + after,
+		ended + after + `{"consume":1,"loss":1,"elapsedNanos":1}` + "\n",
+		ended + `{"end":{"state":"done"}}` + "\n",
+		ended + `{"end":null}` + "\n" + after,
 		// Mutated records.
 		strings.Replace(batch, `"Inf"`, `"bogus"`, 1),
 		strings.Replace(batch, `"loss":1.25`, `"loss":"NaN"`, 1),
@@ -192,6 +208,9 @@ func fuzzJournal(t *testing.T, data []byte) {
 		t.Fatalf("round-trip rejected: %v", err)
 	}
 	again := fixtureOf(re)
+	if journalText(again) != journalText(ck) {
+		t.Fatalf("re-encoding is not a fixed point:\n%s\n%s", journalText(ck), journalText(again))
+	}
 	if again.alg != ck.alg || again.seed != ck.seed || re.elapsed != s.elapsed ||
 		len(again.samples) != len(ck.samples) || len(again.inFlight) != len(ck.inFlight) {
 		t.Fatal("round-trip changed the journal's state")

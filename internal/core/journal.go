@@ -59,10 +59,7 @@ func OpenJournal(path string, header []byte, checkHeader, record func(line []byt
 	good := 0
 	switch {
 	case errors.Is(err, os.ErrNotExist):
-		err = WriteFileAtomic(path, func(w io.Writer) error {
-			_, err := w.Write(append(header[:len(header):len(header)], '\n'))
-			return err
-		})
+		err = createJournal(path, header)
 	case err == nil:
 		if good, err = scanJournal(data, checkHeader, record); err != nil {
 			err = refusedJournalError{fmt.Errorf("core: journal %s: %w", path, err)}
@@ -85,15 +82,26 @@ func OpenJournal(path string, header []byte, checkHeader, record func(line []byt
 	return &Journal{f: f}, nil
 }
 
+// createJournal atomically replaces path with a journal of one header.
+func createJournal(path string, header []byte) error {
+	return WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(header[:len(header):len(header)], '\n'))
+		return err
+	})
+}
+
 // refusedJournalError is OpenJournal's error for an existing file it
 // cannot take as the journal expected: one it cannot read, or one that
 // holds something else. A failure to create or append to a journal is
 // another error.
 type refusedJournalError struct{ error }
 
+func (e refusedJournalError) Unwrap() error { return e.error }
+
 // scanJournal splits journal bytes into lines, hands the header line to
 // checkHeader and the rest to record, and returns the offset just past
 // the last intact line (see OpenJournal for what the last line may be).
+// ErrJournalEnded is never taken for a torn line: it refuses the file.
 func scanJournal(data []byte, checkHeader, record func(line []byte) error) (good int, err error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
@@ -109,7 +117,7 @@ func scanJournal(data []byte, checkHeader, record func(line []byte) error) (good
 			break // unterminated: torn
 		}
 		if err := record(data[good : good+nl]); err != nil {
-			if good+nl+1 == len(data) {
+			if good+nl+1 == len(data) && !errors.Is(err, ErrJournalEnded) {
 				break // the last line: torn
 			}
 			return 0, fmt.Errorf("line %d: %w", k, err)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"os"
 )
 
 // The job API, mounted on the same plane as /metrics and /statusz (see
@@ -24,8 +23,9 @@ import (
 //	DELETE /v1/jobs/{id}         cancel               → JobStatus
 //
 // Errors are JSON documents {"error": "..."}; quota rejections map to
-// 429, malformed requests to 400, unknown jobs to 404, and a result
-// requested before the job finishes to 409.
+// 429, malformed requests to 400, unknown jobs to 404, a result
+// requested before the job finishes to 409, and a job whose journal
+// cannot be created to 500.
 
 // Routes registers the job API on mux. The patterns use method and
 // wildcard routing, so mux must be a modern http.ServeMux.
@@ -60,12 +60,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := s.Submit(req)
 	if err != nil {
-		var qe *QuotaError
 		switch {
-		case errors.As(err, &qe):
+		case errors.As(err, new(*QuotaError)):
 			writeError(w, http.StatusTooManyRequests, err)
 		case errors.Is(err, ErrClosed):
 			writeError(w, http.StatusServiceUnavailable, err)
+		case errors.Is(err, errJournal):
+			writeError(w, http.StatusInternalServerError, err)
 		default:
 			writeError(w, http.StatusBadRequest, err)
 		}
@@ -146,8 +147,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // handleResult serves a finished job's calibration result with full
 // history — the same bytes `simcal -out <f> -history` writes, which is
 // the contract the CI smoke test's bitwise diff rests on. Results
-// survive restarts: a job finished by a previous process is served
-// from its durable result file.
+// survive restarts: a job finished by a previous process has its result
+// rebuilt from its journal, to the same bytes.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -162,20 +163,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, errors.New("service: job is "+string(state)))
 		return
 	}
-	// Encode (or read) first: a failure must still be able to say 500.
-	var body []byte
-	var err error
-	if res != nil {
-		var buf bytes.Buffer
-		err = res.WriteJSON(&buf, true)
-		body = buf.Bytes()
-	} else {
-		body, err = os.ReadFile(s.resultPath(j.ID))
-	}
-	if err != nil {
+	// Encode first: a failure must still be able to say 500.
+	var body bytes.Buffer
+	if err := res.WriteJSON(&body, true); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Write(body)
+	w.Write(body.Bytes())
 }

@@ -13,11 +13,9 @@
 // perturb a job's trajectory.
 //
 // Durability reuses the calibration core's journal and resume: with a
-// state directory configured, each job's request is recorded at submit,
-// its calibration journals every evaluation, and its result persists at
-// completion. A restarted server reloads the job records, re-queues
-// unfinished jobs, and resumes them from their journals — completing
-// exactly the run the dead server started.
+// state directory configured, a job is one file, its evaluation journal,
+// and a restarted server rebuilds every job from it — serving an ended
+// job's result, resuming any other exactly where the dead server was.
 package service
 
 import (
@@ -27,7 +25,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,8 +43,8 @@ type State string
 // The job state machine: Pending (queued behind the tenant's other
 // jobs) → Running (occupying one of the server's run slots) → exactly
 // one of Done, Failed, Canceled. A server shutdown reverts Running
-// jobs to Pending (in the durable journal, not as a terminal state),
-// which is what makes them resumable after a restart.
+// jobs to Pending (their journals get no closing line), which is what
+// makes them resumable after a restart.
 const (
 	StatePending  State = "pending"
 	StateRunning  State = "running"
@@ -140,10 +137,9 @@ type Config struct {
 	// 0 means 8, negative disables the quota.
 	TenantQuota int
 
-	// StateDir enables durability: job records, per-job evaluation
-	// journals, and results all live here, and NewServer reloads them —
-	// unfinished jobs are re-queued and resume from their journals.
-	// Empty keeps everything in memory.
+	// StateDir enables durability: each job's evaluation journal lives
+	// here, and NewServer rebuilds every job from its journal (see
+	// store.go). Empty keeps everything in memory.
 	StateDir string
 
 	// Registry receives the svc.* metrics, including per-job labeled
@@ -157,8 +153,7 @@ type Config struct {
 }
 
 // Job is the server's record of one calibration job. Mutable fields
-// are guarded by the server mutex except the atomic progress counters
-// and the journal lock.
+// are guarded by the server mutex except the atomic progress counters.
 type Job struct {
 	ID      string
 	Tenant  string
@@ -181,14 +176,11 @@ type Job struct {
 	events  []Event
 	eventCh chan struct{}
 
-	evals    atomic.Int64
-	bestBits atomic.Uint64 // Float64bits of the best loss; 0 = none yet
-	hasBest  atomic.Bool
+	evals atomic.Int64
+	best  atomic.Pointer[obs.Float] // the best loss; nil before the first evaluation
 
 	cEvals *obs.Counter // svc.job_evals{job=...}
 	gBest  *obs.Gauge   // svc.job_best_loss{job=...}
-
-	journal sync.Mutex // held by persistRecord from snapshot to rename
 }
 
 // tenantState is one tenant's dispatch queue and quota accounting.
@@ -225,10 +217,10 @@ type Server struct {
 	gPending   *obs.Gauge
 }
 
-// NewServer builds a Server and, when Config.StateDir is set, reloads
-// the durable job journal: terminal jobs become queryable again (their
-// results served from disk) and unfinished jobs are re-queued to
-// resume from their evaluation journals.
+// NewServer builds a Server and, when Config.StateDir is set, rebuilds
+// every job from its journal: ended jobs become queryable again (their
+// results rebuilt from their journals) and the rest are re-queued to
+// resume from them.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		cfg.Backend = func(_ string, spec json.RawMessage) (core.Simulator, error) {
@@ -301,6 +293,13 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	if req.MaxEvals < 0 || req.BudgetS < 0 || req.Workers < 0 {
 		return nil, fmt.Errorf("service: negative budget or workers")
 	}
+	// The spec is kept compact, in the form a journal's header stores it,
+	// so its fingerprint is the same before a restart and after.
+	spec, err := json.Marshal(req.Spec)
+	if err != nil {
+		return nil, fmt.Errorf("service: invalid spec: %w", err)
+	}
+	req.Spec = spec
 	space, err := s.cfg.Resolve(req.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("service: invalid spec: %w", err)
@@ -311,58 +310,62 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil, ErrClosed
 	}
 	ts := s.tenantLocked(req.Tenant)
 	if s.cfg.TenantQuota > 0 && ts.open >= s.cfg.TenantQuota {
-		open := ts.open
-		s.mu.Unlock()
 		s.cRejected.Inc()
-		return nil, &QuotaError{Tenant: req.Tenant, Open: open, Quota: s.cfg.TenantQuota}
+		return nil, &QuotaError{Tenant: req.Tenant, Open: ts.open, Quota: s.cfg.TenantQuota}
 	}
 	j := s.newJobLocked(req, space, alg)
-	ts.pending = append(ts.pending, j)
-	ts.open++
-	s.pending++
-	s.gPending.Set(float64(s.pending))
-	s.appendEventLocked(j, Event{Type: "submitted"})
+	// The journal is created before anything can dispatch or cancel the
+	// job, so its file has no other writer yet.
+	if err := s.createJournal(j); err != nil {
+		return nil, err
+	}
+	s.addLocked(j)
+	s.enqueueLocked(j, Event{Type: "submitted"})
 	s.dispatchLocked()
-	s.mu.Unlock()
-
 	s.cSubmitted.Inc()
-	s.persistRecord(j)
 	return j, nil
 }
 
 // newJobLocked allocates a Job in state pending. Caller holds mu.
 func (s *Server) newJobLocked(req JobRequest, space core.Space, alg core.Algorithm) *Job {
-	id := fmt.Sprintf("j-%06d", s.nextID)
 	s.nextID++
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j := &Job{
-		ID:        id,
+	return &Job{
+		ID:        fmt.Sprintf("j-%06d", s.nextID-1),
 		Tenant:    req.Tenant,
 		Request:   req,
 		state:     StatePending,
 		submitted: time.Now(),
 		space:     space,
 		alg:       alg,
-		ctx:       ctx,
-		cancel:    cancel,
-		eventCh:   make(chan struct{}),
 	}
-	s.jobMetrics(j)
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	return j
 }
 
-// jobMetrics registers a job's labeled series.
-func (s *Server) jobMetrics(j *Job) {
+// addLocked enters a job in the job table: its context, event stream
+// and labeled series. Caller holds mu.
+func (s *Server) addLocked(j *Job) {
+	j.ctx, j.cancel = context.WithCancel(s.baseCtx)
+	j.eventCh = make(chan struct{})
 	j.cEvals = s.cfg.Registry.Counter(obs.LabeledName("svc.job_evals", "job", j.ID))
 	j.gBest = s.cfg.Registry.Gauge(obs.LabeledName("svc.job_best_loss", "job", j.ID))
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+}
+
+// enqueueLocked queues a pending job behind its tenant's others. Caller
+// holds mu.
+func (s *Server) enqueueLocked(j *Job, ev Event) {
+	ts := s.tenantLocked(j.Tenant)
+	ts.pending = append(ts.pending, j)
+	ts.open++
+	s.pending++
+	s.gPending.Set(float64(s.pending))
+	s.appendEventLocked(j, ev)
 }
 
 // tenantLocked returns (creating if needed) one tenant's state and
@@ -421,7 +424,6 @@ func (s *Server) nextPendingLocked() *Job {
 // runJob executes one calibration end to end and finalizes the job.
 func (s *Server) runJob(j *Job) {
 	defer s.wg.Done()
-	s.persistRecord(j)
 	cal := core.Calibrator{
 		Space:          j.space,
 		Algorithm:      j.alg,
@@ -457,58 +459,63 @@ func (s *Server) withLock(fn func()) {
 	fn()
 }
 
-// finalize moves a finished run to its terminal state — or, when the
-// server is shutting down, back to pending so the durable journal
-// records an interrupted (resumable) job rather than a canceled one.
+// finalize moves a finished run to its terminal state and ends its
+// journal — or, when the server is shutting down, back to pending with
+// its journal open: an interrupted (resumable) job, not a canceled one.
 func (s *Server) finalize(j *Job, res *core.Result, err error) {
 	s.mu.Lock()
-	interrupted := s.closed && !j.userCanceled && err != nil && res == nil
-	switch {
-	case interrupted:
-		j.state = StatePending
-	case err == nil:
-		j.state = StateDone
-		j.result = res
-		if res != nil {
-			j.evals.Store(int64(res.Evaluations))
-			j.bestBits.Store(math.Float64bits(res.Best.Loss))
-			j.hasBest.Store(true)
-		}
-	case j.userCanceled || errors.Is(err, context.Canceled):
-		j.state = StateCanceled
-		j.errMsg = "canceled"
-	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-	}
-	j.finished = time.Now()
 	s.running--
 	s.gRunning.Set(float64(s.running))
-	if j.state.Terminal() {
-		s.tenants[j.Tenant].open--
-		ev := Event{Type: string(j.state), Evaluations: j.evals.Load()}
-		if j.state == StateFailed {
-			ev.Msg = j.errMsg
-		}
-		if j.hasBest.Load() {
-			bl := obs.Float(math.Float64frombits(j.bestBits.Load()))
-			ev.BestLoss = &bl
-		}
-		s.appendEventLocked(j, ev)
+	var end jobEnd
+	switch {
+	case s.closed && !j.userCanceled && err != nil && res == nil:
+		j.state = StatePending
+	case err == nil:
+		j.result = res
+		bl := obs.Float(res.Best.Loss)
+		j.evals.Store(int64(res.Evaluations))
+		j.best.Store(&bl)
+		end = s.endLocked(j, StateDone, "", res.Elapsed)
+	case j.userCanceled || errors.Is(err, context.Canceled):
+		end = s.endLocked(j, StateCanceled, "canceled", 0)
+	default:
+		end = s.endLocked(j, StateFailed, err.Error(), 0)
 	}
 	s.dispatchLocked()
 	s.mu.Unlock()
+	s.ended(j.ID, end)
+}
 
-	switch j.state {
+// endLocked moves a job to a terminal state and returns its journal's
+// closing line. Caller holds mu.
+func (s *Server) endLocked(j *Job, state State, msg string, elapsed time.Duration) jobEnd {
+	j.state, j.errMsg, j.finished = state, msg, time.Now()
+	s.tenants[j.Tenant].open--
+	ev := Event{Type: string(state), Evaluations: j.evals.Load(), BestLoss: j.best.Load()}
+	if state == StateFailed {
+		ev.Msg = msg
+	}
+	s.appendEventLocked(j, ev)
+	return jobEnd{State: state, Error: msg, FinishedUnixNS: j.finished.UnixNano(), ElapsedNS: int64(elapsed)}
+}
+
+// ended counts a job endLocked ended and appends end to its journal; a
+// zero end does nothing. The append is best-effort: a job whose end is
+// lost runs again after a restart (a done one replays, simulating none).
+func (s *Server) ended(id string, end jobEnd) {
+	switch end.State {
 	case StateDone:
 		s.cDone.Inc()
-		s.persistResult(j, res)
 	case StateFailed:
 		s.cFailed.Inc()
 	case StateCanceled:
 		s.cCanceled.Inc()
+	default:
+		return
 	}
-	s.persistRecord(j)
+	if s.cfg.StateDir != "" {
+		_ = core.EndJournal(s.journalPath(id), end)
+	}
 }
 
 // Cancel cancels one job: a pending job is removed from its tenant's
@@ -525,6 +532,7 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 		return nil, false
 	}
 	var cancelRun bool
+	var end jobEnd
 	switch j.state {
 	case StatePending:
 		ts := s.tenants[j.Tenant]
@@ -534,15 +542,11 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 				break
 			}
 		}
-		ts.open--
 		s.pending--
 		s.gPending.Set(float64(s.pending))
 		j.userCanceled = true
-		j.state = StateCanceled
-		j.errMsg = "canceled"
-		j.finished = time.Now()
-		s.appendEventLocked(j, Event{Type: string(StateCanceled)})
 		j.cancel()
+		end = s.endLocked(j, StateCanceled, "canceled", 0)
 	case StateRunning:
 		j.userCanceled = true
 		cancelRun = true
@@ -553,9 +557,8 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 		if s.cfg.CancelJob != nil {
 			s.cfg.CancelJob(j.ID)
 		}
-	} else if j.state == StateCanceled {
-		s.cCanceled.Inc()
-		s.persistRecord(j)
+	} else {
+		s.ended(j.ID, end)
 	}
 	return j, true
 }
@@ -570,8 +573,8 @@ func (s *Server) Job(id string) (*Job, bool) {
 
 // Close stops the server: no new submissions, every running job's
 // context is canceled, and Close blocks until the runners exit.
-// Running jobs are journaled as pending (interrupted), not canceled,
-// so a restarted server resumes them from their evaluation journals.
+// Running jobs revert to pending, not canceled, and their journals get
+// no closing line, so a restarted server resumes them.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -628,20 +631,15 @@ func (o *jobObserver) EvalCompleted(smp core.Sample, wait, dur time.Duration) {
 	n := o.j.evals.Add(1)
 	o.j.cEvals.Inc()
 	if n%progressEvery == 0 {
-		ev := Event{Type: "progress", Evaluations: n}
-		if o.j.hasBest.Load() {
-			bl := obs.Float(math.Float64frombits(o.j.bestBits.Load()))
-			ev.BestLoss = &bl
-		}
+		ev := Event{Type: "progress", Evaluations: n, BestLoss: o.j.best.Load()}
 		o.s.withLock(func() { o.s.appendEventLocked(o.j, ev) })
 	}
 }
 
 func (o *jobObserver) IncumbentImproved(smp core.Sample) {
-	o.j.bestBits.Store(math.Float64bits(smp.Loss))
-	o.j.hasBest.Store(true)
-	o.j.gBest.Set(smp.Loss)
 	bl := obs.Float(smp.Loss)
+	o.j.best.Store(&bl)
+	o.j.gBest.Set(smp.Loss)
 	ev := Event{Type: "improved", Evaluations: o.j.evals.Load(), BestLoss: &bl}
 	o.s.withLock(func() { o.s.appendEventLocked(o.j, ev) })
 }
@@ -682,6 +680,7 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 		SpecFingerprint: Fingerprint(j.Request.Spec),
 		SubmittedUnixNS: j.submitted.UnixNano(),
 		Evaluations:     j.evals.Load(),
+		BestLoss:        j.best.Load(),
 		Error:           j.errMsg,
 	}
 	if !j.started.IsZero() {
@@ -689,10 +688,6 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 	}
 	if !j.finished.IsZero() {
 		st.FinishedUnixNS = j.finished.UnixNano()
-	}
-	if j.hasBest.Load() {
-		bl := obs.Float(math.Float64frombits(j.bestBits.Load()))
-		st.BestLoss = &bl
 	}
 	return st
 }

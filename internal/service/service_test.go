@@ -2,10 +2,12 @@ package service_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -258,19 +260,29 @@ func waitState(t *testing.T, base, id string, want service.State) service.JobSta
 
 func fetchResult(t *testing.T, base, id string) *core.Result {
 	t.Helper()
+	res, err := core.ReadResult(bytes.NewReader(fetchResultBytes(t, base, id)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// fetchResultBytes returns a finished job's result document as served.
+func fetchResultBytes(t *testing.T, base, id string) []byte {
+	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET result: status %d", resp.StatusCode)
-	}
-	res, err := core.ReadResult(resp.Body)
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET result: status %d: %s", resp.StatusCode, body)
+	}
+	return body
 }
 
 // TestTwoTenantsConcurrent is the tentpole contract over loopback
@@ -499,8 +511,8 @@ func TestRestartResume(t *testing.T) {
 		t.Errorf("resumed result diverges from uninterrupted serial run:\n got %.120s…\nwant %.120s…", got, want)
 	}
 
-	// A third server restart serves the terminal job straight from the
-	// durable record and result file.
+	// A third server restart serves the terminal job's result rebuilt
+	// from its journal.
 	svc2.Close()
 	svc3 := mk()
 	defer svc3.Close()
@@ -570,8 +582,8 @@ func (failingSim) Run(ctx context.Context, p core.Point) (float64, error) {
 
 // TestResultWithFailedEvaluationsIsServed: a job whose history holds
 // +Inf losses still has a result — from the endpoint while the server
-// that ran it is up, and from the durable file after a restart — equal
-// to the serial run's.
+// that ran it is up, and rebuilt from its journal after a restart, to the
+// same bytes — equal to the serial run's.
 func TestResultWithFailedEvaluationsIsServed(t *testing.T) {
 	dir := t.TempDir()
 	mk := func() *service.Server {
@@ -592,6 +604,7 @@ func TestResultWithFailedEvaluationsIsServed(t *testing.T) {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
 	waitState(t, base, st.ID, service.StateDone)
+	live := fetchResultBytes(t, base, st.ID)
 	res := fetchResult(t, base, st.ID)
 	failed := 0
 	for _, s := range res.History {
@@ -610,17 +623,16 @@ func TestResultWithFailedEvaluationsIsServed(t *testing.T) {
 
 	svc2 := mk()
 	defer svc2.Close()
-	if got := fingerprint(fetchResult(t, startHTTP(t, svc2), st.ID)); got != want {
-		t.Error("the durable result of a job with failed evaluations differs from the one it served live")
+	if got := fetchResultBytes(t, startHTTP(t, svc2), st.ID); !bytes.Equal(got, live) {
+		t.Errorf("the result of a job with failed evaluations, served after a restart, differs from the one served live:\n got %.200s\nwant %.200s", got, live)
 	}
 }
 
-// TestFinishedJobIsNotRerunAfterRestart: Submit journals a job after
-// releasing the server lock, so a quick job can finish, and journal
-// itself done, before Submit's own write lands. That write must not
-// replace the done record, or a restarted server runs the finished job
-// again. Four hundred one-evaluation jobs submitted at once open the
-// window on most runs when a job's journal writes are not ordered.
+// TestFinishedJobIsNotRerunAfterRestart: a quick job can finish, and
+// end its journal, while other Submits are still running. A restarted
+// server must find every finished job ended and run none of them again.
+// Four hundred one-evaluation jobs submitted at once would open that
+// window on most runs if a job's file could be written out of order.
 func TestFinishedJobIsNotRerunAfterRestart(t *testing.T) {
 	const jobs = 400
 	cfg := toyConfig(0)

@@ -1,206 +1,143 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"simcal/internal/core"
+	"simcal/internal/obs"
 )
 
-// Durable job state, when Config.StateDir is set. Three files per job,
-// all named by job ID so restarts can pair them back up:
-//
-//	<id>.job.json       the job record: request + lifecycle state
-//	<id>.journal.jsonl  the calibration's evaluation journal (kept by core,
-//	                    and kept after the job ends: its replay record)
-//	<id>.result.json    the finished result (same format as simcal -out)
-//
-// Record and result are replaced atomically (write-tmp-then-rename);
-// the journal is append-only, its torn last line truncated on reopen.
-// On startup the server reloads every job record: terminal jobs become
-// queryable again (results served from their files), and jobs recorded
-// pending or running are re-queued — running just means the previous
-// process died mid-run, and the journal carries what resume needs.
+// Durable job state, when Config.StateDir is set, is one file per job:
+// its evaluation journal <id>.journal.jsonl. Submit creates it, with the
+// request in its header, before the job can be dispatched; the
+// calibration appends to it; the terminal transition closes it with one
+// jobEnd line. A journal without one is an interrupted job. Journals are
+// kept: each is its job's replay record, and DELETE deletes nothing.
 
-const jobRecordKind = "simcald-job"
-
-// jobRecord is the on-disk journal entry for one job.
-type jobRecord struct {
-	Kind            string     `json:"kind"` // "simcald-job"
-	ID              string     `json:"id"`
-	Tenant          string     `json:"tenant"`
-	State           State      `json:"state"`
+// jobHeader is the job field of a journal's header.
+type jobHeader struct {
 	Request         JobRequest `json:"request"`
-	Error           string     `json:"error,omitempty"`
 	SubmittedUnixNS int64      `json:"submitted_unix_ns"`
-	FinishedUnixNS  int64      `json:"finished_unix_ns,omitempty"`
 }
 
-func (s *Server) recordPath(id string) string { return filepath.Join(s.cfg.StateDir, id+".job.json") }
+// jobEnd is a journal's closing line.
+type jobEnd struct {
+	State          State  `json:"state"`
+	Error          string `json:"error,omitempty"`
+	FinishedUnixNS int64  `json:"finished_unix_ns"`
+	ElapsedNS      int64  `json:"elapsed_ns"`
+}
+
+const journalSuffix = ".journal.jsonl"
+
 func (s *Server) journalPath(id string) string {
-	return filepath.Join(s.cfg.StateDir, id+".journal.jsonl")
-}
-func (s *Server) resultPath(id string) string {
-	return filepath.Join(s.cfg.StateDir, id+".result.json")
+	return filepath.Join(s.cfg.StateDir, id+journalSuffix)
 }
 
-// persistRecord journals a job's current state. Best-effort: losing a
-// journal write must not kill the job it describes (the same stance as
-// core's calibration journal), so failures are swallowed — the job keeps
-// running and the next transition retries.
-//
-// Callers journal after releasing the server lock, so two writes of one
-// job can overlap — Submit's and a quick job's finalize, say. The job's
-// journal lock spans snapshot and rename, so the write that lands last
-// carries the latest state: a finished job is never journaled back to
-// pending, which a restarted server would run again.
-func (s *Server) persistRecord(j *Job) {
+// createJournal creates a new job's journal. Called before the job can
+// be dispatched: a job that exists has a journal.
+func (s *Server) createJournal(j *Job) error {
 	if s.cfg.StateDir == "" {
-		return
+		return nil
 	}
-	j.journal.Lock()
-	defer j.journal.Unlock()
-	s.mu.Lock()
-	rec := jobRecord{
-		Kind:            jobRecordKind,
-		ID:              j.ID,
-		Tenant:          j.Tenant,
-		State:           j.state,
-		Request:         j.Request,
-		Error:           j.errMsg,
-		SubmittedUnixNS: j.submitted.UnixNano(),
+	run := &core.Calibrator{Space: j.space, Algorithm: j.alg, Seed: j.Request.Seed}
+	hdr := jobHeader{Request: j.Request, SubmittedUnixNS: j.submitted.UnixNano()}
+	if err := core.CreateJournal(s.journalPath(j.ID), run, hdr); err != nil {
+		return fmt.Errorf("%w: %v", errJournal, err)
 	}
-	if !j.finished.IsZero() {
-		rec.FinishedUnixNS = j.finished.UnixNano()
-	}
-	s.mu.Unlock()
-	_ = core.WriteFileAtomic(s.recordPath(j.ID), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(rec)
-	})
+	return nil
 }
 
-// persistResult stores a finished job's result in exactly the format
-// cmd/simcal -out writes, history included — which is what lets the CI
-// smoke test diff a service job's result bitwise against a serial run.
-func (s *Server) persistResult(j *Job, res *core.Result) {
-	if s.cfg.StateDir == "" || res == nil {
-		return
-	}
-	_ = core.WriteFileAtomic(s.resultPath(j.ID), func(w io.Writer) error {
-		return res.WriteJSON(w, true)
-	})
-}
+// errJournal refuses a job whose journal could not be created.
+var errJournal = errors.New("service: creating the job's journal")
 
-// load replays the journal on startup: every *.job.json becomes a Job
-// again. Terminal jobs are queryable (results served from disk);
-// pending and running jobs are re-queued — a "running" record means
-// the previous process died mid-run, and the job resumes from its
-// evaluation journal. Called from NewServer before any dispatch.
+// load reads every journal in the state dir into a job, in submission
+// order. Called from NewServer before any dispatch. A state dir an
+// earlier version wrote — a job record, or a journal without a job
+// header — fails the startup with an error naming the file.
 func (s *Server) load() error {
 	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
 		return fmt.Errorf("service: state dir: %w", err)
 	}
-	paths, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "*.job.json"))
+	if old, _ := filepath.Glob(filepath.Join(s.cfg.StateDir, "*.job.json")); len(old) > 0 {
+		return fmt.Errorf("service: %s is a job record an earlier version wrote, which this one does not read", old[0])
+	}
+	paths, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "*"+journalSuffix))
 	if err != nil {
 		return err
 	}
 	sort.Strings(paths) // job IDs are zero-padded, so lexical = submission order
-	var recs []jobRecord
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			return fmt.Errorf("service: reading journal %s: %w", p, err)
-		}
-		var rec jobRecord
-		if err := json.Unmarshal(b, &rec); err != nil {
-			return fmt.Errorf("service: corrupt journal %s: %w", p, err)
-		}
-		if rec.Kind != jobRecordKind || rec.ID == "" {
-			return fmt.Errorf("service: %s is not a job record", p)
-		}
-		recs = append(recs, rec)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, rec := range recs {
-		if err := s.loadJobLocked(rec); err != nil {
+	for _, p := range paths {
+		if err := s.loadJobLocked(p); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// loadJobLocked reconstructs one job from its journal record. Caller
-// holds mu.
-func (s *Server) loadJobLocked(rec jobRecord) error {
-	if _, dup := s.jobs[rec.ID]; dup {
-		return fmt.Errorf("service: duplicate job record %s", rec.ID)
+// loadJobLocked rebuilds one job from its journal. Caller holds mu.
+func (s *Server) loadJobLocked(path string) error {
+	jr, err := core.ReadJournal(path, nil)
+	if jr == nil {
+		return fmt.Errorf("service: %w", err)
 	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
+	var hdr jobHeader
+	var end jobEnd
+	if json.Unmarshal(jr.Job, &hdr) != nil {
+		return fmt.Errorf("service: journal %s has no job header: an earlier version or simcal wrote it", path)
+	}
+	if jr.End != nil && (json.Unmarshal(jr.End, &end) != nil || !end.State.Terminal()) {
+		return fmt.Errorf("service: journal %s: malformed end line", path)
+	}
 	j := &Job{
-		ID:        rec.ID,
-		Tenant:    rec.Tenant,
-		Request:   rec.Request,
-		state:     rec.State,
-		submitted: time.Unix(0, rec.SubmittedUnixNS),
-		errMsg:    rec.Error,
-		ctx:       ctx,
-		cancel:    cancel,
-		eventCh:   make(chan struct{}),
-	}
-	if rec.FinishedUnixNS != 0 {
-		j.finished = time.Unix(0, rec.FinishedUnixNS)
+		ID:        strings.TrimSuffix(filepath.Base(path), journalSuffix),
+		Tenant:    hdr.Request.Tenant,
+		Request:   hdr.Request,
+		submitted: time.Unix(0, hdr.SubmittedUnixNS),
 	}
 	var n int
-	if _, err := fmt.Sscanf(rec.ID, "j-%d", &n); err == nil && n >= s.nextID {
+	if _, err := fmt.Sscanf(j.ID, "j-%d", &n); err == nil && n >= s.nextID {
 		s.nextID = n + 1
 	}
-	s.jobMetrics(j)
+	s.addLocked(j)
+
+	// A journal corrupt before its last line, or a spec or algorithm the
+	// restarted binary no longer accepts, fails the job instead of the
+	// whole startup; the journal is left as it was.
+	if err == nil {
+		j.space, err = s.cfg.Resolve(j.Request.Spec)
+	}
+	var res *core.Result
+	if err == nil && jr.End != nil {
+		res, err = jr.Result(j.space)
+	} else if err == nil {
+		j.alg, err = s.cfg.Algorithm(j.Request.Algorithm)
+	}
 	switch {
-	case rec.State.Terminal():
-		if rec.State == StateDone {
-			// Repopulate progress counters from the stored result so
-			// status reads match the pre-restart server's.
-			if f, err := os.Open(s.resultPath(j.ID)); err == nil {
-				if res, rerr := core.ReadResult(f); rerr == nil {
-					j.evals.Store(int64(res.Evaluations))
-					j.bestBits.Store(math.Float64bits(res.Best.Loss))
-					j.hasBest.Store(true)
-				}
-				f.Close()
-			}
+	case err != nil:
+		j.state, j.errMsg, j.finished = StateFailed, err.Error(), time.Now()
+	case jr.End != nil:
+		j.state, j.errMsg, j.finished = end.State, end.Error, time.Unix(0, end.FinishedUnixNS)
+		if j.state == StateDone {
+			res.Elapsed = time.Duration(end.ElapsedNS)
+			j.result = res
+		}
+		j.evals.Store(int64(res.Evaluations))
+		if bl := obs.Float(res.Best.Loss); res.Evaluations > 0 {
+			j.best.Store(&bl)
 		}
 	default:
-		// Pending or running: re-resolve and re-queue. A spec or
-		// algorithm the restarted binary no longer accepts fails the
-		// job instead of the whole startup.
-		space, err := s.cfg.Resolve(rec.Request.Spec)
-		if err == nil {
-			j.space = space
-			j.alg, err = s.cfg.Algorithm(rec.Request.Algorithm)
-		}
-		if err != nil {
-			j.state = StateFailed
-			j.errMsg = err.Error()
-			j.finished = time.Now()
-			break
-		}
 		j.state = StatePending
-		ts := s.tenantLocked(j.Tenant)
-		ts.pending = append(ts.pending, j)
-		ts.open++
-		s.pending++
-		s.gPending.Set(float64(s.pending))
-		s.appendEventLocked(j, Event{Type: "submitted", Msg: "reloaded from journal"})
+		s.enqueueLocked(j, Event{Type: "submitted", Msg: "reloaded from journal"})
 	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
 	return nil
 }
