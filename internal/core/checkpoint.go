@@ -79,8 +79,7 @@ func appendConsumeLine(b []byte, seq int, loss float64, elapsed time.Duration) [
 	b = strconv.AppendInt(b, int64(seq), 10)
 	b = append(b, `,"loss":`...)
 	if math.IsInf(loss, 0) || math.IsNaN(loss) {
-		sentinel, _ := obs.Float(loss).MarshalJSON()
-		b = append(b, sentinel...)
+		b = obs.Float(loss).AppendJSON(b)
 	} else {
 		b = strconv.AppendFloat(b, loss, 'g', -1, 64)
 	}

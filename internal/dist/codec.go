@@ -131,11 +131,28 @@ type decoder struct {
 	names map[string]string // interned names; nil interns nothing
 	spec  []byte            // the last lease spec decoded
 
-	// spare is a telemetry passenger its reader is done with
-	// (frameConn.recycle): the next one is decoded into it, its maps and
-	// its histograms' bucket maps, the last kept cleared in buckets.
-	spare   *TelemetryMsg
-	buckets []map[int]int64
+	// A frame its reader is done with is handed back (recycle): the next
+	// frame is decoded into it, the next result into its ResultMsg, and
+	// the next telemetry passenger into its TelemetryMsg, that message's
+	// maps and its histograms' bucket maps, the last kept cleared in
+	// buckets.
+	spare       *Frame
+	spareResult *ResultMsg
+	spareTm     *TelemetryMsg
+	buckets     []map[int]int64
+}
+
+// recycle hands back a frame this decoder returned, once nothing holds
+// any part of it.
+func (d *decoder) recycle(f *Frame) {
+	if f.Result != nil {
+		d.spareResult = f.Result
+	}
+	if f.Telemetry != nil {
+		d.spareTm = f.Telemetry
+	}
+	*f = Frame{}
+	d.spare = f
 }
 
 // decode parses one payload into a validated frame.
@@ -172,7 +189,12 @@ func (d *decoder) frame() *Frame {
 		d.fail("unknown frame type byte %d", t)
 		return nil
 	}
-	f := &Frame{Type: frameTypes[t]}
+	f := d.spare
+	if f == nil {
+		f = new(Frame)
+	}
+	d.spare = nil
+	f.Type = frameTypes[t]
 	switch f.Type {
 	case TypeHello:
 		f.Hello = &HelloMsg{Name: d.text(), Capacity: int(d.varint())}
@@ -184,7 +206,12 @@ func (d *decoder) frame() *Frame {
 		f.Lease.Spec = d.spec
 		f.Lease.Point = decodeMap(d, make(map[string]WireFloat), (*decoder).name, (*decoder).float)
 	case TypeResult:
-		f.Result = &ResultMsg{
+		f.Result = d.spareResult
+		if f.Result == nil {
+			f.Result = new(ResultMsg)
+		}
+		d.spareResult = nil
+		*f.Result = ResultMsg{
 			ID: d.uvarint(), Index: d.uvarint(), Loss: d.float(), Err: d.text(),
 			Class:       constant(d.str(), "deterministic", "transient"),
 			StartUnixNS: d.varint(), DurNS: d.varint(),
@@ -217,11 +244,11 @@ func (d *decoder) telemetry() *TelemetryMsg {
 	if !d.present() {
 		return nil
 	}
-	t := d.spare
+	t := d.spareTm
 	if t == nil {
 		t = new(TelemetryMsg)
 	} else {
-		d.spare = nil
+		d.spareTm = nil
 		for _, h := range t.Hists {
 			if h.Buckets != nil {
 				clear(h.Buckets)

@@ -346,10 +346,10 @@ func (c *Coordinator) handle(conn Conn) {
 		c.mu.Lock()
 		c.fleet.frame(c.now(), w, f)
 		c.perform()
-		// Nothing holds the passenger past the event: the connection may
+		// Nothing holds the frame past the event: the connection may
 		// decode the next one into it.
-		if r, ok := conn.(interface{ recycle(*TelemetryMsg) }); ok && f.Telemetry != nil {
-			r.recycle(f.Telemetry)
+		if r, ok := conn.(interface{ recycle(*Frame) }); ok {
+			r.recycle(f)
 		}
 	}
 }

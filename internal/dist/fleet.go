@@ -33,9 +33,12 @@ type leaseOutcome struct {
 // queued, then leased to a worker, then resolved — or re-queued as many
 // times as workers die holding it. It carries everything its resolution
 // needs — the completion callback and the context watcher's release —
-// so an evaluation costs the plane this one allocation. cb is set before
-// the lease is submitted and never written again; every other field is
-// fleet state, guarded by Coordinator.mu.
+// and the frame that leases it to a worker, so an evaluation costs the
+// plane this one allocation. cb is set before the lease is submitted,
+// and msg and frame as submit numbers it; none is written again, which
+// is what lets a writer encode frame outside Coordinator.mu — as many
+// times as the lease is requeued. Every other field is fleet state,
+// guarded by Coordinator.mu.
 type lease struct {
 	id    uint64 // assigned by submit
 	index uint64
@@ -43,6 +46,8 @@ type lease struct {
 	spec  []byte
 	point map[string]WireFloat
 	cb    func(loss float64, err error) // completion callback, run exactly once by the deliver action
+	msg   LeaseMsg
+	frame Frame // the lease frame: Type lease, Lease &msg
 
 	// stopWatch releases the context watcher. Set under mu as the lease is
 	// submitted; resolve hands it to the deliver action, because an
@@ -223,6 +228,8 @@ func (f *fleet) resolve(l *lease, out leaseOutcome) {
 func (f *fleet) submit(now int64, l *lease) {
 	f.nextLease++
 	l.id = f.nextLease
+	l.msg = LeaseMsg{ID: l.id, Index: l.index, Spec: l.spec, Point: l.point}
+	l.frame = Frame{Type: TypeLease, Lease: &l.msg}
 	if l.settled {
 		return // its context expired on the way here
 	}
@@ -286,7 +293,7 @@ func (f *fleet) assign(now int64) {
 		f.queueWait.Observe(now - l.enqueuedNS)
 		f.leasesDispatched.Inc()
 		l.sentNS = now
-		f.push(w, &Frame{Type: TypeLease, Lease: &LeaseMsg{ID: l.id, Index: l.index, Spec: l.spec, Point: l.point}})
+		f.push(w, &l.frame)
 	}
 }
 

@@ -637,13 +637,13 @@ func TestDecodeFrameChaosMutations(t *testing.T) {
 }
 
 // TestCodecSteadyStateAllocations pins what a connection's codec costs
-// per frame once warm. Encoding into the connection's buffer allocates
-// nothing. Decoding a lease allocates its frame, its LeaseMsg and its
-// point map (two objects: the map and its slot group): the point keys
-// are interned and the spec equals the previous lease's, so neither is
-// copied. Decoding a result whose previous passenger was handed back
-// allocates its frame and its ResultMsg: the telemetry is decoded into
-// the recycled message, maps and bucket maps.
+// per frame once warm, with each decoded frame handed back. Encoding
+// into the connection's buffer allocates nothing. Decoding a lease
+// allocates its LeaseMsg and its point map (two objects: the map and its
+// slot group): the point keys are interned and the spec equals the
+// previous lease's, so neither is copied. Decoding a result allocates
+// nothing: it is decoded into the recycled frame, ResultMsg and
+// telemetry message, maps and bucket maps.
 func TestCodecSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -657,7 +657,7 @@ func TestCodecSteadyStateAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		f    *Frame
 		want float64
-	}{{lease, 4}, {result, 2}} {
+	}{{lease, 3}, {result, 0}} {
 		roundTrip := func() {
 			var err error
 			if buf, err = appendWireFrame(buf[:0], tc.f); err != nil {
@@ -667,11 +667,9 @@ func TestCodecSteadyStateAllocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Telemetry != nil {
-				dec.spare = got.Telemetry
-			}
+			dec.recycle(got)
 		}
-		roundTrip() // warm the buffer, the name table and the spare
+		roundTrip() // warm the buffer, the name table and the spares
 		if allocs := testing.AllocsPerRun(100, roundTrip); allocs != tc.want {
 			t.Errorf("a warm %s frame costs %.0f allocations, want %.0f", tc.f.Type, allocs, tc.want)
 		}

@@ -13,7 +13,10 @@ import (
 // (both sides of the protocol keep a dedicated reader and serialize
 // writes); Close unblocks a pending Recv on the same connection.
 type Conn interface {
-	// Send writes one frame.
+	// Send writes one frame. It does not retain f, or anything f points
+	// to, after it returns: a worker's lease runner sends every result
+	// from one Frame, and the coordinator sends a lease's frame from the
+	// lease itself, once per worker it is leased to.
 	Send(f *Frame) error
 	// Recv reads the next frame. It returns io.EOF on an orderly close
 	// at a frame boundary.
@@ -128,10 +131,10 @@ func (c *frameConn) Recv() (*Frame, error) {
 	return c.dec.decode(payload)
 }
 
-// recycle hands back the telemetry passenger of a frame this
-// connection received, once its reader is done with every part of it:
-// the next passenger is decoded into its memory.
-func (c *frameConn) recycle(t *TelemetryMsg) { c.dec.spare = t }
+// recycle hands back a frame this connection received, once its reader
+// is done with every part of it: the next frame is decoded into its
+// memory (decoder.recycle).
+func (c *frameConn) recycle(f *Frame) { c.dec.recycle(f) }
 
 // Close implements Conn.
 func (c *frameConn) Close() error {

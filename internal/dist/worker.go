@@ -119,7 +119,7 @@ type session struct {
 	mu sync.Mutex // held across a whole send
 	// What the frames so far reported, per metric handle: the counter
 	// value, the gauge's bits (absent: never sent), the histogram's
-	// dump and its bucket-delta map, reused from frame to frame.
+	// state and its bucket-delta map, reused from frame to frame.
 	counters map[*obs.Counter]int64
 	gauges   map[*obs.Gauge]uint64
 	hists    map[*obs.Histogram]*histSent
@@ -134,10 +134,13 @@ type session struct {
 	ping atomic.Pointer[[2]int64]
 }
 
-// histSent is one histogram's state as the frames so far reported it.
+// histSent is one histogram's state as the frames so far reported it:
+// its cumulative count, sum and buckets, and the bucket-delta map the
+// last frame that carried it carried.
 type histSent struct {
-	last  obs.HistDump  // cumulative, as of the last frame that carried it
-	delta map[int]int64 // the bucket deltas that frame carried
+	count, sum int64
+	buckets    [64]int64
+	delta      map[int]int64
 }
 
 func (w *Worker) newSession(conn Conn) *session {
@@ -181,8 +184,8 @@ func (s *session) delta() *TelemetryMsg {
 
 // read adds one metric to the passenger if it moved since the last
 // frame that carried it. A gauge is compared by its bits, so a NaN is
-// sent once, not on every frame; a histogram is dumped only when its
-// count moved.
+// sent once, not on every frame; a histogram is read in place
+// (Histogram.DeltaSince), and sent when its count moved.
 func (s *session) read(name string, metric any) {
 	t := &s.tm
 	switch m := metric.(type) {
@@ -210,21 +213,23 @@ func (s *session) read(name string, metric any) {
 			h = &histSent{delta: make(map[int]int64)}
 			s.hists[m] = h
 		}
-		if m.Stat().Count == h.last.Count {
-			return
-		}
-		d := m.Dump()
-		clear(h.delta)
-		for i, n := range d.Buckets {
-			if diff := n - h.last.Buckets[i]; diff != 0 {
-				h.delta[i] = diff
+		d := m.DeltaSince(&h.buckets, h.delta)
+		if d.Count == h.count {
+			// Nothing to send: the coordinator drops a delta without
+			// observations. A bucket read ahead of its count (an Observe
+			// between the two reads) goes with the next count that moves.
+			for i, n := range d.Buckets {
+				h.buckets[i] -= n
 			}
+			return
 		}
 		if t.Hists == nil {
 			t.Hists = make(map[string]obs.HistDump)
 		}
-		t.Hists[name] = obs.HistDump{Count: d.Count - h.last.Count, Sum: d.Sum - h.last.Sum, Min: d.Min, Max: d.Max, Buckets: h.delta}
-		h.last = d
+		d.Count, d.Sum = d.Count-h.count, d.Sum-h.sum
+		h.count += d.Count
+		h.sum += d.Sum
+		t.Hists[name] = d
 	}
 }
 
@@ -272,6 +277,10 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 	hbDone := make(chan struct{})
 	defer close(hbDone)
 	go w.heartbeatLoop(sess, &lastRecv, hbDone)
+	// work hands a lease to a runner waiting for one. Unbuffered: a send
+	// succeeds only into an idle runner's hands, so every lease starts at
+	// once, on an idle runner or on a new one.
+	work := make(chan *LeaseMsg)
 
 	for {
 		f, err := conn.Recv()
@@ -293,11 +302,15 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 		case TypeBye:
 			return nil // orderly coordinator shutdown
 		case TypeLease:
-			evals.Add(1)
-			go func() {
-				defer evals.Done()
-				w.evaluate(evalCtx, sess, f.Lease)
-			}()
+			select {
+			case work <- f.Lease:
+			default:
+				evals.Add(1)
+				go func() {
+					defer evals.Done()
+					w.runLeases(evalCtx, sess, work, f.Lease)
+				}()
+			}
 		default:
 			return fmt.Errorf("dist: protocol violation: %s frame from coordinator", f.Type)
 		}
@@ -344,6 +357,27 @@ func (w *Worker) simulator(spec []byte) (core.Simulator, error) {
 	return sim, nil
 }
 
+// runLeases is one lease runner: it evaluates msg, then every lease Run
+// hands it, until the session's evaluation context ends. A runner
+// outlives its lease so that the next one finds its stack grown and its
+// result frame allocated. A runner is started only when a lease arrives
+// and none is idle, so a session's runners number its peak of leases
+// running at once — at most Capacity, as the coordinator holds no more
+// on this worker — plus the runners that had sent their result but were
+// not yet waiting again when such a lease arrived.
+func (w *Worker) runLeases(ctx context.Context, sess *session, work <-chan *LeaseMsg, msg *LeaseMsg) {
+	var res ResultMsg
+	fr := Frame{Type: TypeResult, Result: &res}
+	for {
+		w.evaluate(ctx, sess, msg, &fr)
+		select {
+		case msg = <-work:
+		case <-ctx.Done():
+			return
+		}
+	}
+}
+
 // evaluate runs one lease under panic isolation and reports its result,
 // timed on the worker's clock. Leases carry no deadline: a per-evaluation
 // timeout is the calibration's resilience executor, whose expired
@@ -351,8 +385,9 @@ func (w *Worker) simulator(spec []byte) (core.Simulator, error) {
 // with their resilience class so the coordinator reconstructs an
 // equivalently classified error; evaluations aborted by connection
 // teardown report nothing (the coordinator re-queues the lease when it
-// declares this worker dead).
-func (w *Worker) evaluate(ctx context.Context, sess *session, msg *LeaseMsg) {
+// declares this worker dead). The result goes out in fr, whose Result
+// the runner reuses from lease to lease: send encodes before it returns.
+func (w *Worker) evaluate(ctx context.Context, sess *session, msg *LeaseMsg, fr *Frame) {
 	w.addInflight(1)
 	pt := make(core.Point, len(msg.Point))
 	for k, v := range msg.Point {
@@ -374,7 +409,8 @@ func (w *Worker) evaluate(ctx context.Context, sess *session, msg *LeaseMsg) {
 	// the result frame's telemetry is what the coordinator has absorbed
 	// by the time the evaluation's caller hears of it.
 	w.addInflight(-1)
-	res := &ResultMsg{ID: msg.ID, Index: msg.Index, Loss: WireFloat(loss), StartUnixNS: start.UnixNano(), DurNS: int64(dur)}
+	res := fr.Result
+	*res = ResultMsg{ID: msg.ID, Index: msg.Index, Loss: WireFloat(loss), StartUnixNS: start.UnixNano(), DurNS: int64(dur)}
 	if err != nil {
 		if ctx.Err() != nil {
 			return // connection teardown: the lease is being re-queued
@@ -395,7 +431,7 @@ func (w *Worker) evaluate(ctx context.Context, sess *session, msg *LeaseMsg) {
 	}
 	// A send failure means the connection died; the coordinator
 	// re-queues the lease, so there is nothing to recover here.
-	_ = sess.send(&Frame{Type: TypeResult, Result: res})
+	_ = sess.send(fr)
 }
 
 // addInflight moves the in-flight count and its gauge together, under

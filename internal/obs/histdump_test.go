@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -127,5 +129,84 @@ func TestSnapshotDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(prom1.Bytes(), prom2.Bytes()) {
 		t.Errorf("WritePrometheus not deterministic:\n%s\nvs\n%s", prom1.String(), prom2.String())
+	}
+}
+
+// TestHistogramDeltaSinceMatchesDumpSub: read after read, DeltaSince
+// reports what Dump().Sub(previous dump) reports — the same Count and
+// Sum by difference, the same Min and Max, the same bucket deltas — and
+// allocates nothing once its delta map has grown.
+func TestHistogramDeltaSinceMatchesDumpSub(t *testing.T) {
+	var h Histogram
+	var last [histBuckets]int64
+	delta := make(map[int]int64)
+	var prev, prevHdr HistDump
+	for round, batch := range [][]int64{{}, {1, 2, 3, 100}, {}, {5000, 1 << 40, 0}, {7, 7, 7}} {
+		for _, v := range batch {
+			h.Observe(v)
+		}
+		want := h.Dump().Sub(prev)
+		hdr := h.DeltaSince(&last, delta)
+		got := HistDump{Count: hdr.Count - prevHdr.Count, Sum: hdr.Sum - prevHdr.Sum, Min: hdr.Min, Max: hdr.Max}
+		if len(hdr.Buckets) > 0 {
+			got.Buckets = hdr.Buckets
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("round %d: DeltaSince reports %+v, Dump().Sub %+v", round, got, want)
+		}
+		prev, prevHdr = h.Dump(), hdr
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		h.Observe(1 << 20)
+		h.DeltaSince(&last, delta)
+	}); allocs != 0 {
+		t.Errorf("a warm DeltaSince allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// TestHistogramDeltaSinceUnderConcurrentObserve: while four goroutines
+// observe, a reader takes deltas; once they are done, one more read
+// brings the deltas it took to sum to Dump()'s buckets, whatever each
+// read caught half-way through an Observe.
+func TestHistogramDeltaSinceUnderConcurrentObserve(t *testing.T) {
+	var h Histogram
+	var last [histBuckets]int64
+	delta := make(map[int]int64)
+	total := make(map[int]int64)
+	take := func() {
+		for i, n := range h.DeltaSince(&last, delta).Buckets {
+			total[i] += n
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := int64(0); i < 2000; i++ {
+				h.Observe(i << uint(g*8))
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		take()
+	}
+	take()
+	d := h.Dump()
+	if !reflect.DeepEqual(total, d.Buckets) {
+		t.Errorf("the deltas sum to %v, Dump() holds %v", total, d.Buckets)
+	}
+	if hdr := h.DeltaSince(&last, delta); hdr.Count != 8000 || hdr.Count != d.Count || hdr.Sum != d.Sum || len(hdr.Buckets) != 0 {
+		t.Errorf("after the observers: header %+v, dump count %d sum %d, want 8000 observations and no bucket moved", hdr, d.Count, d.Sum)
 	}
 }

@@ -169,14 +169,38 @@ func (h *Histogram) Dump() HistDump {
 		}
 	}
 	if occupied > 0 {
-		// Sized once: a worker dumps a moving histogram on every frame,
-		// and a map grown past eight entries one at a time allocates
-		// again on the way.
+		// Sized once: a map grown past eight entries one at a time
+		// allocates again on the way.
 		d.Buckets = make(map[int]int64, occupied)
 		for i, n := range counts {
 			if n != 0 {
 				d.Buckets[i] = n
 			}
+		}
+	}
+	return d
+}
+
+// DeltaSince reads what moved in the buckets without building a dump:
+// it clears delta, sets delta[i] to the growth of every bucket i whose
+// count differs from last[i], and brings last up to date. It returns the
+// cumulative Count, Sum, Min and Max (as Dump has them) with Buckets set
+// to delta. A caller that keeps last and the previous header from call to
+// call gets exactly Dump().Sub(previous dump) — Count and Sum by
+// difference, the same bucket deltas — and allocates nothing once delta
+// has grown. Concurrent Observe calls may be partially reflected: what a
+// call misses, the next one reports.
+func (h *Histogram) DeltaSince(last *[histBuckets]int64, delta map[int]int64) HistDump {
+	d := HistDump{Count: h.count.Load(), Sum: h.sum.Load(), Buckets: delta}
+	if d.Count != 0 {
+		d.Min = h.min.Load()
+		d.Max = h.max.Load()
+	}
+	clear(delta)
+	for i := range h.buckets {
+		if n := h.buckets[i].Load(); n != last[i] {
+			delta[i] = n - last[i]
+			last[i] = n
 		}
 	}
 	return d

@@ -305,6 +305,10 @@ func (v Float) MarshalJSON() ([]byte, error) {
 	return appendFloat(nil, float64(v)), nil
 }
 
+// AppendJSON appends the bytes MarshalJSON returns to dst. For a finite
+// v they are also what encoding/json writes for the float64.
+func (v Float) AppendJSON(dst []byte) []byte { return appendFloat(dst, float64(v)) }
+
 // UnmarshalJSON implements json.Unmarshaler. It accepts what
 // appendFloat writes, "+Inf" as an alias of "Inf", and null, which
 // leaves v as it was.

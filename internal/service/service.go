@@ -496,7 +496,11 @@ func (s *Server) endLocked(j *Job, state State, msg string, elapsed time.Duratio
 		ev.Msg = msg
 	}
 	s.appendEventLocked(j, ev)
-	return jobEnd{State: state, Error: msg, FinishedUnixNS: j.finished.UnixNano(), ElapsedNS: int64(elapsed)}
+	end := jobEnd{State: state, Error: msg, FinishedUnixNS: j.finished.UnixNano(), ElapsedNS: int64(elapsed)}
+	if !j.started.IsZero() {
+		end.StartedUnixNS = j.started.UnixNano()
+	}
+	return end
 }
 
 // ended counts a job endLocked ended and appends end to its journal; a

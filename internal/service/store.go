@@ -27,10 +27,14 @@ type jobHeader struct {
 	SubmittedUnixNS int64      `json:"submitted_unix_ns"`
 }
 
-// jobEnd is a journal's closing line.
+// jobEnd is a journal's closing line. StartedUnixNS is absent for a job
+// that never started (canceled while pending), and in the end lines of
+// journals written before it was recorded: such a job reloads with no
+// start time.
 type jobEnd struct {
 	State          State  `json:"state"`
 	Error          string `json:"error,omitempty"`
+	StartedUnixNS  int64  `json:"started_unix_ns,omitempty"`
 	FinishedUnixNS int64  `json:"finished_unix_ns"`
 	ElapsedNS      int64  `json:"elapsed_ns"`
 }
@@ -127,6 +131,9 @@ func (s *Server) loadJobLocked(path string) error {
 		j.state, j.errMsg, j.finished = StateFailed, err.Error(), time.Now()
 	case jr.End != nil:
 		j.state, j.errMsg, j.finished = end.State, end.Error, time.Unix(0, end.FinishedUnixNS)
+		if end.StartedUnixNS != 0 {
+			j.started = time.Unix(0, end.StartedUnixNS)
+		}
 		if j.state == StateDone {
 			res.Elapsed = time.Duration(end.ElapsedNS)
 			j.result = res

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -58,8 +59,9 @@ func TestSpecFingerprintSurvivesRestart(t *testing.T) {
 
 // TestEndedJobsSurviveRestart: a job its backend fails, one canceled
 // while pending and one canceled mid-run keep their state, error,
-// times, evaluations and best loss across a restart, and none runs
-// again. The state dir holds one file per job: its journal.
+// times (started included; the pending one has none), evaluations and
+// best loss across a restart, and none runs again. The state dir holds
+// one file per job: its journal.
 func TestEndedJobsSurviveRestart(t *testing.T) {
 	var builds atomic.Int64
 	cfg := toyConfig(0)
@@ -96,10 +98,10 @@ func TestEndedJobsSurviveRestart(t *testing.T) {
 	before := make([]service.JobStatus, len(ids))
 	for i, id := range ids {
 		before[i], _ = svc.Status(id)
-		before[i].StartedUnixNS = 0 // not kept: the journal records when a job ended, not when it started
 	}
 	svc.Close()
-	if before[0].Evaluations == 0 || before[0].BestLoss == nil || before[1].State != service.StateCanceled || before[2].Error == "" {
+	if before[0].Evaluations == 0 || before[0].BestLoss == nil || before[0].StartedUnixNS == 0 ||
+		before[1].State != service.StateCanceled || before[1].StartedUnixNS != 0 || before[2].Error == "" || before[2].StartedUnixNS == 0 {
 		t.Fatalf("the jobs did not end as the test needs: %+v", before)
 	}
 
@@ -132,6 +134,50 @@ func TestEndedJobsSurviveRestart(t *testing.T) {
 	slices.Sort(want)
 	if !slices.Equal(names, want) {
 		t.Errorf("state dir holds %v, want one journal per job %v", names, want)
+	}
+}
+
+// TestEndLineWithoutStartLoads: an end line written before the start
+// time was recorded in it still loads, as a job with no start time and
+// everything else it had.
+func TestEndLineWithoutStartLoads(t *testing.T) {
+	cfg := toyConfig(0)
+	cfg.StateDir = t.TempDir()
+	svc, err := service.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := startHTTP(t, svc)
+	j, err := svc.Submit(service.JobRequest{Tenant: "t", Algorithm: "RAND", MaxEvals: 5, Seed: 1, Spec: json.RawMessage(`{"toy":1}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitState(t, base, j.ID, service.StateDone)
+	svc.Close()
+	if want.StartedUnixNS == 0 {
+		t.Fatalf("a done job has no start time: %+v", want)
+	}
+
+	path := filepath.Join(cfg.StateDir, j.ID+".journal.jsonl")
+	held, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	field := `"started_unix_ns":` + strconv.FormatInt(want.StartedUnixNS, 10) + `,`
+	if strings.Count(string(held), field) != 1 {
+		t.Fatalf("the journal records the start once as %s:\n%s", field, held)
+	}
+	if err := os.WriteFile(path, []byte(strings.Replace(string(held), field, "", 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc2, err := service.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	want.StartedUnixNS = 0
+	if got, _ := svc2.Status(j.ID); !reflect.DeepEqual(got, want) {
+		t.Errorf("job %s reloaded from an end line without a start:\n got %+v\nwant %+v", j.ID, got, want)
 	}
 }
 
