@@ -205,10 +205,23 @@ func BenchmarkProblemEvaluate(b *testing.B) {
 // evaluation, about 25 % above the last reading.
 const remoteEvaluateAllocCeiling = 10496
 
+// remoteEvaluateCachedAllocCeiling is the ceiling on allocations for
+// BenchmarkRemoteEvaluate/cached: a fresh cache, then the calibration
+// twice — 512 leased misses and 512 hits, the split simcald's
+// cross-job cache sees on svc-wf-jobs. Measured on a 2-core x86-64
+// host: 15 224–15 233 at GOMAXPROCS 1, 2 and 4 while every cached
+// evaluation ran on a goroutine of its own that blocked in Cache.Do
+// around the evaluator's blocking Run, and 13 208–13 211 once a hit
+// settled inline on the driver goroutine and a miss was leased through
+// RunAsync. The ceiling is about 3 % above the highest reading.
+const remoteEvaluateCachedAllocCeiling = 13632
+
 // BenchmarkRemoteEvaluate runs one 512-evaluation calibration of the
 // sphere function per iteration on a loopback fleet of two workers of
-// capacity two, whose coordinator keeps a registry as simcald's does.
-// It fails itself above remoteEvaluateAllocCeiling.
+// capacity two, whose coordinator keeps a registry as simcald's does:
+// uncached, failing itself above remoteEvaluateAllocCeiling, and twice
+// on a fresh cache, failing itself above
+// remoteEvaluateCachedAllocCeiling.
 func BenchmarkRemoteEvaluate(b *testing.B) {
 	lb := dist.NewLoopback()
 	l, err := lb.Listen("")
@@ -247,11 +260,23 @@ func BenchmarkRemoteEvaluate(b *testing.B) {
 	cal := &core.Calibrator{
 		Space: benchSpace, Simulator: coord.Evaluator([]byte(`{"case":"sphere"}`)),
 		Algorithm: opt.Random{Batch: 16}, MaxEvaluations: 512, Seed: 1,
+		CacheKey: "sphere",
 	}
-	benchAllocGate(b, remoteEvaluateAllocCeiling, func(int) {
+	run := func(b *testing.B) {
 		if _, err := cal.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.Run("uncached", func(b *testing.B) {
+		benchAllocGate(b, remoteEvaluateAllocCeiling, func(int) { run(b) })
+	})
+	b.Run("cached", func(b *testing.B) {
+		defer func() { cal.Cache = nil }()
+		benchAllocGate(b, remoteEvaluateCachedAllocCeiling, func(int) {
+			cal.Cache = cache.New(nil)
+			run(b)
+			run(b)
+		})
 	})
 }
 

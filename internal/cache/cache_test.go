@@ -128,6 +128,47 @@ func TestDoErrorIsNotCached(t *testing.T) {
 	}
 }
 
+// TestDoWaiterRetriesFailedOwner: a caller joined to a computation
+// that fails is not handed the owner's error. It claims the key again
+// and runs fn itself, as a miss.
+func TestDoWaiterRetriesFailedOwner(t *testing.T) {
+	c := New(nil)
+	k := NewKey("sim", []float64{0.5})
+	var calls atomic.Int64
+	boom := errors.New("owner failed")
+	owner := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(context.Background(), k, func() (float64, error) {
+			calls.Add(1)
+			// Fail only once the waiter has joined.
+			for c.Stats().InflightWaits < 1 {
+				runtime.Gosched()
+			}
+			return 0, boom
+		})
+		owner <- err
+	}()
+	for c.Stats().Misses < 1 {
+		runtime.Gosched()
+	}
+	loss, hit, err := c.Do(context.Background(), k, func() (float64, error) {
+		calls.Add(1)
+		return 3, nil
+	})
+	if err != nil || hit || loss != 3 {
+		t.Fatalf("waiter of a failed owner = (%v, %v, %v), want its own fresh (3, false, nil)", loss, hit, err)
+	}
+	if err := <-owner; !errors.Is(err, boom) {
+		t.Fatalf("owner got %v, want boom", err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("fn ran %d times, want 2", n)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 || st.InflightWaits != 1 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 0 hits / 2 misses / 1 in-flight wait / 1 entry", st)
+	}
+}
+
 func TestDoWaiterContextExpiry(t *testing.T) {
 	c := New(nil)
 	k := NewKey("sim", []float64{0.5})
@@ -144,6 +185,84 @@ func TestDoWaiterContextExpiry(t *testing.T) {
 	cancel()
 	if _, _, err := c.Do(ctx, k, func() (float64, error) { return 1, nil }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expired waiter got %v, want context.Canceled", err)
+	}
+}
+
+// TestClaimSettlesEachWaiterOnce races Finish against the context
+// watches of the waiters joined to its entry: every waiter is settled
+// exactly once, by whichever took it off the entry, and only the ones
+// Finish settled count as hits. A second settle shows as a count of 2
+// or as a panic of the WaitGroup going negative.
+func TestClaimSettlesEachWaiterOnce(t *testing.T) {
+	c := New(nil)
+	const rounds, waiters = 200, 8
+	for r := 0; r < rounds; r++ {
+		k := NewKey("sim", []float64{float64(r) / rounds})
+		if _, claimed := c.Claim(context.Background(), k, nil); claimed != Miss {
+			t.Fatalf("round %d: first claim = %v, want Miss", r, claimed)
+		}
+		var settled [waiters]atomic.Int64
+		var hits atomic.Int64
+		var wg sync.WaitGroup
+		cancels := make([]context.CancelFunc, waiters)
+		for i := range waiters {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancels[i] = cancel
+			wg.Add(1)
+			_, claimed := c.Claim(ctx, k, func(loss float64, ok bool) {
+				if settled[i].Add(1) == 1 && ok {
+					hits.Add(1)
+				}
+				if ok && loss != float64(r) {
+					t.Errorf("round %d: waiter %d settled with %v", r, i, loss)
+				}
+				wg.Done()
+			})
+			if claimed != Joined {
+				t.Fatalf("round %d: claim %d = %v, want Joined", r, i, claimed)
+			}
+		}
+		// A third of the watches fire before Finish (their leave may run
+		// before or after it takes the waiters), a third race it, and a
+		// third are stopped by it.
+		before := c.Stats().Hits
+		for i := 0; i < waiters; i += 3 {
+			cancels[i]()
+		}
+		for i := 1; i < waiters; i += 3 {
+			go cancels[i]()
+		}
+		c.Finish(k, float64(r), true)
+		wg.Wait()
+		for i := range waiters {
+			cancels[i]()
+			if n := settled[i].Load(); n != 1 {
+				t.Fatalf("round %d: waiter %d settled %d times", r, i, n)
+			}
+		}
+		if got := c.Stats().Hits - before; got != hits.Load() {
+			t.Fatalf("round %d: %d hits counted, %d waiters settled with the loss", r, got, hits.Load())
+		}
+	}
+	if st := c.Stats(); st.InflightWaits != rounds*waiters || st.Entries != rounds {
+		t.Errorf("stats = %+v, want %d in-flight waits and %d entries", st, rounds*waiters, rounds)
+	}
+}
+
+// TestClaimHitAllocatesNothing: a hit, which the calibration engine
+// settles inline on its driver goroutine, costs no allocation.
+func TestClaimHitAllocatesNothing(t *testing.T) {
+	c := New(nil)
+	k := NewKey("sim", []float64{0.5})
+	c.Claim(context.Background(), k, nil)
+	c.Finish(k, 2, true)
+	w := func(float64, bool) { t.Error("a hit settled its waiter") }
+	if n := testing.AllocsPerRun(100, func() {
+		if loss, claimed := c.Claim(context.Background(), k, w); claimed != Hit || loss != 2 {
+			t.Fatalf("Claim = (%v, %v), want a hit on 2", loss, claimed)
+		}
+	}); n != 0 {
+		t.Errorf("a Claim hit allocates %v times, want 0", n)
 	}
 }
 

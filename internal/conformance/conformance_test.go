@@ -348,13 +348,20 @@ func withExecutor(t *testing.T, c *calibration, fleets map[string]*dist.Coordina
 	return c.run(t, cal)
 }
 
-// serviceJob submits the row to a calibration service over HTTP and
-// reads its result back from the job API.
-func serviceJob(t *testing.T, c *calibration, _ map[string]*dist.Coordinator) run {
+// serviceJob submits the row over HTTP to a calibration service
+// deployed as simcald deploys one by default — a cross-job cache, every
+// evaluation leased to a shared fleet (loopback-2) under the job's ID —
+// and reads its result back from the job API.
+func serviceJob(t *testing.T, c *calibration, fleets map[string]*dist.Coordinator) run {
 	algs := make(chan core.Algorithm, 1)
+	fleet := fleets["loopback-2"]
 	svc, err := service.NewServer(service.Config{
-		Backend: func(_ string, spec json.RawMessage) (core.Simulator, error) { return build(spec) },
-		Resolve: func(json.RawMessage) (core.Space, error) { return c.space, nil },
+		Backend: func(job string, spec json.RawMessage) (core.Simulator, error) {
+			return fleet.JobEvaluator(job, spec), nil
+		},
+		CancelJob: fleet.CancelJob,
+		Cache:     cache.New(nil),
+		Resolve:   func(json.RawMessage) (core.Space, error) { return c.space, nil },
 		Algorithm: func(name string) (core.Algorithm, error) {
 			alg, err := opt.ByName(name)
 			algs <- alg

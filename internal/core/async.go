@@ -7,6 +7,9 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"simcal/internal/cache"
+	"simcal/internal/resilience"
 )
 
 // The evaluation engine. Every loss evaluation of a calibration — a
@@ -30,9 +33,9 @@ import (
 // goroutine per in-flight evaluation — the distributed plane's
 // RemoteEvaluator resolves leases this way. The done callback must be
 // invoked exactly once and must be cheap and non-blocking: it runs on
-// the simulator's delivery goroutine. The engine uses this path only
-// for plain evaluations (no cache, no resilience executor attached);
-// otherwise each running evaluation holds a goroutine inside runSim.
+// the simulator's delivery goroutine. The engine uses this path unless
+// a resilience executor is attached, whose backoff sleeps and
+// abandoned hung attempts need a goroutine per evaluation anyway.
 type AsyncSimulator interface {
 	Simulator
 	RunAsync(ctx context.Context, p Point, done func(loss float64, err error))
@@ -48,15 +51,18 @@ type AsyncCompletion struct {
 }
 
 // asyncEval tracks one submission from start to consumption. Records
-// are recycled through AsyncRun.free, and the two entry points the
-// simulator side needs are bound once per record, so a steady-state
-// submission allocates its unit copy and its decoded point only.
+// are recycled through AsyncRun.free, and the entry points the
+// simulator side (and, with a cache, the cache) needs are bound once
+// per record, so a steady-state uncached submission allocates its unit
+// copy and its decoded point only.
 type asyncEval struct {
-	a         *AsyncRun
-	run       func()                        // bound runSync: `go pe.run()` needs no closure
-	asyncDone func(loss float64, err error) // bound settleAsync, handed to AsyncSimulator.RunAsync
+	a       *AsyncRun
+	run     func()                        // bound simulate: `go pe.run()` needs no closure
+	deliver func(loss float64, err error) // bound complete, handed to AsyncSimulator.RunAsync
+	joined  func(loss float64, ok bool)   // bound settleJoined, the cache waiter of a joined claim
 
 	ctx     context.Context
+	key     cache.Key // the evaluation's cache key; empty without a cache
 	seq     int
 	unit    []float64 // the engine's own copy; becomes Sample.Unit
 	point   Point
@@ -81,8 +87,9 @@ type asyncEval struct {
 // count) at consumption time, so history order always equals
 // consumption order — the property replay relies on.
 type AsyncRun struct {
-	p      *Problem
-	notify chan struct{}
+	p        *Problem
+	notify   chan struct{}
+	asyncSim AsyncSimulator // callback delivery; nil runs each evaluation on a goroutine
 
 	// pending minus arrivals is what is running; all of pending counts
 	// against the evaluation budget.
@@ -108,6 +115,9 @@ func (p *Problem) engine() *AsyncRun {
 		p:       p,
 		notify:  make(chan struct{}, 1),
 		pending: make(map[int]*asyncEval),
+	}
+	if as, ok := p.sim.(AsyncSimulator); ok && p.exec == nil {
+		p.async.asyncSim = as
 	}
 	return p.async
 }
@@ -205,7 +215,10 @@ func (a *AsyncRun) start(ctx context.Context, unit []float64, queuedAt time.Time
 		pe, a.free = a.free[n-1], a.free[:n-1]
 	} else {
 		pe = &asyncEval{a: a}
-		pe.run, pe.asyncDone = pe.runSync, pe.settleAsync
+		pe.run, pe.deliver = pe.simulate, pe.complete
+		if p.cache != nil {
+			pe.joined = pe.settleJoined
+		}
 	}
 	seq := a.nextSeq
 	a.nextSeq++
@@ -223,13 +236,51 @@ func (a *AsyncRun) start(ctx context.Context, unit []float64, queuedAt time.Time
 	if !queuedAt.IsZero() {
 		pe.wait = pe.startAt.Sub(queuedAt)
 	}
-	if as, ok := p.sim.(AsyncSimulator); ok && p.cache == nil && p.exec == nil {
-		// Callback delivery: no goroutine parked per in-flight lease.
-		as.RunAsync(ctx, pe.point, pe.asyncDone)
+	if p.cache != nil {
+		pe.key = cache.NewKey(p.cacheKey, pe.unit)
+		if !pe.claim() {
+			return seq
+		}
+	}
+	a.dispatch(pe)
+	return seq
+}
+
+// dispatch sets one evaluation running: through the simulator's
+// completion callback when the run has one, so no goroutine is parked
+// per in-flight lease, and on a goroutine of its own otherwise.
+func (a *AsyncRun) dispatch(pe *asyncEval) {
+	if a.asyncSim != nil {
+		a.asyncSim.RunAsync(pe.ctx, pe.point, pe.deliver)
 	} else {
 		go pe.run()
 	}
-	return seq
+}
+
+// claim claims the evaluation's cache key. A hit settles at once, with
+// no simulator call and no goroutine; a joined claim is settled by the
+// key's owner through settleJoined. It reports true on a miss: the
+// evaluation owns the key and is to be dispatched.
+func (pe *asyncEval) claim() bool {
+	loss, claimed := pe.a.p.cache.Claim(pe.ctx, pe.key, pe.joined)
+	if claimed == cache.Hit {
+		pe.settle(loss, true, false)
+	}
+	return claimed == cache.Miss
+}
+
+// settleJoined is the cache waiter of a joined claim: the owner's
+// memoized loss is a hit. When the owner failed, the evaluation claims
+// the key again, unless its own context has ended.
+func (pe *asyncEval) settleJoined(loss float64, ok bool) {
+	switch {
+	case ok:
+		pe.settle(loss, true, false)
+	case pe.ctx.Err() != nil:
+		pe.settle(0, false, true)
+	case pe.claim():
+		pe.a.dispatch(pe)
+	}
 }
 
 // serveFromCheckpoint answers a submission the resumed journal already
@@ -262,34 +313,44 @@ func (a *AsyncRun) serveFromCheckpoint(pe *asyncEval) bool {
 	return true
 }
 
-// runSync is the goroutine body of an evaluation on a blocking
-// simulator (or behind the cache / resilience executor).
-func (pe *asyncEval) runSync() {
-	pe.settle(pe.a.p.runSim(pe.ctx, pe.unit, pe.point))
+// simulate is the goroutine body of an evaluation on a blocking
+// simulator, or behind the resilience executor.
+func (pe *asyncEval) simulate() { pe.complete(pe.a.p.evalOnce(pe.ctx, pe.point)) }
+
+// complete is an evaluation's raw outcome, from its goroutine or the
+// AsyncSimulator's callback. An evaluation aborted by budget expiry
+// mid-run is not a simulator failure: it releases its budget slot and
+// is never surfaced — no phantom +Inf sample. Failed, NaN and -Inf
+// losses all normalize to +Inf: NaN would poison best-loss comparisons
+// (NaN < x is always false) and -Inf would win them unconditionally.
+// The owner of a cache key memoizes the outcome, a deterministic
+// failure (a recovered panic included) as +Inf, but neither an abort
+// nor a transient failure that exhausted its retries: the same point
+// may well succeed later.
+func (pe *asyncEval) complete(loss float64, err error) {
+	aborted := err != nil && pe.ctx.Err() != nil
+	if err != nil || math.IsNaN(loss) || math.IsInf(loss, -1) {
+		loss = math.Inf(1)
+	}
+	if pe.key != "" {
+		memo := !aborted && (err == nil || resilience.Classify(err) == resilience.Deterministic)
+		pe.a.p.cache.Finish(pe.key, loss, memo)
+	}
+	pe.settle(loss, false, aborted)
 }
 
-// settleAsync is the completion callback handed to an AsyncSimulator.
-func (pe *asyncEval) settleAsync(loss float64, err error) { pe.settle(loss, false, err) }
-
-// settle records a raw completion. An evaluation aborted by budget
-// expiry mid-run is not a simulator failure: it releases its budget
-// slot and is never surfaced — no phantom +Inf sample. Failed, NaN and
-// -Inf losses all normalize to +Inf: NaN would poison best-loss
-// comparisons (NaN < x is always false) and -Inf would win them
-// unconditionally.
-func (pe *asyncEval) settle(loss float64, hit bool, err error) {
+// settle records a normalized completion, or releases an aborted
+// evaluation's budget slot.
+func (pe *asyncEval) settle(loss float64, hit, aborted bool) {
 	a := pe.a
 	p := a.p
-	if err != nil && pe.ctx.Err() != nil {
+	if aborted {
 		a.mu.Lock()
 		delete(a.pending, pe.seq)
 		a.recycle(pe)
 		a.mu.Unlock()
 		a.wake()
 		return
-	}
-	if err != nil || math.IsNaN(loss) || math.IsInf(loss, -1) {
-		loss = math.Inf(1)
 	}
 	now := p.clock()
 	a.mu.Lock()
@@ -305,7 +366,7 @@ func (pe *asyncEval) settle(loss float64, hit bool, err error) {
 // recycle returns a record that left the pending table to the free
 // list. Called with a.mu held.
 func (a *AsyncRun) recycle(pe *asyncEval) {
-	*pe = asyncEval{a: a, run: pe.run, asyncDone: pe.asyncDone}
+	*pe = asyncEval{a: a, run: pe.run, deliver: pe.deliver, joined: pe.joined}
 	a.free = append(a.free, pe)
 }
 

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"simcal/internal/cache"
 	"simcal/internal/obs"
+	"simcal/internal/resilience"
 )
 
 // cacheRecordingObserver extends recordingObserver with the optional
@@ -309,4 +312,194 @@ func TestJournalReplayWithCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	journalMatches(t, jr, res)
+}
+
+// heldSim is an AsyncSimulator that holds every evaluation's callback
+// until the test releases it. Its blocking Run fails the test: with a
+// cache and no executor attached, the engine delivers through RunAsync.
+type heldSim struct {
+	t    *testing.T
+	mu   sync.Mutex
+	held []func(float64, error)
+}
+
+func (s *heldSim) Run(context.Context, Point) (float64, error) {
+	s.t.Error("the engine called the blocking Run of an AsyncSimulator")
+	return 0, errors.New("blocking Run called")
+}
+
+func (s *heldSim) RunAsync(_ context.Context, _ Point, done func(float64, error)) {
+	s.mu.Lock()
+	s.held = append(s.held, done)
+	s.mu.Unlock()
+}
+
+// calls returns how many evaluations reached the simulator.
+func (s *heldSim) calls() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.held)
+}
+
+// release delivers the outcome of the i-th evaluation that reached the
+// simulator.
+func (s *heldSim) release(i int, loss float64, err error) {
+	s.mu.Lock()
+	done := s.held[i]
+	s.mu.Unlock()
+	done(loss, err)
+}
+
+// cachedOn is a cached Problem over sim, two evaluations wide.
+func cachedOn(sim Simulator, c *cache.Cache, o Observer) *Problem {
+	return &Problem{Space: testSpace, sim: sim, workers: 2, start: time.Now(), obs: o, cache: c, cacheKey: "test"}
+}
+
+// consumeBoth consumes two completions and returns them by sequence
+// number.
+func consumeBoth(t *testing.T, a *AsyncRun) [2]AsyncCompletion {
+	t.Helper()
+	var got [2]AsyncCompletion
+	for range 2 {
+		c, err := a.Next(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[c.Seq] = c
+	}
+	return got
+}
+
+// TestCachedDuplicateJoinsInFlight: a submission whose point is in
+// flight joins the owner's entry instead of reaching the simulator, and
+// is consumed as a cache hit with the owner's loss once the owner's
+// callback delivers.
+func TestCachedDuplicateJoinsInFlight(t *testing.T) {
+	sim := &heldSim{t: t}
+	cc := cache.New(nil)
+	rec := &cacheRecordingObserver{}
+	a := cachedOn(sim, cc, rec).Async()
+	u := []float64{0.5, 0.5}
+	for range 2 {
+		if _, err := a.Submit(context.Background(), u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cc.Stats(); st.Misses != 1 || st.InflightWaits != 1 || sim.calls() != 1 {
+		t.Fatalf("after two submissions of one point: stats %+v, %d simulator calls; want 1 miss, 1 in-flight wait, 1 call", st, sim.calls())
+	}
+	sim.release(0, 7, nil)
+	got := consumeBoth(t, a)
+	if got[0].CacheHit || got[0].Sample.Loss != 7 {
+		t.Errorf("owner consumed as %+v, want a miss with loss 7", got[0])
+	}
+	if !got[1].CacheHit || got[1].Sample.Loss != 7 {
+		t.Errorf("joined duplicate consumed as %+v, want a cache hit with loss 7", got[1])
+	}
+	if st := cc.Stats(); st.Hits != 1 || st.Entries != 1 || rec.hits != 1 {
+		t.Errorf("stats %+v, %d CacheHit callbacks; want 1 hit, 1 entry, 1 callback", st, rec.hits)
+	}
+}
+
+// TestCachedTransientOwnerFailureRedispatchesWaiter: when the owner of
+// an in-flight point fails transiently, its own sample is +Inf and the
+// point is not memoized; the joined duplicate claims the point again
+// and reaches the simulator itself.
+func TestCachedTransientOwnerFailureRedispatchesWaiter(t *testing.T) {
+	sim := &heldSim{t: t}
+	cc := cache.New(nil)
+	a := cachedOn(sim, cc, nil).Async()
+	u := []float64{0.25, 0.75}
+	for range 2 {
+		if _, err := a.Submit(context.Background(), u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.release(0, 0, resilience.MarkTransient(errors.New("worker lost")))
+	if n := sim.calls(); n != 2 {
+		t.Fatalf("after the owner's transient failure the simulator saw %d calls, want 2: the waiter re-dispatches", n)
+	}
+	sim.release(1, 5, nil)
+	got := consumeBoth(t, a)
+	if got[0].CacheHit || !math.IsInf(got[0].Sample.Loss, 1) {
+		t.Errorf("failed owner consumed as %+v, want a miss with loss +Inf", got[0])
+	}
+	if got[1].CacheHit || got[1].Sample.Loss != 5 {
+		t.Errorf("re-dispatched waiter consumed as %+v, want a miss with loss 5", got[1])
+	}
+	if st := cc.Stats(); st.Hits != 0 || st.Misses != 2 || st.InflightWaits != 1 || st.Entries != 1 {
+		t.Errorf("stats %+v, want 0 hits, 2 misses, 1 in-flight wait, 1 entry", st)
+	}
+}
+
+// submitOne submits one unit, closes submitted, and consumes the
+// completion.
+type submitOne struct {
+	u         []float64
+	submitted chan struct{}
+}
+
+func (submitOne) Name() string { return "test-submit-one" }
+
+func (s submitOne) Optimize(ctx context.Context, prob *Problem) error {
+	run := prob.Async()
+	if _, err := run.Submit(ctx, s.u); err != nil {
+		return err
+	}
+	close(s.submitted)
+	_, err := run.Next(ctx)
+	return err
+}
+
+// TestCachedWaiterCancelReturnsWhileOwnerHeld: two calibrations share a
+// cache, and the second joins the first's in-flight evaluation.
+// Canceling the second returns its Run at once, while the first's
+// evaluation is still held by the simulator; the first then finishes
+// with its own loss.
+func TestCachedWaiterCancelReturnsWhileOwnerHeld(t *testing.T) {
+	cc := cache.New(nil)
+	u := []float64{0.5, 0.25}
+	calibrator := func(sim Simulator, alg Algorithm) *Calibrator {
+		return &Calibrator{Space: testSpace, Simulator: sim, Algorithm: alg, MaxEvaluations: 1, Workers: 1, Cache: cc, CacheKey: "shared"}
+	}
+	owner := &heldSim{t: t}
+	first := submitOne{u, make(chan struct{})}
+	ownerRes := make(chan *Result, 1)
+	go func() {
+		res, err := calibrator(owner, first).Run(context.Background())
+		if err != nil {
+			t.Error(err)
+		}
+		ownerRes <- res
+	}()
+	<-first.submitted
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	second := submitOne{u, make(chan struct{})}
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := calibrator(&heldSim{t: t}, second).Run(ctx)
+		waiterErr <- err
+	}()
+	<-second.submitted
+	if st := cc.Stats(); st.InflightWaits != 1 {
+		t.Fatalf("second calibration did not join the first's evaluation: %+v", st)
+	}
+	cancel()
+	if err := <-waiterErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled joined calibration returned %v, want context.Canceled", err)
+	}
+	select {
+	case <-ownerRes:
+		t.Fatal("the owner finished before its evaluation was released")
+	default:
+	}
+	owner.release(0, 4, nil)
+	if res := <-ownerRes; res == nil || res.Best.Loss != 4 {
+		t.Fatalf("owner result %+v, want best loss 4", res)
+	}
+	if st := cc.Stats(); st.Hits != 0 || st.Misses != 1 || st.Entries != 1 {
+		t.Errorf("stats %+v, want 0 hits, 1 miss, 1 entry", st)
+	}
 }

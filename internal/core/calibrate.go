@@ -194,39 +194,6 @@ func (p *Problem) evalOnce(ctx context.Context, pt Point) (float64, error) {
 	return p.exec.Do(ctx, func(ctx context.Context) (float64, error) { return p.simRun(ctx, pt) })
 }
 
-// runSim evaluates the loss at one decoded point, through the
-// calibration's evaluation cache when one is attached. A cache hit
-// returns the memoized loss of the first evaluation of that point
-// (hit=true) without invoking the simulator; concurrent requests for an
-// in-flight point share its single simulation. Deterministic simulator
-// failures (including recovered panics) are memoized as +Inf so they
-// are avoided without re-running; transient failures that exhausted
-// their retries surface +Inf to the caller uncached, because the same
-// point may well succeed later;
-// budget-expiry aborts propagate their error uncached.
-func (p *Problem) runSim(ctx context.Context, u []float64, pt Point) (loss float64, hit bool, err error) {
-	if p.cache == nil {
-		loss, err = p.evalOnce(ctx, pt)
-		return loss, false, err
-	}
-	return p.cache.Do(ctx, cache.NewKey(p.cacheKey, u), func() (float64, error) {
-		l, e := p.evalOnce(ctx, pt)
-		if e != nil {
-			if ctx.Err() != nil {
-				return 0, e // aborted mid-run: not a memoizable outcome
-			}
-			if resilience.Classify(e) == resilience.Deterministic {
-				return math.Inf(1), nil // fails every time: memoize the +Inf
-			}
-			return 0, e // transient: record +Inf, don't memoize
-		}
-		if math.IsNaN(l) || math.IsInf(l, -1) {
-			return math.Inf(1), nil
-		}
-		return l, nil
-	})
-}
-
 // record appends one sample to history and reports whether it improved
 // the incumbent. It is history's only writer, and never rewrites an
 // entry: History hands out views of it.
@@ -341,9 +308,11 @@ type Calibrator struct {
 	// (see Observer and NewObsObserver). Nil disables instrumentation at
 	// zero cost.
 	Observer Observer
-	// Cache, when non-nil, memoizes loss evaluations: re-visited points
-	// return the original loss without re-simulating, and concurrent
-	// evaluations of the same point share one simulation. Cache hits
+	// Cache, when non-nil, memoizes loss evaluations: a re-visited point
+	// is a hit, which returns the original loss at once and runs no
+	// simulator, and an evaluation of a point already in flight waits
+	// for that one simulation instead of starting its own. Attaching a
+	// cache does not change how a miss calls the Simulator. Cache hits
 	// still count against the evaluation budget and are recorded in
 	// history with their own elapsed time, so a cached run produces the
 	// same Best and loss sequence as an uncached one. The cache may be
