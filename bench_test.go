@@ -201,9 +201,12 @@ func BenchmarkProblemEvaluate(b *testing.B) {
 // handle-reading deltas, and 8 376–8 385 (16.4) at GOMAXPROCS 1, 2 and 4
 // once a worker's lease runners outlived their leases, its histograms
 // were read without a dump and the coordinator's lease and result frames
-// stopped being allocated per evaluation. The ceiling is 20.5 per
-// evaluation, about 25 % above the last reading.
-const remoteEvaluateAllocCeiling = 10496
+// stopped being allocated per evaluation, and 4 784–4 790 (9.35) at
+// GOMAXPROCS 1, 2 and 4 once a calibration's leases shared one context
+// watch and a worker decoded each lease into a frame a runner had handed
+// back. The ceiling is 11.7 per evaluation, about 25 % above the last
+// reading.
+const remoteEvaluateAllocCeiling = 5990
 
 // remoteEvaluateCachedAllocCeiling is the ceiling on allocations for
 // BenchmarkRemoteEvaluate/cached: a fresh cache, then the calibration
@@ -213,8 +216,10 @@ const remoteEvaluateAllocCeiling = 10496
 // evaluation ran on a goroutine of its own that blocked in Cache.Do
 // around the evaluator's blocking Run, and 13 208–13 211 once a hit
 // settled inline on the driver goroutine and a miss was leased through
-// RunAsync. The ceiling is about 3 % above the highest reading.
-const remoteEvaluateCachedAllocCeiling = 13632
+// RunAsync, and 9 625–9 629 once leases shared one context watch and a
+// worker decoded each lease into a recycled frame. The ceiling is about
+// 3 % above the highest reading.
+const remoteEvaluateCachedAllocCeiling = 9920
 
 // BenchmarkRemoteEvaluate runs one 512-evaluation calibration of the
 // sphere function per iteration on a loopback fleet of two workers of

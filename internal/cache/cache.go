@@ -87,8 +87,9 @@ const (
 // Cache is a content-addressed, single-flight loss-evaluation cache,
 // safe for concurrent use by any number of calibrations.
 type Cache struct {
-	mu      sync.Mutex
-	entries map[Key]*entry
+	mu       sync.Mutex
+	entries  map[Key]*entry // memoized and in-flight
+	memoized int            // the entries that are done
 
 	hits         *obs.Counter
 	misses       *obs.Counter
@@ -131,7 +132,7 @@ type Stats struct {
 // Stats returns the current counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	n := len(c.entries)
+	n := c.memoized
 	c.mu.Unlock()
 	return Stats{
 		Hits:          c.hits.Value(),
@@ -196,10 +197,11 @@ func (c *Cache) Finish(key Key, loss float64, ok bool) {
 	e.waiters = nil
 	if ok {
 		e.loss, e.done = loss, true
+		c.memoized++
+		c.entriesGauge.Set(float64(c.memoized))
 	} else {
 		delete(c.entries, key)
 	}
-	c.entriesGauge.Set(float64(len(c.entries)))
 	c.mu.Unlock()
 	if ok {
 		c.hits.Add(int64(len(ws)))

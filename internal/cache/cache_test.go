@@ -304,3 +304,30 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 		t.Errorf("entries = %d, want 32", st.Entries)
 	}
 }
+
+// TestEntriesCountMemoizedOnly: Stats().Entries and the cache.entries
+// gauge count memoized losses, never keys in flight, and agree at every
+// step: a miss adds nothing, a successful Finish adds one, a failed
+// Finish changes nothing.
+func TestEntriesCountMemoizedOnly(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := New(reg)
+	check := func(what string, want int) {
+		t.Helper()
+		if got, gauge := c.Stats().Entries, reg.Snapshot().Gauges["cache.entries"]; got != want || gauge != float64(want) {
+			t.Errorf("%s: Stats().Entries = %d, gauge = %v; want %d", what, got, gauge, want)
+		}
+	}
+	a, b := NewKey("sim", []float64{0.25}), NewKey("sim", []float64{0.5})
+	if _, claimed := c.Claim(context.Background(), a, nil); claimed != Miss {
+		t.Fatal("first Claim did not miss")
+	}
+	check("one key in flight", 0)
+	if _, claimed := c.Claim(context.Background(), b, nil); claimed != Miss {
+		t.Fatal("second key did not miss")
+	}
+	c.Finish(a, 1, true)
+	check("two keys in flight, one finished", 1)
+	c.Finish(b, 0, false)
+	check("after a failed Finish", 1)
+}

@@ -140,10 +140,30 @@ type decoder struct {
 	spareResult *ResultMsg
 	spareTm     *TelemetryMsg
 	buckets     []map[int]int64
+
+	// leases holds lease frames handed back by the goroutines that ran
+	// them (recycleLease); the next lease is decoded into one, its
+	// LeaseMsg and its cleared point map. nil recycles none.
+	leases chan *Frame
+}
+
+// leaseSpares is how many handed-back lease frames a connection keeps:
+// enough for a worker's runners finishing together; a frame past it is
+// left to the garbage collector.
+const leaseSpares = 8
+
+// recycleLease hands back a lease frame this decoder returned, once
+// nothing holds any part of it. Unlike recycle it may be called from any
+// goroutine, and it never blocks.
+func (d *decoder) recycleLease(f *Frame) {
+	select {
+	case d.leases <- f:
+	default:
+	}
 }
 
 // recycle hands back a frame this decoder returned, once nothing holds
-// any part of it.
+// any part of it. Only the goroutine that decodes may call it.
 func (d *decoder) recycle(f *Frame) {
 	if f.Result != nil {
 		d.spareResult = f.Result
@@ -189,22 +209,41 @@ func (d *decoder) frame() *Frame {
 		d.fail("unknown frame type byte %d", t)
 		return nil
 	}
-	f := d.spare
-	if f == nil {
-		f = new(Frame)
+	typ := frameTypes[t]
+	var f *Frame
+	if typ == TypeLease {
+		// Taken now, not as Recv began: a runner hands its frame back
+		// while the reader waits for the next one.
+		select {
+		case f = <-d.leases:
+		default:
+		}
 	}
-	d.spare = nil
-	f.Type = frameTypes[t]
+	if f == nil {
+		f = d.spare
+		if f == nil {
+			f = new(Frame)
+		}
+		d.spare = nil
+	}
+	f.Type = typ
 	switch f.Type {
 	case TypeHello:
 		f.Hello = &HelloMsg{Name: d.text(), Capacity: int(d.varint())}
 	case TypeLease:
-		f.Lease = &LeaseMsg{ID: d.uvarint(), Index: d.uvarint()}
+		m := f.Lease // a handed-back lease frame's
+		if m == nil {
+			m = &LeaseMsg{Point: make(map[string]WireFloat)}
+		}
+		pt := m.Point
+		clear(pt)
+		*m = LeaseMsg{ID: d.uvarint(), Index: d.uvarint()}
 		if spec := d.str(); !bytes.Equal(spec, d.spec) {
 			d.spec = bytes.Clone(spec)
 		}
-		f.Lease.Spec = d.spec
-		f.Lease.Point = decodeMap(d, make(map[string]WireFloat), (*decoder).name, (*decoder).float)
+		m.Spec = d.spec
+		m.Point = decodeMap(d, pt, (*decoder).name, (*decoder).float)
+		f.Lease = m
 	case TypeResult:
 		f.Result = d.spareResult
 		if f.Result == nil {

@@ -191,12 +191,26 @@ func wake(ch chan struct{}) {
 	}
 }
 
-// perform ends an event: called with mu held, it takes the actions the
-// event produced, releases mu and carries them out in order. Completion
-// callbacks and connection closes therefore never run under the lock.
-// The one or two actions of a steady-state event are copied into a
-// stack array, so an event allocates nothing of its own.
+// perform ends an event: called with mu held, it stops the context
+// watches the event released, takes the actions the event produced,
+// releases mu and carries them out in order. Completion callbacks and
+// connection closes therefore never run under the lock. The one or two
+// actions of a steady-state event are copied into a stack array, so an
+// event allocates nothing of its own.
 func (c *Coordinator) perform() {
+	f := c.fleet
+	for i, w := range f.released {
+		// stop never waits for the callback, so it is safe under mu. A
+		// watch it stopped will never fire and is reused; one whose
+		// callback has started finds no lease left (fleet.expire).
+		// Either way it lets go of its context.
+		if w.stop() {
+			f.spare = append(f.spare, w)
+		}
+		w.done, w.stop = nil, nil
+		f.released[i] = nil
+	}
+	f.released = f.released[:0]
 	var buf [4]action
 	acts := append(buf[:0], c.fleet.acts...)
 	clear(c.fleet.acts)
@@ -206,9 +220,6 @@ func (c *Coordinator) perform() {
 		a := &acts[i]
 		switch a.kind {
 		case actDeliver:
-			if a.stop != nil {
-				a.stop()
-			}
 			a.l.cb(a.out.loss, a.out.err)
 		case actWake:
 			wake(a.w.wake)

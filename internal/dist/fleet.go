@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -10,13 +11,15 @@ import (
 )
 
 // The lease lifecycle is one single-threaded state machine. Its methods
-// are the events — submit, hello, frame, dead, tick, cancelJob, cancel,
-// resolve, close — and each one takes the current time as an argument,
-// touches only fleet state, and appends whatever has to happen outside
-// (running a completion callback, waking a worker's writer, closing a
-// connection, evaluating locally, emitting a trace event, re-arming the
-// timer) to an action list. No method reads a clock, takes a lock,
-// blocks, starts a goroutine or performs I/O: the Coordinator holds its
+// are the events — submit (after watch), hello, frame, dead, tick,
+// cancelJob, expire, resolve, close — and each one takes the current
+// time as an argument, touches only fleet state, and appends whatever
+// has to happen outside (running a completion callback, waking a
+// worker's writer, closing a connection, evaluating locally, emitting a
+// trace event, re-arming the timer) to an action list, and the context
+// watches it released to another. No method reads a clock, takes a lock,
+// blocks, starts a goroutine or performs I/O (watch only reads its
+// context's Done channel and error): the Coordinator holds its
 // mutex while it feeds one event, then releases it and performs the
 // actions. That is what lets fleet_test.go drive every rule — requeue,
 // quarantine, eviction, degradation, cancel — through
@@ -32,13 +35,13 @@ type leaseOutcome struct {
 // lease is one evaluation in flight through the distributed plane:
 // queued, then leased to a worker, then resolved — or re-queued as many
 // times as workers die holding it. It carries everything its resolution
-// needs — the completion callback and the context watcher's release —
-// and the frame that leases it to a worker, so an evaluation costs the
-// plane this one allocation. cb is set before the lease is submitted,
-// and msg and frame as submit numbers it; none is written again, which
-// is what lets a writer encode frame outside Coordinator.mu — as many
-// times as the lease is requeued. Every other field is fleet state,
-// guarded by Coordinator.mu.
+// needs — the completion callback and its place under its context's
+// watch — and the frame that leases it to a worker, so an evaluation
+// costs the plane this one allocation. cb is set before the lease is
+// submitted, and msg and frame as submit numbers it; none is written
+// again, which is what lets a writer encode frame outside
+// Coordinator.mu — as many times as the lease is requeued. Every other
+// field is fleet state, guarded by Coordinator.mu.
 type lease struct {
 	id    uint64 // assigned by submit
 	index uint64
@@ -49,11 +52,12 @@ type lease struct {
 	msg   LeaseMsg
 	frame Frame // the lease frame: Type lease, Lease &msg
 
-	// stopWatch releases the context watcher. Set under mu as the lease is
-	// submitted; resolve hands it to the deliver action, because an
-	// expiry can resolve the lease before it is set. nil for hand-built
-	// leases.
-	stopWatch func() bool
+	// While the lease is unsettled and its context can expire: its
+	// context, whose Err it resolves with when the context expires, and
+	// its links in the list of the watch it is under.
+	ctx          context.Context
+	watch        *watch
+	wprev, wnext *lease
 
 	settled  bool // a deliver action has been emitted; later resolutions are dropped
 	canceled bool // by its context or its job: never (re)assigned, never requeued
@@ -117,11 +121,30 @@ func newRemoteWorker(name string, capacity int, conn Conn) *remoteWorker {
 	}
 }
 
+// watch is the expiry watch of one context, shared by every unsettled
+// lease submitted under it: one context.AfterFunc per context, not per
+// lease. The fleet's table keys it by the context's Done channel (a
+// context value may not be comparable) and links its leases through
+// lease.wprev/wnext, so it covers a lease wherever the lease is —
+// queued, in flight, requeued or on its way to the local evaluator.
+// resolve unlinks a settling lease; the watch is released — out of the
+// table, onto fleet.released — with its last one, so it holds no context
+// longer than its leases do. The Coordinator arms a new watch (stop) and
+// stops released ones; a watch whose callback can no longer run is
+// reused, with the callback bound once (fire), so a lease under a
+// context of its own pays context.AfterFunc's objects and nothing more.
+type watch struct {
+	done <-chan struct{}
+	head *lease      // the unsettled leases under the watch
+	stop func() bool // context.AfterFunc's; set as the Coordinator arms the watch
+	fire func()      // the AfterFunc callback: feeds the fleet expire(w)
+}
+
 // actionKind says what the plumbing must do for one action.
 type actionKind uint8
 
 const (
-	actDeliver actionKind = iota // release l's context watcher (stop) and run its callback with out
+	actDeliver actionKind = iota // run l's callback with out
 	actWake                      // wake w's writer: its outbox went non-empty
 	actDrop                      // close w's connection (saying bye first if out.err is ErrCoordinatorClosed) and release its writer
 	actLocal                     // evaluate l on the coordinator; name is the reason
@@ -136,7 +159,6 @@ type action struct {
 	l      *lease
 	w      *remoteWorker
 	out    leaseOutcome
-	stop   func() bool
 	name   string
 	fields obs.Fields
 }
@@ -162,6 +184,13 @@ type fleet struct {
 
 	acts []action // produced by the current event, drained by the caller
 
+	// watches holds the armed expiry watches by their context's Done
+	// channel; released holds the watches the current event released,
+	// for the caller to stop; spare holds stopped watches for reuse.
+	watches  map[<-chan struct{}]*watch
+	released []*watch
+	spare    []*watch
+
 	workersConnected  *obs.Counter
 	workersLost       *obs.Counter
 	leasesDispatched  *obs.Counter
@@ -181,6 +210,7 @@ func newFleet(cfg CoordinatorConfig, reg *obs.Registry, now int64) *fleet {
 	return &fleet{
 		cfg:               cfg,
 		emptySinceNS:      now,
+		watches:           make(map[<-chan struct{}]*watch),
 		workersConnected:  reg.Counter("dist.workers_connected"),
 		workersLost:       reg.Counter("dist.workers_lost"),
 		leasesDispatched:  reg.Counter("dist.leases_dispatched"),
@@ -221,7 +251,57 @@ func (f *fleet) resolve(l *lease, out leaseOutcome) {
 		return
 	}
 	l.settled = true
-	f.emit(action{kind: actDeliver, l: l, out: out, stop: l.stopWatch})
+	if w := l.watch; w != nil {
+		if l.wprev != nil {
+			l.wprev.wnext = l.wnext
+		} else {
+			w.head = l.wnext
+		}
+		if l.wnext != nil {
+			l.wnext.wprev = l.wprev
+		}
+		l.ctx, l.watch, l.wprev, l.wnext = nil, nil, nil, nil
+		if w.head == nil {
+			delete(f.watches, w.done)
+			f.released = append(f.released, w)
+		}
+	}
+	f.emit(action{kind: actDeliver, l: l, out: out})
+}
+
+// watch puts l, before it is submitted, under the expiry watch of ctx
+// and returns the watch if it is new: the caller arms it, registering
+// w.fire with context.AfterFunc(ctx) (binding w.fire first if it is
+// nil). A context that cannot expire gets no watch, and a lease whose
+// context has already expired resolves at once with its error (submit
+// then numbers it and sends it nowhere).
+func (f *fleet) watch(l *lease, ctx context.Context) (arm *watch) {
+	done := ctx.Done()
+	if done == nil {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		l.canceled = true
+		f.resolve(l, leaseOutcome{err: err})
+		return nil
+	}
+	w := f.watches[done]
+	if w == nil {
+		if n := len(f.spare); n > 0 {
+			w, f.spare[n-1], f.spare = f.spare[n-1], nil, f.spare[:n-1]
+		} else {
+			w = new(watch)
+		}
+		w.done = done
+		f.watches[done] = w
+		arm = w
+	}
+	l.ctx, l.watch, l.wnext = ctx, w, w.head
+	if w.head != nil {
+		w.head.wprev = l
+	}
+	w.head = l
+	return arm
 }
 
 // submit enqueues a new lease and hands out whatever can be handed out.
@@ -594,24 +674,29 @@ func (f *fleet) cancelJob(job string) int {
 	return n
 }
 
-// cancel is the expiry of one lease's context: the lease resolves with
-// err now. A queued lease leaves the queue; an in-flight one keeps its
-// slot until the worker answers or dies (the answer is dropped in
-// resolve, and the death does not requeue it).
-func (f *fleet) cancel(l *lease, err error) {
-	if l.settled {
+// expire is the expiry of w's context: every lease still under w
+// resolves now with its own context's error, and the queued ones leave
+// the queue. An in-flight one keeps its slot until its worker answers or
+// dies (the answer is dropped in resolve, and the death does not requeue
+// it); one on its way to the local evaluator is skipped or its answer
+// dropped. A watch released before its callback ran has no leases left.
+func (f *fleet) expire(w *watch) {
+	if w.head == nil {
 		return
 	}
-	l.canceled = true
-	for i, q := range f.queue {
-		if q == l {
-			n := copy(f.queue[i:], f.queue[i+1:])
-			f.queue[i+n] = nil
-			f.queue = f.queue[:i+n]
-			break
+	for w.head != nil {
+		l := w.head
+		l.canceled = true
+		f.resolve(l, leaseOutcome{err: l.ctx.Err()})
+	}
+	kept := f.queue[:0]
+	for _, l := range f.queue {
+		if !l.canceled {
+			kept = append(kept, l)
 		}
 	}
-	f.resolve(l, leaseOutcome{err: err})
+	clear(f.queue[len(kept):])
+	f.queue = kept
 }
 
 // close shuts the fleet down: every queued and in-flight lease resolves

@@ -525,6 +525,9 @@ func TestFleetCancelIsolation(t *testing.T) {
 	w := r.worker(0, "w", 2)
 	mineFlying, otherFlying := r.lease("mine", 1), r.lease("other", 2)
 	mineQueued, otherQueued := r.lease("mine", 3), r.lease("other", 4)
+	ctx, expire := context.WithCancel(context.Background())
+	defer expire()
+	watched := r.f.watch(otherQueued, ctx)
 	for _, l := range []*lease{mineFlying, otherFlying, mineQueued, otherQueued} {
 		r.f.submit(0, l)
 	}
@@ -547,11 +550,15 @@ func TestFleetCancelIsolation(t *testing.T) {
 
 	// The other job's queued lease has its context expire: it leaves the
 	// queue; nothing else moves.
-	r.f.cancel(otherQueued, context.Canceled)
+	expire()
+	r.f.expire(watched)
 	if d := delivered(r.take()); len(d) != 1 || d[0].l != otherQueued || d[0].out.err != context.Canceled || len(r.f.queue) != 0 {
 		t.Fatalf("context expiry delivered %v with %d queued", d, len(r.f.queue))
 	}
-	r.f.cancel(otherQueued, context.Canceled)
+	if len(r.f.watches) != 0 || len(r.f.released) != 1 || r.f.released[0] != watched {
+		t.Errorf("after the expiry %d watches are armed and %d released, want the expired one released", len(r.f.watches), len(r.f.released))
+	}
+	r.f.expire(watched)
 	if acts := r.take(); len(acts) != 0 {
 		t.Errorf("a second expiry of a settled lease produced %v", kinds(acts))
 	}
@@ -635,6 +642,7 @@ type simWorker struct {
 // simLease is the schedule's record of one lease.
 type simLease struct {
 	l           *lease
+	ctx         context.Context
 	want        float64
 	deaths      int // workers that died holding it while it was live
 	jobCanceled bool
@@ -654,6 +662,13 @@ type schedule struct {
 	leases  map[*lease]*simLease
 	live    []*simLease // unresolved
 	step    int
+
+	// ctxs are the contexts leases share (a lease may also have
+	// context.Background, which has no watch); pending holds the watches
+	// whose context expired and whose AfterFunc callback has yet to run.
+	ctxs    [4]context.Context
+	cancels [4]context.CancelFunc
+	pending []*watch
 }
 
 func simLoss(x float64) float64 { return x*2 + 1 }
@@ -704,6 +719,27 @@ func (s *schedule) perform() {
 		}
 	}
 	s.f.acts = s.f.acts[:0]
+	// The coordinator's stop of a released watch succeeds unless its
+	// context expired: then its callback is pending or ran, and the watch
+	// is not reused.
+	for _, w := range s.f.released {
+		if w.head != nil {
+			s.fatalf("a watch was released with leases under it")
+		}
+		select {
+		case <-w.done:
+		default:
+			s.f.spare = append(s.f.spare, w)
+		}
+		w.done = nil
+	}
+	s.f.released = s.f.released[:0]
+	// No watch outlives its leases.
+	for done, w := range s.f.watches {
+		if w.head == nil || w.done != done {
+			s.fatalf("an armed watch has no lease or another context's key")
+		}
+	}
 	for _, sw := range s.workers {
 		if len(sw.w.outbox) != 0 {
 			s.fatalf("worker %s has %d frames in its outbox and no wake", sw.w.name, len(sw.w.outbox))
@@ -738,12 +774,49 @@ func (s *schedule) connect(capacity int) {
 
 func (s *schedule) submit(job string) {
 	x := float64(len(s.leases))
-	sl := &simLease{want: simLoss(x)}
+	sl := &simLease{want: simLoss(x), ctx: context.Background()}
 	sl.l = &lease{job: job, index: uint64(len(s.leases)), point: map[string]WireFloat{"x": WireFloat(x)},
 		cb: func(float64, error) { s.fatalf("a completion callback ran inside the state machine") }}
+	if i := s.rng.Intn(len(s.ctxs) + 1); i < len(s.ctxs) {
+		// An expired context is kept for one submission in two, which then
+		// resolves at once.
+		if s.ctxs[i] == nil || s.ctxs[i].Err() != nil && s.rng.Intn(2) == 0 {
+			s.ctxs[i], s.cancels[i] = context.WithCancel(context.Background())
+		}
+		sl.ctx = s.ctxs[i]
+		sl.ctxCanceled = sl.ctx.Err() != nil
+	}
 	s.leases[sl.l] = sl
 	s.live = append(s.live, sl)
+	s.f.watch(sl.l, sl.ctx)
 	s.f.submit(s.now, sl.l)
+	s.perform()
+}
+
+// expireCtx cancels shared context i; its watch's callback, if it has
+// one, runs at a later event (fire).
+func (s *schedule) expireCtx(i int) {
+	ctx := s.ctxs[i]
+	if ctx == nil || ctx.Err() != nil {
+		return
+	}
+	s.cancels[i]()
+	for _, sl := range s.live {
+		if sl.ctx == ctx {
+			sl.ctxCanceled = true
+		}
+	}
+	if w := s.f.watches[ctx.Done()]; w != nil {
+		s.pending = append(s.pending, w)
+	}
+}
+
+// fire runs the pending callback of watch i, which its leases may all
+// have left since its context expired.
+func (s *schedule) fire(i int) {
+	w := s.pending[i]
+	s.pending = append(s.pending[:i], s.pending[i+1:]...)
+	s.f.expire(w)
 	s.perform()
 }
 
@@ -813,8 +886,16 @@ func (s *schedule) tick() {
 // placed checks that every unresolved lease is in exactly one place —
 // the queue or one worker's in-flight table — unless its context
 // expired while it was in flight (then it is resolved and merely
-// occupies its slot).
+// occupies its slot), and that it is under its context's watch, which
+// holds only unsettled leases of that context.
 func (s *schedule) placed() {
+	for done, w := range s.f.watches {
+		for l := w.head; l != nil; l = l.wnext {
+			if l.settled || l.watch != w || l.ctx.Done() != done {
+				s.fatalf("lease %d is under a watch it does not belong to (settled=%v)", l.id, l.settled)
+			}
+		}
+	}
 	where := make(map[*lease]int)
 	for _, l := range s.f.queue {
 		where[l]++
@@ -830,6 +911,9 @@ func (s *schedule) placed() {
 	for _, sl := range s.live {
 		if where[sl.l] != 1 {
 			s.fatalf("unresolved lease %d is in %d places", sl.l.id, where[sl.l])
+		}
+		if done := sl.ctx.Done(); done != nil && (sl.l.watch == nil || s.f.watches[done] != sl.l.watch) {
+			s.fatalf("unresolved lease %d is not under its context's watch", sl.l.id)
 		}
 	}
 }
@@ -879,11 +963,10 @@ func (s *schedule) fault() {
 		s.f.cancelJob(job)
 		s.perform()
 	case p < 91:
-		if len(s.live) > 0 {
-			sl := s.live[s.rng.Intn(len(s.live))]
-			sl.ctxCanceled = true
-			s.f.cancel(sl.l, context.Canceled)
-			s.perform()
+		s.expireCtx(s.rng.Intn(len(s.ctxs)))
+	case p < 93:
+		if len(s.pending) > 0 {
+			s.fire(s.rng.Intn(len(s.pending)))
 		}
 	default:
 		s.now += s.rng.Int63n(2 * sec)
@@ -896,10 +979,12 @@ func (s *schedule) fault() {
 // frames delivered in both directions (each once and in order, as the
 // transport promises, but at any pace, so workers also go silent and
 // are evicted), a dead worker's last frames landing after its death,
-// worker kills and connects, job cancels, context expiries and timer
-// ticks, with quarantine on. After every event: no lease has
-// resolved twice, no worker was dropped twice, no outbox is left
-// without a wake, and no lease waits while a slot is free. At the end,
+// worker kills and connects, job cancels, expiries of the contexts
+// leases share (each watch's callback running some events later, maybe
+// after its leases have settled), and timer ticks, with quarantine on.
+// After every event: no lease has resolved twice, no worker was dropped
+// twice, no outbox is left without a wake, no lease waits while a slot
+// is free, and no watch outlives its leases. At the end,
 // after a fault-free drain on one fresh worker, every lease has
 // resolved exactly once: with the loss of its own point, or
 // ErrJobCanceled if its job was canceled, or its context's error, or
@@ -915,7 +1000,7 @@ func TestFleetSeededSchedules(t *testing.T) {
 		DegradedGrace:    -1,
 	}.withDefaults()
 	reg := obs.NewRegistry()
-	var total, quarantined, canceled int
+	var total, quarantined, canceled, expired int
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		s := &schedule{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)),
 			f: newFleet(cfg, reg, 0), leases: make(map[*lease]*simLease)}
@@ -927,7 +1012,11 @@ func TestFleetSeededSchedules(t *testing.T) {
 			}
 		}
 
-		// Fault-free drain: one fresh worker, every frame delivered.
+		// Fault-free drain: the pending callbacks run, then one fresh
+		// worker gets every frame delivered.
+		for len(s.pending) > 0 {
+			s.fire(0)
+		}
 		s.connect(4)
 		for round := 0; len(s.live) > 0; round++ {
 			if round > 200 {
@@ -945,6 +1034,9 @@ func TestFleetSeededSchedules(t *testing.T) {
 			s.tick()
 		}
 		s.placed()
+		if len(s.f.watches) != 0 {
+			s.fatalf("%d watches outlived their leases", len(s.f.watches))
+		}
 
 		for _, sl := range s.leases {
 			total++
@@ -962,6 +1054,7 @@ func TestFleetSeededSchedules(t *testing.T) {
 					s.fatalf("lease %d resolved with ErrJobCanceled but its job was never canceled", sl.l.id)
 				}
 			case err == context.Canceled:
+				expired++
 				if !sl.ctxCanceled {
 					s.fatalf("lease %d resolved with context.Canceled but its context never expired", sl.l.id)
 				}
@@ -980,11 +1073,11 @@ func TestFleetSeededSchedules(t *testing.T) {
 			}
 		}
 	}
-	if quarantined == 0 || canceled == 0 || reg.Counter("dist.results_duplicate").Value() == 0 {
-		t.Errorf("the schedules never exercised a rule: %d quarantined, %d job-canceled, %d duplicate",
-			quarantined, canceled, reg.Counter("dist.results_duplicate").Value())
+	if quarantined == 0 || canceled == 0 || expired == 0 || reg.Counter("dist.results_duplicate").Value() == 0 {
+		t.Errorf("the schedules never exercised a rule: %d quarantined, %d job-canceled, %d expired, %d duplicate",
+			quarantined, canceled, expired, reg.Counter("dist.results_duplicate").Value())
 	}
-	t.Logf("%d seeds × %d events: %d leases, %d quarantined, %d job-canceled, %d requeued, %d workers lost",
-		seeds, events, total, quarantined, canceled, reg.Counter("dist.leases_requeued").Value(),
+	t.Logf("%d seeds × %d events: %d leases, %d quarantined, %d job-canceled, %d expired, %d requeued, %d workers lost",
+		seeds, events, total, quarantined, canceled, expired, reg.Counter("dist.leases_requeued").Value(),
 		reg.Counter("dist.workers_lost").Value())
 }

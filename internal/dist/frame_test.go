@@ -404,6 +404,41 @@ func checkDecoded(t *testing.T, data []byte) {
 	if read := data[:FrameHeaderLen+binary.BigEndian.Uint32(data[1:5])]; !bytes.Equal(b1, read) {
 		t.Fatalf("decoded %x, re-encoded %x", read, b1)
 	}
+	// Decoded again into frames handed back dirty — a lease frame with
+	// other keys and another spec, a result frame with telemetry — it is
+	// the same frame.
+	var hdr [FrameHeaderLen]byte
+	payload, err := readPayload(bytes.NewReader(data), &hdr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := decoder{names: make(map[string]string), leases: make(chan *Frame, 1)}
+	for _, dirty := range testFrames() {
+		switch dirty.Type {
+		case TypeLease:
+			dirty.Lease.Point["zz"] = 1 // a key no point in the seeds has
+			again, err := d.decode(appendFrame(nil, dirty))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.recycleLease(again)
+		case TypeResult:
+			if dirty.Telemetry != nil {
+				again, err := d.decode(appendFrame(nil, dirty))
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.recycle(again)
+			}
+		}
+	}
+	again, err := d.decode(payload)
+	if err != nil {
+		t.Fatalf("decoded into a recycled frame: %v", err)
+	}
+	if !sameFrame(again, fr) {
+		t.Fatalf("decoded into a recycled frame %+v, fresh %+v", again, fr)
+	}
 }
 
 // sameFrame is reflect.DeepEqual for frames with floats compared by
@@ -638,11 +673,11 @@ func TestDecodeFrameChaosMutations(t *testing.T) {
 
 // TestCodecSteadyStateAllocations pins what a connection's codec costs
 // per frame once warm, with each decoded frame handed back. Encoding
-// into the connection's buffer allocates nothing. Decoding a lease
-// allocates its LeaseMsg and its point map (two objects: the map and its
-// slot group): the point keys are interned and the spec equals the
-// previous lease's, so neither is copied. Decoding a result allocates
-// nothing: it is decoded into the recycled frame, ResultMsg and
+// into the connection's buffer allocates nothing, and so does decoding.
+// A lease is decoded into the lease frame handed back (recycleLease),
+// its LeaseMsg and its cleared point map; the point keys are interned
+// and the spec equals the previous lease's, so neither is copied. A
+// result is decoded into the recycled frame (recycle), ResultMsg and
 // telemetry message, maps and bucket maps.
 func TestCodecSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
@@ -653,11 +688,11 @@ func TestCodecSteadyStateAllocations(t *testing.T) {
 	result := &Frame{Type: TypeResult, Result: &ResultMsg{ID: 7, Index: 3, Loss: 0.25, StartUnixNS: 5, DurNS: 9},
 		Telemetry: testTelemetry()}
 	var buf []byte
-	dec := decoder{names: make(map[string]string)}
+	dec := decoder{names: make(map[string]string), leases: make(chan *Frame, 1)}
 	for _, tc := range []struct {
 		f    *Frame
 		want float64
-	}{{lease, 3}, {result, 0}} {
+	}{{lease, 0}, {result, 0}} {
 		roundTrip := func() {
 			var err error
 			if buf, err = appendWireFrame(buf[:0], tc.f); err != nil {
@@ -667,11 +702,71 @@ func TestCodecSteadyStateAllocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec.recycle(got)
+			if got.Type == TypeLease {
+				dec.recycleLease(got)
+			} else {
+				dec.recycle(got)
+			}
 		}
 		roundTrip() // warm the buffer, the name table and the spares
 		if allocs := testing.AllocsPerRun(100, roundTrip); allocs != tc.want {
 			t.Errorf("a warm %s frame costs %.0f allocations, want %.0f", tc.f.Type, allocs, tc.want)
 		}
+	}
+}
+
+// TestDecoderRecyclesLeaseFrames: a lease decoded into a handed-back
+// lease frame holds exactly its own point — no key of the previous,
+// larger point is left — and a spec equal to the previous lease's is
+// shared with it, while a changed one is a fresh copy that aliases
+// neither the payload nor the old spec. A frame that is not handed back
+// is not reused, and once the spares are full a handback is dropped
+// without blocking.
+func TestDecoderRecyclesLeaseFrames(t *testing.T) {
+	d := decoder{names: make(map[string]string), leases: make(chan *Frame, 1)}
+	decode := func(spec string, point map[string]WireFloat) *Frame {
+		t.Helper()
+		f, err := d.decode(appendFrame(nil, &Frame{Type: TypeLease, Lease: &LeaseMsg{ID: 1, Spec: []byte(spec), Point: point}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	first := decode(`{"a":1}`, map[string]WireFloat{"x": 1, "y": 2, "z": 3})
+	firstMsg, firstSpec := first.Lease, first.Lease.Spec
+	d.recycleLease(first)
+	second := decode(`{"a":1}`, map[string]WireFloat{"y": 5})
+	if second != first || second.Lease != firstMsg {
+		t.Fatal("the handed-back lease frame was not reused")
+	}
+	if want := map[string]WireFloat{"y": 5}; !maps.Equal(second.Lease.Point, want) {
+		t.Errorf("recycled point = %v, want %v", second.Lease.Point, want)
+	}
+	if &second.Lease.Spec[0] != &firstSpec[0] {
+		t.Error("an unchanged spec was copied, not shared with the previous lease")
+	}
+
+	d.recycleLease(second)
+	payload := appendFrame(nil, &Frame{Type: TypeLease, Lease: &LeaseMsg{ID: 2, Spec: []byte(`{"a":2}`), Point: map[string]WireFloat{"x": 1}}})
+	third, err := d.decode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third != first || string(third.Lease.Spec) != `{"a":2}` || string(firstSpec) != `{"a":1}` {
+		t.Fatalf("a changed spec decoded as %q over the old %q", third.Lease.Spec, firstSpec)
+	}
+	clear(payload)
+	if string(third.Lease.Spec) != `{"a":2}` {
+		t.Error("a changed spec aliases the payload")
+	}
+
+	fourth := decode(`{"a":2}`, map[string]WireFloat{"x": 1})
+	if fourth == third {
+		t.Error("a lease frame that was not handed back was reused")
+	}
+	d.recycleLease(third)
+	d.recycleLease(fourth) // the one spare slot is taken: dropped
+	if got := decode(`{"a":2}`, map[string]WireFloat{"x": 1}); got != third {
+		t.Error("the spare lease frame was not the one handed back first")
 	}
 }

@@ -13,7 +13,8 @@ import (
 
 // scriptConn is a worker's connection with the coordinator's end played
 // by the test: Recv hands the worker the frames the test queues, decoded
-// from their payload bytes by a connection's decoder, and Send encodes
+// from their payload bytes by a connection's decoder (into the lease
+// frames the worker hands back, as a connection does), and Send encodes
 // every frame the worker sends, as a connection does, and reports the
 // ID of each result.
 type scriptConn struct {
@@ -30,7 +31,7 @@ type scriptConn struct {
 
 func newScriptConn() *scriptConn {
 	return &scriptConn{
-		in: make(chan []byte), dec: decoder{names: make(map[string]string)},
+		in: make(chan []byte), dec: decoder{names: make(map[string]string), leases: make(chan *Frame, leaseSpares)},
 		results: make(chan uint64, 64), closed: make(chan struct{}),
 	}
 }
@@ -54,6 +55,8 @@ func (c *scriptConn) Recv() (*Frame, error) {
 		return nil, io.EOF
 	}
 }
+
+func (c *scriptConn) recycleLease(f *Frame) { c.dec.recycleLease(f) }
 
 func (c *scriptConn) Close() error {
 	c.closeOnce.Do(func() { close(c.closed) })
@@ -106,9 +109,9 @@ func awaitRun(t *testing.T, done <-chan struct{}, what string) {
 }
 
 // TestWorkerLeaseAllocations pins what one lease costs a warm worker,
-// from its payload to its sent result: the decoded lease (Frame,
-// LeaseMsg, point map) and the core.Point the simulator is called with —
-// no goroutine, no result message, no histogram dump.
+// from its payload to its sent result: the core.Point the simulator is
+// called with — no decoded lease (it is decoded into a frame a runner
+// handed back), no goroutine, no result message, no histogram dump.
 func TestWorkerLeaseAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -128,20 +131,14 @@ func TestWorkerLeaseAllocations(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(200, cycle)
 
-	// The budget, measured the same way: a decode of the payload on a
-	// warm decoder, and a core.Point of its size.
-	dec := decoder{names: make(map[string]string)}
-	var f *Frame
+	// The budget, measured the same way: a core.Point of the lease's size.
 	var pt core.Point
-	decode := testing.AllocsPerRun(100, func() { f, _ = dec.decode(payload) })
 	point := testing.AllocsPerRun(100, func() {
-		pt = make(core.Point, len(f.Lease.Point))
-		for k, v := range f.Lease.Point {
-			pt[k] = float64(v)
-		}
+		pt = make(core.Point, 2)
+		pt["x"], pt["y"] = 0.5, -1e-7
 	})
-	if got > decode+point {
-		t.Errorf("a warm lease costs the worker %.0f allocations, want at most %.0f (its decoded lease) + %.0f (its core.Point)", got, decode, point)
+	if got > point {
+		t.Errorf("a warm lease costs the worker %.0f allocations, want at most %.0f (its core.Point)", got, point)
 	}
 	cancel()
 	conn.Close()

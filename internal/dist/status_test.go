@@ -114,11 +114,14 @@ func TestStatusJobQueueDepth(t *testing.T) {
 		submitFor(c, "j-000001")
 	}
 	submitFor(c, "j-000002")
-	expired, _ := submitFor(c, "j-000002")
+	ctx, expire := context.WithCancel(context.Background())
+	expired := make(chan error, 1)
+	c.JobEvaluator("j-000002", nil).RunAsync(ctx, core.Point{"x": 1}, func(_ float64, err error) { expired <- err })
 	submitFor(c, "") // job-less: omitted
-	c.mu.Lock()
-	c.fleet.cancel(expired, context.Canceled)
-	c.perform()
+	expire()
+	if err := <-expired; err != context.Canceled {
+		t.Fatalf("the expired lease resolved with %v, want context.Canceled", err)
+	}
 
 	st := c.Status()
 	if st.QueueDepth != 5 {

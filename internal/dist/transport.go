@@ -80,7 +80,9 @@ type frameConn struct {
 	raw net.Conn
 	br  *bufio.Reader
 
-	// Receive side, owned by the one goroutine in Recv (and recycle).
+	// Receive side, owned by the one goroutine in Recv (and recycle),
+	// except that a lease frame comes back from the goroutine that ran
+	// it (recycleLease).
 	hdr     [FrameHeaderLen]byte
 	payload []byte
 	dec     decoder
@@ -102,7 +104,9 @@ func NewFrameConn(raw net.Conn) Conn {
 
 // newFrameConn wraps a byte stream in the frame codec.
 func newFrameConn(raw net.Conn) *frameConn {
-	return &frameConn{raw: raw, br: bufio.NewReader(raw), dec: decoder{names: make(map[string]string)}}
+	return &frameConn{raw: raw, br: bufio.NewReader(raw), dec: decoder{
+		names: make(map[string]string), leases: make(chan *Frame, leaseSpares),
+	}}
 }
 
 // Send implements Conn.
@@ -135,6 +139,11 @@ func (c *frameConn) Recv() (*Frame, error) {
 // is done with every part of it: the next frame is decoded into its
 // memory (decoder.recycle).
 func (c *frameConn) recycle(f *Frame) { c.dec.recycle(f) }
+
+// recycleLease hands back a lease frame this connection received, from
+// whichever goroutine ran the lease, once nothing holds any part of it:
+// a later lease is decoded into its memory (decoder.recycleLease).
+func (c *frameConn) recycleLease(f *Frame) { c.dec.recycleLease(f) }
 
 // Close implements Conn.
 func (c *frameConn) Close() error {

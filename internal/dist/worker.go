@@ -277,10 +277,16 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 	hbDone := make(chan struct{})
 	defer close(hbDone)
 	go w.heartbeatLoop(sess, &lastRecv, hbDone)
-	// work hands a lease to a runner waiting for one. Unbuffered: a send
-	// succeeds only into an idle runner's hands, so every lease starts at
-	// once, on an idle runner or on a new one.
-	work := make(chan *LeaseMsg)
+	// work hands a lease frame to a runner waiting for one. Unbuffered: a
+	// send succeeds only into an idle runner's hands, so every lease
+	// starts at once, on an idle runner or on a new one. A runner done
+	// with a lease frame hands it back to a connection that decodes the
+	// next lease into it.
+	work := make(chan *Frame)
+	recycle := func(*Frame) {}
+	if r, ok := conn.(interface{ recycleLease(*Frame) }); ok {
+		recycle = r.recycleLease
+	}
 
 	for {
 		f, err := conn.Recv()
@@ -303,12 +309,12 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 			return nil // orderly coordinator shutdown
 		case TypeLease:
 			select {
-			case work <- f.Lease:
+			case work <- f:
 			default:
 				evals.Add(1)
 				go func() {
 					defer evals.Done()
-					w.runLeases(evalCtx, sess, work, f.Lease)
+					w.runLeases(evalCtx, sess, work, f, recycle)
 				}()
 			}
 		default:
@@ -357,21 +363,24 @@ func (w *Worker) simulator(spec []byte) (core.Simulator, error) {
 	return sim, nil
 }
 
-// runLeases is one lease runner: it evaluates msg, then every lease Run
-// hands it, until the session's evaluation context ends. A runner
-// outlives its lease so that the next one finds its stack grown and its
-// result frame allocated. A runner is started only when a lease arrives
-// and none is idle, so a session's runners number its peak of leases
-// running at once — at most Capacity, as the coordinator holds no more
-// on this worker — plus the runners that had sent their result but were
-// not yet waiting again when such a lease arrived.
-func (w *Worker) runLeases(ctx context.Context, sess *session, work <-chan *LeaseMsg, msg *LeaseMsg) {
+// runLeases is one lease runner: it evaluates the lease frame lf, then
+// every lease frame Run hands it, until the session's evaluation context
+// ends, handing each frame back through recycle once its result is sent
+// or its evaluation abandoned. A runner outlives its lease so that the
+// next one finds its stack grown and its result frame allocated. A
+// runner is started only when a lease arrives and none is idle, so a
+// session's runners number its peak of leases running at once — at most
+// Capacity, as the coordinator holds no more on this worker — plus the
+// runners that had sent their result but were not yet waiting again when
+// such a lease arrived.
+func (w *Worker) runLeases(ctx context.Context, sess *session, work <-chan *Frame, lf *Frame, recycle func(*Frame)) {
 	var res ResultMsg
 	fr := Frame{Type: TypeResult, Result: &res}
 	for {
-		w.evaluate(ctx, sess, msg, &fr)
+		w.evaluate(ctx, sess, lf.Lease, &fr)
+		recycle(lf)
 		select {
-		case msg = <-work:
+		case lf = <-work:
 		case <-ctx.Done():
 			return
 		}
