@@ -28,6 +28,7 @@ import (
 	"simcal/internal/mpisim"
 	"simcal/internal/obs"
 	"simcal/internal/opt"
+	"simcal/internal/resilience"
 	"simcal/internal/stats"
 	"simcal/internal/wfgen"
 	"simcal/internal/wfsim"
@@ -221,12 +222,30 @@ const remoteEvaluateAllocCeiling = 5990
 // 3 % above the highest reading.
 const remoteEvaluateCachedAllocCeiling = 9920
 
+// remoteEvaluateTimeoutAllocCeiling is the ceiling on allocations for
+// BenchmarkRemoteEvaluate/timeout: the uncached calibration under the
+// policy the conformance resilience shape uses, three attempts under a
+// one-minute timeout that never fires. Each attempt's deadline is a
+// context of its own, watched by the engine and by the fleet. Measured
+// on a 2-core x86-64 host: 13 497 while every lease ran on a goroutine
+// parked in the resilience executor, with one more goroutine, channel
+// and timer context per attempt, and 10 453–10 454 at GOMAXPROCS 1, 2
+// and 4 once the engine applied the policy as each attempt completed
+// and leased through RunAsync. The ceiling is about 3 % above the
+// highest reading. (The same policy without a timeout,
+// BenchmarkRemoteEvaluate/resilient, costs no allocation per
+// evaluation and is held to remoteEvaluateAllocCeiling.)
+const remoteEvaluateTimeoutAllocCeiling = 10770
+
 // BenchmarkRemoteEvaluate runs one 512-evaluation calibration of the
 // sphere function per iteration on a loopback fleet of two workers of
 // capacity two, whose coordinator keeps a registry as simcald's does:
-// uncached, failing itself above remoteEvaluateAllocCeiling, and twice
-// on a fresh cache, failing itself above
-// remoteEvaluateCachedAllocCeiling.
+// uncached, failing itself above remoteEvaluateAllocCeiling; twice on a
+// fresh cache, failing itself above remoteEvaluateCachedAllocCeiling;
+// under a three-attempt resilience policy, failing itself above
+// remoteEvaluateAllocCeiling; and under that policy with a one-minute
+// attempt timeout, failing itself above
+// remoteEvaluateTimeoutAllocCeiling.
 func BenchmarkRemoteEvaluate(b *testing.B) {
 	lb := dist.NewLoopback()
 	l, err := lb.Listen("")
@@ -282,6 +301,16 @@ func BenchmarkRemoteEvaluate(b *testing.B) {
 			run(b)
 			run(b)
 		})
+	})
+	b.Run("resilient", func(b *testing.B) {
+		defer func() { cal.Resilience = nil }()
+		cal.Resilience = &resilience.Policy{MaxAttempts: 3}
+		benchAllocGate(b, remoteEvaluateAllocCeiling, func(int) { run(b) })
+	})
+	b.Run("timeout", func(b *testing.B) {
+		defer func() { cal.Resilience = nil }()
+		cal.Resilience = &resilience.Policy{Timeout: time.Minute, MaxAttempts: 3}
+		benchAllocGate(b, remoteEvaluateTimeoutAllocCeiling, func(int) { run(b) })
 	})
 }
 

@@ -1,7 +1,7 @@
 // Package conformance holds the repository's determinism contract in one
 // table: a calibration produces the same bits serial, in-process, cached,
 // resumed from a checkpoint, on a fleet of any size, over TCP, under
-// chaos, as a service job, and behind the fault-tolerant executor.
+// chaos, as a service job, and under a resilience policy.
 //
 // The table's rows are every calibration the binaries accept —
 // opt.AlgorithmNames × (the workflow simulator × loss.AllWFKinds + the
@@ -338,10 +338,11 @@ func onFleet(name string) shape {
 	}}
 }
 
-// withExecutor runs the row on the loopback-2 fleet behind the
-// fault-tolerant executor, the path `simcal -listen … -eval-timeout`
-// takes: with an executor attached the engine gives up RunAsync callback
-// delivery, and every lease holds a goroutine inside Executor.Do.
+// withExecutor runs the row on the loopback-2 fleet under a resilience
+// policy, the path `simcal -listen … -eval-timeout` takes: the engine
+// still leases through RunAsync, each attempt under a one-minute
+// deadline context of its own, and applies the policy as each attempt's
+// callback arrives.
 func withExecutor(t *testing.T, c *calibration, fleets map[string]*dist.Coordinator) run {
 	cal := c.calibrator(t, fleets["loopback-2"].Evaluator(c.spec), width)
 	cal.Resilience = &resilience.Policy{Timeout: time.Minute, MaxAttempts: 3}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -33,9 +34,11 @@ import (
 // goroutine per in-flight evaluation — the distributed plane's
 // RemoteEvaluator resolves leases this way. The done callback must be
 // invoked exactly once and must be cheap and non-blocking: it runs on
-// the simulator's delivery goroutine. The engine uses this path unless
-// a resilience executor is attached, whose backoff sleeps and
-// abandoned hung attempts need a goroutine per evaluation anyway.
+// the simulator's delivery goroutine. The engine always uses this path
+// when the simulator has it: each attempt of an evaluation, retries
+// included, is one RunAsync call. Under a resilience policy's timeout
+// the attempt's context carries its deadline, and a callback that
+// arrives after the engine abandoned the attempt is dropped.
 type AsyncSimulator interface {
 	Simulator
 	RunAsync(ctx context.Context, p Point, done func(loss float64, err error))
@@ -52,14 +55,14 @@ type AsyncCompletion struct {
 
 // asyncEval tracks one submission from start to consumption. Records
 // are recycled through AsyncRun.free, and the entry points the
-// simulator side (and, with a cache, the cache) needs are bound once
-// per record, so a steady-state uncached submission allocates its unit
-// copy and its decoded point only.
+// simulator side (and, with a cache, the cache; with a resilience
+// policy, its attempt deadlines and backoffs) needs are bound once per
+// record, so a steady-state uncached submission allocates its unit copy
+// and its decoded point only, and no attempt or retry allocates a
+// closure.
 type asyncEval struct {
-	a       *AsyncRun
-	run     func()                        // bound simulate: `go pe.run()` needs no closure
-	deliver func(loss float64, err error) // bound complete, handed to AsyncSimulator.RunAsync
-	joined  func(loss float64, ok bool)   // bound settleJoined, the cache waiter of a joined claim
+	hooks
+	a *AsyncRun
 
 	ctx     context.Context
 	key     cache.Key // the evaluation's cache key; empty without a cache
@@ -69,6 +72,22 @@ type asyncEval struct {
 	startAt time.Time
 	wait    time.Duration // queued in Evaluate before a slot freed up
 
+	// The running attempt: its 1-based number and its context, which is
+	// ctx under the policy's attempt deadline when it sets a timeout.
+	// cancel releases that deadline, or the backoff before a retry.
+	attempt int
+	actx    context.Context
+	cancel  context.CancelFunc
+
+	// Set under AsyncRun.mu. An attempt under a deadline hands its
+	// outcome over in loss and err; abandoned marks the record of one
+	// that expireAttempt concluded first. Its late outcome is dropped,
+	// and the record is never reused.
+	delivered bool
+	loss      float64
+	err       error
+	abandoned bool
+
 	// Set under AsyncRun.mu when the evaluation finishes, read after the
 	// record left the pending table.
 	done    bool
@@ -76,6 +95,15 @@ type asyncEval struct {
 	hit     bool
 	dur     time.Duration
 	replErr error
+}
+
+// hooks are an asyncEval's entry points, bound once per record.
+type hooks struct {
+	run     func()                        // bound simulate: `go pe.run()` needs no closure
+	deliver func(loss float64, err error) // bound complete, handed to AsyncSimulator.RunAsync
+	joined  func(loss float64, ok bool)   // bound settleJoined, the cache waiter of a joined claim
+	expire  func()                        // bound expireAttempt, run when an attempt's deadline context ends
+	retry   func()                        // bound redispatch, run when a backoff ends
 }
 
 // AsyncRun is the evaluation engine of one calibration, shared by
@@ -116,7 +144,7 @@ func (p *Problem) engine() *AsyncRun {
 		notify:  make(chan struct{}, 1),
 		pending: make(map[int]*asyncEval),
 	}
-	if as, ok := p.sim.(AsyncSimulator); ok && p.exec == nil {
+	if as, ok := p.sim.(AsyncSimulator); ok {
 		p.async.asyncSim = as
 	}
 	return p.async
@@ -210,16 +238,7 @@ func (a *AsyncRun) start(ctx context.Context, unit []float64, queuedAt time.Time
 		p.journal.submitted(a.nextSeq, u) // nextSeq only moves on this goroutine
 	}
 	a.mu.Lock()
-	var pe *asyncEval
-	if n := len(a.free); n > 0 {
-		pe, a.free = a.free[n-1], a.free[:n-1]
-	} else {
-		pe = &asyncEval{a: a}
-		pe.run, pe.deliver = pe.simulate, pe.complete
-		if p.cache != nil {
-			pe.joined = pe.settleJoined
-		}
-	}
+	pe := a.record()
 	seq := a.nextSeq
 	a.nextSeq++
 	pe.ctx, pe.seq, pe.unit = ctx, seq, u
@@ -246,12 +265,40 @@ func (a *AsyncRun) start(ctx context.Context, unit []float64, queuedAt time.Time
 	return seq
 }
 
-// dispatch sets one evaluation running: through the simulator's
-// completion callback when the run has one, so no goroutine is parked
-// per in-flight lease, and on a goroutine of its own otherwise.
+// record returns a free record, or a new one with its entry points
+// bound. Called with a.mu held.
+func (a *AsyncRun) record() *asyncEval {
+	if n := len(a.free); n > 0 {
+		pe := a.free[n-1]
+		a.free = a.free[:n-1]
+		return pe
+	}
+	pe := &asyncEval{a: a}
+	pe.run, pe.deliver = pe.simulate, pe.complete
+	if a.p.cache != nil {
+		pe.joined = pe.settleJoined
+	}
+	if a.p.backoff != nil {
+		pe.expire, pe.retry = pe.expireAttempt, pe.redispatch
+	}
+	return pe
+}
+
+// dispatch starts the evaluation's next attempt: through the
+// simulator's completion callback when the run has one, so no goroutine
+// is parked per in-flight lease, and on a goroutine of its own
+// otherwise. Under a policy timeout the attempt runs under a deadline,
+// on whose end expireAttempt concludes it.
 func (a *AsyncRun) dispatch(pe *asyncEval) {
+	pe.attempt++
+	pe.actx = pe.ctx
+	if t := a.p.policy.Timeout; t > 0 {
+		pe.delivered = false
+		pe.actx, pe.cancel = context.WithTimeout(pe.ctx, t)
+		context.AfterFunc(pe.actx, pe.expire)
+	}
 	if a.asyncSim != nil {
-		a.asyncSim.RunAsync(pe.ctx, pe.point, pe.deliver)
+		a.asyncSim.RunAsync(pe.actx, pe.point, pe.deliver)
 	} else {
 		go pe.run()
 	}
@@ -313,22 +360,85 @@ func (a *AsyncRun) serveFromCheckpoint(pe *asyncEval) bool {
 	return true
 }
 
-// simulate is the goroutine body of an evaluation on a blocking
-// simulator, or behind the resilience executor.
-func (pe *asyncEval) simulate() { pe.complete(pe.a.p.evalOnce(pe.ctx, pe.point)) }
+// simulate is the goroutine body of an attempt on a blocking simulator.
+// Panic isolation is always on: a panicking simulator configuration
+// becomes a *resilience.PanicError (classified Deterministic, hence
+// memoized as +Inf) instead of killing the calibration, for the cost of
+// one deferred recover per attempt.
+func (pe *asyncEval) simulate() {
+	p := pe.a.p
+	var loss float64
+	err := resilience.Safely(func() (err error) {
+		loss, err = p.sim.Run(pe.actx, pe.point)
+		return err
+	})
+	if err != nil && p.fobs != nil {
+		var perr *resilience.PanicError
+		if errors.As(err, &perr) {
+			p.fobs.PanicRecovered("simulator")
+		}
+	}
+	pe.complete(loss, err)
+}
 
-// complete is an evaluation's raw outcome, from its goroutine or the
-// AsyncSimulator's callback. An evaluation aborted by budget expiry
-// mid-run is not a simulator failure: it releases its budget slot and
-// is never surfaced — no phantom +Inf sample. Failed, NaN and -Inf
-// losses all normalize to +Inf: NaN would poison best-loss comparisons
-// (NaN < x is always false) and -Inf would win them unconditionally.
-// The owner of a cache key memoizes the outcome, a deterministic
-// failure (a recovered panic included) as +Inf, but neither an abort
-// nor a transient failure that exhausted its retries: the same point
-// may well succeed later.
+// complete is an attempt's raw outcome, from its goroutine or the
+// AsyncSimulator's callback. An attempt under a deadline hands it to
+// expireAttempt, which the cancel wakes, unless that already abandoned
+// the attempt.
 func (pe *asyncEval) complete(loss float64, err error) {
+	a := pe.a
+	if a.p.policy.Timeout <= 0 {
+		pe.finish(loss, err)
+		return
+	}
+	a.mu.Lock()
+	if !pe.abandoned {
+		pe.delivered, pe.loss, pe.err = true, loss, err
+	}
+	cancel := pe.cancel
+	a.mu.Unlock()
+	cancel()
+}
+
+// expireAttempt concludes an attempt under a deadline once its context
+// has ended: with the outcome complete handed over or, when the
+// deadline or the budget came first, by abandoning the attempt. A
+// failure past the deadline, while ctx lives, is a timeout.
+func (pe *asyncEval) expireAttempt() {
+	a, p := pe.a, pe.a.p
+	a.mu.Lock()
+	loss, err := pe.loss, pe.err
+	if !pe.delivered {
+		pe.abandoned = true
+		loss, err = 0, pe.actx.Err()
+	}
+	a.mu.Unlock()
+	if err != nil && pe.ctx.Err() == nil && pe.actx.Err() == context.DeadlineExceeded {
+		err = &resilience.TimeoutError{Timeout: p.policy.Timeout}
+		if p.fobs != nil {
+			p.fobs.EvalTimedOut(p.policy.Timeout)
+		}
+	}
+	pe.finish(loss, err)
+}
+
+// finish is an attempt's outcome. A transient failure with attempts
+// left is retried after the seeded backoff; any other outcome is the
+// evaluation's. An evaluation aborted by budget expiry is not a
+// simulator failure: it releases its budget slot and is never surfaced
+// — no phantom +Inf sample. Failed, NaN and -Inf losses all normalize
+// to +Inf: NaN would poison best-loss comparisons (NaN < x is always
+// false) and -Inf would win them unconditionally. The owner of a cache
+// key memoizes the outcome, a deterministic failure (a recovered panic
+// included) as +Inf, but neither an abort nor a transient failure that
+// exhausted its retries: the same point may well succeed later.
+func (pe *asyncEval) finish(loss float64, err error) {
+	p := pe.a.p
 	aborted := err != nil && pe.ctx.Err() != nil
+	if !aborted && err != nil && p.policy.Retries(pe.attempt, err) {
+		pe.backOff(err)
+		return
+	}
 	if err != nil || math.IsNaN(loss) || math.IsInf(loss, -1) {
 		loss = math.Inf(1)
 	}
@@ -337,6 +447,48 @@ func (pe *asyncEval) complete(loss float64, err error) {
 		pe.a.p.cache.Finish(pe.key, loss, memo)
 	}
 	pe.settle(loss, false, aborted)
+}
+
+// backOff retries the evaluation after the seeded backoff. The wait is a
+// context under ctx, so a budget expiry ends it at once, and redispatch
+// then aborts the evaluation. An evaluation whose attempt was abandoned
+// retries on a fresh record.
+func (pe *asyncEval) backOff(cause error) {
+	p := pe.a.p
+	delay := p.backoff.Delay(pe.attempt)
+	if p.fobs != nil {
+		p.fobs.EvalRetried(pe.attempt, delay, cause)
+	}
+	if pe.abandoned {
+		pe = pe.a.adopt(pe)
+	}
+	var wait context.Context
+	wait, pe.cancel = context.WithTimeout(pe.ctx, delay)
+	context.AfterFunc(wait, pe.retry)
+}
+
+// redispatch ends a backoff: the next attempt starts, unless the budget
+// ended the wait.
+func (pe *asyncEval) redispatch() {
+	pe.cancel()
+	if err := pe.ctx.Err(); err != nil {
+		pe.finish(0, err)
+		return
+	}
+	pe.a.dispatch(pe)
+}
+
+// adopt moves an evaluation off the record of its abandoned attempt,
+// whose late outcome must find nothing to settle, onto a fresh record.
+func (a *AsyncRun) adopt(old *asyncEval) *asyncEval {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	pe := a.record()
+	h := pe.hooks
+	*pe = *old
+	pe.hooks, pe.abandoned = h, false
+	a.pending[pe.seq] = pe
+	return pe
 }
 
 // settle records a normalized completion, or releases an aborted
@@ -364,9 +516,13 @@ func (pe *asyncEval) settle(loss float64, hit, aborted bool) {
 }
 
 // recycle returns a record that left the pending table to the free
-// list. Called with a.mu held.
+// list, unless an abandoned attempt may still deliver to it. Called with
+// a.mu held.
 func (a *AsyncRun) recycle(pe *asyncEval) {
-	*pe = asyncEval{a: a, run: pe.run, deliver: pe.deliver, joined: pe.joined}
+	if pe.abandoned {
+		return
+	}
+	*pe = asyncEval{a: a, hooks: pe.hooks}
 	a.free = append(a.free, pe)
 }
 

@@ -315,8 +315,8 @@ func TestJournalReplayWithCacheHits(t *testing.T) {
 }
 
 // heldSim is an AsyncSimulator that holds every evaluation's callback
-// until the test releases it. Its blocking Run fails the test: with a
-// cache and no executor attached, the engine delivers through RunAsync.
+// until the test releases it. Its blocking Run fails the test: the
+// engine delivers through RunAsync, with a cache attached too.
 type heldSim struct {
 	t    *testing.T
 	mu   sync.Mutex

@@ -71,8 +71,9 @@ type Problem struct {
 	cache    *cache.Cache
 	cacheKey string
 	now      func() time.Time
-	exec     *resilience.Executor
-	journal  *calJournal // driver goroutine only; nil without a Checkpoint
+	policy   resilience.Policy   // retries and attempt timeouts; zero without Resilience
+	backoff  *resilience.Backoff // the policy's retry delays; nil without Resilience
+	journal  *calJournal         // driver goroutine only; nil without a Checkpoint
 	async    *AsyncRun
 
 	mu      sync.Mutex
@@ -161,37 +162,6 @@ func (p *Problem) syncJournal() {
 	if p.journal != nil {
 		p.journal.sync(p.Evaluations())
 	}
-}
-
-// simRun invokes the simulator once under panic isolation: a panicking
-// simulator configuration becomes a *resilience.PanicError (classified
-// Deterministic, hence memoized as +Inf) instead of killing the
-// calibration. Panic isolation is always on — it costs one deferred
-// recover per evaluation and removes the single worst failure mode.
-func (p *Problem) simRun(ctx context.Context, pt Point) (float64, error) {
-	var loss float64
-	err := resilience.Safely(func() error {
-		var e error
-		loss, e = p.sim.Run(ctx, pt)
-		return e
-	})
-	if err != nil {
-		var pe *resilience.PanicError
-		if errors.As(err, &pe) && p.fobs != nil {
-			p.fobs.PanicRecovered("simulator")
-		}
-		return 0, err
-	}
-	return loss, nil
-}
-
-// evalOnce runs one evaluation through the fault-tolerance executor
-// (timeouts, retries) when a resilience policy is attached.
-func (p *Problem) evalOnce(ctx context.Context, pt Point) (float64, error) {
-	if p.exec == nil {
-		return p.simRun(ctx, pt)
-	}
-	return p.exec.Do(ctx, func(ctx context.Context) (float64, error) { return p.simRun(ctx, pt) })
 }
 
 // record appends one sample to history and reports whether it improved
@@ -324,11 +294,12 @@ type Calibrator struct {
 	// Required when Cache is set: an empty key would let unrelated
 	// simulators exchange loss values.
 	CacheKey string
-	// Resilience, when non-nil, runs every loss evaluation under the
-	// fault-tolerance executor: per-attempt timeouts and bounded retries
-	// of transient failures with seeded backoff. Retries happen inside
-	// one evaluation, so they never consume evaluation budget. Nil keeps
-	// only the always-on panic isolation.
+	// Resilience, when non-nil, runs every loss evaluation under its
+	// policy: per-attempt timeouts and bounded retries of transient
+	// failures with seeded backoff, applied by the evaluation engine as
+	// each attempt completes. Retries happen inside one evaluation, so
+	// they never consume evaluation budget. Nil keeps only the always-on
+	// panic isolation.
 	Resilience *resilience.Policy
 	// Checkpoint, when set, is the path of the calibration's evaluation
 	// journal, synced at every consumption boundary so a kill loses no
@@ -429,7 +400,8 @@ func (c *Calibrator) Run(ctx context.Context) (*Result, error) {
 		journal:  journal,
 	}
 	if c.Resilience != nil {
-		prob.exec = resilience.NewExecutor(*c.Resilience, resilience.Config{Seed: c.Seed, Events: fobs})
+		prob.policy = *c.Resilience
+		prob.backoff = resilience.NewBackoff(prob.policy.BaseDelay, prob.policy.MaxDelay, c.Seed)
 	}
 	if journal != nil {
 		defer func() { journal.close(prob.Evaluations()) }()

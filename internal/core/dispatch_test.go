@@ -13,8 +13,8 @@ import (
 )
 
 // callbackSim is an AsyncSimulator that answers each evaluation inside
-// its RunAsync call. Its blocking Run fails the test: with a cache and
-// no executor attached, the engine delivers through RunAsync.
+// its RunAsync call. Its blocking Run fails the test: the engine
+// delivers through RunAsync, with a cache attached too.
 type callbackSim struct {
 	t     *testing.T
 	calls atomic.Int64

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"simcal/internal/cache"
+	"simcal/internal/resilience"
 )
 
 // Evaluate is "submit k, consume in submission order" on the same
@@ -130,7 +131,7 @@ func roughSim(_ context.Context, p Point) (float64, error) {
 
 func TestEvaluateEqualsSubmitThenNextSeq(t *testing.T) {
 	const evals = 22 // not a multiple of 4 or 17: the last batch is truncated
-	run := func(t *testing.T, workers, batch int, cached, viaSubmit bool) (*Result, *eventLog, *batchDriver) {
+	run := func(t *testing.T, workers, batch int, cached, viaSubmit bool, pol *resilience.Policy) (*Result, *eventLog, *batchDriver) {
 		t.Helper()
 		log := &eventLog{}
 		drv := &batchDriver{batch: batch, viaSubmit: viaSubmit, ckptPath: filepath.Join(t.TempDir(), "ck.jsonl")}
@@ -143,6 +144,7 @@ func TestEvaluateEqualsSubmitThenNextSeq(t *testing.T) {
 			Seed:           5,
 			Observer:       log,
 			Clock:          frozenClock(),
+			Resilience:     pol,
 		}
 		if cached {
 			c.Cache = cache.New(nil)
@@ -165,15 +167,21 @@ func TestEvaluateEqualsSubmitThenNextSeq(t *testing.T) {
 		for _, batch := range []int{1, 4, 17} {
 			for _, cached := range []bool{false, true} {
 				t.Run(fmt.Sprintf("workers=%d/batch=%d/cache=%v", workers, batch, cached), func(t *testing.T) {
-					ref, refLog, refDrv := run(t, workers, batch, cached, false)
-					got, gotLog, gotDrv := run(t, workers, batch, cached, true)
+					ref, refLog, refDrv := run(t, workers, batch, cached, false, nil)
+					got, gotLog, gotDrv := run(t, workers, batch, cached, true, nil)
+					// A blocking simulator under a policy that never fires
+					// (roughSim's failures are deterministic) runs the
+					// attempt path: its bits are the plain run's.
+					pol, _, _ := run(t, workers, batch, cached, false, &resilience.Policy{Timeout: time.Minute, MaxAttempts: 3})
 					if ref.Evaluations != evals {
 						t.Fatalf("Evaluate path completed %d evaluations, want %d", ref.Evaluations, evals)
 					}
-					resultsIdentical(t, ref, got)
-					for i := range ref.History {
-						if math.Float64bits(ref.History[i].Loss) != math.Float64bits(got.History[i].Loss) {
-							t.Fatalf("history[%d].Loss bits differ: %v vs %v", i, ref.History[i].Loss, got.History[i].Loss)
+					for _, other := range []*Result{got, pol} {
+						resultsIdentical(t, ref, other)
+						for i := range ref.History {
+							if math.Float64bits(ref.History[i].Loss) != math.Float64bits(other.History[i].Loss) {
+								t.Fatalf("history[%d].Loss bits differ: %v vs %v", i, ref.History[i].Loss, other.History[i].Loss)
+							}
 						}
 					}
 					if refLog.proposed != evals || gotLog.proposed != evals {

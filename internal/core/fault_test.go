@@ -393,3 +393,306 @@ func TestFaultTraceEvents(t *testing.T) {
 		}
 	}
 }
+
+// attemptSim is an AsyncSimulator that counts the attempts at each
+// point and hands each to answer. Its blocking Run fails the test:
+// every attempt of every evaluation, retries included, must be a
+// RunAsync call.
+type attemptSim struct {
+	t      *testing.T
+	answer func(ctx context.Context, p Point, attempt int, done func(float64, error))
+
+	mu       sync.Mutex
+	attempts map[string]int
+	calls    int
+}
+
+func (s *attemptSim) Run(context.Context, Point) (float64, error) {
+	s.t.Error("the engine called the blocking Run of an AsyncSimulator")
+	return 0, errors.New("blocking Run called")
+}
+
+func (s *attemptSim) RunAsync(ctx context.Context, p Point, done func(float64, error)) {
+	s.mu.Lock()
+	s.attempts[p.String()]++
+	s.calls++
+	n := s.attempts[p.String()]
+	s.mu.Unlock()
+	s.answer(ctx, p, n, done)
+}
+
+// count returns how many attempts reached the simulator.
+func (s *attemptSim) count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.calls
+}
+
+// retryObserver signals each retry on a channel.
+type retryObserver struct {
+	recordingFaultObserver
+	retried chan struct{}
+}
+
+func (r *retryObserver) EvalRetried(attempt int, delay time.Duration, cause error) {
+	r.recordingFaultObserver.EvalRetried(attempt, delay, cause)
+	select {
+	case r.retried <- struct{}{}:
+	default:
+	}
+}
+
+// TestAsyncSimulatorAttemptsUnderPolicy: under a resilience policy with
+// an attempt timeout, an AsyncSimulator still gets every attempt through
+// RunAsync. A transient first attempt is retried without consuming
+// budget; an attempt held past its deadline times out and is retried,
+// and its callback, arriving late while the retry is in flight, settles
+// nothing; a cancel during a long backoff ends the calibration at once.
+func TestAsyncSimulatorAttemptsUnderPolicy(t *testing.T) {
+	t.Run("retries", func(t *testing.T) {
+		const late = -42.0
+		var (
+			mu       sync.Mutex
+			heldAt   string
+			heldDone func(float64, error)
+		)
+		sim := &attemptSim{t: t, attempts: map[string]int{}}
+		sim.answer = func(_ context.Context, p Point, attempt int, done func(float64, error)) {
+			mu.Lock()
+			hold := attempt == 1 && heldAt == ""
+			if hold {
+				heldAt, heldDone = p.String(), done
+			}
+			retryOfHeld := attempt == 2 && p.String() == heldAt
+			mu.Unlock()
+			switch {
+			case hold:
+				// Held past the deadline: the engine must time it out.
+			case attempt == 1:
+				done(0, resilience.MarkTransient(errors.New("worker lost")))
+			default:
+				if retryOfHeld {
+					heldDone(late, nil) // the timed-out attempt answers, with its retry in flight
+				}
+				done(p["x"], nil)
+			}
+		}
+		rec := &recordingFaultObserver{}
+		pol := resilience.Policy{Timeout: 100 * time.Millisecond, MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
+		c := &Calibrator{
+			Space: testSpace, Simulator: sim, Algorithm: randomSearch{batch: 4},
+			MaxEvaluations: 16, Workers: 2, Seed: 8, Observer: rec, Resilience: &pol,
+		}
+		res, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Evaluations != 16 {
+			t.Errorf("Evaluations = %d, want the full 16 (retries must not consume budget)", res.Evaluations)
+		}
+		for i, s := range res.History {
+			if s.Loss != s.Point["x"] {
+				t.Errorf("history[%d].Loss = %v, want the retry's %v", i, s.Loss, s.Point["x"])
+			}
+		}
+		rec.fmu.Lock()
+		defer rec.fmu.Unlock()
+		if n := sim.count(); rec.timeouts != 1 || len(rec.retries) != 16 || n != 32 {
+			t.Errorf("%d timeouts, %d retries, %d RunAsync calls; want 1, 16 (15 transient + 1 timeout) and 32",
+				rec.timeouts, len(rec.retries), n)
+		}
+	})
+	t.Run("cancel during backoff", func(t *testing.T) {
+		sim := &attemptSim{t: t, attempts: map[string]int{}}
+		sim.answer = func(_ context.Context, _ Point, _ int, done func(float64, error)) {
+			done(0, resilience.MarkTransient(errors.New("endpoint down")))
+		}
+		rec := &retryObserver{retried: make(chan struct{}, 1)}
+		pol := resilience.Policy{Timeout: time.Minute, MaxAttempts: 3, BaseDelay: 20 * time.Second, MaxDelay: 20 * time.Second}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		c := &Calibrator{
+			Space: testSpace, Simulator: sim, Algorithm: randomSearch{batch: 1},
+			MaxEvaluations: 4, Workers: 1, Seed: 9, Observer: rec, Resilience: &pol,
+		}
+		errc := make(chan error, 1)
+		go func() {
+			_, err := c.Run(ctx)
+			errc <- err
+		}()
+		select {
+		case <-rec.retried: // the first attempt failed: its backoff of at least 10s starts
+		case err := <-errc:
+			t.Fatalf("Run = %v before any retry", err)
+		}
+		start := time.Now()
+		cancel()
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run = %v, want context.Canceled", err)
+		}
+		if el := time.Since(start); el > 5*time.Second {
+			t.Errorf("Run returned %v after the cancel: the backoff held the evaluation", el)
+		}
+		if n := sim.count(); n != 1 {
+			t.Errorf("%d attempts, want 1: the canceled backoff must not start another", n)
+		}
+	})
+}
+
+// TestPolicyRetriesOnlyTransientFailures: under a generous policy, a
+// deterministic failure and a recovered panic each cost their
+// evaluation one attempt and a +Inf loss; neither is retried.
+func TestPolicyRetriesOnlyTransientFailures(t *testing.T) {
+	var simCalls atomic.Int64
+	sim := Evaluator(func(_ context.Context, p Point) (float64, error) {
+		simCalls.Add(1)
+		switch x := p["x"]; {
+		case x < 3:
+			return 0, errors.New("bad config")
+		case x < 6:
+			panic("sim exploded")
+		}
+		return p["x"], nil
+	})
+	rec := &recordingFaultObserver{}
+	pol := resilience.Policy{MaxAttempts: 5, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
+	c := &Calibrator{
+		Space: testSpace, Simulator: sim, Algorithm: randomSearch{batch: 4},
+		MaxEvaluations: 24, Workers: 2, Seed: 10, Observer: rec, Resilience: &pol,
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	panics := 0
+	for i, s := range res.History {
+		if x := s.Point["x"]; x < 6 && !math.IsInf(s.Loss, 1) || x >= 6 && s.Loss != x {
+			t.Errorf("history[%d] = %v at x=%v", i, s.Loss, x)
+		}
+		if x := s.Point["x"]; x >= 3 && x < 6 {
+			panics++
+		}
+	}
+	rec.fmu.Lock()
+	defer rec.fmu.Unlock()
+	if n := simCalls.Load(); n != 24 || len(rec.retries) != 0 {
+		t.Errorf("%d simulator calls and %d retries, want 24 and none", n, len(rec.retries))
+	}
+	if len(rec.panics) != panics {
+		t.Errorf("PanicRecovered fired %d times, want %d", len(rec.panics), panics)
+	}
+}
+
+// TestTimeoutAbandonsUnresponsiveSimulator: a simulator that ignores
+// its context is abandoned at the attempt deadline, and the evaluation
+// settles once, as a timed-out +Inf. The abandoned attempt's late
+// result, delivered while later evaluations run, is dropped.
+func TestTimeoutAbandonsUnresponsiveSimulator(t *testing.T) {
+	const late = -42.0
+	var calls atomic.Int64
+	release := make(chan struct{})
+	sim := Evaluator(func(_ context.Context, p Point) (float64, error) {
+		switch calls.Add(1) {
+		case 1:
+			<-release // deaf to its context
+			return late, nil
+		case 2:
+			close(release)
+		}
+		return p["x"], nil
+	})
+	rec := &recordingFaultObserver{}
+	pol := resilience.Policy{Timeout: 100 * time.Millisecond, MaxAttempts: 1}
+	c := &Calibrator{
+		Space: testSpace, Simulator: sim, Algorithm: randomSearch{batch: 4},
+		MaxEvaluations: 8, Workers: 1, Seed: 11, Observer: rec, Resilience: &pol,
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluations != 8 || !math.IsInf(res.History[0].Loss, 1) {
+		t.Fatalf("%d evaluations, first loss %v; want 8, the first timed out as +Inf", res.Evaluations, res.History[0].Loss)
+	}
+	for i, s := range res.History[1:] {
+		if s.Loss != s.Point["x"] {
+			t.Errorf("history[%d].Loss = %v, want %v: the abandoned attempt's result settled again", i+1, s.Loss, s.Point["x"])
+		}
+	}
+	rec.fmu.Lock()
+	defer rec.fmu.Unlock()
+	if rec.timeouts != 1 {
+		t.Errorf("timeouts = %d, want 1", rec.timeouts)
+	}
+}
+
+// TestParentCancelAbortsAttempt: canceling the caller's context while
+// an attempt hangs (deaf to its context) ends the calibration at once
+// as an abort, not a timeout or a retry.
+func TestParentCancelAbortsAttempt(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	var calls atomic.Int64
+	sim := Evaluator(func(context.Context, Point) (float64, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+		}
+		<-release
+		return 0, nil
+	})
+	rec := &recordingFaultObserver{}
+	pol := resilience.Policy{Timeout: time.Minute, MaxAttempts: 5}
+	ctx, cancel := context.WithCancel(context.Background())
+	c := &Calibrator{
+		Space: testSpace, Simulator: sim, Algorithm: randomSearch{batch: 1},
+		MaxEvaluations: 4, Workers: 1, Seed: 12, Observer: rec, Resilience: &pol,
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Run(ctx)
+		errc <- err
+	}()
+	<-started
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	rec.fmu.Lock()
+	defer rec.fmu.Unlock()
+	if n := calls.Load(); n != 1 || rec.timeouts != 0 || len(rec.retries) != 0 {
+		t.Errorf("%d attempts, %d timeouts, %d retries; want 1, 0, 0", n, rec.timeouts, len(rec.retries))
+	}
+}
+
+// TestPolicyUnderConcurrentFaults: many evaluations at once under a
+// policy with a timeout, their attempts failing transiently, panicking
+// or succeeding in turn. Every evaluation completes, and the simulator
+// ran once per evaluation plus once per retry. Run under -race.
+func TestPolicyUnderConcurrentFaults(t *testing.T) {
+	var calls atomic.Int64
+	sim := Evaluator(func(_ context.Context, p Point) (float64, error) {
+		switch calls.Add(1) % 4 {
+		case 0:
+			return 0, resilience.MarkTransient(errors.New("flaky"))
+		case 1:
+			panic("boom")
+		}
+		return p["x"], nil
+	})
+	reg := obs.NewRegistry()
+	pol := resilience.Policy{Timeout: time.Minute, MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
+	c := &Calibrator{
+		Space: testSpace, Simulator: sim, Algorithm: randomSearch{batch: 16},
+		MaxEvaluations: 160, Workers: 8, Seed: 13, Observer: NewObsObserver(reg, nil), Resilience: &pol,
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluations != 160 {
+		t.Errorf("Evaluations = %d, want 160", res.Evaluations)
+	}
+	if n, retries := calls.Load(), reg.Counter("eval_retries").Value(); n != 160+retries {
+		t.Errorf("%d simulator calls, want 160 evaluations + %d retries", n, retries)
+	}
+}

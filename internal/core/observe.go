@@ -136,8 +136,8 @@ type FaultObserver interface {
 	// PanicRecovered fires when a panic is converted to an error; where
 	// identifies the recovery site ("simulator", "surrogate").
 	PanicRecovered(where string)
-	// Events are the resilience executor's retries and timeouts,
-	// delivered to the observer as the executor reports them.
+	// Events are the retries and attempt timeouts of a resilience
+	// policy, reported by the evaluation engine as it applies them.
 	resilience.Events
 	// CheckpointWritten fires after each journal sync (see
 	// Calibrator.Checkpoint); evaluations is the count consumed by then.

@@ -389,8 +389,9 @@ func (w *Worker) runLeases(ctx context.Context, sess *session, work <-chan *Fram
 
 // evaluate runs one lease under panic isolation and reports its result,
 // timed on the worker's clock. Leases carry no deadline: a per-evaluation
-// timeout is the calibration's resilience executor, whose expired
-// attempt cancels its lease on the coordinator. Failures cross the wire
+// timeout is the calibration's resilience policy, whose attempt deadline
+// is the lease's context, so an expired attempt cancels its lease on the
+// coordinator. Failures cross the wire
 // with their resilience class so the coordinator reconstructs an
 // equivalently classified error; evaluations aborted by connection
 // teardown report nothing (the coordinator re-queues the lease when it

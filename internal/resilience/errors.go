@@ -12,12 +12,15 @@
 //     deserve neither;
 //   - panic isolation (Safely): a panic in a simulator or surrogate fit
 //     becomes a classified error instead of killing the process;
-//   - an Executor combining per-attempt timeouts with bounded retries
-//     under seeded exponential backoff.
+//   - a Policy (per-attempt timeout, whether a failed attempt is
+//     retried) and a Backoff (the seeded exponential delay before it).
 //
-// Retries and timeouts happen inside one loss evaluation, so they never
-// consume evaluation budget — the calibration budget counts completed
-// evaluations, each of which internally made one or more attempts.
+// The package runs nothing itself: the calibration core's evaluation
+// engine applies the Policy as each attempt completes, without a
+// goroutine waiting on an attempt or a backoff. Retries and timeouts
+// happen inside one loss evaluation, so they never consume evaluation
+// budget — the calibration budget counts completed evaluations, each of
+// which made one or more attempts.
 package resilience
 
 import (
@@ -38,7 +41,7 @@ const (
 	// avoids the region without re-running it.
 	Deterministic Class = iota
 	// Transient failures may succeed on retry (timeouts, infrastructure
-	// hiccups, errors wrapped by MarkTransient). The Executor retries
+	// hiccups, errors wrapped by MarkTransient). A Policy retries
 	// them with exponential backoff; exhausted retries surface the last
 	// error, which callers record as +Inf without memoizing it.
 	Transient
@@ -98,7 +101,7 @@ func NewPanicError(value any, stack []byte) *PanicError {
 }
 
 // TimeoutError reports an evaluation attempt that exceeded the
-// Executor's per-attempt timeout. It classifies as Transient: a hung
+// Policy's per-attempt timeout. It classifies as Transient: a hung
 // external simulator often responds on a fresh attempt.
 type TimeoutError struct {
 	// Timeout is the per-attempt bound that was exceeded.
@@ -116,7 +119,7 @@ type transientError struct{ err error }
 func (e *transientError) Error() string { return e.err.Error() }
 func (e *transientError) Unwrap() error { return e.err }
 
-// MarkTransient marks err as a transient failure: the Executor retries
+// MarkTransient marks err as a transient failure: a Policy retries
 // it with backoff instead of failing the evaluation. A nil err returns
 // nil.
 func MarkTransient(err error) error {

@@ -4,9 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -81,190 +80,51 @@ func TestSafelyPassesThrough(t *testing.T) {
 	}
 }
 
-// eventLog records Events notifications for assertions.
-type eventLog struct {
-	mu       sync.Mutex
-	retries  []int
-	timeouts int
-}
-
-func (l *eventLog) EvalRetried(attempt int, delay time.Duration, cause error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.retries = append(l.retries, attempt)
-}
-
-func (l *eventLog) EvalTimedOut(timeout time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.timeouts++
-}
-
-// noSleep replaces backoff sleeps so retry tests run instantly.
-func noSleep(context.Context, time.Duration) {}
-
-func TestExecutorRetriesTransient(t *testing.T) {
-	log := &eventLog{}
-	e := NewExecutor(Policy{MaxAttempts: 4}, Config{Events: log, Sleep: noSleep})
-	calls := 0
-	loss, err := e.Do(context.Background(), func(context.Context) (float64, error) {
-		calls++
-		if calls < 3 {
-			return 0, MarkTransient(errors.New("flaky"))
+// TestPolicyRetries: only a transient failure is retried, and only
+// while attempts are left; deterministic failures (panics included) and
+// aborts never are, and the zero Policy makes a single attempt.
+func TestPolicyRetries(t *testing.T) {
+	flaky := MarkTransient(errors.New("flaky"))
+	p := Policy{MaxAttempts: 3}
+	cases := []struct {
+		name    string
+		p       Policy
+		attempt int
+		err     error
+		want    bool
+	}{
+		{"transient, first attempt", p, 1, flaky, true},
+		{"transient, second attempt", p, 2, flaky, true},
+		{"transient, attempts exhausted", p, 3, flaky, false},
+		{"timeout", p, 1, &TimeoutError{Timeout: time.Second}, true},
+		{"deterministic", p, 1, errors.New("bad config"), false},
+		{"panic", p, 1, NewPanicError("sim exploded", nil), false},
+		{"aborted", p, 1, context.Canceled, false},
+		{"zero policy", Policy{}, 1, flaky, false},
+	}
+	for _, tc := range cases {
+		if got := tc.p.Retries(tc.attempt, tc.err); got != tc.want {
+			t.Errorf("%s: Retries(%d) = %v, want %v", tc.name, tc.attempt, got, tc.want)
 		}
-		return 7.5, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss != 7.5 || calls != 3 {
-		t.Errorf("loss=%v calls=%d, want 7.5 after 3 calls", loss, calls)
-	}
-	if len(log.retries) != 2 {
-		t.Errorf("retry events = %v, want attempts [1 2]", log.retries)
 	}
 }
 
-func TestExecutorDeterministicNotRetried(t *testing.T) {
-	e := NewExecutor(Policy{MaxAttempts: 5}, Config{Sleep: noSleep})
-	calls := 0
-	_, err := e.Do(context.Background(), func(context.Context) (float64, error) {
-		calls++
-		return 0, errors.New("bad config")
-	})
-	if err == nil || calls != 1 {
-		t.Fatalf("err=%v calls=%d, want one attempt and the error back", err, calls)
-	}
-	if Classify(err) != Deterministic {
-		t.Errorf("Classify = %v, want Deterministic", Classify(err))
-	}
-}
-
-func TestExecutorTransientExhaustsAttempts(t *testing.T) {
-	log := &eventLog{}
-	e := NewExecutor(Policy{MaxAttempts: 3}, Config{Events: log, Sleep: noSleep})
-	calls := 0
-	cause := errors.New("still flaky")
-	_, err := e.Do(context.Background(), func(context.Context) (float64, error) {
-		calls++
-		return 0, MarkTransient(cause)
-	})
-	if !errors.Is(err, cause) {
-		t.Fatalf("err = %v, want the last transient cause", err)
-	}
-	if calls != 3 {
-		t.Errorf("calls = %d, want MaxAttempts = 3", calls)
-	}
-	if len(log.retries) != 2 {
-		t.Errorf("retry events = %v, want 2 (between 3 attempts)", log.retries)
-	}
-}
-
-func TestExecutorRecoversPanics(t *testing.T) {
-	e := NewExecutor(Policy{}, Config{Sleep: noSleep})
-	_, err := e.Do(context.Background(), func(context.Context) (float64, error) {
-		panic("sim exploded")
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	if Classify(err) != Deterministic {
-		t.Error("panics must classify Deterministic (memoizable +Inf)")
-	}
-}
-
-func TestExecutorTimeoutAbandonsHungAttempt(t *testing.T) {
-	log := &eventLog{}
-	e := NewExecutor(Policy{Timeout: 20 * time.Millisecond, MaxAttempts: 2}, Config{Events: log, Sleep: noSleep})
-	var calls atomic.Int32 // the abandoned hung attempt races the retry
-	start := time.Now()
-	loss, err := e.Do(context.Background(), func(ctx context.Context) (float64, error) {
-		if calls.Add(1) == 1 {
-			<-ctx.Done() // hang until the attempt deadline
-			return 0, ctx.Err()
-		}
-		return 1.25, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss != 1.25 {
-		t.Errorf("loss = %v, want the retry's 1.25", loss)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("evaluation took %v: the hung attempt stalled the worker", elapsed)
-	}
-	log.mu.Lock()
-	defer log.mu.Unlock()
-	if log.timeouts != 1 {
-		t.Errorf("timeout events = %d, want 1", log.timeouts)
-	}
-	if len(log.retries) != 1 {
-		t.Errorf("retry events = %v, want the timed-out attempt retried", log.retries)
-	}
-}
-
-func TestExecutorTimeoutOnUnresponsiveSim(t *testing.T) {
-	// A sim that ignores its context entirely: the worker must still be
-	// freed at the deadline, and the abandoned goroutine must not leak a
-	// send (the result channel is buffered).
-	release := make(chan struct{})
-	e := NewExecutor(Policy{Timeout: 10 * time.Millisecond, MaxAttempts: 1}, Config{Sleep: noSleep})
-	_, err := e.Do(context.Background(), func(context.Context) (float64, error) {
-		<-release
-		return 0, nil
-	})
-	close(release)
-	var te *TimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("err = %v, want *TimeoutError", err)
-	}
-	if te.Timeout != 10*time.Millisecond {
-		t.Errorf("TimeoutError.Timeout = %v", te.Timeout)
-	}
-}
-
-func TestExecutorParentCancelIsAborted(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	e := NewExecutor(Policy{Timeout: time.Second, MaxAttempts: 5}, Config{Sleep: noSleep})
-	var calls atomic.Int32 // Do may return before the attempt goroutine exits
-	_, err := e.Do(ctx, func(ctx context.Context) (float64, error) {
-		calls.Add(1)
-		return 0, ctx.Err()
-	})
-	if Classify(err) != Aborted {
-		t.Fatalf("err = %v (class %v), want Aborted", err, Classify(err))
-	}
-	if n := calls.Load(); n > 1 {
-		t.Errorf("aborted evaluation attempted %d times, want no retries", n)
-	}
-}
-
-func TestExecutorBackoffDeterministicBySeed(t *testing.T) {
+// TestBackoffDeterministicBySeed: the same seed gives the same delays,
+// each inside the exponential envelope with its [0.5, 1.5) jitter, and
+// another seed gives others.
+func TestBackoffDeterministicBySeed(t *testing.T) {
 	delays := func(seed int64) []time.Duration {
+		b := NewBackoff(10*time.Millisecond, 40*time.Millisecond, seed)
 		var ds []time.Duration
-		e := NewExecutor(
-			Policy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond},
-			Config{Seed: seed, Sleep: func(_ context.Context, d time.Duration) { ds = append(ds, d) }},
-		)
-		_, _ = e.Do(context.Background(), func(context.Context) (float64, error) {
-			return 0, MarkTransient(errors.New("flaky"))
-		})
+		for attempt := 1; attempt <= 4; attempt++ {
+			ds = append(ds, b.Delay(attempt))
+		}
 		return ds
 	}
 	a, b := delays(42), delays(42)
-	if len(a) != 4 {
-		t.Fatalf("got %d backoff sleeps, want MaxAttempts-1 = 4", len(a))
+	if !slices.Equal(a, b) {
+		t.Fatalf("same seed produced different backoff: %v vs %v", a, b)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed produced different backoff: %v vs %v", a, b)
-		}
-	}
-	// Exponential envelope with jitter in [0.5, 1.5): delay i from base 10ms
-	// doubling to cap 40ms.
 	caps := []time.Duration{10, 20, 40, 40}
 	for i, d := range a {
 		lo := caps[i] * time.Millisecond / 2
@@ -273,34 +133,19 @@ func TestExecutorBackoffDeterministicBySeed(t *testing.T) {
 			t.Errorf("delay %d = %v outside jitter envelope [%v, %v)", i, d, lo, hi)
 		}
 	}
-	if c := delays(7); c[0] == a[0] && c[1] == a[1] && c[2] == a[2] && c[3] == a[3] {
+	if slices.Equal(delays(7), a) {
 		t.Error("different seeds produced identical backoff sequences")
 	}
 }
 
-func TestExecutorConcurrentUse(t *testing.T) {
-	e := NewExecutor(
-		Policy{Timeout: 50 * time.Millisecond, MaxAttempts: 3},
-		Config{Sleep: noSleep},
-	)
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 20; j++ {
-				_, _ = e.Do(context.Background(), func(context.Context) (float64, error) {
-					switch (i + j) % 4 {
-					case 0:
-						return 0, MarkTransient(errors.New("flaky"))
-					case 1:
-						panic("boom")
-					default:
-						return float64(i + j), nil
-					}
-				})
-			}
-		}(i)
+// TestBackoffDefaults: a Policy that leaves the delays unset gets
+// NewBackoff's 50ms base and 2s cap.
+func TestBackoffDefaults(t *testing.T) {
+	b := NewBackoff(0, 0, 1)
+	if d := b.Delay(1); d < 25*time.Millisecond || d >= 75*time.Millisecond {
+		t.Errorf("first delay %v outside the 50ms default's envelope", d)
 	}
-	wg.Wait()
+	if d := b.Delay(10); d < time.Second || d >= 3*time.Second {
+		t.Errorf("tenth delay %v outside the 2s default cap's envelope", d)
+	}
 }
