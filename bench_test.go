@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -248,37 +247,21 @@ const remoteEvaluateTimeoutAllocCeiling = 10770
 // remoteEvaluateTimeoutAllocCeiling.
 func BenchmarkRemoteEvaluate(b *testing.B) {
 	lb := dist.NewLoopback()
-	l, err := lb.Listen("")
+	srv, err := dist.Serve(lb, "", dist.CoordinatorConfig{Name: "bench", Registry: obs.NewRegistry()})
 	if err != nil {
 		b.Fatal(err)
 	}
-	coord := dist.NewCoordinator(dist.CoordinatorConfig{Name: "bench", Registry: obs.NewRegistry()})
-	go coord.Serve(l)
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	defer func() {
-		coord.Close()
-		l.Close()
-		cancel()
-		wg.Wait()
-	}()
 	sphere := func([]byte) (core.Simulator, error) { return core.Evaluator(sphereEval), nil }
-	for i := 0; i < 2; i++ {
-		w, err := dist.NewWorker(dist.WorkerConfig{Name: fmt.Sprintf("w%d", i), Capacity: 2, Factory: sphere})
-		if err != nil {
-			b.Fatal(err)
-		}
-		conn, err := lb.Dial("")
-		if err != nil {
-			b.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run(ctx, conn)
-		}()
+	workers, err := dist.StartWorkers(lb, srv.Addr(), 2, dist.WorkerConfig{Capacity: 2, Factory: sphere}, dist.SessionConfig{})
+	if err != nil {
+		b.Fatal(err)
 	}
-	if err := coord.WaitForWorkers(ctx, 2); err != nil {
+	defer func() {
+		srv.Close()
+		workers.Close()
+	}()
+	coord := srv.Coord
+	if err := coord.WaitForWorkers(context.Background(), 2); err != nil {
 		b.Fatal(err)
 	}
 	cal := &core.Calibrator{

@@ -2,10 +2,8 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -17,7 +15,6 @@ import (
 
 	"simcal/internal/dist"
 	"simcal/internal/experiments"
-	"simcal/internal/obs"
 	"simcal/internal/simspec"
 )
 
@@ -125,22 +122,15 @@ func TestFleetRunClosesCleanlyPastAFailedArtifact(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	l.Close()
-	workers := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		w, err := dist.NewWorker(dist.WorkerConfig{
-			Name: fmt.Sprintf("w%d", i), Capacity: 2,
-			Factory: simspec.BuildSimulator, Registry: obs.NewRegistry(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			workers <- w.RunSession(context.Background(), dist.TCP{}, addr, dist.SessionConfig{
-				MaxDialAttempts: 400, BaseDelay: 5 * time.Millisecond, MaxDelay: 25 * time.Millisecond,
-				Resume: true, // the simcal-worker default: a reset would make it redial
-			})
-		}()
+	// The workers dial as simcal-worker does: redialling until the
+	// coordinator has bound, and resuming after a connection reset.
+	workers, err := dist.StartWorkers(dist.TCP{}, addr, 2,
+		dist.WorkerConfig{Capacity: 2, Factory: simspec.BuildSimulator},
+		dist.SessionConfig{MaxDialAttempts: 400, BaseDelay: 5 * time.Millisecond, MaxDelay: 25 * time.Millisecond, Resume: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { workers.Close() })
 
 	stdout.Reset()
 	stderr.Reset()
@@ -149,10 +139,8 @@ func TestFleetRunClosesCleanlyPastAFailedArtifact(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "1 artifact(s) failed: bogus") {
 		t.Fatalf("run = %v, want the failed artifact named\n%s", err, stderr.String())
 	}
-	for i := 0; i < 2; i++ {
-		if werr := <-workers; werr != nil {
-			t.Errorf("worker: %v, want nil (an orderly close)", werr)
-		}
+	if err := workers.Wait(); err != nil {
+		t.Errorf("workers: %v, want nil (an orderly close)", err)
 	}
 	if got, want := figure1(t, fleetDir), figure1(t, serialDir); !reflect.DeepEqual(got, want) || len(want) != 8 {
 		t.Errorf("figure1 over the fleet %v, serial %v", got, want)

@@ -11,7 +11,7 @@
 //	simcal -case wf  -trace out.jsonl -metrics      # instrumented run
 //	simcal -replay ck.jsonl                         # convergence from a journal
 //	simcal -case mpi -pprof localhost:6060          # live profiling
-//	simcal -case wf  -eval-timeout 2s -eval-retries 5    # fault-tolerant executor
+//	simcal -case wf  -eval-timeout 2s -eval-retries 5    # attempt timeouts and retries
 //	simcal -case wf  -evals 500 -checkpoint ck.jsonl     # evaluation journal
 //	simcal -case wf  -evals 500 -checkpoint ck.jsonl -resume  # continue a killed run
 //	simcal -case wf  -listen :9090 -dist-workers 2       # distribute evaluations to simcal-worker processes

@@ -139,38 +139,6 @@ func freeAddr(t *testing.T) string {
 	return l.Addr().String()
 }
 
-// startWorkers runs n workers against addr the way simcal-worker does
-// (dist.Worker.RunSession over TCP, redialling until the coordinator
-// has bound) and returns a func that waits for them: each must have
-// seen an orderly close.
-func startWorkers(t *testing.T, addr string, n int) (wait func()) {
-	t.Helper()
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		w, err := dist.NewWorker(dist.WorkerConfig{
-			Name: fmt.Sprintf("w%d", i), Capacity: 2,
-			Factory: simspec.BuildSimulator, Registry: obs.NewRegistry(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			errs <- w.RunSession(context.Background(), dist.TCP{}, addr, dist.SessionConfig{
-				MaxDialAttempts: 400, BaseDelay: 5 * time.Millisecond, MaxDelay: 25 * time.Millisecond,
-				Resume: true, // the simcal-worker default: a reset would make it redial
-			})
-		}()
-	}
-	return func() {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if err := <-errs; err != nil {
-				t.Errorf("worker: %v, want nil (an orderly close)", err)
-			}
-		}
-	}
-}
-
 // parentResults are sha256 sums of the normalized -out file of
 // `simcal -case C -alg RAND -evals 40 -seed 7`, plus the flags after C in
 // the key.
@@ -191,10 +159,20 @@ func TestSerialEqualsFleetEqualsParent(t *testing.T) {
 			base := []string{"-case", study, "-alg", "RAND", "-evals", "40", "-seed", "7"}
 			simcal(t, append(base, "-out", serial)...)
 
+			// The workers dial as simcal-worker does: redialling until the
+			// coordinator has bound, and resuming after a connection reset.
 			addr := freeAddr(t)
-			wait := startWorkers(t, addr, 2)
+			workers, err := dist.StartWorkers(dist.TCP{}, addr, 2,
+				dist.WorkerConfig{Capacity: 2, Factory: simspec.BuildSimulator},
+				dist.SessionConfig{MaxDialAttempts: 400, BaseDelay: 5 * time.Millisecond, MaxDelay: 25 * time.Millisecond, Resume: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { workers.Close() })
 			simcal(t, append(base, "-listen", addr, "-dist-workers", "2", "-out", fleet)...)
-			wait()
+			if err := workers.Wait(); err != nil {
+				t.Errorf("workers: %v, want nil (an orderly close)", err)
+			}
 
 			want := normalized(t, serial)
 			if got := normalized(t, fleet); !bytes.Equal(got, want) {

@@ -5,13 +5,15 @@
 // configure. What the package hides is the start/stop order and the
 // hardening defaults, which every binary would otherwise have to know:
 //
-//	start: Obs (trace file, HTTP plane) → Fleet (listen, coordinator,
-//	       wait for workers) → the binary's own work
-//	stop:  the work → Fleet.Close (detach the status hooks, close the
-//	       coordinator so workers see an orderly end, close the
-//	       listener, report chaos counts) → Obs.Close (flush and close
-//	       the trace, print the snapshot, shut the HTTP plane down last
-//	       so a late scrape never reads a closed coordinator)
+//	start: Obs (trace file, HTTP plane) → Fleet (dist.Serve: listen,
+//	       serve a coordinator; then wait for workers) → the binary's
+//	       own work
+//	stop:  the work → Fleet.Close (detach the status hooks, then
+//	       dist.Server.Close: close the coordinator so workers see an
+//	       orderly end, close the listener, wait for Serve; report chaos
+//	       counts) → Obs.Close (flush and close the trace, print the
+//	       snapshot, shut the HTTP plane down last so a late scrape
+//	       never reads a closed coordinator)
 //
 // A binary registers only the groups whose flags it has; an
 // unregistered group stays at its zero value, which is every flag's
@@ -232,9 +234,9 @@ func (f *Fleet) config(name string, reg *obs.Registry, tracer *obs.Tracer, trace
 	}
 }
 
-// Start listens on -listen, serves a coordinator on it and waits (up to
-// five minutes) for -dist-workers workers. Without -listen it returns a
-// nil coordinator and no error. Close undoes it.
+// Start serves a coordinator on -listen and waits (up to five minutes)
+// for -dist-workers workers. Without -listen it returns a nil
+// coordinator and no error. Close undoes it.
 func (f *Fleet) Start(name string, reg *obs.Registry, tracer *obs.Tracer, traceID string, stderr io.Writer) (*dist.Coordinator, error) {
 	if f.Listen == "" {
 		return nil, nil
@@ -243,36 +245,28 @@ func (f *Fleet) Start(name string, reg *obs.Registry, tracer *obs.Tracer, traceI
 	if err != nil {
 		return nil, err
 	}
-	ln, err := tr.Listen(f.Listen)
+	srv, err := dist.Serve(tr, f.Listen, f.config(name, reg, tracer, traceID))
 	if err != nil {
 		return nil, err
 	}
-	coord := dist.NewCoordinator(f.config(name, reg, tracer, traceID))
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		if err := coord.Serve(ln); err != nil {
+	f.mu.Lock()
+	f.coord = srv.Coord
+	f.stop = func() {
+		if err := srv.Close(); err != nil {
 			fmt.Fprintf(stderr, "%s: coordinator: %v\n", name, err)
 		}
-	}()
-	f.mu.Lock()
-	f.coord = coord
-	f.stop = func() {
-		coord.Close()
-		ln.Close()
-		<-served
 		report()
 	}
 	f.mu.Unlock()
 
-	fmt.Fprintf(stderr, "%s: coordinator listening on %s; waiting for %d worker(s)\n", name, ln.Addr(), f.DistWorkers)
+	fmt.Fprintf(stderr, "%s: coordinator listening on %s; waiting for %d worker(s)\n", name, srv.Addr(), f.DistWorkers)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	if err := coord.WaitForWorkers(ctx, f.DistWorkers); err != nil {
+	if err := srv.Coord.WaitForWorkers(ctx, f.DistWorkers); err != nil {
 		f.Close()
 		return nil, err
 	}
-	return coord, nil
+	return srv.Coord, nil
 }
 
 // Refresh is the obs.ServerConfig.Refresh hook: it brings the fleet
@@ -310,7 +304,8 @@ func (f *Fleet) Close() {
 	}
 }
 
-// Resilience configures the fault-tolerant evaluation executor.
+// Resilience is the evaluation policy group: per-attempt timeouts and
+// retries of transient failures.
 type Resilience struct {
 	EvalTimeout time.Duration // -eval-timeout
 	EvalRetries int           // -eval-retries
@@ -318,11 +313,11 @@ type Resilience struct {
 
 // Register declares -eval-timeout and -eval-retries.
 func (r *Resilience) Register(fs *flag.FlagSet) {
-	fs.DurationVar(&r.EvalTimeout, "eval-timeout", 0, "per-evaluation timeout (enables the fault-tolerant executor)")
-	fs.IntVar(&r.EvalRetries, "eval-retries", 0, "max attempts per evaluation for transient failures (enables the fault-tolerant executor)")
+	fs.DurationVar(&r.EvalTimeout, "eval-timeout", 0, "per-attempt timeout of a loss evaluation; a timed-out attempt is retried (sets a resilience policy)")
+	fs.IntVar(&r.EvalRetries, "eval-retries", 0, "max attempts per loss evaluation for transient failures (sets a resilience policy)")
 }
 
-// Policy is the executor policy the flags imply, or nil when none is
+// Policy is the resilience policy the flags imply, or nil when none is
 // set (evaluations then run without timeouts or retries; panic
 // isolation alone is always on). Setting either flag starts from
 // resilience.DefaultPolicy's backoff, so -eval-timeout alone still

@@ -7,9 +7,8 @@
 // opt.AlgorithmNames × (the workflow simulator × loss.AllWFKinds + the
 // MPI simulator × loss.AllMPIKinds + an analytic bowl) — so a new
 // algorithm or loss function adds rows without anyone editing the table.
-// Its columns are the deployment shapes. There is one assertion: every
-// history sample's unit position, point and loss, and the best point and
-// loss, are Float64bits-equal to the serial run's. async-bo consumes
+// Its columns are the deployment shapes. There is one assertion,
+// core.CheckIdentical: the result is the serial run's bit for bit. async-bo consumes
 // completions in arrival order, so its reference in each shape is the
 // in-process run forced through that shape's recorded completion order:
 // the record→replay property, asserted everywhere. async-bo rows also
@@ -24,14 +23,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -186,13 +183,15 @@ func (w *window) AsyncProposed(int, int, time.Duration) {
 func (w *window) AsyncCompletionConsumed(int, int, float64, bool) { w.inFlight-- }
 
 // A run is what a shape hands the assertion: its result, the algorithm
-// instance and width that produced it, and the in-flight window it
-// observed (nil where the calibrator is not the table's own).
+// instance and width that produced it, the in-flight window it observed
+// (nil where the calibrator is not the table's own), and whether the
+// result was read back from a document.
 type run struct {
-	res     *core.Result
-	alg     core.Algorithm
-	workers int
-	window  *window
+	res      *core.Result
+	alg      core.Algorithm
+	workers  int
+	window   *window
+	document bool // res was read back from a result document
 }
 
 func (c *calibration) run(t *testing.T, cal *core.Calibrator) run {
@@ -229,7 +228,7 @@ var shapes = []shape{
 	onFleet("tcp-2"),
 	onFleet("chaos"),
 	{"service", serviceJob},
-	{"resilience", withExecutor},
+	{"resilience", withPolicy},
 }
 
 // cached runs the row twice on one cache; the second run is answered
@@ -338,12 +337,12 @@ func onFleet(name string) shape {
 	}}
 }
 
-// withExecutor runs the row on the loopback-2 fleet under a resilience
+// withPolicy runs the row on the loopback-2 fleet under a resilience
 // policy, the path `simcal -listen … -eval-timeout` takes: the engine
-// still leases through RunAsync, each attempt under a one-minute
-// deadline context of its own, and applies the policy as each attempt's
-// callback arrives.
-func withExecutor(t *testing.T, c *calibration, fleets map[string]*dist.Coordinator) run {
+// leases each attempt through RunAsync under a one-minute deadline
+// context of its own, and applies the policy as each attempt's callback
+// arrives.
+func withPolicy(t *testing.T, c *calibration, fleets map[string]*dist.Coordinator) run {
 	cal := c.calibrator(t, fleets["loopback-2"].Evaluator(c.spec), width)
 	cal.Resilience = &resilience.Policy{Timeout: time.Minute, MaxAttempts: 3}
 	return c.run(t, cal)
@@ -415,7 +414,13 @@ func serviceJob(t *testing.T, c *calibration, fleets map[string]*dist.Coordinato
 	if err != nil {
 		t.Fatal(err)
 	}
-	return run{res: res, alg: <-algs, workers: width}
+	// The service runs its jobs on the wall clock, which no request can
+	// freeze: its elapsed times are zeroed, as the reference's are.
+	res.Elapsed, res.Best.Elapsed = 0, 0
+	for i := range res.History {
+		res.History[i].Elapsed = 0
+	}
+	return run{res: res, alg: <-algs, workers: width, document: true}
 }
 
 // chaosProfile injects every fault the chaos transport has except
@@ -459,43 +464,28 @@ func startFleets(t *testing.T) map[string]*dist.Coordinator {
 // (capacity 2 unless w says otherwise), each dialling through sc.
 func startFleet(t *testing.T, tr dist.Transport, addr string, n int, w dist.WorkerConfig, cc dist.CoordinatorConfig, sc dist.SessionConfig) *dist.Coordinator {
 	t.Helper()
-	l, err := tr.Listen(addr)
+	srv, err := dist.Serve(tr, addr, cc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := dist.NewCoordinator(cc)
-	go coord.Serve(l)
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	t.Cleanup(func() {
-		coord.Close()
-		l.Close()
-		cancel()
-		wg.Wait()
-	})
 	if w.Capacity == 0 {
 		w.Capacity = 2
 	}
 	w.Factory = build
-	for i := 0; i < n; i++ {
-		w.Name = fmt.Sprintf("w%d", i)
-		worker, err := dist.NewWorker(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.Seed = int64(i + 1)
-		wg.Add(1)
-		go func(sc dist.SessionConfig) {
-			defer wg.Done()
-			_ = worker.RunSession(ctx, tr, l.Addr(), sc) // ends with an error when the coordinator closes
-		}(sc)
-	}
-	wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
-	defer wcancel()
-	if err := coord.WaitForWorkers(wctx, n); err != nil {
+	workers, err := dist.StartWorkers(tr, srv.Addr(), n, w, sc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return coord
+	t.Cleanup(func() {
+		srv.Close()
+		workers.Close()
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Coord.WaitForWorkers(ctx, n); err != nil {
+		t.Fatal(err)
+	}
+	return srv.Coord
 }
 
 // inShort reports whether `go test -short` runs shape s of the row of
@@ -539,50 +529,20 @@ func (c *calibration) check(t *testing.T, serial *core.Result, got run) {
 		cal.Algorithm.(*opt.AsyncBayesOpt).Replay = order
 		want = c.run(t, cal).res
 	}
-	sameBits(t, got.res, want)
-}
-
-// sameBits demands Float64bits-equal trajectories. A result read back
-// from a document has points but no unit positions (core.ReadResult);
-// for those samples the point, which the unit position decodes to, is
-// what is compared.
-func sameBits(t *testing.T, got, want *core.Result) {
-	t.Helper()
-	if len(got.History) != len(want.History) {
-		t.Fatalf("history has %d samples, want %d", len(got.History), len(want.History))
-	}
-	for i, w := range want.History {
-		g := got.History[i]
-		if g.Unit != nil {
-			if len(g.Unit) != len(w.Unit) {
-				t.Fatalf("sample %d: unit %v, want %v", i, g.Unit, w.Unit)
-			}
-			for j := range w.Unit {
-				if math.Float64bits(g.Unit[j]) != math.Float64bits(w.Unit[j]) {
-					t.Fatalf("sample %d: unit[%d] = %v, want %v", i, j, g.Unit[j], w.Unit[j])
-				}
-			}
+	if got.document {
+		// A result document carries no unit positions: the reference is
+		// read back from its own.
+		var doc bytes.Buffer
+		err := want.WriteJSON(&doc, true)
+		if err == nil {
+			want, err = core.ReadResult(&doc)
 		}
-		samePoint(t, fmt.Sprintf("sample %d", i), g.Point, w.Point)
-		if math.Float64bits(g.Loss) != math.Float64bits(w.Loss) {
-			t.Fatalf("sample %d: loss = %v, want %v", i, g.Loss, w.Loss)
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	samePoint(t, "best", got.Best.Point, want.Best.Point)
-	if math.Float64bits(got.Best.Loss) != math.Float64bits(want.Best.Loss) {
-		t.Fatalf("best loss = %v, want %v", got.Best.Loss, want.Best.Loss)
-	}
-}
-
-func samePoint(t *testing.T, what string, got, want core.Point) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: point %v, want %v", what, got, want)
-	}
-	for k, w := range want {
-		if g, ok := got[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("%s: point[%s] = %v, want %v", what, k, g, w)
-		}
+	if err := core.CheckIdentical(got.res, want); err != nil {
+		t.Fatal(err)
 	}
 }
 

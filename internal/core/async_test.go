@@ -224,7 +224,9 @@ func TestAsyncForcedReplayBitwise(t *testing.T) {
 			t.Fatalf("replay order diverged at %d: %d vs %d", i, order2[i], order[i])
 		}
 	}
-	resultsIdentical(t, ref, rep)
+	if err := CheckIdentical(rep, ref); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAsyncCheckpointResume: a journal cut mid-run holds the

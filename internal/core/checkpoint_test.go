@@ -283,49 +283,6 @@ func (c *countingSim) Run(ctx context.Context, p Point) (float64, error) {
 	return c.inner(ctx, p)
 }
 
-// resultsIdentical compares two results bitwise (assuming a frozen
-// clock zeroed all elapsed fields).
-func resultsIdentical(t *testing.T, a, b *Result) {
-	t.Helper()
-	if a.Evaluations != b.Evaluations {
-		t.Fatalf("Evaluations: %d vs %d", a.Evaluations, b.Evaluations)
-	}
-	if a.Best.Loss != b.Best.Loss {
-		t.Fatalf("Best.Loss: %v vs %v", a.Best.Loss, b.Best.Loss)
-	}
-	for k, v := range a.Best.Point {
-		if b.Best.Point[k] != v {
-			t.Fatalf("Best.Point[%q]: %v vs %v", k, v, b.Best.Point[k])
-		}
-	}
-	if len(a.History) != len(b.History) {
-		t.Fatalf("history length: %d vs %d", len(a.History), len(b.History))
-	}
-	for i := range a.History {
-		x, y := a.History[i], b.History[i]
-		if x.Loss != y.Loss || x.Elapsed != y.Elapsed {
-			t.Fatalf("history[%d]: loss %v/%v elapsed %v/%v", i, x.Loss, y.Loss, x.Elapsed, y.Elapsed)
-		}
-		for j := range x.Unit {
-			if x.Unit[j] != y.Unit[j] {
-				t.Fatalf("history[%d].Unit[%d]: %v vs %v (not bitwise)", i, j, x.Unit[j], y.Unit[j])
-			}
-		}
-		for k, v := range x.Point {
-			if y.Point[k] != v {
-				t.Fatalf("history[%d].Point[%q]: %v vs %v", i, k, v, y.Point[k])
-			}
-		}
-	}
-	ta, la := a.LossOverTime()
-	tb, lb := b.LossOverTime()
-	for i := range la {
-		if la[i] != lb[i] || ta[i] != tb[i] {
-			t.Fatalf("loss-over-time[%d] differs", i)
-		}
-	}
-}
-
 // journalMatches fails unless the journal holds res's history, in
 // order and bit for bit, and so rebuilds its best-loss-vs-time curve.
 func journalMatches(t *testing.T, jr *JournalRun, res *Result) {
@@ -452,7 +409,9 @@ func TestCheckpointResumeBitwiseIdentical(t *testing.T) {
 	if got := sim.calls.Load(); got != 40-16 {
 		t.Errorf("resumed run invoked the simulator %d times, want %d (replay must not re-simulate)", got, 40-16)
 	}
-	resultsIdentical(t, ref, res)
+	if err := CheckIdentical(res, ref); err != nil {
+		t.Fatal(err)
+	}
 	if obs.started.Resumed != 16 {
 		t.Errorf("RunInfo.Resumed = %d, want the 16 journaled consumptions", obs.started.Resumed)
 	}

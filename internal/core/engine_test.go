@@ -177,11 +177,8 @@ func TestEvaluateEqualsSubmitThenNextSeq(t *testing.T) {
 						t.Fatalf("Evaluate path completed %d evaluations, want %d", ref.Evaluations, evals)
 					}
 					for _, other := range []*Result{got, pol} {
-						resultsIdentical(t, ref, other)
-						for i := range ref.History {
-							if math.Float64bits(ref.History[i].Loss) != math.Float64bits(other.History[i].Loss) {
-								t.Fatalf("history[%d].Loss bits differ: %v vs %v", i, ref.History[i].Loss, other.History[i].Loss)
-							}
+						if err := CheckIdentical(other, ref); err != nil {
+							t.Fatal(err)
 						}
 					}
 					if refLog.proposed != evals || gotLog.proposed != evals {

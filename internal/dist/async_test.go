@@ -74,7 +74,6 @@ func fixedDelayFactory(d time.Duration, busyNS *atomic.Int64) Factory {
 func TestRunAsyncDeliversResult(t *testing.T) {
 	c := startCluster(t, NewLoopback(), "", CoordinatorConfig{Name: "async"},
 		[]Factory{sameFactory}, 2)
-	defer c.stop()
 	ev := c.coord.Evaluator([]byte(`{"test":true}`))
 
 	pt := core.Point{"x": 2.5, "y": 6.5}
@@ -126,7 +125,6 @@ func TestRunAsyncContextCancel(t *testing.T) {
 	}
 	c := startCluster(t, NewLoopback(), "", CoordinatorConfig{Name: "async"},
 		[]Factory{stall}, 1)
-	defer c.stop()
 	ev := c.coord.Evaluator([]byte(`{"test":true}`))
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -149,14 +147,12 @@ func TestRunAsyncContextCancel(t *testing.T) {
 // ErrCoordinatorClosed to queued asynchronous leases instead of
 // leaving their callbacks hanging.
 func TestRunAsyncCoordinatorClosed(t *testing.T) {
-	lb := NewLoopback()
-	coord := NewCoordinator(CoordinatorConfig{Name: "async"})
-	ln, err := lb.Listen("")
+	srv, err := Serve(NewLoopback(), "", CoordinatorConfig{Name: "async"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	go coord.Serve(ln)
+	defer srv.Close()
+	coord := srv.Coord
 	ev := coord.Evaluator([]byte(`{"test":true}`))
 
 	errCh := make(chan error, 1)
@@ -208,7 +204,6 @@ func TestAsyncReplayBitwiseAfterWorkerKill(t *testing.T) {
 		delayFactory(9, 3*time.Millisecond, nil),
 	}
 	c := startCluster(t, NewLoopback(), "", CoordinatorConfig{Name: "chaos"}, factories, 2)
-	defer c.stop()
 
 	kill := &killSignal{n: 10, ch: make(chan struct{})}
 	var wg sync.WaitGroup
@@ -216,7 +211,7 @@ func TestAsyncReplayBitwiseAfterWorkerKill(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-kill.ch
-		c.conns[0].Close() // mid-run kill: its leases requeue elsewhere
+		c.workers[0].Close() // mid-run kill: its leases requeue elsewhere
 	}()
 
 	alg := opt.NewAsyncBO()
@@ -257,7 +252,9 @@ func TestAsyncReplayBitwiseAfterWorkerKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameHistory(t, rres, res)
+	if err := core.CheckIdentical(rres, res); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAsyncJournalReplayOrder: the evaluation journal's consumption
@@ -267,7 +264,6 @@ func TestAsyncJournalReplayOrder(t *testing.T) {
 	const evals = 24
 	c := startCluster(t, NewLoopback(), "", CoordinatorConfig{Name: "journal"},
 		[]Factory{delayFactory(11, 2*time.Millisecond, nil), delayFactory(13, 2*time.Millisecond, nil)}, 2)
-	defer c.stop()
 
 	alg := opt.NewAsyncBO()
 	alg.InitSamples = 8
@@ -311,7 +307,9 @@ func TestAsyncJournalReplayOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameHistory(t, rres, res)
+	if err := core.CheckIdentical(rres, res); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAsyncStragglerIdleBelowBatch is the acceptance benchmark from the
@@ -342,7 +340,6 @@ func TestAsyncStragglerIdleBelowBatch(t *testing.T) {
 			fixedDelayFactory(fast, &busy),
 		}
 		c := startCluster(t, NewLoopback(), "", CoordinatorConfig{Name: "straggler"}, factories, 1)
-		defer c.stop()
 		cal := core.Calibrator{
 			Space:          distTestSpace,
 			Simulator:      c.coord.Evaluator([]byte(`{"test":true}`)),

@@ -70,28 +70,6 @@ func runSoakSerial(t *testing.T, evals int) *core.Result {
 	return res
 }
 
-// assertSoakSameHistory demands bitwise-equal trajectories.
-func assertSoakSameHistory(t *testing.T, got, want *core.Result) {
-	t.Helper()
-	if len(got.History) != len(want.History) {
-		t.Fatalf("history length = %d, want %d", len(got.History), len(want.History))
-	}
-	for i := range want.History {
-		g, w := got.History[i], want.History[i]
-		for k, wv := range w.Point {
-			if math.Float64bits(g.Point[k]) != math.Float64bits(wv) {
-				t.Fatalf("sample %d: point[%s] = %v, want %v", i, k, g.Point[k], wv)
-			}
-		}
-		if math.Float64bits(g.Loss) != math.Float64bits(w.Loss) {
-			t.Fatalf("sample %d: loss = %v, want %v", i, g.Loss, w.Loss)
-		}
-	}
-	if math.Float64bits(got.Best.Loss) != math.Float64bits(want.Best.Loss) {
-		t.Fatalf("best loss = %v, want %v", got.Best.Loss, want.Best.Loss)
-	}
-}
-
 // syncBuffer is a strings.Builder safe for the tracer's writes and the
 // test's reads.
 type syncBuffer struct {
@@ -109,33 +87,6 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.sb.String()
-}
-
-// killableTransport records dialed connections so the test can cut a
-// worker's live connection (the process survives; the socket dies).
-type killableTransport struct {
-	dist.Transport
-	mu   sync.Mutex
-	last dist.Conn
-}
-
-func (k *killableTransport) Dial(addr string) (dist.Conn, error) {
-	c, err := k.Transport.Dial(addr)
-	if err == nil {
-		k.mu.Lock()
-		k.last = c
-		k.mu.Unlock()
-	}
-	return c, err
-}
-
-func (k *killableTransport) killLast() {
-	k.mu.Lock()
-	c := k.last
-	k.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
 }
 
 // TestChaosSoakBitwiseIdentical is the end-to-end hardening proof: a
@@ -169,7 +120,7 @@ func TestChaosSoakBitwiseIdentical(t *testing.T) {
 	reg := obs.NewRegistry()
 	var trace syncBuffer
 	tracer := obs.NewTracer(&trace)
-	coord := dist.NewCoordinator(dist.CoordinatorConfig{
+	srv, err := dist.Serve(ct, "", dist.CoordinatorConfig{
 		Name:     "chaos-soak",
 		Registry: reg,
 		Tracer:   tracer,
@@ -180,57 +131,36 @@ func TestChaosSoakBitwiseIdentical(t *testing.T) {
 		LocalFactory:     soakFactory,
 		DegradedGrace:    2 * time.Second,
 	})
-	defer coord.Close()
-	ln, err := ct.Listen("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	go coord.Serve(ln)
+	defer srv.Close()
+	coord := srv.Coord
 
-	var wg sync.WaitGroup
-	type workerHandle struct {
-		cancel context.CancelFunc
-		kt     *killableTransport
-	}
-	var handles []workerHandle
-	for i := 0; i < 2; i++ {
-		w, err := dist.NewWorker(dist.WorkerConfig{
+	// Each worker is a set of its own, so the test can kill one. A
+	// connection the coordinator drops — for a corrupt frame, say — ends
+	// without a bye frame, so the session redials.
+	var workers []*dist.Workers
+	for i := range 2 {
+		ws, err := dist.StartWorkers(ct, srv.Addr(), 1, dist.WorkerConfig{
 			Name:             fmt.Sprintf("chaos-w%d", i),
 			Capacity:         2,
 			Factory:          soakWorkerFactory,
 			HeartbeatEvery:   100 * time.Millisecond,
 			HeartbeatTimeout: 600 * time.Millisecond,
+		}, dist.SessionConfig{
+			Resume:          true,
+			MaxDialAttempts: 1000,
+			BaseDelay:       20 * time.Millisecond,
+			MaxDelay:        200 * time.Millisecond,
+			Seed:            int64(i + 1),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wctx, cancel := context.WithCancel(context.Background())
-		kt := &killableTransport{Transport: ct}
-		handles = append(handles, workerHandle{cancel: cancel, kt: kt})
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// A connection the coordinator drops — for a corrupt frame, say
-			// — ends without a bye frame, so the session redials. Errors
-			// are expected: the test ends sessions by canceling them.
-			_ = w.RunSession(wctx, kt, "", dist.SessionConfig{
-				Resume:          true,
-				MaxDialAttempts: 1000,
-				BaseDelay:       20 * time.Millisecond,
-				MaxDelay:        200 * time.Millisecond,
-				Seed:            int64(i + 1),
-			})
-		}(i)
+		defer ws.Close()
+		workers = append(workers, ws)
 	}
-	stopWorkers := func() {
-		for _, h := range handles {
-			h.cancel()
-			h.kt.killLast()
-		}
-		wg.Wait()
-	}
-	defer stopWorkers()
 
 	type calOut struct {
 		res *core.Result
@@ -251,19 +181,20 @@ func TestChaosSoakBitwiseIdentical(t *testing.T) {
 		done <- calOut{res, err}
 	}()
 
-	// Permanently kill worker 0 mid-run: cancel its session and cut its
-	// live connection. Worker 1 (still resuming through the chaos)
-	// and the local fallback must carry the run home.
+	// Permanently kill worker 0 mid-run: closing its session cuts its
+	// live connection. Worker 1 (still resuming through the chaos) and
+	// the local fallback must carry the run home.
 	time.Sleep(500 * time.Millisecond)
-	handles[0].cancel()
-	handles[0].kt.killLast()
+	workers[0].Close()
 
 	select {
 	case out := <-done:
 		if out.err != nil {
 			t.Fatalf("chaos calibration: %v", out.err)
 		}
-		assertSoakSameHistory(t, out.res, serial)
+		if err := core.CheckIdentical(out.res, serial); err != nil {
+			t.Fatal(err)
+		}
 	case <-time.After(120 * time.Second):
 		t.Fatal("chaos calibration did not finish")
 	}

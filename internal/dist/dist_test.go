@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -56,42 +55,27 @@ func runLocal(t *testing.T, workers, evals int, tracer *obs.Tracer) *core.Result
 
 // cluster is one coordinator plus in-process workers over a transport.
 type cluster struct {
-	coord    *Coordinator
-	listener Listener
-	conns    []Conn // worker-side connections, closable to simulate kills
-	wg       sync.WaitGroup
-	cancel   context.CancelFunc
+	srv     *Server
+	coord   *Coordinator
+	workers []*Workers // one worker each; closing one kills it
 }
 
-// startCluster wires n workers (each with capacity cap and its own
-// factory) to a fresh coordinator over tr.
+// startCluster wires one worker per factory, each of the given
+// capacity, to a fresh coordinator over tr. It stops with the test.
 func startCluster(t *testing.T, tr Transport, addr string, cfg CoordinatorConfig, factories []Factory, capacity int) *cluster {
 	t.Helper()
-	l, err := tr.Listen(addr)
+	srv, err := Serve(tr, addr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &cluster{coord: NewCoordinator(cfg), listener: l}
-	go c.coord.Serve(l)
-	ctx, cancel := context.WithCancel(context.Background())
-	c.cancel = cancel
-	for i, factory := range factories {
-		w, err := NewWorker(WorkerConfig{Name: "test-worker", Capacity: capacity, Factory: factory})
+	c := &cluster{srv: srv, coord: srv.Coord}
+	t.Cleanup(c.stop)
+	for _, factory := range factories {
+		ws, err := StartWorkers(tr, srv.Addr(), 1, WorkerConfig{Name: "test-worker", Capacity: capacity, Factory: factory}, SessionConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn, err := tr.Dial(l.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.conns = append(c.conns, conn)
-		c.wg.Add(1)
-		go func(i int) {
-			defer c.wg.Done()
-			// Errors are expected here: chaos tests kill connections, and
-			// coordinator Close tears the rest down.
-			_ = w.Run(ctx, conn)
-		}(i)
+		c.workers = append(c.workers, ws)
 	}
 	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer wcancel()
@@ -102,47 +86,14 @@ func startCluster(t *testing.T, tr Transport, addr string, cfg CoordinatorConfig
 }
 
 func (c *cluster) stop() {
-	c.coord.Close()
-	c.listener.Close()
-	c.cancel()
-	c.wg.Wait()
+	c.srv.Close()
+	for _, ws := range c.workers {
+		ws.Close()
+	}
 }
 
 // sameFactory serves the deterministic test simulator for any spec.
 func sameFactory([]byte) (core.Simulator, error) { return distTestSim(), nil }
-
-// assertSameHistory demands bitwise-equal calibration trajectories.
-func assertSameHistory(t *testing.T, got, want *core.Result) {
-	t.Helper()
-	if len(got.History) != len(want.History) {
-		t.Fatalf("history length = %d, want %d", len(got.History), len(want.History))
-	}
-	for i := range want.History {
-		g, w := got.History[i], want.History[i]
-		if len(g.Unit) != len(w.Unit) {
-			t.Fatalf("sample %d: unit length %d != %d", i, len(g.Unit), len(w.Unit))
-		}
-		for j := range w.Unit {
-			if math.Float64bits(g.Unit[j]) != math.Float64bits(w.Unit[j]) {
-				t.Fatalf("sample %d: unit[%d] = %v, want %v", i, j, g.Unit[j], w.Unit[j])
-			}
-		}
-		for k, wv := range w.Point {
-			if math.Float64bits(g.Point[k]) != math.Float64bits(wv) {
-				t.Fatalf("sample %d: point[%s] = %v, want %v", i, k, g.Point[k], wv)
-			}
-		}
-		if math.Float64bits(g.Loss) != math.Float64bits(w.Loss) {
-			t.Fatalf("sample %d: loss = %v, want %v", i, g.Loss, w.Loss)
-		}
-		if g.Elapsed != w.Elapsed {
-			t.Fatalf("sample %d: elapsed = %v, want %v", i, g.Elapsed, w.Elapsed)
-		}
-	}
-	if math.Float64bits(got.Best.Loss) != math.Float64bits(want.Best.Loss) {
-		t.Fatalf("best loss = %v, want %v", got.Best.Loss, want.Best.Loss)
-	}
-}
 
 // runDistributed runs a calibration whose evaluations are leased to the
 // cluster's workers.
@@ -187,7 +138,6 @@ func TestFleetTraceMatchesInProcess(t *testing.T) {
 	local := trace(func(tr *obs.Tracer) { runLocal(t, 3, evals, tr) })
 	c := startCluster(t, NewLoopback(), "", CoordinatorConfig{Name: "test"},
 		[]Factory{sameFactory, sameFactory}, 2)
-	defer c.stop()
 	dist := trace(func(tr *obs.Tracer) { runDistributed(t, c, 3, evals, tr) })
 	if !bytes.Equal(dist, local) {
 		t.Errorf("distributed trace differs from local trace:\nlocal:\n%s\ndist:\n%s", local, dist)
@@ -225,7 +175,6 @@ func TestWorkerKillMidBatchRequeuesAndStaysDeterministic(t *testing.T) {
 	c := startCluster(t, NewLoopback(), "",
 		CoordinatorConfig{Name: "chaos", Registry: reg},
 		[]Factory{stallingFactory(started), sameFactory}, 2)
-	defer c.stop()
 
 	type calOut struct {
 		res *core.Result
@@ -253,14 +202,16 @@ func TestWorkerKillMidBatchRequeuesAndStaysDeterministic(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("no lease reached the stalling worker")
 	}
-	c.conns[0].Close()
+	c.workers[0].Close()
 
 	select {
 	case out := <-done:
 		if out.err != nil {
 			t.Fatalf("calibration after worker kill: %v", out.err)
 		}
-		assertSameHistory(t, out.res, serial)
+		if err := core.CheckIdentical(out.res, serial); err != nil {
+			t.Fatal(err)
+		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("calibration did not finish after the worker kill")
 	}
@@ -289,7 +240,6 @@ func TestWorkerReconnectMidBatch(t *testing.T) {
 	c := startCluster(t, lb, "",
 		CoordinatorConfig{Name: "chaos", Registry: reg},
 		[]Factory{stallingFactory(started)}, 2)
-	defer c.stop()
 
 	done := make(chan *core.Result, 1)
 	errCh := make(chan error, 1)
@@ -316,29 +266,20 @@ func TestWorkerReconnectMidBatch(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("no lease reached the stalling worker")
 	}
-	c.conns[0].Close() // kill
+	c.workers[0].Close() // kill
 
 	// Reconnect: a healthy replacement dials the same coordinator.
-	w, err := NewWorker(WorkerConfig{Name: "replacement", Capacity: 2, Factory: sameFactory})
+	replacement, err := StartWorkers(lb, c.srv.Addr(), 1, WorkerConfig{Name: "replacement", Capacity: 2, Factory: sameFactory}, SessionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := lb.Dial("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = w.Run(context.Background(), conn)
-	}()
-	defer wg.Wait()
-	defer conn.Close()
+	defer replacement.Close()
 
 	select {
 	case res := <-done:
-		assertSameHistory(t, res, serial)
+		if err := core.CheckIdentical(res, serial); err != nil {
+			t.Fatal(err)
+		}
 	case err := <-errCh:
 		t.Fatalf("calibration after reconnect: %v", err)
 	case <-time.After(30 * time.Second):

@@ -79,6 +79,10 @@ func (g *grabTransport) killLast() {
 	}
 }
 
+// resuming is the session of a worker whose connection a test cuts: it
+// redials and resumes.
+var resuming = SessionConfig{Resume: true, MaxDialAttempts: 50, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
+
 // TestWorkerSessionResumeMidLease cuts a resuming worker's connection
 // twice — once mid-evaluation, once between leases — and demands the
 // calibration finish bitwise identical to serial with both sessions
@@ -89,14 +93,12 @@ func TestWorkerSessionResumeMidLease(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	lb := NewLoopback()
-	coord := NewCoordinator(CoordinatorConfig{Name: "resume", Registry: reg})
-	defer coord.Close()
-	ln, err := lb.Listen("")
+	srv, err := Serve(lb, "", CoordinatorConfig{Name: "resume", Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	go coord.Serve(ln)
+	defer srv.Close()
+	coord := srv.Coord
 
 	// The first evaluation stalls until its connection dies (the
 	// mid-lease kill target); every later evaluation — including the
@@ -139,30 +141,11 @@ func TestWorkerSessionResumeMidLease(t *testing.T) {
 		}), nil
 	}
 
-	w, err := NewWorker(WorkerConfig{Name: "resumer", Capacity: 2, Factory: factory, Registry: reg})
+	workers, err := StartWorkers(gt, srv.Addr(), 1, WorkerConfig{Name: "resumer", Capacity: 2, Factory: factory, Registry: reg}, resuming)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wctx, wcancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = w.RunSession(wctx, gt, "", SessionConfig{
-			Resume:          true,
-			MaxDialAttempts: 50,
-			BaseDelay:       5 * time.Millisecond,
-			MaxDelay:        50 * time.Millisecond,
-		})
-	}()
-	stop := func() {
-		coord.Close()
-		ln.Close()
-		wcancel()
-		gt.killLast()
-		wg.Wait()
-	}
-	defer stop()
+	defer workers.Close()
 
 	type calOut struct {
 		res *core.Result
@@ -213,7 +196,9 @@ func TestWorkerSessionResumeMidLease(t *testing.T) {
 		if out.err != nil {
 			t.Fatalf("calibration across session kills: %v", out.err)
 		}
-		assertSameHistory(t, out.res, serial)
+		if err := core.CheckIdentical(out.res, serial); err != nil {
+			t.Fatal(err)
+		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("calibration did not finish after the session kills")
 	}
@@ -237,19 +222,17 @@ func TestPoisonLeaseQuarantinedAndEvaluatedLocally(t *testing.T) {
 	var trace bytes.Buffer
 	tracer := obs.NewTracer(&trace)
 	lb := NewLoopback()
-	coord := NewCoordinator(CoordinatorConfig{
+	srv, err := Serve(lb, "", CoordinatorConfig{
 		Name:         "quarantine",
 		Registry:     reg,
 		Tracer:       tracer,
 		LocalFactory: sameFactory,
 	})
-	defer coord.Close()
-	ln, err := lb.Listen("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	go coord.Serve(ln)
+	defer srv.Close()
+	coord := srv.Coord
 
 	gt := &grabTransport{inner: lb}
 	// The first point delivered becomes the poison: every delivery of
@@ -283,30 +266,11 @@ func TestPoisonLeaseQuarantinedAndEvaluatedLocally(t *testing.T) {
 		}), nil
 	}
 
-	w, err := NewWorker(WorkerConfig{Name: "victim", Capacity: 1, Factory: factory})
+	workers, err := StartWorkers(gt, srv.Addr(), 1, WorkerConfig{Name: "victim", Capacity: 1, Factory: factory}, resuming)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wctx, wcancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = w.RunSession(wctx, gt, "", SessionConfig{
-			Resume:          true,
-			MaxDialAttempts: 50,
-			BaseDelay:       5 * time.Millisecond,
-			MaxDelay:        50 * time.Millisecond,
-		})
-	}()
-	stop := func() {
-		coord.Close()
-		ln.Close()
-		wcancel()
-		gt.killLast()
-		wg.Wait()
-	}
-	defer stop()
+	defer workers.Close()
 
 	type calOut struct {
 		res *core.Result
@@ -332,7 +296,9 @@ func TestPoisonLeaseQuarantinedAndEvaluatedLocally(t *testing.T) {
 		if out.err != nil {
 			t.Fatalf("calibration with poison lease: %v", out.err)
 		}
-		assertSameHistory(t, out.res, serial)
+		if err := core.CheckIdentical(out.res, serial); err != nil {
+			t.Fatal(err)
+		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("calibration did not finish; the poison lease was never quarantined")
 	}
@@ -364,20 +330,18 @@ func TestFleetEmptyDegradationDrainsLocallyAndReabsorbs(t *testing.T) {
 	var trace bytes.Buffer
 	tracer := obs.NewTracer(&trace)
 	lb := NewLoopback()
-	coord := NewCoordinator(CoordinatorConfig{
+	srv, err := Serve(lb, "", CoordinatorConfig{
 		Name:          "degraded",
 		Registry:      reg,
 		Tracer:        tracer,
 		LocalFactory:  sameFactory,
 		DegradedGrace: 50 * time.Millisecond,
 	})
-	defer coord.Close()
-	ln, err := lb.Listen("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	go coord.Serve(ln)
+	defer srv.Close()
+	coord := srv.Coord
 
 	cal := core.Calibrator{
 		Space:          distTestSpace,
@@ -392,7 +356,9 @@ func TestFleetEmptyDegradationDrainsLocallyAndReabsorbs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded calibration: %v", err)
 	}
-	assertSameHistory(t, res, serial)
+	if err := core.CheckIdentical(res, serial); err != nil {
+		t.Fatal(err)
+	}
 	if got := reg.Counter("dist.local_evals").Value(); got != evals {
 		t.Errorf("dist.local_evals = %d, want %d (every eval drained locally)", got, evals)
 	}
@@ -402,22 +368,11 @@ func TestFleetEmptyDegradationDrainsLocallyAndReabsorbs(t *testing.T) {
 
 	// Re-absorption: a worker registers, degraded mode ends, and the
 	// next calibration is served by the fleet.
-	w, err := NewWorker(WorkerConfig{Name: "late", Capacity: 2, Factory: sameFactory})
+	late, err := StartWorkers(lb, srv.Addr(), 1, WorkerConfig{Name: "late", Capacity: 2, Factory: sameFactory}, SessionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := lb.Dial("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = w.Run(context.Background(), conn)
-	}()
-	defer wg.Wait()
-	defer conn.Close()
+	defer late.Close()
 	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer wcancel()
 	if err := coord.WaitForWorkers(wctx, 1); err != nil {
@@ -431,7 +386,9 @@ func TestFleetEmptyDegradationDrainsLocallyAndReabsorbs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-reabsorption calibration: %v", err)
 	}
-	assertSameHistory(t, res2, serial)
+	if err := core.CheckIdentical(res2, serial); err != nil {
+		t.Fatal(err)
+	}
 	if got := reg.Counter("dist.leases_dispatched").Value(); got <= dispatchedBefore {
 		t.Errorf("dist.leases_dispatched stayed at %d; the re-absorbed worker served nothing", got)
 	}
@@ -493,27 +450,22 @@ func (f *flipWrite) Write(b []byte) (int, error) {
 // needs no backoff step. Only the coordinator's bye ends the session.
 func TestDroppedWorkerRedials(t *testing.T) {
 	lb := NewLoopback()
-	coord := NewCoordinator(CoordinatorConfig{Name: "dropper"})
-	ln, err := lb.Listen("")
+	srv, err := Serve(lb, "", CoordinatorConfig{Name: "dropper"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	go coord.Serve(ln)
+	defer srv.Close()
+	coord := srv.Coord
 
-	w, err := NewWorker(WorkerConfig{Name: "dropped", Capacity: 2, Factory: func([]byte) (core.Simulator, error) {
-		return distTestSim(), nil
-	}})
+	tr := &corruptOnce{Loopback: lb, dialed: make(chan int, 4)}
+	workers, err := StartWorkers(tr, srv.Addr(), 1, WorkerConfig{Name: "dropped", Capacity: 2, Factory: sameFactory},
+		SessionConfig{Resume: true, MaxDialAttempts: 2, BaseDelay: time.Hour, MaxDelay: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &corruptOnce{Loopback: lb, dialed: make(chan int, 4)}
+	defer workers.Close()
 	session := make(chan error, 1)
-	go func() {
-		session <- w.RunSession(context.Background(), tr, "", SessionConfig{
-			Resume: true, MaxDialAttempts: 2, BaseDelay: time.Hour, MaxDelay: time.Hour,
-		})
-	}()
+	go func() { session <- workers.Wait() }()
 
 	cal := core.Calibrator{
 		Space:          distTestSpace,
@@ -566,7 +518,6 @@ func TestUnsendableLeaseFailsAlone(t *testing.T) {
 		return distTestSim(), nil
 	}
 	c := startCluster(t, NewLoopback(), "", CoordinatorConfig{}, []Factory{factory, factory}, 2)
-	defer c.stop()
 	capacity := c.coord.Capacity()
 	pt := core.Point{"x": 1, "y": 2}
 	run := func(spec []byte) (float64, error) {

@@ -75,20 +75,18 @@ func advanceUntil[T any](t *testing.T, c *armedClock, step time.Duration, events
 // the injected clock past HeartbeatTimeout must evict it.
 func TestCoordinatorDeclaresSilentWorkerDead(t *testing.T) {
 	mc := NewManualClock(time.Unix(0, 0))
-	coord := NewCoordinator(CoordinatorConfig{
+	lb := NewLoopback()
+	srv, err := Serve(lb, "", CoordinatorConfig{
 		Name:             "test",
 		Clock:            mc,
 		HeartbeatEvery:   2 * time.Second,
 		HeartbeatTimeout: 10 * time.Second,
 	})
-	defer coord.Close()
-	lb := NewLoopback()
-	l, err := lb.Listen("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	go coord.Serve(l)
+	defer srv.Close()
+	coord := srv.Coord
 
 	conn, err := lb.Dial("")
 	if err != nil {

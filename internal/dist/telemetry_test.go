@@ -39,38 +39,24 @@ func (b *syncBuffer) Bytes() []byte {
 func startOneWorker(t *testing.T, ccfg CoordinatorConfig, wcfg WorkerConfig) *Coordinator {
 	t.Helper()
 	lb := NewLoopback()
-	l, err := lb.Listen("")
+	srv, err := Serve(lb, "", ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinator(ccfg)
-	go coord.Serve(l)
-	w, err := NewWorker(wcfg)
+	workers, err := StartWorkers(lb, srv.Addr(), 1, wcfg, SessionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := lb.Dial("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = w.Run(ctx, conn)
-	}()
 	t.Cleanup(func() {
-		coord.Close()
-		l.Close()
-		cancel()
-		<-done
+		srv.Close()
+		workers.Close()
 	})
 	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer wcancel()
-	if err := coord.WaitForWorkers(wctx, 1); err != nil {
+	if err := srv.Coord.WaitForWorkers(wctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	return coord
+	return srv.Coord
 }
 
 // workerEvalKeys is the sorted field set of a dist_worker_eval trace

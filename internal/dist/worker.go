@@ -239,12 +239,13 @@ func (s *session) read(name string, metric any) {
 // worker redials when its session resumes.
 var errSessionCut = errors.New("dist: the coordinator closed the connection without ending the session")
 
-// Run serves one coordinator connection until it closes. An orderly
-// coordinator shutdown (a bye frame) returns nil — the worker process
-// can exit 0; anything else, a clean EOF included, returns an error.
-// Run always closes conn before returning.
+// Run serves one coordinator connection until it closes or ctx ends.
+// An orderly coordinator shutdown (a bye frame) returns nil — the
+// worker process can exit 0; anything else, a clean EOF included,
+// returns an error. Run always closes conn before returning.
 func (w *Worker) Run(ctx context.Context, conn Conn) error {
 	defer conn.Close()
+	defer context.AfterFunc(ctx, func() { conn.Close() })() // unblocks Recv
 	if err := conn.Send(&Frame{Type: TypeHello, Hello: &HelloMsg{Name: w.cfg.Name, Capacity: w.cfg.Capacity}}); err != nil {
 		return err
 	}

@@ -7,7 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -135,40 +134,24 @@ var routedCalibrations = map[string]int64{
 func loopbackFleet(t *testing.T) (remote func(simspec.Spec) (core.Simulator, error), routed *atomic.Int64) {
 	t.Helper()
 	tr := dist.NewLoopback()
-	l, err := tr.Listen("")
+	srv, err := dist.Serve(tr, "", dist.CoordinatorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := dist.NewCoordinator(dist.CoordinatorConfig{})
-	go coord.Serve(l)
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		w, err := dist.NewWorker(dist.WorkerConfig{Name: fmt.Sprintf("w%d", i), Capacity: 2, Factory: simspec.BuildSimulator})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn, err := tr.Dial(l.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run(ctx, conn) // ends with an error when Close tears the session down
-		}()
-	}
-	t.Cleanup(func() {
-		coord.Close()
-		l.Close()
-		cancel()
-		wg.Wait()
-	})
-	wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
-	defer wcancel()
-	if err := coord.WaitForWorkers(wctx, 2); err != nil {
+	workers, err := dist.StartWorkers(tr, srv.Addr(), 2, dist.WorkerConfig{Capacity: 2, Factory: simspec.BuildSimulator}, dist.SessionConfig{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		srv.Close()
+		workers.Close()
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Coord.WaitForWorkers(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	coord := srv.Coord
 	routed = new(atomic.Int64)
 	return func(sp simspec.Spec) (core.Simulator, error) {
 		b, err := sp.Canonical()

@@ -76,8 +76,8 @@ type Options struct {
 	Cache *cache.Cache
 
 	// Resilience, when non-nil, runs every loss evaluation of every
-	// calibration under the fault-tolerant executor (timeouts, retries,
-	// circuit breaking — see resilience.Policy).
+	// calibration under its policy: per-attempt timeouts and bounded
+	// retries of transient failures (see core.Calibrator.Resilience).
 	Resilience *resilience.Policy
 
 	// RunLog, when non-nil, checkpoints completed grid cells so a

@@ -28,8 +28,8 @@ func quadratic(ctx context.Context, p core.Point) (float64, error) {
 // runtime's recovery counters reconcile exactly with the injector's own
 // fault log — every panic recovered, every hang timed out, every
 // transient (and every timeout, which classifies as transient) retried.
-// Run under -race: the injector, executor, and observer are all
-// exercised concurrently.
+// Run under -race: the injector, the engine applying the policy, and the
+// observer are all exercised concurrently.
 func TestInjectedFaultsMatchRecoveryCounters(t *testing.T) {
 	inj := Wrap(core.Evaluator(quadratic), Config{
 		Seed:          99,

@@ -2,6 +2,7 @@ package mpisim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -39,7 +40,7 @@ func TestRateMonotoneInBandwidth(t *testing.T) {
 		}
 		return fast >= slow*(1-1e-9)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -62,7 +63,7 @@ func TestRateBoundedByProtocolAndBottleneck(t *testing.T) {
 		bound := factor * math.Min(cfg.BackboneBW, cfg.NICBW)
 		return rate <= bound*(1+1e-6)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -106,7 +107,7 @@ func TestHigherLatencyNeverSpeedsUp(t *testing.T) {
 		}
 		return slower <= base*(1+1e-9)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

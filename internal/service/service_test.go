@@ -60,46 +60,33 @@ func (s toySim) Run(ctx context.Context, p core.Point) (float64, error) {
 func fleetConfig(t *testing.T, delays ...time.Duration) service.Config {
 	t.Helper()
 	lb := dist.NewLoopback()
-	l, err := lb.Listen("")
+	srv, err := dist.Serve(lb, "", dist.CoordinatorConfig{Name: "svc-test", Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := dist.NewCoordinator(dist.CoordinatorConfig{
-		Name:     "svc-test",
-		Registry: obs.NewRegistry(),
-	})
-	go coord.Serve(l)
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
+	var workers []*dist.Workers // one set per delay: a factory is per set
 	t.Cleanup(func() {
-		coord.Close()
-		l.Close()
-		cancel()
-		wg.Wait()
+		srv.Close()
+		for _, ws := range workers {
+			ws.Close()
+		}
 	})
 	for i, delay := range delays {
-		w, err := dist.NewWorker(dist.WorkerConfig{
+		ws, err := dist.StartWorkers(lb, srv.Addr(), 1, dist.WorkerConfig{
 			Name:     fmt.Sprintf("w%d", i),
 			Capacity: 2,
 			Factory: func([]byte) (core.Simulator, error) {
 				return toySim{delay: delay}, nil
 			},
-		})
+		}, dist.SessionConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn, err := lb.Dial("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run(ctx, conn)
-		}()
+		workers = append(workers, ws)
 	}
 	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer wcancel()
+	coord := srv.Coord
 	if err := coord.WaitForWorkers(wctx, len(delays)); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package wfsim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -34,7 +35,7 @@ func TestMakespanCriticalPathLowerBound(t *testing.T) {
 		bound := cp / cfg.CoreSpeed
 		return res.Makespan >= bound*(1-1e-9)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -59,7 +60,7 @@ func TestMakespanMonotoneInCoreSpeed(t *testing.T) {
 		}
 		return fast.Makespan <= slow.Makespan*(1+1e-9)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -84,7 +85,7 @@ func TestOverheadsOnlyIncreaseMakespan(t *testing.T) {
 		}
 		return withOvh.Makespan >= base.Makespan-1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -110,27 +111,44 @@ func TestTaskTimesSumBound(t *testing.T) {
 	}
 }
 
-// TestFasterNetworkNeverHurtsDataHeavy: for a data-heavy workflow,
-// scaling the network bandwidth up cannot increase the makespan.
+// TestFasterNetworkNeverHurtsDataHeavy: for a data-heavy workflow on
+// one worker core, scaling the network bandwidth up cannot increase the
+// makespan. One core runs the tasks one at a time, in an order no
+// timing changes, so only a task's own files ever share the link and
+// the disk. With more cores the claim is false, as it is on a real
+// platform: the named inputs are where two 48-core workers finish later
+// on the faster network. In "shared bandwidth" every task keeps its
+// worker, but transfers that now start closer together share the link
+// and the submit disk for longer, and the last of them ends later. In
+// "disk queue" a stage-in read waits one more turn at the submit disk,
+// which serves three I/Os at a time in arrival order, behind writes
+// that now arrive first.
 func TestFasterNetworkNeverHurtsDataHeavy(t *testing.T) {
 	wf := wfgen.Generate(wfgen.Spec{App: wfgen.Epigenomics, Tasks: 43, WorkSeconds: 0.5, FootprintBytes: 1500 * wfgen.MB})
 	f := func(seed int64) bool {
 		rng := stats.NewRNG(seed)
 		v := Version{OneLink, SubmitOnly, Direct}
 		cfg := randomCfg(v, rng)
-		slow, err := Simulate(v, cfg, Scenario{Workflow: wf, Workers: 2})
+		cfg.WorkerCores = 1
+		slow, err := Simulate(v, cfg, Scenario{Workflow: wf, Workers: 1})
 		if err != nil {
 			return false
 		}
-		cfg2 := cfg
-		cfg2.LinkBW *= 4
-		fast, err := Simulate(v, cfg2, Scenario{Workflow: wf, Workers: 2})
+		cfg.LinkBW *= 4
+		fast, err := Simulate(v, cfg, Scenario{Workflow: wf, Workers: 1})
 		if err != nil {
 			return false
 		}
 		return fast.Makespan <= slow.Makespan*(1+1e-9)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	for name, seed := range map[string]int64{"shared bandwidth": 160293259050391691, "disk queue": 7313300577494867126} {
+		t.Run(name, func(t *testing.T) {
+			if !f(seed) {
+				t.Errorf("seed %d: the faster network lengthened the makespan", seed)
+			}
+		})
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
