@@ -180,22 +180,15 @@ func (p *Problem) record(s Sample) (improved bool) {
 	return improved
 }
 
-// Best returns a copy of the incumbent sample, or nil before any
-// evaluation. The copy is deep (unit vector and point included) so
-// callers cannot mutate calibration state through it.
+// Best returns the incumbent sample, or nil before any evaluation. It
+// is the problem's own sample, not a copy, and read-only as History's
+// entries are: its unit vector and point are those of the history entry
+// it was recorded from, and record never writes a sample it has handed
+// out — a better one replaces the pointer. Callers must not modify it.
 func (p *Problem) Best() *Sample {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.best == nil {
-		return nil
-	}
-	c := *p.best
-	c.Unit = append([]float64(nil), p.best.Unit...)
-	c.Point = make(Point, len(p.best.Point))
-	for k, v := range p.best.Point {
-		c.Point[k] = v
-	}
-	return &c
+	return p.best
 }
 
 // Evaluations returns the number of completed loss evaluations.

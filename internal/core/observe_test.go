@@ -104,22 +104,31 @@ func TestObserverLifecycle(t *testing.T) {
 	}
 }
 
-// TestBestReturnsCopy is the regression test for Best() leaking a
-// pointer into calibration state: mutating the returned sample must not
-// corrupt the incumbent.
-func TestBestReturnsCopy(t *testing.T) {
+// TestBestSharesTheIncumbent: Best hands out the incumbent itself — no
+// copy, no allocation, its unit the history entry's own — and a sample
+// it has handed out stays as it was when a better one is recorded.
+func TestBestSharesTheIncumbent(t *testing.T) {
 	prob := &Problem{Space: testSpace, sim: sphereLoss(Point{"x": 0, "y": 0}), workers: 1, start: time.Now()}
-	if _, err := prob.Evaluate(context.Background(), [][]float64{{0.5, 0.5}}); err != nil {
+	if _, err := prob.Evaluate(context.Background(), [][]float64{{0.9, 0.9}}); err != nil {
 		t.Fatal(err)
 	}
 	b1 := prob.Best()
-	origLoss, origX, origU := b1.Loss, b1.Point["x"], b1.Unit[0]
-	b1.Loss = -1e9
-	b1.Point["x"] = 12345
-	b1.Unit[0] = -7
+	if h := prob.History(); &b1.Unit[0] != &h[0].Unit[0] {
+		t.Fatal("Best's unit is a copy, not the history entry's")
+	}
+	if n := testing.AllocsPerRun(100, func() { prob.Best() }); n != 0 {
+		t.Fatalf("Best allocates %v times, want 0", n)
+	}
+	loss, x, u := b1.Loss, b1.Point["x"], b1.Unit[0]
+	if _, err := prob.Evaluate(context.Background(), [][]float64{{0.5, 0.5}}); err != nil {
+		t.Fatal(err)
+	}
 	b2 := prob.Best()
-	if b2.Loss != origLoss || b2.Point["x"] != origX || b2.Unit[0] != origU {
-		t.Fatalf("mutating Best() result corrupted the incumbent: %+v", *b2)
+	if b2 == b1 || b2.Loss >= loss {
+		t.Fatalf("a better sample did not replace the incumbent: %+v after %+v", *b2, *b1)
+	}
+	if b1.Loss != loss || b1.Point["x"] != x || b1.Unit[0] != u {
+		t.Fatalf("recording a better sample rewrote the one Best handed out: %+v", *b1)
 	}
 }
 

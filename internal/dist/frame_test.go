@@ -176,6 +176,8 @@ func payload(parts ...any) []byte {
 			b = append(b, v)
 		case int:
 			b = binary.AppendUvarint(b, uint64(v))
+		case uint64: // a length past what an int holds on 32-bit
+			b = binary.AppendUvarint(b, v)
 		case int64:
 			b = binary.AppendVarint(b, v)
 		case float64:
@@ -268,7 +270,7 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 			payload(int64(2), int64(2), int64(1), int64(1), 2, int64(7), int64(1), int64(6), int64(1))), "out of order or repeated"},
 		{"oversize count", wrapPayload(payload(tLease, 1, 0, "", 1000, "x", 1.0)), "count 1000 exceeds"},
 		{"oversize length", wrapPayload(payload(tHello, 1000, "x", int64(0))), "length 1000 exceeds"},
-		{"oversize spec length", wrapPayload(payload(tLease, 1, 0, 1<<40, 0)), "length 1099511627776 exceeds"},
+		{"oversize spec length", wrapPayload(payload(tLease, 1, 0, uint64(1<<40), 0)), "length 1099511627776 exceeds"},
 	}
 	for _, tc := range cases {
 		_, err := DecodeFrame(bytes.NewReader(tc.in))

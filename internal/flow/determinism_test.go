@@ -44,7 +44,7 @@ func irregularSolve() (rates, doneAt []float64) {
 	for i, a := range acts {
 		rates[i] = a.Rate()
 	}
-	if _, err := eng.Run(1e12); err != nil {
+	if _, err := eng.Run(0); err != nil {
 		panic(err)
 	}
 	return rates, doneAt

@@ -126,6 +126,7 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 	var inflight []flight
 	var order []int
 	defer func() {
+		surrogate.Release(reg)
 		b.mu.Lock()
 		b.recorded = order
 		b.mu.Unlock()
@@ -202,7 +203,8 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 // evaluation, and a single acquisition winner is returned. fantasies
 // reports how many liar rows the fit conditioned on (0 when the
 // proposal did not come from a fantasy-conditioned fit). Any surrogate
-// failure degrades to random exploration, exactly like the batch path.
+// failure degrades to random exploration and releases the regressor,
+// exactly like the batch path.
 func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, mem *scratch, regp *surrogate.Regressor, inflight []flight, submitted, init, nCands int, xi float64, maxFit int) (u []float64, fantasies int) {
 	if submitted < init {
 		return prob.Space.Sample(prob.RNG), 0
@@ -245,6 +247,7 @@ func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, m
 	fitStart := time.Now()
 	if err := resilience.Safely(func() error { return reg.Fit(X, y) }); err != nil {
 		notePanic(observer, err)
+		surrogate.Release(reg)
 		*regp = nil
 		return prob.Space.Sample(prob.RNG), 0
 	}
@@ -266,6 +269,7 @@ func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, m
 		return nil
 	}); err != nil {
 		notePanic(observer, err)
+		surrogate.Release(reg)
 		*regp = nil
 		return prob.Space.Sample(prob.RNG), 0
 	}

@@ -135,8 +135,10 @@ func (b *BayesOpt) Optimize(ctx context.Context, prob *core.Problem) error {
 	observer := prob.Observer()
 	// One regressor instance is reused (re-seeded) across refits so
 	// incremental fitting state — the GP's cached distance matrix and
-	// Cholesky factors — stays warm; a fit failure discards it.
+	// Cholesky factors — stays warm; a fit failure discards it. Its
+	// buffers go on to the next calibration's (surrogate.Release).
 	var reg surrogate.Regressor
+	defer func() { surrogate.Release(reg) }()
 	var mem scratch
 	for iter := 0; ; iter++ {
 		X, y, ok := mem.trainingSet(prob, maxFit)
@@ -177,7 +179,7 @@ func (b *BayesOpt) randomBatch(prob *core.Problem, batch int) [][]float64 {
 // degrade to a random-exploration iteration — reported through the
 // observer's FaultObserver extension — rather than kill the
 // calibration. A nil next (any failure) triggers the caller's random
-// fallback, and the failed regressor is dropped rather than reused.
+// fallback, and the failed regressor is released rather than reused.
 func (b *BayesOpt) proposeBatch(prob *core.Problem, observer core.Observer, mem *scratch, prev surrogate.Regressor, X [][]float64, y []float64, nCands, batch int, xi float64) (next [][]float64, reg surrogate.Regressor) {
 	seed := prob.RNG.Int63()
 	if rs, ok := prev.(surrogate.Reseeder); ok {
@@ -189,6 +191,7 @@ func (b *BayesOpt) proposeBatch(prob *core.Problem, observer core.Observer, mem 
 	fitStart := time.Now()
 	if err := resilience.Safely(func() error { return reg.Fit(X, y) }); err != nil {
 		notePanic(observer, err)
+		surrogate.Release(reg)
 		return nil, nil
 	}
 	fitDur := time.Since(fitStart)
@@ -197,6 +200,7 @@ func (b *BayesOpt) proposeBatch(prob *core.Problem, observer core.Observer, mem 
 			next = b.proposeByEI(prob, mem, reg, nCands, batch, xi)
 			return nil
 		}); err != nil {
+			surrogate.Release(reg)
 			return nil, nil
 		}
 		return next, reg
@@ -210,6 +214,7 @@ func (b *BayesOpt) proposeBatch(prob *core.Problem, observer core.Observer, mem 
 		return nil
 	}); err != nil {
 		notePanic(observer, err)
+		surrogate.Release(reg)
 		return nil, nil
 	}
 	observer.AcquisitionSolved(nCands, timed.predict, time.Since(acqStart))

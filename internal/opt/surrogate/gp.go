@@ -3,7 +3,9 @@ package surrogate
 import (
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
+	"weak"
 
 	"simcal/internal/la"
 	"simcal/internal/stats"
@@ -33,6 +35,12 @@ var gpJitterLadder = [...]float64{0, 1e-6}
 // operation sequence of a full factorization, and the grid winner is
 // chosen by ascending candidate index regardless of which goroutine
 // finished first).
+//
+// The buffers outlive the GP: Release hands them to the next GP that
+// fits, which only re-shapes them, so a process that runs one
+// calibration after another grows its n×n matrices once, not once per
+// calibration. Reused buffers carry no bits from their last owner:
+// every cell a fit or prediction reads, it wrote first.
 type GP struct {
 	// LengthScales are the candidate kernel length scales; the one with
 	// the highest log marginal likelihood wins (lowest index on ties).
@@ -55,22 +63,73 @@ type GP struct {
 	scale        float64 // chosen length scale
 	yMean, yStd  float64
 	signalStdDev float64
+	fitStats     FitStats
 
-	// Incremental-fit caches. A later Fit detects the rows it shares with
-	// x as a prefix; dists holds pairwise distances for x; distsNext is
-	// the ping-pong buffer the next fit extends into. scaleState keeps
-	// one factored kernel per length-scale candidate so an appended-rows
-	// refit only factors the new rows.
+	// The fit and predict buffers: nil until the first Fit takes a set
+	// (takeGPBuffers), and again once Release has handed it on.
+	*gpBuffers
+}
+
+// gpBuffers is the memory a GP fits and predicts in. A later Fit
+// detects the rows it shares with the GP's x as a prefix; dists holds
+// pairwise distances for x; distsNext is the ping-pong buffer the next
+// fit extends into. scaleState keeps one factored kernel per
+// length-scale candidate so an appended-rows refit only factors the new
+// rows.
+type gpBuffers struct {
 	dists      *la.Matrix
 	distsNext  *la.Matrix
 	scaleState []gpScaleState
 	yn         []float64
-	fitStats   FitStats
 
 	// predBufs[w] is PredictBatch worker w's scratch: a pair of tiles,
 	// their exponentials and a tile's candidates dimension-major, kept
 	// across calls and grown geometrically.
 	predBufs [][]float64
+}
+
+// gpFree holds the buffers of released GPs for the next GP that fits,
+// most recent last. Its entries are weak pointers: a set no GP takes
+// before the next collection is collected, so an idle process pins
+// none. A sync.Pool would not do: a Put lands in the putting P's
+// private slot, which a Get on another P cannot steal, so whether the
+// next calibration found the buffers would depend on scheduling.
+var gpFree struct {
+	sync.Mutex
+	sets []weak.Pointer[gpBuffers]
+}
+
+// takeGPBuffers pops the most recently released set still alive, or
+// makes an empty one.
+func takeGPBuffers() *gpBuffers {
+	gpFree.Lock()
+	defer gpFree.Unlock()
+	for len(gpFree.sets) > 0 {
+		last := len(gpFree.sets) - 1
+		b := gpFree.sets[last].Value()
+		gpFree.sets = gpFree.sets[:last]
+		if b != nil {
+			return b
+		}
+	}
+	return new(gpBuffers)
+}
+
+// Release hands r's fit and predict buffers to the next GP that fits
+// and leaves r unfitted: it must Fit again before it predicts. No call
+// on r may be running. Release does nothing for a regressor without
+// such buffers (the tree ensembles) or one that holds none.
+func Release(r Regressor) {
+	g, ok := r.(*GP)
+	if !ok || g == nil || g.gpBuffers == nil {
+		return
+	}
+	b := g.gpBuffers
+	g.gpBuffers = nil
+	g.invalidate()
+	gpFree.Lock()
+	gpFree.sets = append(gpFree.sets, weak.Make(b))
+	gpFree.Unlock()
 }
 
 // gpScaleState caches per-length-scale fit state across refits.
@@ -138,9 +197,6 @@ func dist(a, b []float64) float64 {
 // parameter-vector slices in its history) with a value-compare
 // fallback.
 func (g *GP) commonPrefix(X [][]float64) int {
-	if g.dists == nil {
-		return 0
-	}
 	max := len(g.x)
 	if len(X) < max {
 		max = len(X)
@@ -168,8 +224,10 @@ func (g *GP) commonPrefix(X [][]float64) int {
 // distsNext, each re-shaped over a backing array that only ever grows
 // (geometrically), so refits allocate nothing while n wanders below the
 // largest size seen — BO's first MaxFitPoints iterations and every
-// async-bo fit, whose fantasy rows move n per proposal. Stale contents
-// after a re-shape are harmless: every cell is written below.
+// async-bo fit, whose fantasy rows move n per proposal — nor, once an
+// earlier calibration's GP has been released, while n stays below the
+// largest size that GP saw. Stale contents after a re-shape, or from
+// the previous owner, are harmless: every cell is written below.
 func (g *GP) extendDists(X [][]float64, prefix int) *la.Matrix {
 	n := len(X)
 	if g.distsNext == nil {
@@ -196,8 +254,9 @@ func (g *GP) extendDists(X [][]float64, prefix int) *la.Matrix {
 	return d
 }
 
-// invalidate clears the fitted model after a failed fit so stale state
-// cannot be reused by Predict or a later incremental Fit.
+// invalidate clears the fitted model after a failed fit, or a Release,
+// so stale state cannot be reused by Predict or a later incremental
+// Fit: with no rows in x, the next Fit shares no prefix with anything.
 func (g *GP) invalidate() {
 	g.chol = nil
 	g.alpha = nil
@@ -211,6 +270,9 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 	}
 	n := len(X)
 	g.fitStats = FitStats{}
+	if g.gpBuffers == nil {
+		g.gpBuffers = takeGPBuffers()
+	}
 	yMean := stats.Mean(y)
 	yStd := stats.StdDev(y)
 	if yStd <= 0 {
@@ -240,7 +302,16 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 	prefix := g.commonPrefix(X)
 	dists := g.extendDists(X, prefix)
 	if len(g.scaleState) != len(scales) {
-		g.scaleState = make([]gpScaleState, len(scales))
+		// Keep every entry's buffers (a set from the free list may have
+		// served another grid), but extend none of their factors.
+		ss := g.scaleState[:cap(g.scaleState)]
+		for len(ss) < len(scales) {
+			ss = append(ss, gpScaleState{})
+		}
+		for i := range ss {
+			ss[i].n = 0
+		}
+		g.scaleState = ss[:len(scales)]
 	}
 
 	// Climb the jitter ladder. Within one rung every scale shares the

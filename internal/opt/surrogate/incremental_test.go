@@ -2,6 +2,8 @@ package surrogate
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"simcal/internal/la"
@@ -320,6 +322,7 @@ const gpGrowthBufferAllocCeiling = 110
 // n×n backing arrays grow geometrically, so a run that keeps changing n
 // allocates O(log n) of them, not one set per fit.
 func TestGPGrowingFitBufferAllocsBounded(t *testing.T) {
+	drainGPFree() // measure growth from empty, whatever ran before
 	X, y := trainOn(403, 3, 65, quadratic)
 	g := NewGP()
 	total, fits := 0, 0
@@ -336,4 +339,125 @@ func TestGPGrowingFitBufferAllocsBounded(t *testing.T) {
 		t.Errorf("%d buffer allocations over %d fits, ceiling %d", total, fits, gpGrowthBufferAllocCeiling)
 	}
 	t.Logf("%d buffer allocations over %d fits", total, fits)
+}
+
+// drainGPFree empties the free list of released GP buffers, so the next
+// GP that fits grows a set of its own.
+func drainGPFree() {
+	gpFree.Lock()
+	gpFree.sets = nil
+	gpFree.Unlock()
+}
+
+// TestGPReleasedBuffersServeTheNextGP: Release hands a GP's buffers to
+// the next GP that fits. That GP — on other sizes, other length scales
+// and another dimension — grows no n×n buffer while n stays below the
+// released GP's high-water mark, and its factor, alpha and PredictBatch
+// outputs carry the bits of a GP on buffers of its own. The collector
+// is paused so that the free list's weak pointer survives the hand-off.
+func TestGPReleasedBuffersServeTheNextGP(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	drainGPFree()
+	defer drainGPFree()
+
+	X, y := trainOn(203, 3, 71, quadratic)
+	pool, _ := trainOn(70, 3, 72, quadratic)
+	first := NewGP()
+	high := 0
+	for n := 8; n <= 200; n += 6 {
+		for _, m := range []int{n, n + 3, n - 2} {
+			if err := first.Fit(X[:m], y[:m]); err != nil {
+				t.Fatalf("first GP, n=%d: %v", m, err)
+			}
+			high = max(high, m)
+		}
+	}
+	first.PredictBatch(pool, make([]float64, len(pool)), make([]float64, len(pool)))
+	bufs := first.gpBuffers
+	Release(first)
+	Release(first)              // a second release has nothing to hand on
+	Release(NewRandomForest(1)) // nor has a tree ensemble
+	Release(nil)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a released GP predicted without a new Fit")
+			}
+		}()
+		first.PredictBatch(pool[:1], make([]float64, 1), make([]float64, 1))
+	}()
+
+	X2, y2 := trainOn(260, 5, 73, quadratic)
+	cands, _ := trainOn(77, 5, 74, quadratic)
+	scales := []float64{0.15, 0.3, 0.7}
+	reused, fresh := NewGP(), NewGP()
+	reused.LengthScales, fresh.LengthScales = scales, scales
+	grewAbove := 0
+	for step, m := range []int{5, 40, 37, 120, 118, high, 150, 230, 260, 100} {
+		if err := reused.Fit(X2[:m], y2[:m]); err != nil {
+			t.Fatalf("n=%d: %v", m, err)
+		}
+		if step == 0 && reused.gpBuffers != bufs {
+			t.Fatal("the next GP to fit did not take the released buffers")
+		}
+		if err := fresh.Fit(X2[:m], y2[:m]); err != nil {
+			t.Fatalf("fresh GP, n=%d: %v", m, err)
+		}
+		if step == 0 && fresh.gpBuffers == bufs {
+			t.Fatal("two GPs share one set of buffers")
+		}
+		allocs := reused.FitStats().BufferAllocs
+		if m <= high && allocs != 0 {
+			t.Errorf("n=%d (high-water mark %d): %d buffer allocations, want 0", m, high, allocs)
+		}
+		if m > high {
+			grewAbove += allocs
+		}
+		if reused.LengthScale() != fresh.LengthScale() {
+			t.Fatalf("n=%d: scale %v, fresh GP's %v", m, reused.LengthScale(), fresh.LengthScale())
+		}
+		for i := range fresh.alpha {
+			if math.Float64bits(reused.alpha[i]) != math.Float64bits(fresh.alpha[i]) {
+				t.Fatalf("n=%d alpha[%d]: %v, fresh GP's %v", m, i, reused.alpha[i], fresh.alpha[i])
+			}
+		}
+		for i := 0; i < m; i++ {
+			rr, fr := reused.chol.RawRow(i)[:i+1], fresh.chol.RawRow(i)[:i+1]
+			for j := range fr {
+				if math.Float64bits(rr[j]) != math.Float64bits(fr[j]) {
+					t.Fatalf("n=%d chol[%d][%d]: %v, fresh GP's %v", m, i, j, rr[j], fr[j])
+				}
+			}
+		}
+		rm, rs := make([]float64, len(cands)), make([]float64, len(cands))
+		fm, fs := make([]float64, len(cands)), make([]float64, len(cands))
+		reused.PredictBatch(cands, rm, rs)
+		fresh.PredictBatch(cands, fm, fs)
+		for i := range cands {
+			if math.Float64bits(rm[i]) != math.Float64bits(fm[i]) || math.Float64bits(rs[i]) != math.Float64bits(fs[i]) {
+				t.Fatalf("n=%d cand %d: (%v, %v), fresh GP's (%v, %v)", m, i, rm[i], rs[i], fm[i], fs[i])
+			}
+		}
+	}
+	if grewAbove == 0 {
+		t.Error("no buffer grew above the high-water mark: BufferAllocs counts nothing")
+	}
+}
+
+// TestReleasedGPBuffersDieWithTheNextCollection: the free list pins
+// nothing; a released set that no GP takes before a collection is
+// collected, so an idle process holds no GP buffers.
+func TestReleasedGPBuffersDieWithTheNextCollection(t *testing.T) {
+	drainGPFree()
+	defer drainGPFree()
+	X, y := trainOn(60, 3, 75, quadratic)
+	g := NewGP()
+	if err := g.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	Release(g)
+	runtime.GC()
+	if b := takeGPBuffers(); b.dists != nil {
+		t.Fatal("a released set survived a collection")
+	}
 }
