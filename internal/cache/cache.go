@@ -23,6 +23,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 
 	"simcal/internal/obs"
@@ -43,18 +44,21 @@ type Key string
 // evaluated at unit-cube position u. The sim string must uniquely
 // identify the (simulator version, loss function, dataset) configuration
 // among every calibration sharing the cache — two configurations sharing
-// an identity would silently exchange loss values.
+// an identity would silently exchange loss values. The key is sim, a
+// zero byte and each coordinate's quantum count as 8 little-endian
+// bytes, built in its one allocation.
 func NewKey(sim string, u []float64) Key {
-	b := make([]byte, 0, len(sim)+1+8*len(u))
-	b = append(b, sim...)
-	b = append(b, 0)
+	var b strings.Builder
+	b.Grow(len(sim) + 1 + 8*len(u))
+	b.WriteString(sim)
+	b.WriteByte(0)
 	for _, v := range u {
 		q := int64(math.Round(v * (1 << quantumBits)))
-		for s := 0; s < 8; s++ {
-			b = append(b, byte(q>>(8*s)))
+		for s := 0; s < 64; s += 8 {
+			b.WriteByte(byte(q >> s))
 		}
 	}
-	return Key(b)
+	return Key(b.String())
 }
 
 // entry is one memoized (done) or in-flight evaluation; an in-flight

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -32,6 +34,49 @@ func TestKeyQuantization(t *testing.T) {
 	// Sub-quantum jitter collapses onto one entry.
 	if NewKey("sim", []float64{a}) != NewKey("sim", []float64{a + 1e-12}) {
 		t.Error("sub-quantum jitter produced a distinct key")
+	}
+}
+
+// TestNewKeyBytes: NewKey is sim, a zero byte and each coordinate's
+// quantum count in 8 little-endian bytes, as it was when it appended to
+// a []byte and converted it — the key a cache shared by two builds must
+// agree on — at any sim and position, outside the unit cube and at its
+// edges too, in one allocation.
+func TestNewKeyBytes(t *testing.T) {
+	ref := func(sim string, u []float64) Key {
+		b := make([]byte, 0, len(sim)+1+8*len(u))
+		b = append(b, sim...)
+		b = append(b, 0)
+		for _, v := range u {
+			q := int64(math.Round(v * (1 << quantumBits)))
+			for s := 0; s < 8; s++ {
+				b = append(b, byte(q>>(8*s)))
+			}
+		}
+		return Key(b)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		sim := make([]byte, rng.Intn(40))
+		rng.Read(sim)
+		u := make([]float64, rng.Intn(12))
+		for j := range u {
+			switch rng.Intn(5) {
+			case 0:
+				u[j] = []float64{0, 1, math.Copysign(0, -1), -1, 2, 0.5 / (1 << quantumBits), 1 - 1e-17}[rng.Intn(7)]
+			case 1:
+				u[j] = rng.NormFloat64() * 1e6
+			default:
+				u[j] = rng.Float64()
+			}
+		}
+		if got, want := NewKey(string(sim), u), ref(string(sim), u); got != want {
+			t.Fatalf("NewKey(%q, %v) = %x, want %x", sim, u, got, want)
+		}
+	}
+	u := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}
+	if n := testing.AllocsPerRun(100, func() { _ = NewKey("wfsim/v1 loss=L1 dataset=abc", u) }); n != 1 {
+		t.Errorf("NewKey makes %.0f allocations, want 1", n)
 	}
 }
 

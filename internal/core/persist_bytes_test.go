@@ -149,3 +149,34 @@ func TestWriteJSONAllocations(t *testing.T) {
 		t.Errorf("a 300-sample, 10-parameter result costs %.0f allocations, want at most 32", allocs)
 	}
 }
+
+// countingWriter counts the Write calls made on it.
+type countingWriter struct{ writes int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return len(p), nil
+}
+
+// TestWriteJSONWritesOnce: WriteJSON encodes the whole document before
+// its one Write, and a document it refuses (a NaN point value) writes
+// nothing — what lets service.handleResult hand it the response and
+// still answer 500 on a refusal.
+func TestWriteJSONWritesOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	r := &Result{Algorithm: "RAND", Evaluations: 50, Best: randomSample(rng)}
+	for i := 0; i < 50; i++ {
+		r.History = append(r.History, randomSample(rng))
+	}
+	for _, withHistory := range []bool{false, true} {
+		var w countingWriter
+		if err := r.WriteJSON(&w, withHistory); err != nil || w.writes != 1 {
+			t.Errorf("withHistory=%v: %d writes, err %v; want 1 write, no error", withHistory, w.writes, err)
+		}
+	}
+	r.History[25].Point["nan"] = math.NaN()
+	var w countingWriter
+	if err := r.WriteJSON(&w, true); err == nil || w.writes != 0 {
+		t.Errorf("a NaN point value: %d writes, err %v; want an error and no write", w.writes, err)
+	}
+}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -148,7 +147,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // history — the same bytes `simcal -out <f> -history` writes, which is
 // the contract the CI smoke test's bitwise diff rests on. Results
 // survive restarts: a job finished by a previous process has its result
-// rebuilt from its journal, to the same bytes.
+// rebuilt from its journal, to the same bytes. WriteJSON encodes the
+// whole document in its pooled buffer before its one Write, so it
+// writes straight to the response: a document it refuses (a non-finite
+// point value) has written nothing, and the answer can still be 500.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -163,12 +165,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, errors.New("service: job is "+string(state)))
 		return
 	}
-	// Encode first: a failure must still be able to say 500.
-	var body bytes.Buffer
-	if err := res.WriteJSON(&body, true); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Write(body.Bytes())
+	var refused *json.UnsupportedValueError
+	if err := res.WriteJSON(w, true); errors.As(err, &refused) {
+		writeError(w, http.StatusInternalServerError, err)
+	} // any other error is the connection's, after the one Write
 }
