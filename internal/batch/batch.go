@@ -1,12 +1,11 @@
 // Package batch implements the third PDC domain the paper's conclusion
 // names as future work for the methodology: batch scheduling on HPC
-// clusters (the Alea/Batsim use case, with workloads in the Parallel
-// Workload Archive's Standard Workload Format). It provides an
-// event-driven cluster scheduler simulator with FCFS and EASY-backfilling
-// policies, an SWF reader/writer, a synthetic PWA-style workload
-// generator, and the ground-truth + loss plumbing to calibrate the
-// simulator with the core framework — demonstrating that the calibration
-// methodology generalizes across PDC domains.
+// clusters (the Alea/Batsim use case). It provides an event-driven
+// cluster scheduler simulator with FCFS and EASY-backfilling policies, a
+// synthetic Parallel Workloads Archive-style workload generator, and the
+// ground-truth + loss plumbing to calibrate the simulator with the core
+// framework — demonstrating that the calibration methodology generalizes
+// across PDC domains.
 package batch
 
 import (

@@ -1,7 +1,6 @@
 package batch_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -32,20 +31,11 @@ func Example() {
 	// EASY head job undelayed: true
 }
 
-// ExampleWriteSWF generates a PWA-style job log, round-trips it through
-// the Standard Workload Format, and schedules the log read back with
-// FCFS and with EASY backfilling.
-func ExampleWriteSWF() {
+// ExampleGenerateWorkload generates a PWA-style job log and schedules
+// it with FCFS and with EASY backfilling.
+func ExampleGenerateWorkload() {
 	const procs = 64
-	var swf bytes.Buffer
-	workload := batch.GenerateWorkload(batch.WorkloadSpec{Jobs: 100, Procs: procs, ArrivalRate: 0.03, Seed: 1})
-	if err := batch.WriteSWF(&swf, workload, procs); err != nil {
-		panic(err)
-	}
-	jobs, err := batch.ReadSWF(&swf)
-	if err != nil {
-		panic(err)
-	}
+	jobs := batch.GenerateWorkload(batch.WorkloadSpec{Jobs: 100, Procs: procs, ArrivalRate: 0.03, Seed: 1})
 	for _, pol := range []batch.Policy{batch.FCFS, batch.EASY} {
 		res, err := batch.Simulate(pol, batch.Config{Procs: procs, SpeedScale: 1}, jobs)
 		if err != nil {

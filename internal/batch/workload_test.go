@@ -1,10 +1,6 @@
 package batch
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestGenerateWorkloadShape(t *testing.T) {
 	spec := WorkloadSpec{Jobs: 200, Procs: 64, ArrivalRate: 0.1, Seed: 1}
@@ -59,57 +55,6 @@ func TestGenerateWorkloadPanicsOnBadSpec(t *testing.T) {
 		}
 	}()
 	GenerateWorkload(WorkloadSpec{Jobs: 0, Procs: 4, ArrivalRate: 1})
-}
-
-func TestSWFRoundTrip(t *testing.T) {
-	spec := WorkloadSpec{Jobs: 30, Procs: 16, ArrivalRate: 0.1, Seed: 2}
-	jobs := GenerateWorkload(spec)
-	var buf bytes.Buffer
-	if err := WriteSWF(&buf, jobs, spec.Procs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSWF(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(jobs) {
-		t.Fatalf("jobs = %d, want %d", len(back), len(jobs))
-	}
-	for i, j := range jobs {
-		if back[i] != j {
-			t.Fatalf("job %d changed: %+v vs %+v", i, back[i], j)
-		}
-	}
-}
-
-func TestReadSWFSkipsAndClamps(t *testing.T) {
-	doc := `; a header comment
-; MaxProcs: 8
-1 0 -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1
-2 5 -1 -1 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1
-3 9 -1 50 -1 -1 -1 2 10 -1 1 -1 -1 -1 -1 -1 -1 -1
-`
-	jobs, err := ReadSWF(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Job 2 has unknown runtime → skipped. Job 3 uses requested procs
-	// and clamps requested time up to runtime.
-	if len(jobs) != 2 {
-		t.Fatalf("jobs = %d, want 2", len(jobs))
-	}
-	if jobs[1].Procs != 2 || jobs[1].Requested != 50 {
-		t.Errorf("job 3 parsed wrong: %+v", jobs[1])
-	}
-}
-
-func TestReadSWFRejectsGarbage(t *testing.T) {
-	if _, err := ReadSWF(strings.NewReader("1 2 3\n")); err == nil {
-		t.Error("short line accepted")
-	}
-	if _, err := ReadSWF(strings.NewReader("a b c d e f g h i\n")); err == nil {
-		t.Error("non-numeric accepted")
-	}
 }
 
 func TestVersionsAndSpaces(t *testing.T) {

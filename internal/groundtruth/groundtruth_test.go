@@ -1,6 +1,8 @@
 package groundtruth
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -258,4 +260,31 @@ func TestTruthPointsDecodeToValidConfigs(t *testing.T) {
 		t.Error("MPI truth point does not decode to the truth config")
 	}
 	var _ core.Point = MPITruthPoint(MPIReferenceVersion)
+}
+
+// TestGenerateMPIDataPinned pins GenerateMPIData's output across
+// commits: FNV-1a over every measurement's key and the Float64bits of
+// its rates, in dataset order. Any change to the reference system, its
+// noise stream or the measurement order moves the hash.
+func TestGenerateMPIDataPinned(t *testing.T) {
+	ds, err := GenerateMPIData(MPIOptions{
+		Benchmarks: []mpi.Benchmark{mpi.PingPong, mpi.PingPing, mpi.BiRandom, mpi.Stencil},
+		Nodes:      []int{8}, MsgSizes: mpisim.MsgSizes(), Rounds: 4, Reps: 5, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for _, m := range ds.Measurements {
+		h.Write([]byte(m.Key()))
+		for _, r := range m.Rates {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(r))
+			h.Write(b[:])
+		}
+	}
+	const wantN, wantHash = 52, 0xd6b729ef6766f23c
+	if len(ds.Measurements) != wantN || h.Sum64() != wantHash {
+		t.Errorf("%d measurements, hash %#016x; want %d, %#016x", len(ds.Measurements), h.Sum64(), wantN, uint64(wantHash))
+	}
 }

@@ -73,10 +73,6 @@ type wfRunners struct {
 type wfGroupRunner struct {
 	g *groundtruth.WFGroup
 	r *wfsim.Runner
-	// taskIdx[j] is the runner's index of the group's j-th task
-	// (g.TaskNames order), or -1 for a task the workflow lacks, whose
-	// simulated time reads as 0. For generated datasets it is 0, 1, 2, ….
-	taskIdx []int32
 }
 
 func newWFRunners(v wfsim.Version, ds *groundtruth.WFDataset) (*wfRunners, error) {
@@ -86,19 +82,12 @@ func newWFRunners(v wfsim.Version, ds *groundtruth.WFDataset) (*wfRunners, error
 		if err != nil {
 			return nil, err
 		}
-		// Both name lists are sorted: one merge pass lines them up.
-		names, ti := r.TaskNames(), 0
-		taskIdx := make([]int32, len(g.TaskNames))
-		for j, name := range g.TaskNames {
-			for ti < len(names) && names[ti] < name {
-				ti++
-			}
-			taskIdx[j] = -1
-			if ti < len(names) && names[ti] == name {
-				taskIdx[j] = int32(ti)
-			}
+		// Both lists are the group's tasks sorted by name, so the
+		// runner's j-th task time is the group's j-th mean.
+		if !slices.Equal(r.TaskNames(), g.TaskNames) {
+			return nil, fmt.Errorf("loss: group %s task names differ from its generated workflow's", g.Key())
 		}
-		set.groups[i] = wfGroupRunner{g: g, r: r, taskIdx: taskIdx}
+		set.groups[i] = wfGroupRunner{g: g, r: r}
 	}
 	return set, nil
 }
@@ -109,11 +98,7 @@ func (set *wfRunners) taskErrors(gr *wfGroupRunner) []float64 {
 	errs := set.taskErrs[:0]
 	times := gr.r.TaskTimes()
 	for j, gt := range gr.g.MeanTaskTimeSeq {
-		sim := 0.0
-		if ti := gr.taskIdx[j]; ti >= 0 {
-			sim = times[ti]
-		}
-		errs = append(errs, stats.RelError(gt, sim))
+		errs = append(errs, stats.RelError(gt, times[j]))
 	}
 	set.taskErrs = errs
 	return errs

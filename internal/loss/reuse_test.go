@@ -1,7 +1,6 @@
 package loss
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"sync"
@@ -252,35 +251,17 @@ func TestWFEvaluatorAllocationCeiling(t *testing.T) {
 	}
 }
 
-// TestWFEvaluatorTasksTheWorkflowLacks: a loaded dataset may name tasks
-// the generated workflow does not have (and miss some it has); their
-// simulated time reads as 0, as it did when results were name-keyed.
-func TestWFEvaluatorTasksTheWorkflowLacks(t *testing.T) {
+// TestWFEvaluatorRejectsForeignTaskNames: the runner's task times are
+// read by position, so a group whose task names differ from its
+// generated workflow's must fail loudly instead of scoring a 0.
+func TestWFEvaluatorRejectsForeignTaskNames(t *testing.T) {
 	ds := mixedWFDataset(t)
-	for _, g := range ds.Groups {
-		for _, run := range g.Runs {
-			delete(run.TaskTimes, g.TaskNames[1])
-			run.TaskTimes["a-ghost"] = 3
-			run.TaskTimes["zz-ghost"] = 5
-		}
-	}
-	var buf bytes.Buffer
-	if err := ds.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := groundtruth.ReadWFDataset(&buf) // re-aggregates
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := ds.Groups[len(ds.Groups)-1]
+	g.TaskNames = append([]string(nil), g.TaskNames...)
+	g.TaskNames[1] = "a-ghost"
 	v := wfsim.LowestDetail
 	p := v.Space().Decode([]float64{0.4, 0.6, 0.5, 0.3, 0.7})
-	for _, kind := range []WFKind{WFL3, WFL6} {
-		got, err := WFEvaluator(v, kind, ds)(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := referenceWFLoss(t, v, kind, ds, p); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s: %v, want %v", kind, got, want)
-		}
+	if _, err := WFEvaluator(v, WFL3, ds)(context.Background(), p); err == nil {
+		t.Error("a group naming a task its workflow lacks was scored")
 	}
 }

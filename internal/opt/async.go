@@ -37,12 +37,6 @@ type AsyncBayesOpt struct {
 	// InitSamples is the number of random submissions before the first
 	// surrogate fit. Defaults to max(2·dim, 8).
 	InitSamples int
-	// Candidates is the size of the candidate pool scored per proposal.
-	// Defaults to 512.
-	Candidates int
-	// Xi is the expected-improvement exploration margin. Defaults to
-	// 0.01.
-	Xi float64
 	// MaxFitPoints caps the completed history used per refit (fantasy
 	// rows ride on top). Defaults to 400.
 	MaxFitPoints int
@@ -102,14 +96,6 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 	// The in-flight window is the problem's worker parallelism (the
 	// fleet capacity in distributed runs).
 	width := max(prob.Workers(), 1)
-	nCands := b.Candidates
-	if nCands <= 0 {
-		nCands = 512
-	}
-	xi := b.Xi
-	if xi <= 0 {
-		xi = 0.01
-	}
 	maxFit := b.MaxFitPoints
 	if maxFit <= 0 {
 		maxFit = 400
@@ -140,7 +126,7 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 	stopSubmit := false
 	for {
 		for !stopSubmit && len(inflight) < width {
-			u, fantasies := b.proposeOne(prob, observer, &mem, &reg, inflight, submitted, init, nCands, xi, maxFit)
+			u, fantasies := b.proposeOne(prob, observer, &mem, &reg, inflight, submitted, init, maxFit)
 			seq, err := run.Submit(ctx, u)
 			if err != nil {
 				// Submit only refuses for budget exhaustion; stop
@@ -205,7 +191,7 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 // proposal did not come from a fantasy-conditioned fit). Any surrogate
 // failure degrades to random exploration and releases the regressor,
 // exactly like the batch path.
-func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, mem *scratch, regp *surrogate.Regressor, inflight []flight, submitted, init, nCands int, xi float64, maxFit int) (u []float64, fantasies int) {
+func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, mem *scratch, regp *surrogate.Regressor, inflight []flight, submitted, init, maxFit int) (u []float64, fantasies int) {
 	if submitted < init {
 		return prob.Space.Sample(prob.RNG), 0
 	}
@@ -265,7 +251,7 @@ func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, m
 	acqStart := time.Now()
 	var pick []float64
 	if err := resilience.Safely(func() error {
-		pick = b.pickCandidate(prob, mem, scorer, best, role, nCands, xi)
+		pick = b.pickCandidate(prob, mem, scorer, best, role)
 		return nil
 	}); err != nil {
 		notePanic(observer, err)
@@ -274,7 +260,7 @@ func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, m
 		return prob.Space.Sample(prob.RNG), 0
 	}
 	if observer != nil {
-		observer.AcquisitionSolved(nCands, timed.predict, time.Since(acqStart))
+		observer.AcquisitionSolved(candidatePool, timed.predict, time.Since(acqStart))
 	}
 	return pick, fantasies
 }
@@ -282,8 +268,8 @@ func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, m
 // pickCandidate scores a candidate pool (the same pool as the batch
 // path's) and returns a copy of one winner: the lowest predicted mean
 // for the exploit role, the highest expected improvement otherwise.
-func (b *AsyncBayesOpt) pickCandidate(prob *core.Problem, mem *scratch, reg surrogate.Regressor, best *core.Sample, role, nCands int, xi float64) []float64 {
-	cands := mem.scorePool(prob, reg, best.Unit, nCands)
+func (b *AsyncBayesOpt) pickCandidate(prob *core.Problem, mem *scratch, reg surrogate.Regressor, best *core.Sample, role int) []float64 {
+	cands := mem.scorePool(prob, reg, best.Unit, candidatePool)
 	means, stds := mem.means, mem.stds
 	if role == 0 {
 		bestMean := 0
@@ -297,7 +283,7 @@ func (b *AsyncBayesOpt) pickCandidate(prob *core.Problem, mem *scratch, reg surr
 	fBest := math.Log1p(best.Loss)
 	bestEI, bestIdx := math.Inf(-1), 0
 	for i := range cands {
-		if ei := expectedImprovement(fBest, means[i], stds[i], xi); ei > bestEI {
+		if ei := expectedImprovement(fBest, means[i], stds[i], eiMargin); ei > bestEI {
 			bestEI, bestIdx = ei, i
 		}
 	}

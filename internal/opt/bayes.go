@@ -13,22 +13,19 @@ import (
 	"simcal/internal/resilience"
 )
 
-// Acquisition selects how BayesOpt scores candidates.
-type Acquisition int
-
+// The acquisition constants BayesOpt and AsyncBayesOpt share.
 const (
-	// EI is expected improvement (the default, as in scikit-optimize).
-	EI Acquisition = iota
-	// LCB is the lower confidence bound mean − κ·std; candidates with
-	// the lowest bound win. More exploratory for large Kappa.
-	LCB
+	// candidatePool is the size of the candidate pool the acquisition
+	// scores per proposal.
+	candidatePool = 512
+	// eiMargin is the expected-improvement exploration margin ξ.
+	eiMargin = 0.01
 )
 
 // BayesOpt is the BO algorithm: an incrementally refit surrogate model
 // prunes the search space, balancing exploration (high predictive
 // uncertainty) and exploitation (low predicted loss) through the
-// expected-improvement acquisition function (or, optionally, a lower
-// confidence bound).
+// expected-improvement acquisition function.
 type BayesOpt struct {
 	// NewRegressor builds a fresh surrogate for each refit. Required.
 	NewRegressor func(seed int64) surrogate.Regressor
@@ -40,15 +37,6 @@ type BayesOpt struct {
 	// Batch is the number of acquisition winners evaluated per iteration
 	// (in parallel). Defaults to 4.
 	Batch int
-	// Candidates is the size of the random candidate pool scored by the
-	// acquisition per iteration. Defaults to 512.
-	Candidates int
-	// Xi is the expected-improvement exploration margin. Defaults to 0.01.
-	Xi float64
-	// Acq selects the acquisition function (EI by default).
-	Acq Acquisition
-	// Kappa is the LCB exploration weight. Defaults to 1.96.
-	Kappa float64
 	// MaxFitPoints caps the history used to refit the surrogate (the
 	// best points are kept plus a random subsample). Defaults to 400.
 	MaxFitPoints int
@@ -107,14 +95,6 @@ func (b *BayesOpt) Optimize(ctx context.Context, prob *core.Problem) error {
 	if batch <= 0 {
 		batch = 4
 	}
-	nCands := b.Candidates
-	if nCands <= 0 {
-		nCands = 512
-	}
-	xi := b.Xi
-	if xi <= 0 {
-		xi = 0.01
-	}
 	maxFit := b.MaxFitPoints
 	if maxFit <= 0 {
 		maxFit = 400
@@ -144,7 +124,7 @@ func (b *BayesOpt) Optimize(ctx context.Context, prob *core.Problem) error {
 		X, y, ok := mem.trainingSet(prob, maxFit)
 		var next [][]float64
 		if ok {
-			next, reg = b.proposeBatch(prob, observer, &mem, reg, X, y, nCands, batch, xi)
+			next, reg = b.proposeBatch(prob, observer, &mem, reg, X, y, batch)
 		}
 		if next == nil {
 			// Surrogate unavailable (too little data, a failed or
@@ -180,7 +160,7 @@ func (b *BayesOpt) randomBatch(prob *core.Problem, batch int) [][]float64 {
 // observer's FaultObserver extension — rather than kill the
 // calibration. A nil next (any failure) triggers the caller's random
 // fallback, and the failed regressor is released rather than reused.
-func (b *BayesOpt) proposeBatch(prob *core.Problem, observer core.Observer, mem *scratch, prev surrogate.Regressor, X [][]float64, y []float64, nCands, batch int, xi float64) (next [][]float64, reg surrogate.Regressor) {
+func (b *BayesOpt) proposeBatch(prob *core.Problem, observer core.Observer, mem *scratch, prev surrogate.Regressor, X [][]float64, y []float64, batch int) (next [][]float64, reg surrogate.Regressor) {
 	seed := prob.RNG.Int63()
 	if rs, ok := prev.(surrogate.Reseeder); ok {
 		rs.Reseed(seed)
@@ -197,7 +177,7 @@ func (b *BayesOpt) proposeBatch(prob *core.Problem, observer core.Observer, mem 
 	fitDur := time.Since(fitStart)
 	if observer == nil {
 		if err := resilience.Safely(func() error {
-			next = b.proposeByEI(prob, mem, reg, nCands, batch, xi)
+			next = b.proposeByEI(prob, mem, reg, batch)
 			return nil
 		}); err != nil {
 			surrogate.Release(reg)
@@ -210,14 +190,14 @@ func (b *BayesOpt) proposeBatch(prob *core.Problem, observer core.Observer, mem 
 	timed := &timedRegressor{Regressor: reg}
 	acqStart := time.Now()
 	if err := resilience.Safely(func() error {
-		next = b.proposeByEI(prob, mem, timed, nCands, batch, xi)
+		next = b.proposeByEI(prob, mem, timed, batch)
 		return nil
 	}); err != nil {
 		notePanic(observer, err)
 		surrogate.Release(reg)
 		return nil, nil
 	}
-	observer.AcquisitionSolved(nCands, timed.predict, time.Since(acqStart))
+	observer.AcquisitionSolved(candidatePool, timed.predict, time.Since(acqStart))
 	return next, reg
 }
 
@@ -339,7 +319,7 @@ func (mem *scratch) trainingSet(prob *core.Problem, maxFit int) (X [][]float64, 
 
 // proposeByEI scores a random candidate pool (plus perturbations of the
 // incumbent) with expected improvement and returns the top batch.
-func (b *BayesOpt) proposeByEI(prob *core.Problem, mem *scratch, reg surrogate.Regressor, nCands, batch int, xi float64) [][]float64 {
+func (b *BayesOpt) proposeByEI(prob *core.Problem, mem *scratch, reg surrogate.Regressor, batch int) [][]float64 {
 	best := prob.Best()
 	if best == nil || math.IsInf(best.Loss, 1) {
 		// No finite incumbent means EI has no reference value and the
@@ -348,23 +328,12 @@ func (b *BayesOpt) proposeByEI(prob *core.Problem, mem *scratch, reg surrogate.R
 		// (which would silently stall the proposal machinery).
 		return b.randomBatch(prob, batch)
 	}
-	cands := mem.scorePool(prob, reg, best.Unit, nCands)
+	cands := mem.scorePool(prob, reg, best.Unit, candidatePool)
 	fBest := math.Log1p(best.Loss) // surrogate space (see trainingSet)
-	kappa := b.Kappa
-	if kappa <= 0 {
-		kappa = 1.96
-	}
 	ss := mem.ranked[:0]
 	for i, c := range cands {
 		mean, std := mem.means[i], mem.stds[i]
-		var score float64
-		if b.Acq == LCB {
-			// Negated so that "higher is better" like EI.
-			score = -(mean - float64(kappa*std))
-		} else {
-			score = expectedImprovement(fBest, mean, std, xi)
-		}
-		ss = append(ss, scored{u: c, ei: score, mean: mean})
+		ss = append(ss, scored{u: c, ei: expectedImprovement(fBest, mean, std, eiMargin), mean: mean})
 	}
 	mem.ranked = ss
 	// Slot 1: the lowest predicted mean (pure exploitation) — with a

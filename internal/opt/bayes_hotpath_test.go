@@ -104,7 +104,7 @@ func TestProposeByEIInfIncumbentFallsBackToRandom(t *testing.T) {
 		if _, err := prob.Evaluate(ctx, units); err != nil {
 			return err
 		}
-		next := b.proposeByEI(prob, new(scratch), nil, 64, 4, 0.01)
+		next := b.proposeByEI(prob, new(scratch), nil, 4)
 		if len(next) != 4 {
 			t.Errorf("proposeByEI with +Inf incumbent returned %d proposals, want 4 random ones", len(next))
 		}

@@ -140,26 +140,6 @@ func TestBOHandlesFailingSimulator(t *testing.T) {
 	}
 }
 
-func TestLCBAcquisition(t *testing.T) {
-	alg := NewBOGP()
-	alg.Acq = LCB
-	res := calibrate(t, alg, rosenbrockish, 120, 9)
-	if res.Best.Loss > 5 {
-		t.Errorf("BO-GP/LCB best loss = %v, want reasonable progress", res.Best.Loss)
-	}
-	// LCB and EI must genuinely differ in their search trajectories.
-	ei := calibrate(t, NewBOGP(), rosenbrockish, 120, 9)
-	same := 0
-	for i := range res.History {
-		if i < len(ei.History) && res.History[i].Loss == ei.History[i].Loss {
-			same++
-		}
-	}
-	if same == len(res.History) {
-		t.Error("LCB produced the identical evaluation sequence as EI")
-	}
-}
-
 func TestAlgorithmNames(t *testing.T) {
 	cases := map[string]core.Algorithm{
 		"RAND":    Random{},

@@ -58,7 +58,7 @@ func TestProposalsDoNotAliasThePool(t *testing.T) {
 			}
 			rows := len(X)
 			var next [][]float64
-			next, reg = b.proposeBatch(prob, nil, &mem, reg, X, y, 64, 4, 0.01)
+			next, reg = b.proposeBatch(prob, nil, &mem, reg, X, y, 4)
 			if len(next) != 4 {
 				t.Fatalf("iteration %d: %d proposals, want 4", iter, len(next))
 			}
@@ -95,7 +95,7 @@ func TestProposalsDoNotAliasThePool(t *testing.T) {
 			}
 		}
 		a := NewAsyncBO()
-		pick := a.pickCandidate(prob, &mem, reg, prob.Best(), 2, 64, 0.01)
+		pick := a.pickCandidate(prob, &mem, reg, prob.Best(), 2)
 		if inPool(&mem, pick) {
 			t.Error("async winner points into the candidate pool")
 		}

@@ -160,7 +160,7 @@ func TestFailedFitReleasesGP(t *testing.T) {
 	bad := [][]float64{{math.NaN(), 0}, {0, math.NaN()}, {math.NaN(), math.NaN()}}
 	ran := false
 	probe := &probeAlg{fn: func(ctx context.Context, prob *core.Problem) error {
-		next, reg := NewBOGP().proposeBatch(prob, nil, new(scratch), gp, bad, []float64{1, 2, 3}, 64, 4, 0.01)
+		next, reg := NewBOGP().proposeBatch(prob, nil, new(scratch), gp, bad, []float64{1, 2, 3}, 4)
 		if next != nil || reg != nil {
 			t.Errorf("a failed fit proposed %v with regressor %v, want neither", next, reg)
 		}

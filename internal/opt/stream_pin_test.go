@@ -88,25 +88,25 @@ func TestHistoryStreamPinned(t *testing.T) {
 		name string
 		alg  core.Algorithm
 		sim  core.Evaluator
+		seed int64
 		want uint64
 	}{
-		{"BO-RF", bo(NewBORF(), nil), sphere3, 0x14baf72c169994fd},
-		{"BO-ET", bo(NewBOET(), nil), sphere3, 0x7bcba08ea56d501e},
-		{"BO-GBRT", bo(NewBOGBRT(), nil), sphere3, 0xcd69408e424d1a59},
-		{"BO-GP/EI", bo(NewBOGP(), nil), holed, 0xabbd5651146dd86e},
-		{"BO-GP/LCB", bo(NewBOGP(), func(b *BayesOpt) { b.Acq = LCB }), sphere3, 0x4df1bc126e17403b},
-		{"BO-GP/batch1", bo(NewBOGP(), func(b *BayesOpt) { b.Batch = 1 }), sphere3, 0xbb536999e50b933d},
-		{"BO-GP/batch2", bo(NewBOGP(), func(b *BayesOpt) { b.Batch = 2 }), sphere3, 0xaa9ee069e9554694},
-		{"async-bo/replay", async, sphere3, 0x06d85eacd4afa65a},
+		{"BO-RF", bo(NewBORF(), nil), sphere3, 211, 0x14baf72c169994fd},
+		{"BO-ET", bo(NewBOET(), nil), sphere3, 212, 0x7bcba08ea56d501e},
+		{"BO-GBRT", bo(NewBOGBRT(), nil), sphere3, 213, 0xcd69408e424d1a59},
+		{"BO-GP/EI", bo(NewBOGP(), nil), holed, 214, 0xabbd5651146dd86e},
+		{"BO-GP/batch1", bo(NewBOGP(), func(b *BayesOpt) { b.Batch = 1 }), sphere3, 216, 0xbb536999e50b933d},
+		{"BO-GP/batch2", bo(NewBOGP(), func(b *BayesOpt) { b.Batch = 2 }), sphere3, 217, 0xaa9ee069e9554694},
+		{"async-bo/replay", async, sphere3, 218, 0x06d85eacd4afa65a},
 	}
-	for i, tc := range cases {
+	for _, tc := range cases {
 		c := &core.Calibrator{
 			Space:          optSpace3,
 			Simulator:      tc.sim,
 			Algorithm:      tc.alg,
 			MaxEvaluations: evals,
 			Workers:        4,
-			Seed:           int64(211 + i),
+			Seed:           tc.seed,
 		}
 		res, err := c.Run(context.Background())
 		if err != nil {

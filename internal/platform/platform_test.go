@@ -343,82 +343,6 @@ func TestFatTreeAggregatedUplinkIsWide(t *testing.T) {
 	}
 }
 
-func TestDragonflyRouteLengths(t *testing.T) {
-	p := New()
-	var hosts []*Host
-	for i := 0; i < 24; i++ { // 2 hosts/router × 3 routers/group × 4 groups
-		hosts = append(hosts, p.AddHost(NewHost(fmt.Sprintf("n%d", i), 1, 1)))
-	}
-	DragonflyTopology(p, hosts, DragonflySpec{
-		HostsPerRouter: 2, RoutersPerGroup: 3,
-		HostBandwidth: 100, LocalBandwidth: 400, GlobalBandwidth: 800,
-		Latency: 0.001,
-	})
-	// Same router (hosts 0, 1): two host links.
-	if got := len(p.RouteBetween(hosts[0], hosts[1])); got != 2 {
-		t.Errorf("same-router route length = %d, want 2", got)
-	}
-	// Same group, different router (hosts 0, 2): + one local link.
-	if got := len(p.RouteBetween(hosts[0], hosts[2])); got != 3 {
-		t.Errorf("intra-group route length = %d, want 3", got)
-	}
-	// Different groups: 2 host + ≤2 local + 1 global.
-	got := len(p.RouteBetween(hosts[0], hosts[23]))
-	if got < 3 || got > 5 {
-		t.Errorf("inter-group route length = %d, want 3..5", got)
-	}
-	// Routes are symmetric in endpoints.
-	if len(p.RouteBetween(hosts[23], hosts[0])) != got {
-		t.Error("asymmetric dragonfly route")
-	}
-}
-
-func TestDragonflyGlobalLinkShared(t *testing.T) {
-	p := New()
-	var hosts []*Host
-	for i := 0; i < 12; i++ { // 1 host/router × 3 routers/group × 4 groups
-		hosts = append(hosts, p.AddHost(NewHost(fmt.Sprintf("n%d", i), 1, 1)))
-	}
-	DragonflyTopology(p, hosts, DragonflySpec{
-		HostsPerRouter: 1, RoutersPerGroup: 3,
-		HostBandwidth: 1e9, LocalBandwidth: 1e9, GlobalBandwidth: 100,
-		Latency: 0,
-	})
-	sim := NewSim(p)
-	// Two transfers between group 0 and group 1 share the single
-	// aggregated global link (100 B/s → 50 each).
-	var done []float64
-	p.Transfer(sim.System, "a", hosts[0], hosts[3], 100, func() { done = append(done, sim.Engine.Now()) })
-	p.Transfer(sim.System, "b", hosts[1], hosts[4], 100, func() { done = append(done, sim.Engine.Now()) })
-	mustRun(t, sim)
-	for _, ti := range done {
-		if math.Abs(ti-2) > 1e-9 {
-			t.Errorf("transfer done at %v, want 2 (shared global link)", ti)
-		}
-	}
-}
-
-func TestDragonflyInvalidSpecsPanic(t *testing.T) {
-	mk := func() []*Host {
-		p := New()
-		return []*Host{p.AddHost(NewHost("a", 1, 1)), p.AddHost(NewHost("b", 1, 1))}
-	}
-	cases := []DragonflySpec{
-		{HostsPerRouter: 0, RoutersPerGroup: 1, HostBandwidth: 1, LocalBandwidth: 1, GlobalBandwidth: 1},
-		{HostsPerRouter: 1, RoutersPerGroup: 1, HostBandwidth: 0, LocalBandwidth: 1, GlobalBandwidth: 1},
-	}
-	for i, spec := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d accepted", i)
-				}
-			}()
-			DragonflyTopology(New(), mk(), spec)
-		}()
-	}
-}
-
 func TestInvalidConstructionPanics(t *testing.T) {
 	cases := []func(){
 		func() { NewHost("h", 0, 1) },

@@ -279,110 +279,6 @@ func FatTreeTopology(p *Platform, hosts []*Host, spec FatTreeSpec) *FatTree {
 	return t
 }
 
-// DragonflySpec parameterizes a dragonfly topology (the Cray/Slingshot
-// interconnect family): hosts attach to routers, routers form
-// all-to-all-connected groups, and groups connect through global links.
-// Minimal routing is modeled: host → router → (local hop) → (global hop)
-// → (local hop) → router → host.
-type DragonflySpec struct {
-	// HostsPerRouter is the number of hosts per router.
-	HostsPerRouter int
-	// RoutersPerGroup is the number of routers per group.
-	RoutersPerGroup int
-	// HostBandwidth is the host-to-router link bandwidth (bytes/s).
-	HostBandwidth float64
-	// LocalBandwidth is the intra-group router-to-router bandwidth.
-	LocalBandwidth float64
-	// GlobalBandwidth is the inter-group link bandwidth.
-	GlobalBandwidth float64
-	// Latency is the per-link latency (seconds).
-	Latency float64
-}
-
-// DragonflyTopology wires hosts as a dragonfly and installs a lazy route
-// function. Local links are modeled per ordered router pair within a
-// group and global links per ordered group pair, aggregated — the same
-// flow-level granularity as the fat-tree builder.
-func DragonflyTopology(p *Platform, hosts []*Host, spec DragonflySpec) {
-	if spec.HostsPerRouter < 1 || spec.RoutersPerGroup < 1 {
-		panic("platform: invalid dragonfly group shape")
-	}
-	if spec.HostBandwidth <= 0 || spec.LocalBandwidth <= 0 || spec.GlobalBandwidth <= 0 {
-		panic("platform: dragonfly bandwidths must be positive")
-	}
-	n := len(hosts)
-	if n < 2 {
-		panic("platform: dragonfly needs at least 2 hosts")
-	}
-	hostLinks := make([]*Link, n)
-	for i := range hosts {
-		hostLinks[i] = p.AddLink(NewLink(fmt.Sprintf("df-host-%d", i), spec.HostBandwidth, spec.Latency))
-	}
-	// localLinks[r1][r2] created lazily per ordered pair (r1 < r2).
-	localLinks := make(map[[2]int]*Link)
-	localLink := func(a, b int) *Link {
-		if a > b {
-			a, b = b, a
-		}
-		key := [2]int{a, b}
-		if l, ok := localLinks[key]; ok {
-			return l
-		}
-		l := p.AddLink(NewLink(fmt.Sprintf("df-local-%d-%d", a, b), spec.LocalBandwidth, spec.Latency))
-		localLinks[key] = l
-		return l
-	}
-	globalLinks := make(map[[2]int]*Link)
-	globalLink := func(a, b int) *Link {
-		if a > b {
-			a, b = b, a
-		}
-		key := [2]int{a, b}
-		if l, ok := globalLinks[key]; ok {
-			return l
-		}
-		l := p.AddLink(NewLink(fmt.Sprintf("df-global-%d-%d", a, b), spec.GlobalBandwidth, spec.Latency))
-		globalLinks[key] = l
-		return l
-	}
-	routerOf := func(hostIdx int) int { return hostIdx / spec.HostsPerRouter }
-	groupOf := func(routerIdx int) int { return routerIdx / spec.RoutersPerGroup }
-	// gatewayRouter returns the router of group g that holds the global
-	// link toward group h (spread deterministically across the group).
-	gatewayRouter := func(g, h int) int {
-		return g*spec.RoutersPerGroup + (h % spec.RoutersPerGroup)
-	}
-
-	p.RouteFunc = func(a, b *Host) Route {
-		ia, ib := hostIndex(hosts, a), hostIndex(hosts, b)
-		if ia < 0 || ib < 0 {
-			return nil
-		}
-		ra, rb := routerOf(ia), routerOf(ib)
-		ga, gb := groupOf(ra), groupOf(rb)
-		route := Route{hostLinks[ia]}
-		switch {
-		case ra == rb:
-			// Same router: host links only.
-		case ga == gb:
-			route = append(route, localLink(ra, rb))
-		default:
-			// Minimal route: local hop to the gateway, global hop,
-			// local hop from the remote gateway.
-			gwA := gatewayRouter(ga, gb)
-			gwB := gatewayRouter(gb, ga)
-			if ra != gwA {
-				route = append(route, localLink(ra, gwA))
-			}
-			route = append(route, globalLink(ga, gb))
-			if gwB != rb {
-				route = append(route, localLink(gwB, rb))
-			}
-		}
-		return append(route, hostLinks[ib])
-	}
-}
-
 // hostIndex returns the index of h in hosts, or -1. Topology builders
 // capture small host slices, so a linear scan is fine; large topologies
 // are indexed once per pair and cached by RouteBetween.

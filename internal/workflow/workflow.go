@@ -1,40 +1,33 @@
 // Package workflow models scientific workflows as DAGs of tasks that
 // read and write files — the WfCommons-style representation consumed by
-// the workflow simulator of case study #1. It includes a JSON
-// serialization closely following the WfCommons WfFormat subset the
-// paper's simulator takes as input.
+// the workflow simulator of case study #1.
 package workflow
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-)
+import "fmt"
 
 // File is a workflow data file.
 type File struct {
 	// Name identifies the file within the workflow.
-	Name string `json:"id"`
+	Name string
 	// Size is the file size in bytes.
-	Size float64 `json:"sizeInBytes"`
+	Size float64
 }
 
 // Task is a unit of computation.
 type Task struct {
 	// Name identifies the task within the workflow.
-	Name string `json:"name"`
+	Name string
 	// Work is the task's sequential computation in machine-independent
 	// operations (ops). A task running alone on a core of speed s ops/s
 	// takes Work/s seconds.
-	Work float64 `json:"work"`
+	Work float64
 	// Inputs and Outputs name the files the task reads and writes.
-	Inputs  []string `json:"inputFiles,omitempty"`
-	Outputs []string `json:"outputFiles,omitempty"`
+	Inputs  []string
+	Outputs []string
 	// Parents and Children name control dependencies. Data dependencies
 	// implied by files must be consistent with them.
-	Parents  []string `json:"parents,omitempty"`
-	Children []string `json:"children,omitempty"`
+	Parents  []string
+	Children []string
 }
 
 // Workflow is a DAG of tasks plus its file inventory.
@@ -277,48 +270,4 @@ func (h *NameQueue) Pop() string {
 		i = m
 	}
 	return top
-}
-
-// jsonDoc is the on-disk WfCommons-style document shape.
-type jsonDoc struct {
-	Name     string   `json:"name"`
-	Workflow jsonSpec `json:"workflow"`
-}
-
-type jsonSpec struct {
-	Tasks []*Task `json:"tasks"`
-	Files []*File `json:"files"`
-}
-
-// WriteJSON serializes the workflow in the WfCommons-style format.
-func (w *Workflow) WriteJSON(out io.Writer) error {
-	files := make([]*File, 0, len(w.Files))
-	for _, f := range w.Files {
-		files = append(files, f)
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].Name < files[j].Name })
-	doc := jsonDoc{Name: w.Name, Workflow: jsonSpec{Tasks: w.Tasks, Files: files}}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// ReadJSON parses a workflow from the WfCommons-style format and
-// validates it.
-func ReadJSON(in io.Reader) (*Workflow, error) {
-	var doc jsonDoc
-	if err := json.NewDecoder(in).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("workflow: decoding JSON: %w", err)
-	}
-	w := New(doc.Name)
-	for _, f := range doc.Workflow.Files {
-		w.AddFile(f.Name, f.Size)
-	}
-	for _, t := range doc.Workflow.Tasks {
-		w.AddTask(t)
-	}
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	return w, nil
 }

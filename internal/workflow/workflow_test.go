@@ -1,10 +1,6 @@
 package workflow
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // diamond builds a 4-task diamond DAG with files.
 func diamond(t *testing.T) *Workflow {
@@ -135,41 +131,6 @@ func TestDuplicatePanics(t *testing.T) {
 		}()
 		w.AddFile("f", 2)
 	}()
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	w := diamond(t)
-	var buf bytes.Buffer
-	if err := w.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w2.Name != w.Name || w2.Size() != w.Size() {
-		t.Errorf("round trip lost identity: %s/%d", w2.Name, w2.Size())
-	}
-	if w2.TotalWork() != w.TotalWork() || w2.DataFootprint() != w.DataFootprint() {
-		t.Error("round trip lost work or footprint")
-	}
-	d := w2.TaskByName("d")
-	if d == nil || len(d.Parents) != 2 || len(d.Inputs) != 2 {
-		t.Error("round trip lost dependencies")
-	}
-}
-
-func TestReadJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	// Valid JSON, invalid workflow (cycle).
-	doc := `{"name":"x","workflow":{"tasks":[
-		{"name":"a","parents":["b"],"children":["b"]},
-		{"name":"b","parents":["a"],"children":["a"]}],"files":[]}}`
-	if _, err := ReadJSON(strings.NewReader(doc)); err == nil {
-		t.Error("cyclic JSON workflow accepted")
-	}
 }
 
 func TestTopoOrderDeterministic(t *testing.T) {
