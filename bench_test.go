@@ -354,13 +354,15 @@ func BenchmarkMPIEvaluate(b *testing.B) {
 // bogpIterationAllocCeiling is the ceiling on allocations for one warmed
 // BO-GP iteration at the MaxFitPoints steady state — training set of
 // 400 rows out of a longer history, refit, 512 candidates drawn and
-// scored, 4 winners evaluated on a free loss function. Measured: 35 at
-// GOMAXPROCS 2, 39 at 1 and 4 — 18 are the engine's (4 evaluations at
-// 4.4), the rest what leaves the iteration (history snapshot, incumbent
-// copy, the winners) and a goroutine per fit and PredictBatch worker,
-// which is why the ceiling leaves room for a wider runner; the
-// workers' scoring buffers are the GP's, kept across iterations. Before
-// the candidate pool and the training-set buffers were reused: 848.
+// scored, 4 winners evaluated on a free loss function. Measured: 25 at
+// GOMAXPROCS 2, 20 at 1 and 32 at 4 (28.5, 22 and 32.6 while the pool
+// was scored in one pass that solved every candidate's variance) — the
+// engine's evaluations, what leaves the iteration (history snapshot,
+// the winners) and a goroutine per fit worker and per scoring pass with
+// work for two workers, which is why the ceiling leaves room for a
+// wider runner; the workers' scoring buffers are the GP's, kept across
+// iterations. Before the candidate pool and the training-set buffers
+// were reused: 848.
 const bogpIterationAllocCeiling = 96
 
 // BenchmarkBOGPIteration runs one BO-GP calibration per iteration and

@@ -267,27 +267,14 @@ func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, m
 
 // pickCandidate scores a candidate pool (the same pool as the batch
 // path's) and returns a copy of one winner: the lowest predicted mean
-// for the exploit role, the highest expected improvement otherwise.
+// for the exploit role, which needs no variance, the highest expected
+// improvement otherwise.
 func (b *AsyncBayesOpt) pickCandidate(prob *core.Problem, mem *scratch, reg surrogate.Regressor, best *core.Sample, role int) []float64 {
 	cands := mem.scorePool(prob, reg, best.Unit, candidatePool)
-	means, stds := mem.means, mem.stds
 	if role == 0 {
-		bestMean := 0
-		for i := range means {
-			if means[i] < means[bestMean] {
-				bestMean = i
-			}
-		}
-		return winner(cands[bestMean])
+		return winner(cands[mem.lowestMean()])
 	}
-	fBest := math.Log1p(best.Loss)
-	bestEI, bestIdx := math.Inf(-1), 0
-	for i := range cands {
-		if ei := expectedImprovement(fBest, means[i], stds[i], eiMargin); ei > bestEI {
-			bestEI, bestIdx = ei, i
-		}
-	}
-	return winner(cands[bestIdx])
+	return winner(mem.eiWinner(reg, cands, math.Log1p(best.Loss)))
 }
 
 // sortedAlgorithmNames returns ByName's vocabulary in sorted order for

@@ -329,32 +329,22 @@ func (b *BayesOpt) proposeByEI(prob *core.Problem, mem *scratch, reg surrogate.R
 		return b.randomBatch(prob, batch)
 	}
 	cands := mem.scorePool(prob, reg, best.Unit, candidatePool)
-	fBest := math.Log1p(best.Loss) // surrogate space (see trainingSet)
-	ss := mem.ranked[:0]
-	for i, c := range cands {
-		mean, std := mem.means[i], mem.stds[i]
-		ss = append(ss, scored{u: c, ei: expectedImprovement(fBest, mean, std, eiMargin), mean: mean})
-	}
-	mem.ranked = ss
 	// Slot 1: the lowest predicted mean (pure exploitation) — with a
 	// deterministic loss, an interpolating surrogate has near-zero EI
 	// around the incumbent and would never refine locally without it.
 	// Slot 2: a direct sparse perturbation of the incumbent. Remaining
 	// slots: top expected improvement.
 	out := make([][]float64, 0, batch)
-	bestMean := 0
-	for i := range ss {
-		if ss[i].mean < ss[bestMean].mean {
-			bestMean = i
-		}
-	}
-	out = append(out, winner(ss[bestMean].u))
+	out = append(out, winner(cands[mem.lowestMean()]))
 	if batch >= 3 {
 		out = append(out, mem.perturbIncumbent(prob, best.Unit))
 	}
-	sort.Sort(&mem.ranked)
-	for i := 0; i < len(ss) && len(out) < batch; i++ {
-		out = append(out, winner(ss[i].u))
+	if k := batch - len(out); k > 0 {
+		fBest := math.Log1p(best.Loss) // surrogate space (see trainingSet)
+		ss := mem.eiRanked(reg, cands, fBest, k, true)
+		for i := 0; i < len(ss) && len(out) < batch; i++ {
+			out = append(out, winner(ss[i].u))
+		}
 	}
 	return out
 }

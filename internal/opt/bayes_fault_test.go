@@ -35,11 +35,13 @@ func (p *panickingRegressor) Predict(x []float64) (float64, float64) {
 	return p.inner.Predict(x)
 }
 
-func (p *panickingRegressor) PredictBatch(X [][]float64, mean, std []float64) {
+func (p *panickingRegressor) PredictMean(X [][]float64, mean, std []float64) {
 	for i, x := range X {
 		mean[i], std[i] = p.Predict(x)
 	}
 }
+
+func (p *panickingRegressor) PredictStd([]bool, []float64) {}
 
 // surrogatePanicObserver records PanicRecovered sites; the remaining
 // Observer callbacks are no-ops.

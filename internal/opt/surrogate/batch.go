@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// predictChunk is the unit of work handed to a PredictBatch worker.
+// predictChunk is the unit of work handed to a mean-pass worker.
 // Chunk boundaries are a pure function of the candidate count, never of
 // the worker count, so scheduling cannot influence which indices land
 // in which chunk — the first half of the batch-determinism argument
@@ -46,6 +46,17 @@ type FitStats struct {
 	BufferAllocs int
 }
 
+// ScoreStats counts the scoring work a regressor has done since it was
+// made (see GP.ScoreStats). Both counts are deterministic: they depend
+// on the pools and the selections, never on scheduling.
+type ScoreStats struct {
+	// Scored is the number of candidates the mean pass scored.
+	Scored int
+	// Solved is the number of candidates whose predictive variance the
+	// variance pass solved.
+	Solved int
+}
+
 // FitStatsProvider is implemented by regressors that report fit-time
 // performance counters (the GP). BayesOpt forwards these to the
 // observer's SurrogateDetailObserver extension.
@@ -53,60 +64,61 @@ type FitStatsProvider interface {
 	FitStats() FitStats
 }
 
-// batchWorkers is the number of goroutines batchLoop runs for n
-// candidates when asked for up to workers (0 = GOMAXPROCS): never more
-// than there are chunks.
-func batchWorkers(n, workers int) int {
+// batchWorkers is the number of goroutines batchLoop runs for items
+// work items when asked for up to workers (0 = GOMAXPROCS): never more
+// than there are items.
+func batchWorkers(items, workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return min(workers, (n+predictChunk-1)/predictChunk)
+	return min(workers, items)
 }
 
-// batchLoop partitions [0, n) into predictChunk-sized chunks and runs
-// fn over them on batchWorkers(n, workers) goroutines. Worker w owns the
-// scratch value mk(w), reused across every chunk that worker processes.
-// Chunks are claimed from an atomic counter, so which worker runs which
-// chunk is scheduling-dependent — fn must therefore write only to
-// index-addressed locations and compute chunk results independently of
-// the scratch's history, which keeps the overall result bitwise
-// identical to a serial sweep. A panic in fn is re-raised on the
-// caller's goroutine (workerGroup).
-func batchLoop[S any](n, workers int, mk func(w int) S, fn func(lo, hi int, scratch S)) {
-	if n <= 0 {
-		return
-	}
-	nchunks := (n + predictChunk - 1) / predictChunk
-	workers = batchWorkers(n, workers)
+// itemRunner is the work of one batchLoop call: run does item i on
+// worker w, with whatever scratch worker w owns.
+type itemRunner interface {
+	run(w, i int)
+}
+
+// runFunc adapts a function to an itemRunner.
+type runFunc func(w, i int)
+
+func (f runFunc) run(w, i int) { f(w, i) }
+
+// batchLoop runs r over items 0, 1, …, items-1 on batchWorkers(items,
+// workers) workers, the calling goroutine being worker 0. Items are
+// claimed from grp's counter, so which worker runs which item is
+// scheduling-dependent — r must therefore write only to index-addressed
+// locations and compute each item independently of its scratch's
+// history, which keeps the overall result bitwise identical to a serial
+// sweep. A panic in r is re-raised on the caller's goroutine once every
+// worker has returned (workerGroup). grp is the caller's, reset here,
+// so that a caller keeping r and grp across calls allocates nothing
+// but the goroutines.
+func batchLoop(items, workers int, grp *workerGroup, r itemRunner) {
+	workers = batchWorkers(items, workers)
 	if workers <= 1 {
-		scratch := mk(0)
-		for c := 0; c < nchunks; c++ {
-			lo := c * predictChunk
-			hi := lo + predictChunk
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi, scratch)
+		for i := 0; i < items; i++ {
+			r.run(0, i)
 		}
 		return
 	}
-	var grp workerGroup
-	for w := 0; w < workers; w++ {
-		grp.wg.Add(1)
-		go func() {
-			defer grp.done()
-			scratch := mk(w)
-			for c := grp.claim(); c < nchunks; c = grp.claim() {
-				lo := c * predictChunk
-				hi := lo + predictChunk
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi, scratch)
-			}
-		}()
+	*grp = workerGroup{}
+	grp.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go grp.work(r, w, items)
 	}
+	grp.work(r, 0, items)
 	grp.wait()
+}
+
+// chunks is the number of predictChunk-sized chunks of n candidates,
+// and chunk the bounds of the i-th.
+func chunks(n int) int { return (n + predictChunk - 1) / predictChunk }
+
+func chunk(i, n int) (lo, hi int) {
+	lo = i * predictChunk
+	return lo, min(lo+predictChunk, n)
 }
 
 // workerGroup is the shared state of a set of worker goroutines that
@@ -121,6 +133,14 @@ type workerGroup struct {
 	wg      sync.WaitGroup
 	once    sync.Once
 	pv      any
+}
+
+// work runs worker w: it claims items until none is left.
+func (g *workerGroup) work(r itemRunner, w, items int) {
+	defer g.done()
+	for i := g.claim(); i < items; i = g.claim() {
+		r.run(w, i)
+	}
 }
 
 // claim returns the next unclaimed item.
@@ -140,9 +160,17 @@ func (g *workerGroup) wait() {
 	}
 }
 
-// checkBatchArgs validates the PredictBatch output-slice contract.
+// checkBatchArgs validates the PredictMean output-slice contract.
 func checkBatchArgs(X [][]float64, mean, std []float64) {
 	if len(mean) != len(X) || len(std) != len(X) {
-		panic("surrogate: PredictBatch output length mismatch")
+		panic("surrogate: PredictMean output length mismatch")
+	}
+}
+
+// checkPool validates the PredictStd argument contract against the
+// size of the last mean pass's pool.
+func checkPool(pool int, need []bool, std []float64) {
+	if len(std) != pool || need != nil && len(need) != pool {
+		panic("surrogate: PredictStd length differs from the mean pass's pool")
 	}
 }

@@ -96,10 +96,10 @@ func BenchmarkGPPredictBatch512(b *testing.B) {
 	cands, _ := benchTrainingSet(512, 10, 2)
 	mean := make([]float64, len(cands))
 	std := make([]float64, len(cands))
-	g.PredictBatch(cands, mean, std)
+	PredictBatch(g, cands, mean, std)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.PredictBatch(cands, mean, std)
+		PredictBatch(g, cands, mean, std)
 	}
 }

@@ -24,12 +24,13 @@ type Forest struct {
 	Extra bool
 	// Seed makes fitting deterministic.
 	Seed int64
-	// PredictWorkers bounds the goroutines used by PredictBatch
+	// PredictWorkers bounds the goroutines used by each scoring pass
 	// (0 = GOMAXPROCS, 1 = serial). The output is identical either way.
 	PredictWorkers int
 
 	roots []*treeNode
 	xdata [][]float64
+	pool  int // candidates in the last mean pass
 }
 
 // NewRandomForest returns a random-forest regressor (BO-RF).
@@ -113,25 +114,37 @@ func (f *Forest) Predict(x []float64) (mean, std float64) {
 	return stats.Mean(preds), stats.StdDev(preds)
 }
 
-// PredictBatch implements Regressor. Each candidate's per-tree
+// PredictMean implements Regressor. The mean pass writes both outputs,
+// so the standard deviation is its own bound: each candidate's per-tree
 // prediction vector is accumulated in a per-worker buffer and reduced
 // with the same stats.Mean/stats.StdDev calls Predict uses, and every
 // write is index-addressed, so the output is bitwise identical to the
 // serial per-candidate loop.
-func (f *Forest) PredictBatch(X [][]float64, mean, std []float64) {
+func (f *Forest) PredictMean(X [][]float64, mean, std []float64) {
 	if len(f.roots) == 0 {
-		panic("surrogate: PredictBatch before Fit")
+		panic("surrogate: PredictMean before Fit")
 	}
 	checkBatchArgs(X, mean, std)
-	batchLoop(len(X), f.PredictWorkers,
-		func(int) []float64 { return make([]float64, len(f.roots)) },
-		func(lo, hi int, preds []float64) {
-			for c := lo; c < hi; c++ {
-				for i, r := range f.roots {
-					preds[i] = r.predict(X[c])
-				}
-				mean[c] = stats.Mean(preds)
-				std[c] = stats.StdDev(preds)
+	n := len(X)
+	preds := make([][]float64, batchWorkers(chunks(n), f.PredictWorkers))
+	batchLoop(chunks(n), f.PredictWorkers, new(workerGroup), runFunc(func(w, i int) {
+		if preds[w] == nil {
+			preds[w] = make([]float64, len(f.roots))
+		}
+		p := preds[w]
+		lo, hi := chunk(i, n)
+		for c := lo; c < hi; c++ {
+			for t, r := range f.roots {
+				p[t] = r.predict(X[c])
 			}
-		})
+			mean[c] = stats.Mean(p)
+			std[c] = stats.StdDev(p)
+		}
+	}))
+	f.pool = n
+}
+
+// PredictStd implements Regressor: the mean pass wrote every std.
+func (f *Forest) PredictStd(need []bool, std []float64) {
+	checkPool(f.pool, need, std)
 }

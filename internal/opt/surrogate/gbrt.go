@@ -20,11 +20,12 @@ type GBRT struct {
 	MinLeaf int
 	// Seed makes fitting deterministic.
 	Seed int64
-	// PredictWorkers bounds the goroutines used by PredictBatch
+	// PredictWorkers bounds the goroutines used by each scoring pass
 	// (0 = GOMAXPROCS, 1 = serial). The output is identical either way.
 	PredictWorkers int
 
 	models [3]*boostedModel // q16, q50, q84
+	pool   int              // candidates in the last mean pass
 }
 
 type boostedModel struct {
@@ -118,19 +119,27 @@ func (g *GBRT) Predict(x []float64) (mean, std float64) {
 	return q50, std
 }
 
-// PredictBatch implements Regressor. Each candidate is scored with the
-// same per-quantile ensemble walk Predict performs, with index-addressed
-// writes, so the output is bitwise identical to the serial loop.
-func (g *GBRT) PredictBatch(X [][]float64, mean, std []float64) {
+// PredictMean implements Regressor. The mean pass writes both outputs,
+// so the standard deviation is its own bound: each candidate is scored
+// with the same per-quantile ensemble walk Predict performs, with
+// index-addressed writes, so the output is bitwise identical to the
+// serial loop.
+func (g *GBRT) PredictMean(X [][]float64, mean, std []float64) {
 	if g.models[1] == nil {
-		panic("surrogate: PredictBatch before Fit")
+		panic("surrogate: PredictMean before Fit")
 	}
 	checkBatchArgs(X, mean, std)
-	batchLoop(len(X), g.PredictWorkers,
-		func(int) struct{} { return struct{}{} },
-		func(lo, hi int, _ struct{}) {
-			for c := lo; c < hi; c++ {
-				mean[c], std[c] = g.Predict(X[c])
-			}
-		})
+	n := len(X)
+	batchLoop(chunks(n), g.PredictWorkers, new(workerGroup), runFunc(func(_, i int) {
+		lo, hi := chunk(i, n)
+		for c := lo; c < hi; c++ {
+			mean[c], std[c] = g.Predict(X[c])
+		}
+	}))
+	g.pool = n
+}
+
+// PredictStd implements Regressor: the mean pass wrote every std.
+func (g *GBRT) PredictStd(need []bool, std []float64) {
+	checkPool(g.pool, need, std)
 }

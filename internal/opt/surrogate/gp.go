@@ -18,6 +18,12 @@ import (
 // current level.
 var gpJitterLadder = [...]float64{0, 1e-6}
 
+// gpBoundDiagonal is the least noise plus jitter at which PredictMean
+// bounds the standard deviations it will be asked for. Above it every
+// eigenvalue of the factored kernel is at least about this much, so a
+// solved kernel vector has norm at most √n / √gpBoundDiagonal: finite.
+const gpBoundDiagonal = 1e-8
+
 // GP is a Gaussian-process regressor with a Matérn-5/2 kernel over the
 // unit cube (BO-GP). The length scale is selected from a small candidate
 // set by log marginal likelihood at Fit time; targets are standardized
@@ -53,7 +59,7 @@ type GP struct {
 	// grid (0 = GOMAXPROCS, 1 = serial). The fitted model is identical
 	// either way.
 	FitWorkers int
-	// PredictWorkers bounds the goroutines used by PredictBatch
+	// PredictWorkers bounds the goroutines used by each scoring pass
 	// (0 = GOMAXPROCS, 1 = serial). The output is identical either way.
 	PredictWorkers int
 
@@ -63,7 +69,10 @@ type GP struct {
 	scale        float64 // chosen length scale
 	yMean, yStd  float64
 	signalStdDev float64
+	stdMax       float64 // a bound on every std, +Inf for none (Fit)
+	diag         float64 // the factored kernel's diagonal
 	fitStats     FitStats
+	scoreStats   ScoreStats
 
 	// The fit and predict buffers: nil until the first Fit takes a set
 	// (takeGPBuffers), and again once Release has handed it on.
@@ -82,10 +91,13 @@ type gpBuffers struct {
 	scaleState []gpScaleState
 	yn         []float64
 
-	// predBufs[w] is PredictBatch worker w's scratch: a pair of tiles,
-	// their exponentials and a tile's candidates dimension-major, kept
-	// across calls and grown geometrically.
+	// predBufs[w] is scoring worker w's scratch, kept across calls and
+	// grown geometrically: in the mean pass a pair of tiles'
+	// exponentials and a tile's candidates dimension-major, in the
+	// variance pass the pair of tiles it gathers and solves.
 	predBufs [][]float64
+	// pool is the scoring state of the last mean pass.
+	pool gpPool
 }
 
 // gpFree holds the buffers of released GPs for the next GP that fits,
@@ -273,6 +285,7 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 	if g.gpBuffers == nil {
 		g.gpBuffers = takeGPBuffers()
 	}
+	g.pool.size = 0 // the kernel vectors of the last pool are the old model's
 	yMean := stats.Mean(y)
 	yStd := stats.StdDev(y)
 	if yStd <= 0 {
@@ -383,6 +396,15 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 	g.alpha = g.scaleState[best].alpha
 	g.scale = scales[best]
 	g.signalStdDev = 1
+	// σ ≤ yStd always holds. It, and stdBound's tighter bound, are
+	// offered only while the kernel diagonal keeps the factor's inverse
+	// small enough that no variance solve can overflow into a NaN: a
+	// caller prunes by them and never sees the pruned variances.
+	g.stdMax = math.Inf(1)
+	if noise+jitter >= gpBoundDiagonal {
+		g.stdMax = yStd
+	}
+	g.diag = 1 + noise + jitter
 	g.fitStats.Points = n
 	g.fitStats.PrefixReused = prefix
 	g.fitStats.Incremental = prefix > 0
@@ -500,16 +522,22 @@ func (g *GP) Predict(x []float64) (mean, std float64) {
 	}
 	n := len(g.x)
 	buf := make([]float64, 2*n)
-	return g.predictOne(x, buf[:n], buf[n:])
+	mean = g.meanOne(x, buf[:n])
+	return mean, g.stdOne(buf[:n], buf[n:])
 }
 
-// predictOne scores one candidate through the scalar solve, with kstar
-// and v as its two length-n work vectors.
-func (g *GP) predictOne(x, kstar, v []float64) (mean, std float64) {
+// meanOne is the scalar path's mean pass for one candidate: it writes
+// the candidate's kernel vector into kstar and returns its mean.
+func (g *GP) meanOne(x, kstar []float64) float64 {
 	for i, xi := range g.x {
 		kstar[i] = matern52(dist(x, xi), g.scale)
 	}
-	mn := la.Dot(kstar, g.alpha)
+	return float64(la.Dot(kstar, g.alpha)*g.yStd) + g.yMean
+}
+
+// stdOne is the scalar path's variance pass: it solves meanOne's kernel
+// vector into v and returns the standard deviation.
+func (g *GP) stdOne(kstar, v []float64) float64 {
 	variance := 1.0
 	if err := la.SolveLowerInto(g.chol, kstar, v); err == nil {
 		variance = 1 - la.Dot(v, v)
@@ -517,47 +545,109 @@ func (g *GP) predictOne(x, kstar, v []float64) (mean, std float64) {
 	if variance < 0 {
 		variance = 0
 	}
-	return float64(mn*g.yStd) + g.yMean, math.Sqrt(variance) * g.yStd
+	return math.Sqrt(variance) * g.yStd
 }
 
-// predictTiles scores one or two tiles of la.SolveTile candidates, k =
-// len(X)/la.SolveTile. buf holds their kernel vectors, tile-major and
-// interleaved as la.SolveLowerTile takes them, then as many
-// exponentials, then a tile's candidates dimension-major. Tile by tile,
-// the fill writes each -s (fillNegArgs); one la.Exp takes all of their
-// exponentials; maternTile finishes the kernel values and accumulates
-// the mean's inner products; one la.SolveLowerTile call then solves
-// every column, and sumSquares accumulates the variance's inner
-// products over the result. Both inner products run in la.Dot's order
-// (ascending row, from zero), so every output carries predictOne's
-// bits.
-func (g *GP) predictTiles(X [][]float64, mean, std, buf []float64) {
+// meanTiles is the mean pass over one or two tiles of la.SolveTile
+// candidates, k = len(X)/la.SolveTile. tile takes their kernel vectors,
+// tile-major and interleaved as la.SolveLowerTile takes them; e takes as
+// many exponentials, and xt a tile's candidates dimension-major. Tile by
+// tile, the fill writes each -s (fillNegArgs); one la.Exp takes all of
+// their exponentials; maternTile finishes the kernel values in place
+// and accumulates the mean's inner products, in la.Dot's order
+// (ascending row, from zero), so every mean carries meanOne's bits.
+// tileMax then finds each candidate's largest kernel value, from which
+// stdBound bounds its standard deviation.
+func (g *GP) meanTiles(X [][]float64, mean, std, tile, e, xt []float64) {
 	const w = la.SolveTile
 	span := len(g.x) * w
 	k := len(X) / w
-	tile, e, xt := buf[:k*span], buf[k*span:2*k*span], buf[2*k*span:]
-	var mn, vv [2 * w]float64
+	var mn [2 * w]float64
 	for t := 0; t < k; t++ {
 		g.fillNegArgs(tile[t*span:(t+1)*span], X[t*w:t*w+w], xt)
 	}
+	e = e[:k*span]
 	la.Exp(e, tile)
 	for t := 0; t < k; t++ {
 		o := t * span
 		maternTile(tile[o:o+span], e[o:o+span], g.alpha, (*[w]float64)(mn[t*w:]))
 	}
-	// A failed solve leaves vv at zero: unit variance, as in predictOne.
-	if la.SolveLowerTile(g.chol, tile) == nil {
-		for t := 0; t < k; t++ {
-			sumSquares(tile[t*span:(t+1)*span], (*[w]float64)(vv[t*w:]))
-		}
+	var km [2 * w]float64
+	for t := 0; t < k; t++ {
+		tileMax(tile[t*span:(t+1)*span], (*[w]float64)(km[t*w:]))
 	}
 	for c := range X {
-		variance := 1 - vv[c]
+		mean[c] = float64(mn[c]*g.yStd) + g.yMean
+		std[c] = g.stdBound(km[c])
+	}
+}
+
+// stdBound bounds the standard deviation the variance pass computes for
+// a candidate whose largest kernel value is kmax (DESIGN §6). For a
+// kernel vector k and any training row j, kᵀK⁻¹k ≥ k_j²/K_jj (Cauchy–
+// Schwarz), and the computed sum of squares of the solved vector keeps
+// that bound up to a relative rounding error of about 4(n+1)·2⁻⁵³ — the
+// factor and the solve are backward stable — which the factor 1−2⁻³⁰
+// covers many times over. 1 − vv and the square root round
+// monotonically, so the computed standard deviation never exceeds the
+// bound computed the same way. Without a bound (gpBoundDiagonal, or a
+// factor a solve would fail on), it is stdMax.
+func (g *GP) stdBound(kmax float64) float64 {
+	if !g.pool.tight {
+		return g.stdMax
+	}
+	v := 1 - float64(kmax*kmax/g.diag*(1-0x1p-30))
+	if v < 0 {
+		v = 0
+	}
+	return math.Sqrt(v) * g.yStd
+}
+
+// solveColumns is the variance pass over up to two tiles of candidates
+// cols, gathered from the pool's kernel vectors into buf: one
+// la.SolveLowerTile call solves every column, and sumSquares
+// accumulates the variance's inner products over the result. Each
+// column goes through exactly the operations it would in its own tile,
+// in la.Dot's order, so every output carries stdOne's bits; unused
+// columns of the last tile are zeros.
+func (g *GP) solveColumns(cols []int, std, buf []float64) {
+	const w = la.SolveTile
+	n := len(g.x)
+	span := n * w
+	tiles := (len(cols) + w - 1) / w
+	buf = buf[:tiles*span]
+	for j := len(cols); j < tiles*w; j++ {
+		t, c := j/w*span, j%w
+		for i := 0; i < n; i++ {
+			buf[t+i*w+c] = 0
+		}
+	}
+	for j := 0; j < len(cols); j++ {
+		base, stride := g.pool.column(cols[j], n)
+		t, c := j/w*span, j%w
+		if c == 0 && stride == w && base == cols[j]*n && j+w <= len(cols) && cols[j+w-1] == cols[j]+w-1 {
+			// A whole tile of the pool, in order: one contiguous copy.
+			copy(buf[t:t+span], g.pool.kstar[base:base+span])
+			j += w - 1
+			continue
+		}
+		for i := 0; i < n; i++ {
+			buf[t+i*w+c] = g.pool.kstar[base+i*stride]
+		}
+	}
+	var vv [2 * w]float64
+	// A failed solve leaves vv at zero: unit variance, as in stdOne.
+	if la.SolveLowerTile(g.chol, buf) == nil {
+		for t := 0; t < tiles; t++ {
+			sumSquares(buf[t*span:(t+1)*span], (*[w]float64)(vv[t*w:]))
+		}
+	}
+	for j, cand := range cols {
+		variance := 1 - vv[j]
 		if variance < 0 {
 			variance = 0
 		}
-		mean[c] = float64(mn[c]*g.yStd) + g.yMean
-		std[c] = math.Sqrt(variance) * g.yStd
+		std[cand] = math.Sqrt(variance) * g.yStd
 	}
 }
 
@@ -565,7 +655,7 @@ func (g *GP) predictTiles(X [][]float64, mean, std, buf []float64) {
 // maternNegArg(dist(X[c], g.x[i]), g.scale), through negArgs on a
 // dimension-major copy of the candidates in xt. A candidate of another
 // dimension than the model's takes the scalar loop, which indexes (and
-// panics) exactly as predictOne does.
+// panics) exactly as meanOne does.
 func (g *GP) fillNegArgs(tile []float64, X [][]float64, xt []float64) {
 	const w = la.SolveTile
 	dims := len(g.x[0])
@@ -588,26 +678,168 @@ func (g *GP) fillNegArgs(tile []float64, X [][]float64, xt []float64) {
 	negArgs(tile, xt, g.x, g.scale)
 }
 
-// PredictBatch implements Regressor. Candidates are scored in
+// unitEnd returns the end of the scoring unit that starts at candidate
+// c of a chunk ending at hi: two tiles of la.SolveTile while they fit,
+// then one tile if it fits, then single candidates: the mean pass fills
+// a unit's kernel vectors in one go.
+func unitEnd(c, hi int) int {
+	switch {
+	case c+2*la.SolveTile <= hi:
+		return c + 2*la.SolveTile
+	case c+la.SolveTile <= hi:
+		return c + la.SolveTile
+	}
+	return c + 1
+}
+
+// gpPool is the GP's scoring state for the pool of its last mean pass:
+// the kernel vectors the variance pass solves, the two passes' item
+// runners and their worker group. It lives in gpBuffers, so scoring a
+// pool allocates nothing but the worker goroutines.
+type gpPool struct {
+	// kstar holds the pool's kernel vectors unit by unit: the unit
+	// [c, unitEnd) at kstar[c*n:], where n is the number of training
+	// rows — a tile or two interleaved, or one plain vector (column).
+	kstar  []float64
+	solved []bool // solved[c]: the variance pass wrote std[c]
+	size   int    // candidates in the pool; 0 after a Fit
+	tight  bool   // stdBound bounds by the largest kernel value
+	cols   []int  // the variance pass's candidates, ascending
+	grp    workerGroup
+	mean   gpMeanPass
+	std    gpStdPass
+}
+
+// column returns where candidate c's kernel vector lies in kstar: n
+// values from base, stride apart.
+func (p *gpPool) column(c, n int) (base, stride int) {
+	const w = la.SolveTile
+	lo, hi := chunk(c/predictChunk, p.size)
+	if c-lo < (hi-lo)/w*w {
+		t0 := lo + (c-lo)/w*w
+		return t0*n + c - t0, w
+	}
+	return c * n, 1
+}
+
+// gpMeanPass runs the mean pass over one chunk of the pool.
+type gpMeanPass struct {
+	g         *GP
+	X         [][]float64
+	mean, std []float64
+}
+
+func (p *gpMeanPass) run(w, i int) {
+	const pair = 2 * la.SolveTile
+	g := p.g
+	n := len(g.x)
+	lo, hi := chunk(i, len(p.X))
+	buf := g.predBufs[w]
+	for c := lo; c < hi; {
+		end := unitEnd(c, hi)
+		kstar := g.pool.kstar[c*n : end*n]
+		if end == c+1 {
+			p.mean[c] = g.meanOne(p.X[c], kstar)
+			km := 0.0
+			for _, v := range kstar {
+				if !(km > v) {
+					km = v
+				}
+			}
+			p.std[c] = g.stdBound(km)
+		} else {
+			g.meanTiles(p.X[c:end], p.mean[c:end], p.std[c:end], kstar, buf[:pair*n], buf[pair*n:])
+		}
+		c = end
+	}
+}
+
+// gpStdPass runs the variance pass over one group of up to two tiles of
+// the pool's unsolved needed candidates.
+type gpStdPass struct {
+	g   *GP
+	std []float64
+}
+
+func (p *gpStdPass) run(w, i int) {
+	const pair = 2 * la.SolveTile
+	cols := p.g.pool.cols[i*pair : min(i*pair+pair, len(p.g.pool.cols))]
+	p.g.solveColumns(cols, p.std, p.g.predBufs[w])
+}
+
+// PredictMean implements Regressor. Candidates are scored in
 // predictChunk-sized chunks across up to PredictWorkers goroutines;
 // within a chunk they go two tiles of la.SolveTile at a time through
-// predictTiles, then one tile, and what is left of the chunk through
-// predictOne — the path Predict takes. The paths agree bit for bit and
-// every write is index-addressed, so the output is bitwise identical to
-// calling Predict once per candidate, for any pool size and worker
-// count. Each worker's scratch is one buffer of the GP's, kept across
-// calls, which the remainder path splits into its two work vectors; so
-// PredictBatch, like Fit, must not run concurrently with another call
-// on the same GP.
-func (g *GP) PredictBatch(X [][]float64, mean, std []float64) {
+// meanTiles, then one tile, and what is left of the chunk through
+// meanOne — the path Predict takes. The paths agree bit for bit and
+// every write is index-addressed, so every mean is bitwise Predict's,
+// for any pool size and worker count. std[i] receives stdBound's bound
+// on the standard deviation, and the kernel vectors stay in the GP's
+// pool buffer for PredictStd. Each worker's scratch is one buffer of
+// the GP's, kept across calls; so PredictMean and PredictStd, like Fit,
+// must not run concurrently with another call on the same GP.
+func (g *GP) PredictMean(X [][]float64, mean, std []float64) {
 	if g.chol == nil {
-		panic("surrogate: PredictBatch before Fit")
+		panic("surrogate: PredictMean before Fit")
 	}
 	checkBatchArgs(X, mean, std)
 	const pair = 2 * la.SolveTile
 	n := len(g.x)
-	need := 2*pair*n + la.SolveTile*len(g.x[0])
-	workers := batchWorkers(len(X), g.PredictWorkers)
+	p := &g.pool
+	if need := len(X) * n; cap(p.kstar) < need {
+		p.kstar = make([]float64, need, 2*need)
+	}
+	p.kstar = p.kstar[:len(X)*n]
+	if cap(p.solved) < len(X) {
+		p.solved = make([]bool, len(X), 2*len(X))
+	}
+	p.solved = p.solved[:len(X)]
+	clear(p.solved)
+	p.size = len(X)
+	p.tight = !math.IsInf(g.stdMax, 1)
+	for i := 0; i < n && p.tight; i++ {
+		p.tight = g.chol.At(i, i) != 0
+	}
+	items := chunks(len(X))
+	g.growPredBufs(batchWorkers(items, g.PredictWorkers), pair*n+la.SolveTile*len(g.x[0]))
+	p.mean = gpMeanPass{g, X, mean, std}
+	batchLoop(items, g.PredictWorkers, &p.grp, &p.mean)
+	p.mean = gpMeanPass{}
+	g.scoreStats.Scored += len(X)
+}
+
+// PredictStd implements Regressor. It gathers the needed candidates it
+// has not solved yet, in pool order, into groups of two tiles of
+// la.SolveTile and solves the groups (solveColumns) across up to
+// PredictWorkers goroutines. A candidate's standard deviation is the
+// same whichever group and column it is solved in: Predict's, bit for
+// bit.
+func (g *GP) PredictStd(need []bool, std []float64) {
+	if g.chol == nil {
+		panic("surrogate: PredictStd before Fit")
+	}
+	const pair = 2 * la.SolveTile
+	p := &g.pool
+	checkPool(p.size, need, std)
+	cols := p.cols[:0]
+	for c, done := range p.solved {
+		if !done && (need == nil || need[c]) {
+			p.solved[c] = true
+			cols = append(cols, c)
+		}
+	}
+	p.cols = cols
+	g.scoreStats.Solved += len(cols)
+	items := (len(cols) + pair - 1) / pair
+	g.growPredBufs(batchWorkers(items, g.PredictWorkers), pair*len(g.x))
+	p.std = gpStdPass{g, std}
+	batchLoop(items, g.PredictWorkers, &p.grp, &p.std)
+	p.std = gpStdPass{}
+}
+
+// growPredBufs makes the first workers per-worker buffers at least need
+// values long, growing each geometrically.
+func (g *GP) growPredBufs(workers, need int) {
 	for len(g.predBufs) < workers {
 		g.predBufs = append(g.predBufs, nil)
 	}
@@ -615,23 +847,12 @@ func (g *GP) PredictBatch(X [][]float64, mean, std []float64) {
 		if cap(b) < need {
 			g.predBufs[w] = make([]float64, need, 2*need)
 		}
+		g.predBufs[w] = g.predBufs[w][:cap(g.predBufs[w])]
 	}
-	batchLoop(len(X), workers,
-		func(w int) []float64 { return g.predBufs[w][:need] },
-		func(lo, hi int, buf []float64) {
-			c := lo
-			for ; c+pair <= hi; c += pair {
-				g.predictTiles(X[c:c+pair], mean[c:], std[c:], buf)
-			}
-			if c+la.SolveTile <= hi {
-				g.predictTiles(X[c:c+la.SolveTile], mean[c:], std[c:], buf)
-				c += la.SolveTile
-			}
-			for ; c < hi; c++ {
-				mean[c], std[c] = g.predictOne(X[c], buf[:n], buf[n:2*n])
-			}
-		})
 }
+
+// ScoreStats returns the GP's scoring counts since it was made.
+func (g *GP) ScoreStats() ScoreStats { return g.scoreStats }
 
 // LengthScale returns the length scale selected during Fit.
 func (g *GP) LengthScale() float64 { return g.scale }

