@@ -166,11 +166,3 @@ func checkBatchArgs(X [][]float64, mean, std []float64) {
 		panic("surrogate: PredictMean output length mismatch")
 	}
 }
-
-// checkPool validates the PredictStd argument contract against the
-// size of the last mean pass's pool.
-func checkPool(pool int, need []bool, std []float64) {
-	if len(std) != pool || need != nil && len(need) != pool {
-		panic("surrogate: PredictStd length differs from the mean pass's pool")
-	}
-}

@@ -8,13 +8,12 @@ import (
 
 // The Go loops of the scoring passes' per-element work on one tile of
 // la.SolveTile candidates: negArgsGo fills each -s, maternTileGo
-// finishes the kernel values and the mean's inner products, tileMaxGo
-// finds each candidate's largest kernel value, and sumSquaresGo
-// accumulates the variance's inner products. On amd64 each runs as an
-// SSE2 kernel (fill_amd64.s) that performs the loop's operations in its
-// order, two candidates per register, so its results are the loop's bit
-// for bit; these loops are the reference the kernels are tested
-// against and the path on every other GOARCH.
+// finishes the kernel values and the mean's inner products, and
+// sumSquaresGo accumulates the variance's inner products. On amd64 each
+// runs as an SSE2 kernel (fill_amd64.s) that performs the loop's
+// operations in its order, two candidates per register, so its results
+// are the loop's bit for bit; these loops are the reference the kernels
+// are tested against and the path on every other GOARCH.
 
 // negArgsGo is the kernel fill: for each training row i and each of a
 // tile's la.SolveTile candidates c, whose coordinate d is
@@ -63,11 +62,11 @@ func sumSquaresGo(tile []float64, v *[la.SolveTile]float64) {
 	}
 }
 
-// tileMaxGo keeps in m[c] the largest of m[c] and a tile's column c,
+// tileMax keeps in m[c] the largest of m[c] and a tile's column c,
 // row after row: m[c] stays where it is greater than the row's value
 // and takes the row's value otherwise — so a NaN row value replaces it,
-// and a later row's value replaces a NaN, as SSE2's MAXPD does.
-func tileMaxGo(tile []float64, m *[la.SolveTile]float64) {
+// and a later row's value replaces a NaN.
+func tileMax(tile []float64, m *[la.SolveTile]float64) {
 	const w = la.SolveTile
 	for o := 0; o < len(tile); o += w {
 		for c, x := range tile[o : o+w] {

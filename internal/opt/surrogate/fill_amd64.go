@@ -44,11 +44,3 @@ func maternTile(tile, e, alpha []float64, m *[la.SolveTile]float64) {
 }
 
 func sumSquares(tile []float64, v *[la.SolveTile]float64) { sumSquaresSSE2(tile, v) }
-
-// tileMaxSSE2 is tileMaxGo. len(tile) must be a multiple of
-// la.SolveTile.
-//
-//go:noescape
-func tileMaxSSE2(tile []float64, m *[la.SolveTile]float64)
-
-func tileMax(tile []float64, m *[la.SolveTile]float64) { tileMaxSSE2(tile, m) }

@@ -180,38 +180,3 @@ sqdone:
 	MOVUPD X2, 32(DX)
 	MOVUPD X3, 48(DX)
 	RET
-
-// func tileMaxSSE2(tile []float64, m *[8]float64)
-//
-// MAXPD keeps, lane by lane, the destination where it is greater and
-// the row's value otherwise — tileMaxGo's comparison, NaNs included.
-TEXT ·tileMaxSSE2(SB), NOSPLIT, $0-32
-	MOVQ   tile_base+0(FP), SI
-	MOVQ   tile_len+8(FP), CX
-	MOVQ   m+24(FP), DX
-	MOVUPD (DX), X0
-	MOVUPD 16(DX), X1
-	MOVUPD 32(DX), X2
-	MOVUPD 48(DX), X3
-	SHRQ   $3, CX
-	JZ     mxdone
-
-mxrow:
-	MOVUPD (SI), X4
-	MOVUPD 16(SI), X5
-	MOVUPD 32(SI), X6
-	MOVUPD 48(SI), X7
-	MAXPD  X4, X0
-	MAXPD  X5, X1
-	MAXPD  X6, X2
-	MAXPD  X7, X3
-	ADDQ   $64, SI
-	DECQ   CX
-	JNZ    mxrow
-
-mxdone:
-	MOVUPD X0, (DX)
-	MOVUPD X1, 16(DX)
-	MOVUPD X2, 32(DX)
-	MOVUPD X3, 48(DX)
-	RET

@@ -9,5 +9,3 @@ func negArgs(tile, xt []float64, xs [][]float64, l float64) { negArgsGo(tile, xt
 func maternTile(tile, e, alpha []float64, m *[la.SolveTile]float64) { maternTileGo(tile, e, alpha, m) }
 
 func sumSquares(tile []float64, v *[la.SolveTile]float64) { sumSquaresGo(tile, v) }
-
-func tileMax(tile []float64, m *[la.SolveTile]float64) { tileMaxGo(tile, m) }

@@ -30,7 +30,6 @@ type Forest struct {
 
 	roots []*treeNode
 	xdata [][]float64
-	pool  int // candidates in the last mean pass
 }
 
 // NewRandomForest returns a random-forest regressor (BO-RF).
@@ -141,10 +140,7 @@ func (f *Forest) PredictMean(X [][]float64, mean, std []float64) {
 			std[c] = stats.StdDev(p)
 		}
 	}))
-	f.pool = n
 }
 
 // PredictStd implements Regressor: the mean pass wrote every std.
-func (f *Forest) PredictStd(need []bool, std []float64) {
-	checkPool(f.pool, need, std)
-}
+func (f *Forest) PredictStd([]bool, []float64) {}

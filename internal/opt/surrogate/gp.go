@@ -622,15 +622,9 @@ func (g *GP) solveColumns(cols []int, std, buf []float64) {
 			buf[t+i*w+c] = 0
 		}
 	}
-	for j := 0; j < len(cols); j++ {
-		base, stride := g.pool.column(cols[j], n)
+	for j, cand := range cols {
+		base, stride := g.pool.column(cand, n)
 		t, c := j/w*span, j%w
-		if c == 0 && stride == w && base == cols[j]*n && j+w <= len(cols) && cols[j+w-1] == cols[j]+w-1 {
-			// A whole tile of the pool, in order: one contiguous copy.
-			copy(buf[t:t+span], g.pool.kstar[base:base+span])
-			j += w - 1
-			continue
-		}
 		for i := 0; i < n; i++ {
 			buf[t+i*w+c] = g.pool.kstar[base+i*stride]
 		}
@@ -820,7 +814,9 @@ func (g *GP) PredictStd(need []bool, std []float64) {
 	}
 	const pair = 2 * la.SolveTile
 	p := &g.pool
-	checkPool(p.size, need, std)
+	if len(std) != p.size || need != nil && len(need) != p.size {
+		panic("surrogate: PredictStd length differs from the mean pass's pool")
+	}
 	cols := p.cols[:0]
 	for c, done := range p.solved {
 		if !done && (need == nil || need[c]) {

@@ -51,8 +51,7 @@ type Regressor interface {
 	// PredictMean: it writes the standard deviation std[i] for every i
 	// with need[i], or for every i when need is nil. Other entries keep
 	// their bound, or their standard deviation once written. std is the
-	// slice the mean pass was given. It panics if len(std), or len(need)
-	// when need is not nil, differs from that pool's size.
+	// slice the mean pass was given, and need, when not nil, is as long.
 	PredictStd(need []bool, std []float64)
 }
 
