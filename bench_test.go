@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -395,6 +396,54 @@ func BenchmarkBOGPIteration(b *testing.B) {
 		b.ReportMetric(perIter, "allocs/iteration")
 		if perIter > bogpIterationAllocCeiling {
 			b.Fatalf("%.0f allocs per warmed BO-GP iteration, ceiling %d", perIter, bogpIterationAllocCeiling)
+		}
+	}
+}
+
+// asyncBOEvaluationAllocCeiling is the ceiling on allocations for one
+// warmed async-bo evaluation at two workers on a free loss function: a
+// refit on the completed history plus one fantasy row per in-flight
+// point, 512 candidates drawn and scored, the winner submitted and run.
+// Measured, one GOMAXPROCS per process: 10.0 at 2, 6.5 at 1, 14.0 at 4
+// and 18.9 at 8 (11.0, 7.5, 15.0 and 20.2 while the worker idle-time
+// queue was kept, and reallocated on every append, without an
+// AsyncObserver to read it) —
+// the engine's evaluation, what leaves the proposal (the winner, the
+// history row) and a goroutine per extra fit and scoring worker, which
+// is why the ceiling leaves room for a wider runner.
+const asyncBOEvaluationAllocCeiling = 32
+
+// BenchmarkAsyncBOEvaluation runs one async-bo calibration at two
+// workers per iteration and counts allocations from inside the
+// evaluator, between the starts of evaluations 272 and 400: the GP's
+// buffers have grown past the training sets of that window before it
+// opens, and every fit in it extends the last, below MaxFitPoints. It
+// fails itself above asyncBOEvaluationAllocCeiling.
+func BenchmarkAsyncBOEvaluation(b *testing.B) {
+	const first, last = 272, 400
+	for i := 0; i < b.N; i++ {
+		var at [2]runtime.MemStats
+		var n atomic.Int64
+		cal := &core.Calibrator{
+			Space: benchSpace,
+			Simulator: core.Evaluator(func(ctx context.Context, p core.Point) (float64, error) {
+				switch n.Add(1) - 1 {
+				case first:
+					runtime.ReadMemStats(&at[0])
+				case last:
+					runtime.ReadMemStats(&at[1])
+				}
+				return sphereEval(ctx, p)
+			}),
+			Algorithm: opt.NewAsyncBO(), MaxEvaluations: last + 2, Workers: 2, Seed: 21,
+		}
+		if _, err := cal.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		perEval := float64(at[1].Mallocs-at[0].Mallocs) / (last - first)
+		b.ReportMetric(perEval, "allocs/eval")
+		if perEval > asyncBOEvaluationAllocCeiling {
+			b.Fatalf("%.1f allocs per warmed async-bo evaluation, ceiling %d", perEval, asyncBOEvaluationAllocCeiling)
 		}
 	}
 }

@@ -312,7 +312,7 @@ func (c *config) calibrate(t target, alg core.Algorithm, stdout, stderr io.Write
 
 	fmt.Fprintf(stdout, "calibrating %s with %s/%s...\n", t.name, alg.Name(), t.spec.Loss)
 	start := time.Now()
-	res, err := experiments.CalibrateBest(context.Background(), experiments.NewScheduler(c.jobs), cal, c.jobs)
+	res, err := experiments.CalibrateBest(context.Background(), c.jobs, cal, c.jobs)
 	if err != nil {
 		return err
 	}

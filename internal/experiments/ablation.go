@@ -58,7 +58,7 @@ func AblationAlgorithms(ctx context.Context, o Options) (*AblationAlgResult, err
 	// configuration, so all cells share one cache key: with a cache
 	// attached, an evaluation any algorithm has already paid for is free
 	// to every other.
-	losses, err := RunJobsLogged(ctx, NewScheduler(o.Jobs), o.RunLog, "ablation-alg", len(algs), func(ctx context.Context, i int) (float64, error) {
+	losses, err := RunJobsLogged(ctx, o.Jobs, o.RunLog, "ablation-alg", len(algs), func(ctx context.Context, i int) (float64, error) {
 		alg := algs[i] // one instance per cell: algorithms may keep state
 		cal := o.calibrator(v.Space(), ev, alg, o.Seed, o.cacheKey("ablation/wf/L1"))
 		r, err := cal.Run(ctx)
@@ -165,7 +165,7 @@ func AblationStorageValue(ctx context.Context, o Options) (*AblationStorageValue
 		{wfsim.SubmitOnly, free, "storage-free"},
 		{wfsim.AllNodes, free, "storage-free"},
 	}
-	errsOut, err := RunJobsLogged(ctx, NewScheduler(o.Jobs), o.RunLog, "ablation-storage", len(combos), func(ctx context.Context, i int) (float64, error) {
+	errsOut, err := RunJobsLogged(ctx, o.Jobs, o.RunLog, "ablation-storage", len(combos), func(ctx context.Context, i int) (float64, error) {
 		c := combos[i]
 		v := wfsim.Version{Network: wfsim.OneLink, Storage: c.storage, Compute: wfsim.HTCondor}
 		va, _, err := wfStudy.calibrateAndTest(ctx, o, v, c.ds, c.ds, c.dsKey)

@@ -70,7 +70,7 @@ func Faults(ctx context.Context, o Options) (*FaultsResult, error) {
 			MaxDelay:    5 * time.Millisecond,
 		}
 	}
-	rows, err := RunJobsLogged(ctx, NewScheduler(o.Jobs), o.RunLog, "faults", len(faultRates), func(ctx context.Context, i int) (FaultsRow, error) {
+	rows, err := RunJobsLogged(ctx, o.Jobs, o.RunLog, "faults", len(faultRates), func(ctx context.Context, i int) (FaultsRow, error) {
 		rate := faultRates[i]
 		inj := faultsim.Wrap(loss.WFEvaluator(v, loss.WFL1, syn), faultsim.Config{
 			Seed: o.Seed + int64(i+1),

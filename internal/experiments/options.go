@@ -189,20 +189,20 @@ func (o Options) calibrator(space core.Space, sim core.Simulator, alg core.Algor
 // level inside a cell would either oversubscribe or, on a shared pool,
 // deadlock. With a cache the restarts share memoized evaluations anyway.
 func (o Options) calibrateBest(ctx context.Context, space core.Space, sim core.Simulator, alg core.Algorithm, seed int64, key string) (*core.Result, error) {
-	return CalibrateBest(ctx, nil, *o.calibrator(space, sim, alg, seed, key), o.Restarts)
+	return CalibrateBest(ctx, 1, *o.calibrator(space, sim, alg, seed, key), o.Restarts)
 }
 
 // CalibrateBest runs restarts calibrations of base, restart i with seed
-// base.Seed + 1000·i, under s (nil runs them sequentially), and returns
+// base.Seed + 1000·i, at most jobs at once (see RunJobs), and returns
 // the result with the strictly lowest loss: ties go to the lowest
 // restart index, so the winner never depends on scheduling order. The
 // restarts share base's cache, if any. restarts <= 1 is base.Run itself;
 // with more, a failed restart's error carries RunJobs' "job i:" prefix.
-func CalibrateBest(ctx context.Context, s *Scheduler, base core.Calibrator, restarts int) (*core.Result, error) {
+func CalibrateBest(ctx context.Context, jobs int, base core.Calibrator, restarts int) (*core.Result, error) {
 	if restarts <= 1 {
 		return base.Run(ctx)
 	}
-	results, err := RunJobs(ctx, s, restarts, func(ctx context.Context, i int) (*core.Result, error) {
+	results, err := RunJobs(ctx, jobs, restarts, func(ctx context.Context, i int) (*core.Result, error) {
 		cal := base
 		cal.Seed = base.Seed + int64(1000*i)
 		return cal.Run(ctx)

@@ -33,7 +33,7 @@ func TestRunLogResumesCompletedCells(t *testing.T) {
 		ran.Add(1)
 		return i * 10, nil
 	}
-	first, err := RunJobsLogged(context.Background(), NewScheduler(3), l, "grid", 6, fn)
+	first, err := RunJobsLogged(context.Background(), 3, l, "grid", 6, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRunLogResumesCompletedCells(t *testing.T) {
 	if l2.Len() != 6 {
 		t.Fatalf("reopened log holds %d cells, want 6", l2.Len())
 	}
-	second, err := RunJobsLogged(context.Background(), nil, l2, "grid", 6, fn)
+	second, err := RunJobsLogged(context.Background(), 1, l2, "grid", 6, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRunLogResumesOnlyUnfinishedCells(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	l := openLog(t, path, "m")
 	broken := errors.New("transient infrastructure failure")
-	_, err := RunJobsLogged(context.Background(), nil, l, "grid", 6, func(_ context.Context, i int) (int, error) {
+	_, err := RunJobsLogged(context.Background(), 1, l, "grid", 6, func(_ context.Context, i int) (int, error) {
 		if i%2 == 1 {
 			return 0, broken
 		}
@@ -83,7 +83,7 @@ func TestRunLogResumesOnlyUnfinishedCells(t *testing.T) {
 	l2 := openLog(t, path, "m")
 	defer l2.Close()
 	var reran []int
-	results, err := RunJobsLogged(context.Background(), nil, l2, "grid", 6, func(_ context.Context, i int) (int, error) {
+	results, err := RunJobsLogged(context.Background(), 1, l2, "grid", 6, func(_ context.Context, i int) (int, error) {
 		reran = append(reran, i)
 		return i, nil
 	})

@@ -9,33 +9,16 @@ import (
 	"simcal/internal/resilience"
 )
 
-// Scheduler is a bounded worker pool for running independent
-// calibrations — the (LoD version × loss × algorithm) cells of the
-// paper's evaluation — concurrently. One Scheduler is meant to be
-// shared by every driver of an experiment run so the total calibration
-// parallelism stays bounded regardless of how drivers nest their loops.
-// The zero bound and a nil *Scheduler both mean sequential execution.
+// RunJobs runs fn(ctx, i) for i in [0, n), at most jobs at once, and
+// returns the n results in index order: the independent calibrations —
+// the (LoD version × loss × algorithm) cells of the paper's evaluation,
+// or one calibration's restarts — of one driver loop. jobs <= 1 runs
+// them sequentially in index order.
 //
 // Concurrency does not change results: every cell derives its own
 // deterministic seed from the root seed (never from scheduling order),
-// and RunJobs returns results in index order, so a parallel run is
+// and the results come back in index order, so a parallel run is
 // output-identical to a sequential one.
-type Scheduler struct {
-	sem chan struct{}
-}
-
-// NewScheduler returns a scheduler running at most jobs calibrations at
-// once. jobs <= 1 returns nil, the sequential scheduler.
-func NewScheduler(jobs int) *Scheduler {
-	if jobs <= 1 {
-		return nil
-	}
-	return &Scheduler{sem: make(chan struct{}, jobs)}
-}
-
-// RunJobs runs fn(ctx, i) for i in [0, n) under the scheduler's
-// concurrency bound and returns the n results in index order. A nil
-// scheduler runs the jobs sequentially in index order.
 //
 // Failures do not cancel siblings: every cell represents an independent
 // calibration whose result is worth keeping (and, with a RunLog,
@@ -46,7 +29,7 @@ func NewScheduler(jobs int) *Scheduler {
 // value — together with the errors.Join of every per-job failure, each
 // wrapped with its index. Only parent-context cancellation stops jobs
 // from starting.
-func RunJobs[T any](ctx context.Context, s *Scheduler, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+func RunJobs[T any](ctx context.Context, jobs, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)
 	run := func(i int) {
@@ -57,23 +40,24 @@ func RunJobs[T any](ctx context.Context, s *Scheduler, n int, fn func(ctx contex
 		}
 		results[i] = r
 	}
-	if s == nil {
+	if jobs <= 1 {
 		for i := 0; i < n && ctx.Err() == nil; i++ {
 			run(i)
 		}
 	} else {
+		sem := make(chan struct{}, jobs)
 		var wg sync.WaitGroup
 	acquire:
 		for i := 0; i < n; i++ {
 			select {
-			case s.sem <- struct{}{}:
+			case sem <- struct{}{}:
 			case <-ctx.Done():
 				break acquire
 			}
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				defer func() { <-s.sem }()
+				defer func() { <-sem }()
 				run(i)
 			}(i)
 		}
@@ -112,11 +96,11 @@ func safeJob[T any](ctx context.Context, i int, fn func(ctx context.Context, i i
 // root seed rather than from scheduling order, the resumed grid is
 // output-identical to an uninterrupted one. A nil log degrades to plain
 // RunJobs.
-func RunJobsLogged[T any](ctx context.Context, s *Scheduler, l *RunLog, scope string, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+func RunJobsLogged[T any](ctx context.Context, jobs int, l *RunLog, scope string, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if l == nil {
-		return RunJobs(ctx, s, n, fn)
+		return RunJobs(ctx, jobs, n, fn)
 	}
-	return RunJobs(ctx, s, n, func(ctx context.Context, i int) (T, error) {
+	return RunJobs(ctx, jobs, n, func(ctx context.Context, i int) (T, error) {
 		var cached T
 		if l.Lookup(scope, i, &cached) {
 			return cached, nil

@@ -36,7 +36,7 @@ func TestRunJobsLoggedCancelMidRun(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		r, err := RunJobsLogged(ctx, NewScheduler(2), l, "grid", 8, fn)
+		r, err := RunJobsLogged(ctx, 2, l, "grid", 8, fn)
 		done <- outcome{r, err}
 	}()
 
@@ -86,7 +86,7 @@ func TestRunJobsLoggedCancelMidRun(t *testing.T) {
 	}
 
 	var reran atomic.Int64
-	resumed, err := RunJobsLogged(context.Background(), NewScheduler(4), l2, "grid", 8,
+	resumed, err := RunJobsLogged(context.Background(), 4, l2, "grid", 8,
 		func(_ context.Context, i int) (int, error) {
 			reran.Add(1)
 			return i * 10, nil
@@ -104,14 +104,14 @@ func TestRunJobsLoggedCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestRunJobsSequentialCancelStopsEarly: the nil (sequential) scheduler
+// TestRunJobsSequentialCancelStopsEarly: the sequential run (jobs 1)
 // must also stop launching cells once the parent context dies, and
 // still report the cancellation.
 func TestRunJobsSequentialCancelStopsEarly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int64
-	_, err := RunJobs(ctx, nil, 8, func(ctx context.Context, i int) (int, error) {
+	_, err := RunJobs(ctx, 1, 8, func(ctx context.Context, i int) (int, error) {
 		ran.Add(1)
 		if i == 2 {
 			cancel()

@@ -20,20 +20,47 @@ import (
 	"simcal/internal/simspec"
 )
 
-func TestNewSchedulerSequentialBelowTwo(t *testing.T) {
+// TestRunJobsSequentialBelowTwo: jobs <= 1 runs one job at a time in
+// index order; jobs 2 runs two at once: job 0 returns only once job 1
+// has started, so a sequential run of it would block until the test
+// binary's timeout.
+func TestRunJobsSequentialBelowTwo(t *testing.T) {
 	for _, jobs := range []int{-1, 0, 1} {
-		if s := NewScheduler(jobs); s != nil {
-			t.Errorf("NewScheduler(%d) = %v, want nil (sequential)", jobs, s)
+		var order []int
+		var running atomic.Int64
+		_, err := RunJobs(context.Background(), jobs, 8, func(_ context.Context, i int) (int, error) {
+			defer running.Add(-1)
+			if n := running.Add(1); n != 1 {
+				t.Errorf("jobs %d: %d jobs running at once, want 1", jobs, n)
+			}
+			order = append(order, i)
+			return i, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("jobs %d ran %v, want index order", jobs, order)
+			}
 		}
 	}
-	if NewScheduler(2) == nil {
-		t.Error("NewScheduler(2) = nil, want a pool")
+	started := make(chan struct{})
+	if _, err := RunJobs(context.Background(), 2, 2, func(_ context.Context, i int) (int, error) {
+		if i == 1 {
+			close(started)
+		} else {
+			<-started
+		}
+		return i, nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestRunJobsIndexOrder(t *testing.T) {
-	for _, s := range []*Scheduler{nil, NewScheduler(4)} {
-		got, err := RunJobs(context.Background(), s, 20, func(_ context.Context, i int) (int, error) {
+	for _, jobs := range []int{1, 4} {
+		got, err := RunJobs(context.Background(), jobs, 20, func(_ context.Context, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -50,7 +77,7 @@ func TestRunJobsIndexOrder(t *testing.T) {
 func TestRunJobsBoundsConcurrency(t *testing.T) {
 	const jobs = 3
 	var running, peak atomic.Int64
-	_, err := RunJobs(context.Background(), NewScheduler(jobs), 24, func(_ context.Context, i int) (int, error) {
+	_, err := RunJobs(context.Background(), jobs, 24, func(_ context.Context, i int) (int, error) {
 		n := running.Add(1)
 		for {
 			p := peak.Load()
@@ -75,9 +102,9 @@ func TestRunJobsBoundsConcurrency(t *testing.T) {
 func TestRunJobsRunsAllAndJoinsErrors(t *testing.T) {
 	boom1 := errors.New("cell 1 exploded")
 	boom5 := errors.New("cell 5 exploded")
-	for _, s := range []*Scheduler{nil, NewScheduler(4)} {
+	for _, jobs := range []int{1, 4} {
 		var ran atomic.Int64
-		results, err := RunJobs(context.Background(), s, 16, func(_ context.Context, i int) (int, error) {
+		results, err := RunJobs(context.Background(), jobs, 16, func(_ context.Context, i int) (int, error) {
 			ran.Add(1)
 			switch i {
 			case 1:
@@ -105,8 +132,8 @@ func TestRunJobsRunsAllAndJoinsErrors(t *testing.T) {
 // TestRunJobsRecoversPanics: a panicking cell becomes that cell's
 // error, not a process crash.
 func TestRunJobsRecoversPanics(t *testing.T) {
-	for _, s := range []*Scheduler{nil, NewScheduler(2)} {
-		results, err := RunJobs(context.Background(), s, 4, func(_ context.Context, i int) (int, error) {
+	for _, jobs := range []int{1, 2} {
+		results, err := RunJobs(context.Background(), jobs, 4, func(_ context.Context, i int) (int, error) {
 			if i == 2 {
 				panic("cell blew up")
 			}
@@ -128,7 +155,7 @@ func TestRunJobsRecoversPanics(t *testing.T) {
 func TestRunJobsCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunJobs(ctx, NewScheduler(2), 8, func(ctx context.Context, i int) (int, error) {
+	_, err := RunJobs(ctx, 2, 8, func(ctx context.Context, i int) (int, error) {
 		return 0, ctx.Err()
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -229,8 +256,8 @@ func TestCalibrateBestMatchesParent(t *testing.T) {
 	base := *o.calibrator(space, sim, opt.Random{}, 4, "")
 	// The experiments drivers' sequential restarts and simcal -jobs 3's
 	// concurrent ones.
-	for _, s := range []*Scheduler{nil, NewScheduler(3)} {
-		r, err := CalibrateBest(context.Background(), s, base, o.Restarts)
+	for _, jobs := range []int{1, 3} {
+		r, err := CalibrateBest(context.Background(), jobs, base, o.Restarts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +270,7 @@ func TestCalibrateBestMatchesParent(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sum := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); sum != parentRestarts3 {
-			t.Errorf("scheduler %v: result sha256 %s, parent recorded %s", s, sum, parentRestarts3)
+			t.Errorf("jobs %d: result sha256 %s, parent recorded %s", jobs, sum, parentRestarts3)
 		}
 	}
 }

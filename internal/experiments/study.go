@@ -103,7 +103,7 @@ type LoDResult struct {
 // and compare their accuracy on test. scope names the driver in the
 // RunLog and in errors.
 func (s study[V, D]) sweep(ctx context.Context, o Options, scope string, versions []V, train, test D, dsKey string) (*LoDResult, error) {
-	vas, err := RunJobsLogged(ctx, NewScheduler(o.Jobs), o.RunLog, scope, len(versions), func(ctx context.Context, i int) (VersionAccuracy, error) {
+	vas, err := RunJobsLogged(ctx, o.Jobs, o.RunLog, scope, len(versions), func(ctx context.Context, i int) (VersionAccuracy, error) {
 		va, _, err := s.calibrateAndTest(ctx, o, versions[i], train, test, dsKey)
 		if err != nil {
 			return VersionAccuracy{}, fmt.Errorf("%s %s: %w", scope, versions[i].Name(), err)
@@ -206,7 +206,7 @@ func selectionMatrix[K fmt.Stringer](ctx context.Context, o Options, scope, cach
 		}
 	}
 	nk := len(kinds)
-	cells, err := RunJobsLogged(ctx, NewScheduler(o.Jobs), o.RunLog, scope, len(algs)*nk, func(ctx context.Context, i int) (selectionCell, error) {
+	cells, err := RunJobsLogged(ctx, o.Jobs, o.RunLog, scope, len(algs)*nk, func(ctx context.Context, i int) (selectionCell, error) {
 		ai, ki := i/nk, i%nk
 		// Fresh algorithm instance per cell: algorithms may keep
 		// internal state and cells run concurrently.

@@ -9,7 +9,6 @@ import (
 
 	"simcal/internal/core"
 	"simcal/internal/opt/surrogate"
-	"simcal/internal/resilience"
 )
 
 // AsyncBayesOpt is worker-aware asynchronous Bayesian optimization: the
@@ -30,10 +29,9 @@ import (
 // order in Replay — or resuming from the journal — forces consumption
 // in the same order and reproduces the run bitwise.
 type AsyncBayesOpt struct {
-	// NewRegressor builds a fresh surrogate for each refit. Required.
+	// NewRegressor builds the surrogate, which is then reseeded for
+	// every refit and rebuilt only after a failed one. Required.
 	NewRegressor func(seed int64) surrogate.Regressor
-	// RegressorName labels the surrogate ("GP", ...). Informational.
-	RegressorName string
 	// InitSamples is the number of random submissions before the first
 	// surrogate fit. Defaults to max(2·dim, 8).
 	InitSamples int
@@ -54,8 +52,7 @@ type AsyncBayesOpt struct {
 // configuration registered as "async-bo" in ByName.
 func NewAsyncBO() *AsyncBayesOpt {
 	return &AsyncBayesOpt{
-		NewRegressor:  func(int64) surrogate.Regressor { return surrogate.NewGP() },
-		RegressorName: "GP",
+		NewRegressor: func(int64) surrogate.Regressor { return surrogate.NewGP() },
 	}
 }
 
@@ -85,27 +82,15 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 		panic("opt: AsyncBayesOpt requires NewRegressor")
 	}
 	run := prob.Async()
-	d := prob.Space.Dim()
-	init := b.InitSamples
-	if init <= 0 {
-		init = 2 * d
-		if init < 8 {
-			init = 8
-		}
-	}
+	init, maxFit := fitDefaults(b.InitSamples, b.MaxFitPoints, prob.Space.Dim())
 	// The in-flight window is the problem's worker parallelism (the
 	// fleet capacity in distributed runs).
 	width := max(prob.Workers(), 1)
-	maxFit := b.MaxFitPoints
-	if maxFit <= 0 {
-		maxFit = 400
-	}
 	forced := b.Replay
 	if len(forced) == 0 {
 		forced = prob.ReplayOrder()
 	}
-	observer := prob.Observer()
-	aobs, _ := observer.(core.AsyncObserver)
+	aobs, _ := prob.Observer().(core.AsyncObserver)
 
 	var reg surrogate.Regressor
 	var mem scratch
@@ -119,14 +104,16 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 	}()
 	submitted, processed := 0, 0
 	// Wall-clock stamps of worker slots freed by a consumed completion
-	// and not yet refilled; the proposal that refills the oldest one
-	// reports the gap as worker idle time. Measurement only — never
-	// part of the determinism contract.
+	// and not yet refilled, kept only for an AsyncObserver: the
+	// proposal that refills the oldest one reports the gap as worker
+	// idle time. Measurement only — never part of the determinism
+	// contract. The queue is popped in place, so its backing array
+	// stays the size of the window.
 	var freed []time.Time
 	stopSubmit := false
 	for {
 		for !stopSubmit && len(inflight) < width {
-			u, fantasies := b.proposeOne(prob, observer, &mem, &reg, inflight, submitted, init, maxFit)
+			u, fantasies := b.proposeOne(prob, &mem, &reg, inflight, submitted, init, maxFit)
 			seq, err := run.Submit(ctx, u)
 			if err != nil {
 				// Submit only refuses for budget exhaustion; stop
@@ -141,12 +128,12 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 			}
 			inflight = append(inflight, flight{seq: seq, unit: u})
 			submitted++
-			var idle time.Duration
-			if len(freed) > 0 {
-				idle = time.Since(freed[0])
-				freed = freed[1:]
-			}
 			if aobs != nil {
+				var idle time.Duration
+				if len(freed) > 0 {
+					idle = time.Since(freed[0])
+					freed = append(freed[:0], freed[1:]...)
+				}
 				aobs.AsyncProposed(seq, fantasies, idle)
 			}
 		}
@@ -175,8 +162,8 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 			}
 		}
 		order = append(order, c.Seq)
-		freed = append(freed, time.Now())
 		if aobs != nil {
+			freed = append(freed, time.Now())
 			aobs.AsyncCompletionConsumed(c.Seq, processed, c.Sample.Loss, retracted)
 		}
 		processed++
@@ -188,10 +175,10 @@ func (b *AsyncBayesOpt) Optimize(ctx context.Context, prob *core.Problem) error 
 // completed history plus one constant-liar fantasy row per in-flight
 // evaluation, and a single acquisition winner is returned. fantasies
 // reports how many liar rows the fit conditioned on (0 when the
-// proposal did not come from a fantasy-conditioned fit). Any surrogate
-// failure degrades to random exploration and releases the regressor,
-// exactly like the batch path.
-func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, mem *scratch, regp *surrogate.Regressor, inflight []flight, submitted, init, maxFit int) (u []float64, fantasies int) {
+// proposal did not come from a fantasy-conditioned fit). The refit is
+// the batch driver's (refit); any surrogate failure degrades to one
+// uniform sample.
+func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, mem *scratch, regp *surrogate.Regressor, inflight []flight, submitted, init, maxFit int) (u []float64, fantasies int) {
 	if submitted < init {
 		return prob.Space.Sample(prob.RNG), 0
 	}
@@ -222,47 +209,12 @@ func (b *AsyncBayesOpt) proposeOne(prob *core.Problem, observer core.Observer, m
 		fantasies++
 	}
 	mem.trainX, mem.trainY = X, y // keep the growth for the next proposal
-	seed := prob.RNG.Int63()
-	var reg surrogate.Regressor
-	if rs, ok := (*regp).(surrogate.Reseeder); ok {
-		rs.Reseed(seed)
-		reg = *regp
-	} else {
-		reg = b.NewRegressor(seed)
-	}
-	fitStart := time.Now()
-	if err := resilience.Safely(func() error { return reg.Fit(X, y) }); err != nil {
-		notePanic(observer, err)
-		surrogate.Release(reg)
-		*regp = nil
+	if !mem.refit(prob, b.NewRegressor, regp, X, y, func(reg surrogate.Regressor) {
+		u = b.pickCandidate(prob, mem, reg, best, role)
+	}) {
 		return prob.Space.Sample(prob.RNG), 0
 	}
-	*regp = reg
-	if observer != nil {
-		observer.SurrogateFitted(len(X), time.Since(fitStart))
-		noteSurrogateDetail(observer, reg)
-	}
-	scorer := reg
-	var timed *timedRegressor
-	if observer != nil {
-		timed = &timedRegressor{Regressor: reg}
-		scorer = timed
-	}
-	acqStart := time.Now()
-	var pick []float64
-	if err := resilience.Safely(func() error {
-		pick = b.pickCandidate(prob, mem, scorer, best, role)
-		return nil
-	}); err != nil {
-		notePanic(observer, err)
-		surrogate.Release(reg)
-		*regp = nil
-		return prob.Space.Sample(prob.RNG), 0
-	}
-	if observer != nil {
-		observer.AcquisitionSolved(candidatePool, timed.predict, time.Since(acqStart))
-	}
-	return pick, fantasies
+	return u, fantasies
 }
 
 // pickCandidate scores a candidate pool (the same pool as the batch

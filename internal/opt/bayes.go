@@ -27,7 +27,8 @@ const (
 // uncertainty) and exploitation (low predicted loss) through the
 // expected-improvement acquisition function.
 type BayesOpt struct {
-	// NewRegressor builds a fresh surrogate for each refit. Required.
+	// NewRegressor builds the surrogate, which is then reseeded for
+	// every refit and rebuilt only after a failed one. Required.
 	NewRegressor func(seed int64) surrogate.Regressor
 	// RegressorName labels the algorithm ("GP", "RF", ...). Required.
 	RegressorName string
@@ -78,26 +79,28 @@ func NewBOGBRT() *BayesOpt {
 // Name implements core.Algorithm.
 func (b *BayesOpt) Name() string { return "BO-" + b.RegressorName }
 
+// fitDefaults resolves the InitSamples and MaxFitPoints both BO drivers
+// take: a non-positive value defaults to max(2·dim, 8) and 400.
+func fitDefaults(initSamples, maxFitPoints, dim int) (init, maxFit int) {
+	init, maxFit = initSamples, maxFitPoints
+	if init <= 0 {
+		init = max(2*dim, 8)
+	}
+	if maxFit <= 0 {
+		maxFit = 400
+	}
+	return init, maxFit
+}
+
 // Optimize implements core.Algorithm.
 func (b *BayesOpt) Optimize(ctx context.Context, prob *core.Problem) error {
 	if b.NewRegressor == nil {
 		panic("opt: BayesOpt requires NewRegressor")
 	}
-	d := prob.Space.Dim()
-	init := b.InitSamples
-	if init <= 0 {
-		init = 2 * d
-		if init < 8 {
-			init = 8
-		}
-	}
+	init, maxFit := fitDefaults(b.InitSamples, b.MaxFitPoints, prob.Space.Dim())
 	batch := b.Batch
 	if batch <= 0 {
 		batch = 4
-	}
-	maxFit := b.MaxFitPoints
-	if maxFit <= 0 {
-		maxFit = 400
 	}
 
 	// Initial design: uniform random.
@@ -112,23 +115,20 @@ func (b *BayesOpt) Optimize(ctx context.Context, prob *core.Problem) error {
 		return err
 	}
 
-	observer := prob.Observer()
-	// One regressor instance is reused (re-seeded) across refits so
-	// incremental fitting state — the GP's cached distance matrix and
-	// Cholesky factors — stays warm; a fit failure discards it. Its
-	// buffers go on to the next calibration's (surrogate.Release).
+	// The regressor refit keeps; its buffers go on to the next
+	// calibration's (surrogate.Release).
 	var reg surrogate.Regressor
 	defer func() { surrogate.Release(reg) }()
 	var mem scratch
-	for iter := 0; ; iter++ {
-		X, y, ok := mem.trainingSet(prob, maxFit)
+	for {
 		var next [][]float64
-		if ok {
-			next, reg = b.proposeBatch(prob, observer, &mem, reg, X, y, batch)
-		}
-		if next == nil {
+		X, y, ok := mem.trainingSet(prob, maxFit)
+		if !ok || !mem.refit(prob, b.NewRegressor, &reg, X, y, func(reg surrogate.Regressor) {
+			next = b.proposeByEI(prob, &mem, reg, batch)
+		}) {
 			// Surrogate unavailable (too little data, a failed or
-			// panicking fit): fall back to random exploration.
+			// panicking fit or acquisition): fall back to random
+			// exploration.
 			next = b.randomBatch(prob, batch)
 		}
 		if _, err := prob.Evaluate(ctx, next); err != nil {
@@ -150,55 +150,54 @@ func (b *BayesOpt) randomBatch(prob *core.Problem, batch int) [][]float64 {
 	return out
 }
 
-// proposeBatch refits the surrogate and scores an acquisition batch.
-// The caller's regressor is reused (re-seeded) when it supports
-// surrogate.Reseeder, preserving incremental fitting caches; otherwise a
-// fresh one is built. Both stages run under panic isolation: a
-// numerically degenerate history can drive a surrogate into a panic
-// (singular matrices, division by zero in tree splits), which must
-// degrade to a random-exploration iteration — reported through the
-// observer's FaultObserver extension — rather than kill the
-// calibration. A nil next (any failure) triggers the caller's random
-// fallback, and the failed regressor is released rather than reused.
-func (b *BayesOpt) proposeBatch(prob *core.Problem, observer core.Observer, mem *scratch, prev surrogate.Regressor, X [][]float64, y []float64, batch int) (next [][]float64, reg surrogate.Regressor) {
+// refit is the surrogate step both BO drivers take once they have a
+// training set (X, y). It draws the refit seed, reseeds the regressor
+// *kept or, when there is none, builds one with newRegressor: one
+// instance lives across refits so incremental fitting state — the GP's
+// distance matrix and Cholesky factors — stays warm. It fits it on
+// (X, y) and hands it to score, the driver's acquisition, timed behind
+// mem.timed when the problem has an observer. Fit and score run under
+// panic isolation: a numerically degenerate history can drive a
+// surrogate into a panic (singular matrices, division by zero in tree
+// splits), which must degrade to the driver's random fallback —
+// reported through the observer's FaultObserver extension — rather
+// than kill the calibration. On any failure refit releases the
+// regressor, leaves *kept nil and returns false; score's results are
+// then not to be used.
+func (mem *scratch) refit(prob *core.Problem, newRegressor func(seed int64) surrogate.Regressor, kept *surrogate.Regressor, X [][]float64, y []float64, score func(surrogate.Regressor)) bool {
 	seed := prob.RNG.Int63()
-	if rs, ok := prev.(surrogate.Reseeder); ok {
-		rs.Reseed(seed)
-		reg = prev
+	reg := *kept
+	if reg != nil {
+		reg.Reseed(seed)
 	} else {
-		reg = b.NewRegressor(seed)
+		reg = newRegressor(seed)
 	}
+	*kept = nil
+	observer := prob.Observer()
 	fitStart := time.Now()
 	if err := resilience.Safely(func() error { return reg.Fit(X, y) }); err != nil {
 		notePanic(observer, err)
 		surrogate.Release(reg)
-		return nil, nil
+		return false
 	}
-	fitDur := time.Since(fitStart)
-	if observer == nil {
-		if err := resilience.Safely(func() error {
-			next = b.proposeByEI(prob, mem, reg, batch)
-			return nil
-		}); err != nil {
-			surrogate.Release(reg)
-			return nil, nil
-		}
-		return next, reg
+	scorer := reg
+	var acqStart time.Time
+	if observer != nil {
+		observer.SurrogateFitted(len(X), time.Since(fitStart))
+		noteSurrogateDetail(observer, reg)
+		mem.timed = timedRegressor{Regressor: reg}
+		scorer, acqStart = &mem.timed, time.Now()
 	}
-	observer.SurrogateFitted(len(X), fitDur)
-	noteSurrogateDetail(observer, reg)
-	timed := &timedRegressor{Regressor: reg}
-	acqStart := time.Now()
-	if err := resilience.Safely(func() error {
-		next = b.proposeByEI(prob, mem, timed, batch)
-		return nil
-	}); err != nil {
+	if err := resilience.Safely(func() error { score(scorer); return nil }); err != nil {
 		notePanic(observer, err)
 		surrogate.Release(reg)
-		return nil, nil
+		return false
 	}
-	observer.AcquisitionSolved(candidatePool, timed.predict, time.Since(acqStart))
-	return next, reg
+	if observer != nil {
+		observer.AcquisitionSolved(candidatePool, mem.timed.predict, time.Since(acqStart))
+	}
+	*kept = reg
+	return true
 }
 
 // noteSurrogateDetail forwards fit-time performance counters to the

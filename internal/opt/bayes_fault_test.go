@@ -19,14 +19,14 @@ type panickingRegressor struct {
 	predPanics bool
 }
 
-func (p *panickingRegressor) Name() string { return "panicky" }
-
 func (p *panickingRegressor) Fit(X [][]float64, y []float64) error {
 	if p.fitPanics {
 		panic("singular matrix")
 	}
 	return p.inner.Fit(X, y)
 }
+
+func (p *panickingRegressor) Reseed(seed int64) { p.inner.Reseed(seed) }
 
 func (p *panickingRegressor) Predict(x []float64) (float64, float64) {
 	if p.predPanics {
@@ -69,27 +69,30 @@ func (o *surrogatePanicObserver) CheckpointWritten(int)                 {}
 func (o *surrogatePanicObserver) CheckpointFailed(error)                {}
 
 // TestSurrogatePanicFallsBackToRandom: a panicking fit or acquisition
-// must degrade that iteration to random exploration and report the
-// recovery — never kill the calibration.
+// must degrade that proposal to random exploration and report the
+// recovery — never kill the calibration — in either BO driver.
 func TestSurrogatePanicFallsBackToRandom(t *testing.T) {
+	fitPanics := func(int64) surrogate.Regressor {
+		return &panickingRegressor{inner: surrogate.NewGP(), fitPanics: true}
+	}
+	predictPanics := func(int64) surrogate.Regressor {
+		return &panickingRegressor{inner: surrogate.NewGP(), predPanics: true}
+	}
 	for _, tc := range []struct {
 		name string
-		mk   func() surrogate.Regressor
+		alg  func() core.Algorithm
 	}{
-		{"fit panics", func() surrogate.Regressor {
-			return &panickingRegressor{inner: surrogate.NewGP(), fitPanics: true}
-		}},
-		{"predict panics", func() surrogate.Regressor {
-			return &panickingRegressor{inner: surrogate.NewGP(), predPanics: true}
-		}},
+		{"fit panics", func() core.Algorithm { return &BayesOpt{NewRegressor: fitPanics, RegressorName: "panicky"} }},
+		{"predict panics", func() core.Algorithm { return &BayesOpt{NewRegressor: predictPanics, RegressorName: "panicky"} }},
+		{"async-bo fit panics", func() core.Algorithm { return &AsyncBayesOpt{NewRegressor: fitPanics} }},
+		{"async-bo predict panics", func() core.Algorithm { return &AsyncBayesOpt{NewRegressor: predictPanics} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := &surrogatePanicObserver{}
-			alg := &BayesOpt{NewRegressor: func(int64) surrogate.Regressor { return tc.mk() }, RegressorName: "panicky"}
 			c := &core.Calibrator{
 				Space:          optSpace,
 				Simulator:      core.Evaluator(sphere),
-				Algorithm:      alg,
+				Algorithm:      tc.alg(),
 				MaxEvaluations: 32,
 				Workers:        2,
 				Seed:           5,

@@ -7,21 +7,13 @@ import (
 )
 
 // timedRegressor wraps a surrogate.Regressor and accumulates the time
-// spent inside its predictions, so BayesOpt can report how much of each
-// acquisition solve went to surrogate predictions versus scoring logic.
-// It is used from a single goroutine per BO iteration, so a plain
-// accumulator suffices.
+// spent inside its scoring passes, so an observed refit can report how
+// much of each acquisition solve went to surrogate predictions versus
+// scoring logic. It is used from a single goroutine per proposal, so a
+// plain accumulator suffices.
 type timedRegressor struct {
 	surrogate.Regressor
 	predict time.Duration
-}
-
-// Predict implements surrogate.Regressor, timing the delegate.
-func (t *timedRegressor) Predict(x []float64) (mean, std float64) {
-	start := time.Now()
-	mean, std = t.Regressor.Predict(x)
-	t.predict += time.Since(start)
-	return mean, std
 }
 
 // PredictMean and PredictStd implement surrogate.Regressor, timing the

@@ -34,6 +34,7 @@ type scratch struct {
 	sub         []core.Sample
 	trainX      [][]float64
 	trainY      []float64
+	timed       timedRegressor // refit's timing wrapper, when observed
 }
 
 // poolSigmas are the pool's local-move step scales, incumbentSigmas the

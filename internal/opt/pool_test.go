@@ -58,7 +58,11 @@ func TestProposalsDoNotAliasThePool(t *testing.T) {
 			}
 			rows := len(X)
 			var next [][]float64
-			next, reg = b.proposeBatch(prob, nil, &mem, reg, X, y, 4)
+			if !mem.refit(prob, b.NewRegressor, &reg, X, y, func(reg surrogate.Regressor) {
+				next = b.proposeByEI(prob, &mem, reg, 4)
+			}) {
+				t.Fatalf("iteration %d: refit failed", iter)
+			}
 			if len(next) != 4 {
 				t.Fatalf("iteration %d: %d proposals, want 4", iter, len(next))
 			}

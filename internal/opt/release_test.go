@@ -137,8 +137,8 @@ func TestConcurrentCalibrationsShareGPBuffers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFailedFitReleasesGP: a GP that proposeBatch drops after a failed
-// fit hands its buffers on, so the next GP to fit on the sizes the
+// TestFailedFitReleasesGP: a GP that refit drops after a failed fit
+// hands its buffers on, so the next GP to fit on the sizes the
 // dropped one reached grows none.
 func TestFailedFitReleasesGP(t *testing.T) {
 	runtime.GC()
@@ -160,9 +160,12 @@ func TestFailedFitReleasesGP(t *testing.T) {
 	bad := [][]float64{{math.NaN(), 0}, {0, math.NaN()}, {math.NaN(), math.NaN()}}
 	ran := false
 	probe := &probeAlg{fn: func(ctx context.Context, prob *core.Problem) error {
-		next, reg := NewBOGP().proposeBatch(prob, nil, new(scratch), gp, bad, []float64{1, 2, 3}, 4)
-		if next != nil || reg != nil {
-			t.Errorf("a failed fit proposed %v with regressor %v, want neither", next, reg)
+		var reg surrogate.Regressor = gp
+		ok := new(scratch).refit(prob, NewBOGP().NewRegressor, &reg, bad, []float64{1, 2, 3}, func(surrogate.Regressor) {
+			t.Error("refit scored a regressor whose fit failed")
+		})
+		if ok || reg != nil {
+			t.Errorf("a failed fit returned %v and kept regressor %v, want false and none", ok, reg)
 		}
 		ran = true
 		return nil

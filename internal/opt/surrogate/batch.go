@@ -13,16 +13,6 @@ import (
 // (the second half is that every write is index-addressed).
 const predictChunk = 64
 
-// Reseeder is implemented by regressors whose randomness can be
-// re-seeded between fits. BayesOpt reuses one Reseeder instance across
-// refits — keeping any incremental fitting state (the GP's distance
-// matrix and Cholesky factors) warm — instead of constructing a fresh
-// surrogate every iteration.
-type Reseeder interface {
-	// Reseed installs the seed the next Fit call will use.
-	Reseed(seed int64)
-}
-
 // FitStats describes the work performed by a regressor's most recent
 // successful Fit call (see FitStatsProvider). All counts are
 // deterministic: they depend on the fit inputs, never on scheduling.

@@ -38,14 +38,6 @@ func NewRandomForest(seed int64) *Forest { return &Forest{Seed: seed} }
 // NewExtraTrees returns an extremely-randomized-trees regressor (BO-ET).
 func NewExtraTrees(seed int64) *Forest { return &Forest{Extra: true, Seed: seed} }
 
-// Name implements Regressor.
-func (f *Forest) Name() string {
-	if f.Extra {
-		return "ET"
-	}
-	return "RF"
-}
-
 func (f *Forest) defaults() (trees, depth, minLeaf int) {
 	trees, depth, minLeaf = f.Trees, f.MaxDepth, f.MinLeaf
 	if trees <= 0 {
@@ -98,7 +90,7 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 	return nil
 }
 
-// Reseed implements Reseeder: the next Fit uses the given seed.
+// Reseed implements Regressor.
 func (f *Forest) Reseed(seed int64) { f.Seed = seed }
 
 // Predict implements Regressor.

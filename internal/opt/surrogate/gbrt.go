@@ -36,9 +36,6 @@ type boostedModel struct {
 // NewGBRT returns a gradient-boosted quantile regressor.
 func NewGBRT(seed int64) *GBRT { return &GBRT{Seed: seed} }
 
-// Name implements Regressor.
-func (g *GBRT) Name() string { return "GBRT" }
-
 // Fit implements Regressor.
 func (g *GBRT) Fit(X [][]float64, y []float64) error {
 	if err := validateXY(X, y); err != nil {
@@ -100,7 +97,7 @@ func (m *boostedModel) predict(x []float64) float64 {
 	return v
 }
 
-// Reseed implements Reseeder: the next Fit uses the given seed.
+// Reseed implements Regressor.
 func (g *GBRT) Reseed(seed int64) { g.Seed = seed }
 
 // Predict implements Regressor.

@@ -161,13 +161,8 @@ type gpScaleState struct {
 // NewGP returns a GP regressor with default hyperparameter candidates.
 func NewGP() *GP { return &GP{} }
 
-// Name implements Regressor.
-func (g *GP) Name() string { return "GP" }
-
-// Reseed implements Reseeder. The GP is deterministic and keeps no RNG,
-// so this is a no-op; it exists so BayesOpt can reuse one GP across
-// refits (keeping the incremental caches warm) through the same
-// interface it uses for the stochastic regressors.
+// Reseed implements Regressor. The GP is deterministic and keeps no
+// RNG, so this is a no-op.
 func (g *GP) Reseed(int64) {}
 
 // FitStats implements FitStatsProvider.

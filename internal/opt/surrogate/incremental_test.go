@@ -43,9 +43,9 @@ func TestPredictBatchBitwiseMatchesSerial(t *testing.T) {
 		et.PredictWorkers = workers
 		gb := NewGBRT(3)
 		gb.PredictWorkers = workers
-		for _, r := range []Regressor{gp, rf, et, gb} {
+		for _, r := range []namedRegressor{{"GP", gp}, {"RF", rf}, {"ET", et}, {"GBRT", gb}} {
 			if err := r.Fit(X, y); err != nil {
-				t.Fatalf("%s: Fit: %v", r.Name(), err)
+				t.Fatalf("%s: Fit: %v", r.name, err)
 			}
 			wantMean, wantStd := predictSerial(r, cands)
 			gotMean := make([]float64, len(cands))
@@ -54,7 +54,7 @@ func TestPredictBatchBitwiseMatchesSerial(t *testing.T) {
 			for i := range cands {
 				if gotMean[i] != wantMean[i] || gotStd[i] != wantStd[i] {
 					t.Fatalf("%s workers=%d cand %d: batch (%v, %v) != serial (%v, %v)",
-						r.Name(), workers, i, gotMean[i], gotStd[i], wantMean[i], wantStd[i])
+						r.name, workers, i, gotMean[i], gotStd[i], wantMean[i], wantStd[i])
 				}
 			}
 		}

@@ -32,15 +32,21 @@ func quadratic(x []float64) float64 {
 	return s
 }
 
-func allRegressors() []Regressor {
-	return []Regressor{NewGP(), NewRandomForest(1), NewExtraTrees(2), NewGBRT(3)}
+// namedRegressor is a regressor with the name test messages call it by.
+type namedRegressor struct {
+	name string
+	Regressor
+}
+
+func allRegressors() []namedRegressor {
+	return []namedRegressor{{"GP", NewGP()}, {"RF", NewRandomForest(1)}, {"ET", NewExtraTrees(2)}, {"GBRT", NewGBRT(3)}}
 }
 
 func TestRegressorsFitAndPredictSmooth(t *testing.T) {
 	X, y := trainOn(120, 2, 11, quadratic)
 	for _, r := range allRegressors() {
 		if err := r.Fit(X, y); err != nil {
-			t.Fatalf("%s: Fit: %v", r.Name(), err)
+			t.Fatalf("%s: Fit: %v", r.name, err)
 		}
 		// Check generalization at fresh points.
 		testX, testY := trainOn(40, 2, 99, quadratic)
@@ -53,7 +59,7 @@ func TestRegressorsFitAndPredictSmooth(t *testing.T) {
 		}
 		r2 := 1 - sse/tot
 		if r2 < 0.5 {
-			t.Errorf("%s: R² = %.3f on quadratic, want > 0.5", r.Name(), r2)
+			t.Errorf("%s: R² = %.3f on quadratic, want > 0.5", r.name, r2)
 		}
 	}
 }
@@ -63,16 +69,16 @@ func TestRegressorsUncertaintyNonNegative(t *testing.T) {
 	rng := stats.NewRNG(5)
 	for _, r := range allRegressors() {
 		if err := r.Fit(X, y); err != nil {
-			t.Fatalf("%s: Fit: %v", r.Name(), err)
+			t.Fatalf("%s: Fit: %v", r.name, err)
 		}
 		for i := 0; i < 50; i++ {
 			x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 			m, s := r.Predict(x)
 			if math.IsNaN(m) || math.IsNaN(s) {
-				t.Fatalf("%s: NaN prediction", r.Name())
+				t.Fatalf("%s: NaN prediction", r.name)
 			}
 			if s < 0 {
-				t.Fatalf("%s: negative std %v", r.Name(), s)
+				t.Fatalf("%s: negative std %v", r.name, s)
 			}
 		}
 	}
@@ -191,13 +197,13 @@ func TestGBRTQuantileOrdering(t *testing.T) {
 func TestFitRejectsBadData(t *testing.T) {
 	for _, r := range allRegressors() {
 		if err := r.Fit(nil, nil); err == nil {
-			t.Errorf("%s: empty fit accepted", r.Name())
+			t.Errorf("%s: empty fit accepted", r.name)
 		}
 		if err := r.Fit([][]float64{{1, 2}}, []float64{1, 2}); err == nil {
-			t.Errorf("%s: mismatched fit accepted", r.Name())
+			t.Errorf("%s: mismatched fit accepted", r.name)
 		}
 		if err := r.Fit([][]float64{{1, 2}, {1}}, []float64{1, 2}); err == nil {
-			t.Errorf("%s: ragged fit accepted", r.Name())
+			t.Errorf("%s: ragged fit accepted", r.name)
 		}
 	}
 }
@@ -207,7 +213,7 @@ func TestPredictBeforeFitPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: Predict before Fit did not panic", r.Name())
+					t.Errorf("%s: Predict before Fit did not panic", r.name)
 				}
 			}()
 			r.Predict([]float64{0.5})
@@ -237,12 +243,12 @@ func TestForestHandlesTinyData(t *testing.T) {
 	y := []float64{1, 2}
 	for _, r := range allRegressors() {
 		if err := r.Fit(X, y); err != nil {
-			t.Errorf("%s: failed on 2-point data: %v", r.Name(), err)
+			t.Errorf("%s: failed on 2-point data: %v", r.name, err)
 			continue
 		}
 		m, _ := r.Predict([]float64{0.5, 0.5})
 		if math.IsNaN(m) {
-			t.Errorf("%s: NaN on tiny data", r.Name())
+			t.Errorf("%s: NaN on tiny data", r.name)
 		}
 	}
 }

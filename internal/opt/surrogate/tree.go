@@ -17,7 +17,10 @@ import (
 	"simcal/internal/stats"
 )
 
-// Regressor is a surrogate model over the unit cube.
+// Regressor is a surrogate model over the unit cube, and everything the
+// BO drivers call on one: Fit, Reseed between refits of the same
+// instance, and the two scoring passes, PredictMean and PredictStd.
+// Predict is the serial reference both passes are held to.
 //
 // A pool of candidates is scored in two passes. The mean pass,
 // PredictMean, writes every row's mean and a bound on its standard
@@ -32,10 +35,13 @@ import (
 // selection: the acquisition relies on this to keep proposals
 // reproducible (and checkpoint replay byte-stable).
 type Regressor interface {
-	// Name identifies the regressor (for reports).
-	Name() string
 	// Fit trains on rows X (all in [0,1]^d) with targets y.
 	Fit(X [][]float64, y []float64) error
+	// Reseed installs the seed the next Fit uses, so that one instance
+	// can be refit again and again, keeping whatever incremental
+	// fitting state it has (the GP's distance matrix and Cholesky
+	// factors) warm.
+	Reseed(seed int64)
 	// Predict returns the predictive mean and standard deviation at x.
 	// Predict must only be called after a successful Fit.
 	Predict(x []float64) (mean, std float64)
