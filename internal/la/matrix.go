@@ -29,10 +29,13 @@ import (
 	"math"
 )
 
-// Matrix is a dense, row-major matrix of float64 values.
+// Matrix is a dense, row-major matrix of float64 values. Row i starts
+// at data[i*stride]; stride is at least cols, and more when the matrix
+// was grown by Resize, which leaves room for its rows to lengthen in
+// place.
 type Matrix struct {
-	rows, cols int
-	data       []float64
+	rows, cols, stride int
+	data               []float64
 }
 
 // NewMatrix returns a zero-initialized rows×cols matrix.
@@ -41,7 +44,7 @@ func NewMatrix(rows, cols int) *Matrix {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("la: invalid matrix dimensions %dx%d", rows, cols))
 	}
-	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
+	return &Matrix{rows: rows, cols: cols, stride: cols, data: make([]float64, rows*cols)}
 }
 
 // FromRows builds a matrix from a slice of equal-length rows.
@@ -55,7 +58,7 @@ func FromRows(rows [][]float64) *Matrix {
 		if len(r) != m.cols {
 			panic("la: FromRows given ragged rows")
 		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
+		copy(m.RawRow(i), r)
 	}
 	return m
 }
@@ -76,50 +79,60 @@ func (m *Matrix) Rows() int { return m.rows }
 func (m *Matrix) Cols() int { return m.cols }
 
 // At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
+func (m *Matrix) At(i, j int) float64 { return m.data[i*m.stride+j] }
 
 // Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
+func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.stride+j] = v }
 
 // Add adds v to the element at row i, column j.
-func (m *Matrix) Add(i, j int, v float64) { m.data[i*m.cols+j] += v }
+func (m *Matrix) Add(i, j int, v float64) { m.data[i*m.stride+j] += v }
 
 // Row returns a copy of row i.
 func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
+	return append([]float64(nil), m.RawRow(i)...)
 }
 
 // RawRow returns row i as a live view into the matrix storage: writes
 // through the returned slice mutate the matrix. It exists for hot loops
 // (kernel fills, batched solves) that cannot afford per-element At/Set.
 func (m *Matrix) RawRow(i int) []float64 {
-	return m.data[i*m.cols : (i+1)*m.cols]
+	return m.data[i*m.stride : i*m.stride+m.cols]
 }
 
-// Clone returns a deep copy of the matrix.
+// Clone returns a deep copy of the matrix, its rows cols apart.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
-	copy(c.data, m.data)
+	for i := 0; i < m.rows; i++ {
+		copy(c.RawRow(i), m.RawRow(i))
+	}
 	return c
 }
 
-// Reshape makes m a rows×cols matrix over its backing array, replacing
-// the array with one of twice the needed size when it is too small, and
-// reports whether it did. The zero Matrix is a valid receiver. Contents
-// afterwards are unspecified (the row stride moved under them): Reshape
-// is for buffers whose every cell the caller writes before reading it,
-// such as a kernel matrix whose size changes from one fit to the next.
-func (m *Matrix) Reshape(rows, cols int) (grew bool) {
+// Resize makes m a rows×cols matrix whose leading min(rows, Rows()) ×
+// min(cols, Cols()) block holds the entries it held before; every
+// other entry is unspecified. While the rows fit in the backing array
+// at its row stride, nothing moves. Otherwise Resize lays the kept
+// block out again in a new array, with the stride and the row count it
+// has room for each a quarter above the need, and reports that it grew:
+// a square matrix grown one row at a time re-lays O(log n) times, and
+// its array never holds more than about 1.6·n² values. The zero Matrix
+// is a valid receiver. It is how a matrix that gains and loses trailing
+// rows from one use to the next, such as a kernel matrix refit on
+// appended rows, keeps its leading rows where they are.
+func (m *Matrix) Resize(rows, cols int) (grew bool) {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("la: invalid matrix dimensions %dx%d", rows, cols))
 	}
-	need := rows * cols
-	if grew = need > cap(m.data); grew {
-		m.data = make([]float64, need, 2*need)
+	if grew = cols > m.stride || rows*m.stride > cap(m.data); grew {
+		stride := cols + cols/4
+		data := make([]float64, (rows+rows/4)*stride)
+		keep := min(cols, m.cols)
+		for i := 0; i < min(rows, m.rows); i++ {
+			copy(data[i*stride:i*stride+keep], m.RawRow(i))
+		}
+		m.stride, m.data = stride, data
 	}
-	m.rows, m.cols, m.data = rows, cols, m.data[:need]
+	m.rows, m.cols, m.data = rows, cols, m.data[:rows*m.stride]
 	return grew
 }
 
@@ -142,14 +155,12 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	}
 	out := NewMatrix(m.rows, b.cols)
 	for i := 0; i < m.rows; i++ {
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		oi := out.data[i*out.cols : (i+1)*out.cols]
-		for k, mv := range mi {
+		oi := out.RawRow(i)
+		for k, mv := range m.RawRow(i) {
 			if mv == 0 {
 				continue
 			}
-			bk := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range bk {
+			for j, bv := range b.RawRow(k) {
 				oi[j] += float64(mv * bv)
 			}
 		}
@@ -166,8 +177,7 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 	out := make([]float64, m.rows)
 	for i := 0; i < m.rows; i++ {
 		s := 0.0
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
+		for j, v := range m.RawRow(i) {
 			s += float64(v * x[j])
 		}
 		out[i] = s
@@ -202,12 +212,8 @@ func Cholesky(m *Matrix) (*Matrix, error) {
 		return nil, err
 	}
 	// Zero the strictly upper triangle so l is a proper triangular matrix.
-	n := l.rows
-	for i := 0; i < n-1; i++ {
-		row := l.data[i*n : (i+1)*n]
-		for j := i + 1; j < n; j++ {
-			row[j] = 0
-		}
+	for i := 0; i < l.rows-1; i++ {
+		clear(l.RawRow(i)[i+1:])
 	}
 	return l, nil
 }
@@ -236,7 +242,7 @@ func CholeskyInPlace(a *Matrix) error {
 // Only the lower triangle is read or written; rows below start are
 // never written. start==0 is a full factorization.
 func CholeskyExtendInPlace(a *Matrix, start int) error {
-	n := a.rows
+	n, s := a.rows, a.stride
 	if a.cols != n {
 		return fmt.Errorf("la: Cholesky of non-square %dx%d matrix", n, a.cols)
 	}
@@ -253,19 +259,19 @@ func CholeskyExtendInPlace(a *Matrix, start int) error {
 	// at once, pairs of columns) cannot change a bit.
 	for k0 := 0; k0 < n; k0 += cholBlock {
 		k1 := min(k0+cholBlock, n)
-		// Row j of the diagonal block starts at l[(j-k0)*n].
-		l := a.data[k0*n+k0:]
+		// Row j of the diagonal block starts at l[(j-k0)*s].
+		l := a.data[k0*s+k0:]
 		// (1) Diagonal block: rows [max(k0,start), k1), solveGroup rows
 		// at a time. The columns left of a group's first row are a row
 		// solve against finished rows; then each row of the group
 		// finishes its own columns in order and takes its square root.
 		for i := max(k0, start); i < k1; i += solveGroup {
 			g := min(solveGroup, k1-i)
-			solveRows(a.data[i*n+k0:], l, n, g, i-k0)
+			solveRows(a.data[i*s+k0:], l, s, g, i-k0)
 			for r := i; r < i+g; r++ {
-				rr := a.data[r*n : r*n+n]
+				rr := a.data[r*s : r*s+n]
 				for j := i; j < r; j++ {
-					rj := a.data[j*n : j*n+n]
+					rj := a.data[j*s : j*s+n]
 					rr[j] = (rr[j] - dotf(rr[k0:j], rj[k0:j])) / rj[j]
 				}
 				d := rr[r] - dotf(rr[k0:r], rr[k0:r])
@@ -280,11 +286,11 @@ func CholeskyExtendInPlace(a *Matrix, start int) error {
 			continue
 		}
 		// (2) Panel solve: rows [p0, n), columns [k0,k1).
-		solveRows(a.data[p0*n+k0:], l, n, n-p0, k1-k0)
+		solveRows(a.data[p0*s+k0:], l, s, n-p0, k1-k0)
 		// (3) Trailing update: subtract this block's contribution from
 		// the not-yet-factored lower triangle of rows [p0, n). p0 < n
 		// implies k1 < n, so the block is a full cholBlock columns wide.
-		trail(a.data[p0*n+k0:], a.data[k1*n+k0:], n, n-p0, p0-k1)
+		trail(a.data[p0*s+k0:], a.data[k1*s+k0:], s, n-p0, p0-k1)
 	}
 	return nil
 }
@@ -301,25 +307,51 @@ func SolveLower(l *Matrix, b []float64) ([]float64, error) {
 }
 
 // SolveLowerInto solves L·x = b into the caller-provided x, letting hot
-// paths (batched GP prediction) reuse one buffer across many solves.
-// The operation order is exactly SolveLower's, so the result is bitwise
-// identical. x must not alias b.
+// paths (a refit's solve, the scalar prediction) reuse one buffer across
+// many solves. Row i is one subtraction chain, s = b[i] - L[i][j]·x[j]
+// for j in ascending order, then x[i] = s/L[i][i]. Rows go through
+// solveGroup at a time: the group's chains advance together over the
+// columns left of its first row, each in its own register, and then
+// each row finishes its part of the group's triangle in turn. Every row
+// keeps its own operations in their order, so the result does not
+// depend on the grouping. On a zero diagonal entry at row i it returns
+// an error with rows before i solved. x must not alias b.
 func SolveLowerInto(l *Matrix, b, x []float64) error {
-	n := l.rows
+	n, st := l.rows, l.stride
 	if l.cols != n || len(b) != n || len(x) != n {
 		panic("la: SolveLowerInto dimension mismatch")
 	}
-	for i := 0; i < n; i++ {
-		ri := l.data[i*n : i*n+n]
-		s := b[i]
-		for j, v := range ri[:i] {
-			s -= float64(v * x[j])
+	var s [solveGroup]float64
+	for i := 0; i < n; i += solveGroup {
+		g := min(solveGroup, n-i)
+		if g == solveGroup {
+			r0, r1, r2, r3 := l.data[i*st:i*st+i], l.data[(i+1)*st:(i+1)*st+i], l.data[(i+2)*st:(i+2)*st+i], l.data[(i+3)*st:(i+3)*st+i]
+			s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
+			for j, v := range x[:i] {
+				s0 -= float64(r0[j] * v)
+				s1 -= float64(r1[j] * v)
+				s2 -= float64(r2[j] * v)
+				s3 -= float64(r3[j] * v)
+			}
+			s = [solveGroup]float64{s0, s1, s2, s3}
+		} else {
+			for r := range g {
+				s[r] = b[i+r]
+				for j, v := range x[:i] {
+					s[r] -= float64(l.data[(i+r)*st+j] * v)
+				}
+			}
 		}
-		d := ri[i]
-		if d == 0 {
-			return errSingularLower
+		for r := range g {
+			ri := l.data[(i+r)*st : (i+r)*st+i+r+1]
+			for j := i; j < i+r; j++ {
+				s[r] -= float64(ri[j] * x[j])
+			}
+			if ri[i+r] == 0 {
+				return errSingularLower
+			}
+			x[i+r] = s[r] / ri[i+r]
 		}
-		x[i] = s / d
 	}
 	return nil
 }
@@ -349,7 +381,7 @@ var errSingularLower = errors.New("la: singular lower-triangular matrix")
 // entry at row i it returns an error with, in every tile, rows before i
 // solved and rows from i on untouched.
 func SolveLowerTile(l *Matrix, b []float64) error {
-	n := l.rows
+	n, st := l.rows, l.stride
 	span := n * SolveTile
 	if l.cols != n || n == 0 || len(b)%span != 0 {
 		panic("la: SolveLowerTile dimension mismatch")
@@ -358,7 +390,7 @@ func SolveLowerTile(l *Matrix, b []float64) error {
 	// from the first zero on stay as the caller left them.
 	m := n
 	for i := 0; i < n; i++ {
-		if l.data[i*n+i] == 0 {
+		if l.data[i*st+i] == 0 {
 			m = i
 			break
 		}
@@ -368,8 +400,8 @@ func SolveLowerTile(l *Matrix, b []float64) error {
 		if t+span == len(b) {
 			for i := 0; i < m; i++ {
 				s := (*[SolveTile]float64)(x0[i*SolveTile:])
-				tileRow(l.data[i*n:i*n+i], x0[:i*SolveTile], s)
-				d := l.data[i*n+i]
+				tileRow(l.data[i*st:i*st+i], x0[:i*SolveTile], s)
+				d := l.data[i*st+i]
 				for c := range s {
 					s[c] /= d
 				}
@@ -380,8 +412,8 @@ func SolveLowerTile(l *Matrix, b []float64) error {
 		for i := 0; i < m; i++ {
 			s0 := (*[SolveTile]float64)(x0[i*SolveTile:])
 			s1 := (*[SolveTile]float64)(x1[i*SolveTile:])
-			tileRow2(l.data[i*n:i*n+i], x0[:i*SolveTile], x1[:i*SolveTile], s0, s1)
-			d := l.data[i*n+i]
+			tileRow2(l.data[i*st:i*st+i], x0[:i*SolveTile], x1[:i*SolveTile], s0, s1)
+			d := l.data[i*st+i]
 			for c := range s0 {
 				s0[c] /= d
 				s1[c] /= d
@@ -435,13 +467,13 @@ func CholSolveInto(l *Matrix, b, x []float64) error {
 	if err := SolveLowerInto(l, b, x); err != nil {
 		return err
 	}
-	n := l.rows
+	n, st := l.rows, l.stride
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= float64(l.data[j*n+i] * x[j])
+			s -= float64(l.data[j*st+i] * x[j])
 		}
-		d := l.data[i*n+i]
+		d := l.data[i*st+i]
 		if d == 0 {
 			return errors.New("la: singular triangular matrix")
 		}

@@ -459,22 +459,61 @@ func TestCholSolveIntoMatchesTwoStepBitwise(t *testing.T) {
 	}
 }
 
-// TestReshapeReusesBackingArray: growing allocates geometrically, and
-// shrinking or re-growing within capacity does not allocate.
-func TestReshapeReusesBackingArray(t *testing.T) {
+// TestResizeKeepsLeadingBlock: Resize keeps the entries of the leading
+// block where they are while the rows fit at the row stride, and lays
+// them out again, at a wider stride, when they do not; growing
+// allocates geometrically, and shrinking or re-growing within capacity
+// does not allocate.
+func TestResizeKeepsLeadingBlock(t *testing.T) {
 	var m Matrix
-	if !m.Reshape(3, 3) {
-		t.Fatal("Reshape of the zero Matrix did not allocate")
+	if !m.Resize(8, 8) {
+		t.Fatal("Resize of the zero Matrix did not allocate")
 	}
-	m.RawRow(2)[2] = 7
-	if m.Reshape(4, 4) || m.Reshape(2, 5) || m.Reshape(3, 6) {
-		t.Error("Reshape within twice the first size allocated")
+	fill := func(rows, cols int) {
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				m.Set(i, j, float64(100*i+j))
+			}
+		}
 	}
-	if m.Rows() != 3 || m.Cols() != 6 || len(m.RawRow(2)) != 6 {
-		t.Errorf("Reshape(3,6) left a %dx%d matrix", m.Rows(), m.Cols())
+	check := func(rows, cols int) {
+		t.Helper()
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				if m.At(i, j) != float64(100*i+j) {
+					t.Fatalf("after Resize to %dx%d: (%d,%d) = %v, want %d", m.Rows(), m.Cols(), i, j, m.At(i, j), 100*i+j)
+				}
+			}
+		}
 	}
-	if !m.Reshape(5, 5) {
-		t.Error("Reshape beyond capacity did not allocate")
+	fill(8, 8)
+	row0 := &m.RawRow(0)[0]
+	for _, sz := range []int{10, 5, 9, 10} {
+		if m.Resize(sz, sz) {
+			t.Errorf("Resize to %dx%d within capacity allocated", sz, sz)
+		}
+		check(min(sz, 5), min(sz, 5))
+	}
+	if &m.RawRow(0)[0] != row0 {
+		t.Error("Resize within capacity moved the rows")
+	}
+	if m.Rows() != 10 || m.Cols() != 10 || len(m.RawRow(9)) != 10 {
+		t.Errorf("Resize(10,10) left a %dx%d matrix", m.Rows(), m.Cols())
+	}
+	fill(10, 10)
+	grew := 0
+	for n := 11; n <= 400; n++ {
+		if m.Resize(n, n) {
+			grew++
+			check(n-1, n-1)
+		}
+		if c := cap(m.RawRow(0)); c > 2*n*n {
+			t.Fatalf("n=%d: capacity %d above 2n²", n, c)
+		}
+		fill(n, n)
+	}
+	if grew == 0 || grew > 20 {
+		t.Errorf("growing from 10 to 400 rows one at a time re-laid %d times, want a few", grew)
 	}
 }
 
@@ -500,5 +539,141 @@ func TestDotNormProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// solveLowerRef is forward substitution one row at a time, each row one
+// subtraction chain in ascending column order: the reference
+// SolveLowerInto's grouped rows are held to.
+func solveLowerRef(l *Matrix, b, x []float64) error {
+	for i := range b {
+		s := b[i]
+		for j := 0; j < i; j++ {
+			s -= float64(l.At(i, j) * x[j])
+		}
+		d := l.At(i, i)
+		if d == 0 {
+			return errSingularLower
+		}
+		x[i] = s / d
+	}
+	return nil
+}
+
+// TestSolveLowerIntoMatchesOneRowReference: at every size from 1 to 70
+// — whole groups of rows and every remainder — and with a zero diagonal
+// at every position in turn, SolveLowerInto returns the reference's
+// error and, before the zero, the reference's rows bit for bit, on a
+// compact factor and on one whose rows lie further apart.
+func TestSolveLowerIntoMatchesOneRowReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 1; n <= 70; n++ {
+		l := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < i; j++ {
+				l.Set(i, j, rng.NormFloat64())
+			}
+			l.Set(i, i, 0.5+rng.Float64())
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		for z := -1; z < n; z++ {
+			lz := l.Clone()
+			if z >= 0 {
+				lz.Set(z, z, 0)
+			}
+			solved := n
+			if z >= 0 {
+				solved = z
+			}
+			want := make([]float64, n)
+			wantErr := solveLowerRef(lz, b, want)
+			for _, m := range []*Matrix{lz, withStride(lz, n+3)} {
+				got := make([]float64, n)
+				if err := SolveLowerInto(m, b, got); err != wantErr {
+					t.Fatalf("n=%d zero at %d stride %d: error %v, reference %v", n, z, m.stride, err, wantErr)
+				}
+				for i := range got[:solved] {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d zero at %d stride %d: row %d = %v, reference %v", n, z, m.stride, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// withStride returns a copy of m whose rows lie stride values apart.
+func withStride(m *Matrix, stride int) *Matrix {
+	c := &Matrix{rows: m.rows, cols: m.cols, stride: stride, data: make([]float64, m.rows*stride)}
+	for i := 0; i < m.rows; i++ {
+		copy(c.RawRow(i), m.RawRow(i))
+	}
+	return c
+}
+
+// TestResizedFactorMatchesCompactBitwise: a factor grown the way the
+// GP's refits grow it — the leading rows factored, then Resize to more
+// rows, which may re-lay them at a wider stride, and an extension over
+// the new rows — carries the bits of a compact factorization, and so do
+// the solves over it.
+func TestResizedFactorMatchesCompactBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, tc := range []struct{ start, n int }{{3, 7}, {40, 41}, {64, 70}, {65, 130}, {100, 129}, {0, 66}} {
+		a := spdMatrix(tc.n, int64(tc.n))
+		want := a.Clone()
+		if err := CholeskyInPlace(want); err != nil {
+			t.Fatal(err)
+		}
+		var got Matrix
+		from := 0
+		for _, rows := range []int{tc.start, tc.n} {
+			if rows == from {
+				continue
+			}
+			got.Resize(rows, rows)
+			for i := from; i < rows; i++ {
+				copy(got.RawRow(i)[:i+1], a.RawRow(i)[:i+1])
+			}
+			if err := CholeskyExtendInPlace(&got, from); err != nil {
+				t.Fatal(err)
+			}
+			from = rows
+		}
+		if got.stride == tc.n {
+			t.Fatalf("start=%d n=%d: the factor's rows are not spaced apart", tc.start, tc.n)
+		}
+		for i := 0; i < tc.n; i++ {
+			for j := 0; j <= i; j++ {
+				if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+					t.Fatalf("start=%d n=%d: (%d,%d) = %v, compact %v", tc.start, tc.n, i, j, got.At(i, j), want.At(i, j))
+				}
+			}
+		}
+		b := make([]float64, tc.n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		gx, wx := make([]float64, tc.n), make([]float64, tc.n)
+		if CholSolveInto(&got, b, gx) != nil || CholSolveInto(want, b, wx) != nil {
+			t.Fatal("CholSolveInto failed")
+		}
+		tile, _ := tileOf(tc.n, 3, rng)
+		wtile := append([]float64(nil), tile...)
+		if SolveLowerTile(&got, tile) != nil || SolveLowerTile(want, wtile) != nil {
+			t.Fatal("SolveLowerTile failed")
+		}
+		for i := range gx {
+			if math.Float64bits(gx[i]) != math.Float64bits(wx[i]) {
+				t.Fatalf("start=%d n=%d: CholSolveInto row %d = %v, compact %v", tc.start, tc.n, i, gx[i], wx[i])
+			}
+		}
+		for i := range tile {
+			if math.Float64bits(tile[i]) != math.Float64bits(wtile[i]) {
+				t.Fatalf("start=%d n=%d: SolveLowerTile entry %d = %v, compact %v", tc.start, tc.n, i, tile[i], wtile[i])
+			}
+		}
 	}
 }

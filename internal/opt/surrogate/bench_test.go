@@ -103,3 +103,45 @@ func BenchmarkGPPredictBatch512(b *testing.B) {
 		PredictBatch(g, cands, mean, std)
 	}
 }
+
+// BenchmarkGPRefitAppend measures async-bo's refit: 300 history rows,
+// then one newly finished row and one fantasy row, over the default
+// 4-scale grid. Fits alternate between two such pairs, so each one
+// extends every scale's factor from row 300 by two rows, in place.
+func BenchmarkGPRefitAppend(b *testing.B) {
+	X, y := benchTrainingSet(304, 7, 1)
+	sets := [2][][]float64{X[:302], append(X[:300:300], X[302:]...)}
+	g := NewGP()
+	for _, s := range sets {
+		if err := g.Fit(s, y[:302]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.Fit(sets[i%2], y[:302]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGPPredictMean512 measures the mean pass alone over a
+// 512-candidate pool at n = 400: the kernel fill, the Matérn finish
+// with its mean sums and largest kernel values, and the bounds.
+func BenchmarkGPPredictMean512(b *testing.B) {
+	X, y := benchTrainingSet(400, 10, 1)
+	g := NewGP()
+	if err := g.Fit(X, y); err != nil {
+		b.Fatal(err)
+	}
+	cands, _ := benchTrainingSet(512, 10, 2)
+	mean := make([]float64, len(cands))
+	std := make([]float64, len(cands))
+	g.PredictMean(cands, mean, std)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.PredictMean(cands, mean, std)
+	}
+}

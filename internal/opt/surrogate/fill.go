@@ -8,8 +8,9 @@ import (
 
 // The Go loops of the scoring passes' per-element work on one tile of
 // la.SolveTile candidates: negArgsGo fills each -s, maternTileGo
-// finishes the kernel values and the mean's inner products, and
-// sumSquaresGo accumulates the variance's inner products. On amd64 each
+// finishes the kernel values, the mean's inner products and each
+// candidate's largest kernel value, and sumSquaresGo accumulates the
+// variance's inner products. On amd64 each
 // runs as an SSE2 kernel (fill_amd64.s) that performs the loop's
 // operations in its order, two candidates per register, so its results
 // are the loop's bit for bit; these loops are the reference the kernels
@@ -38,8 +39,12 @@ func negArgsGo(tile, xt []float64, xs [][]float64, l float64) {
 
 // maternTileGo finishes a tile's kernel values, tile[i*la.SolveTile+c]
 // = maternFromExp(tile[…], e[…]), and accumulates the mean's inner
-// products, m[c] += k·alpha[i], in ascending i.
-func maternTileGo(tile, e, alpha []float64, m *[la.SolveTile]float64) {
+// products, m[c] += k·alpha[i], in ascending i. km[c] keeps the largest
+// of itself and the column's values, row after row: it stays where it
+// is greater than the row's value and takes the row's value otherwise,
+// so a NaN row value replaces it and a later row's value replaces a
+// NaN.
+func maternTileGo(tile, e, alpha []float64, m, km *[la.SolveTile]float64) {
 	const w = la.SolveTile
 	for i, a := range alpha {
 		row, ei := tile[i*w:i*w+w], e[i*w:i*w+w]
@@ -47,6 +52,9 @@ func maternTileGo(tile, e, alpha []float64, m *[la.SolveTile]float64) {
 			kv := maternFromExp(ns, ei[c])
 			row[c] = kv
 			m[c] += float64(kv * a)
+			if !(km[c] > kv) {
+				km[c] = kv
+			}
 		}
 	}
 }
@@ -58,21 +66,6 @@ func sumSquaresGo(tile []float64, v *[la.SolveTile]float64) {
 	for o := 0; o < len(tile); o += w {
 		for c, x := range tile[o : o+w] {
 			v[c] += float64(x * x)
-		}
-	}
-}
-
-// tileMax keeps in m[c] the largest of m[c] and a tile's column c,
-// row after row: m[c] stays where it is greater than the row's value
-// and takes the row's value otherwise — so a NaN row value replaces it,
-// and a later row's value replaces a NaN.
-func tileMax(tile []float64, m *[la.SolveTile]float64) {
-	const w = la.SolveTile
-	for o := 0; o < len(tile); o += w {
-		for c, x := range tile[o : o+w] {
-			if !(m[c] > x) {
-				m[c] = x
-			}
 		}
 	}
 }

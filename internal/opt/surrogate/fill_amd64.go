@@ -27,10 +27,13 @@ func negArgs(tile, xt []float64, xs [][]float64, l float64) {
 }
 
 // maternTileSSE2 is maternTileGo, the mean's eight sums held in four
-// registers. len(tile) and len(e) must be >= len(alpha)*la.SolveTile.
+// registers and the eight largest values in four more, folded by MAXPD:
+// max(km, k) is km where km > k and k otherwise, NaNs included, which is
+// the Go loop's comparison. len(tile) and len(e) must be >=
+// len(alpha)*la.SolveTile.
 //
 //go:noescape
-func maternTileSSE2(tile, e, alpha []float64, m *[la.SolveTile]float64)
+func maternTileSSE2(tile, e, alpha []float64, m, km *[la.SolveTile]float64)
 
 // sumSquaresSSE2 is sumSquaresGo. len(tile) must be a multiple of
 // la.SolveTile.
@@ -38,9 +41,9 @@ func maternTileSSE2(tile, e, alpha []float64, m *[la.SolveTile]float64)
 //go:noescape
 func sumSquaresSSE2(tile []float64, v *[la.SolveTile]float64)
 
-func maternTile(tile, e, alpha []float64, m *[la.SolveTile]float64) {
+func maternTile(tile, e, alpha []float64, m, km *[la.SolveTile]float64) {
 	n := len(alpha) * la.SolveTile
-	maternTileSSE2(tile[:n], e[:n], alpha, m)
+	maternTileSSE2(tile[:n], e[:n], alpha, m, km)
 }
 
 func sumSquares(tile []float64, v *[la.SolveTile]float64) { sumSquaresSSE2(tile, v) }

@@ -91,9 +91,9 @@ DATA maternconst<>+24(SB)/8, $3.0
 GLOBL maternconst<>(SB), RODATA, $32
 
 // MATERN finishes two kernel values at off in the tile, s = -ns then
-// ((1 + s) + s*s/3) * e, stores them, and adds each times alpha[i] to
-// its mean sum in m.
-#define MATERN(off, m) \
+// ((1 + s) + s*s/3) * e, stores them, folds them into their largest
+// values in km, and adds each times alpha[i] to its mean sum in m.
+#define MATERN(off, m, km) \
 	MOVUPD off(DI), X4 \
 	XORPD  X14, X4 \
 	MOVAPD X4, X5 \
@@ -104,20 +104,26 @@ GLOBL maternconst<>(SB), RODATA, $32
 	MOVUPD off(SI), X6 \
 	MULPD  X6, X4 \
 	MOVUPD X4, off(DI) \
+	MAXPD  X4, km \
 	MULPD  X11, X4 \
 	ADDPD  X4, m
 
-// func maternTileSSE2(tile, e, alpha []float64, m *[8]float64)
-TEXT ·maternTileSSE2(SB), NOSPLIT, $0-80
+// func maternTileSSE2(tile, e, alpha []float64, m, km *[8]float64)
+TEXT ·maternTileSSE2(SB), NOSPLIT, $0-88
 	MOVQ    tile_base+0(FP), DI
 	MOVQ    e_base+24(FP), SI
 	MOVQ    alpha_base+48(FP), BX
 	MOVQ    alpha_len+56(FP), CX
 	MOVQ    m+72(FP), DX
+	MOVQ    km+80(FP), R8
 	MOVUPD  (DX), X0
 	MOVUPD  16(DX), X1
 	MOVUPD  32(DX), X2
 	MOVUPD  48(DX), X3
+	MOVUPD  (R8), X7
+	MOVUPD  16(R8), X8
+	MOVUPD  32(R8), X9
+	MOVUPD  48(R8), X10
 	MOVUPD  maternconst<>+0(SB), X12
 	MOVUPD  maternconst<>+16(SB), X13
 	PCMPEQL X14, X14
@@ -128,10 +134,10 @@ TEXT ·maternTileSSE2(SB), NOSPLIT, $0-80
 maternrow:
 	MOVSD    (BX), X11
 	UNPCKLPD X11, X11 // alpha[i] in both lanes
-	MATERN(0, X0)
-	MATERN(16, X1)
-	MATERN(32, X2)
-	MATERN(48, X3)
+	MATERN(0, X0, X7)
+	MATERN(16, X1, X8)
+	MATERN(32, X2, X9)
+	MATERN(48, X3, X10)
 	ADDQ     $64, DI
 	ADDQ     $64, SI
 	ADDQ     $8, BX
@@ -143,6 +149,10 @@ materndone:
 	MOVUPD X1, 16(DX)
 	MOVUPD X2, 32(DX)
 	MOVUPD X3, 48(DX)
+	MOVUPD X7, (R8)
+	MOVUPD X8, 16(R8)
+	MOVUPD X9, 32(R8)
+	MOVUPD X10, 48(R8)
 	RET
 
 // func sumSquaresSSE2(tile []float64, v *[8]float64)

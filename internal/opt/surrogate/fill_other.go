@@ -6,6 +6,8 @@ import "simcal/internal/la"
 
 func negArgs(tile, xt []float64, xs [][]float64, l float64) { negArgsGo(tile, xt, xs, l) }
 
-func maternTile(tile, e, alpha []float64, m *[la.SolveTile]float64) { maternTileGo(tile, e, alpha, m) }
+func maternTile(tile, e, alpha []float64, m, km *[la.SolveTile]float64) {
+	maternTileGo(tile, e, alpha, m, km)
+}
 
 func sumSquares(tile []float64, v *[la.SolveTile]float64) { sumSquaresGo(tile, v) }

@@ -14,7 +14,8 @@ import (
 // amd64 packed SSE2 kernels, carry the bits of their Go loops — negArgs
 // at every dimension from 1 to 12 — on unaligned slices and with values
 // that drive lanes through zeros, subnormals, infinities, NaNs and
-// overflowing squares.
+// overflowing squares. maternTile's largest kernel values are held to
+// the Go loop's too, here and on the tiles of maternMaxTiles.
 func TestFillKernelsMatchGoBitwise(t *testing.T) {
 	const w = la.SolveTile
 	rng := rand.New(rand.NewSource(9))
@@ -65,14 +66,14 @@ func TestFillKernelsMatchGoBitwise(t *testing.T) {
 			for i := range alpha {
 				alpha[i] = coord(p) - 0.5
 			}
-			var gotM, wantM [w]float64
+			var gotM, wantM, gotK, wantK [w]float64
 			for c := range gotM {
-				gotM[c] = coord(p)
+				gotM[c], gotK[c] = coord(p), coord(p)
 			}
-			wantM = gotM
+			wantM, wantK = gotM, gotK
 			want := append([]float64(nil), tile...)
-			maternTile(tile, e, alpha, &gotM)
-			maternTileGo(want, e, alpha, &wantM)
+			maternTile(tile, e, alpha, &gotM, &gotK)
+			maternTileGo(want, e, alpha, &wantM, &wantK)
 			gotV, wantV := gotM, wantM
 			sumSquares(tile, &gotV)
 			sumSquaresGo(want, &wantV)
@@ -85,8 +86,68 @@ func TestFillKernelsMatchGoBitwise(t *testing.T) {
 				if !sameBits(gotM[c], wantM[c]) || !sameBits(gotV[c], wantV[c]) {
 					t.Fatalf("p=%v rows=%d col %d: mean sum %v, variance sum %v; Go loops %v, %v", p, rows, c, gotM[c], gotV[c], wantM[c], wantV[c])
 				}
+				if !sameBits(gotK[c], wantK[c]) {
+					t.Fatalf("p=%v rows=%d col %d: largest value %v, Go loop %v", p, rows, c, gotK[c], wantK[c])
+				}
 			}
 		}
+	}
+	for name, rows := range maternMaxTiles() {
+		// With -s = 0 the kernel value is its exponential, exactly: the
+		// rows below are the tile's kernel values.
+		tile, e := make([]float64, len(rows)*w), make([]float64, 0, len(rows)*w)
+		alpha := make([]float64, len(rows))
+		for i, row := range rows {
+			e = append(e, row[:]...)
+			alpha[i] = 0.25 * float64(i+1)
+		}
+		for _, start := range []float64{0, math.Copysign(0, -1), math.NaN(), 1} {
+			var gotM, wantM, gotK, wantK [w]float64
+			for c := range gotK {
+				gotK[c], wantK[c] = start, start
+			}
+			want := append([]float64(nil), tile...)
+			maternTile(tile, e, alpha, &gotM, &gotK)
+			maternTileGo(want, e, alpha, &wantM, &wantK)
+			for c := range gotK {
+				if !sameBits(gotK[c], wantK[c]) {
+					t.Fatalf("%s, from %v: col %d largest value %v, Go loop %v", name, start, c, gotK[c], wantK[c])
+				}
+			}
+			clear(tile)
+		}
+	}
+}
+
+// maternMaxTiles are tiles of kernel values, by name, on which a
+// running maximum can go wrong: NaNs, zeros of either sign, exact ties,
+// and NaN rows followed by finite ones.
+func maternMaxTiles() map[string][][la.SolveTile]float64 {
+	nan, neg0 := math.NaN(), math.Copysign(0, -1)
+	return map[string][][la.SolveTile]float64{
+		"NaN": {
+			{nan, 1, 0.5, nan, 0, 2, nan, 0.25},
+			{0.5, nan, nan, 1, nan, 0, 3, nan},
+		},
+		"signed zeros": {
+			{neg0, 0, neg0, 0, 0, neg0, neg0, 0},
+			{0, neg0, neg0, 0, neg0, 0, 0, neg0},
+			{neg0, neg0, 0, 0, 0, 0, neg0, neg0},
+		},
+		"ties": {
+			{1, 1, 0.5, 0.5, 0, 0, 2, 2},
+			{1, 0.5, 0.5, 1, 0, 1, 2, 0},
+			{1, 1, 0.5, 0.5, 0, 0, 2, 2},
+		},
+		"NaN row then finite row": {
+			{nan, nan, nan, nan, nan, nan, nan, nan},
+			{0.5, neg0, 0, 1, 2, 0.25, 0.75, 0.125},
+		},
+		"finite, NaN, finite": {
+			{3, 2, 1, 0, neg0, 0.5, 1, 2},
+			{nan, nan, nan, nan, nan, nan, nan, nan},
+			{0.5, 0.5, 2, neg0, 0, 0.25, 1, 3},
+		},
 	}
 }
 

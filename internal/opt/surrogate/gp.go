@@ -33,17 +33,18 @@ const gpBoundDiagonal = 1e-8
 // Fit is incremental: when the new training set extends the previous one
 // by appended rows (the common BO refit shape), the cached distance
 // matrix and each scale's Cholesky factor are extended in place instead
-// of recomputed, and buffers are reused across refits. The length-scale
-// grid is evaluated concurrently across FitWorkers goroutines. Both
-// optimizations are bitwise transparent: the selected scale, alpha,
-// factor, and all subsequent predictions are identical to a serial
-// from-scratch fit (la.CholeskyExtendInPlace performs the exact per-row
-// operation sequence of a full factorization, and the grid winner is
-// chosen by ascending candidate index regardless of which goroutine
-// finished first).
+// of recomputed: their leading rows stay where they are, and only the
+// new rows are written. The length-scale grid is evaluated concurrently
+// across FitWorkers goroutines. Both optimizations are bitwise
+// transparent: the selected scale, alpha, factor, and all subsequent
+// predictions are identical to a serial from-scratch fit
+// (la.CholeskyExtendInPlace performs the exact per-row operation
+// sequence of a full factorization, and the grid winner is chosen by
+// ascending candidate index regardless of which goroutine finished
+// first).
 //
 // The buffers outlive the GP: Release hands them to the next GP that
-// fits, which only re-shapes them, so a process that runs one
+// fits, which only resizes them, so a process that runs one
 // calibration after another grows its n×n matrices once, not once per
 // calibration. Reused buffers carry no bits from their last owner:
 // every cell a fit or prediction reads, it wrote first.
@@ -81,13 +82,11 @@ type GP struct {
 
 // gpBuffers is the memory a GP fits and predicts in. A later Fit
 // detects the rows it shares with the GP's x as a prefix; dists holds
-// pairwise distances for x; distsNext is the ping-pong buffer the next
-// fit extends into. scaleState keeps one factored kernel per
-// length-scale candidate so an appended-rows refit only factors the new
-// rows.
+// pairwise distances for x, in its strictly lower triangle.
+// scaleState keeps one factored kernel per length-scale candidate so an
+// appended-rows refit only factors the new rows.
 type gpBuffers struct {
 	dists      *la.Matrix
-	distsNext  *la.Matrix
 	scaleState []gpScaleState
 	yn         []float64
 
@@ -144,10 +143,12 @@ func Release(r Regressor) {
 	gpFree.Unlock()
 }
 
-// gpScaleState caches per-length-scale fit state across refits.
+// gpScaleState caches per-length-scale fit state across refits. n,
+// scaleVal, noise and jitter describe what cur holds at every moment,
+// a failed or interrupted fit included, so the next fit extends only
+// rows that are what it would factor itself.
 type gpScaleState struct {
-	cur      *la.Matrix // Cholesky factor from the last successful fit
-	next     *la.Matrix // ping-pong buffer the current fit factors into
+	cur      *la.Matrix // Cholesky factor, rows [0, n) finished
 	alpha    []float64
 	exp      []float64 // the kernel fill's la.Exp output for one row
 	n        int       // rows factored in cur
@@ -225,40 +226,30 @@ func (g *GP) commonPrefix(X [][]float64) int {
 	return max
 }
 
-// extendDists produces the n×n distance matrix for X, copying the
-// prefix×prefix block from the cached matrix and computing only the
-// rows involving new points. Buffers ping-pong between dists and
-// distsNext, each re-shaped over a backing array that only ever grows
-// (geometrically), so refits allocate nothing while n wanders below the
-// largest size seen — BO's first MaxFitPoints iterations and every
-// async-bo fit, whose fantasy rows move n per proposal — nor, once an
-// earlier calibration's GP has been released, while n stays below the
-// largest size that GP saw. Stale contents after a re-shape, or from
-// the previous owner, are harmless: every cell is written below.
-func (g *GP) extendDists(X [][]float64, prefix int) *la.Matrix {
-	n := len(X)
-	if g.distsNext == nil {
-		g.distsNext = new(la.Matrix)
+// extendDists makes dists the distance matrix of X, given that its
+// first prefix rows already are X's: it writes the strictly lower
+// triangle of rows [prefix, n), the only part fitOneScale reads. The
+// matrix is resized in place (la.Matrix.Resize) over a backing array
+// that only ever grows, geometrically, so refits allocate nothing while
+// n wanders below the largest size seen — BO's first MaxFitPoints
+// iterations and every async-bo fit, whose fantasy rows move n per
+// proposal — nor, once an earlier calibration's GP has been released,
+// while n stays below the largest size that GP saw. Stale cells past
+// the prefix, or from the previous owner, are harmless: every cell that
+// is read is written here first.
+func (g *GP) extendDists(X [][]float64, prefix int) {
+	if g.dists == nil {
+		g.dists = new(la.Matrix)
 	}
-	d := g.distsNext
-	if d.Reshape(n, n) {
+	if g.dists.Resize(len(X), len(X)) {
 		g.fitStats.BufferAllocs++
 	}
-	for i := 0; i < prefix; i++ {
-		copy(d.RawRow(i)[:prefix], g.dists.RawRow(i)[:prefix])
-	}
-	for i := prefix; i < n; i++ {
-		ri := d.RawRow(i)
-		ri[i] = 0
-		for j := 0; j < i; j++ {
-			v := dist(X[i], X[j])
-			ri[j] = v
-			d.RawRow(j)[i] = v
+	for i := prefix; i < len(X); i++ {
+		ri := g.dists.RawRow(i)
+		for j, xj := range X[:i] {
+			ri[j] = dist(X[i], xj)
 		}
 	}
-	g.distsNext = g.dists
-	g.dists = d
-	return d
 }
 
 // invalidate clears the fitted model after a failed fit, or a Release,
@@ -308,7 +299,11 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 	}
 
 	prefix := g.commonPrefix(X)
-	dists := g.extendDists(X, prefix)
+	// From here on the buffers change in place. The old model is gone,
+	// and x keeps only the rows that dists and every factor still hold.
+	g.chol, g.alpha = nil, nil
+	g.x = g.x[:prefix]
+	g.extendDists(X, prefix)
 	if len(g.scaleState) != len(scales) {
 		// Keep every entry's buffers (a set from the free list may have
 		// served another grid), but extend none of their factors.
@@ -333,7 +328,7 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 		if rung > 0 {
 			g.fitStats.CholeskyRetries++
 		}
-		g.fitScales(scales, dists, yn, noise, jit, prefix, n)
+		g.fitScales(scales, yn, noise, jit, prefix, n)
 		allOK := true
 		anyOK := false
 		for i := range g.scaleState {
@@ -368,21 +363,6 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 		return la.ErrNotPositiveDefinite
 	}
 
-	// Promote the freshly-factored buffers to "current" for the next
-	// incremental fit.
-	for i := range g.scaleState {
-		st := &g.scaleState[i]
-		if !st.ok {
-			st.n = 0
-			continue
-		}
-		st.cur, st.next = st.next, st.cur
-		st.n = n
-		st.scaleVal = scales[i]
-		st.noise = noise
-		st.jitter = jitter
-	}
-
 	// A copy of the row list, not X itself: the caller may reuse X for
 	// its next training set.
 	g.x = append(g.x[:0], X...)
@@ -413,7 +393,7 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 // candidate's computation is independent and its result slot is
 // index-addressed, so the outcome is identical to a serial sweep. A
 // panic on a worker is re-raised here (workerGroup).
-func (g *GP) fitScales(scales []float64, dists *la.Matrix, yn []float64, noise, jit float64, prefix, n int) {
+func (g *GP) fitScales(scales, yn []float64, noise, jit float64, prefix, n int) {
 	workers := g.FitWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -424,7 +404,7 @@ func (g *GP) fitScales(scales []float64, dists *la.Matrix, yn []float64, noise, 
 	var allocs int32
 	if workers <= 1 {
 		for i, l := range scales {
-			g.fitOneScale(i, l, dists, yn, noise, jit, prefix, n, &allocs)
+			g.fitOneScale(i, l, yn, noise, jit, prefix, n, &allocs)
 		}
 	} else {
 		var grp workerGroup
@@ -433,7 +413,7 @@ func (g *GP) fitScales(scales []float64, dists *la.Matrix, yn []float64, noise, 
 			go func() {
 				defer grp.done()
 				for i := grp.claim(); i < len(scales); i = grp.claim() {
-					g.fitOneScale(i, scales[i], dists, yn, noise, jit, prefix, n, &allocs)
+					g.fitOneScale(i, scales[i], yn, noise, jit, prefix, n, &allocs)
 				}
 			}()
 		}
@@ -446,43 +426,37 @@ func (g *GP) fitScales(scales []float64, dists *la.Matrix, yn []float64, noise, 
 // scale and computes its alpha and log marginal likelihood. When the
 // cached factor for this scale covers a prefix of the new rows under
 // the same kernel diagonal, only rows [start, n) are filled and
-// factored; the resulting factor is bitwise identical to a from-scratch
-// one (see la.CholeskyExtendInPlace).
-func (g *GP) fitOneScale(idx int, scale float64, dists *la.Matrix, yn []float64, noise, jit float64, prefix, n int, allocs *int32) {
+// factored, in place; the resulting factor is bitwise identical to a
+// from-scratch one (see la.CholeskyExtendInPlace). If the factorization
+// fails, the factor keeps rows [0, start) and says so.
+func (g *GP) fitOneScale(idx int, scale float64, yn []float64, noise, jit float64, prefix, n int, allocs *int32) {
 	st := &g.scaleState[idx]
 	st.ok = false
 
 	start := 0
-	if st.cur != nil && st.scaleVal == scale && st.noise == noise && st.jitter == jit {
-		start = st.n
-		if prefix < start {
-			start = prefix
-		}
+	if st.scaleVal == scale && st.noise == noise && st.jitter == jit {
+		start = min(st.n, prefix)
 	}
+	st.n, st.scaleVal, st.noise, st.jitter = start, scale, noise, jit
 
-	if st.next == nil {
-		st.next = new(la.Matrix)
+	if st.cur == nil {
+		st.cur = new(la.Matrix)
 	}
-	l := st.next
-	if l.Reshape(n, n) {
+	l := st.cur
+	if l.Resize(n, n) {
 		atomic.AddInt32(allocs, 1)
 	}
 	if cap(st.alpha) < n {
 		b := make([]float64, 4*n) // alpha and exp share one allocation
 		st.alpha, st.exp = b[:n:2*n], b[2*n:]
 	}
-	// Reuse the already-factored rows (RawRow copies tolerate the old
-	// buffer having a different stride), then fill the kernel for the
-	// rest. Only the lower triangle is touched — CholeskyExtendInPlace
-	// never reads above the diagonal — so whatever a re-shape left there
-	// is never seen.
-	for i := 0; i < start; i++ {
-		copy(l.RawRow(i)[:i+1], st.cur.RawRow(i)[:i+1])
-	}
+	// Fill the kernel for rows [start, n). Only the lower triangle is
+	// touched — CholeskyExtendInPlace never reads above the diagonal —
+	// so whatever a resize left there is never seen.
 	diag := 1 + noise + jit
 	for i := start; i < n; i++ {
 		ri := l.RawRow(i)[:i+1]
-		for j, r := range dists.RawRow(i)[:i] {
+		for j, r := range g.dists.RawRow(i)[:i] {
 			ri[j] = maternNegArg(r, scale)
 		}
 		e := st.exp[:i]
@@ -495,6 +469,7 @@ func (g *GP) fitOneScale(idx int, scale float64, dists *la.Matrix, yn []float64,
 	if err := la.CholeskyExtendInPlace(l, start); err != nil {
 		return
 	}
+	st.n = n
 
 	st.alpha = st.alpha[:n]
 	if err := la.CholSolveInto(l, yn, st.alpha); err != nil {
@@ -550,14 +525,14 @@ func (g *GP) stdOne(kstar, v []float64) float64 {
 // tile, the fill writes each -s (fillNegArgs); one la.Exp takes all of
 // their exponentials; maternTile finishes the kernel values in place
 // and accumulates the mean's inner products, in la.Dot's order
-// (ascending row, from zero), so every mean carries meanOne's bits.
-// tileMax then finds each candidate's largest kernel value, from which
-// stdBound bounds its standard deviation.
+// (ascending row, from zero), so every mean carries meanOne's bits. In
+// the same pass it keeps each candidate's largest kernel value, from
+// which stdBound bounds its standard deviation.
 func (g *GP) meanTiles(X [][]float64, mean, std, tile, e, xt []float64) {
 	const w = la.SolveTile
 	span := len(g.x) * w
 	k := len(X) / w
-	var mn [2 * w]float64
+	var mn, km [2 * w]float64
 	for t := 0; t < k; t++ {
 		g.fillNegArgs(tile[t*span:(t+1)*span], X[t*w:t*w+w], xt)
 	}
@@ -565,11 +540,7 @@ func (g *GP) meanTiles(X [][]float64, mean, std, tile, e, xt []float64) {
 	la.Exp(e, tile)
 	for t := 0; t < k; t++ {
 		o := t * span
-		maternTile(tile[o:o+span], e[o:o+span], g.alpha, (*[w]float64)(mn[t*w:]))
-	}
-	var km [2 * w]float64
-	for t := 0; t < k; t++ {
-		tileMax(tile[t*span:(t+1)*span], (*[w]float64)(km[t*w:]))
+		maternTile(tile[o:o+span], e[o:o+span], g.alpha, (*[w]float64)(mn[t*w:]), (*[w]float64)(km[t*w:]))
 	}
 	for c := range X {
 		mean[c] = float64(mn[c]*g.yStd) + g.yMean

@@ -1,7 +1,9 @@
 package surrogate
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -158,8 +160,8 @@ func TestGPIncrementalFitBitwiseMatchesCold(t *testing.T) {
 }
 
 // TestGPSteadyStateRefitReusesBuffers: once n stops growing (BO's
-// MaxFitPoints steady state), ping-pong buffers make refits
-// allocation-free.
+// MaxFitPoints steady state), refits run in the buffers the first fit
+// grew, allocation-free.
 func TestGPSteadyStateRefitReusesBuffers(t *testing.T) {
 	X, y := trainOn(60, 3, 41, quadratic)
 	g := NewGP()
@@ -318,12 +320,12 @@ func TestGPPredictBatchSolveFailureFallsBack(t *testing.T) {
 // gpGrowthBufferAllocCeiling bounds FitStats.BufferAllocs summed over a
 // run whose training set grows from 8 to 400 rows by 4 while wobbling
 // ±3 rows around each size, the way async-bo's fantasy rows move n on
-// every proposal. Ten n×n buffers (two distance matrices, two factors
-// per length scale) each double their backing array nine or ten times
-// on the way to 403² cells: measured 95 over the 297 fits. A fresh
-// matrix per written buffer per size change, the behaviour this
-// replaces, measured 1 485.
-const gpGrowthBufferAllocCeiling = 110
+// every proposal. Five n×n buffers (the distance matrix and one factor
+// per length scale) each re-lay their rows 16 times on the way to 403
+// rows, a quarter wider each time: measured 80 over the 297 fits. Two
+// buffers per matrix, each doubling its backing array, measured 95; a
+// fresh matrix per written buffer per size change measured 1 485.
+const gpGrowthBufferAllocCeiling = 90
 
 // TestGPGrowingFitBufferAllocsBounded is a count gate (CI bench-smoke):
 // n×n backing arrays grow geometrically, so a run that keeps changing n
@@ -466,5 +468,108 @@ func TestReleasedGPBuffersDieWithTheNextCollection(t *testing.T) {
 	runtime.GC()
 	if b := takeGPBuffers(); b.dists != nil {
 		t.Fatal("a released set survived a collection")
+	}
+}
+
+// TestGPAsyncRefitsMatchColdFits: the refit sequence of async-bo — each
+// step appends a history row and replaces the fantasy rows of the
+// points still in flight — extends the factors in place, and every fit
+// carries the bits of a cold fit on the same rows: length scale, the
+// fit's statistics, and the mean and standard deviation of every
+// candidate. The design lies on a line and the noise is negligible, so
+// once the history is dense the smooth scale no longer factors at zero
+// jitter and the ladder climbs, after which the factors restart at row
+// 0 and extend again.
+func TestGPAsyncRefitsMatchColdFits(t *testing.T) {
+	const fantasies = 2
+	H, y := trainOn(100, 1, 51, quadratic)
+	F, _ := trainOn(100+fantasies, 1, 53, quadratic)
+	pool, _ := trainOn(40, 1, 52, quadratic)
+	newGP := func() *GP {
+		g := NewGP()
+		g.Noise, g.LengthScales = 1e-15, []float64{0.1, 10}
+		return g
+	}
+	warm := newGP()
+	var extended, climbed int
+	for h := 5; h <= 100; h++ {
+		// The history's first h rows, then the fantasies: other rows,
+		// each at the last loss, as constant liars are.
+		X := append(H[:h:h], F[h:h+fantasies]...)
+		Y := append(y[:h:h], y[h-1], y[h-1])
+		if err := warm.Fit(X, Y); err != nil {
+			t.Fatalf("h=%d: %v", h, err)
+		}
+		cold := newGP()
+		if err := cold.Fit(X, Y); err != nil {
+			t.Fatalf("h=%d cold: %v", h, err)
+		}
+		ws, cs := warm.FitStats(), cold.FitStats()
+		if warm.LengthScale() != cold.LengthScale() || ws.Points != cs.Points ||
+			ws.CholeskyRetries != cs.CholeskyRetries || ws.Jitter != cs.Jitter {
+			t.Fatalf("h=%d: scale %v, stats %+v; cold fit %v, %+v", h, warm.LengthScale(), ws, cold.LengthScale(), cs)
+		}
+		if h > 5 && ws.PrefixReused != h-1 {
+			t.Fatalf("h=%d: %d rows reused, want the %d history rows of the last fit", h, ws.PrefixReused, h-1)
+		}
+		if ws.CholeskyRetries > 0 {
+			climbed++
+		} else if h > 5 {
+			extended++
+		}
+		wm, wsd := make([]float64, len(pool)), make([]float64, len(pool))
+		cm, csd := make([]float64, len(pool)), make([]float64, len(pool))
+		PredictBatch(warm, pool, wm, wsd)
+		PredictBatch(cold, pool, cm, csd)
+		for i := range pool {
+			if math.Float64bits(wm[i]) != math.Float64bits(cm[i]) || math.Float64bits(wsd[i]) != math.Float64bits(csd[i]) {
+				t.Fatalf("h=%d cand %d: (%v, %v), cold fit (%v, %v)", h, i, wm[i], wsd[i], cm[i], csd[i])
+			}
+		}
+	}
+	if extended == 0 || climbed == 0 {
+		t.Fatalf("%d fits extended at zero jitter and %d climbed the ladder: want both", extended, climbed)
+	}
+}
+
+// TestGPBuffersHoldOneMatrixPerScale is a memory gate: a GP's buffers
+// hold one n×n matrix per length scale and one distance matrix — no
+// second copy of any — and after fits up to n rows, none of them holds
+// more than 2·n² values.
+func TestGPBuffersHoldOneMatrixPerScale(t *testing.T) {
+	matrices := func(typ reflect.Type) int {
+		k := 0
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).Type == reflect.TypeOf((*la.Matrix)(nil)) {
+				k++
+			}
+		}
+		return k
+	}
+	if b, s := matrices(reflect.TypeOf(gpBuffers{})), matrices(reflect.TypeOf(gpScaleState{})); b != 1 || s != 1 {
+		t.Fatalf("gpBuffers holds %d matrices and gpScaleState %d, want 1 and 1", b, s)
+	}
+	drainGPFree()
+	const top = 403
+	X, y := trainOn(top, 3, 65, quadratic)
+	g := NewGP()
+	for n := 8; n <= 400; n += 4 {
+		for _, m := range []int{n, n + 3, n - 3} {
+			if err := g.Fit(X[:m], y[:m]); err != nil {
+				t.Fatalf("n=%d: %v", m, err)
+			}
+		}
+	}
+	if len(g.scaleState) != 4 {
+		t.Fatalf("%d scale states, want the default grid's 4", len(g.scaleState))
+	}
+	held := map[string]*la.Matrix{"distances": g.dists}
+	for i := range g.scaleState {
+		held[fmt.Sprintf("factor %d", i)] = g.scaleState[i].cur
+	}
+	for name, m := range held {
+		if c := cap(m.RawRow(0)); c > 2*top*top {
+			t.Errorf("%s: %d values after fits up to %d rows, more than 2n² = %d", name, c, top, 2*top*top)
+		}
 	}
 }

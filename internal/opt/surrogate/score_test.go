@@ -151,3 +151,39 @@ func TestGPScoringAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestGPMeanPassBoundsFromLargestKernelValue: the bound the mean pass
+// writes for each candidate, its largest kernel value taken inside the
+// Matérn finish, is stdBound of a separate running maximum over the
+// candidate's kernel vector in the pool, bit for bit — for tile pairs,
+// single tiles and remainders, and for candidates on training rows.
+func TestGPMeanPassBoundsFromLargestKernelValue(t *testing.T) {
+	for _, n := range []int{1, 9, 70} {
+		X, y := trainOn(n, 4, int64(90+n), quadratic)
+		g := NewGP()
+		if err := g.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		pool, _ := trainOn(157, 4, int64(91+n), quadratic)
+		for i := 0; i < len(pool); i += 7 {
+			pool[i] = X[i%n]
+		}
+		mean, std := make([]float64, len(pool)), make([]float64, len(pool))
+		g.PredictMean(pool, mean, std)
+		if !g.pool.tight {
+			t.Fatalf("n=%d: the mean pass offers no bound from the kernel values", n)
+		}
+		for c := range pool {
+			base, stride := g.pool.column(c, n)
+			km := 0.0
+			for i := 0; i < n; i++ {
+				if v := g.pool.kstar[base+i*stride]; !(km > v) {
+					km = v
+				}
+			}
+			if want := g.stdBound(km); math.Float64bits(std[c]) != math.Float64bits(want) {
+				t.Fatalf("n=%d cand %d: bound %v, from the largest of its kernel vector %v", n, c, std[c], want)
+			}
+		}
+	}
+}
