@@ -340,16 +340,22 @@ const mpiEvaluateAllocCeiling = 64
 // message sizes on 8 nodes, 2 rounds), called serially on a warmed
 // evaluator.
 func BenchmarkMPIEvaluate(b *testing.B) {
+	ev, sp := mpiEvaluateProblem(b)
+	benchEvaluate(b, ev, sp, mpiEvaluateAllocCeiling)
+}
+
+// mpiEvaluateProblem is BenchmarkMPIEvaluate's loss evaluator and space.
+func mpiEvaluateProblem(tb testing.TB) (core.Evaluator, core.Space) {
 	ds, err := groundtruth.GenerateMPIData(groundtruth.MPIOptions{
 		Benchmarks: []mpi.Benchmark{mpi.PingPong, mpi.PingPing, mpi.BiRandom},
 		Nodes:      []int{8}, MsgSizes: []float64{1 << 10, 1 << 16, 1 << 22},
 		Rounds: 2, Reps: 3, Seed: 1,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	v := groundtruth.MPIReferenceVersion
-	benchEvaluate(b, loss.MPIEvaluator(v, loss.MPIL1, ds, 2), v.Space(), mpiEvaluateAllocCeiling)
+	return loss.MPIEvaluator(v, loss.MPIL1, ds, 2), v.Space()
 }
 
 // bogpIterationAllocCeiling is the ceiling on allocations for one warmed
@@ -527,6 +533,40 @@ func TestWFEvaluateKernelCounts(t *testing.T) {
 		}
 		if got != wfEvaluateKernelCounts[i] {
 			t.Errorf("point %d: %v = %v, recorded %v", i, names, got, wfEvaluateKernelCounts[i])
+		}
+	}
+}
+
+// mpiEvaluateKernelCounts is wfEvaluateKernelCounts for
+// BenchmarkMPIEvaluate's first four points: what one MPI evaluation (9
+// simulations) adds to flow.solves, des.events_fired and
+// des.events_removed.
+var mpiEvaluateKernelCounts = [][3]int64{
+	{30, 60, 0},
+	{33, 63, 4},
+	{33, 63, 3},
+	{30, 60, 0},
+}
+
+// TestMPIEvaluateKernelCounts is TestWFEvaluateKernelCounts' twin on
+// the MPI problem, whose transfers cross a routed fat tree, so a change
+// to the kernel's work that only MPI traffic takes fails here too.
+func TestMPIEvaluateKernelCounts(t *testing.T) {
+	ev, sp := mpiEvaluateProblem(t)
+	names := []string{"flow.solves", "des.events_fired", "des.events_removed"}
+	for i, p := range benchPoints(sp, len(mpiEvaluateKernelCounts)) {
+		var got [3]int64
+		for j, n := range names {
+			got[j] = -obs.Default().Counter(n).Value()
+		}
+		if _, err := ev(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+		for j, n := range names {
+			got[j] += obs.Default().Counter(n).Value()
+		}
+		if got != mpiEvaluateKernelCounts[i] {
+			t.Errorf("point %d: %v = %v, recorded %v", i, names, got, mpiEvaluateKernelCounts[i])
 		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"simcal/internal/des"
 	"simcal/internal/obs"
@@ -43,9 +44,19 @@ const workEps = 1e-9
 
 // Resource is a shared capacity (e.g. a link's bandwidth in bytes/s, a
 // core's speed in ops/s, a disk's bandwidth in bytes/s).
+//
+// A resource remembers its index in the System that last registered it,
+// stamped with that system's registration generation, so an activity
+// start finds it without a map lookup. Any number of systems may use a
+// resource in turn — a stale stamp only costs the lookup — but only one
+// may be simulating with it at a time.
 type Resource struct {
 	Name     string
 	Capacity float64
+
+	owner *System // the system whose index idx is, as of its generation gen
+	gen   int
+	idx   int
 }
 
 // NewResource returns a resource with the given capacity. Capacity must
@@ -77,14 +88,14 @@ type Usage struct {
 // Activity is a unit of fluid work in progress.
 //
 // While active, the mutable per-activity state (rate, remaining work)
-// lives in the System's structure-of-arrays slices indexed by idx; the
-// struct fields hold a snapshot taken at completion or cancellation so
-// accessors keep working on retired activities — until the System is
-// Reset, which recycles every Activity it handed out.
+// lives in the System's state record at idx; the struct fields hold a
+// snapshot taken at completion or cancellation so accessors keep working
+// on retired activities — until the System is Reset, which recycles
+// every Activity it handed out.
 type Activity struct {
 	Name      string
 	initial   float64
-	remaining float64 // snapshot; canonical value in System.remArr while active
+	remaining float64 // snapshot; canonical value in System.st while active
 	bound     float64 // max rate; 0 means unbounded
 	usage     []Usage
 	uidx      []int32 // resource indices, parallel to usage
@@ -93,7 +104,7 @@ type Activity struct {
 	idx       int     // position in System.active (-1 once removed)
 	visitGen  int     // dirty-closure BFS stamp
 	onDone    func()
-	rate      float64 // snapshot; canonical value in System.rateArr while active
+	rate      float64 // snapshot; canonical value in System.st while active
 	done      bool
 	canceled  bool
 	sys       *System
@@ -104,7 +115,7 @@ type Activity struct {
 func (a *Activity) Rate() float64 {
 	if a.idx >= 0 {
 		a.sys.flush()
-		return a.sys.rateArr[a.idx]
+		return a.sys.st[a.idx].rate
 	}
 	return a.rate
 }
@@ -114,7 +125,7 @@ func (a *Activity) Rate() float64 {
 // clock moves, and the clock never moves past a deferred solve.
 func (a *Activity) Remaining() float64 {
 	if a.idx >= 0 {
-		return a.sys.remArr[a.idx]
+		return a.sys.st[a.idx].rem
 	}
 	return a.remaining
 }
@@ -149,8 +160,8 @@ type userRef struct {
 // the last ULPs of every rate vary from process to process. Removal
 // tombstones the slot (nil) instead of shifting, keeping removal O(1)
 // while preserving the relative order of survivors; per-activity mutable
-// state lives in parallel slices (rateArr, remArr, epsArr, boundArr,
-// fixedGen) indexed by the same positions.
+// state lives in one actState record per slot, in a slice parallel to
+// active.
 type System struct {
 	eng        *des.Engine
 	active     []*Activity
@@ -162,16 +173,13 @@ type System struct {
 	pending    bool   // a reschedule's solve has not run yet (see flush)
 	inUpdate   bool
 
-	// Structure-of-arrays activity state, parallel to active.
-	rateArr  []float64
-	remArr   []float64
-	epsArr   []float64 // completion threshold, epsFor(initial work)
-	boundArr []float64
-	fixedGen []int // solver generation at which the rate was fixed
+	st []actState // per-slot activity state, parallel to active
 
-	// Solver state. Resources are registered once and indexed; scratch
-	// arrays are reused across solves to avoid per-solve allocation.
+	// Solver state. Resources are registered once and indexed (see
+	// register); scratch arrays are reused across solves to avoid
+	// per-solve allocation.
 	resIdx     map[*Resource]int
+	regGen     int // registration generation, bumped by Reset
 	resources  []*Resource
 	capLeft    []float64
 	weightSum  []float64
@@ -212,6 +220,15 @@ type System struct {
 	flushedIncs   int
 }
 
+// actState is the mutable state of the activity in one active slot.
+type actState struct {
+	rate     float64
+	rem      float64
+	eps      float64 // completion threshold, epsFor(initial work)
+	bound    float64
+	fixedGen int // solver generation at which the rate was fixed
+}
+
 // NewSystem returns an empty fluid system bound to eng.
 func NewSystem(eng *des.Engine) *System {
 	s := &System{
@@ -229,22 +246,21 @@ func NewSystem(eng *des.Engine) *System {
 // next simulation on the same (already Reset) engine: no activities, no
 // registered resources, solver generations and statistics restarted.
 // Every slice is truncated and the resource index cleared rather than
-// reallocated, so resources register — and activities are inserted — in
-// the order a fresh system would see, which is what keeps a reused
-// kernel's results bit-identical to a fresh one's; only the memory
-// (activity structs, per-resource lists, solver scratch) is carried
-// over. Activity handles obtained before Reset are invalid afterwards.
+// reallocated, and the registration generation is bumped so that every
+// resource's stamp goes stale: resources register — and activities are
+// inserted — in the order a fresh system would see, which is what keeps
+// a reused kernel's results bit-identical to a fresh one's; only the
+// memory (activity structs, per-resource lists, solver scratch) is
+// carried over. Activity handles obtained before Reset are invalid
+// afterwards.
 func (s *System) Reset() {
 	s.flushStats()
 	s.completion.Cancel()
 	s.active = s.active[:0]
 	s.liveCount, s.tombstones, s.lastUpdate, s.pending, s.inUpdate = 0, 0, 0, false, false
-	s.rateArr = s.rateArr[:0]
-	s.remArr = s.remArr[:0]
-	s.epsArr = s.epsArr[:0]
-	s.boundArr = s.boundArr[:0]
-	s.fixedGen = s.fixedGen[:0]
+	s.st = s.st[:0]
 	clear(s.resIdx)
+	s.regGen++
 	s.resources = s.resources[:0]
 	s.capLeft = s.capLeft[:0]
 	s.weightSum = s.weightSum[:0]
@@ -282,21 +298,27 @@ func (s *System) flushStats() {
 	metricActMax.SetMax(float64(s.statMaxActive))
 }
 
-// register assigns (or returns) the index of a resource.
+// register assigns (or returns) the index of a resource. The resource's
+// stamp answers when this system set it in the current generation;
+// otherwise resIdx does, and the stamp is renewed.
 func (s *System) register(r *Resource) int {
-	if i, ok := s.resIdx[r]; ok {
-		return i
+	if r.owner == s && r.gen == s.regGen {
+		return r.idx
 	}
-	i := len(s.resources)
-	s.resIdx[r] = i
-	s.resources = append(s.resources, r)
-	s.capLeft = append(s.capLeft, 0)
-	s.weightSum = append(s.weightSum, 0)
-	s.resetGen = append(s.resetGen, 0)
-	s.solveUsers = extend(s.solveUsers)
-	s.users = extend(s.users)
-	s.userDead = append(s.userDead, 0)
-	s.resMark = append(s.resMark, 0)
+	i, ok := s.resIdx[r]
+	if !ok {
+		i = len(s.resources)
+		s.resIdx[r] = i
+		s.resources = append(s.resources, r)
+		s.capLeft = append(s.capLeft, 0)
+		s.weightSum = append(s.weightSum, 0)
+		s.resetGen = append(s.resetGen, 0)
+		s.solveUsers = extend(s.solveUsers)
+		s.users = extend(s.users)
+		s.userDead = append(s.userDead, 0)
+		s.resMark = append(s.resMark, 0)
+	}
+	r.owner, r.gen, r.idx = s, s.regGen, i
 	return i
 }
 
@@ -340,10 +362,10 @@ func (s *System) StartActivity(name string, work, bound float64, usage []Usage, 
 	if cap(ubuf) < 2*n {
 		ubuf = make([]int32, 2*n)
 	}
-	*a = Activity{
-		Name: name, initial: work, remaining: work, bound: bound, onDone: onDone, sys: s,
-		usage: usage, uidx: ubuf[:n:n], upos: ubuf[n : 2*n], ubuf: ubuf,
-	}
+	// Field by field: a struct literal would be built whole, then copied.
+	a.Name, a.initial, a.remaining, a.bound, a.onDone, a.sys = name, work, work, bound, onDone, s
+	a.usage, a.uidx, a.upos, a.ubuf = usage, ubuf[:n:n], ubuf[n:2*n], ubuf
+	a.idx, a.visitGen, a.rate, a.done, a.canceled = 0, 0, 0, false, false
 	for i, u := range usage {
 		a.uidx[i] = int32(s.register(u.Res))
 	}
@@ -358,11 +380,7 @@ func (s *System) StartActivity(name string, work, bound float64, usage []Usage, 
 func (s *System) addActive(a *Activity) {
 	a.idx = len(s.active)
 	s.active = append(s.active, a)
-	s.rateArr = append(s.rateArr, 0)
-	s.remArr = append(s.remArr, a.remaining)
-	s.epsArr = append(s.epsArr, epsFor(a.initial))
-	s.boundArr = append(s.boundArr, a.bound)
-	s.fixedGen = append(s.fixedGen, 0)
+	s.st = append(s.st, actState{rem: a.remaining, eps: epsFor(a.initial), bound: a.bound})
 	s.liveCount++
 	if len(a.uidx) == 0 {
 		// No resources: unreachable by the dirty BFS; fixed directly at
@@ -387,8 +405,7 @@ func (s *System) addActive(a *Activity) {
 // O(1) per removal.
 func (s *System) removeActive(a *Activity) {
 	i := a.idx
-	a.rate = s.rateArr[i]
-	a.remaining = s.remArr[i]
+	a.rate, a.remaining = s.st[i].rate, s.st[i].rem
 	for j, ri := range a.uidx {
 		s.users[ri][a.upos[j]] = userRef{}
 		s.userDead[ri]++
@@ -407,7 +424,7 @@ func (s *System) removeActive(a *Activity) {
 }
 
 // compactActive rebuilds the active list (and its parallel state
-// slices) without tombstones. Order is preserved, so relative idx
+// records) without tombstones. Order is preserved, so relative idx
 // comparisons still encode insertion order; the trigger is a pure
 // function of the operation sequence, so compaction is deterministic.
 func (s *System) compactActive() {
@@ -419,11 +436,7 @@ func (s *System) compactActive() {
 		if i != live {
 			s.active[live] = a
 			a.idx = live
-			s.rateArr[live] = s.rateArr[i]
-			s.remArr[live] = s.remArr[i]
-			s.epsArr[live] = s.epsArr[i]
-			s.boundArr[live] = s.boundArr[i]
-			s.fixedGen[live] = s.fixedGen[i]
+			s.st[live] = s.st[i]
 		}
 		live++
 	}
@@ -431,11 +444,7 @@ func (s *System) compactActive() {
 		s.active[i] = nil
 	}
 	s.active = s.active[:live]
-	s.rateArr = s.rateArr[:live]
-	s.remArr = s.remArr[:live]
-	s.epsArr = s.epsArr[:live]
-	s.boundArr = s.boundArr[:live]
-	s.fixedGen = s.fixedGen[:live]
+	s.st = s.st[:live]
 	s.tombstones = 0
 }
 
@@ -514,16 +523,16 @@ func (s *System) advance() {
 		if a == nil {
 			continue
 		}
-		r := s.rateArr[i]
-		if math.IsInf(r, 1) {
-			s.remArr[i] = 0
+		st := &s.st[i]
+		if math.IsInf(st.rate, 1) {
+			st.rem = 0
 			continue
 		}
-		rem := s.remArr[i] - float64(r*dt) // no fused multiply-subtract (DESIGN §9)
-		if rem < s.epsArr[i] {
+		rem := st.rem - float64(st.rate*dt) // no fused multiply-subtract (DESIGN §9)
+		if rem < st.eps {
 			rem = 0
 		}
-		s.remArr[i] = rem
+		st.rem = rem
 	}
 }
 
@@ -555,11 +564,11 @@ func (s *System) timeEps() float64 {
 // exhausted its work or cannot progress measurably within the clock's
 // float64 resolution.
 func (s *System) effectivelyDoneAt(i int, timeEps float64) bool {
-	r := s.rateArr[i]
-	if s.remArr[i] <= s.epsArr[i] || math.IsInf(r, 1) {
+	st := &s.st[i]
+	if st.rem <= st.eps || math.IsInf(st.rate, 1) {
 		return true
 	}
-	return r > 0 && s.remArr[i]/r <= timeEps
+	return st.rate > 0 && st.rem/st.rate <= timeEps
 }
 
 // reschedule records a change to the activity set: it re-arms the
@@ -599,10 +608,10 @@ func (s *System) flush() {
 		switch {
 		case s.effectivelyDoneAt(i, te):
 			d = 0
-		case s.rateArr[i] <= 0:
+		case s.st[i].rate <= 0:
 			continue // stalled; cannot complete
 		default:
-			d = s.remArr[i] / s.rateArr[i]
+			d = s.st[i].rem / s.st[i].rate
 		}
 		if d < dt {
 			dt = d
@@ -639,11 +648,8 @@ func (s *System) onCompletion() {
 	// activities break by start order (finished is collected in insertion
 	// order, and idx encodes it).
 	slices.SortStableFunc(finished, func(x, y *Activity) int {
-		if x.Name != y.Name {
-			if x.Name < y.Name {
-				return -1
-			}
-			return 1
+		if c := strings.Compare(x.Name, y.Name); c != 0 {
+			return c
 		}
 		return x.idx - y.idx
 	})
@@ -688,9 +694,9 @@ func (s *System) solveDirty() {
 			continue // canceled before the first solve
 		}
 		if a.bound > 0 {
-			s.rateArr[a.idx] = a.bound
+			s.st[a.idx].rate = a.bound
 		} else {
-			s.rateArr[a.idx] = math.Inf(1)
+			s.st[a.idx].rate = math.Inf(1)
 		}
 	}
 	s.pendingFree = s.pendingFree[:0]
@@ -763,7 +769,7 @@ func (s *System) appendLive(set []*Activity) []*Activity {
 // The implementation is allocation-free and index-based: per-resource
 // remaining capacity, unfixed weight sums, and user lists live in
 // reusable arrays; per-activity rate/bound/fixed state lives in the
-// System's parallel slices so the inner scans are cache-linear; and
+// System's state records so the inner scans are cache-linear; and
 // fixing an activity incrementally updates the weight sums of the
 // resources it touches. Complexity is O(A·u + iterations·R) where A is
 // the number of activities solved, u the usages per activity, and R the
@@ -787,8 +793,8 @@ func (s *System) runSolve(set []*Activity) {
 	// users' weights in set order.
 	for _, a := range set {
 		i := a.idx
-		s.rateArr[i] = 0
-		s.fixedGen[i] = 0
+		s.st[i].rate = 0
+		s.st[i].fixedGen = 0
 		if a.bound > 0 {
 			bounded = append(bounded, int32(i))
 		}
@@ -810,9 +816,8 @@ func (s *System) runSolve(set []*Activity) {
 	// fix freezes an activity's rate and removes its weight from its
 	// resources.
 	fix := func(a *Activity, rate float64) {
-		i := a.idx
-		s.rateArr[i] = rate
-		s.fixedGen[i] = gen
+		s.st[a.idx].rate = rate
+		s.st[a.idx].fixedGen = gen
 		unfixed--
 		for j, ri := range a.uidx {
 			w := a.usage[j].Weight
@@ -844,17 +849,17 @@ func (s *System) runSolve(set []*Activity) {
 		}
 		boundLimited := false
 		for _, i := range bounded {
-			if s.fixedGen[i] != gen && s.boundArr[i] < best {
-				best = s.boundArr[i]
+			if st := &s.st[i]; st.fixedGen != gen && st.bound < best {
+				best = st.bound
 				boundLimited = true
 			}
 		}
 		if math.IsInf(best, 1) {
 			// No constraints left: remaining activities finish instantly.
 			for _, a := range set {
-				if s.fixedGen[a.idx] != gen {
-					s.rateArr[a.idx] = math.Inf(1)
-					s.fixedGen[a.idx] = gen
+				if st := &s.st[a.idx]; st.fixedGen != gen {
+					st.rate = math.Inf(1)
+					st.fixedGen = gen
 					unfixed--
 				}
 			}
@@ -865,7 +870,7 @@ func (s *System) runSolve(set []*Activity) {
 		}
 		if boundLimited {
 			for _, i := range bounded {
-				if s.fixedGen[i] != gen && s.boundArr[i] <= best {
+				if st := &s.st[i]; st.fixedGen != gen && st.bound <= best {
 					fix(s.active[i], best)
 				}
 			}
@@ -873,7 +878,7 @@ func (s *System) runSolve(set []*Activity) {
 		}
 		fixedAny := false
 		for _, a := range s.solveUsers[bottleneck] {
-			if s.fixedGen[a.idx] == gen {
+			if s.st[a.idx].fixedGen == gen {
 				continue
 			}
 			fix(a, best)
@@ -882,7 +887,7 @@ func (s *System) runSolve(set []*Activity) {
 		if !fixedAny {
 			// Defensive: numerically stuck — freeze everything left.
 			for _, a := range set {
-				if s.fixedGen[a.idx] != gen {
+				if s.st[a.idx].fixedGen != gen {
 					fix(a, best)
 				}
 			}

@@ -106,28 +106,56 @@ func TestGPConcurrentScaleSelectionDeterministic(t *testing.T) {
 	}
 }
 
+// mustGrow counts g's n×n buffers — the distance matrix and each length
+// scale's factor — whose backing array holds fewer than n² values, so
+// that a fit on n rows has to grow each of them whatever the growth
+// factor, and returns past, the least n at which every one has to grow.
+func mustGrow(g *GP, n int) (count, past int) {
+	held := []*la.Matrix{g.dists}
+	for i := range g.scaleState {
+		held = append(held, g.scaleState[i].cur)
+	}
+	for _, m := range held {
+		c := cap(m.RawRow(0))
+		if c < n*n {
+			count++
+		}
+		past = max(past, int(math.Sqrt(float64(c)))+1)
+	}
+	return count, past
+}
+
 // TestGPIncrementalFitBitwiseMatchesCold: refitting a warm GP on a
 // training set that extends the previous one must produce exactly the
 // model a cold GP produces on the full set — scale, alpha, factor, and
 // predictions all bitwise identical. This is what makes the incremental
 // optimization invisible to checkpoint replay.
 func TestGPIncrementalFitBitwiseMatchesCold(t *testing.T) {
-	X, y := trainOn(120, 5, 31, quadratic)
+	X, y := trainOn(240, 5, 31, quadratic)
 	cands, _ := trainOn(100, 5, 32, quadratic)
 
 	warm := NewGP()
-	// Grow the training set in uneven steps, refitting the same instance.
-	for _, n := range []int{40, 44, 90, 120} {
+	// Grow the training set in uneven steps, refitting the same instance;
+	// the last step grows past every buffer's capacity.
+	for _, n := range []int{40, 44, 90} {
 		if err := warm.Fit(X[:n], y[:n]); err != nil {
 			t.Fatalf("warm fit n=%d: %v", n, err)
 		}
+	}
+	_, last := mustGrow(warm, 0)
+	if last > len(X) {
+		t.Fatalf("setup: growing past the buffers takes %d rows, have %d", last, len(X))
+	}
+	X, y = X[:last], y[:last]
+	if err := warm.Fit(X, y); err != nil {
+		t.Fatalf("warm fit n=%d: %v", last, err)
 	}
 	st := warm.FitStats()
 	if !st.Incremental || st.PrefixReused != 90 {
 		t.Fatalf("warm fit stats = %+v, want Incremental with PrefixReused=90", st)
 	}
-	if st.BufferAllocs == 0 {
-		t.Fatalf("growing refit should report buffer allocations, got %+v", st)
+	if want := 1 + len(warm.scaleState); st.BufferAllocs != want {
+		t.Fatalf("refit past every buffer's capacity reports %d buffer allocations, want %d", st.BufferAllocs, want)
 	}
 
 	cold := NewGP()
@@ -361,8 +389,10 @@ func drainGPFree() {
 // TestGPReleasedBuffersServeTheNextGP: Release hands a GP's buffers to
 // the next GP that fits. That GP — on other sizes, other length scales
 // and another dimension — grows no n×n buffer while n stays below the
-// released GP's high-water mark, and its factor, alpha and PredictBatch
-// outputs carry the bits of a GP on buffers of its own. The collector
+// released GP's high-water mark, above it grows exactly the buffers too
+// small for n² values (at the last step, past every buffer's capacity,
+// all of them), and its factor, alpha and PredictBatch outputs carry
+// the bits of a GP on buffers of its own. The collector
 // is paused so that the free list's weak pointer survives the hand-off.
 func TestGPReleasedBuffersServeTheNextGP(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -396,13 +426,21 @@ func TestGPReleasedBuffersServeTheNextGP(t *testing.T) {
 		PredictBatch(first, pool[:1], make([]float64, 1), make([]float64, 1))
 	}()
 
-	X2, y2 := trainOn(260, 5, 73, quadratic)
+	X2, y2 := trainOn(540, 5, 73, quadratic)
 	cands, _ := trainOn(77, 5, 74, quadratic)
 	scales := []float64{0.15, 0.3, 0.7}
 	reused, fresh := NewGP(), NewGP()
 	reused.LengthScales, fresh.LengthScales = scales, scales
-	grewAbove := 0
-	for step, m := range []int{5, 40, 37, 120, 118, high, 150, 230, 260, 100} {
+	for step, m := range []int{5, 40, 37, 120, 118, high, 150, 230, 260, 100, -1} {
+		if m < 0 {
+			if _, m = mustGrow(reused, 0); m > len(X2) {
+				t.Fatalf("setup: growing past the buffers takes %d rows, have %d", m, len(X2))
+			}
+		}
+		need := 0
+		if m > high {
+			need, _ = mustGrow(reused, m)
+		}
 		if err := reused.Fit(X2[:m], y2[:m]); err != nil {
 			t.Fatalf("n=%d: %v", m, err)
 		}
@@ -415,12 +453,8 @@ func TestGPReleasedBuffersServeTheNextGP(t *testing.T) {
 		if step == 0 && fresh.gpBuffers == bufs {
 			t.Fatal("two GPs share one set of buffers")
 		}
-		allocs := reused.FitStats().BufferAllocs
-		if m <= high && allocs != 0 {
-			t.Errorf("n=%d (high-water mark %d): %d buffer allocations, want 0", m, high, allocs)
-		}
-		if m > high {
-			grewAbove += allocs
+		if allocs := reused.FitStats().BufferAllocs; allocs != need {
+			t.Errorf("n=%d (high-water mark %d): %d buffer allocations, want %d", m, high, allocs, need)
 		}
 		if reused.LengthScale() != fresh.LengthScale() {
 			t.Fatalf("n=%d: scale %v, fresh GP's %v", m, reused.LengthScale(), fresh.LengthScale())
@@ -447,9 +481,6 @@ func TestGPReleasedBuffersServeTheNextGP(t *testing.T) {
 				t.Fatalf("n=%d cand %d: (%v, %v), fresh GP's (%v, %v)", m, i, rm[i], rs[i], fm[i], fs[i])
 			}
 		}
-	}
-	if grewAbove == 0 {
-		t.Error("no buffer grew above the high-water mark: BufferAllocs counts nothing")
 	}
 }
 

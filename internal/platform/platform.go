@@ -16,7 +16,7 @@ import (
 // Host is a compute node with a number of identical cores. Its CPU is a
 // fluid resource of capacity Cores×Speed; a single task is additionally
 // bounded by Speed (one core), so oversubscription degrades gracefully
-// into time-sharing.
+// into time-sharing. A host belongs to at most one platform.
 type Host struct {
 	Name  string
 	Cores int
@@ -25,6 +25,7 @@ type Host struct {
 	Disk  *Disk // nil when the host has no storage
 
 	usage []flow.Usage // {CPU, 1}, built by the first Execute and shared by all
+	ord   uint64       // 1 + position in its platform's Hosts; 0 before AddHost
 }
 
 // NewHost creates a host with cores identical cores of the given speed.
@@ -102,7 +103,8 @@ func (r Route) Latency() float64 {
 // Platform is a set of hosts plus symmetric routes between host pairs.
 // Routes are either registered explicitly with AddRoute or computed on
 // demand by RouteFunc (set by topology builders for large topologies) and
-// cached.
+// cached. A transfer finds its pair's route and usages by the two hosts'
+// ordinals, so it hashes one integer, not two names.
 type Platform struct {
 	Hosts []*Host
 	Links []*Link
@@ -115,8 +117,8 @@ type Platform struct {
 	computed  map[[2]string]Route // RouteFunc results
 	byName    map[string]*Host
 
-	xferRoutes map[[2]string]*xferRoute // host pairs that have carried a Transfer
-	xferFree   []*transfer              // latency-phase records awaiting reuse
+	xferRoutes map[uint64]*xferRoute // host pairs that have carried a Transfer, by pairKey
+	xferFree   []*transfer           // latency-phase records awaiting reuse
 }
 
 // xferRoute is a route together with the fluid usages of a transfer over
@@ -132,13 +134,18 @@ func New() *Platform {
 	return &Platform{routes: make(map[[2]string]Route), byName: make(map[string]*Host)}
 }
 
-// AddHost registers a host. Duplicate names panic.
+// AddHost registers a host and gives it its ordinal. Duplicate names,
+// and a host already added to a platform, panic.
 func (p *Platform) AddHost(h *Host) *Host {
 	if _, dup := p.byName[h.Name]; dup {
 		panic("platform: duplicate host " + h.Name)
 	}
+	if h.ord != 0 {
+		panic("platform: host " + h.Name + " already belongs to a platform")
+	}
 	p.Hosts = append(p.Hosts, h)
 	p.byName[h.Name] = h
+	h.ord = uint64(len(p.Hosts))
 	return h
 }
 
@@ -155,8 +162,8 @@ func (p *Platform) HostByName(name string) *Host { return p.byName[name] }
 func (p *Platform) AddRoute(a, b *Host, links ...*Link) {
 	p.routes[[2]string{a.Name, b.Name}] = links
 	p.routes[[2]string{b.Name, a.Name}] = links
-	delete(p.xferRoutes, [2]string{a.Name, b.Name})
-	delete(p.xferRoutes, [2]string{b.Name, a.Name})
+	delete(p.xferRoutes, pairKey(a, b))
+	delete(p.xferRoutes, pairKey(b, a))
 }
 
 // RouteBetween returns the route between two hosts. It panics when no
@@ -191,10 +198,16 @@ func (p *Platform) forgetComputedRoutes() {
 	}
 }
 
+// pairKey is the transfer-route key of the ordered pair (a, b).
+func pairKey(a, b *Host) uint64 { return a.ord<<32 | b.ord }
+
 // xferRouteBetween returns the pair's route with its transfer usages,
 // built on the pair's first transfer.
 func (p *Platform) xferRouteBetween(a, b *Host) *xferRoute {
-	key := [2]string{a.Name, b.Name}
+	if a.ord == 0 || b.ord == 0 {
+		panic(fmt.Sprintf("platform: transfer between %q and %q: a host was never added with AddHost", a.Name, b.Name))
+	}
+	key := pairKey(a, b)
 	if rt := p.xferRoutes[key]; rt != nil {
 		return rt
 	}
@@ -204,7 +217,7 @@ func (p *Platform) xferRouteBetween(a, b *Host) *xferRoute {
 		rt.usage[i] = flow.Usage{Res: l.Res, Weight: 1}
 	}
 	if p.xferRoutes == nil {
-		p.xferRoutes = make(map[[2]string]*xferRoute)
+		p.xferRoutes = make(map[uint64]*xferRoute)
 	}
 	p.xferRoutes[key] = rt
 	return rt

@@ -3,6 +3,7 @@ package platform
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -203,5 +204,80 @@ func TestSimResetForgetsComputedRoutes(t *testing.T) {
 	}
 	if r := p.RouteBetween(hosts[2], hosts[0]); len(r) != 1 || r[0] != explicit {
 		t.Errorf("after Reset, explicit route 2→0 = %v", r)
+	}
+}
+
+// TestAddRouteAfterTransferRederivesUsages: a pair that has carried a
+// transfer, in either direction, moves its next transfer over the route
+// AddRoute installs afterwards.
+func TestAddRouteAfterTransferRederivesUsages(t *testing.T) {
+	p, hosts := namedHosts(2)
+	fast, slow := NewLink("fast", 100, 0), NewLink("slow", 10, 0)
+	p.AddRoute(hosts[0], hosts[1], fast)
+	sim := NewSim(p)
+	var done []float64
+	record := func() { done = append(done, sim.Engine.Now()) }
+	p.Transfer(sim.System, "x", hosts[0], hosts[1], 100, record)
+	p.Transfer(sim.System, "y", hosts[1], hosts[0], 100, record)
+	mustRun(t, sim)
+	p.AddRoute(hosts[0], hosts[1], slow)
+	p.Transfer(sim.System, "x", hosts[0], hosts[1], 100, record)
+	mustRun(t, sim)
+	p.Transfer(sim.System, "y", hosts[1], hosts[0], 100, record)
+	mustRun(t, sim)
+	if want := []float64{2, 2, 12, 22}; fmt.Sprint(done) != fmt.Sprint(want) {
+		t.Errorf("completions at %v, want %v", done, want)
+	}
+}
+
+// TestSimResetRederivesTransferUsages: transfers over a computed route
+// use the links in the order of the direction asked for first, and after
+// Sim.Reset that is the next simulation's first direction, not the
+// previous one's — for the transfer usages as for the route.
+func TestSimResetRederivesTransferUsages(t *testing.T) {
+	p, hosts := namedHosts(2)
+	bb := NewLink("bb", 1, 0)
+	ups := []*Link{NewLink("u0", 1, 0), NewLink("u1", 1, 0)}
+	BackboneTopology(p, hosts, bb, ups)
+	sim := NewSim(p)
+	firstRes := func(a, b *Host) string {
+		p.Transfer(sim.System, "x", a, b, 1, nil)
+		mustRun(t, sim)
+		return p.xferRoutes[pairKey(a, b)].usage[0].Res.Name
+	}
+	if got := firstRes(hosts[0], hosts[1]) + firstRes(hosts[1], hosts[0]); got != "u0u0" {
+		t.Fatalf("first links 0→1, 1→0 = %s, want u0u0", got)
+	}
+	sim.Reset()
+	if got := firstRes(hosts[1], hosts[0]) + firstRes(hosts[0], hosts[1]); got != "u1u1" {
+		t.Errorf("after Reset, first links 1→0, 0→1 = %s, want u1u1", got)
+	}
+}
+
+// TestHostOutsideThePlatformPanics: a transfer from or to a host never
+// passed to AddHost, and adding a host to a second platform, panic with
+// a message that names the host.
+func TestHostOutsideThePlatformPanics(t *testing.T) {
+	p, hosts := namedHosts(1)
+	stray := NewHost("stray", 1, 1)
+	p.AddRoute(hosts[0], stray, NewLink("l", 1, 0))
+	sim := NewSim(p)
+	for _, c := range []struct {
+		name string
+		fn   func()
+		want string
+	}{
+		{"to", func() { p.Transfer(sim.System, "x", hosts[0], stray, 1, nil) }, `"stray": a host was never added with AddHost`},
+		{"from", func() { p.Transfer(sim.System, "x", stray, hosts[0], 1, nil) }, "a host was never added with AddHost"},
+		{"second platform", func() { New().AddHost(hosts[0]) }, "host h0 already belongs to a platform"},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q, want it to contain %q", c.name, msg, c.want)
+				}
+			}()
+			c.fn()
+		}()
 	}
 }
