@@ -47,9 +47,10 @@ const workEps = 1e-9
 //
 // A resource remembers its index in the System that last registered it,
 // stamped with that system's registration generation, so an activity
-// start finds it without a map lookup. Any number of systems may use a
-// resource in turn — a stale stamp only costs the lookup — but only one
-// may be simulating with it at a time.
+// start finds it without a lookup. Any number of systems may use a
+// resource in turn — another system's stamp only costs a scan of the
+// registered resources — but only one may be simulating with it at a
+// time.
 type Resource struct {
 	Name     string
 	Capacity float64
@@ -178,7 +179,6 @@ type System struct {
 	// Solver state. Resources are registered once and indexed (see
 	// register); scratch arrays are reused across solves to avoid
 	// per-solve allocation.
-	resIdx     map[*Resource]int
 	regGen     int // registration generation, bumped by Reset
 	resources  []*Resource
 	capLeft    []float64
@@ -231,11 +231,7 @@ type actState struct {
 
 // NewSystem returns an empty fluid system bound to eng.
 func NewSystem(eng *des.Engine) *System {
-	s := &System{
-		eng:    eng,
-		resIdx: make(map[*Resource]int),
-		epoch:  1,
-	}
+	s := &System{eng: eng, epoch: 1}
 	s.completion = eng.NewEvent(s.onCompletion)
 	s.resolve = s.flush
 	eng.OnRunEnd(s.flushStats)
@@ -245,21 +241,19 @@ func NewSystem(eng *des.Engine) *System {
 // Reset returns the system to the state NewSystem left it in, for the
 // next simulation on the same (already Reset) engine: no activities, no
 // registered resources, solver generations and statistics restarted.
-// Every slice is truncated and the resource index cleared rather than
-// reallocated, and the registration generation is bumped so that every
-// resource's stamp goes stale: resources register — and activities are
-// inserted — in the order a fresh system would see, which is what keeps
-// a reused kernel's results bit-identical to a fresh one's; only the
-// memory (activity structs, per-resource lists, solver scratch) is
-// carried over. Activity handles obtained before Reset are invalid
-// afterwards.
+// Every slice is truncated rather than reallocated, and the
+// registration generation is bumped so that every resource's stamp goes
+// stale: resources register — and activities are inserted — in the
+// order a fresh system would see, which is what keeps a reused kernel's
+// results bit-identical to a fresh one's; only the memory (activity
+// structs, per-resource lists, solver scratch) is carried over.
+// Activity handles obtained before Reset are invalid afterwards.
 func (s *System) Reset() {
 	s.flushStats()
 	s.completion.Cancel()
 	s.active = s.active[:0]
 	s.liveCount, s.tombstones, s.lastUpdate, s.pending, s.inUpdate = 0, 0, 0, false, false
 	s.st = s.st[:0]
-	clear(s.resIdx)
 	s.regGen++
 	s.resources = s.resources[:0]
 	s.capLeft = s.capLeft[:0]
@@ -298,17 +292,22 @@ func (s *System) flushStats() {
 	metricActMax.SetMax(float64(s.statMaxActive))
 }
 
-// register assigns (or returns) the index of a resource. The resource's
-// stamp answers when this system set it in the current generation;
-// otherwise resIdx does, and the stamp is renewed.
+// register assigns (or returns) the index of a resource, and renews its
+// stamp. The stamp answers when this system set it in the current
+// generation. A resource with no stamp, or with this system's from an
+// earlier generation, is not registered yet: Reset emptied the list.
+// Only one stamped by another system is looked for among the registered
+// resources.
 func (s *System) register(r *Resource) int {
 	if r.owner == s && r.gen == s.regGen {
 		return r.idx
 	}
-	i, ok := s.resIdx[r]
-	if !ok {
+	i := -1
+	if r.owner != s && r.owner != nil {
+		i = slices.Index(s.resources, r)
+	}
+	if i < 0 {
 		i = len(s.resources)
-		s.resIdx[r] = i
 		s.resources = append(s.resources, r)
 		s.capLeft = append(s.capLeft, 0)
 		s.weightSum = append(s.weightSum, 0)

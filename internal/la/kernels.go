@@ -27,14 +27,13 @@ var expProbe = [...]struct {
 	{-0.4, 0x3fe57343067270ed},
 }
 
-// The Go inner loops of the Cholesky and the tiled solve. On amd64,
-// dotf, dotf2 and tileRow run the same operations in the same order on
-// packed SSE2 registers (kernels_amd64.s), and tileRow2, which is two
-// tileRow calls in one pass, on AVX; where AVX is taken, so are the
-// Cholesky's row solve and trailing update as whole kernels, several
-// rows at a time. These loops are the reference their bits are tested
-// against. On every other GOARCH they are the only path
-// (kernels_other.go).
+// The Go inner loops of the Cholesky and the tiled solve. dotf, dotf2
+// and tileRow run as written on every GOARCH. Where useAVXFMA holds,
+// tileRow2, two tileRow calls in one pass, and the Cholesky's row solve
+// and trailing update run as whole kernels several rows at a time
+// (kernels_amd64.s), in these loops' operation order: the loops are the
+// reference their bits are tested against, and the path everywhere
+// else (kernels_other.go).
 
 // solveRowsDot is the Cholesky's row solve on rows [r, rows) of x, one
 // row every n values: for j < w in order, x[j] = (x[j] -
@@ -77,11 +76,11 @@ func trailDot(x, c []float64, n, r, rows, off int) {
 	}
 }
 
-// dotfGo is the blocked factorization's inner product: four independent
+// dotf is the blocked factorization's inner product: four independent
 // accumulators reduced in a fixed order, so it is deterministic while
 // giving the scheduler instruction-level parallelism a single serial
 // accumulator cannot.
-func dotfGo(a, b []float64) float64 {
+func dotf(a, b []float64) float64 {
 	var s0, s1, s2, s3 float64
 	n := len(a)
 	b = b[:n] // bounds-check hint
@@ -98,12 +97,12 @@ func dotfGo(a, b []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// dotf2Go computes dotfGo(a0, b) and dotfGo(a1, b) in one pass, sharing
-// the loads of b. The accumulator layout per output is identical to
-// dotfGo's, so each result is bitwise equal to the corresponding dotfGo
-// call — required so that pairing rows in the trailing update cannot
-// change the factorization's bits.
-func dotf2Go(a0, a1, b []float64) (float64, float64) {
+// dotf2 computes dotf(a0, b) and dotf(a1, b) in one pass, sharing the
+// loads of b. The accumulator layout per output is identical to dotf's,
+// so each result is bitwise equal to the corresponding dotf call —
+// required so that pairing rows in the trailing update cannot change
+// the factorization's bits.
+func dotf2(a0, a1, b []float64) (float64, float64) {
 	var p0, p1, p2, p3 float64
 	var q0, q1, q2, q3 float64
 	n := len(b)
@@ -128,9 +127,9 @@ func dotf2Go(a0, a1, b []float64) (float64, float64) {
 	return (p0 + p1) + (p2 + p3), (q0 + q1) + (q2 + q3)
 }
 
-// tileRowGo is SolveLowerTile's row update: s[c] -= l[j]*x[j*SolveTile+c]
+// tileRow is SolveLowerTile's row update: s[c] -= l[j]*x[j*SolveTile+c]
 // for j in order, with the eight subtraction chains held in registers.
-func tileRowGo(l, x []float64, s *[SolveTile]float64) {
+func tileRow(l, x []float64, s *[SolveTile]float64) {
 	s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
 	for j, v := range l {
 		xj := (*[SolveTile]float64)(x[j*SolveTile:])

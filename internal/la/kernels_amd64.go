@@ -2,18 +2,12 @@ package la
 
 import "math"
 
-// On amd64 the bodies of dotfGo, dotf2Go and tileRowGo run on packed
-// SSE2 registers (kernels_amd64.s): each 128-bit lane holds one of the
-// Go loop's accumulators and performs its multiply, then its add or
-// subtract, in the Go loop's order, so every result is Float64bits-equal
-// to the Go loop's. The tails, the reductions and the divisions stay in
-// Go. SSE2 is in the amd64 baseline (GOAMD64=v1), so nothing is selected
-// at run time for them.
-//
-// Exp, the two-tile row update and the Cholesky's row solve and
-// trailing update have a second, AVX path, taken exactly when math.Exp
-// takes its own AVX+FMA path: useAVXFMA. Only Exp's kernel fuses; the
-// others keep the Go loops' separate multiply and add.
+// On amd64, Exp, the two-tile row update and the Cholesky's row solve
+// and trailing update run as AVX kernels (kernels_amd64.s) exactly when
+// math.Exp takes its own AVX+FMA path: useAVXFMA. Only Exp's kernel
+// fuses; the others keep the Go loops' separate multiply and add, so
+// their results are Float64bits-equal to the loops in kernels.go.
+// Without useAVXFMA, amd64 runs those loops, as every other GOARCH does.
 
 // useAVXFMA reports whether math.Exp runs its AVX+FMA path in this
 // process, found by asking math.Exp rather than the CPU: that path is
@@ -29,25 +23,7 @@ var useAVXFMA = func() bool {
 	return true
 }()
 
-// dotfSSE2 returns dotfGo's four accumulators after its unrolled loop,
-// which covers the first len(a)&^3 elements. len(b) must be >= len(a).
-//
-//go:noescape
-func dotfSSE2(a, b []float64) (s0, s1, s2, s3 float64)
-
-// dotf2SSE2 is dotfSSE2 for two rows against one b, as in dotf2Go; it
-// covers the first len(b)&^3 elements. len(a0) and len(a1) must be
-// >= len(b).
-//
-//go:noescape
-func dotf2SSE2(a0, a1, b []float64) (p0, p1, p2, p3, q0, q1, q2, q3 float64)
-
-// tileRowSSE2 is tileRowGo. len(x) must be >= len(l)*SolveTile.
-//
-//go:noescape
-func tileRowSSE2(l, x []float64, s *[SolveTile]float64)
-
-// tileRow2AVX is tileRowGo on (x0, s0) and on (x1, s1) in one pass.
+// tileRow2AVX is tileRow on (x0, s0) and on (x1, s1) in one pass.
 //
 //go:noescape
 func tileRow2AVX(l, x0, x1 []float64, s0, s1 *[SolveTile]float64)
@@ -82,40 +58,14 @@ var _ [64 - cholBlock]struct{}
 //go:noescape
 func expAVXFMA(dst, src []float64) (done int)
 
-func dotf(a, b []float64) float64 {
-	n := len(a)
-	b = b[:n]
-	s0, s1, s2, s3 := dotfSSE2(a, b)
-	for i := n &^ 3; i < n; i++ {
-		s0 += a[i] * b[i]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-func dotf2(a0, a1, b []float64) (float64, float64) {
-	n := len(b)
-	a0 = a0[:n]
-	a1 = a1[:n]
-	p0, p1, p2, p3, q0, q1, q2, q3 := dotf2SSE2(a0, a1, b)
-	for i := n &^ 3; i < n; i++ {
-		p0 += a0[i] * b[i]
-		q0 += a1[i] * b[i]
-	}
-	return (p0 + p1) + (p2 + p3), (q0 + q1) + (q2 + q3)
-}
-
-func tileRow(l, x []float64, s *[SolveTile]float64) {
-	tileRowSSE2(l, x[:len(l)*SolveTile], s)
-}
-
 func tileRow2(l, x0, x1 []float64, s0, s1 *[SolveTile]float64) {
-	m := len(l) * SolveTile
 	if useAVXFMA {
+		m := len(l) * SolveTile
 		tileRow2AVX(l, x0[:m], x1[:m], s0, s1)
 		return
 	}
-	tileRowSSE2(l, x0[:m], s0)
-	tileRowSSE2(l, x1[:m], s1)
+	tileRow(l, x0, s0)
+	tileRow(l, x1, s1)
 }
 
 func solveRows(x, l []float64, n, rows, w int) {

@@ -33,13 +33,14 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// TestKernelsMatchGoBitwise: dotf, dotf2, tileRow and tileRow2, on
-// amd64 the packed SSE2 and AVX kernels, and the Cholesky's row solve
-// and trailing update, on amd64 with AVX whole kernels four rows at a
-// time, carry the bits of the Go loops in kernels.go at every tail
-// length and row remainder, on unaligned slices, and on inputs that
-// drive lanes through zeros, subnormals, infinities and NaNs; Exp
-// carries math.Exp's (expInputs).
+// TestKernelsMatchGoBitwise: dotf2 carries the bits of two dotf calls,
+// which the trailing update's row pairing relies on, and tileRow2, on
+// amd64 with AVX one kernel, those of two tileRow calls; the Cholesky's
+// row solve and trailing update, on amd64 with AVX whole kernels four
+// rows at a time, carry the bits of the Go loops in kernels.go at every
+// tail length and row remainder. All of them on unaligned slices and on
+// inputs that drive lanes through zeros, subnormals, infinities and
+// NaNs; Exp carries math.Exp's (expInputs).
 func TestKernelsMatchGoBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, p := range []float64{0, 0.05, 0.5} {
@@ -48,11 +49,8 @@ func TestKernelsMatchGoBitwise(t *testing.T) {
 			a0 := kernelInputs(rng, n+1, p)[1:]
 			a1 := kernelInputs(rng, n+1, p)[1:]
 			b := kernelInputs(rng, n+1, p)[1:]
-			if got, want := dotf(a0, b), dotfGo(a0, b); !sameBits(got, want) {
-				t.Fatalf("p=%v n=%d: dotf %v != %v", p, n, got, want)
-			}
 			g0, g1 := dotf2(a0, a1, b)
-			w0, w1 := dotf2Go(a0, a1, b)
+			w0, w1 := dotf(a0, b), dotf(a1, b)
 			if !sameBits(g0, w0) || !sameBits(g1, w1) {
 				t.Fatalf("p=%v n=%d: dotf2 (%v, %v) != (%v, %v)", p, n, g0, g1, w0, w1)
 			}
@@ -60,27 +58,17 @@ func TestKernelsMatchGoBitwise(t *testing.T) {
 		for i := 0; i <= 130; i++ {
 			l := kernelInputs(rng, i+1, p)[1:]
 			x := kernelInputs(rng, i*SolveTile+1, p)[1:]
-			var got, want [SolveTile]float64
-			copy(got[:], kernelInputs(rng, SolveTile, p))
-			want = got
-			tileRow(l, x, &got)
-			tileRowGo(l, x, &want)
-			for c := range got {
-				if !sameBits(got[c], want[c]) {
-					t.Fatalf("p=%v i=%d col %d: tileRow %v != %v", p, i, c, got[c], want[c])
-				}
-			}
 			x1 := kernelInputs(rng, i*SolveTile+1, p)[1:]
-			var got0, got1, want1 [SolveTile]float64
+			var got0, got1, want0, want1 [SolveTile]float64
 			copy(got0[:], kernelInputs(rng, SolveTile, p))
 			copy(got1[:], kernelInputs(rng, SolveTile, p))
-			want, want1 = got0, got1
+			want0, want1 = got0, got1
 			tileRow2(l, x, x1, &got0, &got1)
-			tileRowGo(l, x, &want)
-			tileRowGo(l, x1, &want1)
+			tileRow(l, x, &want0)
+			tileRow(l, x1, &want1)
 			for c := range got0 {
-				if !sameBits(got0[c], want[c]) || !sameBits(got1[c], want1[c]) {
-					t.Fatalf("p=%v i=%d col %d: tileRow2 (%v, %v) != (%v, %v)", p, i, c, got0[c], got1[c], want[c], want1[c])
+				if !sameBits(got0[c], want0[c]) || !sameBits(got1[c], want1[c]) {
+					t.Fatalf("p=%v i=%d col %d: tileRow2 (%v, %v) != (%v, %v)", p, i, c, got0[c], got1[c], want0[c], want1[c])
 				}
 			}
 		}
@@ -135,20 +123,20 @@ func TestKernelsMatchGoBitwise(t *testing.T) {
 	}
 }
 
-// solveRowsRef is solveRowsDot on dotfGo alone.
+// solveRowsRef is solveRowsDot on dotf alone.
 func solveRowsRef(x, l []float64, n, rows, w int) {
 	for r := 0; r < rows; r++ {
 		for j := 0; j < w; j++ {
-			x[r*n+j] = (x[r*n+j] - dotfGo(x[r*n:r*n+j], l[j*n:j*n+j])) / l[j*n+j]
+			x[r*n+j] = (x[r*n+j] - dotf(x[r*n:r*n+j], l[j*n:j*n+j])) / l[j*n+j]
 		}
 	}
 }
 
-// trailRef is trailDot on dotfGo alone, one entry at a time.
+// trailRef is trailDot on dotf alone, one entry at a time.
 func trailRef(x, c []float64, n, rows, off int) {
 	for r := 0; r < rows; r++ {
 		for q := 0; q <= off+r; q++ {
-			x[r*n+cholBlock+q] -= dotfGo(x[r*n:r*n+cholBlock], c[q*n:q*n+cholBlock])
+			x[r*n+cholBlock+q] -= dotf(x[r*n:r*n+cholBlock], c[q*n:q*n+cholBlock])
 		}
 	}
 }
@@ -193,7 +181,7 @@ func expInputs() []float64 {
 
 // choleskyRef is CholeskyExtendInPlace's blocked loop as it stood
 // before the row solve and the trailing update became kernels, calling
-// only the Go loops dotfGo and dotf2Go: it pins the factorization's own
+// only the Go loops dotf and dotf2: it pins the factorization's own
 // operation order, where TestKernelsMatchGoBitwise pins only the inner
 // products'.
 func choleskyRef(a *Matrix, start int) error {
@@ -204,9 +192,9 @@ func choleskyRef(a *Matrix, start int) error {
 			ri := a.data[i*n : i*n+n]
 			for j := k0; j < i; j++ {
 				rj := a.data[j*n : j*n+n]
-				ri[j] = (ri[j] - dotfGo(ri[k0:j], rj[k0:j])) / rj[j]
+				ri[j] = (ri[j] - dotf(ri[k0:j], rj[k0:j])) / rj[j]
 			}
-			d := ri[i] - dotfGo(ri[k0:i], ri[k0:i])
+			d := ri[i] - dotf(ri[k0:i], ri[k0:i])
 			if d <= 0 || math.IsNaN(d) {
 				return ErrNotPositiveDefinite
 			}
@@ -217,7 +205,7 @@ func choleskyRef(a *Matrix, start int) error {
 			ri := a.data[i*n : i*n+n]
 			for j := k0; j < k1; j++ {
 				rj := a.data[j*n : j*n+n]
-				ri[j] = (ri[j] - dotfGo(ri[k0:j], rj[k0:j])) / rj[j]
+				ri[j] = (ri[j] - dotf(ri[k0:j], rj[k0:j])) / rj[j]
 			}
 		}
 		i := p0
@@ -226,16 +214,16 @@ func choleskyRef(a *Matrix, start int) error {
 			ri1 := a.data[(i+1)*n : (i+1)*n+n]
 			seg, seg1 := ri[k0:k1], ri1[k0:k1]
 			for j := k1; j <= i; j++ {
-				d0, d1 := dotf2Go(seg, seg1, a.data[j*n+k0:j*n+k1])
+				d0, d1 := dotf2(seg, seg1, a.data[j*n+k0:j*n+k1])
 				ri[j] -= d0
 				ri1[j] -= d1
 			}
-			ri1[i+1] -= dotfGo(seg1, seg1)
+			ri1[i+1] -= dotf(seg1, seg1)
 		}
 		if i < n {
 			ri := a.data[i*n : i*n+n]
 			for j := k1; j <= i; j++ {
-				ri[j] -= dotfGo(ri[k0:k1], a.data[j*n+k0:j*n+k1])
+				ri[j] -= dotf(ri[k0:k1], a.data[j*n+k0:j*n+k1])
 			}
 		}
 	}

@@ -11,16 +11,14 @@
 // factorization supports in-place extension of a previously factored
 // leading block (CholeskyExtendInPlace), the operation behind the GP's
 // incremental refit. All routines are strictly deterministic: a fixed
-// operation order, no data-dependent reductions. On amd64 the
-// factorization's dot products and the tiled solve's row update run as
-// packed SSE2 assembly that performs, lane by lane, the Go loops'
-// operations in their order, so its results are bitwise those of the Go
-// loops in kernels.go, which every other GOARCH runs. Exp, the GP's
-// batched exponential, is bitwise math.Exp. When math.Exp itself runs
-// its AVX+FMA path, Exp runs that path four lanes at a time, the tiled
+// operation order, no data-dependent reductions. Exp, the GP's batched
+// exponential, is bitwise math.Exp. The inner loops are Go (kernels.go)
+// on every GOARCH, except that when math.Exp itself runs its AVX+FMA
+// path on amd64, Exp runs that path four lanes at a time, the tiled
 // solve updates two tiles per pass in 256-bit registers, and the
 // factorization's row solve and trailing update run as whole AVX
-// kernels over several rows at once, all still in the Go loops' order.
+// kernels over several rows at once, all still in the Go loops' order,
+// so their results are bitwise the loops'.
 package la
 
 import (
@@ -358,10 +356,8 @@ func SolveLowerInto(l *Matrix, b, x []float64) error {
 
 // SolveTile is the number of right-hand sides in one tile of
 // SolveLowerTile. Eight subtraction chains keep the floating-point units
-// busy through a chain's latency. On amd64 they are four 128-bit
-// registers, nine of the sixteen XMM registers with the broadcast factor
-// entry and the four products, or, two tiles at a time, four 256-bit
-// registers; on other targets the Go loop holds them in scalar
+// busy through a chain's latency. The Go loop holds them in scalar
+// registers; the AVX kernel, two tiles at a time, in four 256-bit
 // registers.
 const SolveTile = 8
 

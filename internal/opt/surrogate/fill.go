@@ -9,12 +9,12 @@ import (
 // The Go loops of the scoring passes' per-element work on one tile of
 // la.SolveTile candidates: negArgsGo fills each -s, maternTileGo
 // finishes the kernel values, the mean's inner products and each
-// candidate's largest kernel value, and sumSquaresGo accumulates the
-// variance's inner products. On amd64 each
-// runs as an SSE2 kernel (fill_amd64.s) that performs the loop's
-// operations in its order, two candidates per register, so its results
-// are the loop's bit for bit; these loops are the reference the kernels
-// are tested against and the path on every other GOARCH.
+// candidate's largest kernel value, and sumSquares accumulates the
+// variance's inner products. On amd64 the first two run as SSE2 kernels
+// (fill_amd64.s) that perform the loop's operations in its order, two
+// candidates per register, so their results are the loop's bit for
+// bit; these loops are the reference the kernels are tested against and
+// the path on every other GOARCH. sumSquares is the Go loop everywhere.
 
 // negArgsGo is the kernel fill: for each training row i and each of a
 // tile's la.SolveTile candidates c, whose coordinate d is
@@ -59,9 +59,9 @@ func maternTileGo(tile, e, alpha []float64, m, km *[la.SolveTile]float64) {
 	}
 }
 
-// sumSquaresGo accumulates the variance's inner products over a solved
+// sumSquares accumulates the variance's inner products over a solved
 // tile, v[c] += x·x for row after row.
-func sumSquaresGo(tile []float64, v *[la.SolveTile]float64) {
+func sumSquares(tile []float64, v *[la.SolveTile]float64) {
 	const w = la.SolveTile
 	for o := 0; o < len(tile); o += w {
 		for c, x := range tile[o : o+w] {

@@ -6,11 +6,11 @@ import (
 	"simcal/internal/la"
 )
 
-// The fill loops of fill.go on packed SSE2 registers (fill_amd64.s),
-// each 128-bit lane one candidate. SSE2 is in the amd64 baseline, so
-// nothing is selected at run time, and a wider register would not help
-// much: the fill's square roots and divisions go through a unit that
-// takes about as long per value at any width.
+// negArgsGo and maternTileGo of fill.go on packed SSE2 registers
+// (fill_amd64.s), each 128-bit lane one candidate. SSE2 is in the amd64
+// baseline, so nothing is selected at run time, and a wider register
+// would not help much: the fill's square roots and divisions go through
+// a unit that takes about as long per value at any width.
 
 // negArgsSSE2 is negArgsGo: each lane holds one candidate's sum of
 // squared differences, accumulated in dimension order from zero, then
@@ -35,15 +35,7 @@ func negArgs(tile, xt []float64, xs [][]float64, l float64) {
 //go:noescape
 func maternTileSSE2(tile, e, alpha []float64, m, km *[la.SolveTile]float64)
 
-// sumSquaresSSE2 is sumSquaresGo. len(tile) must be a multiple of
-// la.SolveTile.
-//
-//go:noescape
-func sumSquaresSSE2(tile []float64, v *[la.SolveTile]float64)
-
 func maternTile(tile, e, alpha []float64, m, km *[la.SolveTile]float64) {
 	n := len(alpha) * la.SolveTile
 	maternTileSSE2(tile[:n], e[:n], alpha, m, km)
 }
-
-func sumSquares(tile []float64, v *[la.SolveTile]float64) { sumSquaresSSE2(tile, v) }

@@ -154,39 +154,3 @@ materndone:
 	MOVUPD X9, 32(R8)
 	MOVUPD X10, 48(R8)
 	RET
-
-// func sumSquaresSSE2(tile []float64, v *[8]float64)
-TEXT ·sumSquaresSSE2(SB), NOSPLIT, $0-32
-	MOVQ   tile_base+0(FP), SI
-	MOVQ   tile_len+8(FP), CX
-	MOVQ   v+24(FP), DX
-	MOVUPD (DX), X0
-	MOVUPD 16(DX), X1
-	MOVUPD 32(DX), X2
-	MOVUPD 48(DX), X3
-	SHRQ   $3, CX
-	JZ     sqdone
-
-sqrow:
-	MOVUPD (SI), X4
-	MOVUPD 16(SI), X5
-	MOVUPD 32(SI), X6
-	MOVUPD 48(SI), X7
-	MULPD  X4, X4
-	MULPD  X5, X5
-	MULPD  X6, X6
-	MULPD  X7, X7
-	ADDPD  X4, X0
-	ADDPD  X5, X1
-	ADDPD  X6, X2
-	ADDPD  X7, X3
-	ADDQ   $64, SI
-	DECQ   CX
-	JNZ    sqrow
-
-sqdone:
-	MOVUPD X0, (DX)
-	MOVUPD X1, 16(DX)
-	MOVUPD X2, 32(DX)
-	MOVUPD X3, 48(DX)
-	RET
