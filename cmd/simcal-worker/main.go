@@ -20,11 +20,13 @@
 // this worker and the coordinator for failure testing (see
 // internal/dist/chaos).
 //
-// Its result and heartbeat frames also carry telemetry: the worker's
-// metric deltas and each evaluation's timing appear in the
-// coordinator's /metrics and JSONL trace labeled with this worker's
-// name. -pprof additionally serves the worker's own /metrics, /statusz,
-// and pprof endpoints.
+// Each result frame carries its evaluation's timing and outcome, from
+// which the coordinator keeps this worker's worker.eval_ns and outcome
+// counts in its /metrics and a dist_worker_eval event in its JSONL
+// trace, labeled with this worker's name. The worker's other metrics
+// (simulator cache, in-flight leases, DES-engine counters) never leave
+// it: -pprof serves them on the worker's own /metrics, with /statusz
+// and the pprof endpoints.
 //
 // The process exits 0 when the coordinator closes the connection (the
 // calibration finished) and non-zero on dial or protocol errors.

@@ -2,13 +2,10 @@ package dist
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-
-	"simcal/internal/obs"
 )
 
 // The frame payload codec. A payload is a type byte, then the members
@@ -19,8 +16,7 @@ import (
 //	result:    id, index, loss, err, class, start_unix_ns, dur_ns, telemetry?
 //	heartbeat: ping?, telemetry?
 //	bye:       nothing
-//	telemetry: sent_unix_ns, echo_ping_unix_ns, echo_recv_unix_ns, counters, gauges, hists
-//	hist:      count, sum, min, max, buckets
+//	telemetry: sent_unix_ns, echo_ping_unix_ns, echo_recv_unix_ns
 //
 // Unsigned integers (ids, indexes, lengths, counts) are uvarints and
 // signed ones zig-zag varints; a float is the 8 little-endian bytes of
@@ -44,7 +40,7 @@ func appendFrame(dst []byte, f *Frame) []byte {
 		l := f.Lease
 		dst = binary.AppendUvarint(binary.AppendUvarint(dst, l.ID), l.Index)
 		dst = append(binary.AppendUvarint(dst, uint64(len(l.Spec))), l.Spec...)
-		dst = appendMap(dst, l.Point, appendStr, appendFloat)
+		dst = appendPoint(dst, l.Point)
 	case TypeResult:
 		r := f.Result
 		dst = binary.AppendUvarint(binary.AppendUvarint(dst, r.ID), r.Index)
@@ -76,8 +72,6 @@ func appendFloat(dst []byte, v WireFloat) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(float64(v)))
 }
 
-func appendVarint[T int | int64](dst []byte, v T) []byte { return binary.AppendVarint(dst, int64(v)) }
-
 func appendTelemetry(dst []byte, t *TelemetryMsg) []byte {
 	dst = appendPresence(dst, t != nil)
 	if t == nil {
@@ -85,23 +79,13 @@ func appendTelemetry(dst []byte, t *TelemetryMsg) []byte {
 	}
 	dst = binary.AppendVarint(dst, t.SentUnixNS)
 	dst = binary.AppendVarint(dst, t.EchoPingUnixNS)
-	dst = binary.AppendVarint(dst, t.EchoRecvUnixNS)
-	dst = appendMap(dst, t.Counters, appendStr, appendVarint[int64])
-	dst = appendMap(dst, t.Gauges, appendStr, appendFloat)
-	return appendMap(dst, t.Hists, appendStr, appendHistDump)
+	return binary.AppendVarint(dst, t.EchoRecvUnixNS)
 }
 
-func appendHistDump(dst []byte, h obs.HistDump) []byte {
-	for _, v := range [...]int64{h.Count, h.Sum, h.Min, h.Max} {
-		dst = binary.AppendVarint(dst, v)
-	}
-	return appendMap(dst, h.Buckets, appendVarint[int], appendVarint[int64])
-}
-
-// appendMap appends m's entry count, then its entries in increasing key
-// order.
-func appendMap[K cmp.Ordered, V any](dst []byte, m map[K]V, key func([]byte, K) []byte, value func([]byte, V) []byte) []byte {
-	var arr [64]K
+// appendPoint appends the point's entry count, then its entries in
+// increasing key order.
+func appendPoint(dst []byte, m map[string]WireFloat) []byte {
+	var arr [64]string
 	keys := arr[:0]
 	for k := range m {
 		keys = append(keys, k)
@@ -109,7 +93,7 @@ func appendMap[K cmp.Ordered, V any](dst []byte, m map[K]V, key func([]byte, K) 
 	slices.Sort(keys)
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
-		dst = value(key(dst, k), m[k])
+		dst = appendFloat(appendStr(dst, k), m[k])
 	}
 	return dst
 }
@@ -118,7 +102,7 @@ func appendMap[K cmp.Ordered, V any](dst []byte, m map[K]V, key func([]byte, K) 
 const maxInterned = 1024
 
 // decoder reads frame payloads. The zero value works; a frameConn keeps
-// one per connection, so that point keys and metric names are interned
+// one per connection, so that point keys are interned
 // in its bounded table rather than allocated per frame, and a lease
 // spec equal to the previous lease's shares its bytes. No decoded value
 // aliases the payload.
@@ -133,13 +117,10 @@ type decoder struct {
 
 	// A frame its reader is done with is handed back (recycle): the next
 	// frame is decoded into it, the next result into its ResultMsg, and
-	// the next telemetry passenger into its TelemetryMsg, that message's
-	// maps and its histograms' bucket maps, the last kept cleared in
-	// buckets.
+	// the next telemetry passenger into its TelemetryMsg.
 	spare       *Frame
 	spareResult *ResultMsg
 	spareTm     *TelemetryMsg
-	buckets     []map[int]int64
 
 	// leases holds lease frames handed back by the goroutines that ran
 	// them (recycleLease); the next lease is decoded into one, its
@@ -242,7 +223,7 @@ func (d *decoder) frame() *Frame {
 			d.spec = bytes.Clone(spec)
 		}
 		m.Spec = d.spec
-		m.Point = decodeMap(d, pt, (*decoder).name, (*decoder).float)
+		m.Point = d.point(pt)
 		f.Lease = m
 	case TypeResult:
 		f.Result = d.spareResult
@@ -277,8 +258,7 @@ func constant(s []byte, known ...string) string {
 }
 
 // telemetry reads an optional passenger, into the spare if there is
-// one. A spare's maps stay allocated, so maps with no entries decode as
-// empty maps, not nil ones.
+// one.
 func (d *decoder) telemetry() *TelemetryMsg {
 	if !d.present() {
 		return nil
@@ -286,52 +266,27 @@ func (d *decoder) telemetry() *TelemetryMsg {
 	t := d.spareTm
 	if t == nil {
 		t = new(TelemetryMsg)
-	} else {
-		d.spareTm = nil
-		for _, h := range t.Hists {
-			if h.Buckets != nil {
-				clear(h.Buckets)
-				d.buckets = append(d.buckets, h.Buckets)
-			}
-		}
-		clear(t.Counters)
-		clear(t.Gauges)
-		clear(t.Hists)
 	}
-	*t = TelemetryMsg{
-		SentUnixNS: d.varint(), EchoPingUnixNS: d.varint(), EchoRecvUnixNS: d.varint(),
-		Counters: decodeMap(d, t.Counters, (*decoder).name, (*decoder).varint),
-		Gauges:   decodeMap(d, t.Gauges, (*decoder).name, (*decoder).float),
-		Hists:    decodeMap(d, t.Hists, (*decoder).name, (*decoder).histDump),
-	}
+	d.spareTm = nil
+	*t = TelemetryMsg{SentUnixNS: d.varint(), EchoPingUnixNS: d.varint(), EchoRecvUnixNS: d.varint()}
 	return t
 }
 
-func (d *decoder) histDump() obs.HistDump {
-	h := obs.HistDump{Count: d.varint(), Sum: d.varint(), Min: d.varint(), Max: d.varint()}
-	var m map[int]int64
-	if n := len(d.buckets); n > 0 {
-		m, d.buckets = d.buckets[n-1], d.buckets[:n-1]
-	}
-	h.Buckets = decodeMap(d, m, func(d *decoder) int { return int(d.varint()) }, (*decoder).varint)
-	return h
-}
-
-// decodeMap reads a map's entries into m — a new map if m is nil and
+// point reads a point's entries into m — a new map if m is nil and
 // there are entries. Keys must strictly increase.
-func decodeMap[K cmp.Ordered, V any](d *decoder, m map[K]V, key func(*decoder) K, value func(*decoder) V) map[K]V {
+func (d *decoder) point(m map[string]WireFloat) map[string]WireFloat {
 	n := d.size("count")
 	if n > 0 && m == nil {
-		m = make(map[K]V)
+		m = make(map[string]WireFloat)
 	}
-	var prev K
+	var prev string
 	for i := 0; i < n && d.err == nil; i++ {
-		k := key(d)
+		k := d.name()
 		if i > 0 && k <= prev {
 			d.fail("key %v out of order or repeated", k)
 		}
 		prev = k
-		m[k] = value(d)
+		m[k] = d.float()
 	}
 	return m
 }

@@ -337,9 +337,6 @@ func (c *Coordinator) handle(conn Conn) {
 		name = fmt.Sprintf("worker-%d", c.unnamed.Add(1))
 	}
 	w := newRemoteWorker(name, f.Hello.Capacity, conn)
-	w.gInflight = c.reg.Gauge(obs.LabeledName("dist.worker_inflight", "worker", w.name))
-	w.gHbAge = c.reg.Gauge(obs.LabeledName("dist.worker_heartbeat_age_ns", "worker", w.name))
-	w.gOffset = c.reg.Gauge(obs.LabeledName("dist.worker_clock_offset_ns", "worker", w.name))
 	go c.writeLoop(w)
 	c.mu.Lock()
 	c.fleet.hello(c.now(), w)
@@ -351,9 +348,6 @@ func (c *Coordinator) handle(conn Conn) {
 			return
 		}
 		c.framesRx.Inc()
-		// Absorbed before delivered: when a result's callback runs, the
-		// registry already holds the deltas its frame carried.
-		c.absorbTelemetry(w, f.Telemetry)
 		c.mu.Lock()
 		c.fleet.frame(c.now(), w, f)
 		c.perform()
@@ -420,40 +414,6 @@ func (c *Coordinator) workerDead(w *remoteWorker, cause error) {
 	c.mu.Lock()
 	c.fleet.dead(c.now(), w, cause)
 	c.perform()
-}
-
-// absorbTelemetry merges the metric deltas a worker's frame carried
-// into the coordinator's registry. Metric names gain a worker label
-// (worker.eval_ns becomes `worker.eval_ns{worker="w1"}`): counters and
-// histograms arrive as deltas and are added, gauges arrive absolute and
-// are set. (The frame's clock-sync echo is the fleet's: fleet.frame.)
-// Only w's reader calls it, so w's handle cache needs no lock.
-func (c *Coordinator) absorbTelemetry(w *remoteWorker, t *TelemetryMsg) {
-	reg := c.cfg.Registry
-	if t == nil || reg == nil {
-		return
-	}
-	for name, d := range t.Counters {
-		labeled(w.counters, name, w.name, reg.Counter).Add(d)
-	}
-	for name, v := range t.Gauges {
-		labeled(w.gauges, name, w.name, reg.Gauge).Set(float64(v))
-	}
-	for name, d := range t.Hists {
-		labeled(w.hists, name, w.name, reg.Histogram).AbsorbDelta(d)
-	}
-}
-
-// labeled returns the handle of worker's copy of metric name from
-// cache, resolving it through lookup the first time the worker reports
-// the metric.
-func labeled[H any](cache map[string]H, name, worker string, lookup func(string) H) H {
-	h, ok := cache[name]
-	if !ok {
-		h = lookup(obs.LabeledName(name, "worker", worker))
-		cache[name] = h
-	}
-	return h
 }
 
 // ClockOffset computes the NTP-style offset (worker clock minus

@@ -19,7 +19,8 @@ import (
 // trace event, re-arming the timer) to an action list, and the context
 // watches it released to another. No method reads a clock, takes a lock,
 // blocks, starts a goroutine or performs I/O (watch only reads its
-// context's Done channel and error): the Coordinator holds its
+// context's Done channel and error, and hello looks up the worker's
+// metric handles in the registry): the Coordinator holds its
 // mutex while it feeds one event, then releases it and performs the
 // actions. That is what lets fleet_test.go drive every rule — requeue,
 // quarantine, eviction, degradation, cancel — through
@@ -95,16 +96,15 @@ type remoteWorker struct {
 	offsetRTT int64
 	hasOffset bool
 
-	gInflight *obs.Gauge
-	gHbAge    *obs.Gauge
-	gOffset   *obs.Gauge
-
-	// The coordinator's handles on this worker's labeled metrics, by the
-	// name the worker reports. Touched by the worker's reader only
-	// (Coordinator.absorbTelemetry), not fleet state.
-	counters map[string]*obs.Counter
-	gauges   map[string]*obs.Gauge
-	hists    map[string]*obs.Histogram
+	// The worker's {worker=} series, resolved at hello: the fleet gauges
+	// RefreshFleetGauges writes, and the evaluation series every result
+	// frame from the worker moves.
+	gInflight   *obs.Gauge
+	gHbAge      *obs.Gauge
+	gOffset     *obs.Gauge
+	evalNS      *obs.Histogram
+	evalsOK     *obs.Counter
+	evalsFailed *obs.Counter
 }
 
 func newRemoteWorker(name string, capacity int, conn Conn) *remoteWorker {
@@ -115,9 +115,6 @@ func newRemoteWorker(name string, capacity int, conn Conn) *remoteWorker {
 		name: name, capacity: capacity, conn: conn,
 		wake:     make(chan struct{}, 1),
 		inflight: make(map[uint64]*lease),
-		counters: make(map[string]*obs.Counter),
-		gauges:   make(map[string]*obs.Gauge),
-		hists:    make(map[string]*obs.Histogram),
 	}
 }
 
@@ -167,6 +164,7 @@ type action struct {
 // table and outbox, the degradation state and the timer deadline.
 type fleet struct {
 	cfg CoordinatorConfig // defaults applied; Tracer and LocalFactory are only tested for nil
+	reg *obs.Registry     // where each worker's {worker=} series live
 
 	// queue is FIFO and holds live leases only: cancellation removes
 	// its leases eagerly, so nothing skips entries at pop time.
@@ -209,6 +207,7 @@ type fleet struct {
 func newFleet(cfg CoordinatorConfig, reg *obs.Registry, now int64) *fleet {
 	return &fleet{
 		cfg:               cfg,
+		reg:               reg,
 		emptySinceNS:      now,
 		watches:           make(map[<-chan struct{}]*watch),
 		workersConnected:  reg.Counter("dist.workers_connected"),
@@ -393,6 +392,13 @@ func (f *fleet) push(w *remoteWorker, fr *Frame) {
 // hello registers a worker that completed the handshake. Degraded mode
 // ends the moment one does: returning workers are re-absorbed.
 func (f *fleet) hello(now int64, w *remoteWorker) {
+	series := func(name string) string { return obs.LabeledName(name, "worker", w.name) }
+	w.gInflight = f.reg.Gauge(series("dist.worker_inflight"))
+	w.gHbAge = f.reg.Gauge(series("dist.worker_heartbeat_age_ns"))
+	w.gOffset = f.reg.Gauge(series("dist.worker_clock_offset_ns"))
+	w.evalNS = f.reg.Histogram(series("worker.eval_ns"))
+	w.evalsOK = f.reg.Counter(series("worker.evals_ok"))
+	w.evalsFailed = f.reg.Counter(series("worker.evals_failed"))
 	if f.closed {
 		// Dead before dropped: the reader's failing Recv reports this
 		// worker dead too, and must find nothing left to do.
@@ -419,9 +425,11 @@ func (f *fleet) hello(now int64, w *remoteWorker) {
 }
 
 // frame handles one inbound frame from w. Every frame refreshes the
-// liveness stamp and may echo a clock-sync ping; a result resolves its
-// lease. (The metric deltas a frame carries are merged into the registry
-// by the coordinator, before it feeds the frame here.)
+// liveness stamp and may echo a clock-sync ping. A result moves w's
+// evaluation series — the worker's own worker.eval_ns and outcome
+// counts, rebuilt from the timing and error the frame carries — and
+// resolves its lease; the series move before the deliver action, so a
+// result's callback finds its evaluation counted.
 func (f *fleet) frame(now int64, w *remoteWorker, fr *Frame) {
 	w.lastRecvNS = now
 	if t := fr.Telemetry; t != nil && t.EchoPingUnixNS != 0 && t.EchoRecvUnixNS != 0 && t.SentUnixNS != 0 {
@@ -434,6 +442,12 @@ func (f *fleet) frame(now int64, w *remoteWorker, fr *Frame) {
 	switch fr.Type {
 	case TypeHeartbeat:
 	case TypeResult:
+		w.evalNS.Observe(fr.Result.DurNS)
+		if fr.Result.Err != "" {
+			w.evalsFailed.Inc()
+		} else {
+			w.evalsOK.Inc()
+		}
 		f.result(now, w, fr.Result)
 	default:
 		f.dead(now, w, fmt.Errorf("dist: protocol violation: %s frame from worker %s", fr.Type, w.name))

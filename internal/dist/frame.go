@@ -32,7 +32,7 @@ import (
 // ProtocolVersion is the wire protocol version carried as the first
 // byte of every frame. A peer speaking a different version is rejected
 // at the first frame, before any payload byte is read.
-const ProtocolVersion = 7
+const ProtocolVersion = 8
 
 // MaxFramePayload bounds the payload of one frame. The decoder rejects
 // larger length prefixes before allocating, so a corrupt or hostile peer
@@ -135,14 +135,11 @@ type HeartbeatMsg struct {
 	PingUnixNS int64
 }
 
-// TelemetryMsg is worker observability riding on a frame the worker
-// sends anyway — a result, or a heartbeat while idle. Counters and
-// histograms carry deltas since the previous frame that had telemetry
-// (merging is additive on the coordinator); gauges carry absolute
-// values. The echo fields implement the NTP-style clock-offset
-// exchange: t1 = EchoPingUnixNS (coordinator send), t2 = EchoRecvUnixNS
-// (worker receive), t3 = SentUnixNS (worker send), t4 = coordinator
-// receive.
+// TelemetryMsg is the clock-offset echo riding the first frame a worker
+// sends after a coordinator heartbeat ping — a result, or a heartbeat
+// while idle. It implements the NTP-style exchange: t1 = EchoPingUnixNS
+// (coordinator send), t2 = EchoRecvUnixNS (worker receive), t3 =
+// SentUnixNS (worker send), t4 = coordinator receive.
 type TelemetryMsg struct {
 	// SentUnixNS is the worker's wall clock at frame send time (t3).
 	SentUnixNS int64
@@ -151,12 +148,6 @@ type TelemetryMsg struct {
 	EchoPingUnixNS int64
 	// EchoRecvUnixNS is the worker clock when that ping arrived (t2).
 	EchoRecvUnixNS int64
-	// Counters holds counter increments since the last telemetry.
-	Counters map[string]int64
-	// Gauges holds the absolute values of gauges that changed.
-	Gauges map[string]WireFloat
-	// Hists holds histogram bucket-count deltas since the last telemetry.
-	Hists map[string]obs.HistDump
 }
 
 // Frame is one protocol message: a type tag plus the payload matching

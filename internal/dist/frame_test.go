@@ -14,23 +14,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"simcal/internal/obs"
 )
 
-// testTelemetry is a telemetry passenger exercising every member, with
-// a non-finite gauge.
+// testTelemetry is a telemetry passenger: a clock-sync echo.
 func testTelemetry() *TelemetryMsg {
-	return &TelemetryMsg{
-		SentUnixNS:     1000,
-		EchoPingUnixNS: 900,
-		EchoRecvUnixNS: 950,
-		Counters:       map[string]int64{"worker.evals_ok": 3},
-		Gauges:         map[string]WireFloat{"worker.inflight_leases": 2, "weird": WireFloat(math.NaN())},
-		Hists: map[string]obs.HistDump{
-			"worker.eval_ns": {Count: 3, Sum: 300, Min: 50, Max: 150, Buckets: map[int]int64{6: 1, 7: 2}},
-		},
-	}
+	return &TelemetryMsg{SentUnixNS: 1000, EchoPingUnixNS: 900, EchoRecvUnixNS: 950}
 }
 
 // testFrames is one valid frame of every type — result and heartbeat
@@ -102,18 +90,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		if want := f.Telemetry; want != nil {
 			tm := got.Telemetry
-			if tm.SentUnixNS != want.SentUnixNS || tm.EchoPingUnixNS != want.EchoPingUnixNS || tm.EchoRecvUnixNS != want.EchoRecvUnixNS {
-				t.Errorf("telemetry stamps round-trip = %+v, want %+v", tm, want)
-			}
-			if tm.Counters["worker.evals_ok"] != 3 {
-				t.Errorf("telemetry counters = %v", tm.Counters)
-			}
-			if !math.IsNaN(float64(tm.Gauges["weird"])) {
-				t.Errorf("telemetry NaN gauge = %v", tm.Gauges["weird"])
-			}
-			h := tm.Hists["worker.eval_ns"]
-			if h.Count != 3 || h.Buckets[7] != 2 {
-				t.Errorf("telemetry hist round-trip = %+v", h)
+			if *tm != *want {
+				t.Errorf("telemetry round-trip = %+v, want %+v", tm, want)
 			}
 		}
 	}
@@ -199,7 +177,7 @@ var (
 	leasePayload     = payload(tLease, 1, 0, "", 0)
 	resultPayload    = payload(tResult, 1, 0, 0.0, "", "", int64(0), int64(0), byte(0))
 	heartbeatPayload = payload(tHeartbeat, byte(0), byte(0))
-	telemetryMembers = payload(int64(1), int64(0), int64(0), 0, 0, 0)
+	telemetryMembers = payload(int64(1), int64(0), int64(0))
 )
 
 func TestDecodeFrameRejectsMalformed(t *testing.T) {
@@ -239,6 +217,7 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 		{"bad crc", append(header(ProtocolVersion, 2), '{', '}'), "checksum"},
 		{"version 4 header", append(header(4, 2), '{', '}'), "protocol version 4"},
 		{"version 6 header", append(header(6, 3), heartbeatPayload...), "protocol version 6"},
+		{"version 7 header", append(header(7, 3), heartbeatPayload...), "protocol version 7"},
 		// What a member the layout has no place for becomes: bytes after
 		// the frame's last member.
 		{"lease attempt", join(leasePayload, payload(1)), "trailing bytes"},
@@ -249,6 +228,8 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 		{"telemetry on a hello", join(helloPayload, payload(byte(1)), telemetryMembers), "trailing bytes"},
 		{"telemetry on a lease", join(leasePayload, payload(byte(1)), telemetryMembers), "trailing bytes"},
 		{"telemetry events member", join(payload(tHeartbeat, byte(0), byte(1)), telemetryMembers, payload(0)), "trailing bytes"},
+		// Protocol v7's metric maps after the echo.
+		{"telemetry metric maps", join(payload(tResult, 1, 0, 0.0, "", "", int64(0), int64(0), byte(1)), telemetryMembers, payload(1, "c", int64(1), 0, 0)), "trailing bytes"},
 		{"heartbeat extra payload", join(payload(tHeartbeat, byte(1), int64(1), byte(0)), resultPayload[1:]), "trailing bytes"},
 		{"unknown type", wrapPayload(payload(byte(5))), "unknown frame type byte 5"},
 		{"telemetry frame type", wrapPayload(payload(byte(0xff), telemetryMembers)), "unknown frame type byte 255"},
@@ -264,10 +245,6 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 		{"telemetry presence byte 2", wrapPayload(payload(tHeartbeat, byte(0), byte(2))), "presence byte 2"},
 		{"repeated key", wrapPayload(payload(tLease, 1, 0, "", 2, "x", 1.0, "x", 2.0)), "out of order or repeated"},
 		{"keys out of order", wrapPayload(payload(tLease, 1, 0, "", 2, "y", 1.0, "x", 2.0)), "out of order or repeated"},
-		{"repeated bucket", join(payload(tHeartbeat, byte(0), byte(1), int64(1), int64(0), int64(0), 0, 0, 1, "h"),
-			payload(int64(2), int64(2), int64(1), int64(1), 2, int64(6), int64(1), int64(6), int64(1))), "out of order or repeated"},
-		{"buckets out of order", join(payload(tHeartbeat, byte(0), byte(1), int64(1), int64(0), int64(0), 0, 0, 1, "h"),
-			payload(int64(2), int64(2), int64(1), int64(1), 2, int64(7), int64(1), int64(6), int64(1))), "out of order or repeated"},
 		{"oversize count", wrapPayload(payload(tLease, 1, 0, "", 1000, "x", 1.0)), "count 1000 exceeds"},
 		{"oversize length", wrapPayload(payload(tHello, 1000, "x", int64(0))), "length 1000 exceeds"},
 		{"oversize spec length", wrapPayload(payload(tLease, 1, 0, uint64(1<<40), 0)), "length 1099511627776 exceeds"},
@@ -358,7 +335,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(json(`{"type":"heartbeat","type":"heartbeat"}`))
 	f.Add(json(`{"Type":"heartbeat"}`))
 	f.Add(json(`{"typ\u0065":"heartbeat","telemetry":{"sent_unix_ns":1,"counters":{"a\u003cb\u2028\ud83d\ude00":2}}}`))
-	// Binary seeds, one per rejection rule of the layout.
+	// Binary seeds, one per rejection rule of the layout. The two after
+	// the key-order seeds are v7 passengers, whose histogram maps now
+	// follow the echo as trailing bytes.
 	hist := payload(tHeartbeat, byte(0), byte(1), int64(1), int64(0), int64(0), 0, 0, 1, "h", int64(2), int64(2), int64(1), int64(1), 2)
 	for _, p := range [][]byte{
 		payload(byte(5)),                                                        // unknown type byte
@@ -368,17 +347,19 @@ func FuzzDecodeFrame(f *testing.F) {
 		payload(tHeartbeat, byte(2), byte(0)),                                   // presence byte 2
 		payload(tLease, 1, 0, "", 2, "x", 1.0, "x", 2.0),                        // repeated key
 		payload(tLease, 1, 0, "", 2, "y", 1.0, "x", 2.0),                        // keys out of order
-		payload(hist, int64(6), int64(1), int64(6), int64(1)),                   // repeated bucket
-		payload(hist, int64(7), int64(1), int64(6), int64(1)),                   // buckets out of order
+		payload(hist, int64(6), int64(1), int64(6), int64(1)),                   // v7 metric maps
+		payload(hist, int64(7), int64(1), int64(6), int64(1)),                   // v7 metric maps
 		payload(tLease, 1, 0, "", 1000, "x", 1.0),                               // oversize count
 		payload(tHello, 1000, "x", int64(0)),                                    // oversize length
 		payload(tHello),                                                         // truncated
 	} {
 		f.Add(wrapPayload(p))
 	}
-	v6 := wrapPayload(heartbeatPayload)
-	v6[0] = 6
-	f.Add(v6)
+	for _, version := range []byte{6, 7} {
+		old := wrapPayload(heartbeatPayload)
+		old[0] = version
+		f.Add(old)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecoded(t, data)
 		if len(data) > FrameHeaderLen {
@@ -481,23 +462,6 @@ func floatless(f *Frame) (Frame, []uint64) {
 		r.Loss = 0
 		c.Result = &r
 	}
-	if f.Telemetry != nil {
-		t := *f.Telemetry
-		t.Gauges = zero(t.Gauges)
-		if len(t.Counters) == 0 {
-			t.Counters = nil
-		}
-		if len(t.Hists) == 0 {
-			t.Hists = nil
-		}
-		for k, h := range t.Hists {
-			if len(h.Buckets) == 0 {
-				h.Buckets = nil
-				t.Hists[k] = h
-			}
-		}
-		c.Telemetry = &t
-	}
 	return c, bits
 }
 
@@ -507,7 +471,7 @@ func floatless(f *Frame) (Frame, []uint64) {
 // included). Generated frames reach every member: ids across the uvarint
 // range, negative and zero integers, every float edge case, names and
 // errors with quotes, control bytes and invalid UTF-8, specs empty or not
-// JSON, and bucket keys to sort.
+// JSON, and point keys to sort.
 func TestFrameRoundTripGenerated(t *testing.T) {
 	frames := testFrames()
 	rng := rand.New(rand.NewPCG(34, 6))
@@ -580,33 +544,7 @@ func randomTelemetry(rng *rand.Rand) *TelemetryMsg {
 	if rng.IntN(3) == 0 {
 		return nil
 	}
-	t := &TelemetryMsg{SentUnixNS: rng.Int64(), EchoPingUnixNS: rng.Int64N(2) * rng.Int64(), EchoRecvUnixNS: rng.Int64N(2) * rng.Int64()}
-	for i := rng.IntN(4); i > 0; i-- {
-		if t.Counters == nil {
-			t.Counters = make(map[string]int64)
-		}
-		t.Counters[randomName(rng)] = rng.Int64() - rng.Int64()
-	}
-	for i := rng.IntN(4); i > 0; i-- {
-		if t.Gauges == nil {
-			t.Gauges = make(map[string]WireFloat)
-		}
-		t.Gauges[randomName(rng)] = WireFloat(randomFloat(rng))
-	}
-	for i := rng.IntN(3); i > 0; i-- {
-		if t.Hists == nil {
-			t.Hists = make(map[string]obs.HistDump)
-		}
-		h := obs.HistDump{Count: rng.Int64N(100), Sum: rng.Int64(), Min: rng.Int64N(50) - 25, Max: rng.Int64N(1 << 40)}
-		for j := rng.IntN(6); j > 0; j-- {
-			if h.Buckets == nil {
-				h.Buckets = make(map[int]int64)
-			}
-			h.Buckets[rng.IntN(80)-8] = 1 + rng.Int64N(1000)
-		}
-		t.Hists[randomName(rng)] = h
-	}
-	return t
+	return &TelemetryMsg{SentUnixNS: rng.Int64() - rng.Int64(), EchoPingUnixNS: rng.Int64N(2) * rng.Int64(), EchoRecvUnixNS: rng.Int64N(2) * rng.Int64()}
 }
 
 // randomFloat draws ordinary values of every magnitude and the edge
@@ -680,7 +618,7 @@ func TestDecodeFrameChaosMutations(t *testing.T) {
 // its LeaseMsg and its cleared point map; the point keys are interned
 // and the spec equals the previous lease's, so neither is copied. A
 // result is decoded into the recycled frame (recycle), ResultMsg and
-// telemetry message, maps and bucket maps.
+// telemetry message.
 func TestCodecSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")

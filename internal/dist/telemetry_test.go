@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -98,39 +97,57 @@ func workerEvalRecords(t *testing.T, tracer *obs.Tracer, buf *syncBuffer) []obs.
 	return out
 }
 
+// sameSeries reports how the coordinator's {worker=} evaluation series
+// of worker differ from the worker's own, or "" when they are equal:
+// the histogram's count, sum, min, max and every bucket, and both
+// outcome counters.
+func sameSeries(coord, own *obs.Registry, worker string) string {
+	series := func(name string) string { return obs.LabeledName(name, "worker", worker) }
+	ch, wh := coord.Histogram(series("worker.eval_ns")), own.Histogram("worker.eval_ns")
+	if cs, ws := ch.Stat(), wh.Stat(); cs != ws || ch.Buckets() != wh.Buckets() {
+		return fmt.Sprintf("worker.eval_ns: coordinator %+v %v, worker %+v %v", cs, ch.Buckets(), ws, wh.Buckets())
+	}
+	for _, name := range []string{"worker.evals_ok", "worker.evals_failed"} {
+		if c, w := coord.Counter(series(name)).Value(), own.Counter(name).Value(); c != w {
+			return fmt.Sprintf("%s: coordinator %d, worker %d", name, c, w)
+		}
+	}
+	return ""
+}
+
 // TestTelemetryEndToEnd runs evaluations through a loopback fleet and
-// asserts the contract of telemetry riding the result frame: the moment
-// Run returns, that evaluation's worker metrics are in the coordinator's
-// registry under worker-labeled names and its dist_worker_eval event is
-// in the coordinator's trace, tagged with the worker name, the lease ID
-// and the run's trace ID. Nothing here sleeps or polls: absorbed before
-// delivered is a happens-before, not a convergence.
+// asserts the contract of what the result frame carries: the moment
+// Run returns, the coordinator's worker.eval_ns{worker=} and outcome
+// counters equal the worker's own series exactly, derived from the
+// timing and error of the result frames, and that evaluation's
+// dist_worker_eval event is in the coordinator's trace, tagged with the
+// worker name, the lease ID and the run's trace ID. Nothing here sleeps
+// or polls: counted before delivered is a happens-before, not a
+// convergence.
 func TestTelemetryEndToEnd(t *testing.T) {
 	const evals = 5
-	reg := obs.NewRegistry()
+	reg, wreg := obs.NewRegistry(), obs.NewRegistry()
 	var traceBuf syncBuffer
 	tracer := obs.NewTracer(&traceBuf)
 	coord := startOneWorker(t,
 		CoordinatorConfig{Name: "coord", Registry: reg, Tracer: tracer, TraceID: "run-1", HeartbeatEvery: 5 * time.Millisecond},
-		WorkerConfig{Name: "w1", Capacity: 2, Factory: sameFactory})
+		WorkerConfig{Name: "w1", Capacity: 2, Factory: sameFactory, Registry: wreg})
 
 	histName := obs.LabeledName("worker.eval_ns", "worker", "w1")
-	okName := obs.LabeledName("worker.evals_ok", "worker", "w1")
-	inflightName := obs.LabeledName("worker.inflight_leases", "worker", "w1")
 	ev := coord.Evaluator([]byte(`{"test":true}`))
+	run := func(p core.Point) {
+		t.Helper()
+		if _, err := ev.Run(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameSeries(reg, wreg, "w1"); diff != "" {
+			t.Fatalf("after an evaluation the series differ: %s", diff)
+		}
+	}
 	for i := 1; i <= evals; i++ {
-		if _, err := ev.Run(context.Background(), core.Point{"x": float64(i), "y": 1}); err != nil {
-			t.Fatalf("eval %d: %v", i, err)
-		}
-		snap := reg.Snapshot()
-		if got := snap.Histograms[histName].Count; got != int64(i) {
+		run(core.Point{"x": float64(i), "y": 1})
+		if got := reg.Histogram(histName).Stat().Count; got != int64(i) {
 			t.Fatalf("after %d evaluations the fleet eval histogram holds %d", i, got)
-		}
-		if got := snap.Counters[okName]; got != int64(i) {
-			t.Fatalf("after %d evaluations %s = %d", i, okName, got)
-		}
-		if got := snap.Gauges[inflightName]; got != 0 {
-			t.Fatalf("after %d sequential evaluations %s = %v, want 0", i, inflightName, got)
 		}
 		if got := len(workerEvalRecords(t, tracer, &traceBuf)); got != i {
 			t.Fatalf("after %d evaluations the trace holds %d dist_worker_eval records", i, got)
@@ -170,18 +187,14 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("no clock-offset estimate: %+v", coord.Status())
 		}
-		if _, err := ev.Run(context.Background(), core.Point{"x": 0, "y": 1}); err != nil {
-			t.Fatal(err)
-		}
+		run(core.Point{"x": 0, "y": 1})
 		n++
 	}
 	if st := coord.Status(); len(st.Workers) != 1 || st.Workers[0].Name != "w1" {
 		t.Errorf("status workers = %+v, want w1 alone", st.Workers)
 	}
 	// From here on every event carries the estimate.
-	if _, err := ev.Run(context.Background(), core.Point{"x": 0, "y": 2}); err != nil {
-		t.Fatal(err)
-	}
+	run(core.Point{"x": 0, "y": 2})
 	recs := workerEvalRecords(t, tracer, &traceBuf)
 	if len(recs) != n+1 {
 		t.Fatalf("trace holds %d dist_worker_eval records after %d evaluations", len(recs), n+1)
@@ -213,6 +226,65 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 	if snap.Histograms[histName].Sum <= 0 {
 		t.Errorf("fleet eval histogram sum = %d, want > 0", snap.Histograms[histName].Sum)
+	}
+}
+
+// TestFramesCarryNoRegistryState: a worker whose registry moves many
+// metrics per evaluation sends the same result frames, byte for byte,
+// as a worker with an empty registry. What the coordinator knows of a
+// worker's metrics is what the frames carry anyway.
+func TestFramesCarryNoRegistryState(t *testing.T) {
+	const evals = 20
+	results := func(reg *obs.Registry, sim core.Simulator) [][]byte {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		w, err := NewWorker(WorkerConfig{
+			Name: "w", Clock: NewManualClock(frozenTime), Registry: reg,
+			Factory: func([]byte) (core.Simulator, error) { return sim, nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := newScriptConn()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_ = w.Run(ctx, conn)
+		}()
+		conn.queue(&Frame{Type: TypeHello, Hello: &HelloMsg{Name: "test"}})
+		var frames [][]byte
+		for i := uint64(1); i <= evals; i++ {
+			conn.in <- leaseBytes(i, float64(i), 1)
+			<-conn.results
+			conn.sendMu.Lock()
+			frames = append(frames, bytes.Clone(conn.out))
+			conn.sendMu.Unlock()
+		}
+		cancel()
+		awaitRun(t, done, "after its context ended")
+		return frames
+	}
+	loss := func(p core.Point) float64 { return p["x"] * p["y"] }
+	quiet := results(obs.NewRegistry(), core.Evaluator(func(_ context.Context, p core.Point) (float64, error) {
+		return loss(p), nil
+	}))
+	busy := obs.NewRegistry()
+	moved := 0
+	noisy := results(busy, core.Evaluator(func(_ context.Context, p core.Point) (float64, error) {
+		moved++
+		for i := 0; i < 32; i++ {
+			busy.Counter(fmt.Sprintf("noise.count_%d", i)).Add(int64(moved))
+			busy.Gauge(fmt.Sprintf("noise.gauge_%d", i)).Set(float64(moved) / 3)
+			busy.Histogram(fmt.Sprintf("noise.hist_%d_ns", i)).Observe(int64(moved) << i)
+		}
+		return loss(p), nil
+	}))
+	for i := range quiet {
+		if !bytes.Equal(noisy[i], quiet[i]) {
+			t.Fatalf("result %d: %d bytes from the busy registry's worker, %d from the empty one's:\n%x\n%x",
+				i+1, len(noisy[i]), len(quiet[i]), noisy[i], quiet[i])
+		}
 	}
 }
 
@@ -278,8 +350,7 @@ func TestClockOffset(t *testing.T) {
 // TestInflightGaugeSettlesAtZero: a capacity-8 worker whose eight
 // evaluations finish together publishes its in-flight count in the
 // order the evaluations moved it, so once every evaluation has been
-// answered the gauge reads 0 — in the worker's own registry and, through
-// the deltas its result frames carried, in the coordinator's.
+// answered the worker's own gauge reads 0.
 func TestInflightGaugeSettlesAtZero(t *testing.T) {
 	const capacity, rounds = 8, 200
 	// Each round's evaluations wait for one another and return at once.
@@ -298,12 +369,12 @@ func TestInflightGaugeSettlesAtZero(t *testing.T) {
 			return 1, nil
 		}), nil
 	}
-	reg, wreg := obs.NewRegistry(), obs.NewRegistry()
+	wreg := obs.NewRegistry()
 	coord := startOneWorker(t,
-		CoordinatorConfig{Name: "coord", Registry: reg},
+		CoordinatorConfig{Name: "coord"},
 		WorkerConfig{Name: "w1", Capacity: capacity, Factory: together, Registry: wreg})
 	ev := coord.Evaluator([]byte(`{"test":true}`))
-	own, fleet := wreg.Gauge("worker.inflight_leases"), reg.Gauge(obs.LabeledName("worker.inflight_leases", "worker", "w1"))
+	own := wreg.Gauge("worker.inflight_leases")
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
 		for i := 0; i < capacity; i++ {
@@ -316,85 +387,8 @@ func TestInflightGaugeSettlesAtZero(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if own.Value() != 0 || fleet.Value() != 0 {
-			t.Fatalf("round %d: nothing is in flight, yet the worker's gauge reads %v and the coordinator's %v", round, own.Value(), fleet.Value())
+		if own.Value() != 0 {
+			t.Fatalf("round %d: nothing is in flight, yet the worker's gauge reads %v", round, own.Value())
 		}
-	}
-}
-
-// TestNaNGaugeSentOnce: a gauge rides the first frame after it changes
-// and no later one — NaN included, which equals nothing, itself
-// neither, so a value comparison would resend it on every frame and an
-// idle worker's heartbeat would never be bare.
-func TestNaNGaugeSentOnce(t *testing.T) {
-	reg := obs.NewRegistry()
-	w, err := NewWorker(WorkerConfig{Name: "w1", Factory: sameFactory, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := w.newSession(nil)
-	sess.delta() // the worker's own gauge, sent once
-	reg.Gauge("weird").Set(math.NaN())
-	carried := 0
-	for i := 0; i < 3; i++ {
-		if tm := sess.delta(); tm != nil {
-			if v, ok := tm.Gauges["weird"]; ok {
-				carried++
-				if !math.IsNaN(float64(v)) {
-					t.Errorf("passenger %d carries weird = %v, want NaN", i, v)
-				}
-			}
-		}
-	}
-	if carried != 1 {
-		t.Errorf("%d of three passengers carry the NaN gauge, want exactly one", carried)
-	}
-	if tm := sess.delta(); tm != nil {
-		t.Errorf("nothing moved, yet the passenger is %+v", tm)
-	}
-}
-
-// TestSessionDeltaReadsOnlyWhatMoved: once every metric has been sent,
-// taking a delta allocates nothing — whether nothing moved (no
-// passenger) or a counter and a gauge did (the passenger's maps are
-// reused) — and what it reports is the movement alone.
-func TestSessionDeltaReadsOnlyWhatMoved(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates")
-	}
-	reg := obs.NewRegistry()
-	w, err := NewWorker(WorkerConfig{Name: "w1", Factory: sameFactory, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, g, h := reg.Counter("c"), reg.Gauge("g"), reg.Histogram("h")
-	c.Add(5)
-	h.Observe(100)
-	sess := w.newSession(nil)
-	if tm := sess.delta(); tm == nil || tm.Counters["c"] != 5 || tm.Gauges["g"] != 0 || tm.Hists["h"].Count != 1 {
-		t.Fatalf("first passenger = %+v, want c 5, g 0 and one observation of h", tm)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if tm := sess.delta(); tm != nil {
-			t.Fatalf("nothing moved, yet the passenger is %+v", tm)
-		}
-	}); allocs != 0 {
-		t.Errorf("a delta with nothing moved allocates %.0f objects, want 0", allocs)
-	}
-	v := 0.0
-	if allocs := testing.AllocsPerRun(100, func() {
-		c.Inc()
-		v++
-		g.Set(v)
-		tm := sess.delta()
-		if tm == nil || len(tm.Counters) != 1 || tm.Counters["c"] != 1 || len(tm.Gauges) != 1 || tm.Gauges["g"] != WireFloat(v) || len(tm.Hists) != 0 {
-			t.Fatalf("passenger = %+v, want c +1 and g %v alone", tm, v)
-		}
-	}); allocs != 0 {
-		t.Errorf("a delta carrying a counter and a gauge allocates %.0f objects, want 0", allocs)
-	}
-	h.Observe(1 << 20)
-	if tm := sess.delta(); tm == nil || len(tm.Hists) != 1 || tm.Hists["h"].Count != 1 || tm.Hists["h"].Buckets[21] != 1 || len(tm.Hists["h"].Buckets) != 1 {
-		t.Errorf("passenger after one more observation = %+v, want h +1 in bucket 21 alone", tm)
 	}
 }

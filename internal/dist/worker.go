@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,8 +42,9 @@ type WorkerConfig struct {
 	// Registry receives the worker's own metrics (worker.eval_ns,
 	// cache hit/miss counters, the in-flight gauge). nil means a
 	// private registry; cmd/simcal-worker passes obs.Default() so the
-	// worker's own /metrics endpoint and the coordinator's fleet view
-	// report the same numbers.
+	// worker's own /metrics endpoint serves them with the simulators'
+	// metrics. None of them crosses the wire: the coordinator derives
+	// its worker.eval_ns and outcome counts from the result frames.
 	Registry *obs.Registry
 }
 
@@ -57,10 +57,7 @@ type Worker struct {
 	simsMu sync.Mutex
 	sims   map[string]core.Simulator
 
-	// Worker-side metrics, shipped to the coordinator as deltas on the
-	// frames the worker sends and served locally by its own /metrics
-	// endpoint.
-	reg             *obs.Registry
+	// Worker-side metrics, served by the worker's own /metrics endpoint.
 	evalNS          *obs.Histogram
 	evalsOK         *obs.Counter
 	evalsFailed     *obs.Counter
@@ -94,38 +91,29 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg.Registry = obs.NewRegistry()
 	}
 	w := &Worker{cfg: cfg, clock: cfg.Clock, sims: make(map[string]core.Simulator)}
-	w.reg = cfg.Registry
-	w.evalNS = w.reg.Histogram("worker.eval_ns")
-	w.evalsOK = w.reg.Counter("worker.evals_ok")
-	w.evalsFailed = w.reg.Counter("worker.evals_failed")
-	w.cacheHits = w.reg.Counter("worker.sim_cache_hits")
-	w.cacheMisses = w.reg.Counter("worker.sim_cache_misses")
-	w.sessionsResumed = w.reg.Counter("worker.sessions_resumed")
-	w.inflightGauge = w.reg.Gauge("worker.inflight_leases")
+	reg := cfg.Registry
+	w.evalNS = reg.Histogram("worker.eval_ns")
+	w.evalsOK = reg.Counter("worker.evals_ok")
+	w.evalsFailed = reg.Counter("worker.evals_failed")
+	w.cacheHits = reg.Counter("worker.sim_cache_hits")
+	w.cacheMisses = reg.Counter("worker.sim_cache_misses")
+	w.sessionsResumed = reg.Counter("worker.sessions_resumed")
+	w.inflightGauge = reg.Gauge("worker.inflight_leases")
 	return w, nil
 }
 
 // session is the sending side of one coordinator connection. Every
-// frame after the hello leaves through send, which under one mutex
-// reads what moved in the registry since the previous frame, attaches
-// it and sends — so deltas are never double-counted across the
+// frame after the hello leaves through send, which serializes the
 // concurrent senders (one per running lease, and the heartbeat) and
-// frames carry metric readings in the order they were taken: an
-// absolute gauge value cannot be overtaken by an older one.
+// attaches the echo of the latest clock-sync ping to the first frame
+// after it.
 type session struct {
 	w    *Worker
 	conn Conn
 
 	mu sync.Mutex // held across a whole send
-	// What the frames so far reported, per metric handle: the counter
-	// value, the gauge's bits (absent: never sent), the histogram's
-	// state and its bucket-delta map, reused from frame to frame.
-	counters map[*obs.Counter]int64
-	gauges   map[*obs.Gauge]uint64
-	hists    map[*obs.Histogram]*histSent
 	// tm is the telemetry passenger, reused from frame to frame: a frame
-	// is encoded before send returns, and the next delta is taken under
-	// the same mutex.
+	// is encoded before send returns.
 	tm TelemetryMsg
 
 	// ping is the latest unechoed clock-sync ping: the coordinator's send
@@ -134,103 +122,17 @@ type session struct {
 	ping atomic.Pointer[[2]int64]
 }
 
-// histSent is one histogram's state as the frames so far reported it:
-// its cumulative count, sum and buckets, and the bucket-delta map the
-// last frame that carried it carried.
-type histSent struct {
-	count, sum int64
-	buckets    [64]int64
-	delta      map[int]int64
-}
-
-func (w *Worker) newSession(conn Conn) *session {
-	return &session{
-		w: w, conn: conn,
-		counters: make(map[*obs.Counter]int64),
-		gauges:   make(map[*obs.Gauge]uint64),
-		hists:    make(map[*obs.Histogram]*histSent),
-	}
-}
-
-// send attaches what the registry accumulated since the last frame to
-// f and sends it.
+// send sends f, carrying the echo of the latest ping if one arrived
+// since the previous frame. Each ping is echoed once.
 func (s *session) send(f *Frame) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f.Telemetry = s.delta()
+	f.Telemetry = nil
+	if p := s.ping.Swap(nil); p != nil {
+		s.tm = TelemetryMsg{SentUnixNS: s.w.clock.Now().UnixNano(), EchoPingUnixNS: p[0], EchoRecvUnixNS: p[1]}
+		f.Telemetry = &s.tm
+	}
 	return s.conn.Send(f)
-}
-
-// delta assembles a frame's telemetry: counter and histogram deltas
-// since the previous one, gauges whose value changed (gauges cross the
-// wire as absolute values), and the echo of the latest heartbeat ping.
-// It returns nil when there is nothing to report. Called with mu held.
-func (s *session) delta() *TelemetryMsg {
-	t := &s.tm
-	clear(t.Counters)
-	clear(t.Gauges)
-	clear(t.Hists)
-	t.SentUnixNS = s.w.clock.Now().UnixNano()
-	t.EchoPingUnixNS, t.EchoRecvUnixNS = 0, 0
-	s.w.reg.Each(s.read)
-	if p := s.ping.Swap(nil); p != nil { // each ping is echoed once
-		t.EchoPingUnixNS, t.EchoRecvUnixNS = p[0], p[1]
-	}
-	if len(t.Counters) == 0 && len(t.Gauges) == 0 && len(t.Hists) == 0 && t.EchoPingUnixNS == 0 {
-		return nil
-	}
-	return t
-}
-
-// read adds one metric to the passenger if it moved since the last
-// frame that carried it. A gauge is compared by its bits, so a NaN is
-// sent once, not on every frame; a histogram is read in place
-// (Histogram.DeltaSince), and sent when its count moved.
-func (s *session) read(name string, metric any) {
-	t := &s.tm
-	switch m := metric.(type) {
-	case *obs.Counter:
-		v := m.Value()
-		if last := s.counters[m]; v != last {
-			if t.Counters == nil {
-				t.Counters = make(map[string]int64)
-			}
-			t.Counters[name] = v - last
-			s.counters[m] = v
-		}
-	case *obs.Gauge:
-		v := m.Value()
-		if last, sent := s.gauges[m]; !sent || last != math.Float64bits(v) {
-			if t.Gauges == nil {
-				t.Gauges = make(map[string]WireFloat)
-			}
-			t.Gauges[name] = WireFloat(v)
-			s.gauges[m] = math.Float64bits(v)
-		}
-	case *obs.Histogram:
-		h := s.hists[m]
-		if h == nil {
-			h = &histSent{delta: make(map[int]int64)}
-			s.hists[m] = h
-		}
-		d := m.DeltaSince(&h.buckets, h.delta)
-		if d.Count == h.count {
-			// Nothing to send: the coordinator drops a delta without
-			// observations. A bucket read ahead of its count (an Observe
-			// between the two reads) goes with the next count that moves.
-			for i, n := range d.Buckets {
-				h.buckets[i] -= n
-			}
-			return
-		}
-		if t.Hists == nil {
-			t.Hists = make(map[string]obs.HistDump)
-		}
-		d.Count, d.Sum = d.Count-h.count, d.Sum-h.sum
-		h.count += d.Count
-		h.sum += d.Sum
-		t.Hists[name] = d
-	}
 }
 
 // errSessionCut is how Run reports a connection that ended without a bye
@@ -274,7 +176,7 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 
 	var lastRecv atomic.Int64
 	lastRecv.Store(w.clock.Now().UnixNano())
-	sess := w.newSession(conn)
+	sess := &session{w: w, conn: conn}
 	hbDone := make(chan struct{})
 	defer close(hbDone)
 	go w.heartbeatLoop(sess, &lastRecv, hbDone)
@@ -325,8 +227,7 @@ func (w *Worker) Run(ctx context.Context, conn Conn) error {
 }
 
 // heartbeatLoop pings the coordinator every HeartbeatEvery — which is
-// also what carries an idle worker's metric deltas and ping echoes —
-// and drops the connection after HeartbeatTimeout of silence, which
+// also what carries an idle worker's ping echo — and drops the connection after HeartbeatTimeout of silence, which
 // unblocks the read loop in Run.
 func (w *Worker) heartbeatLoop(sess *session, lastRecv *atomic.Int64, done <-chan struct{}) {
 	for {
@@ -416,9 +317,6 @@ func (w *Worker) evaluate(ctx context.Context, sess *session, msg *LeaseMsg, fr 
 	}
 	dur := w.clock.Now().Sub(start)
 	w.evalNS.ObserveDuration(dur)
-	// Every metric of this evaluation moves before its result is sent:
-	// the result frame's telemetry is what the coordinator has absorbed
-	// by the time the evaluation's caller hears of it.
 	w.addInflight(-1)
 	res := fr.Result
 	*res = ResultMsg{ID: msg.ID, Index: msg.Index, Loss: WireFloat(loss), StartUnixNS: start.UnixNano(), DurNS: int64(dur)}

@@ -96,11 +96,25 @@ const histBuckets = 64
 // nanoseconds) in power-of-two buckets. All updates are atomic; the
 // zero value is ready to use.
 type Histogram struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	min     atomic.Int64 // valid when count > 0
+	count atomic.Int64
+	sum   atomic.Int64
+	// minGap is MaxInt64 − min, so that min, like max, only ever rises
+	// from the zero value: an observation is folded in by the same
+	// monotone update whether or not it is the first. Both are valid
+	// once count > 0.
+	minGap  atomic.Int64
 	max     atomic.Int64
 	buckets [histBuckets]atomic.Int64
+}
+
+// raise lifts a to v if v is larger.
+func raise(a *atomic.Int64, v int64) {
+	for {
+		old := a.Load()
+		if v <= old || a.CompareAndSwap(old, v) {
+			return
+		}
+	}
 }
 
 // Observe records one value. Negative values are clamped to 0.
@@ -108,23 +122,9 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	if h.count.Add(1) == 1 {
-		h.min.Store(v)
-		h.max.Store(v)
-	} else {
-		for {
-			old := h.min.Load()
-			if v >= old || h.min.CompareAndSwap(old, v) {
-				break
-			}
-		}
-		for {
-			old := h.max.Load()
-			if v <= old || h.max.CompareAndSwap(old, v) {
-				break
-			}
-		}
-	}
+	h.count.Add(1)
+	raise(&h.minGap, math.MaxInt64-v)
+	raise(&h.max, v)
 	h.sum.Add(v)
 	i := 0
 	for x := v; x > 0; x >>= 1 {
@@ -136,130 +136,14 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// HistDump is the full transferable state of a histogram: the
-// cumulative counters plus the non-empty power-of-two buckets. It is
-// what crosses process boundaries in the distributed telemetry plane —
-// a worker ships bucket-count deltas, the coordinator absorbs them into
-// a fleet histogram — and it survives JSON (integer bucket indices
-// encode as string keys).
-type HistDump struct {
-	Count int64 `json:"count"`
-	Sum   int64 `json:"sum"`
-	Min   int64 `json:"min"`
-	Max   int64 `json:"max"`
-	// Buckets maps bucket index (bitlen of the observation) to count;
-	// empty buckets are omitted.
-	Buckets map[int]int64 `json:"buckets,omitempty"`
-}
-
-// Dump captures the histogram's cumulative state. Concurrent Observe
-// calls may be partially reflected, exactly as with Stat.
-func (h *Histogram) Dump() HistDump {
-	d := HistDump{Count: h.count.Load(), Sum: h.sum.Load()}
-	if d.Count == 0 {
-		return d
-	}
-	d.Min = h.min.Load()
-	d.Max = h.max.Load()
+// Buckets returns the count of every power-of-two bucket: bucket i
+// counts the observations v with bitlen(v) == i.
+func (h *Histogram) Buckets() [histBuckets]int64 {
 	var counts [histBuckets]int64
-	occupied := 0
 	for i := range h.buckets {
-		if counts[i] = h.buckets[i].Load(); counts[i] != 0 {
-			occupied++
-		}
+		counts[i] = h.buckets[i].Load()
 	}
-	if occupied > 0 {
-		// Sized once: a map grown past eight entries one at a time
-		// allocates again on the way.
-		d.Buckets = make(map[int]int64, occupied)
-		for i, n := range counts {
-			if n != 0 {
-				d.Buckets[i] = n
-			}
-		}
-	}
-	return d
-}
-
-// DeltaSince reads what moved in the buckets without building a dump:
-// it clears delta, sets delta[i] to the growth of every bucket i whose
-// count differs from last[i], and brings last up to date. It returns the
-// cumulative Count, Sum, Min and Max (as Dump has them) with Buckets set
-// to delta. A caller that keeps last and the previous header from call to
-// call gets exactly Dump().Sub(previous dump) — Count and Sum by
-// difference, the same bucket deltas — and allocates nothing once delta
-// has grown. Concurrent Observe calls may be partially reflected: what a
-// call misses, the next one reports.
-func (h *Histogram) DeltaSince(last *[histBuckets]int64, delta map[int]int64) HistDump {
-	d := HistDump{Count: h.count.Load(), Sum: h.sum.Load(), Buckets: delta}
-	if d.Count != 0 {
-		d.Min = h.min.Load()
-		d.Max = h.max.Load()
-	}
-	clear(delta)
-	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n != last[i] {
-			delta[i] = n - last[i]
-			last[i] = n
-		}
-	}
-	return d
-}
-
-// Sub returns the delta d − prev: the observations recorded after prev
-// was captured. Min and Max stay cumulative (they cannot be
-// differenced), so a delta carries the current running extremes.
-func (d HistDump) Sub(prev HistDump) HistDump {
-	out := HistDump{
-		Count: d.Count - prev.Count,
-		Sum:   d.Sum - prev.Sum,
-		Min:   d.Min,
-		Max:   d.Max,
-	}
-	for i, n := range d.Buckets {
-		if diff := n - prev.Buckets[i]; diff != 0 {
-			if out.Buckets == nil {
-				out.Buckets = make(map[int]int64)
-			}
-			out.Buckets[i] = diff
-		}
-	}
-	return out
-}
-
-// AbsorbDelta merges a dump delta into the histogram. Negative counts
-// and out-of-range bucket indices are dropped (a telemetry peer is not
-// trusted to keep the merged state consistent), and Min/Max fold in via
-// the same monotone updates Observe uses.
-func (h *Histogram) AbsorbDelta(d HistDump) {
-	if d.Count <= 0 {
-		return
-	}
-	if h.count.Add(d.Count) == d.Count {
-		h.min.Store(d.Min)
-		h.max.Store(d.Max)
-	} else {
-		for {
-			old := h.min.Load()
-			if d.Min >= old || h.min.CompareAndSwap(old, d.Min) {
-				break
-			}
-		}
-		for {
-			old := h.max.Load()
-			if d.Max <= old || h.max.CompareAndSwap(old, d.Max) {
-				break
-			}
-		}
-	}
-	if d.Sum > 0 {
-		h.sum.Add(d.Sum)
-	}
-	for i, n := range d.Buckets {
-		if i >= 0 && i < histBuckets && n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
+	return counts
 }
 
 // HistStat is a point-in-time summary of a histogram. Quantiles are
@@ -291,13 +175,12 @@ func (h *Histogram) Stat() HistStat {
 	if st.Count == 0 {
 		return st
 	}
-	st.Min = h.min.Load()
+	st.Min = math.MaxInt64 - h.minGap.Load()
 	st.Max = h.max.Load()
-	var counts [histBuckets]int64
+	counts := h.Buckets()
 	var total int64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
+	for _, n := range counts {
+		total += n
 	}
 	quantile := func(q float64) int64 {
 		target := int64(math.Ceil(q * float64(total)))
@@ -333,14 +216,7 @@ type Registry struct {
 	counters  map[string]*Counter
 	gauges    map[string]*Gauge
 	hists     map[string]*Histogram
-	all       []registered // every metric in registration order; append-only
 	published bool
-}
-
-// registered is one metric of a Registry: its name and its handle.
-type registered struct {
-	name   string
-	metric any
 }
 
 // NewRegistry returns an empty registry.
@@ -367,7 +243,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counters[name] = c
-		r.all = append(r.all, registered{name, c})
 	}
 	return c
 }
@@ -380,7 +255,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[name] = g
-		r.all = append(r.all, registered{name, g})
 	}
 	return g
 }
@@ -393,23 +267,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if !ok {
 		h = &Histogram{}
 		r.hists[name] = h
-		r.all = append(r.all, registered{name, h})
 	}
 	return h
-}
-
-// Each calls fn with the name and handle — a *Counter, *Gauge or
-// *Histogram — of every metric registered when it is called, in
-// registration order. fn runs outside the registry's lock. Each is how
-// a reader that keeps what it last saw per handle (a worker's telemetry
-// session) finds what moved without building a Snapshot.
-func (r *Registry) Each(fn func(name string, metric any)) {
-	r.mu.Lock()
-	all := r.all // append-only: the prefix it covers never changes
-	r.mu.Unlock()
-	for _, m := range all {
-		fn(m.name, m.metric)
-	}
 }
 
 // Snapshot is a point-in-time copy of every metric in a registry,
