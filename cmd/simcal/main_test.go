@@ -296,7 +296,7 @@ func TestTraceThenReplay(t *testing.T) {
 	dir := t.TempDir()
 	trace, ck := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "ck.jsonl")
 	out := simcal(t, "-case", "wf", "-alg", "RAND", "-evals", "12", "-seed", "3", "-trace", trace, "-checkpoint", ck, "-metrics")
-	if !strings.Contains(out, "metrics:\n") || !strings.Contains(out, "cal.evaluations") {
+	if !strings.Contains(out, "metrics:\n") || !strings.Contains(out, "cal.eval_ns") {
 		t.Errorf("-metrics printed no snapshot:\n%s", out)
 	}
 	f, err := os.Open(trace)

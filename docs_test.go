@@ -202,3 +202,109 @@ func TestREADMETraceSchemaMatchesEvents(t *testing.T) {
 		}
 	}
 }
+
+// registeredMetrics parses the module's non-test Go files and returns
+// the series names they register: the string literals passed to a
+// Counter, Gauge or Histogram call, directly or through a series(…) or
+// LabeledName(…) call whose first argument is the name (the label is
+// added at run time).
+func registeredMetrics(t *testing.T) map[string]bool {
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Counter" && sel.Sel.Name != "Gauge" && sel.Sel.Name != "Histogram" {
+				return true
+			}
+			arg := call.Args[0]
+			if inner, ok := arg.(*ast.CallExpr); ok && len(inner.Args) > 0 {
+				arg = inner.Args[0]
+			}
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				v, _ := strconv.Unquote(lit.Value)
+				names[v] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) == 0 {
+		t.Fatal("no Go file registers a metric")
+	}
+	return names
+}
+
+// metricDocs returns the code spans, each without a {…} label, of the
+// two places the metric names are documented: README.md's paragraphs
+// that speak of metrics, and DESIGN.md §8's "Metric names" table.
+func metricDocs(t *testing.T) map[string][]string {
+	var readme []string
+	for _, para := range strings.Split(readFile(t, "README.md"), "\n\n") {
+		if strings.Contains(strings.ToLower(para), "metric") {
+			readme = append(readme, para)
+		}
+	}
+	_, table, ok := strings.Cut(readFile(t, "DESIGN.md"), "\n### Metric names\n")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "### Metric names" section`)
+	}
+	table, _, _ = strings.Cut(table, "\n#")
+	spans := map[string][]string{}
+	for doc, text := range map[string]string{"README.md": strings.Join(readme, "\n\n"), "DESIGN.md §8": table} {
+		for _, m := range codeSpan.FindAllStringSubmatch(text, -1) {
+			name, _, _ := strings.Cut(m[1], "{")
+			spans[doc] = append(spans[doc], name)
+		}
+	}
+	return spans
+}
+
+var dottedName = regexp.MustCompile(`^([a-z]+)\.[a-z_]+$`)
+
+// Every metric name README.md's metric paragraphs and DESIGN.md §8's
+// table put in backticks in dot form (under a prefix some registered
+// name has) is registered by the program, and every registered name is
+// documented in one of the two.
+func TestDocsMetricNamesAreRegistered(t *testing.T) {
+	registered := registeredMetrics(t)
+	prefixes := map[string]bool{}
+	for name := range registered {
+		if m := dottedName.FindStringSubmatch(name); m != nil {
+			prefixes[m[1]] = true
+		}
+	}
+	documented := map[string]bool{}
+	for doc, spans := range metricDocs(t) {
+		for _, name := range spans {
+			documented[name] = true
+			if m := dottedName.FindStringSubmatch(name); m != nil && prefixes[m[1]] && !registered[name] {
+				t.Errorf("%s names the metric `%s`, which no Go file registers", doc, name)
+			}
+		}
+	}
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("the metric `%s` is registered but named in neither README.md's metric paragraphs nor DESIGN.md §8's table", name)
+		}
+	}
+}

@@ -15,8 +15,12 @@
 // check that the algorithm never had more submissions in flight than
 // Calibrator.Workers.
 //
+// Every cell also checks a metric law (laws.go): what the run's observer
+// counted is what its result reports.
+//
 // `go test` runs the whole product; `go test -short` runs a pairwise
-// subset (see inShort). The package has test files only.
+// subset (see inShort). Outside its tests the package holds only the
+// metric laws, which other packages' tests check too.
 package conformance
 
 import (
@@ -152,7 +156,8 @@ func (c *calibration) evals() int { return max(2*len(c.space), 8) + 8 }
 var frozen = time.Unix(42, 0)
 
 // calibrator configures the row over sim at the given width, with a
-// fresh instance of its algorithm, a frozen clock and a window observer.
+// fresh instance of its algorithm, a frozen clock and a window observer
+// over a registry of its own.
 func (c *calibration) calibrator(t *testing.T, sim core.Simulator, workers int) *core.Calibrator {
 	t.Helper()
 	alg, err := opt.ByName(c.alg)
@@ -163,16 +168,23 @@ func (c *calibration) calibrator(t *testing.T, sim core.Simulator, workers int) 
 		Space: c.space, Simulator: sim, Algorithm: alg,
 		MaxEvaluations: c.evals(), Workers: workers, Seed: 7,
 		Clock:    func() time.Time { return frozen },
-		Observer: &window{Observer: core.NewObsObserver(nil, nil)},
+		Observer: newWindow(),
 	}
 }
 
 // window observes an asynchronous algorithm's submissions and
 // consumptions — both on its driver goroutine — and keeps the most it
-// had in flight at once.
+// had in flight at once. Everything else goes to core's observer, which
+// keeps the calibration's metrics in reg.
 type window struct {
 	core.Observer
+	reg            *obs.Registry
 	inFlight, peak int
+}
+
+func newWindow() *window {
+	reg := obs.NewRegistry()
+	return &window{Observer: core.NewObsObserver(reg, nil), reg: reg}
 }
 
 func (w *window) AsyncProposed(int, int, time.Duration) {
@@ -201,6 +213,11 @@ func (c *calibration) run(t *testing.T, cal *core.Calibrator) run {
 		t.Fatal(err)
 	}
 	w, _ := cal.Observer.(*window)
+	if w != nil {
+		if err := CheckEvaluations(w.reg, res.Evaluations); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return run{res: res, alg: cal.Algorithm, workers: cal.Workers, window: w}
 }
 
@@ -351,11 +368,15 @@ func withPolicy(t *testing.T, c *calibration, fleets map[string]*dist.Coordinato
 // serviceJob submits the row over HTTP to a calibration service
 // deployed as simcald deploys one by default — a cross-job cache, every
 // evaluation leased to a shared fleet (loopback-2) under the job's ID —
-// and reads its result back from the job API.
+// and reads its result back from the job API. The job's
+// svc.job_evals counts what its result reports, as cal.eval_ns does in
+// the other cells.
 func serviceJob(t *testing.T, c *calibration, fleets map[string]*dist.Coordinator) run {
 	algs := make(chan core.Algorithm, 1)
 	fleet := fleets["loopback-2"]
+	reg := obs.NewRegistry()
 	svc, err := service.NewServer(service.Config{
+		Registry: reg,
 		Backend: func(job string, spec json.RawMessage) (core.Simulator, error) {
 			return fleet.JobEvaluator(job, spec), nil
 		},
@@ -413,6 +434,9 @@ func serviceJob(t *testing.T, c *calibration, fleets map[string]*dist.Coordinato
 	res, err := core.ReadResult(resp.Body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := reg.Counter(obs.LabeledName("svc.job_evals", "job", st.ID)).Value(); n != int64(res.Evaluations) {
+		t.Fatalf("svc.job_evals counts %d evaluations, the result reports %d", n, res.Evaluations)
 	}
 	// The service runs its jobs on the wall clock, which no request can
 	// freeze: its elapsed times are zeroed, as the reference's are.

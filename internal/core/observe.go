@@ -148,20 +148,12 @@ type FaultObserver interface {
 }
 
 // obsObserver bridges Observer callbacks into an obs.Registry and an
-// obs.Tracer (which may be nil: a nil tracer skips trace records).
+// obs.Tracer (which may be nil: a nil tracer skips trace records). Each
+// quantity has one series: a histogram's count and sum are the number of
+// calls and their total, so no counter restates them.
 type obsObserver struct {
 	tracer *obs.Tracer
-	start  time.Time
 
-	evals       *obs.Counter
-	batches     *obs.Counter
-	improves    *obs.Counter
-	fits        *obs.Counter
-	acqs        *obs.Counter
-	busyNS      *obs.Counter
-	waitNS      *obs.Counter
-	fitNS       *obs.Counter
-	predictNS   *obs.Counter
 	incFits     *obs.Counter
 	prefixRows  *obs.Counter
 	cholRetries *obs.Counter
@@ -176,7 +168,6 @@ type obsObserver struct {
 	checkpoints *obs.Counter
 	ckptUnix    *obs.Gauge
 	bestLoss    *obs.Gauge
-	evalRate    *obs.Gauge
 	evalHist    *obs.Histogram
 	fitHist     *obs.Histogram
 	acqHist     *obs.Histogram
@@ -184,8 +175,11 @@ type obsObserver struct {
 }
 
 // NewObsObserver returns an Observer that updates calibration metrics in
-// reg (under the "cal." and "opt." prefixes) and emits the structured
-// trace events documented in the obs package (and README.md) to tracer.
+// reg (under the "cal." and "opt." prefixes; README.md lists them) and
+// emits the structured trace events documented in the obs package (and
+// README.md) to tracer. Evaluations, batches, surrogate fits and
+// acquisition solves are counted by their histograms: the counts of
+// cal.eval_ns, cal.batch_size, opt.fit_ns and opt.acquisition_ns.
 // A nil reg means a private registry, as it does for dist.NewCoordinator;
 // a nil tracer emits nothing.
 func NewObsObserver(reg *obs.Registry, tracer *obs.Tracer) Observer {
@@ -194,16 +188,6 @@ func NewObsObserver(reg *obs.Registry, tracer *obs.Tracer) Observer {
 	}
 	return &obsObserver{
 		tracer:      tracer,
-		start:       time.Now(),
-		evals:       reg.Counter("cal.evaluations"),
-		batches:     reg.Counter("cal.batches"),
-		improves:    reg.Counter("cal.incumbent_improvements"),
-		fits:        reg.Counter("opt.surrogate_fits"),
-		acqs:        reg.Counter("opt.acquisition_solves"),
-		busyNS:      reg.Counter("cal.worker_busy_ns"),
-		waitNS:      reg.Counter("cal.batch_queue_wait_ns"),
-		fitNS:       reg.Counter("opt.surrogate_fit_ns"),
-		predictNS:   reg.Counter("opt.surrogate_predict_ns"),
 		incFits:     reg.Counter("opt.surrogate_incremental_fits"),
 		prefixRows:  reg.Counter("opt.surrogate_prefix_rows_reused"),
 		cholRetries: reg.Counter("opt.surrogate_chol_retries"),
@@ -218,7 +202,6 @@ func NewObsObserver(reg *obs.Registry, tracer *obs.Tracer) Observer {
 		checkpoints: reg.Counter("checkpoints_written"),
 		ckptUnix:    reg.Gauge("cal.checkpoint_unix_ns"),
 		bestLoss:    reg.Gauge("cal.best_loss"),
-		evalRate:    reg.Gauge("cal.evals_per_sec"),
 		evalHist:    reg.Histogram("cal.eval_ns"),
 		fitHist:     reg.Histogram("opt.fit_ns"),
 		acqHist:     reg.Histogram("opt.acquisition_ns"),
@@ -228,7 +211,6 @@ func NewObsObserver(reg *obs.Registry, tracer *obs.Tracer) Observer {
 
 // CalibrationStarted implements Observer.
 func (o *obsObserver) CalibrationStarted(info RunInfo) {
-	o.start = time.Now()
 	o.tracer.EmitManifest(obs.Manifest{
 		Algorithm: info.Algorithm,
 		Space:     info.Space,
@@ -247,20 +229,13 @@ func (o *obsObserver) CalibrationStarted(info RunInfo) {
 
 // BatchProposed implements Observer.
 func (o *obsObserver) BatchProposed(size int) {
-	o.batches.Inc()
 	o.batchSize.Observe(int64(size))
 	o.tracer.Emit(obs.EventBatchProposed, obs.Fields{"size": size})
 }
 
 // EvalCompleted implements Observer.
 func (o *obsObserver) EvalCompleted(s Sample, wait, dur time.Duration) {
-	o.evals.Inc()
-	o.busyNS.Add(int64(dur))
-	o.waitNS.Add(int64(wait))
 	o.evalHist.ObserveDuration(dur)
-	if elapsed := time.Since(o.start).Seconds(); elapsed > 0 {
-		o.evalRate.Set(float64(o.evals.Value()) / elapsed)
-	}
 	o.tracer.Emit(obs.EventEvalCompleted, obs.Fields{
 		"loss":      s.Loss,
 		"elapsed_s": s.Elapsed.Seconds(),
@@ -279,7 +254,6 @@ func (o *obsObserver) CacheHit(s Sample) {
 
 // IncumbentImproved implements Observer.
 func (o *obsObserver) IncumbentImproved(s Sample) {
-	o.improves.Inc()
 	o.bestLoss.SetMin(s.Loss)
 	o.tracer.Emit(obs.EventIncumbentImproved, obs.Fields{
 		"loss":      s.Loss,
@@ -290,8 +264,6 @@ func (o *obsObserver) IncumbentImproved(s Sample) {
 
 // SurrogateFitted implements Observer.
 func (o *obsObserver) SurrogateFitted(points int, dur time.Duration) {
-	o.fits.Inc()
-	o.fitNS.Add(int64(dur))
 	o.fitHist.ObserveDuration(dur)
 	o.tracer.Emit(obs.EventSurrogateFitted, obs.Fields{
 		"points": points,
@@ -319,8 +291,6 @@ func (o *obsObserver) SurrogateFitDetail(d SurrogateDetail) {
 
 // AcquisitionSolved implements Observer.
 func (o *obsObserver) AcquisitionSolved(candidates int, predict, dur time.Duration) {
-	o.acqs.Inc()
-	o.predictNS.Add(int64(predict))
 	o.acqHist.ObserveDuration(dur)
 	o.tracer.Emit(obs.EventAcquisitionSolved, obs.Fields{
 		"candidates": candidates,

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -254,9 +257,30 @@ func TestLossOverTimeMonotoneParallel(t *testing.T) {
 	}
 }
 
-// TestObsObserverMetrics checks the bridge populates the registry.
+// callCounter counts the observer calls that /statusz's evaluations and
+// bo_iterations count, and passes every call on.
+type callCounter struct {
+	Observer
+	evals, batches atomic.Int64
+}
+
+func (c *callCounter) BatchProposed(size int) {
+	c.batches.Add(1)
+	c.Observer.BatchProposed(size)
+}
+
+func (c *callCounter) EvalCompleted(s Sample, wait, dur time.Duration) {
+	c.evals.Add(1)
+	c.Observer.EvalCompleted(s, wait, dur)
+}
+
+// TestObsObserverMetrics checks the bridge populates the registry, and
+// that /statusz's evaluations and bo_iterations, the counts of the
+// cal.eval_ns and cal.batch_size histograms, are the EvalCompleted and
+// BatchProposed calls the calibration made.
 func TestObsObserverMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
+	calls := &callCounter{Observer: NewObsObserver(reg, nil)}
 	c := &Calibrator{
 		Space:          testSpace,
 		Simulator:      sphereLoss(Point{"x": 1, "y": 9}),
@@ -264,23 +288,44 @@ func TestObsObserverMetrics(t *testing.T) {
 		MaxEvaluations: 16,
 		Workers:        2,
 		Seed:           5,
-		Observer:       NewObsObserver(reg, nil),
+		Observer:       calls,
 	}
 	res, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()
-	if s.Counters["cal.evaluations"] != 16 {
-		t.Fatalf("cal.evaluations = %d", s.Counters["cal.evaluations"])
-	}
-	if s.Counters["cal.batches"] != 4 {
-		t.Fatalf("cal.batches = %d", s.Counters["cal.batches"])
+	if b := s.Histograms["cal.batch_size"]; b.Count != 4 || b.Sum != 16 {
+		t.Fatalf("cal.batch_size count = %d, sum = %d; want 4 batches of 16 evaluations", b.Count, b.Sum)
 	}
 	if got := s.Gauges["cal.best_loss"]; got != res.Best.Loss {
 		t.Fatalf("cal.best_loss = %g, want %g", got, res.Best.Loss)
 	}
 	if s.Histograms["cal.eval_ns"].Count != 16 {
 		t.Fatalf("cal.eval_ns count = %d", s.Histograms["cal.eval_ns"].Count)
+	}
+
+	srv, err := obs.StartServer("127.0.0.1:0", obs.ServerConfig{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	resp, err := http.Get("http://" + srv.Addr() + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Calibration struct {
+			Evaluations  int64 `json:"evaluations"`
+			BOIterations int64 `json:"bo_iterations"`
+		} `json:"calibration"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.Calibration; got.Evaluations != calls.evals.Load() || got.BOIterations != calls.batches.Load() {
+		t.Errorf("/statusz reads %d evaluations and %d bo_iterations, the calibration made %d EvalCompleted and %d BatchProposed calls",
+			got.Evaluations, got.BOIterations, calls.evals.Load(), calls.batches.Load())
 	}
 }

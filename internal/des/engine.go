@@ -19,7 +19,6 @@ var (
 	metricRuns    = obs.Default().Counter("des.engine_runs")
 	metricEvents  = obs.Default().Counter("des.events_fired")
 	metricRemoved = obs.Default().Counter("des.events_removed")
-	metricHeapMax = obs.Default().Gauge("des.heap_depth_max")
 )
 
 // cancelBurstLimit bounds how many consecutive cancellations (with no
@@ -328,7 +327,6 @@ func (e *Engine) flushStats() {
 	e.flushed = e.fired
 	metricRemoved.Add(int64(e.removed - e.flushedRm))
 	e.flushedRm = e.removed
-	metricHeapMax.SetMax(float64(e.maxPending))
 	for _, fn := range e.runEnd {
 		fn()
 	}

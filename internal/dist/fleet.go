@@ -189,17 +189,17 @@ type fleet struct {
 	released []*watch
 	spare    []*watch
 
+	// workersConnected − workersLost is len(workers): hello counts the
+	// workers it appends, and dead, once per worker, the ones it removes.
 	workersConnected  *obs.Counter
 	workersLost       *obs.Counter
 	leasesDispatched  *obs.Counter
 	leasesRequeued    *obs.Counter
 	leasesQuarantined *obs.Counter
 	resultsDuplicate  *obs.Counter
-	workersActive     *obs.Gauge
 	degradedGauge     *obs.Gauge
 	queueWait         *obs.Histogram
 	wireRTT           *obs.Histogram
-	requeueDepth      *obs.Histogram
 }
 
 // newFleet returns an empty fleet whose grace window opens at now. cfg
@@ -216,11 +216,9 @@ func newFleet(cfg CoordinatorConfig, reg *obs.Registry, now int64) *fleet {
 		leasesRequeued:    reg.Counter("dist.leases_requeued"),
 		leasesQuarantined: reg.Counter("dist.leases_quarantined"),
 		resultsDuplicate:  reg.Counter("dist.results_duplicate"),
-		workersActive:     reg.Gauge("dist.workers_active"),
 		degradedGauge:     reg.Gauge("dist.degraded"),
 		queueWait:         reg.Histogram("dist.lease_queue_wait_ns"),
 		wireRTT:           reg.Histogram("dist.wire_rtt_ns"),
-		requeueDepth:      reg.Histogram("dist.lease_requeues"),
 	}
 }
 
@@ -410,7 +408,6 @@ func (f *fleet) hello(now int64, w *remoteWorker) {
 	w.nextPingNS = now + int64(f.cfg.HeartbeatEvery)
 	f.workers = append(f.workers, w)
 	f.workersConnected.Inc()
-	f.workersActive.Set(float64(len(f.workers)))
 	f.trace(obs.EventDistWorkerConnected, obs.Fields{
 		"worker": w.name, "capacity": w.capacity, "active": len(f.workers),
 	})
@@ -552,7 +549,6 @@ func (f *fleet) dead(now int64, w *remoteWorker, cause error) {
 			f.resolve(l, leaseOutcome{err: ErrJobCanceled})
 		default:
 			l.requeues++
-			f.requeueDepth.Observe(int64(l.requeues))
 			if l.requeues > maxRequeues {
 				quarantined = append(quarantined, l)
 				continue
@@ -565,7 +561,6 @@ func (f *fleet) dead(now int64, w *remoteWorker, cause error) {
 	clear(w.inflight)
 	w.outbox = nil
 	f.workersLost.Inc()
-	f.workersActive.Set(float64(len(f.workers)))
 	f.leasesRequeued.Add(int64(requeued))
 	f.trace(obs.EventDistWorkerDisconnected, obs.Fields{
 		"worker": w.name, "active": len(f.workers), "requeued": requeued, "cause": cause.Error(),

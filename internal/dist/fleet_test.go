@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"simcal/internal/conformance"
 	"simcal/internal/obs"
 )
 
@@ -734,6 +735,9 @@ func (s *schedule) perform() {
 		w.done = nil
 	}
 	s.f.released = s.f.released[:0]
+	if err := conformance.CheckFleetMembers(s.f.reg, len(s.f.workers)); err != nil {
+		s.fatalf("%v", err)
+	}
 	// No watch outlives its leases.
 	for done, w := range s.f.watches {
 		if w.head == nil || w.done != done {
@@ -984,7 +988,8 @@ func (s *schedule) fault() {
 // after its leases have settled), and timer ticks, with quarantine on.
 // After every event: no lease has resolved twice, no worker was dropped
 // twice, no outbox is left without a wake, no lease waits while a slot
-// is free, and no watch outlives its leases. At the end,
+// is free, no watch outlives its leases, and the fleet's connected −
+// lost workers are its members (conformance.CheckFleetMembers). At the end,
 // after a fault-free drain on one fresh worker, every lease has
 // resolved exactly once: with the loss of its own point, or
 // ErrJobCanceled if its job was canceled, or its context's error, or
@@ -999,9 +1004,10 @@ func TestFleetSeededSchedules(t *testing.T) {
 		HeartbeatTimeout: 10 * time.Second,
 		DegradedGrace:    -1,
 	}.withDefaults()
-	reg := obs.NewRegistry()
 	var total, quarantined, canceled, expired int
+	var duplicates, requeued, lost int64
 	for seed := int64(1); seed <= int64(seeds); seed++ {
+		reg := obs.NewRegistry()
 		s := &schedule{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)),
 			f: newFleet(cfg, reg, 0), leases: make(map[*lease]*simLease)}
 		s.connect(2)
@@ -1072,12 +1078,14 @@ func TestFleetSeededSchedules(t *testing.T) {
 				}
 			}
 		}
+		duplicates += reg.Counter("dist.results_duplicate").Value()
+		requeued += reg.Counter("dist.leases_requeued").Value()
+		lost += reg.Counter("dist.workers_lost").Value()
 	}
-	if quarantined == 0 || canceled == 0 || expired == 0 || reg.Counter("dist.results_duplicate").Value() == 0 {
+	if quarantined == 0 || canceled == 0 || expired == 0 || duplicates == 0 {
 		t.Errorf("the schedules never exercised a rule: %d quarantined, %d job-canceled, %d expired, %d duplicate",
-			quarantined, canceled, expired, reg.Counter("dist.results_duplicate").Value())
+			quarantined, canceled, expired, duplicates)
 	}
 	t.Logf("%d seeds × %d events: %d leases, %d quarantined, %d job-canceled, %d expired, %d requeued, %d workers lost",
-		seeds, events, total, quarantined, canceled, expired, reg.Counter("dist.leases_requeued").Value(),
-		reg.Counter("dist.workers_lost").Value())
+		seeds, events, total, quarantined, canceled, expired, requeued, lost)
 }

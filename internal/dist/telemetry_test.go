@@ -3,12 +3,14 @@ package dist
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"simcal/internal/conformance"
 	"simcal/internal/core"
 	"simcal/internal/obs"
 )
@@ -226,6 +228,77 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 	if snap.Histograms[histName].Sum <= 0 {
 		t.Errorf("fleet eval histogram sum = %d, want > 0", snap.Histograms[histName].Sum)
+	}
+}
+
+// TestCutEvaluationIsNotObserved cuts a session while an evaluation
+// runs — its simulator blocks until its context ends, which the cut
+// does — after one evaluation succeeded and one failed. The aborted
+// evaluation sends no result and counts as neither outcome, so the
+// worker's eval_ns counts the two outcomes it counted, and so does the
+// coordinator's copy, derived from the two result frames it received.
+func TestCutEvaluationIsNotObserved(t *testing.T) {
+	reg, wreg := obs.NewRegistry(), obs.NewRegistry()
+	started := make(chan struct{})
+	sim := core.Evaluator(func(ctx context.Context, p core.Point) (float64, error) {
+		switch x := p["x"]; {
+		case x > 0:
+			return x, nil
+		case x < 0:
+			return 0, errors.New("no such configuration")
+		}
+		close(started)
+		<-ctx.Done()
+		return 0, ctx.Err()
+	})
+	lb := NewLoopback()
+	srv, err := Serve(lb, "", CoordinatorConfig{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	workers, err := StartWorkers(lb, srv.Addr(), 1, WorkerConfig{
+		Name: "w1", Capacity: 2, Registry: wreg,
+		Factory: func([]byte) (core.Simulator, error) { return sim, nil },
+	}, SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer workers.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Coord.WaitForWorkers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	ev := srv.Coord.Evaluator([]byte(`{"test":true}`))
+	if _, err := ev.Run(ctx, core.Point{"x": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ev.Run(ctx, core.Point{"x": -1}); err == nil {
+		t.Fatal("the failing evaluation succeeded")
+	}
+	cut := make(chan error, 1)
+	go func() {
+		_, err := ev.Run(ctx, core.Point{"x": 0})
+		cut <- err
+	}()
+	<-started
+	srv.Close()
+	if err := <-cut; !errors.Is(err, ErrCoordinatorClosed) {
+		t.Errorf("the cut evaluation returned %v, want %v", err, ErrCoordinatorClosed)
+	}
+	workers.Wait() // the worker's session ends once its evaluation has
+
+	for _, r := range []*obs.Registry{wreg, reg} {
+		if err := conformance.CheckWorkerEvals(r); err != nil {
+			t.Error(err)
+		}
+	}
+	if n := wreg.Histogram("worker.eval_ns").Stat().Count; n != 2 {
+		t.Errorf("the worker's eval_ns counts %d evaluations, want the 2 it counted an outcome for", n)
+	}
+	if n := reg.Histogram(obs.LabeledName("worker.eval_ns", "worker", "w1")).Stat().Count; n != 2 {
+		t.Errorf("the coordinator's eval_ns{worker=w1} counts %d evaluations, want 2", n)
 	}
 }
 

@@ -316,7 +316,6 @@ func (w *Worker) evaluate(ctx context.Context, sess *session, msg *LeaseMsg, fr 
 		})
 	}
 	dur := w.clock.Now().Sub(start)
-	w.evalNS.ObserveDuration(dur)
 	w.addInflight(-1)
 	res := fr.Result
 	*res = ResultMsg{ID: msg.ID, Index: msg.Index, Loss: WireFloat(loss), StartUnixNS: start.UnixNano(), DurNS: int64(dur)}
@@ -338,6 +337,9 @@ func (w *Worker) evaluate(ctx context.Context, sess *session, msg *LeaseMsg, fr 
 	} else {
 		w.evalsOK.Inc()
 	}
+	// Observed with its outcome, so that eval_ns counts what evals_ok and
+	// evals_failed count: an evaluation the teardown aborted is neither.
+	w.evalNS.ObserveDuration(dur)
 	// A send failure means the connection died; the coordinator
 	// re-queues the lease, so there is nothing to recover here.
 	_ = sess.send(fr)

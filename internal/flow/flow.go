@@ -36,8 +36,6 @@ import (
 var (
 	metricSolves    = obs.Default().Counter("flow.solves")
 	metricSolveIter = obs.Default().Counter("flow.solve_iterations")
-	metricIncSolves = obs.Default().Counter("flow.incremental_solves")
-	metricActMax    = obs.Default().Gauge("flow.activities_max")
 )
 
 const workEps = 1e-9
@@ -217,7 +215,6 @@ type System struct {
 	statMaxActive int
 	flushedSolves int
 	flushedIters  int
-	flushedIncs   int
 }
 
 // actState is the mutable state of the activity in one active slot.
@@ -269,7 +266,7 @@ func (s *System) Reset() {
 	s.pendingFree = s.pendingFree[:0]
 	s.acts.Reset()
 	s.statSolves, s.statIters, s.statIncremens, s.statMaxActive = 0, 0, 0, 0
-	s.flushedSolves, s.flushedIters, s.flushedIncs = 0, 0, 0
+	s.flushedSolves, s.flushedIters = 0, 0
 }
 
 // Stats returns the system's solver statistics since construction or
@@ -285,11 +282,8 @@ func (s *System) Stats() (solves, iterations, maxActive int) {
 func (s *System) flushStats() {
 	metricSolves.Add(int64(s.statSolves - s.flushedSolves))
 	metricSolveIter.Add(int64(s.statIters - s.flushedIters))
-	metricIncSolves.Add(int64(s.statIncremens - s.flushedIncs))
 	s.flushedSolves = s.statSolves
 	s.flushedIters = s.statIters
-	s.flushedIncs = s.statIncremens
-	metricActMax.SetMax(float64(s.statMaxActive))
 }
 
 // register assigns (or returns) the index of a resource, and renews its

@@ -144,15 +144,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // calibrationStatus extracts the well-known calibration metrics (the
 // names core.NewObsObserver registers) from a snapshot for /statusz, or
 // nil when none are present — e.g. on a worker, whose registry carries
-// only worker.* and simulator metrics. The event-name constants beside
-// Tracer are the same kind of cross-package contract.
+// only worker.* and simulator metrics. Evaluations and batches are the
+// counts of the cal.eval_ns and cal.batch_size histograms. The
+// event-name constants beside Tracer are the same kind of cross-package
+// contract.
 func calibrationStatus(s Snapshot, now time.Time) map[string]any {
 	out := make(map[string]any)
-	if v, ok := s.Counters["cal.evaluations"]; ok {
-		out["evaluations"] = v
+	if h, ok := s.Histograms["cal.eval_ns"]; ok {
+		out["evaluations"] = h.Count
 	}
-	if v, ok := s.Counters["cal.batches"]; ok {
-		out["bo_iterations"] = v
+	if h, ok := s.Histograms["cal.batch_size"]; ok {
+		out["bo_iterations"] = h.Count
 	}
 	if v, ok := s.Gauges["cal.best_loss"]; ok {
 		if sentinel, bad := nonFiniteSentinel(v); bad {

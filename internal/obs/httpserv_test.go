@@ -13,8 +13,12 @@ import (
 
 func TestServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("cal.evaluations").Add(42)
-	reg.Counter("cal.batches").Add(6)
+	for i := 0; i < 42; i++ {
+		reg.Histogram("cal.eval_ns").Observe(1000)
+	}
+	for i := 0; i < 6; i++ {
+		reg.Histogram("cal.batch_size").Observe(7)
+	}
 	reg.Gauge("cal.best_loss").Set(1.25)
 	refreshed := 0
 	srv, err := StartServer("127.0.0.1:0", ServerConfig{
@@ -66,8 +70,8 @@ func TestServerEndpoints(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("/metrics content-type = %q", ct)
 	}
-	if !strings.Contains(body, "cal_evaluations 42") {
-		t.Errorf("/metrics lacks cal_evaluations:\n%s", body)
+	if !strings.Contains(body, "cal_eval_ns_count 42") {
+		t.Errorf("/metrics lacks cal_eval_ns_count:\n%s", body)
 	}
 
 	body, resp = get("/statusz")

@@ -50,21 +50,6 @@ func gaugeWord(v float64) uint64 {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.w.Store(gaugeWord(v)) }
 
-// SetMax raises the gauge to v if v exceeds the current value — a
-// high-water mark (e.g. maximum event-heap depth). A gauge that was
-// never written accepts any first value.
-func (g *Gauge) SetMax(v float64) {
-	for {
-		old := g.w.Load()
-		if old != 0 && v <= math.Float64frombits(old-1) {
-			return
-		}
-		if g.w.CompareAndSwap(old, gaugeWord(v)) {
-			return
-		}
-	}
-}
-
 // SetMin lowers the gauge to v if v is below the current value (or the
 // gauge was never written) — a low-water mark (e.g. best loss so far).
 func (g *Gauge) SetMin(v float64) {

@@ -21,17 +21,6 @@ func TestCounter(t *testing.T) {
 }
 
 func TestGaugeWatermarks(t *testing.T) {
-	var g Gauge
-	g.SetMax(3)
-	g.SetMax(1)
-	if got := g.Value(); got != 3 {
-		t.Fatalf("SetMax gauge = %g, want 3", got)
-	}
-	g.SetMax(7.5)
-	if got := g.Value(); got != 7.5 {
-		t.Fatalf("SetMax gauge = %g, want 7.5", got)
-	}
-
 	var lo Gauge
 	lo.SetMin(4)
 	lo.SetMin(9)
@@ -48,7 +37,7 @@ func TestGaugeWatermarks(t *testing.T) {
 // for "never written", and an unwritten gauge takes any first value,
 // zero and negatives included.
 func TestGaugeFirstWrite(t *testing.T) {
-	lo, hi, set := (*Gauge).SetMin, (*Gauge).SetMax, (*Gauge).Set
+	lo, set := (*Gauge).SetMin, (*Gauge).Set
 	type op struct {
 		f func(*Gauge, float64)
 		v float64
@@ -62,9 +51,6 @@ func TestGaugeFirstWrite(t *testing.T) {
 		{"SetMin keeps a zero loss", []op{{lo, 0}, {lo, 5}}, 0},
 		{"SetMin after Set(0)", []op{{set, 0}, {lo, 5}}, 0},
 		{"SetMin takes a negative first", []op{{lo, -2}, {lo, 1}}, -2},
-		{"SetMax takes a negative first", []op{{hi, -3}}, -3},
-		{"SetMax takes zero first", []op{{hi, 0}, {hi, -1}}, 0},
-		{"SetMax rises from a negative", []op{{hi, -3}, {hi, -1}}, -1},
 		{"Set overrides a watermark", []op{{lo, 1}, {set, 4}, {lo, 5}}, 4},
 	} {
 		var g Gauge
@@ -130,15 +116,15 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestRegistrySnapshotAndText(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("cal.evaluations").Add(10)
-	if r.Counter("cal.evaluations") != r.Counter("cal.evaluations") {
+	r.Counter("checkpoints_written").Add(10)
+	if r.Counter("checkpoints_written") != r.Counter("checkpoints_written") {
 		t.Fatal("counter handle not stable")
 	}
 	r.Gauge("cal.best_loss").Set(0.5)
 	r.Histogram("cal.eval_ns").ObserveDuration(2 * time.Millisecond)
 	s := r.Snapshot()
-	if s.Counters["cal.evaluations"] != 10 {
-		t.Fatalf("snapshot counter = %d", s.Counters["cal.evaluations"])
+	if s.Counters["checkpoints_written"] != 10 {
+		t.Fatalf("snapshot counter = %d", s.Counters["checkpoints_written"])
 	}
 	if s.Gauges["cal.best_loss"] != 0.5 {
 		t.Fatalf("snapshot gauge = %g", s.Gauges["cal.best_loss"])
@@ -151,7 +137,7 @@ func TestRegistrySnapshotAndText(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	for _, want := range []string{"cal.evaluations", "cal.best_loss", "cal.eval_ns", "count=1"} {
+	for _, want := range []string{"checkpoints_written", "cal.best_loss", "cal.eval_ns", "count=1"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("text snapshot missing %q:\n%s", want, text)
 		}
